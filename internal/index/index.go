@@ -450,9 +450,9 @@ func (r *ReachIndex) Reaches(specID, fromModule, toModule string) bool {
 
 // Cache is a bounded, concurrency-safe result cache keyed by
 // (user group, query key): users in the same group share privacy
-// settings, so they can safely share materialized answers. It is backed
-// by the same LRU core as the per-shard view cache, so eviction is
-// recency-based rather than drop-all, and hit/miss counters feed the
+// settings, so they can safely share computed answers. It is backed by
+// the same LRU core as the per-shard enforced-view caches, so eviction
+// is recency-based rather than drop-all, and hit/miss counters feed the
 // metrics endpoint.
 type Cache struct {
 	lru *LRU[string, any]
@@ -463,7 +463,7 @@ func NewCache(capacity int) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("index: cache capacity %d < 1", capacity)
 	}
-	return &Cache{lru: NewLRU[string, any](capacity, 0)}, nil
+	return &Cache{lru: NewLRU[string, any](capacity)}, nil
 }
 
 func cacheKey(group, key string) string { return group + "\x00" + key }

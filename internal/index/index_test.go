@@ -397,3 +397,19 @@ func TestReachIndexConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// workflowRandom builds a small spec for index tests (kept here to
+// avoid an import cycle with workload — hand-rolled, deterministic).
+func workflowRandom(seed int64) (*workflow.Spec, error) {
+	return workflow.NewBuilder(
+		"rnd", "Random", "R").
+		Workflow("R", "Root").
+		Source("I", "x").
+		Atomic("A1", "Parse Genome Data", []string{"x"}, []string{"y"}).
+		Atomic("A2", "Align Sequence Reads", []string{"y"}, []string{"z"}).
+		Sink("O", "z").
+		Edge("I", "A1", "x").
+		Edge("A1", "A2", "y").
+		Edge("A2", "O", "z").
+		Build()
+}

@@ -3,13 +3,12 @@ package index
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // LRU is a bounded, concurrency-safe cache with least-recently-used
-// eviction and optional TTL expiry. It replaces the drop-all-at-cap
-// strategy the repository's view cache started with: overflow now evicts
-// only the coldest entry, so a hot working set survives churn.
+// eviction: overflow evicts only the coldest entry, so a hot working
+// set survives churn. Entries never expire — capacity is the memory
+// bound, and owners of derived data drop stale entries with Purge.
 //
 // The read path is designed for many concurrent readers: Get takes only
 // a read lock and records recency with an atomic logical-clock stamp, so
@@ -20,56 +19,37 @@ import (
 type LRU[K comparable, V any] struct {
 	mu       sync.RWMutex
 	capacity int
-	ttl      time.Duration // 0 = entries never expire
 	entries  map[K]*lruEntry[V]
 	clock    atomic.Int64
 	hits     atomic.Int64 //provlint:counter
 	misses   atomic.Int64 //provlint:counter
-	// now is stubbed by tests to drive TTL expiry deterministically.
-	now func() time.Time
 }
 
 type lruEntry[V any] struct {
-	value   V
-	stamp   atomic.Int64 // logical last-access time
-	expires time.Time    // zero when no TTL
+	value V
+	stamp atomic.Int64 // logical last-access time
 }
 
 // NewLRU returns an LRU bounded to capacity entries (values < 1 are
-// clamped to 1) whose entries expire ttl after insertion (0 disables
-// expiry).
-func NewLRU[K comparable, V any](capacity int, ttl time.Duration) *LRU[K, V] {
+// clamped to 1).
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRU[K, V]{
 		capacity: capacity,
-		ttl:      ttl,
 		entries:  make(map[K]*lruEntry[V], capacity),
-		now:      time.Now,
 	}
 }
 
-// Get returns the live cached value for key. Expired entries count as
-// misses and are deleted lazily.
+// Get returns the cached value for key.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
 	c.mu.RLock()
 	e := c.entries[key]
 	c.mu.RUnlock()
-	var zero V
 	if e == nil {
 		c.misses.Add(1)
-		return zero, false
-	}
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.mu.Lock()
-		// Re-check under the write lock: the slot may have been replaced
-		// by a fresh Put since we looked.
-		if cur := c.entries[key]; cur == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-		c.misses.Add(1)
+		var zero V
 		return zero, false
 	}
 	e.stamp.Store(c.clock.Add(1))
@@ -77,28 +57,25 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return e.value, true
 }
 
-// Peek returns the live cached value for key without touching the
-// hit/miss counters or the recency stamp — for double-check paths that
-// already counted their initial Get.
+// Peek returns the cached value for key without touching the hit/miss
+// counters or the recency stamp — for double-check paths that already
+// counted their initial Get.
 func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	c.mu.RLock()
 	e := c.entries[key]
 	c.mu.RUnlock()
-	var zero V
-	if e == nil || (!e.expires.IsZero() && c.now().After(e.expires)) {
+	if e == nil {
+		var zero V
 		return zero, false
 	}
 	return e.value, true
 }
 
 // Put stores a value for key, evicting the least recently used entry
-// when the cache is full (expired entries are reaped first).
+// when the cache is full.
 func (c *LRU[K, V]) Put(key K, v V) {
 	e := &lruEntry[V]{value: v}
 	e.stamp.Store(c.clock.Add(1))
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[key]; !exists && len(c.entries) >= c.capacity {
@@ -107,22 +84,9 @@ func (c *LRU[K, V]) Put(key K, v V) {
 	c.entries[key] = e
 }
 
-// evictLocked removes every expired entry, and if none was expired, the
-// entry with the oldest access stamp. Caller holds c.mu.
+// evictLocked removes the entry with the oldest access stamp. Caller
+// holds c.mu.
 func (c *LRU[K, V]) evictLocked() {
-	reaped := false
-	if c.ttl > 0 {
-		now := c.now()
-		for k, e := range c.entries {
-			if now.After(e.expires) {
-				delete(c.entries, k)
-				reaped = true
-			}
-		}
-	}
-	if reaped || len(c.entries) == 0 {
-		return
-	}
 	var coldest K
 	oldest := int64(0)
 	first := true
@@ -134,8 +98,7 @@ func (c *LRU[K, V]) evictLocked() {
 	delete(c.entries, coldest)
 }
 
-// Len returns the number of entries currently held (including any not
-// yet reaped expired entries).
+// Len returns the number of entries currently held.
 func (c *LRU[K, V]) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewLRU[string, int](2, 0)
+	c := NewLRU[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Get("a") // refresh a: b is now the coldest
@@ -24,7 +23,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUOverwriteDoesNotEvict(t *testing.T) {
-	c := NewLRU[string, int](2, 0)
+	c := NewLRU[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("b", 20)
@@ -36,38 +35,8 @@ func TestLRUOverwriteDoesNotEvict(t *testing.T) {
 	}
 }
 
-func TestLRUTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewLRU[string, int](4, time.Minute)
-	c.now = func() time.Time { return now }
-	c.Put("a", 1)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("expired entry served")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry not reaped lazily: len=%d", c.Len())
-	}
-	// Expired entries are reaped before a live one is evicted.
-	c.Put("b", 2)
-	c.Put("c", 3)
-	now = now.Add(2 * time.Minute)
-	c.Put("d", 4)
-	c.Put("e", 5)
-	c.Put("f", 6)
-	c.Put("g", 7) // full: b and c are expired and must go first
-	for _, k := range []string{"d", "e", "f", "g"} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("live entry %q evicted while expired entries existed", k)
-		}
-	}
-}
-
 func TestLRUStatsAndPurge(t *testing.T) {
-	c := NewLRU[string, int](4, 0)
+	c := NewLRU[string, int](4)
 	c.Get("nope")
 	c.Put("a", 1)
 	c.Get("a")
@@ -85,7 +54,7 @@ func TestLRUStatsAndPurge(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := NewLRU[string, int](64, time.Minute)
+	c := NewLRU[string, int](64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

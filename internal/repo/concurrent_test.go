@@ -1,21 +1,24 @@
 package repo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
+	"provpriv/internal/taint"
 	"provpriv/internal/workload"
 )
 
 // These tests exercise the sharded engine adversarially and are meant
-// to run under `go test -race`: searches, ingest, materialization
-// toggles and spec removal all race against each other, and the
+// to run under `go test -race`: searches, ingest, snapshot prewarms
+// and spec removal all race against each other, and the
 // assertions check that every observed answer is internally consistent
 // (no partial state, no privacy downgrade) rather than that a specific
 // interleaving happened.
@@ -57,9 +60,9 @@ func multiSpecRepo(t testing.TB, n int) *Repository {
 	return r
 }
 
-// TestParallelSearchIngestMaterialize races the three mutating surfaces
-// of the ISSUE against a steady read load: Search, AddExecution and
-// EnableMaterialization from separate goroutine pools.
+// TestParallelSearchIngestMaterialize races Search, AddExecution and
+// PrewarmMasked (eager materialization of the masked-snapshot cache)
+// from separate goroutine pools.
 func TestParallelSearchIngestMaterialize(t *testing.T) {
 	r := multiSpecRepo(t, 6)
 	queries := workload.RandomQueries(rand.New(rand.NewSource(1)), nil, 16)
@@ -100,14 +103,16 @@ func TestParallelSearchIngestMaterialize(t *testing.T) {
 			}
 		}(g)
 	}
-	// Materialization toggles concurrent with everything else.
+	// Prewarms of every shard concurrent with everything else.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if err := r.EnableMaterialization([]privacy.Level{privacy.Public, privacy.Registered}); err != nil {
-				t.Errorf("EnableMaterialization: %v", err)
-				return
+			for _, sid := range r.SpecIDs() {
+				if _, err := r.PrewarmMasked(context.Background(), sid, []privacy.Level{privacy.Public, privacy.Registered}, nil); err != nil {
+					t.Errorf("PrewarmMasked: %v", err)
+					return
+				}
 			}
 		}
 	}()
@@ -225,32 +230,28 @@ func TestParallelAddRemoveSpec(t *testing.T) {
 // build the per-level corpus once, not once per caller.
 func TestCorpusSingleflight(t *testing.T) {
 	r := multiSpecRepo(t, 8)
-	var builds atomic.Int64
+	const callers = 16
+	before := r.Stats().CorpusRebuilds
+	// Hold the build open: buildCorpus read-locks every shard, so a
+	// write-locked shard parks the one builder until the whole herd has
+	// queued behind its flight.
+	gate := r.shard("s0")
+	gate.mu.Lock()
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 16; g++ {
+	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			v, _ := r.flights.Do("corpus|probe", func() (any, error) {
-				builds.Add(1)
-				// Hold the flight open long enough for the herd to pile
-				// up behind it, as a slow real corpus build would.
-				time.Sleep(20 * time.Millisecond)
-				return r.buildCorpus(privacy.Registered), nil
-			})
-			if v == nil {
+			if r.corpusFor(privacy.Registered) == nil {
 				t.Error("nil corpus from flight group")
 			}
 		}()
 	}
-	close(start)
+	awaitWaiters(&r.corpusFlights, privacy.Registered, callers-1)
+	gate.mu.Unlock()
 	wg.Wait()
-	if b := builds.Load(); b < 1 || b > 4 {
-		// With 16 simultaneous callers the flight group should collapse
-		// almost all of them; allow a little scheduling slack.
-		t.Fatalf("corpus built %d times for 16 concurrent callers", b)
+	if builds := r.Stats().CorpusRebuilds - before; builds != 1 {
+		t.Fatalf("corpus built %d times for %d concurrent callers", builds, callers)
 	}
 	// And the real path: concurrent cold searches agree with each other.
 	r.invalidateDerived()
@@ -277,6 +278,90 @@ func TestCorpusSingleflight(t *testing.T) {
 			if results[g][i].SpecID != results[0][i].SpecID || results[g][i].Score != results[0][i].Score {
 				t.Fatalf("concurrent searches disagree at %d: %+v vs %+v", i, results[g][i], results[0][i])
 			}
+		}
+	}
+}
+
+// TestReregisteredSpecNeverJoinsRemovedFill: RemoveSpec + AddSpec of the
+// same id starts a fresh shard whose polGen restarts at 0, so its cache
+// and flight keys collide with the removed incarnation's. A reader of
+// the new, stricter incarnation must neither wait on nor be handed a
+// snapshot whose fill the removed incarnation still has in flight — that
+// snapshot was masked under the removed policy.
+func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
+	r := seededRepo(t) // incarnation 1: ethnicity is public
+	spec := r.Spec(diseaseID)
+	e := r.execution(diseaseID, "E1")
+	progID := itemByAttr(t, r, "prognosis")
+
+	// Hold incarnation 1's public fill open: park its taint analysis on a
+	// gate, then start a real read that joins it from inside the masked
+	// fill.
+	old := r.shard(spec.ID)
+	tkey := taintCacheKey{execID: "E1", polGen: 0}
+	mkey := maskedCacheKey{execID: "E1", level: privacy.Public, polGen: 0}
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer release()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, _ = old.taintFlights.Do(tkey, func() (*taint.Set, error) {
+			<-gate
+			return old.engine.Analyze(e), nil
+		})
+	}()
+	awaitWaiters(&old.taintFlights, tkey, 0)
+	go func() {
+		defer wg.Done()
+		_, _ = r.Provenance("bob", spec.ID, "E1", progID)
+	}()
+	awaitWaiters(&old.taintFlights, tkey, 1)
+	if old.maskedFlights.waiters(mkey) != 0 {
+		t.Fatal("incarnation 1's masked fill is not in flight")
+	}
+
+	// Incarnation 2: same ids, ethnicity now owner-only.
+	if err := r.RemoveSpec(spec.ID); err != nil {
+		t.Fatalf("RemoveSpec: %v", err)
+	}
+	strict := privacy.NewPolicy(spec.ID)
+	strict.DataLevels["ethnicity"] = privacy.Owner
+	if err := r.AddSpec(spec, strict); err != nil {
+		t.Fatalf("re-AddSpec: %v", err)
+	}
+	if err := r.AddExecution(e); err != nil {
+		t.Fatalf("re-AddExecution: %v", err)
+	}
+	type result struct {
+		prov *exec.Execution
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		prov, err := r.Provenance("bob", spec.ID, "E1", progID)
+		done <- result{prov, err}
+	}()
+	var got result
+	for waiting := true; waiting; {
+		select {
+		case got = <-done:
+			waiting = false
+		default:
+			if old.maskedFlights.waiters(mkey) > 0 {
+				t.Fatal("reader of the re-registered spec joined the removed incarnation's fill")
+			}
+			runtime.Gosched()
+		}
+	}
+	if got.err != nil {
+		t.Fatalf("Provenance on incarnation 2: %v", got.err)
+	}
+	for id, it := range got.prov.Items {
+		if strings.Contains(string(it.Value), "eth1") {
+			t.Fatalf("item %s served under the removed policy: %q", id, it.Value)
 		}
 	}
 }

@@ -1,5 +1,11 @@
 package repo
 
+// Tests for the eager ("materialized", paper Section 4) use of the
+// masked-snapshot cache: PrewarmMasked fills every (execution, level)
+// ahead of the reader through the same maskedExecFor the lazy path
+// uses, so prewarmed answers must equal on-the-fly ones, equal an
+// uncached reference, and stay correct across later mutations.
+
 import (
 	"context"
 	"fmt"
@@ -9,51 +15,75 @@ import (
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
-	"provpriv/internal/workflow"
 )
 
-func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
-	// Two identical repositories, one materialized — answers must agree.
-	plain := seededRepo(t)
-	mat := seededRepo(t)
-	if err := mat.EnableMaterialization([]privacy.Level{privacy.Public, privacy.Analyst}); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
+const diseaseID = "disease-susceptibility"
+
+// allLevels are the access levels the prewarm tests materialize.
+var allLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
+
+func prewarm(t *testing.T, r *Repository, levels []privacy.Level) {
+	t.Helper()
+	if _, err := r.PrewarmMasked(context.Background(), diseaseID, levels, nil); err != nil {
+		t.Fatalf("PrewarmMasked: %v", err)
 	}
-	e := plain.execution("disease-susceptibility", "E1")
-	var progID string
-	for id, it := range e.Items {
-		if it.Attr == "prognosis" {
-			progID = id
-		}
+}
+
+// snpsLadder is the generalization fixture: rs1 → chr1 → genome.
+func snpsLadder() map[string]*datapriv.Hierarchy {
+	return map[string]*datapriv.Hierarchy{
+		"snps": {Attr: "snps", Levels: []map[exec.Value]exec.Value{
+			{"rs1": "chr1"},
+			{"chr1": "genome"},
+		}},
 	}
-	for _, user := range []string{"bob", "carol"} { // public, analyst
-		a, errA := plain.Provenance(user, "disease-susceptibility", "E1", progID)
-		b, errB := mat.Provenance(user, "disease-susceptibility", "E1", progID)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", user, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if strings.Join(a.NodeIDs(), ",") != strings.Join(b.NodeIDs(), ",") {
-			t.Fatalf("%s: nodes differ:\n%v\n%v", user, a.NodeIDs(), b.NodeIDs())
-		}
-		for id, it := range a.Items {
-			bit := b.Items[id]
-			if bit == nil || bit.Redacted != it.Redacted || bit.Value != it.Value {
-				t.Fatalf("%s: item %s differs: %+v vs %+v", user, id, it, bit)
-			}
+}
+
+// assertSameItems fails unless b carries every item of a with the same
+// value and redaction flag.
+func assertSameItems(t *testing.T, ctx string, a, b *exec.Execution) {
+	t.Helper()
+	if got, want := fmt.Sprint(b.NodeIDs()), fmt.Sprint(a.NodeIDs()); got != want {
+		t.Fatalf("%s: node sets differ:\n%s\n%s", ctx, want, got)
+	}
+	if len(a.Items) != len(b.Items) {
+		t.Fatalf("%s: item counts differ: %d vs %d", ctx, len(a.Items), len(b.Items))
+	}
+	for id, it := range a.Items {
+		bit := b.Items[id]
+		if bit == nil || bit.Redacted != it.Redacted || bit.Value != it.Value {
+			t.Fatalf("%s: item %s differs: %+v vs %+v", ctx, id, it, bit)
 		}
 	}
 }
 
+func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
+	// Two identical repositories, one prewarmed — answers must agree,
+	// and the prewarmed one must answer without a single cold fill.
+	plain := seededRepo(t)
+	mat := seededRepo(t)
+	prewarm(t, mat, []privacy.Level{privacy.Public, privacy.Analyst})
+	misses := mat.Stats().MaskedCacheMisses
+	progID := itemByAttr(t, plain, "prognosis")
+	for _, user := range []string{"bob", "carol"} { // public, analyst
+		a, errA := plain.Provenance(user, diseaseID, "E1", progID)
+		b, errB := mat.Provenance(user, diseaseID, "E1", progID)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: Provenance: %v / %v", user, errA, errB)
+		}
+		assertSameItems(t, user, a, b)
+	}
+	if got := mat.Stats().MaskedCacheMisses; got != misses {
+		t.Fatalf("prewarmed reads filled cold: misses %d -> %d", misses, got)
+	}
+}
+
+// TestMaterializationCoversNewExecutions: an execution ingested after a
+// prewarm has no snapshot yet; the lazy path must serve it, masked.
 func TestMaterializationCoversNewExecutions(t *testing.T) {
 	r := seededRepo(t)
-	if err := r.EnableMaterialization([]privacy.Level{privacy.Public}); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
-	}
-	// Add a second execution after enabling.
-	spec := r.Spec("disease-susceptibility")
+	prewarm(t, r, []privacy.Level{privacy.Public})
+	spec := r.Spec(diseaseID)
 	e2, err := exec.NewRunner(spec, nil).Run("E2", map[string]exec.Value{
 		"snps": "rs9", "ethnicity": "eth2", "lifestyle": "sedentary",
 		"family_history": "none", "symptoms": "cough",
@@ -70,208 +100,117 @@ func TestMaterializationCoversNewExecutions(t *testing.T) {
 			progID = id
 		}
 	}
-	prov, err := r.Provenance("bob", "disease-susceptibility", "E2", progID)
+	prov, err := r.Provenance("bob", diseaseID, "E2", progID)
 	if err != nil {
 		t.Fatalf("Provenance: %v", err)
 	}
 	if len(prov.Nodes) == 0 {
-		t.Fatal("empty provenance from materialized path")
+		t.Fatal("empty provenance for an execution ingested after the prewarm")
+	}
+	for id, it := range prov.Items {
+		if strings.Contains(string(it.Value), "rs9") {
+			t.Fatalf("item %s of the post-prewarm execution leaks rs9: %q", id, it.Value)
+		}
 	}
 }
 
+// TestMaterializationHidesInternalItems: an item internal to a composite
+// the level sees collapsed stays hidden, cold and prewarmed alike.
 func TestMaterializationHidesInternalItems(t *testing.T) {
-	r := seededRepo(t)
-	if err := r.EnableMaterialization([]privacy.Level{privacy.Public}); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
-	}
-	e := r.execution("disease-susceptibility", "E1")
-	var internalID string
-	for id, it := range e.Items {
-		if it.Attr == "snp_set" {
-			internalID = id
+	for _, warm := range []bool{false, true} {
+		r := seededRepo(t)
+		if warm {
+			prewarm(t, r, []privacy.Level{privacy.Public})
+		}
+		internalID := itemByAttr(t, r, "snp_set")
+		if _, err := r.Provenance("bob", diseaseID, "E1", internalID); err == nil {
+			t.Fatalf("internal item visible (prewarmed=%v)", warm)
 		}
 	}
-	if _, err := r.Provenance("bob", "disease-susceptibility", "E1", internalID); err == nil {
-		t.Fatal("internal item visible through materialized view")
-	}
 }
 
-// snpsLadder is the generalization fixture of the parity tests: rs1 →
-// chr1 → genome.
-func snpsLadder() map[string]*datapriv.Hierarchy {
-	return map[string]*datapriv.Hierarchy{
-		"snps": {Attr: "snps", Levels: []map[exec.Value]exec.Value{
-			{"rs1": "chr1"},
-			{"chr1": "genome"},
-		}},
-	}
-}
-
-// allLevels are the access levels the parity sweep materializes.
-var allLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
-
-// assertViewSnapshotParity compares, for every materialized level, the
-// view store's output with the masked-snapshot cache's output for the
-// same execution: identical node sets and byte-identical item values /
-// redaction flags. This is the regression test for the masking-parity
-// bug where materialized views redacted where the taint/snapshot path
-// generalized.
-func assertViewSnapshotParity(t *testing.T, r *Repository, specID, execID string) {
+// assertSnapshotMatchesReference compares, for every level, the cached
+// snapshot with the same view computed directly — Collapse + MaskView on
+// a fresh masker, no cache, flight group or shard engine involved.
+func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*datapriv.Hierarchy) {
 	t.Helper()
-	sh := r.shard(specID)
-	if sh == nil {
-		t.Fatalf("no shard for %s", specID)
-	}
-	sh.mu.RLock()
-	e := sh.execs[execID]
-	vs := sh.viewStore
-	sh.mu.RUnlock()
-	if e == nil || vs == nil {
-		t.Fatalf("missing execution %s or view store", execID)
-	}
+	sh := r.shard(diseaseID)
+	e := r.execution(diseaseID, "E1")
+	pol := sh.policySnapshot()
 	for _, lvl := range allLevels {
-		view := vs.Get(specID, execID, lvl)
-		if view == nil {
-			t.Fatalf("level %v: no materialized view", lvl)
+		collapsed, err := exec.Collapse(e, sh.spec, pol.AccessView(sh.hier, lvl))
+		if err != nil {
+			t.Fatalf("level %v: Collapse: %v", lvl, err)
 		}
+		want, _ := datapriv.NewMasker(pol, hs).MaskView(e, collapsed, lvl)
+		hits, _ := sh.masked.Stats()
 		snap, err := r.maskedExecFor(context.Background(), sh, e, lvl)
 		if err != nil {
 			t.Fatalf("level %v: maskedExecFor: %v", lvl, err)
 		}
-		want := snap.prep.Exec
-		if got, wantIDs := fmt.Sprint(view.NodeIDs()), fmt.Sprint(want.NodeIDs()); got != wantIDs {
-			t.Fatalf("level %v: node sets differ:\nview:     %s\nsnapshot: %s", lvl, got, wantIDs)
+		if after, _ := sh.masked.Stats(); after == hits {
+			t.Fatalf("level %v: snapshot was not served from the prewarmed cache", lvl)
 		}
-		if len(view.Items) != len(want.Items) {
-			t.Fatalf("level %v: item counts differ: %d vs %d", lvl, len(view.Items), len(want.Items))
-		}
-		for id, it := range view.Items {
-			wit := want.Items[id]
-			if wit == nil {
-				t.Fatalf("level %v: item %s only in view", lvl, id)
-			}
-			if it.Redacted != wit.Redacted || it.Value != wit.Value {
-				t.Fatalf("level %v item %s: view %+v != snapshot %+v — materialized masking diverged",
-					lvl, id, it, wit)
-			}
-		}
+		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, snap.prep.Exec)
 	}
 }
 
-// TestViewSnapshotMaskingParity: with generalization ladders installed,
-// materialized views must generalize exactly like the masked-snapshot
-// path at every privacy level — in both mutation orders (ladders before
-// materialization, and ladders installed into an already-materialized
-// repository, which rebuilds the view stores).
+// TestViewSnapshotMaskingParity: the prewarmed snapshot of every level
+// must equal the uncached reference view — in both mutation orders
+// (ladders before the prewarm, and ladders installed into an already
+// prewarmed shard, which must drop the warm snapshots).
 func TestViewSnapshotMaskingParity(t *testing.T) {
 	t.Run("generalize-then-materialize", func(t *testing.T) {
 		r := seededRepo(t)
-		if err := r.SetGeneralization("disease-susceptibility", snpsLadder()); err != nil {
+		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		if err := r.EnableMaterialization(allLevels); err != nil {
-			t.Fatalf("EnableMaterialization: %v", err)
-		}
-		assertViewSnapshotParity(t, r, "disease-susceptibility", "E1")
+		prewarm(t, r, allLevels)
+		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("materialize-then-generalize", func(t *testing.T) {
 		r := seededRepo(t)
-		if err := r.EnableMaterialization(allLevels); err != nil {
-			t.Fatalf("EnableMaterialization: %v", err)
-		}
-		if err := r.SetGeneralization("disease-susceptibility", snpsLadder()); err != nil {
+		prewarm(t, r, allLevels)
+		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		assertViewSnapshotParity(t, r, "disease-susceptibility", "E1")
+		prewarm(t, r, allLevels)
+		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("no-ladders", func(t *testing.T) {
-		// Redaction-only policies must agree too (the pre-existing case).
 		r := seededRepo(t)
-		if err := r.EnableMaterialization(allLevels); err != nil {
-			t.Fatalf("EnableMaterialization: %v", err)
-		}
-		assertViewSnapshotParity(t, r, "disease-susceptibility", "E1")
+		prewarm(t, r, allLevels)
+		assertSnapshotMatchesReference(t, r, nil)
 	})
 }
 
 // TestMaterializedGeneralizedProvenance is the end-to-end shape of the
-// parity bug: with ladders AND materialization on, a below-level user's
-// provenance must carry the generalized value — served from the view
-// store fast path — not a redaction, and must equal the answer of an
-// unmaterialized repository.
+// same contract: a below-level user's provenance carries the
+// generalized value, not a redaction, whether the ladders arrive before
+// the prewarm or after it (when the already-warm snapshots were built
+// without them and must not be served).
 func TestMaterializedGeneralizedProvenance(t *testing.T) {
-	plain := seededRepo(t)
-	mat := seededRepo(t)
-	for _, r := range []*Repository{plain, mat} {
-		if err := r.SetGeneralization("disease-susceptibility", snpsLadder()); err != nil {
-			t.Fatalf("SetGeneralization: %v", err)
+	before := seededRepo(t)
+	if err := before.SetGeneralization(diseaseID, snpsLadder()); err != nil {
+		t.Fatalf("SetGeneralization: %v", err)
+	}
+	prewarm(t, before, allLevels)
+	after := seededRepo(t)
+	prewarm(t, after, allLevels)
+	if err := after.SetGeneralization(diseaseID, snpsLadder()); err != nil {
+		t.Fatalf("SetGeneralization: %v", err)
+	}
+	progID := itemByAttr(t, before, "prognosis")
+	snpID := itemByAttr(t, before, "snps")
+	for name, r := range map[string]*Repository{"ladders-then-prewarm": before, "prewarm-then-ladders": after} {
+		// carol (analyst, one level short of owner) sees chr1.
+		prov, err := r.Provenance("carol", diseaseID, "E1", progID)
+		if err != nil {
+			t.Fatalf("%s: Provenance: %v", name, err)
 		}
-	}
-	if err := mat.EnableMaterialization(allLevels); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
-	}
-	e := plain.execution("disease-susceptibility", "E1")
-	var progID, snpID string
-	for id, it := range e.Items {
-		switch it.Attr {
-		case "prognosis":
-			progID = id
-		case "snps":
-			snpID = id
+		it := prov.Items[snpID]
+		if it == nil || it.Redacted || it.Value != "chr1" {
+			t.Fatalf("%s: analyst snps = %+v, want generalized chr1", name, it)
 		}
-	}
-	for _, user := range []string{"bob", "carol", "alice"} {
-		a, errA := plain.Provenance(user, "disease-susceptibility", "E1", progID)
-		b, errB := mat.Provenance(user, "disease-susceptibility", "E1", progID)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", user, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		for id, it := range a.Items {
-			bit := b.Items[id]
-			if bit == nil || bit.Redacted != it.Redacted || bit.Value != it.Value {
-				t.Fatalf("%s: item %s differs: %+v vs %+v", user, id, it, bit)
-			}
-		}
-	}
-	// The materialized fast path itself generalizes: carol (analyst, one
-	// level short of owner) sees chr1, not a redaction.
-	prov, err := mat.Provenance("carol", "disease-susceptibility", "E1", progID)
-	if err != nil {
-		t.Fatalf("Provenance: %v", err)
-	}
-	it := prov.Items[snpID]
-	if it == nil || it.Redacted || it.Value != "chr1" {
-		t.Fatalf("materialized analyst snps = %+v, want generalized chr1", it)
-	}
-}
-
-func TestMaterializationNewSpecRegistered(t *testing.T) {
-	r := New()
-	r.AddUser(privacy.User{Name: "u", Level: privacy.Public, Group: "g"})
-	if err := r.EnableMaterialization([]privacy.Level{privacy.Public}); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
-	}
-	spec := workflow.DiseaseSusceptibility()
-	if err := r.AddSpec(spec, nil); err != nil {
-		t.Fatalf("AddSpec: %v", err)
-	}
-	e, _ := exec.NewRunner(spec, nil).Run("E1", map[string]exec.Value{
-		"snps": "rs1", "ethnicity": "e", "lifestyle": "l",
-		"family_history": "f", "symptoms": "s",
-	})
-	if err := r.AddExecution(e); err != nil {
-		t.Fatalf("AddExecution after enable: %v", err)
-	}
-	var progID string
-	for id, it := range e.Items {
-		if it.Attr == "prognosis" {
-			progID = id
-		}
-	}
-	if _, err := r.Provenance("u", spec.ID, "E1", progID); err != nil {
-		t.Fatalf("Provenance: %v", err)
 	}
 }

@@ -11,8 +11,11 @@ import (
 // given access levels — the cheap background job that runs after
 // UpdatePolicy/SetGeneralization purge the shard's caches, so the first
 // reader at each level pays a warm hit instead of the full
-// collapse+taint+mask build. Levels defaults to every level a
-// registered user holds. The context is checked between executions;
+// collapse+taint+mask build. It is the eager ("materialized views",
+// paper Section 4) use of the one enforced-view cache: every snapshot is
+// built by the same maskedExecFor a lazy read would run, under the same
+// key, fence and counters. Levels defaults to every level a registered
+// user holds. The context is checked between executions;
 // progress (optional) receives (built, total) heartbeats. Returns how
 // many snapshots were built or refreshed. A spec removed mid-warm is
 // not an error: the warm is simply moot.

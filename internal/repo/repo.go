@@ -15,7 +15,7 @@
 //
 // Concurrency model: state is sharded per specification. Each shard
 // owns its spec, policy, executions, generalization hierarchies and
-// materialized views behind its own RWMutex, so traffic against
+// enforced-view caches behind its own RWMutex, so traffic against
 // different specs never contends. The repository level keeps only the
 // shard directory, the user registry, the shared keyword/reachability
 // indexes and the per-level ranking corpora. The shared indexes
@@ -26,11 +26,18 @@
 // spec mutation applies an AddDoc/RemoveDoc delta to every already-built
 // corpus (cost proportional to the mutated spec, not the repository)
 // and only a policy change that reclassifies module levels falls back to
-// invalidate-and-rebuild. Multi-spec operations (Search, QueryAll,
-// EnableMaterialization) fan out across a bounded worker pool and merge
-// deterministically; lazily built per-level artifacts (ranking corpora,
-// collapsed provenance views) are deduplicated with a singleflight group
-// so concurrent identical requests build each view exactly once.
+// invalidate-and-rebuild. Multi-spec operations (Search, QueryAll) fan
+// out across a bounded worker pool and merge deterministically; lazily
+// built per-level artifacts (ranking corpora, enforced execution views)
+// are deduplicated with singleflight groups so concurrent identical
+// requests build each one exactly once.
+//
+// Exactly one mechanism memoizes "execution E as level L may see it":
+// the per-shard masked-snapshot cache filled by maskedExecFor. Lazy
+// reads fill it on first touch; PrewarmMasked fills it ahead of the
+// reader through the same code path (the paper's Section 4
+// "materialized views vs on-the-fly" trade-off, with one
+// implementation and therefore nothing to keep consistent).
 //
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
 // directory) before corpusMu before a shard's mu. Read paths never hold
@@ -47,7 +54,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
@@ -87,32 +93,19 @@ type shard struct {
 	policy *privacy.Policy
 	execs  map[string]*exec.Execution
 
-	// viewStore, when non-nil, holds pre-collapsed, pre-masked views of
-	// executions at the materialized levels (Section 4's materialized-
-	// views direction); Provenance consults it before collapsing on the
-	// fly.
-	viewStore *index.ViewStore
-
 	// hierarchies holds optional generalization ladders used by
 	// data-privacy masking (values are coarsened instead of redacted).
 	hierarchies map[string]*datapriv.Hierarchy
 
-	// views holds lazily collapsed (pre-mask) execution views keyed by
-	// (execID, level), deduplicated through the repository's flight
-	// group. Eviction is LRU with a TTL, so overflow drops only the
-	// coldest view instead of the whole cache. Masking still runs per
-	// request (it is cheap and returns a copy); the expensive Collapse
-	// runs once per view.
-	views *index.LRU[viewCacheKey, *exec.Execution]
-
 	// taints caches per-execution taint sets (seed + propagate over the
 	// full execution, see internal/taint) keyed by (execID, polGen):
 	// the set is level- and view-independent, so one analysis serves
-	// every access level and every collapsed view of the execution.
-	// polGen keys it exactly like the view cache, so sets computed under
-	// a replaced policy are unreachable. Reads are lock-free apart from
-	// the LRU's own mutex; fills go through the flight group.
-	taints *index.LRU[taintCacheKey, *taint.Set]
+	// every access level's masked snapshot of the execution. polGen keys
+	// it exactly like the masked cache, so sets computed under a replaced
+	// policy are unreachable. Reads are lock-free apart from the LRU's
+	// own mutex; fills go through taintFlights.
+	taints       *index.LRU[taintCacheKey, *taint.Set]
+	taintFlights flightGroup[taintCacheKey, *taint.Set]
 
 	// masked caches fully privacy-enforced snapshots — collapsed,
 	// taint-masked executions — keyed by (execID, level, polGen), so the
@@ -123,7 +116,11 @@ type shard struct {
 	// exec.Provenance only read or copy, and the -race immutability
 	// tests pin that. The polGen fence plus an explicit Purge makes
 	// pre-update masks unreachable after UpdatePolicy/SetGeneralization.
-	masked *index.LRU[maskedCacheKey, maskedSnapshot]
+	// This is the only place an enforced view is memoized; fills go
+	// through maskedFlights, which — being the shard's own — cannot hand
+	// a reader a snapshot built for another incarnation of the spec id.
+	masked        *index.LRU[maskedCacheKey, maskedSnapshot]
+	maskedFlights flightGroup[maskedCacheKey, maskedSnapshot]
 
 	// engine is the taint/masking engine for the shard's current policy
 	// and generalization hierarchies — policy-scoped, so it is built
@@ -131,9 +128,9 @@ type shard struct {
 	// (rebuilt by UpdatePolicy and SetGeneralization).
 	engine *taint.Engine
 
-	// polGen counts policy generations (bumped by UpdatePolicy);
-	// guarded by mu. It keys the collapsed-view cache so views built
-	// under a replaced policy are unreachable.
+	// polGen counts policy generations (bumped by UpdatePolicy and
+	// SetGeneralization); guarded by mu. It keys the taint and masked
+	// caches so entries built under a replaced policy are unreachable.
 	polGen uint64
 
 	// seq identifies the shard's last content mutation (executions,
@@ -142,15 +139,6 @@ type shard struct {
 	// from the repository-wide mutSeq counter, so a removed-and-re-added
 	// spec id can never repeat a seq a previous Save recorded.
 	seq uint64
-}
-
-type viewCacheKey struct {
-	execID string
-	level  privacy.Level
-	// polGen is the shard's policy generation the view was collapsed
-	// under: a fill raced by UpdatePolicy lands under the old
-	// generation, where no post-update reader can hit it.
-	polGen uint64
 }
 
 // taintCacheKey keys the per-shard taint-set cache. No level component:
@@ -162,7 +150,10 @@ type taintCacheKey struct {
 }
 
 // maskedCacheKey keys the per-shard masked-execution snapshot cache:
-// unlike taint sets, a masked snapshot is level-specific.
+// unlike taint sets, a masked snapshot is level-specific. polGen is the
+// shard's policy generation the snapshot was built under: a fill raced
+// by UpdatePolicy lands under the old generation, where no post-update
+// reader can hit it.
 type maskedCacheKey struct {
 	execID string
 	level  privacy.Level
@@ -171,7 +162,7 @@ type maskedCacheKey struct {
 
 // maskedSnapshot is one cached privacy-enforced execution plus the
 // masking report recorded when it was built (replayed into the taint
-// counters on every serve, like the view store's fast path) and whether
+// counters on every serve, so they advance on warm hits too) and whether
 // the view is coarser than the full expansion. The execution rides
 // inside a query.PreparedExec — its graph and transitive closure are
 // derived once at fill time, so warm queries skip both rebuilds. pol is
@@ -187,21 +178,17 @@ type maskedSnapshot struct {
 	zoomed bool
 }
 
-// viewCacheCap bounds the number of collapsed views retained per shard
-// (the cap is generous: levels × executions); viewCacheTTL bounds their
-// age so a long-idle view is rebuilt rather than pinned forever.
-const (
-	viewCacheCap = 1024
-	viewCacheTTL = 10 * time.Minute
-)
+// shardCacheCap bounds the entries each per-shard cache (taint sets,
+// masked snapshots) retains — the memory bound; staleness is handled by
+// the polGen fence and Purge, not by age.
+const shardCacheCap = 1024
 
 // Repository is a concurrency-safe, per-spec-sharded store of specs,
 // executions, policies and users, with privacy-aware search and query
 // entry points.
 type Repository struct {
-	mu        sync.RWMutex
-	shards    map[string]*shard
-	matLevels []privacy.Level // non-nil once materialization is enabled
+	mu     sync.RWMutex
+	shards map[string]*shard
 
 	usersMu sync.RWMutex
 	users   map[string]*privacy.User
@@ -228,15 +215,12 @@ type Repository struct {
 	corpusRebuilds atomic.Int64 //provlint:counter
 
 	// cacheHitsBase/cacheMissesBase accumulate the counters of retired
-	// result caches (resetResultCache swaps the cache object), and
-	// viewHitsBase/viewMissesBase those of removed shards' view caches,
-	// keeping the *_total metrics monotonic. taintHitsBase/
-	// taintMissesBase do the same for removed shards' taint-set caches,
-	// maskedHitsBase/maskedMissesBase for their masked-snapshot caches.
+	// result caches (resetResultCache swaps the cache object), keeping
+	// the *_total metrics monotonic. taintHitsBase/taintMissesBase do the
+	// same for removed shards' taint-set caches, maskedHitsBase/
+	// maskedMissesBase for their masked-snapshot caches.
 	cacheHitsBase    atomic.Int64 //provlint:counter
 	cacheMissesBase  atomic.Int64 //provlint:counter
-	viewHitsBase     atomic.Int64 //provlint:counter
-	viewMissesBase   atomic.Int64 //provlint:counter
 	taintHitsBase    atomic.Int64 //provlint:counter
 	taintMissesBase  atomic.Int64 //provlint:counter
 	maskedHitsBase   atomic.Int64 //provlint:counter
@@ -257,15 +241,14 @@ type Repository struct {
 	mutSeq atomic.Uint64
 
 	// polMu serializes the policy-sensitive mutators (AddSpec,
-	// RemoveSpec, UpdatePolicy, EnableMaterialization) against each
-	// other, so an
-	// in-flight policy update can neither interleave with another, nor
-	// re-register the segment of a spec a concurrent RemoveSpec just
-	// dropped, nor be overwritten by a materialization pass built under
-	// the policy it replaces. Lock order: polMu before mu.
+	// RemoveSpec, UpdatePolicy) against each other, so an in-flight
+	// policy update can neither interleave with another nor re-register
+	// the segment of a spec a concurrent RemoveSpec just dropped. Lock
+	// order: polMu before mu.
 	polMu sync.Mutex
 
-	flights flightGroup
+	// corpusFlights deduplicates from-scratch corpus builds per level.
+	corpusFlights flightGroup[privacy.Level, *rank.Corpus]
 
 	// workers bounds the fan-out pool shared by all multi-spec
 	// operations on this repository.
@@ -398,8 +381,8 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 	if err != nil {
 		return err
 	}
-	// Serialize against the other mutators (RemoveSpec, UpdatePolicy,
-	// EnableMaterialization): with polMu held, the duplicate check below
+	// Serialize against the other mutators (RemoveSpec, UpdatePolicy):
+	// with polMu held, the duplicate check below
 	// is authoritative, the index entries this call publishes cannot be
 	// clobbered by a racing duplicate's rollback, and the corpus delta
 	// cannot land after a newer policy's rebuild. Readers never take
@@ -420,18 +403,6 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 		return err
 	}
 	r.mu.Lock()
-	if r.matLevels != nil {
-		vs := index.NewViewStore()
-		// A fresh shard has no generalization ladders yet;
-		// SetGeneralization rebuilds the view store when they arrive.
-		if err := vs.RegisterSpec(s, pol, nil, r.matLevels); err != nil {
-			r.mu.Unlock()
-			r.inverted.RemoveSpec(s.ID)
-			r.reach.RemoveSpec(s.ID)
-			return err
-		}
-		sh.viewStore = vs
-	}
 	r.shards[s.ID] = sh
 	r.mu.Unlock()
 	// Corpus deltas after the directory lock (still under polMu): the
@@ -465,9 +436,8 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy) (*shard, *p
 		hier:   h,
 		policy: pol,
 		execs:  make(map[string]*exec.Execution),
-		views:  index.NewLRU[viewCacheKey, *exec.Execution](viewCacheCap, viewCacheTTL),
-		taints: index.NewLRU[taintCacheKey, *taint.Set](viewCacheCap, viewCacheTTL),
-		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](viewCacheCap, viewCacheTTL),
+		taints: index.NewLRU[taintCacheKey, *taint.Set](shardCacheCap),
+		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](shardCacheCap),
 		engine: datapriv.NewMasker(pol, nil).Engine(),
 		seq:    r.mutSeq.Add(1),
 	}, pol, nil
@@ -597,90 +567,7 @@ func (r *Repository) AddExecution(e *exec.Execution) error {
 		return fmt.Errorf("repo: execution %s already registered: %w", e.ID, ErrExists)
 	}
 	sh.execs[e.ID] = e
-	if sh.viewStore != nil {
-		if err := sh.viewStore.Materialize(e); err != nil {
-			delete(sh.execs, e.ID)
-			return fmt.Errorf("repo: materialize views: %w", err)
-		}
-	}
 	sh.seq = r.mutSeq.Add(1)
-	return nil
-}
-
-// EnableMaterialization turns on materialized privacy views at the
-// given access levels: every registered and future execution gets one
-// pre-collapsed, pre-masked copy per level, and Provenance serves from
-// them. Trades memory for per-query collapse cost (bench
-// BenchmarkMaterializedViews). Shards are rebuilt in parallel on the
-// fan-out pool, in two phases so a build failure installs nothing: all
-// view stores are constructed first, and only when every shard
-// succeeded are they published (catching up on executions ingested
-// while building).
-func (r *Repository) EnableMaterialization(levels []privacy.Level) error {
-	// Serialize against UpdatePolicy/RemoveSpec: views built here must
-	// reflect the policies in place when they are installed.
-	r.polMu.Lock()
-	defer r.polMu.Unlock()
-	shards := r.snapshotShards()
-	built := make([]*index.ViewStore, len(shards))
-	covered := make([]map[string]bool, len(shards))
-	errs := make([]error, len(shards))
-	r.fanOut(len(shards), func(i int) {
-		built[i], covered[i], errs[i] = shards[i].buildViews(levels)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	// Publish: future AddSpec materializes from here on; installViews
-	// re-diffs each shard's executions under its write lock, so nothing
-	// ingested during the build phase is missed.
-	r.mu.Lock()
-	r.matLevels = append([]privacy.Level(nil), levels...)
-	r.mu.Unlock()
-	for i, sh := range shards {
-		errs[i] = sh.installViews(built[i], covered[i])
-	}
-	return errors.Join(errs...)
-}
-
-// buildViews constructs (without installing) a view store covering the
-// shard's current executions, returning the execution ids it covers.
-func (sh *shard) buildViews(levels []privacy.Level) (*index.ViewStore, map[string]bool, error) {
-	sh.mu.RLock()
-	execs := make([]*exec.Execution, 0, len(sh.execs))
-	for _, e := range sh.execs {
-		execs = append(execs, e)
-	}
-	spec, pol, hs := sh.spec, sh.policy, sh.hierarchies
-	sh.mu.RUnlock()
-	vs := index.NewViewStore()
-	if err := vs.RegisterSpec(spec, pol, hs, levels); err != nil {
-		return nil, nil, err
-	}
-	sort.Slice(execs, func(i, j int) bool { return execs[i].ID < execs[j].ID })
-	covered := make(map[string]bool, len(execs))
-	for _, e := range execs {
-		if err := vs.Materialize(e); err != nil {
-			return nil, nil, err
-		}
-		covered[e.ID] = true
-	}
-	return vs, covered, nil
-}
-
-// installViews publishes a built view store, first materializing any
-// executions ingested since buildViews snapshotted the shard.
-func (sh *shard) installViews(vs *index.ViewStore, covered map[string]bool) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for id, e := range sh.execs {
-		if !covered[id] {
-			if err := vs.Materialize(e); err != nil {
-				return err
-			}
-		}
-	}
-	sh.viewStore = vs
 	return nil
 }
 
@@ -698,21 +585,12 @@ func (r *Repository) RemoveSpec(specID string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("repo: unknown spec %q: %w", specID, ErrNotFound)
 	}
-	if sh.views != nil {
-		h, m := sh.views.Stats()
-		r.viewHitsBase.Add(h)
-		r.viewMissesBase.Add(m)
-	}
-	if sh.taints != nil {
-		h, m := sh.taints.Stats()
-		r.taintHitsBase.Add(h)
-		r.taintMissesBase.Add(m)
-	}
-	if sh.masked != nil {
-		h, m := sh.masked.Stats()
-		r.maskedHitsBase.Add(h)
-		r.maskedMissesBase.Add(m)
-	}
+	h, m := sh.taints.Stats()
+	r.taintHitsBase.Add(h)
+	r.taintMissesBase.Add(m)
+	h, m = sh.masked.Stats()
+	r.maskedHitsBase.Add(h)
+	r.maskedMissesBase.Add(m)
 	delete(r.shards, specID)
 	r.mu.Unlock()
 	// Index swaps and corpus deltas run outside the directory lock so
@@ -731,22 +609,18 @@ func (r *Repository) RemoveSpec(specID string) error {
 // mutation that cannot be delta-maintained: the spec's index segment is
 // rebuilt with the new levels and every derived per-level corpus is
 // invalidated for a from-scratch rebuild (the fallback applyCorpusDelta
-// avoids). Materialized views and collapsed-view caches of the shard are
-// rebuilt/dropped for the same reason.
+// avoids). The shard's enforced-view caches are dropped for the same
+// reason; PrewarmMasked refills them ahead of readers if wanted.
 //
-// All heavy work (re-materializing the shard's executions) happens
-// before anything is installed, holding no repository-wide lock, so a
-// failure leaves the old policy, views and indexes fully in place and
-// traffic on other specs never stalls.
+// Validation is the only failure point and precedes every install, so a
+// failure leaves the old policy and indexes fully in place; no
+// repository-wide lock is held, so traffic on other specs never stalls.
 func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	r.polMu.Lock()
 	defer r.polMu.Unlock()
-	r.mu.RLock()
-	sh := r.shards[specID]
-	matLevels := r.matLevels
-	r.mu.RUnlock()
-	if sh == nil {
-		return fmt.Errorf("repo: unknown spec %q: %w", specID, ErrNotFound)
+	sh, err := r.shardOrErr(specID)
+	if err != nil {
+		return err
 	}
 	s := sh.spec // immutable once published
 	if pol == nil {
@@ -755,66 +629,33 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	if err := pol.Validate(s); err != nil {
 		return err
 	}
-	// Phase 1 — build: construct the replacement view store (when
-	// materialization is on) over a snapshot of the shard's executions.
-	var vs *index.ViewStore
-	var covered map[string]bool
-	if matLevels != nil {
-		sh.mu.RLock()
-		hs := sh.hierarchies
-		execs := make([]*exec.Execution, 0, len(sh.execs))
-		for _, e := range sh.execs {
-			execs = append(execs, e)
-		}
-		sh.mu.RUnlock()
-		vs = index.NewViewStore()
-		if err := vs.RegisterSpec(s, pol, hs, matLevels); err != nil {
-			return err
-		}
-		sort.Slice(execs, func(i, j int) bool { return execs[i].ID < execs[j].ID })
-		covered = make(map[string]bool, len(execs))
-		for _, e := range execs {
-			if err := vs.Materialize(e); err != nil {
-				return err
-			}
-			covered[e.ID] = true
-		}
-	}
-	// Phase 2 — install: re-register the spec's index segment with the
-	// new module levels (the index replaces postings atomically), then
-	// publish policy and views under the shard lock, catching up on
-	// executions ingested during the build. The window between the index
-	// swap and the policy install is benign: both old and new state are
-	// internally consistent, and invalidateDerived below rebuilds the
-	// corpora against the final policy.
-	oldPol := sh.policySnapshot()
+	// Re-register the spec's index segment with the new module levels
+	// (the index replaces postings atomically), then publish the policy
+	// under the shard lock. The window between the index swap and the
+	// policy install is benign: both old and new state are internally
+	// consistent, and invalidateDerived below rebuilds the corpora
+	// against the final policy.
 	r.inverted.AddSpec(s, pol)
 	sh.mu.Lock()
-	if vs != nil {
-		for id, e := range sh.execs {
-			if !covered[id] {
-				if err := vs.Materialize(e); err != nil {
-					sh.mu.Unlock()
-					r.inverted.AddSpec(s, oldPol) // roll the segment back
-					// Searches raced into the new-segment window may have
-					// cached results computed from it; drop them.
-					r.invalidateDerived()
-					return err
-				}
-			}
-		}
-		sh.viewStore = vs
-	}
 	sh.policy = pol
 	sh.engine = datapriv.NewMasker(pol, sh.hierarchies).Engine()
-	sh.polGen++       // old-generation cache entries become unreachable
-	sh.views.Purge()  // and are dropped eagerly to free memory
-	sh.taints.Purge() // taint sets seeded under the old policy likewise
-	sh.masked.Purge() // no pre-update masked snapshot may survive
+	sh.dropEnforcedLocked()
 	sh.seq = r.mutSeq.Add(1)
 	sh.mu.Unlock()
 	r.invalidateDerived()
 	return nil
+}
+
+// dropEnforcedLocked retires everything derived from the shard's
+// (policy, hierarchies) pair: the generation bump makes old-generation
+// cache entries — and any fill still in flight under the old engine —
+// unreachable, and the purges free their memory eagerly. Taint sets do
+// not depend on hierarchies, but SetGeneralization is rare and one
+// invalidation rule beats the rebuild cost. Caller holds sh.mu.
+func (sh *shard) dropEnforcedLocked() {
+	sh.polGen++
+	sh.taints.Purge()
+	sh.masked.Purge()
 }
 
 // policySnapshot reads the shard's current policy under its lock (the
@@ -828,76 +669,20 @@ func (sh *shard) policySnapshot() *privacy.Policy {
 // SetGeneralization installs generalization hierarchies for a spec's
 // protected attributes: masking then coarsens values (e.g. exact SNP →
 // chromosome → genome) instead of redacting them outright, preserving
-// utility for under-privileged users. When materialized views are
-// enabled, the shard's view store is rebuilt under the new ladders —
-// the views must generalize exactly like the snapshot path (the
-// masking-parity contract) — so calling this before or after
-// materialization is equally safe.
+// utility for under-privileged users. Hierarchies change what masking
+// emits, so the shard's cached masked snapshots are dropped.
 func (r *Repository) SetGeneralization(specID string, hs map[string]*datapriv.Hierarchy) error {
-	// Serialize against the other policy-sensitive mutators: the view
-	// store rebuilt below must reflect exactly one (policy, ladder)
-	// pair, and EnableMaterialization must not install views built
-	// under the ladders this call replaces.
-	r.polMu.Lock()
-	defer r.polMu.Unlock()
 	sh, err := r.shardOrErr(specID)
 	if err != nil {
 		return err
 	}
-	r.mu.RLock()
-	matLevels := r.matLevels
-	r.mu.RUnlock()
-	// Phase 1 — build: when materialization is on, re-materialize the
-	// shard's views under the new ladders, outside the shard lock.
-	var vs *index.ViewStore
-	var covered map[string]bool
-	if matLevels != nil {
-		sh.mu.RLock()
-		spec, pol := sh.spec, sh.policy
-		execs := make([]*exec.Execution, 0, len(sh.execs))
-		for _, e := range sh.execs {
-			execs = append(execs, e)
-		}
-		sh.mu.RUnlock()
-		vs = index.NewViewStore()
-		if err := vs.RegisterSpec(spec, pol, hs, matLevels); err != nil {
-			return err
-		}
-		sort.Slice(execs, func(i, j int) bool { return execs[i].ID < execs[j].ID })
-		covered = make(map[string]bool, len(execs))
-		for _, e := range execs {
-			if err := vs.Materialize(e); err != nil {
-				return err
-			}
-			covered[e.ID] = true
-		}
-	}
-	// Phase 2 — install under the shard lock, catching up on executions
-	// ingested during the build. A failure installs nothing: the old
-	// ladders, engine and views stay fully in place.
+	// The shard lock alone pairs these ladders with the policy current
+	// at install time (UpdatePolicy rebuilds the engine under it too).
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if vs != nil {
-		for id, e := range sh.execs {
-			if !covered[id] {
-				if err := vs.Materialize(e); err != nil {
-					return err
-				}
-			}
-		}
-		sh.viewStore = vs
-	}
 	sh.hierarchies = hs
 	sh.engine = datapriv.NewMasker(sh.policy, hs).Engine()
-	// Hierarchies change what masking emits, so cached masked snapshots
-	// are stale; bump the generation fence (making any in-flight fill
-	// under the old engine unreachable) and drop all derived caches.
-	// Collapsed views and taint sets do not depend on hierarchies, but
-	// this mutation is rare and correctness beats the rebuild cost.
-	sh.polGen++
-	sh.views.Purge()
-	sh.taints.Purge()
-	sh.masked.Purge()
+	sh.dropEnforcedLocked()
 	sh.seq = r.mutSeq.Add(1)
 	return nil
 }
@@ -967,7 +752,7 @@ func (r *Repository) corpusFor(level privacy.Level) *rank.Corpus {
 	if c != nil {
 		return c
 	}
-	v, _ := r.flights.Do(fmt.Sprintf("corpus|%d", int(level)), func() (any, error) {
+	c, _ = r.corpusFlights.Do(level, func() (*rank.Corpus, error) {
 		r.corpusMu.RLock()
 		if c := r.corpora[level]; c != nil {
 			r.corpusMu.RUnlock()
@@ -983,7 +768,7 @@ func (r *Repository) corpusFor(level privacy.Level) *rank.Corpus {
 		r.corpusMu.Unlock()
 		return c, nil
 	})
-	return v.(*rank.Corpus)
+	return c
 }
 
 func (r *Repository) buildCorpus(level privacy.Level) *rank.Corpus {
@@ -1227,12 +1012,13 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 
 // maskedExecFor returns the fully privacy-enforced snapshot of an
 // execution at a level — collapsed to the access view and taint-masked —
-// serving from the shard's masked-snapshot cache. On miss the snapshot
-// is built once under the flight group (collapsed view and taint set
-// each come from their own caches) and published for every subsequent
-// reader; the returned execution is shared and MUST be treated as
-// read-only. The masking report is the one recorded at build time,
-// replayed by callers into the serving counters.
+// serving from the shard's masked-snapshot cache. It is the only code
+// path that produces an enforced execution view: lazy reads and
+// PrewarmMasked both come through here. On miss the snapshot is built
+// once under the shard's flight group and published for every
+// subsequent reader; the returned execution is shared and MUST be
+// treated as read-only. The masking report is the one recorded at build
+// time, replayed by callers into the serving counters.
 func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
 	sh.mu.RLock()
 	pol := sh.policy
@@ -1243,11 +1029,7 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 	if snap, ok := sh.masked.Get(key); ok {
 		return snap, nil
 	}
-	// Spec and execution ids are wire-writable since the mutation API:
-	// %q-quote them so an embedded '|' cannot make two different
-	// (spec, exec) pairs share a singleflight key and leak one shard's
-	// snapshot to another's reader.
-	got, err := r.flights.Do(fmt.Sprintf("masked|%q|%q|%d|%d", sh.spec.ID, e.ID, int(level), polGen), func() (any, error) {
+	return sh.maskedFlights.Do(key, func() (maskedSnapshot, error) {
 		if snap, ok := sh.masked.Peek(key); ok {
 			return snap, nil
 		}
@@ -1256,11 +1038,13 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 		fctx, fill := obs.StartSpan(ctx, "cache.masked_fill")
 		defer fill.End()
 		access := pol.AccessView(sh.hier, level)
-		view, err := r.collapsedView(fctx, sh, e, level, access, polGen)
+		_, collapse := obs.StartSpan(fctx, "view.collapse")
+		view, err := exec.Collapse(e, sh.spec, access)
+		collapse.End()
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
-		set := r.taintSetFor(fctx, sh, e, en, polGen)
+		set := sh.taintSetFor(fctx, e, en, polGen)
 		_, apply := obs.StartSpan(fctx, "mask.apply")
 		masked, rep := en.Apply(view, level, set)
 		prep, err := query.PrepareExec(masked)
@@ -1272,10 +1056,6 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 		sh.masked.Put(key, snap)
 		return snap, nil
 	})
-	if err != nil {
-		return maskedSnapshot{}, err
-	}
-	return got.(maskedSnapshot), nil
 }
 
 // evaluateQuery runs one parsed structural query against one execution
@@ -1559,45 +1339,19 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	return out, total, nil
 }
 
-// collapsedView returns the execution collapsed to the access view of
-// the given level, serving from the shard's singleflight-deduplicated
-// view cache: concurrent identical requests build the view once.
-func (r *Repository) collapsedView(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level, access workflow.Prefix, polGen uint64) (*exec.Execution, error) {
-	key := viewCacheKey{execID: e.ID, level: level, polGen: polGen}
-	if v, ok := sh.views.Get(key); ok {
-		return v, nil
-	}
-	got, err := r.flights.Do(fmt.Sprintf("view|%q|%q|%d|%d", sh.spec.ID, e.ID, int(level), polGen), func() (any, error) {
-		if v, ok := sh.views.Peek(key); ok {
-			return v, nil
-		}
-		_, fill := obs.StartSpan(ctx, "cache.view_fill")
-		defer fill.End()
-		view, err := exec.Collapse(e, sh.spec, access)
-		if err != nil {
-			return nil, err
-		}
-		sh.views.Put(key, view)
-		return view, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return got.(*exec.Execution), nil
-}
-
 // taintSetFor returns the cached taint analysis of an execution under
 // the given policy generation, computing and caching it on miss. Fills
-// are deduplicated through the flight group; the polGen key makes sets
-// seeded under a replaced policy unreachable (see taintCacheKey). The
-// caller passes the shard's policy-scoped engine (analysis ignores its
-// generalizers), so no masker is constructed on this path.
-func (r *Repository) taintSetFor(ctx context.Context, sh *shard, e *exec.Execution, en *taint.Engine, polGen uint64) *taint.Set {
+// are deduplicated through the shard's flight group; the polGen key
+// makes sets seeded under a replaced policy unreachable (see
+// taintCacheKey). The caller passes the shard's policy-scoped engine
+// (analysis ignores its generalizers), so no masker is constructed on
+// this path.
+func (sh *shard) taintSetFor(ctx context.Context, e *exec.Execution, en *taint.Engine, polGen uint64) *taint.Set {
 	key := taintCacheKey{execID: e.ID, polGen: polGen}
 	if s, ok := sh.taints.Get(key); ok {
 		return s
 	}
-	got, _ := r.flights.Do(fmt.Sprintf("taint|%q|%q|%d", sh.spec.ID, e.ID, polGen), func() (any, error) {
+	s, _ := sh.taintFlights.Do(key, func() (*taint.Set, error) {
 		if s, ok := sh.taints.Peek(key); ok {
 			return s, nil
 		}
@@ -1607,7 +1361,7 @@ func (r *Repository) taintSetFor(ctx context.Context, sh *shard, e *exec.Executi
 		sh.taints.Put(key, s)
 		return s, nil
 	})
-	return got.(*taint.Set)
+	return s
 }
 
 // countTaint feeds a masking report into the repository's taint
@@ -1657,34 +1411,14 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 	if err != nil {
 		return nil, err
 	}
-	sh.mu.RLock()
-	pol := sh.policy
-	vs := sh.viewStore
-	en := sh.engine
-	polGen := sh.polGen
-	sh.mu.RUnlock()
-	// Fast path: a materialized view at exactly this level (already
-	// taint-masked — and, since the view store routes the generalization
-	// ladders, generalized — identically to the snapshot path; the
-	// parity tests pin the two byte-equal). Skipped only when the caller
-	// asked for the untainted debug view.
-	if vs != nil && !opts.DisableTaint {
-		if v, rep := vs.GetWithReport(specID, execID, u.Level); v != nil {
-			if v.Items[itemID] == nil {
-				return nil, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
-			}
-			// The view was taint-masked at materialization time; replay
-			// its report so the serving counters don't flatline on the
-			// fast path.
-			r.countTaint(rep)
-			return exec.Provenance(v, itemID)
-		}
-	}
 	if opts.DisableTaint {
 		// Debug escape hatch: attribute-local masking only, uncached (a
 		// nil taint set degrades the engine) — never worth a cache slot.
-		access := pol.AccessView(sh.hier, u.Level)
-		view, err := r.collapsedView(ctx, sh, e, u.Level, access, polGen)
+		sh.mu.RLock()
+		pol := sh.policy
+		en := sh.engine
+		sh.mu.RUnlock()
+		view, err := exec.Collapse(e, sh.spec, pol.AccessView(sh.hier, u.Level))
 		if err != nil {
 			return nil, err
 		}
@@ -1699,9 +1433,6 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 	// preserves the item set of the collapsed view, so visibility is
 	// checked on the snapshot itself; exec.Provenance only reads the
 	// snapshot and returns a fresh induced sub-execution.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	snap, err := r.maskedExecFor(ctx, sh, e, u.Level)
 	if err != nil {
 		return nil, err
@@ -1714,9 +1445,8 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 }
 
 // Stats summarizes repository contents and the health of its derived
-// state: result-cache and view-cache hit rates, index segment/snapshot
-// churn, and how corpus maintenance is being paid for (deltas vs full
-// rebuilds).
+// state: cache hit rates, index segment/snapshot churn, and how corpus
+// maintenance is being paid for (deltas vs full rebuilds).
 type Stats struct {
 	Specs      int
 	Executions int
@@ -1729,13 +1459,9 @@ type Stats struct {
 	IndexSegments int
 	IndexSwaps    int64
 
-	// CacheHits/CacheMisses are the shared result cache's counters;
-	// ViewCacheHits/ViewCacheMisses aggregate the per-shard collapsed-
-	// view LRUs of the currently registered shards.
-	CacheHits       int
-	CacheMisses     int
-	ViewCacheHits   int64
-	ViewCacheMisses int64
+	// CacheHits/CacheMisses are the shared result cache's counters.
+	CacheHits   int
+	CacheMisses int
 
 	// CorpusLevels is how many per-level corpora are currently built;
 	// CorpusDeltas counts incremental document deltas applied to them,
@@ -1798,7 +1524,7 @@ func (r *Repository) Stats() Stats {
 		st.Executions += len(sh.execs)
 		sh.mu.RUnlock()
 	}
-	// View-cache totals are summed under the directory lock so they
+	// Per-shard cache totals are summed under the directory lock so they
 	// cannot interleave with RemoveSpec banking a dying shard's counters
 	// into the base (which happens under the directory write lock) —
 	// otherwise a shard could be counted both live and banked, making
@@ -1807,26 +1533,15 @@ func (r *Repository) Stats() Stats {
 	st.TaintCache = make(map[string]TaintCacheStat, len(r.shards))
 	st.MaskedCache = make(map[string]TaintCacheStat, len(r.shards))
 	for id, sh := range r.shards {
-		if sh.views != nil {
-			h, m := sh.views.Stats()
-			st.ViewCacheHits += h
-			st.ViewCacheMisses += m
-		}
-		if sh.taints != nil {
-			h, m := sh.taints.Stats()
-			st.TaintCacheHits += h
-			st.TaintCacheMisses += m
-			st.TaintCache[id] = TaintCacheStat{Hits: h, Misses: m}
-		}
-		if sh.masked != nil {
-			h, m := sh.masked.Stats()
-			st.MaskedCacheHits += h
-			st.MaskedCacheMisses += m
-			st.MaskedCache[id] = TaintCacheStat{Hits: h, Misses: m}
-		}
+		h, m := sh.taints.Stats()
+		st.TaintCacheHits += h
+		st.TaintCacheMisses += m
+		st.TaintCache[id] = TaintCacheStat{Hits: h, Misses: m}
+		h, m = sh.masked.Stats()
+		st.MaskedCacheHits += h
+		st.MaskedCacheMisses += m
+		st.MaskedCache[id] = TaintCacheStat{Hits: h, Misses: m}
 	}
-	st.ViewCacheHits += r.viewHitsBase.Load()
-	st.ViewCacheMisses += r.viewMissesBase.Load()
 	st.TaintCacheHits += r.taintHitsBase.Load()
 	st.TaintCacheMisses += r.taintMissesBase.Load()
 	st.MaskedCacheHits += r.maskedHitsBase.Load()

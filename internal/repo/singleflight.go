@@ -6,36 +6,43 @@ import (
 )
 
 // flightGroup is a minimal singleflight: concurrent Do calls with the
-// same key share one execution of fn and all receive its result. Used
-// to deduplicate lazy builds of per-level ranking corpora and collapsed
-// provenance views, so a thundering herd of identical requests performs
-// the expensive construction exactly once.
-type flightGroup struct {
+// same key share one execution of fn and all receive its result, so a
+// thundering herd of identical cold requests performs the expensive
+// construction exactly once. A group is scoped to the object whose
+// derived data it builds — the repository for ranking corpora, one
+// shard for that shard's taint sets and masked snapshots — so a key can
+// never be joined by a caller holding a different incarnation of the
+// same spec id.
+type flightGroup[K comparable, V any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[K]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	wg  sync.WaitGroup
-	val any
+	val V
 	err error
+	// dups counts the callers that joined this call instead of running
+	// fn; guarded by the group's mu.
+	dups int
 }
 
 // Do invokes fn once per key among concurrent callers: the first caller
 // runs it, the rest block until it finishes and share the result. The
 // key is forgotten afterwards, so later calls run fn again (the caches
 // layered above decide freshness).
-func (g *flightGroup) Do(key string, fn func() (any, error)) (any, error) {
+func (g *flightGroup[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.calls[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err
 	}
-	c := &flightCall{}
+	c := &flightCall[V]{}
 	c.wg.Add(1)
 	g.calls[key] = c
 	g.mu.Unlock()
@@ -47,7 +54,8 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (any, error) {
 	defer func() {
 		rec := recover()
 		if rec != nil {
-			c.val, c.err = nil, fmt.Errorf("repo: singleflight: panic: %v", rec)
+			var zero V
+			c.val, c.err = zero, fmt.Errorf("repo: singleflight: panic: %v", rec)
 		}
 		g.mu.Lock()
 		delete(g.calls, key)

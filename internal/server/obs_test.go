@@ -125,7 +125,7 @@ func TestDebugTracesSpanTree(t *testing.T) {
 	if fill == nil {
 		t.Fatalf("no cache.masked_fill under fan-out: %+v", fanout)
 	}
-	for _, name := range []string{"cache.view_fill", "taint.analyze", "mask.apply"} {
+	for _, name := range []string{"view.collapse", "taint.analyze", "mask.apply"} {
 		child := findSpan(fill.Children, name)
 		if child == nil {
 			t.Fatalf("no %s under cache.masked_fill: %+v", name, fill)

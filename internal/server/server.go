@@ -1094,20 +1094,18 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, user string)
 
 // statsBody is the /stats response.
 type statsBody struct {
-	Specs           int   `json:"specs"`
-	Executions      int   `json:"executions"`
-	Users           int   `json:"users"`
-	IndexTerms      int   `json:"index_terms"`
-	Postings        int   `json:"postings"`
-	IndexSegments   int   `json:"index_segments"`
-	IndexSwaps      int64 `json:"index_swaps"`
-	CacheHits       int   `json:"cache_hits"`
-	CacheMisses     int   `json:"cache_misses"`
-	ViewCacheHits   int64 `json:"view_cache_hits"`
-	ViewCacheMisses int64 `json:"view_cache_misses"`
-	CorpusLevels    int   `json:"corpus_levels"`
-	CorpusDeltas    int64 `json:"corpus_deltas"`
-	CorpusRebuilds  int64 `json:"corpus_rebuilds"`
+	Specs          int   `json:"specs"`
+	Executions     int   `json:"executions"`
+	Users          int   `json:"users"`
+	IndexTerms     int   `json:"index_terms"`
+	Postings       int   `json:"postings"`
+	IndexSegments  int   `json:"index_segments"`
+	IndexSwaps     int64 `json:"index_swaps"`
+	CacheHits      int   `json:"cache_hits"`
+	CacheMisses    int   `json:"cache_misses"`
+	CorpusLevels   int   `json:"corpus_levels"`
+	CorpusDeltas   int64 `json:"corpus_deltas"`
+	CorpusRebuilds int64 `json:"corpus_rebuilds"`
 
 	TaintRewritten   int64                          `json:"taint_rewritten"`
 	TaintRedacted    int64                          `json:"taint_redacted"`
@@ -1159,8 +1157,6 @@ func toStatsBody(st repo.Stats) statsBody {
 		IndexSwaps:        st.IndexSwaps,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,
-		ViewCacheHits:     st.ViewCacheHits,
-		ViewCacheMisses:   st.ViewCacheMisses,
 		CorpusLevels:      st.CorpusLevels,
 		CorpusDeltas:      st.CorpusDeltas,
 		CorpusRebuilds:    st.CorpusRebuilds,
@@ -1230,8 +1226,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("index_snapshot_swaps_total", "Inverted-index snapshot publications (spec mutations).", st.IndexSwaps)
 	metric("result_cache_hits_total", "Search result cache hits.", int64(st.CacheHits))
 	metric("result_cache_misses_total", "Search result cache misses.", int64(st.CacheMisses))
-	metric("view_cache_hits_total", "Collapsed-view LRU hits across shards.", st.ViewCacheHits)
-	metric("view_cache_misses_total", "Collapsed-view LRU misses across shards.", st.ViewCacheMisses)
 	metric("corpus_levels", "Per-level ranking corpora currently built.", int64(st.CorpusLevels))
 	metric("corpus_deltas_total", "Incremental corpus document deltas applied.", st.CorpusDeltas)
 	metric("corpus_rebuilds_total", "From-scratch per-level corpus builds.", st.CorpusRebuilds)

@@ -485,7 +485,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"provpriv_index_postings",
 		"provpriv_corpus_deltas_total",
 		"provpriv_corpus_rebuilds_total",
-		"provpriv_view_cache_hits_total",
 		"provpriv_index_snapshot_swaps_total",
 	} {
 		if !strings.Contains(text, metric) {

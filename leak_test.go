@@ -9,6 +9,7 @@ package provpriv
 // suite.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -241,26 +242,31 @@ func TestLeakFreeProvenanceAllLevels(t *testing.T) {
 	}
 }
 
-// TestTaintCountersOnMaterializedFastPath: provenance served from the
-// materialized-view fast path must stay leak-free AND keep the taint
-// counters moving (the view store records its masking report).
+// TestTaintCountersOnMaterializedFastPath: provenance served from a
+// prewarmed snapshot (a warm hit, no masking work) must stay leak-free
+// AND keep the taint counters moving — the snapshot replays the masking
+// report recorded when it was built.
 func TestTaintCountersOnMaterializedFastPath(t *testing.T) {
 	r, spec, e := diseaseLeakRepo(t)
-	if err := r.EnableMaterialization([]privacy.Level{privacy.Public}); err != nil {
-		t.Fatalf("EnableMaterialization: %v", err)
+	if _, err := r.PrewarmMasked(context.Background(), spec.ID, []privacy.Level{privacy.Public}, nil); err != nil {
+		t.Fatalf("PrewarmMasked: %v", err)
 	}
 	prognosis := itemByAttr(t, e, "prognosis")
-	before := r.Stats().TaintRewritten
+	before := r.Stats()
 	prov, err := r.Provenance("pub", spec.ID, "E1", prognosis)
 	if err != nil {
-		t.Fatalf("fast-path provenance: %v", err)
+		t.Fatalf("warm provenance: %v", err)
 	}
 	for id, it := range prov.Items {
 		if strings.Contains(string(it.Value), "rs123") {
-			t.Errorf("materialized provenance item %s embeds rs123: %q", id, it.Value)
+			t.Errorf("prewarmed provenance item %s embeds rs123: %q", id, it.Value)
 		}
 	}
-	if after := r.Stats().TaintRewritten; after <= before {
-		t.Fatalf("fast path did not feed taint counters: %d -> %d", before, after)
+	after := r.Stats()
+	if after.MaskedCacheMisses != before.MaskedCacheMisses {
+		t.Fatalf("read after prewarm filled cold: misses %d -> %d", before.MaskedCacheMisses, after.MaskedCacheMisses)
+	}
+	if after.TaintRewritten <= before.TaintRewritten {
+		t.Fatalf("warm hit did not feed taint counters: %d -> %d", before.TaintRewritten, after.TaintRewritten)
 	}
 }
