@@ -524,6 +524,33 @@ func BenchmarkSearchParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkSearchMiss is the cost of one search the result cache cannot
+// answer — index predicate, rank, a 10-hit view window — at each access
+// level, with allocs/op reported: the number a served search miss pays
+// and the one cached benchmarks hide.
+func BenchmarkSearchMiss(b *testing.B) {
+	r := repo.New()
+	specs, pols := synthRepoFixture(b, 48)
+	for _, s := range specs {
+		if err := r.AddSpec(s, pols[s.ID]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := workload.RandomQueries(rand.New(rand.NewSource(1)), nil, 256)
+	for _, level := range []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner} {
+		user := level.String()
+		r.AddUser(privacy.User{Name: user, Level: level, Group: user})
+		b.Run(user, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := r.SearchPage(user, queries[i%len(queries)], repo.SearchOptions{BypassCache: true, Limit: 10}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkQueryAllParallel measures the engine-internal fan-out: one
 // client, QueryAll over many executions of one spec, pool of 1 vs all
 // cores.

@@ -6,6 +6,16 @@
 // precomputed reachability index for structural queries and a per-user-
 // group result cache ("another promising direction is to consider user
 // groups when utilizing cached information").
+//
+// The inverted index does not merely nominate candidates: Inverted.Match
+// answers the whole keyword-search predicate — which specs have, for
+// every query phrase, a module visible at the asker's level carrying all
+// its terms, and which modules those are — from the posting lists alone.
+// Postings are sorted level-first, so "visible at level L" is a prefix
+// of every list, and each spec's segment records the (spec, policy)
+// pointers it was built from, so the repository can tell whether an
+// answer still describes the state it holds. search.Matches, the
+// per-module scan, remains only as the oracle the tests hold Match to.
 package index
 
 import (
@@ -43,17 +53,20 @@ func postingLess(a, b Posting) bool {
 }
 
 // segment holds one spec's postings, keyed by term and sorted in
-// canonical order. Segments are immutable once built; mutating a spec
-// replaces its segment wholesale.
+// canonical order, next to the (spec, policy) pointers they were
+// extracted from: a reader that holds the same two pointers knows the
+// postings describe exactly the state it holds. Segments are immutable
+// once built; mutating a spec replaces its segment wholesale.
 type segment struct {
-	specID   string
+	spec     *workflow.Spec
+	pol      *privacy.Policy
 	postings map[string][]Posting
 }
 
 // buildSegment extracts one spec's postings. policy may be nil (all
 // modules public).
 func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
-	seg := &segment{specID: s.ID, postings: make(map[string][]Posting)}
+	seg := &segment{spec: s, pol: pol, postings: make(map[string][]Posting)}
 	for _, wid := range s.WorkflowIDs() {
 		for _, m := range s.Workflows[wid].Modules {
 			minLevel := privacy.Public
@@ -80,12 +93,15 @@ func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
 	return seg
 }
 
-// invSnapshot is an immutable merged view of every segment. Readers load
-// it with one atomic pointer read; writers build a replacement (copying
-// only the term lists they touch — untouched lists are shared) and swap
-// it in.
+// invSnapshot is an immutable view of the whole index: the per-spec
+// segments and their merge into one list per term. Readers load it with
+// one atomic pointer read, so the merged lists and the segments they see
+// always describe the same set of (spec, policy) pairs; writers build a
+// replacement (copying the two directories and only the term lists they
+// touch — untouched lists and segments are shared) and swap it in.
 type invSnapshot struct {
 	postings map[string][]Posting
+	segments map[string]*segment
 	count    int // total postings across all terms
 }
 
@@ -95,25 +111,25 @@ var emptyInvSnapshot = &invSnapshot{postings: map[string][]Posting{}}
 // specifications, organized as one segment per spec behind an atomically
 // published merged snapshot.
 //
-// Concurrency: Lookup, Terms, Postings and Segments read the current
-// snapshot without acquiring any lock, so a fleet of concurrent readers
-// never serializes and never observes a half-applied mutation. AddSpec
-// and RemoveSpec serialize on an internal mutex, rebuild only the term
-// lists the mutated spec touches (sharing the rest with the previous
-// snapshot), and publish the result with one atomic swap: once a
-// mutation returns, every subsequent Lookup sees it.
+// Concurrency: Match, Lookup, Terms, Postings and Segments read the
+// current snapshot without acquiring any lock, so a fleet of concurrent
+// readers never serializes and never observes a half-applied mutation.
+// AddSpec and RemoveSpec serialize on an internal mutex, rebuild only
+// the term lists the mutated spec touches (sharing the rest with the
+// previous snapshot), and publish the result with one atomic swap: once
+// a mutation returns, every subsequent read sees it.
 type Inverted struct {
-	mu       sync.Mutex // serializes writers; readers never take it
-	segments map[string]*segment
-	snap     atomic.Pointer[invSnapshot]
-	swaps    atomic.Int64
+	mu    sync.Mutex // serializes writers; readers never take it
+	snap  atomic.Pointer[invSnapshot]
+	swaps atomic.Int64
 }
 
 // BuildInverted indexes every module keyword of every spec. policies
 // (keyed by spec id, may be nil or sparse) supply module privacy levels;
 // unlisted modules are public.
 func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) *Inverted {
-	ix := &Inverted{segments: make(map[string]*segment, len(specs))}
+	ix := &Inverted{}
+	segments := make(map[string]*segment, len(specs))
 	merged := make(map[string][]Posting)
 	count := 0
 	for _, s := range specs {
@@ -122,7 +138,7 @@ func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) 
 			pol = policies[s.ID]
 		}
 		seg := buildSegment(s, pol)
-		ix.segments[s.ID] = seg
+		segments[s.ID] = seg
 		for term, ps := range seg.postings {
 			merged[term] = append(merged[term], ps...)
 			count += len(ps)
@@ -132,7 +148,7 @@ func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) 
 		ps := merged[term]
 		sort.Slice(ps, func(i, j int) bool { return postingLess(ps[i], ps[j]) })
 	}
-	ix.snap.Store(&invSnapshot{postings: merged, count: count})
+	ix.snap.Store(&invSnapshot{postings: merged, segments: segments, count: count})
 	return ix
 }
 
@@ -152,11 +168,7 @@ func (ix *Inverted) snapshot() *invSnapshot {
 func (ix *Inverted) AddSpec(s *workflow.Spec, pol *privacy.Policy) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.segments == nil {
-		ix.segments = make(map[string]*segment)
-	}
-	seg := buildSegment(s, pol)
-	ix.publish(s.ID, seg)
+	ix.publish(s.ID, buildSegment(s, pol))
 }
 
 // RemoveSpec drops every posting of the given spec id. Only the term
@@ -165,7 +177,7 @@ func (ix *Inverted) AddSpec(s *workflow.Spec, pol *privacy.Policy) {
 func (ix *Inverted) RemoveSpec(specID string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.segments[specID] == nil {
+	if ix.snapshot().segments[specID] == nil {
 		return
 	}
 	ix.publish(specID, nil)
@@ -175,7 +187,7 @@ func (ix *Inverted) RemoveSpec(specID string) {
 // one spec and swaps in a snapshot reflecting it. Caller holds ix.mu.
 func (ix *Inverted) publish(specID string, seg *segment) {
 	old := ix.snapshot()
-	prev := ix.segments[specID]
+	prev := old.segments[specID]
 
 	// Terms whose merged list changes: union of the old and new segment.
 	touched := make(map[string]bool)
@@ -209,12 +221,16 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 		}
 	}
 
-	if seg == nil {
-		delete(ix.segments, specID)
-	} else {
-		ix.segments[specID] = seg
+	segments := make(map[string]*segment, len(old.segments)+1)
+	for id, sg := range old.segments {
+		segments[id] = sg
 	}
-	ix.snap.Store(&invSnapshot{postings: next, count: count})
+	if seg == nil {
+		delete(segments, specID)
+	} else {
+		segments[specID] = seg
+	}
+	ix.snap.Store(&invSnapshot{postings: next, segments: segments, count: count})
 	ix.swaps.Add(1)
 }
 
@@ -255,6 +271,108 @@ func (ix *Inverted) Lookup(term string, level privacy.Level) []Posting {
 	return out
 }
 
+// SpecMatch is one spec the index found to satisfy a whole query at a
+// level, with the evidence: for every phrase, the modules that carry it.
+type SpecMatch struct {
+	// Spec and Policy are the pointers the spec's segment was built from
+	// (Policy is nil when the spec was indexed without one). Phrases
+	// describes exactly this pair; a caller holding a different pair for
+	// the same spec id must not apply Phrases to it.
+	Spec   *workflow.Spec
+	Policy *privacy.Policy
+	// Phrases[i] holds, for the i-th query phrase, the posting of every
+	// module with MinLevel ≤ level that carries all the phrase's terms —
+	// never empty. The slices may alias the index's own lists: read-only.
+	Phrases [][]Posting
+}
+
+// Match answers the keyword-search predicate from the postings alone: it
+// returns, in no particular order, every spec in which each phrase is
+// carried by at least one module visible at level — the specs for which
+// search.Matches holds under the (spec, policy) pairs the index was fed —
+// without touching a spec or building a per-module term set. phrases are
+// the non-empty normalized term lists search.ParseQuery produces; an
+// empty query or phrase matches nothing.
+//
+// A matching spec has a visible posting for the first term of every
+// phrase, so the candidates are the specs in the level-prefix of the
+// shortest such merged list; each candidate is then decided inside its
+// own segment. Everything is read from one snapshot, so the result never
+// mixes two states of the index.
+func (ix *Inverted) Match(phrases [][]string, level privacy.Level) []SpecMatch {
+	if len(phrases) == 0 {
+		return nil
+	}
+	snap := ix.snapshot()
+	var drive []Posting
+	for i, phrase := range phrases {
+		if len(phrase) == 0 {
+			return nil
+		}
+		if ps := snap.postings[phrase[0]]; i == 0 || len(ps) < len(drive) {
+			drive = ps
+		}
+	}
+	var out []SpecMatch
+	tried := make(map[string]bool)
+	scratch := make([][]Posting, len(phrases))
+	for _, p := range drive {
+		if p.MinLevel > level {
+			break
+		}
+		if tried[p.SpecID] {
+			continue
+		}
+		tried[p.SpecID] = true
+		seg := snap.segments[p.SpecID]
+		matched := true
+		for i, phrase := range phrases {
+			if scratch[i] = seg.match(phrase, level); len(scratch[i]) == 0 {
+				matched = false
+				break
+			}
+		}
+		if matched {
+			out = append(out, SpecMatch{
+				Spec: seg.spec, Policy: seg.pol,
+				Phrases: append([][]Posting(nil), scratch...),
+			})
+		}
+	}
+	return out
+}
+
+// match returns the postings of the segment's modules that are visible
+// at level and carry every term of the phrase. A module has one MinLevel,
+// so its posting is the same value in every term list it appears in.
+func (seg *segment) match(phrase []string, level privacy.Level) []Posting {
+	first := seg.postings[phrase[0]]
+	n := 0
+	for n < len(first) && first[n].MinLevel <= level {
+		n++
+	}
+	first = first[:n:n]
+	if len(phrase) == 1 {
+		return first
+	}
+	var out []Posting
+	for _, p := range first {
+		all := true
+		for _, term := range phrase[1:] {
+			ps := seg.postings[term]
+			i := sort.Search(len(ps), func(i int) bool { return !postingLess(ps[i], p) })
+			if i == len(ps) || ps[i] != p {
+				all = false
+				break
+			}
+		}
+		if all {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Terms returns all indexed terms, sorted.
 func (ix *Inverted) Terms() []string {
 	snap := ix.snapshot()
@@ -278,10 +396,10 @@ func (ix *Inverted) TermCount() int {
 }
 
 // Segments returns the number of per-spec segments currently indexed.
+// Like every other read it loads the snapshot and takes no lock, so a
+// stats or metrics scrape never queues behind an index mutation.
 func (ix *Inverted) Segments() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.segments)
+	return len(ix.snapshot().segments)
 }
 
 // Swaps returns how many snapshot publications (spec mutations) the

@@ -42,6 +42,52 @@ func TestInvertedLookupNormalizes(t *testing.T) {
 	}
 }
 
+// TestMatchAnswersThePredicate covers Match on the paper's fixture: a
+// phrase is matched only by one module carrying all its terms, a module
+// above the level is neither a match nor evidence, and every phrase must
+// be matched. (The differential test against the search.Matches oracle
+// lives in internal/search, which this package cannot import tests from.)
+func TestMatchAnswersThePredicate(t *testing.T) {
+	specs, pols := diseaseSetup(t)
+	ix := BuildInverted(specs, pols)
+	s, pol := specs[0], pols[specs[0].ID]
+
+	got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Owner)
+	if len(got) != 1 || got[0].Spec != s || got[0].Policy != pol {
+		t.Fatalf("owner match = %+v", got)
+	}
+	if ps := got[0].Phrases[0]; len(ps) != 1 || ps[0] != (Posting{SpecID: s.ID, ModuleID: "M6", Workflow: "W4", MinLevel: privacy.Owner}) {
+		t.Fatalf("phrase 0 evidence = %v", ps)
+	}
+	if len(got[0].Phrases[1]) == 0 {
+		t.Fatal("phrase 1 has no evidence")
+	}
+	// M6 is Owner-only: below that the first phrase has no visible module.
+	if got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Analyst); got != nil {
+		t.Fatalf("analyst match = %+v", got)
+	}
+	// "query" and "pubmed" occur in the spec, but the hidden M6 must not
+	// lend its "query" to a phrase, and no single module carries both
+	// "omim" and "pubmed".
+	if got := ix.Match([][]string{{"omim", "pubmed"}}, privacy.Owner); got != nil {
+		t.Fatalf("cross-module phrase matched: %+v", got)
+	}
+	for _, q := range [][][]string{nil, {{}}, {{"query"}, {}}, {{"nosuchterm"}}} {
+		if got := ix.Match(q, privacy.Owner); got != nil {
+			t.Fatalf("Match(%v) = %+v", q, got)
+		}
+	}
+	// Evidence slices alias the index: appending must not write into it.
+	one := ix.Match([][]string{{"query"}}, privacy.Public)
+	before := ix.Lookup("query", privacy.Owner)
+	_ = append(one[0].Phrases[0], Posting{SpecID: "x"})
+	for i, p := range ix.Lookup("query", privacy.Owner) {
+		if p != before[i] {
+			t.Fatal("appending to a match's evidence clobbered the index")
+		}
+	}
+}
+
 func TestInvertedMatchesNaive(t *testing.T) {
 	specs, pols := diseaseSetup(t)
 	ix := BuildInverted(specs, pols)
@@ -211,10 +257,11 @@ func TestRemoveSpec(t *testing.T) {
 	ix.RemoveSpec("ghost")
 }
 
-// TestLookupDuringChurn races lock-free Lookups against AddSpec /
-// RemoveSpec churn (run under -race). Every observed posting list must
-// be internally consistent: sorted in canonical order and never
-// containing a spec whose RemoveSpec already returned.
+// TestLookupDuringChurn races the lock-free reads (Lookup, Match,
+// Segments) against AddSpec / RemoveSpec churn (run under -race). Every
+// observed posting list must be internally consistent: sorted in
+// canonical order and never containing a spec whose RemoveSpec already
+// returned.
 func TestLookupDuringChurn(t *testing.T) {
 	specs, pols := diseaseSetup(t)
 	ix := BuildInverted(specs, pols)
@@ -245,6 +292,23 @@ func TestLookupDuringChurn(t *testing.T) {
 				case <-done:
 					return
 				default:
+				}
+				// Segments and Match read the same snapshots as Lookup: the
+				// stable spec is always indexed, always matches, and its
+				// evidence always names the pointers it was built from.
+				if n := ix.Segments(); n < 1 || n > 2 {
+					t.Errorf("Segments = %d mid-churn", n)
+					return
+				}
+				stable := false
+				for _, m := range ix.Match([][]string{{"database"}}, privacy.Owner) {
+					if m.Spec == specs[0] {
+						stable = m.Policy == pols[m.Spec.ID] && len(m.Phrases[0]) > 0
+					}
+				}
+				if !stable {
+					t.Error("stable spec lost its match mid-churn")
+					return
 				}
 				for _, term := range []string{"query", "database", "filter"} {
 					ps := ix.Lookup(term, privacy.Owner)

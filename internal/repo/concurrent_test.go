@@ -366,9 +366,10 @@ func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
 	}
 }
 
-// TestFanOutDeterministicMerge checks the pooled Search merge is stable
-// across worker counts: 1 worker (serial) and many workers must produce
-// identical hit lists.
+// TestFanOutDeterministicMerge checks Search is stable across worker
+// counts: 1 worker (serial) and many workers must produce identical hit
+// lists. (Search builds its views inline since the index answers the
+// predicate, so the pool size must simply not matter.)
 func TestFanOutDeterministicMerge(t *testing.T) {
 	r := multiSpecRepo(t, 8)
 	serial := func() []SearchHit {

@@ -526,9 +526,10 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 			sh.engine = datapriv.NewMasker(sh.policy, l.hs).Engine()
 		}
 		specs = append(specs, l.spec)
-		if l.pol != nil {
-			pols[sid] = l.pol
-		}
+		// The shard's own pointer (loadSpec substitutes an all-public policy
+		// for a missing one): searchView trusts an index segment only when
+		// it was built from exactly the pair the shard holds.
+		pols[sid] = r.shards[sid].policy
 	}
 	r.inverted = index.BuildInverted(specs, pols)
 	reach, err := index.BuildReach(specs)
@@ -636,9 +637,7 @@ func loadLegacy(dir string) (*Repository, error) {
 			return nil, err
 		}
 		specs = append(specs, spec)
-		if pol != nil {
-			pols[spec.ID] = pol
-		}
+		pols[spec.ID] = r.shards[spec.ID].policy // as in Load: the shard's pointer
 	}
 	r.inverted = index.BuildInverted(specs, pols)
 	reach, err := index.BuildReach(specs)

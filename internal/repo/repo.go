@@ -26,8 +26,10 @@
 // spec mutation applies an AddDoc/RemoveDoc delta to every already-built
 // corpus (cost proportional to the mutated spec, not the repository)
 // and only a policy change that reclassifies module levels falls back to
-// invalidate-and-rebuild. Multi-spec operations (Search, QueryAll) fan
-// out across a bounded worker pool and merge deterministically; lazily
+// invalidate-and-rebuild. Keyword search is answered from the index
+// (index.Inverted.Match decides which specs match and through which
+// modules; only the requested window's views are built); QueryAll fans
+// out across a bounded worker pool and merges deterministically; lazily
 // built per-level artifacts (ranking corpora, enforced execution views)
 // are deduplicated with singleflight groups so concurrent identical
 // requests build each one exactly once.
@@ -250,8 +252,8 @@ type Repository struct {
 	// corpusFlights deduplicates from-scratch corpus builds per level.
 	corpusFlights flightGroup[privacy.Level, *rank.Corpus]
 
-	// workers bounds the fan-out pool shared by all multi-spec
-	// operations on this repository.
+	// workers bounds the fan-out pool shared by all fanned-out
+	// operations (QueryAll's phases) on this repository.
 	workers int
 	sem     chan struct{}
 }
@@ -289,7 +291,7 @@ func New() *Repository {
 
 // SetWorkers resizes the bounded fan-out pool (minimum 1; 1 disables
 // engine-internal parallelism, the serial baseline of
-// BenchmarkSearchParallel).
+// BenchmarkQueryAllParallel).
 func (r *Repository) SetWorkers(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -798,19 +800,17 @@ type SearchOptions struct {
 	BypassCache bool
 	// Limit/Offset window the ranked result list engine-side: only the
 	// specs inside [Offset, Offset+Limit) get their minimal view built;
-	// the rest are counted with the cheap search.Matches predicate.
+	// the rest are counted from the index's answer and never touched.
 	// Limit 0 means unlimited (full materialization).
 	Limit, Offset int
 }
 
-// Search runs a keyword query as the given user: candidate specs come
-// from the privacy-classified inverted index, each is answered with its
+// Search runs a keyword query as the given user: the privacy-classified
+// inverted index names the matching specs, each is answered with its
 // minimal view clipped to the user's access view, and results are
-// ranked by TF-IDF over the level's visible corpus. Candidate specs are
-// evaluated concurrently on the fan-out pool; the merge is
-// deterministic (score descending, spec id ascending). Limit/Offset in
-// opts are ignored — Search always returns the full list; windowed
-// callers use SearchPage.
+// ranked by TF-IDF over the level's visible corpus (score descending,
+// spec id ascending). Limit/Offset in opts are ignored — Search always
+// returns the full list; windowed callers use SearchPage.
 func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]SearchHit, error) {
 	opts.Limit, opts.Offset = 0, 0
 	hits, _, err := r.SearchPage(userName, queryText, opts)
@@ -825,24 +825,30 @@ type pagedHits struct {
 }
 
 // SearchPage is Search with the pagination window pushed into the
-// engine. The ranked order of the full result list is known before any
-// view is built (corpus scores are per spec, ties break on spec id), so
-// the engine sorts the candidates first, counts the matching ones with
-// search.Matches — a per-module keyword scan, no hierarchy walk, no
-// view expansion — and runs the expensive minimal-view search only for
-// the candidates inside [Offset, Offset+Limit). A deep repository
-// therefore pays per page, not per hit; total is still exact
-// (TestMatchesAgreesWithSearch pins predicate/search equivalence, and
-// TestSearchPageTilesFullSearch pins the tiling end-to-end).
+// engine. The inverted index answers the predicate — which specs have,
+// for every phrase, a module visible at the user's level that carries
+// it, and which modules those are (index.Inverted.Match: posting lists
+// only, no spec touched) — so the full result set and its total are
+// known, and ranked (corpus scores are per spec, ties break on spec id),
+// before any view is built. Only the specs inside [Offset, Offset+Limit)
+// then get their minimal view, built from the modules the index already
+// named. A deep repository therefore pays per page, not per hit, and
+// total is exact (TestMatchesAgreesWithSearch holds the index to the
+// search.Matches oracle, TestSearchPageTilesFullSearch pins the tiling
+// end-to-end).
 func (r *Repository) SearchPage(userName, queryText string, opts SearchOptions) ([]SearchHit, int, error) {
 	return r.SearchPageCtx(context.Background(), userName, queryText, opts)
 }
 
-// SearchPageCtx is SearchPage threaded with a context: the fan-out
-// phases check ctx between shards and abandon the search early when the
-// caller is gone (a disconnected HTTP client), instead of burning the
-// worker pool on a result nobody reads. A canceled search returns ctx's
-// error and caches nothing.
+// SearchPageCtx is SearchPage threaded with a context: the view pass
+// checks ctx between specs and abandons the search early when the
+// caller is gone (a disconnected HTTP client). A canceled search returns
+// ctx's error and caches nothing.
+//
+// The window's views are built inline, not on the worker pool: measured
+// on BenchmarkSearchMiss (10-hit window) and on unlimited ~20-hit
+// windows at -cpu 1 and 2, handing ~20 µs views to pool goroutines was
+// never faster than the loop and usually slower.
 func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText string, opts SearchOptions) ([]SearchHit, int, error) {
 	u, err := r.User(userName)
 	if err != nil {
@@ -867,19 +873,23 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		}
 	}
 
-	// Candidate specs: any spec with a visible posting for the first
-	// term of some phrase. Lookup reads the index's published snapshot —
-	// no lock — so concurrent spec mutations never stall the search path.
-	candidateSet := make(map[string]bool)
-	for _, phrase := range phrases {
-		for _, p := range r.inverted.Lookup(phrase[0], u.Level) {
-			candidateSet[p.SpecID] = true
+	// The index answers the predicate: every spec in which each phrase is
+	// carried by a module visible at the user's level, with those modules.
+	// Match reads one published snapshot — no lock, no spec touched — so
+	// concurrent spec mutations never stall the search path. A spec the
+	// index lists but the directory does not (registration or removal in
+	// flight) counts as a non-match.
+	_, matchSpan := obs.StartSpan(ctx, "search.index.match")
+	matches := r.inverted.Match(phrases, u.Level)
+	cands := make([]searchCandidate, 0, len(matches))
+	r.mu.RLock()
+	for _, m := range matches {
+		if r.shards[m.Spec.ID] != nil {
+			cands = append(cands, searchCandidate{SpecMatch: m})
 		}
 	}
-	candidates := make([]string, 0, len(candidateSet))
-	for sid := range candidateSet {
-		candidates = append(candidates, sid)
-	}
+	r.mu.RUnlock()
+	matchSpan.End()
 
 	corpus := r.corpusFor(u.Level)
 	var flat []string
@@ -894,93 +904,88 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	for _, rk := range ranked {
 		scoreOf[rk.Doc] = rk.Score
 	}
-
-	// Rank the candidates up front, in exactly the final hit order
-	// (score descending, spec id ascending): evaluation can then window
-	// by position without materializing anything outside the window.
-	sort.Slice(candidates, func(i, j int) bool {
-		si, sj := scoreOf[candidates[i]], scoreOf[candidates[j]]
-		if si != sj {
-			return si > sj
-		}
-		return candidates[i] < candidates[j]
-	})
-
-	// Which ranked candidates actually match, via the cheap predicate.
-	// A shard removed since the index lookup counts as a non-match, the
-	// same transient the full path already tolerates.
-	matched := make([]bool, len(candidates))
-	_, matchSpan := obs.StartSpan(ctx, "search.fanout.match")
-	r.fanOut(len(candidates), func(i int) {
-		if ctx.Err() != nil {
-			return // caller gone: stop scanning, the ctx check below reports
-		}
-		sh := r.shard(candidates[i])
-		if sh == nil {
-			return
-		}
-		sh.mu.RLock()
-		s, pol := sh.spec, sh.policy
-		sh.mu.RUnlock()
-		matched[i] = search.Matches(s, phrases, pol, u.Level)
-	})
-	matchSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	window := make([]string, 0, len(candidates))
-	total := 0
-	for i, sid := range candidates {
-		if !matched[i] {
-			continue
-		}
-		total++
-		if total-1 < opts.Offset {
-			continue
-		}
-		if opts.Limit > 0 && len(window) >= opts.Limit {
-			continue // beyond the window: counted, never materialized
-		}
-		window = append(window, sid)
+	for i := range cands {
+		cands[i].score = scoreOf[cands[i].Spec.ID]
 	}
 
-	// Materialize minimal views for the window only, on the fan-out
-	// pool; slot i belongs to window[i], so order survives the merge.
-	slots := make([]*SearchHit, len(window))
-	_, viewSpan := obs.StartSpan(ctx, "search.fanout.views")
-	r.fanOut(len(window), func(i int) {
-		if ctx.Err() != nil {
-			return
+	// The final hit order (score descending, spec id ascending) is known
+	// before any view is built, so the window is a slice of it.
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
 		}
-		sid := window[i]
-		sh := r.shard(sid)
-		if sh == nil {
-			return // removed since the predicate pass
-		}
-		sh.mu.RLock()
-		s, pol, hier := sh.spec, sh.policy, sh.hier
-		sh.mu.RUnlock()
-		access := pol.AccessView(hier, u.Level)
-		res, err := search.SearchWithAccess(s, phrases, access, pol, u.Level)
-		if err != nil {
-			return // predicate raced a mutation; drop the hit
-		}
-		slots[i] = &SearchHit{SpecID: sid, Score: scoreOf[sid], Result: res}
+		return cands[i].Spec.ID < cands[j].Spec.ID
 	})
+	total := len(cands)
+	window := cands[min(opts.Offset, total):]
+	if opts.Limit > 0 && len(window) > opts.Limit {
+		window = window[:opts.Limit]
+	}
+
+	// Materialize minimal views for the window only. A hit whose shard
+	// no longer matches by now is dropped; total keeps the index's count.
+	hits := make([]SearchHit, 0, len(window))
+	_, viewSpan := obs.StartSpan(ctx, "search.views")
+	for _, c := range window {
+		if ctx.Err() != nil {
+			break
+		}
+		if res := r.searchView(c.SpecMatch, phrases, u.Level); res != nil {
+			hits = append(hits, SearchHit{SpecID: c.Spec.ID, Score: c.score, Result: res})
+		}
+	}
 	viewSpan.End()
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
-	}
-	hits := make([]SearchHit, 0, len(window))
-	for _, h := range slots {
-		if h != nil {
-			hits = append(hits, *h)
-		}
 	}
 	if !opts.BypassCache {
 		cache.Put(u.Group, cacheKey, pagedHits{hits: hits, total: total})
 	}
 	return hits, total, nil
+}
+
+// searchCandidate is one spec the index matched, with its corpus score.
+type searchCandidate struct {
+	index.SpecMatch
+	score float64
+}
+
+// searchView builds the minimal view of one spec the index matched, from
+// the state the shard holds now (nil when the shard is gone or no longer
+// matches). The index's matched modules are handed to the search only
+// when the segment they came from was built from the very (spec, policy)
+// pointers the shard holds: then they are exactly what a scan of the
+// shard would find. Otherwise — a policy update or a re-registration of
+// the spec id slipped between the index read and this call — the search
+// scans the shard's own state, so the answer always describes one
+// incarnation under one policy, at worst coarser than the index promised.
+func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, level privacy.Level) *search.Result {
+	sh := r.shard(m.Spec.ID)
+	if sh == nil {
+		return nil
+	}
+	sh.mu.RLock()
+	s, pol, hier := sh.spec, sh.policy, sh.hier
+	sh.mu.RUnlock()
+	access := pol.AccessView(hier, level)
+	var res *search.Result
+	var err error
+	if m.Spec == s && m.Policy == pol {
+		matched := make([][]search.ModuleRef, len(m.Phrases))
+		for i, ps := range m.Phrases {
+			matched[i] = make([]search.ModuleRef, len(ps))
+			for j, p := range ps {
+				matched[i][j] = search.ModuleRef{ModuleID: p.ModuleID, Workflow: p.Workflow}
+			}
+		}
+		res, err = search.SearchMatched(s, hier, phrases, matched, access, pol, level)
+	} else {
+		res, err = search.SearchWithAccess(s, phrases, access, pol, level)
+	}
+	if err != nil {
+		return nil // the shard's state no longer matches: drop the hit
+	}
+	return res
 }
 
 // CacheStats exposes cumulative result-cache hit/miss counters

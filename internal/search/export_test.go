@@ -1,0 +1,28 @@
+package search
+
+import (
+	"sort"
+
+	"provpriv/internal/privacy"
+	"provpriv/internal/workflow"
+)
+
+// ScanModuleIDs exposes the scan's raw matches — per phrase, the sorted
+// ids of the modules scanMatches finds — to the external differential
+// tests (index imports search, so they cannot live in this package).
+// ok is false when some phrase matches nothing.
+func ScanModuleIDs(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) (ids [][]string, ok bool) {
+	states, err := scanMatches(spec, query, pol, level)
+	if err != nil {
+		return nil, false
+	}
+	for _, ps := range states {
+		var one []string
+		for _, rm := range ps.matches {
+			one = append(one, rm.module.ID)
+		}
+		sort.Strings(one)
+		ids = append(ids, one)
+	}
+	return ids, true
+}

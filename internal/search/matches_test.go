@@ -1,64 +1,185 @@
 package search_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"provpriv/internal/index"
 	"provpriv/internal/privacy"
 	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
-// TestMatchesAgreesWithSearch pins the pagination predicate to the full
-// search: Matches(spec, q, pol, level) must equal "SearchWithAccess
-// succeeds" for every random spec × query × policy × level — the
-// repository's windowed search counts totals with the predicate and
-// materializes views only inside the window, so a divergence here would
-// make paginated totals lie.
-func TestMatchesAgreesWithSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for seed := int64(0); seed < 8; seed++ {
-		s, err := workload.RandomSpec(workload.SpecConfig{
-			Seed: seed, Depth: 3, Fanout: 2, Chain: 5, SkipProb: 0.2,
-		})
+var allLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
+
+// oracleCorpus generates n random specs with random policies. Some
+// modules get an extra keyword that normalizes to a term they already
+// carry ("filters" beside "filter") and some an unrelated vocabulary
+// word, so duplicate-normalizing keywords and multi-term phrases that
+// span name and keywords are both exercised.
+func oracleCorpus(tb testing.TB, specSeed, polSeed int64, n int, cfg workload.SpecConfig) ([]*workflow.Spec, map[string]*privacy.Policy) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(specSeed ^ polSeed<<17))
+	vocab := workload.DefaultVocab()
+	specs := make([]*workflow.Spec, 0, n)
+	pols := make(map[string]*privacy.Policy, n)
+	for i := 0; i < n; i++ {
+		cfg.Seed, cfg.ID = specSeed+int64(i), fmt.Sprintf("o%d", i)
+		s, err := workload.RandomSpec(cfg)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			tb.Fatalf("RandomSpec(%d): %v", cfg.Seed, err)
 		}
-		h, err := workflow.NewHierarchy(s)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		pol := privacy.NewPolicy(s.ID)
-		k := 0
 		for _, wid := range s.WorkflowIDs() {
 			for _, m := range s.Workflows[wid].Modules {
-				if k%3 == 0 {
-					pol.ModuleLevels[m.ID] = privacy.Analyst
+				if kws := m.AllKeywords(); len(kws) > 0 && rng.Intn(3) == 0 {
+					m.Keywords = append(m.Keywords, kws[0]+"s")
 				}
-				k++
+				if rng.Intn(3) == 0 {
+					m.Keywords = append(m.Keywords, vocab[rng.Intn(len(vocab))])
+				}
 			}
 		}
-		for _, q := range workload.RandomQueries(rng, nil, 16) {
-			phrases := search.ParseQuery(q)
-			if len(phrases) == 0 {
+		pol, err := workload.RandomPolicy(s, polSeed+int64(i))
+		if err != nil {
+			tb.Fatalf("RandomPolicy(%d): %v", polSeed, err)
+		}
+		specs = append(specs, s)
+		pols[s.ID] = pol
+	}
+	return specs, pols
+}
+
+// checkIndexAgainstOracle holds index.Inverted.Match to the scan for one
+// query at every level: the matched spec set must equal
+// {spec : search.Matches}, each spec's per-phrase module sets must equal
+// the scan's raw matches, the answer must name the (spec, policy)
+// pointers it describes, and the view built from the handed modules
+// (SearchMatched) must equal the view built by scanning
+// (SearchWithAccess) — which must succeed exactly when Matches holds.
+func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflow.Spec, pols map[string]*privacy.Policy, q string) {
+	tb.Helper()
+	phrases := search.ParseQuery(q)
+	for _, level := range allLevels {
+		got := make(map[string]index.SpecMatch)
+		for _, m := range ix.Match(phrases, level) {
+			if _, dup := got[m.Spec.ID]; dup {
+				tb.Fatalf("query %q level %v: spec %s matched twice", q, level, m.Spec.ID)
+			}
+			got[m.Spec.ID] = m
+		}
+		matching := 0
+		for _, s := range specs {
+			pol := pols[s.ID]
+			h, err := workflow.NewHierarchy(s)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			access := pol.AccessView(h, level)
+			want := search.Matches(s, phrases, pol, level)
+			scanned, scanErr := search.SearchWithAccess(s, phrases, access, pol, level)
+			if want != (scanErr == nil) {
+				tb.Fatalf("query %q level %v spec %s: Matches=%v but SearchWithAccess err=%v", q, level, s.ID, want, scanErr)
+			}
+			m, matched := got[s.ID]
+			if matched != want {
+				tb.Fatalf("query %q level %v spec %s: index matched=%v, oracle %v", q, level, s.ID, matched, want)
+			}
+			if !want {
 				continue
 			}
-			for _, level := range []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner} {
-				access := pol.AccessView(h, level)
-				_, err := search.SearchWithAccess(s, phrases, access, pol, level)
-				if got, want := search.Matches(s, phrases, pol, level), err == nil; got != want {
-					t.Fatalf("seed %d level %v query %q: Matches=%v but SearchWithAccess err=%v",
-						seed, level, q, got, err)
+			matching++
+			if m.Spec != s || m.Policy != pol {
+				tb.Fatalf("query %q spec %s: match does not name the pointers it was built from", q, s.ID)
+			}
+			wantIDs, _ := search.ScanModuleIDs(s, phrases, pol, level)
+			handed := make([][]search.ModuleRef, len(m.Phrases))
+			gotIDs := make([][]string, len(m.Phrases))
+			for i, ps := range m.Phrases {
+				for _, p := range ps {
+					if mod, w := s.FindModule(p.ModuleID); mod == nil || w.ID != p.Workflow || p.SpecID != s.ID || p.MinLevel != pol.ModuleLevels[p.ModuleID] {
+						tb.Fatalf("query %q level %v spec %s: posting %+v does not describe the spec", q, level, s.ID, p)
+					}
+					gotIDs[i] = append(gotIDs[i], p.ModuleID)
+					handed[i] = append(handed[i], search.ModuleRef{ModuleID: p.ModuleID, Workflow: p.Workflow})
 				}
+				sort.Strings(gotIDs[i])
+			}
+			if !reflect.DeepEqual(gotIDs, wantIDs) {
+				tb.Fatalf("query %q level %v spec %s: index modules %v, scan %v", q, level, s.ID, gotIDs, wantIDs)
+			}
+			res, err := search.SearchMatched(s, h, phrases, handed, access, pol, level)
+			if err != nil {
+				tb.Fatalf("query %q level %v spec %s: SearchMatched: %v", q, level, s.ID, err)
+			}
+			if !reflect.DeepEqual(res.Matches, scanned.Matches) || !reflect.DeepEqual(res.Prefix, scanned.Prefix) ||
+				res.ZoomedOut != scanned.ZoomedOut || !reflect.DeepEqual(res.View.ModuleIDs(), scanned.View.ModuleIDs()) {
+				tb.Fatalf("query %q level %v spec %s: handed view %+v / %v differs from scanned %+v / %v",
+					q, level, s.ID, res.Matches, res.Prefix.IDs(), scanned.Matches, scanned.Prefix.IDs())
 			}
 		}
+		if len(got) != matching {
+			tb.Fatalf("query %q level %v: index matched %d specs, %d of them unknown", q, level, len(got), len(got)-matching)
+		}
 	}
+}
+
+// TestMatchesAgreesWithSearch is the differential test of the search
+// predicate: the inverted index (which the repository serves from)
+// against search.Matches and the scan (the reference oracle), on random
+// specs × random policies × 1- and 2-term phrases × every level. The
+// index is built half in bulk and half incrementally, with one spec
+// re-registered under a second policy, so BuildInverted and publish are
+// both on the hook. A divergence would make paginated totals lie or hand
+// the view pass modules the scan would not find.
+func TestMatchesAgreesWithSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cfg := workload.SpecConfig{Depth: 3, Fanout: 2, Chain: 5, SkipProb: 0.2}
+	for round := int64(0); round < 4; round++ {
+		specs, pols := oracleCorpus(t, round*10, round*7+1, 6, cfg)
+		ix := index.BuildInverted(specs[:3], pols)
+		for _, s := range specs[3:] {
+			ix.AddSpec(s, pols[s.ID])
+		}
+		repol, err := workload.RandomPolicy(specs[0], 1000+round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols[specs[0].ID] = repol
+		ix.AddSpec(specs[0], repol)
+
+		queries := workload.RandomQueries(rng, nil, 24)
+		queries = append(queries, "filters", "Risks, query", "query query", "nosuchterm", "query, nosuchterm")
+		for _, q := range queries {
+			checkIndexAgainstOracle(t, ix, specs, pols, q)
+		}
+	}
+}
+
+// FuzzIndexMatchAgreesWithOracle is the same property with the corpus
+// seeds and the query text chosen by the fuzzer.
+func FuzzIndexMatchAgreesWithOracle(f *testing.F) {
+	f.Add(int64(0), int64(1), "query")
+	f.Add(int64(3), int64(9), "database, disorder risks")
+	f.Add(int64(7), int64(2), "filters filter")
+	f.Add(int64(11), int64(5), "align, ,query  snp")
+	f.Add(int64(-4), int64(0), "")
+	cfg := workload.SpecConfig{Depth: 2, Fanout: 1, Chain: 4, SkipProb: 0.3}
+	f.Fuzz(func(t *testing.T, specSeed, polSeed int64, q string) {
+		specs, pols := oracleCorpus(t, specSeed, polSeed, 3, cfg)
+		checkIndexAgainstOracle(t, index.BuildInverted(specs, pols), specs, pols, q)
+	})
 }
 
 func TestMatchesEmptyQuery(t *testing.T) {
 	s := workflow.DiseaseSusceptibility()
 	if search.Matches(s, nil, nil, privacy.Owner) {
 		t.Fatal("empty query matched")
+	}
+	if got := index.BuildInverted([]*workflow.Spec{s}, nil).Match(nil, privacy.Owner); got != nil {
+		t.Fatalf("index matched the empty query: %v", got)
 	}
 }

@@ -112,6 +112,21 @@ type rawMatch struct {
 	workflow string
 }
 
+// phraseState is one query phrase with its raw matches. The two sources
+// of raw matches — scanMatches and handedMatches — fill it; minimalView
+// consumes it.
+type phraseState struct {
+	phrase  []string
+	matches []rawMatch
+}
+
+// ModuleRef names a module by id and containing workflow: what a keyword
+// index knows about a match without holding the spec.
+type ModuleRef struct {
+	ModuleID string
+	Workflow string
+}
+
 // Search evaluates a keyword query (see ParseQuery) against a spec with
 // no privacy constraints and returns the minimal view containing all
 // matches. It returns an error when some phrase matches nothing.
@@ -121,10 +136,10 @@ func Search(spec *workflow.Spec, query [][]string) (*Result, error) {
 
 // Matches reports whether SearchWithAccess would succeed for the query —
 // i.e. every phrase matches at least one module visible under module
-// privacy — without building the hierarchy, the minimal prefix or the
-// answer view. This is the pagination predicate: windowed repository
-// search uses it to count the full result set while materializing views
-// only for the requested page.
+// privacy — by scanning the spec's modules. It is the reference oracle
+// for the search predicate: the served path does not call it (the
+// inverted index answers the predicate, see index.Inverted.Match) and
+// the differential tests hold the index to it.
 //
 // Equivalence with searchInternal: beyond the per-phrase visible-match
 // requirement tested here, searchInternal can only fail on structurally
@@ -173,23 +188,52 @@ func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow
 	return searchInternal(spec, query, accessView, pol, level)
 }
 
-func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("search: empty query")
+// SearchMatched is SearchWithAccess for a caller that already knows which
+// modules carry each phrase — matched[i] lists them for query[i], as a
+// keyword index over this very (spec, policy) pair reports them — and
+// that holds the spec's prebuilt hierarchy h. Neither the spec's modules
+// are scanned nor the hierarchy rebuilt; the answer is the one
+// SearchWithAccess gives whenever matched is what its scan would find.
+// Enforcement does not rest on the caller: every handed module is
+// resolved in spec and re-checked against pol at level, and one that is
+// absent or hidden is discarded, so a stale list can only shrink the
+// answer (or fail the search), never widen it.
+func SearchMatched(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, matched [][]ModuleRef, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+	if accessView == nil {
+		return nil, fmt.Errorf("search: nil access view")
 	}
+	if len(matched) != len(query) {
+		return nil, fmt.Errorf("search: %d match lists for %d phrases", len(matched), len(query))
+	}
+	states, err := handedMatches(spec, query, matched, pol, level)
+	if err != nil {
+		return nil, err
+	}
+	return minimalView(spec, h, states, accessView)
+}
+
+func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
 	h, err := workflow.NewHierarchy(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	// Collect raw matches per phrase.
-	type phraseState struct {
-		phrase  []string
-		matches []rawMatch
+	states, err := scanMatches(spec, query, pol, level)
+	if err != nil {
+		return nil, err
 	}
-	states := make([]*phraseState, 0, len(query))
+	return minimalView(spec, h, states, accessView)
+}
+
+func errNoMatch(phrase []string) error {
+	return fmt.Errorf("search: no match for phrase %q", strings.Join(phrase, " "))
+}
+
+// scanMatches collects the raw matches of every phrase by walking all
+// modules of the spec.
+func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+	states := make([]phraseState, 0, len(query))
 	for _, phrase := range query {
-		ps := &phraseState{phrase: phrase}
+		ps := phraseState{phrase: phrase}
 		for _, wid := range spec.WorkflowIDs() {
 			for _, m := range spec.Workflows[wid].Modules {
 				if pol != nil && !pol.CanSeeModule(level, m.ID) {
@@ -201,16 +245,53 @@ func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.P
 			}
 		}
 		if len(ps.matches) == 0 {
-			return nil, fmt.Errorf("search: no match for phrase %q", strings.Join(phrase, " "))
+			return nil, errNoMatch(phrase)
 		}
 		states = append(states, ps)
+	}
+	return states, nil
+}
+
+// handedMatches turns the per-phrase module refs a caller hands in into
+// raw matches, keeping only refs that resolve in spec and pass the
+// module-privacy check.
+func handedMatches(spec *workflow.Spec, query [][]string, matched [][]ModuleRef, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+	states := make([]phraseState, 0, len(query))
+	for i, phrase := range query {
+		ps := phraseState{phrase: phrase, matches: make([]rawMatch, 0, len(matched[i]))}
+		for _, ref := range matched[i] {
+			w := spec.Workflows[ref.Workflow]
+			if w == nil {
+				continue
+			}
+			m := w.Module(ref.ModuleID)
+			if m == nil || (pol != nil && !pol.CanSeeModule(level, m.ID)) {
+				continue
+			}
+			ps.matches = append(ps.matches, rawMatch{module: m, workflow: ref.Workflow})
+		}
+		if len(ps.matches) == 0 {
+			return nil, errNoMatch(phrase)
+		}
+		states = append(states, ps)
+	}
+	return states, nil
+}
+
+// minimalView is the one place raw matches become an answer:
+// supersession, cheapest requirement per phrase, expansion of the
+// resulting prefix (clipped to accessView when non-nil) and the match
+// report. states holds at least one match per phrase.
+func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, accessView workflow.Prefix) (*Result, error) {
+	if len(states) == 0 {
+		return nil, fmt.Errorf("search: empty query")
 	}
 
 	// Supersession: drop a match on a composite module when the phrase
 	// also matches inside its expansion subtree (the finer match is the
 	// answer; the composite merely summarizes it).
-	for _, ps := range states {
-		ps.matches = dropSuperseded(h, ps.matches)
+	for i := range states {
+		states[i].matches = dropSuperseded(h, states[i].matches)
 	}
 
 	// Minimal prefix: per phrase, the cheapest requirement (fewest

@@ -119,6 +119,11 @@ func allocsPerSearch(tb testing.TB, h http.Handler) float64 {
 // recorder, panic guard) may add at most 2 heap allocations per request
 // over the bare handler when tracing is not sampling.
 func TestMiddlewareAllocBudget(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop items at random, so the
+		// pooled recorder is reallocated and the count flakes.
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	bare, unsampled, _ := benchHandlers(t)
 	base := allocsPerSearch(t, bare)
 	instr := allocsPerSearch(t, unsampled)

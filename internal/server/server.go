@@ -689,10 +689,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 		s.fail(w, r, err)
 		return
 	}
-	// Pagination is pushed into the engine: SearchPage counts the full
-	// result set with a cheap match predicate and materializes minimal
-	// views only for this window. The request context rides along so a
-	// hung-up client stops the shard fan-out.
+	// Pagination is pushed into the engine: SearchPage takes the full
+	// result set and its count from the inverted index and materializes
+	// minimal views only for this window. The request context rides along
+	// so a hung-up client stops the view pass.
 	hits, total, err := s.repo.SearchPageCtx(r.Context(), user, q, repo.SearchOptions{
 		Buckets: buckets, Limit: limit, Offset: offset,
 	})

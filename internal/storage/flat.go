@@ -90,7 +90,12 @@ func (f *Flat) Meta() (Meta, error) {
 	}
 	meta := Meta{Generation: m.Generation, Shards: m.Shards, Users: m.Users}
 	f.mu.Lock()
-	f.prev, f.havePrev = meta, true
+	// Never step prev backwards: a reader descheduled between reading the
+	// manifest and this line must not replace a newer committed manifest,
+	// or the next Commit would prune the generation right behind the tip.
+	if !f.havePrev || meta.Generation >= f.prev.Generation {
+		f.prev, f.havePrev = meta, true
+	}
 	f.mu.Unlock()
 	return meta, nil
 }

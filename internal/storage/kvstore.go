@@ -76,7 +76,9 @@ func (b *KVBackend) Meta() (Meta, error) {
 		return Meta{}, fmt.Errorf("storage: parse kv manifest: %w", err)
 	}
 	b.mu.Lock()
-	b.prev, b.havePrev = m, true
+	if !b.havePrev || m.Generation >= b.prev.Generation { // as Flat.Meta: never backwards
+		b.prev, b.havePrev = m, true
+	}
 	b.mu.Unlock()
 	return m, nil
 }
@@ -171,15 +173,18 @@ func (b *KVBackend) Commit(meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("storage: encode kv manifest: %w", err)
 	}
-	if err := b.kv.Apply([]KVOp{{Key: kvMetaKey, Val: data}}); err != nil {
-		return err
-	}
+	// Take prev before the manifest is published: a reader whose Meta
+	// lands right after the put would otherwise make prev == meta and the
+	// prune below would drop the generation readers may still hold.
 	b.mu.Lock()
 	prev := b.prev
 	if !b.havePrev {
 		prev = meta
 	}
 	b.mu.Unlock()
+	if err := b.kv.Apply([]KVOp{{Key: kvMetaKey, Val: data}}); err != nil {
+		return err
+	}
 	b.prune(meta, prev)
 	b.mu.Lock()
 	b.prev, b.havePrev = meta, true
