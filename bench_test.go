@@ -543,7 +543,7 @@ func BenchmarkSearchMiss(b *testing.B) {
 		b.Run(user, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := r.SearchPage(user, queries[i%len(queries)], repo.SearchOptions{BypassCache: true, Limit: 10}); err != nil {
+				if _, _, err := r.SearchPageCtx(context.Background(), user, queries[i%len(queries)], repo.SearchOptions{BypassCache: true, Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -879,12 +879,6 @@ func BenchmarkIndexChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			r.AddUser(privacy.User{Name: "u", Level: privacy.Registered, Group: "g"})
-			// Warm the per-level corpus so mutations below go through
-			// the delta path, as they would on a serving repository.
-			if _, err := r.Search("u", "query", repo.SearchOptions{BypassCache: true}); err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := r.AddSpec(churn, nil); err != nil {
@@ -894,17 +888,13 @@ func BenchmarkIndexChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			st := r.Stats()
-			b.ReportMetric(float64(st.CorpusDeltas), "corpus-deltas")
-			b.ReportMetric(float64(st.CorpusRebuilds), "corpus-rebuilds")
 		})
 	}
 }
 
 // BenchmarkSearchMutateParallel measures the tentpole claim end to end:
 // read throughput under a continuous writer. With the lock-free index
-// snapshot and incremental corpus deltas, parallel search throughput
+// snapshot answering and ranking the search, parallel search throughput
 // with a churning writer should stay close to the read-only figure
 // instead of collapsing behind a writer-held lock.
 func BenchmarkSearchMutateParallel(b *testing.B) {

@@ -6,8 +6,8 @@
 // Findings print one per line as file:line:col: message (check) and
 // the exit status is 1 if any survive //provlint:ignore suppression,
 // so CI can gate on it exactly like go vet. -bench writes analyzer
-// wall times as JSON for the perf-trajectory artifact; -list prints
-// the suite with each check's contract.
+// wall times as JSON; -list prints the suite with each check's
+// contract.
 package main
 
 import (

@@ -37,7 +37,7 @@ type Timing struct {
 }
 
 // Result is one full suite run: surviving findings plus per-analyzer
-// and load cost, the numbers BENCH_lint.json tracks.
+// and load cost (what provlint -bench writes).
 type Result struct {
 	Findings []lintkit.Finding
 	Packages int

@@ -4,7 +4,7 @@
 // The invariant (internal/repo package doc, hardened across PRs 2–7):
 // policy-sensitive mutators take polMu before any other lock; the save
 // path takes saveMu before reading shard state; the shard directory
-// lock comes before corpusMu and before any individual shard's lock.
+// lock comes before usersMu and before any individual shard's lock.
 // Violating the order is a lock-inversion deadlock that the race
 // detector only catches on the schedule the tests happen to run.
 //
@@ -33,19 +33,18 @@ import (
 // rank orders the repository's named mutexes, outermost first. Keys
 // are "<receiver type>.<field>".
 var rank = map[string]int{
-	"Repository.polMu":    10,
-	"Repository.saveMu":   20,
-	"Repository.mu":       30,
-	"Repository.usersMu":  35,
-	"Repository.corpusMu": 40,
-	"repoShard.mu":        50,
+	"Repository.polMu":   10,
+	"Repository.saveMu":  20,
+	"Repository.mu":      30,
+	"Repository.usersMu": 35,
+	"repoShard.mu":       50,
 }
 
-const orderDoc = "documented order: polMu → saveMu → mu (directory) → usersMu → corpusMu → mu (shard)"
+const orderDoc = "documented order: polMu → saveMu → mu (directory) → usersMu → mu (shard)"
 
 var Analyzer = &lintkit.Analyzer{
 	Name: "lockorder",
-	Doc: "enforce the polMu → saveMu → directory mu → corpusMu → shard mu hierarchy " +
+	Doc: "enforce the polMu → saveMu → directory mu → usersMu → shard mu hierarchy " +
 		"and that every Lock has a matching (ideally deferred) Unlock in the same function",
 	Run: run,
 }

@@ -5,11 +5,10 @@ import "sync"
 // Repository and repoShard mirror internal/repo's lock fields so the
 // rank table (keyed on type name + field) applies to the fixture.
 type Repository struct {
-	polMu    sync.Mutex
-	saveMu   sync.Mutex
-	mu       sync.RWMutex
-	usersMu  sync.RWMutex
-	corpusMu sync.RWMutex
+	polMu   sync.Mutex
+	saveMu  sync.Mutex
+	mu      sync.RWMutex
+	usersMu sync.RWMutex
 }
 
 type repoShard struct {
@@ -50,10 +49,10 @@ func (r *Repository) saveBeforePolicy() {
 	defer r.polMu.Unlock()
 }
 
-func (r *Repository) corpusBeforeDirectory() {
-	r.corpusMu.Lock()
-	defer r.corpusMu.Unlock()
-	r.mu.RLock() // want "acquires r.mu while holding r.corpusMu"
+func (r *Repository) usersBeforeDirectory() {
+	r.usersMu.Lock()
+	defer r.usersMu.Unlock()
+	r.mu.RLock() // want "acquires r.mu while holding r.usersMu"
 	defer r.mu.RUnlock()
 }
 

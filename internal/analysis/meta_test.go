@@ -2,8 +2,6 @@ package analysis_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"os/exec"
 	"strings"
 	"testing"
@@ -44,33 +42,4 @@ func TestProvlintCleanTree(t *testing.T) {
 	if len(res.Findings) > 0 {
 		t.Log("fix the violation or add //provlint:ignore <check> <reason> with a justification")
 	}
-}
-
-// TestBenchLintJSON renders analyzer wall times as machine-readable
-// JSON for CI's perf-trajectory artifact, same contract as the
-// storage/tasks/obs/limits bench tests. Gated on BENCH_JSON naming the
-// output path; a no-op otherwise.
-func TestBenchLintJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("BENCH_JSON not set")
-	}
-	res, err := analysis.RunTree(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := map[string]any{
-		"packages":     res.Packages,
-		"load_wall_ms": float64(res.LoadWall.Nanoseconds()) / 1e6,
-		"checks":       res.Timings,
-		"findings":     len(res.Findings),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", out, data)
 }

@@ -10,22 +10,30 @@
 // The inverted index does not merely nominate candidates: Inverted.Match
 // answers the whole keyword-search predicate — which specs have, for
 // every query phrase, a module visible at the asker's level carrying all
-// its terms, and which modules those are — from the posting lists alone.
-// Postings are sorted level-first, so "visible at level L" is a prefix
-// of every list, and each spec's segment records the (spec, policy)
-// pointers it was built from, so the repository can tell whether an
-// answer still describes the state it holds. search.Matches, the
-// per-module scan, remains only as the oracle the tests hold Match to.
+// its terms, and which modules those are — and scores each of them, from
+// the posting lists alone. Postings are sorted level-first, so "visible
+// at level L" is a prefix of every list, and each spec's segment records
+// the (spec, policy) pointers it was built from, so the repository can
+// tell whether an answer still describes the state it holds. The TF·IDF
+// score of a spec at a level is a function of the same prefixes — term
+// frequency is the occurrence counts beside the segment's visible
+// postings, document frequency the specs with a visible posting, N the
+// number of segments — so there is no per-level ranking corpus to keep
+// beside the index. search.Matches, the per-module scan, and rank.Corpus,
+// the per-level document store, remain only as the oracles the tests hold
+// Match to.
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
+	"provpriv/internal/rank"
 	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 )
@@ -61,12 +69,46 @@ type segment struct {
 	spec     *workflow.Spec
 	pol      *privacy.Policy
 	postings map[string][]Posting
+	// tf[term] counts the term's keyword occurrences by the level of the
+	// module carrying them — all of them, where a posting stands for a
+	// module however many of its keywords normalize to the term. It is
+	// kept beside the postings, not inside Posting, because match relies
+	// on a module's posting being the same value in every list.
+	tf map[string][]levelCount
+}
+
+// levelCount is one step of a count that grows with the access level: n
+// more become visible at level. visible sums the steps a level has
+// reached; addAt moves one (in place, appending the level if new).
+type levelCount struct {
+	level privacy.Level
+	n     int
+}
+
+func visible(steps []levelCount, level privacy.Level) int {
+	n := 0
+	for _, lc := range steps {
+		if lc.level <= level {
+			n += lc.n
+		}
+	}
+	return n
+}
+
+func addAt(steps []levelCount, level privacy.Level, delta int) []levelCount {
+	for i := range steps {
+		if steps[i].level == level {
+			steps[i].n += delta
+			return steps
+		}
+	}
+	return append(steps, levelCount{level, delta})
 }
 
 // buildSegment extracts one spec's postings. policy may be nil (all
 // modules public).
 func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
-	seg := &segment{spec: s, pol: pol, postings: make(map[string][]Posting)}
+	seg := &segment{spec: s, pol: pol, postings: make(map[string][]Posting), tf: make(map[string][]levelCount)}
 	for _, wid := range s.WorkflowIDs() {
 		for _, m := range s.Workflows[wid].Modules {
 			minLevel := privacy.Public
@@ -76,6 +118,7 @@ func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
 			seen := make(map[string]bool)
 			for _, kw := range m.AllKeywords() {
 				term := search.Normalize(kw)
+				seg.tf[term] = addAt(seg.tf[term], minLevel, 1)
 				if seen[term] {
 					continue // distinct raw keywords may normalize alike
 				}
@@ -93,19 +136,34 @@ func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
 	return seg
 }
 
+// minLevel is the lowest level at which the spec shows term at all (the
+// spec must carry it).
+func (seg *segment) minLevel(term string) privacy.Level {
+	return seg.postings[term][0].MinLevel
+}
+
+// termEntry is what a snapshot keeps per term: the merged posting list of
+// every segment, and the document frequency those lists imply — df counts
+// each spec once, at the lowest level that sees the term in it.
+type termEntry struct {
+	postings []Posting
+	df       []levelCount
+}
+
 // invSnapshot is an immutable view of the whole index: the per-spec
-// segments and their merge into one list per term. Readers load it with
-// one atomic pointer read, so the merged lists and the segments they see
-// always describe the same set of (spec, policy) pairs; writers build a
-// replacement (copying the two directories and only the term lists they
-// touch — untouched lists and segments are shared) and swap it in.
+// segments and their merge into one entry per term. Readers load it with
+// one atomic pointer read, so the merged lists, the document frequencies
+// and the segments they see always describe the same set of (spec,
+// policy) pairs; writers build a replacement (copying the two directories
+// and only the term entries they touch — untouched entries and segments
+// are shared) and swap it in.
 type invSnapshot struct {
-	postings map[string][]Posting
+	terms    map[string]termEntry
 	segments map[string]*segment
 	count    int // total postings across all terms
 }
 
-var emptyInvSnapshot = &invSnapshot{postings: map[string][]Posting{}}
+var emptyInvSnapshot = &invSnapshot{terms: map[string]termEntry{}}
 
 // Inverted is a privacy-classified inverted keyword index over a set of
 // specifications, organized as one segment per spec behind an atomically
@@ -130,7 +188,7 @@ type Inverted struct {
 func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) *Inverted {
 	ix := &Inverted{}
 	segments := make(map[string]*segment, len(specs))
-	merged := make(map[string][]Posting)
+	terms := make(map[string]termEntry)
 	count := 0
 	for _, s := range specs {
 		var pol *privacy.Policy
@@ -140,15 +198,15 @@ func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) 
 		seg := buildSegment(s, pol)
 		segments[s.ID] = seg
 		for term, ps := range seg.postings {
-			merged[term] = append(merged[term], ps...)
+			e := terms[term]
+			terms[term] = termEntry{append(e.postings, ps...), addAt(e.df, seg.minLevel(term), 1)}
 			count += len(ps)
 		}
 	}
-	for term := range merged {
-		ps := merged[term]
-		sort.Slice(ps, func(i, j int) bool { return postingLess(ps[i], ps[j]) })
+	for _, e := range terms {
+		sort.Slice(e.postings, func(i, j int) bool { return postingLess(e.postings[i], e.postings[j]) })
 	}
-	ix.snap.Store(&invSnapshot{postings: merged, segments: segments, count: count})
+	ix.snap.Store(&invSnapshot{terms: terms, segments: segments, count: count})
 	return ix
 }
 
@@ -202,22 +260,29 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 		}
 	}
 
-	next := make(map[string][]Posting, len(old.postings)+len(touched))
+	next := make(map[string]termEntry, len(old.terms)+len(touched))
 	count := old.count
-	for term, ps := range old.postings {
-		next[term] = ps // shared; touched terms are replaced below
+	for term, e := range old.terms {
+		next[term] = e // shared; touched terms are replaced below
 	}
 	for term := range touched {
-		var add []Posting
-		if seg != nil {
-			add = seg.postings[term]
+		e := old.terms[term]
+		e.df = slices.Clone(e.df) // the old snapshot keeps its own
+		if prev != nil && prev.postings[term] != nil {
+			e.df = addAt(e.df, prev.minLevel(term), -1)
 		}
-		merged := mergeTerm(old.postings[term], specID, add)
-		count += len(merged) - len(old.postings[term])
-		if len(merged) == 0 {
+		var add []Posting
+		if seg != nil && seg.postings[term] != nil {
+			add = seg.postings[term]
+			e.df = addAt(e.df, seg.minLevel(term), 1)
+		}
+		count -= len(e.postings)
+		e.postings = mergeTerm(e.postings, specID, add)
+		count += len(e.postings)
+		if len(e.postings) == 0 {
 			delete(next, term)
 		} else {
-			next[term] = merged
+			next[term] = e
 		}
 	}
 
@@ -230,7 +295,7 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 	} else {
 		segments[specID] = seg
 	}
-	ix.snap.Store(&invSnapshot{postings: next, segments: segments, count: count})
+	ix.snap.Store(&invSnapshot{terms: next, segments: segments, count: count})
 	ix.swaps.Add(1)
 }
 
@@ -260,7 +325,7 @@ func mergeTerm(old []Posting, specID string, add []Posting) []Posting {
 // above the level (postings are sorted by MinLevel), so low-privilege
 // lookups touch only their own prefix.
 func (ix *Inverted) Lookup(term string, level privacy.Level) []Posting {
-	ps := ix.snapshot().postings[search.Normalize(term)]
+	ps := ix.snapshot().terms[search.Normalize(term)].postings
 	var out []Posting
 	for _, p := range ps {
 		if p.MinLevel > level {
@@ -284,36 +349,90 @@ type SpecMatch struct {
 	// module with MinLevel ≤ level that carries all the phrase's terms —
 	// never empty. The slices may alias the index's own lists: read-only.
 	Phrases [][]Posting
+	// Score is the spec's TF·IDF for the query over what the level sees:
+	// Σ_t tf·log(1 + N/df) over the query's terms in order, repeats
+	// included — bit for bit what a rank.Corpus holding every indexed
+	// spec's level-visible keywords scores it.
+	Score float64
+}
+
+// Matches is Match's answer: the matching specs, and the snapshot they
+// were read from, so that everything derived from one answer (RankAll)
+// describes the same state of the index.
+type Matches struct {
+	Specs []SpecMatch
+
+	snap  *invSnapshot
+	level privacy.Level
+	terms []string  // the query's terms, flattened in order
+	idf   []float64 // idf[i] belongs to terms[i]
+}
+
+// score is the TF·IDF of one segment for the query; the summation order
+// is rank.Corpus's, so the float is too.
+func (ms *Matches) score(seg *segment) float64 {
+	var s float64
+	for i, t := range ms.terms {
+		s += float64(visible(seg.tf[t], ms.level)) * ms.idf[i]
+	}
+	return s
+}
+
+// RankAll scores every spec in which the level sees some query term —
+// matching or not — by descending score, ties by spec id: the ranking
+// rank.Corpus.Rank returns, whose range rank.Bucketize quantizes over.
+func (ms *Matches) RankAll() []rank.Ranked {
+	var out []rank.Ranked
+	seen := make(map[string]bool)
+	for _, t := range ms.terms {
+		for _, p := range ms.snap.terms[t].postings {
+			if p.MinLevel > ms.level {
+				break
+			}
+			if !seen[p.SpecID] {
+				seen[p.SpecID] = true
+				out = append(out, rank.Ranked{Doc: p.SpecID, Score: ms.score(ms.snap.segments[p.SpecID])})
+			}
+		}
+	}
+	rank.Sort(out)
+	return out
 }
 
 // Match answers the keyword-search predicate from the postings alone: it
 // returns, in no particular order, every spec in which each phrase is
 // carried by at least one module visible at level — the specs for which
 // search.Matches holds under the (spec, policy) pairs the index was fed —
-// without touching a spec or building a per-module term set. phrases are
-// the non-empty normalized term lists search.ParseQuery produces; an
-// empty query or phrase matches nothing.
+// without touching a spec or building a per-module term set, each with
+// its score. phrases are the non-empty normalized term lists
+// search.ParseQuery produces; an empty query or phrase matches nothing.
 //
 // A matching spec has a visible posting for the first term of every
 // phrase, so the candidates are the specs in the level-prefix of the
-// shortest such merged list; each candidate is then decided inside its
-// own segment. Everything is read from one snapshot, so the result never
-// mixes two states of the index.
-func (ix *Inverted) Match(phrases [][]string, level privacy.Level) []SpecMatch {
-	if len(phrases) == 0 {
-		return nil
-	}
+// shortest such merged list; each candidate is then decided, and scored,
+// inside its own segment. Everything is read from one snapshot, so the
+// result never mixes two states of the index.
+func (ix *Inverted) Match(phrases [][]string, level privacy.Level) Matches {
 	snap := ix.snapshot()
+	ms := Matches{snap: snap, level: level}
+	if len(phrases) == 0 {
+		return ms
+	}
 	var drive []Posting
 	for i, phrase := range phrases {
 		if len(phrase) == 0 {
-			return nil
+			return ms
 		}
-		if ps := snap.postings[phrase[0]]; i == 0 || len(ps) < len(drive) {
+		if ps := snap.terms[phrase[0]].postings; i == 0 || len(ps) < len(drive) {
 			drive = ps
 		}
 	}
-	var out []SpecMatch
+	for _, phrase := range phrases {
+		for _, t := range phrase {
+			ms.terms = append(ms.terms, t)
+			ms.idf = append(ms.idf, rank.IDF(len(snap.segments), visible(snap.terms[t].df, level)))
+		}
+	}
 	tried := make(map[string]bool)
 	scratch := make([][]Posting, len(phrases))
 	for _, p := range drive {
@@ -333,13 +452,14 @@ func (ix *Inverted) Match(phrases [][]string, level privacy.Level) []SpecMatch {
 			}
 		}
 		if matched {
-			out = append(out, SpecMatch{
+			ms.Specs = append(ms.Specs, SpecMatch{
 				Spec: seg.spec, Policy: seg.pol,
 				Phrases: append([][]Posting(nil), scratch...),
+				Score:   ms.score(seg),
 			})
 		}
 	}
-	return out
+	return ms
 }
 
 // match returns the postings of the segment's modules that are visible
@@ -376,8 +496,8 @@ func (seg *segment) match(phrase []string, level privacy.Level) []Posting {
 // Terms returns all indexed terms, sorted.
 func (ix *Inverted) Terms() []string {
 	snap := ix.snapshot()
-	ts := make([]string, 0, len(snap.postings))
-	for t := range snap.postings {
+	ts := make([]string, 0, len(snap.terms))
+	for t := range snap.terms {
 		ts = append(ts, t)
 	}
 	sort.Strings(ts)
@@ -392,7 +512,7 @@ func (ix *Inverted) Postings() int {
 // TermCount returns the number of distinct indexed terms in O(1) —
 // unlike Terms, it neither copies nor sorts (for stats/metrics paths).
 func (ix *Inverted) TermCount() int {
-	return len(ix.snapshot().postings)
+	return len(ix.snapshot().terms)
 }
 
 // Segments returns the number of per-spec segments currently indexed.

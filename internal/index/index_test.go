@@ -52,7 +52,7 @@ func TestMatchAnswersThePredicate(t *testing.T) {
 	ix := BuildInverted(specs, pols)
 	s, pol := specs[0], pols[specs[0].ID]
 
-	got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Owner)
+	got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Owner).Specs
 	if len(got) != 1 || got[0].Spec != s || got[0].Policy != pol {
 		t.Fatalf("owner match = %+v", got)
 	}
@@ -63,22 +63,22 @@ func TestMatchAnswersThePredicate(t *testing.T) {
 		t.Fatal("phrase 1 has no evidence")
 	}
 	// M6 is Owner-only: below that the first phrase has no visible module.
-	if got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Analyst); got != nil {
+	if got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Analyst).Specs; got != nil {
 		t.Fatalf("analyst match = %+v", got)
 	}
 	// "query" and "pubmed" occur in the spec, but the hidden M6 must not
 	// lend its "query" to a phrase, and no single module carries both
 	// "omim" and "pubmed".
-	if got := ix.Match([][]string{{"omim", "pubmed"}}, privacy.Owner); got != nil {
+	if got := ix.Match([][]string{{"omim", "pubmed"}}, privacy.Owner).Specs; got != nil {
 		t.Fatalf("cross-module phrase matched: %+v", got)
 	}
 	for _, q := range [][][]string{nil, {{}}, {{"query"}, {}}, {{"nosuchterm"}}} {
-		if got := ix.Match(q, privacy.Owner); got != nil {
+		if got := ix.Match(q, privacy.Owner).Specs; got != nil {
 			t.Fatalf("Match(%v) = %+v", q, got)
 		}
 	}
 	// Evidence slices alias the index: appending must not write into it.
-	one := ix.Match([][]string{{"query"}}, privacy.Public)
+	one := ix.Match([][]string{{"query"}}, privacy.Public).Specs
 	before := ix.Lookup("query", privacy.Owner)
 	_ = append(one[0].Phrases[0], Posting{SpecID: "x"})
 	for i, p := range ix.Lookup("query", privacy.Owner) {
@@ -301,7 +301,7 @@ func TestLookupDuringChurn(t *testing.T) {
 					return
 				}
 				stable := false
-				for _, m := range ix.Match([][]string{{"database"}}, privacy.Owner) {
+				for _, m := range ix.Match([][]string{{"database"}}, privacy.Owner).Specs {
 					if m.Spec == specs[0] {
 						stable = m.Policy == pols[m.Spec.ID] && len(m.Phrases[0]) > 0
 					}

@@ -314,7 +314,7 @@ func (ev *Evaluator) evaluate(q *Query, pe *PreparedExec, pol *privacy.Policy, l
 // and constraint backtracking — leaving the return clause (provenance /
 // downstream sub-executions) unmaterialized. Callers that need to know
 // *whether and where* a query matches, but will discard most answers
-// (QueryAllPage windows by execution), use this to avoid building
+// (QueryAllPageCtx windows by execution), use this to avoid building
 // sub-executions that are thrown away; MaterializeReturn completes the
 // surviving answers.
 func (ev *Evaluator) MatchOn(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomed bool) (*Answer, error) {

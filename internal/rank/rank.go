@@ -23,15 +23,16 @@ import (
 )
 
 // Corpus holds term statistics over a set of documents (workflow specs,
-// with module keywords as terms).
+// with module keywords as terms). The repository does not keep one: it
+// ranks from the inverted index, and Corpus is the reference the tests
+// hold those scores to, and what the ranking-leak analyses run on.
 //
 // Concurrency contract: Corpus is internally synchronized with a
-// read/write mutex so the repository can apply incremental AddDoc /
-// RemoveDoc deltas on spec mutations while searches keep ranking against
-// the same corpus. Readers (Rank, Score, TF, IDF, N) take the read lock
-// once per call; mutators take the write lock for the duration of one
-// document's delta, so mutation cost is proportional to that document's
-// term count, never to corpus size.
+// read/write mutex so AddDoc / RemoveDoc deltas can be applied while
+// other goroutines keep ranking against the same corpus. Readers (Rank,
+// Score, TF, IDF, N) take the read lock once per call; mutators take the
+// write lock for the duration of one document's delta, so mutation cost
+// is proportional to that document's term count, never to corpus size.
 type Corpus struct {
 	mu   sync.RWMutex
 	docs map[string]map[string]int // doc -> term -> count
@@ -111,11 +112,18 @@ func (c *Corpus) IDF(term string) float64 {
 }
 
 func (c *Corpus) idfLocked(term string) float64 {
-	df := c.df[term]
+	return IDF(len(c.docs), c.df[term])
+}
+
+// IDF is the inverse document frequency of a term that df of n documents
+// contain: log(1 + n/df), and 0 for a term no document contains. It is
+// the one formula both Corpus and the inverted index (which serves the
+// ranking) score with, so their floats agree bit for bit.
+func IDF(n, df int) float64 {
 	if df == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(len(c.docs))/float64(df))
+	return math.Log(1 + float64(n)/float64(df))
 }
 
 // Score is the TF-IDF score of doc for the query: Σ_t tf(d,t)·idf(t).
@@ -141,6 +149,16 @@ type Ranked struct {
 	Score float64
 }
 
+// Sort orders a ranking by descending score, ties broken by doc id.
+func Sort(rs []Ranked) {
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Score != rs[j].Score {
+			return rs[i].Score > rs[j].Score
+		}
+		return rs[i].Doc < rs[j].Doc
+	})
+}
+
 // Rank scores every document and returns them by descending score
 // (ties broken by doc id), dropping zero-score documents. The whole pass
 // runs under one read lock, so a concurrent delta is either entirely
@@ -154,12 +172,7 @@ func (c *Corpus) Rank(query []string) []Ranked {
 		}
 	}
 	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	Sort(out)
 	return out
 }
 
@@ -186,12 +199,7 @@ func Bucketize(rs []Ranked, nBuckets int) []Ranked {
 		out[i] = Ranked{Doc: r.Doc, Score: lo + (float64(b)+0.5)*width}
 	}
 	// Re-sort: bucketing can merge scores; keep doc-id tie-break.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	Sort(out)
 	return out
 }
 
@@ -214,12 +222,7 @@ func Perturb(rs []Ranked, scale float64, seed int64) []Ranked {
 		}
 		out[i] = Ranked{Doc: r.Doc, Score: r.Score + noise}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	Sort(out)
 	return out
 }
 

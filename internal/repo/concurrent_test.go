@@ -226,62 +226,6 @@ func TestParallelAddRemoveSpec(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCorpusSingleflight verifies concurrent cold searches at one level
-// build the per-level corpus once, not once per caller.
-func TestCorpusSingleflight(t *testing.T) {
-	r := multiSpecRepo(t, 8)
-	const callers = 16
-	before := r.Stats().CorpusRebuilds
-	// Hold the build open: buildCorpus read-locks every shard, so a
-	// write-locked shard parks the one builder until the whole herd has
-	// queued behind its flight.
-	gate := r.shard("s0")
-	gate.mu.Lock()
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if r.corpusFor(privacy.Registered) == nil {
-				t.Error("nil corpus from flight group")
-			}
-		}()
-	}
-	awaitWaiters(&r.corpusFlights, privacy.Registered, callers-1)
-	gate.mu.Unlock()
-	wg.Wait()
-	if builds := r.Stats().CorpusRebuilds - before; builds != 1 {
-		t.Fatalf("corpus built %d times for %d concurrent callers", builds, callers)
-	}
-	// And the real path: concurrent cold searches agree with each other.
-	r.invalidateDerived()
-	results := make([][]SearchHit, 8)
-	var wg2 sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg2.Add(1)
-		go func(g int) {
-			defer wg2.Done()
-			hits, err := r.Search("reg", "database", SearchOptions{BypassCache: true})
-			if err != nil {
-				t.Errorf("Search: %v", err)
-				return
-			}
-			results[g] = hits
-		}(g)
-	}
-	wg2.Wait()
-	for g := 1; g < 8; g++ {
-		if len(results[g]) != len(results[0]) {
-			t.Fatalf("concurrent searches disagree: %d vs %d hits", len(results[g]), len(results[0]))
-		}
-		for i := range results[g] {
-			if results[g][i].SpecID != results[0][i].SpecID || results[g][i].Score != results[0][i].Score {
-				t.Fatalf("concurrent searches disagree at %d: %+v vs %+v", i, results[g][i], results[0][i])
-			}
-		}
-	}
-}
-
 // TestReregisteredSpecNeverJoinsRemovedFill: RemoveSpec + AddSpec of the
 // same id starts a fresh shard whose polGen restarts at 0, so its cache
 // and flight keys collide with the removed incarnation's. A reader of

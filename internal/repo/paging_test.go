@@ -1,13 +1,14 @@
 package repo
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"provpriv/internal/exec"
 )
 
-// TestSearchPageTilesFullSearch: windows of SearchPage must tile the
+// TestSearchPageTilesFullSearch: windows of SearchPageCtx must tile the
 // full Search result exactly — same hits, same order, exact total —
 // even though out-of-window specs never get their minimal view built.
 func TestSearchPageTilesFullSearch(t *testing.T) {
@@ -21,7 +22,7 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 			for limit := 1; limit <= 3; limit++ {
 				var tiled []SearchHit
 				for off := 0; ; off += limit {
-					page, total, err := r.SearchPage(user, q, SearchOptions{
+					page, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{
 						BypassCache: true, Limit: limit, Offset: off,
 					})
 					if err != nil {
@@ -49,7 +50,7 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 				}
 			}
 			// Offset past the end: empty window, total intact.
-			page, total, err := r.SearchPage(user, q, SearchOptions{
+			page, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{
 				BypassCache: true, Limit: 2, Offset: len(full) + 3,
 			})
 			if err != nil || len(page) != 0 || total != len(full) {
@@ -63,11 +64,11 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 // so a cached page never bleeds into another window or another group.
 func TestSearchPageCachedWindows(t *testing.T) {
 	r := multiSpecRepo(t, 6)
-	p0, total0, err := r.SearchPage("ana", "query", SearchOptions{Limit: 1, Offset: 0})
+	p0, total0, err := r.SearchPageCtx(context.Background(), "ana", "query", SearchOptions{Limit: 1, Offset: 0})
 	if err != nil {
 		t.Fatalf("page 0: %v", err)
 	}
-	p1, total1, err := r.SearchPage("ana", "query", SearchOptions{Limit: 1, Offset: 1})
+	p1, total1, err := r.SearchPageCtx(context.Background(), "ana", "query", SearchOptions{Limit: 1, Offset: 1})
 	if err != nil {
 		t.Fatalf("page 1: %v", err)
 	}
@@ -78,13 +79,13 @@ func TestSearchPageCachedWindows(t *testing.T) {
 		t.Fatalf("cached window bled: both pages returned %s", p0[0].SpecID)
 	}
 	// Repeat must hit the cache and return the identical window.
-	p0b, _, err := r.SearchPage("ana", "query", SearchOptions{Limit: 1, Offset: 0})
+	p0b, _, err := r.SearchPageCtx(context.Background(), "ana", "query", SearchOptions{Limit: 1, Offset: 0})
 	if err != nil || p0b[0].SpecID != p0[0].SpecID {
 		t.Fatalf("cached repeat diverged: %v %v", p0b, err)
 	}
 }
 
-// TestQueryAllPageTilesFull: QueryAllPage windows tile QueryAll, totals
+// TestQueryAllPageTilesFull: QueryAllPageCtx windows tile QueryAll, totals
 // are exact, and windowed answers carry their materialized return
 // clauses (provenance) while out-of-window answers never built them.
 func TestQueryAllPageTilesFull(t *testing.T) {
@@ -113,7 +114,7 @@ func TestQueryAllPageTilesFull(t *testing.T) {
 	for limit := 1; limit <= 3; limit++ {
 		var execIDs []string
 		for off := 0; ; off += limit {
-			page, total, err := r.QueryAllPage("alice", "disease-susceptibility", q, limit, off)
+			page, total, err := r.QueryAllPageCtx(context.Background(), "alice", "disease-susceptibility", q, limit, off)
 			if err != nil {
 				t.Fatalf("limit=%d off=%d: %v", limit, off, err)
 			}
@@ -137,15 +138,15 @@ func TestQueryAllPageTilesFull(t *testing.T) {
 		}
 	}
 	// Past-the-end offset: empty, total preserved.
-	page, total, err := r.QueryAllPage("alice", "disease-susceptibility", q, 2, 99)
+	page, total, err := r.QueryAllPageCtx(context.Background(), "alice", "disease-susceptibility", q, 2, 99)
 	if err != nil || len(page) != 0 || total != len(full) {
 		t.Fatalf("past-end: %d answers total %d err %v", len(page), total, err)
 	}
 	// Negative windows are rejected.
-	if _, _, err := r.QueryAllPage("alice", "disease-susceptibility", q, -1, 0); err == nil {
+	if _, _, err := r.QueryAllPageCtx(context.Background(), "alice", "disease-susceptibility", q, -1, 0); err == nil {
 		t.Fatal("negative limit accepted")
 	}
-	if _, _, err := r.SearchPage("alice", "omim", SearchOptions{Offset: -1}); err == nil {
+	if _, _, err := r.SearchPageCtx(context.Background(), "alice", "omim", SearchOptions{Offset: -1}); err == nil {
 		t.Fatal("negative offset accepted")
 	}
 }

@@ -97,9 +97,9 @@ func TestReadPathsHonorCanceledContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SearchPageCtx: %v", err)
 	}
-	hits2, total2, err := r.SearchPage("carol", "disease", SearchOptions{BypassCache: true})
+	hits2, total2, err := r.SearchPageCtx(context.Background(), "carol", "disease", SearchOptions{BypassCache: true})
 	if err != nil {
-		t.Fatalf("SearchPage: %v", err)
+		t.Fatalf("SearchPageCtx: %v", err)
 	}
 	if len(hits) != len(hits2) || total != total2 {
 		t.Errorf("ctx and plain search disagree: %d/%d vs %d/%d", len(hits), total, len(hits2), total2)

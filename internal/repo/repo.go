@@ -9,7 +9,7 @@
 //
 // The repository wires together the other packages: privacy-classified
 // inverted and reachability indexes (index), minimal-view keyword search
-// (search), TF-IDF ranking with optional score bucketing (rank),
+// (search), optional bucketing of the index's TF-IDF scores (rank),
 // structural queries with privacy-controlled semantics (query), and
 // masked provenance retrieval (datapriv + exec views).
 //
@@ -18,21 +18,19 @@
 // enforced-view caches behind its own RWMutex, so traffic against
 // different specs never contends. The repository level keeps only the
 // shard directory, the user registry, the shared keyword/reachability
-// indexes and the per-level ranking corpora. The shared indexes
+// indexes and the search result cache. The shared indexes
 // (index.Inverted, index.ReachIndex) publish their state as atomically
 // swapped immutable snapshots, so index reads on the search and reach
 // paths acquire no lock at all and spec mutations never stall readers.
-// Derived per-level ranking corpora are maintained incrementally: a
-// spec mutation applies an AddDoc/RemoveDoc delta to every already-built
-// corpus (cost proportional to the mutated spec, not the repository)
-// and only a policy change that reclassifies module levels falls back to
-// invalidate-and-rebuild. Keyword search is answered from the index
-// (index.Inverted.Match decides which specs match and through which
-// modules; only the requested window's views are built); QueryAll fans
-// out across a bounded worker pool and merges deterministically; lazily
-// built per-level artifacts (ranking corpora, enforced execution views)
-// are deduplicated with singleflight groups so concurrent identical
-// requests build each one exactly once.
+// Keyword search is answered and ranked from the index
+// (index.Inverted.Match decides which specs match, through which
+// modules and with what score at the asker's level; only the requested
+// window's views are built), so a spec or policy mutation has one piece
+// of ranking state to maintain: the spec's index segment. QueryAll fans
+// out across a bounded worker pool and merges deterministically; the
+// lazily built enforced execution views are deduplicated with per-shard
+// singleflight groups so concurrent identical requests build each one
+// exactly once.
 //
 // Exactly one mechanism memoizes "execution E as level L may see it":
 // the per-shard masked-snapshot cache filled by maskedExecFor. Lazy
@@ -42,9 +40,9 @@
 // implementation and therefore nothing to keep consistent).
 //
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
-// directory) before corpusMu before a shard's mu. Read paths never hold
-// two locks at once — they resolve the shard pointer, release the
-// directory lock, then lock the shard.
+// directory) before a shard's mu. Read paths never hold two locks at
+// once — they resolve the shard pointer, release the directory lock,
+// then lock the shard.
 package repo
 
 import (
@@ -204,18 +202,6 @@ type Repository struct {
 
 	cache atomic.Pointer[index.Cache]
 
-	// corpora caches the per-level visible TF-IDF corpus; corpusGen
-	// fences singleflight fills against concurrent mutation (a delta or
-	// invalidation bumps it, so a raced fill is discarded).
-	corpusMu  sync.RWMutex
-	corpora   map[privacy.Level]*rank.Corpus
-	corpusGen uint64
-
-	// corpusDeltas counts incremental AddDoc/RemoveDoc applications;
-	// corpusRebuilds counts from-scratch per-level corpus builds.
-	corpusDeltas   atomic.Int64 //provlint:counter
-	corpusRebuilds atomic.Int64 //provlint:counter
-
 	// cacheHitsBase/cacheMissesBase accumulate the counters of retired
 	// result caches (resetResultCache swaps the cache object), keeping
 	// the *_total metrics monotonic. taintHitsBase/taintMissesBase do the
@@ -249,9 +235,6 @@ type Repository struct {
 	// order: polMu before mu.
 	polMu sync.Mutex
 
-	// corpusFlights deduplicates from-scratch corpus builds per level.
-	corpusFlights flightGroup[privacy.Level, *rank.Corpus]
-
 	// workers bounds the fan-out pool shared by all fanned-out
 	// operations (QueryAll's phases) on this repository.
 	workers int
@@ -262,7 +245,7 @@ type Repository struct {
 const resultCacheCap = 256
 
 // resetResultCache swaps in a fresh, empty result cache (cached search
-// hits may mention mutated specs, so every corpus-visible mutation
+// hits may mention mutated specs, so every search-visible mutation
 // drops it).
 func (r *Repository) resetResultCache() {
 	cache, _ := index.NewCache(resultCacheCap)
@@ -280,7 +263,6 @@ func New() *Repository {
 		shards:   make(map[string]*shard),
 		users:    make(map[string]*privacy.User),
 		inverted: index.BuildInverted(nil, nil),
-		corpora:  make(map[privacy.Level]*rank.Corpus),
 	}
 	reach, _ := index.BuildReach(nil)
 	r.reach = reach
@@ -384,11 +366,10 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 		return err
 	}
 	// Serialize against the other mutators (RemoveSpec, UpdatePolicy):
-	// with polMu held, the duplicate check below
-	// is authoritative, the index entries this call publishes cannot be
-	// clobbered by a racing duplicate's rollback, and the corpus delta
-	// cannot land after a newer policy's rebuild. Readers never take
-	// polMu, so mutation work here stalls no read path.
+	// with polMu held, the duplicate check below is authoritative and the
+	// index entries this call publishes cannot be clobbered by a racing
+	// duplicate's rollback. Readers never take polMu, so mutation work
+	// here stalls no read path.
 	r.polMu.Lock()
 	defer r.polMu.Unlock()
 	if r.shard(s.ID) != nil {
@@ -407,13 +388,7 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 	r.mu.Lock()
 	r.shards[s.ID] = sh
 	r.mu.Unlock()
-	// Corpus deltas after the directory lock (still under polMu): the
-	// corpusGen fence discards any rebuild raced by this mutation, and
-	// AddDoc is an idempotent replace if such a rebuild already picked
-	// the spec up.
-	r.applyCorpusDelta(func(level privacy.Level, c *rank.Corpus) {
-		c.AddDoc(s.ID, visibleSpecTerms(s, pol, level))
-	})
+	r.resetResultCache()
 	return nil
 }
 
@@ -446,7 +421,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy) (*shard, *p
 }
 
 // loadSpec registers a validated spec shard without touching the shared
-// indexes or corpora — the bulk-load path: Load registers every spec
+// indexes — the bulk-load path: Load registers every spec
 // first and then builds each index once, avoiding the per-spec snapshot
 // copy that would make a large load quadratic. Only valid on a private,
 // not-yet-shared repository.
@@ -460,54 +435,6 @@ func (r *Repository) loadSpec(s *workflow.Spec, pol *privacy.Policy) error {
 	}
 	r.shards[s.ID] = sh
 	return nil
-}
-
-// invalidateDerived resets the lazily built per-level corpora and the
-// result cache. This is the full-rebuild fallback, reserved for
-// mutations that can reclassify what a level sees (policy updates);
-// plain spec add/remove goes through applyCorpusDelta instead.
-func (r *Repository) invalidateDerived() {
-	r.corpusMu.Lock()
-	r.corpora = make(map[privacy.Level]*rank.Corpus)
-	r.corpusGen++
-	r.corpusMu.Unlock()
-	r.resetResultCache()
-}
-
-// applyCorpusDelta incrementally maintains every already-built per-level
-// corpus through fn (an AddDoc or RemoveDoc of one spec), bumping the
-// generation counter so any in-flight from-scratch build is discarded
-// rather than overwriting the delta'd corpus with a stale one. The
-// result cache is still swapped out — cached search hits may mention the
-// mutated spec — but corpora no longer rebuild from scratch, so the cost
-// of a mutation scales with the mutated spec, not the repository.
-func (r *Repository) applyCorpusDelta(fn func(privacy.Level, *rank.Corpus)) {
-	r.corpusMu.Lock()
-	r.corpusGen++
-	for level, c := range r.corpora {
-		fn(level, c)
-		r.corpusDeltas.Add(1)
-	}
-	r.corpusMu.Unlock()
-	r.resetResultCache()
-}
-
-// visibleSpecTerms extracts the normalized keyword terms of the spec's
-// modules visible at level — the document the per-level corpus holds for
-// this spec.
-func visibleSpecTerms(s *workflow.Spec, pol *privacy.Policy, level privacy.Level) []string {
-	var terms []string
-	for _, wid := range s.WorkflowIDs() {
-		for _, m := range s.Workflows[wid].Modules {
-			if pol != nil && !pol.CanSeeModule(level, m.ID) {
-				continue
-			}
-			for _, kw := range m.AllKeywords() {
-				terms = append(terms, search.Normalize(kw))
-			}
-		}
-	}
-	return terms
 }
 
 // SpecIDs returns the registered spec ids, sorted.
@@ -595,24 +522,20 @@ func (r *Repository) RemoveSpec(specID string) error {
 	r.maskedMissesBase.Add(m)
 	delete(r.shards, specID)
 	r.mu.Unlock()
-	// Index swaps and corpus deltas run outside the directory lock so
-	// readers on other specs never stall; polMu still fences this
-	// against UpdatePolicy re-registering the segment.
+	// Index swaps run outside the directory lock so readers on other
+	// specs never stall; polMu still fences this against UpdatePolicy
+	// re-registering the segment.
 	r.inverted.RemoveSpec(specID)
 	r.reach.RemoveSpec(specID)
-	r.applyCorpusDelta(func(level privacy.Level, c *rank.Corpus) {
-		c.RemoveDoc(specID)
-	})
+	r.resetResultCache()
 	return nil
 }
 
-// UpdatePolicy replaces a spec's privacy policy. Because a policy change
-// can reclassify which levels see which modules, this is the one
-// mutation that cannot be delta-maintained: the spec's index segment is
-// rebuilt with the new levels and every derived per-level corpus is
-// invalidated for a from-scratch rebuild (the fallback applyCorpusDelta
-// avoids). The shard's enforced-view caches are dropped for the same
-// reason; PrewarmMasked refills them ahead of readers if wanted.
+// UpdatePolicy replaces a spec's privacy policy. A policy change can
+// reclassify which levels see which modules, so the spec's index segment
+// is rebuilt with the new levels — which is also all the ranking state
+// there is to update — and the shard's enforced-view caches are dropped;
+// PrewarmMasked refills them ahead of readers if wanted.
 //
 // Validation is the only failure point and precedes every install, so a
 // failure leaves the old policy and indexes fully in place; no
@@ -635,8 +558,7 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	// (the index replaces postings atomically), then publish the policy
 	// under the shard lock. The window between the index swap and the
 	// policy install is benign: both old and new state are internally
-	// consistent, and invalidateDerived below rebuilds the corpora
-	// against the final policy.
+	// consistent, and searchView serves only what the shard holds.
 	r.inverted.AddSpec(s, pol)
 	sh.mu.Lock()
 	sh.policy = pol
@@ -644,7 +566,7 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	sh.dropEnforcedLocked()
 	sh.seq = r.mutSeq.Add(1)
 	sh.mu.Unlock()
-	r.invalidateDerived()
+	r.resetResultCache()
 	return nil
 }
 
@@ -741,50 +663,6 @@ func (r *Repository) Users() []privacy.User {
 	return out
 }
 
-// corpusFor lazily builds the TF-IDF corpus visible at a level: each
-// spec is a document whose terms come only from modules the level may
-// see (module privacy) — the leak-free "visible-only scoring" mode.
-// Concurrent requests for the same level are deduplicated through the
-// flight group, so one goroutine builds while the rest wait; a
-// generation fence discards fills raced by an invalidation.
-func (r *Repository) corpusFor(level privacy.Level) *rank.Corpus {
-	r.corpusMu.RLock()
-	c := r.corpora[level]
-	r.corpusMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	c, _ = r.corpusFlights.Do(level, func() (*rank.Corpus, error) {
-		r.corpusMu.RLock()
-		if c := r.corpora[level]; c != nil {
-			r.corpusMu.RUnlock()
-			return c, nil
-		}
-		gen := r.corpusGen
-		r.corpusMu.RUnlock()
-		c := r.buildCorpus(level)
-		r.corpusMu.Lock()
-		if r.corpusGen == gen {
-			r.corpora[level] = c
-		}
-		r.corpusMu.Unlock()
-		return c, nil
-	})
-	return c
-}
-
-func (r *Repository) buildCorpus(level privacy.Level) *rank.Corpus {
-	r.corpusRebuilds.Add(1)
-	c := rank.NewCorpus()
-	for _, sh := range r.snapshotShards() {
-		sh.mu.RLock()
-		s, pol := sh.spec, sh.policy
-		sh.mu.RUnlock()
-		c.Add(s.ID, visibleSpecTerms(s, pol, level))
-	}
-	return c
-}
-
 // SearchHit is one ranked repository search result.
 type SearchHit struct {
 	SpecID string
@@ -805,45 +683,39 @@ type SearchOptions struct {
 	Limit, Offset int
 }
 
-// Search runs a keyword query as the given user: the privacy-classified
-// inverted index names the matching specs, each is answered with its
-// minimal view clipped to the user's access view, and results are
-// ranked by TF-IDF over the level's visible corpus (score descending,
-// spec id ascending). Limit/Offset in opts are ignored — Search always
-// returns the full list; windowed callers use SearchPage.
+// Search is SearchPageCtx without a window or a context: it always
+// returns the full ranked list (Limit/Offset in opts are ignored).
 func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]SearchHit, error) {
 	opts.Limit, opts.Offset = 0, 0
-	hits, _, err := r.SearchPage(userName, queryText, opts)
+	hits, _, err := r.SearchPageCtx(context.Background(), userName, queryText, opts)
 	return hits, err
 }
 
-// pagedHits is the result-cache value of SearchPage: one window plus
+// pagedHits is the result-cache value of SearchPageCtx: one window plus
 // the pre-pagination total.
 type pagedHits struct {
 	hits  []SearchHit
 	total int
 }
 
-// SearchPage is Search with the pagination window pushed into the
-// engine. The inverted index answers the predicate — which specs have,
-// for every phrase, a module visible at the user's level that carries
-// it, and which modules those are (index.Inverted.Match: posting lists
-// only, no spec touched) — so the full result set and its total are
-// known, and ranked (corpus scores are per spec, ties break on spec id),
-// before any view is built. Only the specs inside [Offset, Offset+Limit)
-// then get their minimal view, built from the modules the index already
-// named. A deep repository therefore pays per page, not per hit, and
-// total is exact (TestMatchesAgreesWithSearch holds the index to the
-// search.Matches oracle, TestSearchPageTilesFullSearch pins the tiling
+// SearchPageCtx runs a keyword query as the given user, with the
+// pagination window pushed into the engine. The inverted index answers
+// the predicate — which specs have, for every phrase, a module visible at
+// the user's level that carries it, and which modules those are — and
+// scores each matching spec by TF-IDF over what the level sees
+// (index.Inverted.Match: posting lists only, no spec touched), so the
+// full result set, its total and its order (score descending, spec id
+// ascending) are known before any view is built. Only the specs inside
+// [Offset, Offset+Limit) then get their minimal view, clipped to the
+// user's access view and built from the modules the index already named.
+// A deep repository therefore pays per page, not per hit, and total is
+// exact (TestMatchesAgreesWithSearch holds the index's matches and scores
+// to their oracles, TestSearchPageTilesFullSearch pins the tiling
 // end-to-end).
-func (r *Repository) SearchPage(userName, queryText string, opts SearchOptions) ([]SearchHit, int, error) {
-	return r.SearchPageCtx(context.Background(), userName, queryText, opts)
-}
-
-// SearchPageCtx is SearchPage threaded with a context: the view pass
-// checks ctx between specs and abandons the search early when the
-// caller is gone (a disconnected HTTP client). A canceled search returns
-// ctx's error and caches nothing.
+//
+// The view pass checks ctx between specs and abandons the search early
+// when the caller is gone (a disconnected HTTP client). A canceled search
+// returns ctx's error and caches nothing.
 //
 // The window's views are built inline, not on the worker pool: measured
 // on BenchmarkSearchMiss (10-hit window) and on unlimited ~20-hit
@@ -873,46 +745,40 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		}
 	}
 
-	// The index answers the predicate: every spec in which each phrase is
-	// carried by a module visible at the user's level, with those modules.
-	// Match reads one published snapshot — no lock, no spec touched — so
-	// concurrent spec mutations never stall the search path. A spec the
-	// index lists but the directory does not (registration or removal in
-	// flight) counts as a non-match.
+	// The index answers the predicate and scores the answer: every spec
+	// in which each phrase is carried by a module visible at the user's
+	// level, with those modules. Match reads one published snapshot — no
+	// lock, no spec touched — so concurrent spec mutations never stall the
+	// search path. A spec the index lists but the directory does not
+	// (registration or removal in flight) counts as a non-match.
 	_, matchSpan := obs.StartSpan(ctx, "search.index.match")
-	matches := r.inverted.Match(phrases, u.Level)
-	cands := make([]searchCandidate, 0, len(matches))
+	matched := r.inverted.Match(phrases, u.Level)
+	cands := matched.Specs[:0]
 	r.mu.RLock()
-	for _, m := range matches {
+	for _, m := range matched.Specs {
 		if r.shards[m.Spec.ID] != nil {
-			cands = append(cands, searchCandidate{SpecMatch: m})
+			cands = append(cands, m)
 		}
 	}
 	r.mu.RUnlock()
-	matchSpan.End()
-
-	corpus := r.corpusFor(u.Level)
-	var flat []string
-	for _, phrase := range phrases {
-		flat = append(flat, phrase...)
-	}
-	ranked := corpus.Rank(flat)
 	if opts.Buckets > 0 {
-		ranked = rank.Bucketize(ranked, opts.Buckets)
+		// A bucket's bounds come from the score range over every spec the
+		// level can score, matching or not, so only here is that list built.
+		published := make(map[string]float64)
+		for _, rk := range rank.Bucketize(matched.RankAll(), opts.Buckets) {
+			published[rk.Doc] = rk.Score
+		}
+		for i := range cands {
+			cands[i].Score = published[cands[i].Spec.ID]
+		}
 	}
-	scoreOf := make(map[string]float64, len(ranked))
-	for _, rk := range ranked {
-		scoreOf[rk.Doc] = rk.Score
-	}
-	for i := range cands {
-		cands[i].score = scoreOf[cands[i].Spec.ID]
-	}
+	matchSpan.End()
 
 	// The final hit order (score descending, spec id ascending) is known
 	// before any view is built, so the window is a slice of it.
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
 		}
 		return cands[i].Spec.ID < cands[j].Spec.ID
 	})
@@ -930,8 +796,8 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		if ctx.Err() != nil {
 			break
 		}
-		if res := r.searchView(c.SpecMatch, phrases, u.Level); res != nil {
-			hits = append(hits, SearchHit{SpecID: c.Spec.ID, Score: c.score, Result: res})
+		if res := r.searchView(c, phrases, u.Level); res != nil {
+			hits = append(hits, SearchHit{SpecID: c.Spec.ID, Score: c.Score, Result: res})
 		}
 	}
 	viewSpan.End()
@@ -942,12 +808,6 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		cache.Put(u.Group, cacheKey, pagedHits{hits: hits, total: total})
 	}
 	return hits, total, nil
-}
-
-// searchCandidate is one spec the index matched, with its corpus score.
-type searchCandidate struct {
-	index.SpecMatch
-	score float64
 }
 
 // searchView builds the minimal view of one spec the index matched, from
@@ -1103,7 +963,8 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 //     composite module that represents them, so the answer is at the
 //     granularity the user is entitled to; if both endpoints collapse
 //     into the same composite, the relationship is not externally
-//     visible and the answer is false.
+//     visible and the answer is false;
+//   - a module is not its own contributor: from == to answers false.
 //
 // Note this is answer-time enforcement for the exact pairs; publishers
 // wanting protection against multi-query inference should additionally
@@ -1118,27 +979,31 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 		return false, err
 	}
 	s, pol, h := sh.spec, sh.policySnapshot(), sh.hier
+	mf, _ := s.FindModule(from)
+	mt, _ := s.FindModule(to)
+	if mf == nil {
+		return false, fmt.Errorf("repo: unknown module %q: %w", from, ErrNotFound)
+	}
+	if mt == nil {
+		return false, fmt.Errorf("repo: unknown module %q: %w", to, ErrNotFound)
+	}
+	if from == to {
+		// Decided here, once: the closure behind the fast path is
+		// reflexive and the view path is not, and the answer must not
+		// depend on which of them the asker's level selects.
+		return false, nil
+	}
 	for _, hp := range pol.HiddenPairsFor(u.Level) {
 		if hp.From == from && hp.To == to {
 			return false, nil
 		}
 	}
 	access := pol.AccessView(h, u.Level)
-	if len(access) == len(h.All()) {
-		// Full access view: answer from the precomputed full-expansion
-		// closure, O(1). Composite endpoints don't appear in the full
-		// expansion; fall through to the view path for those.
-		mf, _ := s.FindModule(from)
-		mt, _ := s.FindModule(to)
-		if mf == nil {
-			return false, fmt.Errorf("repo: unknown module %q: %w", from, ErrNotFound)
-		}
-		if mt == nil {
-			return false, fmt.Errorf("repo: unknown module %q: %w", to, ErrNotFound)
-		}
-		if mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
-			return r.reach.Reaches(specID, from, to), nil
-		}
+	// Full access view: answer from the precomputed full-expansion
+	// closure, O(1). Composite endpoints don't appear in the full
+	// expansion; fall through to the view path for those.
+	if len(access) == len(h.All()) && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
+		return r.reach.Reaches(specID, from, to), nil
 	}
 	v, err := workflow.Expand(s, access)
 	if err != nil {
@@ -1230,29 +1095,25 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	return query.EvaluateSpec(q, v, pol, u.Level)
 }
 
-// QueryAll evaluates a structural query against every execution of a
-// spec, returning non-empty answers in execution-id order. Executions
-// are evaluated concurrently on the fan-out pool.
+// QueryAll is QueryAllPageCtx without a window or a context: every
+// non-empty answer, in execution-id order.
 func (r *Repository) QueryAll(userName, specID, queryText string) ([]*query.Answer, error) {
-	answers, _, err := r.QueryAllPage(userName, specID, queryText, 0, 0)
+	answers, _, err := r.QueryAllPageCtx(context.Background(), userName, specID, queryText, 0, 0)
 	return answers, err
 }
 
-// QueryAllPage is QueryAll with the pagination window pushed into the
-// engine: the binding phase (query.MatchOn) still runs for every
-// execution — the total requires knowing which executions answer — but
-// the return clause (provenance / downstream sub-executions, the
-// per-answer materialization cost) is built only for the answers inside
+// QueryAllPageCtx evaluates a structural query against every execution
+// of a spec, concurrently on the fan-out pool, and returns the non-empty
+// answers in execution-id order, with the pagination window pushed into
+// the engine: the binding phase (query.MatchOn) runs for every execution
+// — the total requires knowing which executions answer — but the return
+// clause (provenance / downstream sub-executions, the per-answer
+// materialization cost) is built only for the answers inside
 // [offset, offset+limit). limit 0 materializes everything. The returned
-// total is the pre-pagination count of non-empty answers.
-func (r *Repository) QueryAllPage(userName, specID, queryText string, limit, offset int) ([]*query.Answer, int, error) {
-	return r.QueryAllPageCtx(context.Background(), userName, specID, queryText, limit, offset)
-}
-
-// QueryAllPageCtx is QueryAllPage threaded with a context, checked
-// between executions in both fan-out phases: a disconnected client
-// stops the evaluation instead of holding the pool through the
-// remaining executions.
+// total is the pre-pagination count of non-empty answers. ctx is checked
+// between executions in both fan-out phases: a disconnected client stops
+// the evaluation instead of holding the pool through the remaining
+// executions.
 func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, queryText string, limit, offset int) ([]*query.Answer, int, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -1390,24 +1251,19 @@ type ProvenanceOptions struct {
 	DisableTaint bool
 }
 
-// Provenance returns the provenance of a data item as the user may see
-// it: the execution is collapsed to the user's access view, values are
-// masked per the data policy with taint propagation (a protected
-// ancestor's raw value embedded in a derived trace is rewritten or
-// redacted), and the provenance subgraph is extracted from that view.
-// An item hidden by the view is reported as not visible.
+// Provenance is ProvenanceWithCtx with default options and no context.
 func (r *Repository) Provenance(userName, specID, execID, itemID string) (*exec.Execution, error) {
-	return r.ProvenanceWith(userName, specID, execID, itemID, ProvenanceOptions{})
+	return r.ProvenanceWithCtx(context.Background(), userName, specID, execID, itemID, ProvenanceOptions{})
 }
 
-// ProvenanceWith is Provenance with options.
-func (r *Repository) ProvenanceWith(userName, specID, execID, itemID string, opts ProvenanceOptions) (*exec.Execution, error) {
-	return r.ProvenanceWithCtx(context.Background(), userName, specID, execID, itemID, opts)
-}
-
-// ProvenanceWithCtx is ProvenanceWith threaded with a context, checked
-// before the expensive enforcement work (cold masked-snapshot builds):
-// a disconnected client stops the rendering early.
+// ProvenanceWithCtx returns the provenance of a data item as the user
+// may see it: the execution is collapsed to the user's access view,
+// values are masked per the data policy with taint propagation (a
+// protected ancestor's raw value embedded in a derived trace is
+// rewritten or redacted), and the provenance subgraph is extracted from
+// that view. An item hidden by the view is reported as not visible. ctx
+// is checked before the expensive enforcement work (cold masked-snapshot
+// builds): a disconnected client stops the rendering early.
 func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, opts ProvenanceOptions) (*exec.Execution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1450,8 +1306,7 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 }
 
 // Stats summarizes repository contents and the health of its derived
-// state: cache hit rates, index segment/snapshot churn, and how corpus
-// maintenance is being paid for (deltas vs full rebuilds).
+// state: cache hit rates and index segment/snapshot churn.
 type Stats struct {
 	Specs      int
 	Executions int
@@ -1467,13 +1322,6 @@ type Stats struct {
 	// CacheHits/CacheMisses are the shared result cache's counters.
 	CacheHits   int
 	CacheMisses int
-
-	// CorpusLevels is how many per-level corpora are currently built;
-	// CorpusDeltas counts incremental document deltas applied to them,
-	// CorpusRebuilds counts from-scratch builds.
-	CorpusLevels   int
-	CorpusDeltas   int64
-	CorpusRebuilds int64
 
 	// TaintRewritten/TaintRedacted count items the taint engine
 	// rewrote / redacted on read paths; TaintCacheHits/TaintCacheMisses
@@ -1562,11 +1410,6 @@ func (r *Repository) Stats() Stats {
 		st.IndexSwaps = r.inverted.Swaps()
 	}
 	st.CacheHits, st.CacheMisses = r.CacheStats()
-	r.corpusMu.RLock()
-	st.CorpusLevels = len(r.corpora)
-	r.corpusMu.RUnlock()
-	st.CorpusDeltas = r.corpusDeltas.Load()
-	st.CorpusRebuilds = r.corpusRebuilds.Load()
 	st.TaintRewritten = r.taintRewritten.Load()
 	st.TaintRedacted = r.taintRedacted.Load()
 	return st

@@ -447,6 +447,30 @@ func TestReachesEnforcesStructuralPrivacy(t *testing.T) {
 	}
 }
 
+// TestReachesSelfPairHasOneAnswer: whether a module "contributes to
+// itself" must not depend on which path serves the asker — the reflexive
+// full-expansion closure (full access view) or the collapsed view (every
+// other level). Every module of the spec, composite or not, visible or
+// represented by a composite, at every level: false.
+func TestReachesSelfPairHasOneAnswer(t *testing.T) {
+	r := seededRepo(t)
+	r.AddUser(privacy.User{Name: "dave", Level: privacy.Registered, Group: "registered"})
+	s := r.Spec("disease-susceptibility")
+	for _, user := range []string{"bob", "dave", "carol", "alice"} {
+		for _, wid := range s.WorkflowIDs() {
+			for _, m := range s.Workflows[wid].Modules {
+				got, err := r.Reaches(user, s.ID, m.ID, m.ID)
+				if err != nil || got {
+					t.Errorf("Reaches(%s, %s, %s) = %v, %v; want false at every level", user, m.ID, m.ID, got, err)
+				}
+			}
+		}
+	}
+	if _, err := r.Reaches("alice", s.ID, "MX", "MX"); err == nil {
+		t.Fatal("unknown self-pair accepted")
+	}
+}
+
 func TestReachesResolvesToComposite(t *testing.T) {
 	r := seededRepo(t) // bob is Public with view {W1}
 	// M3 and M6 both live inside M1's expansion; for bob both collapse

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,15 +48,27 @@ func hiding(specID string, level privacy.Level, modules ...string) *privacy.Poli
 	return pol
 }
 
+// parkingCtx is a live context whose Err parks its caller: the first call
+// closes reached, and every call blocks until release is closed.
+type parkingCtx struct {
+	context.Context
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (c *parkingCtx) Err() error {
+	c.once.Do(func() { close(c.reached) })
+	<-c.release
+	return nil
+}
+
 // searchAcross runs a public search for "alpha" and performs mutate after
 // the search has read the index and before it builds any view. The
-// search is parked where it builds the public ranking corpus, which it
-// does between the two: the corpus build read-locks every shard, so a
-// write-locked bystander shard holds it until mutate is done.
+// search is parked on what it does between the two anyway: it asks its
+// context whether the caller is gone before every view, and not earlier.
 func searchAcross(t *testing.T, r *Repository, mutate func()) ([]SearchHit, int) {
 	t.Helper()
-	gate := r.shard("zz-bystander")
-	gate.mu.Lock()
+	ctx := &parkingCtx{Context: context.Background(), reached: make(chan struct{}), release: make(chan struct{})}
 	type result struct {
 		hits  []SearchHit
 		total int
@@ -63,15 +76,15 @@ func searchAcross(t *testing.T, r *Repository, mutate func()) ([]SearchHit, int)
 	}
 	done := make(chan result, 1)
 	go func() {
-		hits, total, err := r.SearchPage("pub", "alpha", SearchOptions{BypassCache: true, Limit: 10})
+		hits, total, err := r.SearchPageCtx(ctx, "pub", "alpha", SearchOptions{BypassCache: true, Limit: 10})
 		done <- result{hits, total, err}
 	}()
-	awaitWaiters(&r.corpusFlights, privacy.Public, 0)
+	<-ctx.reached
 	mutate()
-	gate.mu.Unlock()
+	close(ctx.release)
 	res := <-done
 	if res.err != nil {
-		t.Fatalf("SearchPage: %v", res.err)
+		t.Fatalf("SearchPageCtx: %v", res.err)
 	}
 	return res.hits, res.total
 }
@@ -153,9 +166,6 @@ func TestSearchServesWhatTheShardHoldsAtViewTime(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := New()
 			if err := r.AddSpec(chainSpec(t, id, "Alpha Loader", "Alpha Writer", "Gamma Reader"), nil); err != nil {
-				t.Fatalf("AddSpec: %v", err)
-			}
-			if err := r.AddSpec(chainSpec(t, "zz-bystander", "Delta Step"), nil); err != nil {
 				t.Fatalf("AddSpec: %v", err)
 			}
 			r.AddUser(privacy.User{Name: "pub", Level: privacy.Public, Group: "g-pub"})
@@ -293,9 +303,9 @@ func TestSearchChurnNeverExceedsInstalledPolicy(t *testing.T) {
 				for i, l := range logs {
 					current[i], _ = l.mark()
 				}
-				hits, _, err := r.SearchPage(level.String(), q, SearchOptions{BypassCache: n%2 == 0, Limit: 10})
+				hits, _, err := r.SearchPageCtx(context.Background(), level.String(), q, SearchOptions{BypassCache: n%2 == 0, Limit: 10})
 				if err != nil {
-					t.Errorf("SearchPage: %v", err)
+					t.Errorf("SearchPageCtx: %v", err)
 					return
 				}
 				phrases := search.ParseQuery(q)

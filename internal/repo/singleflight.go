@@ -9,10 +9,9 @@ import (
 // same key share one execution of fn and all receive its result, so a
 // thundering herd of identical cold requests performs the expensive
 // construction exactly once. A group is scoped to the object whose
-// derived data it builds — the repository for ranking corpora, one
-// shard for that shard's taint sets and masked snapshots — so a key can
-// never be joined by a caller holding a different incarnation of the
-// same spec id.
+// derived data it builds — one shard, for that shard's taint sets and
+// masked snapshots — so a key can never be joined by a caller holding a
+// different incarnation of the same spec id.
 type flightGroup[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]

@@ -9,6 +9,7 @@ import (
 
 	"provpriv/internal/index"
 	"provpriv/internal/privacy"
+	"provpriv/internal/rank"
 	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
@@ -53,6 +54,22 @@ func oracleCorpus(tb testing.TB, specSeed, polSeed int64, n int, cfg workload.Sp
 	return specs, pols
 }
 
+// visibleTerms is the document the ranking oracle holds for a spec at a
+// level: every keyword, normalized, of every module the level may see.
+func visibleTerms(s *workflow.Spec, pol *privacy.Policy, level privacy.Level) []string {
+	var terms []string
+	for _, wid := range s.WorkflowIDs() {
+		for _, m := range s.Workflows[wid].Modules {
+			if pol.CanSeeModule(level, m.ID) {
+				for _, kw := range m.AllKeywords() {
+					terms = append(terms, search.Normalize(kw))
+				}
+			}
+		}
+	}
+	return terms
+}
+
 // checkIndexAgainstOracle holds index.Inverted.Match to the scan for one
 // query at every level: the matched spec set must equal
 // {spec : search.Matches}, each spec's per-phrase module sets must equal
@@ -60,14 +77,31 @@ func oracleCorpus(tb testing.TB, specSeed, polSeed int64, n int, cfg workload.Sp
 // pointers it describes, and the view built from the handed modules
 // (SearchMatched) must equal the view built by scanning
 // (SearchWithAccess) — which must succeed exactly when Matches holds.
+// Scores are held to a rank.Corpus of the level's visible documents,
+// float for float: each match's Score, and RankAll against Rank.
 func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflow.Spec, pols map[string]*privacy.Policy, q string) {
 	tb.Helper()
 	phrases := search.ParseQuery(q)
+	var flat []string
+	for _, phrase := range phrases {
+		flat = append(flat, phrase...)
+	}
 	for _, level := range allLevels {
+		corpus := rank.NewCorpus()
+		for _, s := range specs {
+			corpus.Add(s.ID, visibleTerms(s, pols[s.ID], level))
+		}
+		matched := ix.Match(phrases, level)
+		if all, want := matched.RankAll(), corpus.Rank(flat); !reflect.DeepEqual(all, want) {
+			tb.Fatalf("query %q level %v: index ranks %v, corpus %v", q, level, all, want)
+		}
 		got := make(map[string]index.SpecMatch)
-		for _, m := range ix.Match(phrases, level) {
+		for _, m := range matched.Specs {
 			if _, dup := got[m.Spec.ID]; dup {
 				tb.Fatalf("query %q level %v: spec %s matched twice", q, level, m.Spec.ID)
+			}
+			if want := corpus.Score(m.Spec.ID, flat); m.Score != want {
+				tb.Fatalf("query %q level %v spec %s: index scores %v, corpus %v", q, level, m.Spec.ID, m.Score, want)
 			}
 			got[m.Spec.ID] = m
 		}
@@ -179,7 +213,7 @@ func TestMatchesEmptyQuery(t *testing.T) {
 	if search.Matches(s, nil, nil, privacy.Owner) {
 		t.Fatal("empty query matched")
 	}
-	if got := index.BuildInverted([]*workflow.Spec{s}, nil).Match(nil, privacy.Owner); got != nil {
+	if got := index.BuildInverted([]*workflow.Spec{s}, nil).Match(nil, privacy.Owner).Specs; got != nil {
 		t.Fatalf("index matched the empty query: %v", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"provpriv/internal/exec"
@@ -114,29 +113,4 @@ func BenchmarkSaveNoInlineCompact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestBenchTasksJSON renders the async-runtime benchmarks as a
-// machine-readable JSON file for CI's perf trajectory, mirroring
-// TestBenchStorageJSON. Gated on the BENCH_JSON env var naming the
-// output path; a no-op otherwise.
-func TestBenchTasksJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("BENCH_JSON not set")
-	}
-	bi := testing.Benchmark(BenchmarkBulkIngest)
-	sv := testing.Benchmark(BenchmarkSaveNoInlineCompact)
-	report := map[string]float64{
-		"bulk_ingest_execs_per_sec": bulkIngestBatchSize * float64(bi.N) / bi.T.Seconds(),
-		"save_delta_ms":             float64(sv.NsPerOp()) / 1e6,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", out, data)
 }

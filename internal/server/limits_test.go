@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -407,50 +406,4 @@ func TestLimiterAllocBudget(t *testing.T) {
 		t.Fatalf("limiter adds %.1f allocs/request (unlimited %.1f, limited %.1f); budget is 1",
 			added, base, lim)
 	}
-}
-
-// TestBenchLimitsJSON renders the admission-control overhead as a
-// machine-readable JSON file for CI's perf trajectory, mirroring
-// TestBenchObsJSON. Gated on the BENCH_JSON env var naming the output
-// path; a no-op otherwise.
-func TestBenchLimitsJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("BENCH_JSON not set")
-	}
-	unlimited, limited := limitedBenchHandlers(t)
-	bench := func(h http.Handler) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				searchOnce(b, h)
-			}
-		})
-	}
-	rU, rL := bench(unlimited), bench(limited)
-	// Unit cost of one admitted Allow/Release on a warm bucket.
-	l := limit.New(limit.Config{MaxInFlightPerPrincipal: 1 << 20})
-	rate := limit.Rate{PerSec: 1e9, Burst: 1e9}
-	l.Allow("bench", rate).Release()
-	rAllow := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l.Allow("bench", rate).Release()
-		}
-	})
-	report := map[string]float64{
-		"search_unlimited_ns_per_op":  float64(rU.NsPerOp()),
-		"search_limited_ns_per_op":    float64(rL.NsPerOp()),
-		"limiter_added_ns_per_op":     float64(rL.NsPerOp() - rU.NsPerOp()),
-		"limiter_added_allocs_per_op": allocsPerSearch(t, limited) - allocsPerSearch(t, unlimited),
-		"allow_release_ns_per_op":     float64(rAllow.NsPerOp()),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", out, data)
 }

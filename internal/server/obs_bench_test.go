@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -131,43 +129,4 @@ func TestMiddlewareAllocBudget(t *testing.T) {
 		t.Fatalf("middleware adds %.1f allocs/request (bare %.1f, instrumented %.1f); budget is 2",
 			added, base, instr)
 	}
-}
-
-// TestBenchObsJSON renders the observability overhead benchmarks as a
-// machine-readable JSON file for CI's perf trajectory, mirroring
-// TestBenchTasksJSON. Gated on the BENCH_JSON env var naming the output
-// path; a no-op otherwise.
-func TestBenchObsJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("BENCH_JSON not set")
-	}
-	bare, unsampled, sampled := benchHandlers(t)
-	bench := func(h http.Handler) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				searchOnce(b, h)
-			}
-		})
-	}
-	rBare, rInstr, rSampled := bench(bare), bench(unsampled), bench(sampled)
-	span := testing.Benchmark(BenchmarkSpanStartFinish)
-	addedAllocs := allocsPerSearch(t, unsampled) - allocsPerSearch(t, bare)
-	report := map[string]float64{
-		"search_bare_ns_per_op":                 float64(rBare.NsPerOp()),
-		"search_instrumented_ns_per_op":         float64(rInstr.NsPerOp()),
-		"search_instrumented_sampled_ns_per_op": float64(rSampled.NsPerOp()),
-		"middleware_added_ns_per_op":            float64(rInstr.NsPerOp() - rBare.NsPerOp()),
-		"middleware_added_allocs_per_op":        addedAllocs,
-		"span_start_finish_ns_per_op":           float64(span.NsPerOp()),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", out, data)
 }

@@ -76,7 +76,7 @@
 // Search and query responses are paginated with limit/offset (limit 0 =
 // unlimited); the pre-pagination result count is returned as "total" so
 // clients can page without a second query. Pagination is pushed into
-// the engine (repo.SearchPage / repo.QueryAllPage): out-of-window hits
+// the engine (repo.SearchPageCtx / repo.QueryAllPageCtx): out-of-window hits
 // are counted, never materialized.
 package server
 
@@ -689,7 +689,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 		s.fail(w, r, err)
 		return
 	}
-	// Pagination is pushed into the engine: SearchPage takes the full
+	// Pagination is pushed into the engine: SearchPageCtx takes the full
 	// result set and its count from the inverted index and materializes
 	// minimal views only for this window. The request context rides along
 	// so a hung-up client stops the view pass.
@@ -1094,18 +1094,15 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, user string)
 
 // statsBody is the /stats response.
 type statsBody struct {
-	Specs          int   `json:"specs"`
-	Executions     int   `json:"executions"`
-	Users          int   `json:"users"`
-	IndexTerms     int   `json:"index_terms"`
-	Postings       int   `json:"postings"`
-	IndexSegments  int   `json:"index_segments"`
-	IndexSwaps     int64 `json:"index_swaps"`
-	CacheHits      int   `json:"cache_hits"`
-	CacheMisses    int   `json:"cache_misses"`
-	CorpusLevels   int   `json:"corpus_levels"`
-	CorpusDeltas   int64 `json:"corpus_deltas"`
-	CorpusRebuilds int64 `json:"corpus_rebuilds"`
+	Specs         int   `json:"specs"`
+	Executions    int   `json:"executions"`
+	Users         int   `json:"users"`
+	IndexTerms    int   `json:"index_terms"`
+	Postings      int   `json:"postings"`
+	IndexSegments int   `json:"index_segments"`
+	IndexSwaps    int64 `json:"index_swaps"`
+	CacheHits     int   `json:"cache_hits"`
+	CacheMisses   int   `json:"cache_misses"`
 
 	TaintRewritten   int64                          `json:"taint_rewritten"`
 	TaintRedacted    int64                          `json:"taint_redacted"`
@@ -1157,9 +1154,6 @@ func toStatsBody(st repo.Stats) statsBody {
 		IndexSwaps:        st.IndexSwaps,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,
-		CorpusLevels:      st.CorpusLevels,
-		CorpusDeltas:      st.CorpusDeltas,
-		CorpusRebuilds:    st.CorpusRebuilds,
 		TaintRewritten:    st.TaintRewritten,
 		TaintRedacted:     st.TaintRedacted,
 		TaintCacheHits:    st.TaintCacheHits,
@@ -1226,9 +1220,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("index_snapshot_swaps_total", "Inverted-index snapshot publications (spec mutations).", st.IndexSwaps)
 	metric("result_cache_hits_total", "Search result cache hits.", int64(st.CacheHits))
 	metric("result_cache_misses_total", "Search result cache misses.", int64(st.CacheMisses))
-	metric("corpus_levels", "Per-level ranking corpora currently built.", int64(st.CorpusLevels))
-	metric("corpus_deltas_total", "Incremental corpus document deltas applied.", st.CorpusDeltas)
-	metric("corpus_rebuilds_total", "From-scratch per-level corpus builds.", st.CorpusRebuilds)
 	metric("taint_items_rewritten_total", "Items whose embedded protected values were rewritten by taint masking.", st.TaintRewritten)
 	metric("taint_items_redacted_total", "Items fully redacted because taint rewriting could not remove a leak.", st.TaintRedacted)
 	metric("taint_cache_hits_total", "Per-shard taint-set cache hits.", st.TaintCacheHits)

@@ -483,8 +483,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"provpriv_result_cache_hits_total 1",
 		"provpriv_result_cache_misses_total 1",
 		"provpriv_index_postings",
-		"provpriv_corpus_deltas_total",
-		"provpriv_corpus_rebuilds_total",
 		"provpriv_index_snapshot_swaps_total",
 	} {
 		if !strings.Contains(text, metric) {
@@ -493,14 +491,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// /stats carries the same counters as JSON.
 	var st struct {
-		IndexSegments  int   `json:"index_segments"`
-		CorpusLevels   int   `json:"corpus_levels"`
-		CorpusRebuilds int64 `json:"corpus_rebuilds"`
+		IndexSegments int   `json:"index_segments"`
+		IndexSwaps    int64 `json:"index_swaps"`
 	}
 	if code := get(t, ts, "alice", "/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	if st.IndexSegments != 1 || st.CorpusLevels == 0 || st.CorpusRebuilds == 0 {
+	if st.IndexSegments != 1 || st.IndexSwaps == 0 {
 		t.Fatalf("stats counters: %+v", st)
 	}
 }

@@ -1,9 +1,7 @@
 package storage_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"provpriv/internal/storage"
@@ -120,38 +118,3 @@ func BenchmarkFlatReplay(b *testing.B)  { benchmarkReplay(b, "flat") }
 func BenchmarkKVReplay(b *testing.B)    { benchmarkReplay(b, "kv") }
 func BenchmarkFlatCompact(b *testing.B) { benchmarkCompact(b, "flat") }
 func BenchmarkKVCompact(b *testing.B)   { benchmarkCompact(b, "kv") }
-
-// TestBenchStorageJSON renders the storage benchmarks as a
-// machine-readable JSON file for CI's perf trajectory. Gated on the
-// BENCH_JSON env var naming the output path; a no-op otherwise.
-func TestBenchStorageJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("BENCH_JSON not set")
-	}
-	type entry struct {
-		AppendRecsPerSec float64 `json:"append_records_per_sec"`
-		ReplayMillis     float64 `json:"replay_2000_ms"`
-		CompactMillis    float64 `json:"compact_2000_ms"`
-	}
-	report := make(map[string]entry)
-	for _, backend := range []string{"flat", "kv"} {
-		ap := testing.Benchmark(func(b *testing.B) { benchmarkAppend(b, backend) })
-		rp := testing.Benchmark(func(b *testing.B) { benchmarkReplay(b, backend) })
-		cp := testing.Benchmark(func(b *testing.B) { benchmarkCompact(b, backend) })
-		report[backend] = entry{
-			// benchmarkAppend writes 16 records per iteration.
-			AppendRecsPerSec: 16 * float64(ap.N) / ap.T.Seconds(),
-			ReplayMillis:     float64(rp.NsPerOp()) / 1e6,
-			CompactMillis:    float64(cp.NsPerOp()) / 1e6,
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %s", out, data)
-}

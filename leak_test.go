@@ -100,7 +100,7 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 
 	// The taint=off escape hatch reopens exactly the documented hole,
 	// proving the regression test bites.
-	leaky, err := r.ProvenanceWith("pub", spec.ID, "E1", prognosis, repo.ProvenanceOptions{DisableTaint: true})
+	leaky, err := r.ProvenanceWithCtx(context.Background(), "pub", spec.ID, "E1", prognosis, repo.ProvenanceOptions{DisableTaint: true})
 	if err != nil {
 		t.Fatalf("untainted provenance: %v", err)
 	}
