@@ -1142,3 +1142,97 @@ func BenchmarkProvenanceParallel(b *testing.B) {
 		}
 	})
 }
+
+// ---------------------------------------------------------------------------
+// B16 — Cold enforced-view fill: what a first reader, a scraper walking a
+// deep spec, or the prewarm after a policy update pays per execution —
+// collapse to the access view, taint analysis, mask, prepare — with no
+// cache able to help. The fixture is provload's deep-0 spec (same
+// SpecConfig and seeds) holding more executions than a shard's LRUs do,
+// walked cyclically at one level.
+
+// coldFillExecs is internal/repo's shardCacheCap + 76: a cyclic walk
+// re-reads an execution only after 1100 others pushed it out.
+const coldFillExecs = 1024 + 76
+
+// coldWalk registers the deep spec with its executions and returns the
+// repository and the walk's step function — read, as a registered user,
+// the provenance of an item that level sees in the i-th execution,
+// cyclically. One full cycle has already run, so both of the shard's
+// LRUs are full and every later step fills cold and evicts: the steady
+// state of a long walk.
+func coldWalk(tb testing.TB) (*repo.Repository, func(i int)) {
+	tb.Helper()
+	const seed = 1*100003 + 1000
+	s, err := workload.RandomSpec(workload.SpecConfig{Seed: seed, ID: "deep-0", Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pol, err := workload.RandomPolicy(s, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := repo.New()
+	if err := r.AddSpec(s, pol); err != nil {
+		tb.Fatal(err)
+	}
+	execs := make([]*exec.Execution, coldFillExecs)
+	for j := range execs {
+		if execs[j], err = exec.NewRunner(s, nil).Run(fmt.Sprintf("deep-0-E%d", j), workload.RandomInputs(s, int64(seed*4099+j))); err != nil {
+			tb.Fatal(err)
+		}
+		if err := r.AddExecution(execs[j]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vis, err := exec.VisibleItems(execs[0], s, pol.AccessView(h, privacy.Registered))
+	if err != nil || len(vis) == 0 {
+		tb.Fatalf("no visible item: %v", err)
+	}
+	r.AddUser(privacy.User{Name: "scraper", Level: privacy.Registered, Group: "registered"})
+	ctx := context.Background()
+	read := func(i int) {
+		if _, err := r.ProvenanceWithCtx(ctx, "scraper", s.ID, execs[i%len(execs)].ID, vis[len(vis)-1], repo.ProvenanceOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range execs {
+		read(i)
+	}
+	return r, read
+}
+
+func BenchmarkColdFill(b *testing.B) {
+	r, read := coldWalk(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 {
+		b.Fatalf("walk was not cold: %d masked / %d taint cache hits", st.MaskedCacheHits, st.TaintCacheHits)
+	}
+}
+
+// TestColdFillAllocBudget pins what one cold read on BenchmarkColdFill's
+// walk may allocate: the fill (collapse, taint analysis, mask, prepare),
+// two LRU inserts with eviction, and the provenance answer. It was 763
+// when every stage copied the view and rebuilt its graph, and is 219 now
+// that the fill does each piece of work once; a second copy of the view
+// costs 40 more, so the budget of 240 leaves slack for the runtime's map
+// sizing but not for that.
+func TestColdFillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, read := coldWalk(t)
+	i := 0
+	if got := testing.AllocsPerRun(200, func() { read(i); i++ }); got > 240 {
+		t.Fatalf("a cold provenance read allocates %.0f times; budget is 240", got)
+	}
+}

@@ -91,8 +91,10 @@ type Log struct {
 	seq    uint64
 	total  uint64
 
-	ring  [ringSize]Record
-	ringN int // records in ring (≤ ringSize)
+	// ring holds the newest ringN records, oldest at ringHead, wrapping.
+	ring     [ringSize]Record
+	ringHead int
+	ringN    int // records in ring (≤ ringSize)
 }
 
 // Open attaches to (or initializes) an audit log on b. Committed
@@ -144,16 +146,15 @@ func Open(b storage.Backend) (*Log, error) {
 	return l, nil
 }
 
-// push adds r to the ring (caller holds mu, or is still single-threaded
-// in Open).
+// push adds r to the ring, overwriting the oldest record once it is
+// full (caller holds mu, or is still single-threaded in Open).
 func (l *Log) push(r Record) {
+	l.ring[(l.ringHead+l.ringN)%ringSize] = r // when full, the oldest's slot
 	if l.ringN < ringSize {
-		l.ring[l.ringN] = r
 		l.ringN++
-		return
+	} else {
+		l.ringHead = (l.ringHead + 1) % ringSize
 	}
-	copy(l.ring[:], l.ring[1:])
-	l.ring[ringSize-1] = r
 }
 
 // Append assigns the record's sequence number, timestamp and outcome
@@ -223,7 +224,7 @@ func (l *Log) Recent(q Query) (recs []Record, total uint64) {
 	defer l.mu.Unlock()
 	recs = make([]Record, 0, min(limit, l.ringN))
 	for i := l.ringN - 1; i >= 0 && len(recs) < limit; i-- {
-		r := l.ring[i]
+		r := l.ring[(l.ringHead+i)%ringSize]
 		if q.Principal != "" && r.Principal != q.Principal {
 			continue
 		}

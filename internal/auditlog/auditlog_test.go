@@ -79,27 +79,54 @@ func TestReopenSurvivesRestart(t *testing.T) {
 }
 
 // TestRingRotation: the durable total keeps counting past the query
-// window; the window holds the newest ringSize records.
+// window; the window holds the newest ringSize records, newest first
+// with no gap, filters still apply across the wrap, and a reopened log
+// rebuilds the same window from the backend.
 func TestRingRotation(t *testing.T) {
-	l := openTestLog(t, t.TempDir())
-	defer l.Close()
-	const n = ringSize + 10
+	dir := t.TempDir()
+	l := openTestLog(t, dir)
+	const n = ringSize + 50
 	for i := 0; i < n; i++ {
-		if err := l.Append(Record{Principal: "alice", Action: "exec.add", Status: 201}); err != nil {
+		principal := "alice"
+		if i%2 == 1 {
+			principal = "bob"
+		}
+		if err := l.Append(Record{Principal: principal, Action: "exec.add", Status: 201}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs, total := l.Recent(Query{Limit: ringSize})
-	if total != n {
-		t.Fatalf("total = %d, want %d", total, n)
+	checkWindow := func(stage string) {
+		t.Helper()
+		recs, total := l.Recent(Query{Limit: ringSize})
+		if total != n {
+			t.Fatalf("%s: total = %d, want %d", stage, total, n)
+		}
+		if len(recs) != ringSize {
+			t.Fatalf("%s: window = %d records, want %d", stage, len(recs), ringSize)
+		}
+		for i, r := range recs {
+			if want := uint64(n - i); r.Seq != want {
+				t.Fatalf("%s: record %d has seq %d, want %d (newest first, no gaps)", stage, i, r.Seq, want)
+			}
+		}
+		// Odd sequence numbers are alice's (i = seq-1 even).
+		bobs, _ := l.Recent(Query{Principal: "bob", Limit: ringSize})
+		if len(bobs) != ringSize/2 {
+			t.Fatalf("%s: %d records by bob in the window, want %d", stage, len(bobs), ringSize/2)
+		}
+		for i, r := range bobs {
+			if want := uint64(n - 2*i); r.Principal != "bob" || r.Seq != want {
+				t.Fatalf("%s: bob's record %d is %s seq %d, want seq %d", stage, i, r.Principal, r.Seq, want)
+			}
+		}
 	}
-	if len(recs) != ringSize {
-		t.Fatalf("window = %d records, want %d", len(recs), ringSize)
+	checkWindow("live")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if recs[0].Seq != n || recs[len(recs)-1].Seq != n-ringSize+1 {
-		t.Fatalf("window spans seq %d..%d, want %d..%d",
-			recs[len(recs)-1].Seq, recs[0].Seq, n-ringSize+1, n)
-	}
+	l = openTestLog(t, dir)
+	defer l.Close()
+	checkWindow("reopened")
 }
 
 // TestRecentFilters: principal/action filters and the limit cap.

@@ -8,7 +8,10 @@
 package exec
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -140,24 +143,25 @@ func (e *Execution) ItemIDs() []string {
 }
 
 func sortItemIDs(ids []string) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
+	slices.SortFunc(ids, func(a, b string) int {
 		if len(a) != len(b) && strings.HasPrefix(a, "d") && strings.HasPrefix(b, "d") {
-			return len(a) < len(b)
+			return cmp.Compare(len(a), len(b))
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 }
 
 // Graph returns the execution as a directed graph over node ids.
 func (e *Execution) Graph() *graph.Graph {
-	g := graph.New()
+	g := graph.NewSized(len(e.Nodes), len(e.Edges))
 	for _, n := range e.Nodes {
 		g.AddNode(n.ID)
 	}
+	es := make([]graph.Edge, 0, len(e.Edges))
 	for _, ed := range e.Edges {
-		g.AddEdge(g.Lookup(ed.From), g.Lookup(ed.To))
+		es = append(es, graph.Edge{U: g.Lookup(ed.From), V: g.Lookup(ed.To)})
 	}
+	g.AddEdges(es)
 	return g
 }
 
@@ -186,19 +190,6 @@ func (e *Execution) ItemsByAttr(attr string) []*DataItem {
 	return out
 }
 
-// ItemsByProducer groups the execution's data items by producing node,
-// each group in item-id order. Taint propagation uses it to map the
-// reachable-node set of a protected source onto the items it may leak
-// into.
-func (e *Execution) ItemsByProducer() map[string][]*DataItem {
-	out := make(map[string][]*DataItem, len(e.Nodes))
-	for _, id := range e.ItemIDs() {
-		it := e.Items[id]
-		out[it.Producer] = append(out[it.Producer], it)
-	}
-	return out
-}
-
 // ProducerOf returns the node that produced item id, or nil.
 func (e *Execution) ProducerOf(itemID string) *Node {
 	it := e.Items[itemID]
@@ -212,38 +203,56 @@ func (e *Execution) ProducerOf(itemID string) *Node {
 // referencing known nodes and items, every item produced by a known
 // node, and acyclicity.
 func (e *Execution) Validate() error {
-	seen := make(map[string]bool, len(e.Nodes))
-	for _, n := range e.Nodes {
-		if seen[n.ID] {
-			return fmt.Errorf("exec: duplicate node id %q", n.ID)
-		}
-		seen[n.ID] = true
+	g, err := e.checkedGraph()
+	if err != nil {
+		return err
 	}
+	if !g.IsAcyclic() {
+		return errCycle
+	}
+	return nil
+}
+
+var errCycle = errors.New("exec: execution graph has a cycle")
+
+// checkedGraph runs every check of Validate except acyclicity and
+// returns the execution's graph, so a caller that needs the graph anyway
+// builds it once and settles acyclicity with the topological sort it was
+// going to run (Validate, CollapseIn).
+func (e *Execution) checkedGraph() (*graph.Graph, error) {
+	g := graph.NewSized(len(e.Nodes), len(e.Edges))
+	for _, n := range e.Nodes {
+		if g.Lookup(n.ID) != graph.Invalid {
+			return nil, fmt.Errorf("exec: duplicate node id %q", n.ID)
+		}
+		g.AddNode(n.ID)
+	}
+	es := make([]graph.Edge, 0, len(e.Edges))
 	for _, ed := range e.Edges {
-		if !seen[ed.From] || !seen[ed.To] {
-			return fmt.Errorf("exec: edge %s->%s references unknown node", ed.From, ed.To)
+		u, v := g.Lookup(ed.From), g.Lookup(ed.To)
+		if u == graph.Invalid || v == graph.Invalid {
+			return nil, fmt.Errorf("exec: edge %s->%s references unknown node", ed.From, ed.To)
 		}
 		if len(ed.Items) == 0 {
-			return fmt.Errorf("exec: edge %s->%s carries no items", ed.From, ed.To)
+			return nil, fmt.Errorf("exec: edge %s->%s carries no items", ed.From, ed.To)
 		}
 		for _, it := range ed.Items {
 			if e.Items[it] == nil {
-				return fmt.Errorf("exec: edge %s->%s carries unknown item %q", ed.From, ed.To, it)
+				return nil, fmt.Errorf("exec: edge %s->%s carries unknown item %q", ed.From, ed.To, it)
 			}
 		}
+		es = append(es, graph.Edge{U: u, V: v})
 	}
+	g.AddEdges(es)
 	for id, it := range e.Items {
 		if it.ID != id {
-			return fmt.Errorf("exec: item key %q has id %q", id, it.ID)
+			return nil, fmt.Errorf("exec: item key %q has id %q", id, it.ID)
 		}
-		if !seen[it.Producer] {
-			return fmt.Errorf("exec: item %s produced by unknown node %q", id, it.Producer)
+		if g.Lookup(it.Producer) == graph.Invalid {
+			return nil, fmt.Errorf("exec: item %s produced by unknown node %q", id, it.Producer)
 		}
 	}
-	if !e.Graph().IsAcyclic() {
-		return fmt.Errorf("exec: execution graph has a cycle")
-	}
-	return nil
+	return g, nil
 }
 
 // ASCII renders the execution as text lines "from -> to [items]" in

@@ -106,6 +106,19 @@ func TestCollapseRejectsBadPrefix(t *testing.T) {
 	}
 }
 
+// Collapse is public and may be handed an execution nobody validated: an
+// edge naming an item the execution does not hold is an error, not a
+// nil dereference.
+func TestCollapseRejectsUnknownItem(t *testing.T) {
+	spec, e := runDisease(t)
+	broken := *e
+	broken.Edges = append([]Edge(nil), e.Edges...)
+	broken.Edges[0].Items = append([]string{"no-such-item"}, e.Edges[0].Items...)
+	if _, err := Collapse(&broken, spec, workflow.NewPrefix("W1")); err == nil || !strings.Contains(err.Error(), "no-such-item") {
+		t.Fatalf("err = %v, want one naming the unknown item", err)
+	}
+}
+
 // Property: for every legal prefix, the collapsed view is a valid
 // acyclic execution, its visible items are a subset of the full run's,
 // and coarser prefixes reveal no more items than finer ones.

@@ -38,6 +38,21 @@ type edgeKey struct{ u, v NodeID }
 // at call sites.
 func New() *Graph { return &Graph{} }
 
+// NewSized returns an empty graph with room for nodes nodes and edges
+// edges, for callers that know both counts up front (a graph derived
+// from an execution or a view): the node tables and both lookup maps are
+// allocated once instead of grown per AddNode/AddEdge. The sizes are
+// hints, not limits.
+func NewSized(nodes, edges int) *Graph {
+	return &Graph{
+		names:  make([]string, 0, nodes),
+		index:  make(map[string]NodeID, nodes),
+		out:    make([][]NodeID, 0, nodes),
+		in:     make([][]NodeID, 0, nodes),
+		hasSet: make(map[edgeKey]struct{}, edges),
+	}
+}
+
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New()
@@ -111,6 +126,36 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	g.out[u] = append(g.out[u], v)
 	g.in[v] = append(g.in[v], u)
 	g.edgeN++
+}
+
+// AddEdges adds every edge of es, with AddEdge's semantics (parallel
+// edges collapse, out-of-range ids panic). Unlike a loop of AddEdge
+// calls it sizes the adjacency lists first: one counting pass, then
+// every list that is still empty is carved, at its exact length, out of
+// one arena — so a graph built in one go costs a constant number of
+// allocations instead of a growth sequence per node.
+func (g *Graph) AddEdges(es []Edge) {
+	n := len(g.names)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range es {
+		g.check(e.U)
+		g.check(e.V)
+		deg[e.U]++
+		deg[n+int(e.V)]++
+	}
+	arena := make([]NodeID, 2*len(es))
+	carve := func(list *[]NodeID, d int) {
+		if *list == nil {
+			*list, arena = arena[:0:d], arena[d:]
+		}
+	}
+	for u := 0; u < n; u++ {
+		carve(&g.out[u], deg[u])
+		carve(&g.in[u], deg[n+u])
+	}
+	for _, e := range es {
+		g.AddEdge(e.U, e.V)
+	}
 }
 
 // RemoveEdge removes the edge u->v if present and reports whether it was.

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -329,5 +332,113 @@ func TestClosurePairs(t *testing.T) {
 	// s->a, s->b, s->t, a->t, b->t = 5 ordered pairs.
 	if got := cl.Pairs(); got != 5 {
 		t.Fatalf("Pairs = %d, want 5", got)
+	}
+}
+
+// topoSortSortedFrontier is TopoSort as it was before the frontier became
+// a heap — re-sort the ready list on every pop — kept as the reference
+// for the order TopoSort promises (smallest ready id first).
+func topoSortSortedFrontier(g *Graph) ([]NodeID, error) {
+	indeg := make([]int, g.N())
+	var frontier []NodeID
+	for u := 0; u < g.N(); u++ {
+		if indeg[u] = len(g.in[u]); indeg[u] == 0 {
+			frontier = append(frontier, NodeID(u))
+		}
+	}
+	order := make([]NodeID, 0, g.N())
+	for len(frontier) > 0 {
+		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		u := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, u)
+		for _, v := range g.out[u] {
+			if indeg[v]--; indeg[v] == 0 {
+				frontier = append(frontier, v)
+			}
+		}
+	}
+	if len(order) != g.N() {
+		return nil, ErrCycle
+	}
+	return order, nil
+}
+
+// TestTopoSortOrderUnchanged: on random DAGs whose edges run against the
+// id order as often as with it — and with an occasional back edge, so
+// cyclic inputs are covered — TopoSort returns exactly what the
+// sorted-frontier implementation returned.
+func TestTopoSortOrderUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		rank := rng.Perm(n) // edges go from lower to higher rank, ids are arbitrary
+		g := New()
+		for i := 0; i < n; i++ {
+			g.AddNode(string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if rank[u] < rank[v] && rng.Float64() < 0.08 {
+					g.AddEdge(NodeID(u), NodeID(v))
+				}
+			}
+		}
+		if trial%10 == 9 && n > 1 {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		want, wantErr := topoSortSortedFrontier(g)
+		got, gotErr := g.TopoSort()
+		if gotErr != wantErr || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): TopoSort = %v, %v; sorted-frontier reference = %v, %v", trial, n, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestAddEdgesMatchesAddEdge: the bulk insert is a loop of AddEdge calls
+// as far as any reader can tell — same adjacency order, duplicates
+// collapsed, earlier edges kept — whatever it does about allocation.
+func TestAddEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(30)
+		bulk, loop := NewSized(n, 0), New()
+		for i := 0; i < n; i++ {
+			name := string(rune('a'+i%26)) + string(rune('0'+i/26))
+			bulk.AddNode(name)
+			loop.AddNode(name)
+		}
+		draw := func(m int) []Edge {
+			es := make([]Edge, m)
+			for i := range es {
+				es[i] = Edge{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+			}
+			return es
+		}
+		for _, e := range draw(rng.Intn(n)) { // some nodes already have lists
+			bulk.AddEdge(e.U, e.V)
+			loop.AddEdge(e.U, e.V)
+		}
+		for round := 0; round < 2; round++ {
+			es := draw(rng.Intn(4 * n))
+			bulk.AddEdges(es)
+			for _, e := range es {
+				loop.AddEdge(e.U, e.V)
+			}
+		}
+		if bulk.M() != loop.M() {
+			t.Fatalf("trial %d: M = %d, AddEdge loop gives %d", trial, bulk.M(), loop.M())
+		}
+		for u := NodeID(0); int(u) < n; u++ {
+			if !slices.Equal(bulk.Out(u), loop.Out(u)) || !slices.Equal(bulk.In(u), loop.In(u)) {
+				t.Fatalf("trial %d node %d: out %v in %v, AddEdge loop gives out %v in %v",
+					trial, u, bulk.Out(u), bulk.In(u), loop.Out(u), loop.In(u))
+			}
+			for _, v := range loop.Out(u) {
+				if !bulk.HasEdge(u, v) {
+					t.Fatalf("trial %d: HasEdge(%d,%d) = false", trial, u, v)
+				}
+			}
+		}
 	}
 }

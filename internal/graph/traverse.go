@@ -13,34 +13,66 @@ var ErrCycle = errors.New("graph: not a DAG (cycle detected)")
 // smallest-id-first for determinism). It returns ErrCycle if the graph
 // has a directed cycle.
 func (g *Graph) TopoSort() ([]NodeID, error) {
-	indeg := make([]int, g.N())
-	for u := 0; u < g.N(); u++ {
+	n := g.N()
+	indeg := make([]int, n)
+	// The frontier is a binary min-heap over one n-sized buffer (every
+	// node enters it exactly once), so popping the smallest ready id
+	// allocates nothing.
+	frontier := make([]NodeID, 0, n)
+	for u := 0; u < n; u++ {
 		indeg[u] = len(g.in[u])
-	}
-	// Min-heap behaviour via sorted frontier keeps output deterministic.
-	var frontier []NodeID
-	for u := 0; u < g.N(); u++ {
 		if indeg[u] == 0 {
-			frontier = append(frontier, NodeID(u))
+			frontier = append(frontier, NodeID(u)) // ascending: already a heap
 		}
 	}
-	order := make([]NodeID, 0, g.N())
+	order := make([]NodeID, 0, n)
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 		u := frontier[0]
-		frontier = frontier[1:]
+		last := len(frontier) - 1
+		frontier[0] = frontier[last]
+		frontier = frontier[:last]
+		siftDown(frontier, 0)
 		order = append(order, u)
 		for _, v := range g.out[u] {
 			indeg[v]--
 			if indeg[v] == 0 {
 				frontier = append(frontier, v)
+				siftUp(frontier, len(frontier)-1)
 			}
 		}
 	}
-	if len(order) != g.N() {
+	if len(order) != n {
 		return nil, ErrCycle
 	}
 	return order, nil
+}
+
+func siftUp(h []NodeID, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []NodeID, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // IsAcyclic reports whether the graph is a DAG.

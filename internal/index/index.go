@@ -687,11 +687,13 @@ func (r *ReachIndex) Reaches(specID, fromModule, toModule string) bool {
 }
 
 // Cache is a bounded, concurrency-safe result cache keyed by
-// (user group, query key): users in the same group share privacy
-// settings, so they can safely share computed answers. It is backed by
-// the same LRU core as the per-shard enforced-view caches, so eviction
-// is recency-based rather than drop-all, and hit/miss counters feed the
-// metrics endpoint.
+// (user group, query key). The group only partitions the entries; it
+// carries no privacy meaning — nothing stops two users of one group from
+// sitting at different access levels — so the query key must name
+// everything the cached answer depends on, the asker's level included
+// (repo.SearchPageCtx puts it there). It is backed by the same LRU core
+// as the per-shard enforced-view caches, so eviction is recency-based
+// rather than drop-all, and hit/miss counters feed the metrics endpoint.
 type Cache struct {
 	lru *LRU[string, any]
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -73,5 +74,155 @@ func TestLRUConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 64 {
 		t.Fatalf("capacity exceeded: %d", c.Len())
+	}
+}
+
+// scanLRU is the reference model the linked-list LRU replaced, kept
+// verbatim in behaviour: every access stamps the entry with a logical
+// clock and a Put into a full cache evicts the entry with the oldest
+// stamp, found by scanning them all. TestLRUMatchesScanModel holds the
+// O(1) implementation to it.
+type scanLRU[K comparable, V any] struct {
+	capacity     int
+	entries      map[K]*scanEntry[V]
+	clock        int64
+	hits, misses int64
+}
+
+type scanEntry[V any] struct {
+	value V
+	stamp int64
+}
+
+func newScanLRU[K comparable, V any](capacity int) *scanLRU[K, V] {
+	return &scanLRU[K, V]{capacity: max(capacity, 1), entries: make(map[K]*scanEntry[V])}
+}
+
+func (c *scanLRU[K, V]) tick() int64 { c.clock++; return c.clock }
+
+func (c *scanLRU[K, V]) get(key K) (V, bool) {
+	e := c.entries[key]
+	if e == nil {
+		c.misses++
+		var zero V
+		return zero, false
+	}
+	e.stamp = c.tick()
+	c.hits++
+	return e.value, true
+}
+
+func (c *scanLRU[K, V]) peek(key K) (V, bool) {
+	if e := c.entries[key]; e != nil {
+		return e.value, true
+	}
+	var zero V
+	return zero, false
+}
+
+// put returns the key it evicted, if it evicted one.
+func (c *scanLRU[K, V]) put(key K, v V) (victim K, evicted bool) {
+	if _, exists := c.entries[key]; !exists && len(c.entries) >= c.capacity {
+		oldest := int64(0)
+		for k, e := range c.entries {
+			if !evicted || e.stamp < oldest {
+				victim, oldest, evicted = k, e.stamp, true
+			}
+		}
+		delete(c.entries, victim)
+	}
+	c.entries[key] = &scanEntry[V]{value: v, stamp: c.tick()}
+	return victim, evicted
+}
+
+func (c *scanLRU[K, V]) purge() { c.entries = make(map[K]*scanEntry[V]) }
+
+// TestLRUMatchesScanModel drives the LRU and the scan model with the
+// same random Get / Peek / Put / overwrite / Purge sequence. After every
+// operation both must agree on what the operation returned, on Len and on
+// Stats; every eviction must take the model's victim; and the full
+// contents are compared at intervals and at the end.
+func TestLRUMatchesScanModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 1024} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			real, model := NewLRU[int, int](capacity), newScanLRU[int, int](capacity)
+			same := func(op string, step int) {
+				t.Helper()
+				real.mu.Lock()
+				defer real.mu.Unlock()
+				if len(real.entries) != len(model.entries) {
+					t.Fatalf("step %d (%s): %d entries, model has %d", step, op, len(real.entries), len(model.entries))
+				}
+				for k, e := range model.entries {
+					if got := real.entries[k]; got == nil || got.value != e.value {
+						t.Fatalf("step %d (%s): key %d holds %v, model has %d", step, op, k, got, e.value)
+					}
+				}
+			}
+			keys := 2*capacity + 3 // more keys than slots, so Puts evict
+			steps := 20000 + 8*capacity
+			for step := 0; step < steps; step++ {
+				k, v := rng.Intn(keys), rng.Int()
+				var op string
+				switch p := rng.Intn(100); {
+				case step%9001 == 9000:
+					op = "purge"
+					real.Purge()
+					model.purge()
+				case p < 40:
+					op = "get"
+					gv, gok := real.Get(k)
+					wv, wok := model.get(k)
+					if gv != wv || gok != wok {
+						t.Fatalf("step %d: Get(%d) = %d,%v; model %d,%v", step, k, gv, gok, wv, wok)
+					}
+				case p < 50:
+					op = "peek"
+					gv, gok := real.Peek(k)
+					wv, wok := model.peek(k)
+					if gv != wv || gok != wok {
+						t.Fatalf("step %d: Peek(%d) = %d,%v; model %d,%v", step, k, gv, gok, wv, wok)
+					}
+				default:
+					op = "put"
+					real.Put(k, v)
+					if victim, evicted := model.put(k, v); evicted {
+						if _, still := real.Peek(victim); still {
+							t.Fatalf("step %d: Put(%d) kept key %d, the model's victim", step, k, victim)
+						}
+					}
+				}
+				if real.Len() != len(model.entries) {
+					t.Fatalf("step %d (%s %d): Len %d, model %d", step, op, k, real.Len(), len(model.entries))
+				}
+				if h, m := real.Stats(); h != model.hits || m != model.misses {
+					t.Fatalf("step %d (%s %d): Stats %d,%d; model %d,%d", step, op, k, h, m, model.hits, model.misses)
+				}
+				if step%251 == 0 {
+					same(op, step)
+				}
+			}
+			same("end", steps)
+		})
+	}
+}
+
+// BenchmarkLRUPutFull is the cost of one insert into a full cache — the
+// eviction path every cold fill takes twice. It must not grow with the
+// capacity.
+func BenchmarkLRUPutFull(b *testing.B) {
+	for _, capacity := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprint(capacity), func(b *testing.B) {
+			c := NewLRU[int, int](capacity)
+			for i := 0; i < capacity; i++ {
+				c.Put(i, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Put(capacity+i, i)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"provpriv/internal/exec"
@@ -77,5 +78,47 @@ func TestPreparedExecIndexOnDiseaseExample(t *testing.T) {
 	}
 	if relays == 0 {
 		t.Fatal("no relay node exercised the flowsFrom fallback")
+	}
+}
+
+// TestCyclicExecutionIsRefused: a cycle must stop an execution at every
+// gate it can reach — Validate, PrepareExec, and the collapse-then-
+// prepare path the repository's fill takes, where CollapseIn leaves
+// acyclicity to PrepareGraph's topological sort — with an error that
+// says so.
+func TestCyclicExecutionIsRefused(t *testing.T) {
+	s := workflow.DiseaseSusceptibility()
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := exec.NewRunner(s, nil).Run("E1", map[string]exec.Value{
+		"snps": "rs1", "ethnicity": "eth1", "lifestyle": "active",
+		"family_history": "fh1", "symptoms": "none",
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Close a cycle by hand: the last edge's item also flows back.
+	last := e.Edges[len(e.Edges)-1]
+	e.Edges = append(e.Edges, exec.Edge{From: last.To, To: e.Edges[0].From, Items: last.Items})
+	names := func(gate string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Fatalf("%s on a cyclic execution: err = %v, want one naming the cycle", gate, err)
+		}
+	}
+	names("Validate", e.Validate())
+	_, err = PrepareExec(e)
+	names("PrepareExec", err)
+	for _, prefix := range []workflow.Prefix{workflow.FullPrefix(h), workflow.RootPrefix(h)} {
+		_, err = exec.Collapse(e, s, prefix)
+		names("Collapse", err)
+		view, g, err := exec.CollapseIn(e, h, prefix)
+		if err != nil {
+			t.Fatalf("CollapseIn: %v (acyclicity is PrepareGraph's to establish)", err)
+		}
+		_, err = PrepareGraph(view, g)
+		names("CollapseIn + PrepareGraph", err)
 	}
 }

@@ -24,6 +24,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -178,9 +179,20 @@ type PreparedExec struct {
 }
 
 // PrepareExec derives the graph, closure and id indexes of an
-// (immutable) execution so repeated evaluations skip every rebuild.
+// (immutable) execution so repeated evaluations skip every rebuild. It
+// fails when the execution's graph has a cycle.
 func PrepareExec(e *exec.Execution) (*PreparedExec, error) {
-	g := e.Graph()
+	return PrepareGraph(e, e.Graph())
+}
+
+// PrepareGraph is PrepareExec for a caller that already holds e's graph
+// (exec.CollapseIn returns the view's; masking changes item values only,
+// so it still describes the masked view): g is adopted, not rebuilt, and
+// shared read-only with every later evaluation. The closure's
+// topological sort is also what establishes acyclicity for a view that
+// CollapseIn validated up to it — a cyclic g fails here, before anything
+// is prepared or served.
+func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 	cl, err := graph.NewClosure(g)
 	if err != nil {
 		return nil, fmt.Errorf("query: execution graph: %w", err)
@@ -202,22 +214,14 @@ func PrepareExec(e *exec.Execution) (*PreparedExec, error) {
 	for _, ids := range pe.producedBy {
 		sort.Strings(ids)
 	}
-	seen := make(map[string]map[string]bool)
+	// Collect every outgoing edge's items per source node, then sort and
+	// de-duplicate each list once.
 	for _, ed := range e.Edges {
-		set := seen[ed.From]
-		if set == nil {
-			set = make(map[string]bool)
-			seen[ed.From] = set
-		}
-		for _, it := range ed.Items {
-			if !set[it] {
-				set[it] = true
-				pe.flowsFrom[ed.From] = append(pe.flowsFrom[ed.From], it)
-			}
-		}
+		pe.flowsFrom[ed.From] = append(pe.flowsFrom[ed.From], ed.Items...)
 	}
-	for _, ids := range pe.flowsFrom {
+	for from, ids := range pe.flowsFrom {
 		sort.Strings(ids)
+		pe.flowsFrom[from] = slices.Compact(ids)
 	}
 	return pe, nil
 }
@@ -269,7 +273,7 @@ func (ev *Evaluator) EvaluateWithPrivacy(q *Query, e *exec.Execution, pol *priva
 	// descendants' trace strings), then applied to the view.
 	masker := datapriv.NewMasker(pol, nil)
 	masked, _ := masker.MaskView(e, collapsed, level)
-	zoomed := len(prefix) < len(h.All())
+	zoomed := len(prefix) < h.Size()
 	pe, err := PrepareExec(masked)
 	if err != nil {
 		return nil, err

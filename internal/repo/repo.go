@@ -241,7 +241,7 @@ type Repository struct {
 	sem     chan struct{}
 }
 
-// resultCacheCap bounds the shared per-group search result cache.
+// resultCacheCap bounds the shared search result cache.
 const resultCacheCap = 256
 
 // resetResultCache swaps in a fresh, empty result cache (cached search
@@ -674,7 +674,7 @@ type SearchHit struct {
 type SearchOptions struct {
 	// Buckets > 0 publishes bucketized scores (privacy-aware ranking).
 	Buckets int
-	// BypassCache disables the per-group result cache.
+	// BypassCache disables the per-(level, group) result cache.
 	BypassCache bool
 	// Limit/Offset window the ranked result list engine-side: only the
 	// specs inside [Offset, Offset+Limit) get their minimal view built;
@@ -734,9 +734,13 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		return nil, 0, fmt.Errorf("repo: negative pagination window")
 	}
 
+	// The level is part of the key: an answer is a function of the level
+	// that asked, and a group says nothing about it — two users may share
+	// a group (every user registered without one shares "") and sit at
+	// different levels. The group only partitions entries within a level.
 	// %q-quote the caller-controlled query so a '|' inside it cannot
 	// collide with another (query, buckets, window) triple's key.
-	cacheKey := fmt.Sprintf("search|%q|%d|%d|%d", queryText, opts.Buckets, opts.Limit, opts.Offset)
+	cacheKey := fmt.Sprintf("search|%d|%q|%d|%d|%d", u.Level, queryText, opts.Buckets, opts.Limit, opts.Offset)
 	cache := r.cache.Load()
 	if !opts.BypassCache {
 		if v, ok := cache.Get(u.Group, cacheKey); ok {
@@ -884,6 +888,17 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 // subsequent reader; the returned execution is shared and MUST be
 // treated as read-only. The masking report is the one recorded at build
 // time, replayed by callers into the serving counters.
+//
+// A fill does each piece of work once. The stored execution e is only
+// ever read: exec.CollapseIn builds the one copy the fill makes — a view
+// it owns outright — against the shard's prebuilt hierarchy, and hands
+// back the view's graph from validating it; taint.ApplyInPlace masks
+// that view where it stands (item values only, so the graph still
+// describes it); query.PrepareGraph adopts the graph, and its
+// topological sort is what rejects a cyclic view. The public staged
+// functions (exec.Collapse, Engine.Apply, query.PrepareExec) are
+// wrappers over these same three, and TestColdFillMatchesStagedPipeline
+// holds the two compositions equal.
 func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
 	sh.mu.RLock()
 	pol := sh.policy
@@ -904,20 +919,20 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 		defer fill.End()
 		access := pol.AccessView(sh.hier, level)
 		_, collapse := obs.StartSpan(fctx, "view.collapse")
-		view, err := exec.Collapse(e, sh.spec, access)
+		view, g, err := exec.CollapseIn(e, sh.hier, access)
 		collapse.End()
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
 		set := sh.taintSetFor(fctx, e, en, polGen)
 		_, apply := obs.StartSpan(fctx, "mask.apply")
-		masked, rep := en.Apply(view, level, set)
-		prep, err := query.PrepareExec(masked)
+		rep := en.ApplyInPlace(view, level, set)
+		prep, err := query.PrepareGraph(view, g)
 		apply.End()
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
-		snap := maskedSnapshot{prep: prep, pol: pol, rep: rep, zoomed: len(access) < len(sh.hier.All())}
+		snap := maskedSnapshot{prep: prep, pol: pol, rep: rep, zoomed: len(access) < sh.hier.Size()}
 		sh.masked.Put(key, snap)
 		return snap, nil
 	})
@@ -1002,7 +1017,7 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	// Full access view: answer from the precomputed full-expansion
 	// closure, O(1). Composite endpoints don't appear in the full
 	// expansion; fall through to the view path for those.
-	if len(access) == len(h.All()) && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
+	if len(access) == h.Size() && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
 		return r.reach.Reaches(specID, from, to), nil
 	}
 	v, err := workflow.Expand(s, access)
@@ -1340,13 +1355,21 @@ type Stats struct {
 	MaskedCacheHits   int64
 	MaskedCacheMisses int64
 	MaskedCache       map[string]TaintCacheStat
+
+	// TaintCacheEntries/MaskedCacheEntries sum what the live shards'
+	// LRUs hold right now — gauges, so a removed shard takes its entries
+	// with it and nothing is banked.
+	TaintCacheEntries  int
+	MaskedCacheEntries int
 }
 
-// TaintCacheStat is one shard's cache hit/miss counter pair (used for
-// both the taint-set and masked-snapshot caches).
+// TaintCacheStat is one shard's cache hit/miss counter pair and current
+// fill (used for both the taint-set and masked-snapshot caches; each
+// holds at most shardCacheCap entries).
 type TaintCacheStat struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
 }
 
 // ContentStats is the persisted-content subset of Stats — the part a
@@ -1387,13 +1410,17 @@ func (r *Repository) Stats() Stats {
 	st.MaskedCache = make(map[string]TaintCacheStat, len(r.shards))
 	for id, sh := range r.shards {
 		h, m := sh.taints.Stats()
+		n := sh.taints.Len()
 		st.TaintCacheHits += h
 		st.TaintCacheMisses += m
-		st.TaintCache[id] = TaintCacheStat{Hits: h, Misses: m}
+		st.TaintCacheEntries += n
+		st.TaintCache[id] = TaintCacheStat{Hits: h, Misses: m, Entries: n}
 		h, m = sh.masked.Stats()
+		n = sh.masked.Len()
 		st.MaskedCacheHits += h
 		st.MaskedCacheMisses += m
-		st.MaskedCache[id] = TaintCacheStat{Hits: h, Misses: m}
+		st.MaskedCacheEntries += n
+		st.MaskedCache[id] = TaintCacheStat{Hits: h, Misses: m, Entries: n}
 	}
 	st.TaintCacheHits += r.taintHitsBase.Load()
 	st.TaintCacheMisses += r.taintMissesBase.Load()

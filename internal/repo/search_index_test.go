@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -371,4 +372,57 @@ func carries(m *workflow.Module, phrases [][]string, name string) bool {
 		return true
 	}
 	return false
+}
+
+// TestResultCacheNeverCrossesLevels: a group is not an access level. Two
+// users of one group — or of none, which is the group "" — at different
+// levels must each get their own level's answer from the result cache:
+// for every ordered pair of levels, after the first user's search has
+// been cached, the second user's cached answer equals the answer the
+// engine computes for it with the cache bypassed.
+func TestResultCacheNeverCrossesLevels(t *testing.T) {
+	r := New()
+	for i := 0; i < 6; i++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{Seed: int64(i + 1), ID: fmt.Sprintf("s%d", i), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := workload.RandomPolicy(s, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AddSpec(s, pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	terms := workload.DefaultVocab()[:40]
+	ask := func(user, q string, bypass bool) ([]SearchHit, int) {
+		t.Helper()
+		hits, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{BypassCache: bypass})
+		if err != nil {
+			t.Fatalf("%s searching %q: %v", user, q, err)
+		}
+		return hits, total
+	}
+	for _, group := range []string{"", "team"} {
+		for _, first := range allLevels {
+			for _, second := range allLevels {
+				if first == second {
+					continue
+				}
+				r.resetResultCache()
+				r.AddUser(privacy.User{Name: "first", Level: first, Group: group})
+				r.AddUser(privacy.User{Name: "second", Level: second, Group: group})
+				for _, q := range terms {
+					ask("first", q, false)
+					got, gotTotal := ask("second", q, false)
+					want, wantTotal := ask("second", q, true)
+					if gotTotal != wantTotal || !reflect.DeepEqual(got, want) {
+						t.Fatalf("group %q, %v after %v, query %q: cached answer has %d hits (total %d), the level's own has %d (total %d)",
+							group, second, first, q, len(got), gotTotal, len(want), wantTotal)
+					}
+				}
+			}
+		}
+	}
 }

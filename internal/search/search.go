@@ -306,7 +306,7 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 			prefix[wid] = true
 		}
 	}
-	view, err := workflow.Expand(spec, prefix)
+	view, err := workflow.ExpandIn(spec, h, prefix)
 	if err != nil {
 		return nil, err
 	}

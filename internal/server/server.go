@@ -1226,6 +1226,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("taint_cache_misses_total", "Per-shard taint-set cache misses.", st.TaintCacheMisses)
 	metric("masked_exec_cache_hits_total", "Per-shard masked-execution snapshot cache hits.", st.MaskedCacheHits)
 	metric("masked_exec_cache_misses_total", "Per-shard masked-execution snapshot cache misses.", st.MaskedCacheMisses)
+	metric("taint_cache_entries", "Taint sets currently held by the live shards' caches.", int64(st.TaintCacheEntries))
+	metric("masked_exec_cache_entries", "Masked-execution snapshots currently held by the live shards' caches.", int64(st.MaskedCacheEntries))
 	metric("mutations_total", "Successful mutation-endpoint requests.", s.mutations.Load())
 	metric("auth_failures_total", "Rejected authentications and authorization denials.", s.authFailures.Load())
 	metric("shed_draining_total", "Requests refused with 503 because the server was draining.", s.shedDraining.Load())

@@ -454,11 +454,17 @@ func TestQueryPagination(t *testing.T) {
 // Prometheus exposition carries the repository and derived-state
 // counters.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	// Generate some cache traffic so counters move.
+	ts, _, e := newTestServer(t)
+	// Generate some cache traffic so counters move: two searches, and one
+	// execution read at two levels (one taint set, two masked snapshots).
 	for i := 0; i < 2; i++ {
 		if code := get(t, ts, "alice", "/api/v1/search?q=database", nil); code != http.StatusOK {
 			t.Fatalf("search: %d", code)
+		}
+	}
+	for _, user := range []string{"alice", "bob"} {
+		if code := get(t, ts, user, "/api/v1/query?spec=disease-susceptibility&exec="+e.ID+"&q=MATCH%20a%20%3D%20%22query%22", nil); code != http.StatusOK {
+			t.Fatalf("query as %s: %d", user, code)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -484,6 +490,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"provpriv_result_cache_misses_total 1",
 		"provpriv_index_postings",
 		"provpriv_index_snapshot_swaps_total",
+		"provpriv_taint_cache_entries 1",
+		"provpriv_masked_exec_cache_entries 2",
 	} {
 		if !strings.Contains(text, metric) {
 			t.Fatalf("metrics missing %q:\n%s", metric, text)
@@ -657,11 +665,11 @@ func TestTaintMetricsMonotone(t *testing.T) {
 			st.MaskedCacheHits, maskedHits, st.MaskedCacheMisses, maskedMisses)
 	}
 	sh, ok := st.TaintCache["disease-susceptibility"]
-	if !ok || sh.Hits+sh.Misses == 0 {
+	if !ok || sh.Hits+sh.Misses == 0 || sh.Entries != 1 {
 		t.Fatalf("per-shard taint cache stats missing: %+v", st.TaintCache)
 	}
 	msh, ok := st.MaskedCache["disease-susceptibility"]
-	if !ok || msh.Hits+msh.Misses == 0 {
+	if !ok || msh.Hits+msh.Misses == 0 || msh.Entries != 1 {
 		t.Fatalf("per-shard masked cache stats missing: %+v", st.MaskedCache)
 	}
 }

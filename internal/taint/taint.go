@@ -33,7 +33,7 @@
 package taint
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,23 +103,18 @@ func (s *Set) compile(seed []Label) {
 	for i, p := range s.repl.pats {
 		idx[key{p.attr, p.raw}] = int32(i)
 	}
+	// One backing array holds every item's pattern list: at most one
+	// index per (item, label) pair, so it never regrows under the carves.
 	s.patIdx = make(map[string][]int32, len(s.byItem))
+	arena := make([]int32, 0, s.labels)
 	for id, labels := range s.byItem {
-		idxs := make([]int32, 0, len(labels))
+		lo := len(arena)
 		for _, l := range labels {
-			pi := idx[key{l.Attr, string(l.Raw)}]
-			dup := false
-			for _, got := range idxs {
-				if got == pi {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				idxs = append(idxs, pi)
+			if pi := idx[key{l.Attr, string(l.Raw)}]; !slices.Contains(arena[lo:], pi) {
+				arena = append(arena, pi)
 			}
 		}
-		s.patIdx[id] = idxs
+		s.patIdx[id] = arena[lo:len(arena):len(arena)]
 	}
 }
 
@@ -218,8 +213,9 @@ func (en *Engine) Analyze(e *exec.Execution) *Set {
 	if len(protected) == 0 {
 		return set
 	}
+	ids := e.ItemIDs()
 	var labels []Label
-	for _, id := range e.ItemIDs() {
+	for _, id := range ids {
 		it := e.Items[id]
 		req, ok := protected[it.Attr]
 		// Redacted or empty values cannot leak through substrings.
@@ -247,18 +243,34 @@ func (en *Engine) Analyze(e *exec.Execution) *Set {
 		set.compile(labels)
 		return set
 	}
-	itemsAt := e.ItemsByProducer()
-	for _, l := range labels {
-		src := g.Lookup(e.Items[l.ItemID].Producer)
-		if src < 0 {
-			continue
-		}
-		cl.From(src).ForEach(func(n int) {
-			for _, it := range itemsAt[g.Name(graph.NodeID(n))] {
-				set.byItem[it.ID] = append(set.byItem[it.ID], l)
+	// An item carries, in label order, every label whose source's
+	// producer reaches its own. Count the pairs first so all the lists
+	// are carved, at their exact lengths, out of one backing array.
+	srcs := make([]graph.NodeID, len(labels))
+	for i, l := range labels {
+		srcs[i] = g.Lookup(e.Items[l.ItemID].Producer)
+	}
+	taints := func(src, prod graph.NodeID) bool { return src >= 0 && prod >= 0 && cl.Reach(src, prod) }
+	for _, id := range ids {
+		prod := g.Lookup(e.Items[id].Producer)
+		for _, src := range srcs {
+			if taints(src, prod) {
 				set.labels++
 			}
-		})
+		}
+	}
+	arena := make([]Label, 0, set.labels)
+	for _, id := range ids {
+		prod := g.Lookup(e.Items[id].Producer)
+		lo := len(arena)
+		for i, src := range srcs {
+			if taints(src, prod) {
+				arena = append(arena, labels[i])
+			}
+		}
+		if len(arena) > lo {
+			set.byItem[id] = arena[lo:len(arena):len(arena)]
+		}
 	}
 	cb.words = cl.Scratch()
 	closurePool.Put(cb)
@@ -280,13 +292,13 @@ func (en *Engine) Sanitize(e *exec.Execution, level privacy.Level) (*exec.Execut
 
 // Apply returns a deep copy of e masked for a viewer at the given level
 // using a precomputed taint set (nil set = attribute-local masking
-// only). The copy shares no mutable state with e — nodes, frames, edges
-// and item slices are all fresh — so later mutation of either side can
-// never corrupt the other.
+// only), and leaves e alone. The copy shares no mutable state with e —
+// nodes, frames, edges and item slices are all fresh — so later mutation
+// of either side can never corrupt the other. The masking itself is
+// ApplyInPlace on the copy.
 func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec.Execution, Report) {
-	var rep Report
 	out := &exec.Execution{
-		ID:     fmt.Sprintf("%s/masked@%s", e.ID, level),
+		ID:     e.ID,
 		SpecID: e.SpecID,
 		Nodes:  make([]*exec.Node, 0, len(e.Nodes)),
 		Edges:  make([]exec.Edge, 0, len(e.Edges)),
@@ -302,11 +314,28 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 			From: ed.From, To: ed.To, Items: append([]string(nil), ed.Items...),
 		})
 	}
-	ap := acquireApplier(en, set, level)
-	defer ap.release()
 	for id, it := range e.Items {
 		cp := *it
 		out.Items[id] = &cp
+	}
+	return out, en.ApplyInPlace(out, level, set)
+}
+
+// ApplyInPlace masks e itself for a viewer at the given level — every
+// item's Value/Redacted is rewritten where the level requires it and the
+// execution is renamed "<id>/masked@<level>" — and returns the report.
+// Only item values change, never nodes, edges or the item set, so a
+// graph derived from e before the call still describes it after. The
+// caller must own e and every item in it outright (a view fresh from
+// exec.CollapseIn does; a stored or shared execution never does): this
+// is the one-copy half of the repository's cold fill, and Apply is the
+// same code behind a deep copy.
+func (en *Engine) ApplyInPlace(e *exec.Execution, level privacy.Level, set *Set) Report {
+	var rep Report
+	e.ID = e.ID + "/masked@" + level.String()
+	ap := acquireApplier(en, set, level)
+	defer ap.release()
+	for id, it := range e.Items {
 		required := en.Policy.DataLevels[it.Attr]
 		ap.activate(id)
 		if level >= required {
@@ -315,10 +344,10 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 			v, changed, clean := ap.rewrite(it.Value)
 			switch {
 			case !clean:
-				cp.Value, cp.Redacted = "", true
+				it.Value, it.Redacted = "", true
 				rep.TaintRedacted++
 			case changed:
-				cp.Value = v
+				it.Value = v
 				rep.Rewritten++
 			default:
 				rep.Visible++
@@ -333,15 +362,15 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 		if g := en.generalizer(it.Attr); g != nil {
 			gen := g.Generalize(it.Value, int(required-level))
 			if v, _, clean := ap.rewrite(gen); clean {
-				cp.Value = v
+				it.Value = v
 				rep.Generalized++
 				continue
 			}
 		}
-		cp.Value, cp.Redacted = "", true
+		it.Value, it.Redacted = "", true
 		rep.Redacted++
 	}
-	return out, rep
+	return rep
 }
 
 // applier is the pooled per-Apply working state of the compiled

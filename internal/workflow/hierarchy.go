@@ -17,6 +17,7 @@ type Hierarchy struct {
 	children map[string][]string
 	// viaModule records which composite module introduces each child.
 	viaModule map[string]string
+	size      int // len(All()), fixed at construction
 }
 
 // NewHierarchy derives the expansion hierarchy from a validated spec.
@@ -44,6 +45,7 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 	for wid := range h.children {
 		sort.Strings(h.children[wid])
 	}
+	h.size = len(h.All())
 	return h, nil
 }
 
@@ -87,6 +89,11 @@ func (h *Hierarchy) All() []string {
 	}
 	return out
 }
+
+// Size returns the number of workflows in the hierarchy — len(All())
+// without building the list, for the "is this prefix the full
+// expansion?" test every enforced view makes.
+func (h *Hierarchy) Size() int { return h.size }
 
 // Graph returns the hierarchy as a directed graph (parent -> child).
 func (h *Hierarchy) Graph() *graph.Graph {

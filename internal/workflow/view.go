@@ -35,12 +35,19 @@ type View struct {
 }
 
 // Expand computes the view of s determined by prefix. The prefix must be
-// valid for s's hierarchy.
+// valid for s's hierarchy, which Expand derives on every call; a caller
+// that holds it uses ExpandIn.
 func Expand(s *Spec, prefix Prefix) (*View, error) {
 	h, err := NewHierarchy(s)
 	if err != nil {
 		return nil, err
 	}
+	return ExpandIn(s, h, prefix)
+}
+
+// ExpandIn is Expand against s's prebuilt hierarchy h (only the prefix
+// check needs it).
+func ExpandIn(s *Spec, h *Hierarchy, prefix Prefix) (*View, error) {
 	if err := prefix.Validate(h); err != nil {
 		return nil, err
 	}
