@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1025,7 +1026,7 @@ func BenchmarkTaintMask(b *testing.B) {
 // Acceptance: the warm cached path is ≥5x fewer allocs/op and
 // measurably faster.
 
-func benchMaskedWorkload(b *testing.B, cfg workload.SpecConfig) (*workflow.Spec, *privacy.Policy, *exec.Execution) {
+func benchMaskedWorkload(b testing.TB, cfg workload.SpecConfig) (*workflow.Spec, *privacy.Policy, *exec.Execution) {
 	b.Helper()
 	s, err := workload.RandomSpec(cfg)
 	if err != nil {
@@ -1103,6 +1104,53 @@ func BenchmarkQueryMaskedCached(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmQueryAllocBudget pins what a one-variable structural query that
+// binds one node of a resident snapshot may allocate: the parse, the
+// candidate list and its map, the answer and its binding — 17 by keywords
+// and 18 by id literal on BenchmarkQueryMaskedCached's medium workload.
+// Finding every node's module by sorting the spec's workflow ids cost 30
+// more and rebuilding its term set 130 beyond that, per request; the
+// budget of 20 has no room for either.
+func TestWarmQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, pol, e := benchMaskedWorkload(t, workload.SpecConfig{Seed: 13, ID: "mask-m", Depth: 3, Fanout: 2, Chain: 5})
+	r := repo.New()
+	if err := r.AddSpec(s, pol); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddExecution(e); err != nil {
+		t.Fatal(err)
+	}
+	r.AddUser(privacy.User{Name: "ana", Level: privacy.Analyst, Group: "g"})
+	measured := 0
+	for _, m := range s.Workflows[s.Root].Modules {
+		for _, phrase := range []string{"id:" + m.ID, strings.Join(m.AllKeywords(), " ")} {
+			queryText := `MATCH a = "` + phrase + `" RETURN bindings`
+			ans, err := r.Query("ana", s.ID, "E", queryText) // fills the snapshot
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ans.Bindings) != 1 {
+				continue // allocations grow with the answer; the budget is for one binding
+			}
+			measured++
+			got := testing.AllocsPerRun(200, func() {
+				if _, err := r.Query("ana", s.ID, "E", queryText); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > 20 {
+				t.Errorf("warm %s allocates %.0f times; budget is 20", queryText, got)
+			}
+		}
+	}
+	if measured < 2 {
+		t.Fatalf("only %d queries bound exactly one node; the budget went unmeasured", measured)
 	}
 }
 

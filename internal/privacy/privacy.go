@@ -171,8 +171,10 @@ func (p *Policy) Validate(s *workflow.Spec) error {
 		return fmt.Errorf("privacy: policy for %q applied to spec %q", p.SpecID, s.ID)
 	}
 	attrs := make(map[string]bool)
-	for _, wid := range s.WorkflowIDs() {
-		for _, m := range s.Workflows[wid].Modules {
+	modules := make(map[string]bool)
+	for _, w := range s.Workflows {
+		for _, m := range w.Modules {
+			modules[m.ID] = true
 			for _, a := range m.Inputs {
 				attrs[a] = true
 			}
@@ -187,7 +189,7 @@ func (p *Policy) Validate(s *workflow.Spec) error {
 		}
 	}
 	for mid, g := range p.ModuleGamma {
-		if m, _ := s.FindModule(mid); m == nil {
+		if !modules[mid] {
 			return fmt.Errorf("privacy: module gamma for unknown module %q", mid)
 		}
 		if g < 2 {
@@ -195,15 +197,15 @@ func (p *Policy) Validate(s *workflow.Spec) error {
 		}
 	}
 	for mid := range p.ModuleLevels {
-		if m, _ := s.FindModule(mid); m == nil {
+		if !modules[mid] {
 			return fmt.Errorf("privacy: module level for unknown module %q", mid)
 		}
 	}
 	for _, hp := range p.Structural {
-		if m, _ := s.FindModule(hp.From); m == nil {
+		if !modules[hp.From] {
 			return fmt.Errorf("privacy: structural pair references unknown module %q", hp.From)
 		}
-		if m, _ := s.FindModule(hp.To); m == nil {
+		if !modules[hp.To] {
 			return fmt.Errorf("privacy: structural pair references unknown module %q", hp.To)
 		}
 	}

@@ -87,58 +87,45 @@ type Answer struct {
 }
 
 // Evaluator evaluates structural queries against executions of a spec.
+// It is immutable once built and safe for concurrent use; internal/repo
+// keeps one per shard.
 type Evaluator struct {
 	Spec *workflow.Spec
+	// terms maps the id of every module of the spec to the module's
+	// normalized term set. It depends on the spec alone — which modules a
+	// user may bind is decided per evaluation, against the policy passed
+	// in — so it is built once and there is nothing to invalidate.
+	terms map[string]map[string]bool
 }
 
-// NewEvaluator returns an evaluator for the spec.
-func NewEvaluator(s *workflow.Spec) *Evaluator { return &Evaluator{Spec: s} }
-
-// matchingNodes returns execution nodes whose module matches the
-// phrase. A phrase of the form ["id:M6"] matches by module id instead
-// of by keywords. Only nodes that represent a module execution
-// participate (atomic and begin nodes, plus collapsed composite nodes
-// in views).
-func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *privacy.Policy, level privacy.Level) []string {
-	var idLiteral string
-	if len(phrase) == 1 && strings.HasPrefix(phrase[0], "id:") {
-		idLiteral = phrase[0][len("id:"):]
-	}
-	var out []string
-	for _, n := range e.Nodes {
-		switch n.Kind {
-		case exec.AtomicNode, exec.BeginNode:
-		default:
-			continue
-		}
-		if n.Module == "" {
-			continue
-		}
-		m, _ := ev.Spec.FindModule(n.Module)
-		if m == nil {
-			continue
-		}
-		if pol != nil && !pol.CanSeeModule(level, m.ID) {
-			continue
-		}
-		if idLiteral != "" {
-			if strings.EqualFold(m.ID, idLiteral) {
-				out = append(out, n.ID)
+// NewEvaluator returns an evaluator for the spec, deriving its module
+// table. Should an unvalidated spec repeat a module id, the workflow whose
+// id sorts first provides the module, as in Spec.FindModule.
+func NewEvaluator(s *workflow.Spec) *Evaluator {
+	ev := &Evaluator{Spec: s, terms: make(map[string]map[string]bool)}
+	for _, wid := range s.WorkflowIDs() {
+		for _, m := range s.Workflows[wid].Modules {
+			if _, dup := ev.terms[m.ID]; !dup {
+				ev.terms[m.ID] = search.ModuleTerms(m)
 			}
-			continue
-		}
-		if phraseMatchesModule(m, phrase) {
-			out = append(out, n.ID)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return ev
 }
 
-func phraseMatchesModule(m *workflow.Module, phrase []string) bool {
-	terms := make(map[string]bool)
-	for _, k := range m.AllKeywords() {
-		terms[search.Normalize(k)] = true
+// selects reports whether a phrase selects the spec's module with the
+// given id: a phrase of the form ["id:M6"] by module id, ignoring case,
+// any other phrase when the module carries every one of its terms. An id
+// the spec does not have is never selected. It is the one matcher of
+// execution queries (matchingNodes) and specification queries
+// (EvaluateSpec).
+func (ev *Evaluator) selects(moduleID string, phrase []string) bool {
+	terms, ok := ev.terms[moduleID]
+	if !ok {
+		return false
+	}
+	if len(phrase) == 1 && len(phrase[0]) > len("id:") && strings.HasPrefix(phrase[0], "id:") {
+		return strings.EqualFold(moduleID, phrase[0][len("id:"):])
 	}
 	for _, p := range phrase {
 		if !terms[p] {
@@ -146,6 +133,29 @@ func phraseMatchesModule(m *workflow.Module, phrase []string) bool {
 		}
 	}
 	return true
+}
+
+// matchingNodes returns execution nodes whose module the phrase selects
+// and the level may see. Only nodes that represent a module execution
+// participate (atomic and begin nodes, plus collapsed composite nodes
+// in views).
+func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *privacy.Policy, level privacy.Level) []string {
+	var out []string
+	for _, n := range e.Nodes {
+		switch n.Kind {
+		case exec.AtomicNode, exec.BeginNode:
+		default:
+			continue
+		}
+		if pol != nil && !pol.CanSeeModule(level, n.Module) {
+			continue
+		}
+		if ev.selects(n.Module, phrase) {
+			out = append(out, n.ID)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // PreparedExec bundles an execution with its derived graph, transitive

@@ -7,7 +7,6 @@ import (
 
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
-	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 )
 
@@ -30,11 +29,12 @@ type SpecAnswer struct {
 	Sub [][]string
 }
 
-// EvaluateSpec runs the query against a specification view. Phrases
-// match module keywords (or "id:M6" literals); constraints hold on the
-// view graph. The optional policy hides module-private modules from
-// matching, mirroring execution-level semantics.
-func EvaluateSpec(q *Query, v *workflow.View, pol *privacy.Policy, level privacy.Level) (*SpecAnswer, error) {
+// EvaluateSpec runs the query against a view of the evaluator's
+// specification. Phrases match module keywords (or "id:M6" literals)
+// exactly as they do for executions; constraints hold on the view graph.
+// The optional policy hides module-private modules from matching,
+// mirroring execution-level semantics.
+func (ev *Evaluator) EvaluateSpec(q *Query, v *workflow.View, pol *privacy.Policy, level privacy.Level) (*SpecAnswer, error) {
 	g := v.Graph()
 	cl, err := graph.NewClosure(g)
 	if err != nil {
@@ -44,12 +44,12 @@ func EvaluateSpec(q *Query, v *workflow.View, pol *privacy.Policy, level privacy
 	for name, phrase := range q.Vars {
 		var ms []string
 		for _, fm := range v.Modules {
-			m := fm.Module
-			if pol != nil && !pol.CanSeeModule(level, m.ID) {
+			id := fm.Module.ID
+			if pol != nil && !pol.CanSeeModule(level, id) {
 				continue
 			}
-			if specPhraseMatches(m, phrase) {
-				ms = append(ms, m.ID)
+			if ev.selects(id, phrase) {
+				ms = append(ms, id)
 			}
 		}
 		if len(ms) == 0 {
@@ -162,39 +162,4 @@ func (a *SpecAnswer) Render() string {
 		out += fmt.Sprintf("  sub[%d]: %s\n", i, strings.Join(sub, ", "))
 	}
 	return out
-}
-
-func specPhraseMatches(m *workflow.Module, phrase []string) bool {
-	if len(phrase) == 1 && len(phrase[0]) > 3 && phrase[0][:3] == "id:" {
-		return equalFold(m.ID, phrase[0][3:])
-	}
-	terms := make(map[string]bool)
-	for _, k := range m.AllKeywords() {
-		terms[search.Normalize(k)] = true
-	}
-	for _, p := range phrase {
-		if !terms[p] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

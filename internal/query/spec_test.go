@@ -22,7 +22,7 @@ func fullDiseaseView(t *testing.T) *workflow.View {
 func TestEvaluateSpecBasic(t *testing.T) {
 	v := fullDiseaseView(t)
 	q, _ := Parse(`MATCH a = "expand snp", b = "query omim" WHERE a ~> b`)
-	ans, err := EvaluateSpec(q, v, nil, 0)
+	ans, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 	if err != nil {
 		t.Fatalf("EvaluateSpec: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestEvaluateSpecNegation(t *testing.T) {
 	// The famous non-path: M10 does not reach M14 in the spec.
 	v := fullDiseaseView(t)
 	q, _ := Parse(`MATCH a = "id:M10", b = "id:M14" WHERE a !~> b`)
-	ans, err := EvaluateSpec(q, v, nil, 0)
+	ans, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 	if err != nil {
 		t.Fatalf("EvaluateSpec: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestEvaluateSpecNegation(t *testing.T) {
 func TestEvaluateSpecProvenanceAndDownstream(t *testing.T) {
 	v := fullDiseaseView(t)
 	q, _ := Parse(`MATCH a = "id:M8" RETURN provenance(a)`)
-	ans, err := EvaluateSpec(q, v, nil, 0)
+	ans, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 	if err != nil {
 		t.Fatalf("EvaluateSpec: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestEvaluateSpecProvenanceAndDownstream(t *testing.T) {
 		t.Fatalf("upstream of M8 contains downstream module: %v", ans.Sub[0])
 	}
 	q2, _ := Parse(`MATCH a = "id:M8" RETURN downstream(a)`)
-	ans2, _ := EvaluateSpec(q2, v, nil, 0)
+	ans2, _ := NewEvaluator(v.Spec).EvaluateSpec(q2, v, nil, 0)
 	down := strings.Join(ans2.Sub[0], ",")
 	for _, want := range []string{"M8", "M9", "M15", "O"} {
 		if !strings.Contains(down, want) {
@@ -81,14 +81,14 @@ func TestEvaluateSpecModulePrivacy(t *testing.T) {
 	pol := privacy.NewPolicy(v.Spec.ID)
 	pol.ModuleLevels["M6"] = privacy.Owner
 	q, _ := Parse(`MATCH b = "query omim"`)
-	ans, err := EvaluateSpec(q, v, pol, privacy.Public)
+	ans, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, pol, privacy.Public)
 	if err != nil {
 		t.Fatalf("EvaluateSpec: %v", err)
 	}
 	if len(ans.Bindings) != 0 {
 		t.Fatalf("private module matched: %v", ans.Bindings)
 	}
-	ansOwner, _ := EvaluateSpec(q, v, pol, privacy.Owner)
+	ansOwner, _ := NewEvaluator(v.Spec).EvaluateSpec(q, v, pol, privacy.Owner)
 	if len(ansOwner.Bindings) != 1 {
 		t.Fatalf("owner bindings = %v", ansOwner.Bindings)
 	}
@@ -97,7 +97,7 @@ func TestEvaluateSpecModulePrivacy(t *testing.T) {
 func TestEvaluateSpecReturnNodes(t *testing.T) {
 	v := fullDiseaseView(t)
 	q, _ := Parse(`MATCH a = "search" RETURN nodes`)
-	ans, err := EvaluateSpec(q, v, nil, 0)
+	ans, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 	if err != nil {
 		t.Fatalf("EvaluateSpec: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestSpecAndExecutionAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse: %v", err)
 		}
-		sAns, err := EvaluateSpec(q, v, nil, 0)
+		sAns, err := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 		if err != nil {
 			t.Fatalf("EvaluateSpec: %v", err)
 		}
@@ -140,7 +140,7 @@ func TestSpecAndExecutionAgreement(t *testing.T) {
 func TestSpecAnswerRender(t *testing.T) {
 	v := fullDiseaseView(t)
 	q, _ := Parse(`MATCH a = "search" RETURN nodes`)
-	ans, _ := EvaluateSpec(q, v, nil, 0)
+	ans, _ := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
 	out := ans.Render()
 	if !strings.Contains(out, "modules: M10, M12") || !strings.Contains(out, "2 binding(s)") {
 		t.Fatalf("Render:\n%s", out)

@@ -92,9 +92,9 @@ func (ev *Evaluator) findLeak(ans *Answer, view *exec.Execution, access workflow
 		// Module privacy: an exposed execution of a protected module
 		// forces the enclosing workflow shut.
 		if n.Module != "" && !pol.CanSeeModule(level, n.Module) {
-			if wid := ev.workflowOf(n.Module); wid != "" && prefix.Contains(wid) && wid != h.Root {
-				if d := h.Depth(wid); d > worstDepth {
-					worst, worstDepth = wid, d
+			if _, w := h.Module(n.Module); w != nil && prefix.Contains(w.ID) && w.ID != h.Root {
+				if d := h.Depth(w.ID); d > worstDepth {
+					worst, worstDepth = w.ID, d
 				}
 			}
 		}
@@ -108,12 +108,4 @@ func (ev *Evaluator) findLeak(ans *Answer, view *exec.Execution, access workflow
 		}
 	}
 	return worst
-}
-
-func (ev *Evaluator) workflowOf(moduleID string) string {
-	_, w := ev.Spec.FindModule(moduleID)
-	if w == nil {
-		return ""
-	}
-	return w.ID
 }

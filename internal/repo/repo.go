@@ -93,6 +93,11 @@ type shard struct {
 	policy *privacy.Policy
 	execs  map[string]*exec.Execution
 
+	// eval binds structural-query variables from tables derived from the
+	// spec alone, so like hier it lives as long as the shard; what a level
+	// may bind is decided per request, by the policy a snapshot carries.
+	eval *query.Evaluator
+
 	// hierarchies holds optional generalization ladders used by
 	// data-privacy masking (values are coarsened instead of redacted).
 	hierarchies map[string]*datapriv.Hierarchy
@@ -413,6 +418,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy) (*shard, *p
 		hier:   h,
 		policy: pol,
 		execs:  make(map[string]*exec.Execution),
+		eval:   query.NewEvaluator(s),
 		taints: index.NewLRU[taintCacheKey, *taint.Set](shardCacheCap),
 		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](shardCacheCap),
 		engine: datapriv.NewMasker(pol, nil).Engine(),
@@ -949,8 +955,7 @@ func (r *Repository) evaluateQuery(ctx context.Context, sh *shard, e *exec.Execu
 		return nil, err
 	}
 	r.countTaint(snap.rep)
-	ev := query.NewEvaluator(sh.spec)
-	return ev.EvaluateOn(q, snap.prep, snap.pol, level, snap.zoomed)
+	return sh.eval.EvaluateOn(q, snap.prep, snap.pol, level, snap.zoomed)
 }
 
 // Query evaluates a structural query (see query.Parse) against one
@@ -994,8 +999,8 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 		return false, err
 	}
 	s, pol, h := sh.spec, sh.policySnapshot(), sh.hier
-	mf, _ := s.FindModule(from)
-	mt, _ := s.FindModule(to)
+	mf, _ := h.Module(from)
+	mt, _ := h.Module(to)
 	if mf == nil {
 		return false, fmt.Errorf("repo: unknown module %q: %w", from, ErrNotFound)
 	}
@@ -1025,11 +1030,11 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 		return false, err
 	}
 	g := v.Graph()
-	rf, err := visibleRepr(s, h, v, from, access)
+	rf, err := visibleRepr(h, v, from, access)
 	if err != nil {
 		return false, err
 	}
-	rt, err := visibleRepr(s, h, v, to, access)
+	rt, err := visibleRepr(h, v, to, access)
 	if err != nil {
 		return false, err
 	}
@@ -1042,11 +1047,11 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 // visibleRepr maps a module id to the module that represents it in the
 // given view: itself when visible, else the via-module of its shallowest
 // hidden ancestor workflow.
-func visibleRepr(s *workflow.Spec, h *workflow.Hierarchy, v *workflow.View, moduleID string, access workflow.Prefix) (string, error) {
+func visibleRepr(h *workflow.Hierarchy, v *workflow.View, moduleID string, access workflow.Prefix) (string, error) {
 	if v.Module(moduleID) != nil {
 		return moduleID, nil
 	}
-	m, w := s.FindModule(moduleID)
+	m, w := h.Module(moduleID)
 	if m == nil {
 		return "", fmt.Errorf("repo: unknown module %q: %w", moduleID, ErrNotFound)
 	}
@@ -1080,8 +1085,7 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	ev := query.NewEvaluator(sh.spec)
-	return ev.ZoomOut(q, e, sh.policySnapshot(), u.Level)
+	return sh.eval.ZoomOut(q, e, sh.policySnapshot(), u.Level)
 }
 
 // QuerySpec evaluates a structural query against a specification (not
@@ -1107,7 +1111,7 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	if err != nil {
 		return nil, err
 	}
-	return query.EvaluateSpec(q, v, pol, u.Level)
+	return sh.eval.EvaluateSpec(q, v, pol, u.Level)
 }
 
 // QueryAll is QueryAllPageCtx without a window or a context: every
@@ -1177,8 +1181,7 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 			return
 		}
 		r.countTaint(snap.rep)
-		ev := query.NewEvaluator(sh.spec)
-		answers[i], errs[i] = ev.MatchOn(q, snap.prep, snap.pol, u.Level, snap.zoomed)
+		answers[i], errs[i] = sh.eval.MatchOn(q, snap.prep, snap.pol, u.Level, snap.zoomed)
 		snaps[i] = snap
 	})
 	matchSpan.End()
@@ -1204,14 +1207,13 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 
 	// Phase 2 — materialize return clauses for the window only.
 	merrs := make([]error, len(out))
-	ev := query.NewEvaluator(sh.spec)
 	_, matSpan := obs.StartSpan(ctx, "query.fanout.materialize")
 	r.fanOut(len(out), func(i int) {
 		if err := ctx.Err(); err != nil {
 			merrs[i] = err
 			return
 		}
-		merrs[i] = ev.MaterializeReturn(q, out[i], prep[i])
+		merrs[i] = sh.eval.MaterializeReturn(q, out[i], prep[i])
 	})
 	matSpan.End()
 	if err := errors.Join(merrs...); err != nil {

@@ -49,17 +49,28 @@ func hiding(specID string, level privacy.Level, modules ...string) *privacy.Poli
 	return pol
 }
 
-// parkingCtx is a live context whose Err parks its caller: the first call
-// closes reached, and every call blocks until release is closed.
+// parkingCtx is a live context whose Err parks its caller: calls before
+// the at-th pass, the at-th closes reached, and from then on every call
+// blocks until release is closed.
 type parkingCtx struct {
 	context.Context
-	once             sync.Once
+	at               int32
+	calls            atomic.Int32
 	reached, release chan struct{}
 }
 
+func parkAt(at int32) *parkingCtx {
+	return &parkingCtx{Context: context.Background(), at: at, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
 func (c *parkingCtx) Err() error {
-	c.once.Do(func() { close(c.reached) })
-	<-c.release
+	n := c.calls.Add(1)
+	if n == c.at {
+		close(c.reached)
+	}
+	if n >= c.at {
+		<-c.release
+	}
 	return nil
 }
 
@@ -69,7 +80,7 @@ func (c *parkingCtx) Err() error {
 // context whether the caller is gone before every view, and not earlier.
 func searchAcross(t *testing.T, r *Repository, mutate func()) ([]SearchHit, int) {
 	t.Helper()
-	ctx := &parkingCtx{Context: context.Background(), reached: make(chan struct{}), release: make(chan struct{})}
+	ctx := parkAt(1)
 	type result struct {
 		hits  []SearchHit
 		total int

@@ -1,0 +1,155 @@
+package repo
+
+// The evaluator a shard keeps binds variables from tables derived from the
+// spec alone and never invalidated; which modules a level may bind must
+// still follow the policy, per request. These tests pin that: a policy
+// update is honoured by the very next warm query, and a QueryAll that
+// straddles one decides every answer under the policy that answer's
+// snapshot was masked under.
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"provpriv/internal/exec"
+	"provpriv/internal/privacy"
+	"provpriv/internal/query"
+)
+
+const warmSpec = "target"
+
+// warmQueryRepo registers a three-module chain (M0 and M1 carry "alpha")
+// with n executions E0.., an all-public policy, a public and an owner
+// user, and a fan-out pool of one, so QueryAll visits executions in order.
+func warmQueryRepo(t *testing.T, n int) *Repository {
+	t.Helper()
+	r := New()
+	r.SetWorkers(1)
+	s := chainSpec(t, warmSpec, "Alpha Loader", "Alpha Writer", "Gamma Reader")
+	if err := r.AddSpec(s, nil); err != nil {
+		t.Fatalf("AddSpec: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("E%d", i), map[string]exec.Value{"a0": exec.Value(fmt.Sprintf("v%d", i))})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if err := r.AddExecution(e); err != nil {
+			t.Fatalf("AddExecution: %v", err)
+		}
+	}
+	r.AddUser(privacy.User{Name: "pub", Level: privacy.Public, Group: "g-pub"})
+	r.AddUser(privacy.User{Name: "own", Level: privacy.Owner, Group: "g-own"})
+	return r
+}
+
+// boundModules returns the sorted module ids an answer's bindings name.
+func boundModules(t *testing.T, r *Repository, a *query.Answer) []string {
+	t.Helper()
+	execID, _, _ := strings.Cut(a.ExecutionID, "/") // answers name the served view, "E0/view/masked@public"
+	e := r.execution(warmSpec, execID)
+	var out []string
+	for _, b := range a.Bindings {
+		for _, nodeID := range b {
+			out = append(out, e.Node(nodeID).Module)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+const alphaQuery = `MATCH a = "alpha"`
+
+func TestWarmQueryHonoursRaisedModuleLevel(t *testing.T) {
+	r := warmQueryRepo(t, 2)
+	for _, q := range []string{alphaQuery, `MATCH a = "id:M0"`} {
+		for i := 0; i < 2; i++ { // the second pass is warm
+			for _, user := range []string{"pub", "own"} {
+				ans, err := r.Query(user, warmSpec, "E0", q)
+				if err != nil {
+					t.Fatalf("Query: %v", err)
+				}
+				if got := boundModules(t, r, ans); len(got) == 0 || got[0] != "M0" {
+					t.Fatalf("%s binds %v for %s before the update, want M0 among them", q, got, user)
+				}
+			}
+		}
+	}
+	if err := r.UpdatePolicy(warmSpec, hiding(warmSpec, privacy.Owner, "M0")); err != nil {
+		t.Fatalf("UpdatePolicy: %v", err)
+	}
+	for _, tc := range []struct {
+		user, q string
+		want    []string
+	}{
+		{"pub", alphaQuery, []string{"M1"}},
+		{"pub", `MATCH a = "id:M0"`, nil},
+		{"own", alphaQuery, []string{"M0", "M1"}},
+		{"own", `MATCH a = "id:M0"`, []string{"M0"}},
+	} {
+		ans, err := r.Query(tc.user, warmSpec, "E0", tc.q)
+		if err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		if got := boundModules(t, r, ans); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("after M0 was raised to owner, %s binds %v for %s, want %v", tc.q, got, tc.user, tc.want)
+		}
+		all, err := r.QueryAll(tc.user, warmSpec, tc.q)
+		if err != nil {
+			t.Fatalf("QueryAll: %v", err)
+		}
+		for _, a := range all {
+			if got := boundModules(t, r, a); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("after M0 was raised to owner, QueryAll %s binds %v in %s for %s, want %v", tc.q, got, a.ExecutionID, tc.user, tc.want)
+			}
+		}
+	}
+}
+
+func TestQueryAllAcrossPolicyUpdateBindsUnderEachSnapshotsPolicy(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			r := warmQueryRepo(t, 4)
+			if warm {
+				if _, err := r.QueryAll("pub", warmSpec, alphaQuery); err != nil {
+					t.Fatalf("warming QueryAll: %v", err)
+				}
+			}
+			// QueryAllPageCtx asks its context whether the caller is gone once
+			// before each execution: parking the third call stops it after E1.
+			ctx := parkAt(3)
+			type result struct {
+				answers []*query.Answer
+				err     error
+			}
+			done := make(chan result, 1)
+			go func() {
+				answers, _, err := r.QueryAllPageCtx(ctx, "pub", warmSpec, alphaQuery, 0, 0)
+				done <- result{answers, err}
+			}()
+			<-ctx.reached // E0 and E1 are bound; E2 and E3 are not yet looked at
+			if err := r.UpdatePolicy(warmSpec, hiding(warmSpec, privacy.Owner, "M0")); err != nil {
+				t.Fatalf("UpdatePolicy: %v", err)
+			}
+			close(ctx.release)
+			res := <-done
+			if res.err != nil {
+				t.Fatalf("QueryAllPageCtx: %v", res.err)
+			}
+			if len(res.answers) != 4 {
+				t.Fatalf("%d answers, want one per execution", len(res.answers))
+			}
+			for i, a := range res.answers {
+				want := []string{"M0", "M1"} // snapshot masked under the all-public policy
+				if i >= 2 {
+					want = []string{"M1"} // snapshot masked after M0 was raised
+				}
+				if got := boundModules(t, r, a); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s binds %v, want %v: the policy of its own snapshot decides", a.ExecutionID, got, want)
+				}
+			}
+		})
+	}
+}

@@ -87,8 +87,10 @@ type Result struct {
 	ZoomedOut bool // the ideal view was clipped by the user's access view
 }
 
-// moduleTerms returns the normalized searchable terms of a module.
-func moduleTerms(m *workflow.Module) map[string]bool {
+// ModuleTerms returns the normalized searchable terms of a module: the
+// one definition of what a phrase term is tested against, for the keyword
+// scan here and for the structural-query evaluator's per-spec tables.
+func ModuleTerms(m *workflow.Module) map[string]bool {
 	set := make(map[string]bool)
 	for _, k := range m.AllKeywords() {
 		set[Normalize(k)] = true
@@ -97,7 +99,7 @@ func moduleTerms(m *workflow.Module) map[string]bool {
 }
 
 func phraseMatches(m *workflow.Module, phrase []string) bool {
-	terms := moduleTerms(m)
+	terms := ModuleTerms(m)
 	for _, p := range phrase {
 		if !terms[p] {
 			return false

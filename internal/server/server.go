@@ -90,6 +90,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -640,21 +641,22 @@ type searchHit struct {
 }
 
 // parsePage extracts limit/offset pagination parameters (both optional,
-// both non-negative; limit 0 means unlimited).
-func parsePage(r *http.Request) (limit, offset int, err error) {
-	for _, p := range []struct {
+// both non-negative; limit 0 means unlimited) from a handler's parsed
+// query string.
+func parsePage(p url.Values) (limit, offset int, err error) {
+	for _, f := range []struct {
 		name string
 		dst  *int
 	}{{"limit", &limit}, {"offset", &offset}} {
-		v := r.URL.Query().Get(p.name)
+		v := p.Get(f.name)
 		if v == "" {
 			continue
 		}
 		n, aerr := strconv.Atoi(v)
 		if aerr != nil || n < 0 {
-			return 0, 0, fmt.Errorf("server: bad %s %q", p.name, v)
+			return 0, 0, fmt.Errorf("server: bad %s %q", f.name, v)
 		}
-		*p.dst = n
+		*f.dst = n
 	}
 	return limit, offset, nil
 }
@@ -674,9 +676,10 @@ func page[T any](items []T, limit, offset int) ([]T, int) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user string) {
-	q := r.URL.Query().Get("q")
+	p := r.URL.Query()
+	q := p.Get("q")
 	buckets := 0
-	if b := r.URL.Query().Get("buckets"); b != "" {
+	if b := p.Get("buckets"); b != "" {
 		n, err := strconv.Atoi(b)
 		if err != nil || n < 0 {
 			s.fail(w, r, fmt.Errorf("server: bad buckets %q", b))
@@ -684,7 +687,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 		}
 		buckets = n
 	}
-	limit, offset, err := parsePage(r)
+	limit, offset, err := parsePage(p)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -748,7 +751,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		s.fail(w, r, fmt.Errorf("server: query needs spec and q parameters"))
 		return
 	}
-	limit, offset, err := parsePage(r)
+	limit, offset, err := parsePage(p)
 	if err != nil {
 		s.fail(w, r, err)
 		return

@@ -98,7 +98,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request, user st
 	if !s.requireTasks(w, r) {
 		return
 	}
-	limit, offset, err := parsePage(r)
+	limit, offset, err := parsePage(r.URL.Query())
 	if err != nil {
 		s.fail(w, r, err)
 		return

@@ -18,6 +18,14 @@ type Hierarchy struct {
 	// viaModule records which composite module introduces each child.
 	viaModule map[string]string
 	size      int // len(All()), fixed at construction
+	// modules resolves a module id to the module and its workflow: what
+	// Spec.FindModule answers, without the scan.
+	modules map[string]moduleAt
+}
+
+type moduleAt struct {
+	m *Module
+	w *Workflow
 }
 
 // NewHierarchy derives the expansion hierarchy from a validated spec.
@@ -27,10 +35,14 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 		parent:    make(map[string]string),
 		children:  make(map[string][]string),
 		viaModule: make(map[string]string),
+		modules:   make(map[string]moduleAt),
 	}
 	for _, wid := range s.WorkflowIDs() {
 		w := s.Workflows[wid]
 		for _, m := range w.Modules {
+			if _, dup := h.modules[m.ID]; !dup {
+				h.modules[m.ID] = moduleAt{m, w}
+			}
 			if m.Kind != Composite {
 				continue
 			}
@@ -47,6 +59,14 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 	}
 	h.size = len(h.All())
 	return h, nil
+}
+
+// Module returns the module with the given id and the workflow that
+// contains it, or (nil, nil): Spec.FindModule's answer from a table built
+// with the hierarchy.
+func (h *Hierarchy) Module(id string) (*Module, *Workflow) {
+	at := h.modules[id]
+	return at.m, at.w
 }
 
 // Parent returns the parent workflow of wid ("" for the root).

@@ -182,15 +182,23 @@ func (s *Spec) WorkflowIDs() []string {
 }
 
 // FindModule returns the module with the given id and the workflow that
-// contains it, or (nil, nil).
+// contains it, or (nil, nil). Module ids are unique in a validated spec;
+// in one that is not, the workflow whose id sorts first wins. Code that
+// holds the spec's Hierarchy resolves through its Module table instead of
+// scanning here.
 func (s *Spec) FindModule(id string) (*Module, *Workflow) {
-	for _, wid := range s.WorkflowIDs() {
-		w := s.Workflows[wid]
+	var found *Module
+	var in *Workflow
+	var first string // key of in
+	for wid, w := range s.Workflows {
+		if in != nil && wid > first {
+			continue
+		}
 		if m := w.Module(id); m != nil {
-			return m, w
+			found, in, first = m, w, wid
 		}
 	}
-	return nil, nil
+	return found, in
 }
 
 // Validate checks structural well-formedness:

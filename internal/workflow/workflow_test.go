@@ -45,6 +45,41 @@ func TestFindModule(t *testing.T) {
 	}
 }
 
+// FindModule and the hierarchy's Module table answer alike: on a valid
+// spec for every module, and on one that repeats an id with the workflow
+// whose id sorts first, whatever order the workflow map iterates in.
+func TestModuleLookupsAgree(t *testing.T) {
+	s := tinySpec(t)
+	h, err := NewHierarchy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"I", "C", "O", "a", "b", "nope", ""} {
+		m, w := s.FindModule(id)
+		hm, hw := h.Module(id)
+		if m != hm || w != hw {
+			t.Errorf("%q: FindModule = (%v, %v), Hierarchy.Module = (%v, %v)", id, m, w, hm, hw)
+		}
+	}
+
+	dup := &Spec{ID: "dup", Root: "W1", Workflows: map[string]*Workflow{}}
+	for _, wid := range []string{"W7", "W3", "W9", "W1", "W5", "W2", "W8"} {
+		dup.Workflows[wid] = &Workflow{ID: wid, Modules: []*Module{{ID: "m", Name: wid}}}
+	}
+	dh, err := NewHierarchy(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if m, w := dup.FindModule("m"); m == nil || m.Name != "W1" || w.ID != "W1" {
+			t.Fatalf("FindModule(m) = %v in %v, want the module of W1", m, w)
+		}
+	}
+	if m, w := dh.Module("m"); m == nil || m.Name != "W1" || w.ID != "W1" {
+		t.Fatalf("Hierarchy.Module(m) = %v in %v, want the module of W1", m, w)
+	}
+}
+
 func TestEntriesExits(t *testing.T) {
 	s := tinySpec(t)
 	sub := s.Workflows["S"]
