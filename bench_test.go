@@ -437,6 +437,32 @@ func BenchmarkReachabilityAblation(b *testing.B) {
 	})
 }
 
+// BenchmarkReaches is Repository.Reaches on the paper's spec through each
+// of its paths: full, a level that sees the whole hierarchy and is answered
+// from the shard's closure; view, a level that does not and is answered by
+// expanding its access view.
+func BenchmarkReaches(b *testing.B) {
+	spec, _, pol := diseaseFixture(b)
+	r := repo.New()
+	if err := r.AddSpec(spec, pol); err != nil {
+		b.Fatal(err)
+	}
+	for _, path := range []struct {
+		name  string
+		level privacy.Level
+	}{{"full", privacy.Owner}, {"view", privacy.Public}} {
+		r.AddUser(privacy.User{Name: path.name, Level: path.level})
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, err := r.Reaches(path.name, spec.ID, "M3", "M15"); err != nil || !ok {
+					b.Fatalf("Reaches = %v, %v", ok, err)
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end repository search bench (supports B3/B4 at system level).
 
@@ -453,7 +479,7 @@ func BenchmarkRepositorySearch(b *testing.B) {
 	queries := workload.RandomQueries(rng, nil, 20)
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = r.Search("u", queries[i%len(queries)], repo.SearchOptions{BypassCache: true})
+			_, _ = r.Search("u", queries[i%len(queries)], repo.SearchOptions{})
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
@@ -492,7 +518,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		r.SetWorkers(1)
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Search("u", queries[i%len(queries)], repo.SearchOptions{BypassCache: true}); err != nil {
+			if _, err := r.Search("u", queries[i%len(queries)], repo.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -503,7 +529,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			j := int(next.Add(1)) * 17
 			for pb.Next() {
-				if _, err := r.Search("u", queries[j%len(queries)], repo.SearchOptions{BypassCache: true}); err != nil {
+				if _, err := r.Search("u", queries[j%len(queries)], repo.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				j++
@@ -544,7 +570,7 @@ func BenchmarkSearchMiss(b *testing.B) {
 		b.Run(user, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := r.SearchPageCtx(context.Background(), user, queries[i%len(queries)], repo.SearchOptions{BypassCache: true, Limit: 10}); err != nil {
+				if _, _, err := r.SearchPageCtx(context.Background(), user, queries[i%len(queries)], repo.SearchOptions{Limit: 10}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -938,7 +964,7 @@ func BenchmarkSearchMutateParallel(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			j := int(next.Add(1)) * 17
 			for pb.Next() {
-				if _, err := r.Search("u", queries[j%len(queries)], repo.SearchOptions{BypassCache: true}); err != nil {
+				if _, err := r.Search("u", queries[j%len(queries)], repo.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				j++

@@ -5,24 +5,17 @@
 //
 //	provgen -out ./data -specs 5 -execs 3 -depth 3 -fanout 2 -chain 4 -seed 1
 //
-// By default the repository is written in the crash-safe log-engine
-// layout (per-shard checkpoint + log, committed by an atomic manifest
-// swap), in either storage backend:
+// The repository is written in the crash-safe log-engine layout
+// (per-shard checkpoint + log, committed by an atomic manifest swap), in
+// either storage backend:
 //
 //	provgen -out ./data -backend kv
-//
-// -layout legacy emits the pre-log per-entity JSON layout instead — a
-// fixture generator for migration testing; the engine still loads it
-// and upgrades it on the first save.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
@@ -32,14 +25,7 @@ import (
 	"provpriv/internal/workload"
 )
 
-// legacyManifest lists the files of a legacy-layout repository.
-type legacyManifest struct {
-	Specs      []string `json:"specs"`
-	Policies   []string `json:"policies,omitempty"`
-	Executions []string `json:"executions"`
-}
-
-// corpus is the generated content, independent of the on-disk layout.
+// corpus is the generated content, independent of the storage backend.
 type corpus struct {
 	specs []*workflow.Spec
 	pols  []*privacy.Policy // nil entries when -policies=false
@@ -58,32 +44,22 @@ func main() {
 	skip := flag.Float64("skip", 0.3, "skip-edge probability")
 	seed := flag.Int64("seed", 1, "random seed")
 	withPolicies := flag.Bool("policies", true, "generate a random privacy policy per spec")
-	layout := flag.String("layout", "log", "on-disk layout: log (crash-safe engine) or legacy (pre-log per-entity JSON)")
-	backendName := flag.String("backend", "flat", "log-layout storage backend: flat or kv")
+	backendName := flag.String("backend", "flat", "storage backend: flat or kv")
 	flag.Parse()
 
-	if *layout != "log" && *layout != "legacy" {
-		log.Fatalf("bad -layout %q (want log or legacy)", *layout)
-	}
 	if *backendName != "flat" && *backendName != "kv" {
 		log.Fatalf("bad -backend %q (want flat or kv)", *backendName)
 	}
 
 	c := generate(*nSpecs, *nExecs, *depth, *fanout, *chain, *skip, *seed, *withPolicies)
-	var err error
-	if *layout == "legacy" {
-		err = writeLegacy(*out, c)
-	} else {
-		err = writeLog(*out, *backendName, c)
-	}
-	if err != nil {
+	if err := writeLog(*out, *backendName, c); err != nil {
 		log.Fatal(err)
 	}
 	total := 0
 	for _, es := range c.execs {
 		total += len(es)
 	}
-	fmt.Printf("wrote %d specs, %d executions to %s (%s layout)\n", len(c.specs), total, *out, *layout)
+	fmt.Printf("wrote %d specs, %d executions to %s (%s backend)\n", len(c.specs), total, *out, *backendName)
 }
 
 func generate(nSpecs, nExecs, depth, fanout, chain int, skip float64, seed int64, withPolicies bool) corpus {
@@ -156,62 +132,4 @@ func writeLog(out, backendName string, c corpus) error {
 		return fmt.Errorf("save %s: %w", out, err)
 	}
 	return r.CloseStorage()
-}
-
-// writeLegacy emits the pre-log layout: per-entity JSON files plus the
-// parallel-list manifest.
-func writeLegacy(out string, c corpus) error {
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return fmt.Errorf("mkdir: %w", err)
-	}
-	var man legacyManifest
-	for i, spec := range c.specs {
-		specPath := fmt.Sprintf("spec-%d.json", i)
-		if err := writeJSONFile(filepath.Join(out, specPath), func(f *os.File) error {
-			return workflow.WriteSpec(f, spec)
-		}); err != nil {
-			return fmt.Errorf("write %s: %w", specPath, err)
-		}
-		man.Specs = append(man.Specs, specPath)
-		if c.pols[i] != nil {
-			polData, err := json.MarshalIndent(c.pols[i], "", "  ")
-			if err != nil {
-				return fmt.Errorf("encode policy %d: %w", i, err)
-			}
-			polPath := fmt.Sprintf("policy-%d.json", i)
-			if err := os.WriteFile(filepath.Join(out, polPath), polData, 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", polPath, err)
-			}
-			man.Policies = append(man.Policies, polPath)
-		}
-		for j, e := range c.execs[i] {
-			execPath := fmt.Sprintf("exec-%d-%d.json", i, j)
-			if err := writeJSONFile(filepath.Join(out, execPath), func(f *os.File) error {
-				return exec.WriteExecution(f, e)
-			}); err != nil {
-				return fmt.Errorf("write %s: %w", execPath, err)
-			}
-			man.Executions = append(man.Executions, execPath)
-		}
-	}
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(out, "manifest.json"), manData, 0o644); err != nil {
-		return fmt.Errorf("write manifest: %w", err)
-	}
-	return nil
-}
-
-func writeJSONFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

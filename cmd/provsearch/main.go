@@ -45,8 +45,8 @@ func main() {
 		r = repo.New()
 		loadExample(r)
 	case *data != "":
-		// repo.Load understands every layout provgen emits: the log
-		// engine (flat files or KV store) and the legacy per-entity one.
+		// repo.Load understands both backends provgen writes: flat files
+		// and the KV store.
 		var err error
 		if r, err = repo.Load(*data); err != nil {
 			log.Fatalf("load %s: %v", *data, err)

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -18,10 +19,29 @@ import (
 	"provpriv/internal/workflow"
 )
 
+// serverLog collects the server's stderr. The test reads it while the
+// process is still writing, so both sides take the lock.
+type serverLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *serverLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *serverLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // provserveProc is one booted provserve binary under test.
 type provserveProc struct {
 	cmd  *exec.Cmd
-	logs *strings.Builder
+	logs *serverLog
 	base string
 }
 
@@ -31,13 +51,13 @@ func startProvserve(t *testing.T, bin, addr string, extra ...string) *provserveP
 	t.Helper()
 	args := append([]string{"-addr", addr, "-log-format", "json"}, extra...)
 	cmd := exec.Command(bin, args...)
-	var logs strings.Builder
-	cmd.Stderr = &logs
+	logs := &serverLog{}
+	cmd.Stderr = logs
 	cmd.Stdout = io.Discard
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	p := &provserveProc{cmd: cmd, logs: &logs, base: "http://" + addr}
+	p := &provserveProc{cmd: cmd, logs: logs, base: "http://" + addr}
 	t.Cleanup(func() {
 		if p.cmd.Process != nil {
 			p.cmd.Process.Kill()

@@ -34,7 +34,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -435,8 +434,7 @@ func main() {
 // measured storage backend, so the server can export storage counters.
 // An existing directory keeps the backend it was written with (store.kv
 // marks the KV store); the -backend flag only picks the engine for a
-// fresh directory. Legacy pre-log directories load read-only and get a
-// measured flat backend bound for the migrating first save.
+// fresh directory.
 func openDataDir(logger *slog.Logger, dir, backendName string) (*repo.Repository, *storage.Measure, error) {
 	open := func(name string) (storage.Backend, error) {
 		if name == "kv" {
@@ -470,23 +468,6 @@ func openDataDir(logger *slog.Logger, dir, backendName string) (*repo.Repository
 	}
 	m := storage.NewMeasure(b)
 	r, err := repo.LoadStorage(m, dir)
-	if errors.Is(err, storage.ErrLegacyLayout) {
-		m.Close()
-		if r, err = repo.Load(dir); err != nil {
-			return nil, nil, err
-		}
-		logger.Info("legacy layout: will migrate to the log engine on first save", "dir", dir)
-		b, err = storage.OpenFlat(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		m = storage.NewMeasure(b)
-		if err := r.BindStorage(m, dir); err != nil {
-			m.Close()
-			return nil, nil, err
-		}
-		return r, m, nil
-	}
 	if err != nil {
 		m.Close()
 		return nil, nil, err

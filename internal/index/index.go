@@ -2,10 +2,9 @@
 // 2011 paper calls for ("we must manage an index with different user
 // views"): an inverted keyword index whose postings carry the minimum
 // access level allowed to see them — so one physical index serves every
-// privilege level, instead of one repository copy per level — plus a
-// precomputed reachability index for structural queries and a per-user-
-// group result cache ("another promising direction is to consider user
-// groups when utilizing cached information").
+// privilege level, instead of one repository copy per level — and the
+// bounded LRU the repository's per-shard enforced-view caches are made of
+// (lru.go).
 //
 // The inverted index does not merely nominate candidates: Inverted.Match
 // answers the whole keyword-search predicate — which specs have, for
@@ -25,13 +24,11 @@
 package index
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
 	"provpriv/internal/rank"
 	"provpriv/internal/search"
@@ -558,169 +555,4 @@ func NaiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, te
 	}
 	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
 	return out
-}
-
-// reachSnapshot is the immutable published state of a ReachIndex.
-type reachSnapshot struct {
-	graphs   map[string]*graph.Graph
-	closures map[string]*graph.Closure
-}
-
-var emptyReachSnapshot = &reachSnapshot{
-	graphs:   map[string]*graph.Graph{},
-	closures: map[string]*graph.Closure{},
-}
-
-// ReachIndex precomputes, per spec, the transitive closure of the full
-// expansion, answering "does module u contribute to module v" in O(1)
-// for structural-query evaluation. Like Inverted, it publishes its state
-// as an atomically swapped snapshot: Reaches is lock-free, AddSpec and
-// RemoveSpec copy the per-spec directory (graphs and closures themselves
-// are shared, immutable values) and swap.
-type ReachIndex struct {
-	mu   sync.Mutex // serializes writers
-	snap atomic.Pointer[reachSnapshot]
-}
-
-// BuildReach builds the index for the given specs.
-func BuildReach(specs []*workflow.Spec) (*ReachIndex, error) {
-	snap := &reachSnapshot{
-		graphs:   make(map[string]*graph.Graph, len(specs)),
-		closures: make(map[string]*graph.Closure, len(specs)),
-	}
-	for _, s := range specs {
-		g, cl, err := buildReachEntry(s)
-		if err != nil {
-			return nil, err
-		}
-		snap.graphs[s.ID] = g
-		snap.closures[s.ID] = cl
-	}
-	r := &ReachIndex{}
-	r.snap.Store(snap)
-	return r, nil
-}
-
-func buildReachEntry(s *workflow.Spec) (*graph.Graph, *graph.Closure, error) {
-	h, err := workflow.NewHierarchy(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := workflow.Expand(s, workflow.FullPrefix(h))
-	if err != nil {
-		return nil, nil, err
-	}
-	g := v.Graph()
-	cl, err := graph.NewClosure(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, cl, nil
-}
-
-func (r *ReachIndex) snapshot() *reachSnapshot {
-	if s := r.snap.Load(); s != nil {
-		return s
-	}
-	return emptyReachSnapshot
-}
-
-// AddSpec incrementally indexes one spec's reachability.
-func (r *ReachIndex) AddSpec(s *workflow.Spec) error {
-	g, cl, err := buildReachEntry(s)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.snapshot()
-	next := &reachSnapshot{
-		graphs:   make(map[string]*graph.Graph, len(old.graphs)+1),
-		closures: make(map[string]*graph.Closure, len(old.closures)+1),
-	}
-	for id, og := range old.graphs {
-		next.graphs[id] = og
-		next.closures[id] = old.closures[id]
-	}
-	next.graphs[s.ID] = g
-	next.closures[s.ID] = cl
-	r.snap.Store(next)
-	return nil
-}
-
-// RemoveSpec drops a spec's reachability graph and closure.
-func (r *ReachIndex) RemoveSpec(specID string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.snapshot()
-	if old.graphs[specID] == nil {
-		return
-	}
-	next := &reachSnapshot{
-		graphs:   make(map[string]*graph.Graph, len(old.graphs)),
-		closures: make(map[string]*graph.Closure, len(old.closures)),
-	}
-	for id, og := range old.graphs {
-		if id == specID {
-			continue
-		}
-		next.graphs[id] = og
-		next.closures[id] = old.closures[id]
-	}
-	r.snap.Store(next)
-}
-
-// Reaches reports whether fromModule contributes (transitively) to
-// toModule in the spec's full expansion. Unknown ids report false.
-// Lock-free: reads the current snapshot.
-func (r *ReachIndex) Reaches(specID, fromModule, toModule string) bool {
-	snap := r.snapshot()
-	g := snap.graphs[specID]
-	if g == nil {
-		return false
-	}
-	u, v := g.Lookup(fromModule), g.Lookup(toModule)
-	if u == graph.Invalid || v == graph.Invalid {
-		return false
-	}
-	return snap.closures[specID].Reach(u, v)
-}
-
-// Cache is a bounded, concurrency-safe result cache keyed by
-// (user group, query key). The group only partitions the entries; it
-// carries no privacy meaning — nothing stops two users of one group from
-// sitting at different access levels — so the query key must name
-// everything the cached answer depends on, the asker's level included
-// (repo.SearchPageCtx puts it there). It is backed by the same LRU core
-// as the per-shard enforced-view caches, so eviction is recency-based
-// rather than drop-all, and hit/miss counters feed the metrics endpoint.
-type Cache struct {
-	lru *LRU[string, any]
-}
-
-// NewCache returns a cache bounded to capacity entries (≥1).
-func NewCache(capacity int) (*Cache, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("index: cache capacity %d < 1", capacity)
-	}
-	return &Cache{lru: NewLRU[string, any](capacity)}, nil
-}
-
-func cacheKey(group, key string) string { return group + "\x00" + key }
-
-// Get returns the cached value for (group, key).
-func (c *Cache) Get(group, key string) (any, bool) {
-	return c.lru.Get(cacheKey(group, key))
-}
-
-// Put stores a value for (group, key), evicting the least recently used
-// entry when full.
-func (c *Cache) Put(group, key string, v any) {
-	c.lru.Put(cacheKey(group, key), v)
-}
-
-// Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses int) {
-	h, m := c.lru.Stats()
-	return int(h), int(m)
 }

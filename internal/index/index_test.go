@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -113,99 +112,6 @@ func TestInvertedTermsAndPostings(t *testing.T) {
 	if len(ix.Terms()) == 0 || ix.Postings() == 0 {
 		t.Fatal("empty index for non-empty spec")
 	}
-}
-
-func TestReachIndex(t *testing.T) {
-	specs, _ := diseaseSetup(t)
-	r, err := BuildReach(specs)
-	if err != nil {
-		t.Fatalf("BuildReach: %v", err)
-	}
-	id := specs[0].ID
-	cases := []struct {
-		from, to string
-		want     bool
-	}{
-		{"M3", "M5", true},    // paper's full-expansion edge
-		{"M8", "M9", true},    // across composite boundary
-		{"M3", "M15", true},   // long chain
-		{"M10", "M14", false}, // the famous non-path
-		{"M15", "M3", false},
-		{"I", "O", true},
-		{"M3", "NOPE", false},
-	}
-	for _, c := range cases {
-		if got := r.Reaches(id, c.from, c.to); got != c.want {
-			t.Errorf("Reaches(%s,%s) = %v, want %v", c.from, c.to, got, c.want)
-		}
-	}
-	if r.Reaches("unknown-spec", "a", "b") {
-		t.Error("unknown spec reported reachable")
-	}
-}
-
-func TestCacheBasics(t *testing.T) {
-	c, err := NewCache(2)
-	if err != nil {
-		t.Fatalf("NewCache: %v", err)
-	}
-	if _, ok := c.Get("g", "q1"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put("g", "q1", 42)
-	v, ok := c.Get("g", "q1")
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Get = %v,%v", v, ok)
-	}
-	// Group isolation.
-	if _, ok := c.Get("other", "q1"); ok {
-		t.Fatal("cross-group hit")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d,%d", hits, misses)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c, _ := NewCache(2)
-	c.Put("g", "a", 1)
-	c.Put("g", "b", 2)
-	c.Put("g", "c", 3) // evicts a
-	if _, ok := c.Get("g", "a"); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if _, ok := c.Get("g", "c"); !ok {
-		t.Fatal("new entry missing")
-	}
-	// Overwrite does not evict.
-	c.Put("g", "c", 30)
-	if v, _ := c.Get("g", "c"); v.(int) != 30 {
-		t.Fatal("overwrite failed")
-	}
-}
-
-func TestCacheRejectsBadCapacity(t *testing.T) {
-	if _, err := NewCache(0); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c, _ := NewCache(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				key := fmt.Sprintf("k%d", j%32)
-				c.Put("g", key, j)
-				c.Get("g", key)
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 func TestAddSpecIncrementalMatchesRebuild(t *testing.T) {
@@ -412,54 +318,6 @@ func TestAddSpecReplacesSegment(t *testing.T) {
 	if got := ix.Lookup("omim", privacy.Public); len(got) != 1 {
 		t.Fatalf("reclassified posting not public: %v", got)
 	}
-}
-
-// TestReachIndexConcurrentChurn races lock-free Reaches against spec
-// add/remove (run under -race).
-func TestReachIndexConcurrentChurn(t *testing.T) {
-	specs, _ := diseaseSetup(t)
-	r, err := BuildReach(specs)
-	if err != nil {
-		t.Fatalf("BuildReach: %v", err)
-	}
-	id := specs[0].ID
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for i := 0; i < 30; i++ {
-			s, err := workflowRandom(int64(300 + i))
-			if err != nil {
-				t.Errorf("random spec: %v", err)
-				return
-			}
-			if err := r.AddSpec(s); err != nil {
-				t.Errorf("AddSpec: %v", err)
-				return
-			}
-			r.RemoveSpec(s.ID)
-		}
-	}()
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if !r.Reaches(id, "M3", "M5") {
-					t.Error("stable spec lost reachability mid-churn")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // workflowRandom builds a small spec for index tests (kept here to

@@ -132,11 +132,14 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// Purge drops every entry, keeping the hit/miss counters.
+// Purge drops every entry, keeping the hit/miss counters. An empty cache
+// keeps its map: a capacity-sized one is the expensive part of a reset.
 func (c *LRU[K, V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.resetLocked()
+	if len(c.entries) > 0 {
+		c.resetLocked()
+	}
 }
 
 // Stats returns cumulative (hits, misses).

@@ -44,7 +44,10 @@ func (l Level) String() string {
 type User struct {
 	Name  string `json:"name"`
 	Level Level  `json:"level"`
-	Group string `json:"group,omitempty"` // cache-sharing group (Section 4)
+	// Group has no reader: the result cache it partitioned is gone. It
+	// stays because saved user records carry it and cmd/provload, which
+	// BENCHMARK.json freezes, sets it.
+	Group string `json:"group,omitempty"`
 }
 
 // HiddenPair is a structural-privacy requirement: users below the

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/taint"
+	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
@@ -69,7 +71,7 @@ func TestParallelSearchIngestMaterialize(t *testing.T) {
 	var wg sync.WaitGroup
 	var searchErrs atomic.Int64
 
-	// Readers: keyword search at every level, cached and uncached.
+	// Readers: keyword search at every level.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -77,7 +79,7 @@ func TestParallelSearchIngestMaterialize(t *testing.T) {
 			users := []string{"pub", "reg", "ana"}
 			for i := 0; i < 40; i++ {
 				q := queries[(g*40+i)%len(queries)]
-				if _, err := r.Search(users[i%3], q, SearchOptions{BypassCache: i%2 == 0}); err != nil {
+				if _, err := r.Search(users[i%3], q, SearchOptions{}); err != nil {
 					searchErrs.Add(1)
 				}
 			}
@@ -210,7 +212,7 @@ func TestParallelAddRemoveSpec(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				hits, err := r.Search("ana", "query, filter", SearchOptions{BypassCache: true})
+				hits, err := r.Search("ana", "query, filter", SearchOptions{})
 				if err != nil {
 					continue // all-phrase miss is legal mid-churn
 				}
@@ -227,7 +229,7 @@ func TestParallelAddRemoveSpec(t *testing.T) {
 }
 
 // TestReregisteredSpecNeverJoinsRemovedFill: RemoveSpec + AddSpec of the
-// same id starts a fresh shard whose polGen restarts at 0, so its cache
+// same id starts a fresh shard whose polGen starts over, so its cache
 // and flight keys collide with the removed incarnation's. A reader of
 // the new, stricter incarnation must neither wait on nor be handed a
 // snapshot whose fill the removed incarnation still has in flight — that
@@ -242,8 +244,8 @@ func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
 	// gate, then start a real read that joins it from inside the masked
 	// fill.
 	old := r.shard(spec.ID)
-	tkey := taintCacheKey{execID: "E1", polGen: 0}
-	mkey := maskedCacheKey{execID: "E1", level: privacy.Public, polGen: 0}
+	tkey := taintCacheKey{execID: "E1", polGen: old.polGen}
+	mkey := maskedCacheKey{execID: "E1", level: privacy.Public, polGen: old.polGen}
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	var wg sync.WaitGroup
@@ -310,6 +312,192 @@ func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
 	}
 }
 
+// twoStageSpec is a root workflow of two composites in series, each a
+// two-module chain. Forward it reads I → C1(a1 → a2) → C2(b1 → b2) → O;
+// reversed, every arrow between modules is turned: I → C2(b2 → b1) →
+// C1(a2 → a1) → O. Same ids either way.
+func twoStageSpec(t *testing.T, id string, reversed bool) *workflow.Spec {
+	t.Helper()
+	first, second := [3]string{"C1", "a1", "a2"}, [3]string{"C2", "b1", "b2"}
+	if reversed {
+		first, second = [3]string{"C2", "b2", "b1"}, [3]string{"C1", "a2", "a1"}
+	}
+	b := workflow.NewBuilder(id, id, "W")
+	b.Workflow("W", "Root").Source("I", "x0").
+		Composite(first[0], "First", "W"+first[0], []string{"x0"}, []string{"x1"}).
+		Composite(second[0], "Second", "W"+second[0], []string{"x1"}, []string{"x2"}).
+		Sink("O", "x2").
+		Edge("I", first[0], "x0").Edge(first[0], second[0], "x1").Edge(second[0], "O", "x2")
+	for i, stage := range [][3]string{first, second} {
+		in, mid, out := fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i), fmt.Sprintf("x%d", i+1)
+		b.Workflow("W"+stage[0], stage[0]).
+			Atomic(stage[1], stage[1], []string{in}, []string{mid}).
+			Atomic(stage[2], stage[2], []string{mid}, []string{out}).
+			Edge(stage[1], stage[2], mid)
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatalf("twoStageSpec: %v", err)
+	}
+	return s
+}
+
+// reachAnswer is what Reaches said: the boolean, and whether it refused.
+type reachAnswer struct{ reaches, refused bool }
+
+var twoStageModules = []string{"I", "C1", "C2", "O", "a1", "a2", "b1", "b2"}
+
+// reachTruth asks a repository holding nothing but (s, pol) every module
+// pair at every level: one incarnation's answers, with no other to mix in.
+func reachTruth(t *testing.T, s *workflow.Spec, pol *privacy.Policy) map[[3]string]reachAnswer {
+	t.Helper()
+	r := New()
+	if err := r.AddSpec(s, pol); err != nil {
+		t.Fatalf("AddSpec: %v", err)
+	}
+	truth := make(map[[3]string]reachAnswer)
+	for _, lvl := range allLevels {
+		r.AddUser(privacy.User{Name: lvl.String(), Level: lvl})
+		for _, from := range twoStageModules {
+			for _, to := range twoStageModules {
+				got, err := r.Reaches(lvl.String(), s.ID, from, to)
+				truth[[3]string{lvl.String(), from, to}] = reachAnswer{got, err != nil}
+			}
+		}
+	}
+	return truth
+}
+
+// incarnation is one (spec, policy) registration of a spec id, with the
+// answers it alone gives.
+type incarnation struct {
+	spec  *workflow.Spec
+	pol   *privacy.Policy
+	truth map[[3]string]reachAnswer
+}
+
+// reachIncarnations is the fixture of the two tests below: spec id "x" as
+// a (forward, every level sees the full expansion) and as b (reversed, the
+// public level sees the root only).
+func reachIncarnations(t *testing.T) (a, b incarnation) {
+	t.Helper()
+	a = incarnation{spec: twoStageSpec(t, "x", false), pol: privacy.NewPolicy("x")}
+	b = incarnation{spec: twoStageSpec(t, "x", true), pol: privacy.NewPolicy("x")}
+	a.pol.ViewGrants[privacy.Public] = []string{"WC1", "WC2"}
+	b.pol.ViewGrants[privacy.Registered] = []string{"WC1", "WC2"}
+	a.truth, b.truth = reachTruth(t, a.spec, a.pol), reachTruth(t, b.spec, b.pol)
+	// What a mixed answer would look like, and that the tables can tell:
+	// b's arrows at a's granularity say a2 contributes to a1; a (a1 → a2)
+	// and b (both inside C1 at the public level) each say it does not.
+	mixed := [3]string{privacy.Public.String(), "a2", "a1"}
+	if a.truth[mixed].reaches || b.truth[mixed].reaches || !b.truth[[3]string{privacy.Owner.String(), "a2", "a1"}].reaches {
+		t.Fatalf("fixture cannot tell a mixed answer apart: a %+v, b %+v", a.truth[mixed], b.truth[mixed])
+	}
+	return a, b
+}
+
+// TestReachesAnswersFromTheResolvedShard: the full-expansion closure
+// Reaches answers from is the resolved shard's own, so a spec id
+// re-registered with other arrows under a stricter policy is answered
+// from the new incarnation alone — B's truth at B's granularity for every
+// pair and level — while the removed shard still holds A's closure.
+func TestReachesAnswersFromTheResolvedShard(t *testing.T) {
+	a, b := reachIncarnations(t)
+	r := New()
+	for _, lvl := range allLevels {
+		r.AddUser(privacy.User{Name: lvl.String(), Level: lvl})
+	}
+	if err := r.AddSpec(a.spec, a.pol); err != nil {
+		t.Fatalf("AddSpec A: %v", err)
+	}
+	old := r.shard("x")
+	if err := r.RemoveSpec("x"); err != nil {
+		t.Fatalf("RemoveSpec: %v", err)
+	}
+	if err := r.AddSpec(b.spec, b.pol); err != nil {
+		t.Fatalf("AddSpec B: %v", err)
+	}
+	for key, want := range b.truth {
+		got, err := r.Reaches(key[0], "x", key[1], key[2])
+		if (reachAnswer{got, err != nil}) != want {
+			t.Errorf("Reaches(%s, %s, %s) = %v, %v; B alone answers %+v", key[0], key[1], key[2], got, err, want)
+		}
+	}
+	owner := privacy.Owner.String()
+	for _, from := range old.full.Names() {
+		for _, to := range old.full.Names() {
+			got := from != to && old.reach.Reach(old.full.Lookup(from), old.full.Lookup(to))
+			if want := a.truth[[3]string{owner, from, to}]; want.refused || got != want.reaches {
+				t.Errorf("removed shard's closure: %s → %s = %v; A answers %+v", from, to, got, want)
+			}
+		}
+	}
+}
+
+// TestReachesNeverMixesIncarnations is the same property under -race:
+// public readers loop on Reaches while a writer re-registers "x" back
+// and forth between (A, polA) and (B, polB). Each answer must be A's truth
+// at A's granularity or B's at B's — never B's arrows at A's granularity,
+// which is what a closure looked up by spec id after the shard was
+// resolved by pointer used to be able to serve.
+func TestReachesNeverMixesIncarnations(t *testing.T) {
+	a, b := reachIncarnations(t)
+	r := New()
+	pub := privacy.Public.String()
+	r.AddUser(privacy.User{Name: pub, Level: privacy.Public})
+	if err := r.AddSpec(a.spec, a.pol); err != nil {
+		t.Fatalf("AddSpec A: %v", err)
+	}
+	start := make(chan struct{})
+	var stop atomic.Bool
+	var readers, writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		defer stop.Store(true)
+		<-start
+		for i := 0; i < 200; i++ {
+			next := b
+			if i%2 == 1 {
+				next = a
+			}
+			if err := r.RemoveSpec("x"); err != nil {
+				t.Errorf("RemoveSpec: %v", err)
+				return
+			}
+			if err := r.AddSpec(next.spec, next.pol); err != nil {
+				t.Errorf("AddSpec: %v", err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			<-start
+			for !stop.Load() {
+				for _, from := range twoStageModules {
+					for _, to := range twoStageModules {
+						got, err := r.Reaches(pub, "x", from, to)
+						if errors.Is(err, ErrNotFound) {
+							continue // between the writer's remove and its add
+						}
+						key, ans := [3]string{pub, from, to}, reachAnswer{got, err != nil}
+						if ans != a.truth[key] && ans != b.truth[key] {
+							t.Errorf("Reaches(%s, %s) = %v, %v: neither A's answer %+v nor B's %+v", from, to, got, err, a.truth[key], b.truth[key])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	writer.Wait()
+	readers.Wait()
+}
+
 // TestFanOutDeterministicMerge checks Search is stable across worker
 // counts: 1 worker (serial) and many workers must produce identical hit
 // lists. (Search builds its views inline since the index answers the
@@ -318,7 +506,7 @@ func TestFanOutDeterministicMerge(t *testing.T) {
 	r := multiSpecRepo(t, 8)
 	serial := func() []SearchHit {
 		r.SetWorkers(1)
-		hits, err := r.Search("ana", "query", SearchOptions{BypassCache: true})
+		hits, err := r.Search("ana", "query", SearchOptions{})
 		if err != nil {
 			t.Fatalf("Search serial: %v", err)
 		}
@@ -326,7 +514,7 @@ func TestFanOutDeterministicMerge(t *testing.T) {
 	}()
 	for _, workers := range []int{2, 8, 32} {
 		r.SetWorkers(workers)
-		hits, err := r.Search("ana", "query", SearchOptions{BypassCache: true})
+		hits, err := r.Search("ana", "query", SearchOptions{})
 		if err != nil {
 			t.Fatalf("Search workers=%d: %v", workers, err)
 		}

@@ -71,7 +71,7 @@ func TestCorpusDeltaMatchesRebuild(t *testing.T) {
 		r.AddUser(u)
 	}
 	for _, u := range []string{"pub", "reg", "ana"} {
-		if _, err := r.Search(u, "query", SearchOptions{BypassCache: true}); err != nil {
+		if _, err := r.Search(u, "query", SearchOptions{}); err != nil {
 			t.Fatalf("warm search: %v", err)
 		}
 	}
@@ -104,8 +104,8 @@ func TestCorpusDeltaMatchesRebuild(t *testing.T) {
 
 	for _, user := range []string{"pub", "reg", "ana"} {
 		for _, q := range []string{"query", "database", "filter, merge"} {
-			h1, err1 := r.Search(user, q, SearchOptions{BypassCache: true})
-			h2, err2 := r2.Search(user, q, SearchOptions{BypassCache: true})
+			h1, err1 := r.Search(user, q, SearchOptions{})
+			h2, err2 := r2.Search(user, q, SearchOptions{})
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s %q: error mismatch %v vs %v", user, q, err1, err2)
 			}
@@ -126,17 +126,17 @@ func TestCorpusDeltaMatchesRebuild(t *testing.T) {
 // levels must change what a low-privilege search can see.
 func TestUpdatePolicyReclassifies(t *testing.T) {
 	r := seededRepo(t) // module M6 ("omim") requires Owner
-	if hits, err := r.Search("bob", "omim", SearchOptions{BypassCache: true}); err == nil && len(hits) > 0 {
+	if hits, err := r.Search("bob", "omim", SearchOptions{}); err == nil && len(hits) > 0 {
 		t.Fatalf("public user found owner-level term before update: %v", hits)
 	}
 	// Serve a public search, then reclassify everything public.
-	if _, err := r.Search("bob", "database", SearchOptions{BypassCache: true}); err != nil {
+	if _, err := r.Search("bob", "database", SearchOptions{}); err != nil {
 		t.Fatalf("warm search: %v", err)
 	}
 	if err := r.UpdatePolicy("disease-susceptibility", nil); err != nil {
 		t.Fatalf("UpdatePolicy: %v", err)
 	}
-	hits, err := r.Search("bob", "omim", SearchOptions{BypassCache: true})
+	hits, err := r.Search("bob", "omim", SearchOptions{})
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("public user still blind after all-public policy: %v, %v", hits, err)
 	}
@@ -174,7 +174,7 @@ func TestSearchMutateChurnNoStalePostings(t *testing.T) {
 			// The hard guarantee: the mutation thread has seen
 			// RemoveSpec return, so its own search must never surface
 			// the spec again.
-			hits, err := r.Search("ana", "query", SearchOptions{BypassCache: true})
+			hits, err := r.Search("ana", "query", SearchOptions{})
 			if err != nil {
 				continue // all-phrase miss is legal mid-churn
 			}
@@ -196,7 +196,7 @@ func TestSearchMutateChurnNoStalePostings(t *testing.T) {
 					return
 				default:
 				}
-				hits, err := r.Search("ana", "query, filter", SearchOptions{BypassCache: g%2 == 0})
+				hits, err := r.Search("ana", "query, filter", SearchOptions{})
 				if err != nil {
 					continue
 				}
@@ -396,7 +396,7 @@ func TestUpdatePolicyConcurrentQueries(t *testing.T) {
 				default:
 				}
 				u := users[i%3]
-				if _, err := r.Search(u, "database", SearchOptions{BypassCache: true}); err != nil {
+				if _, err := r.Search(u, "database", SearchOptions{}); err != nil {
 					t.Errorf("Search: %v", err)
 					return
 				}

@@ -15,7 +15,7 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 	r := multiSpecRepo(t, 8)
 	for _, user := range []string{"pub", "reg", "ana"} {
 		for _, q := range []string{"query", "alpha", "query, data"} {
-			full, err := r.Search(user, q, SearchOptions{BypassCache: true})
+			full, err := r.Search(user, q, SearchOptions{})
 			if err != nil {
 				continue // no match at this level: nothing to tile
 			}
@@ -23,7 +23,7 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 				var tiled []SearchHit
 				for off := 0; ; off += limit {
 					page, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{
-						BypassCache: true, Limit: limit, Offset: off,
+						Limit: limit, Offset: off,
 					})
 					if err != nil {
 						t.Fatalf("%s %q limit=%d off=%d: %v", user, q, limit, off, err)
@@ -51,7 +51,7 @@ func TestSearchPageTilesFullSearch(t *testing.T) {
 			}
 			// Offset past the end: empty window, total intact.
 			page, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{
-				BypassCache: true, Limit: 2, Offset: len(full) + 3,
+				Limit: 2, Offset: len(full) + 3,
 			})
 			if err != nil || len(page) != 0 || total != len(full) {
 				t.Fatalf("%s %q past-end: %d hits total %d err %v", user, q, len(page), total, err)

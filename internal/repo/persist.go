@@ -3,7 +3,6 @@ package repo
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,9 +34,6 @@ import (
 // CompactShard (compact.go), run off-path by the async task runtime;
 // NeedsCompaction reports the shards whose logs have outgrown
 // compactThreshold.
-//
-// Directories written by the pre-log Save (or cmd/provgen's legacy
-// layout) still Load; the first Save migrates them to the log engine.
 
 // compactThreshold is the log length (in records) past which
 // NeedsCompaction nominates a shard for a background fold. Package
@@ -114,8 +110,8 @@ func (r *Repository) SaveCtx(ctx context.Context, dir string) error {
 
 // BindStorage attaches the repository to an already opened backend so
 // subsequent Save(key) calls route through it — the path servers use to
-// start empty (or from a legacy directory) with a chosen backend. Any
-// previous binding is closed. The repository takes ownership of b.
+// start empty with a chosen backend. Any previous binding is closed. The
+// repository takes ownership of b.
 func (r *Repository) BindStorage(b storage.Backend, key string) error {
 	bound, err := newBoundStore(b, key)
 	if err != nil {
@@ -158,14 +154,9 @@ func openDirBackend(dir string) (storage.Backend, error) {
 	return storage.OpenFlat(dir)
 }
 
-// newBoundStore binds a backend, reading its committed generation. A
-// legacy (pre-log) directory binds with no saved shards: the first save
-// rewrites everything under the log engine and prunes the old files.
+// newBoundStore binds a backend, reading its committed generation.
 func newBoundStore(b storage.Backend, key string) (*boundStore, error) {
 	meta, err := b.Meta()
-	if errors.Is(err, storage.ErrLegacyLayout) {
-		meta, err = storage.Meta{}, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -385,35 +376,21 @@ func execRecord(e *exec.Execution) (storage.Record, error) {
 }
 
 // Load reads a repository directory into a fresh Repository, validating
-// everything and rebuilding the indexes. It understands both log-engine
+// everything and rebuilding the index. It understands both log-engine
 // layouts (flat files and the KV store, distinguished by the store.kv
-// data file) and the legacy pre-log layout of older Saves and
-// cmd/provgen — the latter read-only: the first Save migrates it.
+// data file); a pre-log directory is refused with
+// storage.ErrLegacyLayout.
 func Load(dir string) (*Repository, error) {
-	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err == nil {
-		b, err := storage.OpenKV(dir)
-		if err != nil {
+	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 			return nil, fmt.Errorf("repo: load: %w", err)
 		}
-		r, err := LoadStorage(b, dir)
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-		return r, nil
 	}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		return nil, fmt.Errorf("repo: load: %w", err)
-	}
-	b, err := storage.OpenFlat(dir)
+	b, err := openDirBackend(dir)
 	if err != nil {
 		return nil, fmt.Errorf("repo: load: %w", err)
 	}
 	r, err := LoadStorage(b, dir)
-	if errors.Is(err, storage.ErrLegacyLayout) {
-		b.Close()
-		return loadLegacy(dir)
-	}
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -507,36 +484,27 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		}
 		shards[sid] = l
 	}
-	// Bulk ingest: register every shard first, then build each shared
-	// index exactly once — per-spec AddSpec would copy the index
-	// snapshot on every call, turning a large load quadratic.
+	// Bulk ingest on a private repository (no locks needed yet): register
+	// every shard first, then build the shared index exactly once —
+	// per-spec AddSpec would copy the index snapshot on every call, turning
+	// a large load quadratic.
 	r := New()
 	specs := make([]*workflow.Spec, 0, len(sids))
 	pols := make(map[string]*privacy.Policy, len(sids))
 	for _, sid := range sids {
 		l := shards[sid]
-		if err := r.loadSpec(l.spec, l.pol); err != nil {
+		sh, err := r.newShard(l.spec, l.pol, l.hs)
+		if err != nil {
 			return nil, err
 		}
-		if len(l.hs) > 0 {
-			// Private repository (no locks needed yet): install the ladders
-			// and rebuild the masking engine they parameterize.
-			sh := r.shards[sid]
-			sh.hierarchies = l.hs
-			sh.engine = datapriv.NewMasker(sh.policy, l.hs).Engine()
-		}
+		r.shards[sid] = sh
 		specs = append(specs, l.spec)
-		// The shard's own pointer (loadSpec substitutes an all-public policy
+		// The shard's own pointer (newShard substitutes an all-public policy
 		// for a missing one): searchView trusts an index segment only when
 		// it was built from exactly the pair the shard holds.
-		pols[sid] = r.shards[sid].policy
+		pols[sid] = sh.policy
 	}
 	r.inverted = index.BuildInverted(specs, pols)
-	reach, err := index.BuildReach(specs)
-	if err != nil {
-		return nil, err
-	}
-	r.reach = reach
 	for _, sid := range sids {
 		l := shards[sid]
 		for _, id := range l.execIDs {
@@ -576,90 +544,5 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		}
 	}
 	r.bound = bound
-	return r, nil
-}
-
-// legacyManifest is the pre-log manifest shape: parallel file-name
-// lists plus the user registry.
-type legacyManifest struct {
-	Specs      []string       `json:"specs"`
-	Policies   []string       `json:"policies,omitempty"`
-	Executions []string       `json:"executions"`
-	Users      []privacy.User `json:"users,omitempty"`
-}
-
-// loadLegacy reads the pre-log layout: per-entity JSON files listed by
-// the manifest. Specs and policies are parallel lists; a manifest with
-// some but not all policies is rejected rather than silently assigning
-// all-public policies to the tail, and each policy must name the spec
-// it is paired with — a partially populated manifest must not mis-grant
-// access.
-func loadLegacy(dir string) (*Repository, error) {
-	manData, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, fmt.Errorf("repo: load: %w", err)
-	}
-	var man legacyManifest
-	if err := json.Unmarshal(manData, &man); err != nil {
-		return nil, fmt.Errorf("repo: load manifest: %w", err)
-	}
-	if len(man.Policies) != 0 && len(man.Policies) != len(man.Specs) {
-		return nil, fmt.Errorf("repo: load: manifest pairs %d specs with %d policies", len(man.Specs), len(man.Policies))
-	}
-	r := New()
-	specs := make([]*workflow.Spec, 0, len(man.Specs))
-	pols := make(map[string]*privacy.Policy, len(man.Specs))
-	for i, specPath := range man.Specs {
-		data, err := os.ReadFile(filepath.Join(dir, specPath))
-		if err != nil {
-			return nil, fmt.Errorf("repo: load: %w", err)
-		}
-		spec, err := workflow.UnmarshalSpec(data)
-		if err != nil {
-			return nil, err
-		}
-		var pol *privacy.Policy
-		if len(man.Policies) != 0 {
-			pdata, err := os.ReadFile(filepath.Join(dir, man.Policies[i]))
-			if err != nil {
-				return nil, fmt.Errorf("repo: load: %w", err)
-			}
-			pol = &privacy.Policy{}
-			if err := json.Unmarshal(pdata, pol); err != nil {
-				return nil, fmt.Errorf("repo: load policy %s: %w", man.Policies[i], err)
-			}
-			if pol.SpecID != spec.ID {
-				return nil, fmt.Errorf("repo: load: manifest pairs spec %q with policy for %q (%s)",
-					spec.ID, pol.SpecID, man.Policies[i])
-			}
-		}
-		if err := r.loadSpec(spec, pol); err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-		pols[spec.ID] = r.shards[spec.ID].policy // as in Load: the shard's pointer
-	}
-	r.inverted = index.BuildInverted(specs, pols)
-	reach, err := index.BuildReach(specs)
-	if err != nil {
-		return nil, err
-	}
-	r.reach = reach
-	for _, execPath := range man.Executions {
-		data, err := os.ReadFile(filepath.Join(dir, execPath))
-		if err != nil {
-			return nil, fmt.Errorf("repo: load: %w", err)
-		}
-		e, err := exec.UnmarshalExecution(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.AddExecution(e); err != nil {
-			return nil, err
-		}
-	}
-	for _, u := range man.Users {
-		r.AddUser(u)
-	}
 	return r, nil
 }

@@ -1,12 +1,10 @@
 package repo
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,141 +386,49 @@ func TestLoadDuringSaveSingleGeneration(t *testing.T) {
 	}
 }
 
-// writeLegacyDir writes a pre-log-layout directory by hand: per-entity
-// JSON files plus the parallel-list manifest, exactly what the old Save
-// and cmd/provgen's legacy mode produced.
-func writeLegacyDir(t *testing.T, dir string, man legacyManifest, files map[string]interface{}) {
-	t.Helper()
-	for name, v := range files {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("marshal %s: %v", name, err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+// TestLoadRejectsLegacyLayout: a pre-log directory (a manifest without a
+// format, per-entity JSON files beside it) is refused — by Load, by
+// BindStorage and by a Save that would bind to it — with
+// storage.ErrLegacyLayout, and none of its files is touched.
+func TestLoadRejectsLegacyLayout(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"manifest.json": `{"specs":["spec-0.json"],"policies":["policy-0.json"],"executions":["exec-0-0.json"]}`,
+		"spec-0.json":   `{"id":"s0"}`,
+		"policy-0.json": `{"spec_id":"s0"}`,
+		"exec-0-0.json": `{"id":"s0-E0"}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := json.Marshal(man)
+	if _, err := Load(dir); !errors.Is(err, storage.ErrLegacyLayout) {
+		t.Fatalf("Load = %v, want ErrLegacyLayout", err)
+	}
+	b, err := storage.OpenFlat(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
-		t.Fatal(err)
+	defer b.Close()
+	r := crashFixture(t)
+	if err := r.BindStorage(b, dir); !errors.Is(err, storage.ErrLegacyLayout) {
+		t.Fatalf("BindStorage = %v, want ErrLegacyLayout", err)
 	}
-}
-
-// legacyFixture builds two specs with policies and one execution each,
-// returning the manifest and file map for writeLegacyDir.
-func legacyFixture(t *testing.T) (legacyManifest, map[string]interface{}) {
-	t.Helper()
-	man := legacyManifest{
-		Users: []privacy.User{{Name: "ana", Level: privacy.Analyst, Group: "g"}},
+	if err := r.Save(dir); !errors.Is(err, storage.ErrLegacyLayout) {
+		t.Fatalf("Save = %v, want ErrLegacyLayout", err)
 	}
-	files := make(map[string]interface{})
-	for i := 0; i < 2; i++ {
-		id := fmt.Sprintf("s%d", i)
-		s, err := workload.RandomSpec(workload.SpecConfig{
-			Seed: int64(i), ID: id, Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.2,
-		})
-		if err != nil {
-			t.Fatalf("RandomSpec: %v", err)
-		}
-		pol := privacy.NewPolicy(id)
-		for _, wid := range s.WorkflowIDs() {
-			pol.ModuleLevels[s.Workflows[wid].Modules[0].ID] = privacy.Analyst
-			break
-		}
-		e, err := exec.NewRunner(s, nil).Run(id+"-E0", workload.RandomInputs(s, int64(i)))
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		specFile := fmt.Sprintf("spec-%d.json", i)
-		polFile := fmt.Sprintf("policy-%d.json", i)
-		execFile := fmt.Sprintf("exec-%d-0.json", i)
-		files[specFile], files[polFile], files[execFile] = s, pol, e
-		man.Specs = append(man.Specs, specFile)
-		man.Policies = append(man.Policies, polFile)
-		man.Executions = append(man.Executions, execFile)
-	}
-	return man, files
-}
-
-// TestLegacyDirectoryLoadsAndMigrates: a pre-log directory still loads,
-// and the first Save migrates it to the log engine — committing the new
-// layout and pruning every legacy per-entity file.
-func TestLegacyDirectoryLoadsAndMigrates(t *testing.T) {
-	dir := t.TempDir()
-	man, files := legacyFixture(t)
-	writeLegacyDir(t, dir, man, files)
-
-	r, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load legacy: %v", err)
-	}
-	before := r.Stats().Content()
-	if before.Specs != 2 || before.Executions != 2 {
-		t.Fatalf("legacy load content = %+v", before)
-	}
-	sh := r.shard("s0")
-	sh.mu.RLock()
-	mods := len(sh.policy.ModuleLevels)
-	sh.mu.RUnlock()
-	if mods == 0 {
-		t.Fatal("legacy policy not honored")
-	}
-
-	// Migration: saving back rewrites the directory under the log engine.
-	if err := r.Save(dir); err != nil {
-		t.Fatalf("migrating save: %v", err)
-	}
-	defer r.CloseStorage()
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"format"`) {
-		t.Fatalf("manifest not migrated to log format:\n%s", data)
+	if len(entries) != len(files) {
+		t.Fatalf("directory now holds %d entries, want the original %d", len(entries), len(files))
 	}
-	for name := range files {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("legacy file %s survived migration (err=%v)", name, err)
+	for name, body := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
+			t.Fatalf("%s changed: %q (err=%v)", name, got, err)
 		}
-	}
-	r2, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load after migration: %v", err)
-	}
-	if after := r2.Stats().Content(); after != before {
-		t.Fatalf("migration changed content: %+v vs %+v", after, before)
-	}
-	r2.CloseStorage()
-}
-
-// TestLegacyManifestPolicyCountMismatch: a legacy manifest with fewer
-// policies than specs used to silently assign all-public policies to
-// the positional tail — it must be rejected instead.
-func TestLegacyManifestPolicyCountMismatch(t *testing.T) {
-	dir := t.TempDir()
-	man, files := legacyFixture(t)
-	man.Policies = man.Policies[:1]
-	writeLegacyDir(t, dir, man, files)
-	_, err := Load(dir)
-	if err == nil || !strings.Contains(err.Error(), "pairs 2 specs with 1 policies") {
-		t.Fatalf("short policy list accepted (err=%v)", err)
-	}
-}
-
-// TestLegacyManifestPolicySpecMismatch: each legacy policy must name
-// the spec it is positionally paired with; swapped policy files would
-// otherwise silently mis-grant access.
-func TestLegacyManifestPolicySpecMismatch(t *testing.T) {
-	dir := t.TempDir()
-	man, files := legacyFixture(t)
-	man.Policies[0], man.Policies[1] = man.Policies[1], man.Policies[0]
-	writeLegacyDir(t, dir, man, files)
-	_, err := Load(dir)
-	if err == nil || !strings.Contains(err.Error(), "policy for") {
-		t.Fatalf("mispaired policy accepted (err=%v)", err)
 	}
 }
 

@@ -24,8 +24,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Search behaves identically after the round trip (incl. policies).
 	for _, user := range []string{"alice", "bob", "carol"} {
-		h1, err1 := r.Search(user, "database, disorder risks", SearchOptions{BypassCache: true})
-		h2, err2 := r2.Search(user, "database, disorder risks", SearchOptions{BypassCache: true})
+		h1, err1 := r.Search(user, "database, disorder risks", SearchOptions{})
+		h2, err2 := r2.Search(user, "database, disorder risks", SearchOptions{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: err mismatch %v vs %v", user, err1, err2)
 		}

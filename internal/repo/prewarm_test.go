@@ -82,7 +82,7 @@ func TestReadPathsHonorCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const sid = "disease-susceptibility"
-	if _, _, err := r.SearchPageCtx(ctx, "carol", "disease", SearchOptions{BypassCache: true}); !errors.Is(err, context.Canceled) {
+	if _, _, err := r.SearchPageCtx(ctx, "carol", "disease", SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SearchPageCtx canceled = %v, want context.Canceled", err)
 	}
 	if _, _, err := r.QueryAllPageCtx(ctx, "carol", sid, `MATCH a = "reformat"`, 0, 0); !errors.Is(err, context.Canceled) {
@@ -93,11 +93,11 @@ func TestReadPathsHonorCanceledContext(t *testing.T) {
 	}
 	// The live-context paths still work and return identical results to
 	// the ctx-less wrappers.
-	hits, total, err := r.SearchPageCtx(context.Background(), "carol", "disease", SearchOptions{BypassCache: true})
+	hits, total, err := r.SearchPageCtx(context.Background(), "carol", "disease", SearchOptions{})
 	if err != nil {
 		t.Fatalf("SearchPageCtx: %v", err)
 	}
-	hits2, total2, err := r.SearchPageCtx(context.Background(), "carol", "disease", SearchOptions{BypassCache: true})
+	hits2, total2, err := r.SearchPageCtx(context.Background(), "carol", "disease", SearchOptions{})
 	if err != nil {
 		t.Fatalf("SearchPageCtx: %v", err)
 	}

@@ -100,7 +100,7 @@ func checkRankingAgainstCorpus(t *testing.T, r *Repository, stage string, querie
 						want = append(want, rk)
 					}
 				}
-				hits, total, err := r.SearchPageCtx(context.Background(), level.String(), q, SearchOptions{Buckets: buckets, BypassCache: true})
+				hits, total, err := r.SearchPageCtx(context.Background(), level.String(), q, SearchOptions{Buckets: buckets})
 				if err != nil {
 					t.Fatalf("%s: level %v query %q: %v", stage, level, q, err)
 				}

@@ -7,8 +7,8 @@
 // different levels of access, which would lead to inconsistencies,
 // inefficiency, and a lack of flexibility").
 //
-// The repository wires together the other packages: privacy-classified
-// inverted and reachability indexes (index), minimal-view keyword search
+// The repository wires together the other packages: the privacy-classified
+// inverted index (index), minimal-view keyword search
 // (search), optional bucketing of the index's TF-IDF scores (rank),
 // structural queries with privacy-controlled semantics (query), and
 // masked provenance retrieval (datapriv + exec views).
@@ -16,12 +16,15 @@
 // Concurrency model: state is sharded per specification. Each shard
 // owns its spec, policy, executions, generalization hierarchies and
 // enforced-view caches behind its own RWMutex, so traffic against
-// different specs never contends. The repository level keeps only the
-// shard directory, the user registry, the shared keyword/reachability
-// indexes and the search result cache. The shared indexes
-// (index.Inverted, index.ReachIndex) publish their state as atomically
-// swapped immutable snapshots, so index reads on the search and reach
-// paths acquire no lock at all and spec mutations never stall readers.
+// different specs never contends; what is derived from the spec alone
+// (hierarchy, full-expansion reachability closure, query tables) is built
+// with the shard and lives exactly as long. The repository level keeps
+// only the shard directory, the user registry and the one structure that
+// spans specs, the keyword index (index.Inverted), which publishes its
+// state as atomically swapped immutable snapshots, so index reads on the
+// search path acquire no lock at all and spec mutations never stall
+// readers. A mutation therefore touches the shard and that index, and
+// nothing else.
 // Keyword search is answered and ranked from the index
 // (index.Inverted.Match decides which specs match, through which
 // modules and with what score at the asker's level; only the requested
@@ -57,6 +60,7 @@ import (
 
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
+	"provpriv/internal/graph"
 	"provpriv/internal/index"
 	"provpriv/internal/obs"
 	"provpriv/internal/privacy"
@@ -92,6 +96,13 @@ type shard struct {
 	hier   *workflow.Hierarchy
 	policy *privacy.Policy
 	execs  map[string]*exec.Execution
+
+	// full is the graph of the spec's full expansion and reach its
+	// transitive closure: what Reaches answers from, in O(1), for a level
+	// whose access view is the whole hierarchy. Derived from the spec
+	// alone, so like hier they live as long as the shard.
+	full  *graph.Graph
+	reach *graph.Closure
 
 	// eval binds structural-query variables from tables derived from the
 	// spec alone, so like hier it lives as long as the shard; what a level
@@ -129,13 +140,13 @@ type shard struct {
 
 	// engine is the taint/masking engine for the shard's current policy
 	// and generalization hierarchies — policy-scoped, so it is built
-	// once per policy change instead of once per request. Guarded by mu
-	// (rebuilt by UpdatePolicy and SetGeneralization).
+	// once per policy change instead of once per request. Guarded by mu;
+	// install is its only writer.
 	engine *taint.Engine
 
-	// polGen counts policy generations (bumped by UpdatePolicy and
-	// SetGeneralization); guarded by mu. It keys the taint and masked
-	// caches so entries built under a replaced policy are unreachable.
+	// polGen counts installs of a (policy, hierarchies) pair; guarded by
+	// mu. It keys the taint and masked caches so entries built under a
+	// replaced pair are unreachable.
 	polGen uint64
 
 	// seq identifies the shard's last content mutation (executions,
@@ -198,22 +209,20 @@ type Repository struct {
 	usersMu sync.RWMutex
 	users   map[string]*privacy.User
 
-	// inverted and reach are shared across shards (one physical index
-	// serving every privilege level is the paper's point). Both publish
-	// immutable snapshots internally: lookups are lock-free, mutations
-	// serialize inside the index.
+	// inverted is shared across shards (one physical index serving every
+	// privilege level is the paper's point) and is the only derived
+	// structure the repository itself holds. It publishes immutable
+	// snapshots internally: lookups are lock-free, mutations serialize
+	// inside the index.
 	inverted *index.Inverted
-	reach    *index.ReachIndex
 
-	cache atomic.Pointer[index.Cache]
+	// searches counts the searches evaluated; CacheStats is its reader.
+	searches atomic.Int64 //provlint:counter
 
-	// cacheHitsBase/cacheMissesBase accumulate the counters of retired
-	// result caches (resetResultCache swaps the cache object), keeping
-	// the *_total metrics monotonic. taintHitsBase/taintMissesBase do the
-	// same for removed shards' taint-set caches, maskedHitsBase/
-	// maskedMissesBase for their masked-snapshot caches.
-	cacheHitsBase    atomic.Int64 //provlint:counter
-	cacheMissesBase  atomic.Int64 //provlint:counter
+	// taintHitsBase/taintMissesBase accumulate the counters of removed
+	// shards' taint-set caches, keeping the *_total metrics monotonic;
+	// maskedHitsBase/maskedMissesBase do the same for their
+	// masked-snapshot caches.
 	taintHitsBase    atomic.Int64 //provlint:counter
 	taintMissesBase  atomic.Int64 //provlint:counter
 	maskedHitsBase   atomic.Int64 //provlint:counter
@@ -246,21 +255,6 @@ type Repository struct {
 	sem     chan struct{}
 }
 
-// resultCacheCap bounds the shared search result cache.
-const resultCacheCap = 256
-
-// resetResultCache swaps in a fresh, empty result cache (cached search
-// hits may mention mutated specs, so every search-visible mutation
-// drops it).
-func (r *Repository) resetResultCache() {
-	cache, _ := index.NewCache(resultCacheCap)
-	if old := r.cache.Swap(cache); old != nil {
-		h, m := old.Stats()
-		r.cacheHitsBase.Add(int64(h))
-		r.cacheMissesBase.Add(int64(m))
-	}
-}
-
 // New returns an empty repository with a fan-out pool sized to the
 // machine.
 func New() *Repository {
@@ -269,9 +263,6 @@ func New() *Repository {
 		users:    make(map[string]*privacy.User),
 		inverted: index.BuildInverted(nil, nil),
 	}
-	reach, _ := index.BuildReach(nil)
-	r.reach = reach
-	r.resetResultCache()
 	r.setWorkers(runtime.GOMAXPROCS(0))
 	return r
 }
@@ -366,7 +357,7 @@ func (r *Repository) snapshotShards() []*shard {
 // published only after its index entries exist, so readers never see a
 // searchable spec they cannot resolve.
 func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
-	sh, pol, err := r.newShard(s, pol)
+	sh, err := r.newShard(s, pol, nil)
 	if err != nil {
 		return err
 	}
@@ -381,66 +372,73 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 		return fmt.Errorf("repo: spec %s already registered: %w", s.ID, ErrExists)
 	}
 	// Heavy incremental index maintenance runs outside the directory
-	// lock: both indexes serialize writers internally and publish atomic
+	// lock: the index serializes writers internally and publishes atomic
 	// snapshots, so readers on other specs are never stalled. A hit on
 	// the not-yet-published shard resolves to nil and is skipped, the
-	// same transient Search already tolerates for removal.
-	r.inverted.AddSpec(s, pol)
-	if err := r.reach.AddSpec(s); err != nil {
-		r.inverted.RemoveSpec(s.ID)
-		return err
-	}
+	// same transient Search already tolerates for removal. Nothing past
+	// this point can fail, so there is nothing to roll back.
+	r.inverted.AddSpec(s, sh.policy)
 	r.mu.Lock()
 	r.shards[s.ID] = sh
 	r.mu.Unlock()
-	r.resetResultCache()
 	return nil
 }
 
 // newShard validates a spec + policy pair (nil policy = all-public) and
-// constructs its shard, without registering anything.
-func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy) (*shard, *privacy.Policy, error) {
+// constructs its shard — everything derived from the spec, then the
+// enforcement state for (pol, hs) — without registering anything.
+func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[string]*datapriv.Hierarchy) (*shard, error) {
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	h, err := workflow.NewHierarchy(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pol == nil {
 		pol = privacy.NewPolicy(s.ID)
 	}
 	if err := pol.Validate(s); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &shard{
+	v, err := workflow.ExpandIn(s, h, workflow.FullPrefix(h))
+	if err != nil {
+		return nil, err
+	}
+	full := v.Graph()
+	reach, err := graph.NewClosure(full)
+	if err != nil {
+		return nil, err
+	}
+	sh := &shard{
 		spec:   s,
 		hier:   h,
-		policy: pol,
+		full:   full,
+		reach:  reach,
 		execs:  make(map[string]*exec.Execution),
 		eval:   query.NewEvaluator(s),
 		taints: index.NewLRU[taintCacheKey, *taint.Set](shardCacheCap),
 		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](shardCacheCap),
-		engine: datapriv.NewMasker(pol, nil).Engine(),
-		seq:    r.mutSeq.Add(1),
-	}, pol, nil
+	}
+	sh.install(pol, hs, r.mutSeq.Add(1))
+	return sh, nil
 }
 
-// loadSpec registers a validated spec shard without touching the shared
-// indexes — the bulk-load path: Load registers every spec
-// first and then builds each index once, avoiding the per-spec snapshot
-// copy that would make a large load quadratic. Only valid on a private,
-// not-yet-shared repository.
-func (r *Repository) loadSpec(s *workflow.Spec, pol *privacy.Policy) error {
-	sh, _, err := r.newShard(s, pol)
-	if err != nil {
-		return err
-	}
-	if _, dup := r.shards[s.ID]; dup {
-		return fmt.Errorf("repo: spec %s already registered: %w", s.ID, ErrExists)
-	}
-	r.shards[s.ID] = sh
-	return nil
+// install makes (pol, hs) the shard's enforcement state and retires
+// everything derived from the pair it replaces: the engine is rebuilt, the
+// generation bump makes old-generation cache entries — and any fill still
+// in flight under the old engine — unreachable, the purges free their
+// memory eagerly, and seq marks the shard dirty for Save. Taint sets do not
+// depend on hierarchies, but SetGeneralization is rare and one invalidation
+// rule beats the rebuild cost. It is the only writer of these fields;
+// the caller holds sh.mu, or owns a shard not yet published.
+func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) {
+	sh.policy, sh.hierarchies = pol, hs
+	sh.engine = datapriv.NewMasker(pol, hs).Engine()
+	sh.polGen++
+	sh.taints.Purge()
+	sh.masked.Purge()
+	sh.seq = seq
 }
 
 // SpecIDs returns the registered spec ids, sorted.
@@ -532,8 +530,6 @@ func (r *Repository) RemoveSpec(specID string) error {
 	// specs never stall; polMu still fences this against UpdatePolicy
 	// re-registering the segment.
 	r.inverted.RemoveSpec(specID)
-	r.reach.RemoveSpec(specID)
-	r.resetResultCache()
 	return nil
 }
 
@@ -567,25 +563,9 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	// consistent, and searchView serves only what the shard holds.
 	r.inverted.AddSpec(s, pol)
 	sh.mu.Lock()
-	sh.policy = pol
-	sh.engine = datapriv.NewMasker(pol, sh.hierarchies).Engine()
-	sh.dropEnforcedLocked()
-	sh.seq = r.mutSeq.Add(1)
+	sh.install(pol, sh.hierarchies, r.mutSeq.Add(1))
 	sh.mu.Unlock()
-	r.resetResultCache()
 	return nil
-}
-
-// dropEnforcedLocked retires everything derived from the shard's
-// (policy, hierarchies) pair: the generation bump makes old-generation
-// cache entries — and any fill still in flight under the old engine —
-// unreachable, and the purges free their memory eagerly. Taint sets do
-// not depend on hierarchies, but SetGeneralization is rare and one
-// invalidation rule beats the rebuild cost. Caller holds sh.mu.
-func (sh *shard) dropEnforcedLocked() {
-	sh.polGen++
-	sh.taints.Purge()
-	sh.masked.Purge()
 }
 
 // policySnapshot reads the shard's current policy under its lock (the
@@ -607,13 +587,10 @@ func (r *Repository) SetGeneralization(specID string, hs map[string]*datapriv.Hi
 		return err
 	}
 	// The shard lock alone pairs these ladders with the policy current
-	// at install time (UpdatePolicy rebuilds the engine under it too).
+	// at install time (UpdatePolicy installs under it too).
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.hierarchies = hs
-	sh.engine = datapriv.NewMasker(sh.policy, hs).Engine()
-	sh.dropEnforcedLocked()
-	sh.seq = r.mutSeq.Add(1)
+	sh.install(sh.policy, hs, r.mutSeq.Add(1))
 	return nil
 }
 
@@ -680,8 +657,6 @@ type SearchHit struct {
 type SearchOptions struct {
 	// Buckets > 0 publishes bucketized scores (privacy-aware ranking).
 	Buckets int
-	// BypassCache disables the per-(level, group) result cache.
-	BypassCache bool
 	// Limit/Offset window the ranked result list engine-side: only the
 	// specs inside [Offset, Offset+Limit) get their minimal view built;
 	// the rest are counted from the index's answer and never touched.
@@ -695,13 +670,6 @@ func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]S
 	opts.Limit, opts.Offset = 0, 0
 	hits, _, err := r.SearchPageCtx(context.Background(), userName, queryText, opts)
 	return hits, err
-}
-
-// pagedHits is the result-cache value of SearchPageCtx: one window plus
-// the pre-pagination total.
-type pagedHits struct {
-	hits  []SearchHit
-	total int
 }
 
 // SearchPageCtx runs a keyword query as the given user, with the
@@ -721,7 +689,7 @@ type pagedHits struct {
 //
 // The view pass checks ctx between specs and abandons the search early
 // when the caller is gone (a disconnected HTTP client). A canceled search
-// returns ctx's error and caches nothing.
+// returns ctx's error.
 //
 // The window's views are built inline, not on the worker pool: measured
 // on BenchmarkSearchMiss (10-hit window) and on unlimited ~20-hit
@@ -739,21 +707,7 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	if opts.Limit < 0 || opts.Offset < 0 {
 		return nil, 0, fmt.Errorf("repo: negative pagination window")
 	}
-
-	// The level is part of the key: an answer is a function of the level
-	// that asked, and a group says nothing about it — two users may share
-	// a group (every user registered without one shares "") and sit at
-	// different levels. The group only partitions entries within a level.
-	// %q-quote the caller-controlled query so a '|' inside it cannot
-	// collide with another (query, buckets, window) triple's key.
-	cacheKey := fmt.Sprintf("search|%d|%q|%d|%d|%d", u.Level, queryText, opts.Buckets, opts.Limit, opts.Offset)
-	cache := r.cache.Load()
-	if !opts.BypassCache {
-		if v, ok := cache.Get(u.Group, cacheKey); ok {
-			p := v.(pagedHits)
-			return p.hits, p.total, nil
-		}
-	}
+	r.searches.Add(1)
 
 	// The index answers the predicate and scores the answer: every spec
 	// in which each phrase is carried by a module visible at the user's
@@ -814,9 +768,6 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	if !opts.BypassCache {
-		cache.Put(u.Group, cacheKey, pagedHits{hits: hits, total: total})
-	}
 	return hits, total, nil
 }
 
@@ -858,11 +809,11 @@ func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, level pri
 	return res
 }
 
-// CacheStats exposes cumulative result-cache hit/miss counters
-// (monotonic across the cache swaps every mutation performs).
+// CacheStats reports every search evaluated as a miss of a result cache
+// the repository no longer has. It stays only because cmd/provload, which
+// BENCHMARK.json freezes, classifies a replayed search by its Δ.
 func (r *Repository) CacheStats() (hits, misses int) {
-	h, m := r.cache.Load().Stats()
-	return h + int(r.cacheHitsBase.Load()), m + int(r.cacheMissesBase.Load())
+	return 0, int(r.searches.Load())
 }
 
 // queryContext resolves the common (user, shard, execution) triple of
@@ -1019,11 +970,12 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 		}
 	}
 	access := pol.AccessView(h, u.Level)
-	// Full access view: answer from the precomputed full-expansion
-	// closure, O(1). Composite endpoints don't appear in the full
-	// expansion; fall through to the view path for those.
+	// Full access view: answer from the shard's full-expansion closure,
+	// O(1) — the closure of the very spec whose policy decided the view.
+	// Composite endpoints don't appear in the full expansion; fall through
+	// to the view path for those.
 	if len(access) == h.Size() && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
-		return r.reach.Reaches(specID, from, to), nil
+		return sh.reach.Reach(sh.full.Lookup(from), sh.full.Lookup(to)), nil
 	}
 	v, err := workflow.Expand(s, access)
 	if err != nil {
@@ -1323,7 +1275,7 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 }
 
 // Stats summarizes repository contents and the health of its derived
-// state: cache hit rates and index segment/snapshot churn.
+// state: per-shard cache hit rates and index segment/snapshot churn.
 type Stats struct {
 	Specs      int
 	Executions int
@@ -1335,10 +1287,6 @@ type Stats struct {
 	// IndexSwaps counts snapshot publications (spec mutations).
 	IndexSegments int
 	IndexSwaps    int64
-
-	// CacheHits/CacheMisses are the shared result cache's counters.
-	CacheHits   int
-	CacheMisses int
 
 	// TaintRewritten/TaintRedacted count items the taint engine
 	// rewrote / redacted on read paths; TaintCacheHits/TaintCacheMisses
@@ -1438,7 +1386,6 @@ func (r *Repository) Stats() Stats {
 		st.IndexSegments = r.inverted.Segments()
 		st.IndexSwaps = r.inverted.Swaps()
 	}
-	st.CacheHits, st.CacheMisses = r.CacheStats()
 	st.TaintRewritten = r.taintRewritten.Load()
 	st.TaintRedacted = r.taintRedacted.Load()
 	return st

@@ -131,36 +131,13 @@ func TestSearchAccessViewClipsResult(t *testing.T) {
 	}
 }
 
-func TestSearchCachePerGroup(t *testing.T) {
-	r := seededRepo(t)
-	if _, err := r.Search("carol", "database", SearchOptions{}); err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	h0, m0 := r.CacheStats()
-	if _, err := r.Search("carol", "database", SearchOptions{}); err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	h1, _ := r.CacheStats()
-	if h1 != h0+1 {
-		t.Fatalf("no cache hit: %d -> %d (misses %d)", h0, h1, m0)
-	}
-	// A different group must not share the entry.
-	if _, err := r.Search("bob", "database", SearchOptions{}); err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	h2, m2 := r.CacheStats()
-	if h2 != h1 {
-		t.Fatalf("cross-group cache hit: %d -> %d (misses %d)", h1, h2, m2)
-	}
-}
-
 func TestSearchBucketedScores(t *testing.T) {
 	r := seededRepo(t)
-	exact, err := r.Search("carol", "database", SearchOptions{BypassCache: true})
+	exact, err := r.Search("carol", "database", SearchOptions{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	bucketed, err := r.Search("carol", "database", SearchOptions{Buckets: 2, BypassCache: true})
+	bucketed, err := r.Search("carol", "database", SearchOptions{Buckets: 2})
 	if err != nil {
 		t.Fatalf("Search bucketed: %v", err)
 	}
@@ -286,7 +263,7 @@ func TestConcurrentSearch(t *testing.T) {
 			users := []string{"alice", "bob", "carol"}
 			for j := 0; j < 30; j++ {
 				_, _ = r.Search(users[j%3], "database", SearchOptions{})
-				_, _ = r.Search(users[j%3], "query", SearchOptions{BypassCache: true})
+				_, _ = r.Search(users[j%3], "query", SearchOptions{})
 			}
 		}(i)
 	}
@@ -494,5 +471,29 @@ func TestReachesResolvesToComposite(t *testing.T) {
 	}
 	if _, err := r.Reaches("bob", "nope", "M3", "M9"); err == nil {
 		t.Fatal("unknown spec accepted")
+	}
+}
+
+// TestReachesFullExpansionClosure: at a level that sees the whole
+// hierarchy, Reaches answers from the shard's full-expansion closure.
+func TestReachesFullExpansionClosure(t *testing.T) {
+	r := seededRepo(t) // alice is Owner: every workflow granted
+	for _, c := range []struct {
+		from, to string
+		want     bool
+	}{
+		{"M3", "M5", true},    // paper's full-expansion edge
+		{"M8", "M9", true},    // across composite boundary
+		{"M3", "M15", true},   // long chain
+		{"M10", "M14", false}, // the famous non-path
+		{"M15", "M3", false},
+		{"I", "O", true},
+	} {
+		if got, err := r.Reaches("alice", "disease-susceptibility", c.from, c.to); err != nil || got != c.want {
+			t.Errorf("Reaches(%s,%s) = %v, %v; want %v", c.from, c.to, got, err, c.want)
+		}
+	}
+	if _, err := r.Reaches("alice", "disease-susceptibility", "M3", "NOPE"); err == nil {
+		t.Error("unknown module accepted")
 	}
 }

@@ -88,7 +88,7 @@ func searchAcross(t *testing.T, r *Repository, mutate func()) ([]SearchHit, int)
 	}
 	done := make(chan result, 1)
 	go func() {
-		hits, total, err := r.SearchPageCtx(ctx, "pub", "alpha", SearchOptions{BypassCache: true, Limit: 10})
+		hits, total, err := r.SearchPageCtx(ctx, "pub", "alpha", SearchOptions{Limit: 10})
 		done <- result{hits, total, err}
 	}()
 	<-ctx.reached
@@ -315,7 +315,7 @@ func TestSearchChurnNeverExceedsInstalledPolicy(t *testing.T) {
 				for i, l := range logs {
 					current[i], _ = l.mark()
 				}
-				hits, _, err := r.SearchPageCtx(context.Background(), level.String(), q, SearchOptions{BypassCache: n%2 == 0, Limit: 10})
+				hits, _, err := r.SearchPageCtx(context.Background(), level.String(), q, SearchOptions{Limit: 10})
 				if err != nil {
 					t.Errorf("SearchPageCtx: %v", err)
 					return
@@ -385,15 +385,17 @@ func carries(m *workflow.Module, phrases [][]string, name string) bool {
 	return false
 }
 
-// TestResultCacheNeverCrossesLevels: a group is not an access level. Two
-// users of one group — or of none, which is the group "" — at different
-// levels must each get their own level's answer from the result cache:
-// for every ordered pair of levels, after the first user's search has
-// been cached, the second user's cached answer equals the answer the
-// engine computes for it with the cache bypassed.
-func TestResultCacheNeverCrossesLevels(t *testing.T) {
+// TestSearchAnswerDependsOnLevelNotGroup: a group is not an access level.
+// Two users of one group — or of none, which is the group "" — at
+// different levels must each get their own level's answer: for every
+// ordered pair of levels, what the second user is served right after the
+// first asked the same question is what a scan of every spec under its
+// policy finds at the second's level.
+func TestSearchAnswerDependsOnLevelNotGroup(t *testing.T) {
 	r := New()
-	for i := 0; i < 6; i++ {
+	specs := make([]*workflow.Spec, 6)
+	hiers := make([]*workflow.Hierarchy, len(specs))
+	for i := range specs {
 		s, err := workload.RandomSpec(workload.SpecConfig{Seed: int64(i + 1), ID: fmt.Sprintf("s%d", i), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.2})
 		if err != nil {
 			t.Fatal(err)
@@ -405,15 +407,35 @@ func TestResultCacheNeverCrossesLevels(t *testing.T) {
 		if err := r.AddSpec(s, pol); err != nil {
 			t.Fatal(err)
 		}
+		specs[i] = s
+		if hiers[i], err = workflow.NewHierarchy(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	terms := workload.DefaultVocab()[:40]
-	ask := func(user, q string, bypass bool) ([]SearchHit, int) {
+	scan := func(q string, level privacy.Level) map[string]*search.Result {
+		want := make(map[string]*search.Result)
+		for i, s := range specs {
+			pol := r.Policy(s.ID)
+			if res, err := search.SearchWithAccess(s, search.ParseQuery(q), pol.AccessView(hiers[i], level), pol, level); err == nil {
+				want[s.ID] = res
+			}
+		}
+		return want
+	}
+	ask := func(user, q string) map[string]*search.Result {
 		t.Helper()
-		hits, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{BypassCache: bypass})
+		hits, total, err := r.SearchPageCtx(context.Background(), user, q, SearchOptions{})
 		if err != nil {
 			t.Fatalf("%s searching %q: %v", user, q, err)
 		}
-		return hits, total
+		got := make(map[string]*search.Result, len(hits))
+		for _, h := range hits {
+			got[h.SpecID] = h.Result
+		}
+		if total != len(hits) || len(got) != len(hits) {
+			t.Fatalf("%s searching %q: total %d, %d hits on %d specs", user, q, total, len(hits), len(got))
+		}
+		return got
 	}
 	for _, group := range []string{"", "team"} {
 		for _, first := range allLevels {
@@ -421,16 +443,13 @@ func TestResultCacheNeverCrossesLevels(t *testing.T) {
 				if first == second {
 					continue
 				}
-				r.resetResultCache()
 				r.AddUser(privacy.User{Name: "first", Level: first, Group: group})
 				r.AddUser(privacy.User{Name: "second", Level: second, Group: group})
-				for _, q := range terms {
-					ask("first", q, false)
-					got, gotTotal := ask("second", q, false)
-					want, wantTotal := ask("second", q, true)
-					if gotTotal != wantTotal || !reflect.DeepEqual(got, want) {
-						t.Fatalf("group %q, %v after %v, query %q: cached answer has %d hits (total %d), the level's own has %d (total %d)",
-							group, second, first, q, len(got), gotTotal, len(want), wantTotal)
+				for _, q := range workload.DefaultVocab()[:40] {
+					ask("first", q)
+					if got, want := ask("second", q), scan(q, second); !reflect.DeepEqual(got, want) {
+						t.Fatalf("group %q, %v after %v, query %q: served %d hits, a scan at the level finds %d",
+							group, second, first, q, len(got), len(want))
 					}
 				}
 			}

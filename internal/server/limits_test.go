@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,12 +46,16 @@ func newLimitedServer(t *testing.T, l *limit.Limiter, rates RoleRates) (*httptes
 // TestRateLimitIsolation is the PR's acceptance scenario, run with
 // -race: one principal bursts far past its budget and collects 429s
 // with Retry-After while a concurrent principal staying inside the same
-// role's budget sees zero rejections.
+// role's budget sees zero rejections. Time is the limiter's injected
+// clock, stepped only by the steady principal: its spacing is exactly
+// 100 ms however the two goroutines interleave, and over the 1.5 s it
+// spans the burster is owed at most 5 + 25 × 1.5 of its 100 requests.
 func TestRateLimitIsolation(t *testing.T) {
-	ts, _, _ := newLimitedServer(t,
-		limit.New(limit.Config{}),
-		RoleRates{Reader: limit.Rate{PerSec: 25, Burst: 5}},
-	)
+	l := limit.New(limit.Config{})
+	base := time.Now()
+	var elapsed atomic.Int64
+	l.SetClock(func() time.Time { return base.Add(time.Duration(elapsed.Load())) })
+	ts, _, _ := newLimitedServer(t, l, RoleRates{Reader: limit.Rate{PerSec: 25, Burst: 5}})
 
 	get := func(secret string) (int, string) {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/search?q=omim", nil)
@@ -89,7 +94,7 @@ func TestRateLimitIsolation(t *testing.T) {
 	}()
 	steadyRejected := 0
 	wg.Add(1)
-	go func() { // steady: ~10/s, well under the 25/s budget
+	go func() { // steady: 10/s, well under the 25/s budget
 		defer wg.Done()
 		for i := 0; i < 15; i++ {
 			code, _ := get("s-steady")
@@ -97,7 +102,7 @@ func TestRateLimitIsolation(t *testing.T) {
 				steadyRejected++
 				t.Errorf("steady principal got %d on request %d", code, i)
 			}
-			time.Sleep(100 * time.Millisecond)
+			elapsed.Add(int64(100 * time.Millisecond))
 		}
 	}()
 	wg.Wait()

@@ -1104,8 +1104,6 @@ type statsBody struct {
 	Postings      int   `json:"postings"`
 	IndexSegments int   `json:"index_segments"`
 	IndexSwaps    int64 `json:"index_swaps"`
-	CacheHits     int   `json:"cache_hits"`
-	CacheMisses   int   `json:"cache_misses"`
 
 	TaintRewritten   int64                          `json:"taint_rewritten"`
 	TaintRedacted    int64                          `json:"taint_redacted"`
@@ -1155,8 +1153,6 @@ func toStatsBody(st repo.Stats) statsBody {
 		Postings:          st.Postings,
 		IndexSegments:     st.IndexSegments,
 		IndexSwaps:        st.IndexSwaps,
-		CacheHits:         st.CacheHits,
-		CacheMisses:       st.CacheMisses,
 		TaintRewritten:    st.TaintRewritten,
 		TaintRedacted:     st.TaintRedacted,
 		TaintCacheHits:    st.TaintCacheHits,
@@ -1206,7 +1202,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	metric := func(name, help string, v int64) {
 		// *_total counters are monotonic (the engine accumulates them
-		// across cache swaps and shard removals); the rest are gauges.
+		// across shard removals); the rest are gauges.
 		typ := "gauge"
 		if strings.HasSuffix(name, "_total") {
 			typ = "counter"
@@ -1221,8 +1217,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("index_postings", "Total postings in the inverted index.", int64(st.Postings))
 	metric("index_segments", "Per-spec segments in the inverted index.", int64(st.IndexSegments))
 	metric("index_snapshot_swaps_total", "Inverted-index snapshot publications (spec mutations).", st.IndexSwaps)
-	metric("result_cache_hits_total", "Search result cache hits.", int64(st.CacheHits))
-	metric("result_cache_misses_total", "Search result cache misses.", int64(st.CacheMisses))
 	metric("taint_items_rewritten_total", "Items whose embedded protected values were rewritten by taint masking.", st.TaintRewritten)
 	metric("taint_items_redacted_total", "Items fully redacted because taint rewriting could not remove a leak.", st.TaintRedacted)
 	metric("taint_cache_hits_total", "Per-shard taint-set cache hits.", st.TaintCacheHits)

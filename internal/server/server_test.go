@@ -486,8 +486,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, metric := range []string{
 		"provpriv_specs 1",
 		"provpriv_index_segments 1",
-		"provpriv_result_cache_hits_total 1",
-		"provpriv_result_cache_misses_total 1",
 		"provpriv_index_postings",
 		"provpriv_index_snapshot_swaps_total",
 		"provpriv_taint_cache_entries 1",
@@ -496,6 +494,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, metric) {
 			t.Fatalf("metrics missing %q:\n%s", metric, text)
 		}
+	}
+	if strings.Contains(text, "provpriv_result_cache_") {
+		t.Fatalf("metrics still carry a result-cache series:\n%s", text)
 	}
 	// /stats carries the same counters as JSON.
 	var st struct {

@@ -71,13 +71,11 @@ type Result struct {
 	Ops           int
 	LeakIncidents int
 	ByKind        map[OpKind]*KindStats
-	CacheHits     int
-	CacheMisses   int
 }
 
 // Render prints the result for terminals.
 func (r *Result) Render() string {
-	out := fmt.Sprintf("ops=%d leaks=%d cache=%d/%d\n", r.Ops, r.LeakIncidents, r.CacheHits, r.CacheHits+r.CacheMisses)
+	out := fmt.Sprintf("ops=%d leaks=%d\n", r.Ops, r.LeakIncidents)
 	kinds := make([]string, 0, len(r.ByKind))
 	for k := range r.ByKind {
 		kinds = append(kinds, string(k))
@@ -199,7 +197,6 @@ func Run(r *repo.Repository, cfg Config) (*Result, error) {
 		}
 		st.Elapsed += time.Since(start)
 	}
-	res.CacheHits, res.CacheMisses = r.CacheStats()
 	return res, nil
 }
 

@@ -215,9 +215,7 @@ func (f *Flat) Commit(meta Meta) error {
 }
 
 // prune removes files unreachable from both the just-committed and the
-// previously committed manifest: superseded generations, legacy-layout
-// entity files (spec-/policy-/exec-*.json — removed the first time a
-// log-engine commit lands in a migrated directory), and stale temp
+// previously committed manifest: superseded generations and stale temp
 // files from crashed writers (age-guarded, so a concurrent writer's
 // live temp is never unlinked). Removal failures are ignored: orphans
 // are invisible to readers, and the next commit retries.
@@ -241,10 +239,6 @@ func (f *Flat) prune(cur, prev Meta) {
 		}
 		switch {
 		case strings.HasPrefix(name, "ckpt-") || strings.HasPrefix(name, "wal-"):
-			os.Remove(filepath.Join(f.dir, name))
-		case strings.HasSuffix(name, ".json") &&
-			(strings.HasPrefix(name, "spec-") || strings.HasPrefix(name, "policy-") ||
-				strings.HasPrefix(name, "exec-")):
 			os.Remove(filepath.Join(f.dir, name))
 		case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-"):
 			if info, err := e.Info(); err == nil && info.ModTime().Before(cutoff) {

@@ -100,15 +100,8 @@ func TestFlatStaleTempSweepAgeGuarded(t *testing.T) {
 	}
 }
 
-func TestFlatCommitPrunesLegacyAndOldGenerations(t *testing.T) {
+func TestFlatCommitPrunesOldGenerations(t *testing.T) {
 	dir := t.TempDir()
-	// A migrated directory still holding legacy per-entity files.
-	legacy := []string{"spec-a.json", "policy-a.json", "exec-a-1.json"}
-	for _, name := range legacy {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	f, err := OpenFlat(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -125,11 +118,6 @@ func TestFlatCommitPrunesLegacyAndOldGenerations(t *testing.T) {
 		}
 	}
 	commit(1)
-	for _, name := range legacy {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("legacy file %s survived commit (stat err = %v)", name, err)
-		}
-	}
 	// Generation pruning keeps the previous generation for in-flight
 	// readers and drops anything older.
 	commit(2)
@@ -147,8 +135,8 @@ func TestFlatCommitPrunesLegacyAndOldGenerations(t *testing.T) {
 
 func TestFlatLegacyManifestDetected(t *testing.T) {
 	dir := t.TempDir()
-	legacyManifest := `{"specs":["spec-a.json"],"policies":[],"executions":[]}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(legacyManifest), 0o644); err != nil {
+	preLog := `{"specs":["spec-a.json"],"policies":[],"executions":[]}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(preLog), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := OpenFlat(dir)

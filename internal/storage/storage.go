@@ -112,9 +112,10 @@ type Meta struct {
 
 var (
 	// ErrLegacyLayout marks a directory written by the pre-log Save
-	// (flat per-entity JSON files): readable by internal/repo's legacy
-	// loader, not by a Backend.
-	ErrLegacyLayout = errors.New("storage: legacy (pre-log) layout")
+	// (flat per-entity JSON files). Nothing in this tree reads it: the
+	// loader that migrated such a directory on its first save went after
+	// PR 20.
+	ErrLegacyLayout = errors.New("storage: legacy (pre-log) layout; load and save it once with a build of PR 20 (b23f9a3) or earlier to migrate it")
 	// ErrCorrupt marks invalid record data inside a committed extent —
 	// real damage, as opposed to an ignorable uncommitted tail.
 	ErrCorrupt = errors.New("storage: corrupt record")
