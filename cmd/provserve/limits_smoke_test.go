@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"provpriv/internal/auth"
-	"provpriv/internal/workflow"
 )
 
 // serverLog collects the server's stderr. The test reads it while the
@@ -226,17 +225,7 @@ func TestProvserveLimitsAndReload(t *testing.T) {
 	}
 
 	// A mutation through the live binary leaves one audit record.
-	spec, err := workflow.NewBuilder("smoke", "Smoke Spec", "R").
-		Workflow("R", "Root").
-		Source("I", "x").
-		Atomic("A1", "Smoke Step", []string{"x"}, []string{"y"}).
-		Sink("O", "y").
-		Edge("I", "A1", "x").
-		Edge("A1", "O", "y").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := smokeSpec(t, "smoke")
 	specJSON, _ := json.Marshal(spec)
 	body, _ := json.Marshal(map[string]json.RawMessage{"spec": specJSON})
 	if code, _ := bearer(t, "POST", p.base+"/api/v1/specs", "sec-admin", body); code != http.StatusCreated {

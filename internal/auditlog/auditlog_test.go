@@ -1,7 +1,10 @@
 package auditlog
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"provpriv/internal/storage"
@@ -75,6 +78,49 @@ func TestReopenSurvivesRestart(t *testing.T) {
 	recs, total = l.Recent(Query{})
 	if total != 4 || recs[0].Seq != 4 {
 		t.Fatalf("post-reopen append: total=%d seq=%d, want 4/4 (sequence continues)", total, recs[0].Seq)
+	}
+}
+
+// TestOpensDirectoryWrittenBeforeSelfCommit: testdata/pr21 is an audit
+// directory written by the last build that committed a manifest per
+// record (PR 21, five records). It opens with the same total, sequence
+// numbers and ring contents that build served, and the log continues
+// after them.
+func TestOpensDirectoryWrittenBeforeSelfCommit(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/pr21/*")
+	if err != nil || len(files) != 3 {
+		t.Fatalf("fixture files = %v (err %v), want manifest, checkpoint and log", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/pr21-recent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := openTestLog(t, dir)
+	recs, total := l.Recent(Query{})
+	got, _ := json.MarshalIndent(recs, "", "  ")
+	if total != 5 || string(got)+"\n" != string(want) {
+		t.Fatalf("total = %d, window:\n%s\nwant 5 and what PR 21 served:\n%s", total, got, want)
+	}
+	if err := l.Append(Record{Action: "exec.add", Status: 201}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = openTestLog(t, dir)
+	defer l.Close()
+	if recs, total := l.Recent(Query{Limit: 1}); total != 6 || recs[0].Seq != 6 {
+		t.Fatalf("after one more append and a reopen: total = %d, newest seq %d, want 6 and 6", total, recs[0].Seq)
 	}
 }
 

@@ -141,6 +141,13 @@ type histSeries struct {
 	h      *Histogram
 }
 
+// WritePrometheus renders h as an unlabeled histogram family of its
+// own: for a histogram declared beside the thing it times instead of
+// inside Metrics.
+func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
+	writeHistogramFamily(w, name, help, []histSeries{{h: h}})
+}
+
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format under the provpriv_ prefix: the HTTP families,
 // the task families, and the Go runtime gauges. Families are emitted

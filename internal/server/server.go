@@ -1241,7 +1241,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("limit_principals", "Per-principal buckets currently tracked.", int64(ls.Principals))
 	}
 	if s.Audit != nil {
-		metric("audit_records_total", "Mutation audit records durably appended.", int64(s.Audit.Total()))
+		s.Audit.WritePrometheus(&b)
 		metric("audit_errors_total", "Mutations whose audit append failed.", s.auditErrors.Load())
 	}
 	if s.Store != nil {

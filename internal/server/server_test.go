@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"provpriv/internal/auditlog"
 	"provpriv/internal/exec"
+	"provpriv/internal/obs"
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
 	"provpriv/internal/storage"
@@ -455,6 +457,30 @@ func TestQueryPagination(t *testing.T) {
 // counters.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, e := newTestServer(t)
+	// Two audited (rejected) mutations, one after the other: two records
+	// in two flushes, each Append call timed.
+	ab, err := storage.OpenFlat(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alog, err := auditlog.Open(ab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { alog.Close() })
+	ts.Config.Handler.(*Server).Audit = alog
+	for i := 0; i < 2; i++ {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/specs", strings.NewReader(`{"spec":`))
+		req.Header.Set("X-Prov-User", "alice")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed add spec = %d, want 400", resp.StatusCode)
+		}
+	}
 	// Generate some cache traffic so counters move: two searches, and one
 	// execution read at two levels (one taint set, two masked snapshots).
 	for i := 0; i < 2; i++ {
@@ -483,7 +509,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	if err := obs.ValidateExposition(body); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, text)
+	}
 	for _, metric := range []string{
+		"provpriv_audit_records_total 2",
+		"provpriv_audit_flushes_total 2",
+		"provpriv_audit_append_seconds_count 2",
+		`provpriv_audit_append_seconds_bucket{le="+Inf"} 2`,
 		"provpriv_specs 1",
 		"provpriv_index_segments 1",
 		"provpriv_index_postings",

@@ -81,27 +81,30 @@ func (f *Fault) Dead() bool {
 	return f.dead
 }
 
-// enter counts the call and decides the kill: (skip=true) means the
-// operation must not run.
-func (f *Fault) enter(op string) (skip bool, err error) {
+// enter counts the call and decides the kill: a non-nil error means the
+// operation must not run. nth is this call's ordinal among the calls to
+// op, which exit needs back: calls to one op may overlap, so the shared
+// counter may have moved on by the time this one completes.
+func (f *Fault) enter(op string) (nth int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dead {
-		return true, fmt.Errorf("%w (%s after death)", ErrKilled, op)
+		return 0, fmt.Errorf("%w (%s after death)", ErrKilled, op)
 	}
 	f.calls[op]++
-	if n, ok := f.before[op]; ok && f.calls[op] == n {
+	nth = f.calls[op]
+	if n, ok := f.before[op]; ok && nth == n {
 		f.dead = true
-		return true, fmt.Errorf("%w (before %s #%d)", ErrKilled, op, n)
+		return nth, fmt.Errorf("%w (before %s #%d)", ErrKilled, op, n)
 	}
-	return false, nil
+	return nth, nil
 }
 
-// exit applies an after-kill once the operation completed.
-func (f *Fault) exit(op string, opErr error) error {
+// exit applies an after-kill once the nth call to op completed.
+func (f *Fault) exit(op string, nth int, opErr error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n, ok := f.after[op]; ok && f.calls[op] == n && !f.dead {
+	if n, ok := f.after[op]; ok && nth == n && !f.dead {
 		f.dead = true
 		if opErr == nil {
 			return fmt.Errorf("%w (after %s #%d)", ErrKilled, op, n)
@@ -112,60 +115,77 @@ func (f *Fault) exit(op string, opErr error) error {
 
 // Meta implements Backend.
 func (f *Fault) Meta() (Meta, error) {
-	if skip, err := f.enter(OpMeta); skip {
+	nth, err := f.enter(OpMeta)
+	if err != nil {
 		return Meta{}, err
 	}
 	m, err := f.b.Meta()
-	return m, f.exit(OpMeta, err)
+	return m, f.exit(OpMeta, nth, err)
 }
 
 // WriteCheckpoint implements Backend.
 func (f *Fault) WriteCheckpoint(shard string, gen uint64, recs []Record) error {
-	if skip, err := f.enter(OpWriteCheckpoint); skip {
+	nth, err := f.enter(OpWriteCheckpoint)
+	if err != nil {
 		return err
 	}
-	return f.exit(OpWriteCheckpoint, f.b.WriteCheckpoint(shard, gen, recs))
+	return f.exit(OpWriteCheckpoint, nth, f.b.WriteCheckpoint(shard, gen, recs))
 }
 
 // ReadCheckpoint implements Backend.
 func (f *Fault) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Record) error) error {
-	if skip, err := f.enter(OpReadCheckpoint); skip {
+	nth, err := f.enter(OpReadCheckpoint)
+	if err != nil {
 		return err
 	}
-	return f.exit(OpReadCheckpoint, f.b.ReadCheckpoint(shard, gen, want, fn))
+	return f.exit(OpReadCheckpoint, nth, f.b.ReadCheckpoint(shard, gen, want, fn))
 }
 
 // Append implements Backend.
 func (f *Fault) Append(shard string, gen, at uint64, recs []Record) (uint64, error) {
-	if skip, err := f.enter(OpAppend); skip {
+	nth, err := f.enter(OpAppend)
+	if err != nil {
 		return 0, err
 	}
 	n, err := f.b.Append(shard, gen, at, recs)
-	return n, f.exit(OpAppend, err)
+	return n, f.exit(OpAppend, nth, err)
 }
 
 // ReplayLog implements Backend.
 func (f *Fault) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) error {
-	if skip, err := f.enter(OpReplay); skip {
+	nth, err := f.enter(OpReplay)
+	if err != nil {
 		return err
 	}
-	return f.exit(OpReplay, f.b.ReplayLog(shard, gen, upTo, fn))
+	return f.exit(OpReplay, nth, f.b.ReplayLog(shard, gen, upTo, fn))
+}
+
+// ReplayTail implements Backend, counted and killed as a replay.
+func (f *Fault) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
+	nth, err := f.enter(OpReplay)
+	if err != nil {
+		return 0, err
+	}
+	end, err := f.b.ReplayTail(shard, gen, from, fn)
+	return end, f.exit(OpReplay, nth, err)
 }
 
 // Commit implements Backend.
 func (f *Fault) Commit(meta Meta) error {
-	if skip, err := f.enter(OpCommit); skip {
+	nth, err := f.enter(OpCommit)
+	if err != nil {
 		return err
 	}
-	return f.exit(OpCommit, f.b.Commit(meta))
+	return f.exit(OpCommit, nth, f.b.Commit(meta))
 }
 
 // DropShard implements Backend.
 func (f *Fault) DropShard(shard string) error {
-	if skip, err := f.enter(OpDrop); skip {
+	nth, err := f.enter(OpDrop)
+	if err != nil {
 		return err
 	}
-	return f.exit(OpDrop, f.b.DropShard(shard))
+	return f.exit(OpDrop, nth, f.b.DropShard(shard))
 }
 
 // Close implements Backend (never killed — even a dying process's fds

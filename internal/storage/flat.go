@@ -132,9 +132,16 @@ func (f *Flat) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Rec
 // authoritative: a shorter file means the filesystem lost committed
 // data (error), a longer file carries a crashed save's orphan tail,
 // which is truncated away before the new records land in its place.
+// A log file this call created gets its directory entry fsynced too:
+// a self-committing log (ReplayTail) has no Commit coming to do it.
 func (f *Flat) Append(shard string, gen, at uint64, recs []Record) (uint64, error) {
 	name := walName(shard, gen)
-	fd, err := os.OpenFile(filepath.Join(f.dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+	path := filepath.Join(f.dir, name)
+	fd, err := os.OpenFile(path, os.O_RDWR, 0)
+	created := errors.Is(err, os.ErrNotExist)
+	if created {
+		fd, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: append %s: %w", name, err)
 	}
@@ -158,6 +165,11 @@ func (f *Flat) Append(shard string, gen, at uint64, recs []Record) (uint64, erro
 	if err := fd.Sync(); err != nil {
 		return 0, fmt.Errorf("storage: sync %s: %w", name, err)
 	}
+	if created {
+		if err := syncDir(f.dir); err != nil {
+			return 0, err
+		}
+	}
 	return at + uint64(len(buf)), nil
 }
 
@@ -178,6 +190,24 @@ func (f *Flat) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) 
 		return fmt.Errorf("storage: log %s: %w", name, err)
 	}
 	return nil
+}
+
+// ReplayTail implements Backend. A log that was never created has an
+// empty tail.
+func (f *Flat) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
+	name := walName(shard, gen)
+	data, err := os.ReadFile(filepath.Join(f.dir, name))
+	if errors.Is(err, os.ErrNotExist) && from == 0 {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("storage: read log %s: %w", name, err)
+	}
+	if uint64(len(data)) < from {
+		return 0, fmt.Errorf("%w: log %s is %d bytes, committed extent %d", ErrCorrupt, name, len(data), from)
+	}
+	n, err := validFrames(data[from:], fn)
+	return from + uint64(n), err
 }
 
 // Commit implements Backend: fsync the directory (making the preceding

@@ -166,6 +166,30 @@ func (b *KVBackend) ReplayLog(shard string, gen, upTo uint64, fn func(Record) er
 	return nil
 }
 
+// ReplayTail implements Backend: the log keys from, from+1, … as far as
+// they run without a gap. The KV excluded its own torn tail when it was
+// opened, so what is indexed is whole.
+func (b *KVBackend) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
+	end := from
+	for {
+		val, ok, err := b.kv.Get(kvRecKey("l", shard, gen, end))
+		if err != nil {
+			return end, err
+		}
+		if !ok {
+			return end, nil
+		}
+		rec, err := decodePayload(val)
+		if err != nil {
+			return end, nil
+		}
+		if err := fn(rec); err != nil {
+			return end, err
+		}
+		end++
+	}
+}
+
 // Commit implements Backend: one atomic manifest put, then pruning of
 // generations unreachable from both the new and the previous manifest.
 func (b *KVBackend) Commit(meta Meta) error {

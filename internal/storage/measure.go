@@ -123,6 +123,18 @@ func (m *Measure) ReplayLog(shard string, gen, upTo uint64, fn func(Record) erro
 	return m.note(err)
 }
 
+// ReplayTail implements Backend, counted as a replay.
+func (m *Measure) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
+	start := time.Now()
+	m.replays.Add(1)
+	end, err := m.b.ReplayTail(shard, gen, from, func(rec Record) error {
+		m.replayRecords.Add(1)
+		return fn(rec)
+	})
+	m.replayNanos.Add(uint64(time.Since(start)))
+	return end, m.note(err)
+}
+
 // Commit implements Backend.
 func (m *Measure) Commit(meta Meta) error {
 	start := time.Now()

@@ -23,13 +23,27 @@
 //     never corrupts a committed snapshot.
 //   - Within the committed extent, every record is CRC-framed; a CRC
 //     mismatch there is real corruption and is reported, not skipped.
+//   - Past the committed extent a record's own CRC frame may stand in
+//     for the manifest, but only in a log where each record is a whole
+//     transaction and the log has a single writer that never rewinds:
+//     ReplayTail streams the clean records found there and reports
+//     where they end, and the owner continues appending from that
+//     point. The audit log is such a log (one record per mutation,
+//     durable once its Append returns), so it commits a manifest only
+//     when it is created and when it is closed. A repository shard is
+//     not: a save spans several shards and the user registry, and its
+//     tail may hold part of a save whose Commit never happened — reading
+//     it would pair one shard's new state with another's old one, the
+//     torn snapshot the manifest exists to prevent. Shards are only ever
+//     read up to LogLen.
 //
 // Writers are exclusive: at most one goroutine may run mutating calls
 // (WriteCheckpoint/Append/Commit/DropShard) at a time — internal/repo
-// serializes saves under its own lock. Readers (Meta/ReadCheckpoint/
-// ReplayLog) may run concurrently with the writer and with each other;
-// Commit spares the files of the previously committed generation so a
-// reader holding the prior Meta can still finish.
+// serializes saves under its own lock, internal/auditlog hands its
+// flushes a turn. Readers (Meta/ReadCheckpoint/ReplayLog/ReplayTail) may
+// run concurrently with the writer and with each other; Commit spares
+// the files of the previously committed generation so a reader holding
+// the prior Meta can still finish.
 package storage
 
 import (
@@ -141,6 +155,13 @@ type Backend interface {
 	// ReplayLog streams the committed log records ([0, upTo)) in
 	// append order.
 	ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) error
+	// ReplayTail streams, in append order, the CRC-clean records found
+	// past the committed extent from, stops without error at the first
+	// torn or unreadable one, and returns the extent where the clean
+	// records end — the at of the owner's next Append. Only a log whose
+	// records commit themselves may be read this way (see the package
+	// comment).
+	ReplayTail(shard string, gen, from uint64, fn func(Record) error) (end uint64, err error)
 	// Commit atomically publishes meta. It is the durability point:
 	// everything meta references must survive a crash once Commit
 	// returns. It may garbage-collect state unreachable from both meta
@@ -274,14 +295,24 @@ func replayFrames(buf []byte, upTo int, fn func(Record) error) error {
 	return nil
 }
 
-// validFrames returns the length of buf's longest clean frame prefix —
-// the tail-truncation point for a log of unknown committed extent.
-func validFrames(buf []byte) int {
+// validFrames streams buf's longest clean frame prefix — the reader for
+// a log tail of unknown extent — and returns its length. A frame that
+// is incomplete, fails its CRC or does not decode ends the prefix;
+// whatever follows it is never looked at, so a stale frame behind a
+// torn one cannot be resurrected.
+func validFrames(buf []byte, fn func(Record) error) (int, error) {
 	off := 0
 	for {
-		_, next, ok := frameAt(buf, off)
+		payload, next, ok := frameAt(buf, off)
 		if !ok {
-			return off
+			return off, nil
+		}
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return off, nil
+		}
+		if err := fn(rec); err != nil {
+			return off, err
 		}
 		off = next
 	}

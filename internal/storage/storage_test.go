@@ -158,6 +158,52 @@ func TestFaultKillAfter(t *testing.T) {
 	}
 }
 
+// parkedAppends parks Append calls on the shard "slow" until gate closes.
+type parkedAppends struct {
+	storage.Backend
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (p *parkedAppends) Append(shard string, gen, at uint64, recs []storage.Record) (uint64, error) {
+	if shard == "slow" {
+		p.entered <- struct{}{}
+		<-p.gate
+	}
+	return p.Backend.Append(shard, gen, at, recs)
+}
+
+// TestFaultKillAfterWithOverlappingCalls: "after Append #1" names the
+// first call to enter, and still fires when a second call entered (and
+// finished) while the first was inside the backend.
+func TestFaultKillAfterWithOverlappingCalls(t *testing.T) {
+	b, err := storage.OpenFlat(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &parkedAppends{Backend: b, entered: make(chan struct{}), gate: make(chan struct{})}
+	f := storage.NewFault(p)
+	defer f.Close()
+	f.KillAfter(storage.OpAppend, 1)
+	recs := []storage.Record{{Type: storage.RecExec, Key: "e", Data: []byte("x")}}
+	first := make(chan error, 1)
+	go func() {
+		_, err := f.Append("slow", 1, 0, recs)
+		first <- err
+	}()
+	<-p.entered
+	if _, err := f.Append("fast", 1, 0, recs); err != nil {
+		t.Fatalf("Append #2, overlapping #1, = %v; the kill is armed for #1", err)
+	}
+	close(p.gate)
+	if err := <-first; !errors.Is(err, storage.ErrKilled) {
+		t.Fatalf("Append #1 = %v, want ErrKilled once it completed", err)
+	}
+	if !f.Dead() {
+		t.Fatal("fault not dead after the kill point")
+	}
+}
+
 func TestFileBaseDistinct(t *testing.T) {
 	// Ids that sanitize to the same prefix must still map to distinct
 	// bases, and the base must be filesystem-safe.

@@ -194,6 +194,72 @@ func Conformance(t *testing.T, open func(dir string) (storage.Backend, error)) {
 		}), append(append([]storage.Record{}, committed...), replacement...))
 	})
 
+	t.Run("TailReplayContinuesPastCommittedExtent", func(t *testing.T) {
+		// The self-committing reader: records a writer appended and
+		// fsynced but never published are found from the committed extent
+		// on, and the returned end is where that writer goes on.
+		dir := t.TempDir()
+		b := mustOpen(t, dir)
+		if err := b.WriteCheckpoint("s", 1, nil); err != nil {
+			t.Fatalf("WriteCheckpoint: %v", err)
+		}
+		if err := b.Commit(storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{
+			"s": {Checkpoint: 1},
+		}}); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		tail := func(b storage.Backend, from uint64) ([]storage.Record, uint64) {
+			t.Helper()
+			var end uint64
+			recs := collect(t, func(fn func(storage.Record) error) (err error) {
+				end, err = b.ReplayTail("s", 1, from, fn)
+				return err
+			})
+			return recs, end
+		}
+		if recs, end := tail(b, 0); len(recs) != 0 || end != 0 {
+			t.Fatalf("tail of a log never appended to = %d records, end %d", len(recs), end)
+		}
+		batch1 := []storage.Record{rec(storage.RecAudit, "1", "one")}
+		len1, err := b.Append("s", 1, 0, batch1)
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		batch2 := []storage.Record{rec(storage.RecAudit, "2", "two"), rec(storage.RecAudit, "3", "three")}
+		len2, err := b.Append("s", 1, len1, batch2)
+		if err != nil {
+			t.Fatalf("Append 2: %v", err)
+		}
+		b.Close()
+
+		b2 := mustOpen(t, dir)
+		defer b2.Close()
+		all := append(append([]storage.Record{}, batch1...), batch2...)
+		recs, end := tail(b2, 0)
+		wantRecords(t, recs, all)
+		if end != len2 {
+			t.Fatalf("tail from 0 ends at %d, want %d", end, len2)
+		}
+		recs, end = tail(b2, len1)
+		wantRecords(t, recs, batch2)
+		if end != len2 {
+			t.Fatalf("tail from %d ends at %d, want %d", len1, end, len2)
+		}
+		if recs, end := tail(b2, len2); len(recs) != 0 || end != len2 {
+			t.Fatalf("tail from the end = %d records, end %d", len(recs), end)
+		}
+		batch3 := []storage.Record{rec(storage.RecAudit, "4", "four")}
+		len3, err := b2.Append("s", 1, end, batch3)
+		if err != nil {
+			t.Fatalf("Append at the tail's end: %v", err)
+		}
+		recs, end = tail(b2, 0)
+		wantRecords(t, recs, append(all, batch3...))
+		if end != len3 {
+			t.Fatalf("tail after the next append ends at %d, want %d", end, len3)
+		}
+	})
+
 	t.Run("CommitIsAtomicOverCrash", func(t *testing.T) {
 		// New-generation checkpoints written but not committed must be
 		// invisible after reopen — the heart of the torn-snapshot fix.
