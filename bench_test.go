@@ -205,7 +205,7 @@ func BenchmarkQueryPrivacyOverhead(b *testing.B) {
 // Paper claim (Sec. 4): indexes must serve "different user views";
 // one classified index should beat re-checking policies per query.
 
-func synthRepoFixture(b *testing.B, nSpecs int) ([]*workflow.Spec, map[string]*privacy.Policy) {
+func synthRepoFixture(b testing.TB, nSpecs int) ([]*workflow.Spec, map[string]*privacy.Policy) {
 	b.Helper()
 	var specs []*workflow.Spec
 	pols := make(map[string]*privacy.Policy)
@@ -551,22 +551,35 @@ func BenchmarkSearchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchMiss is the cost of one search the result cache cannot
-// answer — index predicate, rank, a 10-hit view window — at each access
-// level, with allocs/op reported: the number a served search miss pays
-// and the one cached benchmarks hide.
-func BenchmarkSearchMiss(b *testing.B) {
+var fourLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
+
+// searchMissFixture is the repository and the query stream
+// BenchmarkSearchMiss and TestSearchHitAllocBudget share: 48 synthetic
+// specs, one user per access level (named after it), 256 random queries.
+func searchMissFixture(tb testing.TB) (*repo.Repository, []string) {
+	tb.Helper()
 	r := repo.New()
-	specs, pols := synthRepoFixture(b, 48)
+	specs, pols := synthRepoFixture(tb, 48)
 	for _, s := range specs {
 		if err := r.AddSpec(s, pols[s.ID]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	queries := workload.RandomQueries(rand.New(rand.NewSource(1)), nil, 256)
-	for _, level := range []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner} {
+	for _, level := range fourLevels {
+		r.AddUser(privacy.User{Name: level.String(), Level: level, Group: level.String()})
+	}
+	return r, workload.RandomQueries(rand.New(rand.NewSource(1)), nil, 256)
+}
+
+// BenchmarkSearchMiss is the cost of one served search — parse, index
+// predicate and rank, a 10-hit window of minimal views decided from the
+// shard's tables — at each access level, with allocs/op reported. Every
+// search pays it: there is no result cache (the name is from when there
+// was one and this was its miss path).
+func BenchmarkSearchMiss(b *testing.B) {
+	r, queries := searchMissFixture(b)
+	for _, level := range fourLevels {
 		user := level.String()
-		r.AddUser(privacy.User{Name: user, Level: level, Group: user})
 		b.Run(user, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -575,6 +588,33 @@ func BenchmarkSearchMiss(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSearchHitAllocBudget pins what a search with a 10-hit window may
+// allocate, averaged over BenchmarkSearchMiss's query stream: 96 at public
+// and 104 at owner when a hit became a few table lookups, plus 10 %. One
+// workflow expansion per hit costs about 70 allocations a hit (797 and 925
+// a search before), so an expansion that creeps back into the view pass
+// fails here, in tier-1, not in a benchmark nobody reads.
+func TestSearchHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r, queries := searchMissFixture(t)
+	for user, budget := range map[string]float64{"public": 106, "owner": 114} {
+		perStream := testing.AllocsPerRun(3, func() {
+			for _, q := range queries {
+				if _, _, err := r.SearchPageCtx(context.Background(), user, q, repo.SearchOptions{Limit: 10}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got := perStream / float64(len(queries)); got > budget {
+			t.Errorf("a 10-hit search at %s allocates %.1f times on average; budget is %.0f", user, got, budget)
+		} else {
+			t.Logf("a 10-hit search at %s allocates %.1f times on average (budget %.0f)", user, got, budget)
+		}
 	}
 }
 

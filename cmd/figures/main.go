@@ -107,11 +107,15 @@ func main() {
 			if err != nil {
 				log.Fatalf("fig 5: %v", err)
 			}
+			view, err := res.View()
+			if err != nil {
+				log.Fatalf("fig 5: %v", err)
+			}
 			header(5, `Result of Query "Database, Disorder Risks"`)
 			if *dot {
-				fmt.Println(res.View.DOT())
+				fmt.Println(view.DOT())
 			} else {
-				fmt.Print(res.View.ASCII())
+				fmt.Print(view.ASCII())
 				fmt.Println("matches:")
 				for _, m := range res.Matches {
 					fmt.Printf("  %q -> %s (in %s)\n", m.Phrase, m.ModuleID, m.Workflow)

@@ -101,7 +101,11 @@ func TestGoldenFig5(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	ascii := res.View.ASCII()
+	view, err := res.View()
+	if err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	ascii := view.ASCII()
 	wantLines := []string{
 		"modules: I, M2, M3, M5, M6, M7, M8, O",
 		"I -> M2  [family_history,lifestyle,symptoms]",

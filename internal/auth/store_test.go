@@ -180,8 +180,11 @@ func TestStoreRefusesRemovingLastToken(t *testing.T) {
 
 // TestStoreConcurrentRotation (-race): authentication stays correct
 // while the set is swapped underneath it — the unchanged token never
-// spuriously fails, the rotating token only flips between its old and
-// new secret.
+// spuriously fails, and every generation of the set a reader can load
+// holds exactly one of the rotating token's two secrets. The two admin
+// answers are taken against one loaded generation: two Store.Authenticate
+// calls may straddle a Reload, and "old, then alt" across a swap is a
+// correct pair of answers, not two secrets valid at once.
 func TestStoreConcurrentRotation(t *testing.T) {
 	s, path := newTestFileStore(t)
 	stop := make(chan struct{})
@@ -219,10 +222,11 @@ func TestStoreConcurrentRotation(t *testing.T) {
 					t.Error("unchanged token failed during rotation")
 					return
 				}
-				_, okOld := s.Authenticate("s-admin")
-				_, okAlt := s.Authenticate("s-admin-alt")
-				if okOld && okAlt {
-					t.Error("both admin secrets valid at once")
+				gen := s.Current()
+				_, okOld := gen.Authenticate("s-admin")
+				_, okAlt := gen.Authenticate("s-admin-alt")
+				if okOld == okAlt {
+					t.Errorf("one generation answers old=%v alt=%v, want exactly one admin secret valid", okOld, okAlt)
 					return
 				}
 			}

@@ -44,6 +44,10 @@ type Posting struct {
 	MinLevel privacy.Level
 }
 
+// ModuleRef names the posting's module the way search.SearchMatched takes
+// it, so a matched spec's posting lists are handed over as they are.
+func (p Posting) ModuleRef() (moduleID, workflowID string) { return p.ModuleID, p.Workflow }
+
 // postingLess is the canonical posting order: MinLevel first (so a
 // level-filtered lookup is a prefix scan), then spec and module ids for
 // determinism.

@@ -28,8 +28,8 @@
 // Keyword search is answered and ranked from the index
 // (index.Inverted.Match decides which specs match, through which
 // modules and with what score at the asker's level; only the requested
-// window's views are built), so a spec or policy mutation has one piece
-// of ranking state to maintain: the spec's index segment. QueryAll fans
+// window's minimal views are decided), so a spec or policy mutation has
+// one piece of ranking state to maintain: its index segment. QueryAll fans
 // out across a bounded worker pool and merges deterministically; the
 // lazily built enforced execution views are deduplicated with per-shard
 // singleflight groups so concurrent identical requests build each one
@@ -49,10 +49,14 @@
 package repo
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,6 +142,12 @@ type shard struct {
 	masked        *index.LRU[maskedCacheKey, maskedSnapshot]
 	maskedFlights flightGroup[maskedCacheKey, maskedSnapshot]
 
+	// access is policy's access view per level, as the ascending steps at
+	// which it changes, the first covering every level below the lowest grant.
+	// Guarded by mu and written by install together with policy, so one
+	// RLock reads one (policy, access view) pair — see policyAt.
+	access []accessStep
+
 	// engine is the taint/masking engine for the shard's current policy
 	// and generalization hierarchies — policy-scoped, so it is built
 	// once per policy change instead of once per request. Guarded by mu;
@@ -155,6 +165,13 @@ type shard struct {
 	// from the repository-wide mutSeq counter, so a removed-and-re-added
 	// spec id can never repeat a seq a previous Save recorded.
 	seq uint64
+}
+
+// accessStep is the access view of every level from from up to the next
+// step's. The map is shared by all readers of the generation: read-only.
+type accessStep struct {
+	from privacy.Level
+	view workflow.Prefix
 }
 
 // taintCacheKey keys the per-shard taint-set cache. No level component:
@@ -340,11 +357,7 @@ func (r *Repository) shardOrErr(specID string) (*shard, error) {
 func (r *Repository) snapshotShards() []*shard {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.shards))
-	for id := range r.shards {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(r.shards))
 	out := make([]*shard, len(ids))
 	for i, id := range ids {
 		out[i] = r.shards[id]
@@ -434,6 +447,13 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 // the caller holds sh.mu, or owns a shard not yet published.
 func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) {
 	sh.policy, sh.hierarchies = pol, hs
+	// An access view is the union of the grants at or below a level, so it
+	// changes only at a grant's level: one step per distinct level, however
+	// far apart a (wire-writable) policy puts them.
+	sh.access = nil
+	for _, l := range append([]privacy.Level{math.MinInt}, slices.Sorted(maps.Keys(pol.ViewGrants))...) {
+		sh.access = append(sh.access, accessStep{from: l, view: pol.AccessView(sh.hier, l)})
+	}
 	sh.engine = datapriv.NewMasker(pol, hs).Engine()
 	sh.polGen++
 	sh.taints.Purge()
@@ -445,12 +465,7 @@ func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy,
 func (r *Repository) SpecIDs() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.shards))
-	for id := range r.shards {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return slices.Sorted(maps.Keys(r.shards))
 }
 
 // Spec returns a registered spec, or nil.
@@ -576,6 +591,24 @@ func (sh *shard) policySnapshot() *privacy.Policy {
 	return sh.policy
 }
 
+// accessAt returns the installed policy's access view at level l — shared,
+// read-only. The caller holds sh.mu.
+func (sh *shard) accessAt(l privacy.Level) workflow.Prefix {
+	i := len(sh.access) - 1
+	for sh.access[i].from > l {
+		i--
+	}
+	return sh.access[i].view
+}
+
+// policyAt reads the shard's current policy and its access view at level
+// l as one pair: both come from the same install.
+func (sh *shard) policyAt(l privacy.Level) (*privacy.Policy, workflow.Prefix) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.policy, sh.accessAt(l)
+}
+
 // SetGeneralization installs generalization hierarchies for a spec's
 // protected attributes: masking then coarsens values (e.g. exact SNP →
 // chromosome → genome) instead of redacting them outright, preserving
@@ -679,9 +712,9 @@ func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]S
 // scores each matching spec by TF-IDF over what the level sees
 // (index.Inverted.Match: posting lists only, no spec touched), so the
 // full result set, its total and its order (score descending, spec id
-// ascending) are known before any view is built. Only the specs inside
-// [Offset, Offset+Limit) then get their minimal view, clipped to the
-// user's access view and built from the modules the index already named.
+// ascending) are known before any spec is touched. Only the specs inside
+// [Offset, Offset+Limit) then get their minimal view — its prefix, clipped
+// to the user's access view, decided from the modules the index named.
 // A deep repository therefore pays per page, not per hit, and total is
 // exact (TestMatchesAgreesWithSearch holds the index's matches and scores
 // to their oracles, TestSearchPageTilesFullSearch pins the tiling
@@ -691,10 +724,8 @@ func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]S
 // when the caller is gone (a disconnected HTTP client). A canceled search
 // returns ctx's error.
 //
-// The window's views are built inline, not on the worker pool: measured
-// on BenchmarkSearchMiss (10-hit window) and on unlimited ~20-hit
-// windows at -cpu 1 and 2, handing ~20 µs views to pool goroutines was
-// never faster than the loop and usually slower.
+// The window's hits are decided inline, not on the worker pool: each is a
+// few lookups in tables the shard holds (nothing is expanded).
 func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText string, opts SearchOptions) ([]SearchHit, int, error) {
 	u, err := r.User(userName)
 	if err != nil {
@@ -740,11 +771,8 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 
 	// The final hit order (score descending, spec id ascending) is known
 	// before any view is built, so the window is a slice of it.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Spec.ID < cands[j].Spec.ID
+	slices.SortFunc(cands, func(a, b index.SpecMatch) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Spec.ID, b.Spec.ID))
 	})
 	total := len(cands)
 	window := cands[min(opts.Offset, total):]
@@ -752,15 +780,16 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		window = window[:opts.Limit]
 	}
 
-	// Materialize minimal views for the window only. A hit whose shard
+	// Decide minimal views for the window only. A hit whose shard
 	// no longer matches by now is dropped; total keeps the index's count.
 	hits := make([]SearchHit, 0, len(window))
+	names := search.PhraseNames(phrases)
 	_, viewSpan := obs.StartSpan(ctx, "search.views")
 	for _, c := range window {
 		if ctx.Err() != nil {
 			break
 		}
-		if res := r.searchView(c, phrases, u.Level); res != nil {
+		if res := r.searchView(c, phrases, names, u.Level); res != nil {
 			hits = append(hits, SearchHit{SpecID: c.Spec.ID, Score: c.Score, Result: res})
 		}
 	}
@@ -771,7 +800,7 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	return hits, total, nil
 }
 
-// searchView builds the minimal view of one spec the index matched, from
+// searchView decides the minimal view of one spec the index matched, from
 // the state the shard holds now (nil when the shard is gone or no longer
 // matches). The index's matched modules are handed to the search only
 // when the segment they came from was built from the very (spec, policy)
@@ -780,28 +809,18 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 // the spec id slipped between the index read and this call — the search
 // scans the shard's own state, so the answer always describes one
 // incarnation under one policy, at worst coarser than the index promised.
-func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, level privacy.Level) *search.Result {
+func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, names []string, level privacy.Level) *search.Result {
 	sh := r.shard(m.Spec.ID)
 	if sh == nil {
 		return nil
 	}
-	sh.mu.RLock()
-	s, pol, hier := sh.spec, sh.policy, sh.hier
-	sh.mu.RUnlock()
-	access := pol.AccessView(hier, level)
+	pol, access := sh.policyAt(level)
 	var res *search.Result
 	var err error
-	if m.Spec == s && m.Policy == pol {
-		matched := make([][]search.ModuleRef, len(m.Phrases))
-		for i, ps := range m.Phrases {
-			matched[i] = make([]search.ModuleRef, len(ps))
-			for j, p := range ps {
-				matched[i][j] = search.ModuleRef{ModuleID: p.ModuleID, Workflow: p.Workflow}
-			}
-		}
-		res, err = search.SearchMatched(s, hier, phrases, matched, access, pol, level)
+	if m.Spec == sh.spec && m.Policy == pol {
+		res, err = search.SearchMatched(sh.spec, sh.hier, names, m.Phrases, access, pol, level)
 	} else {
-		res, err = search.SearchWithAccess(s, phrases, access, pol, level)
+		res, err = search.SearchWithAccess(sh.spec, phrases, access, pol, level)
 	}
 	if err != nil {
 		return nil // the shard's state no longer matches: drop the hit
@@ -859,6 +878,7 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
 	sh.mu.RLock()
 	pol := sh.policy
+	access := sh.accessAt(level)
 	en := sh.engine
 	polGen := sh.polGen
 	sh.mu.RUnlock()
@@ -874,7 +894,6 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 		// fill spans land on the trace of the caller that paid for it.
 		fctx, fill := obs.StartSpan(ctx, "cache.masked_fill")
 		defer fill.End()
-		access := pol.AccessView(sh.hier, level)
 		_, collapse := obs.StartSpan(fctx, "view.collapse")
 		view, g, err := exec.CollapseIn(e, sh.hier, access)
 		collapse.End()
@@ -949,9 +968,10 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s, pol, h := sh.spec, sh.policySnapshot(), sh.hier
-	mf, _ := h.Module(from)
-	mt, _ := h.Module(to)
+	h := sh.hier
+	pol, access := sh.policyAt(u.Level)
+	mf, wf := h.Module(from)
+	mt, wt := h.Module(to)
 	if mf == nil {
 		return false, fmt.Errorf("repo: unknown module %q: %w", from, ErrNotFound)
 	}
@@ -969,7 +989,6 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 			return false, nil
 		}
 	}
-	access := pol.AccessView(h, u.Level)
 	// Full access view: answer from the shard's full-expansion closure,
 	// O(1) — the closure of the very spec whose policy decided the view.
 	// Composite endpoints don't appear in the full expansion; fall through
@@ -977,16 +996,16 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	if len(access) == h.Size() && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
 		return sh.reach.Reach(sh.full.Lookup(from), sh.full.Lookup(to)), nil
 	}
-	v, err := workflow.Expand(s, access)
+	v, err := workflow.ExpandIn(sh.spec, h, access)
 	if err != nil {
 		return false, err
 	}
 	g := v.Graph()
-	rf, err := visibleRepr(h, v, from, access)
+	rf, err := visibleRepr(h, v, from, wf.ID, access)
 	if err != nil {
 		return false, err
 	}
-	rt, err := visibleRepr(h, v, to, access)
+	rt, err := visibleRepr(h, v, to, wt.ID, access)
 	if err != nil {
 		return false, err
 	}
@@ -996,29 +1015,16 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	return g.Reachable(g.Lookup(rf), g.Lookup(rt)), nil
 }
 
-// visibleRepr maps a module id to the module that represents it in the
-// given view: itself when visible, else the via-module of its shallowest
-// hidden ancestor workflow.
-func visibleRepr(h *workflow.Hierarchy, v *workflow.View, moduleID string, access workflow.Prefix) (string, error) {
+// visibleRepr maps a module of workflow wid to the module that represents
+// it in the given view: itself when visible, else the via-module of the
+// first workflow on wid's root chain outside the access view.
+func visibleRepr(h *workflow.Hierarchy, v *workflow.View, moduleID, wid string, access workflow.Prefix) (string, error) {
 	if v.Module(moduleID) != nil {
 		return moduleID, nil
 	}
-	m, w := h.Module(moduleID)
-	if m == nil {
-		return "", fmt.Errorf("repo: unknown module %q: %w", moduleID, ErrNotFound)
-	}
-	// Walk the workflow chain root..w; the first workflow outside the
-	// access view is represented by its via-module.
-	var chain []string
-	for cur := w.ID; cur != ""; cur = h.Parent(cur) {
-		chain = append([]string{cur}, chain...)
-		if cur == h.Root {
-			break
-		}
-	}
-	for _, wid := range chain {
-		if !access.Contains(wid) {
-			return h.ViaModule(wid), nil
+	for _, w := range h.Chain(wid) {
+		if !access.Contains(w) {
+			return h.ViaModule(w), nil
 		}
 	}
 	return "", fmt.Errorf("repo: module %q not resolvable in view", moduleID)
@@ -1057,9 +1063,8 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	if err != nil {
 		return nil, err
 	}
-	pol := sh.policySnapshot()
-	access := pol.AccessView(sh.hier, u.Level)
-	v, err := workflow.Expand(sh.spec, access)
+	pol, access := sh.policyAt(u.Level)
+	v, err := workflow.ExpandIn(sh.spec, sh.hier, access)
 	if err != nil {
 		return nil, err
 	}
@@ -1245,10 +1250,10 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 		// Debug escape hatch: attribute-local masking only, uncached (a
 		// nil taint set degrades the engine) — never worth a cache slot.
 		sh.mu.RLock()
-		pol := sh.policy
+		access := sh.accessAt(u.Level)
 		en := sh.engine
 		sh.mu.RUnlock()
-		view, err := exec.Collapse(e, sh.spec, pol.AccessView(sh.hier, u.Level))
+		view, err := exec.Collapse(e, sh.spec, access)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"sort"
+	"testing"
 
 	"provpriv/internal/privacy"
 	"provpriv/internal/workflow"
@@ -25,4 +26,21 @@ func ScanModuleIDs(spec *workflow.Spec, query [][]string, pol *privacy.Policy, l
 		ids = append(ids, one)
 	}
 	return ids, true
+}
+
+// MustView draws a result, failing the test if its prefix cannot be
+// expanded.
+func MustView(tb testing.TB, r *Result) *workflow.View {
+	tb.Helper()
+	v, err := r.View()
+	if err != nil {
+		tb.Fatalf("View: %v", err)
+	}
+	return v
+}
+
+// Shown exposes the hierarchy rule minimalView reports matches by: whether
+// the view of prefix p shows module m of workflow wid itself.
+func Shown(p workflow.Prefix, m *workflow.Module, wid string) bool {
+	return shown(p, rawMatch{module: m, workflow: wid})
 }

@@ -130,7 +130,6 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 				tb.Fatalf("query %q spec %s: match does not name the pointers it was built from", q, s.ID)
 			}
 			wantIDs, _ := search.ScanModuleIDs(s, phrases, pol, level)
-			handed := make([][]search.ModuleRef, len(m.Phrases))
 			gotIDs := make([][]string, len(m.Phrases))
 			for i, ps := range m.Phrases {
 				for _, p := range ps {
@@ -138,19 +137,18 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 						tb.Fatalf("query %q level %v spec %s: posting %+v does not describe the spec", q, level, s.ID, p)
 					}
 					gotIDs[i] = append(gotIDs[i], p.ModuleID)
-					handed[i] = append(handed[i], search.ModuleRef{ModuleID: p.ModuleID, Workflow: p.Workflow})
 				}
 				sort.Strings(gotIDs[i])
 			}
 			if !reflect.DeepEqual(gotIDs, wantIDs) {
 				tb.Fatalf("query %q level %v spec %s: index modules %v, scan %v", q, level, s.ID, gotIDs, wantIDs)
 			}
-			res, err := search.SearchMatched(s, h, phrases, handed, access, pol, level)
+			res, err := search.SearchMatched(s, h, search.PhraseNames(phrases), m.Phrases, access, pol, level)
 			if err != nil {
 				tb.Fatalf("query %q level %v spec %s: SearchMatched: %v", q, level, s.ID, err)
 			}
 			if !reflect.DeepEqual(res.Matches, scanned.Matches) || !reflect.DeepEqual(res.Prefix, scanned.Prefix) ||
-				res.ZoomedOut != scanned.ZoomedOut || !reflect.DeepEqual(res.View.ModuleIDs(), scanned.View.ModuleIDs()) {
+				res.ZoomedOut != scanned.ZoomedOut || !reflect.DeepEqual(search.MustView(tb, res).ModuleIDs(), search.MustView(tb, scanned).ModuleIDs()) {
 				tb.Fatalf("query %q level %v spec %s: handed view %+v / %v differs from scanned %+v / %v",
 					q, level, s.ID, res.Matches, res.Prefix.IDs(), scanned.Matches, scanned.Prefix.IDs())
 			}

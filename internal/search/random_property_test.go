@@ -38,7 +38,7 @@ func TestRandomSpecSearchWellFormed(t *testing.T) {
 				t.Fatalf("seed %d query %q: result with no matches", seed, q)
 			}
 			for _, m := range res.Matches {
-				if m.ZoomedTo == "" && res.View.Module(m.ModuleID) == nil {
+				if m.ZoomedTo == "" && search.MustView(t, res).Module(m.ModuleID) == nil {
 					t.Fatalf("seed %d query %q: match %s invisible", seed, q, m.ModuleID)
 				}
 			}

@@ -16,11 +16,18 @@
 // view, re-mapping finer matches to their deepest visible ancestor
 // composite (the "zoom-out" of Section 4), and refuses to match modules
 // whose identity is protected by module privacy.
+//
+// The prefix is the answer; the expanded graph is one rendering of it. A
+// search therefore expands nothing: the prefix is the union of root
+// chains the hierarchy already holds, and whether the view shows a matched
+// module follows from the prefix alone (see minimalView). Result.View
+// draws the graph for a caller that wants the picture.
 package search
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"provpriv/internal/privacy"
@@ -70,21 +77,31 @@ func ParseQuery(q string) [][]string {
 	return out
 }
 
-// Match records that a phrase matched a module.
+// Match records that a phrase matched a module. The tags are its wire
+// form: the server encodes a result's matches as they stand.
 type Match struct {
-	Phrase   string // the phrase, space-joined
-	ModuleID string
-	Workflow string // workflow containing the module
-	ZoomedTo string // if privacy re-mapped the match, the visible ancestor
+	Phrase   string `json:"phrase"` // the phrase, space-joined
+	ModuleID string `json:"module"`
+	Workflow string `json:"workflow"`            // workflow containing the module
+	ZoomedTo string `json:"zoomed_to,omitempty"` // if privacy re-mapped the match, the visible ancestor
 }
 
-// Result is a keyword-search answer: the minimal view and the matches
-// visible in it.
+// Result is a keyword-search answer: the minimal view, as the prefix of
+// the expansion hierarchy that determines it, and the matches visible in
+// it. The prefix is the answer; View draws it.
 type Result struct {
-	View      *workflow.View
 	Prefix    workflow.Prefix
 	Matches   []Match
 	ZoomedOut bool // the ideal view was clipped by the user's access view
+
+	spec *workflow.Spec
+	hier *workflow.Hierarchy
+}
+
+// View expands the searched spec to the result's prefix: the rendering
+// of the answer as a graph, built on each call.
+func (r *Result) View() (*workflow.View, error) {
+	return workflow.ExpandIn(r.spec, r.hier, r.Prefix)
 }
 
 // ModuleTerms returns the normalized searchable terms of a module: the
@@ -108,25 +125,38 @@ func phraseMatches(m *workflow.Module, phrase []string) bool {
 	return true
 }
 
-// rawMatch is a phrase match before supersession/minimality.
+// rawMatch is a phrase match before supersession/minimality. chain is
+// the root chain of workflow (workflow.Hierarchy.Chain, read-only), which
+// minimalView resolves once for everything downstream to read.
 type rawMatch struct {
 	module   *workflow.Module
 	workflow string
+	chain    []string
 }
 
-// phraseState is one query phrase with its raw matches. The two sources
-// of raw matches — scanMatches and handedMatches — fill it; minimalView
-// consumes it.
+// phraseState is one query phrase — by the name it is reported under,
+// its terms space-joined — with its raw matches. The two sources of raw
+// matches — scanMatches and handedMatches — fill it; minimalView consumes
+// it.
 type phraseState struct {
-	phrase  []string
+	name    string
 	matches []rawMatch
 }
 
-// ModuleRef names a module by id and containing workflow: what a keyword
-// index knows about a match without holding the spec.
-type ModuleRef struct {
-	ModuleID string
-	Workflow string
+// PhraseNames returns the name each phrase of a parsed query is reported
+// under in Match.Phrase.
+func PhraseNames(query [][]string) []string {
+	names := make([]string, len(query))
+	for i, phrase := range query {
+		names[i] = strings.Join(phrase, " ")
+	}
+	return names
+}
+
+// ModuleRef is what a keyword index knows about a match without holding
+// the spec: the module's id and the workflow containing it.
+type ModuleRef interface {
+	ModuleRef() (moduleID, workflowID string)
 }
 
 // Search evaluates a keyword query (see ParseQuery) against a spec with
@@ -145,13 +175,13 @@ func Search(spec *workflow.Spec, query [][]string) (*Result, error) {
 //
 // Equivalence with searchInternal: beyond the per-phrase visible-match
 // requirement tested here, searchInternal can only fail on structurally
-// invalid specs (hierarchy/expand errors, impossible for specs the
-// repository validated on registration); its "all matches suppressed"
-// guard is unreachable when every phrase has a visible match, because a
-// match is dropped from the report only when its whole workflow chain
-// is in the prefix yet the module is absent from the view — a
-// contradiction for expanded prefixes. TestMatchesAgreesWithSearch
-// pins the equivalence property-style.
+// invalid specs (hierarchy errors, impossible for specs the repository
+// validated on registration); its "all matches suppressed" guard is
+// unreachable when every phrase has a visible match, because a match is
+// dropped from the report only when its whole workflow chain is in the
+// prefix yet the view does not show the module — a composite whose
+// expansion another match pulled in, and that match is reported.
+// TestMatchesAgreesWithSearch pins the equivalence property-style.
 func Matches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) bool {
 	if len(query) == 0 {
 		return false
@@ -191,23 +221,24 @@ func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow
 }
 
 // SearchMatched is SearchWithAccess for a caller that already knows which
-// modules carry each phrase — matched[i] lists them for query[i], as a
-// keyword index over this very (spec, policy) pair reports them — and
-// that holds the spec's prebuilt hierarchy h. Neither the spec's modules
-// are scanned nor the hierarchy rebuilt; the answer is the one
+// modules carry each phrase — matched[i] lists them for the phrase named
+// names[i] (see PhraseNames), as a keyword index over this very (spec,
+// policy) pair reports them — and that holds the spec's prebuilt
+// hierarchy h. Neither the spec's modules are scanned nor the hierarchy
+// rebuilt, and matched is only read; the answer is the one
 // SearchWithAccess gives whenever matched is what its scan would find.
 // Enforcement does not rest on the caller: every handed module is
-// resolved in spec and re-checked against pol at level, and one that is
-// absent or hidden is discarded, so a stale list can only shrink the
-// answer (or fail the search), never widen it.
-func SearchMatched(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, matched [][]ModuleRef, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+// resolved in h and re-checked against pol at level, and one that is
+// absent, in another workflow or hidden is discarded, so a stale list can
+// only shrink the answer (or fail the search), never widen it.
+func SearchMatched[R ModuleRef](spec *workflow.Spec, h *workflow.Hierarchy, names []string, matched [][]R, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
 	if accessView == nil {
 		return nil, fmt.Errorf("search: nil access view")
 	}
-	if len(matched) != len(query) {
-		return nil, fmt.Errorf("search: %d match lists for %d phrases", len(matched), len(query))
+	if len(matched) != len(names) {
+		return nil, fmt.Errorf("search: %d match lists for %d phrases", len(matched), len(names))
 	}
-	states, err := handedMatches(spec, query, matched, pol, level)
+	states, err := handedMatches(h, names, matched, pol, level)
 	if err != nil {
 		return nil, err
 	}
@@ -226,17 +257,18 @@ func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.P
 	return minimalView(spec, h, states, accessView)
 }
 
-func errNoMatch(phrase []string) error {
-	return fmt.Errorf("search: no match for phrase %q", strings.Join(phrase, " "))
+func errNoMatch(name string) error {
+	return fmt.Errorf("search: no match for phrase %q", name)
 }
 
 // scanMatches collects the raw matches of every phrase by walking all
 // modules of the spec.
 func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
 	states := make([]phraseState, 0, len(query))
+	wids := spec.WorkflowIDs()
 	for _, phrase := range query {
-		ps := phraseState{phrase: phrase}
-		for _, wid := range spec.WorkflowIDs() {
+		ps := phraseState{name: strings.Join(phrase, " ")}
+		for _, wid := range wids {
 			for _, m := range spec.Workflows[wid].Modules {
 				if pol != nil && !pol.CanSeeModule(level, m.ID) {
 					continue // module privacy: identity not searchable
@@ -247,7 +279,7 @@ func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, lev
 			}
 		}
 		if len(ps.matches) == 0 {
-			return nil, errNoMatch(phrase)
+			return nil, errNoMatch(ps.name)
 		}
 		states = append(states, ps)
 	}
@@ -255,25 +287,23 @@ func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, lev
 }
 
 // handedMatches turns the per-phrase module refs a caller hands in into
-// raw matches, keeping only refs that resolve in spec and pass the
-// module-privacy check.
-func handedMatches(spec *workflow.Spec, query [][]string, matched [][]ModuleRef, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
-	states := make([]phraseState, 0, len(query))
-	for i, phrase := range query {
-		ps := phraseState{phrase: phrase, matches: make([]rawMatch, 0, len(matched[i]))}
+// raw matches, keeping only refs that resolve in the spec h was built from
+// — the module exists, in the named workflow — and pass the module-privacy
+// check.
+func handedMatches[R ModuleRef](h *workflow.Hierarchy, names []string, matched [][]R, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+	states := make([]phraseState, 0, len(names))
+	for i, name := range names {
+		ps := phraseState{name: name, matches: make([]rawMatch, 0, len(matched[i]))}
 		for _, ref := range matched[i] {
-			w := spec.Workflows[ref.Workflow]
-			if w == nil {
+			mid, wid := ref.ModuleRef()
+			m, w := h.Module(mid)
+			if m == nil || w.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
 				continue
 			}
-			m := w.Module(ref.ModuleID)
-			if m == nil || (pol != nil && !pol.CanSeeModule(level, m.ID)) {
-				continue
-			}
-			ps.matches = append(ps.matches, rawMatch{module: m, workflow: ref.Workflow})
+			ps.matches = append(ps.matches, rawMatch{module: m, workflow: wid})
 		}
 		if len(ps.matches) == 0 {
-			return nil, errNoMatch(phrase)
+			return nil, errNoMatch(name)
 		}
 		states = append(states, ps)
 	}
@@ -281,9 +311,14 @@ func handedMatches(spec *workflow.Spec, query [][]string, matched [][]ModuleRef,
 }
 
 // minimalView is the one place raw matches become an answer:
-// supersession, cheapest requirement per phrase, expansion of the
-// resulting prefix (clipped to accessView when non-nil) and the match
+// supersession, cheapest requirement per phrase, their union as the
+// result prefix (each clipped to accessView when non-nil) and the match
 // report. states holds at least one match per phrase.
+//
+// Nothing is expanded: under a parent-closed prefix P, the view shows
+// module m of workflow w exactly when P holds w and m is not a composite
+// whose subworkflow P holds too (that one is replaced by its expansion) —
+// TestShownAgreesWithExpansion holds the rule to the expansion itself.
 func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, accessView workflow.Prefix) (*Result, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("search: empty query")
@@ -292,8 +327,16 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	// Supersession: drop a match on a composite module when the phrase
 	// also matches inside its expansion subtree (the finer match is the
 	// answer; the composite merely summarizes it).
+	n := 0
 	for i := range states {
-		states[i].matches = dropSuperseded(h, states[i].matches)
+		ms := states[i].matches
+		for j := range ms {
+			if ms[j].chain = h.Chain(ms[j].workflow); ms[j].chain == nil {
+				return nil, fmt.Errorf("search: workflow %s of module %s is not in the hierarchy", ms[j].workflow, ms[j].module.ID)
+			}
+		}
+		states[i].matches = dropSuperseded(ms)
+		n += len(states[i].matches)
 	}
 
 	// Minimal prefix: per phrase, the cheapest requirement (fewest
@@ -304,91 +347,79 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	for _, ps := range states {
 		req, clipped := cheapestRequirement(h, ps.matches, accessView)
 		zoomed = zoomed || clipped
-		for wid := range req {
+		for _, wid := range req {
 			prefix[wid] = true
 		}
 	}
-	view, err := workflow.ExpandIn(spec, h, prefix)
-	if err != nil {
+	if err := prefix.Validate(h); err != nil {
 		return nil, err
 	}
 
 	// Report every match visible in the final view; invisible finer
 	// matches zoom out to their visible ancestor composite.
-	res := &Result{View: view, Prefix: prefix, ZoomedOut: zoomed}
-	// Composite dedup key as a struct, not a "|"-joined string: module
-	// IDs are wire-writable, and an ID containing the separator could
-	// alias two distinct matches into one (provlint cachekey).
-	type matchKey struct{ phrase, module, zoomedTo string }
-	seen := make(map[matchKey]bool)
+	res := &Result{Prefix: prefix, Matches: make([]Match, 0, n), ZoomedOut: zoomed, spec: spec, hier: h}
 	for _, ps := range states {
-		name := strings.Join(ps.phrase, " ")
 		for _, rm := range ps.matches {
-			match := Match{Phrase: name, ModuleID: rm.module.ID, Workflow: rm.workflow}
-			if view.Module(rm.module.ID) == nil {
-				anc := visibleAncestor(h, rm.workflow, prefix)
+			match := Match{Phrase: ps.name, ModuleID: rm.module.ID, Workflow: rm.workflow}
+			if !shown(prefix, rm) {
+				anc := visibleAncestor(h, rm.chain, prefix)
 				if anc == "" {
 					continue
 				}
 				match.ZoomedTo = anc
 			}
-			key := matchKey{phrase: name, module: match.ModuleID, zoomedTo: match.ZoomedTo}
-			if !seen[key] {
-				seen[key] = true
-				res.Matches = append(res.Matches, match)
-			}
+			res.Matches = append(res.Matches, match)
 		}
 	}
-	sort.Slice(res.Matches, func(i, j int) bool {
-		if res.Matches[i].Phrase != res.Matches[j].Phrase {
-			return res.Matches[i].Phrase < res.Matches[j].Phrase
-		}
-		return res.Matches[i].ModuleID < res.Matches[j].ModuleID
-	})
 	if len(res.Matches) == 0 {
 		return nil, fmt.Errorf("search: all matches suppressed by privacy constraints")
 	}
+	// One report per (phrase, module, zoomed-to): two phrases may share a
+	// name and a handed list may repeat a module. The fields are compared
+	// one by one, never joined into a string — module ids are wire-writable
+	// and a separator could alias two distinct matches (provlint cachekey).
+	slices.SortFunc(res.Matches, func(a, b Match) int {
+		return cmp.Or(strings.Compare(a.Phrase, b.Phrase), strings.Compare(a.ModuleID, b.ModuleID), strings.Compare(a.ZoomedTo, b.ZoomedTo))
+	})
+	res.Matches = slices.CompactFunc(res.Matches, func(a, b Match) bool {
+		return a.Phrase == b.Phrase && a.ModuleID == b.ModuleID && a.ZoomedTo == b.ZoomedTo
+	})
 	return res, nil
+}
+
+// shown reports whether the view of prefix p shows the matched module
+// itself: its workflow is expanded and, if it is composite, its own
+// subworkflow is not.
+func shown(p workflow.Prefix, rm rawMatch) bool {
+	return p[rm.workflow] && !(rm.module.Kind == workflow.Composite && p[rm.module.Sub])
 }
 
 // dropSuperseded removes matches on composite modules whose subtree
 // contains another match for the same phrase.
-func dropSuperseded(h *workflow.Hierarchy, matches []rawMatch) []rawMatch {
-	// Workflows containing a match.
-	matchWf := make(map[string]bool, len(matches))
-	for _, rm := range matches {
-		matchWf[rm.workflow] = true
-	}
-	inSubtree := func(root, wid string) bool {
-		for cur := wid; cur != ""; cur = h.Parent(cur) {
-			if cur == root {
+func dropSuperseded(matches []rawMatch) []rawMatch {
+	// The subworkflow of a composite sits one below the composite's own
+	// workflow, so it has a match in its subtree exactly when some match's
+	// root chain passes through it at that depth.
+	superseded := func(rm rawMatch) bool {
+		if rm.module.Kind != workflow.Composite {
+			return false
+		}
+		d := len(rm.chain)
+		for _, other := range matches {
+			if d < len(other.chain) && other.chain[d] == rm.module.Sub {
 				return true
-			}
-			if cur == h.Root {
-				break
 			}
 		}
 		return false
 	}
-	var out []rawMatch
+	if !slices.ContainsFunc(matches, superseded) {
+		return matches
+	}
+	out := make([]rawMatch, 0, len(matches)-1)
 	for _, rm := range matches {
-		if rm.module.Kind == workflow.Composite {
-			superseded := false
-			for w := range matchWf {
-				if w != rm.workflow && inSubtree(rm.module.Sub, w) {
-					superseded = true
-					break
-				}
-				if w == rm.module.Sub {
-					superseded = true
-					break
-				}
-			}
-			if superseded {
-				continue
-			}
+		if !superseded(rm) {
+			out = append(out, rm)
 		}
-		out = append(out, rm)
 	}
 	if len(out) == 0 {
 		return matches // defensive: never drop everything
@@ -397,52 +428,36 @@ func dropSuperseded(h *workflow.Hierarchy, matches []rawMatch) []rawMatch {
 }
 
 // cheapestRequirement returns the smallest prefix extension making some
-// match of the phrase visible. When an access view is supplied and the
-// cheapest requirement exceeds it, the requirement is clipped (zoom-out)
-// and clipped=true is returned.
-func cheapestRequirement(h *workflow.Hierarchy, matches []rawMatch, accessView workflow.Prefix) (req map[string]bool, clipped bool) {
-	type cand struct {
-		chain []string // workflows root..containing
-		key   string
+// match of the phrase visible, as a root chain of the hierarchy
+// (read-only): the shortest among the matches' chains, ties broken by
+// chain key. When an access view is supplied and the cheapest requirement
+// exceeds it, the requirement is clipped (zoom-out) and clipped=true is
+// returned.
+func cheapestRequirement(h *workflow.Hierarchy, matches []rawMatch, accessView workflow.Prefix) (req []string, clipped bool) {
+	best := matches[0]
+	for _, rm := range matches[1:] {
+		if len(rm.chain) < len(best.chain) ||
+			(len(rm.chain) == len(best.chain) && h.ChainKey(rm.workflow) < h.ChainKey(best.workflow)) {
+			best = rm
+		}
 	}
-	var best *cand
-	for _, rm := range matches {
-		var chain []string
-		for cur := rm.workflow; cur != ""; cur = h.Parent(cur) {
-			chain = append([]string{cur}, chain...)
-			if cur == h.Root {
-				break
+	req = best.chain
+	if accessView != nil {
+		for i, wid := range req {
+			if !accessView.Contains(wid) {
+				// prefix-closed: once outside, everything deeper is too
+				return req[:i], true
 			}
 		}
-		c := &cand{chain: chain, key: strings.Join(chain, "/")}
-		if best == nil || len(c.chain) < len(best.chain) ||
-			(len(c.chain) == len(best.chain) && c.key < best.key) {
-			best = c
-		}
 	}
-	req = make(map[string]bool, len(best.chain))
-	for _, wid := range best.chain {
-		if accessView != nil && !accessView.Contains(wid) {
-			clipped = true
-			break // prefix-closed: once outside, everything deeper is too
-		}
-		req[wid] = true
-	}
-	return req, clipped
+	return req, false
 }
 
-// visibleAncestor returns the composite module that represents workflow
-// wid in the view of the given prefix: the via-module of the shallowest
-// ancestor workflow not in the prefix ("" if wid is visible).
-func visibleAncestor(h *workflow.Hierarchy, wid string, prefix workflow.Prefix) string {
-	// Build chain root..wid.
-	var chain []string
-	for cur := wid; cur != ""; cur = h.Parent(cur) {
-		chain = append([]string{cur}, chain...)
-		if cur == h.Root {
-			break
-		}
-	}
+// visibleAncestor returns the composite module that represents the
+// workflow at the end of the root chain in the view of the given prefix:
+// the via-module of the shallowest workflow on the chain that is not in
+// the prefix ("" if all are, so the workflow is visible).
+func visibleAncestor(h *workflow.Hierarchy, chain []string, prefix workflow.Prefix) string {
 	for _, w := range chain {
 		if !prefix.Contains(w) {
 			return h.ViaModule(w)

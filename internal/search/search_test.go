@@ -59,7 +59,7 @@ func TestSearchReproducesFig5(t *testing.T) {
 	if strings.Join(res.Prefix.IDs(), ",") != "W1,W2,W4" {
 		t.Fatalf("prefix = %v, want W1,W2,W4", res.Prefix.IDs())
 	}
-	got := strings.Join(res.View.ModuleIDs(), ",")
+	got := strings.Join(MustView(t, res).ModuleIDs(), ",")
 	if got != "I,M2,M3,M5,M6,M7,M8,O" {
 		t.Fatalf("view modules = %s, want I,M2,M3,M5,M6,M7,M8,O", got)
 	}
@@ -119,7 +119,7 @@ func TestSearchRootLevelMatchStaysCollapsed(t *testing.T) {
 	if strings.Join(res.Prefix.IDs(), ",") != "W1" {
 		t.Fatalf("prefix = %v, want W1", res.Prefix.IDs())
 	}
-	if res.View.Module("M1") == nil {
+	if MustView(t, res).Module("M1") == nil {
 		t.Fatal("M1 not visible")
 	}
 }
@@ -207,7 +207,7 @@ func TestSearchResultWellFormed(t *testing.T) {
 			t.Fatalf("%s: invalid prefix: %v", q, err)
 		}
 		for _, m := range res.Matches {
-			if m.ZoomedTo == "" && res.View.Module(m.ModuleID) == nil {
+			if m.ZoomedTo == "" && MustView(t, res).Module(m.ModuleID) == nil {
 				t.Fatalf("%s: match %s not visible", q, m.ModuleID)
 			}
 		}

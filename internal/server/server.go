@@ -104,6 +104,7 @@ import (
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
 	"provpriv/internal/repo"
+	"provpriv/internal/search"
 	"provpriv/internal/storage"
 	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
@@ -622,22 +623,14 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request, user string
 	s.writeJSON(w, http.StatusOK, map[string]any{"specs": out})
 }
 
-// searchMatch mirrors search.Match for the wire.
-type searchMatch struct {
-	Phrase   string `json:"phrase"`
-	ModuleID string `json:"module"`
-	Workflow string `json:"workflow"`
-	ZoomedTo string `json:"zoomed_to,omitempty"`
-}
-
 // searchHit is one wire-format search result: the minimal-view prefix
 // and matches, without the full expanded view body.
 type searchHit struct {
-	SpecID    string        `json:"spec"`
-	Score     float64       `json:"score"`
-	Prefix    []string      `json:"prefix"`
-	ZoomedOut bool          `json:"zoomed_out,omitempty"`
-	Matches   []searchMatch `json:"matches"`
+	SpecID    string         `json:"spec"`
+	Score     float64        `json:"score"`
+	Prefix    []string       `json:"prefix"`
+	ZoomedOut bool           `json:"zoomed_out,omitempty"`
+	Matches   []search.Match `json:"matches"`
 }
 
 // parsePage extracts limit/offset pagination parameters (both optional,
@@ -705,19 +698,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 	}
 	out := make([]searchHit, 0, len(hits))
 	for _, h := range hits {
-		sh := searchHit{
+		out = append(out, searchHit{
 			SpecID:    h.SpecID,
 			Score:     h.Score,
 			Prefix:    h.Result.Prefix.IDs(),
 			ZoomedOut: h.Result.ZoomedOut,
-			Matches:   make([]searchMatch, 0, len(h.Result.Matches)),
-		}
-		for _, m := range h.Result.Matches {
-			sh.Matches = append(sh.Matches, searchMatch{
-				Phrase: m.Phrase, ModuleID: m.ModuleID, Workflow: m.Workflow, ZoomedTo: m.ZoomedTo,
-			})
-		}
-		out = append(out, sh)
+			Matches:   h.Result.Matches,
+		})
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"query": q, "hits": out, "total": total, "offset": offset,

@@ -17,7 +17,9 @@ type Hierarchy struct {
 	children map[string][]string
 	// viaModule records which composite module introduces each child.
 	viaModule map[string]string
-	size      int // len(All()), fixed at construction
+	// chains resolves a workflow to its root chain, built once in BFS
+	// order; len(chains) is len(All()).
+	chains map[string]rootChain
 	// modules resolves a module id to the module and its workflow: what
 	// Spec.FindModule answers, without the scan.
 	modules map[string]moduleAt
@@ -26,6 +28,14 @@ type Hierarchy struct {
 type moduleAt struct {
 	m *Module
 	w *Workflow
+}
+
+// rootChain is the path of workflow ids from the root down to one
+// workflow, and the same path "/"-joined: the order two chains of equal
+// length are ranked in.
+type rootChain struct {
+	ids []string
+	key string
 }
 
 // NewHierarchy derives the expansion hierarchy from a validated spec.
@@ -57,7 +67,16 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 	for wid := range h.children {
 		sort.Strings(h.children[wid])
 	}
-	h.size = len(h.All())
+	all := h.All()
+	h.chains = make(map[string]rootChain, len(all))
+	for _, wid := range all { // parents come before their children
+		ids := []string{wid}
+		if wid != h.Root {
+			up := h.chains[h.parent[wid]].ids
+			ids = append(up[:len(up):len(up)], wid)
+		}
+		h.chains[wid] = rootChain{ids: ids, key: strings.Join(ids, "/")}
+	}
 	return h, nil
 }
 
@@ -78,23 +97,17 @@ func (h *Hierarchy) Children(wid string) []string { return h.children[wid] }
 // ViaModule returns the composite module whose expansion introduces wid.
 func (h *Hierarchy) ViaModule(wid string) string { return h.viaModule[wid] }
 
+// Chain returns the workflow ids on the path from the root down to wid,
+// both included, or nil if wid is not reachable from the root. The slice
+// belongs to the hierarchy: read-only.
+func (h *Hierarchy) Chain(wid string) []string { return h.chains[wid].ids }
+
+// ChainKey returns Chain(wid) "/"-joined.
+func (h *Hierarchy) ChainKey(wid string) string { return h.chains[wid].key }
+
 // Depth returns the number of edges from the root to wid (root = 0),
 // or -1 if wid is not in the hierarchy.
-func (h *Hierarchy) Depth(wid string) int {
-	if wid == h.Root {
-		return 0
-	}
-	d := 0
-	for wid != h.Root {
-		p, ok := h.parent[wid]
-		if !ok {
-			return -1
-		}
-		wid = p
-		d++
-	}
-	return d
-}
+func (h *Hierarchy) Depth(wid string) int { return len(h.chains[wid].ids) - 1 }
 
 // All returns every workflow id in the hierarchy in BFS order from the
 // root.
@@ -113,7 +126,7 @@ func (h *Hierarchy) All() []string {
 // Size returns the number of workflows in the hierarchy — len(All())
 // without building the list, for the "is this prefix the full
 // expansion?" test every enforced view makes.
-func (h *Hierarchy) Size() int { return h.size }
+func (h *Hierarchy) Size() int { return len(h.chains) }
 
 // Graph returns the hierarchy as a directed graph (parent -> child).
 func (h *Hierarchy) Graph() *graph.Graph {
