@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -643,7 +644,7 @@ func BenchmarkQueryAllParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			r.SetWorkers(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := r.QueryAll("u", s.ID, q); err != nil {
+				if _, _, err := r.QueryAllPageCtx(context.Background(), "u", s.ID, q, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1269,13 +1270,23 @@ func BenchmarkProvenanceParallel(b *testing.B) {
 // re-reads an execution only after 1100 others pushed it out.
 const coldFillExecs = 1024 + 76
 
-// coldWalk registers the deep spec with its executions and returns the
-// repository and the walk's step function — read, as a registered user,
-// the provenance of an item that level sees in the i-th execution,
-// cyclically. One full cycle has already run, so both of the shard's
-// LRUs are full and every later step fills cold and evicts: the steady
-// state of a long walk.
-func coldWalk(tb testing.TB) (*repo.Repository, func(i int)) {
+// coldFixture is the deep spec with its executions, every one a run of
+// the same shape, and a registered-level reader.
+type coldFixture struct {
+	r     *repo.Repository
+	execs []*exec.Execution
+	// read reads, as the registered user, the provenance of an item that
+	// level sees in the named execution.
+	read func(execID string)
+}
+
+// step is the walk's i-th read: the executions in order, cyclically.
+func (f *coldFixture) step(i int) { f.read(f.execs[i%len(f.execs)].ID) }
+
+// coldWalk registers the deep spec with its executions and walks them
+// once, so both of the shard's LRUs are full and every later step fills
+// cold and evicts: the steady state of a long walk.
+func coldWalk(tb testing.TB) *coldFixture {
 	tb.Helper()
 	const seed = 1*100003 + 1000
 	s, err := workload.RandomSpec(workload.SpecConfig{Seed: seed, ID: "deep-0", Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3})
@@ -1286,16 +1297,15 @@ func coldWalk(tb testing.TB) (*repo.Repository, func(i int)) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := repo.New()
-	if err := r.AddSpec(s, pol); err != nil {
+	f := &coldFixture{r: repo.New(), execs: make([]*exec.Execution, coldFillExecs)}
+	if err := f.r.AddSpec(s, pol); err != nil {
 		tb.Fatal(err)
 	}
-	execs := make([]*exec.Execution, coldFillExecs)
-	for j := range execs {
-		if execs[j], err = exec.NewRunner(s, nil).Run(fmt.Sprintf("deep-0-E%d", j), workload.RandomInputs(s, int64(seed*4099+j))); err != nil {
+	for j := range f.execs {
+		if f.execs[j], err = exec.NewRunner(s, nil).Run(fmt.Sprintf("deep-0-E%d", j), workload.RandomInputs(s, int64(seed*4099+j))); err != nil {
 			tb.Fatal(err)
 		}
-		if err := r.AddExecution(execs[j]); err != nil {
+		if err := f.r.AddExecution(f.execs[j]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -1303,50 +1313,135 @@ func coldWalk(tb testing.TB) (*repo.Repository, func(i int)) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vis, err := exec.VisibleItems(execs[0], s, pol.AccessView(h, privacy.Registered))
+	vis, err := exec.VisibleItems(f.execs[0], s, pol.AccessView(h, privacy.Registered))
 	if err != nil || len(vis) == 0 {
 		tb.Fatalf("no visible item: %v", err)
 	}
-	r.AddUser(privacy.User{Name: "scraper", Level: privacy.Registered, Group: "registered"})
+	f.r.AddUser(privacy.User{Name: "scraper", Level: privacy.Registered, Group: "registered"})
 	ctx := context.Background()
-	read := func(i int) {
-		if _, err := r.ProvenanceWithCtx(ctx, "scraper", s.ID, execs[i%len(execs)].ID, vis[len(vis)-1], repo.ProvenanceOptions{}); err != nil {
+	f.read = func(execID string) {
+		if _, err := f.r.ProvenanceWithCtx(ctx, "scraper", s.ID, execID, vis[len(vis)-1], repo.ProvenanceOptions{}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for i := range execs {
-		read(i)
+	for i := range f.execs {
+		f.step(i)
 	}
-	return r, read
+	return f
 }
 
+// BenchmarkColdFill times one cold read. same-shape is the walk: the
+// execution's shape has its view plan and its item ancestry, so the fill
+// copies values, analyses and masks. first-of-shape reads an execution no
+// other resembles (a run whose last node carries a process id of its own,
+// registered outside the timer): the fill also collapses and prepares the
+// view and derives the ancestry — everything a fill did before shapes were
+// shared, plus the copy.
 func BenchmarkColdFill(b *testing.B) {
-	r, read := coldWalk(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		read(i)
-	}
-	b.StopTimer()
-	if st := r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 {
-		b.Fatalf("walk was not cold: %d masked / %d taint cache hits", st.MaskedCacheHits, st.TaintCacheHits)
-	}
+	b.Run("same-shape", func(b *testing.B) {
+		f := coldWalk(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.step(i)
+		}
+		b.StopTimer()
+		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 || st.ExecShapes != 1 {
+			b.Fatalf("walk was not cold over one shape: %d masked / %d taint cache hits, %d shapes", st.MaskedCacheHits, st.TaintCacheHits, st.ExecShapes)
+		}
+	})
+	b.Run("first-of-shape", func(b *testing.B) {
+		f := coldWalk(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var batch []*exec.Execution
+		for i := 0; i < b.N; i++ {
+			if i%len(f.execs) == 0 { // register the next batch, off the clock
+				b.StopTimer()
+				batch = batch[:0]
+				for j := 0; j < len(f.execs) && i+j < b.N; j++ {
+					e := *f.execs[j]
+					e.ID = fmt.Sprintf("%s-own-%d", e.ID, i+j)
+					e.Nodes = slices.Clone(e.Nodes)
+					last := *e.Nodes[len(e.Nodes)-1]
+					last.Proc = fmt.Sprintf("P%d", i+j)
+					e.Nodes[len(e.Nodes)-1] = &last
+					if err := f.r.AddExecution(&e); err != nil {
+						b.Fatal(err)
+					}
+					batch = append(batch, &e)
+				}
+				b.StartTimer()
+			}
+			f.read(batch[i%len(f.execs)].ID)
+		}
+		b.StopTimer()
+		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 || st.ExecShapes != 1+b.N {
+			b.Fatalf("reads were not each the first of a shape: %d masked / %d taint cache hits, %d shapes for %d reads", st.MaskedCacheHits, st.TaintCacheHits, st.ExecShapes, b.N)
+		}
+	})
 }
 
 // TestColdFillAllocBudget pins what one cold read on BenchmarkColdFill's
-// walk may allocate: the fill (collapse, taint analysis, mask, prepare),
-// two LRU inserts with eviction, and the provenance answer. It was 763
-// when every stage copied the view and rebuilt its graph, and is 219 now
-// that the fill does each piece of work once; a second copy of the view
-// costs 40 more, so the budget of 240 leaves slack for the runtime's map
-// sizing but not for that.
+// walk may allocate: the fill (the plan's items copied into one slab, taint
+// analysis, mask), two LRU inserts with eviction, and the provenance
+// answer. It was 763 when every stage copied the view and rebuilt its
+// graph, 217 when the fill did each piece of work once per execution, and
+// is 97 now that structure is held once per shape; collapsing or preparing
+// per execution again costs 60 more, so the budget of 107 leaves slack for
+// the runtime's map sizing but not for that.
 func TestColdFillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, read := coldWalk(t)
+	f := coldWalk(t)
 	i := 0
-	if got := testing.AllocsPerRun(200, func() { read(i); i++ }); got > 240 {
-		t.Fatalf("a cold provenance read allocates %.0f times; budget is 240", got)
+	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 107 {
+		t.Fatalf("a cold provenance read allocates %.0f times; budget is 107", got)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// B17 — Policy update and rewarm: what PUT /policy costs before the first
+// reader is served warm again — the install (index segment, access views,
+// engine, purge) and PrewarmMasked over 24 executions at 4 levels. Two
+// policies alternate, so every install really replaces one; their views'
+// plans stay, so a rewarm copies, analyses and masks, and builds no view.
+func BenchmarkPolicyUpdateRewarm(b *testing.B) {
+	const seed = 1*100003 + 1000
+	s, err := workload.RandomSpec(workload.SpecConfig{Seed: seed, ID: "deep-0", Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pols [2]*privacy.Policy
+	for i := range pols {
+		if pols[i], err = workload.RandomPolicy(s, int64(seed+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := repo.New()
+	if err := r.AddSpec(s, pols[0]); err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 24; j++ {
+		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("deep-0-E%d", j), workload.RandomInputs(s, int64(seed*4099+j)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.AddExecution(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	levels := []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.UpdatePolicy(s.ID, pols[(i+1)%2]); err != nil {
+			b.Fatal(err)
+		}
+		if n, err := r.PrewarmMasked(ctx, s.ID, levels, nil); err != nil || n != 24*len(levels) {
+			b.Fatalf("PrewarmMasked = %d, %v", n, err)
+		}
 	}
 }

@@ -384,3 +384,26 @@ func TestItemsByAttr(t *testing.T) {
 		t.Fatalf("ItemsByAttr(nope) = %v", got)
 	}
 }
+
+// TestInternComparesWhatTheFingerprintFinds: the fingerprint only proposes
+// candidates. An execution filed under another shape's fingerprint — a
+// collision, forced here by hand — is compared field by field and gets a
+// shape of its own.
+func TestInternComparesWhatTheFingerprintFinds(t *testing.T) {
+	_, a := runDisease(t)
+	_, b := runDisease(t)
+	b.Nodes[len(b.Nodes)-1].Proc = "elsewhere"
+	shapes := NewShapes()
+	sa := shapes.Intern(a)
+	fp := shapes.fingerprint(b)
+	if fp == shapes.fingerprint(a) {
+		t.Fatal("fixture: the edit did not move the fingerprint")
+	}
+	shapes.byHash[fp] = append(shapes.byHash[fp], sa)
+	if sb := shapes.Intern(b); sb == sa || shapes.Len() != 2 {
+		t.Fatalf("an execution colliding with A's fingerprint was interned as A's shape (%d shapes)", shapes.Len())
+	}
+	if _, c := runDisease(t); shapes.Intern(c) != sa {
+		t.Fatal("a third execution of A's shape was not interned under it")
+	}
+}

@@ -7,44 +7,25 @@ import "sort"
 // O(n*m/64). Reachability is reflexive: Reach(u,u) is always true.
 //
 // All rows live in one arena word slice, so building a closure costs a
-// constant number of allocations regardless of graph size, and callers
-// with closure-per-request patterns (taint analysis) can recycle the
-// arena through NewClosureScratch.
+// constant number of allocations regardless of graph size.
 type Closure struct {
 	reach []*Bitset
-	words []uint64 // arena backing every row
 }
 
 // NewClosure computes the transitive closure of g, which must be a DAG.
 // Returns ErrCycle otherwise.
 func NewClosure(g *Graph) (*Closure, error) {
-	return NewClosureScratch(g, nil)
-}
-
-// NewClosureScratch is NewClosure reusing a scratch word arena from a
-// previous closure (see Closure.Scratch): when scratch has capacity for
-// every row it is zeroed and reused, otherwise a fresh arena is
-// allocated. Pass nil for no reuse.
-func NewClosureScratch(g *Graph, scratch []uint64) (*Closure, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
 	wpr := (n + 63) / 64 // words per row
-	need := n * wpr
-	if cap(scratch) >= need {
-		scratch = scratch[:need]
-		for i := range scratch {
-			scratch[i] = 0
-		}
-	} else {
-		scratch = make([]uint64, need)
-	}
+	words := make([]uint64, n*wpr)
 	rows := make([]Bitset, n)
-	c := &Closure{reach: make([]*Bitset, n), words: scratch}
+	c := &Closure{reach: make([]*Bitset, n)}
 	for i := 0; i < n; i++ {
-		rows[i] = Bitset{words: scratch[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
+		rows[i] = Bitset{words: words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
 		c.reach[i] = &rows[i]
 	}
 	// Process in reverse topological order so successors are done first.
@@ -58,11 +39,6 @@ func NewClosureScratch(g *Graph, scratch []uint64) (*Closure, error) {
 	}
 	return c, nil
 }
-
-// Scratch returns the arena backing the closure's rows so a caller can
-// hand it to a later NewClosureScratch. The closure must not be used
-// after its scratch has been recycled.
-func (c *Closure) Scratch() []uint64 { return c.words }
 
 // Reach reports whether v is reachable from u (reflexively).
 func (c *Closure) Reach(u, v NodeID) bool { return c.reach[u].Has(int(v)) }

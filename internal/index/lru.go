@@ -48,10 +48,12 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	return c
 }
 
-// resetLocked installs an empty map and list. Caller holds c.mu (or is
-// the constructor).
+// resetLocked installs an empty map and list. The map is left to grow: a
+// cache is sized for the widest owner and most hold a fraction of that, so
+// a capacity-sized map per cache per reset is mostly waste. Caller holds
+// c.mu (or is the constructor).
 func (c *LRU[K, V]) resetLocked() {
-	c.entries = make(map[K]*lruEntry[K, V], c.capacity)
+	c.entries = make(map[K]*lruEntry[K, V])
 	c.root.prev, c.root.next = &c.root, &c.root
 }
 
@@ -132,14 +134,11 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// Purge drops every entry, keeping the hit/miss counters. An empty cache
-// keeps its map: a capacity-sized one is the expensive part of a reset.
+// Purge drops every entry, keeping the hit/miss counters.
 func (c *LRU[K, V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) > 0 {
-		c.resetLocked()
-	}
+	c.resetLocked()
 }
 
 // Stats returns cumulative (hits, misses).

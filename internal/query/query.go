@@ -161,17 +161,23 @@ func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *priv
 // PreparedExec bundles an execution with its derived graph, transitive
 // closure and id-addressed indexes, all built once. The execution MUST
 // be immutable for the lifetime of the PreparedExec: internal/repo
-// builds one per cached masked snapshot and shares it between
-// arbitrarily many concurrent evaluations, which is sound only because
-// neither the evaluator nor any other read path mutates the execution,
-// the graph, the closure or the index maps.
+// shares one between arbitrarily many concurrent evaluations, which is
+// sound only because neither the evaluator nor any other read path
+// mutates the execution, the graph, the closure or the index maps.
+//
+// Everything but Exec's item values is a function of the execution's
+// shape (exec.SameShape) and the view it was collapsed to, so
+// internal/repo prepares one value-free PreparedExec per (shape, access
+// view) — the view's plan — and every cached snapshot is an Instantiate
+// of it: the snapshots of one shape and view share graph, closure, index
+// maps, nodes and edges, and own only their items.
 //
 // The indexes exist because exec.Execution deliberately lost its lazily
 // memoized node index in PR 4 (memoizing inside a shared immutable
 // value races); Execution.Node is a linear scan by contract. Building
-// the maps here — at snapshot-fill time, exactly once — restores O(1)
-// id resolution on every warm read without reintroducing hidden mutable
-// state into the shared execution.
+// the maps here — exactly once — restores O(1) id resolution on every
+// warm read without reintroducing hidden mutable state into the shared
+// execution.
 type PreparedExec struct {
 	Exec *exec.Execution
 	g    *graph.Graph
@@ -234,6 +240,22 @@ func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 		pe.flowsFrom[from] = slices.Compact(ids)
 	}
 	return pe, nil
+}
+
+// Instantiate returns pe — prepared over a view collapsed from an
+// execution of src's shape — rebound to that view carrying src's values
+// (exec.WithValuesOf): what PrepareGraph over CollapseIn(src, …) under the
+// same prefix returns, with neither run again. The result shares pe's
+// graph, closure and index maps read-only and owns its execution's items,
+// which the caller may still mask in place before serving it.
+func (pe *PreparedExec) Instantiate(src *exec.Execution) (*PreparedExec, error) {
+	view, err := pe.Exec.WithValuesOf(src)
+	if err != nil {
+		return nil, err
+	}
+	out := *pe
+	out.Exec = view
+	return &out, nil
 }
 
 // Graph exposes the pre-derived graph for read-only reuse (e.g.

@@ -172,9 +172,9 @@ func TestAccessViewStepsMatchPolicy(t *testing.T) {
 		t.Fatalf("%d access steps for 3 grant levels, want 4", len(sh.access))
 	}
 	for _, l := range []privacy.Level{-7, 0, 1, 2, 3, 4, 1<<40 - 1, 1 << 40, 1<<40 + 1} {
-		gotPol, got := sh.policyAt(l)
-		if want := pol.AccessView(sh.hier, l); gotPol != pol || !reflect.DeepEqual(got, want) {
-			t.Errorf("level %d: access view %v, want %v", l, got.IDs(), want.IDs())
+		cur := sh.enforcedNow(l)
+		if want := pol.AccessView(sh.hier, l); cur.pol != pol || !reflect.DeepEqual(cur.access.view, want) || cur.access.key != want.Key() {
+			t.Errorf("level %d: access view %v keyed %s, want %v", l, cur.access.view.IDs(), cur.access.key, want.IDs())
 		}
 	}
 }

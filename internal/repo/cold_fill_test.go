@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,18 +15,110 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
+	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
-// The cold fill (maskedExecFor) does each piece of work once — one view,
-// masked where it stands, one graph handed from validation to the
-// prepared snapshot — where the public staged functions copy and rebuild
-// between stages. These tests hold the two to the same output, and the
-// fill to never writing to what the repository stores.
+// The cold fill (maskedExecUnder) derives no structure: it instantiates the
+// plan prepared once per (shape, access view) with the execution's values
+// and masks those where they stand, where the public staged functions
+// collapse, copy and rebuild per execution. These tests hold the two to the
+// same output, the fill to never writing to what the repository stores,
+// and the sharing to never carrying a value from one execution to another.
+
+// reproc returns a deep copy of e under a new id whose process ids all read
+// T<n> for S<n> — in node ids, frames, edges and producers alike: the same
+// run with the same values, and another shape.
+func reproc(e *exec.Execution, id string) *exec.Execution {
+	ren := func(proc string) string {
+		if proc == "" {
+			return ""
+		}
+		return "T" + proc[1:]
+	}
+	nodeID := make(map[string]string, len(e.Nodes))
+	out := &exec.Execution{ID: id, SpecID: e.SpecID, Items: make(map[string]*exec.DataItem, len(e.Items))}
+	for _, n := range e.Nodes {
+		cp := *n
+		cp.Proc = ren(n.Proc)
+		cp.ID = cp.Proc + strings.TrimPrefix(n.ID, n.Proc)
+		cp.Frames = nil
+		for _, f := range n.Frames {
+			cp.Frames = append(cp.Frames, exec.Frame{Proc: ren(f.Proc), Module: f.Module, Sub: f.Sub})
+		}
+		nodeID[n.ID] = cp.ID
+		out.Nodes = append(out.Nodes, &cp)
+	}
+	for _, ed := range e.Edges {
+		out.Edges = append(out.Edges, exec.Edge{From: nodeID[ed.From], To: nodeID[ed.To], Items: append([]string(nil), ed.Items...)})
+	}
+	for id, it := range e.Items {
+		cp := *it
+		cp.Producer = nodeID[it.Producer]
+		out.Items[id] = &cp
+	}
+	return out
+}
+
+// withExtraItem returns a deep copy of e under a new id in which the
+// producer of the first edge's first item also emits a second item of the
+// same attribute, carried by that edge: one more item on one edge, and
+// another shape.
+func withExtraItem(t testing.TB, e *exec.Execution, id string) *exec.Execution {
+	t.Helper()
+	data, err := exec.MarshalExecution(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.UnmarshalExecution(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.ID = id
+	first := out.Items[out.Edges[0].Items[0]]
+	extra := &exec.DataItem{ID: fmt.Sprintf("d%d", len(out.Items)), Attr: first.Attr, Value: first.Value + "+extra", Producer: first.Producer}
+	out.Items[extra.ID] = extra
+	out.Edges[0].Items = append(out.Edges[0].Items, extra.ID)
+	return out
+}
+
+// ladderOver returns a two-step generalization ladder over the raw values
+// the spec's executions carry in every attribute pol protects: value →
+// "<coarse>-<attr>" → "any".
+func ladderOver(r *Repository, specID string, pol *privacy.Policy, coarse string) map[string]*datapriv.Hierarchy {
+	hs := make(map[string]*datapriv.Hierarchy)
+	for _, execID := range r.ExecutionIDs(specID) {
+		for _, it := range r.execution(specID, execID).Items {
+			if _, protected := pol.DataLevels[it.Attr]; !protected {
+				continue
+			}
+			h := hs[it.Attr]
+			if h == nil {
+				h = &datapriv.Hierarchy{Attr: it.Attr, Levels: []map[exec.Value]exec.Value{{}, {}}}
+				hs[it.Attr] = h
+			}
+			c := exec.Value(coarse + "-" + it.Attr)
+			h.Levels[0][it.Value] = c
+			h.Levels[1][c] = "any"
+		}
+	}
+	return hs
+}
+
+// protectAnInput raises one workflow input of s to owner-only in pol, so
+// that a protected value reaches every trace: taint is guaranteed.
+func protectAnInput(s *workflow.Spec, pol *privacy.Policy) *privacy.Policy {
+	inputs := workload.RandomInputs(s, 0)
+	pol.DataLevels[slices.Sorted(maps.Keys(inputs))[0]] = privacy.Owner
+	return pol
+}
 
 // coldFillRepo registers nSpecs random specs — random policy with a third
 // of the modules reclassified, a two-step generalization ladder over the
-// raw values of every protected attribute — with nExecs executions each.
+// raw values of every protected attribute (even specs; odd ones mask
+// without ladders) — each with nExecs runs on different inputs, which share
+// one shape, and two executions of shapes of their own: E0 with other
+// process ids and E0 with one more item.
 func coldFillRepo(t testing.TB, nSpecs, nExecs int) (*Repository, map[string]map[string]*datapriv.Hierarchy) {
 	t.Helper()
 	r := New()
@@ -32,51 +126,48 @@ func coldFillRepo(t testing.TB, nSpecs, nExecs int) (*Repository, map[string]map
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < nSpecs; i++ {
 		s, pol := rankedSpec(t, rng, int64(100+i), fmt.Sprintf("fill-%d", i))
-		// Guarantee taint: a protected input reaches every trace.
-		for a := range workload.RandomInputs(s, 0) {
-			pol.DataLevels[a] = privacy.Owner
-			break
-		}
-		if err := r.AddSpec(s, pol); err != nil {
+		if err := r.AddSpec(s, protectAnInput(s, pol)); err != nil {
 			t.Fatalf("AddSpec: %v", err)
 		}
-		hs := make(map[string]*datapriv.Hierarchy)
+		var first *exec.Execution
 		for j := 0; j < nExecs; j++ {
-			inputs := workload.RandomInputs(s, int64(1000*i+j))
-			e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("E%d", j), inputs)
+			e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("E%d", j), workload.RandomInputs(s, int64(1000*i+j)))
 			if err != nil {
 				t.Fatalf("Run: %v", err)
+			}
+			if first == nil {
+				first = e
 			}
 			if err := r.AddExecution(e); err != nil {
 				t.Fatalf("AddExecution: %v", err)
 			}
-			for _, it := range e.Items {
-				if _, protected := pol.DataLevels[it.Attr]; !protected || i%2 == 1 {
-					continue // odd specs mask without ladders
-				}
-				h := hs[it.Attr]
-				if h == nil {
-					h = &datapriv.Hierarchy{Attr: it.Attr, Levels: []map[exec.Value]exec.Value{{}, {}}}
-					hs[it.Attr] = h
-				}
-				coarse := exec.Value("some-" + it.Attr)
-				h.Levels[0][it.Value] = coarse
-				h.Levels[1][coarse] = "any"
+		}
+		for _, e := range []*exec.Execution{reproc(first, "V-reproc"), withExtraItem(t, first, "V-extra")} {
+			if err := r.AddExecution(e); err != nil {
+				t.Fatalf("AddExecution(%s): %v", e.ID, err)
 			}
 		}
-		if err := r.SetGeneralization(s.ID, hs); err != nil {
+		if n := r.shard(s.ID).shapes.Len(); n != 3 {
+			t.Fatalf("%s holds %d shapes, want 3: the runs, the re-numbered run, the run with an extra item", s.ID, n)
+		}
+		if i%2 == 0 {
+			ladders[s.ID] = ladderOver(r, s.ID, pol, "some")
+		}
+		if err := r.SetGeneralization(s.ID, ladders[s.ID]); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		ladders[s.ID] = hs
 	}
 	return r, ladders
 }
 
-// TestColdFillMatchesStagedPipeline: for every (execution, level), the
-// snapshot the fill produces — execution, report, zoomed flag, and the
-// whole prepared index — is reflect.DeepEqual to the public composition
-// exec.Collapse → Engine.Analyze → Engine.Apply → query.PrepareExec, and
-// queries and provenance over the two answer identically.
+// TestColdFillMatchesStagedPipeline: for every (execution, level) of shards
+// holding three shapes each, the snapshot the fill produces — execution,
+// report, zoomed flag, and the whole prepared index — is reflect.DeepEqual
+// to the public composition exec.Collapse → Engine.Analyze → Engine.Apply →
+// query.PrepareExec run on that execution alone, and queries and provenance
+// over the two answer identically; again after an UpdatePolicy that moves
+// the access views, and again after a SetGeneralization. Snapshots of one
+// shape at one level share their plan's graph; other shapes never do.
 func TestColdFillMatchesStagedPipeline(t *testing.T) {
 	r, ladders := coldFillRepo(t, 4, 3)
 	queries := []*query.Query{}
@@ -87,64 +178,119 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	tainted := 0
-	for _, specID := range r.SpecIDs() {
-		sh := r.shard(specID)
-		pol := sh.policySnapshot()
-		en := datapriv.NewMasker(pol, ladders[specID]).Engine()
-		ev := query.NewEvaluator(sh.spec)
-		for _, execID := range r.ExecutionIDs(specID) {
-			e := r.execution(specID, execID)
+	views := make(map[string]map[string]bool) // per spec, every access view a level has had so far
+	check := func(stage string) {
+		t.Helper()
+		tainted := 0
+		for _, specID := range r.SpecIDs() {
+			sh := r.shard(specID)
+			pol := sh.policySnapshot()
+			en := datapriv.NewMasker(pol, ladders[specID]).Engine()
+			ev := query.NewEvaluator(sh.spec)
+			if views[specID] == nil {
+				views[specID] = make(map[string]bool)
+			}
 			for _, lvl := range allLevels {
-				where := fmt.Sprintf("%s/%s at %v", specID, execID, lvl)
-				snap, err := r.maskedExecFor(context.Background(), sh, e, lvl)
-				if err != nil {
-					t.Fatalf("%s: maskedExecFor: %v", where, err)
-				}
-
-				access := pol.AccessView(sh.hier, lvl)
-				view, err := exec.Collapse(e, sh.spec, access)
-				if err != nil {
-					t.Fatalf("%s: Collapse: %v", where, err)
-				}
-				masked, rep := en.Apply(view, lvl, en.Analyze(e))
-				prep, err := query.PrepareExec(masked)
-				if err != nil {
-					t.Fatalf("%s: PrepareExec: %v", where, err)
-				}
-				tainted += rep.Rewritten + rep.TaintRedacted + rep.Generalized
-
-				if !reflect.DeepEqual(snap.prep.Exec, masked) {
-					got, _ := json.Marshal(snap.prep.Exec)
-					want, _ := json.Marshal(masked)
-					t.Fatalf("%s: fill built\n%s\nstaged pipeline built\n%s", where, got, want)
-				}
-				if zoomed := len(access) < len(sh.hier.All()); snap.rep != rep || snap.zoomed != zoomed || snap.pol != pol {
-					t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, snap.zoomed, rep, zoomed)
-				}
-				if !reflect.DeepEqual(snap.prep, prep) {
-					t.Fatalf("%s: prepared index differs from PrepareExec's", where)
-				}
-				for i, q := range queries {
-					got, gerr := ev.EvaluateOn(q, snap.prep, pol, lvl, snap.zoomed)
-					want, werr := ev.EvaluateOn(q, prep, pol, lvl, snap.zoomed)
-					if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: query %d answers %+v (%v), staged %+v (%v)", where, i, got, gerr, want, werr)
+				views[specID][pol.AccessView(sh.hier, lvl).Key()] = true
+			}
+			for _, execID := range r.ExecutionIDs(specID) {
+				e := r.execution(specID, execID)
+				for _, lvl := range allLevels {
+					where := fmt.Sprintf("%s: %s/%s at %v", stage, specID, execID, lvl)
+					snap, err := r.maskedExecFor(context.Background(), sh, e, lvl)
+					if err != nil {
+						t.Fatalf("%s: maskedExecFor: %v", where, err)
 					}
-				}
-				for id := range masked.Items {
-					got, gerr := exec.ProvenanceIn(snap.prep.Exec, snap.prep.Graph(), id)
-					want, werr := exec.Provenance(masked, id)
-					if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: provenance of %s differs (%v, %v)", where, id, gerr, werr)
+
+					access := pol.AccessView(sh.hier, lvl)
+					view, err := exec.Collapse(e, sh.spec, access)
+					if err != nil {
+						t.Fatalf("%s: Collapse: %v", where, err)
+					}
+					masked, rep := en.Apply(view, lvl, en.Analyze(e))
+					prep, err := query.PrepareExec(masked)
+					if err != nil {
+						t.Fatalf("%s: PrepareExec: %v", where, err)
+					}
+					tainted += rep.Rewritten + rep.TaintRedacted + rep.Generalized
+
+					if !reflect.DeepEqual(snap.prep.Exec, masked) {
+						got, _ := json.Marshal(snap.prep.Exec)
+						want, _ := json.Marshal(masked)
+						t.Fatalf("%s: fill built\n%s\nstaged pipeline built\n%s", where, got, want)
+					}
+					if zoomed := len(access) < len(sh.hier.All()); snap.rep != rep || snap.zoomed != zoomed || snap.pol != pol {
+						t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, snap.zoomed, rep, zoomed)
+					}
+					if !reflect.DeepEqual(snap.prep, prep) {
+						t.Fatalf("%s: prepared index differs from PrepareExec's", where)
+					}
+					for i, q := range queries {
+						got, gerr := ev.EvaluateOn(q, snap.prep, pol, lvl, snap.zoomed)
+						want, werr := ev.EvaluateOn(q, prep, pol, lvl, snap.zoomed)
+						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: query %d answers %+v (%v), staged %+v (%v)", where, i, got, gerr, want, werr)
+						}
+					}
+					for id := range masked.Items {
+						got, gerr := exec.ProvenanceIn(snap.prep.Exec, snap.prep.Graph(), id)
+						want, werr := exec.Provenance(masked, id)
+						if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: provenance of %s differs (%v, %v)", where, id, gerr, werr)
+						}
+					}
+
+					// E0's snapshot is cached by now: who shares its plan?
+					base, err := r.maskedExecFor(context.Background(), sh, r.execution(specID, "E0"), lvl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shares, should := snap.prep.Graph() == base.prep.Graph(), strings.HasPrefix(execID, "E"); shares != should {
+						t.Fatalf("%s: shares E0's plan = %v, want %v", where, shares, should)
 					}
 				}
 			}
+			// Plans outlive the policy that first asked for their view.
+			if got, want := sh.plans.Len(), 3*len(views[specID]); got != want {
+				t.Fatalf("%s: %s holds %d view plans, want %d: 3 shapes under %d distinct access views so far", stage, specID, got, want, len(views[specID]))
+			}
+		}
+		if tainted == 0 {
+			t.Fatalf("%s: fixture masked nothing: the comparison never saw a rewritten, generalized or redacted item", stage)
 		}
 	}
-	if tainted == 0 {
-		t.Fatal("fixture masked nothing: the comparison never saw a rewritten, generalized or redacted item")
+	check("as registered")
+	seen := func() (n int) {
+		for _, vs := range views {
+			n += len(vs)
+		}
+		return n
 	}
+	before := seen()
+	for i, specID := range r.SpecIDs() {
+		s := r.Spec(specID)
+		pol, err := workload.RandomPolicy(s, int64(7000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.UpdatePolicy(specID, protectAnInput(s, pol)); err != nil {
+			t.Fatalf("UpdatePolicy: %v", err)
+		}
+	}
+	check("after UpdatePolicy")
+	if seen() == before {
+		t.Fatal("fixture: the new policies gave no level a new access view")
+	}
+	for i, specID := range r.SpecIDs() {
+		ladders[specID] = nil
+		if i%2 == 1 { // the ladders change sides
+			ladders[specID] = ladderOver(r, specID, r.Policy(specID), "kind")
+		}
+		if err := r.SetGeneralization(specID, ladders[specID]); err != nil {
+			t.Fatalf("SetGeneralization: %v", err)
+		}
+	}
+	check("after SetGeneralization")
 }
 
 // TestFillNeverMutatesStoredExecution: the fill masks in place, and the
@@ -221,6 +367,9 @@ func TestFillRefusesCyclicView(t *testing.T) {
 		exec.Edge{From: last.To, To: stored.Edges[0].From, Items: last.Items})
 	sh.mu.Lock()
 	sh.execs[cyclic.ID] = &cyclic
+	if sh.shapes.Intern(&cyclic) == sh.shapes.Of(stored) {
+		t.Fatal("the execution with an extra edge was interned under E1's shape")
+	}
 	sh.mu.Unlock()
 	for _, lvl := range allLevels {
 		_, err := r.maskedExecFor(context.Background(), sh, &cyclic, lvl)
@@ -228,7 +377,7 @@ func TestFillRefusesCyclicView(t *testing.T) {
 			t.Fatalf("level %v: fill of a cyclic execution: err = %v, want one naming the cycle", lvl, err)
 		}
 	}
-	if n := sh.masked.Len(); n != 0 {
-		t.Fatalf("%d snapshots cached from failed fills", n)
+	if n, p := sh.masked.Len(), sh.plans.Len(); n != 0 || p != 0 {
+		t.Fatalf("%d snapshots and %d view plans cached from failed fills", n, p)
 	}
 }

@@ -6,6 +6,7 @@ package repo
 // snapshot can never observe each other's activity.
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -174,21 +175,44 @@ func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
 
 // TestMaskedSnapshotImmutableConcurrentReaders is the aliasing guard of
 // the snapshot design, meaningful under -race: many goroutines serve
-// query, provenance and a JSON render from ONE cached snapshot while
-// others mutate the sub-executions they received back. Every reader
-// must observe byte-identical results; any hidden shared mutable state
-// (a lazily memoized index, an aliased item) trips the race detector.
+// query, provenance and a JSON render from the cached snapshots of two
+// executions of one shape — which share their plan's nodes, edges, graph,
+// closure and indexes, and own only their items — while others mutate the
+// sub-executions they received back. Every reader must observe
+// byte-identical results; any hidden shared mutable state (a lazily
+// memoized index, an aliased item or node) trips the race detector.
 func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 	r := seededRepo(t)
 	progID := itemByAttr(t, r, "prognosis")
-	// Warm the public snapshot once so every goroutine shares it.
-	ref, err := r.Provenance("bob", "disease-susceptibility", "E1", progID)
+	e2, err := exec.NewRunner(r.Spec(diseaseID), nil).Run("E2", map[string]exec.Value{
+		"snps": "rs2", "ethnicity": "eth2", "lifestyle": "idle",
+		"family_history": "fh2", "symptoms": "some",
+	})
 	if err != nil {
-		t.Fatalf("Provenance: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	refJSON, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
+	if err := r.AddExecution(e2); err != nil {
+		t.Fatalf("AddExecution: %v", err)
+	}
+	// Warm both public snapshots once so every goroutine shares them.
+	execIDs := [2]string{"E1", "E2"}
+	var refJSON [2]string
+	for i, id := range execIDs {
+		ref, err := r.Provenance("bob", diseaseID, id, progID)
+		if err != nil {
+			t.Fatalf("Provenance: %v", err)
+		}
+		data, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refJSON[i] = string(data)
+	}
+	sh := r.shard(diseaseID)
+	s1, err1 := r.maskedExecFor(context.Background(), sh, r.execution(diseaseID, "E1"), privacy.Public)
+	s2, err2 := r.maskedExecFor(context.Background(), sh, e2, privacy.Public)
+	if err1 != nil || err2 != nil || s1.prep.Graph() != s2.prep.Graph() || &s1.prep.Exec.Nodes[0] != &s2.prep.Exec.Nodes[0] {
+		t.Fatalf("the two snapshots do not share one plan (%v, %v)", err1, err2)
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -198,9 +222,10 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
+				which := (w + i/3) % 2
 				switch (w + i) % 3 {
 				case 0:
-					prov, err := r.Provenance("bob", "disease-susceptibility", "E1", progID)
+					prov, err := r.Provenance("bob", diseaseID, execIDs[which], progID)
 					if err != nil {
 						errs <- err.Error()
 						return
@@ -210,7 +235,7 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 						errs <- err.Error()
 						return
 					}
-					if string(got) != string(refJSON) {
+					if string(got) != refJSON[which] {
 						errs <- "provenance bytes changed across concurrent reads"
 						return
 					}
@@ -223,7 +248,7 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 						n.ID = "gone"
 					}
 				case 1:
-					ans, err := r.Query("bob", "disease-susceptibility", "E1",
+					ans, err := r.Query("bob", diseaseID, execIDs[which],
 						`MATCH a = "disease" RETURN provenance(a)`)
 					if err != nil {
 						errs <- err.Error()
@@ -233,9 +258,12 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 						for _, it := range p.Items {
 							it.Value = "scribbled"
 						}
+						for _, n := range p.Nodes {
+							n.Module = "gone"
+						}
 					}
 				case 2:
-					if _, err := r.QueryAll("bob", "disease-susceptibility",
+					if _, err := r.QueryAll("bob", diseaseID,
 						`MATCH a = "disease" RETURN bindings`); err != nil {
 						errs <- err.Error()
 						return
@@ -250,12 +278,13 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 		t.Error(msg)
 	}
 	// After all the scribbling, a fresh read still serves clean bytes.
-	final, err := r.Provenance("bob", "disease-susceptibility", "E1", progID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(final)
-	if string(got) != string(refJSON) {
-		t.Fatal("caller mutation of a returned provenance leaked into the cached snapshot")
+	for i, id := range execIDs {
+		final, err := r.Provenance("bob", diseaseID, id, progID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(final); string(got) != refJSON[i] {
+			t.Fatalf("caller mutation of a returned provenance of %s leaked into the cached snapshots", id)
+		}
 	}
 }

@@ -176,19 +176,10 @@ type shardSnap struct {
 func snapshotShardState(sh *shard) shardSnap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ids := make([]string, 0, len(sh.execs))
-	for id := range sh.execs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	execs := make([]*exec.Execution, len(ids))
-	for i, id := range ids {
-		execs[i] = sh.execs[id]
-	}
 	return shardSnap{
 		seq: sh.seq, polGen: sh.polGen,
 		spec: sh.spec, pol: sh.policy, hs: sh.hierarchies,
-		execs: execs,
+		execs: sh.executions(),
 	}
 }
 

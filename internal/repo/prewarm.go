@@ -2,7 +2,8 @@ package repo
 
 import (
 	"context"
-	"sort"
+	"maps"
+	"slices"
 
 	"provpriv/internal/privacy"
 )
@@ -28,37 +29,24 @@ func (r *Repository) PrewarmMasked(ctx context.Context, specID string, levels []
 		return 0, nil
 	}
 	sh.mu.RLock()
-	ids := make([]string, 0, len(sh.execs))
-	for id := range sh.execs {
-		ids = append(ids, id)
-	}
+	execs := sh.executions()
 	sh.mu.RUnlock()
-	sort.Strings(ids)
-	total := int64(len(ids)) * int64(len(levels))
-	var done int64
+	total := int64(len(execs)) * int64(len(levels))
 	if progress != nil {
 		progress(0, total)
 	}
 	built := 0
-	for _, id := range ids {
+	for _, e := range execs {
 		if err := ctx.Err(); err != nil {
 			return built, err
-		}
-		sh.mu.RLock()
-		e := sh.execs[id]
-		sh.mu.RUnlock()
-		if e == nil {
-			done += int64(len(levels))
-			continue // removed mid-warm
 		}
 		for _, lvl := range levels {
 			if _, err := r.maskedExecFor(ctx, sh, e, lvl); err != nil {
 				return built, err
 			}
 			built++
-			done++
 			if progress != nil {
-				progress(done, total)
+				progress(int64(built), total)
 			}
 		}
 	}
@@ -69,13 +57,8 @@ func (r *Repository) PrewarmMasked(ctx context.Context, specID string, levels []
 // users, ascending — the level set worth keeping warm.
 func (r *Repository) userLevels() []privacy.Level {
 	seen := make(map[privacy.Level]bool)
-	var out []privacy.Level
 	for _, u := range r.Users() {
-		if !seen[u.Level] {
-			seen[u.Level] = true
-			out = append(out, u.Level)
-		}
+		seen[u.Level] = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }

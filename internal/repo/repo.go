@@ -40,7 +40,10 @@
 // reads fill it on first touch; PrewarmMasked fills it ahead of the
 // reader through the same code path (the paper's Section 4
 // "materialized views vs on-the-fly" trade-off, with one
-// implementation and therefore nothing to keep consistent).
+// implementation and therefore nothing to keep consistent). What is
+// materialized per snapshot is values only: an execution mirrors the
+// workflow graph, so the structure of a view is held once per execution
+// shape and access view (the shard's view plans) and shared.
 //
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
 // directory) before a shard's mu. Read paths never hold two locks at
@@ -129,7 +132,7 @@ type shard struct {
 
 	// masked caches fully privacy-enforced snapshots — collapsed,
 	// taint-masked executions — keyed by (execID, level, polGen), so the
-	// enforced read paths (evaluateQuery, Provenance) serve a shared
+	// enforced read paths (Query, QueryAllPageCtx, Provenance) serve a shared
 	// immutable execution with an atomic lookup instead of re-masking
 	// per request. Snapshots are read-only by contract: exec.Execution
 	// holds no hidden mutable state, EvaluatePrepared and
@@ -141,6 +144,16 @@ type shard struct {
 	// a reader a snapshot built for another incarnation of the spec id.
 	masked        *index.LRU[maskedCacheKey, maskedSnapshot]
 	maskedFlights flightGroup[maskedCacheKey, maskedSnapshot]
+
+	// shapes interns the executions by shape (exec.SameShape; guarded by mu)
+	// and plans holds, per (shape, access view), the one value-free prepared
+	// view that every snapshot of an execution of that shape at that view is
+	// instantiated from. A plan depends on the view and the shard's
+	// immutable hierarchy only, so it is keyed by the view's canonical key,
+	// has no polGen fence and no purge, and survives an install that leaves
+	// a level's view alone.
+	shapes *exec.Shapes
+	plans  *index.LRU[planKey, *query.PreparedExec]
 
 	// access is policy's access view per level, as the ascending steps at
 	// which it changes, the first covering every level below the lowest grant.
@@ -168,10 +181,29 @@ type shard struct {
 }
 
 // accessStep is the access view of every level from from up to the next
-// step's. The map is shared by all readers of the generation: read-only.
+// step's, with its canonical key (workflow.Prefix.Key). The map is shared
+// by all readers of the generation: read-only.
 type accessStep struct {
 	from privacy.Level
 	view workflow.Prefix
+	key  string
+}
+
+// planKey keys a shard's view plans: one per shape per distinct access view.
+type planKey struct {
+	shape *exec.Shape
+	view  string
+}
+
+// enforced is the state one install made current, as a fill at one level
+// takes it. It is read under one RLock, so whatever is filled and answered
+// from it — one snapshot, or every execution of a QueryAll — is masked and
+// decided under that one install.
+type enforced struct {
+	pol    *privacy.Policy
+	access accessStep
+	engine *taint.Engine
+	polGen uint64
 }
 
 // taintCacheKey keys the per-shard taint-set cache. No level component:
@@ -197,8 +229,10 @@ type maskedCacheKey struct {
 // masking report recorded when it was built (replayed into the taint
 // counters on every serve, so they advance on warm hits too) and whether
 // the view is coarser than the full expansion. The execution rides
-// inside a query.PreparedExec — its graph and transitive closure are
-// derived once at fill time, so warm queries skip both rebuilds. pol is
+// inside a query.PreparedExec instantiated from the view's plan: what a
+// snapshot owns is its execution's header and items — the values, masked
+// — while nodes, edges, graph, transitive closure and id indexes are the
+// plan's, shared with every snapshot of the same shape and view. pol is
 // the policy the snapshot was built under: evaluation must use it, not
 // a re-read of the shard's current policy, so an answer raced by
 // UpdatePolicy is internally consistent with one generation (view,
@@ -212,7 +246,7 @@ type maskedSnapshot struct {
 }
 
 // shardCacheCap bounds the entries each per-shard cache (taint sets,
-// masked snapshots) retains — the memory bound; staleness is handled by
+// masked snapshots, view plans) retains — the memory bound; staleness is handled by
 // the polGen fence and Purge, not by age.
 const shardCacheCap = 1024
 
@@ -353,18 +387,6 @@ func (r *Repository) shardOrErr(specID string) (*shard, error) {
 	return sh, nil
 }
 
-// snapshotShards returns the shards in sorted spec-id order.
-func (r *Repository) snapshotShards() []*shard {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := slices.Sorted(maps.Keys(r.shards))
-	out := make([]*shard, len(ids))
-	for i, id := range ids {
-		out[i] = r.shards[id]
-	}
-	return out
-}
-
 // AddSpec registers a validated spec with its policy (nil for an
 // all-public policy). Indexes are updated incrementally; the shard is
 // published only after its index entries exist, so readers never see a
@@ -432,6 +454,8 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 		eval:   query.NewEvaluator(s),
 		taints: index.NewLRU[taintCacheKey, *taint.Set](shardCacheCap),
 		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](shardCacheCap),
+		shapes: exec.NewShapes(),
+		plans:  index.NewLRU[planKey, *query.PreparedExec](shardCacheCap),
 	}
 	sh.install(pol, hs, r.mutSeq.Add(1))
 	return sh, nil
@@ -452,7 +476,8 @@ func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy,
 	// far apart a (wire-writable) policy puts them.
 	sh.access = nil
 	for _, l := range append([]privacy.Level{math.MinInt}, slices.Sorted(maps.Keys(pol.ViewGrants))...) {
-		sh.access = append(sh.access, accessStep{from: l, view: pol.AccessView(sh.hier, l)})
+		view := pol.AccessView(sh.hier, l)
+		sh.access = append(sh.access, accessStep{from: l, view: view, key: view.Key()})
 	}
 	sh.engine = datapriv.NewMasker(pol, hs).Engine()
 	sh.polGen++
@@ -486,18 +511,6 @@ func (r *Repository) Policy(specID string) *privacy.Policy {
 	return sh.policySnapshot()
 }
 
-// execution returns one stored execution (nil when absent); used by
-// white-box tests.
-func (r *Repository) execution(specID, execID string) *exec.Execution {
-	sh := r.shard(specID)
-	if sh == nil {
-		return nil
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.execs[execID]
-}
-
 // AddExecution stores a validated execution of a registered spec. Only
 // that spec's shard is locked: ingest on one spec never stalls queries
 // on others.
@@ -515,6 +528,7 @@ func (r *Repository) AddExecution(e *exec.Execution) error {
 		return fmt.Errorf("repo: execution %s already registered: %w", e.ID, ErrExists)
 	}
 	sh.execs[e.ID] = e
+	sh.shapes.Intern(e)
 	sh.seq = r.mutSeq.Add(1)
 	return nil
 }
@@ -593,20 +607,32 @@ func (sh *shard) policySnapshot() *privacy.Policy {
 
 // accessAt returns the installed policy's access view at level l — shared,
 // read-only. The caller holds sh.mu.
-func (sh *shard) accessAt(l privacy.Level) workflow.Prefix {
+func (sh *shard) accessAt(l privacy.Level) accessStep {
 	i := len(sh.access) - 1
 	for sh.access[i].from > l {
 		i--
 	}
-	return sh.access[i].view
+	return sh.access[i]
 }
 
-// policyAt reads the shard's current policy and its access view at level
-// l as one pair: both come from the same install.
-func (sh *shard) policyAt(l privacy.Level) (*privacy.Policy, workflow.Prefix) {
+// enforcedAt returns the installed enforcement state as a fill at level l
+// takes it. The caller holds sh.mu; enforcedNow takes it.
+func (sh *shard) enforcedAt(l privacy.Level) enforced {
+	return enforced{pol: sh.policy, access: sh.accessAt(l), engine: sh.engine, polGen: sh.polGen}
+}
+
+func (sh *shard) enforcedNow(l privacy.Level) enforced {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.policy, sh.accessAt(l)
+	return sh.enforcedAt(l)
+}
+
+// executions returns the shard's executions in id order. The caller holds
+// sh.mu.
+func (sh *shard) executions() []*exec.Execution {
+	out := slices.Collect(maps.Values(sh.execs))
+	slices.SortFunc(out, func(a, b *exec.Execution) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }
 
 // SetGeneralization installs generalization hierarchies for a spec's
@@ -635,12 +661,7 @@ func (r *Repository) ExecutionIDs(specID string) []string {
 	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ids := make([]string, 0, len(sh.execs))
-	for id := range sh.execs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return slices.Sorted(maps.Keys(sh.execs))
 }
 
 // AddUser registers (or replaces) a user.
@@ -814,7 +835,8 @@ func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, names []s
 	if sh == nil {
 		return nil
 	}
-	pol, access := sh.policyAt(level)
+	cur := sh.enforcedNow(level)
+	pol, access := cur.pol, cur.access.view
 	var res *search.Result
 	var err error
 	if m.Spec == sh.spec && m.Policy == pol {
@@ -857,32 +879,31 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 
 // maskedExecFor returns the fully privacy-enforced snapshot of an
 // execution at a level — collapsed to the access view and taint-masked —
-// serving from the shard's masked-snapshot cache. It is the only code
-// path that produces an enforced execution view: lazy reads and
-// PrewarmMasked both come through here. On miss the snapshot is built
-// once under the shard's flight group and published for every
-// subsequent reader; the returned execution is shared and MUST be
-// treated as read-only. The masking report is the one recorded at build
-// time, replayed by callers into the serving counters.
-//
-// A fill does each piece of work once. The stored execution e is only
-// ever read: exec.CollapseIn builds the one copy the fill makes — a view
-// it owns outright — against the shard's prebuilt hierarchy, and hands
-// back the view's graph from validating it; taint.ApplyInPlace masks
-// that view where it stands (item values only, so the graph still
-// describes it); query.PrepareGraph adopts the graph, and its
-// topological sort is what rejects a cyclic view. The public staged
-// functions (exec.Collapse, Engine.Apply, query.PrepareExec) are
-// wrappers over these same three, and TestColdFillMatchesStagedPipeline
-// holds the two compositions equal.
+// under the enforcement state installed now. See maskedExecUnder.
 func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
-	sh.mu.RLock()
-	pol := sh.policy
-	access := sh.accessAt(level)
-	en := sh.engine
-	polGen := sh.polGen
-	sh.mu.RUnlock()
-	key := maskedCacheKey{execID: e.ID, level: level, polGen: polGen}
+	return sh.maskedExecUnder(ctx, sh.enforcedNow(level), e, level)
+}
+
+// maskedExecUnder serves the snapshot of e at level under cur from the
+// shard's masked-snapshot cache. It is the only code path that produces an
+// enforced execution view: lazy reads and PrewarmMasked both come through
+// here. On miss the snapshot is built once under the shard's flight group
+// and published for every subsequent reader; the returned execution is
+// shared and MUST be treated as read-only. The masking report is the one
+// recorded at build time, replayed by callers into the serving counters.
+//
+// A fill copies values; it does not derive structure. The view's plan —
+// collapsed, validated and indexed once per (shape, access view) by
+// viewPlan — is instantiated with e's values, taint.ApplyInPlace masks
+// those where they stand (item values only, so the plan's graph, closure
+// and indexes still describe the result), and the stored execution e is
+// only ever read. TestColdFillMatchesStagedPipeline holds every snapshot
+// equal to the public staged composition exec.Collapse → Engine.Apply →
+// query.PrepareExec. A snapshot is published only while cur is still the
+// installed generation: a fill that lost the race with install serves its
+// caller, who asked under cur, and leaves nothing behind.
+func (sh *shard) maskedExecUnder(ctx context.Context, cur enforced, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
+	key := maskedCacheKey{execID: e.ID, level: level, polGen: cur.polGen}
 	if snap, ok := sh.masked.Get(key); ok {
 		return snap, nil
 	}
@@ -894,43 +915,64 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 		// fill spans land on the trace of the caller that paid for it.
 		fctx, fill := obs.StartSpan(ctx, "cache.masked_fill")
 		defer fill.End()
+		sh.mu.RLock()
+		shape := sh.shapes.Of(e)
+		sh.mu.RUnlock()
 		_, collapse := obs.StartSpan(fctx, "view.collapse")
-		view, g, err := exec.CollapseIn(e, sh.hier, access)
+		var prep *query.PreparedExec
+		plan, err := sh.viewPlan(shape, cur.access, e)
+		if err == nil {
+			prep, err = plan.Instantiate(e)
+		}
 		collapse.End()
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
-		set := sh.taintSetFor(fctx, e, en, polGen)
+		set := sh.taintSetFor(fctx, e, shape, cur)
 		_, apply := obs.StartSpan(fctx, "mask.apply")
-		rep := en.ApplyInPlace(view, level, set)
-		prep, err := query.PrepareGraph(view, g)
+		rep := cur.engine.ApplyInPlace(prep.Exec, level, set)
 		apply.End()
-		if err != nil {
-			return maskedSnapshot{}, err
+		snap := maskedSnapshot{prep: prep, pol: cur.pol, rep: rep, zoomed: len(cur.access.view) < sh.hier.Size()}
+		sh.mu.RLock()
+		if sh.polGen == cur.polGen {
+			sh.masked.Put(key, snap)
 		}
-		snap := maskedSnapshot{prep: prep, pol: pol, rep: rep, zoomed: len(access) < sh.hier.Size()}
-		sh.masked.Put(key, snap)
+		sh.mu.RUnlock()
 		return snap, nil
 	})
 }
 
-// evaluateQuery runs one parsed structural query against one execution
-// under the user's privacy constraints, serving the execution from the
-// masked-snapshot cache: a warm query allocates nothing for privacy
-// enforcement (no masker, no deep copy, no rewrite pass) — only the
-// evaluation itself.
-func (r *Repository) evaluateQuery(ctx context.Context, sh *shard, e *exec.Execution, q *query.Query, level privacy.Level) (*query.Answer, error) {
-	snap, err := r.maskedExecFor(ctx, sh, e, level)
+// viewPlan returns the value-free prepared view of a shape under an access
+// view, built on first use from e, an execution of that shape. This is the
+// only place a view is collapsed and prepared, and so where an invalid or
+// cyclic one is refused: exec.CollapseIn validates the view and hands its
+// graph to query.PrepareGraph, whose topological sort rejects a cycle.
+// The plan keeps no value: no string of one execution is reachable from
+// another's snapshot.
+func (sh *shard) viewPlan(shape *exec.Shape, access accessStep, e *exec.Execution) (*query.PreparedExec, error) {
+	key := planKey{shape: shape, view: access.key}
+	if plan, ok := sh.plans.Get(key); ok {
+		return plan, nil
+	}
+	view, g, err := exec.CollapseIn(e, sh.hier, access.view)
 	if err != nil {
 		return nil, err
 	}
-	r.countTaint(snap.rep)
-	return sh.eval.EvaluateOn(q, snap.prep, snap.pol, level, snap.zoomed)
+	plan, err := query.PrepareGraph(view, g)
+	if err != nil {
+		return nil, err
+	}
+	view.Blank()
+	sh.plans.Put(key, plan)
+	return plan, nil
 }
 
 // Query evaluates a structural query (see query.Parse) against one
 // execution under the user's privacy constraints, with taint-aware
-// masking of the answer's values and provenance subgraphs.
+// masking of the answer's values and provenance subgraphs. The execution
+// is served from the masked-snapshot cache: a warm query allocates nothing
+// for privacy enforcement (no masker, no deep copy, no rewrite pass) — only
+// the evaluation itself.
 func (r *Repository) Query(userName, specID, execID, queryText string) (*query.Answer, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -940,7 +982,12 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 	if err != nil {
 		return nil, err
 	}
-	return r.evaluateQuery(context.Background(), sh, e, q, u.Level)
+	snap, err := r.maskedExecFor(context.Background(), sh, e, u.Level)
+	if err != nil {
+		return nil, err
+	}
+	r.countTaint(snap.rep)
+	return sh.eval.EvaluateOn(q, snap.prep, snap.pol, u.Level, snap.zoomed)
 }
 
 // Reaches answers the paper's core structural-privacy question — "does
@@ -969,7 +1016,8 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 		return false, err
 	}
 	h := sh.hier
-	pol, access := sh.policyAt(u.Level)
+	cur := sh.enforcedNow(u.Level)
+	pol, access := cur.pol, cur.access.view
 	mf, wf := h.Module(from)
 	mt, wt := h.Module(to)
 	if mf == nil {
@@ -1063,19 +1111,12 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	if err != nil {
 		return nil, err
 	}
-	pol, access := sh.policyAt(u.Level)
-	v, err := workflow.ExpandIn(sh.spec, sh.hier, access)
+	cur := sh.enforcedNow(u.Level)
+	v, err := workflow.ExpandIn(sh.spec, sh.hier, cur.access.view)
 	if err != nil {
 		return nil, err
 	}
-	return sh.eval.EvaluateSpec(q, v, pol, u.Level)
-}
-
-// QueryAll is QueryAllPageCtx without a window or a context: every
-// non-empty answer, in execution-id order.
-func (r *Repository) QueryAll(userName, specID, queryText string) ([]*query.Answer, error) {
-	answers, _, err := r.QueryAllPageCtx(context.Background(), userName, specID, queryText, 0, 0)
-	return answers, err
+	return sh.eval.EvaluateSpec(q, v, cur.pol, u.Level)
 }
 
 // QueryAllPageCtx evaluates a structural query against every execution
@@ -1106,23 +1147,16 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	if err != nil {
 		return nil, 0, err
 	}
+	// The execution list and the enforcement state are read under one
+	// lock and every execution is filled under that state, so the whole
+	// response is decided under one policy that was live when the call
+	// began, however many installs it straddles — never a mixture.
 	sh.mu.RLock()
-	ids := make([]string, 0, len(sh.execs))
-	execs := make([]*exec.Execution, 0, len(sh.execs))
-	for id := range sh.execs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		execs = append(execs, sh.execs[id])
-	}
+	execs := sh.executions()
+	cur := sh.enforcedAt(u.Level)
 	sh.mu.RUnlock()
 
-	// Phase 1 — bindings only, fanned out. Each evaluation snapshots the
-	// policy per execution; every answer of one call may still interleave
-	// with a racing UpdatePolicy, but each individual answer is
-	// internally consistent (view, taint set and mask all come from one
-	// policy generation).
+	// Phase 1 — bindings only, fanned out.
 	answers := make([]*query.Answer, len(execs))
 	snaps := make([]maskedSnapshot, len(execs))
 	errs := make([]error, len(execs))
@@ -1132,7 +1166,7 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 			errs[i] = err
 			return
 		}
-		snap, err := r.maskedExecFor(matchCtx, sh, execs[i], u.Level)
+		snap, err := sh.maskedExecUnder(matchCtx, cur, execs[i], u.Level)
 		if err != nil {
 			errs[i] = err
 			return
@@ -1180,14 +1214,15 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 }
 
 // taintSetFor returns the cached taint analysis of an execution under
-// the given policy generation, computing and caching it on miss. Fills
-// are deduplicated through the shard's flight group; the polGen key
-// makes sets seeded under a replaced policy unreachable (see
-// taintCacheKey). The caller passes the shard's policy-scoped engine
-// (analysis ignores its generalizers), so no masker is constructed on
-// this path.
-func (sh *shard) taintSetFor(ctx context.Context, e *exec.Execution, en *taint.Engine, polGen uint64) *taint.Set {
-	key := taintCacheKey{execID: e.ID, polGen: polGen}
+// cur's policy generation, computing and caching it on miss. Fills are
+// deduplicated through the shard's flight group; the polGen key makes sets
+// seeded under a replaced policy unreachable (see taintCacheKey), and like
+// a snapshot a set is published only while its generation is current. The
+// analysis runs against the item ancestry of e's shape, derived once per
+// shape, with the shard's policy-scoped engine (analysis ignores its
+// generalizers), so no masker is constructed on this path.
+func (sh *shard) taintSetFor(ctx context.Context, e *exec.Execution, shape *exec.Shape, cur enforced) *taint.Set {
+	key := taintCacheKey{execID: e.ID, polGen: cur.polGen}
 	if s, ok := sh.taints.Get(key); ok {
 		return s
 	}
@@ -1197,8 +1232,12 @@ func (sh *shard) taintSetFor(ctx context.Context, e *exec.Execution, en *taint.E
 		}
 		_, span := obs.StartSpan(ctx, "taint.analyze")
 		defer span.End()
-		s := en.Analyze(e)
-		sh.taints.Put(key, s)
+		s := cur.engine.AnalyzeIn(e, shape.Ancestry())
+		sh.mu.RLock()
+		if sh.polGen == cur.polGen {
+			sh.taints.Put(key, s)
+		}
+		sh.mu.RUnlock()
 		return s, nil
 	})
 	return s
@@ -1249,18 +1288,15 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 	if opts.DisableTaint {
 		// Debug escape hatch: attribute-local masking only, uncached (a
 		// nil taint set degrades the engine) — never worth a cache slot.
-		sh.mu.RLock()
-		access := sh.accessAt(u.Level)
-		en := sh.engine
-		sh.mu.RUnlock()
-		view, err := exec.Collapse(e, sh.spec, access)
+		cur := sh.enforcedNow(u.Level)
+		view, err := exec.Collapse(e, sh.spec, cur.access.view)
 		if err != nil {
 			return nil, err
 		}
 		if view.Items[itemID] == nil {
 			return nil, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
 		}
-		masked, rep := en.Apply(view, u.Level, nil)
+		masked, rep := cur.engine.Apply(view, u.Level, nil)
 		r.countTaint(rep)
 		return exec.Provenance(masked, itemID)
 	}
@@ -1280,42 +1316,59 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 }
 
 // Stats summarizes repository contents and the health of its derived
-// state: per-shard cache hit rates and index segment/snapshot churn.
+// state: per-shard cache hit rates and index segment/snapshot churn. The
+// JSON form is the engine's part of the /stats body.
 type Stats struct {
-	Specs      int
-	Executions int
-	Users      int
-	IndexTerms int
-	Postings   int
+	Specs      int `json:"specs"`
+	Executions int `json:"executions"`
+	Users      int `json:"users"`
+	IndexTerms int `json:"index_terms"`
+	Postings   int `json:"postings"`
 
 	// IndexSegments is the number of per-spec index segments;
 	// IndexSwaps counts snapshot publications (spec mutations).
-	IndexSegments int
-	IndexSwaps    int64
+	IndexSegments int   `json:"index_segments"`
+	IndexSwaps    int64 `json:"index_swaps"`
 
 	// TaintRewritten/TaintRedacted count items the taint engine
 	// rewrote / redacted on read paths; TaintCacheHits/TaintCacheMisses
 	// aggregate the per-shard taint-set LRUs (monotonic across shard
 	// removal via the base counters). TaintCache breaks the cache
 	// counters out per live shard.
-	TaintRewritten   int64
-	TaintRedacted    int64
-	TaintCacheHits   int64
-	TaintCacheMisses int64
-	TaintCache       map[string]TaintCacheStat
+	TaintRewritten   int64                     `json:"taint_rewritten"`
+	TaintRedacted    int64                     `json:"taint_redacted"`
+	TaintCacheHits   int64                     `json:"taint_cache_hits"`
+	TaintCacheMisses int64                     `json:"taint_cache_misses"`
+	TaintCache       map[string]TaintCacheStat `json:"taint_cache,omitempty"`
 
 	// MaskedCacheHits/MaskedCacheMisses aggregate the per-shard
 	// masked-snapshot LRUs, monotonic across shard removal exactly like
 	// the taint counters; MaskedCache breaks them out per live shard.
-	MaskedCacheHits   int64
-	MaskedCacheMisses int64
-	MaskedCache       map[string]TaintCacheStat
+	MaskedCacheHits   int64                     `json:"masked_exec_cache_hits"`
+	MaskedCacheMisses int64                     `json:"masked_exec_cache_misses"`
+	MaskedCache       map[string]TaintCacheStat `json:"masked_exec_cache,omitempty"`
 
 	// TaintCacheEntries/MaskedCacheEntries sum what the live shards'
 	// LRUs hold right now — gauges, so a removed shard takes its entries
 	// with it and nothing is banked.
-	TaintCacheEntries  int
-	MaskedCacheEntries int
+	TaintCacheEntries  int `json:"-"`
+	MaskedCacheEntries int `json:"-"`
+
+	// ExecShapes/ViewPlans sum the distinct execution shapes the live
+	// shards have interned and the view plans they hold — gauges too;
+	// Shapes breaks them out per shard. The snapshots of a shard share
+	// structure per shape, so a corpus whose executions do not share shape
+	// shows here (ExecShapes near Executions) before it shows in memory.
+	ExecShapes int                  `json:"-"`
+	ViewPlans  int                  `json:"-"`
+	Shapes     map[string]ShapeStat `json:"shapes,omitempty"`
+}
+
+// ShapeStat is one shard's count of distinct execution shapes and of view
+// plans held (at most shardCacheCap).
+type ShapeStat struct {
+	ExecShapes int `json:"exec_shapes"`
+	ViewPlans  int `json:"view_plans"`
 }
 
 // TaintCacheStat is one shard's cache hit/miss counter pair and current
@@ -1348,22 +1401,24 @@ func (s Stats) Content() ContentStats {
 
 // Stats returns repository statistics.
 func (r *Repository) Stats() Stats {
-	st := Stats{}
-	for _, sh := range r.snapshotShards() {
-		sh.mu.RLock()
-		st.Specs++
-		st.Executions += len(sh.execs)
-		sh.mu.RUnlock()
-	}
-	// Per-shard cache totals are summed under the directory lock so they
-	// cannot interleave with RemoveSpec banking a dying shard's counters
-	// into the base (which happens under the directory write lock) —
-	// otherwise a shard could be counted both live and banked, making
-	// the exported counters non-monotonic.
+	// Everything per shard is read under the directory lock so it cannot
+	// interleave with RemoveSpec banking a dying shard's counters into the
+	// base (which happens under the directory write lock) — otherwise a
+	// shard could be counted both live and banked, making the exported
+	// counters non-monotonic.
+	st := Stats{Shapes: make(map[string]ShapeStat)}
 	r.mu.RLock()
+	st.Specs = len(r.shards)
 	st.TaintCache = make(map[string]TaintCacheStat, len(r.shards))
 	st.MaskedCache = make(map[string]TaintCacheStat, len(r.shards))
 	for id, sh := range r.shards {
+		sh.mu.RLock()
+		st.Executions += len(sh.execs)
+		ss := ShapeStat{ExecShapes: sh.shapes.Len(), ViewPlans: sh.plans.Len()}
+		sh.mu.RUnlock()
+		st.ExecShapes += ss.ExecShapes
+		st.ViewPlans += ss.ViewPlans
+		st.Shapes[id] = ss
 		h, m := sh.taints.Stats()
 		n := sh.taints.Len()
 		st.TaintCacheHits += h

@@ -4,8 +4,8 @@ package repo
 // spec alone and never invalidated; which modules a level may bind must
 // still follow the policy, per request. These tests pin that: a policy
 // update is honoured by the very next warm query, and a QueryAll that
-// straddles one decides every answer under the policy that answer's
-// snapshot was masked under.
+// straddles one answers every execution under the one policy that was
+// installed when the call began.
 
 import (
 	"fmt"
@@ -108,7 +108,15 @@ func TestWarmQueryHonoursRaisedModuleLevel(t *testing.T) {
 	}
 }
 
-func TestQueryAllAcrossPolicyUpdateBindsUnderEachSnapshotsPolicy(t *testing.T) {
+// TestQueryAllAcrossPolicyUpdateAnswersUnderOnePolicy: QueryAllPageCtx
+// reads the enforcement state once, with the execution list, and fills and
+// binds every execution under it. A policy installed while the fan-out is
+// under way — here between the second and the third execution, the call
+// parked on a gate — therefore changes nothing in the response: all four
+// answers bind what the all-public policy lets the level bind, cold or
+// warm, never two under one policy and two under the other. The next call
+// answers under the new policy.
+func TestQueryAllAcrossPolicyUpdateAnswersUnderOnePolicy(t *testing.T) {
 	for _, warm := range []bool{false, true} {
 		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
 			r := warmQueryRepo(t, 4)
@@ -141,13 +149,18 @@ func TestQueryAllAcrossPolicyUpdateBindsUnderEachSnapshotsPolicy(t *testing.T) {
 			if len(res.answers) != 4 {
 				t.Fatalf("%d answers, want one per execution", len(res.answers))
 			}
-			for i, a := range res.answers {
-				want := []string{"M0", "M1"} // snapshot masked under the all-public policy
-				if i >= 2 {
-					want = []string{"M1"} // snapshot masked after M0 was raised
+			for _, a := range res.answers {
+				if got := boundModules(t, r, a); fmt.Sprint(got) != "[M0 M1]" {
+					t.Errorf("%s binds %v, want [M0 M1]: the policy installed when the call began decides the whole response", a.ExecutionID, got)
 				}
-				if got := boundModules(t, r, a); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s binds %v, want %v: the policy of its own snapshot decides", a.ExecutionID, got, want)
+			}
+			after, err := r.QueryAll("pub", warmSpec, alphaQuery)
+			if err != nil || len(after) != 4 {
+				t.Fatalf("QueryAll after the update: %d answers, %v", len(after), err)
+			}
+			for _, a := range after {
+				if got := boundModules(t, r, a); fmt.Sprint(got) != "[M1]" {
+					t.Errorf("after the update %s binds %v, want [M1]", a.ExecutionID, got)
 				}
 			}
 		})

@@ -1082,25 +1082,10 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, user string)
 	s.mutated(w, http.StatusOK, body)
 }
 
-// statsBody is the /stats response.
+// statsBody is the /stats response: the engine's statistics, then the
+// server's own.
 type statsBody struct {
-	Specs         int   `json:"specs"`
-	Executions    int   `json:"executions"`
-	Users         int   `json:"users"`
-	IndexTerms    int   `json:"index_terms"`
-	Postings      int   `json:"postings"`
-	IndexSegments int   `json:"index_segments"`
-	IndexSwaps    int64 `json:"index_swaps"`
-
-	TaintRewritten   int64                          `json:"taint_rewritten"`
-	TaintRedacted    int64                          `json:"taint_redacted"`
-	TaintCacheHits   int64                          `json:"taint_cache_hits"`
-	TaintCacheMisses int64                          `json:"taint_cache_misses"`
-	TaintCache       map[string]repo.TaintCacheStat `json:"taint_cache,omitempty"`
-
-	MaskedCacheHits   int64                          `json:"masked_exec_cache_hits"`
-	MaskedCacheMisses int64                          `json:"masked_exec_cache_misses"`
-	MaskedCache       map[string]repo.TaintCacheStat `json:"masked_exec_cache,omitempty"`
+	repo.Stats
 
 	// Mutation-surface health: successful mutation requests, rejected
 	// authentications/authorizations, and per-token use counters (only
@@ -1131,28 +1116,8 @@ type statsBody struct {
 	Tasks *tasks.Stats `json:"tasks,omitempty"`
 }
 
-func toStatsBody(st repo.Stats) statsBody {
-	return statsBody{
-		Specs:             st.Specs,
-		Executions:        st.Executions,
-		Users:             st.Users,
-		IndexTerms:        st.IndexTerms,
-		Postings:          st.Postings,
-		IndexSegments:     st.IndexSegments,
-		IndexSwaps:        st.IndexSwaps,
-		TaintRewritten:    st.TaintRewritten,
-		TaintRedacted:     st.TaintRedacted,
-		TaintCacheHits:    st.TaintCacheHits,
-		TaintCacheMisses:  st.TaintCacheMisses,
-		TaintCache:        st.TaintCache,
-		MaskedCacheHits:   st.MaskedCacheHits,
-		MaskedCacheMisses: st.MaskedCacheMisses,
-		MaskedCache:       st.MaskedCache,
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, user string) {
-	body := toStatsBody(s.repo.Stats())
+	body := statsBody{Stats: s.repo.Stats()}
 	// AuthFailures subsumes the authenticator's invalid-secret count:
 	// every invalid token already fails principal() and is counted once
 	// there (adding Auth.Failures() would double-count).
@@ -1212,6 +1177,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("masked_exec_cache_misses_total", "Per-shard masked-execution snapshot cache misses.", st.MaskedCacheMisses)
 	metric("taint_cache_entries", "Taint sets currently held by the live shards' caches.", int64(st.TaintCacheEntries))
 	metric("masked_exec_cache_entries", "Masked-execution snapshots currently held by the live shards' caches.", int64(st.MaskedCacheEntries))
+	metric("exec_shapes", "Distinct execution shapes interned by the live shards (executions of one shape share their views' structure).", int64(st.ExecShapes))
+	metric("view_plans", "Value-free view plans, one per (shape, access view), currently held by the live shards.", int64(st.ViewPlans))
 	metric("mutations_total", "Successful mutation-endpoint requests.", s.mutations.Load())
 	metric("auth_failures_total", "Rejected authentications and authorization denials.", s.authFailures.Load())
 	metric("shed_draining_total", "Requests refused with 503 because the server was draining.", s.shedDraining.Load())

@@ -523,6 +523,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"provpriv_index_snapshot_swaps_total",
 		"provpriv_taint_cache_entries 1",
 		"provpriv_masked_exec_cache_entries 2",
+		"provpriv_exec_shapes 1",
+		"provpriv_view_plans 2",
 	} {
 		if !strings.Contains(text, metric) {
 			t.Fatalf("metrics missing %q:\n%s", metric, text)
@@ -533,14 +535,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// /stats carries the same counters as JSON.
 	var st struct {
-		IndexSegments int   `json:"index_segments"`
-		IndexSwaps    int64 `json:"index_swaps"`
+		IndexSegments int                       `json:"index_segments"`
+		IndexSwaps    int64                     `json:"index_swaps"`
+		Shapes        map[string]repo.ShapeStat `json:"shapes"`
 	}
 	if code := get(t, ts, "alice", "/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
 	if st.IndexSegments != 1 || st.IndexSwaps == 0 {
 		t.Fatalf("stats counters: %+v", st)
+	}
+	if got := st.Shapes["disease-susceptibility"]; got != (repo.ShapeStat{ExecShapes: 1, ViewPlans: 2}) {
+		t.Fatalf("stats shapes: %+v, want one shape under two access views", st.Shapes)
 	}
 }
 

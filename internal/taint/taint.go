@@ -24,12 +24,13 @@
 //     hierarchy) or to an attribute-tagged mask token; when rewriting
 //     cannot prove the leak is gone the whole value is redacted.
 //
-// Analysis (seed + propagate) is separated from application so that the
-// expensive part — one transitive closure per execution — can be cached:
-// a Set computed once on the full execution applies to every collapsed
-// view of it at every access level (item ids are stable under
-// exec.Collapse, and labels carry their required level so level
-// filtering happens at apply time).
+// Analysis (seed + propagate) is separated from application so that it
+// can be cached: a Set computed once on the full execution applies to
+// every collapsed view of it at every access level (item ids are stable
+// under exec.Collapse, and labels carry their required level so level
+// filtering happens at apply time). Within analysis, the structural half —
+// one transitive closure, which item's producer reaches which — is the
+// same for every execution of a shape and is taken from exec.Ancestry.
 package taint
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sync"
 
 	"provpriv/internal/exec"
-	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
 )
 
@@ -69,6 +69,9 @@ type Label struct {
 // concurrent Apply calls — internal/repo caches one per (execution,
 // policy generation). The compiled sanitizer rides along: the automaton
 // over all protected raw values is built once here, not per request.
+// A Set is per execution even where executions share a shape: which item
+// descends from which is the shape's (exec.Ancestry, read by AnalyzeIn),
+// but the labels and the automaton hold raw values, which are not.
 type Set struct {
 	byItem map[string][]Label
 	labels int
@@ -207,15 +210,29 @@ func (en *Engine) generalizer(attr string) Generalizer {
 // Run Analyze on the *full* execution, not a collapsed view: a protected
 // item internal to a collapsed composite is absent from the view's item
 // set, but its raw value still rides inside downstream trace strings.
-func (en *Engine) Analyze(e *exec.Execution) *Set {
+//
+// Analyze derives e's item ancestry itself; a caller that holds the
+// ancestry of e's shape uses AnalyzeIn.
+func (en *Engine) Analyze(e *exec.Execution) *Set { return en.AnalyzeIn(e, nil) }
+
+// AnalyzeIn is Analyze against anc, the item ancestry of e's shape. "Whose
+// producer reaches whose" is the same for every execution of a shape
+// (exec.SameShape) and most of what an analysis costs, so it is derived
+// once per shape; what is left per execution is what depends on e's
+// values — which protected items carry a value that can leak, and the
+// automaton compiled over those values. A nil anc is derived from e.
+func (en *Engine) AnalyzeIn(e *exec.Execution, anc *exec.Ancestry) *Set {
 	protected := en.Policy.ProtectedAttrs(privacy.Public)
 	set := &Set{byItem: make(map[string][]Label)}
 	if len(protected) == 0 {
 		return set
 	}
-	ids := e.ItemIDs()
+	if anc == nil {
+		anc = exec.NewAncestry(e)
+	}
 	var labels []Label
-	for _, id := range ids {
+	var srcs []int // labels[k] is the item anc.IDs[srcs[k]]
+	for i, id := range anc.IDs {
 		it := e.Items[id]
 		req, ok := protected[it.Attr]
 		// Redacted or empty values cannot leak through substrings.
@@ -223,66 +240,36 @@ func (en *Engine) Analyze(e *exec.Execution) *Set {
 			continue
 		}
 		labels = append(labels, Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value})
+		srcs = append(srcs, i)
 	}
 	if len(labels) == 0 {
 		return set
 	}
-	g := e.Graph()
-	// The closure's bitset arena is the analysis's big transient
-	// allocation; recycle it across Analyze calls.
-	cb := closurePool.Get().(*closureBuf)
-	cl, err := graph.NewClosureScratch(g, cb.words)
-	if err != nil {
-		closurePool.Put(cb)
-		// Validated executions are acyclic; if not, over-taint everything
-		// (privacy over utility).
-		for id := range e.Items {
-			set.byItem[id] = append([]Label(nil), labels...)
-			set.labels += len(labels)
-		}
-		set.compile(labels)
-		return set
-	}
-	// An item carries, in label order, every label whose source's
-	// producer reaches its own. Count the pairs first so all the lists
-	// are carved, at their exact lengths, out of one backing array.
-	srcs := make([]graph.NodeID, len(labels))
-	for i, l := range labels {
-		srcs[i] = g.Lookup(e.Items[l.ItemID].Producer)
-	}
-	taints := func(src, prod graph.NodeID) bool { return src >= 0 && prod >= 0 && cl.Reach(src, prod) }
-	for _, id := range ids {
-		prod := g.Lookup(e.Items[id].Producer)
+	// An item carries, in label order, every label whose source it
+	// descends from. Count the pairs first so all the lists are carved, at
+	// their exact lengths, out of one backing array.
+	for j := range anc.IDs {
 		for _, src := range srcs {
-			if taints(src, prod) {
+			if anc.Descends(src, j) {
 				set.labels++
 			}
 		}
 	}
 	arena := make([]Label, 0, set.labels)
-	for _, id := range ids {
-		prod := g.Lookup(e.Items[id].Producer)
+	for j, id := range anc.IDs {
 		lo := len(arena)
-		for i, src := range srcs {
-			if taints(src, prod) {
-				arena = append(arena, labels[i])
+		for k, src := range srcs {
+			if anc.Descends(src, j) {
+				arena = append(arena, labels[k])
 			}
 		}
 		if len(arena) > lo {
 			set.byItem[id] = arena[lo:len(arena):len(arena)]
 		}
 	}
-	cb.words = cl.Scratch()
-	closurePool.Put(cb)
 	set.compile(labels)
 	return set
 }
-
-// closureBuf pools the word arenas backing per-analysis transitive
-// closures (see graph.NewClosureScratch).
-type closureBuf struct{ words []uint64 }
-
-var closurePool = sync.Pool{New: func() any { return new(closureBuf) }}
 
 // Sanitize is Analyze followed by Apply — the one-shot entry point for
 // masking an execution you hold in full.

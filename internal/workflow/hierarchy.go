@@ -185,6 +185,11 @@ func (p Prefix) IDs() []string {
 	return out
 }
 
+// Key returns a canonical string for the prefix, for use as a cache key:
+// the sorted ids, each %q-quoted, so no id can forge a separator and equal
+// prefixes — however they were arrived at — have equal keys.
+func (p Prefix) Key() string { return fmt.Sprintf("%q", p.IDs()) }
+
 // Validate checks that p is a legal prefix of h: non-empty, contains the
 // root, every member's parent is a member, and every member exists.
 func (p Prefix) Validate(h *Hierarchy) error {
