@@ -60,6 +60,15 @@ import (
 	"provpriv/internal/workflow"
 )
 
+// Sizes nobody has needed to set: the background task queue's capacity (a
+// full queue answers 429 on the async endpoints) and how many completed
+// traces GET /api/v1/debug/traces keeps. The query fan-out pool is sized to
+// GOMAXPROCS by repo.New.
+const (
+	taskQueue = 64
+	traceRing = 256
+)
+
 // userFlags collects repeated -user NAME=LEVEL flags.
 type userFlags []privacy.User
 
@@ -86,15 +95,11 @@ func main() {
 	backendName := flag.String("backend", "flat",
 		"storage backend for a new -data directory: flat (per-shard log files) or kv (embedded key-value store); existing directories keep the backend they were written with")
 	example := flag.Bool("example", false, "serve the built-in paper example instead of -data")
-	workers := flag.Int("workers", 0, "fan-out pool size (0 = GOMAXPROCS)")
 	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest, compaction, prewarming; 0 disables the async surface)")
-	taskQueue := flag.Int("task-queue", 64, "background task queue capacity (full queue = 429 on async endpoints)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"shutdown budget for draining in-flight requests and background tasks before stragglers are canceled")
 	compactInterval := flag.Duration("compact-interval", 0,
 		"periodically fold oversized shard logs in the background (0 disables; compaction also runs after each save)")
-	allowTaintOff := flag.Bool("allow-taint-off", false,
-		"honor the provenance taint=off debug parameter (reopens the embedded-trace-value leak; never enable on a shared deployment)")
 	tokenFile := flag.String("token-file", "",
 		"bearer-token file (name:role:user:sha256hex per line); configuring it disables the trusted X-Prov-User header")
 	allowHeaderAuth := flag.Bool("allow-header-auth", false,
@@ -125,7 +130,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	traceSample := flag.Int("trace-sample", 8,
 		"trace one request in N (1 traces everything, 0 disables tracing)")
-	traceRing := flag.Int("trace-ring", 256, "completed traces kept for GET /api/v1/debug/traces")
 	slowThreshold := flag.Duration("slow-threshold", 500*time.Millisecond,
 		"requests slower than this are logged and flagged in traces")
 	enablePprof := flag.Bool("pprof", false, "expose /debug/pprof/ (admin role required)")
@@ -185,9 +189,6 @@ func main() {
 	default:
 		log.Fatal("need -data DIR or -example")
 	}
-	if *workers > 0 {
-		r.SetWorkers(*workers)
-	}
 	// Default principals: one per common level, so the API is usable
 	// out of the box. Explicit -user flags add or override.
 	for _, u := range []privacy.User{
@@ -205,14 +206,13 @@ func main() {
 	srv := server.New(r)
 	srv.Logger = logger
 	srv.Store = store
-	srv.AllowDisableTaint = *allowTaintOff
 	srv.EnablePprof = *enablePprof
 	srv.RequireStorage = store != nil
 
 	// The observability layer: request ids + per-route histograms on
 	// every request, sampled tracing through the engine, panic recovery.
 	metrics := obs.NewMetrics()
-	tracer := obs.NewTracer(*traceRing, *traceSample, *slowThreshold)
+	tracer := obs.NewTracer(traceRing, *traceSample, *slowThreshold)
 	srv.Obs = obs.NewObserver(metrics, logger, tracer)
 
 	authMode := "trusted-headers (dev)"
@@ -270,7 +270,7 @@ func main() {
 	}
 	var rt *tasks.Runtime
 	if *taskWorkers > 0 {
-		rt = tasks.New(*taskWorkers, *taskQueue)
+		rt = tasks.New(*taskWorkers, taskQueue)
 		// Terminal tasks feed the queue-wait/run histograms; sampled
 		// attempts get their own root traces in the debug ring.
 		rt.SetObserve(metrics.ObserveTask)
@@ -290,9 +290,7 @@ func main() {
 		"data_dir", *data,
 		"backend", *backendName,
 		"example", *example,
-		"fanout_workers", *workers,
 		"task_workers", *taskWorkers,
-		"task_queue", *taskQueue,
 		"drain_timeout", *drainTimeout,
 		"compact_interval", *compactInterval,
 		"auth_mode", authMode,
@@ -308,7 +306,6 @@ func main() {
 		"log_format", *logFormat,
 		"log_level", *logLevel,
 		"trace_sample", *traceSample,
-		"trace_ring", *traceRing,
 		"slow_threshold", *slowThreshold,
 		"pprof", *enablePprof,
 	)

@@ -1,15 +1,12 @@
 package index
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // LRU is a bounded, concurrency-safe cache with exact
 // least-recently-used eviction: overflow evicts only the coldest entry,
-// so a hot working set survives churn. Entries never expire — capacity
-// is the memory bound, and owners of derived data drop stale entries
-// with Purge.
+// so a hot working set survives churn. Entries never expire and are never
+// dropped wholesale — capacity is the memory bound, and an owner whose
+// derived data goes stale drops the cache with it.
 //
 // Recency is an intrusive doubly linked list threaded through the
 // entries, most recent first, under the cache's one mutex. Every
@@ -17,8 +14,8 @@ import (
 // relink, Put a map insert and — when full — an unlink of the list's
 // tail, whose node the new entry reuses. A cold walk over a working set
 // larger than the cache therefore pays the same per insert as a warm
-// one pays per hit; nothing scans the entries. Peek takes the same lock
-// but leaves the order and the counters alone.
+// one pays per hit; nothing scans the entries. The cache counts nothing:
+// an owner that reports hits and misses counts them where it looks up.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -26,9 +23,7 @@ type LRU[K comparable, V any] struct {
 	// root is the list's sentinel: root.next is the most recently used
 	// entry, root.prev the eviction victim. An empty list points at
 	// itself both ways.
-	root   lruEntry[K, V]
-	hits   atomic.Int64 //provlint:counter
-	misses atomic.Int64 //provlint:counter
+	root lruEntry[K, V]
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -43,18 +38,12 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	c := &LRU[K, V]{capacity: capacity}
-	c.resetLocked()
-	return c
-}
-
-// resetLocked installs an empty map and list. The map is left to grow: a
-// cache is sized for the widest owner and most hold a fraction of that, so
-// a capacity-sized map per cache per reset is mostly waste. Caller holds
-// c.mu (or is the constructor).
-func (c *LRU[K, V]) resetLocked() {
-	c.entries = make(map[K]*lruEntry[K, V])
+	// The map is left to grow: a cache is sized for the widest owner and
+	// most hold a fraction of that, so a capacity-sized map per cache is
+	// mostly waste.
+	c := &LRU[K, V]{capacity: capacity, entries: make(map[K]*lruEntry[K, V])}
 	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
 func (e *lruEntry[K, V]) unlink() {
@@ -82,25 +71,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 		v = e.value
 	}
 	c.mu.Unlock()
-	if e == nil {
-		c.misses.Add(1)
-		return v, false
-	}
-	c.hits.Add(1)
-	return v, true
-}
-
-// Peek returns the cached value for key without touching the hit/miss
-// counters or the recency order — for double-check paths that already
-// counted their initial Get.
-func (c *LRU[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		return e.value, true
-	}
-	var zero V
-	return zero, false
+	return v, e != nil
 }
 
 // Put stores a value for key as the most recently used entry, evicting
@@ -132,16 +103,4 @@ func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Purge drops every entry, keeping the hit/miss counters.
-func (c *LRU[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.resetLocked()
-}
-
-// Stats returns cumulative (hits, misses).
-func (c *LRU[K, V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

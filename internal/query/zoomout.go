@@ -3,9 +3,9 @@ package query
 import (
 	"fmt"
 
-	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
+	"provpriv/internal/taint"
 	"provpriv/internal/workflow"
 )
 
@@ -29,28 +29,24 @@ type ZoomOutResult struct {
 	Steps  int
 }
 
-// ZoomOut evaluates q against e with the gradual zoom-out strategy.
-func (ev *Evaluator) ZoomOut(q *Query, e *exec.Execution, pol *privacy.Policy, level privacy.Level) (*ZoomOutResult, error) {
-	h, err := workflow.NewHierarchy(ev.Spec)
-	if err != nil {
-		return nil, err
-	}
-	access := pol.AccessView(h, level)
+// ZoomOut evaluates q against e with the gradual zoom-out strategy, as level
+// sees it under pol. Everything derived from the spec and the policy is the
+// caller's, so a repository passes what it already holds: h is the spec's
+// hierarchy, access is pol's access view at level, engine masks for pol (and
+// whatever generalization ladders it was built with), and taints is engine's
+// analysis of the full execution e. One analysis serves every zoom step:
+// item ids are stable under Collapse, so the set applies to each
+// successively coarser view.
+func (ev *Evaluator) ZoomOut(q *Query, e *exec.Execution, h *workflow.Hierarchy, access workflow.Prefix, pol *privacy.Policy, engine *taint.Engine, taints *taint.Set, level privacy.Level) (*ZoomOutResult, error) {
 	prefix := workflow.FullPrefix(h)
-	// One taint analysis of the full execution serves every zoom step:
-	// item ids are stable under Collapse, so the set applies to each
-	// successively coarser view.
-	engine := datapriv.NewMasker(pol, nil).Engine()
-	taints := engine.Analyze(e)
-
 	steps := 0
 	for {
-		view, err := exec.Collapse(e, ev.Spec, prefix)
+		masked, g, err := exec.CollapseIn(e, h, prefix)
 		if err != nil {
 			return nil, err
 		}
-		masked, _ := engine.Apply(view, level, taints)
-		pe, err := PrepareExec(masked)
+		engine.ApplyInPlace(masked, level, taints) // the view is this step's own
+		pe, err := PrepareGraph(masked, g)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,22 @@ package query
 import (
 	"testing"
 
+	"provpriv/internal/datapriv"
+	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/workflow"
 )
+
+// zoomOut calls ZoomOut with everything it takes derived here, from the spec
+// and the policy alone, the way a caller without a repository would.
+func zoomOut(ev *Evaluator, q *Query, e *exec.Execution, pol *privacy.Policy, level privacy.Level) (*ZoomOutResult, error) {
+	h, err := workflow.NewHierarchy(ev.Spec)
+	if err != nil {
+		return nil, err
+	}
+	engine := datapriv.NewMasker(pol, nil).Engine()
+	return ev.ZoomOut(q, e, h, pol.AccessView(h, level), pol, engine, engine.Analyze(e), level)
+}
 
 func TestZoomOutConvergesToAccessView(t *testing.T) {
 	spec, e := diseaseExec(t)
@@ -13,7 +26,7 @@ func TestZoomOutConvergesToAccessView(t *testing.T) {
 	pol := privacy.NewPolicy(spec.ID)
 	pol.ViewGrants[privacy.Registered] = []string{"W2"} // W3, W4 hidden
 	q, _ := Parse(`MATCH a = "consult external"`)
-	res, err := ev.ZoomOut(q, e, pol, privacy.Registered)
+	res, err := zoomOut(ev, q, e, pol, privacy.Registered)
 	if err != nil {
 		t.Fatalf("ZoomOut: %v", err)
 	}
@@ -43,7 +56,7 @@ func TestZoomOutNoLeakNoSteps(t *testing.T) {
 		pol.ViewGrants[privacy.Public] = append(pol.ViewGrants[privacy.Public], w)
 	}
 	q, _ := Parse(`MATCH a = "expand snp"`)
-	res, err := ev.ZoomOut(q, e, pol, privacy.Public)
+	res, err := zoomOut(ev, q, e, pol, privacy.Public)
 	if err != nil {
 		t.Fatalf("ZoomOut: %v", err)
 	}
@@ -66,7 +79,7 @@ func TestZoomOutModulePrivacyForcesCoarsening(t *testing.T) {
 	pol.ModuleLevels["M6"] = privacy.Owner // Query OMIM protected
 	// A broad query whose full answer would expose M6's execution.
 	q, _ := Parse(`MATCH a = "query" RETURN nodes`)
-	res, err := ev.ZoomOut(q, e, pol, privacy.Public)
+	res, err := zoomOut(ev, q, e, pol, privacy.Public)
 	if err != nil {
 		t.Fatalf("ZoomOut: %v", err)
 	}
@@ -107,7 +120,7 @@ func TestZoomOutAgreesWithDirectEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct %s: %v", qs, err)
 		}
-		zoomed, err := ev.ZoomOut(q, e, pol, privacy.Registered)
+		zoomed, err := zoomOut(ev, q, e, pol, privacy.Registered)
 		if err != nil {
 			t.Fatalf("zoom %s: %v", qs, err)
 		}

@@ -168,13 +168,14 @@ func TestAccessViewStepsMatchPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := r.shard(s.ID)
-	if len(sh.access) != 4 {
-		t.Fatalf("%d access steps for 3 grant levels, want 4", len(sh.access))
+	gen := sh.current()
+	if gen.pol != pol || len(gen.steps) != 4 {
+		t.Fatalf("policy %p with %d access steps for 3 grant levels, want %p with 4", gen.pol, len(gen.steps), pol)
 	}
 	for _, l := range []privacy.Level{-7, 0, 1, 2, 3, 4, 1<<40 - 1, 1 << 40, 1<<40 + 1} {
-		cur := sh.enforcedNow(l)
-		if want := pol.AccessView(sh.hier, l); cur.pol != pol || !reflect.DeepEqual(cur.access.view, want) || cur.access.key != want.Key() {
-			t.Errorf("level %d: access view %v keyed %s, want %v", l, cur.access.view.IDs(), cur.access.key, want.IDs())
+		st, want := gen.step(l), pol.AccessView(sh.hier, l)
+		if !reflect.DeepEqual(st.view, want) || st.key != want.Key() || st.zoomed != (len(want) < sh.hier.Size()) {
+			t.Errorf("level %d: access view %v keyed %s zoomed %v, want %v", l, st.view.IDs(), st.key, st.zoomed, want.IDs())
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"provpriv/internal/workload"
 )
 
-// The cold fill (maskedExecUnder) derives no structure: it instantiates the
+// The cold fill (maskedExec) derives no structure: it instantiates the
 // plan prepared once per (shape, access view) with the execution's values
 // and masks those where they stand, where the public staged functions
 // collapse, copy and rebuild per execution. These tests hold the two to the
@@ -184,7 +184,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 		tainted := 0
 		for _, specID := range r.SpecIDs() {
 			sh := r.shard(specID)
-			pol := sh.policySnapshot()
+			pol := sh.current().pol
 			en := datapriv.NewMasker(pol, ladders[specID]).Engine()
 			ev := query.NewEvaluator(sh.spec)
 			if views[specID] == nil {
@@ -197,9 +197,9 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 				e := r.execution(specID, execID)
 				for _, lvl := range allLevels {
 					where := fmt.Sprintf("%s: %s/%s at %v", stage, specID, execID, lvl)
-					snap, err := r.maskedExecFor(context.Background(), sh, e, lvl)
+					snap, err := sh.maskedExec(context.Background(), sh.current(), e, lvl)
 					if err != nil {
-						t.Fatalf("%s: maskedExecFor: %v", where, err)
+						t.Fatalf("%s: maskedExec: %v", where, err)
 					}
 
 					access := pol.AccessView(sh.hier, lvl)
@@ -219,15 +219,16 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 						want, _ := json.Marshal(masked)
 						t.Fatalf("%s: fill built\n%s\nstaged pipeline built\n%s", where, got, want)
 					}
-					if zoomed := len(access) < len(sh.hier.All()); snap.rep != rep || snap.zoomed != zoomed || snap.pol != pol {
-						t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, snap.zoomed, rep, zoomed)
+					zoomed := len(access) < len(sh.hier.All())
+					if got := sh.current().step(lvl).zoomed; snap.rep != rep || got != zoomed {
+						t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, got, rep, zoomed)
 					}
 					if !reflect.DeepEqual(snap.prep, prep) {
 						t.Fatalf("%s: prepared index differs from PrepareExec's", where)
 					}
 					for i, q := range queries {
-						got, gerr := ev.EvaluateOn(q, snap.prep, pol, lvl, snap.zoomed)
-						want, werr := ev.EvaluateOn(q, prep, pol, lvl, snap.zoomed)
+						got, gerr := ev.EvaluateOn(q, snap.prep, pol, lvl, zoomed)
+						want, werr := ev.EvaluateOn(q, prep, pol, lvl, zoomed)
 						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: query %d answers %+v (%v), staged %+v (%v)", where, i, got, gerr, want, werr)
 						}
@@ -241,7 +242,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 
 					// E0's snapshot is cached by now: who shares its plan?
-					base, err := r.maskedExecFor(context.Background(), sh, r.execution(specID, "E0"), lvl)
+					base, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, "E0"), lvl)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -322,9 +323,9 @@ func TestFillNeverMutatesStoredExecution(t *testing.T) {
 			sh := r.shard(specID)
 			for _, execID := range r.ExecutionIDs(specID) {
 				for _, lvl := range allLevels {
-					misses := func() int64 { _, m := sh.masked.Stats(); return m }
+					misses := sh.maskedMisses.Load
 					before := misses()
-					if _, err := r.maskedExecFor(context.Background(), sh, r.execution(specID, execID), lvl); err != nil {
+					if _, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, execID), lvl); err != nil {
 						t.Fatalf("%s: %s/%s at %v: %v", stage, specID, execID, lvl, err)
 					}
 					if misses() == before {
@@ -372,12 +373,12 @@ func TestFillRefusesCyclicView(t *testing.T) {
 	}
 	sh.mu.Unlock()
 	for _, lvl := range allLevels {
-		_, err := r.maskedExecFor(context.Background(), sh, &cyclic, lvl)
+		_, err := sh.maskedExec(context.Background(), sh.current(), &cyclic, lvl)
 		if err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Fatalf("level %v: fill of a cyclic execution: err = %v, want one naming the cycle", lvl, err)
 		}
 	}
-	if n, p := sh.masked.Len(), sh.plans.Len(); n != 0 || p != 0 {
+	if n, p := sh.current().masked.Len(), sh.plans.Len(); n != 0 || p != 0 {
 		t.Fatalf("%d snapshots and %d view plans cached from failed fills", n, p)
 	}
 }

@@ -102,7 +102,7 @@ func (r *Repository) compactFrom(sid string, snap shardSnap) error {
 		meta.Shards[id] = ss.info()
 	}
 	folded := &shardSaved{
-		seq: snap.seq, polGen: snap.polGen, spec: snap.spec,
+		seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
 		ckptGen: gen, ckptRecords: uint64(len(recs)),
 		execs: execSet(snap.execs),
 	}

@@ -229,8 +229,8 @@ func TestParallelAddRemoveSpec(t *testing.T) {
 }
 
 // TestReregisteredSpecNeverJoinsRemovedFill: RemoveSpec + AddSpec of the
-// same id starts a fresh shard whose polGen starts over, so its cache
-// and flight keys collide with the removed incarnation's. A reader of
+// same id starts a fresh shard whose cache and flight keys — an execution
+// id, a level — are the removed incarnation's too. A reader of
 // the new, stricter incarnation must neither wait on nor be handed a
 // snapshot whose fill the removed incarnation still has in flight — that
 // snapshot was masked under the removed policy.
@@ -243,9 +243,9 @@ func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
 	// Hold incarnation 1's public fill open: park its taint analysis on a
 	// gate, then start a real read that joins it from inside the masked
 	// fill.
-	old := r.shard(spec.ID)
-	tkey := taintCacheKey{execID: "E1", polGen: old.polGen}
-	mkey := maskedCacheKey{execID: "E1", level: privacy.Public, polGen: old.polGen}
+	old := r.shard(spec.ID).current()
+	tkey := "E1"
+	mkey := maskedKey{execID: "E1", level: privacy.Public}
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	var wg sync.WaitGroup
@@ -396,8 +396,8 @@ func reachIncarnations(t *testing.T) (a, b incarnation) {
 	return a, b
 }
 
-// TestReachesAnswersFromTheResolvedShard: the full-expansion closure
-// Reaches answers from is the resolved shard's own, so a spec id
+// TestReachesAnswersFromTheResolvedShard: the closure Reaches answers from
+// is on an access step of the resolved shard's own generation, so a spec id
 // re-registered with other arrows under a stricter policy is answered
 // from the new incarnation alone — B's truth at B's granularity for every
 // pair and level — while the removed shard still holds A's closure.
@@ -424,9 +424,13 @@ func TestReachesAnswersFromTheResolvedShard(t *testing.T) {
 		}
 	}
 	owner := privacy.Owner.String()
-	for _, from := range old.full.Names() {
-		for _, to := range old.full.Names() {
-			got := from != to && old.reach.Reach(old.full.Lookup(from), old.full.Lookup(to))
+	_, full, reach, err := old.current().step(privacy.Owner).closure(old)
+	if err != nil {
+		t.Fatalf("removed shard's closure: %v", err)
+	}
+	for _, from := range full.Names() {
+		for _, to := range full.Names() {
+			got := from != to && reach.Reach(full.Lookup(from), full.Lookup(to))
 			if want := a.truth[[3]string{owner, from, to}]; want.refused || got != want.reaches {
 				t.Errorf("removed shard's closure: %s → %s = %v; A answers %+v", from, to, got, want)
 			}

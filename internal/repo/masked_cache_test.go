@@ -147,30 +147,60 @@ func TestMaskedCacheInvalidationOnSetGeneralization(t *testing.T) {
 	}
 }
 
-// TestMaskedCacheMonotoneAcrossRemoveSpec: removing a shard banks its
-// masked-cache counters so the repository totals never regress.
+// TestMaskedCacheMonotoneAcrossRemoveSpec: the hit and miss totals of both
+// enforced-view caches never regress — not when an install replaces the
+// generation whose caches were being counted (the counters are the shard's),
+// not when RemoveSpec takes the shard (it banks them), not when the id is
+// registered again — and they keep counting at every stage.
 func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
 	r := seededRepo(t)
+	spec, e := r.Spec(diseaseID), r.execution(diseaseID, "E1")
 	progID := itemByAttr(t, r, "prognosis")
-	for i := 0; i < 3; i++ {
-		if _, err := r.Provenance("bob", "disease-susceptibility", "E1", progID); err != nil {
-			t.Fatal(err)
+	last := r.Stats()
+	stage := func(name string, reads int) {
+		t.Helper()
+		for i := 0; i < reads; i++ {
+			for _, user := range []string{"bob", "alice"} { // a second level: the taint set hits
+				if _, err := r.Provenance(user, diseaseID, "E1", progID); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
 		}
+		st := r.Stats()
+		counters := func(st Stats) [4]int64 {
+			return [4]int64{st.MaskedCacheHits, st.MaskedCacheMisses, st.TaintCacheHits, st.TaintCacheMisses}
+		}
+		was, now := counters(last), counters(st)
+		for i := range now {
+			if now[i] < was[i] || (reads > 0 && now[i] == was[i]) {
+				t.Fatalf("%s: (masked hits, masked misses, taint hits, taint misses) went %v -> %v after %d reads", name, was, now, reads)
+			}
+		}
+		last = st
 	}
-	before := r.Stats()
-	if before.MaskedCacheHits == 0 || before.MaskedCacheMisses == 0 {
-		t.Fatalf("no masked traffic: %+v", before)
+	stage("as registered", 3)
+	if err := r.UpdatePolicy(diseaseID, privacy.NewPolicy(diseaseID)); err != nil {
+		t.Fatalf("UpdatePolicy: %v", err)
 	}
-	if err := r.RemoveSpec("disease-susceptibility"); err != nil {
+	stage("after UpdatePolicy", 0)
+	if got := r.Stats().MaskedCache[diseaseID]; got.Entries != 0 || got.Hits == 0 {
+		t.Fatalf("after UpdatePolicy the shard reports %+v, want its counts kept and no entries", got)
+	}
+	stage("new generation", 2)
+	if err := r.RemoveSpec(diseaseID); err != nil {
 		t.Fatalf("RemoveSpec: %v", err)
 	}
-	after := r.Stats()
-	if after.MaskedCacheHits < before.MaskedCacheHits || after.MaskedCacheMisses < before.MaskedCacheMisses {
-		t.Fatalf("masked counters regressed across RemoveSpec: %+v -> %+v", before, after)
-	}
-	if len(after.MaskedCache) != 0 {
+	stage("after RemoveSpec", 0)
+	if after := r.Stats(); len(after.MaskedCache) != 0 || after.MaskedCacheEntries != 0 {
 		t.Fatalf("removed shard still listed: %+v", after.MaskedCache)
 	}
+	if err := r.AddSpec(spec, nil); err != nil {
+		t.Fatalf("re-AddSpec: %v", err)
+	}
+	if err := r.AddExecution(e); err != nil {
+		t.Fatalf("re-AddExecution: %v", err)
+	}
+	stage("re-added", 2)
 }
 
 // TestMaskedSnapshotImmutableConcurrentReaders is the aliasing guard of
@@ -209,8 +239,8 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 		refJSON[i] = string(data)
 	}
 	sh := r.shard(diseaseID)
-	s1, err1 := r.maskedExecFor(context.Background(), sh, r.execution(diseaseID, "E1"), privacy.Public)
-	s2, err2 := r.maskedExecFor(context.Background(), sh, e2, privacy.Public)
+	s1, err1 := sh.maskedExec(context.Background(), sh.current(), r.execution(diseaseID, "E1"), privacy.Public)
+	s2, err2 := sh.maskedExec(context.Background(), sh.current(), e2, privacy.Public)
 	if err1 != nil || err2 != nil || s1.prep.Graph() != s2.prep.Graph() || &s1.prep.Exec.Nodes[0] != &s2.prep.Exec.Nodes[0] {
 		t.Fatalf("the two snapshots do not share one plan (%v, %v)", err1, err2)
 	}

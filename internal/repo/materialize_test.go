@@ -2,7 +2,7 @@ package repo
 
 // Tests for the eager ("materialized", paper Section 4) use of the
 // masked-snapshot cache: PrewarmMasked fills every (execution, level)
-// ahead of the reader through the same maskedExecFor the lazy path
+// ahead of the reader through the same maskedExec the lazy path
 // uses, so prewarmed answers must equal on-the-fly ones, equal an
 // uncached reference, and stay correct across later mutations.
 
@@ -136,19 +136,19 @@ func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*
 	t.Helper()
 	sh := r.shard(diseaseID)
 	e := r.execution(diseaseID, "E1")
-	pol := sh.policySnapshot()
+	pol := sh.current().pol
 	for _, lvl := range allLevels {
 		collapsed, err := exec.Collapse(e, sh.spec, pol.AccessView(sh.hier, lvl))
 		if err != nil {
 			t.Fatalf("level %v: Collapse: %v", lvl, err)
 		}
 		want, _ := datapriv.NewMasker(pol, hs).MaskView(e, collapsed, lvl)
-		hits, _ := sh.masked.Stats()
-		snap, err := r.maskedExecFor(context.Background(), sh, e, lvl)
+		hits := sh.maskedHits.Load()
+		snap, err := sh.maskedExec(context.Background(), sh.current(), e, lvl)
 		if err != nil {
-			t.Fatalf("level %v: maskedExecFor: %v", lvl, err)
+			t.Fatalf("level %v: maskedExec: %v", lvl, err)
 		}
-		if after, _ := sh.masked.Stats(); after == hits {
+		if after := sh.maskedHits.Load(); after == hits {
 			t.Fatalf("level %v: snapshot was not served from the prewarmed cache", lvl)
 		}
 		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, snap.prep.Exec)

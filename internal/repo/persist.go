@@ -53,7 +53,7 @@ type boundStore struct {
 // shardSaved records what the bound store holds for one shard.
 type shardSaved struct {
 	seq    uint64 // shard mutation seq the saved state reflects
-	polGen uint64 // policy generation it reflects
+	polSeq uint64 // install seq of the (policy, ladders) pair it holds
 	// spec identifies the shard instance the saved state belongs to: a
 	// spec removed and re-added under the same id is a new shard (with a
 	// fresh spec object), and deltas against the old one would be bogus.
@@ -166,7 +166,7 @@ func newBoundStore(b storage.Backend, key string) (*boundStore, error) {
 // shardSnap is one shard's state captured under its read lock.
 type shardSnap struct {
 	seq    uint64
-	polGen uint64
+	polSeq uint64
 	spec   *workflow.Spec
 	pol    *privacy.Policy
 	hs     map[string]*datapriv.Hierarchy
@@ -177,8 +177,8 @@ func snapshotShardState(sh *shard) shardSnap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return shardSnap{
-		seq: sh.seq, polGen: sh.polGen,
-		spec: sh.spec, pol: sh.policy, hs: sh.hierarchies,
+		seq: sh.seq, polSeq: sh.gen.seq,
+		spec: sh.spec, pol: sh.gen.pol, hs: sh.gen.ladders,
 		execs: sh.executions(),
 	}
 }
@@ -260,7 +260,7 @@ func (bs *boundStore) writeShard(ctx context.Context, sid string, gen uint64, sn
 			}
 		}
 		return &shardSaved{
-			seq: snap.seq, polGen: snap.polGen, spec: snap.spec,
+			seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
 			ckptGen: prev.ckptGen, ckptRecords: prev.ckptRecords,
 			logLen: logLen, logRecs: prev.logRecs + uint64(len(recs)),
 			execs: execSet(snap.execs),
@@ -277,7 +277,7 @@ func (bs *boundStore) writeShard(ctx context.Context, sid string, gen uint64, sn
 		return nil, err
 	}
 	return &shardSaved{
-		seq: snap.seq, polGen: snap.polGen, spec: snap.spec,
+		seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
 		ckptGen: gen, ckptRecords: uint64(len(recs)),
 		execs: execSet(snap.execs),
 	}, nil
@@ -320,7 +320,7 @@ func checkpointRecords(sid string, snap shardSnap) ([]storage.Record, error) {
 // seen. Specs are immutable once registered, so no spec record.
 func deltaRecords(sid string, snap shardSnap, prev *shardSaved) ([]storage.Record, error) {
 	var recs []storage.Record
-	if prev.polGen != snap.polGen {
+	if prev.polSeq != snap.polSeq {
 		// Always pair the ladder record with the policy record here: a
 		// SetGeneralization back to nil must clear the stored ladders.
 		pr, err := policyRecords(sid, snap.pol, snap.hs, true)
@@ -493,7 +493,7 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		// The shard's own pointer (newShard substitutes an all-public policy
 		// for a missing one): searchView trusts an index segment only when
 		// it was built from exactly the pair the shard holds.
-		pols[sid] = sh.policy
+		pols[sid] = sh.gen.pol
 	}
 	r.inverted = index.BuildInverted(specs, pols)
 	for _, sid := range sids {
@@ -519,16 +519,13 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	for _, sid := range sids {
 		l := shards[sid]
 		info := meta.Shards[sid]
-		sh := r.shard(sid)
-		sh.mu.RLock()
-		seq, polGen := sh.seq, sh.polGen
-		sh.mu.RUnlock()
+		sh := r.shards[sid] // still private: no lock
 		es := make(map[string]bool, len(l.execIDs))
 		for _, id := range l.execIDs {
 			es[id] = true
 		}
 		bound.shards[sid] = &shardSaved{
-			seq: seq, polGen: polGen, spec: l.spec,
+			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec,
 			ckptGen: info.Checkpoint, ckptRecords: info.Records,
 			logLen: info.LogLen, logRecs: l.logRecs,
 			execs: es,

@@ -72,7 +72,7 @@ func snapshotVersion(t *testing.T, r *Repository) int {
 			t.Fatalf("shard %s missing after load", sid)
 		}
 		sh.mu.RLock()
-		execN, mods := len(sh.execs), len(sh.policy.ModuleLevels)
+		execN, mods := len(sh.execs), len(sh.gen.pol.ModuleLevels)
 		sh.mu.RUnlock()
 		var v int
 		switch {

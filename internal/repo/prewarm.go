@@ -8,18 +8,19 @@ import (
 	"provpriv/internal/privacy"
 )
 
-// PrewarmMasked rebuilds the masked-snapshot cache of one spec for the
-// given access levels — the cheap background job that runs after
-// UpdatePolicy/SetGeneralization purge the shard's caches, so the first
-// reader at each level pays a warm hit instead of the full
-// collapse+taint+mask build. It is the eager ("materialized views",
-// paper Section 4) use of the one enforced-view cache: every snapshot is
-// built by the same maskedExecFor a lazy read would run, under the same
-// key, fence and counters. Levels defaults to every level a registered
-// user holds. The context is checked between executions;
-// progress (optional) receives (built, total) heartbeats. Returns how
-// many snapshots were built or refreshed. A spec removed mid-warm is
-// not an error: the warm is simply moot.
+// PrewarmMasked fills the masked-snapshot cache of one spec's installed
+// generation for the given access levels — the cheap background job that
+// runs after UpdatePolicy/SetGeneralization install one, with empty caches,
+// so the first reader at each level pays a warm hit instead of the full
+// collapse+taint+mask build. It is the eager ("materialized views", paper
+// Section 4) use of the one enforced-view cache: every snapshot is built by
+// the same maskedExec a lazy read would run, under the same key and
+// counters, and the generation is taken afresh per execution, so a warm
+// overtaken by an install goes on in the one readers now ask. Levels defaults
+// to every level a registered user holds. The context is checked between
+// executions; progress (optional) receives (built, total) heartbeats.
+// Returns how many snapshots were built or refreshed. A spec removed
+// mid-warm is not an error: the warm is simply moot.
 func (r *Repository) PrewarmMasked(ctx context.Context, specID string, levels []privacy.Level, progress func(done, total int64)) (int, error) {
 	if len(levels) == 0 {
 		levels = r.userLevels()
@@ -40,8 +41,9 @@ func (r *Repository) PrewarmMasked(ctx context.Context, specID string, levels []
 		if err := ctx.Err(); err != nil {
 			return built, err
 		}
+		gen := sh.current()
 		for _, lvl := range levels {
-			if _, err := r.maskedExecFor(ctx, sh, e, lvl); err != nil {
+			if _, err := sh.maskedExec(ctx, gen, e, lvl); err != nil {
 				return built, err
 			}
 			built++

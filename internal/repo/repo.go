@@ -14,11 +14,17 @@
 // masked provenance retrieval (datapriv + exec views).
 //
 // Concurrency model: state is sharded per specification. Each shard
-// owns its spec, policy, executions, generalization hierarchies and
-// enforced-view caches behind its own RWMutex, so traffic against
-// different specs never contends; what is derived from the spec alone
-// (hierarchy, full-expansion reachability closure, query tables) is built
-// with the shard and lives exactly as long. The repository level keeps
+// owns its spec, executions and installed generation behind its own
+// RWMutex, so traffic against different specs never contends; what is
+// derived from the spec alone (hierarchy, query tables, view plans) is
+// built with the shard and lives exactly as long. Everything derived from
+// the (policy, generalization ladders) pair — access views, masking engine,
+// taint-set and masked-snapshot caches with their flight groups — is one
+// generation object that (*shard).install builds and swaps in. A read takes
+// the pointer once and decides, fills and answers from it, so no answer
+// mixes two policies, and a fill that loses the race with an install lands
+// in a cache the shard no longer points at and is collected with it: there
+// is nothing to fence and nothing to purge. The repository level keeps
 // only the shard directory, the user registry and the one structure that
 // spans specs, the keyword index (index.Inverted), which publishes its
 // state as atomically swapped immutable snapshots, so index reads on the
@@ -31,13 +37,13 @@
 // window's minimal views are decided), so a spec or policy mutation has
 // one piece of ranking state to maintain: its index segment. QueryAll fans
 // out across a bounded worker pool and merges deterministically; the
-// lazily built enforced execution views are deduplicated with per-shard
-// singleflight groups so concurrent identical requests build each one
-// exactly once.
+// lazily built enforced execution views are deduplicated with
+// per-generation singleflight groups so concurrent identical requests build
+// each one exactly once.
 //
 // Exactly one mechanism memoizes "execution E as level L may see it":
-// the per-shard masked-snapshot cache filled by maskedExecFor. Lazy
-// reads fill it on first touch; PrewarmMasked fills it ahead of the
+// the generation's masked-snapshot cache filled by (*shard).maskedExec.
+// Lazy reads fill it on first touch; PrewarmMasked fills it ahead of the
 // reader through the same code path (the paper's Section 4
 // "materialized views vs on-the-fly" trade-off, with one
 // implementation and therefore nothing to keep consistent). What is
@@ -48,7 +54,10 @@
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
 // directory) before a shard's mu. Read paths never hold two locks at
 // once — they resolve the shard pointer, release the directory lock,
-// then lock the shard.
+// then lock the shard. sh.gen is written by install alone and read under
+// sh.mu, once per request: through current(), or beside whatever else the
+// same RLock reads (the execution a request names, the list of them, the
+// seq a save records). No lock is held while a read works.
 package repo
 
 import (
@@ -95,82 +104,39 @@ var (
 )
 
 // shard is the unit of isolation: everything the repository knows about
-// one specification, behind one lock. Spec, hierarchy and policy are
-// immutable once published; executions are append-only.
+// one specification, behind one lock. Spec and hierarchy are immutable once
+// published, as is every generation; executions are append-only.
 type shard struct {
-	mu     sync.RWMutex
-	spec   *workflow.Spec
-	hier   *workflow.Hierarchy
-	policy *privacy.Policy
-	execs  map[string]*exec.Execution
-
-	// full is the graph of the spec's full expansion and reach its
-	// transitive closure: what Reaches answers from, in O(1), for a level
-	// whose access view is the whole hierarchy. Derived from the spec
-	// alone, so like hier they live as long as the shard.
-	full  *graph.Graph
-	reach *graph.Closure
+	mu    sync.RWMutex
+	spec  *workflow.Spec
+	hier  *workflow.Hierarchy
+	execs map[string]*exec.Execution
 
 	// eval binds structural-query variables from tables derived from the
 	// spec alone, so like hier it lives as long as the shard; what a level
-	// may bind is decided per request, by the policy a snapshot carries.
+	// may bind is decided per request, by the generation's policy.
 	eval *query.Evaluator
 
-	// hierarchies holds optional generalization ladders used by
-	// data-privacy masking (values are coarsened instead of redacted).
-	hierarchies map[string]*datapriv.Hierarchy
-
-	// taints caches per-execution taint sets (seed + propagate over the
-	// full execution, see internal/taint) keyed by (execID, polGen):
-	// the set is level- and view-independent, so one analysis serves
-	// every access level's masked snapshot of the execution. polGen keys
-	// it exactly like the masked cache, so sets computed under a replaced
-	// policy are unreachable. Reads are lock-free apart from the LRU's
-	// own mutex; fills go through taintFlights.
-	taints       *index.LRU[taintCacheKey, *taint.Set]
-	taintFlights flightGroup[taintCacheKey, *taint.Set]
-
-	// masked caches fully privacy-enforced snapshots — collapsed,
-	// taint-masked executions — keyed by (execID, level, polGen), so the
-	// enforced read paths (Query, QueryAllPageCtx, Provenance) serve a shared
-	// immutable execution with an atomic lookup instead of re-masking
-	// per request. Snapshots are read-only by contract: exec.Execution
-	// holds no hidden mutable state, EvaluatePrepared and
-	// exec.Provenance only read or copy, and the -race immutability
-	// tests pin that. The polGen fence plus an explicit Purge makes
-	// pre-update masks unreachable after UpdatePolicy/SetGeneralization.
-	// This is the only place an enforced view is memoized; fills go
-	// through maskedFlights, which — being the shard's own — cannot hand
-	// a reader a snapshot built for another incarnation of the spec id.
-	masked        *index.LRU[maskedCacheKey, maskedSnapshot]
-	maskedFlights flightGroup[maskedCacheKey, maskedSnapshot]
+	// gen is the installed generation: the (policy, ladders) pair and
+	// everything derived from it. Guarded by mu; install is its only writer.
+	gen *generation
 
 	// shapes interns the executions by shape (exec.SameShape; guarded by mu)
 	// and plans holds, per (shape, access view), the one value-free prepared
 	// view that every snapshot of an execution of that shape at that view is
 	// instantiated from. A plan depends on the view and the shard's
 	// immutable hierarchy only, so it is keyed by the view's canonical key,
-	// has no polGen fence and no purge, and survives an install that leaves
-	// a level's view alone.
+	// belongs to the shard rather than to a generation, and survives an
+	// install that leaves a level's view alone.
 	shapes *exec.Shapes
 	plans  *index.LRU[planKey, *query.PreparedExec]
 
-	// access is policy's access view per level, as the ascending steps at
-	// which it changes, the first covering every level below the lowest grant.
-	// Guarded by mu and written by install together with policy, so one
-	// RLock reads one (policy, access view) pair — see policyAt.
-	access []accessStep
-
-	// engine is the taint/masking engine for the shard's current policy
-	// and generalization hierarchies — policy-scoped, so it is built
-	// once per policy change instead of once per request. Guarded by mu;
-	// install is its only writer.
-	engine *taint.Engine
-
-	// polGen counts installs of a (policy, hierarchies) pair; guarded by
-	// mu. It keys the taint and masked caches so entries built under a
-	// replaced pair are unreachable.
-	polGen uint64
+	// Lookups of the generations' two caches, counted where they are made
+	// and kept here so that they survive an install; RemoveSpec banks them.
+	taintHits    atomic.Int64 //provlint:counter
+	taintMisses  atomic.Int64 //provlint:counter
+	maskedHits   atomic.Int64 //provlint:counter
+	maskedMisses atomic.Int64 //provlint:counter
 
 	// seq identifies the shard's last content mutation (executions,
 	// hierarchies, policy) — guarded by mu — so Save can skip shards
@@ -180,13 +146,66 @@ type shard struct {
 	seq uint64
 }
 
+// generation is one installed (policy, generalization ladders) pair with
+// everything derived from it. It is immutable apart from its caches, which
+// only ever hold what was built from its own fields, so whoever holds the
+// pointer answers under exactly one policy; a replaced generation is
+// collected once the reads that took it return.
+type generation struct {
+	// seq is the mutation seq of the install. Persistence tells by it whether
+	// the saved policy is still the installed one — a number, because the
+	// pointer would pin a replaced generation's caches until the next Save.
+	seq     uint64
+	pol     *privacy.Policy
+	ladders map[string]*datapriv.Hierarchy // optional: masking coarsens along them instead of redacting
+
+	// steps is pol's access view per level, as the ascending steps at which
+	// it changes, the first covering every level below the lowest grant.
+	steps []*accessStep
+
+	// engine is the taint/masking engine for (pol, ladders), built once per
+	// install instead of once per request.
+	engine *taint.Engine
+
+	// taints caches per-execution taint sets (seed + propagate over the
+	// full execution, see internal/taint) by execution id: the set is
+	// level- and view-independent, so one analysis serves every access
+	// level's masked snapshot of the execution. Taint sets do not depend on
+	// the ladders, but SetGeneralization is rare and one lifetime rule
+	// beats the rebuild cost.
+	taints       *index.LRU[string, *taint.Set]
+	taintFlights flightGroup[string, *taint.Set]
+
+	// masked caches fully privacy-enforced snapshots — collapsed,
+	// taint-masked executions — so the enforced read paths (Query,
+	// QueryAllPageCtx, Provenance) serve a shared immutable execution with
+	// an atomic lookup instead of re-masking per request. Snapshots are
+	// read-only by contract: exec.Execution holds no hidden mutable state,
+	// EvaluateOn and exec.ProvenanceIn only read or copy, and the -race
+	// immutability tests pin that. This is the only place an enforced view
+	// is memoized; fills go through maskedFlights, which — being the
+	// generation's own — cannot hand a reader a snapshot built under another
+	// policy or for another incarnation of the spec id.
+	masked        *index.LRU[maskedKey, maskedSnapshot]
+	maskedFlights flightGroup[maskedKey, maskedSnapshot]
+}
+
 // accessStep is the access view of every level from from up to the next
-// step's, with its canonical key (workflow.Prefix.Key). The map is shared
-// by all readers of the generation: read-only.
+// step's, with its canonical key (workflow.Prefix.Key), whether it is
+// coarser than the full expansion, and — built on first use — the spec
+// expanded to it with its reachability closure. All of it is shared by
+// every reader of the generation: read-only.
 type accessStep struct {
-	from privacy.Level
-	view workflow.Prefix
-	key  string
+	from   privacy.Level
+	view   workflow.Prefix
+	key    string
+	zoomed bool
+
+	once     sync.Once
+	expanded *workflow.View
+	graph    *graph.Graph
+	reach    *graph.Closure
+	err      error
 }
 
 // planKey keys a shard's view plans: one per shape per distinct access view.
@@ -195,59 +214,32 @@ type planKey struct {
 	view  string
 }
 
-// enforced is the state one install made current, as a fill at one level
-// takes it. It is read under one RLock, so whatever is filled and answered
-// from it — one snapshot, or every execution of a QueryAll — is masked and
-// decided under that one install.
-type enforced struct {
-	pol    *privacy.Policy
-	access accessStep
-	engine *taint.Engine
-	polGen uint64
-}
-
-// taintCacheKey keys the per-shard taint-set cache. No level component:
-// taint sets are level-independent (labels carry their required level
-// and are filtered at apply time).
-type taintCacheKey struct {
-	execID string
-	polGen uint64
-}
-
-// maskedCacheKey keys the per-shard masked-execution snapshot cache:
-// unlike taint sets, a masked snapshot is level-specific. polGen is the
-// shard's policy generation the snapshot was built under: a fill raced
-// by UpdatePolicy lands under the old generation, where no post-update
-// reader can hit it.
-type maskedCacheKey struct {
+// maskedKey keys a generation's masked-snapshot cache: unlike a taint set,
+// whose labels are filtered by level at apply time, a snapshot is per level.
+type maskedKey struct {
 	execID string
 	level  privacy.Level
-	polGen uint64
 }
 
 // maskedSnapshot is one cached privacy-enforced execution plus the
 // masking report recorded when it was built (replayed into the taint
-// counters on every serve, so they advance on warm hits too) and whether
-// the view is coarser than the full expansion. The execution rides
-// inside a query.PreparedExec instantiated from the view's plan: what a
-// snapshot owns is its execution's header and items — the values, masked
+// counters on every serve, so they advance on warm hits too). The execution
+// rides inside a query.PreparedExec instantiated from the view's plan: what
+// a snapshot owns is its execution's header and items — the values, masked
 // — while nodes, edges, graph, transitive closure and id indexes are the
-// plan's, shared with every snapshot of the same shape and view. pol is
-// the policy the snapshot was built under: evaluation must use it, not
-// a re-read of the shard's current policy, so an answer raced by
-// UpdatePolicy is internally consistent with one generation (view,
-// mask and module filtering all from the same policy). All of it is
-// immutable and shared by every concurrent reader.
+// plan's, shared with every snapshot of the same shape and view. Evaluation
+// uses the policy and access step of the generation the snapshot came from,
+// the one its reader holds, so an answer raced by UpdatePolicy is
+// internally consistent (view, mask and module filtering all from the same
+// policy). All of it is immutable and shared by every concurrent reader.
 type maskedSnapshot struct {
-	prep   *query.PreparedExec
-	pol    *privacy.Policy
-	rep    taint.Report
-	zoomed bool
+	prep *query.PreparedExec
+	rep  taint.Report
 }
 
-// shardCacheCap bounds the entries each per-shard cache (taint sets,
-// masked snapshots, view plans) retains — the memory bound; staleness is handled by
-// the polGen fence and Purge, not by age.
+// shardCacheCap bounds the entries each per-shard cache (a generation's
+// taint sets and masked snapshots, the shard's view plans) retains: the
+// memory bound. Nothing in them goes stale; a cache dies with its generation.
 const shardCacheCap = 1024
 
 // Repository is a concurrency-safe, per-spec-sharded store of specs,
@@ -387,6 +379,16 @@ func (r *Repository) shardOrErr(specID string) (*shard, error) {
 	return sh, nil
 }
 
+// reader resolves the user and the shard a read of one spec names.
+func (r *Repository) reader(userName, specID string) (*privacy.User, *shard, error) {
+	u, err := r.User(userName)
+	if err != nil {
+		return nil, nil, err
+	}
+	sh, err := r.shardOrErr(specID)
+	return u, sh, err
+}
+
 // AddSpec registers a validated spec with its policy (nil for an
 // all-public policy). Indexes are updated incrementally; the shard is
 // published only after its index entries exist, so readers never see a
@@ -412,7 +414,7 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 	// the not-yet-published shard resolves to nil and is skipped, the
 	// same transient Search already tolerates for removal. Nothing past
 	// this point can fail, so there is nothing to roll back.
-	r.inverted.AddSpec(s, sh.policy)
+	r.inverted.AddSpec(s, sh.gen.pol)
 	r.mu.Lock()
 	r.shards[s.ID] = sh
 	r.mu.Unlock()
@@ -436,24 +438,11 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 	if err := pol.Validate(s); err != nil {
 		return nil, err
 	}
-	v, err := workflow.ExpandIn(s, h, workflow.FullPrefix(h))
-	if err != nil {
-		return nil, err
-	}
-	full := v.Graph()
-	reach, err := graph.NewClosure(full)
-	if err != nil {
-		return nil, err
-	}
 	sh := &shard{
 		spec:   s,
 		hier:   h,
-		full:   full,
-		reach:  reach,
 		execs:  make(map[string]*exec.Execution),
 		eval:   query.NewEvaluator(s),
-		taints: index.NewLRU[taintCacheKey, *taint.Set](shardCacheCap),
-		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](shardCacheCap),
 		shapes: exec.NewShapes(),
 		plans:  index.NewLRU[planKey, *query.PreparedExec](shardCacheCap),
 	}
@@ -461,29 +450,57 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 	return sh, nil
 }
 
-// install makes (pol, hs) the shard's enforcement state and retires
-// everything derived from the pair it replaces: the engine is rebuilt, the
-// generation bump makes old-generation cache entries — and any fill still
-// in flight under the old engine — unreachable, the purges free their
-// memory eagerly, and seq marks the shard dirty for Save. Taint sets do not
-// depend on hierarchies, but SetGeneralization is rare and one invalidation
-// rule beats the rebuild cost. It is the only writer of these fields;
+// install makes (pol, hs) the shard's enforcement state: a fresh generation
+// replaces the installed one, and with it goes everything that one derived —
+// its engine, its cached taint sets and snapshots, and any fill still in
+// flight under it, which completes into caches no reader will ask again —
+// while seq marks the shard dirty for Save. It is the only writer of sh.gen;
 // the caller holds sh.mu, or owns a shard not yet published.
 func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) {
-	sh.policy, sh.hierarchies = pol, hs
+	gen := &generation{
+		seq: seq, pol: pol, ladders: hs,
+		engine: datapriv.NewMasker(pol, hs).Engine(),
+		taints: index.NewLRU[string, *taint.Set](shardCacheCap),
+		masked: index.NewLRU[maskedKey, maskedSnapshot](shardCacheCap),
+	}
 	// An access view is the union of the grants at or below a level, so it
 	// changes only at a grant's level: one step per distinct level, however
 	// far apart a (wire-writable) policy puts them.
-	sh.access = nil
 	for _, l := range append([]privacy.Level{math.MinInt}, slices.Sorted(maps.Keys(pol.ViewGrants))...) {
 		view := pol.AccessView(sh.hier, l)
-		sh.access = append(sh.access, accessStep{from: l, view: view, key: view.Key()})
+		gen.steps = append(gen.steps, &accessStep{from: l, view: view, key: view.Key(), zoomed: len(view) < sh.hier.Size()})
 	}
-	sh.engine = datapriv.NewMasker(pol, hs).Engine()
-	sh.polGen++
-	sh.taints.Purge()
-	sh.masked.Purge()
-	sh.seq = seq
+	sh.gen, sh.seq = gen, seq
+}
+
+// current returns the installed generation.
+func (sh *shard) current() *generation {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.gen
+}
+
+// step returns the generation's access step for level l.
+func (g *generation) step(l privacy.Level) *accessStep {
+	i := len(g.steps) - 1
+	for g.steps[i].from > l {
+		i--
+	}
+	return g.steps[i]
+}
+
+// closure returns the spec expanded to the step's view, with the expansion's
+// graph and transitive closure: what Reaches and QuerySpec answer from. It is
+// derived from the view alone, once, by whoever asks first.
+func (st *accessStep) closure(sh *shard) (*workflow.View, *graph.Graph, *graph.Closure, error) {
+	st.once.Do(func() {
+		if st.expanded, st.err = workflow.ExpandIn(sh.spec, sh.hier, st.view); st.err != nil {
+			return
+		}
+		st.graph = st.expanded.Graph()
+		st.reach, st.err = graph.NewClosure(st.graph)
+	})
+	return st.expanded, st.graph, st.reach, st.err
 }
 
 // SpecIDs returns the registered spec ids, sorted.
@@ -508,7 +525,7 @@ func (r *Repository) Policy(specID string) *privacy.Policy {
 	if sh == nil {
 		return nil
 	}
-	return sh.policySnapshot()
+	return sh.current().pol
 }
 
 // AddExecution stores a validated execution of a registered spec. Only
@@ -547,12 +564,10 @@ func (r *Repository) RemoveSpec(specID string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("repo: unknown spec %q: %w", specID, ErrNotFound)
 	}
-	h, m := sh.taints.Stats()
-	r.taintHitsBase.Add(h)
-	r.taintMissesBase.Add(m)
-	h, m = sh.masked.Stats()
-	r.maskedHitsBase.Add(h)
-	r.maskedMissesBase.Add(m)
+	r.taintHitsBase.Add(sh.taintHits.Load())
+	r.taintMissesBase.Add(sh.taintMisses.Load())
+	r.maskedHitsBase.Add(sh.maskedHits.Load())
+	r.maskedMissesBase.Add(sh.maskedMisses.Load())
 	delete(r.shards, specID)
 	r.mu.Unlock()
 	// Index swaps run outside the directory lock so readers on other
@@ -565,8 +580,8 @@ func (r *Repository) RemoveSpec(specID string) error {
 // UpdatePolicy replaces a spec's privacy policy. A policy change can
 // reclassify which levels see which modules, so the spec's index segment
 // is rebuilt with the new levels — which is also all the ranking state
-// there is to update — and the shard's enforced-view caches are dropped;
-// PrewarmMasked refills them ahead of readers if wanted.
+// there is to update — and the shard's enforced-view caches start empty with
+// the new generation; PrewarmMasked refills them ahead of readers if wanted.
 //
 // Validation is the only failure point and precedes every install, so a
 // failure leaves the old policy and indexes fully in place; no
@@ -592,39 +607,9 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	// consistent, and searchView serves only what the shard holds.
 	r.inverted.AddSpec(s, pol)
 	sh.mu.Lock()
-	sh.install(pol, sh.hierarchies, r.mutSeq.Add(1))
+	sh.install(pol, sh.gen.ladders, r.mutSeq.Add(1))
 	sh.mu.Unlock()
 	return nil
-}
-
-// policySnapshot reads the shard's current policy under its lock (the
-// policy pointer is mutable via UpdatePolicy; spec and hier are not).
-func (sh *shard) policySnapshot() *privacy.Policy {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.policy
-}
-
-// accessAt returns the installed policy's access view at level l — shared,
-// read-only. The caller holds sh.mu.
-func (sh *shard) accessAt(l privacy.Level) accessStep {
-	i := len(sh.access) - 1
-	for sh.access[i].from > l {
-		i--
-	}
-	return sh.access[i]
-}
-
-// enforcedAt returns the installed enforcement state as a fill at level l
-// takes it. The caller holds sh.mu; enforcedNow takes it.
-func (sh *shard) enforcedAt(l privacy.Level) enforced {
-	return enforced{pol: sh.policy, access: sh.accessAt(l), engine: sh.engine, polGen: sh.polGen}
-}
-
-func (sh *shard) enforcedNow(l privacy.Level) enforced {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.enforcedAt(l)
 }
 
 // executions returns the shard's executions in id order. The caller holds
@@ -639,7 +624,7 @@ func (sh *shard) executions() []*exec.Execution {
 // protected attributes: masking then coarsens values (e.g. exact SNP →
 // chromosome → genome) instead of redacting them outright, preserving
 // utility for under-privileged users. Hierarchies change what masking
-// emits, so the shard's cached masked snapshots are dropped.
+// emits, so they are installed as a new generation, with empty caches.
 func (r *Repository) SetGeneralization(specID string, hs map[string]*datapriv.Hierarchy) error {
 	sh, err := r.shardOrErr(specID)
 	if err != nil {
@@ -649,7 +634,7 @@ func (r *Repository) SetGeneralization(specID string, hs map[string]*datapriv.Hi
 	// at install time (UpdatePolicy installs under it too).
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.install(sh.policy, hs, r.mutSeq.Add(1))
+	sh.install(sh.gen.pol, hs, r.mutSeq.Add(1))
 	return nil
 }
 
@@ -835,8 +820,8 @@ func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, names []s
 	if sh == nil {
 		return nil
 	}
-	cur := sh.enforcedNow(level)
-	pol, access := cur.pol, cur.access.view
+	gen := sh.current()
+	pol, access := gen.pol, gen.step(level).view
 	var res *search.Result
 	var err error
 	if m.Spec == sh.spec && m.Policy == pol {
@@ -857,38 +842,29 @@ func (r *Repository) CacheStats() (hits, misses int) {
 	return 0, int(r.searches.Load())
 }
 
-// queryContext resolves the common (user, shard, execution) triple of
-// the per-execution query paths.
-func (r *Repository) queryContext(userName, specID, execID string) (*privacy.User, *shard, *exec.Execution, error) {
-	u, err := r.User(userName)
+// queryContext resolves what the per-execution query paths start from: the
+// user, the shard, and — read under one lock — the execution and the
+// generation the whole request is then decided under.
+func (r *Repository) queryContext(userName, specID, execID string) (*privacy.User, *shard, *generation, *exec.Execution, error) {
+	u, sh, err := r.reader(userName, specID)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	sh, err := r.shardOrErr(specID)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	sh.mu.RLock()
-	e := sh.execs[execID]
+	e, gen := sh.execs[execID], sh.gen
 	sh.mu.RUnlock()
 	if e == nil {
-		return nil, nil, nil, fmt.Errorf("repo: unknown execution %q of %s: %w", execID, specID, ErrNotFound)
+		return nil, nil, nil, nil, fmt.Errorf("repo: unknown execution %q of %s: %w", execID, specID, ErrNotFound)
 	}
-	return u, sh, e, nil
+	return u, sh, gen, e, nil
 }
 
-// maskedExecFor returns the fully privacy-enforced snapshot of an
-// execution at a level — collapsed to the access view and taint-masked —
-// under the enforcement state installed now. See maskedExecUnder.
-func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
-	return sh.maskedExecUnder(ctx, sh.enforcedNow(level), e, level)
-}
-
-// maskedExecUnder serves the snapshot of e at level under cur from the
-// shard's masked-snapshot cache. It is the only code path that produces an
+// maskedExec serves the fully privacy-enforced snapshot of e at level —
+// collapsed to the access view and taint-masked — under gen, from gen's
+// masked-snapshot cache. It is the only code path that produces an
 // enforced execution view: lazy reads and PrewarmMasked both come through
-// here. On miss the snapshot is built once under the shard's flight group
-// and published for every subsequent reader; the returned execution is
+// here. On miss the snapshot is built once under the generation's flight
+// group and published for every subsequent reader; the returned execution is
 // shared and MUST be treated as read-only. The masking report is the one
 // recorded at build time, replayed by callers into the serving counters.
 //
@@ -899,28 +875,28 @@ func (r *Repository) maskedExecFor(ctx context.Context, sh *shard, e *exec.Execu
 // and indexes still describe the result), and the stored execution e is
 // only ever read. TestColdFillMatchesStagedPipeline holds every snapshot
 // equal to the public staged composition exec.Collapse → Engine.Apply →
-// query.PrepareExec. A snapshot is published only while cur is still the
-// installed generation: a fill that lost the race with install serves its
-// caller, who asked under cur, and leaves nothing behind.
-func (sh *shard) maskedExecUnder(ctx context.Context, cur enforced, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
-	key := maskedCacheKey{execID: e.ID, level: level, polGen: cur.polGen}
-	if snap, ok := sh.masked.Get(key); ok {
+// query.PrepareExec. All the fill reads and writes apart from the plan is
+// gen's: one that lost the race with install serves its caller, who asked
+// under gen, and leaves nothing where a later reader looks.
+func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
+	key := maskedKey{execID: e.ID, level: level}
+	if snap, ok := gen.masked.Get(key); ok {
+		sh.maskedHits.Add(1)
 		return snap, nil
 	}
-	return sh.maskedFlights.Do(key, func() (maskedSnapshot, error) {
-		if snap, ok := sh.masked.Peek(key); ok {
+	sh.maskedMisses.Add(1)
+	return gen.maskedFlights.Do(key, func() (maskedSnapshot, error) {
+		if snap, ok := gen.masked.Get(key); ok {
 			return snap, nil
 		}
 		// The flight closure runs once for all concurrent callers; the
 		// fill spans land on the trace of the caller that paid for it.
 		fctx, fill := obs.StartSpan(ctx, "cache.masked_fill")
 		defer fill.End()
-		sh.mu.RLock()
-		shape := sh.shapes.Of(e)
-		sh.mu.RUnlock()
+		shape := sh.shapeOf(e)
 		_, collapse := obs.StartSpan(fctx, "view.collapse")
 		var prep *query.PreparedExec
-		plan, err := sh.viewPlan(shape, cur.access, e)
+		plan, err := sh.viewPlan(shape, gen.step(level), e)
 		if err == nil {
 			prep, err = plan.Instantiate(e)
 		}
@@ -928,18 +904,21 @@ func (sh *shard) maskedExecUnder(ctx context.Context, cur enforced, e *exec.Exec
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
-		set := sh.taintSetFor(fctx, e, shape, cur)
+		set := sh.taintSet(fctx, gen, e, shape)
 		_, apply := obs.StartSpan(fctx, "mask.apply")
-		rep := cur.engine.ApplyInPlace(prep.Exec, level, set)
+		rep := gen.engine.ApplyInPlace(prep.Exec, level, set)
 		apply.End()
-		snap := maskedSnapshot{prep: prep, pol: cur.pol, rep: rep, zoomed: len(cur.access.view) < sh.hier.Size()}
-		sh.mu.RLock()
-		if sh.polGen == cur.polGen {
-			sh.masked.Put(key, snap)
-		}
-		sh.mu.RUnlock()
+		snap := maskedSnapshot{prep: prep, rep: rep}
+		gen.masked.Put(key, snap)
 		return snap, nil
 	})
+}
+
+// shapeOf returns the interned shape of a stored execution.
+func (sh *shard) shapeOf(e *exec.Execution) *exec.Shape {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.shapes.Of(e)
 }
 
 // viewPlan returns the value-free prepared view of a shape under an access
@@ -949,7 +928,7 @@ func (sh *shard) maskedExecUnder(ctx context.Context, cur enforced, e *exec.Exec
 // graph to query.PrepareGraph, whose topological sort rejects a cycle.
 // The plan keeps no value: no string of one execution is reachable from
 // another's snapshot.
-func (sh *shard) viewPlan(shape *exec.Shape, access accessStep, e *exec.Execution) (*query.PreparedExec, error) {
+func (sh *shard) viewPlan(shape *exec.Shape, access *accessStep, e *exec.Execution) (*query.PreparedExec, error) {
 	key := planKey{shape: shape, view: access.key}
 	if plan, ok := sh.plans.Get(key); ok {
 		return plan, nil
@@ -978,16 +957,16 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 	if err != nil {
 		return nil, err
 	}
-	u, sh, e, err := r.queryContext(userName, specID, execID)
+	u, sh, gen, e, err := r.queryContext(userName, specID, execID)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := r.maskedExecFor(context.Background(), sh, e, u.Level)
+	snap, err := sh.maskedExec(context.Background(), gen, e, u.Level)
 	if err != nil {
 		return nil, err
 	}
 	r.countTaint(snap.rep)
-	return sh.eval.EvaluateOn(q, snap.prep, snap.pol, u.Level, snap.zoomed)
+	return sh.eval.EvaluateOn(q, snap.prep, gen.pol, u.Level, gen.step(u.Level).zoomed)
 }
 
 // Reaches answers the paper's core structural-privacy question — "does
@@ -1007,75 +986,55 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 // wanting protection against multi-query inference should additionally
 // transform the published view with structpriv (cut or cluster).
 func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
-	u, err := r.User(userName)
-	if err != nil {
-		return false, err
-	}
-	sh, err := r.shardOrErr(specID)
+	u, sh, err := r.reader(userName, specID)
 	if err != nil {
 		return false, err
 	}
 	h := sh.hier
-	cur := sh.enforcedNow(u.Level)
-	pol, access := cur.pol, cur.access.view
-	mf, wf := h.Module(from)
-	mt, wt := h.Module(to)
-	if mf == nil {
-		return false, fmt.Errorf("repo: unknown module %q: %w", from, ErrNotFound)
-	}
-	if mt == nil {
-		return false, fmt.Errorf("repo: unknown module %q: %w", to, ErrNotFound)
+	gen := sh.current()
+	access := gen.step(u.Level)
+	for _, id := range []string{from, to} {
+		if m, _ := h.Module(id); m == nil {
+			return false, fmt.Errorf("repo: unknown module %q: %w", id, ErrNotFound)
+		}
 	}
 	if from == to {
-		// Decided here, once: the closure behind the fast path is
-		// reflexive and the view path is not, and the answer must not
-		// depend on which of them the asker's level selects.
-		return false, nil
+		return false, nil // decided here: the closure below is reflexive
 	}
-	for _, hp := range pol.HiddenPairsFor(u.Level) {
+	for _, hp := range gen.pol.HiddenPairsFor(u.Level) {
 		if hp.From == from && hp.To == to {
 			return false, nil
 		}
 	}
-	// Full access view: answer from the shard's full-expansion closure,
-	// O(1) — the closure of the very spec whose policy decided the view.
-	// Composite endpoints don't appear in the full expansion; fall through
-	// to the view path for those.
-	if len(access) == h.Size() && mf.Kind != workflow.Composite && mt.Kind != workflow.Composite {
-		return sh.reach.Reach(sh.full.Lookup(from), sh.full.Lookup(to)), nil
-	}
-	v, err := workflow.ExpandIn(sh.spec, h, access)
+	_, g, reach, err := access.closure(sh)
 	if err != nil {
 		return false, err
 	}
-	g := v.Graph()
-	rf, err := visibleRepr(h, v, from, wf.ID, access)
-	if err != nil {
-		return false, err
-	}
-	rt, err := visibleRepr(h, v, to, wt.ID, access)
-	if err != nil {
-		return false, err
+	rf, rt := visibleRepr(h, g, from, access.view), visibleRepr(h, g, to, access.view)
+	if rf == graph.Invalid || rt == graph.Invalid {
+		return false, fmt.Errorf("repo: module %q or %q not resolvable in view", from, to)
 	}
 	if rf == rt {
 		return false, nil // inside one composite: not externally visible
 	}
-	return g.Reachable(g.Lookup(rf), g.Lookup(rt)), nil
+	return reach.Reach(rf, rt), nil
 }
 
-// visibleRepr maps a module of workflow wid to the module that represents
-// it in the given view: itself when visible, else the via-module of the
-// first workflow on wid's root chain outside the access view.
-func visibleRepr(h *workflow.Hierarchy, v *workflow.View, moduleID, wid string, access workflow.Prefix) (string, error) {
-	if v.Module(moduleID) != nil {
-		return moduleID, nil
+// visibleRepr maps a module of the spec to the node of g, the graph of the
+// spec expanded to the access view, that represents it: its own when visible,
+// else that of the via-module of the first workflow on its own workflow's root
+// chain outside the view; graph.Invalid when there is none.
+func visibleRepr(h *workflow.Hierarchy, g *graph.Graph, moduleID string, access workflow.Prefix) graph.NodeID {
+	if id := g.Lookup(moduleID); id != graph.Invalid {
+		return id
 	}
-	for _, w := range h.Chain(wid) {
+	_, in := h.Module(moduleID)
+	for _, w := range h.Chain(in.ID) {
 		if !access.Contains(w) {
-			return h.ViaModule(w), nil
+			return g.Lookup(h.ViaModule(w))
 		}
 	}
-	return "", fmt.Errorf("repo: module %q not resolvable in view", moduleID)
+	return graph.Invalid
 }
 
 // QueryZoomOut evaluates a structural query with the paper's gradual
@@ -1087,11 +1046,12 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	u, sh, e, err := r.queryContext(userName, specID, execID)
+	u, sh, gen, e, err := r.queryContext(userName, specID, execID)
 	if err != nil {
 		return nil, err
 	}
-	return sh.eval.ZoomOut(q, e, sh.policySnapshot(), u.Level)
+	set := sh.taintSet(context.Background(), gen, e, sh.shapeOf(e))
+	return sh.eval.ZoomOut(q, e, sh.hier, gen.step(u.Level).view, gen.pol, gen.engine, set, u.Level)
 }
 
 // QuerySpec evaluates a structural query against a specification (not
@@ -1099,7 +1059,7 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 // with module privacy applied — "find workflows where Expand SNP Set
 // feeds Query OMIM" without touching provenance.
 func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecAnswer, error) {
-	u, err := r.User(userName)
+	u, sh, err := r.reader(userName, specID)
 	if err != nil {
 		return nil, err
 	}
@@ -1107,16 +1067,12 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	if err != nil {
 		return nil, err
 	}
-	sh, err := r.shardOrErr(specID)
+	gen := sh.current()
+	v, _, _, err := gen.step(u.Level).closure(sh)
 	if err != nil {
 		return nil, err
 	}
-	cur := sh.enforcedNow(u.Level)
-	v, err := workflow.ExpandIn(sh.spec, sh.hier, cur.access.view)
-	if err != nil {
-		return nil, err
-	}
-	return sh.eval.EvaluateSpec(q, v, cur.pol, u.Level)
+	return sh.eval.EvaluateSpec(q, v, gen.pol, u.Level)
 }
 
 // QueryAllPageCtx evaluates a structural query against every execution
@@ -1139,22 +1095,18 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	if limit < 0 || offset < 0 {
 		return nil, 0, fmt.Errorf("repo: negative pagination window")
 	}
-	u, err := r.User(userName)
+	u, sh, err := r.reader(userName, specID)
 	if err != nil {
 		return nil, 0, err
 	}
-	sh, err := r.shardOrErr(specID)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The execution list and the enforcement state are read under one
-	// lock and every execution is filled under that state, so the whole
-	// response is decided under one policy that was live when the call
-	// began, however many installs it straddles — never a mixture.
+	// The generation is read once and every execution is filled and matched
+	// under it, so the whole response is decided under one policy that was
+	// live when the call began, however many installs it straddles — never
+	// a mixture.
 	sh.mu.RLock()
-	execs := sh.executions()
-	cur := sh.enforcedAt(u.Level)
+	execs, gen := sh.executions(), sh.gen
 	sh.mu.RUnlock()
+	zoomed := gen.step(u.Level).zoomed
 
 	// Phase 1 — bindings only, fanned out.
 	answers := make([]*query.Answer, len(execs))
@@ -1166,13 +1118,13 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 			errs[i] = err
 			return
 		}
-		snap, err := sh.maskedExecUnder(matchCtx, cur, execs[i], u.Level)
+		snap, err := sh.maskedExec(matchCtx, gen, execs[i], u.Level)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		r.countTaint(snap.rep)
-		answers[i], errs[i] = sh.eval.MatchOn(q, snap.prep, snap.pol, u.Level, snap.zoomed)
+		answers[i], errs[i] = sh.eval.MatchOn(q, snap.prep, gen.pol, u.Level, zoomed)
 		snaps[i] = snap
 	})
 	matchSpan.End()
@@ -1213,31 +1165,25 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	return out, total, nil
 }
 
-// taintSetFor returns the cached taint analysis of an execution under
-// cur's policy generation, computing and caching it on miss. Fills are
-// deduplicated through the shard's flight group; the polGen key makes sets
-// seeded under a replaced policy unreachable (see taintCacheKey), and like
-// a snapshot a set is published only while its generation is current. The
-// analysis runs against the item ancestry of e's shape, derived once per
-// shape, with the shard's policy-scoped engine (analysis ignores its
+// taintSet returns gen's cached taint analysis of an execution, computing
+// and caching it on miss. Fills are deduplicated through the generation's
+// flight group. The analysis runs against the item ancestry of e's shape,
+// derived once per shape, with the generation's engine (analysis ignores its
 // generalizers), so no masker is constructed on this path.
-func (sh *shard) taintSetFor(ctx context.Context, e *exec.Execution, shape *exec.Shape, cur enforced) *taint.Set {
-	key := taintCacheKey{execID: e.ID, polGen: cur.polGen}
-	if s, ok := sh.taints.Get(key); ok {
+func (sh *shard) taintSet(ctx context.Context, gen *generation, e *exec.Execution, shape *exec.Shape) *taint.Set {
+	if s, ok := gen.taints.Get(e.ID); ok {
+		sh.taintHits.Add(1)
 		return s
 	}
-	s, _ := sh.taintFlights.Do(key, func() (*taint.Set, error) {
-		if s, ok := sh.taints.Peek(key); ok {
+	sh.taintMisses.Add(1)
+	s, _ := gen.taintFlights.Do(e.ID, func() (*taint.Set, error) {
+		if s, ok := gen.taints.Get(e.ID); ok {
 			return s, nil
 		}
 		_, span := obs.StartSpan(ctx, "taint.analyze")
 		defer span.End()
-		s := cur.engine.AnalyzeIn(e, shape.Ancestry())
-		sh.mu.RLock()
-		if sh.polGen == cur.polGen {
-			sh.taints.Put(key, s)
-		}
-		sh.mu.RUnlock()
+		s := gen.engine.AnalyzeIn(e, shape.Ancestry())
+		gen.taints.Put(e.ID, s)
 		return s, nil
 	})
 	return s
@@ -1254,15 +1200,9 @@ func (r *Repository) countTaint(rep datapriv.Report) {
 	}
 }
 
-// ProvenanceOptions tunes provenance retrieval.
-type ProvenanceOptions struct {
-	// DisableTaint reverts to attribute-local masking (the pre-taint
-	// behavior): protected items themselves are masked, but raw values
-	// embedded in derived trace strings are served verbatim. This is a
-	// debugging / benchmarking escape hatch, not a privacy mode — the
-	// server only honors it via an explicit taint=off parameter.
-	DisableTaint bool
-}
+// ProvenanceOptions is empty: provenance is always taint-masked. The type
+// stays because cmd/provload, which BENCHMARK.json freezes, passes it.
+type ProvenanceOptions struct{}
 
 // Provenance is ProvenanceWithCtx with default options and no context.
 func (r *Repository) Provenance(userName, specID, execID, itemID string) (*exec.Execution, error) {
@@ -1277,34 +1217,19 @@ func (r *Repository) Provenance(userName, specID, execID, itemID string) (*exec.
 // that view. An item hidden by the view is reported as not visible. ctx
 // is checked before the expensive enforcement work (cold masked-snapshot
 // builds): a disconnected client stops the rendering early.
-func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, opts ProvenanceOptions) (*exec.Execution, error) {
+func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, _ ProvenanceOptions) (*exec.Execution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	u, sh, e, err := r.queryContext(userName, specID, execID)
+	u, sh, gen, e, err := r.queryContext(userName, specID, execID)
 	if err != nil {
 		return nil, err
 	}
-	if opts.DisableTaint {
-		// Debug escape hatch: attribute-local masking only, uncached (a
-		// nil taint set degrades the engine) — never worth a cache slot.
-		cur := sh.enforcedNow(u.Level)
-		view, err := exec.Collapse(e, sh.spec, cur.access.view)
-		if err != nil {
-			return nil, err
-		}
-		if view.Items[itemID] == nil {
-			return nil, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
-		}
-		masked, rep := cur.engine.Apply(view, u.Level, nil)
-		r.countTaint(rep)
-		return exec.Provenance(masked, itemID)
-	}
-	// Enforced path: serve from the shared masked snapshot. Masking
-	// preserves the item set of the collapsed view, so visibility is
-	// checked on the snapshot itself; exec.Provenance only reads the
-	// snapshot and returns a fresh induced sub-execution.
-	snap, err := r.maskedExecFor(ctx, sh, e, u.Level)
+	// Serve from the shared masked snapshot. Masking preserves the item set
+	// of the collapsed view, so visibility is checked on the snapshot
+	// itself; exec.ProvenanceIn only reads the snapshot and returns a fresh
+	// induced sub-execution.
+	snap, err := sh.maskedExec(ctx, gen, e, u.Level)
 	if err != nil {
 		return nil, err
 	}
@@ -1415,22 +1340,21 @@ func (r *Repository) Stats() Stats {
 		sh.mu.RLock()
 		st.Executions += len(sh.execs)
 		ss := ShapeStat{ExecShapes: sh.shapes.Len(), ViewPlans: sh.plans.Len()}
+		gen := sh.gen
 		sh.mu.RUnlock()
 		st.ExecShapes += ss.ExecShapes
 		st.ViewPlans += ss.ViewPlans
 		st.Shapes[id] = ss
-		h, m := sh.taints.Stats()
-		n := sh.taints.Len()
-		st.TaintCacheHits += h
-		st.TaintCacheMisses += m
-		st.TaintCacheEntries += n
-		st.TaintCache[id] = TaintCacheStat{Hits: h, Misses: m, Entries: n}
-		h, m = sh.masked.Stats()
-		n = sh.masked.Len()
-		st.MaskedCacheHits += h
-		st.MaskedCacheMisses += m
-		st.MaskedCacheEntries += n
-		st.MaskedCache[id] = TaintCacheStat{Hits: h, Misses: m, Entries: n}
+		tc := TaintCacheStat{Hits: sh.taintHits.Load(), Misses: sh.taintMisses.Load(), Entries: gen.taints.Len()}
+		st.TaintCacheHits += tc.Hits
+		st.TaintCacheMisses += tc.Misses
+		st.TaintCacheEntries += tc.Entries
+		st.TaintCache[id] = tc
+		mc := TaintCacheStat{Hits: sh.maskedHits.Load(), Misses: sh.maskedMisses.Load(), Entries: gen.masked.Len()}
+		st.MaskedCacheHits += mc.Hits
+		st.MaskedCacheMisses += mc.Misses
+		st.MaskedCacheEntries += mc.Entries
+		st.MaskedCache[id] = mc
 	}
 	st.TaintCacheHits += r.taintHitsBase.Load()
 	st.TaintCacheMisses += r.taintMissesBase.Load()

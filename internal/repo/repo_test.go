@@ -8,6 +8,7 @@ import (
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
+	"provpriv/internal/query"
 	"provpriv/internal/workflow"
 )
 
@@ -356,6 +357,35 @@ func TestQueryZoomOutAgreesWithQuery(t *testing.T) {
 	}
 	if _, err := r.QueryZoomOut("bob", "nope", "E1", q); err == nil {
 		t.Fatal("unknown spec accepted")
+	}
+}
+
+// TestQueryZoomOutHonoursGeneralization: zoom=1 masks through the installed
+// generation's engine, ladders included, so a below-level user's zoomed
+// RETURN provenance(...) carries the generalized value exactly as the direct
+// query's does — not the redaction a ladder-less masker would leave.
+func TestQueryZoomOutHonoursGeneralization(t *testing.T) {
+	r := seededRepo(t)
+	if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
+		t.Fatalf("SetGeneralization: %v", err)
+	}
+	snpID := itemByAttr(t, r, "snps")
+	q := `MATCH a = "expand snp" RETURN provenance(a)`
+	direct, err := r.Query("carol", diseaseID, "E1", q) // analyst: one rung short of owner
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	zoomed, err := r.QueryZoomOut("carol", diseaseID, "E1", q)
+	if err != nil {
+		t.Fatalf("QueryZoomOut: %v", err)
+	}
+	for name, ans := range map[string]*query.Answer{"direct": direct, "zoomed": zoomed.Answer} {
+		if len(ans.Provenance) != 1 {
+			t.Fatalf("%s: %d provenance graphs, want 1", name, len(ans.Provenance))
+		}
+		if it := ans.Provenance[0].Items[snpID]; it == nil || it.Redacted || it.Value != "chr1" {
+			t.Fatalf("%s: analyst snps = %+v, want generalized chr1", name, it)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package repo
 
 // A shard prepares one value-free view plan per (shape, access view) and
 // instantiates every snapshot from it. These tests pin what that sharing
-// must never do — carry a value from one execution to another, or leave a
-// snapshot behind for a generation that is gone — and what it is for: a
+// must never do — carry a value from one execution to another, or put a
+// snapshot built under a replaced generation before a later reader — and
+// what it is for: a
 // rewarm after a policy update builds no plan it already has.
 
 import (
@@ -48,7 +49,7 @@ func TestViewPlansCarryNoValueBetweenExecutions(t *testing.T) {
 	carried := 0
 	for _, id := range []string{"run-a", "run-b"} {
 		for _, lvl := range allLevels {
-			snap, err := r.maskedExecFor(context.Background(), sh, r.execution(specID, id), lvl)
+			snap, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, id), lvl)
 			if err != nil {
 				t.Fatalf("%s at %v: %v", id, lvl, err)
 			}
@@ -68,10 +69,10 @@ func TestViewPlansCarryNoValueBetweenExecutions(t *testing.T) {
 	if carried == 0 {
 		t.Fatal("fixture: no snapshot shows its own sentinel, so the check above saw nothing")
 	}
-	pol, shape := sh.policySnapshot(), sh.shapes.Of(r.execution(specID, "run-a"))
+	pol, shape := sh.current().pol, sh.shapes.Of(r.execution(specID, "run-a"))
 	for _, lvl := range allLevels {
 		view := pol.AccessView(sh.hier, lvl).Key()
-		plan, ok := sh.plans.Peek(planKey{shape: shape, view: view})
+		plan, ok := sh.plans.Get(planKey{shape: shape, view: view})
 		if !ok {
 			t.Fatalf("no plan cached for the runs' shape under view %s", view)
 		}
@@ -107,9 +108,9 @@ func (c *parkingValues) Value(any) any {
 
 // TestFillRacedByInstallLeavesNoResidue: a fill that loses the race with a
 // policy install must serve its caller — who asked under the policy that
-// was installed then — and publish nothing: a snapshot or taint set keyed by
-// a dead generation can never be read again, and on a shard that holds
-// fewer keys than the LRU's capacity would never be evicted either. The
+// was installed then — and leave nothing where a later reader looks: what it
+// built under the replaced generation goes into that generation's caches,
+// and the installed one's stay empty until somebody reads under it. The
 // race is enumerated, not hoped for: the fill is parked at each of its
 // stages in turn (before the plan, before the taint analysis inside its
 // flight, before the mask, ...), the policy is replaced, the fill released.
@@ -134,6 +135,7 @@ func TestFillRacedByInstallLeavesNoResidue(t *testing.T) {
 		t.Run(fmt.Sprintf("stage=%d", at), func(t *testing.T) {
 			r := seededRepo(t) // snps is owner-only: bob's prognosis must not show rs1
 			sh := r.shard(diseaseID)
+			old := sh.current()
 			ctx := &parkingValues{Context: context.Background(), at: at, reached: make(chan struct{}), release: make(chan struct{})}
 			type result struct {
 				value string
@@ -156,14 +158,18 @@ func TestFillRacedByInstallLeavesNoResidue(t *testing.T) {
 			if strings.Contains(res.value, "rs1") {
 				t.Fatalf("a read begun under the protecting policy was served %q", res.value)
 			}
-			if m, ts := sh.masked.Len(), sh.taints.Len(); m != 0 || ts != 0 {
-				t.Fatalf("the raced fill left %d snapshots and %d taint sets under a generation no reader can ask for", m, ts)
+			live := sh.current()
+			if live == old {
+				t.Fatal("UpdatePolicy installed no new generation")
+			}
+			if m, ts := live.masked.Len(), live.taints.Len(); m != 0 || ts != 0 {
+				t.Fatalf("the raced fill left %d snapshots and %d taint sets in the generation installed after it began", m, ts)
 			}
 			if v, err := read(r, context.Background()); err != nil || !strings.Contains(v, "rs1") {
 				t.Fatalf("the next read is not under the installed policy: %q, %v", v, err)
 			}
-			if m, ts := sh.masked.Len(), sh.taints.Len(); m != 1 || ts != 1 {
-				t.Fatalf("after one read under the installed policy the caches hold %d snapshots and %d taint sets, want 1 and 1", m, ts)
+			if m, ts := live.masked.Len(), live.taints.Len(); m != 1 || ts != 1 {
+				t.Fatalf("after one read under the installed policy its caches hold %d snapshots and %d taint sets, want 1 and 1", m, ts)
 			}
 		})
 	}
@@ -180,8 +186,8 @@ func TestRewarmBuildsOnePlanPerShapeAndView(t *testing.T) {
 	s, sh := r.Spec(specID), r.shard(specID)
 	const shapes = 3
 	nExecs := len(r.ExecutionIDs(specID))
-	built := func() int64 { _, misses := sh.plans.Stats(); return misses }
-	filled := func() int64 { _, misses := sh.masked.Stats(); return misses }
+	built := func() int64 { return int64(sh.plans.Len()) } // plans are never dropped below the cap
+	filled := sh.maskedMisses.Load
 	distinctViews := func(pol *privacy.Policy) map[string]bool {
 		views := make(map[string]bool)
 		for _, lvl := range allLevels {

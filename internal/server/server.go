@@ -43,9 +43,8 @@
 //	GET    /api/v1/search?q=Q[&buckets=N][&limit=L&offset=O]  privacy-aware keyword search [reader]
 //	GET    /api/v1/query?spec=S&q=Q[&exec=E][&zoom=1][&limit=L&offset=O]  structural query [reader]
 //	GET    /api/v1/reach?spec=S&from=M1&to=M2       structural-privacy reachability [reader]
-//	GET    /api/v1/provenance?spec=S&exec=E&item=D[&taint=off]  taint-masked provenance [reader]
-//	                                                (taint=off: attribute-local masking only — a debug escape
-//	                                                hatch requiring the operator opt-in Server.AllowDisableTaint)
+//	GET    /api/v1/provenance?spec=S&exec=E&item=D  taint-masked provenance [reader]
+//	                                                (taint=off answers 403: no unmasked path is served)
 //	GET    /api/v1/stats                            repository + cache statistics [reader]
 //	POST   /api/v1/specs                            register a spec (+ optional policy) [writer]
 //	POST   /api/v1/executions                       store an execution of a registered spec [writer]
@@ -140,14 +139,6 @@ type Server struct {
 	// draining flips when the operator starts shutdown; /readyz reports
 	// 503 so load balancers stop routing while in-flight work finishes.
 	draining atomic.Bool
-	// AllowDisableTaint honors the provenance taint=off debug parameter.
-	// Off by default: taint=off reopens the embedded-trace-value leak
-	// that internal/taint exists to close, so an operator must opt the
-	// whole server into it (provserve -allow-taint-off) — it is never a
-	// per-caller choice. Requests sending taint=off while disabled get
-	// 403, not silent taint-on, so a debugging session can't
-	// misattribute masked output to the unmasked path.
-	AllowDisableTaint bool
 	// Auth, when non-nil, enables bearer-token authentication and makes
 	// it the only accepted scheme (unless AllowHeaderAuth is also set).
 	// When nil, the server runs in the PR 1 trusted-header mode: any
@@ -814,24 +805,19 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request, user s
 		s.fail(w, r, fmt.Errorf("server: provenance needs spec, exec and item parameters"))
 		return
 	}
-	var opts repo.ProvenanceOptions
 	switch t := p.Get("taint"); t {
 	case "", "on":
-		// taint-aware masking: the default and only privacy-preserving mode.
+		// taint-aware masking: the only mode there is.
 	case "off":
-		// Debug/benchmark escape hatch: attribute-local masking only;
-		// protected values embedded in derived traces are NOT rewritten.
-		// Only honored when the operator opted the server in.
-		if !s.AllowDisableTaint {
-			s.fail(w, r, fmt.Errorf("server: taint=off disabled on this server: %w", repo.ErrDenied))
-			return
-		}
-		opts.DisableTaint = true
+		// No unmasked path is served; refused rather than silently served
+		// taint-on, so a debugging session can't mistake masked output for raw.
+		s.fail(w, r, fmt.Errorf("server: taint=off is not served: %w", repo.ErrDenied))
+		return
 	default:
 		s.fail(w, r, fmt.Errorf("server: bad taint %q (want on or off)", t))
 		return
 	}
-	prov, err := s.repo.ProvenanceWithCtx(r.Context(), user, specID, execID, item, opts)
+	prov, err := s.repo.ProvenanceWithCtx(r.Context(), user, specID, execID, item, repo.ProvenanceOptions{})
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -1007,9 +993,9 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request, user
 		s.fail(w, r, err)
 		return
 	}
-	// The policy change just purged the spec's masked-snapshot caches;
-	// rebuild them off-path so the first reader per level pays a warm
-	// hit. Best-effort — with no runtime the caches warm lazily.
+	// The policy change installed a generation whose snapshot cache is
+	// empty; fill it off-path so the first reader per level pays a warm
+	// hit. Best-effort — with no runtime the cache warms lazily.
 	body := map[string]any{"spec": req.Spec}
 	if id := s.enqueuePrewarm(req.Spec); id != "" {
 		body["task"] = id

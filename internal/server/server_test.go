@@ -573,13 +573,12 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) int64 {
 	return 0
 }
 
-// TestProvenanceTaintEscapeHatch: by default a public user's provenance
-// carries no embedded protected value and taint=off is refused outright
-// (it would reopen the leak for any caller); on a server the operator
-// opted in with AllowDisableTaint, taint=off reopens the hole; anything
-// else is rejected.
+// TestProvenanceTaintEscapeHatch: there is none. A public user's
+// provenance carries no embedded protected value, taint=off is refused
+// outright (no unmasked path is served, and silently serving taint-on
+// would mislead whoever asked), and any other value is a bad request.
 func TestProvenanceTaintEscapeHatch(t *testing.T) {
-	ts, r, e := newTestServer(t)
+	ts, _, e := newTestServer(t)
 	var progID string
 	for id, it := range e.Items {
 		if it.Attr == "prognosis" {
@@ -598,30 +597,8 @@ func TestProvenanceTaintEscapeHatch(t *testing.T) {
 			t.Errorf("taint-masked provenance item %s embeds rs1: %q", id, it.Value)
 		}
 	}
-	// The default server refuses the hatch: no caller-controlled bypass
-	// of the guarantee.
 	if code := get(t, ts, "bob", path+"&taint=off", nil); code != http.StatusForbidden {
-		t.Fatalf("taint=off on default server = %d, want 403", code)
-	}
-
-	debugSrv := New(r)
-	debugSrv.AllowDisableTaint = true
-	tsDebug := httptest.NewServer(debugSrv)
-	defer tsDebug.Close()
-	var leaky struct {
-		Provenance *exec.Execution `json:"provenance"`
-	}
-	if code := get(t, tsDebug, "bob", path+"&taint=off", &leaky); code != http.StatusOK {
-		t.Fatalf("taint=off status = %d", code)
-	}
-	var reproduced bool
-	for _, it := range leaky.Provenance.Items {
-		if strings.Contains(string(it.Value), "rs1") {
-			reproduced = true
-		}
-	}
-	if !reproduced {
-		t.Fatal("taint=off did not reproduce the embedded-value leak")
+		t.Fatalf("taint=off = %d, want 403", code)
 	}
 	if code := get(t, ts, "bob", path+"&taint=maybe", nil); code != http.StatusBadRequest {
 		t.Fatalf("taint=maybe status = %d, want 400", code)

@@ -347,7 +347,7 @@ func (s *Server) maybeEnqueueCompaction() string {
 }
 
 // enqueuePrewarm fires the snapshot-cache prewarm job after a policy or
-// generalization change purged a spec's masked snapshots. Best-effort:
+// generalization change left a spec's snapshot cache empty. Best-effort:
 // on queue pushback the caches simply warm lazily, as they always did.
 func (s *Server) enqueuePrewarm(specID string) string {
 	if s.Tasks == nil {

@@ -248,7 +248,7 @@ func TestApplyDeepCopyNoAliasing(t *testing.T) {
 
 // A nil set degrades to attribute-local masking: the protected item is
 // redacted but its raw value is served verbatim inside derived traces —
-// exactly the pre-taint hole the DisableTaint escape hatch reopens.
+// exactly the pre-taint hole, which is why the repository never passes one.
 func TestNilSetIsAttributeLocalOnly(t *testing.T) {
 	e, pol := diseaseRun(t)
 	masked, rep := taint.NewEngine(pol, nil).Apply(e, privacy.Public, nil)

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
@@ -98,9 +99,20 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 		t.Fatalf("prognosis missing or redacted in its own provenance: %+v", it)
 	}
 
-	// The taint=off escape hatch reopens exactly the documented hole,
-	// proving the regression test bites.
-	leaky, err := r.ProvenanceWithCtx(context.Background(), "pub", spec.ID, "E1", prognosis, repo.ProvenanceOptions{DisableTaint: true})
+	// Negative control, proving the regression test bites: the same view
+	// masked without taint propagation — a nil taint set, which the
+	// repository never passes — is exactly the documented hole.
+	pol := r.Policy(spec.ID)
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := exec.Collapse(e, spec, pol.AccessView(h, privacy.Public))
+	if err != nil {
+		t.Fatalf("Collapse: %v", err)
+	}
+	local, _ := datapriv.NewMasker(pol, nil).Engine().Apply(view, privacy.Public, nil)
+	leaky, err := exec.Provenance(local, prognosis)
 	if err != nil {
 		t.Fatalf("untainted provenance: %v", err)
 	}
@@ -111,7 +123,7 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 		}
 	}
 	if !reproduced {
-		t.Fatal("DisableTaint no longer reproduces the rs123 leak; the regression fixture is stale")
+		t.Fatal("attribute-local masking no longer reproduces the rs123 leak; the regression fixture is stale")
 	}
 }
 

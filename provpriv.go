@@ -168,8 +168,8 @@ type (
 	// implements it. Exported so NewTaintEngine is callable from outside
 	// the module (taint.Generalizer itself lives under internal/).
 	TaintGeneralizer = taint.Generalizer
-	// ProvenanceOptions tunes Repository provenance retrieval (e.g. the
-	// taint=off debugging escape hatch).
+	// ProvenanceOptions is the (empty) options argument of
+	// Repository.ProvenanceWithCtx.
 	ProvenanceOptions = repo.ProvenanceOptions
 )
 
