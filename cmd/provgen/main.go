@@ -6,10 +6,7 @@
 //	provgen -out ./data -specs 5 -execs 3 -depth 3 -fanout 2 -chain 4 -seed 1
 //
 // The repository is written in the crash-safe log-engine layout
-// (per-shard checkpoint + log, committed by an atomic manifest swap), in
-// either storage backend:
-//
-//	provgen -out ./data -backend kv
+// (per-shard checkpoint + log, committed by an atomic manifest swap).
 package main
 
 import (
@@ -20,12 +17,11 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
-	"provpriv/internal/storage"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
-// corpus is the generated content, independent of the storage backend.
+// corpus is the generated content.
 type corpus struct {
 	specs []*workflow.Spec
 	pols  []*privacy.Policy // nil entries when -policies=false
@@ -44,22 +40,17 @@ func main() {
 	skip := flag.Float64("skip", 0.3, "skip-edge probability")
 	seed := flag.Int64("seed", 1, "random seed")
 	withPolicies := flag.Bool("policies", true, "generate a random privacy policy per spec")
-	backendName := flag.String("backend", "flat", "storage backend: flat or kv")
 	flag.Parse()
 
-	if *backendName != "flat" && *backendName != "kv" {
-		log.Fatalf("bad -backend %q (want flat or kv)", *backendName)
-	}
-
 	c := generate(*nSpecs, *nExecs, *depth, *fanout, *chain, *skip, *seed, *withPolicies)
-	if err := writeLog(*out, *backendName, c); err != nil {
+	if err := writeLog(*out, c); err != nil {
 		log.Fatal(err)
 	}
 	total := 0
 	for _, es := range c.execs {
 		total += len(es)
 	}
-	fmt.Printf("wrote %d specs, %d executions to %s (%s backend)\n", len(c.specs), total, *out, *backendName)
+	fmt.Printf("wrote %d specs, %d executions to %s\n", len(c.specs), total, *out)
 }
 
 func generate(nSpecs, nExecs, depth, fanout, chain int, skip float64, seed int64, withPolicies bool) corpus {
@@ -100,9 +91,9 @@ func generate(nSpecs, nExecs, depth, fanout, chain int, skip float64, seed int64
 	return c
 }
 
-// writeLog persists the corpus through the storage engine: one bound
+// writeLog persists the corpus through the storage engine: one
 // repository save, so the output is exactly what the server writes.
-func writeLog(out, backendName string, c corpus) error {
+func writeLog(out string, c corpus) error {
 	r := repo.New()
 	for i, spec := range c.specs {
 		if err := r.AddSpec(spec, c.pols[i]); err != nil {
@@ -113,20 +104,6 @@ func writeLog(out, backendName string, c corpus) error {
 				return fmt.Errorf("add execution %s: %w", e.ID, err)
 			}
 		}
-	}
-	var b storage.Backend
-	var err error
-	if backendName == "kv" {
-		b, err = storage.OpenKV(out)
-	} else {
-		b, err = storage.OpenFlat(out)
-	}
-	if err != nil {
-		return err
-	}
-	if err := r.BindStorage(b, out); err != nil {
-		b.Close()
-		return err
 	}
 	if err := r.Save(out); err != nil {
 		return fmt.Errorf("save %s: %w", out, err)

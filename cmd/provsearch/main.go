@@ -45,8 +45,6 @@ func main() {
 		r = repo.New()
 		loadExample(r)
 	case *data != "":
-		// repo.Load understands both backends provgen writes: flat files
-		// and the KV store.
 		var err error
 		if r, err = repo.Load(*data); err != nil {
 			log.Fatalf("load %s: %v", *data, err)

@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -92,18 +91,16 @@ func main() {
 	log.SetPrefix("provserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "repository directory from provgen or repo.Save (missing manifest starts empty)")
-	backendName := flag.String("backend", "flat",
-		"storage backend for a new -data directory: flat (per-shard log files) or kv (embedded key-value store); existing directories keep the backend they were written with")
+	// There is one storage backend. The flag is parsed only because the
+	// frozen benchmark harness (cmd/provload/proc.go) starts the server
+	// with "-backend flat"; it goes with BENCHMARK.json v2 (ROADMAP 4(f)).
+	backendName := flag.String("backend", "flat", "accepted for compatibility; flat is the only value")
 	example := flag.Bool("example", false, "serve the built-in paper example instead of -data")
 	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest, compaction, prewarming; 0 disables the async surface)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"shutdown budget for draining in-flight requests and background tasks before stragglers are canceled")
-	compactInterval := flag.Duration("compact-interval", 0,
-		"periodically fold oversized shard logs in the background (0 disables; compaction also runs after each save)")
 	tokenFile := flag.String("token-file", "",
 		"bearer-token file (name:role:user:sha256hex per line); configuring it disables the trusted X-Prov-User header")
-	allowHeaderAuth := flag.Bool("allow-header-auth", false,
-		"with -token-file, keep accepting X-Prov-User header principals as read-only (migration bridge)")
 	tokenReload := flag.Duration("token-reload", 5*time.Second,
 		"poll the token file for changes at this interval and hot-swap the token set (0 disables polling; SIGHUP always forces a reload)")
 	rateReader := flag.Float64("rate-reader", 0,
@@ -121,7 +118,7 @@ func main() {
 	auditDir := flag.String("audit-log", "",
 		"directory for the append-only mutation audit log (who/what/when/outcome, queryable at GET /api/v1/audit; empty disables auditing)")
 	saveDir := flag.String("save-dir", "",
-		"directory POST /api/v1/save persists to (default: the -data directory; empty disables the endpoint)")
+		"directory POST /api/v1/save persists an -example repository to (with -data, saves go to the -data directory; empty disables the endpoint)")
 	hashSecret := flag.Bool("hash-secret", false,
 		"read a secret from stdin, print its token-file digest, and exit")
 	newToken := flag.String("new-token", "",
@@ -173,8 +170,13 @@ func main() {
 		return
 	}
 
-	if *backendName != "flat" && *backendName != "kv" {
-		log.Fatalf("bad -backend %q (want flat or kv)", *backendName)
+	if *backendName != "flat" {
+		log.Fatalf("bad -backend %q (flat is the only backend)", *backendName)
+	}
+	if *data != "" && *saveDir != "" && *saveDir != *data {
+		// A save elsewhere would rebind the repository to an unmeasured
+		// backend and close the one /stats and /metrics read.
+		log.Fatalf("-save-dir %s differs from -data %s: a served directory is saved in place", *saveDir, *data)
 	}
 	var r *repo.Repository
 	var store *storage.Measure
@@ -183,7 +185,7 @@ func main() {
 		r = repo.New()
 		loadExample(r)
 	case *data != "":
-		if r, store, err = openDataDir(logger, *data, *backendName); err != nil {
+		if r, store, err = openDataDir(*data); err != nil {
 			log.Fatalf("load %s: %v", *data, err)
 		}
 	default:
@@ -223,11 +225,7 @@ func main() {
 			log.Fatalf("token file: %v", err)
 		}
 		srv.Auth = authStore
-		srv.AllowHeaderAuth = *allowHeaderAuth
 		authMode = "bearer-tokens"
-		if *allowHeaderAuth {
-			authMode = "bearer-tokens+read-only-headers"
-		}
 	} else {
 		logger.Warn("trusted X-Prov-User headers accepted (dev mode; use -token-file in production)")
 	}
@@ -288,11 +286,9 @@ func main() {
 	logger.Info("serving",
 		"addr", *addr,
 		"data_dir", *data,
-		"backend", *backendName,
 		"example", *example,
 		"task_workers", *taskWorkers,
 		"drain_timeout", *drainTimeout,
-		"compact_interval", *compactInterval,
 		"auth_mode", authMode,
 		"token_reload", *tokenReload,
 		"rate_reader", *rateReader,
@@ -355,28 +351,6 @@ func main() {
 		}()
 	}
 
-	// Optional off-path compaction ticker: fold oversized shard logs even
-	// when nobody calls POST /api/v1/save or /api/v1/compact.
-	if *compactInterval > 0 && rt != nil {
-		ticker := time.NewTicker(*compactInterval)
-		defer ticker.Stop()
-		go func() {
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if len(r.NeedsCompaction()) == 0 {
-						continue
-					}
-					if id := srv.EnqueueCompaction(); id != "" {
-						logger.Info("compaction pass enqueued", "task", id)
-					}
-				}
-			}
-		}()
-	}
-
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
@@ -427,39 +401,12 @@ func main() {
 	}
 }
 
-// openDataDir opens (or creates) the repository directory with a
-// measured storage backend, so the server can export storage counters.
-// An existing directory keeps the backend it was written with (store.kv
-// marks the KV store); the -backend flag only picks the engine for a
-// fresh directory.
-func openDataDir(logger *slog.Logger, dir, backendName string) (*repo.Repository, *storage.Measure, error) {
-	open := func(name string) (storage.Backend, error) {
-		if name == "kv" {
-			return storage.OpenKV(dir)
-		}
-		return storage.OpenFlat(dir)
-	}
-	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err == nil {
-		backendName = "kv"
-	} else if _, err := os.Stat(filepath.Join(dir, "manifest.json")); os.IsNotExist(err) {
-		// A fresh directory: start empty — the mutation endpoints fill it
-		// and POST /api/v1/save commits the first snapshot.
-		logger.Info("starting empty repository", "dir", dir, "backend", backendName)
-		b, err := open(backendName)
-		if err != nil {
-			return nil, nil, err
-		}
-		m := storage.NewMeasure(b)
-		r := repo.New()
-		if err := r.BindStorage(m, dir); err != nil {
-			m.Close()
-			return nil, nil, err
-		}
-		return r, m, nil
-	} else {
-		backendName = "flat"
-	}
-	b, err := open(backendName)
+// openDataDir opens (creating if missing) the repository directory
+// through a measured storage backend, so the server can export storage
+// counters. A fresh directory loads as an empty bound repository: the
+// mutation endpoints fill it and POST /api/v1/save commits generation 1.
+func openDataDir(dir string) (*repo.Repository, *storage.Measure, error) {
+	b, err := storage.OpenFlat(dir)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -158,5 +159,65 @@ func TestProvserveSmoke(t *testing.T) {
 	if !strings.Contains(out, `"msg":"serving"`) {
 		t.Fatalf("no structured serving record:\n%s", out)
 	}
+	// The fresh directory was opened the way a saved one is — loaded,
+	// bound — so the shutdown save committed its first generation there.
+	if _, err := os.Stat(filepath.Join(dataDir, "manifest.json")); err != nil {
+		t.Fatalf("no manifest in the -data directory after the final save: %v\n%s", err, out)
+	}
 	_ = os.Remove(bin)
+}
+
+// TestProvserveRefusedStartups: configurations the binary must refuse
+// before it serves or writes anything. A -data directory left by the
+// deleted KV backend (store.kv, no manifest.json) would otherwise read
+// as an empty flat store and be saved over; a -save-dir away from -data
+// would, on the first save, move the repository off the measured backend
+// and freeze every storage counter.
+func TestProvserveRefusedStartups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping binary smoke test")
+	}
+	bin := filepath.Join(t.TempDir(), "provserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	kvDir := t.TempDir()
+	const kvBytes = "\x00\x00\x00\x10kv frames, not ours to parse"
+	if err := os.WriteFile(filepath.Join(kvDir, "store.kv"), []byte(kvBytes), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		args []string
+		want string // in the fatal message
+	}{
+		"kv-data-dir":       {[]string{"-data", kvDir}, "ab65b3c"},
+		"save-dir-not-data": {[]string{"-data", t.TempDir(), "-save-dir", t.TempDir()}, "-save-dir"},
+		"backend-kv":        {[]string{"-data", t.TempDir(), "-backend", "kv"}, "-backend"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			args := append([]string{"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t))}, tc.args...)
+			// A start-up that is not refused serves until it is killed.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			if _, exited := err.(*exec.ExitError); !exited {
+				t.Fatalf("provserve %v: err = %v, want a non-zero exit\n%s", tc.args, err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("provserve %v: fatal message does not mention %q:\n%s", tc.args, tc.want, out)
+			}
+			for _, dir := range tc.args[1:] {
+				if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
+					t.Fatalf("provserve %v: refused, yet wrote a manifest in %s", tc.args, dir)
+				}
+			}
+		})
+	}
+	entries, err := os.ReadDir(kvDir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("KV directory now holds %v (err=%v), want store.kv alone", entries, err)
+	}
+	if got, err := os.ReadFile(filepath.Join(kvDir, "store.kv")); err != nil || string(got) != kvBytes {
+		t.Fatalf("store.kv changed: %q (err=%v)", got, err)
+	}
 }

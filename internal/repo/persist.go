@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"provpriv/internal/datapriv"
@@ -60,15 +59,15 @@ type shardSaved struct {
 	spec        *workflow.Spec
 	ckptGen     uint64 // generation of the shard's checkpoint
 	ckptRecords uint64
-	logLen      uint64 // committed log extent (backend units)
+	logLen      uint64 // committed log extent in bytes
 	logRecs     uint64 // committed log length in records
 	execs       map[string]bool
 }
 
 // Save writes the repository's contents to dir (created if missing),
-// binding to the directory's storage backend on first use: a directory
-// holding a KV store keeps the KV backend, anything else gets flat
-// files. Indexes and caches are not persisted; Load rebuilds them.
+// binding to a storage.Flat on it on first use; a repository already
+// bound to dir (LoadStorage, BindStorage) saves through that backend.
+// Indexes and caches are not persisted; Load rebuilds them.
 func (r *Repository) Save(dir string) error {
 	return r.SaveCtx(context.Background(), dir)
 }
@@ -84,7 +83,7 @@ func (r *Repository) SaveCtx(ctx context.Context, dir string) error {
 	ctx, span := obs.StartSpan(ctx, "storage.save")
 	defer span.End()
 	if r.bound == nil || r.bound.key != dir {
-		b, err := openDirBackend(dir)
+		b, err := storage.OpenFlat(dir)
 		if err != nil {
 			return fmt.Errorf("repo: save: %w", err)
 		}
@@ -109,9 +108,9 @@ func (r *Repository) SaveCtx(ctx context.Context, dir string) error {
 }
 
 // BindStorage attaches the repository to an already opened backend so
-// subsequent Save(key) calls route through it — the path servers use to
-// start empty with a chosen backend. Any previous binding is closed. The
-// repository takes ownership of b.
+// subsequent Save(key) calls route through it — how a repository built
+// in memory saves through a wrapped backend (Measure, Fault). Any
+// previous binding is closed. The repository takes ownership of b.
 func (r *Repository) BindStorage(b storage.Backend, key string) error {
 	bound, err := newBoundStore(b, key)
 	if err != nil {
@@ -144,14 +143,6 @@ func (r *Repository) CloseStorage() error {
 	err := r.bound.b.Close()
 	r.bound = nil
 	return err
-}
-
-// openDirBackend picks the backend a directory was written with.
-func openDirBackend(dir string) (storage.Backend, error) {
-	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err == nil {
-		return storage.OpenKV(dir)
-	}
-	return storage.OpenFlat(dir)
 }
 
 // newBoundStore binds a backend, reading its committed generation.
@@ -366,22 +357,24 @@ func execRecord(e *exec.Execution) (storage.Record, error) {
 	return storage.Record{Type: storage.RecExec, Key: e.ID, Data: data}, nil
 }
 
-// Load reads a repository directory into a fresh Repository, validating
-// everything and rebuilding the index. It understands both log-engine
-// layouts (flat files and the KV store, distinguished by the store.kv
-// data file); a pre-log directory is refused with
-// storage.ErrLegacyLayout.
+// Load reads a saved repository directory into a fresh Repository,
+// validating everything and rebuilding the index. OpenFlat would create
+// a missing directory and LoadStorage accepts an empty store; Load does
+// neither: a dir holding no manifest is an error and nothing is created
+// in it. A pre-log or KV-backend directory is refused with
+// storage.ErrLegacyLayout / storage.ErrKVLayout.
 func Load(dir string) (*Repository, error) {
-	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err != nil {
-		if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-			return nil, fmt.Errorf("repo: load: %w", err)
-		}
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("repo: load: %w", err)
 	}
-	b, err := openDirBackend(dir)
+	b, err := storage.OpenFlat(dir)
 	if err != nil {
 		return nil, fmt.Errorf("repo: load: %w", err)
 	}
 	r, err := LoadStorage(b, dir)
+	if err == nil && r.bound.gen == 0 {
+		err = fmt.Errorf("repo: load: no manifest in %s", dir)
+	}
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -444,7 +437,9 @@ func (l *loadedShard) apply(sid string, rec storage.Record) error {
 
 // LoadStorage builds a Repository from an opened backend and binds it,
 // so subsequent Save(key) calls are incremental appends to the same
-// store. The repository takes ownership of b on success.
+// store. An empty store yields an empty bound repository whose first
+// Save commits generation 1 — how a server starts on a fresh directory.
+// The repository takes ownership of b on success.
 func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	meta, err := b.Meta()
 	if err != nil {

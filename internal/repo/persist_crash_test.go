@@ -112,75 +112,71 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 		points = append(points, kp{storage.OpAppend, n, false}, kp{storage.OpAppend, n, true})
 	}
 	points = append(points, kp{storage.OpCommit, 1, false}, kp{storage.OpCommit, 1, true})
-	backends := map[string]func(dir string) (storage.Backend, error){
-		"flat": func(dir string) (storage.Backend, error) { return storage.OpenFlat(dir) },
-		"kv":   func(dir string) (storage.Backend, error) { return storage.OpenKV(dir) },
-	}
-	for bname, open := range backends {
-		t.Run(bname, func(t *testing.T) {
-			for _, p := range points {
-				mode := "before"
-				if p.after {
-					mode = "after"
-				}
-				t.Run(fmt.Sprintf("%s-%s-%d", mode, p.op, p.n), func(t *testing.T) {
-					dir := t.TempDir()
-					r := crashFixture(t)
-					base, err := open(dir)
-					if err != nil {
-						t.Fatalf("open backend: %v", err)
-					}
-					f := storage.NewFault(base)
-					if err := r.BindStorage(f, dir); err != nil {
-						t.Fatalf("BindStorage: %v", err)
-					}
-					if err := r.Save(dir); err != nil {
-						t.Fatalf("v1 save: %v", err)
-					}
-					mutateToV2(t, r)
-					// Kill points are relative to the v2 save: offset by the
-					// calls the v1 save already made.
-					n := f.Calls(p.op) + p.n
-					if p.after {
-						f.KillAfter(p.op, n)
-					} else {
-						f.KillBefore(p.op, n)
-					}
-					if err := r.Save(dir); err == nil {
-						t.Fatalf("kill point %s %s #%d never fired", mode, p.op, p.n)
-					}
-					r2, err := Load(dir)
-					if err != nil {
-						t.Fatalf("Load after injected crash: %v", err)
-					}
-					got := snapshotVersion(t, r2)
-					r2.CloseStorage()
-					want := 1
-					if p.op == storage.OpCommit && p.after {
-						// The manifest landed before the crash: v2 is committed.
-						want = 2
-					}
-					if got != want {
-						t.Fatalf("loaded v%d after crash %s %s #%d, want v%d", got, mode, p.op, p.n, want)
-					}
-					// The failed save dropped the binding; a fresh save must
-					// recover the directory to complete v2.
-					if err := r.Save(dir); err != nil {
-						t.Fatalf("recovery save: %v", err)
-					}
-					r3, err := Load(dir)
-					if err != nil {
-						t.Fatalf("Load after recovery: %v", err)
-					}
-					if got := snapshotVersion(t, r3); got != 2 {
-						t.Fatalf("recovery save left v%d, want v2", got)
-					}
-					r3.CloseStorage()
-					r.CloseStorage()
-				})
+	// The "flat" level is from when there were two backends; it stays so
+	// the kill points keep the names they have had since PR 6.
+	t.Run("flat", func(t *testing.T) {
+		for _, p := range points {
+			mode := "before"
+			if p.after {
+				mode = "after"
 			}
-		})
-	}
+			t.Run(fmt.Sprintf("%s-%s-%d", mode, p.op, p.n), func(t *testing.T) {
+				dir := t.TempDir()
+				r := crashFixture(t)
+				base, err := storage.OpenFlat(dir)
+				if err != nil {
+					t.Fatalf("open backend: %v", err)
+				}
+				f := storage.NewFault(base)
+				if err := r.BindStorage(f, dir); err != nil {
+					t.Fatalf("BindStorage: %v", err)
+				}
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("v1 save: %v", err)
+				}
+				mutateToV2(t, r)
+				// Kill points are relative to the v2 save: offset by the
+				// calls the v1 save already made.
+				n := f.Calls(p.op) + p.n
+				if p.after {
+					f.KillAfter(p.op, n)
+				} else {
+					f.KillBefore(p.op, n)
+				}
+				if err := r.Save(dir); err == nil {
+					t.Fatalf("kill point %s %s #%d never fired", mode, p.op, p.n)
+				}
+				r2, err := Load(dir)
+				if err != nil {
+					t.Fatalf("Load after injected crash: %v", err)
+				}
+				got := snapshotVersion(t, r2)
+				r2.CloseStorage()
+				want := 1
+				if p.op == storage.OpCommit && p.after {
+					// The manifest landed before the crash: v2 is committed.
+					want = 2
+				}
+				if got != want {
+					t.Fatalf("loaded v%d after crash %s %s #%d, want v%d", got, mode, p.op, p.n, want)
+				}
+				// The failed save dropped the binding; a fresh save must
+				// recover the directory to complete v2.
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("recovery save: %v", err)
+				}
+				r3, err := Load(dir)
+				if err != nil {
+					t.Fatalf("Load after recovery: %v", err)
+				}
+				if got := snapshotVersion(t, r3); got != 2 {
+					t.Fatalf("recovery save left v%d, want v2", got)
+				}
+				r3.CloseStorage()
+				r.CloseStorage()
+			})
+		}
+	})
 }
 
 // TestBackgroundFoldKillMatrix extends the kill matrix to crashes
@@ -203,86 +199,82 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 			kp{storage.OpWriteCheckpoint, n, false}, kp{storage.OpWriteCheckpoint, n, true},
 			kp{storage.OpCommit, n, false}, kp{storage.OpCommit, n, true})
 	}
-	backends := map[string]func(dir string) (storage.Backend, error){
-		"flat": func(dir string) (storage.Backend, error) { return storage.OpenFlat(dir) },
-		"kv":   func(dir string) (storage.Backend, error) { return storage.OpenKV(dir) },
-	}
-	for bname, open := range backends {
-		t.Run(bname, func(t *testing.T) {
-			for _, p := range points {
-				mode := "before"
-				if p.after {
-					mode = "after"
-				}
-				t.Run(fmt.Sprintf("%s-%s-%d", mode, p.op, p.n), func(t *testing.T) {
-					dir := t.TempDir()
-					r := crashFixture(t)
-					base, err := open(dir)
-					if err != nil {
-						t.Fatalf("open backend: %v", err)
-					}
-					f := storage.NewFault(base)
-					if err := r.BindStorage(f, dir); err != nil {
-						t.Fatalf("BindStorage: %v", err)
-					}
-					if err := r.Save(dir); err != nil {
-						t.Fatalf("v1 save: %v", err)
-					}
-					mutateToV2(t, r)
-					if err := r.Save(dir); err != nil {
-						t.Fatalf("v2 save: %v", err)
-					}
-					// Kill points are relative to the compaction pass: offset
-					// by the calls the two saves already made.
-					n := f.Calls(p.op) + p.n
-					if p.after {
-						f.KillAfter(p.op, n)
-					} else {
-						f.KillBefore(p.op, n)
-					}
-					var foldErr error
-					for i := 0; i < 3; i++ {
-						if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
-							foldErr = err
-							break
-						}
-					}
-					if foldErr == nil {
-						t.Fatalf("kill point %s %s #%d never fired", mode, p.op, p.n)
-					}
-					// A fold crash can never cost data: reload is complete v2
-					// no matter where the kill landed.
-					r2, err := Load(dir)
-					if err != nil {
-						t.Fatalf("Load after injected fold crash: %v", err)
-					}
-					if got := snapshotVersion(t, r2); got != 2 {
-						t.Fatalf("loaded v%d after fold crash %s %s #%d, want v2", got, mode, p.op, p.n)
-					}
-					r2.CloseStorage()
-					// The failed fold dropped the binding; the next save rebinds
-					// and rewrites, and compaction then completes cleanly.
-					if err := r.Save(dir); err != nil {
-						t.Fatalf("recovery save: %v", err)
-					}
-					for i := 0; i < 3; i++ {
-						if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
-							t.Fatalf("compaction after recovery: %v", err)
-						}
-					}
-					r3, err := Load(dir)
-					if err != nil {
-						t.Fatalf("Load after recovery: %v", err)
-					}
-					if got := snapshotVersion(t, r3); got != 2 {
-						t.Fatalf("recovery left v%d, want v2", got)
-					}
-					r3.CloseStorage()
-					r.CloseStorage()
-				})
+	// The "flat" level is from when there were two backends; it stays so
+	// the kill points keep the names they have had since PR 6.
+	t.Run("flat", func(t *testing.T) {
+		for _, p := range points {
+			mode := "before"
+			if p.after {
+				mode = "after"
 			}
-		})
-	}
+			t.Run(fmt.Sprintf("%s-%s-%d", mode, p.op, p.n), func(t *testing.T) {
+				dir := t.TempDir()
+				r := crashFixture(t)
+				base, err := storage.OpenFlat(dir)
+				if err != nil {
+					t.Fatalf("open backend: %v", err)
+				}
+				f := storage.NewFault(base)
+				if err := r.BindStorage(f, dir); err != nil {
+					t.Fatalf("BindStorage: %v", err)
+				}
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("v1 save: %v", err)
+				}
+				mutateToV2(t, r)
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("v2 save: %v", err)
+				}
+				// Kill points are relative to the compaction pass: offset
+				// by the calls the two saves already made.
+				n := f.Calls(p.op) + p.n
+				if p.after {
+					f.KillAfter(p.op, n)
+				} else {
+					f.KillBefore(p.op, n)
+				}
+				var foldErr error
+				for i := 0; i < 3; i++ {
+					if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
+						foldErr = err
+						break
+					}
+				}
+				if foldErr == nil {
+					t.Fatalf("kill point %s %s #%d never fired", mode, p.op, p.n)
+				}
+				// A fold crash can never cost data: reload is complete v2
+				// no matter where the kill landed.
+				r2, err := Load(dir)
+				if err != nil {
+					t.Fatalf("Load after injected fold crash: %v", err)
+				}
+				if got := snapshotVersion(t, r2); got != 2 {
+					t.Fatalf("loaded v%d after fold crash %s %s #%d, want v2", got, mode, p.op, p.n)
+				}
+				r2.CloseStorage()
+				// The failed fold dropped the binding; the next save rebinds
+				// and rewrites, and compaction then completes cleanly.
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("recovery save: %v", err)
+				}
+				for i := 0; i < 3; i++ {
+					if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
+						t.Fatalf("compaction after recovery: %v", err)
+					}
+				}
+				r3, err := Load(dir)
+				if err != nil {
+					t.Fatalf("Load after recovery: %v", err)
+				}
+				if got := snapshotVersion(t, r3); got != 2 {
+					t.Fatalf("recovery left v%d, want v2", got)
+				}
+				r3.CloseStorage()
+				r.CloseStorage()
+			})
+		}
+	})
 }
 
 // TestLoadDuringSaveSingleGeneration interleaves concurrent Loads with
@@ -296,139 +288,144 @@ func TestLoadDuringSaveSingleGeneration(t *testing.T) {
 	oldThreshold := compactThreshold
 	compactThreshold = 5
 	defer func() { compactThreshold = oldThreshold }()
-	for _, backend := range []string{"flat", "kv"} {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			r := crashFixture(t)
-			if backend == "kv" {
-				b, err := storage.OpenKV(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.BindStorage(b, dir); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := r.Save(dir); err != nil {
-				t.Fatalf("initial save: %v", err)
-			}
-			defer r.CloseStorage()
-			const rounds = 8
-			var wg sync.WaitGroup
-			var loads atomic.Int64
-			done := make(chan struct{})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer close(done)
-				for v := 1; v <= rounds; v++ {
-					for i := 0; i < 3; i++ {
-						sid := fmt.Sprintf("s%d", i)
-						s := r.Spec(sid)
-						e, err := exec.NewRunner(s, nil).Run(
-							fmt.Sprintf("%s-E%d", sid, v), workload.RandomInputs(s, int64(100*v+i)))
-						if err != nil {
-							t.Errorf("Run: %v", err)
-							return
-						}
-						if err := r.AddExecution(e); err != nil {
-							t.Errorf("AddExecution: %v", err)
-							return
-						}
+	t.Run("flat", func(t *testing.T) {
+		dir := t.TempDir()
+		r := crashFixture(t)
+		if err := r.Save(dir); err != nil {
+			t.Fatalf("initial save: %v", err)
+		}
+		defer r.CloseStorage()
+		const rounds = 8
+		var wg sync.WaitGroup
+		var loads atomic.Int64
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			for v := 1; v <= rounds; v++ {
+				for i := 0; i < 3; i++ {
+					sid := fmt.Sprintf("s%d", i)
+					s := r.Spec(sid)
+					e, err := exec.NewRunner(s, nil).Run(
+						fmt.Sprintf("%s-E%d", sid, v), workload.RandomInputs(s, int64(100*v+i)))
+					if err != nil {
+						t.Errorf("Run: %v", err)
+						return
 					}
-					if err := r.Save(dir); err != nil {
-						t.Errorf("save round %d: %v", v, err)
+					if err := r.AddExecution(e); err != nil {
+						t.Errorf("AddExecution: %v", err)
 						return
 					}
 				}
-			}()
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						r2, err := Load(dir)
-						if err != nil {
-							continue // pruned under us: >1 commit behind, retry
-						}
-						want := -1
-						for i := 0; i < 3; i++ {
-							sh := r2.shard(fmt.Sprintf("s%d", i))
-							if sh == nil {
-								t.Error("loaded repo missing a shard")
-								return
-							}
-							sh.mu.RLock()
-							n := len(sh.execs)
-							sh.mu.RUnlock()
-							if want == -1 {
-								want = n
-							} else if n != want {
-								t.Errorf("mixed generations: shard s%d has %d execs, s0 has %d", i, n, want)
-								return
-							}
-						}
-						r2.CloseStorage()
-						loads.Add(1)
+				if err := r.Save(dir); err != nil {
+					t.Errorf("save round %d: %v", v, err)
+					return
+				}
+			}
+		}()
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
 					}
-				}()
-			}
-			wg.Wait()
-			if loads.Load() == 0 {
-				t.Fatal("no concurrent Load ever succeeded")
-			}
-		})
-	}
+					r2, err := Load(dir)
+					if err != nil {
+						continue // pruned under us: >1 commit behind, retry
+					}
+					want := -1
+					for i := 0; i < 3; i++ {
+						sh := r2.shard(fmt.Sprintf("s%d", i))
+						if sh == nil {
+							t.Error("loaded repo missing a shard")
+							return
+						}
+						sh.mu.RLock()
+						n := len(sh.execs)
+						sh.mu.RUnlock()
+						if want == -1 {
+							want = n
+						} else if n != want {
+							t.Errorf("mixed generations: shard s%d has %d execs, s0 has %d", i, n, want)
+							return
+						}
+					}
+					r2.CloseStorage()
+					loads.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if loads.Load() == 0 {
+			t.Fatal("no concurrent Load ever succeeded")
+		}
+	})
 }
 
-// TestLoadRejectsLegacyLayout: a pre-log directory (a manifest without a
-// format, per-entity JSON files beside it) is refused — by Load, by
-// BindStorage and by a Save that would bind to it — with
-// storage.ErrLegacyLayout, and none of its files is touched.
+// TestLoadRejectsLegacyLayout: a directory in a layout this tree no
+// longer reads — pre-log (a manifest without a format, per-entity JSON
+// files beside it) or KV-backend (store.kv and no manifest.json, which a
+// flat store would otherwise take for empty and save over) — is refused
+// by Load, by BindStorage and by a Save that would bind to it, with the
+// layout's sentinel, and none of its files is touched.
 func TestLoadRejectsLegacyLayout(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"manifest.json": `{"specs":["spec-0.json"],"policies":["policy-0.json"],"executions":["exec-0-0.json"]}`,
-		"spec-0.json":   `{"id":"s0"}`,
-		"policy-0.json": `{"spec_id":"s0"}`,
-		"exec-0-0.json": `{"id":"s0-E0"}`,
-	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Load(dir); !errors.Is(err, storage.ErrLegacyLayout) {
-		t.Fatalf("Load = %v, want ErrLegacyLayout", err)
-	}
-	b, err := storage.OpenFlat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	r := crashFixture(t)
-	if err := r.BindStorage(b, dir); !errors.Is(err, storage.ErrLegacyLayout) {
-		t.Fatalf("BindStorage = %v, want ErrLegacyLayout", err)
-	}
-	if err := r.Save(dir); !errors.Is(err, storage.ErrLegacyLayout) {
-		t.Fatalf("Save = %v, want ErrLegacyLayout", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(files) {
-		t.Fatalf("directory now holds %d entries, want the original %d", len(entries), len(files))
-	}
-	for name, body := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
-			t.Fatalf("%s changed: %q (err=%v)", name, got, err)
-		}
+	for name, tc := range map[string]struct {
+		files map[string]string
+		want  error
+	}{
+		"pre-log": {map[string]string{
+			"manifest.json": `{"specs":["spec-0.json"],"policies":["policy-0.json"],"executions":["exec-0-0.json"]}`,
+			"spec-0.json":   `{"id":"s0"}`,
+			"policy-0.json": `{"spec_id":"s0"}`,
+			"exec-0-0.json": `{"id":"s0-E0"}`,
+		}, storage.ErrLegacyLayout},
+		"kv": {map[string]string{
+			"store.kv": "\x00\x00\x00\x10kv frames, not ours to parse",
+		}, storage.ErrKVLayout},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, body := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Load(dir); !errors.Is(err, tc.want) {
+				t.Fatalf("Load = %v, want %v", err, tc.want)
+			}
+			b, err := storage.OpenFlat(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			r := crashFixture(t)
+			if err := r.BindStorage(b, dir); !errors.Is(err, tc.want) {
+				t.Fatalf("BindStorage = %v, want %v", err, tc.want)
+			}
+			if _, err := LoadStorage(b, dir); !errors.Is(err, tc.want) {
+				t.Fatalf("LoadStorage = %v, want %v", err, tc.want)
+			}
+			if err := r.Save(dir); !errors.Is(err, tc.want) {
+				t.Fatalf("Save = %v, want %v", err, tc.want)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(tc.files) {
+				t.Fatalf("directory now holds %d entries, want the original %d", len(entries), len(tc.files))
+			}
+			for name, body := range tc.files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
+					t.Fatalf("%s changed: %q (err=%v)", name, got, err)
+				}
+			}
+		})
 	}
 }
 
@@ -602,63 +599,6 @@ func TestCompactShardConflictAndRetry(t *testing.T) {
 	add3(r3)
 	if err := r3.CompactShard("s"); !errors.Is(err, ErrNoStorage) {
 		t.Fatalf("CompactShard without storage = %v, want ErrNoStorage", err)
-	}
-}
-
-// TestKVBackendSaveLoadRoundTrip: a repository bound to the KV backend
-// saves into the single store.kv file, Load sniffs the backend from the
-// directory, and incremental saves keep working across the round trip.
-func TestKVBackendSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	r := crashFixture(t)
-	b, err := storage.OpenKV(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.BindStorage(b, dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	r.CloseStorage()
-	if _, err := os.Stat(filepath.Join(dir, storage.KVFileName)); err != nil {
-		t.Fatalf("no KV data file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
-		t.Fatalf("KV backend wrote flat-layout files (err=%v)", err)
-	}
-	r2, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got, want := r2.Stats().Content(), r.Stats().Content(); got != want {
-		t.Fatalf("KV round trip: %+v vs %+v", got, want)
-	}
-	// The loaded repository is bound: an incremental save appends.
-	s := r2.Spec("s0")
-	e, err := exec.NewRunner(s, nil).Run("s0-E9", workload.RandomInputs(s, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.AddExecution(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Save(dir); err != nil {
-		t.Fatalf("incremental KV save: %v", err)
-	}
-	r2.CloseStorage()
-	r3, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load after incremental save: %v", err)
-	}
-	defer r3.CloseStorage()
-	sh := r3.shard("s0")
-	sh.mu.RLock()
-	n := len(sh.execs)
-	sh.mu.RUnlock()
-	if n != 2 {
-		t.Fatalf("incremental KV save lost the execution: %d execs", n)
 	}
 }
 

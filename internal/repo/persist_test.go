@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"provpriv/internal/storage"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -56,6 +58,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadMissingDir(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("missing dir accepted")
+	}
+}
+
+// TestLoadStorageOnEmptyStore: an empty store loads as an empty, bound
+// repository — the one way a server opens a -data directory, fresh or not
+// — and its first Save commits generation 1 through that binding. Load,
+// by contrast, refuses the same directory and leaves it empty.
+func TestLoadStorageOnEmptyStore(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Load(dir); err == nil {
+		t.Fatal("Load accepted a directory with no manifest")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("Load left %d entries in the directory it refused", len(entries))
+	}
+	b, err := storage.OpenFlat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := storage.NewMeasure(b)
+	r, err := LoadStorage(m, dir)
+	if err != nil {
+		t.Fatalf("LoadStorage on an empty store: %v", err)
+	}
+	defer r.CloseStorage()
+	if !r.StorageBound() || len(r.SpecIDs()) != 0 {
+		t.Fatalf("bound=%v specs=%v, want a bound, empty repository", r.StorageBound(), r.SpecIDs())
+	}
+	_, add := makeSynthSpec(t, 2, "s")
+	add(r)
+	if err := r.Save(dir); err != nil {
+		t.Fatalf("first Save: %v", err)
+	}
+	if meta, err := m.Meta(); err != nil || meta.Generation != 1 || len(meta.Shards) != 1 {
+		t.Fatalf("after the first Save: meta %+v, err %v; want generation 1 with one shard", meta, err)
+	}
+	if st := m.Stats(); st.Commits != 1 || st.Checkpoints != 1 {
+		t.Fatalf("first Save went around the bound backend: %+v", st)
 	}
 }
 

@@ -168,10 +168,9 @@ func TestMutationEndToEnd(t *testing.T) {
 
 // TestMutationAuthz sweeps the denial matrix: missing/invalid
 // credentials are 401, insufficient roles are 403, and the trusted
-// header scheme is rejected outright when a token file is configured
-// (read-only when the operator bridges it).
+// header scheme is rejected outright when a token file is configured.
 func TestMutationAuthz(t *testing.T) {
-	ts, srv, _, _ := newAuthedServer(t)
+	ts, _, _, _ := newAuthedServer(t)
 	specBody := []byte(`{"spec":{}}`)
 
 	// 401: no credentials, wrong secret, non-bearer scheme.
@@ -192,7 +191,7 @@ func TestMutationAuthz(t *testing.T) {
 		t.Fatalf("basic auth: %d", resp.StatusCode)
 	}
 
-	// Header auth is rejected by default when tokens are configured —
+	// Header auth is rejected when tokens are configured —
 	// even for reads, even naming a registered user.
 	hreq, _ := http.NewRequest("GET", ts.URL+"/api/v1/stats", nil)
 	hreq.Header.Set("X-Prov-User", "alice")
@@ -222,28 +221,6 @@ func TestMutationAuthz(t *testing.T) {
 		}
 	}
 
-	// The migration bridge: header principals come back read-only.
-	srv.AllowHeaderAuth = true
-	hreq2, _ := http.NewRequest("GET", ts.URL+"/api/v1/stats", nil)
-	hreq2.Header.Set("X-Prov-User", "alice")
-	hresp2, err := ts.Client().Do(hreq2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp2.Body.Close()
-	if hresp2.StatusCode != http.StatusOK {
-		t.Fatalf("bridged header read: %d", hresp2.StatusCode)
-	}
-	hreq3, _ := http.NewRequest("POST", ts.URL+"/api/v1/specs", bytes.NewReader(specBody))
-	hreq3.Header.Set("X-Prov-User", "alice")
-	hresp3, err := ts.Client().Do(hreq3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp3.Body.Close()
-	if hresp3.StatusCode != http.StatusForbidden {
-		t.Fatalf("bridged header mutation: %d, want 403", hresp3.StatusCode)
-	}
 }
 
 // TestQueryParamPrincipalCannotMutate: the bare ?user= parameter is a

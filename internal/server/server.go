@@ -32,10 +32,8 @@
 //   - Trusted headers (the PR 1 scheme): the X-Prov-User header or
 //     ?user= parameter names the principal. Only honored when no token
 //     file is configured (full trust, dev mode — the principal gets the
-//     admin role) or when the operator set AllowHeaderAuth next to a
-//     token file (migration compat — header principals are then
-//     read-only). With a token file configured, header auth is rejected
-//     by default.
+//     admin role). With a token file configured, header auth is
+//     rejected.
 //
 // Endpoints (all JSON):
 //
@@ -140,7 +138,7 @@ type Server struct {
 	// 503 so load balancers stop routing while in-flight work finishes.
 	draining atomic.Bool
 	// Auth, when non-nil, enables bearer-token authentication and makes
-	// it the only accepted scheme (unless AllowHeaderAuth is also set).
+	// it the only accepted scheme.
 	// When nil, the server runs in the PR 1 trusted-header mode: any
 	// registered principal named by X-Prov-User is fully trusted (role
 	// admin) — acceptable on a private network, never on a shared one.
@@ -164,10 +162,6 @@ type Server struct {
 	// when, outcome, threaded with the obs request id. Queryable via
 	// GET /api/v1/audit (admin). Nil disables auditing.
 	Audit *auditlog.Log
-	// AllowHeaderAuth re-admits the trusted-header scheme next to a
-	// token file, as read-only (role reader): a migration bridge so
-	// legacy read clients keep working while writers move to tokens.
-	AllowHeaderAuth bool
 	// SaveDir is the directory POST /api/v1/save persists to. Empty
 	// disables the endpoint (400): the save target is operator
 	// configuration, never caller input — a wire-supplied path would be
@@ -423,9 +417,8 @@ func (s *Server) principal(r *http.Request) (c creds, err error) {
 		}
 		return creds{user: tok.User, role: tok.Role, key: tok.Name, token: tok.Name}, nil
 	}
-	// Header scheme. With a token file configured it is rejected unless
-	// the operator explicitly bridged it — and then it is read-only.
-	if s.Auth != nil && !s.AllowHeaderAuth {
+	// Header scheme: trusted (admin role), and only without a token file.
+	if s.Auth != nil {
 		return c, fmt.Errorf("server: bearer token required: %w", repo.ErrUnknownUser)
 	}
 	name := r.Header.Get("X-Prov-User")
@@ -437,11 +430,7 @@ func (s *Server) principal(r *http.Request) (c creds, err error) {
 	if name == "" {
 		return c, fmt.Errorf("server: missing credentials (Authorization or X-Prov-User): %w", repo.ErrUnknownUser)
 	}
-	role := auth.RoleAdmin // no token file: trusted headers, dev mode
-	if s.Auth != nil {
-		role = auth.RoleReader // migration bridge: header auth reads only
-	}
-	return creds{user: name, role: role, key: name, fromQuery: fromQuery}, nil
+	return creds{user: name, role: auth.RoleAdmin, key: name, fromQuery: fromQuery}, nil
 }
 
 // limited writes the per-principal 429 with the Retry-After hint —

@@ -325,11 +325,6 @@ func (s *Server) enqueueCompaction() (string, error) {
 	return id, nil
 }
 
-// EnqueueCompaction submits (or dedups onto) a background compaction
-// pass when shards need folding — the hook for an operator-side ticker
-// (provserve -compact-interval). Returns the task id or "".
-func (s *Server) EnqueueCompaction() string { return s.maybeEnqueueCompaction() }
-
 // maybeEnqueueCompaction fires the compaction pass after a save when
 // shards have outgrown the threshold — the off-path fold that keeps
 // Save O(delta). Returns the task id, or "" when there is nothing to

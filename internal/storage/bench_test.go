@@ -7,20 +7,9 @@ import (
 	"provpriv/internal/storage"
 )
 
-func benchOpen(b testing.TB, backend, dir string) storage.Backend {
+func benchOpen(b testing.TB) storage.Backend {
 	b.Helper()
-	var (
-		bk  storage.Backend
-		err error
-	)
-	switch backend {
-	case "flat":
-		bk, err = storage.OpenFlat(dir)
-	case "kv":
-		bk, err = storage.OpenKV(dir)
-	default:
-		b.Fatalf("unknown backend %q", backend)
-	}
+	bk, err := storage.OpenFlat(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,8 +46,8 @@ func seedLog(tb testing.TB, bk storage.Backend, count int) uint64 {
 	return ln
 }
 
-func benchmarkAppend(b *testing.B, backend string) {
-	bk := benchOpen(b, backend, b.TempDir())
+func BenchmarkFlatAppend(b *testing.B) {
+	bk := benchOpen(b)
 	defer bk.Close()
 	if err := bk.WriteCheckpoint("bench", 1, nil); err != nil {
 		b.Fatal(err)
@@ -75,8 +64,8 @@ func benchmarkAppend(b *testing.B, backend string) {
 	}
 }
 
-func benchmarkReplay(b *testing.B, backend string) {
-	bk := benchOpen(b, backend, b.TempDir())
+func BenchmarkFlatReplay(b *testing.B) {
+	bk := benchOpen(b)
 	defer bk.Close()
 	ln := seedLog(b, bk, 2000)
 	b.ResetTimer()
@@ -91,10 +80,10 @@ func benchmarkReplay(b *testing.B, backend string) {
 	}
 }
 
-func benchmarkCompact(b *testing.B, backend string) {
+func BenchmarkFlatCompact(b *testing.B) {
 	// Compaction at the engine level = folding a log into a fresh
 	// checkpoint at the next generation and committing it.
-	bk := benchOpen(b, backend, b.TempDir())
+	bk := benchOpen(b)
 	defer bk.Close()
 	seedLog(b, bk, 2000)
 	recs := benchRecords(2000, 256)
@@ -111,10 +100,3 @@ func benchmarkCompact(b *testing.B, backend string) {
 		}
 	}
 }
-
-func BenchmarkFlatAppend(b *testing.B)  { benchmarkAppend(b, "flat") }
-func BenchmarkKVAppend(b *testing.B)    { benchmarkAppend(b, "kv") }
-func BenchmarkFlatReplay(b *testing.B)  { benchmarkReplay(b, "flat") }
-func BenchmarkKVReplay(b *testing.B)    { benchmarkReplay(b, "kv") }
-func BenchmarkFlatCompact(b *testing.B) { benchmarkCompact(b, "flat") }
-func BenchmarkKVCompact(b *testing.B)   { benchmarkCompact(b, "kv") }

@@ -38,6 +38,9 @@ const FormatLog = "provpriv-log/1"
 
 const manifestName = "manifest.json"
 
+// kvFileName is the data file of the deleted KV backend; see ErrKVLayout.
+const kvFileName = "store.kv"
+
 // tempMaxAge guards the stale-temp sweep: a crashed writer's temp file
 // is unlinked only once it is old enough that no live writer can still
 // own it.
@@ -73,6 +76,9 @@ func walName(shard string, gen uint64) string {
 func (f *Flat) Meta() (Meta, error) {
 	data, err := os.ReadFile(filepath.Join(f.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(f.dir, kvFileName)); err == nil {
+			return Meta{}, ErrKVLayout
+		}
 		return Meta{}, nil
 	}
 	if err != nil {

@@ -133,17 +133,28 @@ func TestFlatCommitPrunesOldGenerations(t *testing.T) {
 	}
 }
 
+// TestFlatLegacyManifestDetected: the two layouts this tree no longer
+// reads — a pre-log manifest, and a KV-backend directory (store.kv, no
+// manifest.json) — each get their sentinel instead of reading as an
+// empty store.
 func TestFlatLegacyManifestDetected(t *testing.T) {
-	dir := t.TempDir()
-	preLog := `{"specs":["spec-a.json"],"policies":[],"executions":[]}`
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(preLog), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFlat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Meta(); err != ErrLegacyLayout {
-		t.Fatalf("Meta on legacy dir = %v, want ErrLegacyLayout", err)
+	for _, tc := range []struct {
+		file, content string
+		want          error
+	}{
+		{manifestName, `{"specs":["spec-a.json"],"policies":[],"executions":[]}`, ErrLegacyLayout},
+		{kvFileName, "\x00kv frames", ErrKVLayout},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := OpenFlat(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Meta(); err != tc.want {
+			t.Errorf("Meta on a directory holding only %s = %v, want %v", tc.file, err, tc.want)
+		}
 	}
 }

@@ -4,7 +4,11 @@
 // (Meta) that is committed atomically *last* — so no reader can ever
 // pair manifest generation N with shard state from generation N+1.
 //
-// The contract, shared by every Backend implementation:
+// There is one on-disk organisation, Flat: a checkpoint file and a log
+// file per shard plus manifest.json. Backend stays an interface for the
+// wrappers around it — Measure counts operations for the server, Fault
+// injects crashes for the tests — and storagetest.Conformance holds
+// Flat and both wrappers to the contract below:
 //
 //   - A shard's durable state is one checkpoint (a full fold of the
 //     shard, written under a fresh generation number and immutable once
@@ -16,8 +20,7 @@
 //     durability point of a save.
 //   - Meta records, per shard, the checkpoint generation, the
 //     checkpoint's record count, and the committed log extent (LogLen,
-//     in backend-defined units: bytes for flat files, records for the
-//     KV store). Readers replay the log only up to LogLen: records a
+//     in bytes). Readers replay the log only up to LogLen: records a
 //     crashed writer appended past the last commit are ignored, and the
 //     next Append(at=LogLen) overwrites them. A torn tail therefore
 //     never corrupts a committed snapshot.
@@ -108,9 +111,8 @@ type ShardInfo struct {
 	// Records is the checkpoint's record count; readers verify it so a
 	// partially missing checkpoint is detected, not silently shortened.
 	Records uint64 `json:"records"`
-	// LogLen is the committed extent of the shard's append log in
-	// backend units (bytes for flat files, records for the KV store).
-	// Log content past it is an uncommitted orphan tail.
+	// LogLen is the committed extent of the shard's append log, in
+	// bytes. Log content past it is an uncommitted orphan tail.
 	LogLen uint64 `json:"log_len,omitempty"`
 }
 
@@ -130,6 +132,11 @@ var (
 	// loader that migrated such a directory on its first save went after
 	// PR 20.
 	ErrLegacyLayout = errors.New("storage: legacy (pre-log) layout; load and save it once with a build of PR 20 (b23f9a3) or earlier to migrate it")
+	// ErrKVLayout marks a directory written by the KV backend (a single
+	// store.kv and no manifest.json), which went with PR 26. Without the
+	// refusal such a directory would read as an empty flat store and the
+	// next save would commit an empty repository beside the real one.
+	ErrKVLayout = errors.New("storage: KV-backend layout (store.kv); load it with the PR 25 build (ab65b3c) and Save to a fresh directory, which writes flat files")
 	// ErrCorrupt marks invalid record data inside a committed extent —
 	// real damage, as opposed to an ignorable uncommitted tail.
 	ErrCorrupt = errors.New("storage: corrupt record")
@@ -139,7 +146,8 @@ var (
 // comment for the shared durability contract.
 type Backend interface {
 	// Meta returns the last committed manifest, or a zero Meta when the
-	// store is empty, or ErrLegacyLayout for a pre-log directory.
+	// store is empty, or ErrLegacyLayout / ErrKVLayout for a directory
+	// in a layout this tree no longer reads.
 	Meta() (Meta, error)
 	// WriteCheckpoint durably writes a full shard fold under gen. It
 	// must not disturb checkpoints of other generations; the result is
@@ -198,9 +206,7 @@ func FileBase(id string) string {
 }
 
 // Record payload layout: | u8 type | u32 key len | key | data |.
-// Frame layout (flat-file logs): | u32 payload len | u32 CRC32(payload)
-// | payload |. The KV backend stores bare payloads — its own frames
-// already carry a CRC.
+// Frame layout: | u32 payload len | u32 CRC32(payload) | payload |.
 
 const (
 	frameHeader   = 8       // u32 len + u32 crc

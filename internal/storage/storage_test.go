@@ -15,12 +15,6 @@ func TestFlatConformance(t *testing.T) {
 	})
 }
 
-func TestKVConformance(t *testing.T) {
-	storagetest.Conformance(t, func(dir string) (storage.Backend, error) {
-		return storage.OpenKV(dir)
-	})
-}
-
 func TestMeasuredFlatConformance(t *testing.T) {
 	// The metrics wrapper must be behaviorally transparent.
 	storagetest.Conformance(t, func(dir string) (storage.Backend, error) {
@@ -35,7 +29,7 @@ func TestMeasuredFlatConformance(t *testing.T) {
 func TestFaultWrapperUnarmedConformance(t *testing.T) {
 	// A Fault with no kill points armed must also be transparent.
 	storagetest.Conformance(t, func(dir string) (storage.Backend, error) {
-		b, err := storage.OpenKV(dir)
+		b, err := storage.OpenFlat(dir)
 		if err != nil {
 			return nil, err
 		}
