@@ -378,7 +378,7 @@ func BenchmarkDPProvenance(b *testing.B) {
 // ---------------------------------------------------------------------------
 // B8 — Access views: on-the-fly view construction cost by prefix size
 // (the alternative to materializing one repository per level), plus the
-// reachability-index ablation (closure vs interval index).
+// reachability-index ablation (closure vs per-query search).
 
 func BenchmarkViewConstruction(b *testing.B) {
 	s := workflow.DiseaseSusceptibility()
@@ -409,25 +409,11 @@ func BenchmarkReachabilityAblation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("interval-build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.NewIntervalIndex(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	cl, _ := graph.NewClosure(g)
-	ix, _ := graph.NewIntervalIndex(g)
 	b.Run("closure-query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := queries[i%len(queries)]
 			cl.Reach(q[0], q[1])
-		}
-	})
-	b.Run("interval-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			ix.Reach(q[0], q[1])
 		}
 	})
 	b.Run("dfs-query", func(b *testing.B) {
@@ -657,7 +643,7 @@ func BenchmarkQueryAllParallel(b *testing.B) {
 // "materialized views" direction vs its "hidden on-the-fly" default),
 // both through the one enforced-view mechanism: on-the-fly pays a cold
 // masked-snapshot fill (collapse + taint + mask + prepare) on every
-// read, materialized reads what PrewarmMasked built ahead of time.
+// read, materialized reads the snapshot an earlier read left in the cache.
 
 func BenchmarkMaterializedViews(b *testing.B) {
 	const specID = "disease-susceptibility"
@@ -701,7 +687,7 @@ func BenchmarkMaterializedViews(b *testing.B) {
 		}
 	})
 	b.Run("materialized", func(b *testing.B) {
-		if _, err := r.PrewarmMasked(context.Background(), specID, nil, nil); err != nil {
+		if _, err := r.Provenance("u", specID, "E1", progID); err != nil { // the read that materializes
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -1346,8 +1332,8 @@ func BenchmarkColdFill(b *testing.B) {
 			f.step(i)
 		}
 		b.StopTimer()
-		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 || st.ExecShapes != 1 {
-			b.Fatalf("walk was not cold over one shape: %d masked / %d taint cache hits, %d shapes", st.MaskedCacheHits, st.TaintCacheHits, st.ExecShapes)
+		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.ExecShapes != 1 {
+			b.Fatalf("walk was not cold over one shape: %d masked cache hits, %d shapes", st.MaskedCacheHits, st.ExecShapes)
 		}
 	})
 	b.Run("first-of-shape", func(b *testing.B) {
@@ -1376,15 +1362,15 @@ func BenchmarkColdFill(b *testing.B) {
 			f.read(batch[i%len(f.execs)].ID)
 		}
 		b.StopTimer()
-		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.TaintCacheHits != 0 || st.ExecShapes != 1+b.N {
-			b.Fatalf("reads were not each the first of a shape: %d masked / %d taint cache hits, %d shapes for %d reads", st.MaskedCacheHits, st.TaintCacheHits, st.ExecShapes, b.N)
+		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.ExecShapes != 1+b.N {
+			b.Fatalf("reads were not each the first of a shape: %d masked cache hits, %d shapes for %d reads", st.MaskedCacheHits, st.ExecShapes, b.N)
 		}
 	})
 }
 
 // TestColdFillAllocBudget pins what one cold read on BenchmarkColdFill's
 // walk may allocate: the fill (the plan's items copied into one slab, taint
-// analysis, mask), two LRU inserts with eviction, and the provenance
+// analysis, mask), one LRU insert with eviction, and the provenance
 // answer. It was 763 when every stage copied the view and rebuilt its
 // graph, 217 when the fill did each piece of work once per execution, and
 // is 97 now that structure is held once per shape; collapsing or preparing
@@ -1402,9 +1388,9 @@ func TestColdFillAllocBudget(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// B17 — Policy update and rewarm: what PUT /policy costs before the first
+// B17 — Policy update and rewarm: what a policy update costs until every
 // reader is served warm again — the install (index segment, access views,
-// engine, purge) and PrewarmMasked over 24 executions at 4 levels. Two
+// engine) and the first Query of each of 24 executions at 4 levels. Two
 // policies alternate, so every install really replaces one; their views'
 // plans stay, so a rewarm copies, analyses and masks, and builds no view.
 func BenchmarkPolicyUpdateRewarm(b *testing.B) {
@@ -1432,16 +1418,27 @@ func BenchmarkPolicyUpdateRewarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	levels := []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
-	ctx := context.Background()
+	users := []string{"public", "registered", "analyst", "owner"}
+	for i, lvl := range []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner} {
+		r.AddUser(privacy.User{Name: users[i], Level: lvl, Group: users[i]})
+	}
+	execIDs := r.ExecutionIDs(s.ID)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := r.UpdatePolicy(s.ID, pols[(i+1)%2]); err != nil {
 			b.Fatal(err)
 		}
-		if n, err := r.PrewarmMasked(ctx, s.ID, levels, nil); err != nil || n != 24*len(levels) {
-			b.Fatalf("PrewarmMasked = %d, %v", n, err)
+		for _, execID := range execIDs {
+			for _, user := range users {
+				if _, err := r.Query(user, s.ID, execID, `MATCH a = "query"`); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.MaskedCacheHits != 0 || st.MaskedCacheMisses != int64(b.N*len(execIDs)*len(users)) {
+		b.Fatalf("%d hits and %d misses over %d installs: every read should have been the first under its policy", st.MaskedCacheHits, st.MaskedCacheMisses, b.N)
 	}
 }

@@ -96,7 +96,7 @@ func main() {
 	// with "-backend flat"; it goes with BENCHMARK.json v2 (ROADMAP 4(f)).
 	backendName := flag.String("backend", "flat", "accepted for compatibility; flat is the only value")
 	example := flag.Bool("example", false, "serve the built-in paper example instead of -data")
-	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest, compaction, prewarming; 0 disables the async surface)")
+	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest, compaction; 0 disables the async surface)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"shutdown budget for draining in-flight requests and background tasks before stragglers are canceled")
 	tokenFile := flag.String("token-file", "",
@@ -117,8 +117,6 @@ func main() {
 		"per-principal cap on concurrent requests; excess is 429 + Retry-After (0 = unlimited)")
 	auditDir := flag.String("audit-log", "",
 		"directory for the append-only mutation audit log (who/what/when/outcome, queryable at GET /api/v1/audit; empty disables auditing)")
-	saveDir := flag.String("save-dir", "",
-		"directory POST /api/v1/save persists an -example repository to (with -data, saves go to the -data directory; empty disables the endpoint)")
 	hashSecret := flag.Bool("hash-secret", false,
 		"read a secret from stdin, print its token-file digest, and exit")
 	newToken := flag.String("new-token", "",
@@ -172,11 +170,6 @@ func main() {
 
 	if *backendName != "flat" {
 		log.Fatalf("bad -backend %q (flat is the only backend)", *backendName)
-	}
-	if *data != "" && *saveDir != "" && *saveDir != *data {
-		// A save elsewhere would rebind the repository to an unmeasured
-		// backend and close the one /stats and /metrics read.
-		log.Fatalf("-save-dir %s differs from -data %s: a served directory is saved in place", *saveDir, *data)
 	}
 	var r *repo.Repository
 	var store *storage.Measure
@@ -260,12 +253,9 @@ func main() {
 		}
 		srv.Audit = alog
 	}
-	switch {
-	case *saveDir != "":
-		srv.SaveDir = *saveDir
-	case *data != "":
-		srv.SaveDir = *data
-	}
+	// A served directory is saved in place; -example serves from memory and
+	// POST /api/v1/save answers 400 there.
+	srv.SaveDir = *data
 	var rt *tasks.Runtime
 	if *taskWorkers > 0 {
 		rt = tasks.New(*taskWorkers, taskQueue)

@@ -170,9 +170,7 @@ func TestProvserveSmoke(t *testing.T) {
 // TestProvserveRefusedStartups: configurations the binary must refuse
 // before it serves or writes anything. A -data directory left by the
 // deleted KV backend (store.kv, no manifest.json) would otherwise read
-// as an empty flat store and be saved over; a -save-dir away from -data
-// would, on the first save, move the repository off the measured backend
-// and freeze every storage counter.
+// as an empty flat store and be saved over.
 func TestProvserveRefusedStartups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping binary smoke test")
@@ -190,9 +188,8 @@ func TestProvserveRefusedStartups(t *testing.T) {
 		args []string
 		want string // in the fatal message
 	}{
-		"kv-data-dir":       {[]string{"-data", kvDir}, "ab65b3c"},
-		"save-dir-not-data": {[]string{"-data", t.TempDir(), "-save-dir", t.TempDir()}, "-save-dir"},
-		"backend-kv":        {[]string{"-data", t.TempDir(), "-backend", "kv"}, "-backend"},
+		"kv-data-dir": {[]string{"-data", kvDir}, "ab65b3c"},
+		"backend-kv":  {[]string{"-data", t.TempDir(), "-backend", "kv"}, "-backend"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			args := append([]string{"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t))}, tc.args...)

@@ -89,8 +89,8 @@ type Report = taint.Report
 
 // Engine returns the taint engine implementing this masker's policy:
 // the same policy and generalization ladders, with nil hierarchies
-// filtered out. Callers that cache taint sets (internal/repo) analyze
-// and apply through it directly.
+// filtered out. Callers that keep one engine per installed policy
+// (internal/repo) analyze and apply through it directly.
 func (m *Masker) Engine() *taint.Engine {
 	var gens map[string]taint.Generalizer
 	if len(m.Hierarchies) > 0 {

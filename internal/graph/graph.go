@@ -220,28 +220,6 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
-// Sources returns all nodes with no incoming edges, in id order.
-func (g *Graph) Sources() []NodeID {
-	var s []NodeID
-	for u := range g.in {
-		if len(g.in[u]) == 0 {
-			s = append(s, NodeID(u))
-		}
-	}
-	return s
-}
-
-// Sinks returns all nodes with no outgoing edges, in id order.
-func (g *Graph) Sinks() []NodeID {
-	var s []NodeID
-	for u := range g.out {
-		if len(g.out[u]) == 0 {
-			s = append(s, NodeID(u))
-		}
-	}
-	return s
-}
-
 // InducedSubgraph returns the subgraph induced by keep. Node names are
 // preserved; ids are renumbered densely. The second return value maps
 // old ids to new ids (Invalid for dropped nodes).

@@ -178,33 +178,6 @@ func TestNodesOnPaths(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := New()
-	n := make([]NodeID, 5)
-	for i := range n {
-		n[i] = g.AddNode(string(rune('a' + i)))
-	}
-	// a->b->c->e and a->d->e: both length... a-b-c-e=3 edges, a-d-e=2 edges.
-	g.AddEdge(n[0], n[1])
-	g.AddEdge(n[1], n[2])
-	g.AddEdge(n[2], n[4])
-	g.AddEdge(n[0], n[3])
-	g.AddEdge(n[3], n[4])
-	p := g.ShortestPath(n[0], n[4])
-	if len(p) != 3 {
-		t.Fatalf("ShortestPath len = %d (%v), want 3", len(p), p)
-	}
-	if p[0] != n[0] || p[2] != n[4] {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-	if got := g.ShortestPath(n[4], n[0]); got != nil {
-		t.Fatalf("ShortestPath backwards = %v, want nil", got)
-	}
-	if got := g.ShortestPath(n[2], n[2]); len(got) != 1 {
-		t.Fatalf("self path = %v, want single node", got)
-	}
-}
-
 func TestLongestPathLen(t *testing.T) {
 	g, _, _, _, _ := diamond()
 	if got := g.LongestPathLen(); got != 2 {
@@ -216,26 +189,6 @@ func TestLongestPathLen(t *testing.T) {
 	c.AddEdge(b, a)
 	if got := c.LongestPathLen(); got != -1 {
 		t.Fatalf("LongestPathLen on cycle = %d, want -1", got)
-	}
-}
-
-func TestCountPaths(t *testing.T) {
-	g, s, _, _, tt := diamond()
-	if got := g.CountPaths(s, tt, 0); got != 2 {
-		t.Fatalf("CountPaths = %d, want 2", got)
-	}
-	if got := g.CountPaths(tt, s, 0); got != 0 {
-		t.Fatalf("CountPaths reverse = %d, want 0", got)
-	}
-}
-
-func TestSourcesSinks(t *testing.T) {
-	g, s, _, _, tt := diamond()
-	if src := g.Sources(); len(src) != 1 || src[0] != s {
-		t.Fatalf("Sources = %v", src)
-	}
-	if snk := g.Sinks(); len(snk) != 1 || snk[0] != tt {
-		t.Fatalf("Sinks = %v", snk)
 	}
 }
 
@@ -294,25 +247,6 @@ func TestClosureMatchesDFS(t *testing.T) {
 	}
 }
 
-func TestIntervalIndexMatchesDFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		g := randomDAG(rng, 30, 0.08)
-		ix, err := NewIntervalIndex(g)
-		if err != nil {
-			t.Fatalf("NewIntervalIndex: %v", err)
-		}
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
-				want := g.Reachable(NodeID(u), NodeID(v))
-				if got := ix.Reach(NodeID(u), NodeID(v)); got != want {
-					t.Fatalf("trial %d: interval(%d,%d)=%v dfs=%v", trial, u, v, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestClosureCyclic(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -320,9 +254,6 @@ func TestClosureCyclic(t *testing.T) {
 	g.AddEdge(b, a)
 	if _, err := NewClosure(g); err == nil {
 		t.Fatal("NewClosure accepted cyclic graph")
-	}
-	if _, err := NewIntervalIndex(g); err == nil {
-		t.Fatal("NewIntervalIndex accepted cyclic graph")
 	}
 }
 

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Closure is a precomputed all-pairs reachability index built from the
 // bitset transitive closure of a DAG. Queries are O(1); construction is
 // O(n*m/64). Reachability is reflexive: Reach(u,u) is always true.
@@ -54,99 +52,4 @@ func (c *Closure) Pairs() int {
 		total += b.Count() - 1 // exclude self
 	}
 	return total
-}
-
-// IntervalIndex is a lightweight DAG reachability index based on DFS
-// pre/post intervals over a spanning forest, with a pruned-DFS fallback
-// for non-tree reachability. For tree-like workflow graphs the interval
-// test answers most queries in O(1); the fallback never visits a node
-// whose interval already excludes the target's subtree.
-//
-// It trades construction cost (O(n+m)) against query cost (worst case
-// O(n+m), typically far less), versus Closure's O(n*m/64) build and O(1)
-// queries. Benchmark B2/B3 in EXPERIMENTS.md compares the two.
-type IntervalIndex struct {
-	g         *Graph
-	pre, post []int
-	topoOf    []int // topological rank of each node
-}
-
-// NewIntervalIndex builds the index for a DAG g.
-func NewIntervalIndex(g *Graph) (*IntervalIndex, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := g.N()
-	ix := &IntervalIndex{
-		g:      g,
-		pre:    make([]int, n),
-		post:   make([]int, n),
-		topoOf: make([]int, n),
-	}
-	for rank, u := range order {
-		ix.topoOf[u] = rank
-	}
-	// DFS over a spanning forest rooted at sources, in topo order.
-	visited := make([]bool, n)
-	clock := 0
-	var dfs func(u NodeID)
-	dfs = func(u NodeID) {
-		visited[u] = true
-		ix.pre[u] = clock
-		clock++
-		// Deterministic order.
-		succ := append([]NodeID(nil), g.Out(u)...)
-		sort.Slice(succ, func(i, j int) bool { return succ[i] < succ[j] })
-		for _, v := range succ {
-			if !visited[v] {
-				dfs(v)
-			}
-		}
-		ix.post[u] = clock
-		clock++
-	}
-	for _, u := range order {
-		if !visited[u] {
-			dfs(u)
-		}
-	}
-	return ix, nil
-}
-
-// Reach reports whether v is reachable from u.
-func (ix *IntervalIndex) Reach(u, v NodeID) bool {
-	if u == v {
-		return true
-	}
-	// Topological pruning: a node can only reach topologically later ones.
-	if ix.topoOf[u] > ix.topoOf[v] {
-		return false
-	}
-	// Tree ancestor test on the spanning forest.
-	if ix.pre[u] <= ix.pre[v] && ix.post[v] <= ix.post[u] {
-		return true
-	}
-	// Pruned DFS fallback.
-	seen := make([]bool, ix.g.N())
-	return ix.dfsReach(u, v, seen)
-}
-
-func (ix *IntervalIndex) dfsReach(u, v NodeID, seen []bool) bool {
-	seen[u] = true
-	for _, w := range ix.g.Out(u) {
-		if w == v {
-			return true
-		}
-		if seen[w] || ix.topoOf[w] > ix.topoOf[v] {
-			continue
-		}
-		if ix.pre[w] <= ix.pre[v] && ix.post[v] <= ix.post[w] {
-			return true
-		}
-		if ix.dfsReach(w, v, seen) {
-			return true
-		}
-	}
-	return false
 }

@@ -169,43 +169,6 @@ func (g *Graph) NodesOnPaths(s, t NodeID) []NodeID {
 	return out
 }
 
-// ShortestPath returns a minimum-hop path from s to t (inclusive), or
-// nil when t is unreachable. BFS with deterministic neighbour order.
-func (g *Graph) ShortestPath(s, t NodeID) []NodeID {
-	if s == t {
-		return []NodeID{s}
-	}
-	prev := make([]NodeID, g.N())
-	for i := range prev {
-		prev[i] = Invalid
-	}
-	queue := []NodeID{s}
-	prev[s] = s
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range g.out[x] {
-			if prev[y] != Invalid {
-				continue
-			}
-			prev[y] = x
-			if y == t {
-				var path []NodeID
-				for c := t; c != s; c = prev[c] {
-					path = append(path, c)
-				}
-				path = append(path, s)
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			queue = append(queue, y)
-		}
-	}
-	return nil
-}
-
 // LongestPathLen returns the number of edges on the longest directed
 // path in a DAG, or -1 if the graph has a cycle.
 func (g *Graph) LongestPathLen() int {
@@ -226,28 +189,4 @@ func (g *Graph) LongestPathLen() int {
 		}
 	}
 	return best
-}
-
-// CountPaths returns the number of distinct directed paths from s to t
-// in a DAG (capped at cap to avoid overflow; pass 0 for no cap). Returns
-// -1 on cyclic graphs.
-func (g *Graph) CountPaths(s, t NodeID, cap int64) int64 {
-	order, err := g.TopoSort()
-	if err != nil {
-		return -1
-	}
-	cnt := make([]int64, g.N())
-	cnt[s] = 1
-	for _, u := range order {
-		if cnt[u] == 0 {
-			continue
-		}
-		for _, v := range g.out[u] {
-			cnt[v] += cnt[u]
-			if cap > 0 && cnt[v] > cap {
-				cnt[v] = cap
-			}
-		}
-	}
-	return cnt[t]
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"provpriv/internal/datapriv"
@@ -292,6 +293,74 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 		}
 	}
 	check("after SetGeneralization")
+}
+
+// TestConcurrentFillsAtTwoLevelsShareOnlyThePlan: one execution filled cold
+// at two levels of one access view at once — each fill parked before its
+// taint analysis until the other has got there too, so neither can have been
+// served anything the other made past the plan — yields the two snapshots
+// the staged pipeline yields. Each fill analyses the execution for itself;
+// what the two share is the plan and nothing else.
+func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
+	r := seededRepo(t) // snps is owner-only; analyst and owner see the same workflows
+	sh := r.shard(diseaseID)
+	gen, e := sh.current(), r.execution(diseaseID, "E1")
+	levels := [2]privacy.Level{privacy.Analyst, privacy.Owner}
+	if gen.step(levels[0]) != gen.step(levels[1]) {
+		t.Fatal("fixture: the two levels do not share an access view")
+	}
+	var ctxs [2]*parkingValues
+	var snaps [2]maskedSnapshot
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, lvl := range levels {
+		// The fill's third span is taint.analyze.
+		ctxs[i] = &parkingValues{Context: context.Background(), at: 3, reached: make(chan struct{}), release: make(chan struct{})}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snaps[i], errs[i] = sh.maskedExec(ctxs[i], gen, e, lvl)
+		}()
+		<-ctxs[i].reached // past the plan: the second fill finds the first's
+	}
+	for _, c := range ctxs {
+		close(c.release)
+	}
+	wg.Wait()
+	en := datapriv.NewMasker(gen.pol, nil).Engine()
+	for i, lvl := range levels {
+		if errs[i] != nil {
+			t.Fatalf("fill at %v: %v", lvl, errs[i])
+		}
+		view, err := exec.Collapse(e, sh.spec, gen.pol.AccessView(sh.hier, lvl))
+		if err != nil {
+			t.Fatalf("Collapse at %v: %v", lvl, err)
+		}
+		masked, rep := en.Apply(view, lvl, en.Analyze(e))
+		prep, err := query.PrepareExec(masked)
+		if err != nil {
+			t.Fatalf("PrepareExec at %v: %v", lvl, err)
+		}
+		if !reflect.DeepEqual(snaps[i].prep, prep) || snaps[i].rep != rep {
+			got, _ := json.Marshal(snaps[i].prep.Exec)
+			want, _ := json.Marshal(masked)
+			t.Fatalf("level %v: fill built (report %+v)\n%s\nstaged pipeline built (report %+v)\n%s", lvl, snaps[i].rep, got, rep, want)
+		}
+	}
+	if snaps[0].rep == snaps[1].rep {
+		t.Fatalf("fixture: both levels were masked alike (%+v)", snaps[0].rep)
+	}
+	if snaps[0].prep.Graph() != snaps[1].prep.Graph() {
+		t.Fatal("two levels of one access view did not share their plan")
+	}
+	for id, it := range snaps[0].prep.Exec.Items {
+		if snaps[1].prep.Exec.Items[id] == it {
+			t.Fatalf("item %s is one object in both levels' snapshots", id)
+		}
+	}
+	if m, n := sh.maskedMisses.Load(), gen.masked.Len(); m != 2 || n != 2 {
+		t.Fatalf("%d misses and %d cached snapshots after two cold fills, want 2 and 2", m, n)
+	}
 }
 
 // TestFillNeverMutatesStoredExecution: the fill masks in place, and the

@@ -13,7 +13,6 @@ import (
 
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
-	"provpriv/internal/taint"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -63,8 +62,8 @@ func multiSpecRepo(t testing.TB, n int) *Repository {
 }
 
 // TestParallelSearchIngestMaterialize races Search, AddExecution and
-// PrewarmMasked (eager materialization of the masked-snapshot cache)
-// from separate goroutine pools.
+// reads of every execution's snapshot at two levels (warm) from separate
+// goroutine pools.
 func TestParallelSearchIngestMaterialize(t *testing.T) {
 	r := multiSpecRepo(t, 6)
 	queries := workload.RandomQueries(rand.New(rand.NewSource(1)), nil, 16)
@@ -105,16 +104,13 @@ func TestParallelSearchIngestMaterialize(t *testing.T) {
 			}
 		}(g)
 	}
-	// Prewarms of every shard concurrent with everything else.
+	// Snapshot reads of every shard concurrent with everything else.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			for _, sid := range r.SpecIDs() {
-				if _, err := r.PrewarmMasked(context.Background(), sid, []privacy.Level{privacy.Public, privacy.Registered}, nil); err != nil {
-					t.Errorf("PrewarmMasked: %v", err)
-					return
-				}
+				warm(t, r, sid, []privacy.Level{privacy.Public, privacy.Registered})
 			}
 		}
 	}()
@@ -240,31 +236,20 @@ func TestReregisteredSpecNeverJoinsRemovedFill(t *testing.T) {
 	e := r.execution(diseaseID, "E1")
 	progID := itemByAttr(t, r, "prognosis")
 
-	// Hold incarnation 1's public fill open: park its taint analysis on a
-	// gate, then start a real read that joins it from inside the masked
-	// fill.
+	// Hold incarnation 1's public fill open: a real read, parked at the
+	// first stage of its fill, inside the flight.
 	old := r.shard(spec.ID).current()
-	tkey := "E1"
 	mkey := maskedKey{execID: "E1", level: privacy.Public}
-	gate := make(chan struct{})
-	release := sync.OnceFunc(func() { close(gate) })
+	parked := &parkingValues{Context: context.Background(), at: 1, reached: make(chan struct{}), release: make(chan struct{})}
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	defer release()
-	wg.Add(2)
+	defer close(parked.release)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _ = old.taintFlights.Do(tkey, func() (*taint.Set, error) {
-			<-gate
-			return old.engine.Analyze(e), nil
-		})
+		_, _ = r.ProvenanceWithCtx(parked, "bob", spec.ID, "E1", progID, ProvenanceOptions{})
 	}()
-	awaitWaiters(&old.taintFlights, tkey, 0)
-	go func() {
-		defer wg.Done()
-		_, _ = r.Provenance("bob", spec.ID, "E1", progID)
-	}()
-	awaitWaiters(&old.taintFlights, tkey, 1)
+	<-parked.reached
 	if old.maskedFlights.waiters(mkey) != 0 {
 		t.Fatal("incarnation 1's masked fill is not in flight")
 	}

@@ -31,7 +31,7 @@ func TestReplacedGenerationIsCollected(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	progID := itemByAttr(t, r, "prognosis")
-	for _, user := range []string{"alice", "bob", "carol"} { // fill both of its caches
+	for _, user := range []string{"alice", "bob", "carol"} { // fill its cache
 		if _, err := r.Provenance(user, diseaseID, "E1", progID); err != nil {
 			t.Fatalf("Provenance: %v", err)
 		}
@@ -39,8 +39,8 @@ func TestReplacedGenerationIsCollected(t *testing.T) {
 	collected := make(chan struct{})
 	func() { // its own frame, so no slot of this test's keeps the pointer alive
 		old := r.shard(diseaseID).current()
-		if old.masked.Len() != 3 || old.taints.Len() != 1 {
-			t.Fatalf("fixture: the generation about to be replaced caches %d snapshots and %d taint sets, want 3 and 1", old.masked.Len(), old.taints.Len())
+		if old.masked.Len() != 3 {
+			t.Fatalf("fixture: the generation about to be replaced caches %d snapshots, want 3", old.masked.Len())
 		}
 		runtime.SetFinalizer(old, func(*generation) { close(collected) })
 	}()

@@ -147,9 +147,9 @@ func TestMaskedCacheInvalidationOnSetGeneralization(t *testing.T) {
 	}
 }
 
-// TestMaskedCacheMonotoneAcrossRemoveSpec: the hit and miss totals of both
-// enforced-view caches never regress — not when an install replaces the
-// generation whose caches were being counted (the counters are the shard's),
+// TestMaskedCacheMonotoneAcrossRemoveSpec: the hit and miss totals of the
+// enforced-view cache never regress — not when an install replaces the
+// generation whose cache was being counted (the counters are the shard's),
 // not when RemoveSpec takes the shard (it banks them), not when the id is
 // registered again — and they keep counting at every stage.
 func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
@@ -160,20 +160,20 @@ func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
 	stage := func(name string, reads int) {
 		t.Helper()
 		for i := 0; i < reads; i++ {
-			for _, user := range []string{"bob", "alice"} { // a second level: the taint set hits
+			for _, user := range []string{"bob", "alice"} {
 				if _, err := r.Provenance(user, diseaseID, "E1", progID); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
 		}
 		st := r.Stats()
-		counters := func(st Stats) [4]int64 {
-			return [4]int64{st.MaskedCacheHits, st.MaskedCacheMisses, st.TaintCacheHits, st.TaintCacheMisses}
+		counters := func(st Stats) [2]int64 {
+			return [2]int64{st.MaskedCacheHits, st.MaskedCacheMisses}
 		}
 		was, now := counters(last), counters(st)
 		for i := range now {
 			if now[i] < was[i] || (reads > 0 && now[i] == was[i]) {
-				t.Fatalf("%s: (masked hits, masked misses, taint hits, taint misses) went %v -> %v after %d reads", name, was, now, reads)
+				t.Fatalf("%s: (masked hits, masked misses) went %v -> %v after %d reads", name, was, now, reads)
 			}
 		}
 		last = st

@@ -1,10 +1,9 @@
 package repo
 
-// Tests for the eager ("materialized", paper Section 4) use of the
-// masked-snapshot cache: PrewarmMasked fills every (execution, level)
-// ahead of the reader through the same maskedExec the lazy path
-// uses, so prewarmed answers must equal on-the-fly ones, equal an
-// uncached reference, and stay correct across later mutations.
+// Tests for the warm use of the masked-snapshot cache: a snapshot read
+// once (warm, in helpers_test.go) is served again from the cache by the
+// same maskedExec that filled it, so warm answers must equal cold ones,
+// equal an uncached reference, and stay correct across later mutations.
 
 import (
 	"context"
@@ -19,15 +18,8 @@ import (
 
 const diseaseID = "disease-susceptibility"
 
-// allLevels are the access levels the prewarm tests materialize.
+// allLevels are the access levels the warm-cache tests read at.
 var allLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
-
-func prewarm(t *testing.T, r *Repository, levels []privacy.Level) {
-	t.Helper()
-	if _, err := r.PrewarmMasked(context.Background(), diseaseID, levels, nil); err != nil {
-		t.Fatalf("PrewarmMasked: %v", err)
-	}
-}
 
 // snpsLadder is the generalization fixture: rs1 → chr1 → genome.
 func snpsLadder() map[string]*datapriv.Hierarchy {
@@ -58,11 +50,11 @@ func assertSameItems(t *testing.T, ctx string, a, b *exec.Execution) {
 }
 
 func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
-	// Two identical repositories, one prewarmed — answers must agree,
-	// and the prewarmed one must answer without a single cold fill.
+	// Two identical repositories, one read warm — answers must agree,
+	// and the warm one must answer without a single cold fill.
 	plain := seededRepo(t)
 	mat := seededRepo(t)
-	prewarm(t, mat, []privacy.Level{privacy.Public, privacy.Analyst})
+	warm(t, mat, diseaseID, []privacy.Level{privacy.Public, privacy.Analyst})
 	misses := mat.Stats().MaskedCacheMisses
 	progID := itemByAttr(t, plain, "prognosis")
 	for _, user := range []string{"bob", "carol"} { // public, analyst
@@ -74,15 +66,15 @@ func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
 		assertSameItems(t, user, a, b)
 	}
 	if got := mat.Stats().MaskedCacheMisses; got != misses {
-		t.Fatalf("prewarmed reads filled cold: misses %d -> %d", misses, got)
+		t.Fatalf("warm reads filled cold: misses %d -> %d", misses, got)
 	}
 }
 
-// TestMaterializationCoversNewExecutions: an execution ingested after a
-// prewarm has no snapshot yet; the lazy path must serve it, masked.
+// TestMaterializationCoversNewExecutions: an execution ingested after the
+// cache was warmed has no snapshot yet; its first read must fill it, masked.
 func TestMaterializationCoversNewExecutions(t *testing.T) {
 	r := seededRepo(t)
-	prewarm(t, r, []privacy.Level{privacy.Public})
+	warm(t, r, diseaseID, []privacy.Level{privacy.Public})
 	spec := r.Spec(diseaseID)
 	e2, err := exec.NewRunner(spec, nil).Run("E2", map[string]exec.Value{
 		"snps": "rs9", "ethnicity": "eth2", "lifestyle": "sedentary",
@@ -105,26 +97,26 @@ func TestMaterializationCoversNewExecutions(t *testing.T) {
 		t.Fatalf("Provenance: %v", err)
 	}
 	if len(prov.Nodes) == 0 {
-		t.Fatal("empty provenance for an execution ingested after the prewarm")
+		t.Fatal("empty provenance for an execution ingested after the warm-up")
 	}
 	for id, it := range prov.Items {
 		if strings.Contains(string(it.Value), "rs9") {
-			t.Fatalf("item %s of the post-prewarm execution leaks rs9: %q", id, it.Value)
+			t.Fatalf("item %s of the execution ingested after the warm-up leaks rs9: %q", id, it.Value)
 		}
 	}
 }
 
 // TestMaterializationHidesInternalItems: an item internal to a composite
-// the level sees collapsed stays hidden, cold and prewarmed alike.
+// the level sees collapsed stays hidden, cold and warm alike.
 func TestMaterializationHidesInternalItems(t *testing.T) {
-	for _, warm := range []bool{false, true} {
+	for _, warmed := range []bool{false, true} {
 		r := seededRepo(t)
-		if warm {
-			prewarm(t, r, []privacy.Level{privacy.Public})
+		if warmed {
+			warm(t, r, diseaseID, []privacy.Level{privacy.Public})
 		}
 		internalID := itemByAttr(t, r, "snp_set")
 		if _, err := r.Provenance("bob", diseaseID, "E1", internalID); err == nil {
-			t.Fatalf("internal item visible (prewarmed=%v)", warm)
+			t.Fatalf("internal item visible (warm=%v)", warmed)
 		}
 	}
 }
@@ -149,37 +141,37 @@ func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*
 			t.Fatalf("level %v: maskedExec: %v", lvl, err)
 		}
 		if after := sh.maskedHits.Load(); after == hits {
-			t.Fatalf("level %v: snapshot was not served from the prewarmed cache", lvl)
+			t.Fatalf("level %v: snapshot was not served from the warm cache", lvl)
 		}
 		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, snap.prep.Exec)
 	}
 }
 
-// TestViewSnapshotMaskingParity: the prewarmed snapshot of every level
+// TestViewSnapshotMaskingParity: the cached snapshot of every level
 // must equal the uncached reference view — in both mutation orders
-// (ladders before the prewarm, and ladders installed into an already
-// prewarmed shard, which must drop the warm snapshots).
+// (ladders before the warm-up, and ladders installed into an already
+// warm shard, which must drop the warm snapshots).
 func TestViewSnapshotMaskingParity(t *testing.T) {
 	t.Run("generalize-then-materialize", func(t *testing.T) {
 		r := seededRepo(t)
 		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		prewarm(t, r, allLevels)
+		warm(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("materialize-then-generalize", func(t *testing.T) {
 		r := seededRepo(t)
-		prewarm(t, r, allLevels)
+		warm(t, r, diseaseID, allLevels)
 		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		prewarm(t, r, allLevels)
+		warm(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("no-ladders", func(t *testing.T) {
 		r := seededRepo(t)
-		prewarm(t, r, allLevels)
+		warm(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, nil)
 	})
 }
@@ -187,22 +179,22 @@ func TestViewSnapshotMaskingParity(t *testing.T) {
 // TestMaterializedGeneralizedProvenance is the end-to-end shape of the
 // same contract: a below-level user's provenance carries the
 // generalized value, not a redaction, whether the ladders arrive before
-// the prewarm or after it (when the already-warm snapshots were built
+// the warm-up or after it (when the already-warm snapshots were built
 // without them and must not be served).
 func TestMaterializedGeneralizedProvenance(t *testing.T) {
 	before := seededRepo(t)
 	if err := before.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 		t.Fatalf("SetGeneralization: %v", err)
 	}
-	prewarm(t, before, allLevels)
+	warm(t, before, diseaseID, allLevels)
 	after := seededRepo(t)
-	prewarm(t, after, allLevels)
+	warm(t, after, diseaseID, allLevels)
 	if err := after.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 		t.Fatalf("SetGeneralization: %v", err)
 	}
 	progID := itemByAttr(t, before, "prognosis")
 	snpID := itemByAttr(t, before, "snps")
-	for name, r := range map[string]*Repository{"ladders-then-prewarm": before, "prewarm-then-ladders": after} {
+	for name, r := range map[string]*Repository{"ladders-then-warm": before, "warm-then-ladders": after} {
 		// carol (analyst, one level short of owner) sees chr1.
 		prov, err := r.Provenance("carol", diseaseID, "E1", progID)
 		if err != nil {

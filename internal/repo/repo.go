@@ -19,8 +19,8 @@
 // derived from the spec alone (hierarchy, query tables, view plans) is
 // built with the shard and lives exactly as long. Everything derived from
 // the (policy, generalization ladders) pair — access views, masking engine,
-// taint-set and masked-snapshot caches with their flight groups — is one
-// generation object that (*shard).install builds and swaps in. A read takes
+// the masked-snapshot cache with its flight group — is one generation object
+// that (*shard).install builds and swaps in. A read takes
 // the pointer once and decides, fills and answers from it, so no answer
 // mixes two policies, and a fill that loses the race with an install lands
 // in a cache the shard no longer points at and is collected with it: there
@@ -43,10 +43,10 @@
 //
 // Exactly one mechanism memoizes "execution E as level L may see it":
 // the generation's masked-snapshot cache filled by (*shard).maskedExec.
-// Lazy reads fill it on first touch; PrewarmMasked fills it ahead of the
-// reader through the same code path (the paper's Section 4
-// "materialized views vs on-the-fly" trade-off, with one
-// implementation and therefore nothing to keep consistent). What is
+// A read fills it on first touch and nothing fills it ahead of a reader: an
+// enforced view is built when somebody asks for it (the paper's Section 4
+// "materialized views vs on-the-fly" trade-off, settled on one memoizing
+// cache and therefore nothing to keep consistent). What is
 // materialized per snapshot is values only: an execution mirrors the
 // workflow graph, so the structure of a view is held once per execution
 // shape and access view (the shard's view plans) and shared.
@@ -131,10 +131,8 @@ type shard struct {
 	shapes *exec.Shapes
 	plans  *index.LRU[planKey, *query.PreparedExec]
 
-	// Lookups of the generations' two caches, counted where they are made
+	// Lookups of the generations' snapshot caches, counted where they are made
 	// and kept here so that they survive an install; RemoveSpec banks them.
-	taintHits    atomic.Int64 //provlint:counter
-	taintMisses  atomic.Int64 //provlint:counter
 	maskedHits   atomic.Int64 //provlint:counter
 	maskedMisses atomic.Int64 //provlint:counter
 
@@ -147,14 +145,14 @@ type shard struct {
 }
 
 // generation is one installed (policy, generalization ladders) pair with
-// everything derived from it. It is immutable apart from its caches, which
-// only ever hold what was built from its own fields, so whoever holds the
+// everything derived from it. It is immutable apart from its cache, which
+// only ever holds what was built from its own fields, so whoever holds the
 // pointer answers under exactly one policy; a replaced generation is
 // collected once the reads that took it return.
 type generation struct {
 	// seq is the mutation seq of the install. Persistence tells by it whether
 	// the saved policy is still the installed one — a number, because the
-	// pointer would pin a replaced generation's caches until the next Save.
+	// pointer would pin a replaced generation's cache until the next Save.
 	seq     uint64
 	pol     *privacy.Policy
 	ladders map[string]*datapriv.Hierarchy // optional: masking coarsens along them instead of redacting
@@ -166,15 +164,6 @@ type generation struct {
 	// engine is the taint/masking engine for (pol, ladders), built once per
 	// install instead of once per request.
 	engine *taint.Engine
-
-	// taints caches per-execution taint sets (seed + propagate over the
-	// full execution, see internal/taint) by execution id: the set is
-	// level- and view-independent, so one analysis serves every access
-	// level's masked snapshot of the execution. Taint sets do not depend on
-	// the ladders, but SetGeneralization is rare and one lifetime rule
-	// beats the rebuild cost.
-	taints       *index.LRU[string, *taint.Set]
-	taintFlights flightGroup[string, *taint.Set]
 
 	// masked caches fully privacy-enforced snapshots — collapsed,
 	// taint-masked executions — so the enforced read paths (Query,
@@ -214,8 +203,7 @@ type planKey struct {
 	view  string
 }
 
-// maskedKey keys a generation's masked-snapshot cache: unlike a taint set,
-// whose labels are filtered by level at apply time, a snapshot is per level.
+// maskedKey keys a generation's masked-snapshot cache: a snapshot is per level.
 type maskedKey struct {
 	execID string
 	level  privacy.Level
@@ -238,8 +226,8 @@ type maskedSnapshot struct {
 }
 
 // shardCacheCap bounds the entries each per-shard cache (a generation's
-// taint sets and masked snapshots, the shard's view plans) retains: the
-// memory bound. Nothing in them goes stale; a cache dies with its generation.
+// masked snapshots, the shard's view plans) retains: the memory bound.
+// Nothing in them goes stale; a cache dies with its generation.
 const shardCacheCap = 1024
 
 // Repository is a concurrency-safe, per-spec-sharded store of specs,
@@ -262,12 +250,8 @@ type Repository struct {
 	// searches counts the searches evaluated; CacheStats is its reader.
 	searches atomic.Int64 //provlint:counter
 
-	// taintHitsBase/taintMissesBase accumulate the counters of removed
-	// shards' taint-set caches, keeping the *_total metrics monotonic;
-	// maskedHitsBase/maskedMissesBase do the same for their
-	// masked-snapshot caches.
-	taintHitsBase    atomic.Int64 //provlint:counter
-	taintMissesBase  atomic.Int64 //provlint:counter
+	// maskedHitsBase/maskedMissesBase accumulate the counters of removed
+	// shards' masked-snapshot caches, keeping the *_total metrics monotonic.
 	maskedHitsBase   atomic.Int64 //provlint:counter
 	maskedMissesBase atomic.Int64 //provlint:counter
 
@@ -452,15 +436,14 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 
 // install makes (pol, hs) the shard's enforcement state: a fresh generation
 // replaces the installed one, and with it goes everything that one derived —
-// its engine, its cached taint sets and snapshots, and any fill still in
-// flight under it, which completes into caches no reader will ask again —
+// its engine, its cached snapshots, and any fill still in flight under it,
+// which completes into a cache no reader will ask again —
 // while seq marks the shard dirty for Save. It is the only writer of sh.gen;
 // the caller holds sh.mu, or owns a shard not yet published.
 func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) {
 	gen := &generation{
 		seq: seq, pol: pol, ladders: hs,
 		engine: datapriv.NewMasker(pol, hs).Engine(),
-		taints: index.NewLRU[string, *taint.Set](shardCacheCap),
 		masked: index.NewLRU[maskedKey, maskedSnapshot](shardCacheCap),
 	}
 	// An access view is the union of the grants at or below a level, so it
@@ -564,8 +547,6 @@ func (r *Repository) RemoveSpec(specID string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("repo: unknown spec %q: %w", specID, ErrNotFound)
 	}
-	r.taintHitsBase.Add(sh.taintHits.Load())
-	r.taintMissesBase.Add(sh.taintMisses.Load())
 	r.maskedHitsBase.Add(sh.maskedHits.Load())
 	r.maskedMissesBase.Add(sh.maskedMisses.Load())
 	delete(r.shards, specID)
@@ -580,8 +561,9 @@ func (r *Repository) RemoveSpec(specID string) error {
 // UpdatePolicy replaces a spec's privacy policy. A policy change can
 // reclassify which levels see which modules, so the spec's index segment
 // is rebuilt with the new levels — which is also all the ranking state
-// there is to update — and the shard's enforced-view caches start empty with
-// the new generation; PrewarmMasked refills them ahead of readers if wanted.
+// there is to update — and the shard's enforced-view cache starts empty with
+// the new generation: the install is that pointer swap and nothing else, and
+// a view is built again when somebody asks for it.
 //
 // Validation is the only failure point and precedes every install, so a
 // failure leaves the old policy and indexes fully in place; no
@@ -624,7 +606,7 @@ func (sh *shard) executions() []*exec.Execution {
 // protected attributes: masking then coarsens values (e.g. exact SNP →
 // chromosome → genome) instead of redacting them outright, preserving
 // utility for under-privileged users. Hierarchies change what masking
-// emits, so they are installed as a new generation, with empty caches.
+// emits, so they are installed as a new generation, with an empty cache.
 func (r *Repository) SetGeneralization(specID string, hs map[string]*datapriv.Hierarchy) error {
 	sh, err := r.shardOrErr(specID)
 	if err != nil {
@@ -862,22 +844,25 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 // maskedExec serves the fully privacy-enforced snapshot of e at level —
 // collapsed to the access view and taint-masked — under gen, from gen's
 // masked-snapshot cache. It is the only code path that produces an
-// enforced execution view: lazy reads and PrewarmMasked both come through
-// here. On miss the snapshot is built once under the generation's flight
-// group and published for every subsequent reader; the returned execution is
-// shared and MUST be treated as read-only. The masking report is the one
-// recorded at build time, replayed by callers into the serving counters.
+// enforced execution view. On miss the snapshot is built once under the
+// generation's flight group and published for every subsequent reader; the
+// returned execution is shared and MUST be treated as read-only. The masking
+// report is the one recorded at build time, replayed by callers into the
+// serving counters.
 //
 // A fill copies values; it does not derive structure. The view's plan —
 // collapsed, validated and indexed once per (shape, access view) by
 // viewPlan — is instantiated with e's values, taint.ApplyInPlace masks
 // those where they stand (item values only, so the plan's graph, closure
-// and indexes still describe the result), and the stored execution e is
-// only ever read. TestColdFillMatchesStagedPipeline holds every snapshot
-// equal to the public staged composition exec.Collapse → Engine.Apply →
-// query.PrepareExec. All the fill reads and writes apart from the plan is
-// gen's: one that lost the race with install serves its caller, who asked
-// under gen, and leaves nothing where a later reader looks.
+// and indexes still describe the result) under a taint analysis of e made
+// here, over the item ancestry of e's shape (derived once per shape) — once
+// per fill, so the fills of one execution at two levels share nothing but
+// the plan — and the stored execution e is only ever read.
+// TestColdFillMatchesStagedPipeline holds every snapshot equal to the public
+// staged composition exec.Collapse → Engine.Apply → query.PrepareExec. All
+// the fill reads and writes apart from the plan is gen's: one that lost the
+// race with install serves its caller, who asked under gen, and leaves
+// nothing where a later reader looks.
 func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
 	key := maskedKey{execID: e.ID, level: level}
 	if snap, ok := gen.masked.Get(key); ok {
@@ -904,7 +889,9 @@ func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execut
 		if err != nil {
 			return maskedSnapshot{}, err
 		}
-		set := sh.taintSet(fctx, gen, e, shape)
+		_, analyze := obs.StartSpan(fctx, "taint.analyze")
+		set := gen.engine.AnalyzeIn(e, shape.Ancestry())
+		analyze.End()
 		_, apply := obs.StartSpan(fctx, "mask.apply")
 		rep := gen.engine.ApplyInPlace(prep.Exec, level, set)
 		apply.End()
@@ -1050,7 +1037,7 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	set := sh.taintSet(context.Background(), gen, e, sh.shapeOf(e))
+	set := gen.engine.AnalyzeIn(e, sh.shapeOf(e).Ancestry())
 	return sh.eval.ZoomOut(q, e, sh.hier, gen.step(u.Level).view, gen.pol, gen.engine, set, u.Level)
 }
 
@@ -1165,30 +1152,6 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	return out, total, nil
 }
 
-// taintSet returns gen's cached taint analysis of an execution, computing
-// and caching it on miss. Fills are deduplicated through the generation's
-// flight group. The analysis runs against the item ancestry of e's shape,
-// derived once per shape, with the generation's engine (analysis ignores its
-// generalizers), so no masker is constructed on this path.
-func (sh *shard) taintSet(ctx context.Context, gen *generation, e *exec.Execution, shape *exec.Shape) *taint.Set {
-	if s, ok := gen.taints.Get(e.ID); ok {
-		sh.taintHits.Add(1)
-		return s
-	}
-	sh.taintMisses.Add(1)
-	s, _ := gen.taintFlights.Do(e.ID, func() (*taint.Set, error) {
-		if s, ok := gen.taints.Get(e.ID); ok {
-			return s, nil
-		}
-		_, span := obs.StartSpan(ctx, "taint.analyze")
-		defer span.End()
-		s := gen.engine.AnalyzeIn(e, shape.Ancestry())
-		gen.taints.Put(e.ID, s)
-		return s, nil
-	})
-	return s
-}
-
 // countTaint feeds a masking report into the repository's taint
 // counters (taint_items_rewritten_total / taint_items_redacted_total).
 func (r *Repository) countTaint(rep datapriv.Report) {
@@ -1256,27 +1219,20 @@ type Stats struct {
 	IndexSwaps    int64 `json:"index_swaps"`
 
 	// TaintRewritten/TaintRedacted count items the taint engine
-	// rewrote / redacted on read paths; TaintCacheHits/TaintCacheMisses
-	// aggregate the per-shard taint-set LRUs (monotonic across shard
-	// removal via the base counters). TaintCache breaks the cache
-	// counters out per live shard.
-	TaintRewritten   int64                     `json:"taint_rewritten"`
-	TaintRedacted    int64                     `json:"taint_redacted"`
-	TaintCacheHits   int64                     `json:"taint_cache_hits"`
-	TaintCacheMisses int64                     `json:"taint_cache_misses"`
-	TaintCache       map[string]TaintCacheStat `json:"taint_cache,omitempty"`
+	// rewrote / redacted on read paths.
+	TaintRewritten int64 `json:"taint_rewritten"`
+	TaintRedacted  int64 `json:"taint_redacted"`
 
 	// MaskedCacheHits/MaskedCacheMisses aggregate the per-shard
-	// masked-snapshot LRUs, monotonic across shard removal exactly like
-	// the taint counters; MaskedCache breaks them out per live shard.
-	MaskedCacheHits   int64                     `json:"masked_exec_cache_hits"`
-	MaskedCacheMisses int64                     `json:"masked_exec_cache_misses"`
-	MaskedCache       map[string]TaintCacheStat `json:"masked_exec_cache,omitempty"`
+	// masked-snapshot LRUs (monotonic across shard removal via the base
+	// counters); MaskedCache breaks them out per live shard.
+	MaskedCacheHits   int64                      `json:"masked_exec_cache_hits"`
+	MaskedCacheMisses int64                      `json:"masked_exec_cache_misses"`
+	MaskedCache       map[string]MaskedCacheStat `json:"masked_exec_cache,omitempty"`
 
-	// TaintCacheEntries/MaskedCacheEntries sum what the live shards'
-	// LRUs hold right now — gauges, so a removed shard takes its entries
-	// with it and nothing is banked.
-	TaintCacheEntries  int `json:"-"`
+	// MaskedCacheEntries sums what the live shards' LRUs hold right now — a
+	// gauge, so a removed shard takes its entries with it and nothing is
+	// banked.
 	MaskedCacheEntries int `json:"-"`
 
 	// ExecShapes/ViewPlans sum the distinct execution shapes the live
@@ -1296,10 +1252,9 @@ type ShapeStat struct {
 	ViewPlans  int `json:"view_plans"`
 }
 
-// TaintCacheStat is one shard's cache hit/miss counter pair and current
-// fill (used for both the taint-set and masked-snapshot caches; each
-// holds at most shardCacheCap entries).
-type TaintCacheStat struct {
+// MaskedCacheStat is one shard's masked-snapshot cache hit/miss counter pair
+// and current fill (at most shardCacheCap entries).
+type MaskedCacheStat struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
@@ -1334,8 +1289,7 @@ func (r *Repository) Stats() Stats {
 	st := Stats{Shapes: make(map[string]ShapeStat)}
 	r.mu.RLock()
 	st.Specs = len(r.shards)
-	st.TaintCache = make(map[string]TaintCacheStat, len(r.shards))
-	st.MaskedCache = make(map[string]TaintCacheStat, len(r.shards))
+	st.MaskedCache = make(map[string]MaskedCacheStat, len(r.shards))
 	for id, sh := range r.shards {
 		sh.mu.RLock()
 		st.Executions += len(sh.execs)
@@ -1345,19 +1299,12 @@ func (r *Repository) Stats() Stats {
 		st.ExecShapes += ss.ExecShapes
 		st.ViewPlans += ss.ViewPlans
 		st.Shapes[id] = ss
-		tc := TaintCacheStat{Hits: sh.taintHits.Load(), Misses: sh.taintMisses.Load(), Entries: gen.taints.Len()}
-		st.TaintCacheHits += tc.Hits
-		st.TaintCacheMisses += tc.Misses
-		st.TaintCacheEntries += tc.Entries
-		st.TaintCache[id] = tc
-		mc := TaintCacheStat{Hits: sh.maskedHits.Load(), Misses: sh.maskedMisses.Load(), Entries: gen.masked.Len()}
+		mc := MaskedCacheStat{Hits: sh.maskedHits.Load(), Misses: sh.maskedMisses.Load(), Entries: gen.masked.Len()}
 		st.MaskedCacheHits += mc.Hits
 		st.MaskedCacheMisses += mc.Misses
 		st.MaskedCacheEntries += mc.Entries
 		st.MaskedCache[id] = mc
 	}
-	st.TaintCacheHits += r.taintHitsBase.Load()
-	st.TaintCacheMisses += r.taintMissesBase.Load()
 	st.MaskedCacheHits += r.maskedHitsBase.Load()
 	st.MaskedCacheMisses += r.maskedMissesBase.Load()
 	r.mu.RUnlock()

@@ -9,9 +9,9 @@ import (
 // same key share one execution of fn and all receive its result, so a
 // thundering herd of identical cold requests performs the expensive
 // construction exactly once. A group is scoped to the object whose
-// derived data it builds — one shard, for that shard's taint sets and
-// masked snapshots — so a key can never be joined by a caller holding a
-// different incarnation of the same spec id.
+// derived data it builds — one generation, for its masked snapshots — so a
+// key can never be joined by a caller holding a different incarnation of
+// the same spec id.
 type flightGroup[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]
@@ -28,8 +28,8 @@ type flightCall[V any] struct {
 
 // Do invokes fn once per key among concurrent callers: the first caller
 // runs it, the rest block until it finishes and share the result. The
-// key is forgotten afterwards, so later calls run fn again (the caches
-// layered above decide freshness).
+// key is forgotten afterwards, so later calls run fn again (the cache
+// layered above decides freshness).
 func (g *flightGroup[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.calls == nil {

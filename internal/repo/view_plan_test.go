@@ -4,8 +4,8 @@ package repo
 // instantiates every snapshot from it. These tests pin what that sharing
 // must never do — carry a value from one execution to another, or put a
 // snapshot built under a replaced generation before a later reader — and
-// what it is for: a
-// rewarm after a policy update builds no plan it already has.
+// what it is for: re-reading after a policy update builds no plan it already
+// has.
 
 import (
 	"context"
@@ -109,11 +109,11 @@ func (c *parkingValues) Value(any) any {
 // TestFillRacedByInstallLeavesNoResidue: a fill that loses the race with a
 // policy install must serve its caller — who asked under the policy that
 // was installed then — and leave nothing where a later reader looks: what it
-// built under the replaced generation goes into that generation's caches,
-// and the installed one's stay empty until somebody reads under it. The
+// built under the replaced generation goes into that generation's cache,
+// and the installed one's stays empty until somebody reads under it. The
 // race is enumerated, not hoped for: the fill is parked at each of its
-// stages in turn (before the plan, before the taint analysis inside its
-// flight, before the mask, ...), the policy is replaced, the fill released.
+// stages in turn (before the plan, before the taint analysis, before the
+// mask, ...), the policy is replaced, the fill released.
 func TestFillRacedByInstallLeavesNoResidue(t *testing.T) {
 	read := func(r *Repository, ctx context.Context) (string, error) {
 		progID := itemByAttr(t, r, "prognosis")
@@ -162,22 +162,22 @@ func TestFillRacedByInstallLeavesNoResidue(t *testing.T) {
 			if live == old {
 				t.Fatal("UpdatePolicy installed no new generation")
 			}
-			if m, ts := live.masked.Len(), live.taints.Len(); m != 0 || ts != 0 {
-				t.Fatalf("the raced fill left %d snapshots and %d taint sets in the generation installed after it began", m, ts)
+			if m := live.masked.Len(); m != 0 {
+				t.Fatalf("the raced fill left %d snapshots in the generation installed after it began", m)
 			}
 			if v, err := read(r, context.Background()); err != nil || !strings.Contains(v, "rs1") {
 				t.Fatalf("the next read is not under the installed policy: %q, %v", v, err)
 			}
-			if m, ts := live.masked.Len(), live.taints.Len(); m != 1 || ts != 1 {
-				t.Fatalf("after one read under the installed policy its caches hold %d snapshots and %d taint sets, want 1 and 1", m, ts)
+			if m := live.masked.Len(); m != 1 {
+				t.Fatalf("after one read under the installed policy its cache holds %d snapshots, want 1", m)
 			}
 		})
 	}
 }
 
-// TestRewarmBuildsOnePlanPerShapeAndView: PrewarmMasked after a policy
-// update builds at most one plan per (shape, distinct access view) however
-// many executions and levels it warms, and none at all for a view some
+// TestRewarmBuildsOnePlanPerShapeAndView: re-reading every snapshot after a
+// policy update builds at most one plan per (shape, distinct access view)
+// however many executions and levels are read, and none at all for a view some
 // level already had: a policy that changes what is masked but not who sees
 // which workflow costs value copies only.
 func TestRewarmBuildsOnePlanPerShapeAndView(t *testing.T) {
@@ -201,9 +201,9 @@ func TestRewarmBuildsOnePlanPerShapeAndView(t *testing.T) {
 			t.Fatalf("%s: UpdatePolicy: %v", stage, err)
 		}
 		plans, fills := built(), filled()
-		n, err := r.PrewarmMasked(context.Background(), specID, allLevels, nil)
-		if err != nil || n != nExecs*len(allLevels) {
-			t.Fatalf("%s: PrewarmMasked = %d, %v", stage, n, err)
+		n := warm(t, r, specID, allLevels)
+		if n != nExecs*len(allLevels) {
+			t.Fatalf("%s: %d snapshots read, want %d", stage, n, nExecs*len(allLevels))
 		}
 		if got := filled() - fills; got != int64(n) {
 			t.Fatalf("%s: %d snapshots filled, want every one of %d", stage, got, n)

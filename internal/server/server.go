@@ -63,10 +63,9 @@
 //
 // The task endpoints serve 503 unless the operator configured a task
 // runtime (Server.Tasks; provserve always does). Heavy work — bulk
-// ingest, compaction folds, cache prewarming after a policy change —
-// runs on that pool and returns 202 Accepted plus a task id; callers
-// poll GET /api/v1/tasks/{id} (the Location header points there) and
-// may DELETE to cancel. Long synchronous reads (search, query,
+// ingest, compaction folds — runs on that pool and returns 202 Accepted
+// plus a task id; callers poll GET /api/v1/tasks/{id} (the Location
+// header points there) and may DELETE to cancel. Long synchronous reads (search, query,
 // provenance) honor request-context cancellation: a caller that hangs
 // up stops paying for fan-out it will never read.
 //
@@ -173,11 +172,10 @@ type Server struct {
 	// errors per process.
 	Store *storage.Measure
 	// Tasks, when non-nil, is the background task runtime behind the
-	// async surface (bulk ingest, compaction, cache prewarming, the
-	// /api/v1/tasks endpoints). The operator owns its lifecycle: size
-	// the pool, set it here before serving, drain it on shutdown. Nil
-	// leaves the async endpoints serving 503 and policy changes warming
-	// caches lazily — the pre-task behavior.
+	// async surface (bulk ingest, compaction, the /api/v1/tasks
+	// endpoints). The operator owns its lifecycle: size the pool, set it
+	// here before serving, drain it on shutdown. Nil leaves the async
+	// endpoints serving 503.
 	Tasks *tasks.Runtime
 
 	// mutations counts successful mutation-endpoint requests;
@@ -982,14 +980,7 @@ func (s *Server) handleUpdatePolicy(w http.ResponseWriter, r *http.Request, user
 		s.fail(w, r, err)
 		return
 	}
-	// The policy change installed a generation whose snapshot cache is
-	// empty; fill it off-path so the first reader per level pays a warm
-	// hit. Best-effort — with no runtime the cache warms lazily.
-	body := map[string]any{"spec": req.Spec}
-	if id := s.enqueuePrewarm(req.Spec); id != "" {
-		body["task"] = id
-	}
-	s.mutated(w, http.StatusOK, body)
+	s.mutated(w, http.StatusOK, map[string]any{"spec": req.Spec})
 }
 
 // generalizationRequest is the PUT /api/v1/generalization body: per-
@@ -1028,11 +1019,7 @@ func (s *Server) handleSetGeneralization(w http.ResponseWriter, r *http.Request,
 		s.fail(w, r, err)
 		return
 	}
-	body := map[string]any{"spec": req.Spec}
-	if id := s.enqueuePrewarm(req.Spec); id != "" {
-		body["task"] = id
-	}
-	s.mutated(w, http.StatusOK, body)
+	s.mutated(w, http.StatusOK, map[string]any{"spec": req.Spec})
 }
 
 // handleSave persists the repository to the operator-configured save
@@ -1146,11 +1133,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("index_snapshot_swaps_total", "Inverted-index snapshot publications (spec mutations).", st.IndexSwaps)
 	metric("taint_items_rewritten_total", "Items whose embedded protected values were rewritten by taint masking.", st.TaintRewritten)
 	metric("taint_items_redacted_total", "Items fully redacted because taint rewriting could not remove a leak.", st.TaintRedacted)
-	metric("taint_cache_hits_total", "Per-shard taint-set cache hits.", st.TaintCacheHits)
-	metric("taint_cache_misses_total", "Per-shard taint-set cache misses.", st.TaintCacheMisses)
 	metric("masked_exec_cache_hits_total", "Per-shard masked-execution snapshot cache hits.", st.MaskedCacheHits)
 	metric("masked_exec_cache_misses_total", "Per-shard masked-execution snapshot cache misses.", st.MaskedCacheMisses)
-	metric("taint_cache_entries", "Taint sets currently held by the live shards' caches.", int64(st.TaintCacheEntries))
 	metric("masked_exec_cache_entries", "Masked-execution snapshots currently held by the live shards' caches.", int64(st.MaskedCacheEntries))
 	metric("exec_shapes", "Distinct execution shapes interned by the live shards (executions of one shape share their views' structure).", int64(st.ExecShapes))
 	metric("view_plans", "Value-free view plans, one per (shape, access view), currently held by the live shards.", int64(st.ViewPlans))

@@ -43,11 +43,6 @@ var (
 		BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second,
 		Multiplier: 2, Jitter: 0.2,
 	}
-	// prewarmClass: cache warming is cheap and worth one retry.
-	prewarmClass = tasks.Class{
-		Kind: "prewarm", MaxAttempts: 2,
-		BaseDelay: 100 * time.Millisecond, Jitter: 0.2,
-	}
 )
 
 // bulkItemHook, when set, runs before each bulk-ingest item is applied.
@@ -336,27 +331,6 @@ func (s *Server) maybeEnqueueCompaction() string {
 	id, err := s.enqueueCompaction()
 	if err != nil {
 		s.log().Warn("compaction enqueue failed", "error", err)
-		return ""
-	}
-	return id
-}
-
-// enqueuePrewarm fires the snapshot-cache prewarm job after a policy or
-// generalization change left a spec's snapshot cache empty. Best-effort:
-// on queue pushback the caches simply warm lazily, as they always did.
-func (s *Server) enqueuePrewarm(specID string) string {
-	if s.Tasks == nil {
-		return ""
-	}
-	id, err := s.Tasks.Submit(prewarmClass, func(ctx context.Context, p *tasks.Progress) (any, error) {
-		n, err := s.repo.PrewarmMasked(ctx, specID, nil, p.Set)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"spec": specID, "warmed": n}, nil
-	})
-	if err != nil {
-		s.log().Warn("prewarm enqueue failed", "spec", specID, "error", err)
 		return ""
 	}
 	return id

@@ -366,37 +366,44 @@ func TestCancelMidBulkIngestKeepsRepoConsistent(t *testing.T) {
 	}
 }
 
-// TestPolicyChangeEnqueuesPrewarm: PUT /policy returns the prewarm task
-// id; the task rebuilds one masked snapshot per (execution, user
-// level) so the next enforced read is a cache hit.
-func TestPolicyChangeEnqueuesPrewarm(t *testing.T) {
+// TestPolicyInstallStartsNoBackgroundWork: with a live task runtime attached,
+// PUT /policy and PUT /generalization answer with the spec and nothing else,
+// submit no task, and leave the installed generation's cache empty: the next
+// read of the spec is the one miss that fills it, the read after that a hit.
+func TestPolicyInstallStartsNoBackgroundWork(t *testing.T) {
 	ts, _, r := newTaskServer(t, 2, 8)
-	var out struct {
-		Spec string `json:"spec"`
-		Task string `json:"task"`
+	const read = "/api/v1/provenance?spec=disease-susceptibility&exec=E1&item=d1"
+	if code := do(t, ts, "GET", read, readerSecret, nil, nil); code != http.StatusOK {
+		t.Fatalf("provenance before any install: %d", code)
 	}
-	body := []byte(`{"spec":"disease-susceptibility"}`)
-	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, body, &out); code != http.StatusOK {
-		t.Fatalf("update policy: %d", code)
+	submitted := scrapeMetric(t, ts, "provpriv_tasks_submitted_total")
+	for _, path := range []string{"/api/v1/policy", "/api/v1/generalization"} {
+		var out map[string]any
+		if code := do(t, ts, "PUT", path, writerSecret, []byte(`{"spec":"disease-susceptibility"}`), &out); code != http.StatusOK {
+			t.Fatalf("PUT %s: %d", path, code)
+		}
+		if len(out) != 1 || out["spec"] != "disease-susceptibility" {
+			t.Fatalf("PUT %s answered %v, want exactly the spec", path, out)
+		}
+		if got := scrapeMetric(t, ts, "provpriv_tasks_submitted_total"); got != submitted {
+			t.Fatalf("PUT %s submitted a task: %d -> %d", path, submitted, got)
+		}
+		before := r.Stats()
+		for i, want := range [][2]int64{{0, 1}, {1, 1}} { // (hits, misses) since the install
+			if code := do(t, ts, "GET", read, readerSecret, nil, nil); code != http.StatusOK {
+				t.Fatalf("provenance after PUT %s: %d", path, code)
+			}
+			st := r.Stats()
+			if got := [2]int64{st.MaskedCacheHits - before.MaskedCacheHits, st.MaskedCacheMisses - before.MaskedCacheMisses}; got != want {
+				t.Fatalf("read %d after PUT %s: (hits, misses) since the install = %v, want %v", i+1, path, got, want)
+			}
+		}
 	}
-	if out.Task == "" {
-		t.Fatal("policy change returned no prewarm task")
+	var list struct {
+		Total int `json:"total"`
 	}
-	snap := waitTask(t, ts, writerSecret, out.Task)
-	if snap["state"] != "succeeded" {
-		t.Fatalf("prewarm task = %+v", snap)
-	}
-	res, _ := snap["result"].(map[string]any)
-	// Three distinct user levels (owner, public, analyst) × one execution.
-	if res == nil || res["warmed"] != float64(3) {
-		t.Fatalf("prewarm result = %+v", res)
-	}
-	hits0 := r.Stats().MaskedCacheHits
-	if code := do(t, ts, "GET", "/api/v1/provenance?spec=disease-susceptibility&exec=E1&item=d1", readerSecret, nil, nil); code != http.StatusOK {
-		t.Fatalf("provenance after prewarm: %d", code)
-	}
-	if hits := r.Stats().MaskedCacheHits; hits <= hits0 {
-		t.Fatalf("read after prewarm missed the cache: hits %d -> %d", hits0, hits)
+	if code := do(t, ts, "GET", "/api/v1/tasks", writerSecret, nil, &list); code != http.StatusOK || list.Total != 0 {
+		t.Fatalf("task list after two installs: status %d, %d tasks, want none", code, list.Total)
 	}
 }
 

@@ -7,17 +7,15 @@
 // pass, one splice and one verification pass — never a chain of
 // intermediate string copies.
 //
-// The mark pass has two tiers with identical semantics:
+// The mark pass has one tier, whatever the pattern count: occurrences are
+// found with the stdlib's vectorized strings.Index per active pattern. For
+// the few-long-patterns shape real traces have, SIMD substring search beats
+// a byte-at-a-time automaton by an order of magnitude. Its cost is linear in
+// the active patterns, so there is no cliff, and no measured workload puts
+// more than 32 of them on one value: an O(length) automaton tier would be a
+// selection with nothing on its far side.
 //
-//   - up to acThreshold active patterns, occurrences are found with the
-//     stdlib's vectorized strings.Index per pattern — for the few-long-
-//     patterns shape real traces have, SIMD substring search beats any
-//     byte-at-a-time automaton by an order of magnitude;
-//   - past the threshold, an Aho–Corasick automaton over all patterns
-//     (built lazily, once per Replacer) bounds the scan at O(length)
-//     regardless of how many labels the policy protects.
-//
-// Match semantics mirror the sequential loop both tiers replace:
+// Match semantics mirror the sequential loop the pass replaces:
 // occurrences are consumed left to right, the longest pattern starting
 // at a position wins (the loop got this by replacing longest-raw-first),
 // and of two labels sharing one raw value the one sorting first claims
@@ -25,9 +23,10 @@
 // whose replacement text cannot itself combine with neighboring text
 // into another protected value — which trace strings never do — and the
 // differential property/fuzz tests in replacer_test.go pin that
-// equivalence over the whole existing corpus, for both tiers. When they
-// could diverge (pathological overlapping patterns), all paths remain
-// leak-free because all gate on the same verify-or-redact pass.
+// equivalence over the whole existing corpus and over hand-built inputs
+// with hundreds of active patterns. When they could diverge (pathological
+// overlapping patterns), both remain leak-free because both gate on the
+// same verify-or-redact pass.
 package taint
 
 import (
@@ -36,10 +35,6 @@ import (
 
 	"provpriv/internal/privacy"
 )
-
-// acThreshold is the active-pattern count above which the automaton
-// tier takes over from per-pattern vectorized search.
-const acThreshold = 32
 
 // pattern is one compiled protected value: the (attr, raw) identity the
 // engine needs to pick a replacement, plus the level below which the
@@ -53,19 +48,13 @@ type pattern struct {
 // Replacer is the compiled sanitizer over the protected raw values of
 // one taint Set: patterns deduplicated by (attr, raw) and prioritized
 // exactly like the rewrite loop's dedupeLabels (descending raw length,
-// then attr, then raw). Immutable after compile apart from the lazily
-// built automaton; safe for concurrent use — per-call scratch comes
-// from a pool.
+// then attr, then raw). Immutable after compile; safe for concurrent use —
+// per-call scratch comes from a pool.
 type Replacer struct {
 	pats []pattern
-
-	acOnce sync.Once
-	ac     *automaton
 }
 
-// compileReplacer builds the pattern set from seed labels. The
-// automaton tier is deferred until a rewrite actually needs it, so the
-// common few-patterns case never pays the trie.
+// compileReplacer builds the pattern set from seed labels.
 func compileReplacer(labels []Label) *Replacer {
 	labels = dedupeLabels(labels)
 	r := &Replacer{pats: make([]pattern, len(labels))}
@@ -120,27 +109,19 @@ func (sc *replScratch) mark(s string, start int, l, p int32, any bool) bool {
 
 // rewrite sanitizes s: mark the winning (leftmost, longest, active)
 // match per start position, then splice replacements in one pass.
-// nActive is the number of patterns active may accept — it picks the
-// mark tier. active selects which compiled patterns apply (per-item
-// taint filtering plus the viewer-level gate); repl supplies each
-// pattern's replacement. Returns the rewritten string, whether anything
-// changed, and whether the result provably embeds no active raw value —
-// callers must redact when clean is false, exactly as with the
-// sequential loop.
-func (r *Replacer) rewrite(s string, nActive int, active func(int32) bool, repl func(int32) string) (string, bool, bool) {
-	if len(r.pats) == 0 || len(s) == 0 || nActive == 0 {
+// active selects which compiled patterns apply (per-item taint filtering
+// plus the viewer-level gate); repl supplies each pattern's replacement.
+// Returns the rewritten string, whether anything changed, and whether the
+// result provably embeds no active raw value — callers must redact when
+// clean is false, exactly as with the sequential loop.
+func (r *Replacer) rewrite(s string, active func(int32) bool, repl func(int32) string) (string, bool, bool) {
+	if len(r.pats) == 0 || len(s) == 0 {
 		return s, false, true
 	}
 	sc := scratchPool.Get().(*replScratch)
 	defer scratchPool.Put(sc)
 
-	var any bool
-	if nActive <= acThreshold {
-		any = r.markIndex(s, active, sc)
-	} else {
-		any = r.automaton().mark(r, s, active, sc)
-	}
-	if !any {
+	if !r.markIndex(s, active, sc) {
 		return s, false, true
 	}
 	// Splice pass: greedy left-to-right over the winning matches.
@@ -157,15 +138,14 @@ func (r *Replacer) rewrite(s string, nActive int, active func(int32) bool, repl 
 	out := string(sc.buf)
 	// Prove the leak is gone: a replacement may itself contain another
 	// active pattern's raw value (or, pathologically, its own).
-	if r.contains(out, nActive, active) {
+	if r.contains(out, active) {
 		return s, true, false
 	}
 	return out, true, true
 }
 
-// markIndex is the vectorized tier: every occurrence (including
-// overlapping ones — stepping by one keeps the mark table identical to
-// the automaton's) of every active pattern, via strings.Index.
+// markIndex is the mark pass: every occurrence (including overlapping
+// ones, hence the step by one) of every active pattern, via strings.Index.
 func (r *Replacer) markIndex(s string, active func(int32) bool, sc *replScratch) bool {
 	any := false
 	for p := range r.pats {
@@ -190,207 +170,11 @@ func (r *Replacer) markIndex(s string, active func(int32) bool, sc *replScratch)
 	return any
 }
 
-// contains reports whether s embeds any active pattern — the verify
-// pass, tiered like mark.
-func (r *Replacer) contains(s string, nActive int, active func(int32) bool) bool {
-	if nActive <= acThreshold {
-		for p := range r.pats {
-			if active(int32(p)) && strings.Contains(s, r.pats[p].raw) {
-				return true
-			}
-		}
-		return false
-	}
-	return r.automaton().contains(s, active)
-}
-
-// automaton returns the Aho–Corasick tier, building it on first use.
-func (r *Replacer) automaton() *automaton {
-	r.acOnce.Do(func() { r.ac = buildAutomaton(r.pats) })
-	return r.ac
-}
-
-// ---------------------------------------------------------------------------
-// Aho–Corasick tier.
-
-// acState is one automaton state. Trie states overwhelmingly have a
-// single successor (patterns are long strings with little branching),
-// so the one-child case is inlined and only branching states carry an
-// edge list.
-type acState struct {
-	c1 byte  // single-successor byte
-	s1 int32 // its state, -1 if none
-	// edges holds further successors of branching states (nil for most).
-	edges []acEdge
-	fail  int32
-	// firstOut is the nearest state on the fail chain (including this
-	// one) whose outs is non-empty, or -1: one comparison decides
-	// whether any pattern ends at the current position.
-	firstOut int32
-	// outs lists the patterns whose raw ends exactly at this state, in
-	// priority order (patterns sharing one raw string differ only by
-	// attr; the first active one claims the match, exactly as the first
-	// sequential ReplaceAll used to consume every occurrence).
-	outs []int32
-}
-
-type acEdge struct {
-	c byte
-	s int32
-}
-
-type automaton struct {
-	states []acState
-	// root256 is the dense root transition table: scanning text that
-	// starts no pattern costs one array load per byte.
-	root256 [256]int32
-}
-
-func buildAutomaton(pats []pattern) *automaton {
-	a := &automaton{states: []acState{{s1: -1, firstOut: -1}}}
-	add := func(st int32, c byte) int32 {
-		s := &a.states[st]
-		if s.s1 >= 0 && s.c1 == c {
-			return s.s1
-		}
-		for _, e := range s.edges {
-			if e.c == c {
-				return e.s
-			}
-		}
-		nxt := int32(len(a.states))
-		a.states = append(a.states, acState{s1: -1, firstOut: -1})
-		s = &a.states[st] // re-resolve: append may have moved the backing array
-		if s.s1 < 0 {
-			s.c1, s.s1 = c, nxt
-		} else {
-			s.edges = append(s.edges, acEdge{c: c, s: nxt})
-		}
-		return nxt
-	}
-	for i, p := range pats {
-		st := int32(0)
-		for j := 0; j < len(p.raw); j++ {
-			st = add(st, p.raw[j])
-		}
-		// Same raw under two attrs lands on one terminal state; patterns
-		// arrive pre-sorted, so outs stays in priority order.
-		a.states[st].outs = append(a.states[st].outs, int32(i))
-	}
-	// Breadth-first failure links (standard construction); fail states
-	// are strictly shallower, so they are finalized before their users.
-	var queue []int32
-	a.states[0].eachEdge(func(c byte, nxt int32) {
-		queue = append(queue, nxt)
-	})
-	for qi := 0; qi < len(queue); qi++ {
-		st := queue[qi]
-		f := a.states[st].fail
-		if len(a.states[st].outs) > 0 {
-			a.states[st].firstOut = st
-		} else {
-			a.states[st].firstOut = a.states[f].firstOut
-		}
-		a.states[st].eachEdge(func(c byte, nxt int32) {
-			queue = append(queue, nxt)
-			f := a.states[st].fail
-			for f != 0 {
-				if t := a.states[f].next(c); t >= 0 {
-					break
-				}
-				f = a.states[f].fail
-			}
-			if t := a.states[f].next(c); t >= 0 {
-				f = t
-			}
-			a.states[nxt].fail = f
-		})
-	}
-	for c := 0; c < 256; c++ {
-		a.root256[c] = 0
-		if t := a.states[0].next(byte(c)); t >= 0 {
-			a.root256[c] = t
-		}
-	}
-	return a
-}
-
-func (s *acState) next(c byte) int32 {
-	if s.s1 >= 0 && s.c1 == c {
-		return s.s1
-	}
-	for _, e := range s.edges {
-		if e.c == c {
-			return e.s
-		}
-	}
-	return -1
-}
-
-func (s *acState) eachEdge(fn func(byte, int32)) {
-	if s.s1 >= 0 {
-		fn(s.c1, s.s1)
-	}
-	for _, e := range s.edges {
-		fn(e.c, e.s)
-	}
-}
-
-// step advances the automaton by one input byte.
-func (a *automaton) step(st int32, c byte) int32 {
-	for st != 0 {
-		if t := a.states[st].next(c); t >= 0 {
-			return t
-		}
-		st = a.states[st].fail
-	}
-	return a.root256[c]
-}
-
-// mark is the automaton mark pass: every pattern occurrence ending at
-// each position, filtered by active, recorded into the same tables the
-// vectorized tier fills — the two tiers are interchangeable.
-func (a *automaton) mark(r *Replacer, s string, active func(int32) bool, sc *replScratch) bool {
-	st := int32(0)
-	any := false
-	for j := 0; j < len(s); j++ {
-		st = a.step(st, s[j])
-		for os := a.states[st].firstOut; os != -1; {
-			cur := &a.states[os]
-			for _, p := range cur.outs {
-				if !active(p) {
-					continue
-				}
-				l := int32(len(r.pats[p].raw))
-				any = sc.mark(s, j+1-int(l), l, p, any)
-				break // outs is priority-ordered; first active wins this raw
-			}
-			if os = cur.fail; os != 0 {
-				os = a.states[os].firstOut
-			} else {
-				os = -1
-			}
-		}
-	}
-	return any
-}
-
-func (a *automaton) contains(s string, active func(int32) bool) bool {
-	st := int32(0)
-	for j := 0; j < len(s); j++ {
-		st = a.step(st, s[j])
-		for os := a.states[st].firstOut; os != -1; {
-			cur := &a.states[os]
-			for _, p := range cur.outs {
-				if active(p) {
-					return true
-				}
-			}
-			if os = cur.fail; os != 0 {
-				os = a.states[os].firstOut
-			} else {
-				os = -1
-			}
+// contains reports whether s embeds any active pattern — the verify pass.
+func (r *Replacer) contains(s string, active func(int32) bool) bool {
+	for p := range r.pats {
+		if active(int32(p)) && strings.Contains(s, r.pats[p].raw) {
+			return true
 		}
 	}
 	return false

@@ -3,12 +3,15 @@ package taint
 // Differential harness for the compiled sanitizer: the pre-compiled
 // implementation — one strings.Contains/ReplaceAll pass per protected
 // label — is preserved here as the executable specification, and the
-// Aho–Corasick replacer is required to be byte-identical to it across
+// compiled replacer is required to be byte-identical to it across
 // the same randomized workflow corpus the leak property tests use, at
-// every access level, with and without generalization ladders.
+// every access level, with and without generalization ladders — and on
+// hand-built executions whose derived items carry hundreds of active
+// patterns, a count the corpus never reaches.
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -147,6 +150,98 @@ func (l ladder) MaxDepth() int { return l.depth }
 
 var diffLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
 
+// embeds is a test Generalizer whose every coarsening names another value.
+type embeds string
+
+func (g embeds) Generalize(v exec.Value, depth int) exec.Value {
+	if depth <= 0 {
+		return v
+	}
+	return exec.Value("see " + string(g))
+}
+
+func (embeds) MaxDepth() int { return 1 }
+
+// manyPatternRun is an execution the corpus cannot produce: one module
+// consumes n protected inputs, so its outputs — which embed every input's
+// raw value, ";"-separated in input order, "|"-separated in a seeded
+// shuffle, and a third of them space-separated — carry n taint patterns,
+// all of them active at public and a third fewer per level above. The raw
+// values come in blocks of eight that exercise what makes the mark pass
+// more than a loop of replacements: a prefix chain (K7, K7A, K7AB: the
+// longest active one must win at a shared start), a raw that is a suffix
+// of another (Z7 in WWZ7), one raw under two attributes (the first active
+// in priority order claims it), a raw that overlaps itself when repeated
+// (M7M7, embedded tripled), and an attribute whose generalized form embeds
+// a longer raw of the block (E7 → "see WWZ7": where both are active the
+// rewrite cannot be proved clean and the item is redacted). Required
+// levels cycle with a period coprime to the block's, so every member of a
+// block is at some level the only active one. Nothing here lets two
+// patterns overlap partially; there the single pass and the sequential
+// loop may legitimately differ (see replacer.go).
+func manyPatternRun(seed int64, n int) (*exec.Execution, *privacy.Policy, map[string]Generalizer) {
+	pol := privacy.NewPolicy("many")
+	gens := make(map[string]Generalizer)
+	e := &exec.Execution{
+		ID: "E", SpecID: "many",
+		Nodes: []*exec.Node{
+			{ID: "I", Kind: exec.SourceNode},
+			{ID: "S1:M", Module: "M", Proc: "S1", Kind: exec.AtomicNode},
+			{ID: "O", Kind: exec.SinkNode},
+		},
+		Items: make(map[string]*exec.DataItem),
+	}
+	var inputs, embedded []string
+	for i := 0; i < n; i++ {
+		b := fmt.Sprintf("%03d", i/8)
+		attr := fmt.Sprintf("p%c%c%c", 'a'+i/8/26, 'a'+i/8%26, 'a'+i%8) // letters only: no raw matches inside a mask token
+		raw := [...]string{"K" + b, "K" + b + "A", "K" + b + "AB", "WWZ" + b, "Z" + b, "K" + b, "M" + b + "M" + b, "E" + b}[i%8]
+		pol.DataLevels[attr] = privacy.Registered + privacy.Level(i%3)
+		switch i % 8 {
+		case 2:
+			gens[attr] = ladder{depth: 3, form: "gen:" + attr}
+		case 7:
+			gens[attr] = embeds("WWZ" + b)
+		}
+		id := fmt.Sprintf("d%d", i)
+		e.Items[id] = &exec.DataItem{ID: id, Attr: attr, Value: exec.Value(raw), Producer: "I"}
+		inputs = append(inputs, id)
+		if i%8 == 6 {
+			raw += "M" + b
+		}
+		embedded = append(embedded, raw)
+	}
+	shuffled := append([]string(nil), embedded...)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var third []string
+	for i := int(uint64(seed) % 3); i < n; i += 3 {
+		third = append(third, embedded[i])
+	}
+	var outputs []string
+	for i, v := range []string{strings.Join(embedded, ";"), strings.Join(shuffled, "|"), strings.Join(third, " "), "f(nothing protected)"} {
+		id := fmt.Sprintf("d%d", n+i)
+		e.Items[id] = &exec.DataItem{ID: id, Attr: fmt.Sprintf("out%c", 'a'+i), Value: exec.Value(v), Producer: "S1:M"}
+		outputs = append(outputs, id)
+	}
+	e.Edges = []exec.Edge{{From: "I", To: "S1:M", Items: inputs}, {From: "S1:M", To: "O", Items: outputs}}
+	return e, pol, gens
+}
+
+// diffMany holds the compiled sanitizer to the reference on
+// manyPatternRun(seed, n) at every level, without and with its generalizers.
+func diffMany(t *testing.T, seed int64, n int) {
+	t.Helper()
+	e, pol, gens := manyPatternRun(seed, n)
+	if err := e.Validate(); err != nil {
+		t.Fatalf("manyPatternRun(%d, %d): %v", seed, n, err)
+	}
+	for name, en := range map[string]*Engine{"plain": NewEngine(pol, nil), "ladder": NewEngine(pol, gens)} {
+		for _, lvl := range diffLevels {
+			diffOne(t, fmt.Sprintf("many n=%d seed=%d/%s", n, seed, name), en, e, lvl)
+		}
+	}
+}
+
 // TestCompiledSanitizerMatchesReference is the differential property
 // test of the acceptance criteria: across the randomized corpus, every
 // access level, with no generalizers and with a ladder on every
@@ -167,6 +262,24 @@ func TestCompiledSanitizerMatchesReference(t *testing.T) {
 			diffOne(t, fmt.Sprintf("seed=%d/ladder", seed), laddered, e, lvl)
 		}
 	}
+	// Past what the corpus reaches: ≥ 64 and ≥ 256 patterns active on one
+	// value. The fixture must have bitten — every pattern armed at public,
+	// values rewritten, and a rewrite that could not be proved clean.
+	for _, n := range []int{96, 400} {
+		diffMany(t, 1, n)
+		e, pol, gens := manyPatternRun(1, n)
+		en := NewEngine(pol, gens)
+		set := en.Analyze(e)
+		if got := len(dedupeLabels(set.LabelsFor(fmt.Sprintf("d%d", n), privacy.Public))); got != n {
+			t.Fatalf("n=%d: %d patterns active on the first output at public, want all", n, got)
+		}
+		if _, rep := en.Apply(e, privacy.Public, set); rep.TaintRedacted == 0 {
+			t.Fatalf("n=%d: no rewrite failed verification at public: %+v", n, rep)
+		}
+		if _, rep := en.Apply(e, privacy.Analyst, set); rep.Rewritten == 0 {
+			t.Fatalf("n=%d: nothing rewritten at analyst: %+v", n, rep)
+		}
+	}
 }
 
 // FuzzSanitizerDifferential extends the taint fuzz corpus to the
@@ -182,10 +295,12 @@ func FuzzSanitizerDifferential(f *testing.F) {
 		level := diffLevels[int(lvl)%len(diffLevels)]
 		e, pol := corpusRun(t, seed)
 		diffOne(t, fmt.Sprintf("fuzz seed=%d", seed), NewEngine(pol, nil), e, level)
+		// And one many-pattern execution per input: 64 to 319 patterns.
+		diffMany(t, seed, 64+int(uint64(seed)%256))
 	})
 }
 
-// synthetic labels for automaton unit tests.
+// synthetic labels for replacer unit tests.
 func mkLabels(pairs ...[2]string) []Label {
 	out := make([]Label, 0, len(pairs))
 	for i, p := range pairs {
@@ -199,62 +314,39 @@ func mkLabels(pairs ...[2]string) []Label {
 func rewriteAll(r *Replacer, s string) (string, bool, bool) {
 	active := func(int32) bool { return true }
 	repl := func(p int32) string { return "[" + r.pats[p].attr + ":*]" }
-	return r.rewrite(s, len(r.pats), active, repl)
-}
-
-// rewriteAllAC forces the Aho–Corasick tier regardless of pattern count
-// (nActive only selects the tier; correctness must not depend on it).
-func rewriteAllAC(r *Replacer, s string) (string, bool, bool) {
-	active := func(int32) bool { return true }
-	repl := func(p int32) string { return "[" + r.pats[p].attr + ":*]" }
-	return r.rewrite(s, acThreshold+1, active, repl)
+	return r.rewrite(s, active, repl)
 }
 
 func TestReplacerLongestMatchWins(t *testing.T) {
 	r := compileReplacer(mkLabels([2]string{"a", "v1"}, [2]string{"b", "v12"}))
-	for tier, rw := range map[string]func(*Replacer, string) (string, bool, bool){
-		"index": rewriteAll, "ac": rewriteAllAC,
-	} {
-		// "v12" must win over its prefix "v1" where both start.
-		got, changed, clean := rw(r, "x=v12;y=v1;")
-		if want := "x=[b:*];y=[a:*];"; got != want || !changed || !clean {
-			t.Fatalf("%s: rewrite = (%q, %v, %v), want (%q, true, true)", tier, got, changed, clean, want)
-		}
+	// "v12" must win over its prefix "v1" where both start.
+	got, changed, clean := rewriteAll(r, "x=v12;y=v1;")
+	if want := "x=[b:*];y=[a:*];"; got != want || !changed || !clean {
+		t.Fatalf("rewrite = (%q, %v, %v), want (%q, true, true)", got, changed, clean, want)
 	}
 }
 
 func TestReplacerSuffixPatternViaOutLink(t *testing.T) {
-	// "12" only ever matches as a suffix of text the automaton reaches
-	// through the longer pattern's path — the output-link chain must
-	// surface it, and the vectorized tier must agree.
+	// "12" is a suffix of the longer pattern: on its own it is replaced,
+	// inside an occurrence of "xy12" the longer pattern takes the span.
 	r := compileReplacer(mkLabels([2]string{"long", "xy12"}, [2]string{"short", "12"}))
-	for tier, rw := range map[string]func(*Replacer, string) (string, bool, bool){
-		"index": rewriteAll, "ac": rewriteAllAC,
-	} {
-		got, _, clean := rw(r, "a12b xy12 c")
-		if want := "a[short:*]b [long:*] c"; got != want || !clean {
-			t.Fatalf("%s: rewrite = (%q, clean=%v), want (%q, true)", tier, got, clean, want)
-		}
-		// And inside a *failed* long-pattern prefix: "xy1" then "2".
-		if got, _, _ := rw(r, "xy12"); got != "[long:*]" {
-			t.Fatalf("%s: rewrite(xy12) = %q", tier, got)
-		}
+	got, _, clean := rewriteAll(r, "a12b xy12 c")
+	if want := "a[short:*]b [long:*] c"; got != want || !clean {
+		t.Fatalf("rewrite = (%q, clean=%v), want (%q, true)", got, clean, want)
+	}
+	if got, _, _ := rewriteAll(r, "xy12"); got != "[long:*]" {
+		t.Fatalf("rewrite(xy12) = %q", got)
 	}
 }
 
 // TestReplacerOverlappingSelfMatches pins the step-by-one marking: an
 // equal-priority pattern pair where the second occurrence of one
-// overlaps the first's span must resolve identically in both tiers (and
-// to the sequential reference).
+// overlaps the first's span must resolve as the sequential reference does.
 func TestReplacerOverlappingSelfMatches(t *testing.T) {
 	r := compileReplacer(mkLabels([2]string{"a", "xa"}, [2]string{"b", "aa"}))
-	for tier, rw := range map[string]func(*Replacer, string) (string, bool, bool){
-		"index": rewriteAll, "ac": rewriteAllAC,
-	} {
-		got, _, clean := rw(r, "xaaa")
-		if want := "[a:*][b:*]"; got != want || !clean {
-			t.Fatalf("%s: rewrite(xaaa) = (%q, clean=%v), want %q", tier, got, clean, want)
-		}
+	got, _, clean := rewriteAll(r, "xaaa")
+	if want := "[a:*][b:*]"; got != want || !clean {
+		t.Fatalf("rewrite(xaaa) = (%q, clean=%v), want %q", got, clean, want)
 	}
 }
 
@@ -268,33 +360,9 @@ func TestReplacerSameRawTwoAttrsPriority(t *testing.T) {
 		t.Fatalf("priority winner = %q, want [alpha:*]", got)
 	}
 	onlyBeta := func(p int32) bool { return r.pats[p].attr == "beta" }
-	for _, n := range []int{1, acThreshold + 1} {
-		got2, _, _ := r.rewrite("v7", n, onlyBeta, func(p int32) string { return "[" + r.pats[p].attr + ":*]" })
-		if got2 != "[beta:*]" {
-			t.Fatalf("fallback winner (nActive=%d) = %q, want [beta:*]", n, got2)
-		}
-	}
-}
-
-// TestReplacerTiersAgreeOnCorpus: both mark tiers produce identical
-// output on real trace strings with every pattern active.
-func TestReplacerTiersAgreeOnCorpus(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		e, pol := corpusRun(t, seed)
-		set := NewEngine(pol, nil).Analyze(e)
-		r := set.Replacer()
-		if r == nil || r.Patterns() == 0 {
-			continue
-		}
-		for _, id := range e.ItemIDs() {
-			v := string(e.Items[id].Value)
-			gi, ci, ki := rewriteAll(r, v)
-			ga, ca, ka := rewriteAllAC(r, v)
-			if gi != ga || ci != ca || ki != ka {
-				t.Fatalf("seed %d item %s: tiers disagree: index=(%q,%v,%v) ac=(%q,%v,%v)",
-					seed, id, gi, ci, ki, ga, ca, ka)
-			}
-		}
+	got2, _, _ := r.rewrite("v7", onlyBeta, func(p int32) string { return "[" + r.pats[p].attr + ":*]" })
+	if got2 != "[beta:*]" {
+		t.Fatalf("fallback winner = %q, want [beta:*]", got2)
 	}
 }
 
@@ -313,24 +381,24 @@ func TestReplacerVerifyRedactsSurvivingRaw(t *testing.T) {
 	// labels it was not given either.
 	r2 := compileReplacer(mkLabels([2]string{"a", "v1"}, [2]string{"b", "zz"}))
 	onlyA := func(p int32) bool { return r2.pats[p].attr == "a" }
-	got, _, clean = r2.rewrite("only v1 here", 1, onlyA, func(int32) string { return "zz" })
+	got, _, clean = r2.rewrite("only v1 here", onlyA, func(int32) string { return "zz" })
 	if !clean || got != "only zz here" {
 		t.Fatalf("inactive-pattern output = (%q, clean=%v), want (\"only zz here\", true)", got, clean)
 	}
 }
 
 func rewriteAll2(r *Replacer, s, repl string) (string, bool, bool) {
-	return r.rewrite(s, len(r.pats), func(int32) bool { return true }, func(int32) string { return repl })
+	return r.rewrite(s, func(int32) bool { return true }, func(int32) string { return repl })
 }
 
 func TestReplacerInactivePatternsUntouched(t *testing.T) {
 	r := compileReplacer(mkLabels([2]string{"a", "v1"}, [2]string{"b", "v2"}))
 	onlyA := func(p int32) bool { return r.pats[p].attr == "a" }
-	got, changed, clean := r.rewrite("v1 and v2", 1, onlyA, func(int32) string { return "[x]" })
+	got, changed, clean := r.rewrite("v1 and v2", onlyA, func(int32) string { return "[x]" })
 	if got != "[x] and v2" || !changed || !clean {
 		t.Fatalf("rewrite = (%q, %v, %v)", got, changed, clean)
 	}
-	got, changed, clean = r.rewrite("only v2", 1, onlyA, func(int32) string { return "[x]" })
+	got, changed, clean = r.rewrite("only v2", onlyA, func(int32) string { return "[x]" })
 	if got != "only v2" || changed || !clean {
 		t.Fatalf("no-active-match fast path = (%q, %v, %v)", got, changed, clean)
 	}

@@ -24,9 +24,9 @@
 //     hierarchy) or to an attribute-tagged mask token; when rewriting
 //     cannot prove the leak is gone the whole value is redacted.
 //
-// Analysis (seed + propagate) is separated from application so that it
-// can be cached: a Set computed once on the full execution applies to
-// every collapsed view of it at every access level (item ids are stable
+// Analysis (seed + propagate) is separated from application: a Set
+// computed on the full execution applies to every collapsed view of it at
+// every access level (item ids are stable
 // under exec.Collapse, and labels carry their required level so level
 // filtering happens at apply time). Within analysis, the structural half —
 // one transitive closure, which item's producer reaches which — is the
@@ -66,18 +66,17 @@ type Label struct {
 // sanitization degrades to attribute-local masking.
 //
 // A Set is immutable once Analyze returns and safe to share between
-// concurrent Apply calls — internal/repo caches one per (execution,
-// policy generation). The compiled sanitizer rides along: the automaton
-// over all protected raw values is built once here, not per request.
+// concurrent Apply calls. The compiled sanitizer rides along: the pattern
+// set over all protected raw values is built once here, not per item.
 // A Set is per execution even where executions share a shape: which item
 // descends from which is the shape's (exec.Ancestry, read by AnalyzeIn),
-// but the labels and the automaton hold raw values, which are not.
+// but the labels and the patterns hold raw values, which are not.
 type Set struct {
 	byItem map[string][]Label
 	labels int
 
-	// repl is the Aho–Corasick automaton compiled over every seed
-	// label's raw value; patIdx maps each item to the indices of the
+	// repl is the sanitizer compiled over every seed label's raw
+	// value; patIdx maps each item to the indices of the
 	// patterns that taint it. Both are nil when nothing is protected.
 	repl   *Replacer
 	patIdx map[string][]int32
@@ -93,7 +92,7 @@ func (s *Set) Replacer() *Replacer {
 	return s.repl
 }
 
-// compile builds the shared automaton from the seed labels and the
+// compile builds the shared sanitizer from the seed labels and the
 // per-item pattern index lists from byItem. seed must contain every
 // label that appears in byItem.
 func (s *Set) compile(seed []Label) {
@@ -220,7 +219,7 @@ func (en *Engine) Analyze(e *exec.Execution) *Set { return en.AnalyzeIn(e, nil) 
 // (exec.SameShape) and most of what an analysis costs, so it is derived
 // once per shape; what is left per execution is what depends on e's
 // values — which protected items carry a value that can leak, and the
-// automaton compiled over those values. A nil anc is derived from e.
+// sanitizer compiled over those values. A nil anc is derived from e.
 func (en *Engine) AnalyzeIn(e *exec.Execution, anc *exec.Ancestry) *Set {
 	protected := en.Policy.ProtectedAttrs(privacy.Public)
 	set := &Set{byItem: make(map[string][]Label)}
@@ -363,17 +362,16 @@ func (en *Engine) ApplyInPlace(e *exec.Execution, level privacy.Level, set *Set)
 // applier is the pooled per-Apply working state of the compiled
 // sanitizer: the active-pattern bitset for the item being masked, the
 // lazily filled per-level replacement table, and the two closures handed
-// to the automaton (created once per Apply, not per item).
+// to the replacer (created once per Apply, not per item).
 type applier struct {
 	en    *Engine
 	set   *Set
 	level privacy.Level
 
 	active  []uint64 // bitset over the replacer's patterns
-	marked  []int32  // bits set for the current item, for O(k) clearing
+	marked  []int32  // bits set for the current item: its active patterns
 	repl    []exec.Value
 	replSet []bool
-	n       int // active patterns for the current item
 
 	isActive func(int32) bool
 	replFor  func(int32) string
@@ -435,7 +433,6 @@ func (ap *applier) activate(itemID string) {
 		ap.active[p/64] &^= 1 << (uint(p) % 64)
 	}
 	ap.marked = ap.marked[:0]
-	ap.n = 0
 	if ap.set == nil || ap.set.repl == nil {
 		return
 	}
@@ -443,19 +440,18 @@ func (ap *applier) activate(itemID string) {
 		if ap.set.repl.pats[p].required > ap.level {
 			ap.active[p/64] |= 1 << (uint(p) % 64)
 			ap.marked = append(ap.marked, p)
-			ap.n++
 		}
 	}
 }
 
 // rewrite sanitizes one value against the currently activated patterns.
 // Same contract as the replacer's rewrite; items with no active pattern
-// short-circuit without touching the automaton.
+// short-circuit without scanning the value.
 func (ap *applier) rewrite(v exec.Value) (exec.Value, bool, bool) {
-	if ap.n == 0 {
+	if len(ap.marked) == 0 {
 		return v, false, true
 	}
-	out, changed, clean := ap.set.repl.rewrite(string(v), ap.n, ap.isActive, ap.replFor)
+	out, changed, clean := ap.set.repl.rewrite(string(v), ap.isActive, ap.replFor)
 	return exec.Value(out), changed, clean
 }
 

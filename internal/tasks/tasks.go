@@ -1,7 +1,7 @@
 // Package tasks is the in-process asynchronous task runtime behind the
 // repository's heavy operations: bulk ingest, background compaction
-// folds, snapshot-cache prewarming — anything that used to run on the
-// request path and degrade every concurrent reader while it did.
+// folds — anything that used to run on the request path and degrade every
+// concurrent reader while it did.
 //
 // The model follows the task-queue design of production content
 // services: a bounded worker pool pulls typed tasks off a bounded
@@ -25,7 +25,9 @@
 // schedule with a deterministic clock.
 //
 // Everything the runtime reports — Snapshot, Stats — is a copy; the
-// live Task is never shared outside the package.
+// live Task is never shared outside the package. The directory remembers
+// every task that has not finished and the newest retainTerminal that have;
+// the counters in Stats cover every task ever submitted.
 package tasks
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -214,6 +217,10 @@ type Task struct {
 	finished  time.Time
 	beat      time.Time
 	canceling bool // Cancel was called; decides canceled-vs-failed at exit
+
+	// retired is set once the task is terminal: retire may forget it.
+	// Guarded by the runtime's mu, not by mu.
+	retired bool
 }
 
 // Snapshot is the externally visible, immutable copy of a task's
@@ -309,7 +316,7 @@ func (p *Progress) Note(err error) {
 // Sentinel errors of the runtime API.
 var (
 	// ErrUnknownTask marks lookups/cancels of task ids the runtime has
-	// never issued.
+	// never issued, or issued and since forgotten (see retainTerminal).
 	ErrUnknownTask = errors.New("tasks: unknown task")
 	// ErrQueueFull marks a Submit rejected because the queue is at
 	// capacity — backpressure, not data loss (the caller still owns the
@@ -332,6 +339,15 @@ type Stats struct {
 	Queued    int64 `json:"queued"`
 }
 
+// retainTerminal is how many finished tasks the directory keeps, newest
+// first by submission, for GET /api/v1/tasks[/{id}] — each with its result,
+// which for a bulk ingest holds up to a hundred error strings. A client
+// polls a task within seconds of submitting it and the queue admits at most
+// a few dozen at a time, so a thousand finished tasks is hours of history;
+// without a bound the directory grows for the life of the process. Like the
+// queue's capacity, a size nobody has needed to set.
+const retainTerminal = 1024
+
 // Runtime owns the worker pool, the queue and the task directory.
 type Runtime struct {
 	clock Clock
@@ -342,6 +358,7 @@ type Runtime struct {
 	mu       sync.Mutex
 	tasks    map[string]*Task
 	order    []string // submission order; List serves newest-first
+	terminal int      // tasks in the directory that have finished (Task.retired)
 	queue    chan *Task
 	draining bool
 	seq      uint64
@@ -473,26 +490,34 @@ func (rt *Runtime) Get(id string) (Snapshot, error) {
 // [offset, offset+limit) (limit 0 = unlimited), plus the total count.
 func (rt *Runtime) List(limit, offset int) ([]Snapshot, int) {
 	rt.mu.Lock()
-	ids := make([]string, len(rt.order))
-	copy(ids, rt.order)
-	ts := make([]*Task, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		ts = append(ts, rt.tasks[ids[i]])
+	total := len(rt.order)
+	var ts []*Task
+	for i := total - 1 - offset; i >= 0 && (limit <= 0 || len(ts) < limit); i-- {
+		ts = append(ts, rt.tasks[rt.order[i]])
 	}
 	rt.mu.Unlock()
-	total := len(ts)
-	if offset >= total {
-		return []Snapshot{}, total
-	}
-	ts = ts[offset:]
-	if limit > 0 && limit < len(ts) {
-		ts = ts[:limit]
-	}
 	out := make([]Snapshot, len(ts))
 	for i, t := range ts {
 		out[i] = t.snapshot()
 	}
 	return out, total
+}
+
+// retire records that t has reached a terminal state and forgets the
+// oldest finished tasks beyond retainTerminal. A task that has not finished
+// is never forgotten, however old.
+func (rt *Runtime) retire(t *Task) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	t.retired = true
+	if rt.terminal < retainTerminal {
+		rt.terminal++
+		return
+	}
+	// One over: forget the oldest finished task (t itself, if it is that).
+	i := slices.IndexFunc(rt.order, func(id string) bool { return rt.tasks[id].retired })
+	delete(rt.tasks, rt.order[i])
+	rt.order = slices.Delete(rt.order, i, i+1)
 }
 
 // Cancel requests cancellation of a task: a pending task is terminally
@@ -508,6 +533,7 @@ func (rt *Runtime) Cancel(id string) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: %q", ErrUnknownTask, id)
 	}
 	t.mu.Lock()
+	wasPending := t.state == Pending
 	switch t.state {
 	case Pending:
 		t.state = Canceled
@@ -519,6 +545,9 @@ func (rt *Runtime) Cancel(id string) (Snapshot, error) {
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
 	t.cancel()
+	if wasPending {
+		rt.retire(t)
+	}
 	return snap, nil
 }
 
@@ -534,8 +563,8 @@ func (rt *Runtime) CancelAll() {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
 	for _, t := range ts {
 		t.mu.Lock()
-		terminal := t.state.Terminal()
-		if t.state == Pending {
+		terminal, wasPending := t.state.Terminal(), t.state == Pending
+		if wasPending {
 			t.state = Canceled
 			t.finished = rt.clock.Now()
 			rt.canceled.Add(1)
@@ -545,6 +574,9 @@ func (rt *Runtime) CancelAll() {
 		t.mu.Unlock()
 		if !terminal {
 			t.cancel()
+		}
+		if wasPending {
+			rt.retire(t)
 		}
 	}
 }
@@ -690,4 +722,5 @@ func (rt *Runtime) finish(t *Task, s State, err error, result any) {
 	if op := rt.observe.Load(); op != nil && !started.IsZero() {
 		(*op)(kind, started.Sub(created), finished.Sub(started))
 	}
+	rt.retire(t)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,6 +350,75 @@ func TestListNewestFirstPaginated(t *testing.T) {
 	}
 	if _, total := rt.List(10, 99); total != 5 {
 		t.Errorf("offset past end: total = %d, want 5", total)
+	}
+}
+
+// TestRuntimeForgetsOldestFinishedTasks: the directory keeps every task that
+// has not finished and the newest retainTerminal that have. A task held open
+// is submitted first, then retainTerminal+extra that finish at once: the
+// oldest extra of those are forgotten — Get and Cancel answer as for an id
+// never issued — the open one is not, and the counters still cover every
+// task. Once the open one finishes it is the oldest finished task, and goes.
+func TestRuntimeForgetsOldestFinishedTasks(t *testing.T) {
+	const extra = 10
+	rt := NewWithClock(2, 1+retainTerminal+extra, newFakeClock(), 1)
+	running, release := make(chan struct{}), make(chan struct{})
+	open, err := rt.Submit(Class{Kind: "open"}, func(ctx context.Context, p *Progress) (any, error) {
+		close(running)
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-running
+	var ids []string
+	for i := 0; i < retainTerminal+extra; i++ {
+		id, err := rt.Submit(Class{Kind: "quick"}, func(ctx context.Context, p *Progress) (any, error) {
+			return i, nil
+		})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	for {
+		if _, total := rt.List(1, 0); rt.Stats().Succeeded == retainTerminal+extra && total == retainTerminal+1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	if s, err := rt.Get(open); err != nil || s.State != "running" {
+		t.Fatalf("the unfinished task, older than every forgotten one: %+v, %v", s, err)
+	}
+	for _, id := range ids[:extra] {
+		if _, err := rt.Get(id); !errors.Is(err, ErrUnknownTask) {
+			t.Fatalf("Get(%s), one of the %d oldest finished tasks: %v, want ErrUnknownTask", id, extra, err)
+		}
+		if _, err := rt.Cancel(id); !errors.Is(err, ErrUnknownTask) {
+			t.Fatalf("Cancel(%s): %v, want ErrUnknownTask", id, err)
+		}
+	}
+	all, total := rt.List(0, 0)
+	if total != retainTerminal+1 || len(all) != total || all[0].ID != ids[len(ids)-1] || all[total-2].ID != ids[extra] || all[total-1].ID != open {
+		t.Fatalf("List: %d of %d tasks, from %s to %s", len(all), total, all[0].ID, all[len(all)-1].ID)
+	}
+	if s, err := rt.Get(ids[extra]); err != nil || s.State != "succeeded" || s.Result != extra {
+		t.Fatalf("the oldest task kept: %+v, %v", s, err)
+	}
+	close(release)
+	if err := rt.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if _, err := rt.Get(open); !errors.Is(err, ErrUnknownTask) {
+		t.Fatalf("Get of the task that finished last but was submitted first: %v, want ErrUnknownTask", err)
+	}
+	if _, total := rt.List(0, 0); total != retainTerminal {
+		t.Fatalf("%d tasks listed after the drain, want %d", total, retainTerminal)
+	}
+	const all1 = 1 + retainTerminal + extra
+	if st := rt.Stats(); st.Submitted != all1 || st.Started != all1 || st.Succeeded != all1 || st.Failed+st.Canceled+st.Running+st.Queued != 0 {
+		t.Fatalf("counters after forgetting %d tasks: %+v, want %d submitted, started and succeeded", extra+1, st, all1)
 	}
 }
 

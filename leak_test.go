@@ -9,7 +9,6 @@ package provpriv
 // suite.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -255,15 +254,15 @@ func TestLeakFreeProvenanceAllLevels(t *testing.T) {
 }
 
 // TestTaintCountersOnMaterializedFastPath: provenance served from a
-// prewarmed snapshot (a warm hit, no masking work) must stay leak-free
-// AND keep the taint counters moving — the snapshot replays the masking
-// report recorded when it was built.
+// snapshot an earlier read built (a warm hit, no masking work) must stay
+// leak-free AND keep the taint counters moving — the snapshot replays the
+// masking report recorded when it was built.
 func TestTaintCountersOnMaterializedFastPath(t *testing.T) {
 	r, spec, e := diseaseLeakRepo(t)
-	if _, err := r.PrewarmMasked(context.Background(), spec.ID, []privacy.Level{privacy.Public}, nil); err != nil {
-		t.Fatalf("PrewarmMasked: %v", err)
-	}
 	prognosis := itemByAttr(t, e, "prognosis")
+	if _, err := r.Provenance("pub", spec.ID, "E1", prognosis); err != nil {
+		t.Fatalf("cold provenance: %v", err)
+	}
 	before := r.Stats()
 	prov, err := r.Provenance("pub", spec.ID, "E1", prognosis)
 	if err != nil {
@@ -271,12 +270,12 @@ func TestTaintCountersOnMaterializedFastPath(t *testing.T) {
 	}
 	for id, it := range prov.Items {
 		if strings.Contains(string(it.Value), "rs123") {
-			t.Errorf("prewarmed provenance item %s embeds rs123: %q", id, it.Value)
+			t.Errorf("warm provenance item %s embeds rs123: %q", id, it.Value)
 		}
 	}
 	after := r.Stats()
 	if after.MaskedCacheMisses != before.MaskedCacheMisses {
-		t.Fatalf("read after prewarm filled cold: misses %d -> %d", before.MaskedCacheMisses, after.MaskedCacheMisses)
+		t.Fatalf("second read filled cold: misses %d -> %d", before.MaskedCacheMisses, after.MaskedCacheMisses)
 	}
 	if after.TaintRewritten <= before.TaintRewritten {
 		t.Fatalf("warm hit did not feed taint counters: %d -> %d", before.TaintRewritten, after.TaintRewritten)
