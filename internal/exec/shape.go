@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/maphash"
 	"slices"
@@ -46,18 +47,84 @@ func SameShape(a, b *Execution) bool {
 }
 
 // Shape is one interned shape: the executions of a Shapes table that are
-// SameShape share it, and with it whatever was derived from it.
+// SameShape share it, and with it whatever was derived from it — and, once
+// stored, the structure itself: every execution a table hands back after the
+// first of a shape is a header and a slab of items over the first one's Nodes,
+// Edges and id, attr and producer strings.
 type Shape struct {
 	rep *Execution // the first execution interned with this shape
+	// ids are rep's item ids in ItemIDs order: the order of a value vector, on
+	// disk (MarshalValues) and in WithValues, and of the ancestry.
+	ids []string
 
 	ancOnce sync.Once
 	anc     *Ancestry
 }
 
+// Rep returns the first execution interned with this shape: the one whose
+// structure the others share, and the one a value record names.
+func (s *Shape) Rep() *Execution { return s.rep }
+
 // Ancestry returns the shape's item ancestry, derived on first use.
 func (s *Shape) Ancestry() *Ancestry {
-	s.ancOnce.Do(func() { s.anc = NewAncestry(s.rep) })
+	s.ancOnce.Do(func() { s.anc = newAncestry(s.rep, s.ids) })
 	return s.anc
+}
+
+// WithValues returns the execution id of this shape whose items carry values,
+// given in the shape's item order, those at the redacted indexes marked
+// Redacted. It shares the representative's Nodes, Edges and strings read-only
+// and owns its items, carved from one slab. Nothing structural is taken from
+// the caller, so there is nothing to validate beyond the vector itself.
+func (s *Shape) WithValues(id string, values []Value, redacted []int) (*Execution, error) {
+	if len(values) != len(s.ids) {
+		return nil, fmt.Errorf("exec: %s carries %d values, the shape of %s has %d items", id, len(values), s.rep.ID, len(s.ids))
+	}
+	out := &Execution{ID: id, SpecID: s.rep.SpecID, Nodes: s.rep.Nodes, Edges: s.rep.Edges, Items: make(map[string]*DataItem, len(s.ids))}
+	slab := make([]DataItem, len(s.ids))
+	for i, iid := range s.ids {
+		it := s.rep.Items[iid]
+		slab[i] = DataItem{ID: it.ID, Attr: it.Attr, Value: values[i], Producer: it.Producer}
+		out.Items[it.ID] = &slab[i]
+	}
+	for _, i := range redacted {
+		if i < 0 || i >= len(slab) {
+			return nil, fmt.Errorf("exec: %s redacts item %d of %d", id, i, len(slab))
+		}
+		slab[i].Redacted = true
+	}
+	return out, nil
+}
+
+// vector returns e's values and redacted indexes in the shape's item order.
+// e must be of this shape.
+func (s *Shape) vector(e *Execution) (values []Value, redacted []int) {
+	values = make([]Value, len(s.ids))
+	for i, id := range s.ids {
+		it := e.Items[id]
+		values[i] = it.Value
+		if it.Redacted {
+			redacted = append(redacted, i)
+		}
+	}
+	return values, redacted
+}
+
+// valueRecord is the stored form of an execution that is not the first of
+// its shape in its store: the id of one that is, and the value vector. The
+// execution's own id is the record's key.
+type valueRecord struct {
+	Like     string  `json:"like"`
+	Values   []Value `json:"values"`
+	Redacted []int   `json:"redacted,omitempty"`
+}
+
+// MarshalValues serializes e, an execution of this shape, as a value record
+// naming the shape's representative.
+func (s *Shape) MarshalValues(e *Execution) ([]byte, error) {
+	rec := valueRecord{Like: s.rep.ID}
+	rec.Values, rec.Redacted = s.vector(e)
+	return json.Marshal(rec)
 }
 
 // Shapes interns the executions of one specification by shape. It is not
@@ -75,26 +142,52 @@ func NewShapes() *Shapes {
 	return &Shapes{seed: maphash.MakeSeed(), byHash: make(map[uint64][]*Shape), of: make(map[*Execution]*Shape)}
 }
 
-// Intern records e under its shape and returns it. A fingerprint over the
-// shape's fields finds the candidates and SameShape accepts one, so two
-// shapes that collide cost a comparison and never share. e must not change
-// shape afterwards (stored executions are read-only).
-func (t *Shapes) Intern(e *Execution) *Shape {
+// Intern files e under its shape and returns the execution to store for it:
+// e itself when it is the first of its shape, otherwise a copy that shares
+// the shape's structure (WithValues). e is only read, and must not change
+// shape afterwards when it is the one kept (stored executions are read-only).
+// A fingerprint over the shape's fields finds the candidates and SameShape
+// accepts one, so two shapes that collide cost a comparison and never share.
+func (t *Shapes) Intern(e *Execution) *Execution {
 	fp := t.fingerprint(e)
 	for _, s := range t.byHash[fp] {
 		if SameShape(s.rep, e) {
-			t.of[e] = s
-			return s
+			values, redacted := s.vector(e)
+			stored, _ := s.WithValues(e.ID, values, redacted) // the vector is s's own: it fits
+			t.of[stored] = s
+			return stored
 		}
 	}
-	s := &Shape{rep: e}
+	s := &Shape{rep: e, ids: e.ItemIDs()}
 	t.byHash[fp] = append(t.byHash[fp], s)
 	t.of[e] = s
 	t.n++
-	return s
+	return e
 }
 
-// Of returns the shape e was interned under, or nil.
+// UnmarshalValues parses a value record (MarshalValues) as the execution id
+// and files it under the shape of the execution the record names, looked up
+// in stored, without comparing anything: the record carries no structure. A
+// record that names no stored execution, or whose vector does not fit the
+// shape, is refused.
+func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Execution) (*Execution, error) {
+	var rec valueRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, fmt.Errorf("exec: decode values of %s: %w", id, err)
+	}
+	s := t.of[stored[rec.Like]]
+	if s == nil {
+		return nil, fmt.Errorf("exec: values of %s name %q, which is not stored", id, rec.Like)
+	}
+	e, err := s.WithValues(id, rec.Values, rec.Redacted)
+	if err != nil {
+		return nil, err
+	}
+	t.of[e] = s
+	return e, nil
+}
+
+// Of returns the shape a stored execution was interned under, or nil.
 func (t *Shapes) Of(e *Execution) *Shape { return t.of[e] }
 
 // Len returns the number of distinct shapes interned.
@@ -177,8 +270,10 @@ type Ancestry struct {
 }
 
 // NewAncestry derives the ancestry of e's shape.
-func NewAncestry(e *Execution) *Ancestry {
-	a := &Ancestry{IDs: e.ItemIDs()}
+func NewAncestry(e *Execution) *Ancestry { return newAncestry(e, e.ItemIDs()) }
+
+func newAncestry(e *Execution, ids []string) *Ancestry {
+	a := &Ancestry{IDs: ids}
 	g := e.Graph()
 	a.prod = make([]graph.NodeID, len(a.IDs))
 	for i, id := range a.IDs {

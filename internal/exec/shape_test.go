@@ -87,7 +87,9 @@ var shapeEdits = []struct {
 // TestSameShapeIsValueBlindAndNothingElse: two runs of one spec on
 // different inputs have the same shape, as does any rewrite of values;
 // every single-field edit of the structure has another. Shapes.Intern
-// follows: one Shape for the former, a new one per edit.
+// follows: one Shape for the former, a new one per edit — and what it hands
+// back to store for the former is the caller's execution, field for field,
+// over A's nodes and edges, with the caller's own left as it was.
 func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,13 +103,24 @@ func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 			it.Value, it.Redacted = exec.Value(fmt.Sprint(rng.Int())), rng.Intn(2) == 0
 		}
 		shapes := exec.NewShapes()
-		shape := shapes.Intern(a)
+		if shapes.Intern(a) != a {
+			t.Fatalf("seed %d: the first execution of a shape was not stored as given", seed)
+		}
+		shape := shapes.Of(a)
 		for _, same := range []*exec.Execution{b, revalued, clone(t, a)} {
 			if !exec.SameShape(a, same) || !exec.SameShape(same, a) {
 				t.Fatalf("seed %d: %s differs from A in values only, yet is not the same shape", seed, same.ID)
 			}
-			if shapes.Intern(same) != shape || shapes.Of(same) != shape {
-				t.Fatalf("seed %d: %s was not interned under A's shape", seed, same.ID)
+			before := clone(t, same)
+			stored := shapes.Intern(same)
+			if shapes.Of(stored) != shape || shapes.Of(same) != nil {
+				t.Fatalf("seed %d: %s was not interned under A's shape, as a copy", seed, same.ID)
+			}
+			if !reflect.DeepEqual(stored, same) || !reflect.DeepEqual(same, before) {
+				t.Fatalf("seed %d: what is stored for %s is not what was passed in, or that changed", seed, same.ID)
+			}
+			if &stored.Nodes[0] != &a.Nodes[0] || &stored.Edges[0] != &a.Edges[0] || &same.Nodes[0] == &a.Nodes[0] {
+				t.Fatalf("seed %d: the stored copy of %s does not share A's structure", seed, same.ID)
 			}
 		}
 		for _, ed := range shapeEdits {
@@ -119,7 +132,7 @@ func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 			if exec.SameShape(a, edited) || exec.SameShape(edited, a) {
 				t.Errorf("seed %d: after edit %q the execution still has A's shape", seed, ed.name)
 			}
-			if shapes.Intern(edited) == shape {
+			if stored := shapes.Intern(edited); stored != edited || shapes.Of(stored) == shape {
 				t.Errorf("seed %d: after edit %q the execution was interned under A's shape", seed, ed.name)
 			}
 		}
@@ -196,6 +209,68 @@ func TestSameShapeViewIsTheOthersCollapse(t *testing.T) {
 		delete(other.Items, id)
 		if _, err := plan.WithValuesOf(other); err == nil || !strings.Contains(err.Error(), id) {
 			t.Fatalf("seed %d: WithValuesOf an execution lacking %s: err = %v", seed, id, err)
+		}
+	}
+}
+
+// TestValueRecordRoundTrip: an execution written as the values it carries
+// beside its shape's first (MarshalValues) and read back over that one
+// (UnmarshalValues) is the execution, field for field — redactions, empty
+// values and values needing escapes included — under the shape, sharing its
+// structure, with no structure in the record; and a record that names nothing
+// stored, or does not fit the shape it names, is refused.
+func TestValueRecordRoundTrip(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		s, a := randomRun(t, seed)
+		b, err := exec.NewRunner(s, nil).Run("B", workload.RandomInputs(s, seed+500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range b.ItemIDs() {
+			switch it := b.Items[id]; i % 4 {
+			case 1:
+				it.Value = ""
+			case 2:
+				it.Value += "\"\\\n <é>"
+			case 3:
+				it.Redacted = true
+			}
+		}
+		shapes := exec.NewShapes()
+		stored := map[string]*exec.Execution{a.ID: shapes.Intern(a)}
+		shape := shapes.Of(a)
+		if shape.Rep() != a {
+			t.Fatalf("seed %d: the shape's representative is not its first execution", seed)
+		}
+		data, err := shape.MarshalValues(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), a.Nodes[1].ID) || !strings.Contains(string(data), `"like":"`+a.ID+`"`) {
+			t.Fatalf("seed %d: value record carries structure, or does not name A: %s", seed, data)
+		}
+		got, err := shapes.UnmarshalValues("B", data, stored)
+		if err != nil {
+			t.Fatalf("seed %d: UnmarshalValues: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, b) || shapes.Of(got) != shape || &got.Nodes[0] != &a.Nodes[0] || shapes.Len() != 1 {
+			t.Fatalf("seed %d: B read back from its value record is not B under A's shape", seed)
+		}
+		n := len(a.Items)
+		if _, err := shapes.UnmarshalValues("C", []byte(`{"like":"E","values":[`+strings.Repeat(`"",`, n-1)+`""]}`), stored); err != nil {
+			t.Fatalf("seed %d: fixture: a well-formed record is refused: %v", seed, err)
+		}
+		for name, bad := range map[string]string{
+			"not JSON":             `{"like":`,
+			"names nothing stored": `{"like":"nope","values":[` + strings.Repeat(`"",`, n-1) + `""]}`,
+			"vector too short":     `{"like":"E","values":[` + strings.Repeat(`"",`, n-2) + `""]}`,
+			"vector too long":      `{"like":"E","values":[` + strings.Repeat(`"",`, n) + `""]}`,
+			"redacted past end":    `{"like":"E","values":[` + strings.Repeat(`"",`, n-1) + `""],"redacted":[` + fmt.Sprint(n) + `]}`,
+			"redacted negative":    `{"like":"E","values":[` + strings.Repeat(`"",`, n-1) + `""],"redacted":[-1]}`,
+		} {
+			if e, err := shapes.UnmarshalValues("C", []byte(bad), stored); err == nil {
+				t.Fatalf("seed %d: value record (%s) accepted as %+v", seed, name, e)
+			}
 		}
 	}
 }

@@ -437,7 +437,7 @@ func TestFillRefusesCyclicView(t *testing.T) {
 		exec.Edge{From: last.To, To: stored.Edges[0].From, Items: last.Items})
 	sh.mu.Lock()
 	sh.execs[cyclic.ID] = &cyclic
-	if sh.shapes.Intern(&cyclic) == sh.shapes.Of(stored) {
+	if sh.shapes.Of(sh.shapes.Intern(&cyclic)) == sh.shapes.Of(stored) {
 		t.Fatal("the execution with an extra edge was interned under E1's shape")
 	}
 	sh.mu.Unlock()

@@ -101,11 +101,7 @@ func (r *Repository) compactFrom(sid string, snap shardSnap) error {
 	for id, ss := range bs.shards {
 		meta.Shards[id] = ss.info()
 	}
-	folded := &shardSaved{
-		seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
-		ckptGen: gen, ckptRecords: uint64(len(recs)),
-		execs: execSet(snap.execs),
-	}
+	folded := snap.saved(gen, uint64(len(recs)))
 	meta.Shards[sid] = folded.info()
 	if err := bs.b.Commit(meta); err != nil {
 		return r.dropBindingLocked(err)

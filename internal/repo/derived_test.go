@@ -12,6 +12,7 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/storage"
+	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
@@ -248,14 +249,12 @@ func TestSaveIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Mutate only s1.
-	s := r.Spec("s1")
-	e, err := exec.NewRunner(s, nil).Run("s1-E1", workload.RandomInputs(s, 99))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := r.AddExecution(e); err != nil {
-		t.Fatalf("AddExecution: %v", err)
+	// Mutate only s1: three runs of the shape the store holds s1-E0 of, and
+	// two of a shape it has not seen, whose first sorts after the second.
+	for _, e := range shapedRuns(t, r.Spec("s1"), "s1", 99) {
+		if err := r.AddExecution(e); err != nil {
+			t.Fatalf("AddExecution: %v", err)
+		}
 	}
 	if err := r.Save(dir); err != nil {
 		t.Fatalf("second Save: %v", err)
@@ -292,6 +291,12 @@ func TestSaveIncremental(t *testing.T) {
 	if got, want := r2.Stats().Content(), r.Stats().Content(); got != want {
 		t.Fatalf("round trip after incremental save: %+v vs %+v", got, want)
 	}
+	sameStored(t, r, r2)
+	// The append named s1-E0 from the checkpoint and carried the new shape's
+	// first execution in full, ahead of the one that names it.
+	if k := storedRecords(t, dir); k[storage.RecExec] != 4 || k[storage.RecValues] != 4 {
+		t.Fatalf("stored %d full and %d value records, want 4 and 4", k[storage.RecExec], k[storage.RecValues])
+	}
 	// Saving to a different directory starts from scratch and is
 	// complete too.
 	dir2 := t.TempDir()
@@ -319,6 +324,15 @@ func TestSaveAfterRemoveAndReadd(t *testing.T) {
 	if err := r.AddSpec(s1, nil); err != nil {
 		t.Fatal(err)
 	}
+	addRuns := func(s *workflow.Spec, seed int64) {
+		t.Helper()
+		for _, e := range shapedRuns(t, s, "s", seed) {
+			if err := r.AddExecution(e); err != nil {
+				t.Fatalf("AddExecution: %v", err)
+			}
+		}
+	}
+	addRuns(s1, 1)
 	dir := t.TempDir()
 	if err := r.Save(dir); err != nil {
 		t.Fatal(err)
@@ -339,6 +353,10 @@ func TestSaveAfterRemoveAndReadd(t *testing.T) {
 	if err := r.AddSpec(s2, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The same execution ids, now runs of the other spec: a value record
+	// naming one of the ids the store held for the removed shard would be
+	// built over the wrong graph.
+	addRuns(s2, 2)
 	if err := r.Save(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +364,7 @@ func TestSaveAfterRemoveAndReadd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameStored(t, r, r2)
 	got := r2.Spec("s")
 	if got == nil || len(got.Workflows) != len(s2.Workflows) {
 		t.Fatalf("stale spec persisted: got %d workflows, want %d",

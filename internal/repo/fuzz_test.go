@@ -19,7 +19,7 @@ import (
 func FuzzPersistRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(2), uint8(1), "alice", uint8(3))
 	f.Add(int64(7), uint8(1), uint8(4), uint8(0), "", uint8(0))
-	f.Add(int64(42), uint8(3), uint8(3), uint8(2), "u\x00ser", uint8(200))
+	f.Add(int64(42), uint8(3), uint8(3), uint8(3), "u\x00ser", uint8(200))
 	f.Add(int64(-9), uint8(2), uint8(2), uint8(3), "ünïcode né", uint8(1))
 	f.Add(int64(1234), uint8(1), uint8(1), uint8(1), "a,b\"c\\d", uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, depth, chain, nExecs uint8, userName string, userLevel uint8) {
@@ -53,11 +53,19 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if err := r.AddSpec(s, pol); err != nil {
 			t.Fatalf("AddSpec: %v", err)
 		}
-		for i := 0; i < ne; i++ {
+		// Added last id first, so the execution the others are stored beside
+		// sorts after them; the odd ones have a shape of their own, and one
+		// item of each carries the fuzzed string, empty or redacted at times.
+		for i := ne - 1; i >= 0; i-- {
 			e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("E%d", i), workload.RandomInputs(s, seed+int64(i)))
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
+			if i%2 == 1 {
+				e = reproc(e, e.ID)
+			}
+			it := e.Items[e.ItemIDs()[int(userLevel)%len(e.Items)]]
+			it.Value, it.Redacted = exec.Value(userName), userLevel%2 == 1
 			if err := r.AddExecution(e); err != nil {
 				t.Fatalf("AddExecution: %v", err)
 			}
@@ -82,6 +90,8 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if got, want := r2.Stats().Content(), r.Stats().Content(); got != want {
 			t.Fatalf("Stats: %+v != %+v", got, want)
 		}
+		sameStored(t, r, r2)
+		storedRecords(t, dir)
 		// JSON persistence coerces invalid UTF-8 to U+FFFD, so exact name
 		// fidelity is only promised for valid UTF-8 names; the user count
 		// (checked via Stats above) must survive regardless.

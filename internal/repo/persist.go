@@ -4,8 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
@@ -21,9 +22,7 @@ import (
 // typed records, and the manifest — committed atomically *last* — pins
 // every shard to exactly one generation and one committed log extent.
 // A crash (or a concurrent Load) mid-save can therefore only observe
-// the previous fully consistent snapshot, never a mix of generations;
-// this replaces the old layout, whose shard files were renamed over
-// stable names before the manifest and so could tear.
+// the previous fully consistent snapshot, never a mix of generations.
 //
 // Incrementality: shards carry a mutation sequence number; saving twice
 // through the same bound store skips clean shards entirely and appends
@@ -162,16 +161,22 @@ type shardSnap struct {
 	pol    *privacy.Policy
 	hs     map[string]*datapriv.Hierarchy
 	execs  []*exec.Execution // sorted by id
+	shapes []*exec.Shape     // of execs, index for index
 }
 
 func snapshotShardState(sh *shard) shardSnap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return shardSnap{
+	snap := shardSnap{
 		seq: sh.seq, polSeq: sh.gen.seq,
 		spec: sh.spec, pol: sh.gen.pol, hs: sh.gen.ladders,
 		execs: sh.executions(),
 	}
+	snap.shapes = make([]*exec.Shape, len(snap.execs))
+	for i, e := range snap.execs {
+		snap.shapes[i] = sh.shapes.Of(e)
+	}
+	return snap
 }
 
 // saveBound runs one save through the bound store. Each shard is locked
@@ -250,12 +255,9 @@ func (bs *boundStore) writeShard(ctx context.Context, sid string, gen uint64, sn
 				return nil, err
 			}
 		}
-		return &shardSaved{
-			seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
-			ckptGen: prev.ckptGen, ckptRecords: prev.ckptRecords,
-			logLen: logLen, logRecs: prev.logRecs + uint64(len(recs)),
-			execs: execSet(snap.execs),
-		}, nil
+		ss := snap.saved(prev.ckptGen, prev.ckptRecords)
+		ss.logLen, ss.logRecs = logLen, prev.logRecs+uint64(len(recs))
+		return ss, nil
 	}
 	recs, err := checkpointRecords(sid, snap)
 	if err != nil {
@@ -267,19 +269,21 @@ func (bs *boundStore) writeShard(ctx context.Context, sid string, gen uint64, sn
 	if err != nil {
 		return nil, err
 	}
-	return &shardSaved{
-		seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
-		ckptGen: gen, ckptRecords: uint64(len(recs)),
-		execs: execSet(snap.execs),
-	}, nil
+	return snap.saved(gen, uint64(len(recs))), nil
 }
 
-func execSet(execs []*exec.Execution) map[string]bool {
-	s := make(map[string]bool, len(execs))
-	for _, e := range execs {
-		s[e.ID] = true
+// saved is the bookkeeping of a store that holds snap behind a checkpoint of
+// ckptRecords records at generation ckptGen, its log empty.
+func (snap shardSnap) saved(ckptGen, ckptRecords uint64) *shardSaved {
+	ss := &shardSaved{
+		seq: snap.seq, polSeq: snap.polSeq, spec: snap.spec,
+		ckptGen: ckptGen, ckptRecords: ckptRecords,
+		execs: make(map[string]bool, len(snap.execs)),
 	}
-	return s
+	for _, e := range snap.execs {
+		ss.execs[e.ID] = true
+	}
+	return ss
 }
 
 // checkpointRecords folds a shard snapshot into its full record
@@ -295,15 +299,7 @@ func checkpointRecords(sid string, snap shardSnap) ([]storage.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs = append(recs, pr...)
-	for _, e := range snap.execs {
-		rec, err := execRecord(e)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
+	return execRecords(append(recs, pr...), snap, nil)
 }
 
 // deltaRecords renders what changed since the previous save: replaced
@@ -318,19 +314,9 @@ func deltaRecords(sid string, snap shardSnap, prev *shardSaved) ([]storage.Recor
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, pr...)
+		recs = pr
 	}
-	for _, e := range snap.execs {
-		if prev.execs[e.ID] {
-			continue
-		}
-		rec, err := execRecord(e)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
+	return execRecords(recs, snap, prev.execs)
 }
 
 func policyRecords(sid string, pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, withHier bool) ([]storage.Record, error) {
@@ -349,12 +335,37 @@ func policyRecords(sid string, pol *privacy.Policy, hs map[string]*datapriv.Hier
 	return recs, nil
 }
 
-func execRecord(e *exec.Execution) (storage.Record, error) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return storage.Record{}, fmt.Errorf("repo: encode execution %s: %w", e.ID, err)
+// execRecords appends a record for every execution of snap the store does
+// not hold (held: the ids it does; nil for a full fold). The first execution
+// of a shape is written in full, RecExec — ahead of its turn when one that
+// sorts before it names it, so a reader meets it first — and every other as
+// RecValues, the values it carries beside that one. A stored execution of a
+// shape implies its first, stored in full: it was interned, and saved, first.
+func execRecords(recs []storage.Record, snap shardSnap, held map[string]bool) ([]storage.Record, error) {
+	full := make(map[*exec.Execution]bool)
+	for i, e := range snap.execs {
+		if held[e.ID] {
+			continue
+		}
+		s := snap.shapes[i]
+		rep := s.Rep()
+		if !held[rep.ID] && !full[rep] {
+			full[rep] = true
+			data, err := json.Marshal(rep)
+			if err != nil {
+				return nil, fmt.Errorf("repo: encode execution %s: %w", rep.ID, err)
+			}
+			recs = append(recs, storage.Record{Type: storage.RecExec, Key: rep.ID, Data: data})
+		}
+		if e != rep {
+			data, err := s.MarshalValues(e)
+			if err != nil {
+				return nil, fmt.Errorf("repo: encode execution %s: %w", e.ID, err)
+			}
+			recs = append(recs, storage.Record{Type: storage.RecValues, Key: e.ID, Data: data})
+		}
 	}
-	return storage.Record{Type: storage.RecExec, Key: e.ID, Data: data}, nil
+	return recs, nil
 }
 
 // Load reads a saved repository directory into a fresh Repository,
@@ -382,15 +393,18 @@ func Load(dir string) (*Repository, error) {
 	return r, nil
 }
 
-// loadedShard accumulates one shard's records during replay. Policy,
-// ladder and duplicate execution records are last-wins, matching the
-// append-log semantics.
+// loadedShard accumulates one shard's records during replay: what becomes
+// the shard (spec, policy, ladders, the execution table and its shapes) and
+// held, the ids the store now holds for it. Policy and ladder records are
+// last-wins, matching the append-log semantics; an execution is stored once,
+// since a later record may name an earlier one.
 type loadedShard struct {
 	spec    *workflow.Spec
 	pol     *privacy.Policy
 	hs      map[string]*datapriv.Hierarchy
-	execIDs []string
 	execs   map[string]*exec.Execution
+	shapes  *exec.Shapes
+	held    map[string]bool
 	logRecs uint64
 }
 
@@ -421,17 +435,32 @@ func (l *loadedShard) apply(sid string, rec storage.Record) error {
 		}
 		l.hs = hs
 	case storage.RecExec:
+		// Decoded and validated here, once; interning shares the structure of
+		// a shape that an older directory stored in full more than once.
 		e, err := exec.UnmarshalExecution(rec.Data)
 		if err != nil {
 			return err
 		}
-		if _, dup := l.execs[e.ID]; !dup {
-			l.execIDs = append(l.execIDs, e.ID)
+		return l.store(sid, l.shapes.Intern(e))
+	case storage.RecValues:
+		// No structure is read, so none is validated or compared: the
+		// execution is built over the one the record names.
+		e, err := l.shapes.UnmarshalValues(rec.Key, rec.Data, l.execs)
+		if err != nil {
+			return fmt.Errorf("repo: load: shard %q: %v: %w", sid, err, storage.ErrCorrupt)
 		}
-		l.execs[e.ID] = e
+		return l.store(sid, e)
 	default:
 		return fmt.Errorf("repo: load: record type %v in shard %s: %w", rec.Type, sid, storage.ErrCorrupt)
 	}
+	return nil
+}
+
+func (l *loadedShard) store(sid string, e *exec.Execution) error {
+	if e.SpecID != sid || l.held[e.ID] {
+		return fmt.Errorf("repo: load: shard %q holds execution %q of %q, or holds it twice: %w", sid, e.ID, e.SpecID, storage.ErrCorrupt)
+	}
+	l.execs[e.ID], l.held[e.ID] = e, true
 	return nil
 }
 
@@ -445,15 +474,19 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	sids := make([]string, 0, len(meta.Shards))
-	for sid := range meta.Shards {
-		sids = append(sids, sid)
-	}
-	sort.Strings(sids)
-	shards := make(map[string]*loadedShard, len(sids))
-	for _, sid := range sids {
+	// The repository is private until returned (no locks needed yet): each
+	// shard is handed the execution table and shapes its records built —
+	// checked as they were read, so nothing goes through AddExecution again —
+	// with the bookkeeping that lets the first Save back to this store skip
+	// it, and the shared index is built exactly once (per-spec AddSpec would
+	// copy the index snapshot on every call, turning a large load quadratic).
+	r := New()
+	bound := &boundStore{b: b, key: key, gen: meta.Generation, shards: make(map[string]*shardSaved)}
+	specs := make([]*workflow.Spec, 0, len(meta.Shards))
+	pols := make(map[string]*privacy.Policy, len(meta.Shards))
+	for _, sid := range slices.Sorted(maps.Keys(meta.Shards)) {
 		info := meta.Shards[sid]
-		l := &loadedShard{execs: make(map[string]*exec.Execution)}
+		l := &loadedShard{execs: make(map[string]*exec.Execution), shapes: exec.NewShapes(), held: make(map[string]bool)}
 		if err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, func(rec storage.Record) error {
 			return l.apply(sid, rec)
 		}); err != nil {
@@ -468,37 +501,25 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		if l.spec == nil {
 			return nil, fmt.Errorf("repo: load: shard %q has no spec record: %w", sid, storage.ErrCorrupt)
 		}
-		shards[sid] = l
-	}
-	// Bulk ingest on a private repository (no locks needed yet): register
-	// every shard first, then build the shared index exactly once —
-	// per-spec AddSpec would copy the index snapshot on every call, turning
-	// a large load quadratic.
-	r := New()
-	specs := make([]*workflow.Spec, 0, len(sids))
-	pols := make(map[string]*privacy.Policy, len(sids))
-	for _, sid := range sids {
-		l := shards[sid]
 		sh, err := r.newShard(l.spec, l.pol, l.hs)
 		if err != nil {
 			return nil, err
 		}
+		sh.execs, sh.shapes = l.execs, l.shapes
 		r.shards[sid] = sh
 		specs = append(specs, l.spec)
 		// The shard's own pointer (newShard substitutes an all-public policy
 		// for a missing one): searchView trusts an index segment only when
 		// it was built from exactly the pair the shard holds.
 		pols[sid] = sh.gen.pol
-	}
-	r.inverted = index.BuildInverted(specs, pols)
-	for _, sid := range sids {
-		l := shards[sid]
-		for _, id := range l.execIDs {
-			if err := r.AddExecution(l.execs[id]); err != nil {
-				return nil, err
-			}
+		bound.shards[sid] = &shardSaved{
+			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec,
+			ckptGen: info.Checkpoint, ckptRecords: info.Records,
+			logLen: info.LogLen, logRecs: l.logRecs,
+			execs: l.held,
 		}
 	}
+	r.inverted = index.BuildInverted(specs, pols)
 	if len(meta.Users) > 0 {
 		var users []privacy.User
 		if err := json.Unmarshal(meta.Users, &users); err != nil {
@@ -506,24 +527,6 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		}
 		for _, u := range users {
 			r.AddUser(u)
-		}
-	}
-	// Prime the incremental-save bookkeeping from the state just loaded,
-	// so the first Save back to this store skips every clean shard.
-	bound := &boundStore{b: b, key: key, gen: meta.Generation, shards: make(map[string]*shardSaved)}
-	for _, sid := range sids {
-		l := shards[sid]
-		info := meta.Shards[sid]
-		sh := r.shards[sid] // still private: no lock
-		es := make(map[string]bool, len(l.execIDs))
-		for _, id := range l.execIDs {
-			es[id] = true
-		}
-		bound.shards[sid] = &shardSaved{
-			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec,
-			ckptGen: info.Checkpoint, ckptRecords: info.Records,
-			logLen: info.LogLen, logRecs: l.logRecs,
-			execs: es,
 		}
 	}
 	r.bound = bound

@@ -38,20 +38,24 @@ func crashFixture(t *testing.T) *Repository {
 	return r
 }
 
-// mutateToV2 moves every shard to its v2 state: a second execution and
-// an all-public replacement policy (module levels cleared — the marker
-// snapshotVersion keys on).
+// v2Execs is how many executions a shard holds in its v2 state.
+const v2Execs = 6
+
+// mutateToV2 moves every shard to its v2 state — five more executions
+// (shapedRuns), so that the one append of the v2 save carries value records
+// naming E0 from the checkpoint beside the first execution of a shape the
+// store has not seen and, ahead of it in id order, one that names it: no
+// kill point may leave a generation in which a value record lacks the
+// execution it names — and an all-public replacement policy (module levels
+// cleared — the marker snapshotVersion keys on).
 func mutateToV2(t *testing.T, r *Repository) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		s := r.Spec(sid)
-		e, err := exec.NewRunner(s, nil).Run(sid+"-E1", workload.RandomInputs(s, int64(100+i)))
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if err := r.AddExecution(e); err != nil {
-			t.Fatalf("AddExecution: %v", err)
+		for _, e := range shapedRuns(t, r.Spec(sid), sid, int64(100+i)) {
+			if err := r.AddExecution(e); err != nil {
+				t.Fatalf("AddExecution: %v", err)
+			}
 		}
 		if err := r.UpdatePolicy(sid, nil); err != nil {
 			t.Fatalf("UpdatePolicy: %v", err)
@@ -72,16 +76,16 @@ func snapshotVersion(t *testing.T, r *Repository) int {
 			t.Fatalf("shard %s missing after load", sid)
 		}
 		sh.mu.RLock()
-		execN, mods := len(sh.execs), len(sh.gen.pol.ModuleLevels)
+		execN, mods, shapes := len(sh.execs), len(sh.gen.pol.ModuleLevels), sh.shapes.Len()
 		sh.mu.RUnlock()
 		var v int
 		switch {
 		case execN == 1 && mods > 0:
 			v = 1
-		case execN == 2 && mods == 0:
+		case execN == v2Execs && mods == 0 && shapes == 2:
 			v = 2
 		default:
-			t.Fatalf("shard %s torn: %d execs with %d module levels", sid, execN, mods)
+			t.Fatalf("shard %s torn: %d execs of %d shapes with %d module levels", sid, execN, shapes, mods)
 		}
 		if ver == 0 {
 			ver = v
@@ -172,6 +176,7 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 				if got := snapshotVersion(t, r3); got != 2 {
 					t.Fatalf("recovery save left v%d, want v2", got)
 				}
+				sameStored(t, r, r3)
 				r3.CloseStorage()
 				r.CloseStorage()
 			})
@@ -270,6 +275,7 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 				if got := snapshotVersion(t, r3); got != 2 {
 					t.Fatalf("recovery left v%d, want v2", got)
 				}
+				sameStored(t, r, r3)
 				r3.CloseStorage()
 				r.CloseStorage()
 			})
@@ -452,11 +458,17 @@ func TestSaveNeverFoldsInline(t *testing.T) {
 	if err := r.BindStorage(m, dir); err != nil {
 		t.Fatalf("BindStorage: %v", err)
 	}
+	// Ids run downwards and every third run has other process ids: the first
+	// execution of either shape sorts after the ones stored beside it, so the
+	// fold has to write it ahead of its turn.
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
-		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("s-E%d", i), workload.RandomInputs(s, int64(i)))
+		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("s-E%d", rounds-1-i), workload.RandomInputs(s, int64(i)))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
+		}
+		if i%3 == 1 {
+			e = reproc(e, e.ID)
 		}
 		if err := r.AddExecution(e); err != nil {
 			t.Fatalf("AddExecution: %v", err)
@@ -510,6 +522,10 @@ func TestSaveNeverFoldsInline(t *testing.T) {
 	sh.mu.RUnlock()
 	if n != rounds {
 		t.Fatalf("fold lost executions: %d, want %d", n, rounds)
+	}
+	sameStored(t, r, r2)
+	if k := storedRecords(t, dir); k[storage.RecExec] != 2 || k[storage.RecValues] != rounds-2 {
+		t.Fatalf("the fold wrote %d full and %d value records, want 2 and %d", k[storage.RecExec], k[storage.RecValues], rounds-2)
 	}
 	// Folding is idempotent and cheap to re-check: a second CompactShard
 	// is a no-op.
@@ -590,6 +606,7 @@ func TestCompactShardConflictAndRetry(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("fold lost executions: %d, want 4", n)
 	}
+	sameStored(t, r, r2)
 	// Unbound repository: compaction has nothing to write to.
 	if err := New().CompactShard("s"); err != nil {
 		t.Fatalf("CompactShard on empty repo = %v, want nil (no shard)", err)

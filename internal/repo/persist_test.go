@@ -53,6 +53,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(ans1.Bindings) != len(ans2.Bindings) {
 		t.Fatal("query answers differ after round trip")
 	}
+	// Shards whose executions share shapes: one full record per shape, a value
+	// record for every other execution, each after the one it names, and what
+	// loads back serializes byte for byte as what was added — over one copy of
+	// the structure per shape.
+	shaped := shapedRepo(t)
+	dir = t.TempDir()
+	if err := shaped.Save(dir); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	defer loaded.CloseStorage()
+	sameStored(t, shaped, loaded)
+	if k := storedRecords(t, dir); k[storage.RecExec] != 4 || k[storage.RecValues] != 6 {
+		t.Fatalf("stored %d full and %d value records, want 4 (two shapes in each of two shards) and 6", k[storage.RecExec], k[storage.RecValues])
+	}
+	if n, shapes := sharesPerShape(t, loaded), loaded.Stats().ExecShapes; n != 6 || shapes != 4 || shapes != shaped.Stats().ExecShapes {
+		t.Fatalf("loaded %d executions sharing the structure of %d shapes, want 6 of 4", n, shapes)
+	}
 }
 
 func TestLoadMissingDir(t *testing.T) {

@@ -511,9 +511,11 @@ func (r *Repository) Policy(specID string) *privacy.Policy {
 	return sh.current().pol
 }
 
-// AddExecution stores a validated execution of a registered spec. Only
-// that spec's shard is locked: ingest on one spec never stalls queries
-// on others.
+// AddExecution stores a validated execution of a registered spec: e itself
+// when it is the first of its shape in the shard, otherwise a copy sharing
+// that one's structure, so the shard holds one graph per shape; e is only
+// ever read. Only that spec's shard is locked: ingest on one spec never
+// stalls queries on others.
 func (r *Repository) AddExecution(e *exec.Execution) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -527,8 +529,7 @@ func (r *Repository) AddExecution(e *exec.Execution) error {
 	if _, dup := sh.execs[e.ID]; dup {
 		return fmt.Errorf("repo: execution %s already registered: %w", e.ID, ErrExists)
 	}
-	sh.execs[e.ID] = e
-	sh.shapes.Intern(e)
+	sh.execs[e.ID] = sh.shapes.Intern(e)
 	sh.seq = r.mutSeq.Add(1)
 	return nil
 }

@@ -175,6 +175,11 @@ func TestBulkIngestEndToEnd(t *testing.T) {
 	if got := len(r.ExecutionIDs("zfish")); got != 3 {
 		t.Fatalf("zfish executions = %d, want 3", got)
 	}
+	// Bulk items go through AddExecution, which stores runs of one shape over
+	// one copy of their structure (repo.TestStoredExecutionsShareStructure).
+	if got := r.Stats().Shapes["zfish"].ExecShapes; got != 1 {
+		t.Fatalf("three runs of one spec were interned as %d shapes, want 1", got)
+	}
 }
 
 // TestBulkIngestRejectsBadEnvelope: a malformed array envelope is the

@@ -31,6 +31,7 @@ func FuzzReplayTail(f *testing.F) {
 	f.Add(append(append([]byte(nil), badCRC...), good...)) // a valid frame behind a bad one
 	f.Add(append(append([]byte(nil), good...), good[:len(good)/2]...))
 	f.Add(append(append([]byte(nil), good...), frame(RecAudit, "4", `{"seq":4}`)...))
+	f.Add(append(frame(RecExec, "e1", `{"id":"e1"}`), frame(RecValues, "e2", `{"like":"e1","values":["v"]}`)...))
 	f.Add(appendFrame(nil, []byte{byte(RecAudit), 0, 0})) // CRC-clean, payload too short to decode
 
 	committed := []Record{

@@ -67,7 +67,8 @@ const (
 	RecSpec RecordType = iota + 1
 	// RecPolicy carries a privacy policy (JSON). Key: spec id.
 	RecPolicy
-	// RecExec carries one execution (JSON). Key: execution id.
+	// RecExec carries one execution in full (JSON): in a repository shard,
+	// the first execution of its shape. Key: execution id.
 	RecExec
 	// RecHier carries a spec's generalization hierarchies (JSON map of
 	// attribute to ladder). Key: spec id.
@@ -76,6 +77,12 @@ const (
 	// Key: decimal sequence number. Audit records live in their own
 	// backend directory, never in a repository shard.
 	RecAudit
+	// RecValues carries an execution that is not the first of its shape in
+	// its shard (JSON, exec.Shape.MarshalValues): the id of an execution
+	// stored earlier in the shard, in full, and this one's item values in
+	// that shape's item order. Key: execution id. Builds before PR 28 do
+	// not know the type and refuse the shard as corrupt.
+	RecValues
 )
 
 func (t RecordType) String() string {
@@ -90,6 +97,8 @@ func (t RecordType) String() string {
 		return "hier"
 	case RecAudit:
 		return "audit"
+	case RecValues:
+		return "values"
 	}
 	return fmt.Sprintf("record(%d)", uint8(t))
 }

@@ -79,18 +79,19 @@ func Conformance(t *testing.T, open func(dir string) (storage.Backend, error)) {
 			rec(storage.RecSpec, "wf/alpha", `{"id":"wf/alpha"}`),
 			rec(storage.RecPolicy, "wf/alpha", `{"spec":"wf/alpha"}`),
 			rec(storage.RecExec, "e1", `{"id":"e1"}`),
+			rec(storage.RecValues, "e2", `{"like":"e1","values":["a \"b\"",""],"redacted":[1]}`),
 		}
 		if err := b.WriteCheckpoint("wf/alpha", 1, recs); err != nil {
 			t.Fatalf("WriteCheckpoint: %v", err)
 		}
 		meta := storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{
-			"wf/alpha": {Checkpoint: 1, Records: 3},
+			"wf/alpha": {Checkpoint: 1, Records: 4},
 		}}
 		if err := b.Commit(meta); err != nil {
 			t.Fatalf("Commit: %v", err)
 		}
 		wantRecords(t, collect(t, func(fn func(storage.Record) error) error {
-			return b.ReadCheckpoint("wf/alpha", 1, 3, fn)
+			return b.ReadCheckpoint("wf/alpha", 1, 4, fn)
 		}), recs)
 		b.Close()
 
@@ -101,11 +102,11 @@ func Conformance(t *testing.T, open func(dir string) (storage.Backend, error)) {
 		if err != nil {
 			t.Fatalf("Meta after reopen: %v", err)
 		}
-		if m.Generation != 1 || m.Shards["wf/alpha"].Records != 3 {
+		if m.Generation != 1 || m.Shards["wf/alpha"].Records != 4 {
 			t.Fatalf("reopened meta = %+v", m)
 		}
 		wantRecords(t, collect(t, func(fn func(storage.Record) error) error {
-			return b2.ReadCheckpoint("wf/alpha", 1, 3, fn)
+			return b2.ReadCheckpoint("wf/alpha", 1, 4, fn)
 		}), recs)
 	})
 
@@ -125,7 +126,7 @@ func Conformance(t *testing.T, open func(dir string) (storage.Backend, error)) {
 		}}); err != nil {
 			t.Fatalf("Commit: %v", err)
 		}
-		batch2 := []storage.Record{rec(storage.RecExec, "e3", "three")}
+		batch2 := []storage.Record{rec(storage.RecValues, "e3", "three")}
 		len2, err := b.Append("s", 1, len1, batch2)
 		if err != nil {
 			t.Fatalf("Append 2: %v", err)
