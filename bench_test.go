@@ -1257,12 +1257,12 @@ func BenchmarkProvenanceParallel(b *testing.B) {
 const coldFillExecs = 1024 + 76
 
 // coldFixture is the deep spec with its executions, every one a run of
-// the same shape, and a registered-level reader.
+// the same shape, and a reader at one level.
 type coldFixture struct {
 	r     *repo.Repository
 	execs []*exec.Execution
-	// read reads, as the registered user, the provenance of an item that
-	// level sees in the named execution.
+	// read reads, as the fixture's reader, the provenance of an item that
+	// its level sees in the named execution.
 	read func(execID string)
 }
 
@@ -1270,9 +1270,9 @@ type coldFixture struct {
 func (f *coldFixture) step(i int) { f.read(f.execs[i%len(f.execs)].ID) }
 
 // coldWalk registers the deep spec with its executions and walks them
-// once, so both of the shard's LRUs are full and every later step fills
-// cold and evicts: the steady state of a long walk.
-func coldWalk(tb testing.TB) *coldFixture {
+// once as a reader at level, so both of the shard's LRUs are full and every
+// later step fills cold and evicts: the steady state of a long walk.
+func coldWalk(tb testing.TB, level privacy.Level) *coldFixture {
 	tb.Helper()
 	const seed = 1*100003 + 1000
 	s, err := workload.RandomSpec(workload.SpecConfig{Seed: seed, ID: "deep-0", Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3})
@@ -1299,11 +1299,11 @@ func coldWalk(tb testing.TB) *coldFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vis, err := exec.VisibleItems(f.execs[0], s, pol.AccessView(h, privacy.Registered))
+	vis, err := exec.VisibleItems(f.execs[0], s, pol.AccessView(h, level))
 	if err != nil || len(vis) == 0 {
 		tb.Fatalf("no visible item: %v", err)
 	}
-	f.r.AddUser(privacy.User{Name: "scraper", Level: privacy.Registered, Group: "registered"})
+	f.r.AddUser(privacy.User{Name: "scraper", Level: level, Group: level.String()})
 	ctx := context.Background()
 	f.read = func(execID string) {
 		if _, err := f.r.ProvenanceWithCtx(ctx, "scraper", s.ID, execID, vis[len(vis)-1], repo.ProvenanceOptions{}); err != nil {
@@ -1316,28 +1316,34 @@ func coldWalk(tb testing.TB) *coldFixture {
 	return f
 }
 
-// BenchmarkColdFill times one cold read. same-shape is the walk: the
-// execution's shape has its view plan and its item ancestry, so the fill
-// copies values, analyses and masks. first-of-shape reads an execution no
-// other resembles (a run whose last node carries a process id of its own,
-// registered outside the timer): the fill also collapses and prepares the
-// view and derives the ancestry — everything a fill did before shapes were
-// shared, plus the copy.
+// BenchmarkColdFill times one cold read. same-shape is the walk of a
+// registered reader: the execution's shape has its view plan and its item
+// ancestry, so the fill copies values, analyses what that level may not see
+// and masks. owner is the same walk by the owner, who may see everything:
+// the fill copies and masks and analyses nothing. first-of-shape reads, as
+// the registered reader, an execution no other resembles (a run whose last
+// node carries a process id of its own, registered outside the timer): the
+// fill also collapses and prepares the view and derives the ancestry —
+// everything a fill did before shapes were shared, plus the copy.
 func BenchmarkColdFill(b *testing.B) {
-	b.Run("same-shape", func(b *testing.B) {
-		f := coldWalk(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.step(i)
+	walk := func(level privacy.Level) func(b *testing.B) {
+		return func(b *testing.B) {
+			f := coldWalk(b, level)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.step(i)
+			}
+			b.StopTimer()
+			if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.ExecShapes != 1 {
+				b.Fatalf("walk was not cold over one shape: %d masked cache hits, %d shapes", st.MaskedCacheHits, st.ExecShapes)
+			}
 		}
-		b.StopTimer()
-		if st := f.r.Stats(); st.MaskedCacheHits != 0 || st.ExecShapes != 1 {
-			b.Fatalf("walk was not cold over one shape: %d masked cache hits, %d shapes", st.MaskedCacheHits, st.ExecShapes)
-		}
-	})
+	}
+	b.Run("same-shape", walk(privacy.Registered))
+	b.Run("owner", walk(privacy.Owner))
 	b.Run("first-of-shape", func(b *testing.B) {
-		f := coldWalk(b)
+		f := coldWalk(b, privacy.Registered)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var batch []*exec.Execution
@@ -1372,18 +1378,20 @@ func BenchmarkColdFill(b *testing.B) {
 // walk may allocate: the fill (the plan's items copied into one slab, taint
 // analysis, mask), one LRU insert with eviction, and the provenance
 // answer. It was 763 when every stage copied the view and rebuilt its
-// graph, 217 when the fill did each piece of work once per execution, and
-// is 97 now that structure is held once per shape; collapsing or preparing
-// per execution again costs 60 more, so the budget of 107 leaves slack for
-// the runtime's map sizing but not for that.
+// graph, 217 when the fill did each piece of work once per execution, 96
+// once structure was held once per shape, and is 68 now that the analysis
+// is the reader's — sources above its level, targets its view's items, in
+// pooled memory; building per-item label lists again costs about 30 more,
+// so the budget of 74 leaves slack for the runtime's map sizing but not
+// for that.
 func TestColdFillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	f := coldWalk(t)
+	f := coldWalk(t, privacy.Registered)
 	i := 0
-	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 107 {
-		t.Fatalf("a cold provenance read allocates %.0f times; budget is 107", got)
+	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 74 {
+		t.Fatalf("a cold provenance read allocates %.0f times; budget is 74", got)
 	}
 }
 

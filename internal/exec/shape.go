@@ -265,6 +265,7 @@ func (view *Execution) WithValuesOf(src *Execution) (*Execution, error) {
 type Ancestry struct {
 	// IDs are the shape's item ids, in ItemIDs order.
 	IDs  []string
+	at   map[string]int // the index in IDs of each item id
 	prod []graph.NodeID // producer of IDs[i]; Invalid when unknown
 	cl   *graph.Closure // nil when the execution graph has a cycle
 }
@@ -273,14 +274,22 @@ type Ancestry struct {
 func NewAncestry(e *Execution) *Ancestry { return newAncestry(e, e.ItemIDs()) }
 
 func newAncestry(e *Execution, ids []string) *Ancestry {
-	a := &Ancestry{IDs: ids}
+	a := &Ancestry{IDs: ids, at: make(map[string]int, len(ids))}
 	g := e.Graph()
 	a.prod = make([]graph.NodeID, len(a.IDs))
 	for i, id := range a.IDs {
+		a.at[id] = i
 		a.prod[i] = g.Lookup(e.Items[id].Producer)
 	}
 	a.cl, _ = graph.NewClosure(g) // a cyclic graph leaves cl nil
 	return a
+}
+
+// Index returns the index in IDs of item id; false when the shape has no
+// such item.
+func (a *Ancestry) Index(id string) (int, bool) {
+	i, ok := a.at[id]
+	return i, ok
 }
 
 // Descends reports whether item IDs[j] descends from item IDs[i] — the

@@ -100,19 +100,6 @@ func (p *Policy) CanSeeData(l Level, attr string) bool {
 	return l >= p.DataLevels[attr]
 }
 
-// ProtectedAttrs returns the attributes whose required level exceeds l,
-// with their required levels — the seeding set for taint propagation
-// (internal/taint). ProtectedAttrs(Public) is every protected attribute.
-func (p *Policy) ProtectedAttrs(l Level) map[string]Level {
-	out := make(map[string]Level)
-	for a, req := range p.DataLevels {
-		if req > l {
-			out[a] = req
-		}
-	}
-	return out
-}
-
 // HiddenAttrs returns the attributes whose values level l may NOT see,
 // sorted.
 func (p *Policy) HiddenAttrs(l Level) []string {

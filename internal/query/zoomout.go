@@ -34,9 +34,9 @@ type ZoomOutResult struct {
 // caller's, so a repository passes what it already holds: h is the spec's
 // hierarchy, access is pol's access view at level, engine masks for pol (and
 // whatever generalization ladders it was built with), and taints is engine's
-// analysis of the full execution e. One analysis serves every zoom step:
-// item ids are stable under Collapse, so the set applies to each
-// successively coarser view.
+// analysis of the full execution e for level (or below). One analysis serves
+// every zoom step: item ids are stable under Collapse, so the set applies to
+// each successively coarser view.
 func (ev *Evaluator) ZoomOut(q *Query, e *exec.Execution, h *workflow.Hierarchy, access workflow.Prefix, pol *privacy.Policy, engine *taint.Engine, taints *taint.Set, level privacy.Level) (*ZoomOutResult, error) {
 	prefix := workflow.FullPrefix(h)
 	steps := 0

@@ -62,7 +62,8 @@ func (r *Repository) CompactShard(sid string) error {
 	if sh == nil {
 		return nil // spec removed; nothing to fold
 	}
-	return r.compactFrom(sid, snapshotShardState(sh))
+	snap, _ := snapshotShardState(sh, nil)
+	return r.compactFrom(sid, snap)
 }
 
 // compactFrom is CompactShard after the snapshot — split out so tests

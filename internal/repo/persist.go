@@ -164,9 +164,14 @@ type shardSnap struct {
 	shapes []*exec.Shape     // of execs, index for index
 }
 
-func snapshotShardState(sh *shard) shardSnap {
+// snapshotShardState captures sh under its read lock; nothing, and false,
+// when prev (its saved state, if any) is still at sh's seq.
+func snapshotShardState(sh *shard, prev *shardSaved) (shardSnap, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if prev != nil && prev.seq == sh.seq {
+		return shardSnap{}, false
+	}
 	snap := shardSnap{
 		seq: sh.seq, polSeq: sh.gen.seq,
 		spec: sh.spec, pol: sh.gen.pol, hs: sh.gen.ladders,
@@ -176,7 +181,7 @@ func snapshotShardState(sh *shard) shardSnap {
 	for i, e := range snap.execs {
 		snap.shapes[i] = sh.shapes.Of(e)
 	}
-	return snap
+	return snap, true
 }
 
 // saveBound runs one save through the bound store. Each shard is locked
@@ -191,9 +196,9 @@ func (r *Repository) saveBound(ctx context.Context, bs *boundStore) error {
 		if sh == nil {
 			continue // removed while saving
 		}
-		snap := snapshotShardState(sh)
 		prev := bs.shards[sid]
-		if prev != nil && prev.seq == snap.seq {
+		snap, dirty := snapshotShardState(sh, prev)
+		if !dirty {
 			// Clean shard: re-point the new manifest at its existing state.
 			meta.Shards[sid] = prev.info()
 			next[sid] = prev

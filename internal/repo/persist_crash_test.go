@@ -573,7 +573,7 @@ func TestCompactShardConflictAndRetry(t *testing.T) {
 	// Snapshot, then let a newer save land before the commit: the fold's
 	// records no longer match the committed extent — it must lose, or the
 	// commit would point the manifest at a checkpoint missing E2.
-	snap := snapshotShardState(r.shard("s"))
+	snap, _ := snapshotShardState(r.shard("s"), nil)
 	addExec(2)
 	if err := r.Save(dir); err != nil {
 		t.Fatalf("save: %v", err)

@@ -317,9 +317,6 @@ func (r *Repository) setWorkers(n int) {
 // unboundedly. Results must be written to index-addressed slots by fn;
 // completion order is unspecified, slot order is deterministic.
 func (r *Repository) fanOut(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
 	r.mu.RLock()
 	sem := r.sem
 	workers := r.workers
@@ -853,12 +850,12 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 //
 // A fill copies values; it does not derive structure. The view's plan —
 // collapsed, validated and indexed once per (shape, access view) by
-// viewPlan — is instantiated with e's values, taint.ApplyInPlace masks
-// those where they stand (item values only, so the plan's graph, closure
-// and indexes still describe the result) under a taint analysis of e made
-// here, over the item ancestry of e's shape (derived once per shape) — once
-// per fill, so the fills of one execution at two levels share nothing but
-// the plan — and the stored execution e is only ever read.
+// viewPlan — is instantiated with e's values, and taint.MaskInPlace masks
+// them in place (item values only: the plan's graph and indexes still hold)
+// for the asker alone — sources e's items above level, targets the view's,
+// ancestry the shape's (derived once, under taint.analyze) — so fills at
+// two levels share only the plan, an owner's analyses nothing, and the
+// stored execution e is only ever read.
 // TestColdFillMatchesStagedPipeline holds every snapshot equal to the public
 // staged composition exec.Collapse → Engine.Apply → query.PrepareExec. All
 // the fill reads and writes apart from the plan is gen's: one that lost the
@@ -891,10 +888,10 @@ func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execut
 			return maskedSnapshot{}, err
 		}
 		_, analyze := obs.StartSpan(fctx, "taint.analyze")
-		set := gen.engine.AnalyzeIn(e, shape.Ancestry())
+		anc := shape.Ancestry()
 		analyze.End()
 		_, apply := obs.StartSpan(fctx, "mask.apply")
-		rep := gen.engine.ApplyInPlace(prep.Exec, level, set)
+		rep := gen.engine.MaskInPlace(prep.Exec, e, anc, level)
 		apply.End()
 		snap := maskedSnapshot{prep: prep, rep: rep}
 		gen.masked.Put(key, snap)
@@ -1038,7 +1035,7 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	set := gen.engine.AnalyzeIn(e, sh.shapeOf(e).Ancestry())
+	set := gen.engine.AnalyzeIn(e, sh.shapeOf(e).Ancestry(), u.Level)
 	return sh.eval.ZoomOut(q, e, sh.hier, gen.step(u.Level).view, gen.pol, gen.engine, set, u.Level)
 }
 
@@ -1156,12 +1153,8 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 // countTaint feeds a masking report into the repository's taint
 // counters (taint_items_rewritten_total / taint_items_redacted_total).
 func (r *Repository) countTaint(rep datapriv.Report) {
-	if rep.Rewritten > 0 {
-		r.taintRewritten.Add(int64(rep.Rewritten))
-	}
-	if rep.TaintRedacted > 0 {
-		r.taintRedacted.Add(int64(rep.TaintRedacted))
-	}
+	r.taintRewritten.Add(int64(rep.Rewritten))
+	r.taintRedacted.Add(int64(rep.TaintRedacted))
 }
 
 // ProvenanceOptions is empty: provenance is always taint-masked. The type

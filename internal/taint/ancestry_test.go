@@ -2,12 +2,14 @@ package taint
 
 // Taint analysis reads an execution's structure through the item ancestry
 // of its shape (exec.Ancestry), which internal/repo derives once per shape
-// and shares among every execution of it. This file holds AnalyzeIn to the
-// analysis as it was before the split — graph, closure and producer lookups
-// derived from the execution at hand, per call — kept here as the
-// executable spec.
+// and shares among every execution of it. This file holds AnalyzeIn, at
+// every level it can be scoped to, to the analysis as it was before the
+// split — graph, closure and producer lookups derived from the execution at
+// hand, per call, every item's labels listed — kept here as the executable
+// spec.
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -18,40 +20,51 @@ import (
 	"provpriv/internal/workload"
 )
 
+// referenceSet is what the analysis held before a Set kept its sources
+// only: every item's labels, and the seeds the sanitizer compiled.
+type referenceSet struct {
+	byItem map[string][]Label
+	seeds  []Label
+	labels int
+}
+
 // analyzeReference is Engine.Analyze before the structural half moved to
-// exec.Ancestry.
-func analyzeReference(en *Engine, e *exec.Execution) *Set {
-	protected := en.Policy.ProtectedAttrs(privacy.Public)
-	set := &Set{byItem: make(map[string][]Label)}
+// exec.Ancestry, seeding from the attributes above level.
+func analyzeReference(en *Engine, e *exec.Execution, level privacy.Level) referenceSet {
+	set := referenceSet{byItem: make(map[string][]Label)}
+	protected := make(map[string]privacy.Level)
+	for a, req := range en.Policy.DataLevels {
+		if req > level {
+			protected[a] = req
+		}
+	}
 	if len(protected) == 0 {
 		return set
 	}
 	ids := e.ItemIDs()
-	var labels []Label
 	for _, id := range ids {
 		it := e.Items[id]
 		req, ok := protected[it.Attr]
 		if !ok || it.Redacted || it.Value == "" {
 			continue
 		}
-		labels = append(labels, Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value})
+		set.seeds = append(set.seeds, Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value})
 	}
-	if len(labels) == 0 {
+	if len(set.seeds) == 0 {
 		return set
 	}
 	g := e.Graph()
 	cl, err := graph.NewClosure(g)
 	if err != nil {
 		for id := range e.Items {
-			set.byItem[id] = append([]Label(nil), labels...)
-			set.labels += len(labels)
+			set.byItem[id] = append([]Label(nil), set.seeds...)
+			set.labels += len(set.seeds)
 		}
-		set.compile(labels)
 		return set
 	}
 	for _, id := range ids {
 		prod := g.Lookup(e.Items[id].Producer)
-		for _, l := range labels {
+		for _, l := range set.seeds {
 			src := g.Lookup(e.Items[l.ItemID].Producer)
 			if src >= 0 && prod >= 0 && cl.Reach(src, prod) {
 				set.byItem[id] = append(set.byItem[id], l)
@@ -59,8 +72,32 @@ func analyzeReference(en *Engine, e *exec.Execution) *Set {
 			}
 		}
 	}
-	set.compile(labels)
 	return set
+}
+
+// sameAnalysis reports how set, an analysis of e for level, differs from
+// want: in any item's labels, in the compiled patterns, or in the counts.
+func sameAnalysis(set *Set, e *exec.Execution, level privacy.Level, want referenceSet) string {
+	for _, id := range e.ItemIDs() {
+		if got := set.LabelsFor(id, level); !reflect.DeepEqual(got, want.byItem[id]) {
+			return fmt.Sprintf("item %s: labels %v, reference %v", id, got, want.byItem[id])
+		}
+	}
+	var wantPats []pattern
+	for _, l := range dedupeLabels(want.seeds) {
+		wantPats = append(wantPats, pattern{attr: l.Attr, raw: string(l.Raw), required: l.Required})
+	}
+	var gotPats []pattern
+	if r := set.Replacer(); r != nil {
+		gotPats = r.pats
+	}
+	if !reflect.DeepEqual(gotPats, wantPats) {
+		return fmt.Sprintf("patterns %v, reference %v", gotPats, wantPats)
+	}
+	if set.Items() != len(want.byItem) || set.Labels() != want.labels {
+		return fmt.Sprintf("%d items / %d labels, reference %d / %d", set.Items(), set.Labels(), len(want.byItem), want.labels)
+	}
+	return ""
 }
 
 // taintedRuns is the property corpus of property_test.go — random spec,
@@ -101,14 +138,17 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 		en := NewEngine(pol, nil)
 		anc := exec.NewAncestry(a) // derived from A, used for both
 		for _, e := range []*exec.Execution{a, b} {
-			want := analyzeReference(en, e)
-			if got := en.AnalyzeIn(e, anc); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d, %s: AnalyzeIn over the shape's ancestry differs from the per-execution analysis", seed, e.ID)
+			want := analyzeReference(en, e, privacy.Public)
+			if diff := sameAnalysis(en.Analyze(e), e, privacy.Public, want); diff != "" {
+				t.Errorf("seed %d, %s: Analyze differs from the per-execution analysis: %s", seed, e.ID, diff)
 			}
-			if got := en.Analyze(e); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d, %s: Analyze differs from the per-execution analysis", seed, e.ID)
+			// Scoped to a level, the analysis seeds only above it.
+			for _, lvl := range diffLevels {
+				if diff := sameAnalysis(en.AnalyzeIn(e, anc, lvl), e, lvl, analyzeReference(en, e, lvl)); diff != "" {
+					t.Errorf("seed %d, %s @%s: AnalyzeIn over the shape's ancestry differs from the per-execution analysis: %s", seed, e.ID, lvl, diff)
+				}
 			}
-			labelled += want.Labels()
+			labelled += want.labels
 		}
 		// A redacted or empty source is no seed: the seeds are chosen per
 		// execution, from its values, not per shape.
@@ -118,11 +158,13 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			cp := *b.Items[id]
 			if _, protected := pol.DataLevels[cp.Attr]; protected && i%2 == 0 {
 				cp.Value = ""
+			} else if protected && i%4 == 1 {
+				cp.Redacted = true
 			}
 			c.Items[id] = &cp
 		}
-		if got, want := en.AnalyzeIn(&c, anc), analyzeReference(en, &c); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: with emptied sources AnalyzeIn differs from the per-execution analysis", seed)
+		if diff := sameAnalysis(en.AnalyzeIn(&c, anc, privacy.Public), &c, privacy.Public, analyzeReference(en, &c, privacy.Public)); diff != "" {
+			t.Errorf("seed %d: with emptied and redacted sources AnalyzeIn differs from the per-execution analysis: %s", seed, diff)
 		}
 	}
 	if labelled == 0 {
@@ -142,9 +184,9 @@ func TestAnalyzeInOverTaintsACyclicExecution(t *testing.T) {
 		t.Fatal("fixture is not cyclic")
 	}
 	en := NewEngine(pol, nil)
-	got, want := en.Analyze(&cyclic), analyzeReference(en, &cyclic)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("analysis of a cyclic execution differs from the per-execution analysis")
+	got := en.Analyze(&cyclic)
+	if diff := sameAnalysis(got, &cyclic, privacy.Public, analyzeReference(en, &cyclic, privacy.Public)); diff != "" {
+		t.Fatalf("analysis of a cyclic execution differs from the per-execution analysis: %s", diff)
 	}
 	if got.Items() != len(cyclic.Items) || got.Labels() == 0 {
 		t.Fatalf("cyclic execution: %d of %d items labelled, %d labels", got.Items(), len(cyclic.Items), got.Labels())

@@ -30,6 +30,7 @@
 package taint
 
 import (
+	"cmp"
 	"strings"
 	"sync"
 
@@ -46,22 +47,18 @@ type pattern struct {
 }
 
 // Replacer is the compiled sanitizer over the protected raw values of
-// one taint Set: patterns deduplicated by (attr, raw) and prioritized
-// exactly like the rewrite loop's dedupeLabels (descending raw length,
-// then attr, then raw). Immutable after compile; safe for concurrent use —
-// per-call scratch comes from a pool.
+// one taint Set: patterns deduplicated by (attr, raw) and in byPriority
+// order. Immutable after compile; safe for concurrent use — per-call
+// scratch comes from a pool.
 type Replacer struct {
 	pats []pattern
 }
 
-// compileReplacer builds the pattern set from seed labels.
-func compileReplacer(labels []Label) *Replacer {
-	labels = dedupeLabels(labels)
-	r := &Replacer{pats: make([]pattern, len(labels))}
-	for i, l := range labels {
-		r.pats[i] = pattern{attr: l.Attr, raw: string(l.Raw), required: l.Required}
-	}
-	return r
+// byPriority orders patterns as the rewrite loop ordered its labels:
+// descending raw length (so a raw that contains another raw is replaced
+// first), then attr, then raw.
+func byPriority(a, b pattern) int {
+	return cmp.Or(cmp.Compare(len(b.raw), len(a.raw)), cmp.Compare(a.attr, b.attr), cmp.Compare(a.raw, b.raw))
 }
 
 // Patterns returns how many distinct (attr, raw) patterns are compiled.

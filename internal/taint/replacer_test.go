@@ -45,6 +45,36 @@ func referenceRewrite(en *Engine, v exec.Value, level privacy.Level, labels []La
 	return exec.Value(s), changed, true
 }
 
+// dedupeLabels drops duplicate (attr, raw) pairs and orders by
+// descending raw length (so a raw that contains another raw is replaced
+// first), breaking ties lexicographically for determinism.
+func dedupeLabels(labels []Label) []Label {
+	type key struct {
+		attr string
+		raw  exec.Value
+	}
+	seen := make(map[key]bool, len(labels))
+	out := make([]Label, 0, len(labels))
+	for _, l := range labels {
+		k := key{l.Attr, l.Raw}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i].Raw) != len(out[j].Raw) {
+			return len(out[i].Raw) > len(out[j].Raw)
+		}
+		if out[i].Attr != out[j].Attr {
+			return out[i].Attr < out[j].Attr
+		}
+		return out[i].Raw < out[j].Raw
+	})
+	return out
+}
+
 // referenceApply is the original Apply masking loop driving
 // referenceRewrite through Set.LabelsFor.
 func referenceApply(en *Engine, e *exec.Execution, level privacy.Level, set *Set) (map[string]exec.DataItem, Report) {
@@ -298,6 +328,16 @@ func FuzzSanitizerDifferential(f *testing.F) {
 		// And one many-pattern execution per input: 64 to 319 patterns.
 		diffMany(t, seed, 64+int(uint64(seed)%256))
 	})
+}
+
+// compileReplacer is the sanitizer a Set compiles over labels.
+func compileReplacer(labels []Label) *Replacer {
+	var s Set
+	for _, l := range labels {
+		s.srcs = append(s.srcs, source{Label: l})
+	}
+	s.compile()
+	return &s.repl
 }
 
 // synthetic labels for replacer unit tests.

@@ -24,18 +24,24 @@
 //     hierarchy) or to an attribute-tagged mask token; when rewriting
 //     cannot prove the leak is gone the whole value is redacted.
 //
-// Analysis (seed + propagate) is separated from application: a Set
-// computed on the full execution applies to every collapsed view of it at
-// every access level (item ids are stable
-// under exec.Collapse, and labels carry their required level so level
-// filtering happens at apply time). Within analysis, the structural half —
-// one transitive closure, which item's producer reaches which — is the
-// same for every execution of a shape and is taken from exec.Ancestry.
+// Analysis (seed + propagate) is separated from application. A Set
+// holds an execution's taint sources; which item a source taints is read
+// from the item ancestry of the execution's shape (exec.Ancestry, the same
+// for every execution of a shape) when that item is masked, so masking a
+// view costs its own items and nothing else. The scoping rule: sources come
+// from the full execution — a protected item internal to a collapsed
+// composite still rides inside the visible items derived from it — targets
+// from the view being masked (item ids are stable under exec.Collapse), and
+// labels only from attributes above the level the analysis is for.
+// Analyze's Set is for Public, so it applies to every collapsed view at
+// every access level; AnalyzeIn scoped to a level masks at that level or
+// above and refuses to mask below it; MaskInPlace, the repository's cold
+// fill, analyses for exactly the level and the view it masks and lets no
+// Set escape.
 package taint
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -60,95 +66,121 @@ type Label struct {
 	Raw      exec.Value    // the raw value to hunt for in descendants
 }
 
-// Set is the result of taint analysis over one execution: for each item
-// id, the protected ancestors whose values may leak into it (including
-// the source item itself). A nil *Set applies no propagation —
-// sanitization degrades to attribute-local masking.
+// Set is the result of taint analysis over one execution: its taint
+// sources — the protected items whose raw values may leak into their
+// descendants — and the sanitizer compiled over those values. An item is
+// tainted by every source it descends from (the source item included),
+// which the Set reads from its ancestry when the item is masked; it keeps
+// no per-item list. A nil *Set applies no propagation — sanitization
+// degrades to attribute-local masking.
 //
-// A Set is immutable once Analyze returns and safe to share between
-// concurrent Apply calls. The compiled sanitizer rides along: the pattern
-// set over all protected raw values is built once here, not per item.
-// A Set is per execution even where executions share a shape: which item
-// descends from which is the shape's (exec.Ancestry, read by AnalyzeIn),
-// but the labels and the patterns hold raw values, which are not.
+// A Set holds only the sources whose required level exceeds the level it
+// was analysed for, and records that level: masking below it would miss a
+// source it left out, so Apply and ApplyInPlace panic there. A Set is
+// immutable once made and safe to share between concurrent Apply calls.
+// It is per execution even where executions share a shape: which item
+// descends from which is the shape's (exec.Ancestry), but the sources and
+// the patterns hold raw values, which are not.
 type Set struct {
-	byItem map[string][]Label
-	labels int
+	level privacy.Level
+	anc   *exec.Ancestry
+	srcs  []source // in anc.IDs order
+	repl  Replacer
+}
 
-	// repl is the sanitizer compiled over every seed label's raw
-	// value; patIdx maps each item to the indices of the
-	// patterns that taint it. Both are nil when nothing is protected.
-	repl   *Replacer
-	patIdx map[string][]int32
+// source is one taint source: its label, where its item sits in the
+// ancestry, and which compiled pattern hunts its raw value.
+type source struct {
+	Label
+	at  int
+	pat int32
 }
 
 // Replacer exposes the compiled multi-pattern sanitizer (nil when the
 // analysis found nothing to protect) — benchmarks and tests use it to
 // size their expectations.
 func (s *Set) Replacer() *Replacer {
-	if s == nil {
+	if s == nil || len(s.repl.pats) == 0 {
 		return nil
 	}
-	return s.repl
+	return &s.repl
 }
 
-// compile builds the shared sanitizer from the seed labels and the
-// per-item pattern index lists from byItem. seed must contain every
-// label that appears in byItem.
-func (s *Set) compile(seed []Label) {
-	s.repl = compileReplacer(seed)
-	type key struct {
-		attr string
-		raw  string
-	}
-	idx := make(map[key]int32, len(s.repl.pats))
-	for i, p := range s.repl.pats {
-		idx[key{p.attr, p.raw}] = int32(i)
-	}
-	// One backing array holds every item's pattern list: at most one
-	// index per (item, label) pair, so it never regrows under the carves.
-	s.patIdx = make(map[string][]int32, len(s.byItem))
-	arena := make([]int32, 0, s.labels)
-	for id, labels := range s.byItem {
-		lo := len(arena)
-		for _, l := range labels {
-			if pi := idx[key{l.Attr, string(l.Raw)}]; !slices.Contains(arena[lo:], pi) {
-				arena = append(arena, pi)
-			}
+// seed makes s, reusing its memory, the analysis of e above level against
+// anc, the item ancestry of e's shape, and reports whether e has a source.
+func (s *Set) seed(en *Engine, e *exec.Execution, anc *exec.Ancestry, level privacy.Level) bool {
+	s.level, s.anc, s.srcs = level, anc, s.srcs[:0]
+	for i, id := range anc.IDs {
+		it := e.Items[id]
+		// Redacted or empty values cannot leak through substrings.
+		if req := en.Policy.DataLevels[it.Attr]; req > level && !it.Redacted && it.Value != "" {
+			s.srcs = append(s.srcs, source{Label: Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value}, at: i})
 		}
-		s.patIdx[id] = arena[lo:len(arena):len(arena)]
 	}
+	s.compile()
+	return len(s.srcs) > 0
+}
+
+// compile builds the sanitizer over the sources' raw values — one pattern
+// per distinct (attr, raw), in priority order — and points every source at
+// its pattern.
+func (s *Set) compile() {
+	pats := s.repl.pats[:0]
+	for _, src := range s.srcs {
+		pats = append(pats, pattern{attr: src.Attr, raw: string(src.Raw), required: src.Required})
+	}
+	slices.SortFunc(pats, byPriority)
+	pats = slices.CompactFunc(pats, func(a, b pattern) bool { return a.attr == b.attr && a.raw == b.raw })
+	for k := range s.srcs {
+		src := &s.srcs[k]
+		i, _ := slices.BinarySearchFunc(pats, pattern{attr: src.Attr, raw: string(src.Raw)}, byPriority)
+		src.pat = int32(i)
+	}
+	s.repl.pats = pats
 }
 
 // LabelsFor returns the labels tainting an item that a viewer at the
 // given level is not entitled to, in deterministic order.
 func (s *Set) LabelsFor(itemID string, level privacy.Level) []Label {
-	if s == nil {
+	if s == nil || len(s.srcs) == 0 {
+		return nil
+	}
+	j, ok := s.anc.Index(itemID)
+	if !ok {
 		return nil
 	}
 	var out []Label
-	for _, l := range s.byItem[itemID] {
-		if l.Required > level {
-			out = append(out, l)
+	for _, src := range s.srcs {
+		if src.Required > level && s.anc.Descends(src.at, j) {
+			out = append(out, src.Label)
 		}
 	}
 	return out
 }
 
 // Items returns how many items carry at least one label.
-func (s *Set) Items() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.byItem)
-}
+func (s *Set) Items() int { n, _ := s.count(); return n }
 
 // Labels returns the total number of (item, label) taint pairs.
-func (s *Set) Labels() int {
-	if s == nil {
-		return 0
+func (s *Set) Labels() int { _, n := s.count(); return n }
+
+func (s *Set) count() (items, labels int) {
+	if s == nil || len(s.srcs) == 0 {
+		return 0, 0
 	}
-	return s.labels
+	for j := range s.anc.IDs {
+		n := 0
+		for _, src := range s.srcs {
+			if s.anc.Descends(src.at, j) {
+				n++
+			}
+		}
+		labels += n
+		if n > 0 {
+			items++
+		}
+	}
+	return items, labels
 }
 
 // Report accounts for what a sanitization pass did — the utility side of
@@ -204,7 +236,8 @@ func (en *Engine) generalizer(attr string) Generalizer {
 // propagates them along provenance edges: an item is tainted by every
 // protected item whose producer reaches its producer. The Set is
 // level-independent (labels carry their required level) and applies to
-// any collapsed view of e, so it is computed once per execution.
+// any collapsed view of e at any level, so it is computed once per
+// execution.
 //
 // Run Analyze on the *full* execution, not a collapsed view: a protected
 // item internal to a collapsed composite is absent from the view's item
@@ -212,61 +245,22 @@ func (en *Engine) generalizer(attr string) Generalizer {
 //
 // Analyze derives e's item ancestry itself; a caller that holds the
 // ancestry of e's shape uses AnalyzeIn.
-func (en *Engine) Analyze(e *exec.Execution) *Set { return en.AnalyzeIn(e, nil) }
+func (en *Engine) Analyze(e *exec.Execution) *Set { return en.AnalyzeIn(e, nil, privacy.Public) }
 
-// AnalyzeIn is Analyze against anc, the item ancestry of e's shape. "Whose
-// producer reaches whose" is the same for every execution of a shape
-// (exec.SameShape) and most of what an analysis costs, so it is derived
-// once per shape; what is left per execution is what depends on e's
-// values — which protected items carry a value that can leak, and the
-// sanitizer compiled over those values. A nil anc is derived from e.
-func (en *Engine) AnalyzeIn(e *exec.Execution, anc *exec.Ancestry) *Set {
-	protected := en.Policy.ProtectedAttrs(privacy.Public)
-	set := &Set{byItem: make(map[string][]Label)}
-	if len(protected) == 0 {
-		return set
-	}
+// AnalyzeIn is Analyze against anc, the item ancestry of e's shape, scoped
+// to a viewer at level: only attributes above level seed labels, and the
+// Set masks at level or above only. "Whose producer reaches whose" is the
+// same for every execution of a shape (exec.SameShape) and most of what an
+// analysis costs, so it is derived once per shape; what is left per
+// execution is what depends on e's values — which protected items carry a
+// value that can leak, and the sanitizer compiled over those values. A nil
+// anc is derived from e.
+func (en *Engine) AnalyzeIn(e *exec.Execution, anc *exec.Ancestry, level privacy.Level) *Set {
 	if anc == nil {
 		anc = exec.NewAncestry(e)
 	}
-	var labels []Label
-	var srcs []int // labels[k] is the item anc.IDs[srcs[k]]
-	for i, id := range anc.IDs {
-		it := e.Items[id]
-		req, ok := protected[it.Attr]
-		// Redacted or empty values cannot leak through substrings.
-		if !ok || it.Redacted || it.Value == "" {
-			continue
-		}
-		labels = append(labels, Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value})
-		srcs = append(srcs, i)
-	}
-	if len(labels) == 0 {
-		return set
-	}
-	// An item carries, in label order, every label whose source it
-	// descends from. Count the pairs first so all the lists are carved, at
-	// their exact lengths, out of one backing array.
-	for j := range anc.IDs {
-		for _, src := range srcs {
-			if anc.Descends(src, j) {
-				set.labels++
-			}
-		}
-	}
-	arena := make([]Label, 0, set.labels)
-	for j, id := range anc.IDs {
-		lo := len(arena)
-		for k, src := range srcs {
-			if anc.Descends(src, j) {
-				arena = append(arena, labels[k])
-			}
-		}
-		if len(arena) > lo {
-			set.byItem[id] = arena[lo:len(arena):len(arena)]
-		}
-	}
-	set.compile(labels)
+	set := new(Set)
+	set.seed(en, e, anc, level)
 	return set
 }
 
@@ -313,14 +307,57 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 // Only item values change, never nodes, edges or the item set, so a
 // graph derived from e before the call still describes it after. The
 // caller must own e and every item in it outright (a view fresh from
-// exec.CollapseIn does; a stored or shared execution never does): this
-// is the one-copy half of the repository's cold fill, and Apply is the
-// same code behind a deep copy.
+// exec.CollapseIn does; a stored or shared execution never does); Apply
+// is the same code behind a deep copy. It panics when set was analysed
+// for a level above the given one.
 func (en *Engine) ApplyInPlace(e *exec.Execution, level privacy.Level, set *Set) Report {
+	if set != nil && level < set.level {
+		panic("taint: a Set analysed for " + set.level.String() + " cannot mask at " + level.String())
+	}
+	if set == nil || len(set.srcs) == 0 {
+		return en.mask(e, level, nil)
+	}
+	ap := applierPool.Get().(*applier)
+	defer ap.release()
+	ap.arm(en, set, level)
+	return en.mask(e, level, ap)
+}
+
+// MaskInPlace is ApplyInPlace(view, level, Analyze(full)) — view a
+// collapsed view of full that the caller owns outright, anc the item
+// ancestry of full's shape — with the analysis scoped to what a viewer at
+// level may not see: sources are full's items above level, targets view's
+// items. It makes no Set that outlives the call; a level at or above every
+// protected attribute arms no sanitizer at all. This is the one-copy half
+// of the repository's cold fill.
+func (en *Engine) MaskInPlace(view, full *exec.Execution, anc *exec.Ancestry, level privacy.Level) Report {
+	if !en.hides(level) {
+		return en.mask(view, level, nil)
+	}
+	ap := applierPool.Get().(*applier)
+	defer ap.release()
+	if !ap.own.seed(en, full, anc, level) {
+		return en.mask(view, level, nil)
+	}
+	ap.arm(en, &ap.own, level)
+	return en.mask(view, level, ap)
+}
+
+// hides reports whether the policy protects an attribute from level.
+func (en *Engine) hides(level privacy.Level) bool {
+	for _, req := range en.Policy.DataLevels {
+		if req > level {
+			return true
+		}
+	}
+	return false
+}
+
+// mask is the masking loop of ApplyInPlace and MaskInPlace; a nil ap
+// rewrites no embedded value.
+func (en *Engine) mask(e *exec.Execution, level privacy.Level, ap *applier) Report {
 	var rep Report
 	e.ID = e.ID + "/masked@" + level.String()
-	ap := acquireApplier(en, set, level)
-	defer ap.release()
 	for id, it := range e.Items {
 		required := en.Policy.DataLevels[it.Attr]
 		ap.activate(id)
@@ -359,14 +396,16 @@ func (en *Engine) ApplyInPlace(e *exec.Execution, level privacy.Level, set *Set)
 	return rep
 }
 
-// applier is the pooled per-Apply working state of the compiled
-// sanitizer: the active-pattern bitset for the item being masked, the
-// lazily filled per-level replacement table, and the two closures handed
-// to the replacer (created once per Apply, not per item).
+// applier is the pooled per-mask working state of the compiled sanitizer:
+// the active-pattern bitset for the item being masked, the lazily filled
+// per-level replacement table, the two closures handed to the replacer
+// (created once per applier, not per item), and the Set MaskInPlace
+// analyses into.
 type applier struct {
 	en    *Engine
 	set   *Set
 	level privacy.Level
+	own   Set
 
 	active  []uint64 // bitset over the replacer's patterns
 	marked  []int32  // bits set for the current item: its active patterns
@@ -379,21 +418,16 @@ type applier struct {
 
 var applierPool = sync.Pool{New: func() any { return new(applier) }}
 
-func acquireApplier(en *Engine, set *Set, level privacy.Level) *applier {
-	ap := applierPool.Get().(*applier)
+// arm readies ap to mask with set at level.
+func (ap *applier) arm(en *Engine, set *Set, level privacy.Level) {
 	ap.en, ap.set, ap.level = en, set, level
-	nPats := 0
-	if set != nil && set.repl != nil {
-		nPats = len(set.repl.pats)
-	}
+	nPats := len(set.repl.pats)
 	words := (nPats + 63) / 64
 	if cap(ap.active) < words {
 		ap.active = make([]uint64, words)
 	} else {
 		ap.active = ap.active[:words]
-		for i := range ap.active {
-			ap.active[i] = 0
-		}
+		clear(ap.active)
 	}
 	if cap(ap.repl) < nPats {
 		ap.repl = make([]exec.Value, nPats)
@@ -401,9 +435,7 @@ func acquireApplier(en *Engine, set *Set, level privacy.Level) *applier {
 	} else {
 		ap.repl = ap.repl[:nPats]
 		ap.replSet = ap.replSet[:nPats]
-		for i := range ap.replSet {
-			ap.replSet[i] = false
-		}
+		clear(ap.replSet)
 	}
 	ap.marked = ap.marked[:0]
 	if ap.isActive == nil {
@@ -418,26 +450,34 @@ func acquireApplier(en *Engine, set *Set, level privacy.Level) *applier {
 			return string(ap.repl[p])
 		}
 	}
-	return ap
 }
 
+// release returns ap to the pool holding no raw value.
 func (ap *applier) release() {
-	ap.en, ap.set = nil, nil
+	clear(ap.own.srcs)
+	clear(ap.own.repl.pats)
+	ap.en, ap.set, ap.own.anc = nil, nil, nil
 	applierPool.Put(ap)
 }
 
 // activate arms the patterns tainting the given item that the viewer's
 // level is not entitled to, clearing the previous item's first.
 func (ap *applier) activate(itemID string) {
+	if ap == nil {
+		return
+	}
 	for _, p := range ap.marked {
 		ap.active[p/64] &^= 1 << (uint(p) % 64)
 	}
 	ap.marked = ap.marked[:0]
-	if ap.set == nil || ap.set.repl == nil {
+	anc := ap.set.anc
+	j, ok := anc.Index(itemID)
+	if !ok {
 		return
 	}
-	for _, p := range ap.set.patIdx[itemID] {
-		if ap.set.repl.pats[p].required > ap.level {
+	for _, src := range ap.set.srcs {
+		p := src.pat
+		if src.Required > ap.level && ap.active[p/64]&(1<<(uint(p)%64)) == 0 && anc.Descends(src.at, j) {
 			ap.active[p/64] |= 1 << (uint(p) % 64)
 			ap.marked = append(ap.marked, p)
 		}
@@ -448,7 +488,7 @@ func (ap *applier) activate(itemID string) {
 // Same contract as the replacer's rewrite; items with no active pattern
 // short-circuit without scanning the value.
 func (ap *applier) rewrite(v exec.Value) (exec.Value, bool, bool) {
-	if len(ap.marked) == 0 {
+	if ap == nil || len(ap.marked) == 0 {
 		return v, false, true
 	}
 	out, changed, clean := ap.set.repl.rewrite(string(v), ap.isActive, ap.replFor)
@@ -467,34 +507,4 @@ func (en *Engine) replacement(l Label, level privacy.Level) exec.Value {
 		}
 	}
 	return exec.Value("[" + l.Attr + ":*]")
-}
-
-// dedupeLabels drops duplicate (attr, raw) pairs and orders by
-// descending raw length (so a raw that contains another raw is replaced
-// first), breaking ties lexicographically for determinism.
-func dedupeLabels(labels []Label) []Label {
-	type key struct {
-		attr string
-		raw  exec.Value
-	}
-	seen := make(map[key]bool, len(labels))
-	out := make([]Label, 0, len(labels))
-	for _, l := range labels {
-		k := key{l.Attr, l.Raw}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Raw) != len(out[j].Raw) {
-			return len(out[i].Raw) > len(out[j].Raw)
-		}
-		if out[i].Attr != out[j].Attr {
-			return out[i].Attr < out[j].Attr
-		}
-		return out[i].Raw < out[j].Raw
-	})
-	return out
 }
