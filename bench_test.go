@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"sort"
@@ -28,6 +30,7 @@ import (
 	"provpriv/internal/query"
 	"provpriv/internal/rank"
 	"provpriv/internal/repo"
+	"provpriv/internal/server"
 	"provpriv/internal/sim"
 	"provpriv/internal/structpriv"
 	"provpriv/internal/workflow"
@@ -1244,6 +1247,90 @@ func BenchmarkProvenanceParallel(b *testing.B) {
 	})
 }
 
+// provenanceServeFixture is BenchmarkProvenanceParallel's workload behind
+// server.Handler(): a /provenance request, by an analyst, for the visible
+// item whose provenance is largest, already answered once so its snapshot,
+// provenance index and pre-encoded runs are warm.
+func provenanceServeFixture(tb testing.TB) (http.Handler, *http.Request) {
+	tb.Helper()
+	s, pol, e := benchMaskedWorkload(tb, workload.SpecConfig{Seed: 13, ID: "prov-serve", Depth: 3, Fanout: 2, Chain: 5})
+	r := repo.New()
+	if err := r.AddSpec(s, pol); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.AddExecution(e); err != nil {
+		tb.Fatal(err)
+	}
+	r.AddUser(privacy.User{Name: "ana", Level: privacy.Analyst, Group: "g"})
+	item, largest := "", 0
+	for _, id := range e.ItemIDs() {
+		if prov, err := r.Provenance("ana", s.ID, "E", id); err == nil && len(prov.Items) > largest {
+			item, largest = id, len(prov.Items)
+		}
+	}
+	if item == "" {
+		tb.Fatal("no visible item")
+	}
+	h := server.New(r).Handler()
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/provenance?spec="+s.ID+"&exec=E&item="+item, nil)
+	req.Header.Set("X-Prov-User", "ana")
+	w := &discardWriter{header: http.Header{}}
+	if h.ServeHTTP(w, req); w.status != http.StatusOK || w.n == 0 {
+		tb.Fatalf("warm-up answered %d with %d bytes", w.status, w.n)
+	}
+	return h, req
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps the status
+// and counts the body, so a served request is timed without a recorder's
+// buffering.
+type discardWriter struct {
+	header    http.Header
+	status, n int
+}
+
+func (w *discardWriter) Header() http.Header    { return w.header }
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+func (w *discardWriter) Write(b []byte) (int, error) {
+	w.n += len(b)
+	return len(b), nil
+}
+
+// BenchmarkProvenanceServe times one warm /provenance answer through
+// server.Handler(): query parsing, authentication, the snapshot hit, and
+// the answer written from the plan's provenance index and pre-encoded runs.
+func BenchmarkProvenanceServe(b *testing.B) {
+	h, req := provenanceServeFixture(b)
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if w.status != http.StatusOK {
+		b.Fatalf("answered %d", w.status)
+	}
+	b.ReportMetric(float64(w.n)/float64(b.N), "B/answer")
+}
+
+// TestProvenanceServeAllocBudget pins what a warm /provenance answer may
+// allocate through server.Handler(): the parsed query string, the
+// Content-Type header value and what authentication and the snapshot hit
+// need — 8, where building the induced sub-execution and encoding it by
+// reflection cost 191. The budget of 9 is that count plus 10 %: a copied
+// node, edge or item, or a value boxed for encoding/json, does not fit.
+func TestProvenanceServeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	h, req := provenanceServeFixture(t)
+	w := &discardWriter{header: http.Header{}}
+	if got := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); got > 9 {
+		t.Fatalf("a warm /provenance answer allocates %.0f times; budget is 9", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // B16 — Cold enforced-view fill: what a first reader, a scraper walking a
 // deep spec, or the prewarm after a policy update pays per execution —
@@ -1379,19 +1466,21 @@ func BenchmarkColdFill(b *testing.B) {
 // analysis, mask), one LRU insert with eviction, and the provenance
 // answer. It was 763 when every stage copied the view and rebuilt its
 // graph, 217 when the fill did each piece of work once per execution, 96
-// once structure was held once per shape, and is 68 now that the analysis
-// is the reader's — sources above its level, targets its view's items, in
-// pooled memory; building per-item label lists again costs about 30 more,
-// so the budget of 74 leaves slack for the runtime's map sizing but not
-// for that.
+// once structure was held once per shape, 68 once the analysis was the
+// reader's — sources above its level, targets its view's items, in pooled
+// memory — and is 14 now that the answer is read from the plan's
+// provenance index instead of copied out as an induced sub-execution.
+// Building per-item label lists again, or copying the answer's nodes,
+// edges and items, costs far more than the budget of 16 leaves for the
+// runtime's map sizing.
 func TestColdFillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	f := coldWalk(t, privacy.Registered)
 	i := 0
-	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 74 {
-		t.Fatalf("a cold provenance read allocates %.0f times; budget is 74", got)
+	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 16 {
+		t.Fatalf("a cold provenance read allocates %.0f times; budget is 16", got)
 	}
 }
 

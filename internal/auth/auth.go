@@ -157,12 +157,24 @@ func NewSecret() (string, error) {
 }
 
 // New builds an authenticator from explicit tokens (mainly for tests;
-// servers load a token file). Token names must be unique and non-empty.
+// servers load a token file). Token names must be unique, and every token
+// must survive a round trip through the token file: Parse and Store.Add
+// both end here, so nothing either accepts can be persisted into a file
+// that loads differently, or not at all.
 func New(tokens []*Token) (*Authenticator, error) {
 	seen := make(map[string]bool, len(tokens))
 	for _, t := range tokens {
-		if t.Name == "" || t.User == "" {
-			return nil, fmt.Errorf("auth: token needs a name and a user: %+v", t.Name)
+		if err := fileField("name", t.Name); err != nil {
+			return nil, err
+		}
+		if err := fileField("user", t.User); err != nil {
+			return nil, err
+		}
+		if strings.HasPrefix(t.Name, "#") {
+			return nil, fmt.Errorf("auth: token name %q starts a comment line", t.Name)
+		}
+		if t.Role < RoleReader || t.Role > RoleAdmin {
+			return nil, fmt.Errorf("auth: token %q has unknown role %d", t.Name, int(t.Role))
 		}
 		if seen[t.Name] {
 			return nil, fmt.Errorf("auth: duplicate token name %q", t.Name)
@@ -170,6 +182,24 @@ func New(tokens []*Token) (*Authenticator, error) {
 		seen[t.Name] = true
 	}
 	return &Authenticator{tokens: tokens}, nil
+}
+
+// maxFieldLen bounds a token's name and user, well inside the line length
+// Parse's scanner reads.
+const maxFieldLen = 256
+
+// fileField refuses a name or user that a token-file line would not carry
+// back unchanged: an empty one, one longer than maxFieldLen, one holding the
+// field separator ':' or a control byte (a newline would start a line of its
+// own), and one with surrounding white space, which Parse trims.
+func fileField(what, v string) error {
+	if v == "" || len(v) > maxFieldLen {
+		return fmt.Errorf("auth: token %s must be 1 to %d bytes, got %d", what, maxFieldLen, len(v))
+	}
+	if strings.TrimSpace(v) != v || strings.ContainsFunc(v, func(r rune) bool { return r == ':' || r < 0x20 || r == 0x7f }) {
+		return fmt.Errorf("auth: token %s %q has surrounding space, a ':' or a control byte", what, v)
+	}
+	return nil
 }
 
 // NewToken constructs a token from a raw secret (tests and tooling; the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -235,4 +236,53 @@ func TestStoreConcurrentRotation(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	rotator.Wait()
+}
+
+// FuzzTokenFile: Parse never panics, and any token set it accepts, written
+// back by the store's persister and parsed again, is the same set — names,
+// users, roles and digests — so a reload or a restart never changes who
+// may authenticate.
+func FuzzTokenFile(f *testing.F) {
+	digest := HashSecret("s")
+	for _, seed := range []string{
+		"t-a:admin:alice:" + digest + "\n",
+		"# comment\n\n  t-a : reader : bob : " + digest + "  \nt-b:writer:carol:" + digest,
+		"a:b:c:d\n",
+		"t:reader:u:" + digest + "\r\nt:reader:u:" + digest,
+		"#t:reader:u:" + digest + "\n x\t:reader:u\x00v:" + digest,
+		"t:role7:u:" + digest,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Parse(data)
+		if err != nil {
+			return
+		}
+		s := &Store{path: filepath.Join(t.TempDir(), "tokens")}
+		if err := s.persistLocked(a.tokens); err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadFile(s.path)
+		if err != nil {
+			written, _ := os.ReadFile(s.path)
+			t.Fatalf("an accepted set persists to a file that does not load: %v\n%s", err, written)
+		}
+		type entry struct {
+			name, user string
+			role       Role
+			digest     string
+		}
+		set := func(a *Authenticator) []entry {
+			var out []entry
+			for _, t := range a.tokens {
+				out = append(out, entry{t.Name, t.User, t.Role, t.digest()})
+			}
+			slices.SortFunc(out, func(x, y entry) int { return strings.Compare(x.name, y.name) })
+			return out
+		}
+		if got, want := set(b), set(a); !slices.Equal(got, want) {
+			t.Fatalf("persisted and parsed again:\n%v\nwas:\n%v", got, want)
+		}
+	})
 }

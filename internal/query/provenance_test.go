@@ -1,0 +1,210 @@
+package query
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"sync"
+	"testing"
+
+	"provpriv/internal/exec"
+	"provpriv/internal/privacy"
+	"provpriv/internal/taint"
+	"provpriv/internal/workflow"
+	"provpriv/internal/workload"
+)
+
+// provFixture is a seeded spec and policy, and the view plan of one run of
+// the spec at a level — collapsed, prepared and blanked, as internal/repo
+// keeps it per (shape, access view).
+type provFixture struct {
+	pol   *privacy.Policy
+	level privacy.Level
+	plan  *PreparedExec
+	run   func(inputSeed int64) *exec.Execution
+}
+
+// newProvFixture builds the fixture. Every run's item ids are prefixed with
+// idPrefix, and its values are spliced with val, so ids and values carry
+// whatever bytes the caller chooses.
+func newProvFixture(tb testing.TB, seed int64, level privacy.Level, execID, idPrefix, val string) *provFixture {
+	tb.Helper()
+	s, err := workload.RandomSpec(workload.SpecConfig{
+		Seed: seed, ID: "prov-fz", Depth: 1 + int(uint64(seed)%3), Fanout: 2, Chain: 3, SkipProb: 0.3,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pol, err := workload.RandomPolicy(s, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &provFixture{pol: pol, level: level}
+	f.run = func(inputSeed int64) *exec.Execution {
+		e, err := exec.NewRunner(s, nil).Run(execID, workload.RandomInputs(s, inputSeed))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return respliced(e, idPrefix, val)
+	}
+	view, g, err := exec.CollapseIn(f.run(seed), h, pol.AccessView(h, level))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if f.plan, err = PrepareGraph(view, g); err != nil {
+		tb.Fatal(err)
+	}
+	view.Blank()
+	return f
+}
+
+// respliced renames every item of e to idPrefix+id and splices val into
+// its value at a position that varies by item.
+func respliced(e *exec.Execution, idPrefix, val string) *exec.Execution {
+	items := make(map[string]*exec.DataItem, len(e.Items))
+	for n, id := range e.ItemIDs() {
+		it := *e.Items[id]
+		it.ID = idPrefix + id
+		cut := 0
+		if len(val) > 0 {
+			cut = n % (len(val) + 1)
+		}
+		it.Value = exec.Value(val[:cut]) + it.Value + exec.Value(val[cut:])
+		items[it.ID] = &it
+	}
+	edges := make([]exec.Edge, len(e.Edges))
+	for i, ed := range e.Edges {
+		edges[i] = exec.Edge{From: ed.From, To: ed.To}
+		for _, id := range ed.Items {
+			edges[i].Items = append(edges[i].Items, idPrefix+id)
+		}
+	}
+	return &exec.Execution{ID: e.ID, SpecID: e.SpecID, Nodes: e.Nodes, Edges: edges, Items: items}
+}
+
+// served instantiates the plan with a run's values and masks it for the
+// fixture's level, as a cold fill does; redact additionally marks every
+// item whose bit is set redacted, so the slot's flag is covered whatever
+// the policy protects.
+func (f *provFixture) served(tb testing.TB, e *exec.Execution, redact uint64) *PreparedExec {
+	tb.Helper()
+	snap, err := f.plan.Instantiate(e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	taint.NewEngine(f.pol, nil).MaskInPlace(snap.Exec, e, exec.NewAncestry(e), f.level)
+	for n, id := range snap.Exec.ItemIDs() {
+		if redact>>(uint(n)%64)&1 == 1 {
+			snap.Exec.Items[id].Redacted = true
+		}
+	}
+	return snap
+}
+
+// referenceAnswer is the /provenance body as encoding/json writes it from
+// exec.ProvenanceIn's sub-execution of the snapshot.
+func referenceAnswer(tb testing.TB, snap *PreparedExec, specID, execID, item string) (*exec.Execution, []byte) {
+	tb.Helper()
+	ref, err := exec.ProvenanceIn(snap.Exec, snap.Graph(), item)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(map[string]any{
+		"spec": specID, "exec": execID, "item": item, "provenance": ref,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return ref, buf.Bytes()
+}
+
+// FuzzProvenanceEncode holds the provenance index and its encoder to the
+// reference: over random specs, policies, levels (so access views), ids
+// and values — HTML-special bytes, control bytes, U+2028/U+2029 and
+// invalid UTF-8 among them — every item's compiled answer is byte for byte
+// encoding/json's encoding of exec.ProvenanceIn over the same snapshot,
+// and its materialized sub-execution equals that one. Two runs share the
+// plan, so the second answers from runs the first built.
+func FuzzProvenanceEncode(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint64(0), "plain", "E1", "spec", "")
+	f.Add(int64(2), uint8(1), uint64(5), "<a&b>\u2028x\u2029\x00\x1f\b\f\n\r\t\"\\\x7f", "E<1>", "s&p", "i<")
+	f.Add(int64(3), uint8(3), uint64(1<<63|3), "\xff\xfe bad \xe2\x82", "\xe2\x82", "\x7f", "\xe2")
+	f.Add(int64(4), uint8(2), ^uint64(0), "é☃\U0001F600", "E/prov(", "\"", "~")
+	f.Add(int64(5), uint8(0), uint64(2), "", "", "", "zz")
+	f.Fuzz(func(t *testing.T, seed int64, lv uint8, redact uint64, val, execID, specID, idPrefix string) {
+		if want, _ := json.Marshal(val); !bytes.Equal(appendString(nil, val), want) {
+			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", val, appendString(nil, val), want)
+		}
+		fx := newProvFixture(t, seed, privacy.Level(lv%4), execID, idPrefix, val)
+		for n, inputSeed := range []int64{seed, seed + 1} {
+			snap := fx.served(t, fx.run(inputSeed), redact>>n)
+			ids := snap.Exec.ItemIDs()
+			if len(ids) == 0 {
+				t.Fatalf("level %d sees no item", lv%4)
+			}
+			for _, id := range ids {
+				p, err := snap.Provenance(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, want := referenceAnswer(t, snap, specID, execID, id)
+				if got := p.AppendJSON(nil, specID, execID); !bytes.Equal(got, want) {
+					t.Fatalf("run %d item %q:\ncompiled  %s\nreference %s", n, id, got, want)
+				}
+				if got := p.Execution(); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("run %d item %q: materialized %+v, reference %+v", n, id, got, ref)
+				}
+			}
+		}
+		if _, err := fx.plan.Provenance(idPrefix + "no-such-item"); err == nil {
+			t.Fatal("an unknown item has a provenance")
+		}
+	})
+}
+
+// TestProvenanceConcurrentFirstReaders races first readers of one (plan,
+// item) across two snapshots of the plan, so the index, the item's
+// positions and the runs are each built under contention; -race checks the
+// hand-over and every reader must still write the reference answer.
+func TestProvenanceConcurrentFirstReaders(t *testing.T) {
+	fx := newProvFixture(t, 7, privacy.Registered, "E7", "", "<v>")
+	snaps := []*PreparedExec{fx.served(t, fx.run(7), 0), fx.served(t, fx.run(8), 0)}
+	ids := snaps[0].Exec.ItemIDs()
+	item := ids[len(ids)-1]
+	want := make([][]byte, len(snaps))
+	for i, snap := range snaps {
+		_, want[i] = referenceAnswer(t, snap, "spec", "E7", item)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([][]byte, 16)
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			p, err := snaps[r%2].Provenance(item)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[r] = p.AppendJSON(nil, "spec", "E7")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for r, b := range got {
+		if !bytes.Equal(b, want[r%2]) {
+			t.Fatalf("reader %d wrote\n%s\nwant\n%s", r, b, want[r%2])
+		}
+	}
+	// A reader that wrote the other snapshot's values fails above only if
+	// the two runs' answers differ.
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("both snapshots answer alike: the fixture cannot tell them apart")
+	}
+}

@@ -192,6 +192,9 @@ type PreparedExec struct {
 	// flowsFrom maps a node id to the sorted distinct item ids on its
 	// outgoing edges (the relay-node fallback of the same return paths).
 	flowsFrom map[string][]string
+	// prov is the provenance index, built lazily and shared with every
+	// Instantiate of this value (provenance.go).
+	prov *provIndex
 }
 
 // PrepareExec derives the graph, closure and id indexes of an
@@ -220,6 +223,7 @@ func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 		nodeByID:   make(map[string]*exec.Node, len(e.Nodes)),
 		producedBy: make(map[string][]string),
 		flowsFrom:  make(map[string][]string),
+		prov:       &provIndex{},
 	}
 	for _, n := range e.Nodes {
 		pe.nodeByID[n.ID] = n
@@ -258,8 +262,7 @@ func (pe *PreparedExec) Instantiate(src *exec.Execution) (*PreparedExec, error) 
 	return &out, nil
 }
 
-// Graph exposes the pre-derived graph for read-only reuse (e.g.
-// exec.ProvenanceIn on the warm serving path).
+// Graph exposes the pre-derived graph for read-only reuse.
 func (pe *PreparedExec) Graph() *graph.Graph { return pe.g }
 
 // Node resolves a node id through the prebuilt index — the O(1)
@@ -421,8 +424,9 @@ func (ev *Evaluator) MatchOn(q *Query, pe *PreparedExec, pol *privacy.Policy, le
 // MaterializeReturn completes an answer produced by MatchOn: it fills
 // in the return clause (nodes, provenance sub-executions, downstream
 // item sets) against the same prepared execution. Item resolution per
-// binding goes through the PreparedExec indexes, so no step here is
-// linear in execution size beyond the sub-graphs actually returned.
+// binding goes through the PreparedExec indexes, and a provenance through
+// the plan's provenance index, so no step here is linear in execution
+// size beyond the sub-graphs actually returned.
 func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, pe *PreparedExec) error {
 	e, g := pe.Exec, pe.g
 	switch q.Return {
@@ -443,11 +447,11 @@ func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, pe *PreparedExec) 
 			if len(items) == 0 {
 				continue
 			}
-			p, err := exec.ProvenanceIn(e, g, items[0])
+			p, err := pe.Provenance(items[0])
 			if err != nil {
 				return err
 			}
-			ans.Provenance = append(ans.Provenance, p)
+			ans.Provenance = append(ans.Provenance, p.Execution())
 		}
 	case ReturnDownstream:
 		for _, b := range ans.Bindings {

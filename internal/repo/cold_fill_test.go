@@ -224,6 +224,17 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					if got := sh.current().step(lvl).zoomed; snap.rep != rep || got != zoomed {
 						t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, got, rep, zoomed)
 					}
+					// The provenance index is built lazily and shared with the
+					// plan's other snapshots: compare it complete on both sides.
+					for _, pe := range []*query.PreparedExec{snap.prep, prep} {
+						for id := range masked.Items {
+							p, err := pe.Provenance(id)
+							if err != nil {
+								t.Fatalf("%s: provenance of %s: %v", where, id, err)
+							}
+							p.AppendJSON(nil, specID, execID)
+						}
+					}
 					if !reflect.DeepEqual(snap.prep, prep) {
 						t.Fatalf("%s: prepared index differs from PrepareExec's", where)
 					}
@@ -235,9 +246,9 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 						}
 					}
 					for id := range masked.Items {
-						got, gerr := exec.ProvenanceIn(snap.prep.Exec, snap.prep.Graph(), id)
+						p, gerr := snap.prep.Provenance(id)
 						want, werr := exec.Provenance(masked, id)
-						if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+						if gerr != nil || werr != nil || !reflect.DeepEqual(p.Execution(), want) {
 							t.Fatalf("%s: provenance of %s differs (%v, %v)", where, id, gerr, werr)
 						}
 					}

@@ -288,7 +288,7 @@ func TestSaveIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got, want := r2.Stats().Content(), r.Stats().Content(); got != want {
+	if got, want := content(r2.Stats()), content(r.Stats()); got != want {
 		t.Fatalf("round trip after incremental save: %+v vs %+v", got, want)
 	}
 	sameStored(t, r, r2)

@@ -87,7 +87,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		if got, want := fmt.Sprint(r2.ExecutionIDs("fz")), fmt.Sprint(r.ExecutionIDs("fz")); got != want {
 			t.Fatalf("ExecutionIDs: %s != %s", got, want)
 		}
-		if got, want := r2.Stats().Content(), r.Stats().Content(); got != want {
+		if got, want := content(r2.Stats()), content(r.Stats()); got != want {
 			t.Fatalf("Stats: %+v != %+v", got, want)
 		}
 		sameStored(t, r, r2)

@@ -193,3 +193,14 @@ func storedRecords(t testing.TB, dir string) map[storage.RecordType]int {
 	}
 	return kinds
 }
+
+// contentStats is the persisted-content subset of Stats: the part a save
+// and load round trip must preserve exactly (counters and cache state are
+// runtime artifacts and are not persisted).
+type contentStats struct {
+	Specs, Executions, Users, IndexTerms, Postings int
+}
+
+func content(s Stats) contentStats {
+	return contentStats{s.Specs, s.Executions, s.Users, s.IndexTerms, s.Postings}
+}

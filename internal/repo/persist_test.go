@@ -20,7 +20,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	a, b := r.Stats().Content(), r2.Stats().Content()
+	a, b := content(r.Stats()), content(r2.Stats())
 	if a != b {
 		t.Fatalf("stats differ: %+v vs %+v", a, b)
 	}

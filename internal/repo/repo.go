@@ -170,7 +170,7 @@ type generation struct {
 	// QueryAllPageCtx, Provenance) serve a shared immutable execution with
 	// an atomic lookup instead of re-masking per request. Snapshots are
 	// read-only by contract: exec.Execution holds no hidden mutable state,
-	// EvaluateOn and exec.ProvenanceIn only read or copy, and the -race
+	// EvaluateOn and the provenance index only read or copy, and the -race
 	// immutability tests pin that. This is the only place an enforced view
 	// is memoized; fills go through maskedFlights, which — being the
 	// generation's own — cannot hand a reader a snapshot built under another
@@ -1161,40 +1161,42 @@ func (r *Repository) countTaint(rep datapriv.Report) {
 // stays because cmd/provload, which BENCHMARK.json freezes, passes it.
 type ProvenanceOptions struct{}
 
-// Provenance is ProvenanceWithCtx with default options and no context.
+// Provenance is ProvenanceWithCtx with default options and no context,
+// materialized as the induced sub-execution.
 func (r *Repository) Provenance(userName, specID, execID, itemID string) (*exec.Execution, error) {
-	return r.ProvenanceWithCtx(context.Background(), userName, specID, execID, itemID, ProvenanceOptions{})
+	p, err := r.ProvenanceWithCtx(context.Background(), userName, specID, execID, itemID, ProvenanceOptions{})
+	return p.Execution(), err
 }
 
 // ProvenanceWithCtx returns the provenance of a data item as the user
 // may see it: the execution is collapsed to the user's access view,
 // values are masked per the data policy with taint propagation (a
 // protected ancestor's raw value embedded in a derived trace is
-// rewritten or redacted), and the provenance subgraph is extracted from
-// that view. An item hidden by the view is reported as not visible. ctx
-// is checked before the expensive enforcement work (cold masked-snapshot
-// builds): a disconnected client stops the rendering early.
-func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, _ ProvenanceOptions) (*exec.Execution, error) {
+// rewritten or redacted), and the provenance subgraph is read from that
+// view through its plan's provenance index. An item hidden by the view is
+// reported as not visible. ctx is checked before the expensive
+// enforcement work (cold masked-snapshot builds): a disconnected client
+// stops the rendering early.
+func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, _ ProvenanceOptions) (query.Provenance, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return query.Provenance{}, err
 	}
 	u, sh, gen, e, err := r.queryContext(userName, specID, execID)
 	if err != nil {
-		return nil, err
+		return query.Provenance{}, err
 	}
 	// Serve from the shared masked snapshot. Masking preserves the item set
 	// of the collapsed view, so visibility is checked on the snapshot
-	// itself; exec.ProvenanceIn only reads the snapshot and returns a fresh
-	// induced sub-execution.
+	// itself; the answer only reads it.
 	snap, err := sh.maskedExec(ctx, gen, e, u.Level)
 	if err != nil {
-		return nil, err
+		return query.Provenance{}, err
 	}
 	if snap.prep.Exec.Items[itemID] == nil {
-		return nil, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
+		return query.Provenance{}, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
 	}
 	r.countTaint(snap.rep)
-	return exec.ProvenanceIn(snap.prep.Exec, snap.prep.Graph(), itemID)
+	return snap.prep.Provenance(itemID)
 }
 
 // Stats summarizes repository contents and the health of its derived
@@ -1252,25 +1254,6 @@ type MaskedCacheStat struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
-}
-
-// ContentStats is the persisted-content subset of Stats — the part a
-// save/load round trip must preserve exactly (counters and cache state
-// are runtime artifacts and are not persisted).
-type ContentStats struct {
-	Specs      int
-	Executions int
-	Users      int
-	IndexTerms int
-	Postings   int
-}
-
-// Content projects the persistent-content fields out of Stats.
-func (s Stats) Content() ContentStats {
-	return ContentStats{
-		Specs: s.Specs, Executions: s.Executions, Users: s.Users,
-		IndexTerms: s.IndexTerms, Postings: s.Postings,
-	}
 }
 
 // Stats returns repository statistics.

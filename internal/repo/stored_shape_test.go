@@ -220,7 +220,7 @@ func TestLoadsPR27Directory(t *testing.T) {
 	check := func(stage string, got *Repository) {
 		t.Helper()
 		sameStored(t, want, got)
-		if g, w := got.Stats().Content(), want.Stats().Content(); g != w {
+		if g, w := content(got.Stats()), content(want.Stats()); g != w {
 			t.Fatalf("%s: content %+v, want %+v", stage, g, w)
 		}
 		if g, w := answers(got), answers(want); g != w {

@@ -121,7 +121,7 @@ func TestFillRacedByInstallLeavesNoResidue(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return string(prov.Items[progID].Value), nil
+		return string(prov.Execution().Items[progID].Value), nil
 	}
 	count := &parkingValues{Context: context.Background()}
 	if _, err := read(seededRepo(t), count); err != nil {

@@ -89,6 +89,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"provpriv/internal/auditlog"
@@ -322,10 +323,19 @@ type errorBody struct {
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	var err error
+	if body, ok := v.(*[]byte); ok { // already JSON, from bodies
+		_, err = w.Write(*body)
+	} else {
+		err = json.NewEncoder(w).Encode(v)
+	}
+	if err != nil {
 		s.log().Error("encode response", "error", err)
 	}
 }
+
+// bodies pools the buffers /provenance answers are appended into.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // fail maps an engine error to a protocol status via the repo sentinel
 // errors and writes the envelope.
@@ -684,9 +694,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 			Matches:   h.Result.Matches,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"query": q, "hits": out, "total": total, "offset": offset,
-	})
+	s.writeJSON(w, http.StatusOK, searchPage{Hits: out, Offset: offset, Query: q, Total: total})
+}
+
+// searchPage and queryPage are the /search and /query envelopes, their
+// fields declared in key order: the bytes are those of the maps they replaced.
+type searchPage struct {
+	Hits   []searchHit `json:"hits"`
+	Offset int         `json:"offset"`
+	Query  string      `json:"query"`
+	Total  int         `json:"total"`
+}
+type queryPage struct {
+	Answers []queryAnswer `json:"answers"`
+	Offset  int           `json:"offset"`
+	Spec    string        `json:"spec"`
+	Total   int           `json:"total"`
 }
 
 // queryAnswer is the wire form of one structural-query answer.
@@ -721,13 +744,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		s.fail(w, r, err)
 		return
 	}
-	// writePaged applies the shared pagination + response envelope.
-	writePaged := func(answers []queryAnswer) {
-		answers, total := page(answers, limit, offset)
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"spec": specID, "answers": answers, "total": total, "offset": offset,
-		})
-	}
+	var answers []queryAnswer
+	total := 0
 	switch {
 	case execID == "":
 		if p.Get("zoom") != "" {
@@ -737,18 +755,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		// All executions of the spec (non-empty answers only), with the
 		// window pushed into the engine: out-of-window answers are
 		// match-counted but their return clauses never materialize.
-		answers, total, err := s.repo.QueryAllPageCtx(r.Context(), user, specID, q, limit, offset)
+		all, n, err := s.repo.QueryAllPageCtx(r.Context(), user, specID, q, limit, offset)
 		if err != nil {
 			s.fail(w, r, err)
 			return
 		}
-		out := make([]queryAnswer, 0, len(answers))
-		for _, a := range answers {
-			out = append(out, toWireAnswer(a))
+		answers, total = make([]queryAnswer, 0, len(all)), n
+		for _, a := range all {
+			answers = append(answers, toWireAnswer(a))
 		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"spec": specID, "answers": out, "total": total, "offset": offset,
-		})
 	case p.Get("zoom") != "":
 		res, err := s.repo.QueryZoomOut(user, specID, execID, q)
 		if err != nil {
@@ -757,15 +772,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		}
 		a := toWireAnswer(res.Answer)
 		a.ZoomSteps = res.Steps
-		writePaged([]queryAnswer{a})
+		answers, total = page([]queryAnswer{a}, limit, offset)
 	default:
 		a, err := s.repo.Query(user, specID, execID, q)
 		if err != nil {
 			s.fail(w, r, err)
 			return
 		}
-		writePaged([]queryAnswer{toWireAnswer(a)})
+		answers, total = page([]queryAnswer{toWireAnswer(a)}, limit, offset)
 	}
+	s.writeJSON(w, http.StatusOK, queryPage{Answers: answers, Offset: offset, Spec: specID, Total: total})
 }
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, user string) {
@@ -809,12 +825,13 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request, user s
 		s.fail(w, r, err)
 		return
 	}
-	// The provenance view is already collapsed and masked for this
-	// user's level by the engine; it serializes with the persistence
-	// JSON shape.
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"spec": specID, "exec": execID, "item": item, "provenance": prov,
-	})
+	// The provenance is already collapsed and masked for this user's level
+	// by the engine; it is written from its plan's pre-encoded structure,
+	// in the persistence JSON shape.
+	body := bodies.Get().(*[]byte)
+	*body = prov.AppendJSON((*body)[:0], specID, execID)
+	s.writeJSON(w, http.StatusOK, body)
+	bodies.Put(body)
 }
 
 // readBody reads a mutation request body with the size cap applied.

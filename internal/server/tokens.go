@@ -39,7 +39,8 @@ func (s *Server) handleListTokens(w http.ResponseWriter, r *http.Request, user s
 }
 
 // handleAddToken mints a token: validates, registers it in the live
-// set, persists the token file. 409 on a duplicate name.
+// set, persists the token file. 409 on a duplicate name; 400 on a name or
+// user the token file could not carry back (auth.New decides).
 func (s *Server) handleAddToken(w http.ResponseWriter, r *http.Request, user string) {
 	if s.Auth == nil {
 		s.fail(w, r, fmt.Errorf("server: token auth not configured"))
@@ -48,10 +49,6 @@ func (s *Server) handleAddToken(w http.ResponseWriter, r *http.Request, user str
 	var req tokenRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, r, err)
-		return
-	}
-	if req.Name == "" || req.User == "" {
-		s.fail(w, r, fmt.Errorf("server: token needs a name and a user"))
 		return
 	}
 	role, err := auth.ParseRole(req.Role)

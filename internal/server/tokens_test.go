@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,4 +157,61 @@ func TestTokenRotationChurn(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
+}
+
+// TestMintRefusesWhatTheTokenFileCannotCarry: a name or user that would not
+// come back from the token file unchanged — a ':' that splits the line, a
+// newline that writes a line of its own, a leading '#' that makes it a
+// comment, space that Parse trims — is refused with 400, and the file on
+// disk still loads to exactly the live set.
+func TestMintRefusesWhatTheTokenFileCannotCarry(t *testing.T) {
+	_, r, _ := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "tokens")
+	line := "t-admin:admin:alice:" + auth.HashSecret(adminSecret) + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	store, err := auth.NewFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(r)
+	srv.Auth = store
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	for _, bad := range []struct{ name, user string }{
+		{"a:b", "carol"},
+		{"t-x", "car:ol"},
+		{"t-x\nevil:admin:alice:" + auth.HashSecret("x"), "carol"},
+		{"t-x", "carol\n"},
+		{"#t-x", "carol"},
+		{" t-x", "carol"},
+		{"t-x", "carol "},
+		{"", "carol"},
+		{"t-x", ""},
+		{strings.Repeat("n", 300), "carol"},
+	} {
+		body, _ := json.Marshal(map[string]string{"name": bad.name, "user": bad.user, "role": "reader"})
+		if code := do(t, ts, "POST", "/api/v1/tokens", adminSecret, body, nil); code != http.StatusBadRequest {
+			t.Errorf("mint name %q user %q = %d, want 400", bad.name, bad.user, code)
+		}
+	}
+	body := []byte(`{"name":"t-ok","user":"carol","role":"reader"}`)
+	if code := do(t, ts, "POST", "/api/v1/tokens", adminSecret, body, nil); code != http.StatusCreated {
+		t.Fatalf("mint of a valid token = %d, want 201", code)
+	}
+	reloaded, err := auth.LoadFile(path)
+	if err != nil {
+		t.Fatalf("token file no longer loads: %v", err)
+	}
+	if got, want := reloaded.Stats(), store.Stats(); len(got) != len(want) {
+		t.Fatalf("token file holds %v, live set %v", got, want)
+	} else {
+		for i := range got {
+			if got[i].Name != want[i].Name || got[i].User != want[i].User || got[i].Role != want[i].Role {
+				t.Fatalf("token file holds %v, live set %v", got, want)
+			}
+		}
+	}
 }
