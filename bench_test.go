@@ -1147,7 +1147,11 @@ func BenchmarkQueryMaskedCached(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				masked, _ := datapriv.NewMasker(pol, nil).Engine().Apply(view, privacy.Analyst, set)
-				if _, err := ev.EvaluatePrepared(q, masked, pol, privacy.Analyst, false); err != nil {
+				pe, err := query.PrepareExec(masked)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ev.EvaluateOn(q, pe, pol, privacy.Analyst, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -316,24 +316,14 @@ func (ev *Evaluator) EvaluateWithPrivacy(q *Query, e *exec.Execution, pol *priva
 	return ev.evaluate(q, pe, pol, level, zoomed)
 }
 
-// EvaluatePrepared runs the query against an execution view that the
-// caller has already collapsed to the user's access view and
-// taint-masked for the user's level (internal/repo does this through
-// its per-shard caches, so the collapse and taint analysis are paid
-// once per execution, not per query). The view is treated as strictly
-// read-only. zoomedOut flags whether the view is coarser than the full
-// expansion.
-func (ev *Evaluator) EvaluatePrepared(q *Query, masked *exec.Execution, pol *privacy.Policy, level privacy.Level, zoomedOut bool) (*Answer, error) {
-	pe, err := PrepareExec(masked)
-	if err != nil {
-		return nil, err
-	}
-	return ev.evaluate(q, pe, pol, level, zoomedOut)
-}
-
-// EvaluateOn is EvaluatePrepared against a pre-derived PreparedExec:
-// the fully amortized warm path — no graph or closure rebuild, no
-// masking, only the match itself.
+// EvaluateOn runs the query against a PreparedExec of an execution view
+// that the caller has already collapsed to the user's access view and
+// taint-masked for the user's level (internal/repo serves it from its
+// per-shard caches, so the collapse and taint analysis are paid once per
+// execution, not per query): the fully amortized warm path — no graph or
+// closure rebuild, no masking, only the match itself. The view is treated as
+// strictly read-only. zoomedOut flags whether the view is coarser than the
+// full expansion.
 func (ev *Evaluator) EvaluateOn(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomedOut bool) (*Answer, error) {
 	return ev.evaluate(q, pe, pol, level, zoomedOut)
 }

@@ -9,15 +9,39 @@ import (
 	"provpriv/internal/workflow"
 )
 
-// zoomOut calls ZoomOut with everything it takes derived here, from the spec
-// and the policy alone, the way a caller without a repository would.
+// zoomOut walks ZoomOut over views collapsed here, from the spec and the
+// policy alone, the way a caller without a repository would, and answers q
+// on the final view masked by the unscoped Apply(view, level, Analyze(e)).
 func zoomOut(ev *Evaluator, q *Query, e *exec.Execution, pol *privacy.Policy, level privacy.Level) (*ZoomOutResult, error) {
 	h, err := workflow.NewHierarchy(ev.Spec)
 	if err != nil {
 		return nil, err
 	}
+	prefix, steps, err := ZoomOut(h, pol.AccessView(h, level), pol, level, func(p workflow.Prefix) ([]*exec.Node, error) {
+		view, _, err := exec.CollapseIn(e, h, p)
+		if err != nil {
+			return nil, err
+		}
+		return view.Nodes, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view, _, err := exec.CollapseIn(e, h, prefix)
+	if err != nil {
+		return nil, err
+	}
 	engine := datapriv.NewMasker(pol, nil).Engine()
-	return ev.ZoomOut(q, e, h, pol.AccessView(h, level), pol, engine, engine.Analyze(e), level)
+	masked, _ := engine.Apply(view, level, engine.Analyze(e))
+	pe, err := PrepareExec(masked)
+	if err != nil {
+		return nil, err
+	}
+	ans, err := ev.EvaluateOn(q, pe, pol, level, steps > 0)
+	if err != nil {
+		return nil, err
+	}
+	return &ZoomOutResult{Answer: ans, Prefix: prefix, Steps: steps}, nil
 }
 
 func TestZoomOutConvergesToAccessView(t *testing.T) {

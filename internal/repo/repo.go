@@ -41,15 +41,13 @@
 // per-generation singleflight groups so concurrent identical requests build
 // each one exactly once.
 //
-// Exactly one mechanism memoizes "execution E as level L may see it":
-// the generation's masked-snapshot cache filled by (*shard).maskedExec.
-// A read fills it on first touch and nothing fills it ahead of a reader: an
-// enforced view is built when somebody asks for it (the paper's Section 4
-// "materialized views vs on-the-fly" trade-off, settled on one memoizing
-// cache and therefore nothing to keep consistent). What is
-// materialized per snapshot is values only: an execution mirrors the
-// workflow graph, so the structure of a view is held once per execution
-// shape and access view (the shard's view plans) and shared.
+// Exactly one mechanism memoizes "execution E as level L may see it": the
+// generation's masked-snapshot cache filled by (*shard).maskedExec when a
+// read first asks (the paper's Section 4 "materialized views vs
+// on-the-fly" trade-off, settled on one memoizing cache and therefore
+// nothing to keep consistent). A snapshot materializes values only: the
+// structure of a view is held once per execution shape and prefix (the
+// shard's view plans) and shared.
 //
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
 // directory) before a shard's mu. Read paths never hold two locks at
@@ -122,12 +120,9 @@ type shard struct {
 	gen *generation
 
 	// shapes interns the executions by shape (exec.SameShape; guarded by mu)
-	// and plans holds, per (shape, access view), the one value-free prepared
-	// view that every snapshot of an execution of that shape at that view is
-	// instantiated from. A plan depends on the view and the shard's
-	// immutable hierarchy only, so it is keyed by the view's canonical key,
-	// belongs to the shard rather than to a generation, and survives an
-	// install that leaves a level's view alone.
+	// and plans holds viewPlan's value-free prepared views, per (shape,
+	// prefix): a plan depends on the prefix and the shard's immutable
+	// hierarchy only, so it belongs to the shard, not to a generation.
 	shapes *exec.Shapes
 	plans  *index.LRU[planKey, *query.PreparedExec]
 
@@ -165,16 +160,12 @@ type generation struct {
 	// install instead of once per request.
 	engine *taint.Engine
 
-	// masked caches fully privacy-enforced snapshots — collapsed,
-	// taint-masked executions — so the enforced read paths (Query,
-	// QueryAllPageCtx, Provenance) serve a shared immutable execution with
-	// an atomic lookup instead of re-masking per request. Snapshots are
-	// read-only by contract: exec.Execution holds no hidden mutable state,
-	// EvaluateOn and the provenance index only read or copy, and the -race
-	// immutability tests pin that. This is the only place an enforced view
-	// is memoized; fills go through maskedFlights, which — being the
-	// generation's own — cannot hand a reader a snapshot built under another
-	// policy or for another incarnation of the spec id.
+	// masked caches the enforced snapshots the read paths (Query,
+	// QueryAllPageCtx, Provenance) serve, shared and read-only by contract
+	// (the -race immutability tests pin that). This is the only place an
+	// enforced view is memoized; fills go through maskedFlights, which —
+	// being the generation's own — cannot hand a reader a snapshot built
+	// under another policy or for another incarnation of the spec id.
 	masked        *index.LRU[maskedKey, maskedSnapshot]
 	maskedFlights flightGroup[maskedKey, maskedSnapshot]
 }
@@ -197,7 +188,7 @@ type accessStep struct {
 	err      error
 }
 
-// planKey keys a shard's view plans: one per shape per distinct access view.
+// planKey keys a shard's view plans: one per shape per distinct prefix.
 type planKey struct {
 	shape *exec.Shape
 	view  string
@@ -209,17 +200,13 @@ type maskedKey struct {
 	level  privacy.Level
 }
 
-// maskedSnapshot is one cached privacy-enforced execution plus the
-// masking report recorded when it was built (replayed into the taint
-// counters on every serve, so they advance on warm hits too). The execution
-// rides inside a query.PreparedExec instantiated from the view's plan: what
-// a snapshot owns is its execution's header and items — the values, masked
-// — while nodes, edges, graph, transitive closure and id indexes are the
-// plan's, shared with every snapshot of the same shape and view. Evaluation
-// uses the policy and access step of the generation the snapshot came from,
-// the one its reader holds, so an answer raced by UpdatePolicy is
-// internally consistent (view, mask and module filtering all from the same
-// policy). All of it is immutable and shared by every concurrent reader.
+// maskedSnapshot is one privacy-enforced execution, as fill builds it, plus
+// the masking report recorded then (replayed into the taint counters on
+// every serve, so they advance on warm hits too). It owns its execution's
+// header and masked items; nodes, edges, graph, closure and indexes are the
+// plan's. Evaluation uses the policy and access step of the generation the
+// snapshot came from, the one its reader holds, so an answer raced by
+// UpdatePolicy is internally consistent.
 type maskedSnapshot struct {
 	prep *query.PreparedExec
 	rep  taint.Report
@@ -839,28 +826,13 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 	return u, sh, gen, e, nil
 }
 
-// maskedExec serves the fully privacy-enforced snapshot of e at level —
-// collapsed to the access view and taint-masked — under gen, from gen's
-// masked-snapshot cache. It is the only code path that produces an
-// enforced execution view. On miss the snapshot is built once under the
-// generation's flight group and published for every subsequent reader; the
-// returned execution is shared and MUST be treated as read-only. The masking
-// report is the one recorded at build time, replayed by callers into the
-// serving counters.
-//
-// A fill copies values; it does not derive structure. The view's plan —
-// collapsed, validated and indexed once per (shape, access view) by
-// viewPlan — is instantiated with e's values, and taint.MaskInPlace masks
-// them in place (item values only: the plan's graph and indexes still hold)
-// for the asker alone — sources e's items above level, targets the view's,
-// ancestry the shape's (derived once, under taint.analyze) — so fills at
-// two levels share only the plan, an owner's analyses nothing, and the
-// stored execution e is only ever read.
-// TestColdFillMatchesStagedPipeline holds every snapshot equal to the public
-// staged composition exec.Collapse → Engine.Apply → query.PrepareExec. All
-// the fill reads and writes apart from the plan is gen's: one that lost the
-// race with install serves its caller, who asked under gen, and leaves
-// nothing where a later reader looks.
+// maskedExec serves the enforced snapshot of e at level under gen — fill's,
+// at the level's access view — from gen's masked-snapshot cache. On miss it
+// is filled once under the generation's flight group and published for
+// every later reader; it is shared and MUST be treated as read-only. All a
+// fill touches apart from the plan is gen's: one that lost the race with
+// install serves its caller, who asked under gen, and leaves nothing where
+// a later reader looks.
 func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
 	key := maskedKey{execID: e.ID, level: level}
 	if snap, ok := gen.masked.Get(key); ok {
@@ -874,29 +846,44 @@ func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execut
 		}
 		// The flight closure runs once for all concurrent callers; the
 		// fill spans land on the trace of the caller that paid for it.
-		fctx, fill := obs.StartSpan(ctx, "cache.masked_fill")
-		defer fill.End()
-		shape := sh.shapeOf(e)
-		_, collapse := obs.StartSpan(fctx, "view.collapse")
-		var prep *query.PreparedExec
-		plan, err := sh.viewPlan(shape, gen.step(level), e)
+		fctx, span := obs.StartSpan(ctx, "cache.masked_fill")
+		defer span.End()
+		access := gen.step(level)
+		snap, err := sh.fill(fctx, gen, sh.shapeOf(e), access.view, access.key, e, level)
 		if err == nil {
-			prep, err = plan.Instantiate(e)
+			gen.masked.Put(key, snap)
 		}
-		collapse.End()
-		if err != nil {
-			return maskedSnapshot{}, err
-		}
-		_, analyze := obs.StartSpan(fctx, "taint.analyze")
-		anc := shape.Ancestry()
-		analyze.End()
-		_, apply := obs.StartSpan(fctx, "mask.apply")
-		rep := gen.engine.MaskInPlace(prep.Exec, e, anc, level)
-		apply.End()
-		snap := maskedSnapshot{prep: prep, rep: rep}
-		gen.masked.Put(key, snap)
-		return snap, nil
+		return snap, err
 	})
+}
+
+// fill builds the enforced view of e, of the given shape, at prefix (Key
+// key) for level under gen: the one place an execution view is masked, for
+// maskedExec and QueryZoomOut alike. It derives no structure: viewPlan's
+// plan is instantiated with e's values, which taint.MaskInPlace masks in
+// place for the asker alone — sources e's items above level, targets the
+// view's, ancestry the shape's — so fills at two levels share only the plan,
+// an owner's analyses nothing, and e is only read.
+// TestColdFillMatchesStagedPipeline holds the snapshots to the staged
+// exec.Collapse → Engine.Apply → query.PrepareExec.
+func (sh *shard) fill(ctx context.Context, gen *generation, shape *exec.Shape, prefix workflow.Prefix, key string, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
+	_, collapse := obs.StartSpan(ctx, "view.collapse")
+	var prep *query.PreparedExec
+	plan, err := sh.viewPlan(shape, prefix, key, e)
+	if err == nil {
+		prep, err = plan.Instantiate(e)
+	}
+	collapse.End()
+	if err != nil {
+		return maskedSnapshot{}, err
+	}
+	_, analyze := obs.StartSpan(ctx, "taint.analyze")
+	anc := shape.Ancestry()
+	analyze.End()
+	_, apply := obs.StartSpan(ctx, "mask.apply")
+	rep := gen.engine.MaskInPlace(prep.Exec, e, anc, level)
+	apply.End()
+	return maskedSnapshot{prep: prep, rep: rep}, nil
 }
 
 // shapeOf returns the interned shape of a stored execution.
@@ -906,19 +893,19 @@ func (sh *shard) shapeOf(e *exec.Execution) *exec.Shape {
 	return sh.shapes.Of(e)
 }
 
-// viewPlan returns the value-free prepared view of a shape under an access
-// view, built on first use from e, an execution of that shape. This is the
-// only place a view is collapsed and prepared, and so where an invalid or
-// cyclic one is refused: exec.CollapseIn validates the view and hands its
-// graph to query.PrepareGraph, whose topological sort rejects a cycle.
-// The plan keeps no value: no string of one execution is reachable from
-// another's snapshot.
-func (sh *shard) viewPlan(shape *exec.Shape, access *accessStep, e *exec.Execution) (*query.PreparedExec, error) {
-	key := planKey{shape: shape, view: access.key}
-	if plan, ok := sh.plans.Get(key); ok {
+// viewPlan returns the value-free prepared view of a shape at prefix (Key
+// key), built on first use from e, an execution of that shape; fills and
+// zoom-out steps share the shard's plans. This is the only place a view is
+// collapsed and prepared, and so where an invalid or cyclic one is refused:
+// exec.CollapseIn validates the view and hands its graph to
+// query.PrepareGraph, whose topological sort rejects a cycle. The plan keeps
+// no value: no string of one execution is reachable from another's.
+func (sh *shard) viewPlan(shape *exec.Shape, prefix workflow.Prefix, key string, e *exec.Execution) (*query.PreparedExec, error) {
+	pk := planKey{shape: shape, view: key}
+	if plan, ok := sh.plans.Get(pk); ok {
 		return plan, nil
 	}
-	view, g, err := exec.CollapseIn(e, sh.hier, access.view)
+	view, g, err := exec.CollapseIn(e, sh.hier, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -927,16 +914,13 @@ func (sh *shard) viewPlan(shape *exec.Shape, access *accessStep, e *exec.Executi
 		return nil, err
 	}
 	view.Blank()
-	sh.plans.Put(key, plan)
+	sh.plans.Put(pk, plan)
 	return plan, nil
 }
 
 // Query evaluates a structural query (see query.Parse) against one
-// execution under the user's privacy constraints, with taint-aware
-// masking of the answer's values and provenance subgraphs. The execution
-// is served from the masked-snapshot cache: a warm query allocates nothing
-// for privacy enforcement (no masker, no deep copy, no rewrite pass) — only
-// the evaluation itself.
+// execution, on the user's enforced snapshot (maskedExec): a warm query
+// allocates nothing for privacy enforcement, only the evaluation itself.
 func (r *Repository) Query(userName, specID, execID, queryText string) (*query.Answer, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -1023,9 +1007,9 @@ func visibleRepr(h *workflow.Hierarchy, g *graph.Graph, moduleID string, access 
 }
 
 // QueryZoomOut evaluates a structural query with the paper's gradual
-// zoom-out strategy (Section 4): compute the full answer, then coarsen
-// composite detail until no privacy leak remains. Steps in the result
-// counts the re-evaluations — compare with the direct Query path.
+// zoom-out strategy (Section 4): query.ZoomOut coarsens the view, reading
+// each step's plan, until it leaks nothing; the query is answered once, on
+// that view filled for the user, uncached. Steps counts the zoom-outs.
 func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*query.ZoomOutResult, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -1035,8 +1019,26 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	set := gen.engine.AnalyzeIn(e, sh.shapeOf(e).Ancestry(), u.Level)
-	return sh.eval.ZoomOut(q, e, sh.hier, gen.step(u.Level).view, gen.pol, gen.engine, set, u.Level)
+	shape := sh.shapeOf(e)
+	prefix, steps, err := query.ZoomOut(sh.hier, gen.step(u.Level).view, gen.pol, u.Level, func(p workflow.Prefix) ([]*exec.Node, error) {
+		plan, err := sh.viewPlan(shape, p, p.Key(), e)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Exec.Nodes, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	snap, err := sh.fill(context.Background(), gen, shape, prefix, prefix.Key(), e, u.Level)
+	if err != nil {
+		return nil, err
+	}
+	ans, err := sh.eval.EvaluateOn(q, snap.prep, gen.pol, u.Level, steps > 0)
+	if err != nil {
+		return nil, err
+	}
+	return &query.ZoomOutResult{Answer: ans, Prefix: prefix, Steps: steps}, nil
 }
 
 // QuerySpec evaluates a structural query against a specification (not
@@ -1168,15 +1170,11 @@ func (r *Repository) Provenance(userName, specID, execID, itemID string) (*exec.
 	return p.Execution(), err
 }
 
-// ProvenanceWithCtx returns the provenance of a data item as the user
-// may see it: the execution is collapsed to the user's access view,
-// values are masked per the data policy with taint propagation (a
-// protected ancestor's raw value embedded in a derived trace is
-// rewritten or redacted), and the provenance subgraph is read from that
-// view through its plan's provenance index. An item hidden by the view is
-// reported as not visible. ctx is checked before the expensive
-// enforcement work (cold masked-snapshot builds): a disconnected client
-// stops the rendering early.
+// ProvenanceWithCtx returns the provenance of a data item as the user may
+// see it, read from the user's enforced snapshot (maskedExec) through its
+// plan's provenance index. An item hidden by the view is reported as not
+// visible. ctx is checked before the expensive enforcement work (cold
+// masked-snapshot builds): a disconnected client stops the rendering early.
 func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, execID, itemID string, _ ProvenanceOptions) (query.Provenance, error) {
 	if err := ctx.Err(); err != nil {
 		return query.Provenance{}, err

@@ -78,6 +78,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -744,14 +745,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		s.fail(w, r, err)
 		return
 	}
+	zoom, err := strconv.ParseBool(cmp.Or(p.Get("zoom"), "false"))
+	if err != nil || zoom && execID == "" {
+		s.fail(w, r, fmt.Errorf("server: bad zoom %q (want a boolean, and true only with an exec parameter)", p.Get("zoom")))
+		return
+	}
 	var answers []queryAnswer
 	total := 0
 	switch {
 	case execID == "":
-		if p.Get("zoom") != "" {
-			s.fail(w, r, fmt.Errorf("server: zoom requires an exec parameter"))
-			return
-		}
 		// All executions of the spec (non-empty answers only), with the
 		// window pushed into the engine: out-of-window answers are
 		// match-counted but their return clauses never materialize.
@@ -764,7 +766,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		for _, a := range all {
 			answers = append(answers, toWireAnswer(a))
 		}
-	case p.Get("zoom") != "":
+	case zoom:
 		res, err := s.repo.QueryZoomOut(user, specID, execID, q)
 		if err != nil {
 			s.fail(w, r, err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -279,6 +280,36 @@ func TestQueryAndReachEndpoints(t *testing.T) {
 	}
 	if !reach.Reaches {
 		t.Fatal("M12 -> M11 should reach for owner")
+	}
+}
+
+// TestZoomParameterIsABoolean: zoom is parsed, not tested for presence —
+// zoom=0 and zoom=false answer exactly what no zoom answers, with or
+// without an exec; a value that is not a boolean answers 400.
+func TestZoomParameterIsABoolean(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	body := func(path string) string {
+		t.Helper()
+		var raw json.RawMessage
+		if code := get(t, ts, "bob", path, &raw); code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, code)
+		}
+		return string(raw)
+	}
+	q := "/api/v1/query?spec=disease-susceptibility&q=" + url.QueryEscape(`MATCH a = "reformat" RETURN nodes`)
+	for _, base := range []string{q + "&exec=E1", q} {
+		direct := body(base)
+		for _, off := range []string{"0", "false", "F"} {
+			if got := body(base + "&zoom=" + off); got != direct {
+				t.Fatalf("%s&zoom=%s answered %s, without zoom %s", base, off, got, direct)
+			}
+		}
+		if code := get(t, ts, "bob", base+"&zoom=maybe", nil); code != http.StatusBadRequest {
+			t.Fatalf("%s&zoom=maybe: status %d, want 400", base, code)
+		}
+	}
+	if zoomed := body(q + "&exec=E1&zoom=true"); !strings.Contains(zoomed, `"zoom_steps"`) {
+		t.Fatalf("zoom=true answered %s: not the zoom-out path", zoomed)
 	}
 }
 

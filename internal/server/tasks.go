@@ -46,7 +46,7 @@ var (
 )
 
 // bulkItemHook, when set, runs before each bulk-ingest item is applied.
-// Test seam: the cancel-mid-ingest churn test uses it to pace the
+// Test seam: the cancel-mid-ingest churn test uses it to park the
 // worker so cancellation lands between items.
 var bulkItemHook func(i int)
 

@@ -285,16 +285,33 @@ func TestTaskEndpointsWithoutRuntime(t *testing.T) {
 // duplicate-protected; re-posting the full batch afterwards ingests
 // exactly the missing suffix.
 func TestCancelMidBulkIngestKeepsRepoConsistent(t *testing.T) {
-	ts, _, r := newTaskServer(t, 1, 8)
+	ts, srv, r := newTaskServer(t, 1, 8)
 	if err := r.AddSpec(zebrafishSpec(t, "zfish"), nil); err != nil {
 		t.Fatalf("AddSpec: %v", err)
 	}
-	const batch = 150
+	const batch, at = 150, 75
 	body := bulkBatch(t, r, "zfish", 0, batch)
 
-	// Pace the single worker so the DELETE lands mid-batch.
-	bulkItemHook = func(int) { time.Sleep(2 * time.Millisecond) }
-	defer func() { bulkItemHook = nil }()
+	// The single worker parks before item at until the DELETE has returned:
+	// the cancel lands mid-batch, after exactly the items before it.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	bulkItemHook = func(i int) {
+		if i == at {
+			close(parked)
+			<-release
+		}
+	}
+	defer func() {
+		// Release a worker a failed assertion left parked, and drain the
+		// runtime before clearing the hook it reads.
+		open()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Tasks.Drain(ctx)
+		bulkItemHook = nil
+	}()
 
 	var acc struct {
 		Task string `json:"task"`
@@ -327,11 +344,12 @@ func TestCancelMidBulkIngestKeepsRepoConsistent(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(40 * time.Millisecond)
+	<-parked
 	var canceled map[string]any
 	if code := do(t, ts, "DELETE", "/api/v1/tasks/"+acc.Task, writerSecret, nil, &canceled); code != http.StatusOK {
 		t.Fatalf("cancel status = %d", code)
 	}
+	open()
 	snap := waitTask(t, ts, writerSecret, acc.Task)
 	close(stop)
 	wg.Wait()
@@ -344,9 +362,11 @@ func TestCancelMidBulkIngestKeepsRepoConsistent(t *testing.T) {
 		t.Fatalf("task after cancel = %v", snap["state"])
 	}
 
+	// The parked item was already past the worker's cancellation check, so
+	// it is the last one ingested.
 	ingested := len(r.ExecutionIDs("zfish"))
-	if ingested >= batch {
-		t.Fatalf("cancel landed after the whole batch (%d) ingested; nothing was interrupted", ingested)
+	if ingested != at+1 {
+		t.Fatalf("%d of %d executions ingested, want the %d up to the parked one", ingested, batch, at+1)
 	}
 
 	// Consistency proof: re-posting the identical batch ingests exactly

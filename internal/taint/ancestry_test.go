@@ -2,11 +2,11 @@ package taint
 
 // Taint analysis reads an execution's structure through the item ancestry
 // of its shape (exec.Ancestry), which internal/repo derives once per shape
-// and shares among every execution of it. This file holds AnalyzeIn, at
-// every level it can be scoped to, to the analysis as it was before the
-// split — graph, closure and producer lookups derived from the execution at
-// hand, per call, every item's labels listed — kept here as the executable
-// spec.
+// and shares among every execution of it. This file holds the analysis
+// (Set.seed, what MaskInPlace runs for its level and Analyze for Public),
+// at every level, to the analysis as it was before the split — graph,
+// closure and producer lookups derived from the execution at hand, per
+// call, every item's labels listed — kept here as the executable spec.
 
 import (
 	"fmt"
@@ -72,6 +72,14 @@ func analyzeReference(en *Engine, e *exec.Execution, level privacy.Level) refere
 			}
 		}
 	}
+	return set
+}
+
+// seeded is the analysis MaskInPlace masks with: e's sources above level,
+// read against anc, the item ancestry of e's shape.
+func seeded(en *Engine, e *exec.Execution, anc *exec.Ancestry, level privacy.Level) *Set {
+	set := new(Set)
+	set.seed(en, e, anc, level)
 	return set
 }
 
@@ -144,8 +152,8 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			}
 			// Scoped to a level, the analysis seeds only above it.
 			for _, lvl := range diffLevels {
-				if diff := sameAnalysis(en.AnalyzeIn(e, anc, lvl), e, lvl, analyzeReference(en, e, lvl)); diff != "" {
-					t.Errorf("seed %d, %s @%s: AnalyzeIn over the shape's ancestry differs from the per-execution analysis: %s", seed, e.ID, lvl, diff)
+				if diff := sameAnalysis(seeded(en, e, anc, lvl), e, lvl, analyzeReference(en, e, lvl)); diff != "" {
+					t.Errorf("seed %d, %s @%s: the analysis over the shape's ancestry differs from the per-execution analysis: %s", seed, e.ID, lvl, diff)
 				}
 			}
 			labelled += want.labels
@@ -163,8 +171,8 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			}
 			c.Items[id] = &cp
 		}
-		if diff := sameAnalysis(en.AnalyzeIn(&c, anc, privacy.Public), &c, privacy.Public, analyzeReference(en, &c, privacy.Public)); diff != "" {
-			t.Errorf("seed %d: with emptied and redacted sources AnalyzeIn differs from the per-execution analysis: %s", seed, diff)
+		if diff := sameAnalysis(seeded(en, &c, anc, privacy.Public), &c, privacy.Public, analyzeReference(en, &c, privacy.Public)); diff != "" {
+			t.Errorf("seed %d: with emptied and redacted sources the analysis differs from the per-execution analysis: %s", seed, diff)
 		}
 	}
 	if labelled == 0 {

@@ -2,10 +2,9 @@ package taint
 
 // The cold fill's analysis is scoped to its asker: sources are the full
 // execution's items above the asker's level, targets the items of the view
-// being masked. This file holds both scoped paths — MaskInPlace, and
-// ApplyInPlace with AnalyzeIn scoped to the level — to the unscoped
-// reference, Apply(view, level, Analyze(full)), on random specs, policies,
-// ladders, levels and access views.
+// being masked. This file holds MaskInPlace to the unscoped reference,
+// Apply(view, level, Analyze(full)), on random specs, policies, ladders,
+// levels and access views.
 
 import (
 	"fmt"
@@ -139,24 +138,16 @@ func checkScoped(t *testing.T, seed int64, lvl uint8, viewBits uint64, flags uin
 	tag := fmt.Sprintf("seed=%d level=%s view=%v flags=%04b", seed, level, prefix.IDs(), flags)
 	want, wantRep := en.Apply(collapse(), level, en.Analyze(full))
 	anc := exec.NewAncestry(full)
-	fused := collapse()
-	fusedRep := en.MaskInPlace(fused, full, anc, level)
-	scoped := collapse()
-	scopedRep := en.ApplyInPlace(scoped, level, en.AnalyzeIn(full, anc, level))
-	for name, got := range map[string]struct {
-		view *exec.Execution
-		rep  Report
-	}{"MaskInPlace": {fused, fusedRep}, "AnalyzeIn+ApplyInPlace": {scoped, scopedRep}} {
-		if got.rep != wantRep {
-			t.Errorf("%s: %s report %+v, reference %+v", tag, name, got.rep, wantRep)
-		}
-		if got.view.ID != want.ID || len(got.view.Items) != len(want.Items) {
-			t.Errorf("%s: %s masked %s with %d items, reference %s with %d", tag, name, got.view.ID, len(got.view.Items), want.ID, len(want.Items))
-		}
-		for id, w := range want.Items {
-			if g := got.view.Items[id]; g == nil || g.Value != w.Value || g.Redacted != w.Redacted {
-				t.Errorf("%s: %s item %s = %+v, reference %+v", tag, name, id, g, w)
-			}
+	got := collapse()
+	if rep := en.MaskInPlace(got, full, anc, level); rep != wantRep {
+		t.Errorf("%s: MaskInPlace report %+v, reference %+v", tag, rep, wantRep)
+	}
+	if got.ID != want.ID || len(got.Items) != len(want.Items) {
+		t.Errorf("%s: MaskInPlace masked %s with %d items, reference %s with %d", tag, got.ID, len(got.Items), want.ID, len(want.Items))
+	}
+	for id, w := range want.Items {
+		if g := got.Items[id]; g == nil || g.Value != w.Value || g.Redacted != w.Redacted {
+			t.Errorf("%s: MaskInPlace item %s = %+v, reference %+v", tag, id, g, w)
 		}
 	}
 	if hiddenBit {
@@ -185,7 +176,7 @@ func TestScopedMaskMatchesReference(t *testing.T) {
 }
 
 // FuzzScopedMaskMatchesReference: for any spec, policy, ladder, level and
-// access view, the scoped masks equal the unscoped reference exactly.
+// access view, the scoped mask equals the unscoped reference exactly.
 func FuzzScopedMaskMatchesReference(f *testing.F) {
 	for _, c := range scopedSeeds {
 		f.Add(c.seed, c.level, c.view, c.flags)
@@ -193,31 +184,6 @@ func FuzzScopedMaskMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, level uint8, view uint64, flags uint8) {
 		checkScoped(t, seed, level, view, flags)
 	})
-}
-
-// TestScopedSetRefusesALowerLevel: a Set analysed for a level holds no
-// source at or below it, so masking below it would leak what it left out;
-// Apply and ApplyInPlace panic instead. At its level and above it masks.
-func TestScopedSetRefusesALowerLevel(t *testing.T) {
-	e, pol, _ := manyPatternRun(1, 24)
-	en := NewEngine(pol, nil)
-	anc := exec.NewAncestry(e)
-	for _, scope := range diffLevels {
-		set := en.AnalyzeIn(e, anc, scope)
-		for _, lvl := range diffLevels {
-			panicked := func() (p bool) {
-				defer func() { p = recover() != nil }()
-				en.Apply(e, lvl, set)
-				return false
-			}()
-			if want := lvl < scope; panicked != want {
-				t.Errorf("a Set analysed for %s masking at %s: panicked %v, want %v", scope, lvl, panicked, want)
-			}
-		}
-	}
-	if en.Analyze(e).Labels() == 0 {
-		t.Fatal("fixture: nothing is protected")
-	}
 }
 
 // TestMaskInPlaceAnalysesNothingForWhoSeesAll: at a level at or above every

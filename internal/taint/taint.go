@@ -34,10 +34,8 @@
 // from the view being masked (item ids are stable under exec.Collapse), and
 // labels only from attributes above the level the analysis is for.
 // Analyze's Set is for Public, so it applies to every collapsed view at
-// every access level; AnalyzeIn scoped to a level masks at that level or
-// above and refuses to mask below it; MaskInPlace, the repository's cold
-// fill, analyses for exactly the level and the view it masks and lets no
-// Set escape.
+// every access level; MaskInPlace, the repository's cold fill, analyses for
+// exactly the level and the view it masks and lets no Set escape.
 package taint
 
 import (
@@ -74,18 +72,14 @@ type Label struct {
 // no per-item list. A nil *Set applies no propagation — sanitization
 // degrades to attribute-local masking.
 //
-// A Set holds only the sources whose required level exceeds the level it
-// was analysed for, and records that level: masking below it would miss a
-// source it left out, so Apply and ApplyInPlace panic there. A Set is
-// immutable once made and safe to share between concurrent Apply calls.
-// It is per execution even where executions share a shape: which item
-// descends from which is the shape's (exec.Ancestry), but the sources and
-// the patterns hold raw values, which are not.
+// A Set is immutable once made and safe to share between concurrent Apply
+// calls. It is per execution even where executions share a shape: which
+// item descends from which is the shape's (exec.Ancestry), but the sources
+// and the patterns hold raw values, which are not.
 type Set struct {
-	level privacy.Level
-	anc   *exec.Ancestry
-	srcs  []source // in anc.IDs order
-	repl  Replacer
+	anc  *exec.Ancestry
+	srcs []source // in anc.IDs order
+	repl Replacer
 }
 
 // source is one taint source: its label, where its item sits in the
@@ -109,7 +103,7 @@ func (s *Set) Replacer() *Replacer {
 // seed makes s, reusing its memory, the analysis of e above level against
 // anc, the item ancestry of e's shape, and reports whether e has a source.
 func (s *Set) seed(en *Engine, e *exec.Execution, anc *exec.Ancestry, level privacy.Level) bool {
-	s.level, s.anc, s.srcs = level, anc, s.srcs[:0]
+	s.anc, s.srcs = anc, s.srcs[:0]
 	for i, id := range anc.IDs {
 		it := e.Items[id]
 		// Redacted or empty values cannot leak through substrings.
@@ -244,23 +238,10 @@ func (en *Engine) generalizer(attr string) Generalizer {
 // set, but its raw value still rides inside downstream trace strings.
 //
 // Analyze derives e's item ancestry itself; a caller that holds the
-// ancestry of e's shape uses AnalyzeIn.
-func (en *Engine) Analyze(e *exec.Execution) *Set { return en.AnalyzeIn(e, nil, privacy.Public) }
-
-// AnalyzeIn is Analyze against anc, the item ancestry of e's shape, scoped
-// to a viewer at level: only attributes above level seed labels, and the
-// Set masks at level or above only. "Whose producer reaches whose" is the
-// same for every execution of a shape (exec.SameShape) and most of what an
-// analysis costs, so it is derived once per shape; what is left per
-// execution is what depends on e's values — which protected items carry a
-// value that can leak, and the sanitizer compiled over those values. A nil
-// anc is derived from e.
-func (en *Engine) AnalyzeIn(e *exec.Execution, anc *exec.Ancestry, level privacy.Level) *Set {
-	if anc == nil {
-		anc = exec.NewAncestry(e)
-	}
+// ancestry of e's shape masks with MaskInPlace.
+func (en *Engine) Analyze(e *exec.Execution) *Set {
 	set := new(Set)
-	set.seed(en, e, anc, level)
+	set.seed(en, e, exec.NewAncestry(e), privacy.Public)
 	return set
 }
 
@@ -274,8 +255,9 @@ func (en *Engine) Sanitize(e *exec.Execution, level privacy.Level) (*exec.Execut
 // using a precomputed taint set (nil set = attribute-local masking
 // only), and leaves e alone. The copy shares no mutable state with e —
 // nodes, frames, edges and item slices are all fresh — so later mutation
-// of either side can never corrupt the other. The masking itself is
-// ApplyInPlace on the copy.
+// of either side can never corrupt the other. The copy is masked in place:
+// every item's Value/Redacted is rewritten where the level requires it and
+// the execution is renamed "<id>/masked@<level>".
 func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec.Execution, Report) {
 	out := &exec.Execution{
 		ID:     e.ID,
@@ -298,37 +280,26 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 		cp := *it
 		out.Items[id] = &cp
 	}
-	return out, en.ApplyInPlace(out, level, set)
-}
-
-// ApplyInPlace masks e itself for a viewer at the given level — every
-// item's Value/Redacted is rewritten where the level requires it and the
-// execution is renamed "<id>/masked@<level>" — and returns the report.
-// Only item values change, never nodes, edges or the item set, so a
-// graph derived from e before the call still describes it after. The
-// caller must own e and every item in it outright (a view fresh from
-// exec.CollapseIn does; a stored or shared execution never does); Apply
-// is the same code behind a deep copy. It panics when set was analysed
-// for a level above the given one.
-func (en *Engine) ApplyInPlace(e *exec.Execution, level privacy.Level, set *Set) Report {
-	if set != nil && level < set.level {
-		panic("taint: a Set analysed for " + set.level.String() + " cannot mask at " + level.String())
-	}
 	if set == nil || len(set.srcs) == 0 {
-		return en.mask(e, level, nil)
+		return out, en.mask(out, level, nil)
 	}
 	ap := applierPool.Get().(*applier)
 	defer ap.release()
 	ap.arm(en, set, level)
-	return en.mask(e, level, ap)
+	return out, en.mask(out, level, ap)
 }
 
-// MaskInPlace is ApplyInPlace(view, level, Analyze(full)) — view a
-// collapsed view of full that the caller owns outright, anc the item
-// ancestry of full's shape — with the analysis scoped to what a viewer at
-// level may not see: sources are full's items above level, targets view's
-// items. It makes no Set that outlives the call; a level at or above every
-// protected attribute arms no sanitizer at all. This is the one-copy half
+// MaskInPlace masks view itself as Apply(view, level, Analyze(full)) masks
+// its copy — view a collapsed view of full that the caller owns outright,
+// anc the item ancestry of full's shape — with the analysis scoped to what
+// a viewer at level may not see: sources are full's items above level,
+// targets view's items. Only item values change, never nodes, edges or the
+// item set, so a graph derived from view before the call still describes it
+// after. It makes no Set that outlives the call; a level at or above every
+// protected attribute arms no sanitizer at all. "Whose producer reaches
+// whose" is the same for every execution of a shape (exec.SameShape) and
+// most of what an analysis costs, so anc is derived once per shape; what is
+// left per call is what depends on full's values. This is the one-copy half
 // of the repository's cold fill.
 func (en *Engine) MaskInPlace(view, full *exec.Execution, anc *exec.Ancestry, level privacy.Level) Report {
 	if !en.hides(level) {
@@ -353,7 +324,7 @@ func (en *Engine) hides(level privacy.Level) bool {
 	return false
 }
 
-// mask is the masking loop of ApplyInPlace and MaskInPlace; a nil ap
+// mask is the masking loop of Apply and MaskInPlace; a nil ap
 // rewrites no embedded value.
 func (en *Engine) mask(e *exec.Execution, level privacy.Level, ap *applier) Report {
 	var rep Report
