@@ -1,9 +1,9 @@
 // Command provaudit audits a privacy policy against a workflow
-// specification: it reports what each access level can see, solves the
-// structural-privacy optimization for every hidden pair (choosing the
-// best of cut/cluster per utility), and flags potential downstream
-// leaks where a protected attribute flows into a module whose outputs
-// are public — the workflow-privacy pitfall of module privacy.
+// specification: it reports what each access level can see — the access
+// view the engine serves, with the composite of every pair hidden from
+// the level withdrawn — and flags potential downstream leaks where a
+// protected attribute flows into a module whose outputs are public — the
+// workflow-privacy pitfall of module privacy.
 //
 //	provaudit -example
 //	provaudit -spec spec.json -policy policy.json

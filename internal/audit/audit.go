@@ -1,10 +1,11 @@
 // Package audit analyses a privacy policy against a workflow
-// specification and reports, per access level, what is visible, how
-// each structural-privacy requirement is best satisfied, and where
-// protected data could leak through public downstream modules. It backs
-// cmd/provaudit and is the programmatic pre-publication check a
-// repository owner runs before sharing provenance (the paper's "you are
-// better off designing in security and privacy ... from the start").
+// specification and reports, per access level, what is visible — the
+// access view the engine serves, structural privacy's withdrawals
+// included — and where protected data could leak through public
+// downstream modules. It backs cmd/provaudit and is the programmatic
+// pre-publication check a repository owner runs before sharing
+// provenance (the paper's "you are better off designing in security and
+// privacy ... from the start").
 package audit
 
 import (
@@ -13,7 +14,6 @@ import (
 	"strings"
 
 	"provpriv/internal/privacy"
-	"provpriv/internal/structpriv"
 	"provpriv/internal/workflow"
 )
 
@@ -23,17 +23,6 @@ type LevelReport struct {
 	View           []string // workflow ids of the access view
 	ModulesVisible int
 	HiddenAttrs    []string
-}
-
-// StructuralReport records the optimizer's verdict for one hidden pair.
-type StructuralReport struct {
-	Pair          structpriv.Pair
-	RequiredLevel privacy.Level
-	Satisfiable   bool
-	Strategy      string
-	Utility       float64
-	LostPairs     int
-	Extraneous    int
 }
 
 // LeakWarning flags a protected attribute flowing into a visible module
@@ -52,10 +41,9 @@ func (w LeakWarning) String() string {
 
 // Report is a complete audit.
 type Report struct {
-	SpecID     string
-	Levels     []LevelReport
-	Structural []StructuralReport
-	Leaks      []LeakWarning
+	SpecID string
+	Levels []LevelReport
+	Leaks  []LeakWarning
 	// GammaModules lists modules with Γ requirements (certification is
 	// per-relation; see modpriv).
 	GammaModules map[string]int
@@ -99,26 +87,6 @@ func Run(spec *workflow.Spec, pol *privacy.Policy) (*Report, error) {
 		})
 	}
 
-	g := full.Graph()
-	for _, hp := range pol.Structural {
-		pair := structpriv.Pair{From: hp.From, To: hp.To}
-		sr := StructuralReport{Pair: pair, RequiredLevel: hp.Level}
-		best, cands, err := structpriv.Optimize(g, []structpriv.Pair{pair}, structpriv.OptimizeOptions{})
-		if err == nil {
-			sr.Satisfiable = true
-			for _, c := range cands {
-				if c.Result == best {
-					sr.Strategy = c.Note
-				}
-			}
-			m := best.Metrics
-			sr.Utility = m.UtilityScore()
-			sr.LostPairs = m.LostPairs
-			sr.Extraneous = m.ExtraneousPairs
-		}
-		rep.Structural = append(rep.Structural, sr)
-	}
-
 	for _, lvl := range Levels(pol) {
 		hidden := make(map[string]bool)
 		for _, a := range pol.HiddenAttrs(lvl) {
@@ -150,8 +118,9 @@ func Run(spec *workflow.Spec, pol *privacy.Policy) (*Report, error) {
 }
 
 // Levels returns the access levels worth auditing: every level the
-// policy mentions, each "first level denied" below a data requirement,
-// and Public; sorted ascending.
+// policy mentions (a structural pair's included: the access view changes
+// there), each "first level denied" below a data requirement, and Public;
+// sorted ascending.
 func Levels(pol *privacy.Policy) []privacy.Level {
 	set := map[privacy.Level]bool{privacy.Public: true}
 	for _, l := range pol.DataLevels {
@@ -163,7 +132,7 @@ func Levels(pol *privacy.Policy) []privacy.Level {
 	for _, l := range pol.ModuleLevels {
 		set[l] = true
 	}
-	for l := range pol.ViewGrants {
+	for _, l := range pol.ViewLevels() {
 		set[l] = true
 	}
 	out := make([]privacy.Level, 0, len(set))
@@ -182,20 +151,6 @@ func (rep *Report) Render() string {
 	for _, lr := range rep.Levels {
 		fmt.Fprintf(&b, "%-12s view={%s}  modules visible=%d  hidden attrs=%v\n",
 			lr.Level, strings.Join(lr.View, " "), lr.ModulesVisible, lr.HiddenAttrs)
-	}
-	if len(rep.Structural) > 0 {
-		b.WriteString("\n== structural privacy ==\n")
-		for _, sr := range rep.Structural {
-			if !sr.Satisfiable {
-				fmt.Fprintf(&b, "%s: UNSATISFIABLE\n", sr.Pair)
-				continue
-			}
-			fmt.Fprintf(&b, "%s (below %s): best=%q utility=%.3f lost=%d extraneous=%d\n",
-				sr.Pair, sr.RequiredLevel, sr.Strategy, sr.Utility, sr.LostPairs, sr.Extraneous)
-			if sr.Extraneous > 0 {
-				fmt.Fprintf(&b, "  WARNING: chosen view is unsound (%d fabricated paths)\n", sr.Extraneous)
-			}
-		}
 	}
 	b.WriteString("\n== downstream-leak warnings ==\n")
 	if len(rep.Leaks) == 0 {

@@ -8,6 +8,8 @@ package privacy
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"provpriv/internal/workflow"
@@ -53,6 +55,8 @@ type User struct {
 // HiddenPair is a structural-privacy requirement: users below the
 // required level must not learn that module From contributes to the
 // data produced by module To (Section 3, "Structural Privacy").
+// AccessView enforces it: below Level, the view loses the deepest
+// workflow holding both modules, which then answer as its composite.
 type HiddenPair struct {
 	From  string `json:"from"`
 	To    string `json:"to"`
@@ -119,21 +123,13 @@ func (p *Policy) CanSeeModule(l Level, moduleID string) bool {
 	return l >= p.ModuleLevels[moduleID]
 }
 
-// HiddenPairsFor returns the structural pairs that must stay hidden from
-// level l.
-func (p *Policy) HiddenPairsFor(l Level) []HiddenPair {
-	var out []HiddenPair
-	for _, hp := range p.Structural {
-		if l < hp.Level {
-			out = append(out, hp)
-		}
-	}
-	return out
-}
-
 // AccessView returns the finest view prefix a user at level l may see:
-// the root workflow plus every grant at levels ≤ l, closed under
-// parents. The result is always a valid prefix of h.
+// the root workflow plus every grant at levels ≤ l, closed under parents,
+// less what structural privacy withdraws. A pair hidden from l withdraws,
+// with its subtree, the deepest workflow holding both endpoints
+// (sharedWorkflow), so at l both resolve to the one composite that
+// represents it and no path between them is shown. The policy must have
+// passed Validate against h's spec; the result is then a valid prefix of h.
 func (p *Policy) AccessView(h *workflow.Hierarchy, l Level) workflow.Prefix {
 	prefix := workflow.NewPrefix(h.Root)
 	for lvl, wids := range p.ViewGrants {
@@ -150,12 +146,50 @@ func (p *Policy) AccessView(h *workflow.Hierarchy, l Level) workflow.Prefix {
 			}
 		}
 	}
+	for _, hp := range p.Structural {
+		if l >= hp.Level {
+			continue
+		}
+		shared := sharedWorkflow(h, hp.From, hp.To)
+		d := h.Depth(shared)
+		for wid := range prefix {
+			if chain := h.Chain(wid); len(chain) > d && chain[d] == shared {
+				delete(prefix, wid)
+			}
+		}
+	}
 	return prefix
+}
+
+// ViewLevels returns, sorted and distinct, the levels at which AccessView
+// can change: a grant's and a hidden pair's.
+func (p *Policy) ViewLevels() []Level {
+	levels := slices.Collect(maps.Keys(p.ViewGrants))
+	for _, hp := range p.Structural {
+		levels = append(levels, hp.Level)
+	}
+	slices.Sort(levels)
+	return slices.Compact(levels)
+}
+
+// sharedWorkflow returns the deepest workflow whose subtree holds both
+// modules: the last common entry of their workflows' root chains.
+func sharedWorkflow(h *workflow.Hierarchy, from, to string) string {
+	_, wf := h.Module(from)
+	_, wt := h.Module(to)
+	cf, ct := h.Chain(wf.ID), h.Chain(wt.ID)
+	i := 0
+	for i+1 < min(len(cf), len(ct)) && cf[i+1] == ct[i+1] {
+		i++
+	}
+	return cf[i]
 }
 
 // Validate checks the policy against a spec: referenced modules,
 // workflows and attributes must exist, Γ values must be ≥ 2 (Γ = 1 is
-// no privacy) and structural pairs must reference modules.
+// no privacy) and structural pairs must reference modules that share a
+// composite: a pair whose deepest shared workflow is the root has no
+// composite to withdraw, so the engine could not hide it.
 func (p *Policy) Validate(s *workflow.Spec) error {
 	if p.SpecID != s.ID {
 		return fmt.Errorf("privacy: policy for %q applied to spec %q", p.SpecID, s.ID)
@@ -197,6 +231,17 @@ func (p *Policy) Validate(s *workflow.Spec) error {
 		}
 		if !modules[hp.To] {
 			return fmt.Errorf("privacy: structural pair references unknown module %q", hp.To)
+		}
+	}
+	if len(p.Structural) > 0 {
+		h, err := workflow.NewHierarchy(s)
+		if err != nil {
+			return err
+		}
+		for _, hp := range p.Structural {
+			if sharedWorkflow(h, hp.From, hp.To) == h.Root {
+				return fmt.Errorf("privacy: structural pair %s->%s cannot be hidden: the modules share no composite (their deepest shared workflow is the root %s)", hp.From, hp.To, h.Root)
+			}
 		}
 	}
 	for lvl, wids := range p.ViewGrants {

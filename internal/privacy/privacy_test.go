@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,16 +63,6 @@ func TestCanSeeModule(t *testing.T) {
 	}
 }
 
-func TestHiddenPairsFor(t *testing.T) {
-	_, p := diseasePolicy(t)
-	if got := p.HiddenPairsFor(Analyst); len(got) != 1 || got[0].From != "M13" {
-		t.Fatalf("HiddenPairsFor(Analyst) = %v", got)
-	}
-	if got := p.HiddenPairsFor(Owner); len(got) != 0 {
-		t.Fatalf("HiddenPairsFor(Owner) = %v", got)
-	}
-}
-
 func TestAccessViewCumulative(t *testing.T) {
 	s, p := diseasePolicy(t)
 	h, _ := workflow.NewHierarchy(s)
@@ -84,12 +75,18 @@ func TestAccessViewCumulative(t *testing.T) {
 	if strings.Join(reg.IDs(), ",") != "W1,W2" {
 		t.Fatalf("registered view = %v", reg.IDs())
 	}
+	// W3 is granted at Analyst, but the pair M13->M11 hidden below Owner
+	// withdraws it until then.
 	an := p.AccessView(h, Analyst)
-	if strings.Join(an.IDs(), ",") != "W1,W2,W3,W4" {
+	if strings.Join(an.IDs(), ",") != "W1,W2,W4" {
 		t.Fatalf("analyst view = %v", an.IDs())
 	}
+	own := p.AccessView(h, Owner)
+	if strings.Join(own.IDs(), ",") != "W1,W2,W3,W4" {
+		t.Fatalf("owner view = %v", own.IDs())
+	}
 	// All results are valid prefixes.
-	for _, pre := range []workflow.Prefix{pub, reg, an} {
+	for _, pre := range []workflow.Prefix{pub, reg, an, own} {
 		if err := pre.Validate(h); err != nil {
 			t.Fatalf("access view invalid: %v", err)
 		}
@@ -104,6 +101,70 @@ func TestAccessViewClosesUnderParents(t *testing.T) {
 	v := p.AccessView(h, Registered)
 	if strings.Join(v.IDs(), ",") != "W1,W2,W4" {
 		t.Fatalf("view = %v, want parent closure", v.IDs())
+	}
+}
+
+// TestAccessViewWithdrawsSharedWorkflow: a pair hidden from a level
+// withdraws the deepest workflow holding both endpoints, with its subtree,
+// and nothing else; at the pair's own level it withdraws nothing.
+func TestAccessViewWithdrawsSharedWorkflow(t *testing.T) {
+	s := workflow.DiseaseSusceptibility()
+	h, _ := workflow.NewHierarchy(s)
+	for _, c := range []struct {
+		from, to string
+		below    string // the Analyst view while the pair is hidden
+	}{
+		{"M13", "M11", "W1,W2,W4"}, // both in W3
+		{"M6", "M8", "W1,W2,W3"},   // both in W4, under W2
+		{"M3", "M6", "W1,W3"},      // M3 in W2, M6 in W4: W2 holds both, W4 goes with it
+		{"M4", "M7", "W1,W3"},      // a composite endpoint: M4 is a module of W2
+		{"M13", "M13", "W1,W2,W4"}, // one module: its own workflow
+	} {
+		p := NewPolicy(s.ID)
+		p.ViewGrants[Public] = []string{"W3", "W4"}
+		p.Structural = []HiddenPair{{From: c.from, To: c.to, Level: Owner}}
+		if err := p.Validate(s); err != nil {
+			t.Fatalf("%s->%s: Validate: %v", c.from, c.to, err)
+		}
+		for _, l := range []Level{Public, Analyst} {
+			v := p.AccessView(h, l)
+			if got := strings.Join(v.IDs(), ","); got != c.below {
+				t.Errorf("%s->%s hidden from %s: view %s, want %s", c.from, c.to, l, got, c.below)
+			}
+			if err := v.Validate(h); err != nil {
+				t.Errorf("%s->%s at %s: %v", c.from, c.to, l, err)
+			}
+		}
+		if got := strings.Join(p.AccessView(h, Owner).IDs(), ","); got != "W1,W2,W3,W4" {
+			t.Errorf("%s->%s at its own level: view %s, want every workflow", c.from, c.to, got)
+		}
+	}
+}
+
+func TestViewLevels(t *testing.T) {
+	_, p := diseasePolicy(t) // grants at Registered and Analyst, a pair at Owner
+	p.Structural = append(p.Structural, HiddenPair{From: "M6", To: "M8", Level: Analyst})
+	if got := p.ViewLevels(); !slices.Equal(got, []Level{Registered, Analyst, Owner}) {
+		t.Fatalf("ViewLevels = %v, want [registered analyst owner]", got)
+	}
+}
+
+// TestValidateRefusesUnhideablePair: a pair whose modules share no
+// composite — their deepest shared workflow is the root — has nothing the
+// access view could withdraw, so Validate refuses it and names it.
+func TestValidateRefusesUnhideablePair(t *testing.T) {
+	s := workflow.DiseaseSusceptibility()
+	for _, hp := range []HiddenPair{
+		{From: "M3", To: "M9", Level: Owner},  // W2 and W3
+		{From: "I", To: "O", Level: Analyst},  // both in the root
+		{From: "M1", To: "M13", Level: Owner}, // a root composite and a module of W3
+	} {
+		p := NewPolicy(s.ID)
+		p.Structural = []HiddenPair{{From: "M13", To: "M11", Level: Owner}, hp}
+		err := p.Validate(s)
+		if err == nil || !strings.Contains(err.Error(), hp.From+"->"+hp.To) {
+			t.Errorf("pair %s->%s: Validate = %v, want a refusal naming the pair", hp.From, hp.To, err)
+		}
 	}
 }
 

@@ -179,3 +179,36 @@ func TestAccessViewStepsMatchPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessStepsChangeAtPairLevels: a hidden pair changes the access view
+// at its own level, grant or no grant there, so install places a step
+// boundary at every pair level: W4 (the pair M6 -> M8) returns at Analyst
+// and W3 (M13 -> M11) at Owner, though both are granted to Public.
+func TestAccessStepsChangeAtPairLevels(t *testing.T) {
+	s := workflow.DiseaseSusceptibility()
+	pol := privacy.NewPolicy(s.ID)
+	pol.ViewGrants[privacy.Public] = []string{"W3", "W4"}
+	pol.Structural = []privacy.HiddenPair{
+		{From: "M6", To: "M8", Level: privacy.Analyst},
+		{From: "M13", To: "M11", Level: privacy.Owner},
+	}
+	r := New()
+	if err := r.AddSpec(s, pol); err != nil {
+		t.Fatal(err)
+	}
+	sh := r.shard(s.ID)
+	gen := sh.current()
+	if len(gen.steps) != 4 {
+		t.Fatalf("%d access steps for one grant level and two pair levels, want 4 (with the one below every level)", len(gen.steps))
+	}
+	want := map[privacy.Level]string{
+		-1: "[W1]", privacy.Public: "[W1 W2]", privacy.Registered: "[W1 W2]",
+		privacy.Analyst: "[W1 W2 W4]", privacy.Owner: "[W1 W2 W3 W4]", privacy.Owner + 1: "[W1 W2 W3 W4]",
+	}
+	for l, ids := range want {
+		st := gen.step(l)
+		if got := fmt.Sprint(st.view.IDs()); got != ids || !reflect.DeepEqual(st.view, pol.AccessView(sh.hier, l)) || st.zoomed != (l < privacy.Owner) {
+			t.Errorf("level %d: access view %s zoomed %v, want %s", l, got, st.zoomed, ids)
+		}
+	}
+}

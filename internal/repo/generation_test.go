@@ -63,8 +63,9 @@ func TestReplacedGenerationIsCollected(t *testing.T) {
 
 // reachesPerRequest is Reaches as it was before the closure moved onto the
 // access step, minus its full-view shortcut: expand the spec to the level's
-// access view, resolve both endpoints to what represents them there, and
-// search the view's graph.
+// access view (which withdraws the composite of every pair hidden from the
+// level), resolve both endpoints to what represents them there, and search
+// the view's graph.
 func reachesPerRequest(s *workflow.Spec, h *workflow.Hierarchy, pol *privacy.Policy, level privacy.Level, from, to string) (bool, error) {
 	if mf, _ := h.Module(from); mf == nil {
 		return false, ErrNotFound
@@ -74,11 +75,6 @@ func reachesPerRequest(s *workflow.Spec, h *workflow.Hierarchy, pol *privacy.Pol
 	}
 	if from == to {
 		return false, nil
-	}
-	for _, hp := range pol.HiddenPairsFor(level) {
-		if hp.From == from && hp.To == to {
-			return false, nil
-		}
 	}
 	access := pol.AccessView(h, level)
 	v, err := workflow.ExpandIn(s, h, access)
@@ -114,17 +110,19 @@ func reachesPerRequest(s *workflow.Spec, h *workflow.Hierarchy, pol *privacy.Pol
 
 // TestReachesOnePathAgreesWithPerRequestExpansion: over random specs under
 // random policies, each with two pairs the full expansion connects hidden
-// below owner, Reaches answers every ordered module pair — self pairs,
-// composite endpoints, hidden pairs and pairs inside one collapsed composite
-// included — at every level exactly as the per-request expansion and graph
-// search do, refusals included, before and after a policy update.
+// below owner (a drawn pair whose modules share no composite must be
+// refused, and is drawn again), Reaches answers every ordered module pair —
+// self pairs, composite endpoints, hidden pairs and pairs inside one
+// collapsed composite included — at every level exactly as the per-request
+// expansion and graph search do, refusals included, before and after a
+// policy update.
 func TestReachesOnePathAgreesWithPerRequestExpansion(t *testing.T) {
 	r := New()
 	for _, lvl := range allLevels {
 		r.AddUser(privacy.User{Name: lvl.String(), Level: lvl})
 	}
 	rng := rand.New(rand.NewSource(41))
-	var hidden, composite, refused, reached, collapsed int
+	var hidden, unhideable, composite, refused, reached, collapsed int
 	check := func(stage string, s *workflow.Spec, pol *privacy.Policy) {
 		t.Helper()
 		h := r.shard(s.ID).hier
@@ -171,11 +169,24 @@ func TestReachesOnePathAgreesWithPerRequestExpansion(t *testing.T) {
 		g, names := v.Graph(), v.Graph().Names()
 		for n := 0; n < 2; {
 			from, to := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
-			if from != to && g.Reachable(g.Lookup(from), g.Lookup(to)) {
-				pol.Structural = append(pol.Structural, privacy.HiddenPair{From: from, To: to, Level: privacy.Owner})
-				n++
-				hidden++
+			if from == to || !g.Reachable(g.Lookup(from), g.Lookup(to)) {
+				continue
 			}
+			_, wf := h.Module(from)
+			_, wt := h.Module(to)
+			cf, ct := h.Chain(wf.ID), h.Chain(wt.ID)
+			shared := len(cf) > 1 && len(ct) > 1 && cf[1] == ct[1] // below the root
+			pol.Structural = append(pol.Structural, privacy.HiddenPair{From: from, To: to, Level: privacy.Owner})
+			if err := pol.Validate(s); shared != (err == nil) {
+				t.Fatalf("%s: pair %s->%s sharing a composite %v: Validate = %v", s.ID, from, to, shared, err)
+			}
+			if !shared {
+				pol.Structural = pol.Structural[:len(pol.Structural)-1]
+				unhideable++
+				continue
+			}
+			n++
+			hidden++
 		}
 		return pol
 	}
@@ -194,8 +205,8 @@ func TestReachesOnePathAgreesWithPerRequestExpansion(t *testing.T) {
 		}
 		check("after UpdatePolicy", s, next)
 	}
-	if hidden == 0 || composite == 0 || refused == 0 || reached == 0 || collapsed == 0 {
-		t.Fatalf("fixture checks too little: %d hidden pairs, %d composite modules, %d refusals, %d reachable pairs, %d pairs from inside a collapsed workflow",
-			hidden, composite, refused, reached, collapsed)
+	if hidden == 0 || unhideable == 0 || composite == 0 || refused == 0 || reached == 0 || collapsed == 0 {
+		t.Fatalf("fixture checks too little: %d hidden pairs, %d unhideable pairs, %d composite modules, %d refusals, %d reachable pairs, %d pairs from inside a collapsed workflow",
+			hidden, unhideable, composite, refused, reached, collapsed)
 	}
 }

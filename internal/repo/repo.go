@@ -430,10 +430,10 @@ func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy,
 		engine: datapriv.NewMasker(pol, hs).Engine(),
 		masked: index.NewLRU[maskedKey, maskedSnapshot](shardCacheCap),
 	}
-	// An access view is the union of the grants at or below a level, so it
-	// changes only at a grant's level: one step per distinct level, however
-	// far apart a (wire-writable) policy puts them.
-	for _, l := range append([]privacy.Level{math.MinInt}, slices.Sorted(maps.Keys(pol.ViewGrants))...) {
+	// An access view changes only at the levels ViewLevels names, a grant's
+	// or a hidden pair's: one step per distinct level, however far apart a
+	// (wire-writable) policy puts them.
+	for _, l := range append([]privacy.Level{math.MinInt}, pol.ViewLevels()...) {
 		view := pol.AccessView(sh.hier, l)
 		gen.steps = append(gen.steps, &accessStep{from: l, view: view, key: view.Key(), zoomed: len(view) < sh.hier.Size()})
 	}
@@ -942,26 +942,21 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 // module from contribute to the data produced by module to?" — as
 // visible to the user:
 //
-//   - pairs listed in the policy's Structural requirements above the
-//     user's level answer false (the connection is confidential);
 //   - modules invisible at the user's access view are resolved to the
 //     composite module that represents them, so the answer is at the
 //     granularity the user is entitled to; if both endpoints collapse
 //     into the same composite, the relationship is not externally
-//     visible and the answer is false;
+//     visible and the answer is false — which is how a pair the policy
+//     hides from the user answers, since its composite is withdrawn
+//     from the access view (privacy.Policy.AccessView);
 //   - a module is not its own contributor: from == to answers false.
-//
-// Note this is answer-time enforcement for the exact pairs; publishers
-// wanting protection against multi-query inference should additionally
-// transform the published view with structpriv (cut or cluster).
 func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	u, sh, err := r.reader(userName, specID)
 	if err != nil {
 		return false, err
 	}
 	h := sh.hier
-	gen := sh.current()
-	access := gen.step(u.Level)
+	access := sh.current().step(u.Level)
 	for _, id := range []string{from, to} {
 		if m, _ := h.Module(id); m == nil {
 			return false, fmt.Errorf("repo: unknown module %q: %w", id, ErrNotFound)
@@ -969,11 +964,6 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	}
 	if from == to {
 		return false, nil // decided here: the closure below is reflexive
-	}
-	for _, hp := range gen.pol.HiddenPairsFor(u.Level) {
-		if hp.From == from && hp.To == to {
-			return false, nil
-		}
 	}
 	_, g, reach, err := access.closure(sh)
 	if err != nil {

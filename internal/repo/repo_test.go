@@ -442,10 +442,16 @@ func TestReachesEnforcesStructuralPrivacy(t *testing.T) {
 	if err != nil || !got {
 		t.Fatalf("owner Reaches = %v, %v", got, err)
 	}
-	// Unprotected true pair stays answerable.
-	got, _ = r.Reaches("pub", s.ID, "M12", "M11")
-	if !got {
-		t.Fatal("true unprotected pair answered false")
+	// The pair withdraws W3, the workflow holding both, below Owner: every
+	// module of W3 answers as M2, so a true pair inside W3 answers false too.
+	if got, _ = r.Reaches("pub", s.ID, "M12", "M11"); got {
+		t.Fatal("a pair inside the withdrawn W3 answered true for public")
+	}
+	// True pairs outside W3 stay answerable.
+	for _, c := range [][2]string{{"M3", "M5"}, {"M6", "M8"}, {"M8", "M2"}} {
+		if got, _ = r.Reaches("pub", s.ID, c[0], c[1]); !got {
+			t.Fatalf("true pair %s -> %s outside W3 answered false", c[0], c[1])
+		}
 	}
 	// False pair stays false (the famous M10 -> M14).
 	got, _ = r.Reaches("pub", s.ID, "M10", "M14")

@@ -364,6 +364,36 @@ func TestMutationConflictsAndValidation(t *testing.T) {
 	}
 }
 
+// TestUnhideablePairRefusedOverWire: a structural pair is hidden by
+// withdrawing the deepest composite holding both modules, so a pair whose
+// modules share no composite cannot be hidden: PUT /policy and POST /specs
+// answer 400 naming it, and install nothing.
+func TestUnhideablePairRefusedOverWire(t *testing.T) {
+	ts, _, r, _ := newAuthedServer(t)
+	var fail struct {
+		Error string `json:"error"`
+	}
+	body := `{"spec":"disease-susceptibility","policy":{"structural":[{"from":"M3","to":"M9","level":3}]}}`
+	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), &fail); code != http.StatusBadRequest || !strings.Contains(fail.Error, "M3->M9") {
+		t.Fatalf("PUT /policy hiding M3 (W2) -> M9 (W3): %d %q, want 400 naming the pair", code, fail.Error)
+	}
+	if pol := r.Policy("disease-susceptibility"); len(pol.Structural) != 0 || pol.DataLevels["snps"] == 0 {
+		t.Fatalf("refused policy installed: %+v", pol)
+	}
+	specJSON, _ := json.Marshal(zebrafishSpec(t, "zf-pair"))
+	add, _ := json.Marshal(map[string]json.RawMessage{"spec": specJSON, "policy": []byte(`{"structural":[{"from":"I","to":"A1","level":3}]}`)})
+	if code := do(t, ts, "POST", "/api/v1/specs", writerSecret, add, &fail); code != http.StatusBadRequest || !strings.Contains(fail.Error, "I->A1") {
+		t.Fatalf("POST /specs hiding I -> A1, both in the root: %d %q, want 400 naming the pair", code, fail.Error)
+	}
+	if r.Spec("zf-pair") != nil {
+		t.Fatal("spec registered under a refused policy")
+	}
+	body = `{"spec":"disease-susceptibility","policy":{"structural":[{"from":"M13","to":"M11","level":3}]}}`
+	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), nil); code != http.StatusOK {
+		t.Fatalf("PUT /policy hiding M13 -> M11, both in W3: %d, want 200", code)
+	}
+}
+
 // TestPolicyAndGeneralizationOverWire: PUT /policy and PUT
 // /generalization reach the engine — a ladder installed over the wire
 // turns the public user's redacted snps into a generalized value, and a
