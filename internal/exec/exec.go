@@ -199,9 +199,9 @@ func (e *Execution) ProducerOf(itemID string) *Node {
 	return e.Node(it.Producer)
 }
 
-// Validate checks internal consistency: unique node ids, edges
-// referencing known nodes and items, every item produced by a known
-// node, and acyclicity.
+// Validate checks internal consistency: no nil node or item, unique node
+// ids, edges referencing known nodes and items, every item produced by a
+// known node, and acyclicity.
 func (e *Execution) Validate() error {
 	g, err := e.checkedGraph()
 	if err != nil {
@@ -222,6 +222,9 @@ var errCycle = errors.New("exec: execution graph has a cycle")
 func (e *Execution) checkedGraph() (*graph.Graph, error) {
 	g := graph.NewSized(len(e.Nodes), len(e.Edges))
 	for _, n := range e.Nodes {
+		if n == nil {
+			return nil, errors.New("exec: a node is nil")
+		}
 		if g.Lookup(n.ID) != graph.Invalid {
 			return nil, fmt.Errorf("exec: duplicate node id %q", n.ID)
 		}
@@ -245,6 +248,9 @@ func (e *Execution) checkedGraph() (*graph.Graph, error) {
 	}
 	g.AddEdges(es)
 	for id, it := range e.Items {
+		if it == nil {
+			return nil, fmt.Errorf("exec: item %q is nil", id)
+		}
 		if it.ID != id {
 			return nil, fmt.Errorf("exec: item key %q has id %q", id, it.ID)
 		}

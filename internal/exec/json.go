@@ -11,16 +11,17 @@ func MarshalExecution(e *Execution) ([]byte, error) {
 	return json.MarshalIndent(e, "", "  ")
 }
 
-// UnmarshalExecution parses and validates an execution from JSON.
+// UnmarshalExecution parses (DecodeExecution) and validates an execution
+// from JSON.
 func UnmarshalExecution(data []byte) (*Execution, error) {
-	var e Execution
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("exec: decode execution: %w", err)
+	e, err := DecodeExecution(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	return &e, nil
+	return e, nil
 }
 
 // WriteExecution writes the JSON encoding of e to w.

@@ -13,7 +13,7 @@ import (
 	"provpriv/internal/workload"
 )
 
-func randomRun(t *testing.T, seed int64) (*workflow.Spec, *exec.Execution) {
+func randomRun(t testing.TB, seed int64) (*workflow.Spec, *exec.Execution) {
 	t.Helper()
 	s, err := workload.RandomSpec(workload.SpecConfig{
 		Seed: seed, Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.35,

@@ -135,6 +135,8 @@ type Shapes struct {
 	byHash map[uint64][]*Shape
 	of     map[*Execution]*Shape
 	n      int
+	// values is UnmarshalValues' vector, reused: WithValues copies it.
+	values []Value
 }
 
 // NewShapes returns an empty table.
@@ -171,10 +173,11 @@ func (t *Shapes) Intern(e *Execution) *Execution {
 // record that names no stored execution, or whose vector does not fit the
 // shape, is refused.
 func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Execution) (*Execution, error) {
-	var rec valueRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := decodeValueRecord(data, t.values)
+	if err != nil {
 		return nil, fmt.Errorf("exec: decode values of %s: %w", id, err)
 	}
+	t.values = rec.Values
 	s := t.of[stored[rec.Like]]
 	if s == nil {
 		return nil, fmt.Errorf("exec: values of %s name %q, which is not stored", id, rec.Like)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"provpriv/internal/auth"
 	"provpriv/internal/obs"
 	"provpriv/internal/storage"
+	"provpriv/internal/tasks"
 )
 
 // newAuditedServer is newAuthedServer plus a durable audit log on its
@@ -254,5 +256,63 @@ func TestAuditDisabled(t *testing.T) {
 	}
 	if out.Enabled || len(out.Records) != 0 {
 		t.Fatalf("unaudited server reports %+v", out)
+	}
+}
+
+// TestNullNodeOrItemIsABadRequest: an execution body holding a null node
+// or a null item is the client's 400, with exactly one audit record each —
+// it used to panic past the audit wrapper — and, as one item of a bulk
+// batch, that item's failure: the batch still succeeds and stores the rest.
+func TestNullNodeOrItemIsABadRequest(t *testing.T) {
+	ts, srv, _ := newAuditedServer(t)
+	rt := tasks.New(1, 4)
+	srv.Tasks = rt
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rt.Drain(ctx)
+	})
+	if err := srv.repo.AddSpec(zebrafishSpec(t, "zfish-null"), nil); err != nil {
+		t.Fatal(err)
+	}
+	nullItem := `{"id":"EN2","spec":"zfish-null","nodes":[],"edges":[],"items":{"d0":null}}`
+	for _, body := range []string{`{"id":"EN1","spec":"zfish-null","nodes":[null],"edges":[],"items":{}}`, nullItem} {
+		if code := do(t, ts, "POST", "/api/v1/executions", writerSecret, []byte(body), nil); code != http.StatusBadRequest {
+			t.Fatalf("POST %s = %d, want 400", body, code)
+		}
+	}
+	recs := auditRecords(t, ts, "")
+	if len(recs) != 2 {
+		t.Fatalf("audit window = %d records, want one per request", len(recs))
+	}
+	for i, r := range recs {
+		if r.Action != "exec.add" || r.Status != http.StatusBadRequest || r.Outcome != "rejected" {
+			t.Errorf("record %d = %s %d %q, want exec.add 400 rejected", i, r.Action, r.Status, r.Outcome)
+		}
+	}
+
+	var items []json.RawMessage
+	if err := json.Unmarshal(bulkBatch(t, srv.repo, "zfish-null", 0, 3), &items); err != nil {
+		t.Fatal(err)
+	}
+	items = append(items[:1], append([]json.RawMessage{json.RawMessage(nullItem)}, items[1:]...)...)
+	body, _ := json.Marshal(items)
+	var acc struct {
+		Task string `json:"task"`
+	}
+	if code := do(t, ts, "POST", "/api/v1/executions:bulk", writerSecret, body, &acc); code != http.StatusAccepted {
+		t.Fatalf("bulk ingest = %d, want 202", code)
+	}
+	snap := waitTask(t, ts, writerSecret, acc.Task)
+	res, _ := snap["result"].(map[string]any)
+	errs, _ := res["errors"].([]any)
+	if snap["state"] != "succeeded" || res["added"] != float64(3) || res["failed"] != float64(1) || len(errs) != 1 {
+		t.Fatalf("bulk task = %+v", snap)
+	}
+	if e0, _ := errs[0].(map[string]any); e0["index"] != float64(1) || e0["exec"] != "EN2" {
+		t.Fatalf("failed item = %+v, want index 1, exec EN2", errs[0])
+	}
+	if got := srv.repo.ExecutionIDs("zfish-null"); len(got) != 3 {
+		t.Fatalf("stored executions = %v, want the batch's other three", got)
 	}
 }

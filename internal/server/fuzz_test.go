@@ -35,6 +35,8 @@ func FuzzMutationBody(f *testing.F) {
 	f.Add("/api/v1/save", "POST", ``)
 	f.Add("/api/v1/specs", "POST", "\x00\xff\xfe")
 	f.Add("/api/v1/executions", "POST", `{"id":"E","spec":"disease-susceptibility","nodes":[{"id":"n","kind":9999}]}`)
+	f.Add("/api/v1/executions", "POST", `{"id":"E","spec":"disease-susceptibility","nodes":[null],"edges":[],"items":{}}`)
+	f.Add("/api/v1/executions", "POST", `{"id":"E","spec":"disease-susceptibility","nodes":[],"edges":[],"items":{"d0":null}}`)
 
 	newRepo := func() *repo.Repository {
 		r := repo.New()

@@ -868,9 +868,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 }
 
 // strictUnmarshal is decodeJSON's strictness (unknown fields and
-// trailing garbage rejected) for already-read byte slices — the nested
-// spec object and the raw execution body, where a typo'd field name
-// ("edgs") must be a 400, not a silently empty slice.
+// trailing garbage rejected) for the nested spec object, where a typo'd
+// field name must be a 400, not a silently empty slice.
 func strictUnmarshal(data []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -943,8 +942,8 @@ func (s *Server) handleAddExecution(w http.ResponseWriter, r *http.Request, user
 		s.fail(w, r, err)
 		return
 	}
-	e := &exec.Execution{}
-	if err := strictUnmarshal(data, e); err != nil {
+	e, err := exec.DecodeExecution(data)
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}

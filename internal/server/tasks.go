@@ -201,8 +201,8 @@ func (s *Server) handleBulkExecutions(w http.ResponseWriter, r *http.Request, us
 // bulkItem validates and applies one bulk item with the same strictness
 // as POST /api/v1/executions.
 func (s *Server) bulkItem(raw json.RawMessage, res *bulkResult, i int) error {
-	e := &exec.Execution{}
-	if err := strictUnmarshal(raw, e); err != nil {
+	e, err := exec.DecodeExecution(raw)
+	if err != nil {
 		return err
 	}
 	if e.ID == "" || e.SpecID == "" {

@@ -34,8 +34,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -143,7 +145,8 @@ func (c Class) backoff(attempt int, rnd float64) time.Duration {
 // and return the task's result value (anything JSON-marshalable; it is
 // exposed verbatim in the task status) or an error. A returned error is
 // retried until the class's budget exhausts, unless wrapped by
-// Permanent or caused by the task's own cancellation.
+// Permanent or caused by the task's own cancellation. A panic fails the
+// task at once, and the worker goes on to the next.
 type Handler func(ctx context.Context, p *Progress) (any, error)
 
 // permanentError marks an error as not worth retrying.
@@ -668,7 +671,7 @@ func (rt *Runtime) run(t *Task) {
 		if hp := rt.traceHook.Load(); hp != nil {
 			actx, endSpan = (*hp)(t.ctx, "task."+t.class.Kind)
 		}
-		result, err := t.fn(actx, p)
+		result, err := runHandler(actx, t, p)
 		endSpan()
 		if err == nil {
 			rt.finish(t, Succeeded, nil, result)
@@ -694,6 +697,19 @@ func (rt *Runtime) run(t *Task) {
 			return
 		}
 	}
+}
+
+// runHandler runs t's handler once. A panic in it fails the task, not the
+// process: it returns as a permanent error naming the panic, whose stack
+// is logged.
+func runHandler(ctx context.Context, t *Task, p *Progress) (result any, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			slog.Error("task panicked", "task", t.id, "kind", t.class.Kind, "panic", v, "stack", string(debug.Stack()))
+			result, err = nil, Permanent(fmt.Errorf("tasks: %s panicked: %v", t.class.Kind, v))
+		}
+	}()
+	return t.fn(ctx, p)
 }
 
 // finish records a terminal transition.

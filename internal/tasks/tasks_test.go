@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,6 +127,42 @@ func TestPermanentErrorSkipsRetries(t *testing.T) {
 	}
 	if s.LastError != "bad payload" {
 		t.Errorf("last error = %q, want %q", s.LastError, "bad payload")
+	}
+}
+
+// TestPanickingHandlerFailsItsTaskOnly: a handler that panics fails its
+// task permanently, with an error naming the panic, and counts as failed;
+// the one worker that ran it goes on to run the next task.
+func TestPanickingHandlerFailsItsTaskOnly(t *testing.T) {
+	rt := New(1, 4)
+	defer rt.Drain(context.Background())
+	var calls atomic.Int32
+	id, err := rt.Submit(Class{Kind: "boom", MaxAttempts: 5, BaseDelay: time.Millisecond},
+		func(ctx context.Context, p *Progress) (any, error) {
+			calls.Add(1)
+			var m map[string]int
+			m["x"]++ // a nil map: the runtime panics
+			return nil, nil
+		})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	s := waitTerminal(t, rt, id)
+	if s.State != "failed" || s.Attempts != 1 || calls.Load() != 1 {
+		t.Fatalf("panicking task: state %s after %d attempts (%d calls), want failed after 1", s.State, s.Attempts, calls.Load())
+	}
+	if !strings.Contains(s.LastError, "panicked") || !strings.Contains(s.LastError, "nil map") {
+		t.Fatalf("last error %q does not name the panic", s.LastError)
+	}
+	next, err := rt.Submit(Class{Kind: "ok"}, func(ctx context.Context, p *Progress) (any, error) { return "ran", nil })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if s := waitTerminal(t, rt, next); s.State != "succeeded" {
+		t.Fatalf("the task after the panic: state %s (%q), want succeeded", s.State, s.LastError)
+	}
+	if st := rt.Stats(); st.Failed != 1 || st.Succeeded != 1 || st.Retries != 0 {
+		t.Fatalf("stats = %+v, want 1 failed, 1 succeeded, no retries", st)
 	}
 }
 

@@ -14,12 +14,15 @@ package provpriv
 // body carries no item value, so the per-execution answers, direct and
 // zoomed out, are also compared as the engine hands them to an in-process
 // caller (cmd/provsearch prints them), provenance sub-executions included.
+// All of it is asked again after both worlds post their next run over the
+// wire and are saved and loaded back.
 // The check knows nothing of caches, plans or encoders; it bites when any of
 // them serves a stored value instead of the masked snapshot's. The
 // structural arm makes W' differ in one thing only: whether a path joins a
 // pair of modules hidden from L, inside the composite they share.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,8 +49,9 @@ var niLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analy
 // seeded inputs, and a reader per level. hiddenFrom, when set, makes the
 // world W' of that level: every attribute it may not see gets another
 // value wherever it is produced — the inputs, and the outputs of every
-// module — and everything downstream is derived from that.
-func niWorld(t *testing.T, s *workflow.Spec, pol *privacy.Policy, n int, hiddenFrom *privacy.Level) *repo.Repository {
+// module — and everything downstream is derived from that. run(i) is the
+// world's run Ei.
+func niWorld(t *testing.T, s *workflow.Spec, pol *privacy.Policy, n int, hiddenFrom *privacy.Level) (r *repo.Repository, run func(i int) *exec.Execution) {
 	t.Helper()
 	alter := func(v exec.Value) exec.Value { return "w'" + v }
 	funcs := exec.Registry{}
@@ -70,11 +74,7 @@ func niWorld(t *testing.T, s *workflow.Spec, pol *privacy.Policy, n int, hiddenF
 			}
 		}
 	}
-	r := repo.New()
-	if err := r.AddSpec(s, pol); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
+	run = func(i int) *exec.Execution {
 		inputs := workload.RandomInputs(s, int64(100+i))
 		if hiddenFrom != nil {
 			for a, v := range inputs {
@@ -87,14 +87,55 @@ func niWorld(t *testing.T, s *workflow.Spec, pol *privacy.Policy, n int, hiddenF
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.AddExecution(e); err != nil {
+		return e
+	}
+	r = repo.New()
+	if err := r.AddSpec(s, pol); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := r.AddExecution(run(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, l := range append(niLevels, privacy.Owner) {
 		r.AddUser(privacy.User{Name: "u-" + l.String(), Level: l, Group: l.String()})
 	}
-	return r
+	return r, run
+}
+
+// niPostAndReload posts e to r over the wire, saves r and returns it read
+// back from the directory: e through the execution reader on the way in,
+// the stored runs through the value-record reader on the way back.
+func niPostAndReload(t *testing.T, r *repo.Repository, e *exec.Execution) *repo.Repository {
+	t.Helper()
+	body, err := exec.MarshalExecution(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/executions", bytes.NewReader(body))
+	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
+	w := httptest.NewRecorder()
+	server.New(r).Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("POST %s: %d %s", e.ID, w.Code, w.Body)
+	}
+	dir := t.TempDir()
+	if err := r.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CloseStorage(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := repo.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.CloseStorage() })
+	if ids := loaded.ExecutionIDs(e.SpecID); !slices.Equal(ids, r.ExecutionIDs(e.SpecID)) || !slices.Contains(ids, e.ID) {
+		t.Fatalf("reloaded %v, saved %v with %s", ids, r.ExecutionIDs(e.SpecID), e.ID)
+	}
+	return loaded
 }
 
 // niGet serves one GET as user and returns the status and body.
@@ -225,16 +266,24 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 		// Protect an input at owner level, as benchMaskedWorkload does, so
 		// every level has a hidden value whose traces flow to the sink.
 		pol.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
-		rw := niWorld(t, s, pol, execs, nil)
 		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, level := range niLevels {
-			rp := niWorld(t, s, pol, execs, &level)
+			rw, runW := niWorld(t, s, pol, execs, nil)
+			rp, runP := niWorld(t, s, pol, execs, &level)
 			user := "u-" + level.String()
 			where := fmt.Sprintf("seed %d, %s", seed, user)
 			if niSame(t, where, niAsk(t, rw, s, execs, ref.ItemIDs(), user), niAsk(t, rp, s, execs, ref.ItemIDs(), user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+			// The same mutation in both worlds, each posting its own next
+			// run, then a save and a reload: nothing read or written on the
+			// way may tell them apart either.
+			rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
+			where += ", after a post, a save and a reload"
+			if niSame(t, where, niAsk(t, rw, s, execs+1, ref.ItemIDs(), user), niAsk(t, rp, s, execs+1, ref.ItemIDs(), user)) == 0 {
 				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
 			}
 		}
