@@ -1352,6 +1352,8 @@ const coldFillExecs = 1024 + 76
 type coldFixture struct {
 	r     *repo.Repository
 	execs []*exec.Execution
+	// visible is how many items the reader's access view shows.
+	visible int
 	// read reads, as the fixture's reader, the provenance of an item that
 	// its level sees in the named execution.
 	read func(execID string)
@@ -1394,6 +1396,7 @@ func coldWalk(tb testing.TB, level privacy.Level) *coldFixture {
 	if err != nil || len(vis) == 0 {
 		tb.Fatalf("no visible item: %v", err)
 	}
+	f.visible = len(vis)
 	f.r.AddUser(privacy.User{Name: "scraper", Level: level, Group: level.String()})
 	ctx := context.Background()
 	f.read = func(execID string) {
@@ -1466,26 +1469,44 @@ func BenchmarkColdFill(b *testing.B) {
 }
 
 // TestColdFillAllocBudget pins what one cold read on BenchmarkColdFill's
-// walk may allocate: the fill (the plan's items copied into one slab, taint
-// analysis, mask), one LRU insert with eviction, and the provenance
-// answer. It was 763 when every stage copied the view and rebuilt its
-// graph, 217 when the fill did each piece of work once per execution, 96
-// once structure was held once per shape, 68 once the analysis was the
-// reader's — sources above its level, targets its view's items, in pooled
-// memory — and is 14 now that the answer is read from the plan's
-// provenance index instead of copied out as an induced sub-execution.
-// Building per-item label lists again, or copying the answer's nodes,
-// edges and items, costs far more than the budget of 16 leaves for the
-// runtime's map sizing.
+// walk may allocate: the fill (the execution's values gathered into the
+// plan's slots, taint analysis, mask), one LRU insert with eviction, and
+// the provenance answer. It was 763 when every stage copied the view and
+// rebuilt its graph, 217 when the fill did each piece of work once per
+// execution, 96 once structure was held once per shape, 68 once the
+// analysis was the reader's — sources above its level, targets its view's
+// items, in pooled memory — 14 once the answer was read from the plan's
+// provenance index instead of copied out as an induced sub-execution, and
+// is 10 now that a snapshot is a value vector over its plan, with no header,
+// item map or item slab of its own: the flight, the vector, its redacted
+// bits, the snapshot's name, the user lookup's copy and the rewritten
+// values. The budget of 12 has no room for an item map; the bytes arm
+// holds the rest of a per-snapshot copy out: a read allocates less than an
+// item slab and one map bucket for the view would take on their own.
 func TestColdFillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	f := coldWalk(t, privacy.Registered)
 	i := 0
-	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 16 {
-		t.Fatalf("a cold provenance read allocates %.0f times; budget is 16", got)
+	if got := testing.AllocsPerRun(200, func() { f.step(i); i++ }); got > 12 {
+		t.Fatalf("a cold provenance read allocates %.0f times; budget is 12", got)
 	}
+	const reads = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reads {
+		f.step(i)
+		i++
+	}
+	runtime.ReadMemStats(&after)
+	// A DataItem is 72 bytes; a map bucket of 8 string keys and pointers 208,
+	// with 48 of header.
+	perRead, budget := (after.TotalAlloc-before.TotalAlloc)/reads, uint64(72*f.visible+256)
+	if perRead >= budget {
+		t.Fatalf("a cold provenance read allocates %d bytes; a view of %d items held as an item slab and map would take %d on its own", perRead, f.visible, budget)
+	}
+	t.Logf("a cold provenance read allocates %d bytes (budget %d for a view of %d items)", perRead, budget, f.visible)
 }
 
 // ---------------------------------------------------------------------------

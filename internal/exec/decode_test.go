@@ -219,9 +219,7 @@ func FuzzDecodeExecution(f *testing.F) {
 
 func FuzzUnmarshalValues(f *testing.F) {
 	for _, e := range seedRuns(f) {
-		shapes := exec.NewShapes()
-		shapes.Intern(e)
-		data, err := shapes.Of(e).MarshalValues(e)
+		data, err := exec.NewShapes().Intern(e).MarshalValues()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -305,9 +303,9 @@ func BenchmarkDecodeExecution(b *testing.B) {
 func BenchmarkUnmarshalValues(b *testing.B) {
 	_, e := randomRun(b, 1)
 	shapes := exec.NewShapes()
-	stored := map[string]*exec.Execution{e.ID: shapes.Intern(e)}
-	shape := shapes.Of(e)
-	data, err := shape.MarshalValues(e)
+	stored := map[string]*exec.Stored{e.ID: shapes.Intern(e)}
+	shape := stored[e.ID].Shape()
+	data, err := stored[e.ID].MarshalValues()
 	if err != nil {
 		b.Fatal(err)
 	}

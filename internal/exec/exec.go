@@ -99,9 +99,10 @@ type Edge struct {
 //
 // An Execution holds no hidden mutable state: every method that does not
 // obviously write to it is safe for concurrent readers. The repository
-// relies on this to serve one cached masked snapshot to arbitrarily many
-// concurrent requests (see internal/repo) — do not reintroduce lazily
-// memoized fields here without synchronization.
+// relies on this to share a shape's representative and the view plans
+// collapsed from it among arbitrarily many concurrent requests (see
+// internal/repo) — do not reintroduce lazily memoized fields here without
+// synchronization.
 type Execution struct {
 	ID     string               `json:"id"`
 	SpecID string               `json:"spec"`
@@ -142,13 +143,15 @@ func (e *Execution) ItemIDs() []string {
 	return ids
 }
 
-func sortItemIDs(ids []string) {
-	slices.SortFunc(ids, func(a, b string) int {
-		if len(a) != len(b) && strings.HasPrefix(a, "d") && strings.HasPrefix(b, "d") {
-			return cmp.Compare(len(a), len(b))
-		}
-		return cmp.Compare(a, b)
-	})
+func sortItemIDs(ids []string) { slices.SortFunc(ids, compareItemIDs) }
+
+// compareItemIDs is the order of ItemIDs: "d"-prefixed ids by length
+// first, so d2 comes before d10, and otherwise bytewise.
+func compareItemIDs(a, b string) int {
+	if len(a) != len(b) && strings.HasPrefix(a, "d") && strings.HasPrefix(b, "d") {
+		return cmp.Compare(len(a), len(b))
+	}
+	return cmp.Compare(a, b)
 }
 
 // Graph returns the execution as a directed graph over node ids.

@@ -394,16 +394,16 @@ func TestInternComparesWhatTheFingerprintFinds(t *testing.T) {
 	_, b := runDisease(t)
 	b.Nodes[len(b.Nodes)-1].Proc = "elsewhere"
 	shapes := NewShapes()
-	sa := shapes.Of(shapes.Intern(a))
+	sa := shapes.Intern(a).Shape()
 	fp := shapes.fingerprint(b)
 	if fp == shapes.fingerprint(a) {
 		t.Fatal("fixture: the edit did not move the fingerprint")
 	}
 	shapes.byHash[fp] = append(shapes.byHash[fp], sa)
-	if sb := shapes.Of(shapes.Intern(b)); sb == sa || shapes.Len() != 2 {
+	if sb := shapes.Intern(b).Shape(); sb == sa || shapes.Len() != 2 {
 		t.Fatalf("an execution colliding with A's fingerprint was interned as A's shape (%d shapes)", shapes.Len())
 	}
-	if _, c := runDisease(t); shapes.Of(shapes.Intern(c)) != sa {
+	if _, c := runDisease(t); shapes.Intern(c).Shape() != sa {
 		t.Fatal("a third execution of A's shape was not interned under it")
 	}
 }

@@ -5,3 +5,9 @@ package exec
 type ValueRecord = valueRecord
 
 func DecodeValueRecord(data []byte) (ValueRecord, error) { return decodeValueRecord(data, nil) }
+
+// Execution materializes st as the execution it stores: its shape's
+// structure, shared, with st's values in fresh items.
+func (st *Stored) Execution() *Execution {
+	return st.shape.lay.Materialize(st.shape.rep, st.ID, &st.vec)
+}

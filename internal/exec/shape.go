@@ -48,66 +48,142 @@ func SameShape(a, b *Execution) bool {
 
 // Shape is one interned shape: the executions of a Shapes table that are
 // SameShape share it, and with it whatever was derived from it — and, once
-// stored, the structure itself: every execution a table hands back after the
-// first of a shape is a header and a slab of items over the first one's Nodes,
-// Edges and id, attr and producer strings.
+// stored, the structure itself: a stored execution is its shape and its
+// values (Stored), and only the first execution of a shape is kept in full.
 type Shape struct {
 	rep *Execution // the first execution interned with this shape
-	// ids are rep's item ids in ItemIDs order: the order of a value vector, on
-	// disk (MarshalValues) and in WithValues, and of the ancestry.
-	ids []string
+	// lay is rep's items in ItemIDs order: the order of a stored vector, on
+	// disk (MarshalValues) and in memory, and of the ancestry.
+	lay Layout
 
 	ancOnce sync.Once
 	anc     *Ancestry
+}
+
+func newShape(e *Execution) *Shape {
+	s := &Shape{rep: e, lay: Layout{IDs: e.ItemIDs()}}
+	s.lay.Attrs = make([]string, len(s.lay.IDs))
+	for i, id := range s.lay.IDs {
+		s.lay.Attrs[i] = e.Items[id].Attr
+	}
+	return s
 }
 
 // Rep returns the first execution interned with this shape: the one whose
 // structure the others share, and the one a value record names.
 func (s *Shape) Rep() *Execution { return s.rep }
 
+// Layout returns the shape's items in the order of its stored vectors. Its
+// At is nil: slot i is the shape's item i.
+func (s *Shape) Layout() *Layout { return &s.lay }
+
+// Index returns the index in the shape's order of item id; false when the
+// shape has no such item.
+func (s *Shape) Index(id string) (int, bool) { return itemIndex(s.lay.IDs, id) }
+
 // Ancestry returns the shape's item ancestry, derived on first use.
 func (s *Shape) Ancestry() *Ancestry {
-	s.ancOnce.Do(func() { s.anc = newAncestry(s.rep, s.ids) })
+	s.ancOnce.Do(func() { s.anc = newAncestry(s.rep, s.lay.IDs) })
 	return s.anc
 }
 
-// WithValues returns the execution id of this shape whose items carry values,
-// given in the shape's item order, those at the redacted indexes marked
-// Redacted. It shares the representative's Nodes, Edges and strings read-only
-// and owns its items, carved from one slab. Nothing structural is taken from
-// the caller, so there is nothing to validate beyond the vector itself.
-func (s *Shape) WithValues(id string, values []Value, redacted []int) (*Execution, error) {
-	if len(values) != len(s.ids) {
-		return nil, fmt.Errorf("exec: %s carries %d values, the shape of %s has %d items", id, len(values), s.rep.ID, len(s.ids))
-	}
-	out := &Execution{ID: id, SpecID: s.rep.SpecID, Nodes: s.rep.Nodes, Edges: s.rep.Edges, Items: make(map[string]*DataItem, len(s.ids))}
-	slab := make([]DataItem, len(s.ids))
-	for i, iid := range s.ids {
-		it := s.rep.Items[iid]
-		slab[i] = DataItem{ID: it.ID, Attr: it.Attr, Value: values[i], Producer: it.Producer}
-		out.Items[it.ID] = &slab[i]
-	}
-	for _, i := range redacted {
-		if i < 0 || i >= len(slab) {
-			return nil, fmt.Errorf("exec: %s redacts item %d of %d", id, i, len(slab))
-		}
-		slab[i].Redacted = true
-	}
-	return out, nil
+// Layout places the items of an execution, or of a view of one, in the
+// slots of a value vector: slot j holds item IDs[j], whose attribute is
+// Attrs[j] and whose index in the shape of the execution the items come
+// from is At[j] (-1 when it has none there). A shape's own layout has a nil
+// At: there slot j is item j.
+type Layout struct {
+	IDs   []string
+	Attrs []string
+	At    []int32
 }
 
-// vector returns e's values and redacted indexes in the shape's item order.
-// e must be of this shape.
-func (s *Shape) vector(e *Execution) (values []Value, redacted []int) {
-	values = make([]Value, len(s.ids))
-	for i, id := range s.ids {
+// Vector is one execution's values laid out by a Layout, with the
+// redacted bit of each: a stored execution's in its shape's order, a
+// snapshot's in its view plan's.
+type Vector struct {
+	Vals     []Value
+	redacted []uint64 // nil while no value is redacted
+}
+
+// IsRedacted reports whether value j is redacted.
+func (v *Vector) IsRedacted(j int) bool {
+	w := j / 64
+	return w < len(v.redacted) && v.redacted[w]&(1<<(j%64)) != 0
+}
+
+// Redact marks value j redacted; its value is left as it is.
+func (v *Vector) Redact(j int) {
+	if v.redacted == nil {
+		v.redacted = make([]uint64, (len(v.Vals)+63)/64)
+	}
+	v.redacted[j/64] |= 1 << (j % 64)
+}
+
+// Materialize reads v, laid out by l, back as the execution named id whose
+// structure is structure's: its nodes and edges shared, and per slot j a
+// fresh copy of structure's item l.IDs[j] carrying value j and its redacted
+// bit. It is how a stored execution or a snapshot is compared with the
+// execution it stands for.
+func (l *Layout) Materialize(structure *Execution, id string, v *Vector) *Execution {
+	e := &Execution{ID: id, SpecID: structure.SpecID, Nodes: structure.Nodes, Edges: structure.Edges, Items: make(map[string]*DataItem, len(l.IDs))}
+	for j, itemID := range l.IDs {
+		it := *structure.Items[itemID]
+		it.Value, it.Redacted = v.Vals[j], v.IsRedacted(j)
+		e.Items[itemID] = &it
+	}
+	return e
+}
+
+// Stored is a stored execution: its id, its shape and its values, in the
+// shape's order. It is read-only once made; its structure is the shape
+// representative's.
+type Stored struct {
+	ID    string
+	shape *Shape
+	vec   Vector
+}
+
+// Shape returns the shape the execution was interned under.
+func (st *Stored) Shape() *Shape { return st.shape }
+
+// SpecID returns the id of the execution's specification.
+func (st *Stored) SpecID() string { return st.shape.rep.SpecID }
+
+// Vector returns the execution's values in its shape's order; they are
+// shared and must not be written.
+func (st *Stored) Vector() *Vector { return &st.vec }
+
+// store returns e, an execution of this shape, as a stored one: its values
+// gathered in the shape's order. e is only read.
+func (s *Shape) store(e *Execution) *Stored {
+	st := &Stored{ID: e.ID, shape: s, vec: Vector{Vals: make([]Value, len(s.lay.IDs))}}
+	for i, id := range s.lay.IDs {
 		it := e.Items[id]
-		values[i] = it.Value
+		st.vec.Vals[i] = it.Value
 		if it.Redacted {
-			redacted = append(redacted, i)
+			st.vec.Redact(i)
 		}
 	}
-	return values, redacted
+	return st
+}
+
+// WithValues returns the execution id of this shape that carries values,
+// given in the shape's order, those at the redacted indexes marked
+// redacted. The values are copied; nothing structural is taken from the
+// caller, so there is nothing to validate beyond the vector itself.
+func (s *Shape) WithValues(id string, values []Value, redacted []int) (*Stored, error) {
+	if len(values) != len(s.lay.IDs) {
+		return nil, fmt.Errorf("exec: %s carries %d values, the shape of %s has %d items", id, len(values), s.rep.ID, len(s.lay.IDs))
+	}
+	st := &Stored{ID: id, shape: s, vec: Vector{Vals: slices.Clone(values)}}
+	for _, i := range redacted {
+		if i < 0 || i >= len(values) {
+			return nil, fmt.Errorf("exec: %s redacts item %d of %d", id, i, len(values))
+		}
+		st.vec.Redact(i)
+	}
+	return st, nil
 }
 
 // valueRecord is the stored form of an execution that is not the first of
@@ -119,11 +195,15 @@ type valueRecord struct {
 	Redacted []int   `json:"redacted,omitempty"`
 }
 
-// MarshalValues serializes e, an execution of this shape, as a value record
-// naming the shape's representative.
-func (s *Shape) MarshalValues(e *Execution) ([]byte, error) {
-	rec := valueRecord{Like: s.rep.ID}
-	rec.Values, rec.Redacted = s.vector(e)
+// MarshalValues serializes st as a value record naming its shape's
+// representative.
+func (st *Stored) MarshalValues() ([]byte, error) {
+	rec := valueRecord{Like: st.shape.rep.ID, Values: st.vec.Vals}
+	for i := range st.vec.Vals {
+		if st.vec.IsRedacted(i) {
+			rec.Redacted = append(rec.Redacted, i)
+		}
+	}
 	return json.Marshal(rec)
 }
 
@@ -133,7 +213,6 @@ func (s *Shape) MarshalValues(e *Execution) ([]byte, error) {
 type Shapes struct {
 	seed   maphash.Seed
 	byHash map[uint64][]*Shape
-	of     map[*Execution]*Shape
 	n      int
 	// values is UnmarshalValues' vector, reused: WithValues copies it.
 	values []Value
@@ -141,57 +220,50 @@ type Shapes struct {
 
 // NewShapes returns an empty table.
 func NewShapes() *Shapes {
-	return &Shapes{seed: maphash.MakeSeed(), byHash: make(map[uint64][]*Shape), of: make(map[*Execution]*Shape)}
+	return &Shapes{seed: maphash.MakeSeed(), byHash: make(map[uint64][]*Shape)}
 }
 
-// Intern files e under its shape and returns the execution to store for it:
-// e itself when it is the first of its shape, otherwise a copy that shares
-// the shape's structure (WithValues). e is only read, and must not change
-// shape afterwards when it is the one kept (stored executions are read-only).
-// A fingerprint over the shape's fields finds the candidates and SameShape
-// accepts one, so two shapes that collide cost a comparison and never share.
-func (t *Shapes) Intern(e *Execution) *Execution {
+// Intern files e under its shape and returns it as a stored execution: its
+// values over the shape's structure. The first execution of a shape becomes
+// the shape's representative, and must not change afterwards; of any other
+// only the values are kept, so nothing of the caller's graph stays
+// reachable. A fingerprint over the shape's fields finds the candidates and
+// SameShape accepts one, so two shapes that collide cost a comparison and
+// never share.
+func (t *Shapes) Intern(e *Execution) *Stored {
 	fp := t.fingerprint(e)
 	for _, s := range t.byHash[fp] {
 		if SameShape(s.rep, e) {
-			values, redacted := s.vector(e)
-			stored, _ := s.WithValues(e.ID, values, redacted) // the vector is s's own: it fits
-			t.of[stored] = s
-			return stored
+			return s.store(e)
 		}
 	}
-	s := &Shape{rep: e, ids: e.ItemIDs()}
+	s := newShape(e)
 	t.byHash[fp] = append(t.byHash[fp], s)
-	t.of[e] = s
 	t.n++
-	return e
+	return s.store(e)
 }
+
+// NewStored returns e as a stored execution alone in a shape of its own:
+// what an analysis of one execution that no table holds reads.
+func NewStored(e *Execution) *Stored { return newShape(e).store(e) }
 
 // UnmarshalValues parses a value record (MarshalValues) as the execution id
 // and files it under the shape of the execution the record names, looked up
 // in stored, without comparing anything: the record carries no structure. A
 // record that names no stored execution, or whose vector does not fit the
 // shape, is refused.
-func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Execution) (*Execution, error) {
+func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Stored) (*Stored, error) {
 	rec, err := decodeValueRecord(data, t.values)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode values of %s: %w", id, err)
 	}
 	t.values = rec.Values
-	s := t.of[stored[rec.Like]]
-	if s == nil {
+	like := stored[rec.Like]
+	if like == nil {
 		return nil, fmt.Errorf("exec: values of %s name %q, which is not stored", id, rec.Like)
 	}
-	e, err := s.WithValues(id, rec.Values, rec.Redacted)
-	if err != nil {
-		return nil, err
-	}
-	t.of[e] = s
-	return e, nil
+	return like.shape.WithValues(id, rec.Values, rec.Redacted)
 }
-
-// Of returns the shape a stored execution was interned under, or nil.
-func (t *Shapes) Of(e *Execution) *Shape { return t.of[e] }
 
 // Len returns the number of distinct shapes interned.
 func (t *Shapes) Len() int { return t.n }
@@ -237,51 +309,21 @@ func (e *Execution) Blank() {
 	}
 }
 
-// WithValuesOf returns view — a (blank) view collapsed from an execution
-// of src's shape — carrying src's values: what CollapseIn(src, …) under
-// the same prefix returns, without collapsing again. The result is a fresh
-// header over view's Nodes and Edges, which it shares read-only, and its
-// own items, carved from one slab, which the caller may mask in place.
-func (view *Execution) WithValuesOf(src *Execution) (*Execution, error) {
-	out := &Execution{
-		ID:     src.ID + "/view",
-		SpecID: src.SpecID,
-		Nodes:  view.Nodes,
-		Edges:  view.Edges,
-		Items:  make(map[string]*DataItem, len(view.Items)),
-	}
-	slab := make([]DataItem, 0, len(view.Items))
-	for id, it := range view.Items {
-		from := src.Items[id]
-		if from == nil {
-			return nil, fmt.Errorf("exec: %s has no item %q: not the shape the view was collapsed from", src.ID, id)
-		}
-		slab = append(slab, DataItem{ID: id, Attr: it.Attr, Value: from.Value, Producer: it.Producer, Redacted: from.Redacted})
-		out.Items[id] = &slab[len(slab)-1]
-	}
-	return out, nil
-}
-
 // Ancestry is the provenance order among the items of a shape: whether
 // the producer of one reaches the producer of another. It is what taint
 // analysis (internal/taint) needs of an execution's structure.
 type Ancestry struct {
 	// IDs are the shape's item ids, in ItemIDs order.
 	IDs  []string
-	at   map[string]int // the index in IDs of each item id
 	prod []graph.NodeID // producer of IDs[i]; Invalid when unknown
 	cl   *graph.Closure // nil when the execution graph has a cycle
 }
 
-// NewAncestry derives the ancestry of e's shape.
-func NewAncestry(e *Execution) *Ancestry { return newAncestry(e, e.ItemIDs()) }
-
 func newAncestry(e *Execution, ids []string) *Ancestry {
-	a := &Ancestry{IDs: ids, at: make(map[string]int, len(ids))}
+	a := &Ancestry{IDs: ids}
 	g := e.Graph()
 	a.prod = make([]graph.NodeID, len(a.IDs))
 	for i, id := range a.IDs {
-		a.at[id] = i
 		a.prod[i] = g.Lookup(e.Items[id].Producer)
 	}
 	a.cl, _ = graph.NewClosure(g) // a cyclic graph leaves cl nil
@@ -290,9 +332,11 @@ func newAncestry(e *Execution, ids []string) *Ancestry {
 
 // Index returns the index in IDs of item id; false when the shape has no
 // such item.
-func (a *Ancestry) Index(id string) (int, bool) {
-	i, ok := a.at[id]
-	return i, ok
+func (a *Ancestry) Index(id string) (int, bool) { return itemIndex(a.IDs, id) }
+
+// itemIndex finds id in ids, which are in ItemIDs order.
+func itemIndex(ids []string, id string) (int, bool) {
+	return slices.BinarySearchFunc(ids, id, compareItemIDs)
 }
 
 // Descends reports whether item IDs[j] descends from item IDs[i] — the

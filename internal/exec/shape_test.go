@@ -88,8 +88,9 @@ var shapeEdits = []struct {
 // different inputs have the same shape, as does any rewrite of values;
 // every single-field edit of the structure has another. Shapes.Intern
 // follows: one Shape for the former, a new one per edit — and what it hands
-// back to store for the former is the caller's execution, field for field,
-// over A's nodes and edges, with the caller's own left as it was.
+// back to store for the former is the caller's values over A's structure,
+// which materialize as the caller's execution, field for field, with the
+// caller's own left as it was.
 func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,24 +104,22 @@ func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 			it.Value, it.Redacted = exec.Value(fmt.Sprint(rng.Int())), rng.Intn(2) == 0
 		}
 		shapes := exec.NewShapes()
-		if shapes.Intern(a) != a {
-			t.Fatalf("seed %d: the first execution of a shape was not stored as given", seed)
+		first := shapes.Intern(a)
+		shape := first.Shape()
+		if shape.Rep() != a || !reflect.DeepEqual(first.Execution(), a) {
+			t.Fatalf("seed %d: the first execution of a shape is not its representative, or not what is stored", seed)
 		}
-		shape := shapes.Of(a)
 		for _, same := range []*exec.Execution{b, revalued, clone(t, a)} {
 			if !exec.SameShape(a, same) || !exec.SameShape(same, a) {
 				t.Fatalf("seed %d: %s differs from A in values only, yet is not the same shape", seed, same.ID)
 			}
 			before := clone(t, same)
 			stored := shapes.Intern(same)
-			if shapes.Of(stored) != shape || shapes.Of(same) != nil {
-				t.Fatalf("seed %d: %s was not interned under A's shape, as a copy", seed, same.ID)
+			if stored.Shape() != shape || shape.Rep() != a {
+				t.Fatalf("seed %d: %s was not interned under A's shape", seed, same.ID)
 			}
-			if !reflect.DeepEqual(stored, same) || !reflect.DeepEqual(same, before) {
+			if got := stored.Execution(); !reflect.DeepEqual(got, same) || !reflect.DeepEqual(same, before) {
 				t.Fatalf("seed %d: what is stored for %s is not what was passed in, or that changed", seed, same.ID)
-			}
-			if &stored.Nodes[0] != &a.Nodes[0] || &stored.Edges[0] != &a.Edges[0] || &same.Nodes[0] == &a.Nodes[0] {
-				t.Fatalf("seed %d: the stored copy of %s does not share A's structure", seed, same.ID)
 			}
 		}
 		for _, ed := range shapeEdits {
@@ -132,22 +131,20 @@ func TestSameShapeIsValueBlindAndNothingElse(t *testing.T) {
 			if exec.SameShape(a, edited) || exec.SameShape(edited, a) {
 				t.Errorf("seed %d: after edit %q the execution still has A's shape", seed, ed.name)
 			}
-			if stored := shapes.Intern(edited); stored != edited || shapes.Of(stored) == shape {
+			if stored := shapes.Intern(edited); stored.Shape() == shape || stored.Shape().Rep() != edited {
 				t.Errorf("seed %d: after edit %q the execution was interned under A's shape", seed, ed.name)
 			}
 		}
 		if want := 1 + len(shapeEdits); shapes.Len() != want {
 			t.Errorf("seed %d: %d shapes interned, want %d", seed, shapes.Len(), want)
 		}
-		if shapes.Of(clone(t, a)) != nil {
-			t.Errorf("seed %d: an execution never interned has a shape", seed)
-		}
 	}
 }
 
 // TestSameShapeViewIsTheOthersCollapse: under every prefix, the view
-// collapsed from A, blanked and given B's values is exactly what collapsing
-// B yields — so one collapse serves every execution of the shape — and the
+// collapsed from A, blanked and given B's stored values — each view item's
+// from the slot the shape's index names — is exactly what collapsing B
+// yields, so one collapse serves every execution of the shape, and the
 // blank view in between holds none of A's values.
 func TestSameShapeViewIsTheOthersCollapse(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -162,6 +159,12 @@ func TestSameShapeViewIsTheOthersCollapse(t *testing.T) {
 		h, err := workflow.NewHierarchy(s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		shapes := exec.NewShapes()
+		shape := shapes.Intern(a).Shape()
+		stored := shapes.Intern(b)
+		if stored.Shape() != shape {
+			t.Fatalf("seed %d: B is not of A's shape", seed)
 		}
 		prefixes := workflow.Prefixes(h)
 		if len(prefixes) > 40 {
@@ -178,10 +181,19 @@ func TestSameShapeViewIsTheOthersCollapse(t *testing.T) {
 					t.Fatalf("seed %d prefix %v: blank view keeps a value in %s", seed, p.IDs(), id)
 				}
 			}
-			got, err := plan.WithValuesOf(b)
-			if err != nil {
-				t.Fatalf("seed %d prefix %v: WithValuesOf(B): %v", seed, p.IDs(), err)
+			slots := exec.Layout{IDs: plan.ItemIDs()}
+			vals, src := exec.Vector{Vals: make([]exec.Value, len(slots.IDs))}, stored.Vector()
+			for j, id := range slots.IDs {
+				i, ok := shape.Index(id)
+				if !ok {
+					t.Fatalf("seed %d prefix %v: view item %s is not the shape's", seed, p.IDs(), id)
+				}
+				vals.Vals[j] = src.Vals[i]
+				if src.IsRedacted(i) {
+					vals.Redact(j)
+				}
 			}
+			got := slots.Materialize(plan, "B/view", &vals)
 			want, _, err := exec.CollapseIn(b, h, p)
 			if err != nil {
 				t.Fatalf("seed %d prefix %v: CollapseIn(B): %v", seed, p.IDs(), err)
@@ -189,26 +201,9 @@ func TestSameShapeViewIsTheOthersCollapse(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d prefix %v: A's view with B's values is not B's view", seed, p.IDs())
 			}
-			// The instance owns its items: masking it in place must reach
-			// neither the plan nor a second instance.
-			for _, it := range got.Items {
-				it.Value = "scribbled"
-			}
-			again, err := plan.WithValuesOf(b)
-			if err != nil || !reflect.DeepEqual(again, want) {
-				t.Fatalf("seed %d prefix %v: writing to one instance's items changed the next (%v)", seed, p.IDs(), err)
-			}
 		}
-		// An execution of another shape is refused, not half-filled.
-		plan, _, err := exec.CollapseIn(a, h, workflow.FullPrefix(h))
-		if err != nil {
-			t.Fatal(err)
-		}
-		other := clone(t, b)
-		id := other.ItemIDs()[0]
-		delete(other.Items, id)
-		if _, err := plan.WithValuesOf(other); err == nil || !strings.Contains(err.Error(), id) {
-			t.Fatalf("seed %d: WithValuesOf an execution lacking %s: err = %v", seed, id, err)
+		if _, ok := shape.Index("no-such-item"); ok {
+			t.Fatalf("seed %d: the shape indexes an item it does not have", seed)
 		}
 	}
 }
@@ -237,12 +232,12 @@ func TestValueRecordRoundTrip(t *testing.T) {
 			}
 		}
 		shapes := exec.NewShapes()
-		stored := map[string]*exec.Execution{a.ID: shapes.Intern(a)}
-		shape := shapes.Of(a)
+		stored := map[string]*exec.Stored{a.ID: shapes.Intern(a)}
+		shape := stored[a.ID].Shape()
 		if shape.Rep() != a {
 			t.Fatalf("seed %d: the shape's representative is not its first execution", seed)
 		}
-		data, err := shape.MarshalValues(b)
+		data, err := shapes.Intern(b).MarshalValues()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +248,7 @@ func TestValueRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: UnmarshalValues: %v", seed, err)
 		}
-		if !reflect.DeepEqual(got, b) || shapes.Of(got) != shape || &got.Nodes[0] != &a.Nodes[0] || shapes.Len() != 1 {
+		if !reflect.DeepEqual(got.Execution(), b) || got.Shape() != shape || shapes.Len() != 1 {
 			t.Fatalf("seed %d: B read back from its value record is not B under A's shape", seed)
 		}
 		n := len(a.Items)
@@ -272,5 +267,69 @@ func TestValueRecordRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: value record (%s) accepted as %+v", seed, name, e)
 			}
 		}
+	}
+}
+
+// TestStoredVectorsAreTheirOwn: UnmarshalValues decodes every record into
+// one reused vector, and what it stores is a copy, so a record read right
+// after another leaves the first execution reading its own values and
+// redacted bits. Interning an execution of a known shape keeps its values
+// and nothing else: it allocates the vector, the header and, when a value is
+// redacted, the bits — the posted graph stays collectable.
+func TestStoredVectorsAreTheirOwn(t *testing.T) {
+	s, a := randomRun(t, 3)
+	runs := make([]*exec.Execution, 2)
+	for i := range runs {
+		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("B%d", i), workload.RandomInputs(s, int64(10+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, id := range e.ItemIDs() {
+			e.Items[id].Redacted = (n+i)%3 == 0
+		}
+		runs[i] = e
+	}
+	shapes := exec.NewShapes()
+	stored := map[string]*exec.Stored{a.ID: shapes.Intern(a)}
+	var got []*exec.Stored
+	for _, e := range runs {
+		data, err := shapes.Intern(e).MarshalValues()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := shapes.UnmarshalValues(e.ID, data, stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, st)
+	}
+	for i, st := range got {
+		if !reflect.DeepEqual(st.Execution(), runs[i]) {
+			t.Fatalf("%s no longer reads its own values and redacted bits after %d more records", st.ID, len(got)-1-i)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, e := range []*exec.Execution{runs[0], a} {
+		if n := testing.AllocsPerRun(100, func() { shapes.Intern(e) }); n > 3 {
+			t.Fatalf("interning %s, of a known shape, allocates %.0f times; the vector, the header and the bits are 3", e.ID, n)
+		}
+	}
+}
+
+// BenchmarkIntern stores an execution of a shape the table already holds:
+// what AddExecution does per posted run after the first.
+func BenchmarkIntern(b *testing.B) {
+	s, a := randomRun(b, 1)
+	e, err := exec.NewRunner(s, nil).Run("B", workload.RandomInputs(s, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := exec.NewShapes()
+	shapes.Intern(a)
+	b.ReportAllocs()
+	for b.Loop() {
+		shapes.Intern(e)
 	}
 }

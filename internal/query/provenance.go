@@ -16,30 +16,28 @@ import (
 // an item (exec.ProvenanceIn: the sub-execution induced by every path from
 // the start node to the item's producer) is fixed by the execution's shape
 // and view, so it is derived once per plan — as positions into the plan's
-// nodes, edges and items, never as a copy of the subgraph — and shared by
-// every snapshot Instantiate makes of the plan, which differ only in their
-// values. The JSON of each node, edge and item up to its value is likewise
-// encoded once, so an answer is written by joining runs and escaping the
+// nodes, edges and item slots, never as a copy of the subgraph — and shared
+// by every snapshot of the plan, which differ only in their values. The
+// JSON of each node, edge and item up to its value is likewise encoded
+// once, so an answer is written by joining runs and escaping the
 // snapshot's values into their slots.
 //
 // Everything here is built lazily, on the first request that needs it, and
 // is safe for concurrent first readers.
 type provIndex struct {
-	once sync.Once
-	ids  []string   // the execution's item ids, in byte order
-	keep []provSlot // per item, derived on its first request
+	keep []provSlot // per item slot, derived on its first request
 
 	runsOnce sync.Once
 	// arena holds the pre-encoded runs: run k is arena[off[k]:off[k+1]].
 	// Runs are every node (Exec.Nodes order), then every edge (Exec.Edges
-	// order), then per item (ids order) the head `"id":{"id":…,"attr":…,
-	// "value":` and the tail `,"producer":…`.
+	// order), then per item slot the head `"id":{"id":…,"attr":…,"value":`
+	// and the tail `,"producer":…`.
 	arena []byte
 	off   []int32
 }
 
 // provKeep is what the provenance of one item keeps, as positions: nodes
-// into Exec.Nodes, edges into Exec.Edges, items into provIndex.ids —
+// into Exec.Nodes, edges into Exec.Edges, items into the slots —
 // ascending, which is the order exec.ProvenanceIn emits nodes and edges and
 // encoding/json emits the item map.
 type provKeep struct {
@@ -52,53 +50,39 @@ type provSlot struct {
 	keep *provKeep
 }
 
-// index returns pe's provenance index with its item table built.
-func (pe *PreparedExec) index() *provIndex {
-	ix := pe.prov
-	ix.once.Do(func() {
-		ix.ids = make([]string, 0, len(pe.Exec.Items))
-		for id := range pe.Exec.Items {
-			ix.ids = append(ix.ids, id)
-		}
-		slices.Sort(ix.ids)
-		ix.keep = make([]provSlot, len(ix.ids))
-	})
-	return ix
-}
-
-// Provenance is the provenance of one item of a prepared execution, read
-// through its plan's provenance index: Execution materializes it and
-// AppendJSON writes the /provenance answer, each equal to what
-// exec.ProvenanceIn of the same execution gives.
+// Provenance is the provenance of one item of a snapshot, read through its
+// plan's provenance index: Execution materializes it and AppendJSON writes
+// the /provenance answer, each equal to what exec.ProvenanceIn of the
+// snapshot's execution gives.
 type Provenance struct {
-	pe   *PreparedExec
+	s    Snapshot
 	item string
 	keep *provKeep
 }
 
-// Provenance returns the provenance of itemID in pe. The first request for
+// Provenance returns the provenance of itemID in s. The first request for
 // an item in a plan derives what its provenance keeps; every later one, in
 // any snapshot of the plan, reads it.
-func (pe *PreparedExec) Provenance(itemID string) (Provenance, error) {
-	ix := pe.index()
-	i, ok := slices.BinarySearch(ix.ids, itemID)
+func (s Snapshot) Provenance(itemID string) (Provenance, error) {
+	pe := s.Plan
+	i, ok := pe.Slot(itemID)
 	if !ok {
 		return Provenance{}, fmt.Errorf("query: unknown data item %q", itemID)
 	}
-	slot := &ix.keep[i]
-	slot.once.Do(func() { slot.keep = ix.derive(pe, i) })
+	slot := &pe.prov.keep[i]
+	slot.once.Do(func() { slot.keep = derive(pe, i) })
 	if slot.keep.err != nil {
 		return Provenance{}, slot.keep.err
 	}
-	return Provenance{pe: pe, item: itemID, keep: slot.keep}, nil
+	return Provenance{s: s, item: itemID, keep: slot.keep}, nil
 }
 
-// derive computes what exec.ProvenanceIn keeps for item ids[i]: the nodes
-// reaching its producer, the edges between two of them, the items on those
-// edges, and the item itself.
-func (ix *provIndex) derive(pe *PreparedExec, i int) *provKeep {
-	e, g := pe.Exec, pe.g
-	it := e.Items[ix.ids[i]]
+// derive computes what exec.ProvenanceIn keeps for the item in slot i: the
+// nodes reaching its producer, the edges between two of them, the items on
+// those edges, and the item itself.
+func derive(pe *PreparedExec, i int) *provKeep {
+	e, g, ids := pe.Exec, pe.g, pe.slots.IDs
+	it := e.Items[ids[i]]
 	prod := g.Lookup(it.Producer)
 	if prod == graph.Invalid {
 		return &provKeep{err: fmt.Errorf("query: item %s has unknown producer %q", it.ID, it.Producer)}
@@ -117,13 +101,13 @@ func (ix *provIndex) derive(pe *PreparedExec, i int) *provKeep {
 			k.nodes = append(k.nodes, int32(j))
 		}
 	}
-	items := make([]bool, len(ix.ids))
+	items := make([]bool, len(ids))
 	items[i] = true
 	for j, ed := range e.Edges {
 		if kept(ed.From) && kept(ed.To) {
 			k.edges = append(k.edges, int32(j))
 			for _, id := range ed.Items {
-				if p, ok := slices.BinarySearch(ix.ids, id); ok {
+				if p, ok := slices.BinarySearch(ids, id); ok {
 					items[p] = true
 				}
 			}
@@ -139,14 +123,15 @@ func (ix *provIndex) derive(pe *PreparedExec, i int) *provKeep {
 
 // Execution materializes the provenance as the induced sub-execution
 // exec.ProvenanceIn returns: fresh copies of the kept nodes, edges and
-// items, which the caller owns. The zero Provenance materializes as nil.
+// items, with the snapshot's values, which the caller owns. The zero
+// Provenance materializes as nil.
 func (p Provenance) Execution() *exec.Execution {
-	if p.pe == nil {
+	if p.s.Plan == nil {
 		return nil
 	}
-	e, ix := p.pe.Exec, p.pe.prov
+	e, ids := p.s.Plan.Exec, p.s.Plan.slots.IDs
 	sub := &exec.Execution{
-		ID:     e.ID + "/prov(" + p.item + ")",
+		ID:     p.s.ID + "/prov(" + p.item + ")",
 		SpecID: e.SpecID,
 		Items:  make(map[string]*exec.DataItem, len(p.keep.items)),
 	}
@@ -159,8 +144,9 @@ func (p Provenance) Execution() *exec.Execution {
 		sub.Edges = append(sub.Edges, exec.Edge{From: ed.From, To: ed.To, Items: append([]string(nil), ed.Items...)})
 	}
 	for _, j := range p.keep.items {
-		id := ix.ids[j]
+		id := ids[j]
 		cp := *e.Items[id]
+		cp.Value, cp.Redacted = p.s.Vals[j], p.s.IsRedacted(int(j))
 		sub.Items[id] = &cp
 	}
 	return sub
@@ -177,14 +163,14 @@ func (p Provenance) Execution() *exec.Execution {
 // writes, trailing newline included, with neither the sub-execution nor
 // reflection. FuzzProvenanceEncode holds the two equal.
 func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
-	e, ix := p.pe.Exec, p.pe.runs()
+	e, ix := p.s.Plan.Exec, p.s.Plan.runs()
 	b := append(dst, `{"exec":`...)
 	b = appendString(b, execID)
 	b = append(b, `,"item":`...)
 	b = appendString(b, p.item)
 	b = append(b, `,"provenance":{"id":"`...)
 	// Both joints are ASCII, so escaping the parts is escaping the whole.
-	b = appendEscaped(b, e.ID)
+	b = appendEscaped(b, p.s.ID)
 	b = append(b, `/prov(`...)
 	b = appendEscaped(b, p.item)
 	b = append(b, `)","spec":`...)
@@ -199,11 +185,10 @@ func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
 		if n > 0 {
 			b = append(b, ',')
 		}
-		it := e.Items[ix.ids[j]]
 		b = append(b, ix.run(base+2*j)...)
-		b = appendString(b, string(it.Value))
+		b = appendString(b, string(p.s.Vals[j]))
 		b = append(b, ix.run(base+2*j+1)...)
-		if it.Redacted {
+		if p.s.IsRedacted(int(j)) {
 			b = append(b, `,"redacted":true`...)
 		}
 		b = append(b, '}')
@@ -217,11 +202,11 @@ func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
 // runs hold no value: they are encoded from the structure every snapshot of
 // the plan shares.
 func (pe *PreparedExec) runs() *provIndex {
-	ix := pe.index()
+	ix := pe.prov
 	ix.runsOnce.Do(func() {
 		e := pe.Exec
 		var b []byte
-		off := make([]int32, 1, 1+len(e.Nodes)+len(e.Edges)+2*len(ix.ids))
+		off := make([]int32, 1, 1+len(e.Nodes)+len(e.Edges)+2*len(pe.slots.IDs))
 		mark := func() { off = append(off, int32(len(b))) }
 		for _, n := range e.Nodes {
 			b = appendMarshal(b, n)
@@ -234,7 +219,7 @@ func (pe *PreparedExec) runs() *provIndex {
 			b = appendMarshal(b, ed)
 			mark()
 		}
-		for _, id := range ix.ids {
+		for _, id := range pe.slots.IDs {
 			it := e.Items[id]
 			b = appendString(b, id)
 			b = append(b, `:{"id":`...)

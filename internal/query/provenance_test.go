@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,10 +19,11 @@ import (
 // the spec at a level — collapsed, prepared and blanked, as internal/repo
 // keeps it per (shape, access view).
 type provFixture struct {
-	pol   *privacy.Policy
-	level privacy.Level
-	plan  *PreparedExec
-	run   func(inputSeed int64) *exec.Execution
+	pol    *privacy.Policy
+	level  privacy.Level
+	plan   *PreparedExec
+	shapes *exec.Shapes
+	run    func(inputSeed int64) *exec.Execution
 }
 
 // newProvFixture builds the fixture. Every run's item ids are prefixed with
@@ -43,7 +45,7 @@ func newProvFixture(tb testing.TB, seed int64, level privacy.Level, execID, idPr
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := &provFixture{pol: pol, level: level}
+	f := &provFixture{pol: pol, level: level, shapes: exec.NewShapes()}
 	f.run = func(inputSeed int64) *exec.Execution {
 		e, err := exec.NewRunner(s, nil).Run(execID, workload.RandomInputs(s, inputSeed))
 		if err != nil {
@@ -51,11 +53,12 @@ func newProvFixture(tb testing.TB, seed int64, level privacy.Level, execID, idPr
 		}
 		return respliced(e, idPrefix, val)
 	}
-	view, g, err := exec.CollapseIn(f.run(seed), h, pol.AccessView(h, level))
+	first := f.run(seed)
+	view, g, err := exec.CollapseIn(first, h, pol.AccessView(h, level))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if f.plan, err = PrepareGraph(view, g); err != nil {
+	if f.plan, err = PreparePlan(view, g, f.shapes.Intern(first).Shape()); err != nil {
 		tb.Fatal(err)
 	}
 	view.Blank()
@@ -86,30 +89,38 @@ func respliced(e *exec.Execution, idPrefix, val string) *exec.Execution {
 	return &exec.Execution{ID: e.ID, SpecID: e.SpecID, Nodes: e.Nodes, Edges: edges, Items: items}
 }
 
-// served instantiates the plan with a run's values and masks it for the
+// served fills the plan with a run's values and masks them for the
 // fixture's level, as a cold fill does; redact additionally marks every
 // item whose bit is set redacted, so the slot's flag is covered whatever
 // the policy protects.
-func (f *provFixture) served(tb testing.TB, e *exec.Execution, redact uint64) *PreparedExec {
+func (f *provFixture) served(tb testing.TB, e *exec.Execution, redact uint64) Snapshot {
 	tb.Helper()
-	snap, err := f.plan.Instantiate(e)
+	st := f.shapes.Intern(e)
+	snap, err := f.plan.Fill(st, e.ID+"/view/masked@"+f.level.String())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	taint.NewEngine(f.pol, nil).MaskInPlace(snap.Exec, e, exec.NewAncestry(e), f.level)
-	for n, id := range snap.Exec.ItemIDs() {
+	taint.NewEngine(f.pol, nil).MaskInPlace(&snap.Vector, f.plan.Layout(), st, f.level)
+	for n, id := range materialize(snap).ItemIDs() {
 		if redact>>(uint(n)%64)&1 == 1 {
-			snap.Exec.Items[id].Redacted = true
+			j, _ := f.plan.Slot(id)
+			snap.Redact(j)
 		}
 	}
 	return snap
 }
 
+// materialize returns the execution view snap carries the values of: its
+// plan's structure with snap's values in fresh items.
+func materialize(snap Snapshot) *exec.Execution {
+	return snap.Plan.Layout().Materialize(snap.Plan.Exec, snap.ID, &snap.Vector)
+}
+
 // referenceAnswer is the /provenance body as encoding/json writes it from
 // exec.ProvenanceIn's sub-execution of the snapshot.
-func referenceAnswer(tb testing.TB, snap *PreparedExec, specID, execID, item string) (*exec.Execution, []byte) {
+func referenceAnswer(tb testing.TB, snap Snapshot, specID, execID, item string) (*exec.Execution, []byte) {
 	tb.Helper()
-	ref, err := exec.ProvenanceIn(snap.Exec, snap.Graph(), item)
+	ref, err := exec.ProvenanceIn(materialize(snap), snap.Plan.Graph(), item)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -142,7 +153,7 @@ func FuzzProvenanceEncode(f *testing.F) {
 		fx := newProvFixture(t, seed, privacy.Level(lv%4), execID, idPrefix, val)
 		for n, inputSeed := range []int64{seed, seed + 1} {
 			snap := fx.served(t, fx.run(inputSeed), redact>>n)
-			ids := snap.Exec.ItemIDs()
+			ids := materialize(snap).ItemIDs()
 			if len(ids) == 0 {
 				t.Fatalf("level %d sees no item", lv%4)
 			}
@@ -160,7 +171,7 @@ func FuzzProvenanceEncode(f *testing.F) {
 				}
 			}
 		}
-		if _, err := fx.plan.Provenance(idPrefix + "no-such-item"); err == nil {
+		if _, err := fx.plan.Snapshot().Provenance(idPrefix + "no-such-item"); err == nil {
 			t.Fatal("an unknown item has a provenance")
 		}
 	})
@@ -172,8 +183,8 @@ func FuzzProvenanceEncode(f *testing.F) {
 // hand-over and every reader must still write the reference answer.
 func TestProvenanceConcurrentFirstReaders(t *testing.T) {
 	fx := newProvFixture(t, 7, privacy.Registered, "E7", "", "<v>")
-	snaps := []*PreparedExec{fx.served(t, fx.run(7), 0), fx.served(t, fx.run(8), 0)}
-	ids := snaps[0].Exec.ItemIDs()
+	snaps := []Snapshot{fx.served(t, fx.run(7), 0), fx.served(t, fx.run(8), 0)}
+	ids := materialize(snaps[0]).ItemIDs()
 	item := ids[len(ids)-1]
 	want := make([][]byte, len(snaps))
 	for i, snap := range snaps {
@@ -206,5 +217,59 @@ func TestProvenanceConcurrentFirstReaders(t *testing.T) {
 	// the two runs' answers differ.
 	if bytes.Equal(want[0], want[1]) {
 		t.Fatal("both snapshots answer alike: the fixture cannot tell them apart")
+	}
+}
+
+// TestPlanIsPrepareGraphOverTheShape: a view plan is PrepareGraph of its
+// view, every index and the whole provenance index alike, plus the shape it
+// was collapsed from and each item slot's index in that shape. It fills
+// only stored executions of that shape: one of another shape, or any fill
+// of a prepared execution that is no plan, is refused rather than
+// half-filled, as is a plan of a view holding an item the shape lacks.
+func TestPlanIsPrepareGraphOverTheShape(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		fx := newProvFixture(t, seed, privacy.Level(seed%4), "E", "", "")
+		plan := fx.plan
+		ref, err := PrepareGraph(plan.Exec, plan.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pe := range []*PreparedExec{plan, ref} {
+			for _, id := range pe.slots.IDs {
+				p, err := pe.Snapshot().Provenance(id)
+				if err != nil {
+					t.Fatalf("seed %d: provenance of %s: %v", seed, id, err)
+				}
+				p.AppendJSON(nil, "S", "E")
+			}
+		}
+		shape := plan.shape
+		for j, id := range plan.slots.IDs {
+			if i, ok := shape.Index(id); !ok || plan.slots.At[j] != int32(i) {
+				t.Fatalf("seed %d: slot %d (%s) gathers from %d, the shape holds it at %d (%v)", seed, j, id, plan.slots.At[j], i, ok)
+			}
+		}
+		stripped := *plan
+		stripped.shape, stripped.slots.At = nil, nil
+		if !reflect.DeepEqual(&stripped, ref) {
+			t.Fatalf("seed %d: the plan prepares its view unlike PrepareGraph", seed)
+		}
+
+		if _, err := plan.Fill(fx.shapes.Intern(fx.run(seed+100)), "same"); err != nil {
+			t.Fatalf("seed %d: fill of a run of the plan's shape: %v", seed, err)
+		}
+		other := fx.shapes.Intern(respliced(fx.run(seed+200), "x-", ""))
+		if other.Shape() == shape {
+			t.Fatalf("seed %d: fixture: the renamed run has the plan's shape", seed)
+		}
+		if s, err := plan.Fill(other, "other"); err == nil || s.Vals != nil {
+			t.Fatalf("seed %d: fill of a run of another shape: %d values, err = %v", seed, len(s.Vals), err)
+		}
+		if s, err := ref.Fill(fx.shapes.Intern(fx.run(seed+300)), "unplanned"); err == nil || s.Vals != nil {
+			t.Fatalf("seed %d: fill of a prepared execution that is no plan: %d values, err = %v", seed, len(s.Vals), err)
+		}
+		if _, err := PreparePlan(plan.Exec, plan.Graph(), other.Shape()); err == nil || !strings.Contains(err.Error(), plan.slots.IDs[0]) {
+			t.Fatalf("seed %d: plan of a view whose items the shape lacks: err = %v, want one naming %s", seed, err, plan.slots.IDs[0])
+		}
 	}
 }

@@ -168,9 +168,9 @@ func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *priv
 // Everything but Exec's item values is a function of the execution's
 // shape (exec.SameShape) and the view it was collapsed to, so
 // internal/repo prepares one value-free PreparedExec per (shape, access
-// view) — the view's plan — and every cached snapshot is an Instantiate
-// of it: the snapshots of one shape and view share graph, closure, index
-// maps, nodes and edges, and own only their items.
+// view) — the view's plan (PreparePlan) — and every cached snapshot is a
+// Fill of it: a value vector over the plan's item slots. The snapshots of
+// one shape and view share the whole plan and own only their values.
 //
 // The indexes exist because exec.Execution deliberately lost its lazily
 // memoized node index in PR 4 (memoizing inside a shared immutable
@@ -192,8 +192,14 @@ type PreparedExec struct {
 	// flowsFrom maps a node id to the sorted distinct item ids on its
 	// outgoing edges (the relay-node fallback of the same return paths).
 	flowsFrom map[string][]string
+	// slots lays the execution's items out as the slots of a value vector,
+	// in byte order of their ids — the order an answer lists them in. A
+	// plan (PreparePlan) also records the shape it was collapsed from, and
+	// in slots.At each item's index in that shape, which Fill gathers from.
+	slots exec.Layout
+	shape *exec.Shape
 	// prov is the provenance index, built lazily and shared with every
-	// Instantiate of this value (provenance.go).
+	// snapshot of this value (provenance.go).
 	prov *provIndex
 }
 
@@ -223,16 +229,23 @@ func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 		nodeByID:   make(map[string]*exec.Node, len(e.Nodes)),
 		producedBy: make(map[string][]string),
 		flowsFrom:  make(map[string][]string),
-		prov:       &provIndex{},
+		slots:      exec.Layout{IDs: make([]string, 0, len(e.Items))},
+		prov:       &provIndex{keep: make([]provSlot, len(e.Items))},
 	}
 	for _, n := range e.Nodes {
 		pe.nodeByID[n.ID] = n
 	}
 	for id, it := range e.Items {
 		pe.producedBy[it.Producer] = append(pe.producedBy[it.Producer], id)
+		pe.slots.IDs = append(pe.slots.IDs, id)
 	}
 	for _, ids := range pe.producedBy {
 		sort.Strings(ids)
+	}
+	slices.Sort(pe.slots.IDs)
+	pe.slots.Attrs = make([]string, len(pe.slots.IDs))
+	for j, id := range pe.slots.IDs {
+		pe.slots.Attrs[j] = e.Items[id].Attr
 	}
 	// Collect every outgoing edge's items per source node, then sort and
 	// de-duplicate each list once.
@@ -246,21 +259,79 @@ func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 	return pe, nil
 }
 
-// Instantiate returns pe — prepared over a view collapsed from an
-// execution of src's shape — rebound to that view carrying src's values
-// (exec.WithValuesOf): what PrepareGraph over CollapseIn(src, …) under the
-// same prefix returns, with neither run again. The result shares pe's
-// graph, closure and index maps read-only and owns its execution's items,
-// which the caller may still mask in place before serving it.
-func (pe *PreparedExec) Instantiate(src *exec.Execution) (*PreparedExec, error) {
-	view, err := pe.Exec.WithValuesOf(src)
+// PreparePlan is PrepareGraph for a view collapsed from an execution of
+// shape, whose values the caller blanks: a plan, which Fill gives the values
+// of any stored execution of the shape. It records, once, each item slot's
+// index in the shape, so a fill is a gather.
+func PreparePlan(view *exec.Execution, g *graph.Graph, shape *exec.Shape) (*PreparedExec, error) {
+	pe, err := PrepareGraph(view, g)
 	if err != nil {
 		return nil, err
 	}
-	out := *pe
-	out.Exec = view
-	return &out, nil
+	pe.shape = shape
+	pe.slots.At = make([]int32, len(pe.slots.IDs))
+	for j, id := range pe.slots.IDs {
+		i, ok := shape.Index(id)
+		if !ok {
+			return nil, fmt.Errorf("query: view item %q is not an item of %s's shape", id, shape.Rep().ID)
+		}
+		pe.slots.At[j] = int32(i)
+	}
+	return pe, nil
 }
+
+// Snapshot is one execution's values over a prepared execution's item
+// slots, named ID: what a query or a provenance is answered from. A
+// snapshot of a plan shares everything with the plan's other snapshots but
+// its values, and is read-only once served.
+type Snapshot struct {
+	Plan *PreparedExec
+	ID   string
+	exec.Vector
+}
+
+// Fill returns the snapshot, named id, of st — a stored execution of the
+// plan's shape — with st's values gathered into the plan's slots, which the
+// caller may mask in place before serving it: what PrepareGraph over
+// CollapseIn of st's execution under the plan's prefix would carry, with
+// neither run again.
+func (pe *PreparedExec) Fill(st *exec.Stored, id string) (Snapshot, error) {
+	if pe.shape == nil || st.Shape() != pe.shape {
+		return Snapshot{}, fmt.Errorf("query: %s is not of the shape the plan %s was collapsed from", st.ID, pe.Exec.ID)
+	}
+	src := st.Vector()
+	s := Snapshot{Plan: pe, ID: id, Vector: exec.Vector{Vals: make([]exec.Value, len(pe.slots.At))}}
+	for j, i := range pe.slots.At {
+		s.Vals[j] = src.Vals[i]
+		if src.IsRedacted(int(i)) {
+			s.Redact(j)
+		}
+	}
+	return s, nil
+}
+
+// Snapshot returns pe's own execution as a snapshot, its values read from
+// its items: how a prepared execution that carries its values is evaluated
+// (Evaluate, EvaluateOn).
+func (pe *PreparedExec) Snapshot() Snapshot {
+	s := Snapshot{Plan: pe, ID: pe.Exec.ID, Vector: exec.Vector{Vals: make([]exec.Value, len(pe.slots.IDs))}}
+	for j, id := range pe.slots.IDs {
+		it := pe.Exec.Items[id]
+		s.Vals[j] = it.Value
+		if it.Redacted {
+			s.Redact(j)
+		}
+	}
+	return s
+}
+
+// Layout returns pe's item slots: in a plan, where Fill gathered each
+// snapshot value from.
+func (pe *PreparedExec) Layout() *exec.Layout { return &pe.slots }
+
+// Slot returns the slot of item id; false when the execution has no such
+// item.
+func (pe *PreparedExec) Slot(id string) (int, bool) { return slices.BinarySearch(pe.slots.IDs, id) }
 
 // Graph exposes the pre-derived graph for read-only reuse.
 func (pe *PreparedExec) Graph() *graph.Graph { return pe.g }
@@ -286,7 +357,7 @@ func (ev *Evaluator) Evaluate(q *Query, e *exec.Execution) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ev.evaluate(q, pe, nil, 0, false)
+	return ev.EvaluateSnapshot(q, pe.Snapshot(), nil, 0, false)
 }
 
 // EvaluateWithPrivacy runs the query under the paper's privacy-
@@ -313,27 +384,30 @@ func (ev *Evaluator) EvaluateWithPrivacy(q *Query, e *exec.Execution, pol *priva
 	if err != nil {
 		return nil, err
 	}
-	return ev.evaluate(q, pe, pol, level, zoomed)
+	return ev.EvaluateSnapshot(q, pe.Snapshot(), pol, level, zoomed)
 }
 
-// EvaluateOn runs the query against a PreparedExec of an execution view
+// EvaluateOn is EvaluateSnapshot on pe's own execution, which carries its
+// values: a view the caller has already collapsed to the user's access view
+// and masked for the user's level.
+func (ev *Evaluator) EvaluateOn(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomedOut bool) (*Answer, error) {
+	return ev.EvaluateSnapshot(q, pe.Snapshot(), pol, level, zoomedOut)
+}
+
+// EvaluateSnapshot runs the query against a snapshot of an execution view
 // that the caller has already collapsed to the user's access view and
-// taint-masked for the user's level (internal/repo serves it from its
-// per-shard caches, so the collapse and taint analysis are paid once per
-// execution, not per query): the fully amortized warm path — no graph or
-// closure rebuild, no masking, only the match itself. The view is treated as
+// masked for the user's level (internal/repo serves it from its per-shard
+// caches, so the collapse and taint analysis are paid once per execution,
+// not per query): the fully amortized warm path — no graph or closure
+// rebuild, no masking, only the match itself. The snapshot is treated as
 // strictly read-only. zoomedOut flags whether the view is coarser than the
 // full expansion.
-func (ev *Evaluator) EvaluateOn(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomedOut bool) (*Answer, error) {
-	return ev.evaluate(q, pe, pol, level, zoomedOut)
-}
-
-func (ev *Evaluator) evaluate(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomed bool) (*Answer, error) {
-	ans, err := ev.MatchOn(q, pe, pol, level, zoomed)
+func (ev *Evaluator) EvaluateSnapshot(q *Query, s Snapshot, pol *privacy.Policy, level privacy.Level, zoomedOut bool) (*Answer, error) {
+	ans, err := ev.MatchOn(q, s, pol, level, zoomedOut)
 	if err != nil {
 		return nil, err
 	}
-	if err := ev.MaterializeReturn(q, ans, pe); err != nil {
+	if err := ev.MaterializeReturn(q, ans, s); err != nil {
 		return nil, err
 	}
 	return ans, nil
@@ -346,17 +420,18 @@ func (ev *Evaluator) evaluate(q *Query, pe *PreparedExec, pol *privacy.Policy, l
 // (QueryAllPageCtx windows by execution), use this to avoid building
 // sub-executions that are thrown away; MaterializeReturn completes the
 // surviving answers.
-func (ev *Evaluator) MatchOn(q *Query, pe *PreparedExec, pol *privacy.Policy, level privacy.Level, zoomed bool) (*Answer, error) {
+func (ev *Evaluator) MatchOn(q *Query, s Snapshot, pol *privacy.Policy, level privacy.Level, zoomed bool) (*Answer, error) {
 	if len(q.Vars) == 0 {
 		return nil, fmt.Errorf("query: no variables")
 	}
+	pe := s.Plan
 	e, g, cl := pe.Exec, pe.g, pe.cl
 	// Candidates per variable.
 	cands := make(map[string][]string, len(q.Vars))
 	for v, phrase := range q.Vars {
 		ns := ev.matchingNodes(e, phrase, pol, level)
 		if len(ns) == 0 {
-			return &Answer{ExecutionID: e.ID, ZoomedOut: zoomed}, nil
+			return &Answer{ExecutionID: s.ID, ZoomedOut: zoomed}, nil
 		}
 		cands[v] = ns
 	}
@@ -379,7 +454,7 @@ func (ev *Evaluator) MatchOn(q *Query, pe *PreparedExec, pol *privacy.Policy, le
 		return holds
 	}
 
-	ans := &Answer{ExecutionID: e.ID, ZoomedOut: zoomed}
+	ans := &Answer{ExecutionID: s.ID, ZoomedOut: zoomed}
 	// Backtracking over variables in declaration order.
 	var assign func(i int, b Binding)
 	assign = func(i int, b Binding) {
@@ -415,9 +490,10 @@ func (ev *Evaluator) MatchOn(q *Query, pe *PreparedExec, pol *privacy.Policy, le
 // in the return clause (nodes, provenance sub-executions, downstream
 // item sets) against the same prepared execution. Item resolution per
 // binding goes through the PreparedExec indexes, and a provenance through
-// the plan's provenance index, so no step here is linear in execution
-// size beyond the sub-graphs actually returned.
-func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, pe *PreparedExec) error {
+// the plan's provenance index with the snapshot's values, so no step here
+// is linear in execution size beyond the sub-graphs actually returned.
+func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, s Snapshot) error {
+	pe := s.Plan
 	e, g := pe.Exec, pe.g
 	switch q.Return {
 	case ReturnNodes:
@@ -437,7 +513,7 @@ func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, pe *PreparedExec) 
 			if len(items) == 0 {
 				continue
 			}
-			p, err := pe.Provenance(items[0])
+			p, err := s.Provenance(items[0])
 			if err != nil {
 				return err
 			}

@@ -20,9 +20,9 @@ import (
 	"provpriv/internal/workload"
 )
 
-// The cold fill (maskedExec) derives no structure: it instantiates the
-// plan prepared once per (shape, access view) with the execution's values
-// and masks those where they stand, where the public staged functions
+// The cold fill (maskedExec) derives no structure: it gathers the
+// execution's values into the slots of the plan prepared once per (shape,
+// access view) and masks that vector where it stands, where the public staged functions
 // collapse, copy and rebuild per execution. These tests hold the two to the
 // same output, the fill to never writing to what the repository stores,
 // and the sharing to never carrying a value from one execution to another.
@@ -162,11 +162,12 @@ func coldFillRepo(t testing.TB, nSpecs, nExecs int) (*Repository, map[string]map
 }
 
 // TestColdFillMatchesStagedPipeline: for every (execution, level) of shards
-// holding three shapes each, the snapshot the fill produces — execution,
-// report, zoomed flag, and the whole prepared index — is reflect.DeepEqual
-// to the public composition exec.Collapse → Engine.Analyze → Engine.Apply →
-// query.PrepareExec run on that execution alone, and queries and provenance
-// over the two answer identically; again after an UpdatePolicy that moves
+// holding three shapes each, the snapshot the fill produces — execution
+// (its plan's structure with its values), report, zoomed flag, and the
+// whole plan, provenance index included — is reflect.DeepEqual to the
+// public composition exec.Collapse → Engine.Analyze → Engine.Apply →
+// query.PrepareExec run on that execution alone (the plan to stagedPlan of
+// that), and queries and provenance over the two answer identically; again after an UpdatePolicy that moves
 // the access views, and again after a SetGeneralization. Snapshots of one
 // shape at one level share their plan's graph; other shapes never do.
 func TestColdFillMatchesStagedPipeline(t *testing.T) {
@@ -198,7 +199,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 				e := r.execution(specID, execID)
 				for _, lvl := range allLevels {
 					where := fmt.Sprintf("%s: %s/%s at %v", stage, specID, execID, lvl)
-					snap, err := sh.maskedExec(context.Background(), sh.current(), e, lvl)
+					snap, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl)
 					if err != nil {
 						t.Fatalf("%s: maskedExec: %v", where, err)
 					}
@@ -215,8 +216,8 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 					tainted += rep.Rewritten + rep.TaintRedacted + rep.Generalized
 
-					if !reflect.DeepEqual(snap.prep.Exec, masked) {
-						got, _ := json.Marshal(snap.prep.Exec)
+					if !reflect.DeepEqual(materialized(snap.Snapshot), masked) {
+						got, _ := json.Marshal(materialized(snap.Snapshot))
 						want, _ := json.Marshal(masked)
 						t.Fatalf("%s: fill built\n%s\nstaged pipeline built\n%s", where, got, want)
 					}
@@ -226,27 +227,28 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 					// The provenance index is built lazily and shared with the
 					// plan's other snapshots: compare it complete on both sides.
-					for _, pe := range []*query.PreparedExec{snap.prep, prep} {
+					want := stagedPlan(t, masked, prep, r.stored(specID, execID).Shape())
+					for _, s := range []query.Snapshot{snap.Snapshot, want.Snapshot()} {
 						for id := range masked.Items {
-							p, err := pe.Provenance(id)
+							p, err := s.Provenance(id)
 							if err != nil {
 								t.Fatalf("%s: provenance of %s: %v", where, id, err)
 							}
 							p.AppendJSON(nil, specID, execID)
 						}
 					}
-					if !reflect.DeepEqual(snap.prep, prep) {
+					if !reflect.DeepEqual(snap.Plan, want) {
 						t.Fatalf("%s: prepared index differs from PrepareExec's", where)
 					}
 					for i, q := range queries {
-						got, gerr := ev.EvaluateOn(q, snap.prep, pol, lvl, zoomed)
+						got, gerr := ev.EvaluateSnapshot(q, snap.Snapshot, pol, lvl, zoomed)
 						want, werr := ev.EvaluateOn(q, prep, pol, lvl, zoomed)
 						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: query %d answers %+v (%v), staged %+v (%v)", where, i, got, gerr, want, werr)
 						}
 					}
 					for id := range masked.Items {
-						p, gerr := snap.prep.Provenance(id)
+						p, gerr := snap.Provenance(id)
 						want, werr := exec.Provenance(masked, id)
 						if gerr != nil || werr != nil || !reflect.DeepEqual(p.Execution(), want) {
 							t.Fatalf("%s: provenance of %s differs (%v, %v)", where, id, gerr, werr)
@@ -254,11 +256,11 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 
 					// E0's snapshot is cached by now: who shares its plan?
-					base, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, "E0"), lvl)
+					base, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, "E0"), lvl)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if shares, should := snap.prep.Graph() == base.prep.Graph(), strings.HasPrefix(execID, "E"); shares != should {
+					if shares, should := snap.Plan == base.Plan, strings.HasPrefix(execID, "E"); shares != should {
 						t.Fatalf("%s: shares E0's plan = %v, want %v", where, shares, should)
 					}
 				}
@@ -306,6 +308,25 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 	check("after SetGeneralization")
 }
 
+// stagedPlan is the view plan the staged pipeline implies for a view of
+// shape: its masked view, copied with the values blanked and named as
+// CollapseIn names the view of the shape's representative, prepared by
+// query.PreparePlan over the graph PrepareExec derived from it in prep.
+func stagedPlan(t testing.TB, masked *exec.Execution, prep *query.PreparedExec, shape *exec.Shape) *query.PreparedExec {
+	t.Helper()
+	view := &exec.Execution{ID: shape.Rep().ID + "/view", SpecID: masked.SpecID, Nodes: masked.Nodes, Edges: masked.Edges, Items: make(map[string]*exec.DataItem, len(masked.Items))}
+	for id, it := range masked.Items {
+		cp := *it
+		view.Items[id] = &cp
+	}
+	view.Blank()
+	plan, err := query.PreparePlan(view, prep.Graph(), shape)
+	if err != nil {
+		t.Fatalf("PreparePlan of the staged view: %v", err)
+	}
+	return plan
+}
+
 // TestConcurrentFillsAtTwoLevelsShareOnlyThePlan: one execution filled cold
 // at two levels of one access view at once — each fill parked before its
 // taint analysis until the other has got there too, so neither can have been
@@ -316,6 +337,7 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 	r := seededRepo(t) // snps is owner-only; analyst and owner see the same workflows
 	sh := r.shard(diseaseID)
 	gen, e := sh.current(), r.execution(diseaseID, "E1")
+	st := r.stored(diseaseID, "E1")
 	levels := [2]privacy.Level{privacy.Analyst, privacy.Owner}
 	if gen.step(levels[0]) != gen.step(levels[1]) {
 		t.Fatal("fixture: the two levels do not share an access view")
@@ -330,7 +352,7 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snaps[i], errs[i] = sh.maskedExec(ctxs[i], gen, e, lvl)
+			snaps[i], errs[i] = sh.maskedExec(ctxs[i], gen, st, lvl)
 		}()
 		<-ctxs[i].reached // past the plan: the second fill finds the first's
 	}
@@ -352,8 +374,8 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PrepareExec at %v: %v", lvl, err)
 		}
-		if !reflect.DeepEqual(snaps[i].prep, prep) || snaps[i].rep != rep {
-			got, _ := json.Marshal(snaps[i].prep.Exec)
+		if !reflect.DeepEqual(materialized(snaps[i].Snapshot), masked) || !reflect.DeepEqual(snaps[i].Plan, stagedPlan(t, masked, prep, st.Shape())) || snaps[i].rep != rep {
+			got, _ := json.Marshal(materialized(snaps[i].Snapshot))
 			want, _ := json.Marshal(masked)
 			t.Fatalf("level %v: fill built (report %+v)\n%s\nstaged pipeline built (report %+v)\n%s", lvl, snaps[i].rep, got, rep, want)
 		}
@@ -361,13 +383,11 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 	if snaps[0].rep == snaps[1].rep {
 		t.Fatalf("fixture: both levels were masked alike (%+v)", snaps[0].rep)
 	}
-	if snaps[0].prep.Graph() != snaps[1].prep.Graph() {
+	if snaps[0].Plan != snaps[1].Plan {
 		t.Fatal("two levels of one access view did not share their plan")
 	}
-	for id, it := range snaps[0].prep.Exec.Items {
-		if snaps[1].prep.Exec.Items[id] == it {
-			t.Fatalf("item %s is one object in both levels' snapshots", id)
-		}
+	if &snaps[0].Vals[0] == &snaps[1].Vals[0] {
+		t.Fatal("both levels' snapshots hold one value vector")
 	}
 	if m, n := sh.maskedMisses.Load(), gen.masked.Len(); m != 2 || n != 2 {
 		t.Fatalf("%d misses and %d cached snapshots after two cold fills, want 2 and 2", m, n)
@@ -405,7 +425,7 @@ func TestFillNeverMutatesStoredExecution(t *testing.T) {
 				for _, lvl := range allLevels {
 					misses := sh.maskedMisses.Load
 					before := misses()
-					if _, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, execID), lvl); err != nil {
+					if _, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl); err != nil {
 						t.Fatalf("%s: %s/%s at %v: %v", stage, specID, execID, lvl, err)
 					}
 					if misses() == before {
@@ -446,14 +466,16 @@ func TestFillRefusesCyclicView(t *testing.T) {
 	last := stored.Edges[len(stored.Edges)-1]
 	cyclic.Edges = append(append([]exec.Edge(nil), stored.Edges...),
 		exec.Edge{From: last.To, To: stored.Edges[0].From, Items: last.Items})
+	e1 := r.stored(diseaseID, "E1")
 	sh.mu.Lock()
-	sh.execs[cyclic.ID] = &cyclic
-	if sh.shapes.Of(sh.shapes.Intern(&cyclic)) == sh.shapes.Of(stored) {
+	st := sh.shapes.Intern(&cyclic)
+	sh.execs[cyclic.ID] = st
+	if st.Shape() == e1.Shape() {
 		t.Fatal("the execution with an extra edge was interned under E1's shape")
 	}
 	sh.mu.Unlock()
 	for _, lvl := range allLevels {
-		_, err := sh.maskedExec(context.Background(), sh.current(), &cyclic, lvl)
+		_, err := sh.maskedExec(context.Background(), sh.current(), st, lvl)
 		if err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Fatalf("level %v: fill of a cyclic execution: err = %v, want one naming the cycle", lvl, err)
 		}

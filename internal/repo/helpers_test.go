@@ -15,8 +15,8 @@ import (
 	"provpriv/internal/workload"
 )
 
-// execution returns one stored execution (nil when absent).
-func (r *Repository) execution(specID, execID string) *exec.Execution {
+// stored returns one stored execution (nil when absent).
+func (r *Repository) stored(specID, execID string) *exec.Stored {
 	sh := r.shard(specID)
 	if sh == nil {
 		return nil
@@ -24,6 +24,22 @@ func (r *Repository) execution(specID, execID string) *exec.Execution {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.execs[execID]
+}
+
+// execution materializes one stored execution (nil when absent): its
+// shape's structure, shared, with its values in fresh items.
+func (r *Repository) execution(specID, execID string) *exec.Execution {
+	st := r.stored(specID, execID)
+	if st == nil {
+		return nil
+	}
+	return st.Shape().Layout().Materialize(st.Shape().Rep(), st.ID, st.Vector())
+}
+
+// materialized materializes a snapshot as the execution view it carries the
+// values of: its plan's structure, shared, with its values in fresh items.
+func materialized(snap query.Snapshot) *exec.Execution {
+	return snap.Plan.Layout().Materialize(snap.Plan.Exec, snap.ID, &snap.Vector)
 }
 
 // QueryAll is QueryAllPageCtx without a window or a context: every
@@ -42,7 +58,7 @@ func warm(t testing.TB, r *Repository, specID string, levels []privacy.Level) in
 	sh, n := r.shard(specID), 0
 	for _, execID := range r.ExecutionIDs(specID) {
 		for _, lvl := range levels {
-			if _, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, execID), lvl); err != nil {
+			if _, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl); err != nil {
 				t.Errorf("warming %s/%s at %v: %v", specID, execID, lvl, err)
 				return n
 			}
@@ -133,20 +149,19 @@ func sameStored(t testing.TB, want, got *Repository) {
 	}
 }
 
-// sharesPerShape fails unless every execution r stores shares the Nodes and
-// Edges of its shape's representative, and returns how many do without being
-// that representative.
+// sharesPerShape fails unless every execution r stores is a value vector
+// over a shape the shard interned, its representative one of the shard's
+// executions, and returns how many are not that representative.
 func sharesPerShape(t testing.TB, r *Repository) (dependants int) {
 	t.Helper()
 	for _, sid := range r.SpecIDs() {
-		sh := r.shard(sid)
 		for _, id := range r.ExecutionIDs(sid) {
-			e := r.execution(sid, id)
-			rep := sh.shapeOf(e).Rep()
-			if &e.Nodes[0] != &rep.Nodes[0] || &e.Edges[0] != &rep.Edges[0] {
-				t.Fatalf("%s/%s holds its own copy of the structure %s has", sid, id, rep.ID)
+			st := r.stored(sid, id)
+			rep := st.Shape().Rep()
+			if r.stored(sid, rep.ID) == nil || r.stored(sid, rep.ID).Shape() != st.Shape() || len(st.Vector().Vals) != len(rep.Items) {
+				t.Fatalf("%s/%s is not a vector over the shape of %s, a stored execution", sid, id, rep.ID)
 			}
-			if e != rep {
+			if st.ID != rep.ID {
 				dependants++
 			}
 		}

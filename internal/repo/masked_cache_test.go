@@ -207,7 +207,7 @@ func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
 // the snapshot design, meaningful under -race: many goroutines serve
 // query, provenance and a JSON render from the cached snapshots of two
 // executions of one shape — which share their plan's nodes, edges, graph,
-// closure and indexes, and own only their items — while others mutate the
+// closure and indexes, and own only their values — while others mutate the
 // sub-executions they received back. Every reader must observe
 // byte-identical results; any hidden shared mutable state (a lazily
 // memoized index, an aliased item or node) trips the race detector.
@@ -239,9 +239,9 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 		refJSON[i] = string(data)
 	}
 	sh := r.shard(diseaseID)
-	s1, err1 := sh.maskedExec(context.Background(), sh.current(), r.execution(diseaseID, "E1"), privacy.Public)
-	s2, err2 := sh.maskedExec(context.Background(), sh.current(), e2, privacy.Public)
-	if err1 != nil || err2 != nil || s1.prep.Graph() != s2.prep.Graph() || &s1.prep.Exec.Nodes[0] != &s2.prep.Exec.Nodes[0] {
+	s1, err1 := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, "E1"), privacy.Public)
+	s2, err2 := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, e2.ID), privacy.Public)
+	if err1 != nil || err2 != nil || s1.Plan != s2.Plan {
 		t.Fatalf("the two snapshots do not share one plan (%v, %v)", err1, err2)
 	}
 	const workers = 8

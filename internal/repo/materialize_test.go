@@ -136,14 +136,14 @@ func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*
 		}
 		want, _ := datapriv.NewMasker(pol, hs).MaskView(e, collapsed, lvl)
 		hits := sh.maskedHits.Load()
-		snap, err := sh.maskedExec(context.Background(), sh.current(), e, lvl)
+		snap, err := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, "E1"), lvl)
 		if err != nil {
 			t.Fatalf("level %v: maskedExec: %v", lvl, err)
 		}
 		if after := sh.maskedHits.Load(); after == hits {
 			t.Fatalf("level %v: snapshot was not served from the warm cache", lvl)
 		}
-		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, snap.prep.Exec)
+		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, materialized(snap.Snapshot))
 	}
 }
 

@@ -160,8 +160,7 @@ type shardSnap struct {
 	spec   *workflow.Spec
 	pol    *privacy.Policy
 	hs     map[string]*datapriv.Hierarchy
-	execs  []*exec.Execution // sorted by id
-	shapes []*exec.Shape     // of execs, index for index
+	execs  []*exec.Stored // sorted by id
 }
 
 // snapshotShardState captures sh under its read lock; nothing, and false,
@@ -176,10 +175,6 @@ func snapshotShardState(sh *shard, prev *shardSaved) (shardSnap, bool) {
 		seq: sh.seq, polSeq: sh.gen.seq,
 		spec: sh.spec, pol: sh.gen.pol, hs: sh.gen.ladders,
 		execs: sh.executions(),
-	}
-	snap.shapes = make([]*exec.Shape, len(snap.execs))
-	for i, e := range snap.execs {
-		snap.shapes[i] = sh.shapes.Of(e)
 	}
 	return snap, true
 }
@@ -348,12 +343,11 @@ func policyRecords(sid string, pol *privacy.Policy, hs map[string]*datapriv.Hier
 // shape implies its first, stored in full: it was interned, and saved, first.
 func execRecords(recs []storage.Record, snap shardSnap, held map[string]bool) ([]storage.Record, error) {
 	full := make(map[*exec.Execution]bool)
-	for i, e := range snap.execs {
+	for _, e := range snap.execs {
 		if held[e.ID] {
 			continue
 		}
-		s := snap.shapes[i]
-		rep := s.Rep()
+		rep := e.Shape().Rep()
 		if !held[rep.ID] && !full[rep] {
 			full[rep] = true
 			data, err := json.Marshal(rep)
@@ -362,8 +356,8 @@ func execRecords(recs []storage.Record, snap shardSnap, held map[string]bool) ([
 			}
 			recs = append(recs, storage.Record{Type: storage.RecExec, Key: rep.ID, Data: data})
 		}
-		if e != rep {
-			data, err := s.MarshalValues(e)
+		if e.ID != rep.ID {
+			data, err := e.MarshalValues()
 			if err != nil {
 				return nil, fmt.Errorf("repo: encode execution %s: %w", e.ID, err)
 			}
@@ -407,7 +401,7 @@ type loadedShard struct {
 	spec    *workflow.Spec
 	pol     *privacy.Policy
 	hs      map[string]*datapriv.Hierarchy
-	execs   map[string]*exec.Execution
+	execs   map[string]*exec.Stored
 	shapes  *exec.Shapes
 	held    map[string]bool
 	logRecs uint64
@@ -461,9 +455,9 @@ func (l *loadedShard) apply(sid string, rec storage.Record) error {
 	return nil
 }
 
-func (l *loadedShard) store(sid string, e *exec.Execution) error {
-	if e.SpecID != sid || l.held[e.ID] {
-		return fmt.Errorf("repo: load: shard %q holds execution %q of %q, or holds it twice: %w", sid, e.ID, e.SpecID, storage.ErrCorrupt)
+func (l *loadedShard) store(sid string, e *exec.Stored) error {
+	if e.SpecID() != sid || l.held[e.ID] {
+		return fmt.Errorf("repo: load: shard %q holds execution %q of %q, or holds it twice: %w", sid, e.ID, e.SpecID(), storage.ErrCorrupt)
 	}
 	l.execs[e.ID], l.held[e.ID] = e, true
 	return nil
@@ -491,7 +485,7 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	pols := make(map[string]*privacy.Policy, len(meta.Shards))
 	for _, sid := range slices.Sorted(maps.Keys(meta.Shards)) {
 		info := meta.Shards[sid]
-		l := &loadedShard{execs: make(map[string]*exec.Execution), shapes: exec.NewShapes(), held: make(map[string]bool)}
+		l := &loadedShard{execs: make(map[string]*exec.Stored), shapes: exec.NewShapes(), held: make(map[string]bool)}
 		if err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, func(rec storage.Record) error {
 			return l.apply(sid, rec)
 		}); err != nil {

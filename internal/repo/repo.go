@@ -45,9 +45,9 @@
 // generation's masked-snapshot cache filled by (*shard).maskedExec when a
 // read first asks (the paper's Section 4 "materialized views vs
 // on-the-fly" trade-off, settled on one memoizing cache and therefore
-// nothing to keep consistent). A snapshot materializes values only: the
-// structure of a view is held once per execution shape and prefix (the
-// shard's view plans) and shared.
+// nothing to keep consistent). A snapshot is a value vector: the structure
+// of a view is held once per execution shape and prefix (the shard's view
+// plans) and shared, and a stored execution is likewise its shape's values.
 //
 // Lock ordering: polMu (policy-sensitive mutators) before mu (shard
 // directory) before a shard's mu. Read paths never hold two locks at
@@ -108,7 +108,7 @@ type shard struct {
 	mu    sync.RWMutex
 	spec  *workflow.Spec
 	hier  *workflow.Hierarchy
-	execs map[string]*exec.Execution
+	execs map[string]*exec.Stored
 
 	// eval binds structural-query variables from tables derived from the
 	// spec alone, so like hier it lives as long as the shard; what a level
@@ -200,16 +200,16 @@ type maskedKey struct {
 	level  privacy.Level
 }
 
-// maskedSnapshot is one privacy-enforced execution, as fill builds it, plus
-// the masking report recorded then (replayed into the taint counters on
-// every serve, so they advance on warm hits too). It owns its execution's
-// header and masked items; nodes, edges, graph, closure and indexes are the
-// plan's. Evaluation uses the policy and access step of the generation the
-// snapshot came from, the one its reader holds, so an answer raced by
-// UpdatePolicy is internally consistent.
+// maskedSnapshot is one privacy-enforced execution, as fill builds it — its
+// plan, its name, and its masked values and redacted bits in the plan's
+// slots — plus the masking report recorded then (replayed into the taint
+// counters on every serve, so they advance on warm hits too). It owns its
+// values only; everything else is the plan's. Evaluation uses the policy and
+// access step of the generation the snapshot came from, the one its reader
+// holds, so an answer raced by UpdatePolicy is internally consistent.
 type maskedSnapshot struct {
-	prep *query.PreparedExec
-	rep  taint.Report
+	query.Snapshot
+	rep taint.Report
 }
 
 // shardCacheCap bounds the entries each per-shard cache (a generation's
@@ -409,7 +409,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 	sh := &shard{
 		spec:   s,
 		hier:   h,
-		execs:  make(map[string]*exec.Execution),
+		execs:  make(map[string]*exec.Stored),
 		eval:   query.NewEvaluator(s),
 		shapes: exec.NewShapes(),
 		plans:  index.NewLRU[planKey, *query.PreparedExec](shardCacheCap),
@@ -495,11 +495,11 @@ func (r *Repository) Policy(specID string) *privacy.Policy {
 	return sh.current().pol
 }
 
-// AddExecution stores a validated execution of a registered spec: e itself
-// when it is the first of its shape in the shard, otherwise a copy sharing
-// that one's structure, so the shard holds one graph per shape; e is only
-// ever read. Only that spec's shard is locked: ingest on one spec never
-// stalls queries on others.
+// AddExecution stores a validated execution of a registered spec as its
+// shape's value vector (exec.Shapes.Intern): the shard holds one graph per
+// shape, e's own when it is the first of its shape, and e is only ever
+// read. Only that spec's shard is locked: ingest on one spec never stalls
+// queries on others.
 func (r *Repository) AddExecution(e *exec.Execution) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -581,9 +581,9 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 
 // executions returns the shard's executions in id order. The caller holds
 // sh.mu.
-func (sh *shard) executions() []*exec.Execution {
+func (sh *shard) executions() []*exec.Stored {
 	out := slices.Collect(maps.Values(sh.execs))
-	slices.SortFunc(out, func(a, b *exec.Execution) int { return strings.Compare(a.ID, b.ID) })
+	slices.SortFunc(out, func(a, b *exec.Stored) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -812,7 +812,7 @@ func (r *Repository) CacheStats() (hits, misses int) {
 // queryContext resolves what the per-execution query paths start from: the
 // user, the shard, and — read under one lock — the execution and the
 // generation the whole request is then decided under.
-func (r *Repository) queryContext(userName, specID, execID string) (*privacy.User, *shard, *generation, *exec.Execution, error) {
+func (r *Repository) queryContext(userName, specID, execID string) (*privacy.User, *shard, *generation, *exec.Stored, error) {
 	u, sh, err := r.reader(userName, specID)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -833,7 +833,7 @@ func (r *Repository) queryContext(userName, specID, execID string) (*privacy.Use
 // fill touches apart from the plan is gen's: one that lost the race with
 // install serves its caller, who asked under gen, and leaves nothing where
 // a later reader looks.
-func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
+func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Stored, level privacy.Level) (maskedSnapshot, error) {
 	key := maskedKey{execID: e.ID, level: level}
 	if snap, ok := gen.masked.Get(key); ok {
 		sh.maskedHits.Add(1)
@@ -849,7 +849,7 @@ func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execut
 		fctx, span := obs.StartSpan(ctx, "cache.masked_fill")
 		defer span.End()
 		access := gen.step(level)
-		snap, err := sh.fill(fctx, gen, sh.shapeOf(e), access.view, access.key, e, level)
+		snap, err := sh.fill(fctx, gen, access.view, access.key, e, level)
 		if err == nil {
 			gen.masked.Put(key, snap)
 		}
@@ -857,59 +857,53 @@ func (sh *shard) maskedExec(ctx context.Context, gen *generation, e *exec.Execut
 	})
 }
 
-// fill builds the enforced view of e, of the given shape, at prefix (Key
-// key) for level under gen: the one place an execution view is masked, for
-// maskedExec and QueryZoomOut alike. It derives no structure: viewPlan's
-// plan is instantiated with e's values, which taint.MaskInPlace masks in
-// place for the asker alone — sources e's items above level, targets the
-// view's, ancestry the shape's — so fills at two levels share only the plan,
+// fill builds the enforced view of e at prefix (Key key) for level under
+// gen: the one place an execution view is masked, for maskedExec and
+// QueryZoomOut alike. It derives no structure: e's values are gathered into
+// the slots of viewPlan's plan, and taint.MaskInPlace masks that vector for
+// the asker alone — sources e's values above level, targets the view's
+// slots, ancestry the shape's — so fills at two levels share only the plan,
 // an owner's analyses nothing, and e is only read.
 // TestColdFillMatchesStagedPipeline holds the snapshots to the staged
 // exec.Collapse → Engine.Apply → query.PrepareExec.
-func (sh *shard) fill(ctx context.Context, gen *generation, shape *exec.Shape, prefix workflow.Prefix, key string, e *exec.Execution, level privacy.Level) (maskedSnapshot, error) {
+func (sh *shard) fill(ctx context.Context, gen *generation, prefix workflow.Prefix, key string, e *exec.Stored, level privacy.Level) (maskedSnapshot, error) {
 	_, collapse := obs.StartSpan(ctx, "view.collapse")
-	var prep *query.PreparedExec
-	plan, err := sh.viewPlan(shape, prefix, key, e)
+	var snap maskedSnapshot
+	plan, err := sh.viewPlan(e.Shape(), prefix, key)
 	if err == nil {
-		prep, err = plan.Instantiate(e)
+		// The name the staged pipeline gives: CollapseIn's, then the mask's.
+		snap.Snapshot, err = plan.Fill(e, e.ID+"/view/masked@"+level.String())
 	}
 	collapse.End()
 	if err != nil {
 		return maskedSnapshot{}, err
 	}
 	_, analyze := obs.StartSpan(ctx, "taint.analyze")
-	anc := shape.Ancestry()
+	e.Shape().Ancestry() // derived on the shape's first fill; the mask reads it
 	analyze.End()
 	_, apply := obs.StartSpan(ctx, "mask.apply")
-	rep := gen.engine.MaskInPlace(prep.Exec, e, anc, level)
+	snap.rep = gen.engine.MaskInPlace(&snap.Vector, plan.Layout(), e, level)
 	apply.End()
-	return maskedSnapshot{prep: prep, rep: rep}, nil
-}
-
-// shapeOf returns the interned shape of a stored execution.
-func (sh *shard) shapeOf(e *exec.Execution) *exec.Shape {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.shapes.Of(e)
+	return snap, nil
 }
 
 // viewPlan returns the value-free prepared view of a shape at prefix (Key
-// key), built on first use from e, an execution of that shape; fills and
+// key), built on first use from the shape's representative; fills and
 // zoom-out steps share the shard's plans. This is the only place a view is
 // collapsed and prepared, and so where an invalid or cyclic one is refused:
 // exec.CollapseIn validates the view and hands its graph to
-// query.PrepareGraph, whose topological sort rejects a cycle. The plan keeps
+// query.PreparePlan, whose topological sort rejects a cycle. The plan keeps
 // no value: no string of one execution is reachable from another's.
-func (sh *shard) viewPlan(shape *exec.Shape, prefix workflow.Prefix, key string, e *exec.Execution) (*query.PreparedExec, error) {
+func (sh *shard) viewPlan(shape *exec.Shape, prefix workflow.Prefix, key string) (*query.PreparedExec, error) {
 	pk := planKey{shape: shape, view: key}
 	if plan, ok := sh.plans.Get(pk); ok {
 		return plan, nil
 	}
-	view, g, err := exec.CollapseIn(e, sh.hier, prefix)
+	view, g, err := exec.CollapseIn(shape.Rep(), sh.hier, prefix)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := query.PrepareGraph(view, g)
+	plan, err := query.PreparePlan(view, g, shape)
 	if err != nil {
 		return nil, err
 	}
@@ -935,7 +929,7 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 		return nil, err
 	}
 	r.countTaint(snap.rep)
-	return sh.eval.EvaluateOn(q, snap.prep, gen.pol, u.Level, gen.step(u.Level).zoomed)
+	return sh.eval.EvaluateSnapshot(q, snap.Snapshot, gen.pol, u.Level, gen.step(u.Level).zoomed)
 }
 
 // Reaches answers the paper's core structural-privacy question — "does
@@ -1009,9 +1003,8 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	shape := sh.shapeOf(e)
 	prefix, steps, err := query.ZoomOut(sh.hier, gen.step(u.Level).view, gen.pol, u.Level, func(p workflow.Prefix) ([]*exec.Node, error) {
-		plan, err := sh.viewPlan(shape, p, p.Key(), e)
+		plan, err := sh.viewPlan(e.Shape(), p, p.Key())
 		if err != nil {
 			return nil, err
 		}
@@ -1020,11 +1013,11 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	snap, err := sh.fill(context.Background(), gen, shape, prefix, prefix.Key(), e, u.Level)
+	snap, err := sh.fill(context.Background(), gen, prefix, prefix.Key(), e, u.Level)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := sh.eval.EvaluateOn(q, snap.prep, gen.pol, u.Level, steps > 0)
+	ans, err := sh.eval.EvaluateSnapshot(q, snap.Snapshot, gen.pol, u.Level, steps > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -1101,7 +1094,7 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 			return
 		}
 		r.countTaint(snap.rep)
-		answers[i], errs[i] = sh.eval.MatchOn(q, snap.prep, gen.pol, u.Level, zoomed)
+		answers[i], errs[i] = sh.eval.MatchOn(q, snap.Snapshot, gen.pol, u.Level, zoomed)
 		snaps[i] = snap
 	})
 	matchSpan.End()
@@ -1109,20 +1102,20 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 		return nil, 0, err
 	}
 	var out []*query.Answer
-	var prep []*query.PreparedExec
+	var from []query.Snapshot
 	for i, ans := range answers {
 		if ans != nil && len(ans.Bindings) > 0 {
 			out = append(out, ans)
-			prep = append(prep, snaps[i].prep)
+			from = append(from, snaps[i].Snapshot)
 		}
 	}
 	total := len(out)
 	if offset >= total {
 		return nil, total, nil
 	}
-	out, prep = out[offset:], prep[offset:]
+	out, from = out[offset:], from[offset:]
 	if limit > 0 && limit < len(out) {
-		out, prep = out[:limit], prep[:limit]
+		out, from = out[:limit], from[:limit]
 	}
 
 	// Phase 2 — materialize return clauses for the window only.
@@ -1133,7 +1126,7 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 			merrs[i] = err
 			return
 		}
-		merrs[i] = sh.eval.MaterializeReturn(q, out[i], prep[i])
+		merrs[i] = sh.eval.MaterializeReturn(q, out[i], from[i])
 	})
 	matSpan.End()
 	if err := errors.Join(merrs...); err != nil {
@@ -1174,17 +1167,17 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 		return query.Provenance{}, err
 	}
 	// Serve from the shared masked snapshot. Masking preserves the item set
-	// of the collapsed view, so visibility is checked on the snapshot
-	// itself; the answer only reads it.
+	// of the collapsed view, so visibility is checked on the snapshot's plan;
+	// the answer only reads it.
 	snap, err := sh.maskedExec(ctx, gen, e, u.Level)
 	if err != nil {
 		return query.Provenance{}, err
 	}
-	if snap.prep.Exec.Items[itemID] == nil {
+	if _, ok := snap.Plan.Slot(itemID); !ok {
 		return query.Provenance{}, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
 	}
 	r.countTaint(snap.rep)
-	return snap.prep.Provenance(itemID)
+	return snap.Provenance(itemID)
 }
 
 // Stats summarizes repository contents and the health of its derived

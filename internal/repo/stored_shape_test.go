@@ -17,11 +17,11 @@ import (
 // TestStoredExecutionsShareStructure: N runs of one spec — one shape — end
 // as N executions over one copy of the graph, whether they came through
 // AddExecution or through Save and Load (bulk ingest is AddExecution per item,
-// server.TestBulkIngestEndToEnd). The first is stored as given; the others
-// are stored as copies, and the executions the caller passed in — read by
-// another goroutine throughout, so under -race a write to one shows — are
-// afterwards exactly what they were. The read path over the copies holds:
-// every level of every execution fills.
+// server.TestBulkIngestEndToEnd). The first is kept as given, as its shape's
+// representative; of the others only their values are, and the executions
+// the caller passed in — read by another goroutine throughout, so under
+// -race a write to one shows — are afterwards exactly what they were. The
+// read path over the vectors holds: every level of every execution fills.
 func TestStoredExecutionsShareStructure(t *testing.T) {
 	const n = 8
 	r := New()
@@ -72,8 +72,8 @@ func TestStoredExecutionsShareStructure(t *testing.T) {
 		if !reflect.DeepEqual(e, before[i]) {
 			t.Fatalf("AddExecution changed the caller's %s", e.ID)
 		}
-		if stored := r.execution("s", e.ID); (stored == e) != (i == 0) {
-			t.Fatalf("%s: stored as given = %v; only the first of a shape is", e.ID, stored == e)
+		if kept := r.stored("s", e.ID).Shape().Rep() == e; kept != (i == 0) || !reflect.DeepEqual(r.execution("s", e.ID), e) {
+			t.Fatalf("%s: kept as given = %v, only the first of a shape is; or what is stored is not it", e.ID, kept)
 		}
 	}
 	dir := t.TempDir()

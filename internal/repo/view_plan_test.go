@@ -43,17 +43,17 @@ func TestViewPlansCarryNoValueBetweenExecutions(t *testing.T) {
 			t.Fatalf("AddExecution: %v", err)
 		}
 	}
-	if a, b := r.execution(specID, "run-a"), r.execution(specID, "run-b"); sh.shapes.Of(a) != sh.shapes.Of(b) {
+	if a, b := r.stored(specID, "run-a"), r.stored(specID, "run-b"); a.Shape() != b.Shape() {
 		t.Fatal("fixture: the two runs do not share a shape")
 	}
 	carried := 0
 	for _, id := range []string{"run-a", "run-b"} {
 		for _, lvl := range allLevels {
-			snap, err := sh.maskedExec(context.Background(), sh.current(), r.execution(specID, id), lvl)
+			snap, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, id), lvl)
 			if err != nil {
 				t.Fatalf("%s at %v: %v", id, lvl, err)
 			}
-			data, err := json.Marshal(snap.prep.Exec)
+			data, err := json.Marshal(materialized(snap.Snapshot))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestViewPlansCarryNoValueBetweenExecutions(t *testing.T) {
 	if carried == 0 {
 		t.Fatal("fixture: no snapshot shows its own sentinel, so the check above saw nothing")
 	}
-	pol, shape := sh.current().pol, sh.shapes.Of(r.execution(specID, "run-a"))
+	pol, shape := sh.current().pol, r.stored(specID, "run-a").Shape()
 	for _, lvl := range allLevels {
 		view := pol.AccessView(sh.hier, lvl).Key()
 		plan, ok := sh.plans.Get(planKey{shape: shape, view: view})

@@ -75,11 +75,11 @@ func analyzeReference(en *Engine, e *exec.Execution, level privacy.Level) refere
 	return set
 }
 
-// seeded is the analysis MaskInPlace masks with: e's sources above level,
-// read against anc, the item ancestry of e's shape.
-func seeded(en *Engine, e *exec.Execution, anc *exec.Ancestry, level privacy.Level) *Set {
+// seeded is the analysis MaskInPlace masks with: st's sources above level,
+// read against the item ancestry of st's shape.
+func seeded(en *Engine, st *exec.Stored, level privacy.Level) *Set {
 	set := new(Set)
-	set.seed(en, e, anc, level)
+	set.seed(en, st, level)
 	return set
 }
 
@@ -144,7 +144,8 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			t.Fatalf("seed %d: two runs of one spec differ in shape", seed)
 		}
 		en := NewEngine(pol, nil)
-		anc := exec.NewAncestry(a) // derived from A, used for both
+		shapes := exec.NewShapes() // A's shape, and so its ancestry, is used for both
+		shapes.Intern(a)
 		for _, e := range []*exec.Execution{a, b} {
 			want := analyzeReference(en, e, privacy.Public)
 			if diff := sameAnalysis(en.Analyze(e), e, privacy.Public, want); diff != "" {
@@ -152,7 +153,7 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			}
 			// Scoped to a level, the analysis seeds only above it.
 			for _, lvl := range diffLevels {
-				if diff := sameAnalysis(seeded(en, e, anc, lvl), e, lvl, analyzeReference(en, e, lvl)); diff != "" {
+				if diff := sameAnalysis(seeded(en, shapes.Intern(e), lvl), e, lvl, analyzeReference(en, e, lvl)); diff != "" {
 					t.Errorf("seed %d, %s @%s: the analysis over the shape's ancestry differs from the per-execution analysis: %s", seed, e.ID, lvl, diff)
 				}
 			}
@@ -171,7 +172,7 @@ func TestAnalyzeInMatchesPerExecutionAnalysis(t *testing.T) {
 			}
 			c.Items[id] = &cp
 		}
-		if diff := sameAnalysis(seeded(en, &c, anc, privacy.Public), &c, privacy.Public, analyzeReference(en, &c, privacy.Public)); diff != "" {
+		if diff := sameAnalysis(seeded(en, shapes.Intern(&c), privacy.Public), &c, privacy.Public, analyzeReference(en, &c, privacy.Public)); diff != "" {
 			t.Errorf("seed %d: with emptied and redacted sources the analysis differs from the per-execution analysis: %s", seed, diff)
 		}
 	}

@@ -35,7 +35,11 @@
 // labels only from attributes above the level the analysis is for.
 // Analyze's Set is for Public, so it applies to every collapsed view at
 // every access level; MaskInPlace, the repository's cold fill, analyses for
-// exactly the level and the view it masks and lets no Set escape.
+// exactly the level and the view it masks and lets no Set escape. It works
+// on value vectors (exec.Vector): sources are read from the stored
+// execution's vector by shape index, targets are the slots of the view's
+// snapshot, with their attributes from the view plan's layout, so no item
+// map is read or written per item.
 package taint
 
 import (
@@ -100,15 +104,17 @@ func (s *Set) Replacer() *Replacer {
 	return &s.repl
 }
 
-// seed makes s, reusing its memory, the analysis of e above level against
-// anc, the item ancestry of e's shape, and reports whether e has a source.
-func (s *Set) seed(en *Engine, e *exec.Execution, anc *exec.Ancestry, level privacy.Level) bool {
-	s.anc, s.srcs = anc, s.srcs[:0]
-	for i, id := range anc.IDs {
-		it := e.Items[id]
+// seed makes s, reusing its memory, the analysis of full above level, and
+// reports whether full has a source. The sources are read from full's
+// vector, their attributes from its shape's layout.
+func (s *Set) seed(en *Engine, full *exec.Stored, level privacy.Level) bool {
+	shape, v := full.Shape(), full.Vector()
+	lay := shape.Layout()
+	s.anc, s.srcs = shape.Ancestry(), s.srcs[:0]
+	for i, attr := range lay.Attrs {
 		// Redacted or empty values cannot leak through substrings.
-		if req := en.Policy.DataLevels[it.Attr]; req > level && !it.Redacted && it.Value != "" {
-			s.srcs = append(s.srcs, source{Label: Label{ItemID: id, Attr: it.Attr, Required: req, Raw: it.Value}, at: i})
+		if req := en.Policy.DataLevels[attr]; req > level && !v.IsRedacted(i) && v.Vals[i] != "" {
+			s.srcs = append(s.srcs, source{Label: Label{ItemID: lay.IDs[i], Attr: attr, Required: req, Raw: v.Vals[i]}, at: i})
 		}
 	}
 	s.compile()
@@ -237,11 +243,11 @@ func (en *Engine) generalizer(attr string) Generalizer {
 // item internal to a collapsed composite is absent from the view's item
 // set, but its raw value still rides inside downstream trace strings.
 //
-// Analyze derives e's item ancestry itself; a caller that holds the
-// ancestry of e's shape masks with MaskInPlace.
+// Analyze derives e's shape and item ancestry itself; a caller that stores
+// e under its shape masks with MaskInPlace.
 func (en *Engine) Analyze(e *exec.Execution) *Set {
 	set := new(Set)
-	set.seed(en, e, exec.NewAncestry(e), privacy.Public)
+	set.seed(en, exec.NewStored(e), privacy.Public)
 	return set
 }
 
@@ -280,38 +286,60 @@ func (en *Engine) Apply(e *exec.Execution, level privacy.Level, set *Set) (*exec
 		cp := *it
 		out.Items[id] = &cp
 	}
-	if set == nil || len(set.srcs) == 0 {
-		return out, en.mask(out, level, nil)
+	out.ID += "/masked@" + level.String()
+	// The copy's items are laid out as slots, masked, and written back.
+	lay := exec.Layout{IDs: out.ItemIDs()}
+	lay.Attrs, lay.At = make([]string, len(lay.IDs)), make([]int32, len(lay.IDs))
+	v := exec.Vector{Vals: make([]exec.Value, len(lay.IDs))}
+	for j, id := range lay.IDs {
+		it := out.Items[id]
+		lay.Attrs[j], lay.At[j], v.Vals[j] = it.Attr, -1, it.Value
+		if set != nil {
+			if i, ok := set.anc.Index(id); ok {
+				lay.At[j] = int32(i)
+			}
+		}
+		if it.Redacted {
+			v.Redact(j)
+		}
 	}
-	ap := applierPool.Get().(*applier)
-	defer ap.release()
-	ap.arm(en, set, level)
-	return out, en.mask(out, level, ap)
+	var ap *applier
+	if set != nil && len(set.srcs) > 0 {
+		ap = applierPool.Get().(*applier)
+		defer ap.release()
+		ap.arm(en, set, level)
+	}
+	rep := en.mask(&v, &lay, level, ap)
+	for j, id := range lay.IDs {
+		it := out.Items[id]
+		it.Value, it.Redacted = v.Vals[j], v.IsRedacted(j)
+	}
+	return out, rep
 }
 
-// MaskInPlace masks view itself as Apply(view, level, Analyze(full)) masks
-// its copy — view a collapsed view of full that the caller owns outright,
-// anc the item ancestry of full's shape — with the analysis scoped to what
-// a viewer at level may not see: sources are full's items above level,
-// targets view's items. Only item values change, never nodes, edges or the
-// item set, so a graph derived from view before the call still describes it
-// after. It makes no Set that outlives the call; a level at or above every
-// protected attribute arms no sanitizer at all. "Whose producer reaches
-// whose" is the same for every execution of a shape (exec.SameShape) and
-// most of what an analysis costs, so anc is derived once per shape; what is
-// left per call is what depends on full's values. This is the one-copy half
-// of the repository's cold fill.
-func (en *Engine) MaskInPlace(view, full *exec.Execution, anc *exec.Ancestry, level privacy.Level) Report {
+// MaskInPlace masks v, the values of a collapsed view of full laid out by
+// lay (lay.At indexing full's shape), as Apply(view, level, Analyze(full))
+// masks the view's items, with the analysis scoped to what a viewer at
+// level may not see: sources are full's items above level, read from its
+// vector, targets v's slots, with their attributes from lay. Only values and
+// redacted bits change; no map is read per item. It makes no Set that
+// outlives the call; a level at or above every protected attribute arms no
+// sanitizer at all. "Whose producer reaches whose" is the same for every
+// execution of a shape (exec.SameShape) and most of what an analysis costs,
+// so the ancestry is the shape's, derived once; what is left per call is
+// what depends on full's values. This is the masking half of the
+// repository's cold fill.
+func (en *Engine) MaskInPlace(v *exec.Vector, lay *exec.Layout, full *exec.Stored, level privacy.Level) Report {
 	if !en.hides(level) {
-		return en.mask(view, level, nil)
+		return en.mask(v, lay, level, nil)
 	}
 	ap := applierPool.Get().(*applier)
 	defer ap.release()
-	if !ap.own.seed(en, full, anc, level) {
-		return en.mask(view, level, nil)
+	if !ap.own.seed(en, full, level) {
+		return en.mask(v, lay, level, nil)
 	}
 	ap.arm(en, &ap.own, level)
-	return en.mask(view, level, ap)
+	return en.mask(v, lay, level, ap)
 }
 
 // hides reports whether the policy protects an attribute from level.
@@ -324,24 +352,24 @@ func (en *Engine) hides(level privacy.Level) bool {
 	return false
 }
 
-// mask is the masking loop of Apply and MaskInPlace; a nil ap
-// rewrites no embedded value.
-func (en *Engine) mask(e *exec.Execution, level privacy.Level, ap *applier) Report {
+// mask is the masking loop of Apply and MaskInPlace: it masks v's slots,
+// laid out by lay; a nil ap rewrites no embedded value.
+func (en *Engine) mask(v *exec.Vector, lay *exec.Layout, level privacy.Level, ap *applier) Report {
 	var rep Report
-	e.ID = e.ID + "/masked@" + level.String()
-	for id, it := range e.Items {
-		required := en.Policy.DataLevels[it.Attr]
-		ap.activate(id)
+	for j, attr := range lay.Attrs {
+		required := en.Policy.DataLevels[attr]
+		ap.activate(lay.At[j])
 		if level >= required {
 			// Attribute visible at this level; embedded protected
 			// ancestors may still leak through the trace string.
-			v, changed, clean := ap.rewrite(it.Value)
+			nv, changed, clean := ap.rewrite(v.Vals[j])
 			switch {
 			case !clean:
-				it.Value, it.Redacted = "", true
+				v.Vals[j] = ""
+				v.Redact(j)
 				rep.TaintRedacted++
 			case changed:
-				it.Value = v
+				v.Vals[j] = nv
 				rep.Rewritten++
 			default:
 				rep.Visible++
@@ -353,15 +381,16 @@ func (en *Engine) mask(e *exec.Execution, level privacy.Level, ap *applier) Repo
 		// embed protected ancestors, so it passes through the same
 		// rewrite-and-verify gate (which also catches a ladder whose
 		// output contains the item's own raw value).
-		if g := en.generalizer(it.Attr); g != nil {
-			gen := g.Generalize(it.Value, int(required-level))
-			if v, _, clean := ap.rewrite(gen); clean {
-				it.Value = v
+		if g := en.generalizer(attr); g != nil {
+			gen := g.Generalize(v.Vals[j], int(required-level))
+			if nv, _, clean := ap.rewrite(gen); clean {
+				v.Vals[j] = nv
 				rep.Generalized++
 				continue
 			}
 		}
-		it.Value, it.Redacted = "", true
+		v.Vals[j] = ""
+		v.Redact(j)
 		rep.Redacted++
 	}
 	return rep
@@ -431,9 +460,10 @@ func (ap *applier) release() {
 	applierPool.Put(ap)
 }
 
-// activate arms the patterns tainting the given item that the viewer's
-// level is not entitled to, clearing the previous item's first.
-func (ap *applier) activate(itemID string) {
+// activate arms the patterns tainting item j of the ancestry (none when j
+// is negative) that the viewer's level is not entitled to, clearing the
+// previous item's first.
+func (ap *applier) activate(j int32) {
 	if ap == nil {
 		return
 	}
@@ -441,14 +471,13 @@ func (ap *applier) activate(itemID string) {
 		ap.active[p/64] &^= 1 << (uint(p) % 64)
 	}
 	ap.marked = ap.marked[:0]
-	anc := ap.set.anc
-	j, ok := anc.Index(itemID)
-	if !ok {
+	if j < 0 {
 		return
 	}
+	anc := ap.set.anc
 	for _, src := range ap.set.srcs {
 		p := src.pat
-		if src.Required > ap.level && ap.active[p/64]&(1<<(uint(p)%64)) == 0 && anc.Descends(src.at, j) {
+		if src.Required > ap.level && ap.active[p/64]&(1<<(uint(p)%64)) == 0 && anc.Descends(src.at, int(j)) {
 			ap.active[p/64] |= 1 << (uint(p) % 64)
 			ap.marked = append(ap.marked, p)
 		}

@@ -33,6 +33,7 @@ import (
 	"strings"
 	"testing"
 
+	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
@@ -288,6 +289,97 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNonInterferenceGeneralized is the two-world check with a
+// generalization ladder (SetGeneralization) on every attribute protected
+// above the reader's level L: W' varies each such value inside one class of
+// its ladder at L's gap — what L is entitled to see of it — so the worlds
+// differ only in what L may not see, and every answer must be
+// byte-identical, before and after a post, a save and a reload. A policy
+// without ladders never takes the mask's generalize branch; this pins it.
+func TestNonInterferenceGeneralized(t *testing.T) {
+	const execs = 3
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{
+			Seed: seed, ID: fmt.Sprintf("ni-gen-%d", seed), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := workload.RandomPolicy(s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
+		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range niLevels {
+			rw, runW := niWorld(t, s, pol, execs, nil)
+			rp, runP := niWorld(t, s, pol, execs, &level)
+			hs := niLadders(pol, level, runW, runP, execs+1)
+			for _, r := range []*repo.Repository{rw, rp} {
+				if err := r.SetGeneralization(s.ID, hs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			user := "u-" + level.String()
+			where := fmt.Sprintf("seed %d, %s, with ladders", seed, user)
+			for _, stage := range []string{"", ", after a post, a save and a reload"} {
+				n := execs
+				if stage != "" {
+					rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
+					n++
+				}
+				w := niAsk(t, rw, s, n, ref.ItemIDs(), user)
+				niSame(t, where+stage, w, niAsk(t, rp, s, n, ref.ItemIDs(), user))
+				if !slices.ContainsFunc(w, func(a niAnswer) bool { return strings.Contains(a.body, niClass) }) {
+					t.Fatalf("%s%s: no answer showed a generalized value: the ladders were never used", where, stage)
+				}
+			}
+		}
+	}
+}
+
+// niClass marks the classes of niLadders' ladders in an answer.
+const niClass = "gen:"
+
+// niLadders returns a ladder for every attribute pol protects above level,
+// over the values its items take in the first n runs of both worlds: for an
+// attribute d levels above, an item's two values stay apart for d-1 steps
+// and meet in one class at step d, the reader's gap. What the reader sees of
+// the item is the same in both worlds; every finer step tells them apart.
+func niLadders(pol *privacy.Policy, level privacy.Level, runW, runP func(int) *exec.Execution, n int) map[string]*datapriv.Hierarchy {
+	hs := make(map[string]*datapriv.Hierarchy)
+	for i := 0; i < n; i++ {
+		w, p := runW(i), runP(i)
+		for _, id := range w.ItemIDs() {
+			attr := w.Items[id].Attr
+			gap := int(pol.DataLevels[attr] - level)
+			if gap <= 0 {
+				continue
+			}
+			h := hs[attr]
+			if h == nil {
+				h = &datapriv.Hierarchy{Attr: attr, Levels: make([]map[exec.Value]exec.Value, gap)}
+				for k := range h.Levels {
+					h.Levels[k] = make(map[exec.Value]exec.Value)
+				}
+				hs[attr] = h
+			}
+			class := exec.Value(fmt.Sprintf("%s%s:%d:%s", niClass, attr, i, id))
+			for world, v := range []exec.Value{w.Items[id].Value, p.Items[id].Value} {
+				for k := 0; k < gap-1; k++ {
+					finer := exec.Value(fmt.Sprintf("%s/%d/%d", class, world, k))
+					h.Levels[k][v], v = finer, finer
+				}
+				h.Levels[gap-1][v] = class
+			}
+		}
+	}
+	return hs
 }
 
 // niStructuralWorld is one world of the structural arm: root I -> C -> O,
