@@ -1061,7 +1061,7 @@ func BenchmarkTaintMask(b *testing.B) {
 			run  func()
 		}{
 			{"taint=off", func() { en.Apply(e, privacy.Public, nil) }},
-			{"taint=on", func() { en.Sanitize(e, privacy.Public) }},
+			{"taint=on", func() { en.Apply(e, privacy.Public, en.Analyze(e)) }},
 			{"taint=cached", func() { en.Apply(e, privacy.Public, set) }},
 		} {
 			b.Run(fmt.Sprintf("%s/items=%d/%s", sz.name, len(e.Items), mode.name), func(b *testing.B) {

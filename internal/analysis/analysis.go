@@ -18,6 +18,7 @@ import (
 	"provpriv/internal/analysis/lintkit"
 	"provpriv/internal/analysis/lockorder"
 	"provpriv/internal/analysis/monotonic"
+	"provpriv/internal/analysis/unserved"
 )
 
 // Suite is every provlint analyzer, in report order.
@@ -27,6 +28,7 @@ var Suite = []*lintkit.Analyzer{
 	ctxflow.Analyzer,
 	cachekey.Analyzer,
 	envelope.Analyzer,
+	unserved.Analyzer,
 }
 
 // Timing is one analyzer's wall time over a package set.
@@ -46,8 +48,7 @@ type Result struct {
 }
 
 // RunTree loads every package matching the patterns under moduleDir
-// and runs the suite. Analyzers are timed individually (the repeated
-// ignore-comment scan is noise next to type-checking cost).
+// once and runs the suite over the load, timing each analyzer.
 func RunTree(moduleDir string, patterns ...string) (*Result, error) {
 	loader := lintkit.NewLoader()
 	start := time.Now()
@@ -56,28 +57,11 @@ func RunTree(moduleDir string, patterns ...string) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Packages: len(pkgs), LoadWall: time.Since(start)}
-	// Each per-analyzer Run re-scans ignore comments and re-reports any
-	// malformed ones; keep one copy per position.
-	seenIgnoreSyntax := make(map[string]bool)
-	for _, a := range Suite {
-		t0 := time.Now()
-		findings, err := lintkit.Run(pkgs, []*lintkit.Analyzer{a})
-		if err != nil {
-			return nil, err
-		}
-		wall := time.Since(t0)
+	res.Findings, err = lintkit.Run(pkgs, Suite, func(a *lintkit.Analyzer, wall time.Duration) {
 		res.Timings = append(res.Timings, Timing{Check: a.Name, Wall: wall, WallMS: float64(wall.Nanoseconds()) / 1e6})
-		for _, f := range findings {
-			if f.Check == "ignore-syntax" {
-				key := f.Position.String()
-				if seenIgnoreSyntax[key] {
-					continue
-				}
-				seenIgnoreSyntax[key] = true
-			}
-			res.Findings = append(res.Findings, f)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	lintkit.SortFindings(res.Findings)
 	return res, nil
 }

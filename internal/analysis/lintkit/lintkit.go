@@ -16,8 +16,8 @@
 //
 // placed on, or on the line directly above, a flagged line suppresses
 // diagnostics from the named check ("all" suppresses every check). The
-// reason is mandatory; an ignore without one is itself reported, so
-// suppressions stay auditable.
+// reason is mandatory; an ignore without one is itself reported, and
+// so is one that suppresses nothing, so suppressions stay auditable.
 package lintkit
 
 import (
@@ -27,6 +27,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Analyzer describes one invariant check. It mirrors
@@ -42,8 +43,23 @@ type Analyzer struct {
 	Doc string
 
 	// Run executes the check against one package and reports findings
-	// via pass.Report.
+	// via pass.Report. Nil for a whole-program check.
 	Run func(pass *Pass) error
+
+	// RunProgram, when set, executes the check once over every loaded
+	// package together — for invariants no single package decides,
+	// such as what a binary reaches. Its findings go through the same
+	// suppression as Run's.
+	RunProgram func(prog *Program) error
+}
+
+// Program carries every loaded package, which share one file set,
+// through one whole-program analyzer; Report takes a diagnostic at any
+// position in any of them.
+type Program struct {
+	Fset     *token.FileSet
+	Packages []*Package
+	Report   func(Diagnostic)
 }
 
 // Pass carries one type-checked package through one analyzer, mirroring
@@ -88,13 +104,14 @@ type ignoreDirective struct {
 	check  string // analyzer name or "all"
 	reason string // empty = malformed
 	pos    token.Position
+	used   bool // suppressed at least one diagnostic
 }
 
 const ignorePrefix = "provlint:ignore"
 
 // parseIgnores scans a file's comments for provlint:ignore directives.
-func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
-	var out []ignoreDirective
+func parseIgnores(fset *token.FileSet, file *ast.File) []*ignoreDirective {
+	var out []*ignoreDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -103,7 +120,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 				continue
 			}
 			rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-			d := ignoreDirective{pos: fset.Position(c.Pos())}
+			d := &ignoreDirective{pos: fset.Position(c.Pos())}
 			if rest != "" {
 				parts := strings.SplitN(rest, " ", 2)
 				d.check = parts[0]
@@ -119,14 +136,19 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 
 // Run executes every analyzer over every package, resolves positions,
 // applies //provlint:ignore suppression and returns the surviving
-// findings sorted by position. Malformed ignores (no check name or no
-// reason) are returned as findings from the pseudo-check
-// "ignore-syntax" so they cannot silently rot.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+// findings sorted by position. Two pseudo-checks keep suppressions
+// auditable: a malformed ignore (no check name or no reason) is an
+// "ignore-syntax" finding, and a well-formed one that suppressed
+// nothing is an "ignore-unused" finding — reported only when the
+// check it names ran, so a narrower run never calls a directive stale
+// (and never for "all", which no run can tell is stale for every
+// check). timed, when non-nil, is
+// called with each analyzer's wall time across every package.
+func Run(pkgs []*Package, analyzers []*Analyzer, timed func(a *Analyzer, wall time.Duration)) ([]Finding, error) {
 	var findings []Finding
+	// "file:line" -> the well-formed directives written there.
+	directives := make(map[string][]*ignoreDirective)
 	for _, pkg := range pkgs {
-		// index of "file:line" -> set of suppressed check names.
-		suppressed := make(map[string]map[string]bool)
 		for _, file := range pkg.Files {
 			for _, d := range parseIgnores(pkg.Fset, file) {
 				if d.check == "" || d.reason == "" {
@@ -138,34 +160,67 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 					continue
 				}
 				key := fmt.Sprintf("%q:%d", d.pos.Filename, d.pos.Line)
-				if suppressed[key] == nil {
-					suppressed[key] = make(map[string]bool)
-				}
-				suppressed[key][d.check] = true
+				directives[key] = append(directives[key], d)
 			}
 		}
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-			}
-			pass.Report = func(d Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				// An ignore on the flagged line, or on the line directly
-				// above it, suppresses the diagnostic.
-				for _, line := range []int{pos.Line, pos.Line - 1} {
-					key := fmt.Sprintf("%q:%d", pos.Filename, line)
-					if s := suppressed[key]; s != nil && (s[a.Name] || s["all"]) {
-						return
-					}
+	}
+	report := func(check string, pos token.Position, msg string) {
+		// An ignore on the flagged line, or on the line directly
+		// above it, suppresses the diagnostic.
+		suppressed := false
+		for _, line := range []int{pos.Line, pos.Line - 1} {
+			for _, d := range directives[fmt.Sprintf("%q:%d", pos.Filename, line)] {
+				if d.check == check || d.check == "all" {
+					d.used, suppressed = true, true
 				}
-				findings = append(findings, Finding{Check: a.Name, Position: pos, Message: d.Message})
 			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
+		}
+		if !suppressed {
+			findings = append(findings, Finding{Check: check, Position: pos, Message: msg})
+		}
+	}
+	ran := make(map[string]bool)
+	for _, a := range analyzers {
+		ran[a.Name] = true
+		t0 := time.Now()
+		if a.Run != nil {
+			for _, pkg := range pkgs {
+				pass := &Pass{
+					Analyzer:  a,
+					Fset:      pkg.Fset,
+					Files:     pkg.Files,
+					Pkg:       pkg.Types,
+					TypesInfo: pkg.Info,
+					Report:    func(d Diagnostic) { report(a.Name, pkg.Fset.Position(d.Pos), d.Message) },
+				}
+				if err := a.Run(pass); err != nil {
+					return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
+				}
+			}
+		}
+		if a.RunProgram != nil && len(pkgs) > 0 {
+			fset := pkgs[0].Fset
+			prog := &Program{
+				Fset:     fset,
+				Packages: pkgs,
+				Report:   func(d Diagnostic) { report(a.Name, fset.Position(d.Pos), d.Message) },
+			}
+			if err := a.RunProgram(prog); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Name, err)
+			}
+		}
+		if timed != nil {
+			timed(a, time.Since(t0))
+		}
+	}
+	for _, ds := range directives {
+		for _, d := range ds {
+			if !d.used && ran[d.check] {
+				findings = append(findings, Finding{
+					Check:    "ignore-unused",
+					Position: d.pos,
+					Message:  fmt.Sprintf("provlint:ignore %s suppresses nothing; delete it", d.check),
+				})
 			}
 		}
 	}

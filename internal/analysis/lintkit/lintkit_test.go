@@ -43,8 +43,10 @@ func f() {
 	bad()
 	//provlint:ignore testcheck
 	bad() // line 13: ignore above is malformed (no reason), so still flagged
-	//provlint:ignore othercheck reason names a different check
+	//provlint:ignore othercheck reason names a different check, which did not run
 	bad() // line 15: flagged
+	//provlint:ignore testcheck stale: the line below is not flagged
+	_ = 0
 }
 `
 
@@ -58,7 +60,7 @@ func TestIgnoreDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lintkit.Run([]*lintkit.Package{pkg}, []*lintkit.Analyzer{flagBad})
+	findings, err := lintkit.Run([]*lintkit.Package{pkg}, []*lintkit.Analyzer{flagBad}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +74,7 @@ func TestIgnoreDirectives(t *testing.T) {
 		{12, "ignore-syntax"}, // the malformed directive itself
 		{13, "testcheck"},     // ...which therefore suppresses nothing
 		{15, "testcheck"},     // ignore for a different check
+		{16, "ignore-unused"}, // suppresses nothing testcheck reports
 	}
 	if len(findings) != len(wants) {
 		for _, f := range findings {
@@ -99,7 +102,7 @@ func TestFindingString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lintkit.Run([]*lintkit.Package{pkg}, []*lintkit.Analyzer{flagBad})
+	findings, err := lintkit.Run([]*lintkit.Package{pkg}, []*lintkit.Analyzer{flagBad}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

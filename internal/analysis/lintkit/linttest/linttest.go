@@ -31,30 +31,38 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads testdata/src/<pkg> relative to the calling test's package
-// directory and checks the analyzer's diagnostics against the
-// fixture's want comments.
-func Run(t *testing.T, a *lintkit.Analyzer, pkg string) {
+// Run loads testdata/src/<pkg> for each pkg, relative to the calling
+// test's package directory, and checks the analyzer's diagnostics
+// against the fixtures' want comments. Several packages make one
+// program, loaded in the order given, so each may import those before
+// it by their path under testdata/src.
+func Run(t *testing.T, a *lintkit.Analyzer, pkgs ...string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", pkg)
 	loader := lintkit.NewLoader()
-	p, err := loader.LoadDir(pkg, dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+	var loaded []*lintkit.Package
+	for _, pkg := range pkgs {
+		dir := filepath.Join("testdata", "src", pkg)
+		p, err := loader.LoadDir(pkg, dir)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", dir, err)
+		}
+		loaded = append(loaded, p)
 	}
-	findings, err := lintkit.Run([]*lintkit.Package{p}, []*lintkit.Analyzer{a})
+	findings, err := lintkit.Run(loaded, []*lintkit.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
 
 	// file:line -> expectations parsed from want comments.
 	wants := make(map[string][]*expectation)
-	for _, f := range p.Files {
-		collectWants(t, p, f, wants)
+	for _, p := range loaded {
+		for _, f := range p.Files {
+			collectWants(t, p, f, wants)
+		}
 	}
 
 	for _, fd := range findings {
-		key := fmt.Sprintf("%q:%d", filepath.Base(fd.Position.Filename), fd.Position.Line)
+		key := fmt.Sprintf("%q:%d", fd.Position.Filename, fd.Position.Line)
 		exps := wants[key]
 		ok := false
 		for _, e := range exps {
@@ -86,7 +94,7 @@ func collectWants(t *testing.T, p *lintkit.Package, f *ast.File, wants map[strin
 				continue
 			}
 			pos := p.Fset.Position(c.Pos())
-			key := fmt.Sprintf("%q:%d", filepath.Base(pos.Filename), pos.Line)
+			key := fmt.Sprintf("%q:%d", pos.Filename, pos.Line)
 			for _, m := range wantRE.FindAllStringSubmatch(text, -1) {
 				// Unquote as a Go string first (analysistest semantics):
 				// \\( in the comment is the regexp \( once unquoted.

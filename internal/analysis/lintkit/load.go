@@ -33,6 +33,17 @@ type Package struct {
 type Loader struct {
 	fset     *token.FileSet
 	importer types.Importer
+	// fixtures holds what LoadDir loaded, so a later fixture package can
+	// import an earlier one the source importer cannot find.
+	fixtures map[string]*types.Package
+}
+
+// Import resolves a fixture package LoadDir loaded, else the source.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if p := l.fixtures[path]; p != nil {
+		return p, nil
+	}
+	return l.importer.Import(path)
 }
 
 // NewLoader returns a Loader backed by the stdlib "source" importer,
@@ -41,11 +52,8 @@ type Loader struct {
 // access.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, importer: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{fset: fset, importer: importer.ForCompiler(fset, "source", nil), fixtures: make(map[string]*types.Package)}
 }
-
-// Fset exposes the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 func newInfo() *types.Info {
 	return &types.Info{
@@ -77,7 +85,7 @@ func (l *Loader) LoadFiles(importPath, dir string, filenames []string) (*Package
 		return nil, fmt.Errorf("no Go files for %s", importPath)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: l.importer}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
@@ -94,7 +102,8 @@ func (l *Loader) LoadFiles(importPath, dir string, filenames []string) (*Package
 }
 
 // LoadDir loads every non-test .go file in dir as one package. Used by
-// linttest to load analyzer fixtures.
+// linttest to load analyzer fixtures: a fixture may import one loaded
+// before it by its import path.
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	pkgs, err := parser.ParseDir(l.fset, dir, nil, parser.ParseComments)
 	if err != nil {
@@ -113,7 +122,12 @@ func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	}
 	// ParseDir already filled the fset; re-parse by name for a stable
 	// single-package file list.
-	return l.LoadFiles(importPath, dir, dedupeSorted(names))
+	pkg, err := l.LoadFiles(importPath, dir, dedupeSorted(names))
+	if err != nil {
+		return nil, err
+	}
+	l.fixtures[importPath] = pkg.Types
+	return pkg, nil
 }
 
 func dedupeSorted(in []string) []string {

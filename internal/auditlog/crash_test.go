@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"provpriv/internal/storage"
+	"provpriv/internal/storage/storagetest"
 )
 
 // window returns the whole query ring, oldest first.
@@ -78,11 +79,11 @@ func (c crashCase) run(t *testing.T) {
 	}
 
 	// The session that dies.
-	f := storage.NewFault(open())
+	f := storagetest.NewFault(open())
 	if when == "before" {
-		f.KillBefore(storage.OpAppend, n)
+		f.KillBefore(storagetest.OpAppend, n)
 	} else {
-		f.KillAfter(storage.OpAppend, n)
+		f.KillAfter(storagetest.OpAppend, n)
 	}
 	if l, err = Open(f); err != nil {
 		t.Fatal(err)

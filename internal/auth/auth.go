@@ -26,8 +26,8 @@
 //     hashed once and compared against every registered token with
 //     crypto/subtle, no early exit, so response timing reveals neither
 //     whether a token exists nor how much of it matched.
-//   - Per-token use counters (and a global failure counter) feed the
-//     service's /stats and /metrics exposition.
+//   - Per-token use counters feed the service's /stats and /metrics
+//     exposition (the server counts failed authentications itself).
 //
 // Token file format, one token per line:
 //
@@ -134,8 +134,7 @@ type TokenStat struct {
 // set is immutable after construction, so Authenticate is safe for
 // arbitrary concurrency; counters are atomic.
 type Authenticator struct {
-	tokens   []*Token
-	failures atomic.Int64
+	tokens []*Token
 }
 
 // HashSecret returns the hex SHA-256 digest of a secret — the third
@@ -262,8 +261,8 @@ func LoadFile(path string) (*Authenticator, error) {
 // Authenticate validates a presented secret. The scan is constant-time
 // over the whole token set: every stored digest is compared with
 // crypto/subtle regardless of earlier matches, so timing leaks neither
-// existence nor prefix length of any token. A failed attempt bumps the
-// failure counter; a success bumps the matched token's use counter.
+// existence nor prefix length of any token. A success bumps the matched
+// token's use counter.
 func (a *Authenticator) Authenticate(secret string) (*Token, bool) {
 	sum := sha256.Sum256([]byte(secret))
 	match := -1
@@ -273,16 +272,12 @@ func (a *Authenticator) Authenticate(secret string) (*Token, bool) {
 		}
 	}
 	if match < 0 {
-		a.failures.Add(1)
 		return nil, false
 	}
 	tok := a.tokens[match]
 	tok.uses.Add(1)
 	return tok, true
 }
-
-// Failures returns how many presented secrets matched no token.
-func (a *Authenticator) Failures() int64 { return a.failures.Load() }
 
 // Stats snapshots per-token metrics, sorted by token name.
 func (a *Authenticator) Stats() []TokenStat {

@@ -43,9 +43,6 @@ ops:admin:owner:%s
 	if _, ok := a.Authenticate(""); ok {
 		t.Fatal("empty secret accepted")
 	}
-	if a.Failures() != 2 {
-		t.Fatalf("failures = %d, want 2", a.Failures())
-	}
 }
 
 func TestParseRejectsMalformed(t *testing.T) {
@@ -114,9 +111,6 @@ func TestPerTokenMetrics(t *testing.T) {
 	if st[0].Role != "reader" || st[1].Role != "admin" {
 		t.Fatalf("roles = %s/%s", st[0].Role, st[1].Role)
 	}
-	if a.Failures() != 1 {
-		t.Fatalf("failures = %d", a.Failures())
-	}
 }
 
 // TestConcurrentAuthenticate is a -race guard: the token set is shared
@@ -146,9 +140,6 @@ func TestConcurrentAuthenticate(t *testing.T) {
 	wg.Wait()
 	if got := a.Stats()[0].Uses; got != 4*50 {
 		t.Fatalf("uses = %d, want 200", got)
-	}
-	if a.Failures() != 4*50 {
-		t.Fatalf("failures = %d, want 200", a.Failures())
 	}
 }
 

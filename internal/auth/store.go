@@ -59,25 +59,16 @@ func NewFileStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Current returns the live token set. The pointer is stable for the
-// caller's lifetime even across swaps — counters on it keep working
-// because carried-over tokens are shared by pointer.
-func (s *Store) Current() *Authenticator { return s.cur.Load() }
-
 // Authenticate validates a secret against the live token set.
 func (s *Store) Authenticate(secret string) (*Token, bool) {
 	return s.cur.Load().Authenticate(secret)
 }
 
-// Failures sums authentication failures across all generations of the
-// token set. Swaps carry the counter forward, so this is monotonic.
-func (s *Store) Failures() int64 { return s.cur.Load().Failures() }
-
 // Stats snapshots the live token set.
 func (s *Store) Stats() []TokenStat { return s.cur.Load().Stats() }
 
 // swap publishes next, carrying over per-token use counters (for
-// tokens unchanged in name/user/role/digest) and the failure counter.
+// tokens unchanged in name/user/role/digest).
 // Caller holds s.mu.
 func (s *Store) swap(next *Authenticator) {
 	old := s.cur.Load()
@@ -94,7 +85,6 @@ func (s *Store) swap(next *Authenticator) {
 				next.tokens[i] = prev
 			}
 		}
-		next.failures.Store(old.failures.Load())
 	}
 	s.cur.Store(next)
 }

@@ -24,8 +24,6 @@
 package datapriv
 
 import (
-	"sort"
-
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/taint"
@@ -118,8 +116,11 @@ func (m *Masker) Engine() *taint.Engine {
 // execution the view came from — a protected item internal to a
 // collapsed composite is absent from the view but still tainted its
 // descendants.
+//
+//provlint:ignore unserved reference: the masking oracle of datapriv_test.go and audit_test.go
 func (m *Masker) Mask(e *exec.Execution, level privacy.Level) (*exec.Execution, Report) {
-	return m.Engine().Sanitize(e, level)
+	en := m.Engine()
+	return en.Apply(e, level, en.Analyze(e))
 }
 
 // MaskView masks a derived view (e.g. an exec.Collapse result) of the
@@ -129,17 +130,4 @@ func (m *Masker) Mask(e *exec.Execution, level privacy.Level) (*exec.Execution, 
 func (m *Masker) MaskView(full, view *exec.Execution, level privacy.Level) (*exec.Execution, Report) {
 	en := m.Engine()
 	return en.Apply(view, level, en.Analyze(full))
-}
-
-// VisibleAttrs returns, for diagnostics, the attributes fully visible at
-// the given level, sorted.
-func (m *Masker) VisibleAttrs(attrs []string, level privacy.Level) []string {
-	var out []string
-	for _, a := range attrs {
-		if m.Policy.CanSeeData(level, a) {
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

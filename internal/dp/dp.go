@@ -70,23 +70,6 @@ func ProvenanceSize(itemID string) CountQuery {
 	}
 }
 
-// DownstreamCount returns the query "number of items downstream of
-// item id".
-func DownstreamCount(itemID string) CountQuery {
-	return func(e *exec.Execution) float64 {
-		ds, err := exec.Downstream(e, itemID)
-		if err != nil {
-			return 0
-		}
-		return float64(len(ds))
-	}
-}
-
-// Answer runs the query through the mechanism.
-func (m *Mechanism) Answer(q CountQuery, e *exec.Execution) float64 {
-	return m.Noisy(q(e))
-}
-
 // ReproReport quantifies reproducibility loss under the mechanism.
 type ReproReport struct {
 	Epsilon      float64

@@ -76,10 +76,6 @@ func TestCountQueries(t *testing.T) {
 	if size < 5 {
 		t.Fatalf("ProvenanceSize = %v, want ≥5", size)
 	}
-	down := DownstreamCount(disID)(e)
-	if down < 2 {
-		t.Fatalf("DownstreamCount = %v", down)
-	}
 	if got := ProvenanceSize("d999")(e); got != 0 {
 		t.Fatalf("unknown item size = %v", got)
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Diff compares two executions of the same specification — the
@@ -32,32 +31,6 @@ type ValueDiff struct {
 	ValueB Value
 	NodeA  string // producer in A
 	NodeB  string // producer in B
-}
-
-// Equal reports whether the diff is empty.
-func (d *Diff) Equal() bool {
-	return len(d.OnlyInA) == 0 && len(d.OnlyInB) == 0 && len(d.ValueDiffs) == 0
-}
-
-// Render prints the diff tersely.
-func (d *Diff) Render() string {
-	if d.Equal() {
-		return "executions identical\n"
-	}
-	var b strings.Builder
-	if len(d.OnlyInA) > 0 {
-		fmt.Fprintf(&b, "nodes only in A: %s\n", strings.Join(d.OnlyInA, ", "))
-	}
-	if len(d.OnlyInB) > 0 {
-		fmt.Fprintf(&b, "nodes only in B: %s\n", strings.Join(d.OnlyInB, ", "))
-	}
-	for _, v := range d.ValueDiffs {
-		fmt.Fprintf(&b, "attr %s: %q (at %s) vs %q (at %s)\n", v.Attr, v.ValueA, v.NodeA, v.ValueB, v.NodeB)
-	}
-	if d.FirstDivergence != "" {
-		fmt.Fprintf(&b, "first divergence: %s\n", d.FirstDivergence)
-	}
-	return b.String()
 }
 
 // CompareExecutions diffs two executions of the same spec. It returns

@@ -114,6 +114,8 @@ type Execution struct {
 // Node returns the node with the given id, or nil. The scan is linear:
 // no read path resolves nodes by id in a loop, and memoizing the index
 // would make concurrent readers of a shared execution race (it used to).
+//
+//provlint:ignore unserved test support: exec, query and repo tests look nodes up by id (exec_test.go, query_test.go, warm_query_test.go)
 func (e *Execution) Node(id string) *Node {
 	for _, n := range e.Nodes {
 		if n.ID == id {
@@ -124,6 +126,8 @@ func (e *Execution) Node(id string) *Node {
 }
 
 // NodeIDs returns all node ids in sorted order.
+//
+//provlint:ignore unserved test support: root, exec and repo tests compare node sets (integration_test.go, view_test.go, materialize_test.go)
 func (e *Execution) NodeIDs() []string {
 	ids := make([]string, len(e.Nodes))
 	for i, n := range e.Nodes {
@@ -178,28 +182,6 @@ func (e *Execution) ExecutionsOf(moduleID string) []*Node {
 		}
 	}
 	return out
-}
-
-// ItemsByAttr returns the data items carrying the given attribute, in
-// item-id order. Most workflows produce one item per attribute per run;
-// loops or fan-outs may produce several.
-func (e *Execution) ItemsByAttr(attr string) []*DataItem {
-	var out []*DataItem
-	for _, id := range e.ItemIDs() {
-		if e.Items[id].Attr == attr {
-			out = append(out, e.Items[id])
-		}
-	}
-	return out
-}
-
-// ProducerOf returns the node that produced item id, or nil.
-func (e *Execution) ProducerOf(itemID string) *Node {
-	it := e.Items[itemID]
-	if it == nil {
-		return nil
-	}
-	return e.Node(it.Producer)
 }
 
 // Validate checks internal consistency: no nil node or item, unique node

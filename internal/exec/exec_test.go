@@ -309,21 +309,21 @@ func TestCompareExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompareExecutions: %v", err)
 	}
-	if !d.Equal() {
-		t.Fatalf("identical runs differ:\n%s", d.Render())
+	if len(d.OnlyInA)+len(d.OnlyInB)+len(d.ValueDiffs) != 0 {
+		t.Fatalf("identical runs differ: %+v", d)
 	}
 	c := run("C", "rsDIFFERENT")
 	d2, err := CompareExecutions(a, c)
 	if err != nil {
 		t.Fatalf("CompareExecutions: %v", err)
 	}
-	if d2.Equal() {
+	if len(d2.OnlyInA)+len(d2.OnlyInB)+len(d2.ValueDiffs) == 0 {
 		t.Fatal("different runs reported equal")
 	}
 	// snps differs at the source; everything downstream of it differs
 	// too, and the first divergence is the source-produced snps.
 	if d2.FirstDivergence != "snps" {
-		t.Fatalf("FirstDivergence = %s, want snps\n%s", d2.FirstDivergence, d2.Render())
+		t.Fatalf("FirstDivergence = %s, want snps: %+v", d2.FirstDivergence, d2)
 	}
 	found := false
 	for _, v := range d2.ValueDiffs {
@@ -332,7 +332,7 @@ func TestCompareExecutions(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("snps diff missing:\n%s", d2.Render())
+		t.Fatalf("snps diff missing: %+v", d2)
 	}
 	// Lifestyle is untouched: must not appear.
 	for _, v := range d2.ValueDiffs {
@@ -371,17 +371,6 @@ func TestNodeFrames(t *testing.T) {
 	// Root-level nodes have no frames.
 	if i := e.Node("I"); len(i.Frames) != 0 {
 		t.Fatalf("I frames = %+v", i.Frames)
-	}
-}
-
-func TestItemsByAttr(t *testing.T) {
-	_, e := runDisease(t)
-	items := e.ItemsByAttr("disorders")
-	if len(items) != 1 || items[0].Producer != "S7:M8" {
-		t.Fatalf("ItemsByAttr(disorders) = %+v", items)
-	}
-	if got := e.ItemsByAttr("nope"); got != nil {
-		t.Fatalf("ItemsByAttr(nope) = %v", got)
 	}
 }
 

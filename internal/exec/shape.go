@@ -125,6 +125,8 @@ func (v *Vector) Redact(j int) {
 // fresh copy of structure's item l.IDs[j] carrying value j and its redacted
 // bit. It is how a stored execution or a snapshot is compared with the
 // execution it stands for.
+//
+//provlint:ignore unserved test support: exec, query and repo tests turn a value vector back into an execution (shape_test.go, provenance_test.go, helpers_test.go)
 func (l *Layout) Materialize(structure *Execution, id string, v *Vector) *Execution {
 	e := &Execution{ID: id, SpecID: structure.SpecID, Nodes: structure.Nodes, Edges: structure.Edges, Items: make(map[string]*DataItem, len(l.IDs))}
 	for j, itemID := range l.IDs {

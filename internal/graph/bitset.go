@@ -1,27 +1,13 @@
 package graph
 
-import "math/bits"
-
 // Bitset is a fixed-capacity set of small non-negative integers, used
 // for transitive closures and visited sets in the privacy algorithms.
 type Bitset struct {
 	words []uint64
-	n     int
 }
-
-// NewBitset returns a Bitset able to hold values in [0, n).
-func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// Len returns the capacity n the set was created with.
-func (b *Bitset) Len() int { return b.n }
 
 // Set adds i to the set.
 func (b *Bitset) Set(i int) { b.words[i/64] |= 1 << (uint(i) % 64) }
-
-// Clear removes i from the set.
-func (b *Bitset) Clear(i int) { b.words[i/64] &^= 1 << (uint(i) % 64) }
 
 // Has reports whether i is in the set.
 func (b *Bitset) Has(i int) bool { return b.words[i/64]&(1<<(uint(i)%64)) != 0 }
@@ -32,78 +18,4 @@ func (b *Bitset) Or(o *Bitset) {
 	for i := range b.words {
 		b.words[i] |= o.words[i]
 	}
-}
-
-// And sets b to the intersection of b and o.
-func (b *Bitset) And(o *Bitset) {
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-// AndNot removes from b every element of o.
-func (b *Bitset) AndNot(o *Bitset) {
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
-// Count returns the number of elements in the set.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clone returns a copy of b.
-func (b *Bitset) Clone() *Bitset {
-	c := NewBitset(b.n)
-	copy(c.words, b.words)
-	return c
-}
-
-// Elems returns the elements of the set in increasing order. The slice
-// is allocated exactly once, sized by Count.
-func (b *Bitset) Elems() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// ForEach calls fn for every element of the set in increasing order,
-// without allocating (the iteration form of Elems for hot paths like
-// taint propagation over closure rows). Runs of empty words are skipped
-// four at a time, so iterating a sparse set costs ~one OR per four words
-// instead of one branch per word — closure rows of wide executions are
-// mostly empty (see BenchmarkBitsetForEach).
-func (b *Bitset) ForEach(fn func(int)) {
-	words := b.words
-	for wi := 0; wi < len(words); {
-		if wi+4 <= len(words) && words[wi]|words[wi+1]|words[wi+2]|words[wi+3] == 0 {
-			wi += 4
-			continue
-		}
-		w := words[wi]
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi*64 + tz)
-			w &= w - 1
-		}
-		wi++
-	}
-}
-
-// Equal reports whether b and o contain the same elements.
-func (b *Bitset) Equal(o *Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }

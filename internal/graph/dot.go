@@ -56,31 +56,3 @@ func (g *Graph) DOT(opt DotOptions) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// ASCII renders a terse text listing of the graph: one line per node
-// with its successors, in topological order when acyclic, id order
-// otherwise.
-func (g *Graph) ASCII() string {
-	order, err := g.TopoSort()
-	if err != nil {
-		order = make([]NodeID, g.N())
-		for i := range order {
-			order[i] = NodeID(i)
-		}
-	}
-	var b strings.Builder
-	for _, u := range order {
-		succ := append([]NodeID(nil), g.Out(u)...)
-		sort.Slice(succ, func(i, j int) bool { return succ[i] < succ[j] })
-		names := make([]string, len(succ))
-		for i, v := range succ {
-			names[i] = g.Name(v)
-		}
-		if len(names) == 0 {
-			fmt.Fprintf(&b, "%s\n", g.Name(u))
-		} else {
-			fmt.Fprintf(&b, "%s -> %s\n", g.Name(u), strings.Join(names, ", "))
-		}
-	}
-	return b.String()
-}

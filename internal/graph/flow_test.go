@@ -142,9 +142,9 @@ func TestMinEdgeCutProperty(t *testing.T) {
 		if h.Reachable(s, tt) {
 			t.Fatalf("trial %d: cut fails to disconnect", trial)
 		}
-		if len(cut) > g.OutDegree(s) && len(cut) > g.InDegree(tt) {
+		if len(cut) > len(g.Out(s)) && len(cut) > len(g.in[tt]) {
 			t.Fatalf("trial %d: cut %d exceeds trivial bounds %d/%d",
-				trial, len(cut), g.OutDegree(s), g.InDegree(tt))
+				trial, len(cut), len(g.Out(s)), len(g.in[tt]))
 		}
 	}
 }

@@ -102,13 +102,6 @@ func (g *Graph) Lookup(name string) NodeID {
 // Name returns the name of node u. It panics if u is out of range.
 func (g *Graph) Name(u NodeID) string { return g.names[u] }
 
-// Names returns the names of all nodes, indexed by NodeID.
-func (g *Graph) Names() []string {
-	out := make([]string, len(g.names))
-	copy(out, g.names)
-	return out
-}
-
 // AddEdge adds the directed edge u->v. Parallel edges are collapsed:
 // adding an existing edge is a no-op. It panics if u or v is out of
 // range.
@@ -189,16 +182,6 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // Out returns the successors of u. The returned slice must not be
 // modified.
 func (g *Graph) Out(u NodeID) []NodeID { return g.out[u] }
-
-// In returns the predecessors of u. The returned slice must not be
-// modified.
-func (g *Graph) In(u NodeID) []NodeID { return g.in[u] }
-
-// OutDegree returns the number of successors of u.
-func (g *Graph) OutDegree(u NodeID) int { return len(g.out[u]) }
-
-// InDegree returns the number of predecessors of u.
-func (g *Graph) InDegree(u NodeID) int { return len(g.in[u]) }
 
 // Edge is a directed edge between two nodes.
 type Edge struct{ U, V NodeID }

@@ -23,7 +23,7 @@ func NewClosure(g *Graph) (*Closure, error) {
 	rows := make([]Bitset, n)
 	c := &Closure{reach: make([]*Bitset, n)}
 	for i := 0; i < n; i++ {
-		rows[i] = Bitset{words: words[i*wpr : (i+1)*wpr : (i+1)*wpr], n: n}
+		rows[i] = Bitset{words: words[i*wpr : (i+1)*wpr : (i+1)*wpr]}
 		c.reach[i] = &rows[i]
 	}
 	// Process in reverse topological order so successors are done first.
@@ -40,16 +40,3 @@ func NewClosure(g *Graph) (*Closure, error) {
 
 // Reach reports whether v is reachable from u (reflexively).
 func (c *Closure) Reach(u, v NodeID) bool { return c.reach[u].Has(int(v)) }
-
-// From returns the bitset of nodes reachable from u. The caller must not
-// modify it.
-func (c *Closure) From(u NodeID) *Bitset { return c.reach[u] }
-
-// Pairs returns the number of ordered reachable pairs (u,v), u != v.
-func (c *Closure) Pairs() int {
-	total := 0
-	for _, b := range c.reach {
-		total += b.Count() - 1 // exclude self
-	}
-	return total
-}

@@ -494,17 +494,6 @@ func (seg *segment) match(phrase []string, level privacy.Level) []Posting {
 	return out
 }
 
-// Terms returns all indexed terms, sorted.
-func (ix *Inverted) Terms() []string {
-	snap := ix.snapshot()
-	ts := make([]string, 0, len(snap.terms))
-	for t := range snap.terms {
-		ts = append(ts, t)
-	}
-	sort.Strings(ts)
-	return ts
-}
-
 // Postings returns the total number of postings (for size accounting).
 func (ix *Inverted) Postings() int {
 	return ix.snapshot().count
@@ -531,6 +520,8 @@ func (ix *Inverted) Swaps() int64 {
 
 // NaiveLookup is the no-index baseline used by benchmark B4: scan every
 // module of every spec on each query, re-checking the policy each time.
+//
+//provlint:ignore unserved reference: index_test.go holds the index's lookup to this scan; bench_test.go times both
 func NaiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, term string, level privacy.Level) []Posting {
 	want := search.Normalize(term)
 	var out []Posting

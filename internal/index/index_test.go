@@ -1,6 +1,7 @@
 package index
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -334,4 +335,15 @@ func workflowRandom(seed int64) (*workflow.Spec, error) {
 		Edge("A1", "A2", "y").
 		Edge("A2", "O", "z").
 		Build()
+}
+
+// Terms returns all indexed terms, sorted.
+func (ix *Inverted) Terms() []string {
+	snap := ix.snapshot()
+	ts := make([]string, 0, len(snap.terms))
+	for t := range snap.terms {
+		ts = append(ts, t)
+	}
+	sort.Strings(ts)
+	return ts
 }

@@ -165,6 +165,8 @@ func New(cfg Config) *Limiter {
 
 // SetClock injects a clock for deterministic tests. Not safe to call
 // concurrently with Allow.
+//
+//provlint:ignore unserved test support: limit and server tests drive the limiter on a fake clock (limit_test.go, limits_test.go)
 func (l *Limiter) SetClock(now func() time.Time) { l.now = now }
 
 // bucket returns key's bucket, creating (and possibly evicting) under

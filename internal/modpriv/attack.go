@@ -96,6 +96,8 @@ func ReconstructionAttack(rel *Relation, observedInputs []map[string]exec.Value,
 // assignments a given module ran on — the raw material for
 // ReconstructionAttack. The module's inputs are matched by attribute
 // name against each execution's data items flowing into its node(s).
+//
+//provlint:ignore unserved ROADMAP item 8 owns the reconstruction adversary: it runs against served answers or goes (attack_test.go)
 func HarvestInputs(execs []*exec.Execution, moduleID string, inputs []string) []map[string]exec.Value {
 	var out []map[string]exec.Value
 	for _, e := range execs {

@@ -17,7 +17,7 @@ import (
 // quantifies the adversary's real uncertainty for a module followed by
 // a public chain; GreedyChainSecureView finds hidden sets that are safe
 // with respect to that stronger adversary. The conservative alternative
-// (hide everything downstream) is WorkflowAnalysis.Propagate.
+// is to hide everything downstream.
 
 // Apply evaluates the relation as a function: it looks up the row whose
 // input assignment matches in (all inputs must be present) and returns
@@ -309,6 +309,8 @@ func GreedyChainSecureView(rel *Relation, chain []*Relation, gamma int, w Weight
 // module's and chain's output attributes. Exact but exponential; use
 // for ≲16 attributes and as the optimality baseline for
 // GreedyChainSecureView.
+//
+//provlint:ignore unserved reference: chain_test.go holds the greedy solver to this exhaustive one
 func ExhaustiveChainSecureView(rel *Relation, chain []*Relation, gamma int, w Weights) (*SecureView, error) {
 	var attrs []string
 	attrs = append(attrs, rel.Outputs...)

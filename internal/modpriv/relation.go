@@ -138,15 +138,6 @@ func NewHidden(attrs ...string) Hidden {
 	return h
 }
 
-// Clone copies the set.
-func (h Hidden) Clone() Hidden {
-	c := make(Hidden, len(h))
-	for a := range h {
-		c[a] = true
-	}
-	return c
-}
-
 // List returns the hidden attributes in sorted order.
 func (h Hidden) List() []string {
 	out := make([]string, 0, len(h))

@@ -1,16 +1,14 @@
 package modpriv
 
 import (
-	"fmt"
-	"sort"
-
 	"provpriv/internal/exec"
 	"provpriv/internal/workflow"
 )
 
-// WorkflowAnalysis computes a workflow-wide secure view: one hidden set
-// of data attributes, applied to every execution of the workflow, under
-// which every private module retains its required Γ. Attributes are
+// WorkflowAnalysis describes a workflow-wide secure-view problem: one
+// hidden set of data attributes, applied to every execution of the
+// workflow, under which every private module would retain its required Γ.
+// Nothing in the module solves it; the facade still exports the type. Attributes are
 // hidden globally ("in all executions of the workflow", Section 3),
 // because module privacy must hold over repeated executions with varied
 // inputs.
@@ -31,100 +29,6 @@ type WorkflowAnalysis struct {
 	Propagate bool
 	// Exact selects the exhaustive per-module solver instead of greedy.
 	Exact bool
-}
-
-// WorkflowSecureView is the result: the global hidden attribute set, its
-// total utility cost, and the certified privacy level per private
-// module.
-type WorkflowSecureView struct {
-	Hidden     Hidden
-	Cost       float64
-	Guarantees map[string]int
-}
-
-// Solve computes the workflow secure view.
-func (wa *WorkflowAnalysis) Solve() (*WorkflowSecureView, error) {
-	if len(wa.Gamma) == 0 {
-		return &WorkflowSecureView{Hidden: make(Hidden), Guarantees: map[string]int{}}, nil
-	}
-	hidden := make(Hidden)
-	// Deterministic module order.
-	mods := make([]string, 0, len(wa.Gamma))
-	for m := range wa.Gamma {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-	for _, mid := range mods {
-		rel := wa.Relations[mid]
-		if rel == nil {
-			return nil, fmt.Errorf("modpriv: no relation for private module %s", mid)
-		}
-		var sv *SecureView
-		var err error
-		if wa.Exact {
-			sv, err = ExhaustiveSecureView(rel, wa.Gamma[mid], wa.Weights)
-		} else {
-			sv, err = GreedySecureView(rel, wa.Gamma[mid], wa.Weights)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for a := range sv.Hidden {
-			hidden[a] = true
-		}
-	}
-	if wa.Propagate {
-		wa.propagate(hidden)
-	}
-	out := &WorkflowSecureView{
-		Hidden:     hidden,
-		Cost:       wa.Weights.Cost(hidden),
-		Guarantees: make(map[string]int, len(wa.Gamma)),
-	}
-	for _, mid := range mods {
-		rel := wa.Relations[mid]
-		level := rel.PrivacyLevel(hidden)
-		if level < wa.Gamma[mid] {
-			return nil, fmt.Errorf("modpriv: internal: module %s level %d < Γ=%d after union", mid, level, wa.Gamma[mid])
-		}
-		out.Guarantees[mid] = level
-	}
-	return out, nil
-}
-
-// propagate closes hidden downstream over the view graph: whenever a
-// module consumes a hidden attribute, all its outputs become hidden.
-// Modules are processed in topological order so the closure is reached
-// in one pass.
-func (wa *WorkflowAnalysis) propagate(hidden Hidden) {
-	g := wa.View.Graph()
-	order, err := g.TopoSort()
-	if err != nil {
-		return // view graphs are validated acyclic; defensive
-	}
-	byID := make(map[string]*workflow.FlatModule, len(wa.View.Modules))
-	for _, fm := range wa.View.Modules {
-		byID[fm.Module.ID] = fm
-	}
-	for _, n := range order {
-		fm := byID[g.Name(n)]
-		if fm == nil {
-			continue
-		}
-		m := fm.Module
-		tainted := false
-		for _, a := range m.Inputs {
-			if hidden[a] {
-				tainted = true
-				break
-			}
-		}
-		if tainted {
-			for _, a := range m.Outputs {
-				hidden[a] = true
-			}
-		}
-	}
 }
 
 // Redact returns a copy of the execution in which every data item whose

@@ -1,7 +1,6 @@
 package modpriv
 
 import (
-	"strings"
 	"testing"
 
 	"provpriv/internal/exec"
@@ -40,84 +39,6 @@ func notFunc(in map[string]exec.Value) map[string]exec.Value {
 		v = "0"
 	}
 	return map[string]exec.Value{"w": exec.Value(v)}
-}
-
-func chainAnalysis(t *testing.T, propagate bool) *WorkflowAnalysis {
-	t.Helper()
-	_, v := chainSpec(t)
-	dom := Domain{
-		"a": {"0", "1"}, "b": {"0", "1"},
-		"y": {"0", "1"}, "w": {"0", "1"},
-	}
-	relP, err := Enumerate("P", xorFunc, []string{"a", "b"}, []string{"y"}, dom)
-	if err != nil {
-		t.Fatalf("Enumerate P: %v", err)
-	}
-	return &WorkflowAnalysis{
-		View:      v,
-		Relations: map[string]*Relation{"P": relP},
-		Gamma:     map[string]int{"P": 2},
-		Weights:   Weights{"a": 5, "b": 5, "y": 1, "w": 1},
-		Propagate: propagate,
-	}
-}
-
-func TestWorkflowSecureViewBasic(t *testing.T) {
-	wa := chainAnalysis(t, false)
-	sv, err := wa.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !sv.Hidden["y"] {
-		t.Fatalf("hidden = %v, want y hidden (cheapest)", sv.Hidden)
-	}
-	if sv.Guarantees["P"] < 2 {
-		t.Fatalf("guarantee = %d", sv.Guarantees["P"])
-	}
-}
-
-func TestWorkflowSecureViewPropagation(t *testing.T) {
-	wa := chainAnalysis(t, true)
-	sv, err := wa.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	// y hidden => Q consumes hidden data => w must be hidden too.
-	if !sv.Hidden["y"] || !sv.Hidden["w"] {
-		t.Fatalf("hidden = %v, want y and w", sv.Hidden)
-	}
-}
-
-func TestWorkflowSecureViewExact(t *testing.T) {
-	wa := chainAnalysis(t, false)
-	wa.Exact = true
-	sv, err := wa.Solve()
-	if err != nil {
-		t.Fatalf("Solve exact: %v", err)
-	}
-	if sv.Cost != 1 { // just y
-		t.Fatalf("cost = %v, want 1", sv.Cost)
-	}
-}
-
-func TestWorkflowSecureViewNoPrivateModules(t *testing.T) {
-	wa := chainAnalysis(t, false)
-	wa.Gamma = nil
-	sv, err := wa.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if len(sv.Hidden) != 0 || sv.Cost != 0 {
-		t.Fatalf("expected empty view, got %v", sv.Hidden)
-	}
-}
-
-func TestWorkflowSecureViewMissingRelation(t *testing.T) {
-	wa := chainAnalysis(t, false)
-	wa.Gamma["Q"] = 2 // no relation supplied for Q
-	if _, err := wa.Solve(); err == nil || !strings.Contains(err.Error(), "no relation") {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestRedact(t *testing.T) {

@@ -21,6 +21,8 @@ import (
 //
 // It accepts any page this package or the server's /metrics emits and
 // is reused by the e2e smoke test against a live server.
+//
+//provlint:ignore unserved test support: obs, server and provserve tests validate /metrics with it (obs_test.go, server_test.go, smoke_test.go)
 func ValidateExposition(data []byte) error {
 	type family struct {
 		help, typ bool
@@ -173,6 +175,8 @@ func ValidateExposition(data []byte) error {
 // ExpositionSeries parses a page into series-line → value, keyed by the
 // full "name{labels}" string, so tests can diff two scrapes and assert
 // _total monotonicity.
+//
+//provlint:ignore unserved test support: obs and server tests read exposition series with it (internal/obs/obs_test.go, internal/server/obs_test.go)
 func ExpositionSeries(data []byte) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for _, line := range strings.Split(string(data), "\n") {

@@ -100,13 +100,6 @@ func (m *Metrics) ObserveTask(kind string, queueWait, run time.Duration) {
 	tm.run.Observe(run)
 }
 
-// InFlight returns the number of requests currently inside the
-// middleware.
-func (m *Metrics) InFlight() int64 { return m.inflight.Load() }
-
-// Panics returns how many handler panics the middleware recovered.
-func (m *Metrics) Panics() int64 { return m.panics.Load() }
-
 // fmtFloat renders a float the exposition format accepts without
 // trailing-zero noise.
 func fmtFloat(v float64) string {

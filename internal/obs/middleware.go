@@ -70,13 +70,6 @@ func (rec *Recorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying writer when it supports streaming.
-func (rec *Recorder) Flush() {
-	if f, ok := rec.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (rec *Recorder) Unwrap() http.ResponseWriter { return rec.ResponseWriter }
 
@@ -122,14 +115,6 @@ func Principal(w http.ResponseWriter) string {
 		return rec.principal
 	}
 	return ""
-}
-
-// Traced reports whether this request was sampled for tracing —
-// handlers use it to decide whether to pay for a request clone. False
-// for unsampled requests and writers outside the middleware.
-func Traced(w http.ResponseWriter) bool {
-	rec := recorderOf(w)
-	return rec != nil && rec.trace != nil
 }
 
 // validRequestID accepts client-supplied ids that are safe to echo into

@@ -161,7 +161,7 @@ func TestMiddlewareRequestID(t *testing.T) {
 		t.Fatalf("hostile id not replaced: %q", got)
 	}
 
-	if got := o.Metrics.InFlight(); got != 0 {
+	if got := o.Metrics.inflight.Load(); got != 0 {
 		t.Fatalf("in-flight after completion = %d", got)
 	}
 	var b bytes.Buffer
@@ -192,13 +192,13 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 	if body.Error == "" || len(body.RequestID) != 32 {
 		t.Fatalf("panic body = %+v", body)
 	}
-	if o.Metrics.Panics() != 1 {
-		t.Fatalf("panics = %d", o.Metrics.Panics())
+	if o.Metrics.panics.Load() != 1 {
+		t.Fatalf("panics = %d", o.Metrics.panics.Load())
 	}
 	if !strings.Contains(logs.String(), "handler panic") || !strings.Contains(logs.String(), body.RequestID) {
 		t.Fatalf("panic log missing request id: %s", logs.String())
 	}
-	if o.Metrics.InFlight() != 0 {
+	if o.Metrics.inflight.Load() != 0 {
 		t.Fatalf("in-flight leaked after panic")
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -32,8 +33,8 @@ func TestPreparedExecIndexParity(t *testing.T) {
 			t.Fatalf("PrepareExec: %v", err)
 		}
 		for _, n := range e.Nodes {
-			if got := pe.Node(n.ID); got != n {
-				t.Fatalf("seed %d: pe.Node(%s) = %p, want %p", seed, n.ID, got, n)
+			if got := pe.nodeByID[n.ID]; got != n {
+				t.Fatalf("seed %d: nodeByID[%s] = %p, want %p", seed, n.ID, got, n)
 			}
 			if got, want := fmt.Sprint(pe.producedBy[n.ID]), fmt.Sprint(producedBy(e, n.ID)); got != want {
 				t.Fatalf("seed %d: producedBy(%s): %s != %s", seed, n.ID, got, want)
@@ -49,7 +50,7 @@ func TestPreparedExecIndexParity(t *testing.T) {
 				t.Fatalf("seed %d: returnItems(%s): %s != %s", seed, n.ID, got, ref)
 			}
 		}
-		if pe.Node("no-such-node") != nil {
+		if pe.nodeByID["no-such-node"] != nil {
 			t.Fatal("unknown id resolved")
 		}
 	}
@@ -111,7 +112,7 @@ func TestCyclicExecutionIsRefused(t *testing.T) {
 	names("Validate", e.Validate())
 	_, err = PrepareExec(e)
 	names("PrepareExec", err)
-	for _, prefix := range []workflow.Prefix{workflow.FullPrefix(h), workflow.RootPrefix(h)} {
+	for _, prefix := range []workflow.Prefix{workflow.FullPrefix(h), workflow.NewPrefix(h.Root)} {
 		_, err = exec.Collapse(e, s, prefix)
 		names("Collapse", err)
 		view, g, err := exec.CollapseIn(e, h, prefix)
@@ -121,4 +122,35 @@ func TestCyclicExecutionIsRefused(t *testing.T) {
 		_, err = PrepareGraph(view, g)
 		names("CollapseIn + PrepareGraph", err)
 	}
+}
+
+// producedBy and flowingFrom are the linear-scan reference
+// implementations of the PreparedExec return-item indexes; they are kept
+// as the executable spec TestPreparedExecIndexParity checks against.
+func producedBy(e *exec.Execution, nodeID string) []string {
+	var out []string
+	for id, it := range e.Items {
+		if it.Producer == nodeID {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func flowingFrom(e *exec.Execution, nodeID string) []string {
+	set := make(map[string]bool)
+	for _, ed := range e.Edges {
+		if ed.From == nodeID {
+			for _, it := range ed.Items {
+				set[it] = true
+			}
+		}
+	}
+	var out []string
+	for it := range set {
+		out = append(out, it)
+	}
+	sort.Strings(out)
+	return out
 }

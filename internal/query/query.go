@@ -336,10 +336,6 @@ func (pe *PreparedExec) Slot(id string) (int, bool) { return slices.BinarySearch
 // Graph exposes the pre-derived graph for read-only reuse.
 func (pe *PreparedExec) Graph() *graph.Graph { return pe.g }
 
-// Node resolves a node id through the prebuilt index — the O(1)
-// replacement for Execution.Node on warm request paths.
-func (pe *PreparedExec) Node(id string) *exec.Node { return pe.nodeByID[id] }
-
 // returnItems resolves the items a return clause materializes for a
 // bound node: the items it produced, or — for relay (begin/collapsed)
 // nodes that produce nothing — the items on its outgoing edges.
@@ -352,6 +348,8 @@ func (pe *PreparedExec) returnItems(nodeID string) []string {
 
 // Evaluate runs the query against an execution with no privacy
 // constraints.
+//
+//provlint:ignore unserved reference: query tests hold the prepared and spec-level evaluation to this per-execution one (match_tables_test.go, spec_test.go)
 func (ev *Evaluator) Evaluate(q *Query, e *exec.Execution) (*Answer, error) {
 	pe, err := PrepareExec(e)
 	if err != nil {
@@ -364,6 +362,8 @@ func (ev *Evaluator) Evaluate(q *Query, e *exec.Execution) (*Answer, error) {
 // controlled semantics for a user at the given level: the execution is
 // collapsed to the user's access view, values are masked per the data
 // policy, and module-private executions cannot be matched.
+//
+//provlint:ignore unserved reference: the masked-evaluation oracle of query_test.go and zoomout_test.go
 func (ev *Evaluator) EvaluateWithPrivacy(q *Query, e *exec.Execution, pol *privacy.Policy, level privacy.Level) (*Answer, error) {
 	h, err := workflow.NewHierarchy(ev.Spec)
 	if err != nil {
@@ -540,37 +540,6 @@ func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, s Snapshot) error 
 		}
 	}
 	return nil
-}
-
-// producedBy and flowingFrom are the linear-scan reference
-// implementations of the PreparedExec return-item indexes; they are kept
-// as the executable spec TestPreparedExecIndexParity checks against.
-func producedBy(e *exec.Execution, nodeID string) []string {
-	var out []string
-	for id, it := range e.Items {
-		if it.Producer == nodeID {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func flowingFrom(e *exec.Execution, nodeID string) []string {
-	set := make(map[string]bool)
-	for _, ed := range e.Edges {
-		if ed.From == nodeID {
-			for _, it := range ed.Items {
-				set[it] = true
-			}
-		}
-	}
-	var out []string
-	for it := range set {
-		out = append(out, it)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Render renders an answer tersely for CLI output.

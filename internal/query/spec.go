@@ -1,9 +1,7 @@
 package query
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
@@ -138,28 +136,4 @@ func (ev *Evaluator) EvaluateSpec(q *Query, v *workflow.View, pol *privacy.Polic
 		}
 	}
 	return ans, nil
-}
-
-// Render prints the spec answer tersely for CLI output.
-func (a *SpecAnswer) Render() string {
-	out := fmt.Sprintf("spec %s: %d binding(s)\n", a.SpecID, len(a.Bindings))
-	for i, b := range a.Bindings {
-		vars := make([]string, 0, len(b))
-		for v := range b {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		parts := make([]string, len(vars))
-		for j, v := range vars {
-			parts[j] = v + "=" + b[v]
-		}
-		out += fmt.Sprintf("  [%d] %s\n", i, strings.Join(parts, " "))
-	}
-	if len(a.Modules) > 0 {
-		out += "  modules: " + strings.Join(a.Modules, ", ") + "\n"
-	}
-	for i, sub := range a.Sub {
-		out += fmt.Sprintf("  sub[%d]: %s\n", i, strings.Join(sub, ", "))
-	}
-	return out
 }

@@ -136,13 +136,3 @@ func TestSpecAndExecutionAgreement(t *testing.T) {
 		}
 	}
 }
-
-func TestSpecAnswerRender(t *testing.T) {
-	v := fullDiseaseView(t)
-	q, _ := Parse(`MATCH a = "search" RETURN nodes`)
-	ans, _ := NewEvaluator(v.Spec).EvaluateSpec(q, v, nil, 0)
-	out := ans.Render()
-	if !strings.Contains(out, "modules: M10, M12") || !strings.Contains(out, "2 binding(s)") {
-		t.Fatalf("Render:\n%s", out)
-	}
-}

@@ -28,11 +28,11 @@ import (
 // hold those scores to, and what the ranking-leak analyses run on.
 //
 // Concurrency contract: Corpus is internally synchronized with a
-// read/write mutex so AddDoc / RemoveDoc deltas can be applied while
-// other goroutines keep ranking against the same corpus. Readers (Rank,
-// Score, TF, IDF, N) take the read lock once per call; mutators take the
-// write lock for the duration of one document's delta, so mutation cost
-// is proportional to that document's term count, never to corpus size.
+// read/write mutex so Add deltas can be applied while other goroutines
+// keep ranking against the same corpus. Readers (Rank, Score, TF, IDF)
+// take the read lock once per call; Add takes the write lock for the
+// duration of one document's delta, so its cost is proportional to that
+// document's term count, never to corpus size.
 type Corpus struct {
 	mu   sync.RWMutex
 	docs map[string]map[string]int // doc -> term -> count
@@ -60,20 +60,6 @@ func (c *Corpus) Add(docID string, terms []string) {
 	}
 }
 
-// AddDoc is the incremental-maintenance spelling of Add: it inserts (or
-// replaces) one document, updating document-frequency counts in
-// O(document terms).
-func (c *Corpus) AddDoc(docID string, terms []string) { c.Add(docID, terms) }
-
-// RemoveDoc deletes one document, decrementing the document frequency of
-// each of its terms — the inverse delta of AddDoc, O(document terms).
-// Removing an unknown doc is a no-op.
-func (c *Corpus) RemoveDoc(docID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(docID)
-}
-
 // removeLocked drops docID's contribution to docs and df. Caller holds
 // the write lock.
 func (c *Corpus) removeLocked(docID string) {
@@ -88,13 +74,6 @@ func (c *Corpus) removeLocked(docID string) {
 		}
 	}
 	delete(c.docs, docID)
-}
-
-// N returns the number of documents.
-func (c *Corpus) N() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.docs)
 }
 
 // TF returns the raw term frequency of term in doc.
@@ -129,6 +108,8 @@ func IDF(n, df int) float64 {
 // Score is the TF-IDF score of doc for the query: Σ_t tf(d,t)·idf(t).
 // Raw tf keeps the score linear in occurrence counts, which is exactly
 // what makes exact scores invertible — the leakage the paper describes.
+//
+//provlint:ignore unserved reference: matches_test.go holds the index's per-spec score to it
 func (c *Corpus) Score(docID string, query []string) float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -209,6 +190,8 @@ func Bucketize(rs []Ranked, nBuckets int) []Ranked {
 // Section 5: the same query returns a different ranking on every call,
 // breaking reproducibility. Provided for the B6 ablation against
 // deterministic bucketing.
+//
+//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary and its defences (rank_test.go)
 func Perturb(rs []Ranked, scale float64, seed int64) []Ranked {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Ranked, len(rs))
@@ -229,6 +212,8 @@ func Perturb(rs []Ranked, scale float64, seed int64) []Ranked {
 // InvertTF is the frequency-inference attack: given a published score
 // for a single-term query and the public IDF of the term, estimate the
 // term count in the document. With exact scores the estimate is exact.
+//
+//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary (rank_test.go)
 func InvertTF(score, idf float64) float64 {
 	if idf == 0 {
 		return 0
@@ -246,6 +231,8 @@ type AttackReport struct {
 // FrequencyAttack runs the inversion attack for a single term against
 // published scores, comparing with the true counts in the (full,
 // pre-privacy) corpus.
+//
+//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary: it runs against served scores or goes (rank_test.go)
 func FrequencyAttack(trueCorpus *Corpus, published []Ranked, term string) AttackReport {
 	idf := trueCorpus.IDF(term)
 	var rep AttackReport
@@ -271,6 +258,8 @@ func FrequencyAttack(trueCorpus *Corpus, published []Ranked, term string) Attack
 // excluded from both numerator and denominator (Goodman–Kruskal gamma),
 // so a bucketed ranking is not penalized for the order of documents
 // within one bucket. Documents missing from either ranking are ignored.
+//
+//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary's utility measure (rank_test.go)
 func KendallTau(a, b []Ranked) float64 {
 	scoreA := make(map[string]float64, len(a))
 	for _, r := range a {

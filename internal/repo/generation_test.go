@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
@@ -166,7 +167,11 @@ func TestReachesOnePathAgreesWithPerRequestExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, names := v.Graph(), v.Graph().Names()
+		g := v.Graph()
+		names := make([]string, g.N())
+		for i := range names {
+			names[i] = g.Name(graph.NodeID(i))
+		}
 		for n := 0; n < 2; {
 			from, to := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
 			if from == to || !g.Reachable(g.Lookup(from), g.Lookup(to)) {

@@ -12,6 +12,7 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/storage"
+	"provpriv/internal/storage/storagetest"
 	"provpriv/internal/workload"
 )
 
@@ -113,9 +114,9 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 	}
 	var points []kp
 	for n := 1; n <= 3; n++ {
-		points = append(points, kp{storage.OpAppend, n, false}, kp{storage.OpAppend, n, true})
+		points = append(points, kp{storagetest.OpAppend, n, false}, kp{storagetest.OpAppend, n, true})
 	}
-	points = append(points, kp{storage.OpCommit, 1, false}, kp{storage.OpCommit, 1, true})
+	points = append(points, kp{storagetest.OpCommit, 1, false}, kp{storagetest.OpCommit, 1, true})
 	// The "flat" level is from when there were two backends; it stays so
 	// the kill points keep the names they have had since PR 6.
 	t.Run("flat", func(t *testing.T) {
@@ -131,7 +132,7 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("open backend: %v", err)
 				}
-				f := storage.NewFault(base)
+				f := storagetest.NewFault(base)
 				if err := r.BindStorage(f, dir); err != nil {
 					t.Fatalf("BindStorage: %v", err)
 				}
@@ -157,7 +158,7 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 				got := snapshotVersion(t, r2)
 				r2.CloseStorage()
 				want := 1
-				if p.op == storage.OpCommit && p.after {
+				if p.op == storagetest.OpCommit && p.after {
 					// The manifest landed before the crash: v2 is committed.
 					want = 2
 				}
@@ -201,8 +202,8 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 	var points []kp
 	for n := 1; n <= 3; n++ {
 		points = append(points,
-			kp{storage.OpWriteCheckpoint, n, false}, kp{storage.OpWriteCheckpoint, n, true},
-			kp{storage.OpCommit, n, false}, kp{storage.OpCommit, n, true})
+			kp{storagetest.OpWriteCheckpoint, n, false}, kp{storagetest.OpWriteCheckpoint, n, true},
+			kp{storagetest.OpCommit, n, false}, kp{storagetest.OpCommit, n, true})
 	}
 	// The "flat" level is from when there were two backends; it stays so
 	// the kill points keep the names they have had since PR 6.
@@ -219,7 +220,7 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("open backend: %v", err)
 				}
-				f := storage.NewFault(base)
+				f := storagetest.NewFault(base)
 				if err := r.BindStorage(f, dir); err != nil {
 					t.Fatalf("BindStorage: %v", err)
 				}

@@ -284,6 +284,8 @@ func New() *Repository {
 // SetWorkers resizes the bounded fan-out pool (minimum 1; 1 disables
 // engine-internal parallelism, the serial baseline of
 // BenchmarkQueryAllParallel).
+//
+//provlint:ignore unserved test support: root and repo benchmarks and concurrency tests size the fan-out pool (bench_test.go, concurrent_test.go)
 func (r *Repository) SetWorkers(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -59,7 +59,7 @@ func TestRandomSpecSearchAccessMonotone(t *testing.T) {
 		}
 		h, _ := workflow.NewHierarchy(s)
 		pol := privacy.NewPolicy(s.ID)
-		coarse := workflow.RootPrefix(h)
+		coarse := workflow.NewPrefix(h.Root)
 		fine := workflow.FullPrefix(h)
 		for _, q := range workload.RandomQueries(rng, nil, 10) {
 			phrases := search.ParseQuery(q)

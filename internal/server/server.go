@@ -1098,9 +1098,8 @@ type statsBody struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, user string) {
 	body := statsBody{Stats: s.repo.Stats()}
-	// AuthFailures subsumes the authenticator's invalid-secret count:
-	// every invalid token already fails principal() and is counted once
-	// there (adding Auth.Failures() would double-count).
+	// AuthFailures is the one count of failed authentications: every
+	// invalid token fails principal() and is counted there.
 	body.Mutations = s.mutations.Load()
 	body.AuthFailures = s.authFailures.Load()
 	body.ShedDraining = s.shedDraining.Load()

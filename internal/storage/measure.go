@@ -30,9 +30,6 @@ type Measure struct {
 // NewMeasure wraps b.
 func NewMeasure(b Backend) *Measure { return &Measure{b: b} }
 
-// Unwrap returns the wrapped backend.
-func (m *Measure) Unwrap() Backend { return m.b }
-
 // MeasureStats is a point-in-time snapshot of the counters, shaped for
 // the server's /stats JSON.
 type MeasureStats struct {

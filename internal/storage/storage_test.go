@@ -33,7 +33,7 @@ func TestFaultWrapperUnarmedConformance(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return storage.NewFault(b), nil
+		return storagetest.NewFault(b), nil
 	})
 }
 
@@ -90,9 +90,9 @@ func TestFaultKillBefore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := storage.NewFault(b)
+	f := storagetest.NewFault(b)
 	defer f.Close()
-	f.KillBefore(storage.OpCommit, 1)
+	f.KillBefore(storagetest.OpCommit, 1)
 	recs := []storage.Record{{Type: storage.RecSpec, Key: "s", Data: []byte("x")}}
 	if err := f.WriteCheckpoint("s", 1, recs); err != nil {
 		t.Fatal(err)
@@ -100,14 +100,14 @@ func TestFaultKillBefore(t *testing.T) {
 	err = f.Commit(storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{
 		"s": {Checkpoint: 1, Records: 1},
 	}})
-	if !errors.Is(err, storage.ErrKilled) {
+	if !errors.Is(err, storagetest.ErrKilled) {
 		t.Fatalf("commit err = %v, want ErrKilled", err)
 	}
 	if !f.Dead() {
 		t.Fatal("fault not dead after kill")
 	}
 	// Dead stays dead.
-	if err := f.WriteCheckpoint("s", 2, recs); !errors.Is(err, storage.ErrKilled) {
+	if err := f.WriteCheckpoint("s", 2, recs); !errors.Is(err, storagetest.ErrKilled) {
 		t.Fatalf("post-death write err = %v, want ErrKilled", err)
 	}
 	// The kill fired before the operation: nothing was committed.
@@ -125,9 +125,9 @@ func TestFaultKillAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := storage.NewFault(b)
+	f := storagetest.NewFault(b)
 	defer f.Close()
-	f.KillAfter(storage.OpCommit, 1)
+	f.KillAfter(storagetest.OpCommit, 1)
 	recs := []storage.Record{{Type: storage.RecSpec, Key: "s", Data: []byte("x")}}
 	if err := f.WriteCheckpoint("s", 1, recs); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestFaultKillAfter(t *testing.T) {
 	err = f.Commit(storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{
 		"s": {Checkpoint: 1, Records: 1},
 	}})
-	if !errors.Is(err, storage.ErrKilled) {
+	if !errors.Is(err, storagetest.ErrKilled) {
 		t.Fatalf("commit err = %v, want ErrKilled", err)
 	}
 	// KillAfter: the commit landed even though the caller saw a crash.
@@ -146,9 +146,9 @@ func TestFaultKillAfter(t *testing.T) {
 	if m.Generation != 1 {
 		t.Fatalf("commit lost despite KillAfter: %+v", m)
 	}
-	if f.Calls(storage.OpCommit) != 1 || f.Calls(storage.OpWriteCheckpoint) != 1 {
+	if f.Calls(storagetest.OpCommit) != 1 || f.Calls(storagetest.OpWriteCheckpoint) != 1 {
 		t.Fatalf("call counts: commit=%d checkpoint=%d",
-			f.Calls(storage.OpCommit), f.Calls(storage.OpWriteCheckpoint))
+			f.Calls(storagetest.OpCommit), f.Calls(storagetest.OpWriteCheckpoint))
 	}
 }
 
@@ -176,9 +176,9 @@ func TestFaultKillAfterWithOverlappingCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &parkedAppends{Backend: b, entered: make(chan struct{}), gate: make(chan struct{})}
-	f := storage.NewFault(p)
+	f := storagetest.NewFault(p)
 	defer f.Close()
-	f.KillAfter(storage.OpAppend, 1)
+	f.KillAfter(storagetest.OpAppend, 1)
 	recs := []storage.Record{{Type: storage.RecExec, Key: "e", Data: []byte("x")}}
 	first := make(chan error, 1)
 	go func() {
@@ -190,7 +190,7 @@ func TestFaultKillAfterWithOverlappingCalls(t *testing.T) {
 		t.Fatalf("Append #2, overlapping #1, = %v; the kill is armed for #1", err)
 	}
 	close(p.gate)
-	if err := <-first; !errors.Is(err, storage.ErrKilled) {
+	if err := <-first; !errors.Is(err, storagetest.ErrKilled) {
 		t.Fatalf("Append #1 = %v, want ErrKilled once it completed", err)
 	}
 	if !f.Dead() {

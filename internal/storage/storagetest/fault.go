@@ -1,12 +1,14 @@
-package storage
+package storagetest
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"provpriv/internal/storage"
 )
 
-// Fault wraps a Backend for crash testing: it counts calls per
+// Fault wraps a storage.Backend for crash testing: it counts calls per
 // operation and, at a configured kill point, returns ErrKilled either
 // before the operation runs (the write never happened) or after it
 // completed (the write landed but the caller thinks it failed — the
@@ -14,7 +16,7 @@ import (
 // further mutating call fails, modeling a process that never got to
 // run its cleanup.
 type Fault struct {
-	b Backend
+	b storage.Backend
 
 	mu     sync.Mutex
 	calls  map[string]int
@@ -38,7 +40,7 @@ const (
 )
 
 // NewFault wraps b with no kill points armed.
-func NewFault(b Backend) *Fault {
+func NewFault(b storage.Backend) *Fault {
 	return &Fault{
 		b:      b,
 		calls:  make(map[string]int),
@@ -49,7 +51,7 @@ func NewFault(b Backend) *Fault {
 
 // Unwrap returns the wrapped backend (kill points do not apply to
 // calls made on it directly — tests use it to inspect state post-kill).
-func (f *Fault) Unwrap() Backend { return f.b }
+func (f *Fault) Unwrap() storage.Backend { return f.b }
 
 // KillBefore arms a kill immediately before the n-th (1-based) call to
 // op: the operation does not run.
@@ -113,18 +115,18 @@ func (f *Fault) exit(op string, nth int, opErr error) error {
 	return opErr
 }
 
-// Meta implements Backend.
-func (f *Fault) Meta() (Meta, error) {
+// Meta implements storage.Backend.
+func (f *Fault) Meta() (storage.Meta, error) {
 	nth, err := f.enter(OpMeta)
 	if err != nil {
-		return Meta{}, err
+		return storage.Meta{}, err
 	}
 	m, err := f.b.Meta()
 	return m, f.exit(OpMeta, nth, err)
 }
 
-// WriteCheckpoint implements Backend.
-func (f *Fault) WriteCheckpoint(shard string, gen uint64, recs []Record) error {
+// WriteCheckpoint implements storage.Backend.
+func (f *Fault) WriteCheckpoint(shard string, gen uint64, recs []storage.Record) error {
 	nth, err := f.enter(OpWriteCheckpoint)
 	if err != nil {
 		return err
@@ -132,8 +134,8 @@ func (f *Fault) WriteCheckpoint(shard string, gen uint64, recs []Record) error {
 	return f.exit(OpWriteCheckpoint, nth, f.b.WriteCheckpoint(shard, gen, recs))
 }
 
-// ReadCheckpoint implements Backend.
-func (f *Fault) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Record) error) error {
+// ReadCheckpoint implements storage.Backend.
+func (f *Fault) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(storage.Record) error) error {
 	nth, err := f.enter(OpReadCheckpoint)
 	if err != nil {
 		return err
@@ -141,8 +143,8 @@ func (f *Fault) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Re
 	return f.exit(OpReadCheckpoint, nth, f.b.ReadCheckpoint(shard, gen, want, fn))
 }
 
-// Append implements Backend.
-func (f *Fault) Append(shard string, gen, at uint64, recs []Record) (uint64, error) {
+// Append implements storage.Backend.
+func (f *Fault) Append(shard string, gen, at uint64, recs []storage.Record) (uint64, error) {
 	nth, err := f.enter(OpAppend)
 	if err != nil {
 		return 0, err
@@ -151,8 +153,8 @@ func (f *Fault) Append(shard string, gen, at uint64, recs []Record) (uint64, err
 	return n, f.exit(OpAppend, nth, err)
 }
 
-// ReplayLog implements Backend.
-func (f *Fault) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) error {
+// ReplayLog implements storage.Backend.
+func (f *Fault) ReplayLog(shard string, gen, upTo uint64, fn func(storage.Record) error) error {
 	nth, err := f.enter(OpReplay)
 	if err != nil {
 		return err
@@ -160,8 +162,8 @@ func (f *Fault) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error)
 	return f.exit(OpReplay, nth, f.b.ReplayLog(shard, gen, upTo, fn))
 }
 
-// ReplayTail implements Backend, counted and killed as a replay.
-func (f *Fault) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
+// ReplayTail implements storage.Backend, counted and killed as a replay.
+func (f *Fault) ReplayTail(shard string, gen, from uint64, fn func(storage.Record) error) (uint64, error) {
 	nth, err := f.enter(OpReplay)
 	if err != nil {
 		return 0, err
@@ -170,8 +172,8 @@ func (f *Fault) ReplayTail(shard string, gen, from uint64, fn func(Record) error
 	return end, f.exit(OpReplay, nth, err)
 }
 
-// Commit implements Backend.
-func (f *Fault) Commit(meta Meta) error {
+// Commit implements storage.Backend.
+func (f *Fault) Commit(meta storage.Meta) error {
 	nth, err := f.enter(OpCommit)
 	if err != nil {
 		return err
@@ -179,7 +181,7 @@ func (f *Fault) Commit(meta Meta) error {
 	return f.exit(OpCommit, nth, f.b.Commit(meta))
 }
 
-// DropShard implements Backend.
+// DropShard implements storage.Backend.
 func (f *Fault) DropShard(shard string) error {
 	nth, err := f.enter(OpDrop)
 	if err != nil {
@@ -188,6 +190,6 @@ func (f *Fault) DropShard(shard string) error {
 	return f.exit(OpDrop, nth, f.b.DropShard(shard))
 }
 
-// Close implements Backend (never killed — even a dying process's fds
+// Close implements storage.Backend (never killed — even a dying process's fds
 // get closed).
 func (f *Fault) Close() error { return f.b.Close() }

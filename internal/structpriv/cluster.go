@@ -2,6 +2,7 @@ package structpriv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,6 +139,8 @@ func buildQuotient(g *graph.Graph, members []string) (*graph.Graph, string) {
 // clustered greedily in deterministic order; each grouping result is
 // applied to the previous quotient, so the final graph hides all pairs.
 // Returns the final quotient plus the per-group clusters.
+//
+//provlint:ignore unserved ROADMAP item 14 decides whether structpriv is served or goes (optimize_test.go)
 func HideByClusterGroups(g *graph.Graph, pairs []Pair) (*Result, [][]string, error) {
 	if len(pairs) == 0 {
 		return nil, nil, fmt.Errorf("structpriv: no pairs to hide")
@@ -233,19 +236,10 @@ func HideByClusterGroups(g *graph.Graph, pairs []Pair) (*Result, [][]string, err
 	final := &Result{
 		Strategy: Cluster,
 		Graph:    work,
-		Cluster:  flatten(groups),
+		Cluster:  slices.Sorted(slices.Values(slices.Concat(groups...))),
 	}
 	final.Metrics = computeMetrics(g, work, nodeMap, pairs, clusterSet)
 	return final, groups, nil
-}
-
-func flatten(groups [][]string) []string {
-	var out []string
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ExtraneousPairs returns the connectivity facts a user can infer from
@@ -299,6 +293,8 @@ func ExtraneousPairs(orig *graph.Graph, res *Result) []Pair {
 
 // IsSound reports whether the clustered view allows no extraneous
 // inferences (cut-based results are sound by construction).
+//
+//provlint:ignore unserved ROADMAP item 14 decides whether structpriv is served or goes (structpriv_test.go)
 func IsSound(orig *graph.Graph, res *Result) bool {
 	if res.Strategy != Cluster {
 		return true

@@ -69,11 +69,10 @@ func protectedAncestorLeaks(t testing.TB, full, masked *exec.Execution, pol *pri
 		if from < 0 {
 			t.Fatalf("producer %s not in graph", src.Producer)
 		}
-		reach := cl.From(from)
 		for _, id := range masked.ItemIDs() {
 			it := masked.Items[id]
 			prod := g.Lookup(full.Items[id].Producer)
-			if prod < 0 || !reach.Has(int(prod)) {
+			if prod < 0 || !cl.Reach(from, prod) {
 				continue // not a descendant of the protected source
 			}
 			if strings.Contains(string(it.Value), string(src.Value)) {

@@ -61,9 +61,6 @@ func byPriority(a, b pattern) int {
 	return cmp.Or(cmp.Compare(len(b.raw), len(a.raw)), cmp.Compare(a.attr, b.attr), cmp.Compare(a.raw, b.raw))
 }
 
-// Patterns returns how many distinct (attr, raw) patterns are compiled.
-func (r *Replacer) Patterns() int { return len(r.pats) }
-
 // replScratch is the pooled per-rewrite working memory: per-position
 // best-match tables sized to the value being rewritten and an output
 // buffer. Pooling keeps the steady-state sanitization path free of

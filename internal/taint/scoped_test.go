@@ -81,7 +81,7 @@ func checkScoped(t *testing.T, seed int64, lvl uint8, viewBits uint64, flags uin
 	if err != nil {
 		t.Fatalf("seed %d: NewHierarchy: %v", seed, err)
 	}
-	prefix := workflow.RootPrefix(h)
+	prefix := workflow.NewPrefix(h.Root)
 	for i, w := range h.All()[1:] { // breadth first: a parent comes before its children
 		if viewBits>>(i%64)&1 == 1 && prefix.Contains(h.Parent(w)) {
 			prefix[w] = true

@@ -94,16 +94,6 @@ type source struct {
 	pat int32
 }
 
-// Replacer exposes the compiled multi-pattern sanitizer (nil when the
-// analysis found nothing to protect) — benchmarks and tests use it to
-// size their expectations.
-func (s *Set) Replacer() *Replacer {
-	if s == nil || len(s.repl.pats) == 0 {
-		return nil
-	}
-	return &s.repl
-}
-
 // seed makes s, reusing its memory, the analysis of full above level, and
 // reports whether full has a source. The sources are read from full's
 // vector, their attributes from its shape's layout.
@@ -139,50 +129,6 @@ func (s *Set) compile() {
 	s.repl.pats = pats
 }
 
-// LabelsFor returns the labels tainting an item that a viewer at the
-// given level is not entitled to, in deterministic order.
-func (s *Set) LabelsFor(itemID string, level privacy.Level) []Label {
-	if s == nil || len(s.srcs) == 0 {
-		return nil
-	}
-	j, ok := s.anc.Index(itemID)
-	if !ok {
-		return nil
-	}
-	var out []Label
-	for _, src := range s.srcs {
-		if src.Required > level && s.anc.Descends(src.at, j) {
-			out = append(out, src.Label)
-		}
-	}
-	return out
-}
-
-// Items returns how many items carry at least one label.
-func (s *Set) Items() int { n, _ := s.count(); return n }
-
-// Labels returns the total number of (item, label) taint pairs.
-func (s *Set) Labels() int { _, n := s.count(); return n }
-
-func (s *Set) count() (items, labels int) {
-	if s == nil || len(s.srcs) == 0 {
-		return 0, 0
-	}
-	for j := range s.anc.IDs {
-		n := 0
-		for _, src := range s.srcs {
-			if s.anc.Descends(src.at, j) {
-				n++
-			}
-		}
-		labels += n
-		if n > 0 {
-			items++
-		}
-	}
-	return items, labels
-}
-
 // Report accounts for what a sanitization pass did — the utility side of
 // the privacy/utility trade-off. Every item lands in exactly one bucket.
 type Report struct {
@@ -191,23 +137,6 @@ type Report struct {
 	Redacted      int // protected items fully masked (no hierarchy, or rewrite failed)
 	Rewritten     int // visible items whose embedded tainted values were rewritten
 	TaintRedacted int // visible items redacted because rewriting could not remove a leak
-}
-
-// Total returns the number of items processed.
-func (r Report) Total() int {
-	return r.Visible + r.Generalized + r.Redacted + r.Rewritten + r.TaintRedacted
-}
-
-// UtilityScore is the fraction of information surviving masking: full
-// credit for visible items, 3/4 for rewritten ones (the item's own value
-// shape survives, only embedded ancestors are coarsened), half for
-// generalized ones, none for redactions.
-func (r Report) UtilityScore() float64 {
-	t := r.Total()
-	if t == 0 {
-		return 1
-	}
-	return (float64(r.Visible) + 0.75*float64(r.Rewritten) + 0.5*float64(r.Generalized)) / float64(t)
 }
 
 // Engine seeds, propagates and applies taint for one policy.
@@ -249,12 +178,6 @@ func (en *Engine) Analyze(e *exec.Execution) *Set {
 	set := new(Set)
 	set.seed(en, exec.NewStored(e), privacy.Public)
 	return set
-}
-
-// Sanitize is Analyze followed by Apply — the one-shot entry point for
-// masking an execution you hold in full.
-func (en *Engine) Sanitize(e *exec.Execution, level privacy.Level) (*exec.Execution, Report) {
-	return en.Apply(e, level, en.Analyze(e))
 }
 
 // Apply returns a deep copy of e masked for a viewer at the given level

@@ -268,17 +268,3 @@ func TestNilSetIsAttributeLocalOnly(t *testing.T) {
 		t.Fatal("expected the documented trace leak without taint propagation")
 	}
 }
-
-func TestReportBucketsAndUtility(t *testing.T) {
-	r := taint.Report{Visible: 4, Generalized: 2, Redacted: 1, Rewritten: 2, TaintRedacted: 1}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	want := (4 + 0.75*2 + 0.5*2) / 10.0
-	if got := r.UtilityScore(); got != want {
-		t.Fatalf("utility = %v, want %v", got, want)
-	}
-	if (taint.Report{}).UtilityScore() != 1 {
-		t.Fatal("empty report should score 1")
-	}
-}

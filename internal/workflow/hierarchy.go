@@ -91,9 +91,6 @@ func (h *Hierarchy) Module(id string) (*Module, *Workflow) {
 // Parent returns the parent workflow of wid ("" for the root).
 func (h *Hierarchy) Parent(wid string) string { return h.parent[wid] }
 
-// Children returns the child workflows of wid in sorted order.
-func (h *Hierarchy) Children(wid string) []string { return h.children[wid] }
-
 // ViaModule returns the composite module whose expansion introduces wid.
 func (h *Hierarchy) ViaModule(wid string) string { return h.viaModule[wid] }
 
@@ -221,12 +218,10 @@ func FullPrefix(h *Hierarchy) Prefix {
 	return p
 }
 
-// RootPrefix returns the minimal prefix {root}.
-func RootPrefix(h *Hierarchy) Prefix { return NewPrefix(h.Root) }
-
-// Prefixes enumerates every legal prefix of h (used by tests and the
-// zoom-out search on small hierarchies). The count is exponential in the
-// hierarchy size; callers should bound the hierarchy.
+// Prefixes enumerates every legal prefix of h. The count is exponential
+// in the hierarchy size; callers should bound the hierarchy.
+//
+//provlint:ignore unserved test support: root, exec, search and workflow tests enumerate every prefix (bench_test.go, view_test.go, shown_test.go)
 func Prefixes(h *Hierarchy) []Prefix {
 	all := h.All()
 	// Order children after parents (BFS already does), then do a simple

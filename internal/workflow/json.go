@@ -3,7 +3,6 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // MarshalSpec serializes a spec as indented JSON.
@@ -21,23 +20,4 @@ func UnmarshalSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// WriteSpec writes the JSON encoding of s to w.
-func WriteSpec(w io.Writer, s *Spec) error {
-	data, err := MarshalSpec(s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadSpec reads and validates a spec from r.
-func ReadSpec(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: read spec: %w", err)
-	}
-	return UnmarshalSpec(data)
 }

@@ -217,6 +217,8 @@ func mergeEdges(es []ViewEdge) []ViewEdge {
 }
 
 // Module returns the flat module with the given id, or nil.
+//
+//provlint:ignore unserved test support: search, repo and workflow tests look modules up in a view (search_test.go, generation_test.go, view_test.go)
 func (v *View) Module(id string) *FlatModule { return v.byID[id] }
 
 // ModuleIDs returns the ids of all modules in the view, sorted.

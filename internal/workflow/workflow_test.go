@@ -231,9 +231,9 @@ func TestHierarchy(t *testing.T) {
 	if got := h.ViaModule("W3"); got != "M2" {
 		t.Fatalf("ViaModule(W3) = %s, want M2", got)
 	}
-	kids := h.Children("W1")
+	kids := h.children["W1"]
 	if len(kids) != 2 || kids[0] != "W2" || kids[1] != "W3" {
-		t.Fatalf("Children(W1) = %v", kids)
+		t.Fatalf("children[W1] = %v", kids)
 	}
 	all := h.All()
 	if len(all) != 4 || all[0] != "W1" {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"provpriv/internal/exec"
@@ -250,9 +251,10 @@ func RandomQueries(rng *rand.Rand, vocab []string, n int) []string {
 // LayeredDAG generates a DAG with the given number of layers and width:
 // every node in layer i gets 1–maxIn edges from random nodes of earlier
 // layers. Used by the structural-privacy benchmarks.
+//
+//provlint:ignore unserved test support: root structural-privacy benchmarks and workload_test.go build DAGs with it (bench_test.go)
 func LayeredDAG(rng *rand.Rand, layers, width, maxIn int) *graph.Graph {
 	g := graph.New()
-	var prev []graph.NodeID
 	var all []graph.NodeID
 	for l := 0; l < layers; l++ {
 		var cur []graph.NodeID
@@ -267,23 +269,14 @@ func LayeredDAG(rng *rand.Rand, layers, width, maxIn int) *graph.Graph {
 				}
 			}
 		}
-		prev = cur
 		all = append(all, cur...)
 	}
-	_ = prev
 	return g
 }
 
-// BoolDomain builds a {0,1} domain for the given attributes.
-func BoolDomain(attrs ...string) modpriv.Domain {
-	d := make(modpriv.Domain, len(attrs))
-	for _, a := range attrs {
-		d[a] = []exec.Value{"0", "1"}
-	}
-	return d
-}
-
 // KDomain builds a domain of k values v0..v(k-1) for each attribute.
+//
+//provlint:ignore unserved test support: root module-privacy benchmarks and workload_test.go build domains with it (bench_test.go)
 func KDomain(k int, attrs ...string) modpriv.Domain {
 	vals := make([]exec.Value, k)
 	for i := range vals {
@@ -300,13 +293,15 @@ func KDomain(k int, attrs ...string) modpriv.Domain {
 // each output value is chosen from its domain by hashing the seed, the
 // sorted input assignment and the output attribute. The same seed always
 // yields the same relation — module privacy requires a fixed function.
+//
+//provlint:ignore unserved ROADMAP item 8 owns the reconstruction adversary's random modules (workload_test.go)
 func RandomTableFunc(seed int64, outputs []string, dom modpriv.Domain) exec.Func {
 	return func(in map[string]exec.Value) map[string]exec.Value {
 		keys := make([]string, 0, len(in))
 		for a := range in {
 			keys = append(keys, a)
 		}
-		sortStrings(keys)
+		sort.Strings(keys)
 		var sig strings.Builder
 		for _, a := range keys {
 			sig.WriteString(a)
@@ -322,13 +317,5 @@ func RandomTableFunc(seed int64, outputs []string, dom modpriv.Domain) exec.Func
 			out[o] = vals[h.Sum64()%uint64(len(vals))]
 		}
 		return out
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

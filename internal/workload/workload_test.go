@@ -125,10 +125,6 @@ func TestLayeredDAG(t *testing.T) {
 }
 
 func TestDomains(t *testing.T) {
-	d := BoolDomain("a", "b")
-	if d.Size("a") != 2 || d.Size("b") != 2 {
-		t.Fatalf("BoolDomain = %v", d)
-	}
 	k := KDomain(5, "x")
 	if k.Size("x") != 5 {
 		t.Fatalf("KDomain = %v", k)

@@ -171,14 +171,13 @@ func leakOracle(t *testing.T, full, served *exec.Execution, pol *privacy.Policy,
 		if from < 0 {
 			t.Fatalf("%s: producer %s missing from graph", ctx, src.Producer)
 		}
-		reach := cl.From(from)
 		for id, it := range served.Items {
 			fullItem := full.Items[id]
 			if fullItem == nil {
 				continue
 			}
 			prod := g.Lookup(fullItem.Producer)
-			if prod < 0 || !reach.Has(int(prod)) {
+			if prod < 0 || !cl.Reach(from, prod) {
 				continue
 			}
 			if strings.Contains(string(it.Value), string(src.Value)) {

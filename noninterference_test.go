@@ -9,8 +9,9 @@ package provpriv
 // every item of every execution (visible or not, so the 403s are compared
 // too); structural queries per execution, zoomed out, across executions and
 // paged one answer at a time; reachability between every pair of modules;
-// the spec listing; and a search for every module keyword, ranked and
-// counted — must be byte-identical in both worlds, status and body. A /query
+// the spec listing; and, for every module keyword of either world, a search,
+// ranked and counted, and a query — must be byte-identical in both worlds,
+// status and body. A /query
 // body carries no item value, so the per-execution answers, direct and
 // zoomed out, are also compared as the engine hands them to an in-process
 // caller (cmd/provsearch prints them), provenance sub-executions included.
@@ -19,7 +20,8 @@ package provpriv
 // The check knows nothing of caches, plans or encoders; it bites when any of
 // them serves a stored value instead of the masked snapshot's. The
 // structural arm makes W' differ in one thing only: whether a path joins a
-// pair of modules hidden from L, inside the composite they share.
+// pair of modules hidden from L, inside the composite they share; the
+// hidden-names arm, in the names and keywords of modules L may not see.
 
 import (
 	"bytes"
@@ -165,19 +167,17 @@ type niAnswer struct {
 // root workflow, its bindings, nodes, provenance and downstream, direct and
 // zoomed out, over the wire and in-process; the same queries across
 // executions and paged one answer at a time; reachability between every
-// pair of modules; the spec listing; and a search for every module keyword.
-func niAsk(t *testing.T, r *repo.Repository, s *workflow.Spec, execs int, items []string, user string) []niAnswer {
+// pair of modules; the spec listing; and, for every keyword, a search and a
+// query across executions for a module carrying it.
+func niAsk(t *testing.T, r *repo.Repository, s *workflow.Spec, execs int, items, keywords []string, user string) []niAnswer {
 	t.Helper()
 	h := server.New(r).Handler()
-	var modules, keywords []string
+	var modules []string
 	for _, wid := range s.WorkflowIDs() {
 		for _, m := range s.Workflows[wid].Modules {
 			modules = append(modules, m.ID)
-			keywords = append(keywords, m.AllKeywords()...)
 		}
 	}
-	slices.Sort(keywords)
-	keywords = slices.Compact(keywords)
 	var queries []string
 	for _, m := range s.RootWorkflow().Modules {
 		if m.Kind == workflow.Atomic || m.Kind == workflow.Composite {
@@ -229,8 +229,24 @@ func niAsk(t *testing.T, r *repo.Repository, s *workflow.Spec, execs int, items 
 	get("/api/v1/specs")
 	for _, kw := range keywords {
 		get("/api/v1/search?" + url.Values{"q": {kw}}.Encode())
+		get("/api/v1/query?" + url.Values{"spec": {s.ID}, "q": {fmt.Sprintf(`MATCH a = %q`, kw)}}.Encode())
 	}
 	return out
+}
+
+// niKeywords is every module keyword of the specs, sorted, once each: what
+// niAsk searches for, so that both worlds are asked the same questions.
+func niKeywords(specs ...*workflow.Spec) []string {
+	var keywords []string
+	for _, s := range specs {
+		for _, wid := range s.WorkflowIDs() {
+			for _, m := range s.Workflows[wid].Modules {
+				keywords = append(keywords, m.AllKeywords()...)
+			}
+		}
+	}
+	slices.Sort(keywords)
+	return slices.Compact(keywords)
 }
 
 // niSame fails the test unless both worlds answered everything alike, and
@@ -276,7 +292,7 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 			rp, runP := niWorld(t, s, pol, execs, &level)
 			user := "u-" + level.String()
 			where := fmt.Sprintf("seed %d, %s", seed, user)
-			if niSame(t, where, niAsk(t, rw, s, execs, ref.ItemIDs(), user), niAsk(t, rp, s, execs, ref.ItemIDs(), user)) == 0 {
+			if niSame(t, where, niAsk(t, rw, s, execs, ref.ItemIDs(), niKeywords(s), user), niAsk(t, rp, s, execs, ref.ItemIDs(), niKeywords(s), user)) == 0 {
 				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
 			}
 			// The same mutation in both worlds, each posting its own next
@@ -284,7 +300,7 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 			// way may tell them apart either.
 			rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
 			where += ", after a post, a save and a reload"
-			if niSame(t, where, niAsk(t, rw, s, execs+1, ref.ItemIDs(), user), niAsk(t, rp, s, execs+1, ref.ItemIDs(), user)) == 0 {
+			if niSame(t, where, niAsk(t, rw, s, execs+1, ref.ItemIDs(), niKeywords(s), user), niAsk(t, rp, s, execs+1, ref.ItemIDs(), niKeywords(s), user)) == 0 {
 				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
 			}
 		}
@@ -333,8 +349,8 @@ func TestNonInterferenceGeneralized(t *testing.T) {
 					rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
 					n++
 				}
-				w := niAsk(t, rw, s, n, ref.ItemIDs(), user)
-				niSame(t, where+stage, w, niAsk(t, rp, s, n, ref.ItemIDs(), user))
+				w := niAsk(t, rw, s, n, ref.ItemIDs(), niKeywords(s), user)
+				niSame(t, where+stage, w, niAsk(t, rp, s, n, ref.ItemIDs(), niKeywords(s), user))
 				if !slices.ContainsFunc(w, func(a niAnswer) bool { return strings.Contains(a.body, niClass) }) {
 					t.Fatalf("%s%s: no answer showed a generalized value: the ladders were never used", where, stage)
 				}
@@ -442,12 +458,108 @@ func TestNonInterferenceStructural(t *testing.T) {
 	if !slices.Equal(items, itemsPrime) {
 		t.Fatalf("fixture: the worlds' item ids differ: %v, %v", items, itemsPrime)
 	}
+	keywords := niKeywords(s, sp)
 	for _, level := range niLevels {
 		user := "u-" + level.String()
-		niSame(t, user, niAsk(t, rw, s, 1, items, user), niAsk(t, rp, sp, 1, items, user))
+		niSame(t, user, niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user))
 	}
 	user := "u-" + privacy.Owner.String()
-	if slices.Equal(niAsk(t, rw, s, 1, items, user), niAsk(t, rp, sp, 1, items, user)) {
+	if slices.Equal(niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user)) {
 		t.Fatal("the owner cannot tell the worlds apart: the comparison never looked where they differ")
+	}
+}
+
+// niRenamedWorld is one world of the hidden-names arm. Spec ni-names runs
+// I -> C -> D -> O, where composite C expands to WC (a -> b), granted to
+// the access view only from Analyst up, so below it C is withdrawn and
+// shown as one module; a and b are module-private at Analyst too, because
+// the access view alone only decides how a search hit is drawn: a keyword
+// of a module the reader may see matches inside a withdrawn composite and
+// is reported zoomed out to it. With renamed, a and b keep their ids,
+// attributes and functions but take other names and keywords: every value,
+// and so every item crossing C's boundary, is the same in both worlds. D,
+// visible to all, shares the keyword "shared" with a in W only, and spec
+// ni-names-peer, the same in both worlds, carries every name and keyword
+// either world gives a or b: term frequency and document frequency both
+// see a hidden keyword if the index counts one.
+func niRenamedWorld(t *testing.T, renamed bool) (*repo.Repository, *workflow.Spec, []string) {
+	t.Helper()
+	aName, aKeys, bName, bKeys := "Align reads", []string{"align", "shared"}, "Bin", []string{"bin"}
+	if renamed {
+		aName, aKeys, bName, bKeys = "Zeta reads", []string{"zeta", "quux"}, "Other", []string{"other"}
+	}
+	b := workflow.NewBuilder("ni-names", "Hidden names", "W").
+		Workflow("W", "Root").
+		Source("I", "in").
+		Composite("C", "Cluster", "WC", []string{"in"}, []string{"out"}, "cluster").
+		Atomic("D", "Deliver", []string{"out"}, []string{"done"}, "shared", "deliver").
+		Sink("O", "done").
+		Edge("I", "C", "in").
+		Edge("C", "D", "out").
+		Edge("D", "O", "done")
+	b.Workflow("WC", "Inside").
+		Atomic("a", aName, []string{"in"}, []string{"x"}, aKeys...).
+		Atomic("b", bName, []string{"x"}, []string{"out"}, bKeys...).
+		Edge("a", "b", "x")
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := workflow.NewBuilder("ni-names-peer", "Peer", "P").
+		Workflow("P", "Root").
+		Source("PI", "p").
+		Atomic("m", "Align reads zeta other", []string{"p"}, []string{"q"}, "align", "shared", "bin", "zeta", "quux", "other").
+		Sink("PO", "q").
+		Edge("PI", "m", "p").
+		Edge("m", "PO", "q").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := privacy.NewPolicy(s.ID)
+	pol.ViewGrants[privacy.Analyst] = []string{"WC"}
+	pol.ModuleLevels["a"], pol.ModuleLevels["b"] = privacy.Analyst, privacy.Analyst
+	r := repo.New()
+	for _, sp := range []*workflow.Spec{s, peer} {
+		p := pol
+		if sp != s {
+			p = privacy.NewPolicy(sp.ID)
+		}
+		if err := r.AddSpec(sp, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := exec.NewRunner(s, nil).Run("E0", map[string]exec.Value{"in": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddExecution(e); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range append(niLevels, privacy.Owner) {
+		r.AddUser(privacy.User{Name: "u-" + l.String(), Level: l, Group: l.String()})
+	}
+	return r, s, e.ItemIDs()
+}
+
+// TestNonInterferenceHiddenNames: a reader who may see neither a
+// composite's inside nor its modules must not tell a world from one where
+// those modules have other names and keywords, by any route — a search for
+// any keyword of either world included, hits, scores and total. A reader
+// entitled to them must.
+func TestNonInterferenceHiddenNames(t *testing.T) {
+	rw, s, items := niRenamedWorld(t, false)
+	rp, sp, itemsPrime := niRenamedWorld(t, true)
+	if !slices.Equal(items, itemsPrime) {
+		t.Fatalf("fixture: the worlds' item ids differ: %v, %v", items, itemsPrime)
+	}
+	keywords := niKeywords(s, sp)
+	for _, level := range []privacy.Level{privacy.Public, privacy.Registered} {
+		user := "u-" + level.String()
+		niSame(t, user, niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user))
+	}
+	user := "u-" + privacy.Analyst.String()
+	if slices.Equal(niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user)) {
+		t.Fatal("the analyst cannot tell the worlds apart: the comparison never looked where they differ")
 	}
 }

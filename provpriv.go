@@ -126,7 +126,7 @@ type (
 	Weights = modpriv.Weights
 	// SecureView is a per-module secure view.
 	SecureView = modpriv.SecureView
-	// WorkflowAnalysis computes workflow-wide secure views.
+	// WorkflowAnalysis describes a workflow-wide secure-view problem.
 	WorkflowAnalysis = modpriv.WorkflowAnalysis
 )
 

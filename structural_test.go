@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"provpriv/internal/exec"
+	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
 	"provpriv/internal/server"
@@ -74,7 +75,10 @@ func hidePairs(t *testing.T, rng *rand.Rand, s *workflow.Spec, pol *privacy.Poli
 		return privacy.Owner
 	}
 	var cands []hiddenPair
-	names := g.Names()
+	names := make([]string, g.N())
+	for i := range names {
+		names[i] = g.Name(graph.NodeID(i))
+	}
 	for _, from := range names {
 		for _, to := range names {
 			f, tt := g.Lookup(from), g.Lookup(to)
