@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"provpriv/internal/datapriv"
-	"provpriv/internal/dp"
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
 	"provpriv/internal/index"
@@ -344,36 +343,6 @@ func BenchmarkRankingLeakage(b *testing.B) {
 			exactRank := full.Rank(queryTerms)
 			b.ReportMetric(float64(rep.ExactHits)/float64(rep.Docs), "attack-recovery")
 			b.ReportMetric(rank.KendallTau(exactRank, published), "kendall-tau")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// B7 — Differential privacy destroys provenance reproducibility.
-// Paper claim (Sec. 5): "adding random noise to provenance information
-// may render it useless" for reproducibility.
-
-func BenchmarkDPProvenance(b *testing.B) {
-	_, e, _ := diseaseFixture(b)
-	var disorders string
-	for id, it := range e.Items {
-		if it.Attr == "disorders" {
-			disorders = id
-		}
-	}
-	q := dp.ProvenanceSize(disorders)
-	for _, eps := range []float64{0.1, 1, 10} {
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			var rep dp.ReproReport
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = dp.MeasureReproducibility(q, e, eps, 100, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rep.WrongFrac, "wrong-frac")
-			b.ReportMetric(rep.MeanAbsErr, "mean-abs-err")
 		})
 	}
 }
@@ -764,97 +733,6 @@ func BenchmarkReconstructionAttack(b *testing.B) {
 			b.ReportMetric(st.Coverage(), "recovered-frac")
 		})
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Structural-privacy optimizer: cost of trying all strategies (the
-// paper's "challenging optimization problem") vs a single fixed one.
-
-func BenchmarkStructuralOptimize(b *testing.B) {
-	rng := rand.New(rand.NewSource(77))
-	g := workload.LayeredDAG(rng, 10, 8, 3)
-	cl, err := graph.NewClosure(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pair structpriv.Pair
-	for u := 0; u < g.N(); u++ {
-		for v := g.N() - 1; v > u+8; v-- {
-			if cl.Reach(graph.NodeID(u), graph.NodeID(v)) && !g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
-				pair = structpriv.Pair{From: g.Name(graph.NodeID(u)), To: g.Name(graph.NodeID(v))}
-				u = g.N()
-				break
-			}
-		}
-	}
-	b.Run("single-cut", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := structpriv.HidePairs(g, []structpriv.Pair{pair}, structpriv.CutEdges, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("optimize-all", func(b *testing.B) {
-		var score float64
-		for i := 0; i < b.N; i++ {
-			best, _, err := structpriv.Optimize(g, []structpriv.Pair{pair}, structpriv.OptimizeOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			score = best.Metrics.UtilityScore()
-		}
-		b.ReportMetric(score, "best-utility")
-	})
-	b.Run("optimize-sound", func(b *testing.B) {
-		var score float64
-		for i := 0; i < b.N; i++ {
-			best, _, err := structpriv.Optimize(g, []structpriv.Pair{pair}, structpriv.OptimizeOptions{RequireSound: true})
-			if err != nil {
-				b.Skip("no sound solution on this instance")
-			}
-			score = best.Metrics.UtilityScore()
-		}
-		b.ReportMetric(score, "best-utility")
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Chain-aware module privacy: the cost of defending against the
-// downstream-oracle adversary vs standalone analysis.
-
-func BenchmarkChainSecureView(b *testing.B) {
-	dom := workload.KDomain(3, "a", "b", "y", "z", "w")
-	relFn := workload.RandomTableFunc(3, []string{"y", "z"}, dom)
-	rel, err := modpriv.Enumerate("m", relFn, []string{"a", "b"}, []string{"y", "z"}, dom)
-	if err != nil {
-		b.Fatal(err)
-	}
-	downFn := workload.RandomTableFunc(4, []string{"w"}, dom)
-	down, err := modpriv.Enumerate("d", downFn, []string{"y", "z"}, []string{"w"}, dom)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("standalone-greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := modpriv.GreedySecureView(rel, 3, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("chain-greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := modpriv.GreedyChainSecureView(rel, []*modpriv.Relation{down}, 3, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("chain-exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := modpriv.ExhaustiveChainSecureView(rel, []*modpriv.Relation{down}, 3, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

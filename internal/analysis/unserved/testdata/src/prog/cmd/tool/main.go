@@ -1,7 +1,13 @@
 package main
 
-import "prog/lib"
+import (
+	"prog"
+	"prog/lib"
+)
 
-func main() { _ = lib.Entry() }
+func main() {
+	prog.Exported()
+	_ = lib.Entry()
+}
 
 func unused() {} // want "main\\.unused is reached from no root"

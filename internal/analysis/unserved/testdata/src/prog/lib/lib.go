@@ -115,7 +115,7 @@ func keptCallee() {}
 // OnlyTests is called by the libtest package alone.
 func OnlyTests() {}
 
-// FromFacade is called by the facade alone.
+// FromFacade is called by the facade alone, through what the main calls.
 func FromFacade() {}
 
 // quiet is never converted to an interface, so nothing dispatches to it.

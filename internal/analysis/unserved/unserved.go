@@ -3,11 +3,12 @@
 // references over all loaded packages at once. The roots, and why:
 //
 //   - every main function: cmd/ and examples/ are the binaries (frozen
-//     cmd/provload included);
+//     cmd/provload included), so the library is what they run. The
+//     module's root package (the facade) is no root: an export of it is
+//     reached only when an example or a command calls it;
 //   - every init function and package-level var initializer: they run on
 //     import;
-//   - the exports of the module's root package (the facade), the library
-//     surface, and of a package named *test, test support several
+//   - the exports of a package named *test, test support several
 //     packages' tests share;
 //   - dispatch the walk cannot see as a call: a method called through an
 //     interface reaches that method on every module type satisfying it; an
@@ -44,7 +45,7 @@ import (
 
 var Analyzer = &lintkit.Analyzer{
 	Name: "unserved",
-	Doc: "every non-test function is reached from a main, an initialiser, a facade or *test export, " +
+	Doc: "every non-test function is reached from a main, an initialiser, a *test export, " +
 		"interface or stdlib dispatch, or a function kept by //provlint:ignore unserved <reason>",
 	RunProgram: run,
 }
@@ -115,9 +116,8 @@ func run(p *lintkit.Program) error {
 	}
 	var roots []string
 	var inits []func() // initialisers, scanned once every function is known
-	facade := facadePath(p.Packages)
 	for _, pkg := range p.Packages {
-		exportsAreRoots := pkg.ImportPath == facade || strings.HasSuffix(pkg.Name, "test")
+		exportsAreRoots := strings.HasSuffix(pkg.Name, "test")
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
 				switch d := d.(type) {
@@ -169,21 +169,6 @@ func run(p *lintkit.Program) error {
 		p.Report(lintkit.Diagnostic{Pos: f.decl.Pos(), Message: fmt.Sprintf("%s is reached from no root (%d %s)", name, lines, unit)})
 	}
 	return nil
-}
-
-// facadePath is the module's root package: the one whose path prefixes
-// every other loaded package's path.
-func facadePath(pkgs []*lintkit.Package) string {
-	for _, c := range pkgs {
-		root := true
-		for _, o := range pkgs {
-			root = root && (o == c || strings.HasPrefix(o.ImportPath, c.ImportPath+"/"))
-		}
-		if root {
-			return c.ImportPath
-		}
-	}
-	return ""
 }
 
 // kept reports whether d carries the directive on the line above it.

@@ -159,7 +159,7 @@ func (rep *Report) Render() string {
 		for _, w := range rep.Leaks {
 			fmt.Fprintf(&b, "%s\n", w)
 		}
-		fmt.Fprintf(&b, "%d warning(s); consider modpriv.GreedyChainSecureView or Propagate mode\n", len(rep.Leaks))
+		fmt.Fprintf(&b, "%d warning(s); protect each at the attribute's level: the output in data_levels, or the module in module_levels\n", len(rep.Leaks))
 	}
 	if len(rep.GammaModules) > 0 {
 		b.WriteString("\n== module privacy requirements ==\n")

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -112,10 +113,15 @@ func TestLevelsHelper(t *testing.T) {
 func TestRender(t *testing.T) {
 	spec, pol := examplePolicy(t)
 	rep, _ := Run(spec, pol)
+	if len(rep.Leaks) == 0 {
+		t.Fatal("the example policy has no leak warning to advise on")
+	}
 	out := rep.Render()
 	for _, wantSub := range []string{
 		"access levels", "downstream-leak warnings",
 		"module privacy requirements", "view={W1 W2 W4}", "Γ=4",
+		// The advice names only policy fields the engine enforces.
+		fmt.Sprintf("\n%d warning(s); protect each at the attribute's level: the output in data_levels, or the module in module_levels\n", len(rep.Leaks)),
 	} {
 		if !strings.Contains(out, wantSub) {
 			t.Fatalf("Render missing %q:\n%s", wantSub, out)

@@ -185,7 +185,7 @@ func TestRunFuncMissingOutput(t *testing.T) {
 func TestProvenance(t *testing.T) {
 	_, e := runDisease(t)
 	dis := findItemByAttr(e, "disorders")
-	prov, err := Provenance(e, dis.ID)
+	prov, err := ProvenanceIn(e, e.Graph(), dis.ID)
 	if err != nil {
 		t.Fatalf("Provenance: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestProvenance(t *testing.T) {
 
 func TestProvenanceOfInput(t *testing.T) {
 	_, e := runDisease(t)
-	prov, err := Provenance(e, "d0")
+	prov, err := ProvenanceIn(e, e.Graph(), "d0")
 	if err != nil {
 		t.Fatalf("Provenance(d0): %v", err)
 	}
@@ -229,7 +229,7 @@ func TestProvenanceOfInput(t *testing.T) {
 
 func TestProvenanceUnknownItem(t *testing.T) {
 	_, e := runDisease(t)
-	if _, err := Provenance(e, "d999"); err == nil {
+	if _, err := ProvenanceIn(e, e.Graph(), "d999"); err == nil {
 		t.Fatal("unknown item accepted")
 	}
 }
@@ -266,8 +266,8 @@ func TestProvenanceMonotone(t *testing.T) {
 	_, e := runDisease(t)
 	snp := findItemByAttr(e, "snp_set")
 	dis := findItemByAttr(e, "disorders")
-	pa, _ := Provenance(e, snp.ID)
-	pb, _ := Provenance(e, dis.ID)
+	pa, _ := ProvenanceIn(e, e.Graph(), snp.ID)
+	pb, _ := ProvenanceIn(e, e.Graph(), dis.ID)
 	inB := make(map[string]bool)
 	for _, n := range pb.Nodes {
 		inB[n.ID] = true
@@ -288,62 +288,6 @@ func TestASCIIAndDOT(t *testing.T) {
 	dot := e.DOT()
 	if !strings.Contains(dot, `"I" -> "S1:M1-begin"`) {
 		t.Fatalf("DOT missing begin edge:\n%s", dot)
-	}
-}
-
-func TestCompareExecutions(t *testing.T) {
-	spec := workflow.DiseaseSusceptibility()
-	run := func(id, snps string) *Execution {
-		e, err := NewRunner(spec, nil).Run(id, map[string]Value{
-			"snps": Value(snps), "ethnicity": "eth1", "lifestyle": "active",
-			"family_history": "fh1", "symptoms": "none",
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return e
-	}
-	a := run("A", "rs1")
-	b := run("B", "rs1")
-	d, err := CompareExecutions(a, b)
-	if err != nil {
-		t.Fatalf("CompareExecutions: %v", err)
-	}
-	if len(d.OnlyInA)+len(d.OnlyInB)+len(d.ValueDiffs) != 0 {
-		t.Fatalf("identical runs differ: %+v", d)
-	}
-	c := run("C", "rsDIFFERENT")
-	d2, err := CompareExecutions(a, c)
-	if err != nil {
-		t.Fatalf("CompareExecutions: %v", err)
-	}
-	if len(d2.OnlyInA)+len(d2.OnlyInB)+len(d2.ValueDiffs) == 0 {
-		t.Fatal("different runs reported equal")
-	}
-	// snps differs at the source; everything downstream of it differs
-	// too, and the first divergence is the source-produced snps.
-	if d2.FirstDivergence != "snps" {
-		t.Fatalf("FirstDivergence = %s, want snps: %+v", d2.FirstDivergence, d2)
-	}
-	found := false
-	for _, v := range d2.ValueDiffs {
-		if v.Attr == "snps" && v.NodeA == "I" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("snps diff missing: %+v", d2)
-	}
-	// Lifestyle is untouched: must not appear.
-	for _, v := range d2.ValueDiffs {
-		if v.Attr == "lifestyle" {
-			t.Fatal("unchanged attribute reported")
-		}
-	}
-	// Cross-spec diff rejected.
-	other := &Execution{ID: "X", SpecID: "other", Items: map[string]*DataItem{}}
-	if _, err := CompareExecutions(a, other); err == nil {
-		t.Fatal("cross-spec diff accepted")
 	}
 }
 

@@ -6,19 +6,13 @@ import (
 	"provpriv/internal/graph"
 )
 
-// Provenance returns the provenance of a data item: the sub-execution
+// ProvenanceIn returns the provenance of a data item: the sub-execution
 // induced by all nodes on paths from the execution's source node(s) to
 // the node that produced the item (Section 2: "the subgraph induced by
 // the set of paths from the start node ... that produced d as output").
 // Items on dropped edges are omitted; the queried item itself is kept.
-func Provenance(e *Execution, itemID string) (*Execution, error) {
-	return ProvenanceIn(e, e.Graph(), itemID)
-}
-
-// ProvenanceIn is Provenance reusing a graph already derived from e —
-// the warm serving path: a cached masked snapshot carries its graph, so
-// per-request provenance skips the O(nodes+edges) rebuild. g is only
-// read.
+// g is e's graph (e.Graph(), or one a view plan already derived); it is
+// only read.
 func ProvenanceIn(e *Execution, g *graph.Graph, itemID string) (*Execution, error) {
 	it := e.Items[itemID]
 	if it == nil {

@@ -48,7 +48,7 @@ func TestRandomSpecExecutionInvariants(t *testing.T) {
 		}
 		// Provenance of every item is connected and contains the producer.
 		for _, id := range e.ItemIDs() {
-			p, err := exec.Provenance(e, id)
+			p, err := exec.ProvenanceIn(e, e.Graph(), id)
 			if err != nil {
 				t.Fatalf("seed %d: Provenance(%s): %v", seed, id, err)
 			}
@@ -99,7 +99,7 @@ func TestRandomSpecCollapseInvariants(t *testing.T) {
 }
 
 // Downstream/provenance duality: item b is in Downstream(a) iff a's
-// producer is in Provenance(b)'s node set or upstream of b's producer.
+// producer is in b's provenance node set or upstream of b's producer.
 func TestRandomSpecDownstreamDuality(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		_, e := randomRun(t, seed)
@@ -117,7 +117,7 @@ func TestRandomSpecDownstreamDuality(t *testing.T) {
 				inDown[d] = true
 			}
 			for _, b := range ids {
-				p, err := exec.Provenance(e, b)
+				p, err := exec.ProvenanceIn(e, e.Graph(), b)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

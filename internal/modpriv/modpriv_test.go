@@ -254,3 +254,14 @@ func TestHiddenHelpers(t *testing.T) {
 		t.Fatalf("Cost = %v, want 3", got)
 	}
 }
+
+func TestApply(t *testing.T) {
+	rel := xorRelation(t)
+	out, ok := rel.Apply(map[string]exec.Value{"a": "1", "b": "0"})
+	if !ok || out["y"] != "1" {
+		t.Fatalf("Apply = %v, %v", out, ok)
+	}
+	if _, ok := rel.Apply(map[string]exec.Value{"a": "7", "b": "0"}); ok {
+		t.Fatal("Apply succeeded on out-of-domain input")
+	}
+}

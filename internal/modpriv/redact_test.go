@@ -9,7 +9,7 @@ import (
 
 // chainSpec builds I -> P (private) -> Q (public) -> O where P computes
 // y = a XOR b and Q computes w = NOT y. If y is hidden but w visible, Q
-// re-exposes y; propagation must hide w too.
+// re-exposes y: redaction hides values, not the flow that carries them.
 func chainSpec(t *testing.T) (*workflow.Spec, *workflow.View) {
 	t.Helper()
 	s, err := workflow.NewBuilder("chain", "Chain", "R").

@@ -126,6 +126,35 @@ func (r *Relation) Attrs() []string {
 	return out
 }
 
+// Apply evaluates the relation as a function: it looks up the row whose
+// input assignment matches in (all inputs must be present) and returns
+// its outputs. ok is false when no row matches.
+func (r *Relation) Apply(in map[string]exec.Value) (map[string]exec.Value, bool) {
+	if r.lookup == nil {
+		r.buildLookup()
+	}
+	out, ok := r.lookup[assignKey(r.Inputs, in)]
+	return out, ok
+}
+
+func (r *Relation) buildLookup() {
+	r.lookup = make(map[string]map[string]exec.Value, len(r.Rows))
+	for _, row := range r.Rows {
+		r.lookup[assignKey(r.Inputs, row.In)] = row.Out
+	}
+}
+
+func assignKey(attrs []string, m map[string]exec.Value) string {
+	var b strings.Builder
+	for _, a := range attrs {
+		b.WriteString(a)
+		b.WriteByte('=')
+		b.WriteString(string(m[a]))
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
 // Hidden is a set of hidden attribute names.
 type Hidden map[string]bool
 

@@ -249,7 +249,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 					for id := range masked.Items {
 						p, gerr := snap.Provenance(id)
-						want, werr := exec.Provenance(masked, id)
+						want, werr := exec.ProvenanceIn(masked, masked.Graph(), id)
 						if gerr != nil || werr != nil || !reflect.DeepEqual(p.Execution(), want) {
 							t.Fatalf("%s: provenance of %s differs (%v, %v)", where, id, gerr, werr)
 						}

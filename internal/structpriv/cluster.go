@@ -140,7 +140,7 @@ func buildQuotient(g *graph.Graph, members []string) (*graph.Graph, string) {
 // applied to the previous quotient, so the final graph hides all pairs.
 // Returns the final quotient plus the per-group clusters.
 //
-//provlint:ignore unserved ROADMAP item 14 decides whether structpriv is served or goes (optimize_test.go)
+//provlint:ignore unserved ROADMAP item 14 decides whether structpriv is served or goes (cluster_test.go)
 func HideByClusterGroups(g *graph.Graph, pairs []Pair) (*Result, [][]string, error) {
 	if len(pairs) == 0 {
 		return nil, nil, fmt.Errorf("structpriv: no pairs to hide")

@@ -330,3 +330,7 @@ func TestConvexifyIdempotent(t *testing.T) {
 		}
 	}
 }
+
+func name2(i int) string {
+	return "v" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+}

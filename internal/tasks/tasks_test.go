@@ -287,17 +287,31 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForRunning parks two running and two queued tasks until
+// Drain has begun: Drain may return only once all four have finished.
 func TestDrainWaitsForRunning(t *testing.T) {
 	rt := New(2, 8)
+	gate := make(chan struct{})
 	var finished atomic.Int32
 	for i := 0; i < 4; i++ {
 		rt.Submit(Class{Kind: "work"}, func(ctx context.Context, p *Progress) (any, error) {
-			time.Sleep(5 * time.Millisecond)
+			<-gate
 			finished.Add(1)
 			return nil, nil
 		})
 	}
-	if err := rt.Drain(context.Background()); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- rt.Drain(context.Background()) }()
+	for !rt.Draining() {
+		runtime.Gosched()
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) while every task was parked", err)
+	default:
+	}
+	close(gate)
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if got := finished.Load(); got != 4 {
@@ -324,15 +338,21 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolBounded proves concurrency never exceeds the pool size.
+// TestWorkerPoolBounded proves the pool runs exactly its size at once:
+// every task parks at a gate, so the first `workers` tasks must all be
+// running together before any is let go, and none beyond them may start.
 func TestWorkerPoolBounded(t *testing.T) {
-	const workers = 3
+	const workers, tasks = 3, 32
 	rt := New(workers, 64)
 	defer rt.Drain(context.Background())
 	var cur, peak atomic.Int32
 	var wg sync.WaitGroup
-	wg.Add(32)
-	for i := 0; i < 32; i++ {
+	entered := make(chan struct{}, tasks)
+	release := make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll() // before Drain: a failed run must not leave tasks parked
+	wg.Add(tasks)
+	for i := 0; i < tasks; i++ {
 		rt.Submit(Class{Kind: "load"}, func(ctx context.Context, p *Progress) (any, error) {
 			defer wg.Done()
 			n := cur.Add(1)
@@ -342,13 +362,28 @@ func TestWorkerPoolBounded(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(time.Millisecond)
+			entered <- struct{}{}
+			<-release
 			cur.Add(-1)
 			return nil, nil
 		})
 	}
+	guard := time.After(10 * time.Second) // fails a runtime that never fills its pool; never decides a pass
+	for i := 0; i < workers; i++ {
+		select {
+		case <-entered:
+		case <-guard:
+			t.Fatalf("only %d of %d workers ran a task at once", i, workers)
+		}
+	}
+	select {
+	case <-entered:
+		t.Fatalf("a task started while all %d workers were busy", workers)
+	default:
+	}
+	releaseAll()
 	wg.Wait()
-	if pk := peak.Load(); pk > workers {
+	if pk := peak.Load(); pk != workers {
 		t.Errorf("observed %d concurrent tasks, pool is %d", pk, workers)
 	}
 }

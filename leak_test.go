@@ -111,7 +111,7 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 		t.Fatalf("Collapse: %v", err)
 	}
 	local, _ := datapriv.NewMasker(pol, nil).Engine().Apply(view, privacy.Public, nil)
-	leaky, err := exec.Provenance(local, prognosis)
+	leaky, err := exec.ProvenanceIn(local, local.Graph(), prognosis)
 	if err != nil {
 		t.Fatalf("untainted provenance: %v", err)
 	}

@@ -307,6 +307,89 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 	}
 }
 
+// niPutPolicy installs pol on r's spec over the wire, as PUT
+// /api/v1/policy does for an operator.
+func niPutPolicy(t *testing.T, r *repo.Repository, pol *privacy.Policy) {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"spec": pol.SpecID, "policy": pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPut, "/api/v1/policy", bytes.NewReader(body))
+	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
+	w := httptest.NewRecorder()
+	server.New(r).Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("PUT policy: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestNonInterferencePolicyTightened is the two-world check across a
+// policy update. W' differs from W only in what level L may not see under
+// the tight policy P2. Both worlds first serve a looser P1 that lets L see
+// those attributes, and L reads every route, so every cache a read fills
+// holds answers that tell the worlds apart. Then P2 is put over the wire:
+// from that answer on, L must not tell them apart by any route, nor after
+// a post, a save and a reload. It bites an install that carries anything
+// filled under P1 into P2's generation.
+func TestNonInterferencePolicyTightened(t *testing.T) {
+	const execs = 2
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{
+			Seed: seed, ID: fmt.Sprintf("ni-tight-%d", seed), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight, err := workload.RandomPolicy(s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
+		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, keywords := ref.ItemIDs(), niKeywords(s)
+		tightJSON, err := json.Marshal(tight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range niLevels {
+			loose := privacy.NewPolicy(s.ID)
+			if err := json.Unmarshal(tightJSON, loose); err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range tight.HiddenAttrs(level) {
+				loose.DataLevels[a] = level
+			}
+			rw, runW := niWorld(t, s, tight, execs, nil)
+			rp, runP := niWorld(t, s, tight, execs, &level)
+			for _, r := range []*repo.Repository{rw, rp} {
+				if err := r.UpdatePolicy(s.ID, loose); err != nil {
+					t.Fatal(err)
+				}
+			}
+			user := "u-" + level.String()
+			where := fmt.Sprintf("seed %d, %s", seed, user)
+			if slices.Equal(niAsk(t, rw, s, execs, items, keywords, user), niAsk(t, rp, s, execs, items, keywords, user)) {
+				t.Fatalf("%s: the worlds answer alike under the loose policy: W' changed nothing %s may see there", where, user)
+			}
+			niPutPolicy(t, rw, tight)
+			niPutPolicy(t, rp, tight)
+			where += ", after the policy was tightened"
+			if niSame(t, where, niAsk(t, rw, s, execs, items, keywords, user), niAsk(t, rp, s, execs, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+			rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
+			where += ", a post, a save and a reload"
+			if niSame(t, where, niAsk(t, rw, s, execs+1, items, keywords, user), niAsk(t, rp, s, execs+1, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+		}
+	}
+}
+
 // TestNonInterferenceGeneralized is the two-world check with a
 // generalization ladder (SetGeneralization) on every attribute protected
 // above the reader's level L: W' varies each such value inside one class of

@@ -3,6 +3,11 @@ package provpriv
 import (
 	"strings"
 	"testing"
+
+	"provpriv/internal/exec"
+	"provpriv/internal/repo"
+	"provpriv/internal/structpriv"
+	"provpriv/internal/workflow"
 )
 
 // TestFacadeEndToEnd walks the README quickstart through the facade:
@@ -70,14 +75,14 @@ func TestFacadeViewsAndProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	view, err := CollapseExecution(e, spec, NewPrefix("W1"))
+	view, err := CollapseExecution(e, spec, workflow.NewPrefix("W1"))
 	if err != nil {
 		t.Fatalf("Collapse: %v", err)
 	}
 	if len(view.Nodes) != 4 {
 		t.Fatalf("root view nodes = %v", view.NodeIDs())
 	}
-	prov, err := Provenance(e, "d0")
+	prov, err := exec.ProvenanceIn(e, e.Graph(), "d0")
 	if err != nil || len(prov.Nodes) != 1 {
 		t.Fatalf("Provenance(d0) = %v, %v", prov, err)
 	}
@@ -117,112 +122,20 @@ func TestFacadeStructuralPrivacy(t *testing.T) {
 	spec := DiseaseSusceptibility()
 	h, _ := NewHierarchy(spec)
 	v, _ := Expand(spec, FullPrefix(h))
-	res, err := HideStructuralPairs(v, []StructPair{{From: "M13", To: "M11"}}, CutEdges)
+	pair := []structpriv.Pair{{From: "M13", To: "M11"}}
+	res, err := structpriv.HidePairs(v.Graph(), pair, structpriv.CutEdges, nil)
 	if err != nil {
-		t.Fatalf("HideStructuralPairs: %v", err)
+		t.Fatalf("HidePairs: %v", err)
 	}
 	if !res.Metrics.HiddenOK {
 		t.Fatal("pair not hidden")
 	}
-	res2, err := HideStructuralPairs(v, []StructPair{{From: "M13", To: "M11"}}, ClusterPair)
+	res2, err := structpriv.HidePairs(v.Graph(), pair, structpriv.Cluster, nil)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
 	if res2.Metrics.ExtraneousPairs == 0 {
 		t.Fatal("expected unsoundness from clustering (paper's M10->M14)")
-	}
-}
-
-func TestFacadeDP(t *testing.T) {
-	spec := DiseaseSusceptibility()
-	e, _ := NewRunner(spec, nil).Run("E1", map[string]Value{
-		"snps": "rs1", "ethnicity": "eth1", "lifestyle": "active",
-		"family_history": "fh1", "symptoms": "none",
-	})
-	rep, err := MeasureDPReproducibility(ProvenanceSizeQuery("d0"), e, 0.5, 100, 1)
-	if err != nil {
-		t.Fatalf("MeasureDPReproducibility: %v", err)
-	}
-	if rep.MeanAbsErr == 0 {
-		t.Fatal("no noise applied")
-	}
-}
-
-func TestFacadeNewAPIs(t *testing.T) {
-	// Relation composition + chain-aware analysis.
-	xor := func(in map[string]Value) map[string]Value {
-		v := Value("0")
-		if in["a"] != in["b"] {
-			v = "1"
-		}
-		return map[string]Value{"y": v}
-	}
-	not := func(in map[string]Value) map[string]Value {
-		v := Value("1")
-		if in["y"] == "1" {
-			v = "0"
-		}
-		return map[string]Value{"w": v}
-	}
-	dom := Domain{"a": {"0", "1"}, "b": {"0", "1"}, "y": {"0", "1"}, "w": {"0", "1"}}
-	relP, err := EnumerateRelation("P", xor, []string{"a", "b"}, []string{"y"}, dom)
-	if err != nil {
-		t.Fatalf("EnumerateRelation: %v", err)
-	}
-	relQ, err := EnumerateRelation("Q", not, []string{"y"}, []string{"w"}, dom)
-	if err != nil {
-		t.Fatalf("EnumerateRelation Q: %v", err)
-	}
-	comp, err := ComposeRelations(relP, relQ)
-	if err != nil || comp.ModuleID != "P;Q" {
-		t.Fatalf("ComposeRelations: %v, %v", comp, err)
-	}
-	lvl, err := EffectiveLevel(relP, []*Relation{relQ}, Hidden{"y": true})
-	if err != nil || lvl != 1 {
-		t.Fatalf("EffectiveLevel = %d, %v (want leak detected)", lvl, err)
-	}
-	sv, err := GreedyChainSecureView(relP, []*Relation{relQ}, 2, nil)
-	if err != nil || !sv.Hidden["w"] {
-		t.Fatalf("GreedyChainSecureView = %v, %v", sv, err)
-	}
-	// Reconstruction attack.
-	stats := ReconstructionAttack(relP, []map[string]Value{{"a": "0", "b": "1"}}, Hidden{})
-	if stats.Recovered != 1 {
-		t.Fatalf("ReconstructionAttack = %+v", stats)
-	}
-
-	// Structural optimizer.
-	spec := DiseaseSusceptibility()
-	h, _ := NewHierarchy(spec)
-	v, _ := Expand(spec, FullPrefix(h))
-	best, err := OptimizeStructural(v, []StructPair{{From: "M13", To: "M11"}}, true)
-	if err != nil {
-		t.Fatalf("OptimizeStructural: %v", err)
-	}
-	if !best.Metrics.HiddenOK || best.Metrics.ExtraneousPairs != 0 {
-		t.Fatalf("best = %+v", best.Metrics)
-	}
-
-	// Numeric generalization.
-	nh, err := NumericHierarchy("age", 0, 99, 10, 2)
-	if err != nil || nh.Generalize("42", 1) != "[40-49]" {
-		t.Fatalf("NumericHierarchy: %v, %v", nh, err)
-	}
-
-	// Execution diff.
-	run := func(id, snps string) *Execution {
-		e, err := NewRunner(spec, nil).Run(id, map[string]Value{
-			"snps": Value(snps), "ethnicity": "e", "lifestyle": "l",
-			"family_history": "f", "symptoms": "s",
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return e
-	}
-	d, err := CompareExecutions(run("A", "rs1"), run("B", "rs2"))
-	if err != nil || d.FirstDivergence != "snps" {
-		t.Fatalf("CompareExecutions: %+v, %v", d, err)
 	}
 }
 
@@ -237,9 +150,9 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if err := r.Save(dir); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	r2, err := LoadRepository(dir)
+	r2, err := repo.Load(dir)
 	if err != nil {
-		t.Fatalf("LoadRepository: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if r2.Stats().Specs != 1 {
 		t.Fatalf("stats = %+v", r2.Stats())
