@@ -1,9 +1,9 @@
-// Benchmark harness regenerating the experiments of DESIGN.md §3
-// (B1–B8). The CIDR 2011 paper is a vision paper with no measured
-// tables; each bench quantifies a mechanism or trade-off the paper
-// asserts qualitatively. EXPERIMENTS.md records the claims next to the
-// numbers these benches produce. Custom metrics are attached via
-// b.ReportMetric, so `go test -bench=. -benchmem` prints the full rows.
+// Benchmark harness for the experiments B1 and B3–B17. The CIDR 2011
+// paper is a vision paper with no measured tables; each bench quantifies
+// a mechanism or trade-off the paper asserts qualitatively, and its
+// section comment states the claim next to the numbers it produces.
+// Custom metrics are attached via b.ReportMetric, so
+// `go test -bench=. -benchmem` prints the full rows.
 package provpriv
 
 import (
@@ -31,7 +31,6 @@ import (
 	"provpriv/internal/repo"
 	"provpriv/internal/server"
 	"provpriv/internal/sim"
-	"provpriv/internal/structpriv"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -104,62 +103,6 @@ func BenchmarkModulePrivacy(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B2 — Structural privacy: cut vs cluster on growing DAGs.
-// Paper claim (Sec. 3): cutting hides extra true provenance; clustering
-// risks unsound views; both are "challenging optimization problems".
-
-func BenchmarkStructural(b *testing.B) {
-	for _, n := range []int{50, 100, 200} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := workload.LayeredDAG(rng, n/10, 10, 3)
-		// A hidden pair guaranteed connected: pick via closure.
-		cl, err := graph.NewClosure(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pair structpriv.Pair
-		found := false
-		for u := 0; u < g.N() && !found; u++ {
-			for v := g.N() - 1; v > u+10; v-- {
-				if cl.Reach(graph.NodeID(u), graph.NodeID(v)) && !g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
-					pair = structpriv.Pair{From: g.Name(graph.NodeID(u)), To: g.Name(graph.NodeID(v))}
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
-			b.Fatalf("n=%d: no connected pair", n)
-		}
-		b.Run(fmt.Sprintf("n=%d/cut", n), func(b *testing.B) {
-			var lost int
-			for i := 0; i < b.N; i++ {
-				res, err := structpriv.HidePairs(g, []structpriv.Pair{pair}, structpriv.CutEdges, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lost = res.Metrics.LostPairs
-			}
-			b.ReportMetric(float64(lost), "lost-pairs")
-			b.ReportMetric(0, "extraneous")
-		})
-		b.Run(fmt.Sprintf("n=%d/cluster", n), func(b *testing.B) {
-			var extraneous, lost int
-			for i := 0; i < b.N; i++ {
-				res, err := structpriv.HidePairs(g, []structpriv.Pair{pair}, structpriv.Cluster, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				extraneous = res.Metrics.ExtraneousPairs
-				lost = res.Metrics.LostPairs
-			}
-			b.ReportMetric(float64(lost), "lost-pairs")
-			b.ReportMetric(float64(extraneous), "extraneous")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // B3 — Privacy-aware query evaluation overhead vs oblivious evaluation.
 // Paper claim (Sec. 4): "the information must be hidden on-the-fly,
 // which usually leads to processing overhead."
@@ -194,9 +137,27 @@ func BenchmarkQueryPrivacyOverhead(b *testing.B) {
 			}
 		}
 	})
+	// privacy-aware pays, per query, what a cold read pays before the
+	// match: collapse to the access view, mask, prepare.
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefix := pol.AccessView(h, privacy.Registered)
+	zoomed := len(prefix) < h.Size()
+	masker := datapriv.NewMasker(pol, nil)
 	b.Run("privacy-aware", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.EvaluateWithPrivacy(q, e, pol, privacy.Registered); err != nil {
+			collapsed, err := exec.Collapse(e, spec, prefix)
+			if err != nil {
+				b.Fatal(err)
+			}
+			masked, _ := masker.MaskView(e, collapsed, privacy.Registered)
+			pe, err := query.PrepareExec(masked)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ev.EvaluateOn(q, pe, pol, privacy.Registered, zoomed); err != nil {
 				b.Fatal(err)
 			}
 		}

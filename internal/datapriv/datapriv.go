@@ -20,7 +20,7 @@
 // learns the protected value — holds end-to-end, not just per item.
 //
 // Masking is monotone in access level: a higher level always sees at
-// least as much as a lower one (property-tested in DESIGN.md §5).
+// least as much as a lower one (TestMaskMonotone).
 package datapriv
 
 import (

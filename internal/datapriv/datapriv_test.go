@@ -137,7 +137,7 @@ func TestMaskOwnerSeesAll(t *testing.T) {
 	}
 }
 
-// Property (DESIGN.md §5): masking is monotone — if a level sees a value
+// Property: masking is monotone — if a level sees a value
 // unmodified, every higher level does too, and redactions only shrink.
 func TestMaskMonotone(t *testing.T) {
 	levels := []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}

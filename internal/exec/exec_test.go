@@ -204,7 +204,8 @@ func TestProvenance(t *testing.T) {
 			t.Errorf("provenance wrongly contains %s", bad)
 		}
 	}
-	// DESIGN.md §5: provenance is connected and contains the producer.
+	// Provenance is connected and contains the producer (on random specs:
+	// TestRandomSpecExecutionInvariants).
 	g := prov.Graph()
 	src := g.Lookup("I")
 	prod := g.Lookup("S7:M8")

@@ -1,8 +1,8 @@
 package exec_test
 
-// Cross-package property tests: the exec invariants of DESIGN.md §5
-// checked on randomly generated hierarchical specifications, not just
-// the hand-built paper example. External test package to use the
+// Cross-package property tests: the exec invariants exec_test.go pins on
+// the hand-built paper example, checked on randomly generated
+// hierarchical specifications. External test package to use the
 // workload generator without an import cycle.
 
 import (

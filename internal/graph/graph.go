@@ -1,11 +1,10 @@
 // Package graph provides the directed-graph substrate used by the
 // workflow, provenance and privacy layers: adjacency storage, traversal,
-// topological ordering, reachability indexes, max-flow based minimum
-// cuts, strongly connected components and DOT rendering.
+// topological ordering, reachability indexes and DOT rendering.
 //
 // Graphs are node-centric: nodes are created with string names and
-// addressed by dense integer NodeIDs, which keeps the privacy algorithms
-// (bitset closures, flow networks) allocation-friendly.
+// addressed by dense integer NodeIDs, which keeps the bitset closures
+// allocation-friendly.
 package graph
 
 import (
@@ -51,20 +50,6 @@ func NewSized(nodes, edges int) *Graph {
 		in:     make([][]NodeID, 0, nodes),
 		hasSet: make(map[edgeKey]struct{}, edges),
 	}
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, name := range g.names {
-		c.AddNode(name)
-	}
-	for u := range g.out {
-		for _, v := range g.out[u] {
-			c.AddEdge(NodeID(u), v)
-		}
-	}
-	return c
 }
 
 // N returns the number of nodes.
@@ -151,28 +136,6 @@ func (g *Graph) AddEdges(es []Edge) {
 	}
 }
 
-// RemoveEdge removes the edge u->v if present and reports whether it was.
-func (g *Graph) RemoveEdge(u, v NodeID) bool {
-	k := edgeKey{u, v}
-	if _, ok := g.hasSet[k]; !ok {
-		return false
-	}
-	delete(g.hasSet, k)
-	g.out[u] = removeID(g.out[u], v)
-	g.in[v] = removeID(g.in[v], u)
-	g.edgeN--
-	return true
-}
-
-func removeID(s []NodeID, x NodeID) []NodeID {
-	for i, v := range s {
-		if v == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // HasEdge reports whether the edge u->v exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	_, ok := g.hasSet[edgeKey{u, v}]
@@ -201,37 +164,6 @@ func (g *Graph) Edges() []Edge {
 		return es[i].V < es[j].V
 	})
 	return es
-}
-
-// InducedSubgraph returns the subgraph induced by keep. Node names are
-// preserved; ids are renumbered densely. The second return value maps
-// old ids to new ids (Invalid for dropped nodes).
-func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
-	mark := make([]bool, g.N())
-	for _, u := range keep {
-		mark[u] = true
-	}
-	sub := New()
-	remap := make([]NodeID, g.N())
-	for i := range remap {
-		remap[i] = Invalid
-	}
-	for u := 0; u < g.N(); u++ {
-		if mark[u] {
-			remap[u] = sub.AddNode(g.names[u])
-		}
-	}
-	for u := 0; u < g.N(); u++ {
-		if !mark[u] {
-			continue
-		}
-		for _, v := range g.out[u] {
-			if mark[v] {
-				sub.AddEdge(remap[u], remap[v])
-			}
-		}
-	}
-	return sub, remap
 }
 
 func (g *Graph) check(u NodeID) {

@@ -83,6 +83,8 @@ func (g *Graph) IsAcyclic() bool {
 
 // Reachable reports whether v is reachable from u by a directed path
 // (u is reachable from itself). It runs a DFS and is O(n+m).
+//
+//provlint:ignore unserved reference: exec, query, repo, root structural_test.go and graph_test.go's closure check compare against it
 func (g *Graph) Reachable(u, v NodeID) bool {
 	if u == v {
 		return true
@@ -146,26 +148,6 @@ func (g *Graph) ReachingTo(u NodeID) []NodeID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// NodesOnPaths returns every node lying on some directed path from s to
-// t (inclusive). It is the intersection of ReachableFrom(s) and
-// ReachingTo(t). The result is empty when t is unreachable from s.
-func (g *Graph) NodesOnPaths(s, t NodeID) []NodeID {
-	fwd := make([]bool, g.N())
-	for _, u := range g.ReachableFrom(s) {
-		fwd[u] = true
-	}
-	var out []NodeID
-	for _, u := range g.ReachingTo(t) {
-		if fwd[u] {
-			out = append(out, u)
-		}
-	}
-	if !g.Reachable(s, t) {
-		return nil
-	}
 	return out
 }
 

@@ -15,11 +15,11 @@
 // contributed to it). RETURN clauses: provenance(x), downstream(x),
 // nodes, bindings.
 //
-// Privacy-controlled semantics (Section 4): EvaluateWithPrivacy first
-// collapses the execution to the user's access view (coarser composite
-// executions replace hidden detail — the "zoom-out"), masks data values
-// per the data-privacy policy, and refuses to match modules protected by
-// module privacy.
+// Privacy-controlled semantics (Section 4): the caller collapses the
+// execution to the user's access view (coarser composite executions
+// replace hidden detail — the "zoom-out") and masks data values per the
+// data-privacy policy; the evaluator runs on that view and refuses to
+// match modules protected by module privacy.
 package query
 
 import (
@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 
-	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
@@ -356,35 +355,6 @@ func (ev *Evaluator) Evaluate(q *Query, e *exec.Execution) (*Answer, error) {
 		return nil, err
 	}
 	return ev.EvaluateSnapshot(q, pe.Snapshot(), nil, 0, false)
-}
-
-// EvaluateWithPrivacy runs the query under the paper's privacy-
-// controlled semantics for a user at the given level: the execution is
-// collapsed to the user's access view, values are masked per the data
-// policy, and module-private executions cannot be matched.
-//
-//provlint:ignore unserved reference: the masked-evaluation oracle of query_test.go and zoomout_test.go
-func (ev *Evaluator) EvaluateWithPrivacy(q *Query, e *exec.Execution, pol *privacy.Policy, level privacy.Level) (*Answer, error) {
-	h, err := workflow.NewHierarchy(ev.Spec)
-	if err != nil {
-		return nil, err
-	}
-	prefix := pol.AccessView(h, level)
-	collapsed, err := exec.Collapse(e, ev.Spec, prefix)
-	if err != nil {
-		return nil, err
-	}
-	// Taint is analyzed on the full execution (protected items inside
-	// collapsed composites are gone from the view but still taint their
-	// descendants' trace strings), then applied to the view.
-	masker := datapriv.NewMasker(pol, nil)
-	masked, _ := masker.MaskView(e, collapsed, level)
-	zoomed := len(prefix) < h.Size()
-	pe, err := PrepareExec(masked)
-	if err != nil {
-		return nil, err
-	}
-	return ev.EvaluateSnapshot(q, pe.Snapshot(), pol, level, zoomed)
 }
 
 // EvaluateOn is EvaluateSnapshot on pe's own execution, which carries its

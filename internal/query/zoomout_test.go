@@ -140,7 +140,7 @@ func TestZoomOutAgreesWithDirectEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%s): %v", qs, err)
 		}
-		direct, err := ev.EvaluateWithPrivacy(q, e, pol, privacy.Registered)
+		direct, err := evaluateWithPrivacy(ev, q, e, pol, privacy.Registered)
 		if err != nil {
 			t.Fatalf("direct %s: %v", qs, err)
 		}

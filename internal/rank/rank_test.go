@@ -187,7 +187,7 @@ func TestVisibleOnlyCorpusLeaksNothing(t *testing.T) {
 	if len(published) != 0 {
 		t.Fatalf("visible-only ranking leaked: %v", published)
 	}
-	// DESIGN.md §5: ranking restricted to visible terms equals ranking
+	// Ranking restricted to visible terms equals ranking
 	// computed on the redacted corpus — trivially, they are the same
 	// object here; the attack has no scores to invert.
 	rep := FrequencyAttack(full, published, "secret")

@@ -122,7 +122,7 @@ func TestExpandModulePaths(t *testing.T) {
 	}
 }
 
-// Property (DESIGN.md §5): every legal prefix yields an acyclic view
+// Property: every legal prefix yields an acyclic view
 // whose atomic modules are a subset of the full expansion's.
 func TestAllPrefixViewsAcyclicAndNested(t *testing.T) {
 	s := DiseaseSusceptibility()

@@ -250,9 +250,9 @@ func RandomQueries(rng *rand.Rand, vocab []string, n int) []string {
 
 // LayeredDAG generates a DAG with the given number of layers and width:
 // every node in layer i gets 1–maxIn edges from random nodes of earlier
-// layers. Used by the structural-privacy benchmarks.
+// layers. Used by the reachability benchmark.
 //
-//provlint:ignore unserved test support: root structural-privacy benchmarks and workload_test.go build DAGs with it (bench_test.go)
+//provlint:ignore unserved test support: root BenchmarkReachabilityAblation and workload_test.go build DAGs with it (bench_test.go)
 func LayeredDAG(rng *rand.Rand, layers, width, maxIn int) *graph.Graph {
 	g := graph.New()
 	var all []graph.NodeID

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -311,16 +312,23 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 // /api/v1/policy does for an operator.
 func niPutPolicy(t *testing.T, r *repo.Repository, pol *privacy.Policy) {
 	t.Helper()
-	body, err := json.Marshal(map[string]any{"spec": pol.SpecID, "policy": pol})
+	niPut(t, r, "/api/v1/policy", map[string]any{"spec": pol.SpecID, "policy": pol})
+}
+
+// niPut sends body to r's PUT route path as the owner and fails unless
+// it answers 200.
+func niPut(t *testing.T, r *repo.Repository, path string, body any) {
+	t.Helper()
+	b, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPut, "/api/v1/policy", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPut, path, bytes.NewReader(b))
 	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
 	w := httptest.NewRecorder()
 	server.New(r).Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
-		t.Fatalf("PUT policy: %d %s", w.Code, w.Body)
+		t.Fatalf("PUT %s: %d %s", path, w.Code, w.Body)
 	}
 }
 
@@ -436,6 +444,79 @@ func TestNonInterferenceGeneralized(t *testing.T) {
 				niSame(t, where+stage, w, niAsk(t, rp, s, n, ref.ItemIDs(), niKeywords(s), user))
 				if !slices.ContainsFunc(w, func(a niAnswer) bool { return strings.Contains(a.body, niClass) }) {
 					t.Fatalf("%s%s: no answer showed a generalized value: the ladders were never used", where, stage)
+				}
+			}
+		}
+	}
+}
+
+// TestNonInterferenceLadderCoarsened is the two-world check across a
+// generalization update, as TestNonInterferencePolicyTightened is across a
+// policy update. Both worlds first serve a fine copy of niLadders' ladders
+// whose last step sends every value to a class of its own, so L's
+// generalized values tell the worlds apart, and L reads every route,
+// filling every cache a read fills. Then niLadders' coarse ladders are
+// put over the wire: from that answer on, L must not tell the worlds
+// apart by any route, nor after a post, a save and a reload. It bites an
+// install that carries a masked snapshot filled under the fine ladders
+// into the coarse ones' generation.
+func TestNonInterferenceLadderCoarsened(t *testing.T) {
+	const execs = 2
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{
+			Seed: seed, ID: fmt.Sprintf("ni-coarse-%d", seed), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := workload.RandomPolicy(s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
+		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, keywords := ref.ItemIDs(), niKeywords(s)
+		for _, level := range niLevels {
+			rw, runW := niWorld(t, s, pol, execs, nil)
+			rp, runP := niWorld(t, s, pol, execs, &level)
+			coarse := niLadders(pol, level, runW, runP, execs+1)
+			fine := make(map[string]*datapriv.Hierarchy, len(coarse))
+			for attr, h := range coarse {
+				last := len(h.Levels) - 1
+				f := &datapriv.Hierarchy{Attr: attr, Levels: slices.Clone(h.Levels)}
+				f.Levels[last] = make(map[exec.Value]exec.Value, len(h.Levels[last]))
+				for i, v := range slices.Sorted(maps.Keys(h.Levels[last])) {
+					f.Levels[last][v] = exec.Value(fmt.Sprintf("%s/fine/%d", h.Levels[last][v], i))
+				}
+				fine[attr] = f
+			}
+			for _, r := range []*repo.Repository{rw, rp} {
+				if err := r.SetGeneralization(s.ID, fine); err != nil {
+					t.Fatal(err)
+				}
+			}
+			user := "u-" + level.String()
+			where := fmt.Sprintf("seed %d, %s", seed, user)
+			if slices.Equal(niAsk(t, rw, s, execs, items, keywords, user), niAsk(t, rp, s, execs, items, keywords, user)) {
+				t.Fatalf("%s: the worlds answer alike under the fine ladders: W' changed nothing %s may see there", where, user)
+			}
+			for _, r := range []*repo.Repository{rw, rp} {
+				niPut(t, r, "/api/v1/generalization", map[string]any{"spec": s.ID, "hierarchies": coarse})
+			}
+			where += ", after the ladders were coarsened"
+			for _, stage := range []string{"", ", a post, a save and a reload"} {
+				n := execs
+				if stage != "" {
+					rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
+					n++
+				}
+				w := niAsk(t, rw, s, n, items, keywords, user)
+				niSame(t, where+stage, w, niAsk(t, rp, s, n, items, keywords, user))
+				if !slices.ContainsFunc(w, func(a niAnswer) bool { return strings.Contains(a.body, niClass) }) {
+					t.Fatalf("%s%s: no answer showed a generalized value: the coarse ladders were never used", where, stage)
 				}
 			}
 		}

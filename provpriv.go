@@ -6,10 +6,11 @@
 // specifications and their views (internal/workflow), executions and
 // provenance graphs (internal/exec), the privacy policy and access views
 // (internal/privacy), data masking (internal/datapriv, internal/taint),
-// module privacy with Γ-secure views (internal/modpriv), structural
-// privacy by cutting or clustering (internal/structpriv), and the
+// module privacy with Γ-secure views (internal/modpriv), and the
 // privacy-aware repository that searches, queries and masks
-// (internal/repo), served over HTTP by cmd/provserve.
+// (internal/repo), served over HTTP by cmd/provserve. Structural privacy
+// is part of the access view: a hidden pair withdraws the composite its
+// modules share (privacy.Policy.AccessView).
 //
 // This package is the facade the programs in examples/ are written
 // against, and no more: every function here is one an example calls, and
@@ -44,8 +45,6 @@ type (
 	Hierarchy = workflow.Hierarchy
 	// Prefix is a prefix of an expansion hierarchy, defining a view.
 	Prefix = workflow.Prefix
-	// View is an expanded view of a spec.
-	View = workflow.View
 	// Builder constructs specs fluently.
 	Builder = workflow.Builder
 )
@@ -122,9 +121,6 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) { return workflow.NewHierarchy(s)
 
 // FullPrefix is the prefix expanding every workflow.
 func FullPrefix(h *Hierarchy) Prefix { return workflow.FullPrefix(h) }
-
-// Expand computes the view of a spec under a prefix.
-func Expand(s *Spec, p Prefix) (*View, error) { return workflow.Expand(s, p) }
 
 // CollapseExecution computes an execution view under a prefix.
 func CollapseExecution(e *Execution, s *Spec, p Prefix) (*Execution, error) {

@@ -6,7 +6,6 @@ import (
 
 	"provpriv/internal/exec"
 	"provpriv/internal/repo"
-	"provpriv/internal/structpriv"
 	"provpriv/internal/workflow"
 )
 
@@ -61,7 +60,7 @@ func TestFacadeViewsAndProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHierarchy: %v", err)
 	}
-	v, err := Expand(spec, FullPrefix(h))
+	v, err := workflow.Expand(spec, FullPrefix(h))
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
 	}
@@ -115,27 +114,6 @@ func TestFacadeModulePrivacy(t *testing.T) {
 	ex, err := ExhaustiveSecureView(rel, 2, Weights{"y": 1, "a": 5, "b": 5})
 	if err != nil || ex.Cost != sv.Cost {
 		t.Fatalf("exact = %v, %v", ex, err)
-	}
-}
-
-func TestFacadeStructuralPrivacy(t *testing.T) {
-	spec := DiseaseSusceptibility()
-	h, _ := NewHierarchy(spec)
-	v, _ := Expand(spec, FullPrefix(h))
-	pair := []structpriv.Pair{{From: "M13", To: "M11"}}
-	res, err := structpriv.HidePairs(v.Graph(), pair, structpriv.CutEdges, nil)
-	if err != nil {
-		t.Fatalf("HidePairs: %v", err)
-	}
-	if !res.Metrics.HiddenOK {
-		t.Fatal("pair not hidden")
-	}
-	res2, err := structpriv.HidePairs(v.Graph(), pair, structpriv.Cluster, nil)
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	if res2.Metrics.ExtraneousPairs == 0 {
-		t.Fatal("expected unsoundness from clustering (paper's M10->M14)")
 	}
 }
 
