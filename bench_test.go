@@ -1,8 +1,8 @@
-// Benchmark harness for the experiments B1 and B3–B17. The CIDR 2011
-// paper is a vision paper with no measured tables; each bench quantifies
-// a mechanism or trade-off the paper asserts qualitatively, and its
-// section comment states the claim next to the numbers it produces.
-// Custom metrics are attached via b.ReportMetric, so
+// Benchmark harness for the experiments B3–B6, B8, B9 and B11–B17. The
+// CIDR 2011 paper is a vision paper with no measured tables; each bench
+// quantifies a mechanism or trade-off the paper asserts qualitatively,
+// and its section comment states the claim next to the numbers it
+// produces. Custom metrics are attached via b.ReportMetric, so
 // `go test -bench=. -benchmem` prints the full rows.
 package provpriv
 
@@ -24,7 +24,6 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
 	"provpriv/internal/index"
-	"provpriv/internal/modpriv"
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
 	"provpriv/internal/rank"
@@ -34,73 +33,6 @@ import (
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
-
-// ---------------------------------------------------------------------------
-// B1 — Module privacy: secure-view cost vs Γ; exact vs greedy solver.
-// Paper claim (Sec. 3): choosing which data to hide is "an interesting
-// optimization problem"; more privacy (larger Γ) must cost more utility.
-
-func benchRelation(b *testing.B, nIn, nOut, k int, seed int64) *modpriv.Relation {
-	b.Helper()
-	var ins, outs []string
-	for i := 0; i < nIn; i++ {
-		ins = append(ins, fmt.Sprintf("i%d", i))
-	}
-	for i := 0; i < nOut; i++ {
-		outs = append(outs, fmt.Sprintf("o%d", i))
-	}
-	dom := workload.KDomain(k, append(append([]string{}, ins...), outs...)...)
-	fn := workload.RandomTableFunc(seed, outs, dom)
-	rel, err := modpriv.Enumerate("m", fn, ins, outs, dom)
-	if err != nil {
-		b.Fatalf("enumerate: %v", err)
-	}
-	return rel
-}
-
-func BenchmarkModulePrivacy(b *testing.B) {
-	for _, cfg := range []struct {
-		nIn, nOut, k int
-	}{
-		{2, 2, 3}, // 4 attrs, 9 rows
-		{3, 3, 3}, // 6 attrs, 27 rows
-		{4, 4, 2}, // 8 attrs, 16 rows
-	} {
-		rel := benchRelation(b, cfg.nIn, cfg.nOut, cfg.k, 7)
-		for _, gamma := range []int{2, 4, 8} {
-			if rel.MaxLevel() < gamma {
-				continue
-			}
-			name := fmt.Sprintf("attrs=%d/gamma=%d", cfg.nIn+cfg.nOut, gamma)
-			b.Run(name+"/exact", func(b *testing.B) {
-				var cost float64
-				for i := 0; i < b.N; i++ {
-					sv, err := modpriv.ExhaustiveSecureView(rel, gamma, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cost = sv.Cost
-				}
-				b.ReportMetric(cost, "hidden-cost")
-			})
-			b.Run(name+"/greedy", func(b *testing.B) {
-				var cost float64
-				for i := 0; i < b.N; i++ {
-					sv, err := modpriv.GreedySecureView(rel, gamma, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cost = sv.Cost
-				}
-				ex, _ := modpriv.ExhaustiveSecureView(rel, gamma, nil)
-				b.ReportMetric(cost, "hidden-cost")
-				if ex != nil && ex.Cost > 0 {
-					b.ReportMetric(cost/ex.Cost, "vs-optimal")
-				}
-			})
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // B3 — Privacy-aware query evaluation overhead vs oblivious evaluation.
@@ -271,7 +203,9 @@ func BenchmarkZoomOut(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // B6 — Ranking leakage: exact scores invert to hidden term counts;
-// bucketing trades leakage for rank quality.
+// bucketing (the served defence, /search?buckets=) trades leakage for
+// rank quality. Randomized scores are not measured: the paper rejects
+// them (Sec. 5) because a query would not rank the same twice.
 // Paper claim (Sec. 4): "a user might be able to infer the range of
 // value occurrences in a result" from rankings.
 
@@ -630,70 +564,6 @@ func BenchmarkMaterializedViews(b *testing.B) {
 			}
 		}
 	})
-}
-
-// B6 ablation extension: Laplace-perturbed scores vs bucketing — same
-// leakage question, but perturbation sacrifices reproducibility.
-func BenchmarkRankingPerturbed(b *testing.B) {
-	full := rank.NewCorpus()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		var terms []string
-		for j := 0; j < 1+rng.Intn(20); j++ {
-			terms = append(terms, "database")
-		}
-		full.Add(fmt.Sprintf("doc%02d", i), terms)
-	}
-	exact := full.Rank([]string{"database"})
-	for _, scale := range []float64{0.5, 2} {
-		b.Run(fmt.Sprintf("laplace=%g", scale), func(b *testing.B) {
-			var published []rank.Ranked
-			for i := 0; i < b.N; i++ {
-				published = rank.Perturb(exact, scale, int64(i))
-			}
-			rep := rank.FrequencyAttack(full, published, "database")
-			b.ReportMetric(float64(rep.ExactHits)/float64(rep.Docs), "attack-recovery")
-			b.ReportMetric(rank.KendallTau(exact, published), "kendall-tau")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// B10 — The repeated-execution threat (Sec. 3's motivation for module
-// privacy): how much of a module's function leaks as executions
-// accumulate, with and without a secure view.
-
-func BenchmarkReconstructionAttack(b *testing.B) {
-	rel := benchRelation(b, 2, 2, 4, 11) // 16-row domain
-	sv, err := modpriv.GreedySecureView(rel, 4, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	var pool []map[string]exec.Value
-	for _, r := range rel.Rows {
-		pool = append(pool, r.In)
-	}
-	for _, nExec := range []int{4, 16, 64} {
-		obs := make([]map[string]exec.Value, nExec)
-		for i := range obs {
-			obs[i] = pool[rng.Intn(len(pool))]
-		}
-		b.Run(fmt.Sprintf("execs=%d/no-hiding", nExec), func(b *testing.B) {
-			var st modpriv.AttackStats
-			for i := 0; i < b.N; i++ {
-				st = modpriv.ReconstructionAttack(rel, obs, modpriv.NewHidden())
-			}
-			b.ReportMetric(st.Coverage(), "recovered-frac")
-		})
-		b.Run(fmt.Sprintf("execs=%d/secure-view", nExec), func(b *testing.B) {
-			var st modpriv.AttackStats
-			for i := 0; i < b.N; i++ {
-				st = modpriv.ReconstructionAttack(rel, obs, sv.Hidden)
-			}
-			b.ReportMetric(st.Coverage(), "recovered-frac")
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

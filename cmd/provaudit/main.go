@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,6 @@ func main() {
 		pol.DataLevels["snps"] = privacy.Owner
 		pol.DataLevels["disorders"] = privacy.Analyst
 		pol.ModuleLevels["M6"] = privacy.Owner
-		pol.ModuleGamma["M1"] = 4
 		pol.Structural = []privacy.HiddenPair{{From: "M13", To: "M11", Level: privacy.Owner}}
 		pol.ViewGrants[privacy.Registered] = []string{"W2"}
 		pol.ViewGrants[privacy.Analyst] = []string{"W3", "W4"}
@@ -55,8 +55,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("read policy: %v", err)
 		}
+		// Strict, as the server decodes a policy: a field the policy does
+		// not have, such as a Γ requirement or a typo, is refused rather
+		// than audited away.
+		dec := json.NewDecoder(bytes.NewReader(pdata))
+		dec.DisallowUnknownFields()
 		pol = &privacy.Policy{}
-		if err := json.Unmarshal(pdata, pol); err != nil {
+		if err := dec.Decode(pol); err != nil {
 			log.Fatalf("parse policy: %v", err)
 		}
 	default:

@@ -44,9 +44,6 @@ type Report struct {
 	SpecID string
 	Levels []LevelReport
 	Leaks  []LeakWarning
-	// GammaModules lists modules with Γ requirements (certification is
-	// per-relation; see modpriv).
-	GammaModules map[string]int
 }
 
 // Run audits pol against spec. The policy must validate.
@@ -62,11 +59,7 @@ func Run(spec *workflow.Spec, pol *privacy.Policy) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{SpecID: spec.ID, GammaModules: map[string]int{}}
-	for m, g := range pol.ModuleGamma {
-		rep.GammaModules[m] = g
-	}
-
+	rep := &Report{SpecID: spec.ID}
 	for _, lvl := range Levels(pol) {
 		view := pol.AccessView(h, lvl)
 		v, err := workflow.Expand(spec, view)
@@ -160,18 +153,6 @@ func (rep *Report) Render() string {
 			fmt.Fprintf(&b, "%s\n", w)
 		}
 		fmt.Fprintf(&b, "%d warning(s); protect each at the attribute's level: the output in data_levels, or the module in module_levels\n", len(rep.Leaks))
-	}
-	if len(rep.GammaModules) > 0 {
-		b.WriteString("\n== module privacy requirements ==\n")
-		mods := make([]string, 0, len(rep.GammaModules))
-		for m := range rep.GammaModules {
-			mods = append(mods, m)
-		}
-		sort.Strings(mods)
-		for _, m := range mods {
-			fmt.Fprintf(&b, "%s: requires Γ=%d — certify with modpriv over the module's relation\n",
-				m, rep.GammaModules[m])
-		}
 	}
 	return b.String()
 }

@@ -17,7 +17,6 @@ func examplePolicy(t *testing.T) (*workflow.Spec, *privacy.Policy) {
 	pol.DataLevels["snps"] = privacy.Owner
 	pol.DataLevels["disorders"] = privacy.Analyst
 	pol.ModuleLevels["M6"] = privacy.Owner
-	pol.ModuleGamma["M1"] = 4
 	pol.Structural = []privacy.HiddenPair{{From: "M13", To: "M11", Level: privacy.Owner}}
 	pol.ViewGrants[privacy.Registered] = []string{"W2"}
 	pol.ViewGrants[privacy.Analyst] = []string{"W3", "W4"}
@@ -62,9 +61,6 @@ func TestRunProducesFullReport(t *testing.T) {
 	}
 	if !foundSnps {
 		t.Fatalf("leaks = %+v, want snps->M3 warning", rep.Leaks)
-	}
-	if rep.GammaModules["M1"] != 4 {
-		t.Fatalf("gamma modules = %v", rep.GammaModules)
 	}
 }
 
@@ -119,7 +115,7 @@ func TestRender(t *testing.T) {
 	out := rep.Render()
 	for _, wantSub := range []string{
 		"access levels", "downstream-leak warnings",
-		"module privacy requirements", "view={W1 W2 W4}", "Γ=4",
+		"view={W1 W2 W4}",
 		// The advice names only policy fields the engine enforces.
 		fmt.Sprintf("\n%d warning(s); protect each at the attribute's level: the output in data_levels, or the module in module_levels\n", len(rep.Leaks)),
 	} {

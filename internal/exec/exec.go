@@ -172,18 +172,6 @@ func (e *Execution) Graph() *graph.Graph {
 	return g
 }
 
-// ExecutionsOf returns the node executing the given spec module id
-// (the begin node for composites), or nil.
-func (e *Execution) ExecutionsOf(moduleID string) []*Node {
-	var out []*Node
-	for _, n := range e.Nodes {
-		if n.Module == moduleID && (n.Kind == AtomicNode || n.Kind == BeginNode) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Validate checks internal consistency: no nil node or item, unique node
 // ids, edges referencing known nodes and items, every item produced by a
 // known node, and acyclicity.

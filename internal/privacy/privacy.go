@@ -72,10 +72,11 @@ type Policy struct {
 	// public.
 	DataLevels map[string]Level `json:"data_levels,omitempty"`
 
-	// ModuleGamma: module privacy requirements — minimum number of
-	// possible outputs an adversary below ModuleLevels[m] must be left
-	// with for every input of private module m (Γ in [4]).
-	ModuleGamma  map[string]int   `json:"module_gamma,omitempty"`
+	// ModuleLevels: module privacy, as visibility — minimum level
+	// required to see a module (CanSeeModule). Below it the module's
+	// keywords match no search or query term. Modules absent from the map
+	// are public. Γ-secure views are not served, so a policy cannot ask
+	// for one.
 	ModuleLevels map[string]Level `json:"module_levels,omitempty"`
 
 	// Structural: connections that must be hidden from low levels.
@@ -92,7 +93,6 @@ func NewPolicy(specID string) *Policy {
 	return &Policy{
 		SpecID:       specID,
 		DataLevels:   make(map[string]Level),
-		ModuleGamma:  make(map[string]int),
 		ModuleLevels: make(map[string]Level),
 		ViewGrants:   make(map[Level][]string),
 	}
@@ -186,10 +186,10 @@ func sharedWorkflow(h *workflow.Hierarchy, from, to string) string {
 }
 
 // Validate checks the policy against a spec: referenced modules,
-// workflows and attributes must exist, Γ values must be ≥ 2 (Γ = 1 is
-// no privacy) and structural pairs must reference modules that share a
-// composite: a pair whose deepest shared workflow is the root has no
-// composite to withdraw, so the engine could not hide it.
+// workflows and attributes must exist, and structural pairs must
+// reference modules that share a composite: a pair whose deepest shared
+// workflow is the root has no composite to withdraw, so the engine could
+// not hide it.
 func (p *Policy) Validate(s *workflow.Spec) error {
 	if p.SpecID != s.ID {
 		return fmt.Errorf("privacy: policy for %q applied to spec %q", p.SpecID, s.ID)
@@ -210,14 +210,6 @@ func (p *Policy) Validate(s *workflow.Spec) error {
 	for a := range p.DataLevels {
 		if !attrs[a] {
 			return fmt.Errorf("privacy: data level for unknown attribute %q", a)
-		}
-	}
-	for mid, g := range p.ModuleGamma {
-		if !modules[mid] {
-			return fmt.Errorf("privacy: module gamma for unknown module %q", mid)
-		}
-		if g < 2 {
-			return fmt.Errorf("privacy: module %s gamma %d < 2 provides no privacy", mid, g)
 		}
 	}
 	for mid := range p.ModuleLevels {

@@ -15,7 +15,6 @@ func diseasePolicy(t *testing.T) (*workflow.Spec, *Policy) {
 	p := NewPolicy(s.ID)
 	p.DataLevels["disorders"] = Analyst
 	p.DataLevels["snps"] = Owner
-	p.ModuleGamma["M1"] = 4
 	p.ModuleLevels["M1"] = Owner
 	p.Structural = []HiddenPair{{From: "M13", To: "M11", Level: Owner}}
 	p.ViewGrants[Registered] = []string{"W2"}
@@ -172,8 +171,6 @@ func TestValidateRejectsUnknownRefs(t *testing.T) {
 	s := workflow.DiseaseSusceptibility()
 	cases := []func(p *Policy){
 		func(p *Policy) { p.DataLevels["nope"] = Analyst },
-		func(p *Policy) { p.ModuleGamma["MX"] = 4 },
-		func(p *Policy) { p.ModuleGamma["M1"] = 1 },
 		func(p *Policy) { p.ModuleLevels["MX"] = Owner },
 		func(p *Policy) { p.Structural = []HiddenPair{{From: "MX", To: "M1", Level: Owner}} },
 		func(p *Policy) { p.Structural = []HiddenPair{{From: "M1", To: "MX", Level: Owner}} },
@@ -215,7 +212,7 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 	if err := p2.Validate(s); err != nil {
 		t.Fatalf("round-tripped policy invalid: %v", err)
 	}
-	if p2.DataLevels["snps"] != Owner || p2.ModuleGamma["M1"] != 4 {
+	if p2.DataLevels["snps"] != Owner || p2.ModuleLevels["M1"] != Owner {
 		t.Fatalf("fields lost: %+v", p2)
 	}
 	if len(p2.Structural) != 1 || p2.Structural[0].From != "M13" {

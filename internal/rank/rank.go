@@ -17,7 +17,6 @@ package rank
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 )
@@ -184,36 +183,11 @@ func Bucketize(rs []Ranked, nBuckets int) []Ranked {
 	return out
 }
 
-// Perturb adds Laplace(scale) noise to every score and re-sorts — the
-// randomized alternative to Bucketize. It bounds inference like noise
-// does in differential privacy, but at the price the paper calls out in
-// Section 5: the same query returns a different ranking on every call,
-// breaking reproducibility. Provided for the B6 ablation against
-// deterministic bucketing.
-//
-//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary and its defences (rank_test.go)
-func Perturb(rs []Ranked, scale float64, seed int64) []Ranked {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Ranked, len(rs))
-	for i, r := range rs {
-		u := rng.Float64() - 0.5
-		var noise float64
-		if u >= 0 {
-			noise = -scale * math.Log(1-2*u)
-		} else {
-			noise = scale * math.Log(1+2*u)
-		}
-		out[i] = Ranked{Doc: r.Doc, Score: r.Score + noise}
-	}
-	Sort(out)
-	return out
-}
-
 // InvertTF is the frequency-inference attack: given a published score
 // for a single-term query and the public IDF of the term, estimate the
 // term count in the document. With exact scores the estimate is exact.
 //
-//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary (rank_test.go)
+//provlint:ignore unserved reference: the inversion step of FrequencyAttack, the adversary Bucketize is measured against (rank_test.go)
 func InvertTF(score, idf float64) float64 {
 	if idf == 0 {
 		return 0
@@ -232,7 +206,7 @@ type AttackReport struct {
 // published scores, comparing with the true counts in the (full,
 // pre-privacy) corpus.
 //
-//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary: it runs against served scores or goes (rank_test.go)
+//provlint:ignore unserved reference: the adversary rank_test.go and root B6 measure Bucketize, the served buckets= defence, against
 func FrequencyAttack(trueCorpus *Corpus, published []Ranked, term string) AttackReport {
 	idf := trueCorpus.IDF(term)
 	var rep AttackReport
@@ -259,7 +233,7 @@ func FrequencyAttack(trueCorpus *Corpus, published []Ranked, term string) Attack
 // so a bucketed ranking is not penalized for the order of documents
 // within one bucket. Documents missing from either ranking are ignored.
 //
-//provlint:ignore unserved ROADMAP item 8 owns the ranking adversary's utility measure (rank_test.go)
+//provlint:ignore unserved reference: the rank-quality cost of Bucketize that rank_test.go and root B6 measure
 func KendallTau(a, b []Ranked) float64 {
 	scoreA := make(map[string]float64, len(a))
 	for _, r := range a {

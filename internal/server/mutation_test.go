@@ -394,6 +394,47 @@ func TestUnhideablePairRefusedOverWire(t *testing.T) {
 	}
 }
 
+// TestModuleGammaRefusedOverWire: module privacy is served as visibility
+// (module_levels) only, so a policy cannot ask for a Γ-secure view: PUT
+// /policy and POST /specs whose policy names module_gamma answer 400 and
+// install nothing, rather than accept a requirement no answer honours.
+func TestModuleGammaRefusedOverWire(t *testing.T) {
+	ts, _, r, e := newAuthedServer(t)
+	var progID string
+	for id, it := range e.Items {
+		if it.Attr == "prognosis" {
+			progID = id
+		}
+	}
+	path := fmt.Sprintf("/api/v1/provenance?spec=disease-susceptibility&exec=%s&item=%s", e.ID, progID)
+	read := func() string {
+		var body json.RawMessage
+		if code := do(t, ts, "GET", path, readerSecret, nil, &body); code != http.StatusOK {
+			t.Fatalf("provenance: %d", code)
+		}
+		return string(body)
+	}
+	before, served := r.Policy("disease-susceptibility"), read()
+	body := `{"spec":"disease-susceptibility","policy":{"spec":"disease-susceptibility","module_gamma":{"M1":4}}}`
+	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT /policy with module_gamma: %d, want 400", code)
+	}
+	if r.Policy("disease-susceptibility") != before {
+		t.Fatal("a policy asking for Γ replaced the installed one")
+	}
+	if got := read(); got != served {
+		t.Fatalf("answer moved after a refused policy:\n got %s\nwant %s", got, served)
+	}
+	specJSON, _ := json.Marshal(zebrafishSpec(t, "zf-gamma"))
+	add, _ := json.Marshal(map[string]json.RawMessage{"spec": specJSON, "policy": []byte(`{"module_gamma":{"A1":4}}`)})
+	if code := do(t, ts, "POST", "/api/v1/specs", writerSecret, add, nil); code != http.StatusBadRequest {
+		t.Fatalf("POST /specs with module_gamma: %d, want 400", code)
+	}
+	if r.Spec("zf-gamma") != nil {
+		t.Fatal("spec registered under a policy asking for Γ")
+	}
+}
+
 // TestPolicyAndGeneralizationOverWire: PUT /policy and PUT
 // /generalization reach the engine — a ladder installed over the wire
 // turns the public user's redacted snps into a generalized value, and a

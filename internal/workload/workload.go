@@ -1,23 +1,19 @@
 // Package workload generates synthetic workflow specifications,
-// executions, module implementations and query streams for tests and
-// benchmarks. It substitutes for the real scientific-workflow
-// repositories (myGrid/Taverna-style) the paper assumes but which are
-// not available here: generated specs exercise the same shapes —
-// hierarchical DAGs with τ-expansions, keyword-bearing module names,
-// chains with skip edges — with seeded determinism so every benchmark
-// run is reproducible.
+// execution inputs, policies and query streams for tests and benchmarks.
+// It substitutes for the real scientific-workflow repositories
+// (myGrid/Taverna-style) the paper assumes but which are not available
+// here: generated specs exercise the same shapes — hierarchical DAGs with
+// τ-expansions, keyword-bearing module names, chains with skip edges —
+// with seeded determinism so every benchmark run is reproducible.
 package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
-	"provpriv/internal/modpriv"
 	"provpriv/internal/workflow"
 )
 
@@ -272,50 +268,4 @@ func LayeredDAG(rng *rand.Rand, layers, width, maxIn int) *graph.Graph {
 		all = append(all, cur...)
 	}
 	return g
-}
-
-// KDomain builds a domain of k values v0..v(k-1) for each attribute.
-//
-//provlint:ignore unserved test support: root module-privacy benchmarks and workload_test.go build domains with it (bench_test.go)
-func KDomain(k int, attrs ...string) modpriv.Domain {
-	vals := make([]exec.Value, k)
-	for i := range vals {
-		vals[i] = exec.Value(fmt.Sprintf("v%d", i))
-	}
-	d := make(modpriv.Domain, len(attrs))
-	for _, a := range attrs {
-		d[a] = vals
-	}
-	return d
-}
-
-// RandomTableFunc returns a deterministic pseudo-random module function:
-// each output value is chosen from its domain by hashing the seed, the
-// sorted input assignment and the output attribute. The same seed always
-// yields the same relation — module privacy requires a fixed function.
-//
-//provlint:ignore unserved ROADMAP item 8 owns the reconstruction adversary's random modules (workload_test.go)
-func RandomTableFunc(seed int64, outputs []string, dom modpriv.Domain) exec.Func {
-	return func(in map[string]exec.Value) map[string]exec.Value {
-		keys := make([]string, 0, len(in))
-		for a := range in {
-			keys = append(keys, a)
-		}
-		sort.Strings(keys)
-		var sig strings.Builder
-		for _, a := range keys {
-			sig.WriteString(a)
-			sig.WriteByte('=')
-			sig.WriteString(string(in[a]))
-			sig.WriteByte(';')
-		}
-		out := make(map[string]exec.Value, len(outputs))
-		for _, o := range outputs {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%d|%s|%s", seed, sig.String(), o)
-			vals := dom[o]
-			out[o] = vals[h.Sum64()%uint64(len(vals))]
-		}
-		return out
-	}
 }

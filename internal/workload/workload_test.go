@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"provpriv/internal/exec"
-	"provpriv/internal/modpriv"
 	"provpriv/internal/workflow"
 )
 
@@ -121,44 +120,6 @@ func TestLayeredDAG(t *testing.T) {
 	}
 	if g.M() < 40 {
 		t.Fatalf("too few edges: %d", g.M())
-	}
-}
-
-func TestDomains(t *testing.T) {
-	k := KDomain(5, "x")
-	if k.Size("x") != 5 {
-		t.Fatalf("KDomain = %v", k)
-	}
-}
-
-func TestRandomTableFuncDeterministicAndEnumerable(t *testing.T) {
-	dom := KDomain(3, "a", "b", "y", "z")
-	fn := RandomTableFunc(9, []string{"y", "z"}, dom)
-	in := map[string]exec.Value{"a": "v1", "b": "v2"}
-	o1 := fn(in)
-	o2 := fn(in)
-	if o1["y"] != o2["y"] || o1["z"] != o2["z"] {
-		t.Fatal("nondeterministic table func")
-	}
-	rel, err := modpriv.Enumerate("m", fn, []string{"a", "b"}, []string{"y", "z"}, dom)
-	if err != nil {
-		t.Fatalf("Enumerate: %v", err)
-	}
-	if len(rel.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9", len(rel.Rows))
-	}
-	// Different seed gives a (very likely) different relation.
-	fn2 := RandomTableFunc(10, []string{"y", "z"}, dom)
-	diff := false
-	for _, row := range rel.Rows {
-		o := fn2(row.In)
-		if o["y"] != row.Out["y"] || o["z"] != row.Out["z"] {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("two seeds produced identical relations")
 	}
 }
 

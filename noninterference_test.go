@@ -117,13 +117,7 @@ func niPostAndReload(t *testing.T, r *repo.Repository, e *exec.Execution) *repo.
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/api/v1/executions", bytes.NewReader(body))
-	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
-	w := httptest.NewRecorder()
-	server.New(r).Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusCreated {
-		t.Fatalf("POST %s: %d %s", e.ID, w.Code, w.Body)
-	}
+	niSend(t, r, http.MethodPost, "/api/v1/executions", body, http.StatusCreated)
 	dir := t.TempDir()
 	if err := r.Save(dir); err != nil {
 		t.Fatal(err)
@@ -323,12 +317,19 @@ func niPut(t *testing.T, r *repo.Repository, path string, body any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPut, path, bytes.NewReader(b))
+	niSend(t, r, http.MethodPut, path, b, http.StatusOK)
+}
+
+// niSend sends body to r's route as the owner and fails unless it answers
+// want.
+func niSend(t *testing.T, r *repo.Repository, method, path string, body []byte, want int) {
+	t.Helper()
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
 	w := httptest.NewRecorder()
 	server.New(r).Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("PUT %s: %d %s", path, w.Code, w.Body)
+	if w.Code != want {
+		t.Fatalf("%s %s: %d %s", method, path, w.Code, w.Body)
 	}
 }
 
@@ -392,6 +393,116 @@ func TestNonInterferencePolicyTightened(t *testing.T) {
 			rw, rp = niPostAndReload(t, rw, runW(execs)), niPostAndReload(t, rp, runP(execs))
 			where += ", a post, a save and a reload"
 			if niSame(t, where, niAsk(t, rw, s, execs+1, items, keywords, user), niAsk(t, rp, s, execs+1, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+		}
+	}
+}
+
+// TestNonInterferenceSpecReAdded is the two-world check across a spec
+// removed and added again under its id. W' differs from W only in what
+// level L may not see under the tight policy P2. Both worlds first serve a
+// looser P1 that lets L see those attributes, each is saved to its own
+// directory, and L reads every route, so the shard's caches and the saved
+// directory hold what tells the worlds apart. Then, over the wire, the
+// spec is deleted, added again under P2, and every run but the last is
+// posted again: from that answer on, L must not tell the worlds apart, nor
+// after a save into the same directory and a reload, which must hold the
+// posted-again runs and no other. It bites anything of the removed
+// incarnation carried into the new one: a cache entry, an index posting or
+// a saved run.
+func TestNonInterferenceSpecReAdded(t *testing.T) {
+	const execs = 3
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{
+			Seed: seed, ID: fmt.Sprintf("ni-readd-%d", seed), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight, err := workload.RandomPolicy(s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
+		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, keywords := ref.ItemIDs(), niKeywords(s)
+		tightJSON, err := json.Marshal(tight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addSpec, err := json.Marshal(map[string]any{"spec": s, "policy": tight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reposted []string
+		for i := 0; i < execs-1; i++ {
+			reposted = append(reposted, fmt.Sprintf("E%d", i))
+		}
+		for _, level := range niLevels {
+			loose := privacy.NewPolicy(s.ID)
+			if err := json.Unmarshal(tightJSON, loose); err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range tight.HiddenAttrs(level) {
+				loose.DataLevels[a] = level
+			}
+			rw, runW := niWorld(t, s, tight, execs, nil)
+			rp, runP := niWorld(t, s, tight, execs, &level)
+			dirW, dirP := t.TempDir(), t.TempDir()
+			for r, dir := range map[*repo.Repository]string{rw: dirW, rp: dirP} {
+				if err := r.UpdatePolicy(s.ID, loose); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Save(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			user := "u-" + level.String()
+			where := fmt.Sprintf("seed %d, %s", seed, user)
+			if slices.Equal(niAsk(t, rw, s, execs, items, keywords, user), niAsk(t, rp, s, execs, items, keywords, user)) {
+				t.Fatalf("%s: the worlds answer alike under the loose policy: W' changed nothing %s may see there", where, user)
+			}
+			readd := func(r *repo.Repository, run func(int) *exec.Execution) {
+				niSend(t, r, http.MethodDelete, "/api/v1/specs/"+s.ID, nil, http.StatusOK)
+				niSend(t, r, http.MethodPost, "/api/v1/specs", addSpec, http.StatusCreated)
+				for i := 0; i < execs-1; i++ {
+					body, err := exec.MarshalExecution(run(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					niSend(t, r, http.MethodPost, "/api/v1/executions", body, http.StatusCreated)
+				}
+			}
+			readd(rw, runW)
+			readd(rp, runP)
+			where += ", after the spec was removed and added again under the tight policy"
+			if niSame(t, where, niAsk(t, rw, s, execs-1, items, keywords, user), niAsk(t, rp, s, execs-1, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+			reload := func(r *repo.Repository, dir string) *repo.Repository {
+				if err := r.Save(dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.CloseStorage(); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := repo.Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { loaded.CloseStorage() })
+				if ids := loaded.ExecutionIDs(s.ID); !slices.Equal(ids, reposted) {
+					t.Fatalf("%s: reloaded runs %v, posted again %v", where, ids, reposted)
+				}
+				return loaded
+			}
+			rw, rp = reload(rw, dirW), reload(rp, dirP)
+			where += ", a save into the same directory and a reload"
+			if niSame(t, where, niAsk(t, rw, s, execs-1, items, keywords, user), niAsk(t, rp, s, execs-1, items, keywords, user)) == 0 {
 				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
 			}
 		}

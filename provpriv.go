@@ -6,11 +6,12 @@
 // specifications and their views (internal/workflow), executions and
 // provenance graphs (internal/exec), the privacy policy and access views
 // (internal/privacy), data masking (internal/datapriv, internal/taint),
-// module privacy with Γ-secure views (internal/modpriv), and the
-// privacy-aware repository that searches, queries and masks
-// (internal/repo), served over HTTP by cmd/provserve. Structural privacy
-// is part of the access view: a hidden pair withdraws the composite its
-// modules share (privacy.Policy.AccessView).
+// and the privacy-aware repository that searches, queries and masks
+// (internal/repo), served over HTTP by cmd/provserve. Module privacy is
+// visibility: a policy's module levels say which modules each access
+// level may see (privacy.Policy.CanSeeModule). Structural privacy is part
+// of the access view: a hidden pair withdraws the composite its modules
+// share (privacy.Policy.AccessView).
 //
 // This package is the facade the programs in examples/ are written
 // against, and no more: every function here is one an example calls, and
@@ -31,7 +32,6 @@ package provpriv
 
 import (
 	"provpriv/internal/exec"
-	"provpriv/internal/modpriv"
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
 	"provpriv/internal/workflow"
@@ -87,20 +87,6 @@ type (
 	SearchOptions = repo.SearchOptions
 )
 
-// Module privacy.
-type (
-	// Relation is a module's I/O relation over finite domains.
-	Relation = modpriv.Relation
-	// Domain maps attributes to finite value domains.
-	Domain = modpriv.Domain
-	// Hidden is a hidden-attribute set.
-	Hidden = modpriv.Hidden
-	// Weights assigns utility lost per hidden attribute.
-	Weights = modpriv.Weights
-	// SecureView is a per-module secure view.
-	SecureView = modpriv.SecureView
-)
-
 // NewRepository returns an empty repository.
 func NewRepository() *Repository { return repo.New() }
 
@@ -130,24 +116,4 @@ func CollapseExecution(e *Execution, s *Spec, p Prefix) (*Execution, error) {
 // Downstream lists the items affected by a data item.
 func Downstream(e *Execution, itemID string) ([]string, error) {
 	return exec.Downstream(e, itemID)
-}
-
-// EnumerateRelation builds a module's I/O relation over finite domains.
-func EnumerateRelation(moduleID string, fn Func, inputs, outputs []string, dom Domain) (*Relation, error) {
-	return modpriv.Enumerate(moduleID, fn, inputs, outputs, dom)
-}
-
-// GreedySecureView finds a safe hidden set heuristically.
-func GreedySecureView(r *Relation, gamma int, w Weights) (*SecureView, error) {
-	return modpriv.GreedySecureView(r, gamma, w)
-}
-
-// ExhaustiveSecureView finds a minimum-cost safe hidden set exactly.
-func ExhaustiveSecureView(r *Relation, gamma int, w Weights) (*SecureView, error) {
-	return modpriv.ExhaustiveSecureView(r, gamma, w)
-}
-
-// RedactExecution masks the values of hidden attributes.
-func RedactExecution(e *Execution, hidden Hidden) *Execution {
-	return modpriv.Redact(e, hidden)
 }

@@ -91,32 +91,6 @@ func TestFacadeViewsAndProvenance(t *testing.T) {
 	}
 }
 
-func TestFacadeModulePrivacy(t *testing.T) {
-	xor := func(in map[string]Value) map[string]Value {
-		v := Value("0")
-		if in["a"] != in["b"] {
-			v = "1"
-		}
-		return map[string]Value{"y": v}
-	}
-	dom := Domain{"a": {"0", "1"}, "b": {"0", "1"}, "y": {"0", "1"}}
-	rel, err := EnumerateRelation("m", xor, []string{"a", "b"}, []string{"y"}, dom)
-	if err != nil {
-		t.Fatalf("EnumerateRelation: %v", err)
-	}
-	sv, err := GreedySecureView(rel, 2, Weights{"y": 1, "a": 5, "b": 5})
-	if err != nil {
-		t.Fatalf("GreedySecureView: %v", err)
-	}
-	if !sv.Hidden["y"] {
-		t.Fatalf("hidden = %v", sv.Hidden)
-	}
-	ex, err := ExhaustiveSecureView(rel, 2, Weights{"y": 1, "a": 5, "b": 5})
-	if err != nil || ex.Cost != sv.Cost {
-		t.Fatalf("exact = %v, %v", ex, err)
-	}
-}
-
 func TestFacadeSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	spec := DiseaseSusceptibility()
