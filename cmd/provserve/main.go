@@ -96,7 +96,7 @@ func main() {
 	// with "-backend flat"; it goes with BENCHMARK.json v2 (ROADMAP 4(f)).
 	backendName := flag.String("backend", "flat", "accepted for compatibility; flat is the only value")
 	example := flag.Bool("example", false, "serve the built-in paper example instead of -data")
-	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest, compaction; 0 disables the async surface)")
+	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest; 0 disables the async surface)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"shutdown budget for draining in-flight requests and background tasks before stragglers are canceled")
 	tokenFile := flag.String("token-file", "",
@@ -260,7 +260,7 @@ func main() {
 	if *taskWorkers > 0 {
 		rt = tasks.New(*taskWorkers, taskQueue)
 		// Terminal tasks feed the queue-wait/run histograms; sampled
-		// attempts get their own root traces in the debug ring.
+		// tasks get their own root traces in the debug ring.
 		rt.SetObserve(metrics.ObserveTask)
 		rt.SetTraceHook(tracer.StartRoot)
 		srv.Tasks = rt

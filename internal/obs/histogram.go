@@ -8,7 +8,7 @@ import (
 // durationBounds are the fixed histogram bucket upper bounds, in
 // seconds, shared by every latency histogram: fine resolution where an
 // in-memory engine lives (sub-millisecond) and coverage out to the
-// multi-second tail a cold fan-out or compaction pass can reach. The
+// multi-second tail a cold fan-out or bulk ingest can reach. The
 // final implicit bucket is +Inf.
 var durationBounds = [...]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,

@@ -24,8 +24,8 @@ type routeMetrics struct {
 	bytes   atomic.Int64 //provlint:counter
 }
 
-// taskMetrics is the per-task-class slot: how long tasks waited for a
-// worker and how long their attempt loops ran.
+// taskMetrics is the per-task-kind slot: how long tasks waited for a
+// worker and how long their handlers ran.
 type taskMetrics struct {
 	queueWait Histogram
 	run       Histogram
@@ -82,7 +82,7 @@ func (m *Metrics) observe(route string, status int, d time.Duration, bytes int64
 }
 
 // ObserveTask records one terminal background task: how long it queued
-// and how long its attempt loop ran. The signature matches the task
+// and how long its handler ran. The signature matches the task
 // runtime's observer hook so the two packages stay decoupled.
 func (m *Metrics) ObserveTask(kind string, queueWait, run time.Duration) {
 	m.taskMu.RLock()
@@ -216,9 +216,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 			runs[i] = histSeries{labels: fmt.Sprintf("kind=%q", k), h: &tms[i].run}
 		}
 		writeHistogramFamily(w, "provpriv_tasks_queue_wait_seconds",
-			"Time background tasks spent queued before a worker picked them up, by class.", waits)
+			"Time background tasks spent queued before a worker picked them up, by kind.", waits)
 		writeHistogramFamily(w, "provpriv_tasks_run_seconds",
-			"Background task attempt-loop run time (including in-worker backoff), by class.", runs)
+			"Background task handler run time, by kind.", runs)
 	}
 
 	writeRuntimeGauges(w)

@@ -167,7 +167,7 @@ func (tr *Tracer) finish(t *Trace, name string, status int, dur time.Duration) {
 }
 
 // StartRoot opens a sampled root trace around a non-HTTP unit of work
-// (a background task attempt). The returned finish func commits the
+// (a background task). The returned finish func commits the
 // trace; when the sampler says no it returns (ctx, no-op). The
 // signature matches the task runtime's trace hook so the packages stay
 // decoupled.

@@ -27,15 +27,14 @@ import (
 // Incrementality: shards carry a mutation sequence number; saving twice
 // through the same bound store skips clean shards entirely and appends
 // only the delta (new executions, replaced policy/ladders) for dirty
-// ones. Save never folds a log into a fresh checkpoint inline — saves
-// stay O(delta) no matter how long a log grows. Folding is the job of
-// CompactShard (compact.go), run off-path by the async task runtime;
-// NeedsCompaction reports the shards whose logs have outgrown
-// compactThreshold.
+// ones. The save that outgrows the threshold folds: when a delta would
+// push a shard's log past compactThreshold records, that save writes the
+// shard's full checkpoint at its own generation instead, with an empty
+// log, so replay stays bounded and Save is the store's only writer.
 
-// compactThreshold is the log length (in records) past which
-// NeedsCompaction nominates a shard for a background fold. Package
-// variable so tests can force compaction cheaply.
+// compactThreshold is the log length (in records) a save may leave
+// behind; the save whose delta would exceed it writes a checkpoint
+// instead. Package variable so tests can force folds cheaply.
 var compactThreshold uint64 = 256
 
 // boundStore is the repository's attachment to one storage backend:
@@ -236,28 +235,29 @@ func (ss *shardSaved) info() storage.ShardInfo {
 }
 
 // writeShard persists one dirty shard: an append of the delta records
-// to its existing log for a known shard, a full checkpoint only when
-// the shard is new (or replaced under the same id). It never folds a
-// long log — that is CompactShard's job, off the save path — so a save
-// is always O(changed data).
+// to its existing log for a known shard, a full checkpoint when the
+// shard is new (or replaced under the same id) or when the delta would
+// push its log past compactThreshold.
 func (bs *boundStore) writeShard(ctx context.Context, sid string, gen uint64, snap shardSnap, prev *shardSaved) (*shardSaved, error) {
 	if prev != nil && prev.spec == snap.spec {
 		recs, err := deltaRecords(sid, snap, prev)
 		if err != nil {
 			return nil, err
 		}
-		logLen := prev.logLen
-		if len(recs) > 0 {
-			_, span := obs.StartSpan(ctx, "storage.append")
-			logLen, err = bs.b.Append(sid, prev.ckptGen, prev.logLen, recs)
-			span.End()
-			if err != nil {
-				return nil, err
+		if logRecs := prev.logRecs + uint64(len(recs)); logRecs <= compactThreshold {
+			logLen := prev.logLen
+			if len(recs) > 0 {
+				_, span := obs.StartSpan(ctx, "storage.append")
+				logLen, err = bs.b.Append(sid, prev.ckptGen, prev.logLen, recs)
+				span.End()
+				if err != nil {
+					return nil, err
+				}
 			}
+			ss := snap.saved(prev.ckptGen, prev.ckptRecords)
+			ss.logLen, ss.logRecs = logLen, logRecs
+			return ss, nil
 		}
-		ss := snap.saved(prev.ckptGen, prev.ckptRecords)
-		ss.logLen, ss.logRecs = logLen, prev.logRecs+uint64(len(recs))
-		return ss, nil
 	}
 	recs, err := checkpointRecords(sid, snap)
 	if err != nil {

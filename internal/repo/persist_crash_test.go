@@ -185,26 +185,27 @@ func TestTornSnapshotKillMatrix(t *testing.T) {
 	})
 }
 
-// TestBackgroundFoldKillMatrix extends the kill matrix to crashes
-// landing inside a background compaction fold: after a committed v2
-// save, CompactShard runs over every shard with a kill injected at each
-// checkpoint-write and manifest-commit boundary. A fold only rewrites
-// committed data, so whatever the crash point, a reload must always be
-// complete v2 — compaction can never lose or tear a snapshot — and a
-// recovery save through a fresh binding must succeed, after which
-// compaction completes cleanly.
+// TestBackgroundFoldKillMatrix extends the kill matrix to a save that
+// folds: v1 is committed as a checkpoint plus a short log (its policy
+// re-installed unchanged), the threshold sits at that log's length, so
+// the v2 save writes every shard's checkpoint afresh instead of
+// appending. A kill lands before and after each checkpoint write and the
+// manifest commit; a reload must be complete v1 until the commit lands
+// and complete v2 once it has, never a mix, and the next save must
+// succeed and leave v2. (The name is from when folds ran as a background
+// task; it stays so the kill points keep their names.)
 func TestBackgroundFoldKillMatrix(t *testing.T) {
 	type kp struct {
 		op    string
-		n     int // nth fold op during the compaction pass (1-based)
+		n     int // nth op of its kind during the folding save (1-based)
 		after bool
 	}
 	var points []kp
 	for n := 1; n <= 3; n++ {
-		points = append(points,
-			kp{storagetest.OpWriteCheckpoint, n, false}, kp{storagetest.OpWriteCheckpoint, n, true},
-			kp{storagetest.OpCommit, n, false}, kp{storagetest.OpCommit, n, true})
+		points = append(points, kp{storagetest.OpWriteCheckpoint, n, false}, kp{storagetest.OpWriteCheckpoint, n, true})
 	}
+	points = append(points, kp{storagetest.OpCommit, 1, false}, kp{storagetest.OpCommit, 1, true})
+	defer func(old uint64) { compactThreshold = old }(compactThreshold)
 	// The "flat" level is from when there were two backends; it stays so
 	// the kill points keep the names they have had since PR 6.
 	t.Run("flat", func(t *testing.T) {
@@ -227,47 +228,54 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 				if err := r.Save(dir); err != nil {
 					t.Fatalf("v1 save: %v", err)
 				}
-				mutateToV2(t, r)
-				if err := r.Save(dir); err != nil {
-					t.Fatalf("v2 save: %v", err)
+				for i := 0; i < 3; i++ {
+					sid := fmt.Sprintf("s%d", i)
+					if err := r.UpdatePolicy(sid, r.Policy(sid)); err != nil {
+						t.Fatalf("UpdatePolicy: %v", err)
+					}
 				}
-				// Kill points are relative to the compaction pass: offset
-				// by the calls the two saves already made.
+				compactThreshold = 2 // the re-installed policy and its ladders
+				checkpoints, appends := f.Calls(storagetest.OpWriteCheckpoint), f.Calls(storagetest.OpAppend)
+				if err := r.Save(dir); err != nil {
+					t.Fatalf("v1 log save: %v", err)
+				}
+				if f.Calls(storagetest.OpWriteCheckpoint) != checkpoints || f.Calls(storagetest.OpAppend) != appends+3 {
+					t.Fatalf("the v1 log save did not append to every shard")
+				}
+				mutateToV2(t, r)
+				// Kill points are relative to the v2 save: offset by the
+				// calls the v1 saves already made.
 				n := f.Calls(p.op) + p.n
 				if p.after {
 					f.KillAfter(p.op, n)
 				} else {
 					f.KillBefore(p.op, n)
 				}
-				var foldErr error
-				for i := 0; i < 3; i++ {
-					if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
-						foldErr = err
-						break
-					}
-				}
-				if foldErr == nil {
+				appends = f.Calls(storagetest.OpAppend)
+				if err := r.Save(dir); err == nil {
 					t.Fatalf("kill point %s %s #%d never fired", mode, p.op, p.n)
 				}
-				// A fold crash can never cost data: reload is complete v2
-				// no matter where the kill landed.
+				if f.Calls(storagetest.OpAppend) != appends {
+					t.Fatalf("the v2 save appended; it must fold every shard")
+				}
 				r2, err := Load(dir)
 				if err != nil {
-					t.Fatalf("Load after injected fold crash: %v", err)
+					t.Fatalf("Load after injected crash: %v", err)
 				}
-				if got := snapshotVersion(t, r2); got != 2 {
-					t.Fatalf("loaded v%d after fold crash %s %s #%d, want v2", got, mode, p.op, p.n)
-				}
+				got := snapshotVersion(t, r2)
 				r2.CloseStorage()
-				// The failed fold dropped the binding; the next save rebinds
-				// and rewrites, and compaction then completes cleanly.
+				want := 1
+				if p.op == storagetest.OpCommit && p.after {
+					// The manifest landed before the crash: v2 is committed.
+					want = 2
+				}
+				if got != want {
+					t.Fatalf("loaded v%d after crash %s %s #%d, want v%d", got, mode, p.op, p.n, want)
+				}
+				// The failed save dropped the binding; the next save rebinds
+				// and rewrites in full.
 				if err := r.Save(dir); err != nil {
 					t.Fatalf("recovery save: %v", err)
-				}
-				for i := 0; i < 3; i++ {
-					if err := r.CompactShard(fmt.Sprintf("s%d", i)); err != nil {
-						t.Fatalf("compaction after recovery: %v", err)
-					}
 				}
 				r3, err := Load(dir)
 				if err != nil {
@@ -436,20 +444,19 @@ func TestLoadRejectsLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestSaveNeverFoldsInline is the op-counter proof that compaction left
-// the save path: repeated saves past the threshold only ever append —
-// the measured backend's checkpoint counter stays at the initial shard
-// write — while NeedsCompaction nominates the outgrown shard for the
-// background fold, and CompactShard then folds it into a fresh
-// checkpoint with an empty log, preserving every execution.
-func TestSaveNeverFoldsInline(t *testing.T) {
-	oldThreshold := compactThreshold
-	compactThreshold = 2
-	defer func() { compactThreshold = oldThreshold }()
+// TestSaveFoldsAtThreshold is the op-counter proof that a save keeps
+// its own log short: saves append one record each until the one whose
+// delta would push the log past the threshold, which writes exactly one
+// checkpoint and no append, commits a manifest pointing at it with an
+// empty log, and reloads to the same executions and the same answers.
+func TestSaveFoldsAtThreshold(t *testing.T) {
+	defer func(old uint64) { compactThreshold = old }(compactThreshold)
+	compactThreshold = 4
 	dir := t.TempDir()
 	r := New()
 	_, add := makeSynthSpec(t, 1, "s")
 	add(r)
+	r.AddUser(privacy.User{Name: "ana", Level: privacy.Analyst, Group: "g"})
 	s := r.Spec("s")
 	b, err := storage.OpenFlat(dir)
 	if err != nil {
@@ -459,6 +466,7 @@ func TestSaveNeverFoldsInline(t *testing.T) {
 	if err := r.BindStorage(m, dir); err != nil {
 		t.Fatalf("BindStorage: %v", err)
 	}
+	defer r.CloseStorage()
 	// Ids run downwards and every third run has other process ids: the first
 	// execution of either shape sorts after the ones stored beside it, so the
 	// fold has to write it ahead of its turn.
@@ -477,28 +485,15 @@ func TestSaveNeverFoldsInline(t *testing.T) {
 		if err := r.Save(dir); err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
-	}
-	defer r.CloseStorage()
-	// Save 1 wrote the shard's initial checkpoint; every later save must
-	// append its delta no matter how far the log outgrows the threshold.
-	st := m.Stats()
-	if st.Checkpoints != 1 {
-		t.Fatalf("saves performed %d checkpoint writes, want 1 (inline folding is gone)", st.Checkpoints)
-	}
-	if st.Appends != rounds-1 {
-		t.Errorf("saves performed %d appends, want %d", st.Appends, rounds-1)
-	}
-	if got := r.NeedsCompaction(); len(got) != 1 || got[0] != "s" {
-		t.Fatalf("NeedsCompaction = %v, want [s]", got)
-	}
-	if err := r.CompactShard("s"); err != nil {
-		t.Fatalf("CompactShard: %v", err)
-	}
-	if st := m.Stats(); st.Checkpoints != 2 {
-		t.Fatalf("fold wrote %d checkpoints total, want 2", st.Checkpoints)
-	}
-	if got := r.NeedsCompaction(); len(got) != 0 {
-		t.Fatalf("NeedsCompaction after fold = %v, want empty", got)
+		// Save 0 writes the shard's first checkpoint; saves 1-4 append one
+		// record each, up to the threshold; save 5 would exceed it, and folds.
+		wantCkpt, wantApp := 1, i
+		if i == rounds-1 {
+			wantCkpt, wantApp = 2, rounds-2
+		}
+		if st := m.Stats(); st.Checkpoints != uint64(wantCkpt) || st.Appends != uint64(wantApp) {
+			t.Fatalf("after save %d: %d checkpoint writes and %d appends, want %d and %d", i, st.Checkpoints, st.Appends, wantCkpt, wantApp)
+		}
 	}
 	// The committed manifest points at the folded checkpoint, empty log.
 	meta, err := m.Meta()
@@ -517,106 +512,36 @@ func TestSaveNeverFoldsInline(t *testing.T) {
 		t.Fatalf("Load after fold: %v", err)
 	}
 	defer r2.CloseStorage()
-	sh := r2.shard("s")
-	sh.mu.RLock()
-	n := len(sh.execs)
-	sh.mu.RUnlock()
-	if n != rounds {
-		t.Fatalf("fold lost executions: %d, want %d", n, rounds)
-	}
 	sameStored(t, r, r2)
 	if k := storedRecords(t, dir); k[storage.RecExec] != 2 || k[storage.RecValues] != rounds-2 {
 		t.Fatalf("the fold wrote %d full and %d value records, want 2 and %d", k[storage.RecExec], k[storage.RecValues], rounds-2)
 	}
-	// Folding is idempotent and cheap to re-check: a second CompactShard
-	// is a no-op.
-	if err := r.CompactShard("s"); err != nil {
-		t.Fatalf("re-compact: %v", err)
-	}
-	if st := m.Stats(); st.Checkpoints != 2 {
-		t.Fatalf("re-compact wrote a checkpoint: %d total", st.Checkpoints)
-	}
-}
-
-// TestCompactShardConflictAndRetry pins the fold's optimistic race
-// check: a mutation wedged between the snapshot and the commit makes
-// the fold lose with ErrCompactConflict (the retryable outcome the task
-// runtime backs off on), unsaved mutations also conflict, and after the
-// next save the retried fold wins.
-func TestCompactShardConflictAndRetry(t *testing.T) {
-	oldThreshold := compactThreshold
-	compactThreshold = 0
-	defer func() { compactThreshold = oldThreshold }()
-	dir := t.TempDir()
-	r := New()
-	_, add := makeSynthSpec(t, 1, "s")
-	add(r)
-	s := r.Spec("s")
-	addExec := func(i int) {
-		t.Helper()
-		e, err := exec.NewRunner(s, nil).Run(fmt.Sprintf("s-E%d", i), workload.RandomInputs(s, int64(i)))
+	answer := func(r *Repository, user, id, item string) string {
+		p, err := r.Provenance(user, "s", id, item)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			return err.Error()
 		}
-		if err := r.AddExecution(e); err != nil {
-			t.Fatalf("AddExecution: %v", err)
+		data, err := exec.MarshalExecution(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, user := range []string{"ana", "nobody"} {
+		for _, id := range r.ExecutionIDs("s") {
+			for _, item := range r.execution("s", id).ItemIDs() {
+				if got, want := answer(r2, user, id, item), answer(r, user, id, item); got != want {
+					t.Fatalf("%s %s/%s: reloaded answer %s, want %s", user, id, item, got, want)
+				}
+			}
 		}
 	}
-	addExec(0)
+	// A clean shard is skipped: saving again writes nothing but the manifest.
 	if err := r.Save(dir); err != nil {
-		t.Fatalf("save: %v", err)
+		t.Fatalf("re-save: %v", err)
 	}
-	defer r.CloseStorage()
-	addExec(1)
-	if err := r.Save(dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	// Snapshot, then let a newer save land before the commit: the fold's
-	// records no longer match the committed extent — it must lose, or the
-	// commit would point the manifest at a checkpoint missing E2.
-	snap, _ := snapshotShardState(r.shard("s"), nil)
-	addExec(2)
-	if err := r.Save(dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := r.compactFrom("s", snap); !errors.Is(err, ErrCompactConflict) {
-		t.Fatalf("fold racing a newer save = %v, want ErrCompactConflict", err)
-	}
-	// A fold over unsaved mutations also conflicts: the snapshot holds
-	// state the store has never committed.
-	addExec(3)
-	if err := r.CompactShard("s"); !errors.Is(err, ErrCompactConflict) {
-		t.Fatalf("fold over unsaved mutations = %v, want ErrCompactConflict", err)
-	}
-	// The retry after the next save wins.
-	if err := r.Save(dir); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := r.CompactShard("s"); err != nil {
-		t.Fatalf("retried fold: %v", err)
-	}
-	r2, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	defer r2.CloseStorage()
-	sh := r2.shard("s")
-	sh.mu.RLock()
-	n := len(sh.execs)
-	sh.mu.RUnlock()
-	if n != 4 {
-		t.Fatalf("fold lost executions: %d, want 4", n)
-	}
-	sameStored(t, r, r2)
-	// Unbound repository: compaction has nothing to write to.
-	if err := New().CompactShard("s"); err != nil {
-		t.Fatalf("CompactShard on empty repo = %v, want nil (no shard)", err)
-	}
-	r3 := New()
-	_, add3 := makeSynthSpec(t, 2, "s")
-	add3(r3)
-	if err := r3.CompactShard("s"); !errors.Is(err, ErrNoStorage) {
-		t.Fatalf("CompactShard without storage = %v, want ErrNoStorage", err)
+	if st := m.Stats(); st.Checkpoints != 2 || st.Appends != rounds-2 {
+		t.Fatalf("a clean re-save wrote shard data: %+v", st)
 	}
 }
 

@@ -182,9 +182,9 @@ func TestLoadRefusesWhatNoSaveWrites(t *testing.T) {
 // TestLoadsPR27Directory: testdata/store-pr27 is a directory the build of
 // PR 27 saved (see pr27Repo) — every execution in full, in checkpoints and in
 // logs. It loads; what it stores and every answer over it equal those of the
-// same repository built in memory; and one more run, a Save and a fold of
-// each shard by this build leave one full record per shape and value records
-// beside it, over which a fresh load answers the same again.
+// same repository built in memory; and one more run, a Save and a Save that
+// folds each shard by this build leave one full record per shape and value
+// records beside it, over which a fresh load answers the same again.
 func TestLoadsPR27Directory(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS("testdata/store-pr27")); err != nil {
@@ -252,10 +252,17 @@ func TestLoadsPR27Directory(t *testing.T) {
 	if k := storedRecords(t, dir); k[storage.RecExec] != 6 || k[storage.RecValues] != 1 {
 		t.Fatalf("after an append: %d full and %d value records, want 6 and 1", k[storage.RecExec], k[storage.RecValues])
 	}
+	// A save that folds: each shard's policy re-installed unchanged is a
+	// delta, and with the threshold at 0 any delta outgrows the log.
+	defer func(old uint64) { compactThreshold = old }(compactThreshold)
+	compactThreshold = 0
 	for _, sid := range r.SpecIDs() {
-		if err := r.CompactShard(sid); err != nil {
-			t.Fatalf("CompactShard(%s): %v", sid, err)
+		if err := r.UpdatePolicy(sid, r.Policy(sid)); err != nil {
+			t.Fatalf("UpdatePolicy(%s): %v", sid, err)
 		}
+	}
+	if err := r.Save(dir); err != nil {
+		t.Fatalf("folding Save: %v", err)
 	}
 	if k := storedRecords(t, dir); k[storage.RecExec] != 2 || k[storage.RecValues] != 5 {
 		t.Fatalf("after the folds: %d full and %d value records, want 2 and 5", k[storage.RecExec], k[storage.RecValues])

@@ -54,7 +54,6 @@
 //	GET    /api/v1/tasks[?limit=L&offset=O]         list background tasks, newest first [writer]
 //	GET    /api/v1/tasks/{id}                       one task's state/progress/result [writer]
 //	DELETE /api/v1/tasks/{id}                       cancel a pending or running task [writer]
-//	POST   /api/v1/compact                          async compaction pass over oversized shards [admin]
 //	GET    /api/v1/tokens                           list tokens (name/user/role/uses — never secrets) [admin]
 //	POST   /api/v1/tokens                           mint a token; generated secret echoed once [admin]
 //	DELETE /api/v1/tokens/{name}                    revoke a token, effective immediately [admin]
@@ -62,10 +61,10 @@
 //	GET    /metrics                                 Prometheus-style counters (no auth)
 //
 // The task endpoints serve 503 unless the operator configured a task
-// runtime (Server.Tasks; provserve always does). Heavy work — bulk
-// ingest, compaction folds — runs on that pool and returns 202 Accepted
-// plus a task id; callers poll GET /api/v1/tasks/{id} (the Location
-// header points there) and may DELETE to cancel. Long synchronous reads (search, query,
+// runtime (Server.Tasks; provserve always does). Bulk ingest runs on
+// that pool and returns 202 Accepted plus a task id; callers poll
+// GET /api/v1/tasks/{id} (the Location header points there) and may
+// DELETE to cancel. Long synchronous reads (search, query,
 // provenance) honor request-context cancellation: a caller that hangs
 // up stops paying for fan-out it will never read.
 //
@@ -170,13 +169,13 @@ type Server struct {
 	SaveDir string
 	// Store, when non-nil, is the measured storage backend the repository
 	// persists through; its counters are exported via /stats and /metrics
-	// so operators can watch append/replay/compaction traffic and storage
+	// so operators can watch append/replay/checkpoint traffic and storage
 	// errors per process.
 	Store *storage.Measure
 	// Tasks, when non-nil, is the background task runtime behind the
-	// async surface (bulk ingest, compaction, the /api/v1/tasks
-	// endpoints). The operator owns its lifecycle: size the pool, set it
-	// here before serving, drain it on shutdown. Nil leaves the async
+	// async surface (bulk ingest, the /api/v1/tasks endpoints). The
+	// operator owns its lifecycle: size the pool, set it here before
+	// serving, drain it on shutdown. Nil leaves the async
 	// endpoints serving 503.
 	Tasks *tasks.Runtime
 
@@ -190,9 +189,6 @@ type Server struct {
 	// failed (the mutation itself still completed — see audited).
 	shedDraining atomic.Int64 //provlint:counter
 	auditErrors  atomic.Int64 //provlint:counter
-	// compactTask remembers the last submitted compaction task id so a
-	// save burst enqueues one pass, not one per save.
-	compactTask atomic.Value
 }
 
 // New wraps a repository in an HTTP API.
@@ -216,13 +212,11 @@ func New(r *repo.Repository) *Server {
 	s.mux.HandleFunc("PUT /api/v1/generalization", s.audited("generalization.set", s.withRole(auth.RoleWriter, s.handleSetGeneralization)))
 	s.mux.HandleFunc("POST /api/v1/save", s.audited("repo.save", s.withRole(auth.RoleAdmin, s.handleSave)))
 	// The async surface: bulk ingest and task introspection need writer
-	// (tasks expose mutation progress and accept cancellation),
-	// compaction is an operator action.
+	// (tasks expose mutation progress and accept cancellation).
 	s.mux.HandleFunc("POST /api/v1/executions:bulk", s.audited("exec.bulk", s.withRole(auth.RoleWriter, s.handleBulkExecutions)))
 	s.mux.HandleFunc("GET /api/v1/tasks", s.withRole(auth.RoleWriter, s.handleListTasks))
 	s.mux.HandleFunc("GET /api/v1/tasks/{id}", s.withRole(auth.RoleWriter, s.handleGetTask))
 	s.mux.HandleFunc("DELETE /api/v1/tasks/{id}", s.audited("task.cancel", s.withRole(auth.RoleWriter, s.handleCancelTask)))
-	s.mux.HandleFunc("POST /api/v1/compact", s.audited("repo.compact", s.withRole(auth.RoleAdmin, s.handleCompact)))
 	// Token lifecycle: list/mint/revoke bearer tokens at runtime, admin
 	// only. Mutations are audited like any other; the audit log itself
 	// is queryable (admin) so "who rotated what" has an answer.
@@ -1053,13 +1047,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, user string)
 		s.fail(w, r, err)
 		return
 	}
-	// Save is O(delta) now — it only appends. Shards whose logs have
-	// outgrown the threshold get folded by a background pass.
-	body := map[string]any{"dir": s.SaveDir}
-	if id := s.maybeEnqueueCompaction(); id != "" {
-		body["compaction_task"] = id
-	}
-	s.mutated(w, http.StatusOK, body)
+	s.mutated(w, http.StatusOK, map[string]any{"dir": s.SaveDir})
 }
 
 // statsBody is the /stats response: the engine's statistics, then the
@@ -1182,7 +1170,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("storage_replays_total", "Shard log replays.", int64(ss.Replays))
 		metric("storage_replay_records_total", "Records replayed from shard logs.", int64(ss.ReplayRecords))
 		metric("storage_replay_nanos_total", "Nanoseconds spent replaying shard logs.", int64(ss.ReplayNanos))
-		metric("storage_checkpoints_total", "Shard checkpoints written (full rewrites and compaction folds).", int64(ss.Checkpoints))
+		metric("storage_checkpoints_total", "Shard checkpoints written (new shards and saves that fold a log).", int64(ss.Checkpoints))
 		metric("storage_checkpoint_records_total", "Records written into shard checkpoints.", int64(ss.CheckpointRecords))
 		metric("storage_checkpoint_nanos_total", "Nanoseconds spent writing checkpoints.", int64(ss.CheckpointNanos))
 		metric("storage_checkpoint_reads_total", "Shard checkpoint reads.", int64(ss.CheckpointReads))
@@ -1194,10 +1182,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.Tasks != nil {
 		ts := s.Tasks.Stats()
 		metric("tasks_submitted_total", "Background tasks accepted by the runtime.", ts.Submitted)
-		metric("tasks_started_total", "Background task attempts started.", ts.Started)
-		metric("tasks_retries_total", "Background task attempts retried after a failure.", ts.Retries)
+		metric("tasks_started_total", "Background tasks a worker started.", ts.Started)
 		metric("tasks_succeeded_total", "Background tasks that reached the succeeded state.", ts.Succeeded)
-		metric("tasks_failed_total", "Background tasks that exhausted their retry budget.", ts.Failed)
+		metric("tasks_failed_total", "Background tasks whose handler failed.", ts.Failed)
 		metric("tasks_canceled_total", "Background tasks canceled before completion.", ts.Canceled)
 		metric("tasks_running", "Background tasks currently executing.", ts.Running)
 		metric("tasks_queued", "Background tasks waiting for a worker.", ts.Queued)

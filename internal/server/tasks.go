@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"time"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/obs"
@@ -31,19 +29,6 @@ var bulkMaxBodyBytes int64 = 256 << 20
 // bulkErrorCap bounds the per-item errors echoed in a bulk result; the
 // failed count is always exact, the error list is a sample.
 const bulkErrorCap = 100
-
-// Task classes: retry budgets per kind of background work.
-var (
-	// bulkIngestClass never retries: items already added would re-fail
-	// as duplicates, so per-item error accounting is the retry story.
-	bulkIngestClass = tasks.Class{Kind: "bulk-ingest", MaxAttempts: 1}
-	// compactClass retries folds that lose races with concurrent saves.
-	compactClass = tasks.Class{
-		Kind: "compact", MaxAttempts: 6,
-		BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second,
-		Multiplier: 2, Jitter: 0.2,
-	}
-)
 
 // bulkItemHook, when set, runs before each bulk-ingest item is applied.
 // Test seam: the cancel-mid-ingest churn test uses it to park the
@@ -161,7 +146,7 @@ func (s *Server) handleBulkExecutions(w http.ResponseWriter, r *http.Request, us
 		s.fail(w, r, err)
 		return
 	}
-	id, err := s.Tasks.Submit(bulkIngestClass, func(ctx context.Context, p *tasks.Progress) (any, error) {
+	id, err := s.Tasks.Submit("bulk-ingest", func(ctx context.Context, p *tasks.Progress) (any, error) {
 		res := &bulkResult{}
 		p.Set(0, int64(len(items)))
 		for i, raw := range items {
@@ -173,7 +158,7 @@ func (s *Server) handleBulkExecutions(w http.ResponseWriter, r *http.Request, us
 			if bulkItemHook != nil {
 				bulkItemHook(i)
 			}
-			if err := s.bulkItem(raw, res, i); err != nil {
+			if err := s.bulkItem(raw); err != nil {
 				res.Failed++
 				if len(res.Errors) < bulkErrorCap {
 					res.Errors = append(res.Errors, bulkItemError{
@@ -200,7 +185,7 @@ func (s *Server) handleBulkExecutions(w http.ResponseWriter, r *http.Request, us
 
 // bulkItem validates and applies one bulk item with the same strictness
 // as POST /api/v1/executions.
-func (s *Server) bulkItem(raw json.RawMessage, res *bulkResult, i int) error {
+func (s *Server) bulkItem(raw json.RawMessage) error {
 	e, err := exec.DecodeExecution(raw)
 	if err != nil {
 		return err
@@ -257,81 +242,4 @@ func decodeBulkItems(w http.ResponseWriter, r *http.Request) ([]json.RawMessage,
 		return nil, fmt.Errorf("server: bulk body holds no executions")
 	}
 	return items, nil
-}
-
-// handleCompact submits a compaction pass over every shard whose log
-// has outgrown the threshold. Deduplicated: while a pass is pending or
-// running, the same task is returned instead of piling up another.
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request, user string) {
-	if !s.requireTasks(w, r) {
-		return
-	}
-	id, err := s.enqueueCompaction()
-	if err != nil {
-		s.submitErr(w, r, err)
-		return
-	}
-	s.accepted(w, id, map[string]any{"pending": len(s.repo.NeedsCompaction())})
-}
-
-// enqueueCompaction submits the compaction pass unless one is already
-// live, in which case its task id is returned.
-func (s *Server) enqueueCompaction() (string, error) {
-	if prev, _ := s.compactTask.Load().(string); prev != "" {
-		if snap, err := s.Tasks.Get(prev); err == nil && !snap.TerminalState() {
-			return prev, nil
-		}
-	}
-	id, err := s.Tasks.Submit(compactClass, func(ctx context.Context, p *tasks.Progress) (any, error) {
-		// The work list is re-read on every attempt: a retry after a
-		// conflict folds against the post-save state.
-		sids := s.repo.NeedsCompaction()
-		p.Set(0, int64(len(sids)))
-		folded := 0
-		var conflicts []string
-		for _, sid := range sids {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			err := s.repo.CompactShard(sid)
-			switch {
-			case err == nil:
-				folded++
-			case errors.Is(err, repo.ErrCompactConflict):
-				conflicts = append(conflicts, sid)
-				p.Note(err)
-			case errors.Is(err, repo.ErrNoStorage):
-				return nil, tasks.Permanent(err)
-			default:
-				return nil, err
-			}
-			p.Add(1)
-		}
-		if len(conflicts) > 0 {
-			return nil, fmt.Errorf("server: %d shards lost the fold race (%s): %w",
-				len(conflicts), strings.Join(conflicts, ", "), repo.ErrCompactConflict)
-		}
-		return map[string]any{"folded": folded}, nil
-	})
-	if err != nil {
-		return "", err
-	}
-	s.compactTask.Store(id)
-	return id, nil
-}
-
-// maybeEnqueueCompaction fires the compaction pass after a save when
-// shards have outgrown the threshold — the off-path fold that keeps
-// Save O(delta). Returns the task id, or "" when there is nothing to
-// do, no runtime, or the queue pushed back (the next save retries).
-func (s *Server) maybeEnqueueCompaction() string {
-	if s.Tasks == nil || len(s.repo.NeedsCompaction()) == 0 {
-		return ""
-	}
-	id, err := s.enqueueCompaction()
-	if err != nil {
-		s.log().Warn("compaction enqueue failed", "error", err)
-		return ""
-	}
-	return id
 }

@@ -226,10 +226,6 @@ func TestTaskEndpointsAuthzAndPagination(t *testing.T) {
 			t.Errorf("%s %s as reader = %d, want 403", probe.method, probe.path, code)
 		}
 	}
-	// Compaction is an operator action: even the writer is refused.
-	if code := do(t, ts, "POST", "/api/v1/compact", writerSecret, nil, nil); code != http.StatusForbidden {
-		t.Errorf("compact as writer = %d, want 403", code)
-	}
 
 	var list struct {
 		Tasks []map[string]any `json:"tasks"`
@@ -271,7 +267,6 @@ func TestTaskEndpointsWithoutRuntime(t *testing.T) {
 		{"GET", "/api/v1/tasks/t000001", writerSecret},
 		{"DELETE", "/api/v1/tasks/t000001", writerSecret},
 		{"POST", "/api/v1/executions:bulk", writerSecret},
-		{"POST", "/api/v1/compact", adminSecret},
 	} {
 		if code := do(t, ts, probe.method, probe.path, probe.secret, nil, nil); code != http.StatusServiceUnavailable {
 			t.Errorf("%s %s without runtime = %d, want 503", probe.method, probe.path, code)
@@ -430,53 +425,4 @@ func TestPolicyInstallStartsNoBackgroundWork(t *testing.T) {
 	if code := do(t, ts, "GET", "/api/v1/tasks", writerSecret, nil, &list); code != http.StatusOK || list.Total != 0 {
 		t.Fatalf("task list after two installs: status %d, %d tasks, want none", code, list.Total)
 	}
-}
-
-// TestCompactEndpointDedupes: POST /compact is admin-only, returns 202,
-// and while a pass is still pending a second POST returns the same task
-// instead of piling up another.
-func TestCompactEndpointDedupes(t *testing.T) {
-	ts, srv, _ := newTaskServer(t, 1, 8)
-	// Wedge the single worker so the compaction task stays pending.
-	block := make(chan struct{})
-	if _, err := srv.Tasks.Submit(tasks.Class{Kind: "block", MaxAttempts: 1}, func(ctx context.Context, p *tasks.Progress) (any, error) {
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	}); err != nil {
-		t.Fatalf("submit blocker: %v", err)
-	}
-
-	var first, second struct {
-		Task string `json:"task"`
-	}
-	if code := do(t, ts, "POST", "/api/v1/compact", adminSecret, nil, &first); code != http.StatusAccepted {
-		t.Fatalf("compact status = %d", code)
-	}
-	if code := do(t, ts, "POST", "/api/v1/compact", adminSecret, nil, &second); code != http.StatusAccepted {
-		t.Fatalf("second compact status = %d", code)
-	}
-	if first.Task == "" || first.Task != second.Task {
-		t.Fatalf("compact not deduplicated: %q vs %q", first.Task, second.Task)
-	}
-	close(block)
-	snap := waitTask(t, ts, adminSecret, first.Task)
-	// No bound storage and no oversized shards: the pass folds nothing
-	// and succeeds.
-	if snap["state"] != "succeeded" {
-		t.Fatalf("compact task = %+v", snap)
-	}
-	// With the first pass terminal, a new POST starts a fresh task.
-	var third struct {
-		Task string `json:"task"`
-	}
-	if code := do(t, ts, "POST", "/api/v1/compact", adminSecret, nil, &third); code != http.StatusAccepted {
-		t.Fatalf("third compact status = %d", code)
-	}
-	if third.Task == first.Task {
-		t.Fatal("terminal compact task was reused")
-	}
-	waitTask(t, ts, adminSecret, third.Task)
 }

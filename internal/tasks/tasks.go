@@ -1,28 +1,19 @@
 // Package tasks is the in-process asynchronous task runtime behind the
-// repository's heavy operations: bulk ingest, background compaction
-// folds — anything that used to run on the request path and degrade every
-// concurrent reader while it did.
+// repository's heavy operations — bulk ingest, which on the request path
+// would hold its connection and degrade every concurrent reader.
 //
-// The model follows the task-queue design of production content
-// services: a bounded worker pool pulls typed tasks off a bounded
-// queue; each task runs a per-task state machine
+// A bounded worker pool pulls tasks off a bounded queue; each task runs
+// its handler exactly once through a per-task state machine
 //
 //	pending → running → succeeded | failed | canceled
 //
-// with a retry budget and exponential backoff (with jitter) per task
-// class, heartbeat-based progress reporting (items done / total, last
-// error, last heartbeat time), and context-threaded cancellation: the
+// with heartbeat-based progress reporting (items done / total, last
+// error, last heartbeat time) and context-threaded cancellation: the
 // handler receives a context that fires when the task is canceled or
 // the runtime is force-stopped, and a cancel mid-run is an ordinary
 // early return, never a goroutine kill — so a canceled bulk ingest
 // leaves the repository in whatever consistent prefix state the
-// handler had reached.
-//
-// Retries run in-worker: a failing task sleeps its backoff on the
-// worker that ran it (interruptible by cancel), so a task class with a
-// long MaxDelay should be rare or the pool sized accordingly. Time is
-// injected through the Clock interface; tests drive the backoff
-// schedule with a deterministic clock.
+// handler had reached. A handler that panics fails its own task only.
 //
 // Everything the runtime reports — Snapshot, Stats — is a copy; the
 // live Task is never shared outside the package. The directory remembers
@@ -35,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
-	"math/rand"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -51,13 +40,12 @@ type State int
 const (
 	// Pending: submitted, waiting for a worker.
 	Pending State = iota
-	// Running: a worker is executing the handler (or sleeping a backoff
-	// between attempts).
+	// Running: a worker is executing the handler.
 	Running
 	// Succeeded: the handler returned nil. Terminal.
 	Succeeded
-	// Failed: the retry budget is exhausted (or the error was marked
-	// permanent); LastError holds the final attempt's error. Terminal.
+	// Failed: the handler returned an error or panicked; LastError holds
+	// it. Terminal.
 	Failed
 	// Canceled: canceled before or during execution. Terminal.
 	Canceled
@@ -82,135 +70,27 @@ func (s State) String() string {
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Succeeded || s == Failed || s == Canceled }
 
-// Class bundles the retry policy of one kind of task. The zero value
-// is normalized to a single attempt with no backoff.
-type Class struct {
-	// Kind names the task class ("bulk-ingest", "compact", ...); it is
-	// reported in snapshots and metrics labels.
-	Kind string
-	// MaxAttempts is the retry budget: total attempts, including the
-	// first (minimum 1).
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt.
-	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (0 = uncapped).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (values < 1 mean 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over [d·(1−J), d·(1+J)] so
-	// retrying tasks don't synchronize; 0 disables, values are clamped
-	// to [0, 1).
-	Jitter float64
-}
-
-// normalize fills defaults so arithmetic below is total.
-func (c Class) normalize() Class {
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 1
-	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
-	}
-	if c.BaseDelay < 0 {
-		c.BaseDelay = 0
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.Jitter >= 1 {
-		c.Jitter = 0.999
-	}
-	return c
-}
-
-// backoff computes the delay before attempt+1 (attempt is 1-based: the
-// attempt that just failed). rnd is a uniform [0,1) sample.
-func (c Class) backoff(attempt int, rnd float64) time.Duration {
-	d := float64(c.BaseDelay) * math.Pow(c.Multiplier, float64(attempt-1))
-	if c.MaxDelay > 0 && d > float64(c.MaxDelay) {
-		d = float64(c.MaxDelay)
-	}
-	if c.Jitter > 0 {
-		d *= 1 - c.Jitter + 2*c.Jitter*rnd
-		// Jitter may push past the cap; the cap is a hard bound.
-		if c.MaxDelay > 0 && d > float64(c.MaxDelay) {
-			d = float64(c.MaxDelay)
-		}
-	}
-	return time.Duration(d)
-}
-
 // Handler is one task's body. It must honor ctx (return promptly —
 // typically with ctx.Err() — once it fires), report progress through p,
 // and return the task's result value (anything JSON-marshalable; it is
-// exposed verbatim in the task status) or an error. A returned error is
-// retried until the class's budget exhausts, unless wrapped by
-// Permanent or caused by the task's own cancellation. A panic fails the
-// task at once, and the worker goes on to the next.
+// exposed verbatim in the task status) or an error, which fails the task
+// unless the task's own cancellation caused it. A panic fails the task,
+// and the worker goes on to the next.
 type Handler func(ctx context.Context, p *Progress) (any, error)
-
-// permanentError marks an error as not worth retrying.
-type permanentError struct{ err error }
-
-func (p permanentError) Error() string { return p.err.Error() }
-func (p permanentError) Unwrap() error { return p.err }
-
-// Permanent wraps an error so the runtime fails the task immediately
-// instead of consuming the remaining retry budget (a validation error
-// will not pass on attempt three).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentError{err}
-}
-
-// IsPermanent reports whether err (or anything it wraps) was marked by
-// Permanent.
-func IsPermanent(err error) bool {
-	var p permanentError
-	return errors.As(err, &p)
-}
-
-// Clock abstracts time so backoff schedules are testable. Sleep must
-// return early with ctx.Err() when the context fires.
-type Clock interface {
-	Now() time.Time
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // Task is the runtime's internal record of one submitted job. All
 // mutable fields are guarded by mu; external observers only ever see
 // Snapshot copies.
 type Task struct {
-	id    string
-	class Class
-	fn    Handler
+	id   string
+	kind string
+	fn   Handler
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
 	state     State
-	attempts  int
 	done      int64
 	total     int64
 	lastError string
@@ -219,7 +99,6 @@ type Task struct {
 	started   time.Time
 	finished  time.Time
 	beat      time.Time
-	canceling bool // Cancel was called; decides canceled-vs-failed at exit
 
 	// retired is set once the task is terminal: retire may forget it.
 	// Guarded by the runtime's mu, not by mu.
@@ -229,47 +108,32 @@ type Task struct {
 // Snapshot is the externally visible, immutable copy of a task's
 // status — the /api/v1/tasks wire shape.
 type Snapshot struct {
-	ID          string    `json:"id"`
-	Kind        string    `json:"kind"`
-	State       string    `json:"state"`
-	Attempts    int       `json:"attempts"`
-	MaxAttempts int       `json:"max_attempts"`
-	Done        int64     `json:"done"`
-	Total       int64     `json:"total"`
-	LastError   string    `json:"last_error,omitempty"`
-	Result      any       `json:"result,omitempty"`
-	Created     time.Time `json:"created"`
-	Started     time.Time `json:"started,omitzero"`
-	Finished    time.Time `json:"finished,omitzero"`
-	Heartbeat   time.Time `json:"heartbeat,omitzero"`
-}
-
-// TerminalState reports whether the snapshot captured the task in a
-// terminal state — the string-side mirror of State.Terminal for callers
-// holding only the wire form.
-func (s Snapshot) TerminalState() bool {
-	switch s.State {
-	case Succeeded.String(), Failed.String(), Canceled.String():
-		return true
-	}
-	return false
+	ID        string    `json:"id"`
+	Kind      string    `json:"kind"`
+	State     string    `json:"state"`
+	Done      int64     `json:"done"`
+	Total     int64     `json:"total"`
+	LastError string    `json:"last_error,omitempty"`
+	Result    any       `json:"result,omitempty"`
+	Created   time.Time `json:"created"`
+	Started   time.Time `json:"started,omitzero"`
+	Finished  time.Time `json:"finished,omitzero"`
+	Heartbeat time.Time `json:"heartbeat,omitzero"`
 }
 
 func (t *Task) snapshotLocked() Snapshot {
 	return Snapshot{
-		ID:          t.id,
-		Kind:        t.class.Kind,
-		State:       t.state.String(),
-		Attempts:    t.attempts,
-		MaxAttempts: t.class.MaxAttempts,
-		Done:        t.done,
-		Total:       t.total,
-		LastError:   t.lastError,
-		Result:      t.result,
-		Created:     t.created,
-		Started:     t.started,
-		Finished:    t.finished,
-		Heartbeat:   t.beat,
+		ID:        t.id,
+		Kind:      t.kind,
+		State:     t.state.String(),
+		Done:      t.done,
+		Total:     t.total,
+		LastError: t.lastError,
+		Result:    t.result,
+		Created:   t.created,
+		Started:   t.started,
+		Finished:  t.finished,
+		Heartbeat: t.beat,
 	}
 }
 
@@ -283,8 +147,7 @@ func (t *Task) snapshot() Snapshot {
 // non-terminal errors land in the task status as they happen, so an
 // operator polling GET /api/v1/tasks/{id} watches the job move.
 type Progress struct {
-	t  *Task
-	rt *Runtime
+	t *Task
 }
 
 // Set publishes absolute progress (items done out of total) and beats
@@ -292,7 +155,7 @@ type Progress struct {
 func (p *Progress) Set(done, total int64) {
 	p.t.mu.Lock()
 	p.t.done, p.t.total = done, total
-	p.t.beat = p.rt.clock.Now()
+	p.t.beat = time.Now()
 	p.t.mu.Unlock()
 }
 
@@ -300,7 +163,7 @@ func (p *Progress) Set(done, total int64) {
 func (p *Progress) Add(n int64) {
 	p.t.mu.Lock()
 	p.t.done += n
-	p.t.beat = p.rt.clock.Now()
+	p.t.beat = time.Now()
 	p.t.mu.Unlock()
 }
 
@@ -312,7 +175,7 @@ func (p *Progress) Note(err error) {
 	}
 	p.t.mu.Lock()
 	p.t.lastError = err.Error()
-	p.t.beat = p.rt.clock.Now()
+	p.t.beat = time.Now()
 	p.t.mu.Unlock()
 }
 
@@ -334,7 +197,6 @@ var (
 type Stats struct {
 	Submitted int64 `json:"submitted_total"`
 	Started   int64 `json:"started_total"`
-	Retries   int64 `json:"retries_total"`
 	Succeeded int64 `json:"succeeded_total"`
 	Failed    int64 `json:"failed_total"`
 	Canceled  int64 `json:"canceled_total"`
@@ -353,11 +215,6 @@ const retainTerminal = 1024
 
 // Runtime owns the worker pool, the queue and the task directory.
 type Runtime struct {
-	clock Clock
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	mu       sync.Mutex
 	tasks    map[string]*Task
 	order    []string // submission order; List serves newest-first
@@ -370,7 +227,6 @@ type Runtime struct {
 
 	submitted atomic.Int64 //provlint:counter
 	started   atomic.Int64 //provlint:counter
-	retries   atomic.Int64 //provlint:counter
 	succeeded atomic.Int64 //provlint:counter
 	failed    atomic.Int64 //provlint:counter
 	canceled  atomic.Int64 //provlint:counter
@@ -380,14 +236,14 @@ type Runtime struct {
 	traceHook atomic.Pointer[TraceHook]
 }
 
-// ObserveFunc receives one terminal task's class kind, time spent
-// queued, and attempt-loop run time. The signature mirrors the metrics
-// registry's ObserveTask so the packages stay decoupled.
+// ObserveFunc receives one terminal task's kind, time spent queued, and
+// run time. The signature mirrors the metrics registry's ObserveTask so
+// the packages stay decoupled.
 type ObserveFunc func(kind string, queueWait, run time.Duration)
 
-// TraceHook wraps one task attempt in a trace: it may return a derived
+// TraceHook wraps one task's run in a trace: it may return a derived
 // context carrying a root span and a finish func called when the
-// attempt returns. Mirrors the tracer's StartRoot.
+// handler returns. Mirrors the tracer's StartRoot.
 type TraceHook func(ctx context.Context, name string) (context.Context, func())
 
 // SetObserve installs the terminal-task observer. Pass nil to remove.
@@ -400,7 +256,7 @@ func (rt *Runtime) SetObserve(fn ObserveFunc) {
 	rt.observe.Store(&fn)
 }
 
-// SetTraceHook installs the per-attempt trace hook. Pass nil to remove.
+// SetTraceHook installs the per-task trace hook. Pass nil to remove.
 func (rt *Runtime) SetTraceHook(fn TraceHook) {
 	if fn == nil {
 		rt.traceHook.Store(nil)
@@ -419,12 +275,6 @@ func (rt *Runtime) Draining() bool {
 // New starts a runtime with the given worker count and queue capacity
 // (both forced to at least 1).
 func New(workers, queueCap int) *Runtime {
-	return NewWithClock(workers, queueCap, realClock{}, time.Now().UnixNano())
-}
-
-// NewWithClock is New with an injected clock and jitter seed — the
-// deterministic-test constructor.
-func NewWithClock(workers, queueCap int, c Clock, seed int64) *Runtime {
 	if workers < 1 {
 		workers = 1
 	}
@@ -432,8 +282,6 @@ func NewWithClock(workers, queueCap int, c Clock, seed int64) *Runtime {
 		queueCap = 1
 	}
 	rt := &Runtime{
-		clock: c,
-		rng:   rand.New(rand.NewSource(seed)),
 		tasks: make(map[string]*Task),
 		queue: make(chan *Task, queueCap),
 	}
@@ -444,11 +292,11 @@ func NewWithClock(workers, queueCap int, c Clock, seed int64) *Runtime {
 	return rt
 }
 
-// Submit enqueues a task and returns its id. The queue is bounded:
-// a full queue rejects with ErrQueueFull rather than blocking the
-// caller (typically an HTTP handler) or growing without limit.
-func (rt *Runtime) Submit(class Class, fn Handler) (string, error) {
-	class = class.normalize()
+// Submit enqueues a task of the given kind ("bulk-ingest", ...; it is
+// reported in snapshots and metrics labels) and returns its id. The queue
+// is bounded: a full queue rejects with ErrQueueFull rather than blocking
+// the caller (typically an HTTP handler) or growing without limit.
+func (rt *Runtime) Submit(kind string, fn Handler) (string, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.draining {
@@ -458,12 +306,12 @@ func (rt *Runtime) Submit(class Class, fn Handler) (string, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Task{
 		id:      fmt.Sprintf("t%06d", rt.seq),
-		class:   class,
+		kind:    kind,
 		fn:      fn,
 		ctx:     ctx,
 		cancel:  cancel,
 		state:   Pending,
-		created: rt.clock.Now(),
+		created: time.Now(),
 	}
 	select {
 	case rt.queue <- t:
@@ -537,13 +385,10 @@ func (rt *Runtime) Cancel(id string) (Snapshot, error) {
 	}
 	t.mu.Lock()
 	wasPending := t.state == Pending
-	switch t.state {
-	case Pending:
+	if wasPending {
 		t.state = Canceled
-		t.finished = rt.clock.Now()
+		t.finished = time.Now()
 		rt.canceled.Add(1)
-	case Running:
-		t.canceling = true
 	}
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
@@ -569,10 +414,8 @@ func (rt *Runtime) CancelAll() {
 		terminal, wasPending := t.state.Terminal(), t.state == Pending
 		if wasPending {
 			t.state = Canceled
-			t.finished = rt.clock.Now()
+			t.finished = time.Now()
 			rt.canceled.Add(1)
-		} else if t.state == Running {
-			t.canceling = true
 		}
 		t.mu.Unlock()
 		if !terminal {
@@ -619,7 +462,6 @@ func (rt *Runtime) Stats() Stats {
 	return Stats{
 		Submitted: rt.submitted.Load(),
 		Started:   rt.started.Load(),
-		Retries:   rt.retries.Load(),
 		Succeeded: rt.succeeded.Load(),
 		Failed:    rt.failed.Load(),
 		Canceled:  rt.canceled.Load(),
@@ -635,15 +477,7 @@ func (rt *Runtime) worker() {
 	}
 }
 
-// uniform returns one [0,1) jitter sample from the runtime's seeded
-// source.
-func (rt *Runtime) uniform() float64 {
-	rt.rngMu.Lock()
-	defer rt.rngMu.Unlock()
-	return rt.rng.Float64()
-}
-
-// run executes one task's full attempt loop on the calling worker.
+// run executes one task's handler, once, on the calling worker.
 func (rt *Runtime) run(t *Task) {
 	t.mu.Lock()
 	if t.state != Pending { // canceled while queued
@@ -651,62 +485,38 @@ func (rt *Runtime) run(t *Task) {
 		return
 	}
 	t.state = Running
-	t.started = rt.clock.Now()
+	t.started = time.Now()
 	t.beat = t.started
 	t.mu.Unlock()
 	rt.started.Add(1)
 	rt.running.Add(1)
 	defer rt.running.Add(-1)
 
-	p := &Progress{t: t, rt: rt}
-	for attempt := 1; ; attempt++ {
-		t.mu.Lock()
-		t.attempts = attempt
-		t.mu.Unlock()
-		if t.ctx.Err() != nil {
-			rt.finish(t, Canceled, t.ctx.Err(), nil)
-			return
-		}
-		actx, endSpan := t.ctx, func() {}
-		if hp := rt.traceHook.Load(); hp != nil {
-			actx, endSpan = (*hp)(t.ctx, "task."+t.class.Kind)
-		}
-		result, err := runHandler(actx, t, p)
-		endSpan()
-		if err == nil {
-			rt.finish(t, Succeeded, nil, result)
-			return
-		}
-		if t.ctx.Err() != nil {
-			// The task was canceled (or force-stopped) mid-attempt; the
-			// handler's error is the cancellation surfacing, not a failure.
-			rt.finish(t, Canceled, err, nil)
-			return
-		}
-		t.mu.Lock()
-		t.lastError = err.Error()
-		t.beat = rt.clock.Now()
-		t.mu.Unlock()
-		if IsPermanent(err) || attempt >= t.class.MaxAttempts {
-			rt.finish(t, Failed, err, nil)
-			return
-		}
-		rt.retries.Add(1)
-		if serr := rt.clock.Sleep(t.ctx, t.class.backoff(attempt, rt.uniform())); serr != nil {
-			rt.finish(t, Canceled, serr, nil)
-			return
-		}
+	ctx, endSpan := t.ctx, func() {}
+	if hp := rt.traceHook.Load(); hp != nil {
+		ctx, endSpan = (*hp)(t.ctx, "task."+t.kind)
+	}
+	result, err := runHandler(ctx, t, &Progress{t: t})
+	endSpan()
+	switch {
+	case err == nil:
+		rt.finish(t, Succeeded, nil, result)
+	case t.ctx.Err() != nil:
+		// The task was canceled (or force-stopped) mid-run; the handler's
+		// error is the cancellation surfacing, not a failure.
+		rt.finish(t, Canceled, err, nil)
+	default:
+		rt.finish(t, Failed, err, nil)
 	}
 }
 
-// runHandler runs t's handler once. A panic in it fails the task, not the
-// process: it returns as a permanent error naming the panic, whose stack
-// is logged.
+// runHandler runs t's handler. A panic in it fails the task, not the
+// process: it returns as an error naming the panic, whose stack is logged.
 func runHandler(ctx context.Context, t *Task, p *Progress) (result any, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			slog.Error("task panicked", "task", t.id, "kind", t.class.Kind, "panic", v, "stack", string(debug.Stack()))
-			result, err = nil, Permanent(fmt.Errorf("tasks: %s panicked: %v", t.class.Kind, v))
+			slog.Error("task panicked", "task", t.id, "kind", t.kind, "panic", v, "stack", string(debug.Stack()))
+			result, err = nil, fmt.Errorf("tasks: %s panicked: %v", t.kind, v)
 		}
 	}()
 	return t.fn(ctx, p)
@@ -716,12 +526,12 @@ func runHandler(ctx context.Context, t *Task, p *Progress) (result any, err erro
 func (rt *Runtime) finish(t *Task, s State, err error, result any) {
 	t.mu.Lock()
 	t.state = s
-	t.finished = rt.clock.Now()
+	t.finished = time.Now()
 	t.result = result
 	if err != nil {
 		t.lastError = err.Error()
 	}
-	kind := t.class.Kind
+	kind := t.kind
 	created, started, finished := t.created, t.started, t.finished
 	t.mu.Unlock()
 	t.cancel() // release the context's resources

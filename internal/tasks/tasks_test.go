@@ -3,7 +3,6 @@ package tasks
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,7 +33,7 @@ func waitTerminal(t *testing.T, rt *Runtime, id string) Snapshot {
 func TestTaskLifecycleSucceeds(t *testing.T) {
 	rt := New(2, 8)
 	defer rt.Drain(context.Background())
-	id, err := rt.Submit(Class{Kind: "ok"}, func(ctx context.Context, p *Progress) (any, error) {
+	id, err := rt.Submit("ok", func(ctx context.Context, p *Progress) (any, error) {
 		p.Set(0, 3)
 		for i := int64(1); i <= 3; i++ {
 			p.Add(1)
@@ -51,9 +50,6 @@ func TestTaskLifecycleSucceeds(t *testing.T) {
 	if s.Done != 3 || s.Total != 3 {
 		t.Errorf("progress = %d/%d, want 3/3", s.Done, s.Total)
 	}
-	if s.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", s.Attempts)
-	}
 	if s.Result == nil {
 		t.Error("result missing from snapshot")
 	}
@@ -66,78 +62,40 @@ func TestTaskLifecycleSucceeds(t *testing.T) {
 	}
 }
 
-// TestFlakyHandlerRetries pins the backoff/retry path with a
-// fault-injected handler: fails N times, then succeeds. The task must
-// converge to succeeded with attempts = N+1 and the retry counter
-// matching.
-func TestFlakyHandlerRetries(t *testing.T) {
-	const failures = 3
+// TestFailingHandlerRunsOnce: a handler that returns an error fails its
+// task after exactly one run, with the error in the status and the
+// failed counter.
+func TestFailingHandlerRunsOnce(t *testing.T) {
 	rt := New(1, 4)
 	defer rt.Drain(context.Background())
 	var calls atomic.Int32
-	id, err := rt.Submit(Class{
-		Kind:        "flaky",
-		MaxAttempts: failures + 2,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-		Jitter:      0.5,
-	}, func(ctx context.Context, p *Progress) (any, error) {
-		if n := calls.Add(1); n <= failures {
-			return nil, fmt.Errorf("transient fault %d", n)
-		}
-		return "converged", nil
+	id, err := rt.Submit("bad", func(ctx context.Context, p *Progress) (any, error) {
+		calls.Add(1)
+		return nil, errors.New("bad payload")
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	s := waitTerminal(t, rt, id)
-	if s.State != "succeeded" {
-		t.Fatalf("state = %s, want succeeded (last error %q)", s.State, s.LastError)
-	}
-	if s.Attempts != failures+1 {
-		t.Errorf("attempts = %d, want %d", s.Attempts, failures+1)
-	}
-	if got := calls.Load(); got != failures+1 {
-		t.Errorf("handler calls = %d, want %d", got, failures+1)
-	}
-	if st := rt.Stats(); st.Retries != failures {
-		t.Errorf("retries counter = %d, want %d", st.Retries, failures)
-	}
-	// A transient error seen along the way stays visible in the status.
-	if s.LastError == "" {
-		t.Error("last transient error was not preserved in status")
-	}
-}
-
-func TestPermanentErrorSkipsRetries(t *testing.T) {
-	rt := New(1, 4)
-	defer rt.Drain(context.Background())
-	var calls atomic.Int32
-	id, _ := rt.Submit(Class{Kind: "perm", MaxAttempts: 5, BaseDelay: time.Millisecond},
-		func(ctx context.Context, p *Progress) (any, error) {
-			calls.Add(1)
-			return nil, Permanent(errors.New("bad payload"))
-		})
-	s := waitTerminal(t, rt, id)
-	if s.State != "failed" {
-		t.Fatalf("state = %s, want failed", s.State)
+	if s.State != "failed" || s.LastError != "bad payload" {
+		t.Fatalf("state %s, last error %q; want failed, %q", s.State, s.LastError, "bad payload")
 	}
 	if got := calls.Load(); got != 1 {
-		t.Errorf("handler ran %d times, want 1 (permanent error must not retry)", got)
+		t.Errorf("handler ran %d times, want 1", got)
 	}
-	if s.LastError != "bad payload" {
-		t.Errorf("last error = %q, want %q", s.LastError, "bad payload")
+	if st := rt.Stats(); st.Failed != 1 || st.Started != 1 {
+		t.Errorf("stats = %+v, want 1 started, 1 failed", st)
 	}
 }
 
 // TestPanickingHandlerFailsItsTaskOnly: a handler that panics fails its
-// task permanently, with an error naming the panic, and counts as failed;
+// task, with an error naming the panic, and counts as failed;
 // the one worker that ran it goes on to run the next task.
 func TestPanickingHandlerFailsItsTaskOnly(t *testing.T) {
 	rt := New(1, 4)
 	defer rt.Drain(context.Background())
 	var calls atomic.Int32
-	id, err := rt.Submit(Class{Kind: "boom", MaxAttempts: 5, BaseDelay: time.Millisecond},
+	id, err := rt.Submit("boom",
 		func(ctx context.Context, p *Progress) (any, error) {
 			calls.Add(1)
 			var m map[string]int
@@ -148,21 +106,21 @@ func TestPanickingHandlerFailsItsTaskOnly(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	s := waitTerminal(t, rt, id)
-	if s.State != "failed" || s.Attempts != 1 || calls.Load() != 1 {
-		t.Fatalf("panicking task: state %s after %d attempts (%d calls), want failed after 1", s.State, s.Attempts, calls.Load())
+	if s.State != "failed" || calls.Load() != 1 {
+		t.Fatalf("panicking task: state %s after %d calls, want failed after 1", s.State, calls.Load())
 	}
 	if !strings.Contains(s.LastError, "panicked") || !strings.Contains(s.LastError, "nil map") {
 		t.Fatalf("last error %q does not name the panic", s.LastError)
 	}
-	next, err := rt.Submit(Class{Kind: "ok"}, func(ctx context.Context, p *Progress) (any, error) { return "ran", nil })
+	next, err := rt.Submit("ok", func(ctx context.Context, p *Progress) (any, error) { return "ran", nil })
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if s := waitTerminal(t, rt, next); s.State != "succeeded" {
 		t.Fatalf("the task after the panic: state %s (%q), want succeeded", s.State, s.LastError)
 	}
-	if st := rt.Stats(); st.Failed != 1 || st.Succeeded != 1 || st.Retries != 0 {
-		t.Fatalf("stats = %+v, want 1 failed, 1 succeeded, no retries", st)
+	if st := rt.Stats(); st.Failed != 1 || st.Succeeded != 1 {
+		t.Fatalf("stats = %+v, want 1 failed, 1 succeeded", st)
 	}
 }
 
@@ -171,11 +129,11 @@ func TestCancelPendingTask(t *testing.T) {
 	rt := New(1, 4)
 	defer rt.Drain(context.Background())
 	release := make(chan struct{})
-	blockID, _ := rt.Submit(Class{Kind: "block"}, func(ctx context.Context, p *Progress) (any, error) {
+	blockID, _ := rt.Submit("block", func(ctx context.Context, p *Progress) (any, error) {
 		<-release
 		return nil, nil
 	})
-	pendID, _ := rt.Submit(Class{Kind: "pend"}, func(ctx context.Context, p *Progress) (any, error) {
+	pendID, _ := rt.Submit("pend", func(ctx context.Context, p *Progress) (any, error) {
 		t.Error("canceled pending task must never run")
 		return nil, nil
 	})
@@ -200,7 +158,7 @@ func TestCancelRunningTask(t *testing.T) {
 	rt := New(1, 4)
 	defer rt.Drain(context.Background())
 	started := make(chan struct{})
-	id, _ := rt.Submit(Class{Kind: "long", MaxAttempts: 3, BaseDelay: time.Millisecond},
+	id, _ := rt.Submit("long",
 		func(ctx context.Context, p *Progress) (any, error) {
 			close(started)
 			<-ctx.Done()
@@ -213,37 +171,6 @@ func TestCancelRunningTask(t *testing.T) {
 	s := waitTerminal(t, rt, id)
 	if s.State != "canceled" {
 		t.Fatalf("state = %s, want canceled (cancel mid-run must not count as failed)", s.State)
-	}
-	if s.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry after cancel)", s.Attempts)
-	}
-}
-
-func TestCancelDuringBackoffSleep(t *testing.T) {
-	rt := New(1, 4)
-	defer rt.Drain(context.Background())
-	attempted := make(chan struct{}, 1)
-	id, _ := rt.Submit(Class{Kind: "sleepy", MaxAttempts: 3, BaseDelay: time.Minute},
-		func(ctx context.Context, p *Progress) (any, error) {
-			select {
-			case attempted <- struct{}{}:
-			default:
-			}
-			return nil, errors.New("fail once")
-		})
-	<-attempted
-	// The worker is now (or soon will be) in its one-minute backoff
-	// sleep; cancel must interrupt it immediately.
-	start := time.Now()
-	if _, err := rt.Cancel(id); err != nil {
-		t.Fatalf("Cancel: %v", err)
-	}
-	s := waitTerminal(t, rt, id)
-	if s.State != "canceled" {
-		t.Fatalf("state = %s, want canceled", s.State)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Errorf("cancel took %v — backoff sleep was not interrupted", el)
 	}
 }
 
@@ -259,14 +186,14 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 		return nil, nil
 	}
-	if _, err := rt.Submit(Class{Kind: "a"}, blocker); err != nil {
+	if _, err := rt.Submit("a", blocker); err != nil {
 		t.Fatalf("first Submit: %v", err)
 	}
 	// The worker may or may not have dequeued the first task yet; fill
 	// until rejection, which must happen within queueCap+1 submissions.
 	var err error
 	for i := 0; i < 3; i++ {
-		if _, err = rt.Submit(Class{Kind: "b"}, blocker); err != nil {
+		if _, err = rt.Submit("b", blocker); err != nil {
 			break
 		}
 	}
@@ -280,7 +207,7 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 	if err := rt.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if _, err := rt.Submit(Class{Kind: "late"}, func(ctx context.Context, p *Progress) (any, error) {
+	if _, err := rt.Submit("late", func(ctx context.Context, p *Progress) (any, error) {
 		return nil, nil
 	}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("expected ErrDraining, got %v", err)
@@ -294,7 +221,7 @@ func TestDrainWaitsForRunning(t *testing.T) {
 	gate := make(chan struct{})
 	var finished atomic.Int32
 	for i := 0; i < 4; i++ {
-		rt.Submit(Class{Kind: "work"}, func(ctx context.Context, p *Progress) (any, error) {
+		rt.Submit("work", func(ctx context.Context, p *Progress) (any, error) {
 			<-gate
 			finished.Add(1)
 			return nil, nil
@@ -322,7 +249,7 @@ func TestDrainWaitsForRunning(t *testing.T) {
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	rt := New(1, 4)
 	started := make(chan struct{})
-	id, _ := rt.Submit(Class{Kind: "stuck"}, func(ctx context.Context, p *Progress) (any, error) {
+	id, _ := rt.Submit("stuck", func(ctx context.Context, p *Progress) (any, error) {
 		close(started)
 		<-ctx.Done() // honors cancellation, but never finishes on its own
 		return nil, ctx.Err()
@@ -353,7 +280,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 	defer releaseAll() // before Drain: a failed run must not leave tasks parked
 	wg.Add(tasks)
 	for i := 0; i < tasks; i++ {
-		rt.Submit(Class{Kind: "load"}, func(ctx context.Context, p *Progress) (any, error) {
+		rt.Submit("load", func(ctx context.Context, p *Progress) (any, error) {
 			defer wg.Done()
 			n := cur.Add(1)
 			for {
@@ -393,7 +320,7 @@ func TestListNewestFirstPaginated(t *testing.T) {
 	defer rt.Drain(context.Background())
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := rt.Submit(Class{Kind: "t"}, func(ctx context.Context, p *Progress) (any, error) {
+		id, err := rt.Submit("t", func(ctx context.Context, p *Progress) (any, error) {
 			return nil, nil
 		})
 		if err != nil {
@@ -433,9 +360,9 @@ func TestListNewestFirstPaginated(t *testing.T) {
 // task. Once the open one finishes it is the oldest finished task, and goes.
 func TestRuntimeForgetsOldestFinishedTasks(t *testing.T) {
 	const extra = 10
-	rt := NewWithClock(2, 1+retainTerminal+extra, newFakeClock(), 1)
+	rt := New(2, 1+retainTerminal+extra)
 	running, release := make(chan struct{}), make(chan struct{})
-	open, err := rt.Submit(Class{Kind: "open"}, func(ctx context.Context, p *Progress) (any, error) {
+	open, err := rt.Submit("open", func(ctx context.Context, p *Progress) (any, error) {
 		close(running)
 		<-release
 		return nil, nil
@@ -446,7 +373,7 @@ func TestRuntimeForgetsOldestFinishedTasks(t *testing.T) {
 	<-running
 	var ids []string
 	for i := 0; i < retainTerminal+extra; i++ {
-		id, err := rt.Submit(Class{Kind: "quick"}, func(ctx context.Context, p *Progress) (any, error) {
+		id, err := rt.Submit("quick", func(ctx context.Context, p *Progress) (any, error) {
 			return i, nil
 		})
 		if err != nil {

@@ -25,6 +25,7 @@ package provpriv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -41,6 +42,7 @@ import (
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
 	"provpriv/internal/server"
+	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -299,6 +301,104 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
 			}
 		}
+	}
+}
+
+// TestNonInterferenceBulk is the two-world check across a bulk ingest.
+// Both worlds hold one run, the first of its shape, and L reads every
+// route, so the shard's caches are warm. Then each world posts its next
+// runs as one batch to POST /api/v1/executions:bulk — the batches differ
+// only in what L may not see — through a server given a task runtime, and
+// waits for the task: from then on L must not tell the worlds apart by any
+// route, nor after a post, a save and a reload. The batch lands from a
+// task worker, after the reads, as the first runs stored as values over a
+// shape the shard already holds.
+func TestNonInterferenceBulk(t *testing.T) {
+	const execs, batch = 1, 3
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := workload.RandomSpec(workload.SpecConfig{
+			Seed: seed, ID: fmt.Sprintf("ni-bulk-%d", seed), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := workload.RandomPolicy(s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.DataLevels[firstInputAttr(workload.RandomInputs(s, 0))] = privacy.Owner
+		ref, err := exec.NewRunner(s, nil).Run("ref", workload.RandomInputs(s, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, keywords := ref.ItemIDs(), niKeywords(s)
+		for _, level := range niLevels {
+			rw, runW := niWorld(t, s, pol, execs, nil)
+			rp, runP := niWorld(t, s, pol, execs, &level)
+			user := "u-" + level.String()
+			where := fmt.Sprintf("seed %d, %s", seed, user)
+			if niSame(t, where, niAsk(t, rw, s, execs, items, keywords, user), niAsk(t, rp, s, execs, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+			niBulk(t, rw, runW, execs, batch)
+			niBulk(t, rp, runP, execs, batch)
+			where += ", after a bulk ingest"
+			if niSame(t, where, niAsk(t, rw, s, execs+batch, items, keywords, user), niAsk(t, rp, s, execs+batch, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+			rw, rp = niPostAndReload(t, rw, runW(execs+batch)), niPostAndReload(t, rp, runP(execs+batch))
+			where += ", a post, a save and a reload"
+			if niSame(t, where, niAsk(t, rw, s, execs+batch+1, items, keywords, user), niAsk(t, rp, s, execs+batch+1, items, keywords, user)) == 0 {
+				t.Fatalf("%s: no answer showed a masked value: the comparison never looked where the worlds differ", where)
+			}
+		}
+	}
+}
+
+// niBulk posts the world's runs first..first+n-1 to r as one batch to POST
+// /api/v1/executions:bulk, as the owner, through a server given a
+// one-worker task runtime; it drains the runtime and fails unless the task
+// succeeded having added every run.
+func niBulk(t *testing.T, r *repo.Repository, run func(int) *exec.Execution, first, n int) {
+	t.Helper()
+	batch := make([]json.RawMessage, n)
+	for i := range batch {
+		b, err := exec.MarshalExecution(run(first + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = b
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(r)
+	rt := tasks.New(1, 1)
+	srv.Tasks = rt
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/executions:bulk", bytes.NewReader(body))
+	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, req)
+	var accepted struct {
+		Task string `json:"task"`
+	}
+	if w.Code != http.StatusAccepted || json.Unmarshal(w.Body.Bytes(), &accepted) != nil {
+		t.Fatalf("POST /api/v1/executions:bulk: %d %s", w.Code, w.Body)
+	}
+	if err := rt.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := rt.Get(accepted.Task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := json.Marshal(snap.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`{"added":%d,"failed":0}`, n); snap.State != "succeeded" || string(res) != want {
+		t.Fatalf("bulk task %s: %s, result %s, want succeeded, %s", accepted.Task, snap.State, res, want)
 	}
 }
 
