@@ -10,22 +10,28 @@
 // answers the whole keyword-search predicate — which specs have, for
 // every query phrase, a module visible at the asker's level carrying all
 // its terms, and which modules those are — and scores each of them, from
-// the posting lists alone. Postings are sorted level-first, so "visible
-// at level L" is a prefix of every list, and each spec's segment records
-// the (spec, policy) pointers it was built from, so the repository can
-// tell whether an answer still describes the state it holds. The TF·IDF
-// score of a spec at a level is a function of the same prefixes — term
-// frequency is the occurrence counts beside the segment's visible
-// postings, document frequency the specs with a visible posting, N the
-// number of segments — so there is no per-level ranking corpus to keep
-// beside the index. search.Matches, the per-module scan, and rank.Corpus,
-// the per-level document store, remain only as the oracles the tests hold
-// Match to.
+// the postings alone. A spec's segment holds its postings per term sorted
+// level-first, so "visible at level L" is a prefix of every list, and per
+// term the snapshot lists the specs carrying it by the lowest level that
+// shows it there, so the specs visible at L are a prefix too. Terms are
+// numbered by a grow-only dictionary and a segment's modules by posting
+// order, so once a query's terms are looked up by name a spec is decided
+// on integers. Each segment records the (spec, policy) pointers it was
+// built from, so the repository can tell whether an answer still
+// describes the state it holds. The TF·IDF score of a spec at a level is
+// a function of the same prefixes — term frequency is the occurrence
+// counts beside the segment's visible postings, document frequency the
+// length of the term's visible prefix of specs, N the number of segments.
+// search.Matches, the per-module scan, and rank.Corpus, the per-level
+// document store, remain only as the oracles the tests hold Match to.
 package index
 
 import (
+	"cmp"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,21 +67,40 @@ func postingLess(a, b Posting) bool {
 	return a.ModuleID < b.ModuleID
 }
 
-// segment holds one spec's postings, keyed by term and sorted in
-// canonical order, next to the (spec, policy) pointers they were
-// extracted from: a reader that holds the same two pointers knows the
-// postings describe exactly the state it holds. Segments are immutable
-// once built; mutating a spec replaces its segment wholesale.
+// segment holds one spec's postings by term, next to the (spec, policy)
+// pointers they were extracted from: a reader that holds the same two
+// pointers knows the postings describe exactly the state it holds. It is
+// immutable; mutating a spec replaces its segment wholesale. The spec's
+// modules are numbered in canonical posting order (level, then module id),
+// so a term's postings and their ordinals ascend together.
 type segment struct {
-	spec     *workflow.Spec
-	pol      *privacy.Policy
-	postings map[string][]Posting
-	// tf[term] counts the term's keyword occurrences by the level of the
-	// module carrying them — all of them, where a posting stands for a
-	// module however many of its keywords normalize to the term. It is
-	// kept beside the postings, not inside Posting, because match relies
-	// on a module's posting being the same value in every list.
-	tf map[string][]levelCount
+	spec  *workflow.Spec
+	pol   *privacy.Policy
+	ids   []int32   // ascending term ids; ids[i] is terms[i].id
+	terms []segTerm // sorted by id
+}
+
+// segTerm is one term of a segment: the postings of the modules carrying
+// it, their ordinals (ords[i] is postings[i]'s), and tf, the term's keyword
+// occurrences by the level of the module carrying them — all of them, where
+// a posting stands for a module however many keywords normalize to it.
+type segTerm struct {
+	id       int32
+	postings []Posting
+	ords     []int32
+	tf       []levelCount
+}
+
+// term returns the segment's entry for term id, or nil (also for no
+// segment).
+func (seg *segment) term(id int32) *segTerm {
+	if seg == nil {
+		return nil
+	}
+	if i, ok := slices.BinarySearch(seg.ids, id); ok {
+		return &seg.terms[i]
+	}
+	return nil
 }
 
 // levelCount is one step of a count that grows with the access level: n
@@ -106,234 +131,237 @@ func addAt(steps []levelCount, level privacy.Level, delta int) []levelCount {
 	return append(steps, levelCount{level, delta})
 }
 
-// buildSegment extracts one spec's postings. policy may be nil (all
-// modules public).
-func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
-	seg := &segment{spec: s, pol: pol, postings: make(map[string][]Posting), tf: make(map[string][]levelCount)}
+// segment extracts one spec's postings, numbering new terms. policy may be
+// nil (all modules public). Writers only.
+func (ix *Inverted) segment(s *workflow.Spec, pol *privacy.Policy) *segment {
+	type placed struct {
+		m     *workflow.Module
+		wid   string
+		level privacy.Level
+	}
+	var mods []placed
 	for _, wid := range s.WorkflowIDs() {
 		for _, m := range s.Workflows[wid].Modules {
-			minLevel := privacy.Public
+			level := privacy.Public
 			if pol != nil {
-				minLevel = pol.ModuleLevels[m.ID]
+				level = pol.ModuleLevels[m.ID]
 			}
-			seen := make(map[string]bool)
-			for _, kw := range m.AllKeywords() {
-				term := search.Normalize(kw)
-				seg.tf[term] = addAt(seg.tf[term], minLevel, 1)
-				if seen[term] {
-					continue // distinct raw keywords may normalize alike
-				}
-				seen[term] = true
-				seg.postings[term] = append(seg.postings[term], Posting{
-					SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: minLevel,
-				})
+			mods = append(mods, placed{m, wid, level})
+		}
+	}
+	slices.SortFunc(mods, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.level, b.level), strings.Compare(a.m.ID, b.m.ID))
+	})
+	seg := &segment{spec: s, pol: pol}
+	at := make(map[int32]int) // term id → index in seg.terms
+	for ord, pm := range mods {
+		for _, kw := range pm.m.AllKeywords() {
+			term := search.Normalize(kw)
+			id, ok := ix.ids[term]
+			if !ok {
+				id = int32(len(ix.names))
+				ix.ids[term] = id
+				ix.names = append(ix.names, term)
+			}
+			i, ok := at[id]
+			if !ok {
+				i = len(seg.terms)
+				at[id] = i
+				seg.terms = append(seg.terms, segTerm{id: id})
+			}
+			st := &seg.terms[i]
+			st.tf = addAt(st.tf, pm.level, 1)
+			if n := len(st.ords); n == 0 || st.ords[n-1] != int32(ord) { // distinct keywords may normalize alike
+				st.ords = append(st.ords, int32(ord))
+				st.postings = append(st.postings, Posting{SpecID: s.ID, ModuleID: pm.m.ID, Workflow: pm.wid, MinLevel: pm.level})
 			}
 		}
 	}
-	for term := range seg.postings {
-		ps := seg.postings[term]
-		sort.Slice(ps, func(i, j int) bool { return postingLess(ps[i], ps[j]) })
+	slices.SortFunc(seg.terms, func(a, b segTerm) int { return cmp.Compare(a.id, b.id) })
+	seg.ids = make([]int32, len(seg.terms))
+	for i := range seg.terms {
+		seg.ids[i] = seg.terms[i].id
 	}
 	return seg
 }
 
-// minLevel is the lowest level at which the spec shows term at all (the
-// spec must carry it).
-func (seg *segment) minLevel(term string) privacy.Level {
-	return seg.postings[term][0].MinLevel
+// specEntry is one spec carrying a term: the lowest level at which the
+// spec shows it, and the term's entry in the spec's segment.
+type specEntry struct {
+	level privacy.Level
+	seg   *segment
+	st    *segTerm
 }
 
-// termEntry is what a snapshot keeps per term: the merged posting list of
-// every segment, and the document frequency those lists imply — df counts
-// each spec once, at the lowest level that sees the term in it.
+func entryCmp(a, b specEntry) int {
+	return cmp.Or(cmp.Compare(a.level, b.level), strings.Compare(a.seg.spec.ID, b.seg.spec.ID))
+}
+
+// termEntry is what a snapshot keeps per term: its id (-1 for a term the
+// snapshot does not hold) and one entry per spec carrying it, sorted by
+// (level, spec id). The specs that show the term at level L are therefore
+// a prefix, and its length is the term's document frequency at L.
 type termEntry struct {
-	postings []Posting
-	df       []levelCount
+	id    int32
+	specs []specEntry
+}
+
+func (e termEntry) visible(level privacy.Level) []specEntry {
+	return e.specs[:sort.Search(len(e.specs), func(i int) bool { return e.specs[i].level > level })]
+}
+
+// withEntry returns a fresh copy of specs without prev's entry and, when
+// add is non-nil, with *add in (level, spec id) order.
+func withEntry(specs []specEntry, prev *segment, add *specEntry) []specEntry {
+	out := append(make([]specEntry, 0, len(specs)+1), specs...)
+	out = slices.DeleteFunc(out, func(se specEntry) bool { return se.seg == prev })
+	if add != nil {
+		i, _ := slices.BinarySearchFunc(out, *add, entryCmp)
+		out = slices.Insert(out, i, *add)
+	}
+	return out
 }
 
 // invSnapshot is an immutable view of the whole index: the per-spec
-// segments and their merge into one entry per term. Readers load it with
-// one atomic pointer read, so the merged lists, the document frequencies
-// and the segments they see always describe the same set of (spec,
-// policy) pairs; writers build a replacement (copying the two directories
-// and only the term entries they touch — untouched entries and segments
-// are shared) and swap it in.
+// segments and, per term, the specs carrying it. Readers load it with one
+// atomic pointer read, so everything they read describes one set of
+// (spec, policy) pairs; writers build a replacement (copying the two
+// directories and only the term entries they touch) and swap it in.
 type invSnapshot struct {
 	terms    map[string]termEntry
 	segments map[string]*segment
 	count    int // total postings across all terms
 }
 
-var emptyInvSnapshot = &invSnapshot{terms: map[string]termEntry{}}
-
 // Inverted is a privacy-classified inverted keyword index over a set of
 // specifications, organized as one segment per spec behind an atomically
-// published merged snapshot.
+// published snapshot. BuildInverted makes one.
 //
 // Concurrency: Match, Lookup, Terms, Postings and Segments read the
 // current snapshot without acquiring any lock, so a fleet of concurrent
 // readers never serializes and never observes a half-applied mutation.
-// AddSpec and RemoveSpec serialize on an internal mutex, rebuild only
-// the term lists the mutated spec touches (sharing the rest with the
+// AddSpec and RemoveSpec serialize on an internal mutex, rewrite only
+// the term entries the mutated spec touches (sharing the rest with the
 // previous snapshot), and publish the result with one atomic swap: once
 // a mutation returns, every subsequent read sees it.
 type Inverted struct {
-	mu    sync.Mutex // serializes writers; readers never take it
+	mu sync.Mutex // serializes writers; readers never take it
+	// ids numbers terms (names[id] is the term) for the index's lifetime,
+	// also while no spec carries one. Writers only, under mu.
+	ids   map[string]int32
+	names []string
 	snap  atomic.Pointer[invSnapshot]
 	swaps atomic.Int64
 }
 
-// BuildInverted indexes every module keyword of every spec. policies
-// (keyed by spec id, may be nil or sparse) supply module privacy levels;
-// unlisted modules are public.
+// BuildInverted indexes every module keyword of every spec (distinct ids).
+// policies (keyed by spec id, may be nil or sparse) supply module privacy
+// levels; unlisted modules are public.
 func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) *Inverted {
-	ix := &Inverted{}
-	segments := make(map[string]*segment, len(specs))
-	terms := make(map[string]termEntry)
-	count := 0
+	ix := &Inverted{ids: make(map[string]int32)}
+	snap := &invSnapshot{terms: make(map[string]termEntry), segments: make(map[string]*segment, len(specs))}
 	for _, s := range specs {
-		var pol *privacy.Policy
-		if policies != nil {
-			pol = policies[s.ID]
-		}
-		seg := buildSegment(s, pol)
-		segments[s.ID] = seg
-		for term, ps := range seg.postings {
-			e := terms[term]
-			terms[term] = termEntry{append(e.postings, ps...), addAt(e.df, seg.minLevel(term), 1)}
-			count += len(ps)
+		snap.segments[s.ID] = ix.segment(s, policies[s.ID])
+	}
+	byID := make([][]specEntry, len(ix.names))
+	for _, seg := range snap.segments {
+		for i := range seg.terms {
+			st := &seg.terms[i]
+			byID[st.id] = append(byID[st.id], specEntry{st.postings[0].MinLevel, seg, st})
+			snap.count += len(st.postings)
 		}
 	}
-	for _, e := range terms {
-		sort.Slice(e.postings, func(i, j int) bool { return postingLess(e.postings[i], e.postings[j]) })
+	for id, specs := range byID {
+		slices.SortFunc(specs, entryCmp)
+		snap.terms[ix.names[id]] = termEntry{int32(id), specs}
 	}
-	ix.snap.Store(&invSnapshot{terms: terms, segments: segments, count: count})
+	ix.snap.Store(snap)
 	return ix
-}
-
-// snapshot returns the current published snapshot (never nil).
-func (ix *Inverted) snapshot() *invSnapshot {
-	if s := ix.snap.Load(); s != nil {
-		return s
-	}
-	return emptyInvSnapshot
 }
 
 // AddSpec indexes one more spec (replacing its postings if already
 // indexed, so a policy change re-registers cleanly). Cost is
-// O(index terms) for the snapshot map copy plus O(touched-term postings)
-// for the term lists the spec appears in; postings of untouched terms
-// are shared with the previous snapshot, not copied.
+// O(index terms) for the snapshot map copy plus O(specs carrying them)
+// for each term the spec appears in; entries of untouched terms are
+// shared with the previous snapshot, not copied.
 func (ix *Inverted) AddSpec(s *workflow.Spec, pol *privacy.Policy) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.publish(s.ID, buildSegment(s, pol))
+	ix.publish(s.ID, ix.segment(s, pol))
 }
 
 // RemoveSpec drops every posting of the given spec id. Only the term
-// lists the spec itself occupies are rewritten — O(spec's own terms),
+// entries the spec itself occupies are rewritten — O(spec's own terms),
 // not a scan over every posting in the index.
 func (ix *Inverted) RemoveSpec(specID string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.snapshot().segments[specID] == nil {
+	if ix.snap.Load().segments[specID] == nil {
 		return
 	}
 	ix.publish(specID, nil)
 }
 
 // publish installs (seg != nil) or removes (seg == nil) the segment of
-// one spec and swaps in a snapshot reflecting it. Caller holds ix.mu.
+// one spec and swaps in a snapshot reflecting it: every term of the old
+// segment loses its entry, every term of seg gains one. Caller holds
+// ix.mu.
 func (ix *Inverted) publish(specID string, seg *segment) {
-	old := ix.snapshot()
+	old := ix.snap.Load()
 	prev := old.segments[specID]
-
-	// Terms whose merged list changes: union of the old and new segment.
-	touched := make(map[string]bool)
+	terms := maps.Clone(old.terms) // entries are shared; touched ones are replaced
+	count := old.count
+	update := func(id int32) {
+		var add *specEntry
+		if st := seg.term(id); st != nil {
+			add = &specEntry{st.postings[0].MinLevel, seg, st}
+		}
+		name := ix.names[id]
+		if specs := withEntry(terms[name].specs, prev, add); len(specs) > 0 {
+			terms[name] = termEntry{id, specs}
+		} else {
+			delete(terms, name)
+		}
+	}
 	if prev != nil {
-		for term := range prev.postings {
-			touched[term] = true
+		for i := range prev.terms {
+			count -= len(prev.terms[i].postings)
+			update(prev.terms[i].id)
 		}
 	}
 	if seg != nil {
-		for term := range seg.postings {
-			touched[term] = true
+		for i := range seg.terms {
+			count += len(seg.terms[i].postings)
+			if prev.term(seg.terms[i].id) == nil {
+				update(seg.terms[i].id)
+			}
 		}
 	}
 
-	next := make(map[string]termEntry, len(old.terms)+len(touched))
-	count := old.count
-	for term, e := range old.terms {
-		next[term] = e // shared; touched terms are replaced below
-	}
-	for term := range touched {
-		e := old.terms[term]
-		e.df = slices.Clone(e.df) // the old snapshot keeps its own
-		if prev != nil && prev.postings[term] != nil {
-			e.df = addAt(e.df, prev.minLevel(term), -1)
-		}
-		var add []Posting
-		if seg != nil && seg.postings[term] != nil {
-			add = seg.postings[term]
-			e.df = addAt(e.df, seg.minLevel(term), 1)
-		}
-		count -= len(e.postings)
-		e.postings = mergeTerm(e.postings, specID, add)
-		count += len(e.postings)
-		if len(e.postings) == 0 {
-			delete(next, term)
-		} else {
-			next[term] = e
-		}
-	}
-
-	segments := make(map[string]*segment, len(old.segments)+1)
-	for id, sg := range old.segments {
-		segments[id] = sg
-	}
+	segments := maps.Clone(old.segments)
 	if seg == nil {
 		delete(segments, specID)
 	} else {
 		segments[specID] = seg
 	}
-	ix.snap.Store(&invSnapshot{terms: next, segments: segments, count: count})
+	ix.snap.Store(&invSnapshot{terms: terms, segments: segments, count: count})
 	ix.swaps.Add(1)
 }
 
-// mergeTerm rebuilds one term's posting list: postings of specID are
-// dropped from old, and add (sorted, all belonging to specID) is merged
-// in canonical order. The result is always a fresh slice.
-func mergeTerm(old []Posting, specID string, add []Posting) []Posting {
-	merged := make([]Posting, 0, len(old)+len(add))
-	j := 0
-	for _, p := range old {
-		if p.SpecID == specID {
-			continue
-		}
-		for j < len(add) && postingLess(add[j], p) {
-			merged = append(merged, add[j])
-			j++
-		}
-		merged = append(merged, p)
-	}
-	merged = append(merged, add[j:]...)
-	return merged
-}
-
-// Lookup returns the postings for term visible at the given level. It
-// reads the current snapshot with a single atomic load — no mutex — so
-// concurrent writers never stall it. The scan stops at the first posting
-// above the level (postings are sorted by MinLevel), so low-privilege
-// lookups touch only their own prefix.
+// Lookup returns the postings for term visible at the given level, in
+// canonical order, assembled from the specs that show the term there. It
+// reads the snapshot with one atomic load, so writers never stall it.
 func (ix *Inverted) Lookup(term string, level privacy.Level) []Posting {
-	ps := ix.snapshot().terms[search.Normalize(term)].postings
 	var out []Posting
-	for _, p := range ps {
-		if p.MinLevel > level {
-			break
+	for _, se := range ix.snap.Load().terms[search.Normalize(term)].visible(level) {
+		for _, p := range se.st.postings {
+			if p.MinLevel > level {
+				break
+			}
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
+	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
 	return out
 }
 
@@ -365,16 +393,19 @@ type Matches struct {
 
 	snap  *invSnapshot
 	level privacy.Level
-	terms []string  // the query's terms, flattened in order
-	idf   []float64 // idf[i] belongs to terms[i]
+	terms []termEntry // the query's terms, flattened in order
+	idf   []float64   // idf[i] belongs to terms[i]
 }
 
 // score is the TF·IDF of one segment for the query; the summation order
-// is rank.Corpus's, so the float is too.
+// is rank.Corpus's, so the float is too (a term the segment lacks adds
+// tf 0, so skipping it leaves the sum as it is).
 func (ms *Matches) score(seg *segment) float64 {
 	var s float64
-	for i, t := range ms.terms {
-		s += float64(visible(seg.tf[t], ms.level)) * ms.idf[i]
+	for i, e := range ms.terms {
+		if st := seg.term(e.id); st != nil {
+			s += float64(visible(st.tf, ms.level)) * ms.idf[i]
+		}
 	}
 	return s
 }
@@ -384,15 +415,12 @@ func (ms *Matches) score(seg *segment) float64 {
 // rank.Corpus.Rank returns, whose range rank.Bucketize quantizes over.
 func (ms *Matches) RankAll() []rank.Ranked {
 	var out []rank.Ranked
-	seen := make(map[string]bool)
-	for _, t := range ms.terms {
-		for _, p := range ms.snap.terms[t].postings {
-			if p.MinLevel > ms.level {
-				break
-			}
-			if !seen[p.SpecID] {
-				seen[p.SpecID] = true
-				out = append(out, rank.Ranked{Doc: p.SpecID, Score: ms.score(ms.snap.segments[p.SpecID])})
+	seen := make(map[*segment]bool)
+	for _, e := range ms.terms {
+		for _, se := range e.visible(ms.level) {
+			if !seen[se.seg] {
+				seen[se.seg] = true
+				out = append(out, rank.Ranked{Doc: se.seg.spec.ID, Score: ms.score(se.seg)})
 			}
 		}
 	}
@@ -408,146 +436,109 @@ func (ms *Matches) RankAll() []rank.Ranked {
 // its score. phrases are the non-empty normalized term lists
 // search.ParseQuery produces; an empty query or phrase matches nothing.
 //
-// A matching spec has a visible posting for the first term of every
-// phrase, so the candidates are the specs in the level-prefix of the
-// shortest such merged list; each candidate is then decided, and scored,
-// inside its own segment. Everything is read from one snapshot, so the
-// result never mixes two states of the index.
+// Each query term is looked up by name once. A matching spec shows the
+// first term of every phrase, so the candidates are the specs showing the
+// rarest such term at level, each decided and scored inside its segment,
+// where terms are reached by id. Everything is read from one snapshot.
 func (ix *Inverted) Match(phrases [][]string, level privacy.Level) Matches {
-	snap := ix.snapshot()
+	snap := ix.snap.Load()
 	ms := Matches{snap: snap, level: level}
-	if len(phrases) == 0 {
+	if len(phrases) == 0 || slices.ContainsFunc(phrases, func(p []string) bool { return len(p) == 0 }) {
 		return ms
 	}
-	var drive []Posting
+	var drive []specEntry
 	for i, phrase := range phrases {
-		if len(phrase) == 0 {
-			return ms
-		}
-		if ps := snap.terms[phrase[0]].postings; i == 0 || len(ps) < len(drive) {
-			drive = ps
+		for j, t := range phrase {
+			e, ok := snap.terms[t]
+			if !ok {
+				e.id = -1
+			}
+			vis := e.visible(level)
+			if j == 0 && (i == 0 || len(vis) < len(drive)) {
+				drive = vis
+			}
+			ms.terms = append(ms.terms, e)
+			ms.idf = append(ms.idf, rank.IDF(len(snap.segments), len(vis)))
 		}
 	}
-	for _, phrase := range phrases {
-		for _, t := range phrase {
-			ms.terms = append(ms.terms, t)
-			ms.idf = append(ms.idf, rank.IDF(len(snap.segments), visible(snap.terms[t].df, level)))
+	// Every match's Phrases, and its multi-term phrases' postings, are carved
+	// from two append-only arrays; a candidate that fails gives its tail back.
+	sts, evidence := make([]*segTerm, len(ms.terms)), make([][]Posting, 0, len(drive)*len(phrases))
+	var found []Posting
+	for _, c := range drive {
+		start, mark, matched := len(evidence), len(found), true
+		for i, off := 0, 0; i < len(phrases) && matched; off, i = off+len(phrases[i]), i+1 {
+			var ps []Posting
+			ps, found = c.seg.match(ms.terms[off:off+len(phrases[i])], level, sts, found)
+			evidence, matched = append(evidence, ps), len(ps) > 0
 		}
-	}
-	tried := make(map[string]bool)
-	scratch := make([][]Posting, len(phrases))
-	for _, p := range drive {
-		if p.MinLevel > level {
-			break
-		}
-		if tried[p.SpecID] {
+		if !matched {
+			evidence, found = evidence[:start], found[:mark]
 			continue
 		}
-		tried[p.SpecID] = true
-		seg := snap.segments[p.SpecID]
-		matched := true
-		for i, phrase := range phrases {
-			if scratch[i] = seg.match(phrase, level); len(scratch[i]) == 0 {
-				matched = false
-				break
-			}
+		if ms.Specs == nil {
+			ms.Specs = make([]SpecMatch, 0, len(drive))
 		}
-		if matched {
-			ms.Specs = append(ms.Specs, SpecMatch{
-				Spec: seg.spec, Policy: seg.pol,
-				Phrases: append([][]Posting(nil), scratch...),
-				Score:   ms.score(seg),
-			})
-		}
+		n := len(evidence)
+		ms.Specs = append(ms.Specs, SpecMatch{Spec: c.seg.spec, Policy: c.seg.pol, Phrases: evidence[start:n:n], Score: ms.score(c.seg)})
 	}
 	return ms
 }
 
-// match returns the postings of the segment's modules that are visible
-// at level and carry every term of the phrase. A module has one MinLevel,
-// so its posting is the same value in every term list it appears in.
-func (seg *segment) match(phrase []string, level privacy.Level) []Posting {
-	first := seg.postings[phrase[0]]
+// match returns the postings of seg's modules visible at level that carry
+// every term of one phrase (its snapshot entries; sts is scratch): a list
+// prefix for one term, else postings appended to buf, returned too. A
+// module has one ordinal in all of seg's lists: they intersect on those.
+func (seg *segment) match(phrase []termEntry, level privacy.Level, sts []*segTerm, buf []Posting) ([]Posting, []Posting) {
+	for i, e := range phrase {
+		if sts[i] = seg.term(e.id); sts[i] == nil {
+			return nil, buf
+		}
+	}
+	first := sts[0]
 	n := 0
-	for n < len(first) && first[n].MinLevel <= level {
+	for n < len(first.postings) && first.postings[n].MinLevel <= level {
 		n++
 	}
-	first = first[:n:n]
 	if len(phrase) == 1 {
-		return first
+		return first.postings[:n:n], buf
 	}
-	var out []Posting
-	for _, p := range first {
+	start := len(buf)
+	for i, o := range first.ords[:n] {
 		all := true
-		for _, term := range phrase[1:] {
-			ps := seg.postings[term]
-			i := sort.Search(len(ps), func(i int) bool { return !postingLess(ps[i], p) })
-			if i == len(ps) || ps[i] != p {
+		for _, st := range sts[1:len(phrase)] {
+			if _, ok := slices.BinarySearch(st.ords, o); !ok {
 				all = false
 				break
 			}
 		}
 		if all {
-			out = append(out, p)
+			buf = append(buf, first.postings[i])
 		}
 	}
-	return out
+	return buf[start:len(buf):len(buf)], buf
 }
 
 // Postings returns the total number of postings (for size accounting).
 func (ix *Inverted) Postings() int {
-	return ix.snapshot().count
+	return ix.snap.Load().count
 }
 
 // TermCount returns the number of distinct indexed terms in O(1) —
 // unlike Terms, it neither copies nor sorts (for stats/metrics paths).
 func (ix *Inverted) TermCount() int {
-	return len(ix.snapshot().terms)
+	return len(ix.snap.Load().terms)
 }
 
 // Segments returns the number of per-spec segments currently indexed.
 // Like every other read it loads the snapshot and takes no lock, so a
 // stats or metrics scrape never queues behind an index mutation.
 func (ix *Inverted) Segments() int {
-	return len(ix.snapshot().segments)
+	return len(ix.snap.Load().segments)
 }
 
 // Swaps returns how many snapshot publications (spec mutations) the
 // index has performed — a churn counter for the metrics endpoint.
 func (ix *Inverted) Swaps() int64 {
 	return ix.swaps.Load()
-}
-
-// NaiveLookup is the no-index baseline used by benchmark B4: scan every
-// module of every spec on each query, re-checking the policy each time.
-//
-//provlint:ignore unserved reference: index_test.go holds the index's lookup to this scan; bench_test.go times both
-func NaiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, term string, level privacy.Level) []Posting {
-	want := search.Normalize(term)
-	var out []Posting
-	for _, s := range specs {
-		var pol *privacy.Policy
-		if policies != nil {
-			pol = policies[s.ID]
-		}
-		for _, wid := range s.WorkflowIDs() {
-			for _, m := range s.Workflows[wid].Modules {
-				if pol != nil && !pol.CanSeeModule(level, m.ID) {
-					continue
-				}
-				for _, kw := range m.AllKeywords() {
-					if search.Normalize(kw) == want {
-						minLevel := privacy.Public
-						if pol != nil {
-							minLevel = pol.ModuleLevels[m.ID]
-						}
-						out = append(out, Posting{SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: minLevel})
-						break
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"provpriv/internal/privacy"
+	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 )
 
@@ -94,7 +95,7 @@ func TestInvertedMatchesNaive(t *testing.T) {
 	for _, term := range []string{"database", "omim", "query", "private", "nonexistent"} {
 		for _, lvl := range []privacy.Level{privacy.Public, privacy.Analyst, privacy.Owner} {
 			fast := ix.Lookup(term, lvl)
-			slow := NaiveLookup(specs, pols, term, lvl)
+			slow := naiveLookup(specs, pols, term, lvl)
 			if len(fast) != len(slow) {
 				t.Fatalf("term %q level %v: index %d vs naive %d", term, lvl, len(fast), len(slow))
 			}
@@ -303,6 +304,47 @@ func TestSegmentsAndSwaps(t *testing.T) {
 	}
 }
 
+// TestTermIDOutlivesItsCarriers: a term keeps its id while no spec
+// carries it, so removing its only carrier drops it from the snapshot, and
+// adding the carrier back under another policy numbers nothing new.
+func TestTermIDOutlivesItsCarriers(t *testing.T) {
+	specs, pols := diseaseSetup(t)
+	ix := BuildInverted(specs, pols)
+	before := make(map[string]bool)
+	for _, term := range ix.Terms() {
+		before[term] = true
+	}
+	s2, err := workflowRandom(5)
+	if err != nil {
+		t.Fatalf("random spec: %v", err)
+	}
+	ix.AddSpec(s2, nil)
+	var solo string
+	for _, term := range ix.Terms() {
+		if !before[term] {
+			solo = term
+			break
+		}
+	}
+	if solo == "" {
+		t.Fatal("the added spec carries no term of its own")
+	}
+	id, numbered := ix.snap.Load().terms[solo].id, len(ix.names)
+	ix.RemoveSpec(s2.ID)
+	if _, held := ix.snap.Load().terms[solo]; held {
+		t.Fatalf("term %q outlived its only carrier in the snapshot", solo)
+	}
+	pol := privacy.NewPolicy(s2.ID)
+	pol.ModuleLevels["A1"] = privacy.Analyst
+	ix.AddSpec(s2, pol)
+	if got := ix.snap.Load().terms[solo].id; got != id || len(ix.names) != numbered {
+		t.Fatalf("term %q came back as id %d of %d, was %d of %d", solo, got, len(ix.names), id, numbered)
+	}
+	if got := ix.Lookup(solo, privacy.Owner); len(got) == 0 {
+		t.Fatalf("term %q not served after the re-add", solo)
+	}
+}
+
 // TestAddSpecReplacesSegment: re-adding a spec (e.g. after a policy
 // change) replaces its postings instead of duplicating them.
 func TestAddSpecReplacesSegment(t *testing.T) {
@@ -339,11 +381,41 @@ func workflowRandom(seed int64) (*workflow.Spec, error) {
 
 // Terms returns all indexed terms, sorted.
 func (ix *Inverted) Terms() []string {
-	snap := ix.snapshot()
+	snap := ix.snap.Load()
 	ts := make([]string, 0, len(snap.terms))
 	for t := range snap.terms {
 		ts = append(ts, t)
 	}
 	sort.Strings(ts)
 	return ts
+}
+
+// naiveLookup is the reference Lookup is held to: scan every module of
+// every spec, re-checking the policy each time. Root benchmark B4
+// (BenchmarkIndexVsFilter) times its own copy against the index.
+func naiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, term string, level privacy.Level) []Posting {
+	want := search.Normalize(term)
+	var out []Posting
+	for _, s := range specs {
+		pol := policies[s.ID]
+		for _, wid := range s.WorkflowIDs() {
+			for _, m := range s.Workflows[wid].Modules {
+				if pol != nil && !pol.CanSeeModule(level, m.ID) {
+					continue
+				}
+				for _, kw := range m.AllKeywords() {
+					if search.Normalize(kw) == want {
+						minLevel := privacy.Public
+						if pol != nil {
+							minLevel = pol.ModuleLevels[m.ID]
+						}
+						out = append(out, Posting{SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: minLevel})
+						break
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
+	return out
 }

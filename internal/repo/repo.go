@@ -723,11 +723,16 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	// (registration or removal in flight) counts as a non-match.
 	_, matchSpan := obs.StartSpan(ctx, "search.index.match")
 	matched := r.inverted.Match(phrases, u.Level)
-	cands := matched.Specs[:0]
+	type ranked struct { // a hit's place in the order: matched.Specs[pos]
+		score float64
+		id    string
+		pos   int
+	}
+	order := make([]ranked, 0, len(matched.Specs))
 	r.mu.RLock()
-	for _, m := range matched.Specs {
+	for i, m := range matched.Specs {
 		if r.shards[m.Spec.ID] != nil {
-			cands = append(cands, m)
+			order = append(order, ranked{m.Score, m.Spec.ID, i})
 		}
 	}
 	r.mu.RUnlock()
@@ -738,19 +743,23 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 		for _, rk := range rank.Bucketize(matched.RankAll(), opts.Buckets) {
 			published[rk.Doc] = rk.Score
 		}
-		for i := range cands {
-			cands[i].Score = published[cands[i].Spec.ID]
+		for i := range order {
+			order[i].score = published[order[i].id]
 		}
 	}
 	matchSpan.End()
 
 	// The final hit order (score descending, spec id ascending) is known
-	// before any view is built, so the window is a slice of it.
-	slices.SortFunc(cands, func(a, b index.SpecMatch) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Spec.ID, b.Spec.ID))
+	// before any view is built, so the window is a slice of it. Small
+	// (score, id, position) values are sorted, not the matches.
+	slices.SortFunc(order, func(a, b ranked) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
+		}
+		return strings.Compare(a.id, b.id)
 	})
-	total := len(cands)
-	window := cands[min(opts.Offset, total):]
+	total := len(order)
+	window := order[min(opts.Offset, total):]
 	if opts.Limit > 0 && len(window) > opts.Limit {
 		window = window[:opts.Limit]
 	}
@@ -760,12 +769,12 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	hits := make([]SearchHit, 0, len(window))
 	names := search.PhraseNames(phrases)
 	_, viewSpan := obs.StartSpan(ctx, "search.views")
-	for _, c := range window {
+	for _, o := range window {
 		if ctx.Err() != nil {
 			break
 		}
-		if res := r.searchView(c, phrases, names, u.Level); res != nil {
-			hits = append(hits, SearchHit{SpecID: c.Spec.ID, Score: c.Score, Result: res})
+		if res := r.searchView(matched.Specs[o.pos], phrases, names, u.Level); res != nil {
+			hits = append(hits, SearchHit{SpecID: o.id, Score: o.score, Result: res})
 		}
 	}
 	viewSpan.End()

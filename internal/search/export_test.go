@@ -13,7 +13,11 @@ import (
 // tests (index imports search, so they cannot live in this package).
 // ok is false when some phrase matches nothing.
 func ScanModuleIDs(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) (ids [][]string, ok bool) {
-	states, err := scanMatches(spec, query, pol, level)
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		return nil, false
+	}
+	states, err := scanMatches(spec, h, query, pol, level)
 	if err != nil {
 		return nil, false
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -159,6 +160,41 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 	}
 }
 
+// checkIndexAgainstRebuild holds ix to fresh, a BuildInverted of the
+// (spec, policy) pairs ix should hold, for one query at every level: the
+// same specs match, with the same evidence and bit-identical scores, and
+// RankAll agrees.
+func checkIndexAgainstRebuild(tb testing.TB, ix, fresh *index.Inverted, q string) {
+	tb.Helper()
+	phrases := search.ParseQuery(q)
+	for _, level := range allLevels {
+		got, want := ix.Match(phrases, level), fresh.Match(phrases, level)
+		if g, w := got.RankAll(), want.RankAll(); !reflect.DeepEqual(g, w) {
+			tb.Fatalf("query %q level %v: index ranks %v, rebuild %v", q, level, g, w)
+		}
+		sortMatches := func(ms []index.SpecMatch) []index.SpecMatch {
+			sort.Slice(ms, func(i, j int) bool { return ms[i].Spec.ID < ms[j].Spec.ID })
+			return ms
+		}
+		if g, w := sortMatches(got.Specs), sortMatches(want.Specs); !reflect.DeepEqual(g, w) {
+			tb.Fatalf("query %q level %v: index matches %+v, rebuild %+v", q, level, g, w)
+		}
+	}
+}
+
+// moduleTerms is every normalized keyword of every module of s.
+func moduleTerms(s *workflow.Spec) []string {
+	var terms []string
+	for _, wid := range s.WorkflowIDs() {
+		for _, m := range s.Workflows[wid].Modules {
+			for _, kw := range m.AllKeywords() {
+				terms = append(terms, search.Normalize(kw))
+			}
+		}
+	}
+	return terms
+}
+
 // TestMatchesAgreesWithSearch is the differential test of the search
 // predicate: the inverted index (which the repository serves from)
 // against search.Matches and the scan (the reference oracle), on random
@@ -167,11 +203,21 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 // re-registered under a second policy, so BuildInverted and publish are
 // both on the hook. A divergence would make paginated totals lie or hand
 // the view pass modules the scan would not find.
+//
+// Then a spec that alone carries a term is removed — the term matches
+// nothing at any level and no other spec's score counts it — and added
+// back under another policy, so the term returns to the index. After each
+// step the index must also equal a fresh build of the specs it holds, on
+// the queries and on every one of the spec's own terms.
 func TestMatchesAgreesWithSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cfg := workload.SpecConfig{Depth: 3, Fanout: 2, Chain: 5, SkipProb: 0.2}
 	for round := int64(0); round < 4; round++ {
 		specs, pols := oracleCorpus(t, round*10, round*7+1, 6, cfg)
+		victim, solo := specs[1], fmt.Sprintf("solo%dx", round)
+		for _, m := range victim.Workflows[victim.Root].Modules {
+			m.Keywords = append(m.Keywords, solo)
+		}
 		ix := index.BuildInverted(specs[:3], pols)
 		for _, s := range specs[3:] {
 			ix.AddSpec(s, pols[s.ID])
@@ -184,10 +230,39 @@ func TestMatchesAgreesWithSearch(t *testing.T) {
 		ix.AddSpec(specs[0], repol)
 
 		queries := workload.RandomQueries(rng, nil, 24)
-		queries = append(queries, "filters", "Risks, query", "query query", "nosuchterm", "query, nosuchterm")
-		for _, q := range queries {
-			checkIndexAgainstOracle(t, ix, specs, pols, q)
+		queries = append(queries, "filters", "Risks, query", "query query", "nosuchterm", "query, nosuchterm",
+			solo, solo+", query", "query "+solo)
+		check := func(step string, specs []*workflow.Spec) {
+			t.Helper()
+			fresh := index.BuildInverted(specs, pols)
+			for _, q := range append(queries, moduleTerms(victim)...) {
+				checkIndexAgainstRebuild(t, ix, fresh, q)
+			}
+			for _, q := range queries {
+				checkIndexAgainstOracle(t, ix, specs, pols, q)
+			}
+			if t.Failed() {
+				t.Fatalf("round %d: %s", round, step)
+			}
 		}
+		check("registered", specs)
+
+		survivors := slices.DeleteFunc(slices.Clone(specs), func(s *workflow.Spec) bool { return s == victim })
+		ix.RemoveSpec(victim.ID)
+		check("removed", survivors)
+		for _, level := range allLevels {
+			if ms := ix.Match([][]string{{solo}}, level); len(ms.Specs) != 0 || len(ms.RankAll()) != 0 {
+				t.Fatalf("round %d level %v: removed spec's term still matches %+v / ranks %v", round, level, ms.Specs, ms.RankAll())
+			}
+		}
+
+		repol, err = workload.RandomPolicy(victim, 2000+round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols[victim.ID] = repol
+		ix.AddSpec(victim, repol)
+		check("re-added", specs)
 	}
 }
 

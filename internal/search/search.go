@@ -125,13 +125,19 @@ func phraseMatches(m *workflow.Module, phrase []string) bool {
 	return true
 }
 
-// rawMatch is a phrase match before supersession/minimality. chain is
-// the root chain of workflow (workflow.Hierarchy.Chain, read-only), which
-// minimalView resolves once for everything downstream to read.
+// rawMatch is a phrase match before supersession/minimality: the module,
+// its workflow, and that workflow's root chain and chain key, read with
+// the module from one workflow.Hierarchy.Place (chain is the hierarchy's:
+// read-only).
 type rawMatch struct {
 	module   *workflow.Module
 	workflow string
 	chain    []string
+	key      string
+}
+
+func placed(at workflow.Placement) rawMatch {
+	return rawMatch{module: at.Module, workflow: at.Workflow.ID, chain: at.Chain, key: at.ChainKey}
 }
 
 // phraseState is one query phrase — by the name it is reported under,
@@ -250,7 +256,7 @@ func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.P
 	if err != nil {
 		return nil, err
 	}
-	states, err := scanMatches(spec, query, pol, level)
+	states, err := scanMatches(spec, h, query, pol, level)
 	if err != nil {
 		return nil, err
 	}
@@ -262,8 +268,8 @@ func errNoMatch(name string) error {
 }
 
 // scanMatches collects the raw matches of every phrase by walking all
-// modules of the spec.
-func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+// modules of the spec, placing each in h (built from spec).
+func scanMatches(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
 	states := make([]phraseState, 0, len(query))
 	wids := spec.WorkflowIDs()
 	for _, phrase := range query {
@@ -274,7 +280,7 @@ func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, lev
 					continue // module privacy: identity not searchable
 				}
 				if phraseMatches(m, phrase) {
-					ps.matches = append(ps.matches, rawMatch{module: m, workflow: wid})
+					ps.matches = append(ps.matches, placed(h.Place(m.ID)))
 				}
 			}
 		}
@@ -289,23 +295,28 @@ func scanMatches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, lev
 // handedMatches turns the per-phrase module refs a caller hands in into
 // raw matches, keeping only refs that resolve in the spec h was built from
 // — the module exists, in the named workflow — and pass the module-privacy
-// check.
+// check. Each ref is one lookup in h.
 func handedMatches[R ModuleRef](h *workflow.Hierarchy, names []string, matched [][]R, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+	n := 0
+	for _, refs := range matched {
+		n += len(refs)
+	}
 	states := make([]phraseState, 0, len(names))
+	all := make([]rawMatch, 0, n) // every phrase's matches, one array
 	for i, name := range names {
-		ps := phraseState{name: name, matches: make([]rawMatch, 0, len(matched[i]))}
+		start := len(all)
 		for _, ref := range matched[i] {
 			mid, wid := ref.ModuleRef()
-			m, w := h.Module(mid)
-			if m == nil || w.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
+			at := h.Place(mid)
+			if at.Module == nil || at.Workflow.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
 				continue
 			}
-			ps.matches = append(ps.matches, rawMatch{module: m, workflow: wid})
+			all = append(all, placed(at))
 		}
-		if len(ps.matches) == 0 {
+		if len(all) == start {
 			return nil, errNoMatch(name)
 		}
-		states = append(states, ps)
+		states = append(states, phraseState{name: name, matches: all[start:len(all):len(all)]})
 	}
 	return states, nil
 }
@@ -330,9 +341,9 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	n := 0
 	for i := range states {
 		ms := states[i].matches
-		for j := range ms {
-			if ms[j].chain = h.Chain(ms[j].workflow); ms[j].chain == nil {
-				return nil, fmt.Errorf("search: workflow %s of module %s is not in the hierarchy", ms[j].workflow, ms[j].module.ID)
+		for _, rm := range ms {
+			if rm.chain == nil {
+				return nil, fmt.Errorf("search: workflow %s of module %s is not in the hierarchy", rm.workflow, rm.module.ID)
 			}
 		}
 		states[i].matches = dropSuperseded(ms)
@@ -345,7 +356,7 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	prefix := workflow.NewPrefix(h.Root)
 	zoomed := false
 	for _, ps := range states {
-		req, clipped := cheapestRequirement(h, ps.matches, accessView)
+		req, clipped := cheapestRequirement(ps.matches, accessView)
 		zoomed = zoomed || clipped
 		for _, wid := range req {
 			prefix[wid] = true
@@ -433,11 +444,11 @@ func dropSuperseded(matches []rawMatch) []rawMatch {
 // chain key. When an access view is supplied and the cheapest requirement
 // exceeds it, the requirement is clipped (zoom-out) and clipped=true is
 // returned.
-func cheapestRequirement(h *workflow.Hierarchy, matches []rawMatch, accessView workflow.Prefix) (req []string, clipped bool) {
+func cheapestRequirement(matches []rawMatch, accessView workflow.Prefix) (req []string, clipped bool) {
 	best := matches[0]
 	for _, rm := range matches[1:] {
 		if len(rm.chain) < len(best.chain) ||
-			(len(rm.chain) == len(best.chain) && h.ChainKey(rm.workflow) < h.ChainKey(best.workflow)) {
+			(len(rm.chain) == len(best.chain) && rm.key < best.key) {
 			best = rm
 		}
 	}

@@ -20,14 +20,20 @@ type Hierarchy struct {
 	// chains resolves a workflow to its root chain, built once in BFS
 	// order; len(chains) is len(All()).
 	chains map[string]rootChain
-	// modules resolves a module id to the module and its workflow: what
-	// Spec.FindModule answers, without the scan.
-	modules map[string]moduleAt
+	// modules resolves a module id to where the hierarchy places it: what
+	// Spec.FindModule answers, without the scan, plus the workflow's chain.
+	modules map[string]Placement
 }
 
-type moduleAt struct {
-	m *Module
-	w *Workflow
+// Placement is where the hierarchy puts a module: the module, the workflow
+// holding it, and that workflow's root chain (nil when the workflow is not
+// reachable from the root) with the chain's key — what a search match
+// reads, from one lookup. Chain belongs to the hierarchy: read-only.
+type Placement struct {
+	Module   *Module
+	Workflow *Workflow
+	Chain    []string
+	ChainKey string
 }
 
 // rootChain is the path of workflow ids from the root down to one
@@ -45,13 +51,13 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 		parent:    make(map[string]string),
 		children:  make(map[string][]string),
 		viaModule: make(map[string]string),
-		modules:   make(map[string]moduleAt),
+		modules:   make(map[string]Placement),
 	}
 	for _, wid := range s.WorkflowIDs() {
 		w := s.Workflows[wid]
 		for _, m := range w.Modules {
 			if _, dup := h.modules[m.ID]; !dup {
-				h.modules[m.ID] = moduleAt{m, w}
+				h.modules[m.ID] = Placement{Module: m, Workflow: w}
 			}
 			if m.Kind != Composite {
 				continue
@@ -77,6 +83,11 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 		}
 		h.chains[wid] = rootChain{ids: ids, key: strings.Join(ids, "/")}
 	}
+	for id, at := range h.modules {
+		c := h.chains[at.Workflow.ID]
+		at.Chain, at.ChainKey = c.ids, c.key
+		h.modules[id] = at
+	}
 	return h, nil
 }
 
@@ -85,8 +96,12 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 // with the hierarchy.
 func (h *Hierarchy) Module(id string) (*Module, *Workflow) {
 	at := h.modules[id]
-	return at.m, at.w
+	return at.Module, at.Workflow
 }
+
+// Place returns where the hierarchy puts the module with the given id
+// (the zero Placement if there is none).
+func (h *Hierarchy) Place(id string) Placement { return h.modules[id] }
 
 // Parent returns the parent workflow of wid ("" for the root).
 func (h *Hierarchy) Parent(wid string) string { return h.parent[wid] }
@@ -98,9 +113,6 @@ func (h *Hierarchy) ViaModule(wid string) string { return h.viaModule[wid] }
 // both included, or nil if wid is not reachable from the root. The slice
 // belongs to the hierarchy: read-only.
 func (h *Hierarchy) Chain(wid string) []string { return h.chains[wid].ids }
-
-// ChainKey returns Chain(wid) "/"-joined.
-func (h *Hierarchy) ChainKey(wid string) string { return h.chains[wid].key }
 
 // Depth returns the number of edges from the root to wid (root = 0),
 // or -1 if wid is not in the hierarchy.
