@@ -69,7 +69,7 @@ func main() {
 		}
 		for i, h := range hits {
 			fmt.Printf("[%d] %s score=%.3f view={%s}", i+1, h.SpecID, h.Score,
-				joinIDs(h.Result.Prefix.IDs()))
+				joinIDs(h.Result.Prefix().IDs()))
 			if h.Result.ZoomedOut {
 				fmt.Print(" (zoomed out)")
 			}

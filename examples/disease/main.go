@@ -60,7 +60,7 @@ func main() {
 			log.Fatalf("search as %s: %v", user, err)
 		}
 		for _, hit := range hits {
-			fmt.Printf("%s: view {%v} zoomedOut=%v\n", user, hit.Result.Prefix.IDs(), hit.Result.ZoomedOut)
+			fmt.Printf("%s: view {%v} zoomedOut=%v\n", user, hit.Result.Prefix().IDs(), hit.Result.ZoomedOut)
 		}
 	}
 

@@ -111,10 +111,10 @@ func TestIntegrationPrivacyInvariants(t *testing.T) {
 				h2, _ := workflow.NewHierarchy(spec)
 				access := pol.AccessView(h2, u.level)
 				// Invariant 1: result view within access view.
-				for wid := range h.Result.Prefix {
+				for wid := range h.Result.Prefix() {
 					if !access.Contains(wid) {
 						t.Fatalf("user %s query %q: view %v exceeds access %v in %s",
-							u.name, q, h.Result.Prefix.IDs(), access.IDs(), h.SpecID)
+							u.name, q, h.Result.Prefix().IDs(), access.IDs(), h.SpecID)
 					}
 				}
 				// Invariant 2: no match names a module-private module the

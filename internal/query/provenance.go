@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"unicode/utf8"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
+	"provpriv/internal/jsonw"
 )
 
 // provIndex is a prepared execution's provenance index. The provenance of
@@ -165,16 +165,16 @@ func (p Provenance) Execution() *exec.Execution {
 func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
 	e, ix := p.s.Plan.Exec, p.s.Plan.runs()
 	b := append(dst, `{"exec":`...)
-	b = appendString(b, execID)
+	b = jsonw.AppendString(b, execID)
 	b = append(b, `,"item":`...)
-	b = appendString(b, p.item)
+	b = jsonw.AppendString(b, p.item)
 	b = append(b, `,"provenance":{"id":"`...)
 	// Both joints are ASCII, so escaping the parts is escaping the whole.
-	b = appendEscaped(b, p.s.ID)
+	b = jsonw.AppendEscaped(b, p.s.ID)
 	b = append(b, `/prov(`...)
-	b = appendEscaped(b, p.item)
+	b = jsonw.AppendEscaped(b, p.item)
 	b = append(b, `)","spec":`...)
-	b = appendString(b, e.SpecID)
+	b = jsonw.AppendString(b, e.SpecID)
 	b = append(b, `,"nodes":`...)
 	b = ix.appendRuns(b, p.keep.nodes, 0)
 	b = append(b, `,"edges":`...)
@@ -186,7 +186,7 @@ func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, ix.run(base+2*j)...)
-		b = appendString(b, string(p.s.Vals[j]))
+		b = jsonw.AppendString(b, string(p.s.Vals[j]))
 		b = append(b, ix.run(base+2*j+1)...)
 		if p.s.IsRedacted(int(j)) {
 			b = append(b, `,"redacted":true`...)
@@ -194,7 +194,7 @@ func (p Provenance) AppendJSON(dst []byte, specID, execID string) []byte {
 		b = append(b, '}')
 	}
 	b = append(b, `}},"spec":`...)
-	b = appendString(b, specID)
+	b = jsonw.AppendString(b, specID)
 	return append(b, "}\n"...)
 }
 
@@ -221,15 +221,15 @@ func (pe *PreparedExec) runs() *provIndex {
 		}
 		for _, id := range pe.slots.IDs {
 			it := e.Items[id]
-			b = appendString(b, id)
+			b = jsonw.AppendString(b, id)
 			b = append(b, `:{"id":`...)
-			b = appendString(b, it.ID)
+			b = jsonw.AppendString(b, it.ID)
 			b = append(b, `,"attr":`...)
-			b = appendString(b, it.Attr)
+			b = jsonw.AppendString(b, it.Attr)
 			b = append(b, `,"value":`...)
 			mark()
 			b = append(b, `,"producer":`...)
-			b = appendString(b, it.Producer)
+			b = jsonw.AppendString(b, it.Producer)
 			mark()
 		}
 		ix.arena, ix.off = bytes.Clone(b), off // the arena is held as long as the plan: no slack
@@ -263,77 +263,4 @@ func appendMarshal(b []byte, v any) []byte {
 		panic(fmt.Sprintf("query: encode %T: %v", v, err))
 	}
 	return append(b, data...)
-}
-
-// appendString appends s as a JSON string, escaped as encoding/json
-// escapes it by default.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	b = appendEscaped(b, s)
-	return append(b, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// htmlSafe reports the bytes a JSON string carries unescaped: ASCII but
-// control bytes and the five above. A byte of a multi-byte sequence is
-// decided by the rune it starts.
-var htmlSafe = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
-
-// appendEscaped appends the body of the JSON string s exactly as
-// encoding/json writes it with HTML escaping on: `"` and `\` escaped, the
-// control bytes as \b \f \n \r \t or \u00XX, `<`, `>` and `&` as \u00XX,
-// U+2028 and U+2029 as \u2028 and \u2029, and every byte of invalid UTF-8
-// as \ufffd.
-func appendEscaped(b []byte, s string) []byte {
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if htmlSafe[c] {
-			i++
-			continue
-		}
-		if c < utf8.RuneSelf {
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(b, s[start:]...)
 }

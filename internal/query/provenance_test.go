@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"provpriv/internal/exec"
+	"provpriv/internal/jsonw"
 	"provpriv/internal/privacy"
 	"provpriv/internal/taint"
 	"provpriv/internal/workflow"
@@ -147,8 +148,8 @@ func FuzzProvenanceEncode(f *testing.F) {
 	f.Add(int64(4), uint8(2), ^uint64(0), "é☃\U0001F600", "E/prov(", "\"", "~")
 	f.Add(int64(5), uint8(0), uint64(2), "", "", "", "zz")
 	f.Fuzz(func(t *testing.T, seed int64, lv uint8, redact uint64, val, execID, specID, idPrefix string) {
-		if want, _ := json.Marshal(val); !bytes.Equal(appendString(nil, val), want) {
-			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", val, appendString(nil, val), want)
+		if want, _ := json.Marshal(val); !bytes.Equal(jsonw.AppendString(nil, val), want) {
+			t.Fatalf("jsonw.AppendString(%q) = %s, encoding/json writes %s", val, jsonw.AppendString(nil, val), want)
 		}
 		fx := newProvFixture(t, seed, privacy.Level(lv%4), execID, idPrefix, val)
 		for n, inputSeed := range []int64{seed, seed + 1} {

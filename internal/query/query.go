@@ -26,10 +26,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"provpriv/internal/exec"
 	"provpriv/internal/graph"
+	"provpriv/internal/jsonw"
 	"provpriv/internal/privacy"
 	"provpriv/internal/search"
 	"provpriv/internal/workflow"
@@ -83,6 +85,84 @@ type Answer struct {
 	// ZoomedOut reports that privacy collapsed the execution before
 	// evaluation.
 	ZoomedOut bool
+}
+
+// AppendJSON appends the /query wire form of the answer, zoomSteps being
+// the zoom-out's step count (0 off the zoom-out path): byte for byte what
+// encoding/json writes for
+//
+//	struct {
+//		ExecutionID string     `json:"execution"`
+//		Bindings    []Binding  `json:"bindings"`
+//		Nodes       []string   `json:"nodes,omitempty"`
+//		Downstream  [][]string `json:"downstream,omitempty"`
+//		ZoomedOut   bool       `json:"zoomed_out,omitempty"`
+//		ZoomSteps   int        `json:"zoom_steps,omitempty"`
+//	}
+//
+// with a binding's keys in sorted order. Provenance is not on the wire.
+func (a *Answer) AppendJSON(b []byte, zoomSteps int) []byte {
+	b = append(b, `{"execution":`...)
+	b = jsonw.AppendString(b, a.ExecutionID)
+	b = append(b, `,"bindings":`...)
+	if a.Bindings == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, bd := range a.Bindings {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = bd.appendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	if len(a.Nodes) > 0 {
+		b = append(b, `,"nodes":`...)
+		b = jsonw.AppendStrings(b, a.Nodes)
+	}
+	if len(a.Downstream) > 0 {
+		b = append(b, `,"downstream":[`...)
+		for i, ids := range a.Downstream {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonw.AppendStrings(b, ids)
+		}
+		b = append(b, ']')
+	}
+	if a.ZoomedOut {
+		b = append(b, `,"zoomed_out":true`...)
+	}
+	if zoomSteps != 0 {
+		b = append(b, `,"zoom_steps":`...)
+		b = strconv.AppendInt(b, int64(zoomSteps), 10)
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends the binding as a JSON object, keys sorted as
+// encoding/json sorts a map's; a nil binding is null.
+func (bd Binding) appendJSON(b []byte) []byte {
+	if bd == nil {
+		return append(b, "null"...)
+	}
+	var buf [8]string // a query binds a handful of variables
+	keys := buf[:0]
+	for k := range bd {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonw.AppendString(b, k)
+		b = append(b, ':')
+		b = jsonw.AppendString(b, bd[k])
+	}
+	return append(b, '}')
 }
 
 // Evaluator evaluates structural queries against executions of a spec.

@@ -20,7 +20,7 @@ type answer struct {
 }
 
 func answerOf(res *search.Result) answer {
-	return answer{prefix: fmt.Sprint(res.Prefix.IDs()), matches: fmt.Sprintf("%+v", res.Matches), zoomed: res.ZoomedOut}
+	return answer{prefix: fmt.Sprint(res.Prefix().IDs()), matches: fmt.Sprintf("%+v", res.Matches), zoomed: res.ZoomedOut}
 }
 
 // scanAnswer is the oracle: the scan of the spec under pol's module levels

@@ -36,7 +36,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		for i := range h1 {
 			if h1[i].SpecID != h2[i].SpecID ||
-				strings.Join(h1[i].Result.Prefix.IDs(), ",") != strings.Join(h2[i].Result.Prefix.IDs(), ",") {
+				strings.Join(h1[i].Result.Prefix().IDs(), ",") != strings.Join(h2[i].Result.Prefix().IDs(), ",") {
 				t.Fatalf("%s: hit %d differs", user, i)
 			}
 		}

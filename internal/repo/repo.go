@@ -171,13 +171,15 @@ type generation struct {
 }
 
 // accessStep is the access view of every level from from up to the next
-// step's, with its canonical key (workflow.Prefix.Key), whether it is
+// step's, as ids and as the hierarchy's ordinals (what a search clips to),
+// with its canonical key (workflow.Prefix.Key), whether it is
 // coarser than the full expansion, and — built on first use — the spec
 // expanded to it with its reachability closure. All of it is shared by
 // every reader of the generation: read-only.
 type accessStep struct {
 	from   privacy.Level
 	view   workflow.Prefix
+	bits   workflow.Bits
 	key    string
 	zoomed bool
 
@@ -437,7 +439,7 @@ func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy,
 	// (wire-writable) policy puts them.
 	for _, l := range append([]privacy.Level{math.MinInt}, pol.ViewLevels()...) {
 		view := pol.AccessView(sh.hier, l)
-		gen.steps = append(gen.steps, &accessStep{from: l, view: view, key: view.Key(), zoomed: len(view) < sh.hier.Size()})
+		gen.steps = append(gen.steps, &accessStep{from: l, view: view, bits: sh.hier.Bits(view), key: view.Key(), zoomed: len(view) < sh.hier.Size()})
 	}
 	sh.gen, sh.seq = gen, seq
 }
@@ -799,13 +801,13 @@ func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, names []s
 		return nil
 	}
 	gen := sh.current()
-	pol, access := gen.pol, gen.step(level).view
+	pol, access := gen.pol, gen.step(level)
 	var res *search.Result
 	var err error
 	if m.Spec == sh.spec && m.Policy == pol {
-		res, err = search.SearchMatched(sh.spec, sh.hier, names, m.Phrases, access, pol, level)
+		res, err = search.SearchMatched(sh.spec, sh.hier, names, m.Phrases, access.bits, pol, level)
 	} else {
-		res, err = search.SearchWithAccess(sh.spec, phrases, access, pol, level)
+		res, err = search.SearchWithAccess(sh.spec, phrases, access.view, pol, level)
 	}
 	if err != nil {
 		return nil // the shard's state no longer matches: drop the hit

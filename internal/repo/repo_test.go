@@ -114,8 +114,8 @@ func TestSearchAccessViewClipsResult(t *testing.T) {
 	if len(hitsCarol) != 1 {
 		t.Fatalf("carol hits = %v", hitsCarol)
 	}
-	if strings.Join(hitsCarol[0].Result.Prefix.IDs(), ",") != "W1,W2,W4" {
-		t.Fatalf("carol prefix = %v (Fig. 5 expected)", hitsCarol[0].Result.Prefix.IDs())
+	if strings.Join(hitsCarol[0].Result.Prefix().IDs(), ",") != "W1,W2,W4" {
+		t.Fatalf("carol prefix = %v (Fig. 5 expected)", hitsCarol[0].Result.Prefix().IDs())
 	}
 	hitsBob, err := r.Search("bob", "database, disorder risks", SearchOptions{})
 	if err != nil {
@@ -127,8 +127,8 @@ func TestSearchAccessViewClipsResult(t *testing.T) {
 	if !hitsBob[0].Result.ZoomedOut {
 		t.Fatal("bob's result not zoomed out")
 	}
-	if strings.Join(hitsBob[0].Result.Prefix.IDs(), ",") != "W1" {
-		t.Fatalf("bob prefix = %v", hitsBob[0].Result.Prefix.IDs())
+	if strings.Join(hitsBob[0].Result.Prefix().IDs(), ",") != "W1" {
+		t.Fatalf("bob prefix = %v", hitsBob[0].Result.Prefix().IDs())
 	}
 }
 

@@ -24,7 +24,7 @@ func ScanModuleIDs(spec *workflow.Spec, query [][]string, pol *privacy.Policy, l
 	for _, ps := range states {
 		var one []string
 		for _, rm := range ps.matches {
-			one = append(one, rm.module.ID)
+			one = append(one, rm.Module.ID)
 		}
 		sort.Strings(one)
 		ids = append(ids, one)
@@ -44,7 +44,12 @@ func MustView(tb testing.TB, r *Result) *workflow.View {
 }
 
 // Shown exposes the hierarchy rule minimalView reports matches by: whether
-// the view of prefix p shows module m of workflow wid itself.
-func Shown(p workflow.Prefix, m *workflow.Module, wid string) bool {
-	return shown(p, rawMatch{module: m, workflow: wid})
+// the view of prefix p of h shows the module with id moduleID itself.
+func Shown(h *workflow.Hierarchy, p workflow.Prefix, moduleID string) bool {
+	at := h.Place(moduleID)
+	return at != nil && at.Chain != nil && shown(h.Bits(p), at)
 }
+
+// ReferenceSearch exposes referenceSearch to the external differential
+// test.
+var ReferenceSearch = referenceSearch

@@ -144,14 +144,14 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 			if !reflect.DeepEqual(gotIDs, wantIDs) {
 				tb.Fatalf("query %q level %v spec %s: index modules %v, scan %v", q, level, s.ID, gotIDs, wantIDs)
 			}
-			res, err := search.SearchMatched(s, h, search.PhraseNames(phrases), m.Phrases, access, pol, level)
+			res, err := search.SearchMatched(s, h, search.PhraseNames(phrases), m.Phrases, h.Bits(access), pol, level)
 			if err != nil {
 				tb.Fatalf("query %q level %v spec %s: SearchMatched: %v", q, level, s.ID, err)
 			}
-			if !reflect.DeepEqual(res.Matches, scanned.Matches) || !reflect.DeepEqual(res.Prefix, scanned.Prefix) ||
+			if !reflect.DeepEqual(res.Matches, scanned.Matches) || !reflect.DeepEqual(res.Prefix(), scanned.Prefix()) ||
 				res.ZoomedOut != scanned.ZoomedOut || !reflect.DeepEqual(search.MustView(tb, res).ModuleIDs(), search.MustView(tb, scanned).ModuleIDs()) {
 				tb.Fatalf("query %q level %v spec %s: handed view %+v / %v differs from scanned %+v / %v",
-					q, level, s.ID, res.Matches, res.Prefix.IDs(), scanned.Matches, scanned.Prefix.IDs())
+					q, level, s.ID, res.Matches, res.Prefix().IDs(), scanned.Matches, scanned.Prefix().IDs())
 			}
 		}
 		if len(got) != matching {

@@ -31,7 +31,7 @@ func TestRandomSpecSearchWellFormed(t *testing.T) {
 			if err != nil {
 				continue // unmatched phrases are fine
 			}
-			if err := res.Prefix.Validate(h); err != nil {
+			if err := res.Prefix().Validate(h); err != nil {
 				t.Fatalf("seed %d query %q: invalid prefix: %v", seed, q, err)
 			}
 			if len(res.Matches) == 0 {
@@ -68,16 +68,16 @@ func TestRandomSpecSearchAccessMonotone(t *testing.T) {
 			if errC != nil || errF != nil {
 				continue
 			}
-			for wid := range resC.Prefix {
+			for wid := range resC.Prefix() {
 				if !coarse.Contains(wid) {
 					t.Fatalf("seed %d query %q: coarse result exceeds access view", seed, q)
 				}
 			}
 			// Coarse prefix ⊆ fine prefix (same matches, less expansion).
-			for wid := range resC.Prefix {
-				if !resF.Prefix.Contains(wid) {
+			for wid := range resC.Prefix() {
+				if !resF.Prefix().Contains(wid) {
 					t.Fatalf("seed %d query %q: coarse prefix %v ⊄ fine %v",
-						seed, q, resC.Prefix.IDs(), resF.Prefix.IDs())
+						seed, q, resC.Prefix().IDs(), resF.Prefix().IDs())
 				}
 			}
 		}
@@ -118,9 +118,9 @@ func TestRandomSpecSearchPrefixCoversMatches(t *testing.T) {
 				continue
 			}
 			for cur := m.Workflow; cur != ""; cur = h.Parent(cur) {
-				if !res.Prefix.Contains(cur) {
+				if !res.Prefix().Contains(cur) {
 					t.Fatalf("seed %d: match in %s but ancestor %s not in prefix %v",
-						seed, m.Workflow, cur, res.Prefix.IDs())
+						seed, m.Workflow, cur, res.Prefix().IDs())
 				}
 				if cur == h.Root {
 					break

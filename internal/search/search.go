@@ -20,8 +20,12 @@
 // The prefix is the answer; the expanded graph is one rendering of it. A
 // search therefore expands nothing: the prefix is the union of root
 // chains the hierarchy already holds, and whether the view shows a matched
-// module follows from the prefix alone (see minimalView). Result.View
-// draws the graph for a caller that wants the picture.
+// module follows from the prefix alone (see minimalView). It is decided on
+// the hierarchy's ordinals — the prefix and the access view are sets of
+// workflow ordinals, matches are ordered by module ordinals — so no id is
+// hashed once a module is placed. Result.Prefix builds the map of ids,
+// Result.View draws the graph, for a caller that wants either, and
+// Result.AppendJSON writes the served hit from the ordinals directly.
 package search
 
 import (
@@ -30,6 +34,7 @@ import (
 	"slices"
 	"strings"
 
+	"provpriv/internal/jsonw"
 	"provpriv/internal/privacy"
 	"provpriv/internal/workflow"
 )
@@ -90,18 +95,82 @@ type Match struct {
 // the expansion hierarchy that determines it, and the matches visible in
 // it. The prefix is the answer; View draws it.
 type Result struct {
-	Prefix    workflow.Prefix
 	Matches   []Match
 	ZoomedOut bool // the ideal view was clipped by the user's access view
 
-	spec *workflow.Spec
-	hier *workflow.Hierarchy
+	prefix workflow.Bits
+	word   [1]uint64 // prefix's storage when the hierarchy has at most 64 workflows
+	spec   *workflow.Spec
+	hier   *workflow.Hierarchy
 }
+
+// Prefix returns the result's prefix, built on each call.
+func (r *Result) Prefix() workflow.Prefix { return r.hier.Prefix(r.prefix) }
 
 // View expands the searched spec to the result's prefix: the rendering
 // of the answer as a graph, built on each call.
 func (r *Result) View() (*workflow.View, error) {
-	return workflow.ExpandIn(r.spec, r.hier, r.Prefix)
+	return workflow.ExpandIn(r.spec, r.hier, r.Prefix())
+}
+
+// AppendJSON appends the result as the /search hit for the spec specID,
+// scored score: byte for byte what encoding/json writes for
+//
+//	struct {
+//		Spec      string  `json:"spec"`
+//		Score     float64 `json:"score"`
+//		Prefix    []string `json:"prefix"` // Prefix().IDs()
+//		ZoomedOut bool    `json:"zoomed_out,omitempty"`
+//		Matches   []Match `json:"matches"`
+//	}
+//
+// The prefix is written from its set in ordinal order, which is id order.
+func (r *Result) AppendJSON(b []byte, specID string, score float64) []byte {
+	b = append(b, `{"spec":`...)
+	b = jsonw.AppendString(b, specID)
+	b = append(b, `,"score":`...)
+	b = jsonw.AppendFloat(b, score)
+	b = append(b, `,"prefix":[`...)
+	sep := false
+	for o := range r.prefix.All() {
+		if sep {
+			b = append(b, ',')
+		}
+		b, sep = jsonw.AppendString(b, r.hier.ID(o)), true
+	}
+	b = append(b, ']')
+	if r.ZoomedOut {
+		b = append(b, `,"zoomed_out":true`...)
+	}
+	b = append(b, `,"matches":`...)
+	if r.Matches == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, m := range r.Matches {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = m.appendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends the match as encoding/json writes it by its tags.
+func (m *Match) appendJSON(b []byte) []byte {
+	b = append(b, `{"phrase":`...)
+	b = jsonw.AppendString(b, m.Phrase)
+	b = append(b, `,"module":`...)
+	b = jsonw.AppendString(b, m.ModuleID)
+	b = append(b, `,"workflow":`...)
+	b = jsonw.AppendString(b, m.Workflow)
+	if m.ZoomedTo != "" {
+		b = append(b, `,"zoomed_to":`...)
+		b = jsonw.AppendString(b, m.ZoomedTo)
+	}
+	return append(b, '}')
 }
 
 // ModuleTerms returns the normalized searchable terms of a module: the
@@ -125,28 +194,14 @@ func phraseMatches(m *workflow.Module, phrase []string) bool {
 	return true
 }
 
-// rawMatch is a phrase match before supersession/minimality: the module,
-// its workflow, and that workflow's root chain and chain key, read with
-// the module from one workflow.Hierarchy.Place (chain is the hierarchy's:
-// read-only).
-type rawMatch struct {
-	module   *workflow.Module
-	workflow string
-	chain    []string
-	key      string
-}
-
-func placed(at workflow.Placement) rawMatch {
-	return rawMatch{module: at.Module, workflow: at.Workflow.ID, chain: at.Chain, key: at.ChainKey}
-}
-
 // phraseState is one query phrase — by the name it is reported under,
-// its terms space-joined — with its raw matches. The two sources of raw
-// matches — scanMatches and handedMatches — fill it; minimalView consumes
-// it.
+// its terms space-joined — with its raw matches: where the hierarchy places
+// each module carrying it, before supersession and minimality. The two
+// sources of raw matches — scanMatches and handedMatches — fill it;
+// minimalView consumes it.
 type phraseState struct {
 	name    string
-	matches []rawMatch
+	matches []*workflow.Placement
 }
 
 // PhraseNames returns the name each phrase of a parsed query is reported
@@ -169,7 +224,11 @@ type ModuleRef interface {
 // no privacy constraints and returns the minimal view containing all
 // matches. It returns an error when some phrase matches nothing.
 func Search(spec *workflow.Spec, query [][]string) (*Result, error) {
-	return searchInternal(spec, query, nil, nil, 0)
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		return nil, err
+	}
+	return searchInternal(spec, h, query, nil, nil, 0)
 }
 
 // Matches reports whether SearchWithAccess would succeed for the query —
@@ -223,44 +282,46 @@ func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow
 	if accessView == nil {
 		return nil, fmt.Errorf("search: nil access view")
 	}
-	return searchInternal(spec, query, accessView, pol, level)
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		return nil, err
+	}
+	return searchInternal(spec, h, query, h.Bits(accessView), pol, level)
 }
 
 // SearchMatched is SearchWithAccess for a caller that already knows which
 // modules carry each phrase — matched[i] lists them for the phrase named
 // names[i] (see PhraseNames), as a keyword index over this very (spec,
 // policy) pair reports them — and that holds the spec's prebuilt
-// hierarchy h. Neither the spec's modules are scanned nor the hierarchy
-// rebuilt, and matched is only read; the answer is the one
-// SearchWithAccess gives whenever matched is what its scan would find.
+// hierarchy h and the access view as a set of its ordinals (h.Bits).
+// Neither the spec's modules are scanned nor the hierarchy rebuilt, and
+// matched is only read; the answer is the one SearchWithAccess gives
+// whenever matched is what its scan would find.
 // Enforcement does not rest on the caller: every handed module is
 // resolved in h and re-checked against pol at level, and one that is
 // absent, in another workflow or hidden is discarded, so a stale list can
 // only shrink the answer (or fail the search), never widen it.
-func SearchMatched[R ModuleRef](spec *workflow.Spec, h *workflow.Hierarchy, names []string, matched [][]R, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
-	if accessView == nil {
+func SearchMatched[R ModuleRef](spec *workflow.Spec, h *workflow.Hierarchy, names []string, matched [][]R, access workflow.Bits, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+	if access == nil {
 		return nil, fmt.Errorf("search: nil access view")
 	}
 	if len(matched) != len(names) {
 		return nil, fmt.Errorf("search: %d match lists for %d phrases", len(matched), len(names))
 	}
-	states, err := handedMatches(h, names, matched, pol, level)
+	var buf [4]phraseState // a query has a few phrases: no allocation for them
+	states, err := handedMatches(buf[:0], h, names, matched, pol, level)
 	if err != nil {
 		return nil, err
 	}
-	return minimalView(spec, h, states, accessView)
+	return minimalView(spec, h, states, access)
 }
 
-func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
-	h, err := workflow.NewHierarchy(spec)
-	if err != nil {
-		return nil, err
-	}
+func searchInternal(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, access workflow.Bits, pol *privacy.Policy, level privacy.Level) (*Result, error) {
 	states, err := scanMatches(spec, h, query, pol, level)
 	if err != nil {
 		return nil, err
 	}
-	return minimalView(spec, h, states, accessView)
+	return minimalView(spec, h, states, access)
 }
 
 func errNoMatch(name string) error {
@@ -280,7 +341,7 @@ func scanMatches(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, p
 					continue // module privacy: identity not searchable
 				}
 				if phraseMatches(m, phrase) {
-					ps.matches = append(ps.matches, placed(h.Place(m.ID)))
+					ps.matches = append(ps.matches, h.Place(m.ID))
 				}
 			}
 		}
@@ -293,25 +354,24 @@ func scanMatches(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, p
 }
 
 // handedMatches turns the per-phrase module refs a caller hands in into
-// raw matches, keeping only refs that resolve in the spec h was built from
-// — the module exists, in the named workflow — and pass the module-privacy
-// check. Each ref is one lookup in h.
-func handedMatches[R ModuleRef](h *workflow.Hierarchy, names []string, matched [][]R, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+// raw matches, appended to states, keeping only refs that resolve in the
+// spec h was built from — the module exists, in the named workflow — and
+// pass the module-privacy check. Each ref is one lookup in h.
+func handedMatches[R ModuleRef](states []phraseState, h *workflow.Hierarchy, names []string, matched [][]R, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
 	n := 0
 	for _, refs := range matched {
 		n += len(refs)
 	}
-	states := make([]phraseState, 0, len(names))
-	all := make([]rawMatch, 0, n) // every phrase's matches, one array
+	all := make([]*workflow.Placement, 0, n) // every phrase's matches, one array
 	for i, name := range names {
 		start := len(all)
 		for _, ref := range matched[i] {
 			mid, wid := ref.ModuleRef()
 			at := h.Place(mid)
-			if at.Module == nil || at.Workflow.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
+			if at == nil || at.Workflow.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
 				continue
 			}
-			all = append(all, placed(at))
+			all = append(all, at)
 		}
 		if len(all) == start {
 			return nil, errNoMatch(name)
@@ -323,14 +383,17 @@ func handedMatches[R ModuleRef](h *workflow.Hierarchy, names []string, matched [
 
 // minimalView is the one place raw matches become an answer:
 // supersession, cheapest requirement per phrase, their union as the
-// result prefix (each clipped to accessView when non-nil) and the match
+// result prefix (each clipped to access when non-nil) and the match
 // report. states holds at least one match per phrase.
 //
-// Nothing is expanded: under a parent-closed prefix P, the view shows
-// module m of workflow w exactly when P holds w and m is not a composite
-// whose subworkflow P holds too (that one is replaced by its expansion) —
-// TestShownAgreesWithExpansion holds the rule to the expansion itself.
-func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, accessView workflow.Prefix) (*Result, error) {
+// Nothing is expanded and no id is hashed: the prefix is a set of workflow
+// ordinals, the root and a prefix of each phrase's cheapest root chain, so
+// parent-closed by construction. Under a parent-closed prefix P, the view
+// shows module m of workflow w exactly when P holds w and m is not a
+// composite whose subworkflow P holds too (that one is replaced by its
+// expansion) — TestShownAgreesWithExpansion holds the rule to the expansion
+// itself.
+func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, access workflow.Bits) (*Result, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("search: empty query")
 	}
@@ -341,138 +404,144 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	n := 0
 	for i := range states {
 		ms := states[i].matches
-		for _, rm := range ms {
-			if rm.chain == nil {
-				return nil, fmt.Errorf("search: workflow %s of module %s is not in the hierarchy", rm.workflow, rm.module.ID)
+		for _, at := range ms {
+			if at.Chain == nil {
+				return nil, fmt.Errorf("search: workflow %s of module %s is not in the hierarchy", at.Workflow.ID, at.Module.ID)
 			}
 		}
-		states[i].matches = dropSuperseded(ms)
+		states[i].matches = dropSuperseded(h, ms)
 		n += len(states[i].matches)
 	}
 
 	// Minimal prefix: per phrase, the cheapest requirement (fewest
 	// workflows added, ties broken lexicographically); union across
 	// phrases, clipped to the access view with zoom-out.
-	prefix := workflow.NewPrefix(h.Root)
-	zoomed := false
+	res := &Result{spec: spec, hier: h}
+	res.prefix = newBits(h, &res.word)
+	res.prefix.Set(states[0].matches[0].Chain[0]) // every chain starts at the root
 	for _, ps := range states {
-		req, clipped := cheapestRequirement(ps.matches, accessView)
-		zoomed = zoomed || clipped
-		for _, wid := range req {
-			prefix[wid] = true
+		for _, o := range cheapestRequirement(ps.matches) {
+			if access != nil && !access.Has(o) {
+				// prefix-closed: once outside, everything deeper is too
+				res.ZoomedOut = true
+				break
+			}
+			res.prefix.Set(o)
 		}
-	}
-	if err := prefix.Validate(h); err != nil {
-		return nil, err
 	}
 
 	// Report every match visible in the final view; invisible finer
-	// matches zoom out to their visible ancestor composite.
-	res := &Result{Prefix: prefix, Matches: make([]Match, 0, n), ZoomedOut: zoomed, spec: spec, hier: h}
-	for _, ps := range states {
-		for _, rm := range ps.matches {
-			match := Match{Phrase: ps.name, ModuleID: rm.module.ID, Workflow: rm.workflow}
-			if !shown(prefix, rm) {
-				anc := visibleAncestor(h, rm.chain, prefix)
-				if anc == "" {
+	// matches zoom out to their visible ancestor composite. One report per
+	// (phrase, module, zoomed-to): two phrases may share a name and a
+	// handed list may repeat a module. Reports are ordered and deduplicated
+	// by phrase name, then module and zoomed-to ordinal, which order as
+	// their ids do; the fields are compared one by one, never joined into a
+	// string — module ids are wire-writable and a separator could alias two
+	// distinct matches (provlint cachekey).
+	type report struct {
+		phrase, zoomed int32 // zoomed: -1 when the module is shown
+		at             *workflow.Placement
+	}
+	var buf [16]report
+	reports := buf[:0]
+	if n > len(buf) {
+		reports = make([]report, 0, n)
+	}
+	for i, ps := range states {
+		for _, at := range ps.matches {
+			r := report{phrase: int32(i), zoomed: -1, at: at}
+			if !shown(res.prefix, r.at) {
+				if r.zoomed = visibleAncestor(h, r.at.Chain, res.prefix); r.zoomed < 0 {
 					continue
 				}
-				match.ZoomedTo = anc
 			}
-			res.Matches = append(res.Matches, match)
+			reports = append(reports, r)
 		}
 	}
-	if len(res.Matches) == 0 {
+	if len(reports) == 0 {
 		return nil, fmt.Errorf("search: all matches suppressed by privacy constraints")
 	}
-	// One report per (phrase, module, zoomed-to): two phrases may share a
-	// name and a handed list may repeat a module. The fields are compared
-	// one by one, never joined into a string — module ids are wire-writable
-	// and a separator could alias two distinct matches (provlint cachekey).
-	slices.SortFunc(res.Matches, func(a, b Match) int {
-		return cmp.Or(strings.Compare(a.Phrase, b.Phrase), strings.Compare(a.ModuleID, b.ModuleID), strings.Compare(a.ZoomedTo, b.ZoomedTo))
-	})
-	res.Matches = slices.CompactFunc(res.Matches, func(a, b Match) bool {
-		return a.Phrase == b.Phrase && a.ModuleID == b.ModuleID && a.ZoomedTo == b.ZoomedTo
-	})
+	cmpReports := func(a, b report) int {
+		if a.phrase != b.phrase {
+			if c := strings.Compare(states[a.phrase].name, states[b.phrase].name); c != 0 {
+				return c
+			}
+		}
+		if a.at.Ord != b.at.Ord {
+			return cmp.Compare(a.at.Ord, b.at.Ord)
+		}
+		return cmp.Compare(a.zoomed, b.zoomed)
+	}
+	slices.SortFunc(reports, cmpReports)
+	reports = slices.CompactFunc(reports, func(a, b report) bool { return cmpReports(a, b) == 0 })
+	res.Matches = make([]Match, len(reports))
+	for i, r := range reports {
+		res.Matches[i] = Match{Phrase: states[r.phrase].name, ModuleID: r.at.Module.ID, Workflow: r.at.Workflow.ID}
+		if r.zoomed >= 0 {
+			res.Matches[i].ZoomedTo = h.ModuleID(r.zoomed)
+		}
+	}
 	return res, nil
 }
 
-// shown reports whether the view of prefix p shows the matched module
+// shown reports whether the view of prefix p shows the placed module
 // itself: its workflow is expanded and, if it is composite, its own
 // subworkflow is not.
-func shown(p workflow.Prefix, rm rawMatch) bool {
-	return p[rm.workflow] && !(rm.module.Kind == workflow.Composite && p[rm.module.Sub])
+func shown(p workflow.Bits, at *workflow.Placement) bool {
+	return p.Has(at.Chain[len(at.Chain)-1]) && !p.Has(at.Sub)
 }
 
-// dropSuperseded removes matches on composite modules whose subtree
-// contains another match for the same phrase.
-func dropSuperseded(matches []rawMatch) []rawMatch {
-	// The subworkflow of a composite sits one below the composite's own
-	// workflow, so it has a match in its subtree exactly when some match's
-	// root chain passes through it at that depth.
-	superseded := func(rm rawMatch) bool {
-		if rm.module.Kind != workflow.Composite {
-			return false
-		}
-		d := len(rm.chain)
-		for _, other := range matches {
-			if d < len(other.chain) && other.chain[d] == rm.module.Sub {
-				return true
-			}
-		}
-		return false
-	}
-	if !slices.ContainsFunc(matches, superseded) {
+// dropSuperseded removes, in place, matches on composite modules whose
+// subtree contains another match for the same phrase.
+func dropSuperseded(h *workflow.Hierarchy, matches []*workflow.Placement) []*workflow.Placement {
+	if !slices.ContainsFunc(matches, func(at *workflow.Placement) bool { return at.Sub >= 0 }) {
 		return matches
 	}
-	out := make([]rawMatch, 0, len(matches)-1)
-	for _, rm := range matches {
-		if !superseded(rm) {
-			out = append(out, rm)
+	// A composite's subtree holds a match exactly when the subworkflow is
+	// on that match's root chain: mark every chain's workflows once.
+	var word [1]uint64
+	onChain := newBits(h, &word)
+	for _, at := range matches {
+		for _, o := range at.Chain {
+			onChain.Set(o)
 		}
 	}
-	if len(out) == 0 {
-		return matches // defensive: never drop everything
+	// The deepest match of a chain is never superseded, so something stays.
+	return slices.DeleteFunc(matches, func(at *workflow.Placement) bool { return onChain.Has(at.Sub) })
+}
+
+// newBits returns an empty set for h's workflows, held in word when they
+// fit.
+func newBits(h *workflow.Hierarchy, word *[1]uint64) workflow.Bits {
+	if h.Size() <= 64 {
+		return word[:]
 	}
-	return out
+	return h.NewBits()
 }
 
 // cheapestRequirement returns the smallest prefix extension making some
-// match of the phrase visible, as a root chain of the hierarchy
-// (read-only): the shortest among the matches' chains, ties broken by
-// chain key. When an access view is supplied and the cheapest requirement
-// exceeds it, the requirement is clipped (zoom-out) and clipped=true is
-// returned.
-func cheapestRequirement(matches []rawMatch, accessView workflow.Prefix) (req []string, clipped bool) {
+// match of the phrase visible, as a root chain of the hierarchy in
+// ordinals (read-only): the shortest among the matches' chains, ties
+// broken by chain rank, the order of the chains' "/"-joined ids.
+func cheapestRequirement(matches []*workflow.Placement) []int32 {
 	best := matches[0]
-	for _, rm := range matches[1:] {
-		if len(rm.chain) < len(best.chain) ||
-			(len(rm.chain) == len(best.chain) && rm.key < best.key) {
-			best = rm
+	for _, at := range matches[1:] {
+		if len(at.Chain) < len(best.Chain) || (len(at.Chain) == len(best.Chain) && at.Rank < best.Rank) {
+			best = at
 		}
 	}
-	req = best.chain
-	if accessView != nil {
-		for i, wid := range req {
-			if !accessView.Contains(wid) {
-				// prefix-closed: once outside, everything deeper is too
-				return req[:i], true
-			}
-		}
-	}
-	return req, false
+	return best.Chain
 }
 
-// visibleAncestor returns the composite module that represents the
-// workflow at the end of the root chain in the view of the given prefix:
-// the via-module of the shallowest workflow on the chain that is not in
-// the prefix ("" if all are, so the workflow is visible).
-func visibleAncestor(h *workflow.Hierarchy, chain []string, prefix workflow.Prefix) string {
-	for _, w := range chain {
-		if !prefix.Contains(w) {
-			return h.ViaModule(w)
+// visibleAncestor returns the ordinal of the composite module that
+// represents the workflow at the end of the root chain in the view of the
+// given prefix: the via-module of the shallowest workflow on the chain that
+// is not in the prefix (-1 if all are, so the workflow is visible).
+func visibleAncestor(h *workflow.Hierarchy, chain []int32, prefix workflow.Bits) int32 {
+	for _, o := range chain {
+		if !prefix.Has(o) {
+			return h.Via(o)
 		}
 	}
-	return ""
+	return -1
 }

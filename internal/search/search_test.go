@@ -56,8 +56,8 @@ func TestSearchReproducesFig5(t *testing.T) {
 	}
 	// Fig. 5 view: prefix {W1, W2, W4} — modules I, M3, M5, M6, M7, M8,
 	// M2, O.
-	if strings.Join(res.Prefix.IDs(), ",") != "W1,W2,W4" {
-		t.Fatalf("prefix = %v, want W1,W2,W4", res.Prefix.IDs())
+	if strings.Join(res.Prefix().IDs(), ",") != "W1,W2,W4" {
+		t.Fatalf("prefix = %v, want W1,W2,W4", res.Prefix().IDs())
 	}
 	got := strings.Join(MustView(t, res).ModuleIDs(), ",")
 	if got != "I,M2,M3,M5,M6,M7,M8,O" {
@@ -116,8 +116,8 @@ func TestSearchRootLevelMatchStaysCollapsed(t *testing.T) {
 	}
 	// M1 "Determine Genetic Susceptibility" matches; nothing inside W2
 	// matches both terms, so the view stays at {W1}.
-	if strings.Join(res.Prefix.IDs(), ",") != "W1" {
-		t.Fatalf("prefix = %v, want W1", res.Prefix.IDs())
+	if strings.Join(res.Prefix().IDs(), ",") != "W1" {
+		t.Fatalf("prefix = %v, want W1", res.Prefix().IDs())
 	}
 	if MustView(t, res).Module("M1") == nil {
 		t.Fatal("M1 not visible")
@@ -131,8 +131,8 @@ func TestSearchDrillsPastComposite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	if strings.Join(res.Prefix.IDs(), ",") != "W1,W2,W4" {
-		t.Fatalf("prefix = %v", res.Prefix.IDs())
+	if strings.Join(res.Prefix().IDs(), ",") != "W1,W2,W4" {
+		t.Fatalf("prefix = %v", res.Prefix().IDs())
 	}
 }
 
@@ -148,9 +148,9 @@ func TestSearchWithAccessZoomsOut(t *testing.T) {
 		t.Fatal("expected zoom-out")
 	}
 	// View must not exceed the access view.
-	for wid := range res.Prefix {
+	for wid := range res.Prefix() {
 		if !access.Contains(wid) {
-			t.Fatalf("prefix %v exceeds access view", res.Prefix.IDs())
+			t.Fatalf("prefix %v exceeds access view", res.Prefix().IDs())
 		}
 	}
 	// The match on M6 zooms out to the visible composite M4.
@@ -185,6 +185,46 @@ func TestSearchWithAccessModulePrivacy(t *testing.T) {
 	}
 }
 
+// handedRef is a module as a keyword index hands it to SearchMatched.
+type handedRef struct{ module, workflow string }
+
+func (r handedRef) ModuleRef() (string, string) { return r.module, r.workflow }
+
+// TestSearchMatchedRechecksHandedModules holds SearchMatched to its
+// enforcement contract: a handed module is resolved in the hierarchy and
+// re-checked against the policy at the asker's level, so a list naming a
+// module hidden from that level, one in another workflow or one the spec
+// lacks cannot widen the answer. Without the policy re-check the public
+// search below would find the proprietary Query OMIM.
+func TestSearchMatchedRechecksHandedModules(t *testing.T) {
+	spec := workflow.DiseaseSusceptibility()
+	pol := privacy.NewPolicy(spec.ID)
+	pol.ModuleLevels["M6"] = privacy.Owner // Query OMIM is proprietary
+	h, _ := workflow.NewHierarchy(spec)
+	access := h.Bits(workflow.FullPrefix(h))
+	_, w6 := h.Module("M6")
+	omim := [][]handedRef{{{"M6", w6.ID}}}
+	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, access, pol, privacy.Public); err == nil {
+		t.Fatalf("a handed module hidden from public answered: %+v", res.Matches)
+	}
+	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, access, pol, privacy.Owner); err != nil || len(res.Matches) != 1 || res.Matches[0].ModuleID != "M6" {
+		t.Fatalf("owner: %v, %v; want the match on M6", res, err)
+	}
+	// Beside a module public may see, the hidden one is dropped, and so are
+	// one named in the wrong workflow and one the spec does not have.
+	_, w2 := h.Module("M2")
+	mixed := [][]handedRef{{{"M2", w2.ID}, {"M6", w6.ID}, {"M2", w6.ID}, {"M99", w2.ID}}}
+	res, err := SearchMatched(spec, h, []string{"x"}, mixed, access, pol, privacy.Public)
+	if err != nil {
+		t.Fatalf("public: %v", err)
+	}
+	for _, m := range res.Matches {
+		if m.ModuleID != "M2" || m.Workflow != w2.ID {
+			t.Fatalf("public answer reports %+v; only M2 in %s may be", m, w2.ID)
+		}
+	}
+}
+
 func TestSearchWithAccessNilView(t *testing.T) {
 	spec := workflow.DiseaseSusceptibility()
 	if _, err := SearchWithAccess(spec, ParseQuery("database"), nil, nil, 0); err == nil {
@@ -203,7 +243,7 @@ func TestSearchResultWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if err := res.Prefix.Validate(h); err != nil {
+		if err := res.Prefix().Validate(h); err != nil {
 			t.Fatalf("%s: invalid prefix: %v", q, err)
 		}
 		for _, m := range res.Matches {

@@ -47,7 +47,7 @@ func TestShownAgreesWithExpansion(t *testing.T) {
 				shown := 0
 				for wid, w := range s.Workflows {
 					for _, m := range w.Modules {
-						rule := search.Shown(p, m, wid)
+						rule := search.Shown(h, p, m.ID)
 						if rule {
 							shown++
 						}
@@ -75,12 +75,12 @@ func TestShownAgreesWithExpansion(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%+v query %q level %v: View: %v", cfg, q, level, err)
 					}
-					want, err := workflow.ExpandIn(s, h, res.Prefix)
+					want, err := workflow.ExpandIn(s, h, res.Prefix())
 					if err != nil {
 						t.Fatalf("%+v query %q level %v: ExpandIn: %v", cfg, q, level, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%+v query %q level %v: View() is not the expansion of prefix %v", cfg, q, level, res.Prefix.IDs())
+						t.Fatalf("%+v query %q level %v: View() is not the expansion of prefix %v", cfg, q, level, res.Prefix().IDs())
 					}
 					for _, m := range res.Matches {
 						id := m.ModuleID

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -87,5 +89,49 @@ func TestOversizedBodies413(t *testing.T) {
 	// point is it is not a 413.
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Fatal("in-cap body rejected as oversized")
+	}
+}
+
+// TestReadBodyPresizesFromContentLength pins how readBody sizes its buffer
+// from Content-Length: an honest header gets a buffer the body fills
+// without growing; a header claiming far more than arrives (a lying one)
+// reserves about maxBodyPresize and the body still reads whole; and an
+// oversize body whose header admits it is refused with the
+// *http.MaxBytesError fail() maps to 413, however the header reads.
+func TestReadBodyPresizesFromContentLength(t *testing.T) {
+	read := func(body []byte, contentLength int64) ([]byte, error) {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/executions", bytes.NewReader(body))
+		req.ContentLength = contentLength
+		return readBody(httptest.NewRecorder(), req)
+	}
+	body := bytes.Repeat([]byte("x"), 35<<10)
+	for _, tc := range []struct {
+		name          string
+		contentLength int64
+		maxCap        int
+	}{
+		{"honest", int64(len(body)), len(body) + bytes.MinRead},
+		{"lying", 1 << 40, maxBodyPresize + bytes.MinRead},
+		{"unknown", -1, 4 * len(body)},
+	} {
+		tc.maxCap += tc.maxCap / 4 // the allocator rounds up to a size class
+		data, err := read(body, tc.contentLength)
+		if err != nil || !bytes.Equal(data, body) {
+			t.Fatalf("%s Content-Length: read %d bytes, %v; want the %d sent", tc.name, len(data), err, len(body))
+		}
+		if cap(data) > tc.maxCap {
+			t.Fatalf("%s Content-Length: buffer of %d bytes for a %d-byte body; at most %d", tc.name, cap(data), len(body), tc.maxCap)
+		}
+	}
+
+	oldMax := maxBodyBytes
+	maxBodyBytes = 64
+	t.Cleanup(func() { maxBodyBytes = oldMax })
+	for _, contentLength := range []int64{int64(len(body)), 1 << 40, 16} {
+		_, err := read(body, contentLength)
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			t.Fatalf("oversize body with Content-Length %d: %v, want a MaxBytesError", contentLength, err)
+		}
 	}
 }

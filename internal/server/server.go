@@ -96,12 +96,12 @@ import (
 	"provpriv/internal/auth"
 	"provpriv/internal/datapriv"
 	"provpriv/internal/exec"
+	"provpriv/internal/jsonw"
 	"provpriv/internal/limit"
 	"provpriv/internal/obs"
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
 	"provpriv/internal/repo"
-	"provpriv/internal/search"
 	"provpriv/internal/storage"
 	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
@@ -329,7 +329,8 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// bodies pools the buffers /provenance answers are appended into.
+// bodies pools the buffers the /search, /query and /provenance answers are
+// appended into.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // fail maps an engine error to a protocol status via the repo sentinel
@@ -606,16 +607,6 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request, user string
 	s.writeJSON(w, http.StatusOK, map[string]any{"specs": out})
 }
 
-// searchHit is one wire-format search result: the minimal-view prefix
-// and matches, without the full expanded view body.
-type searchHit struct {
-	SpecID    string         `json:"spec"`
-	Score     float64        `json:"score"`
-	Prefix    []string       `json:"prefix"`
-	ZoomedOut bool           `json:"zoomed_out,omitempty"`
-	Matches   []search.Match `json:"matches"`
-}
-
 // parsePage extracts limit/offset pagination parameters (both optional,
 // both non-negative; limit 0 means unlimited) from a handler's parsed
 // query string.
@@ -679,52 +670,51 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user strin
 		s.fail(w, r, err)
 		return
 	}
-	out := make([]searchHit, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, searchHit{
-			SpecID:    h.SpecID,
-			Score:     h.Score,
-			Prefix:    h.Result.Prefix.IDs(),
-			ZoomedOut: h.Result.ZoomedOut,
-			Matches:   h.Result.Matches,
-		})
+	body := bodies.Get().(*[]byte)
+	*body = appendSearchPage((*body)[:0], hits, offset, q, total)
+	s.writeJSON(w, http.StatusOK, body)
+	bodies.Put(body)
+}
+
+// appendSearchPage appends the /search body for a window of hits: the
+// bytes json.Encoder wrote for the envelope this replaced, fields in key
+// order and a trailing newline (TestAppendedPagesEncodeAsTheirStructsDid).
+func appendSearchPage(b []byte, hits []repo.SearchHit, offset int, q string, total int) []byte {
+	b = append(b, `{"hits":[`...)
+	for i, h := range hits {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = h.Result.AppendJSON(b, h.SpecID, h.Score)
 	}
-	s.writeJSON(w, http.StatusOK, searchPage{Hits: out, Offset: offset, Query: q, Total: total})
+	return appendPageTail(append(b, ']'), offset, "query", q, total)
 }
 
-// searchPage and queryPage are the /search and /query envelopes, their
-// fields declared in key order: the bytes are those of the maps they replaced.
-type searchPage struct {
-	Hits   []searchHit `json:"hits"`
-	Offset int         `json:"offset"`
-	Query  string      `json:"query"`
-	Total  int         `json:"total"`
-}
-type queryPage struct {
-	Answers []queryAnswer `json:"answers"`
-	Offset  int           `json:"offset"`
-	Spec    string        `json:"spec"`
-	Total   int           `json:"total"`
-}
-
-// queryAnswer is the wire form of one structural-query answer.
-type queryAnswer struct {
-	ExecutionID string          `json:"execution"`
-	Bindings    []query.Binding `json:"bindings"`
-	Nodes       []string        `json:"nodes,omitempty"`
-	Downstream  [][]string      `json:"downstream,omitempty"`
-	ZoomedOut   bool            `json:"zoomed_out,omitempty"`
-	ZoomSteps   int             `json:"zoom_steps,omitempty"`
-}
-
-func toWireAnswer(a *query.Answer) queryAnswer {
-	return queryAnswer{
-		ExecutionID: a.ExecutionID,
-		Bindings:    a.Bindings,
-		Nodes:       a.Nodes,
-		Downstream:  a.Downstream,
-		ZoomedOut:   a.ZoomedOut,
+// appendQueryPage is appendSearchPage for a /query window of answers,
+// zoomSteps the zoom-out's step count (0 off that path).
+func appendQueryPage(b []byte, answers []*query.Answer, zoomSteps, offset int, specID string, total int) []byte {
+	b = append(b, `{"answers":[`...)
+	for i, a := range answers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = a.AppendJSON(b, zoomSteps)
 	}
+	return appendPageTail(append(b, ']'), offset, "spec", specID, total)
+}
+
+// appendPageTail closes a page after its list: the window's offset, the
+// field named key (the query, or the spec) and the total.
+func appendPageTail(b []byte, offset int, key, val string, total int) []byte {
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	b = append(b, `,"`...)
+	b = append(b, key...)
+	b = append(b, `":`...)
+	b = jsonw.AppendString(b, val)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	return append(b, "}\n"...)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string) {
@@ -744,40 +734,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		s.fail(w, r, fmt.Errorf("server: bad zoom %q (want a boolean, and true only with an exec parameter)", p.Get("zoom")))
 		return
 	}
-	var answers []queryAnswer
-	total := 0
+	var answers []*query.Answer
+	total, steps := 0, 0
 	switch {
 	case execID == "":
 		// All executions of the spec (non-empty answers only), with the
 		// window pushed into the engine: out-of-window answers are
 		// match-counted but their return clauses never materialize.
-		all, n, err := s.repo.QueryAllPageCtx(r.Context(), user, specID, q, limit, offset)
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		answers, total = make([]queryAnswer, 0, len(all)), n
-		for _, a := range all {
-			answers = append(answers, toWireAnswer(a))
-		}
+		answers, total, err = s.repo.QueryAllPageCtx(r.Context(), user, specID, q, limit, offset)
 	case zoom:
-		res, err := s.repo.QueryZoomOut(user, specID, execID, q)
-		if err != nil {
-			s.fail(w, r, err)
-			return
+		var res *query.ZoomOutResult
+		if res, err = s.repo.QueryZoomOut(user, specID, execID, q); err == nil {
+			answers, total = page([]*query.Answer{res.Answer}, limit, offset)
+			steps = res.Steps
 		}
-		a := toWireAnswer(res.Answer)
-		a.ZoomSteps = res.Steps
-		answers, total = page([]queryAnswer{a}, limit, offset)
 	default:
-		a, err := s.repo.Query(user, specID, execID, q)
-		if err != nil {
-			s.fail(w, r, err)
-			return
+		var a *query.Answer
+		if a, err = s.repo.Query(user, specID, execID, q); err == nil {
+			answers, total = page([]*query.Answer{a}, limit, offset)
 		}
-		answers, total = page([]queryAnswer{toWireAnswer(a)}, limit, offset)
 	}
-	s.writeJSON(w, http.StatusOK, queryPage{Answers: answers, Offset: offset, Spec: specID, Total: total})
+	if err != nil {
+		s.fail(w, r, err)
+		return
+	}
+	body := bodies.Get().(*[]byte)
+	*body = appendQueryPage((*body)[:0], answers, steps, offset, specID, total)
+	s.writeJSON(w, http.StatusOK, body)
+	bodies.Put(body)
 }
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, user string) {
@@ -830,15 +814,23 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request, user s
 	bodies.Put(body)
 }
 
-// readBody reads a mutation request body with the size cap applied.
+// maxBodyPresize bounds what readBody allocates up front from a request's
+// Content-Length: a body claiming more still grows as it arrives, so a
+// header cannot make the server reserve memory the client never sends.
+const maxBodyPresize = 64 << 10
+
+// readBody reads a mutation request body with the size cap applied, into
+// a buffer sized from Content-Length with room to read the end without
+// growing it.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyPresize)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		// %w: a *http.MaxBytesError inside must stay reachable for
 		// fail()'s 413 mapping.
 		return nil, fmt.Errorf("server: read request body: %w", err)
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // decodeJSON strictly decodes a mutation request body into dst: size-

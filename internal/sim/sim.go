@@ -228,7 +228,7 @@ func checkSearchLeaks(r *repo.Repository, u privacy.User, hits []repo.SearchHit)
 			continue
 		}
 		access := pol.AccessView(hier, u.Level)
-		for wid := range h.Result.Prefix {
+		for wid := range h.Result.Prefix() {
 			if !access.Contains(wid) {
 				leaks++
 			}

@@ -2,6 +2,10 @@ package workflow
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,6 +15,10 @@ import (
 // Hierarchy is the expansion hierarchy of a specification (Fig. 3 of the
 // paper): a tree whose nodes are workflow ids, with W' a child of W when
 // some composite module of W expands to W'.
+//
+// The hierarchy also numbers what a search decides on: its workflows by
+// ordinal, the index of the id among the hierarchy's workflow ids in sorted
+// order (see Bits), and the spec's modules likewise among the module ids.
 type Hierarchy struct {
 	Root     string
 	parent   map[string]string
@@ -22,26 +30,40 @@ type Hierarchy struct {
 	chains map[string]rootChain
 	// modules resolves a module id to where the hierarchy places it: what
 	// Spec.FindModule answers, without the scan, plus the workflow's chain.
-	modules map[string]Placement
+	// It points into placed, the placements by module ordinal.
+	modules map[string]*Placement
+	placed  []Placement
+	// ids[o] is the workflow of ordinal o; via[o] is the ordinal of the
+	// composite module introducing it (-1 for the root).
+	ids []string
+	via []int32
 }
 
 // Placement is where the hierarchy puts a module: the module, the workflow
-// holding it, and that workflow's root chain (nil when the workflow is not
-// reachable from the root) with the chain's key — what a search match
-// reads, from one lookup. Chain belongs to the hierarchy: read-only.
+// holding it, and that workflow's root chain — what a search match reads,
+// from one lookup. Chain belongs to the hierarchy: read-only.
 type Placement struct {
 	Module   *Module
 	Workflow *Workflow
-	Chain    []string
-	ChainKey string
+	// Ord is the module's ordinal (see Hierarchy.ModuleID).
+	Ord int32
+	// Chain is the root chain of the workflow as workflow ordinals, nil
+	// when the workflow is not reachable from the root; Rank is the chain's
+	// place among the hierarchy's chains ordered by their "/"-joined ids,
+	// the order two chains of equal length are ranked in.
+	Chain []int32
+	Rank  int32
+	// Sub is the ordinal of a composite module's subworkflow, -1 for an
+	// atomic module.
+	Sub int32
 }
 
-// rootChain is the path of workflow ids from the root down to one
-// workflow, and the same path "/"-joined: the order two chains of equal
-// length are ranked in.
+// rootChain is the path from the root down to one workflow, as ids and as
+// ordinals, and its rank (see Placement.Rank).
 type rootChain struct {
-	ids []string
-	key string
+	ids  []string
+	ords []int32
+	rank int32
 }
 
 // NewHierarchy derives the expansion hierarchy from a validated spec.
@@ -51,13 +73,13 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 		parent:    make(map[string]string),
 		children:  make(map[string][]string),
 		viaModule: make(map[string]string),
-		modules:   make(map[string]Placement),
+		modules:   make(map[string]*Placement),
 	}
 	for _, wid := range s.WorkflowIDs() {
 		w := s.Workflows[wid]
 		for _, m := range w.Modules {
 			if _, dup := h.modules[m.ID]; !dup {
-				h.modules[m.ID] = Placement{Module: m, Workflow: w}
+				h.modules[m.ID] = &Placement{Module: m, Workflow: w}
 			}
 			if m.Kind != Composite {
 				continue
@@ -74,19 +96,43 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 		sort.Strings(h.children[wid])
 	}
 	all := h.All()
+	h.ids = slices.Sorted(slices.Values(all))
 	h.chains = make(map[string]rootChain, len(all))
+	keys := make(map[string]string, len(all))
 	for _, wid := range all { // parents come before their children
-		ids := []string{wid}
+		o, _ := slices.BinarySearch(h.ids, wid)
+		c := rootChain{ids: []string{wid}, ords: []int32{int32(o)}}
 		if wid != h.Root {
-			up := h.chains[h.parent[wid]].ids
-			ids = append(up[:len(up):len(up)], wid)
+			up := h.chains[h.parent[wid]]
+			c.ids = append(up.ids[:len(up.ids):len(up.ids)], wid)
+			c.ords = append(up.ords[:len(up.ords):len(up.ords)], int32(o))
 		}
-		h.chains[wid] = rootChain{ids: ids, key: strings.Join(ids, "/")}
+		h.chains[wid], keys[wid] = c, strings.Join(c.ids, "/")
 	}
-	for id, at := range h.modules {
+	slices.SortFunc(all, func(a, b string) int { return strings.Compare(keys[a], keys[b]) })
+	for rank, wid := range all {
+		c := h.chains[wid]
+		c.rank = int32(rank)
+		h.chains[wid] = c
+	}
+	mods := slices.Sorted(maps.Keys(h.modules))
+	h.placed = make([]Placement, len(mods))
+	for m, id := range mods {
+		at := &h.placed[m]
+		*at = *h.modules[id]
 		c := h.chains[at.Workflow.ID]
-		at.Chain, at.ChainKey = c.ids, c.key
+		at.Ord, at.Chain, at.Rank, at.Sub = int32(m), c.ords, c.rank, h.Ord(at.Module.Sub)
+		if at.Module.Kind != Composite {
+			at.Sub = -1
+		}
 		h.modules[id] = at
+	}
+	h.via = make([]int32, len(h.ids))
+	for o, wid := range h.ids {
+		h.via[o] = -1
+		if m, ok := h.viaModule[wid]; ok {
+			h.via[o] = h.modules[m].Ord
+		}
 	}
 	return h, nil
 }
@@ -95,13 +141,15 @@ func NewHierarchy(s *Spec) (*Hierarchy, error) {
 // contains it, or (nil, nil): Spec.FindModule's answer from a table built
 // with the hierarchy.
 func (h *Hierarchy) Module(id string) (*Module, *Workflow) {
-	at := h.modules[id]
-	return at.Module, at.Workflow
+	if at := h.modules[id]; at != nil {
+		return at.Module, at.Workflow
+	}
+	return nil, nil
 }
 
-// Place returns where the hierarchy puts the module with the given id
-// (the zero Placement if there is none).
-func (h *Hierarchy) Place(id string) Placement { return h.modules[id] }
+// Place returns where the hierarchy puts the module with the given id, nil
+// if there is none. The placement belongs to the hierarchy: read-only.
+func (h *Hierarchy) Place(id string) *Placement { return h.modules[id] }
 
 // Parent returns the parent workflow of wid ("" for the root).
 func (h *Hierarchy) Parent(wid string) string { return h.parent[wid] }
@@ -117,6 +165,27 @@ func (h *Hierarchy) Chain(wid string) []string { return h.chains[wid].ids }
 // Depth returns the number of edges from the root to wid (root = 0),
 // or -1 if wid is not in the hierarchy.
 func (h *Hierarchy) Depth(wid string) int { return len(h.chains[wid].ids) - 1 }
+
+// Ord returns the ordinal of workflow wid — the index of its id among the
+// hierarchy's workflow ids in sorted order — or -1 if wid is not in the
+// hierarchy.
+func (h *Hierarchy) Ord(wid string) int32 {
+	if c, ok := h.chains[wid]; ok {
+		return c.ords[len(c.ords)-1]
+	}
+	return -1
+}
+
+// ID returns the id of the workflow of ordinal o.
+func (h *Hierarchy) ID(o int32) string { return h.ids[o] }
+
+// ModuleID returns the id of the module of ordinal m: the index of the id
+// among the spec's module ids in sorted order.
+func (h *Hierarchy) ModuleID(m int32) string { return h.placed[m].Module.ID }
+
+// Via returns the ordinal of the composite module whose expansion
+// introduces the workflow of ordinal o, -1 for the root.
+func (h *Hierarchy) Via(o int32) int32 { return h.via[o] }
 
 // All returns every workflow id in the hierarchy in BFS order from the
 // root.
@@ -226,6 +295,57 @@ func FullPrefix(h *Hierarchy) Prefix {
 	p := make(Prefix)
 	for _, w := range h.All() {
 		p[w] = true
+	}
+	return p
+}
+
+// Bits is a set of a hierarchy's workflows by ordinal (Hierarchy.Ord): a
+// prefix as a search decides it, tested and grown without hashing an id.
+// Members iterate in ascending ordinal, which is Prefix.IDs order.
+type Bits []uint64
+
+// NewBits returns an empty set sized for h.
+func (h *Hierarchy) NewBits() Bits { return make(Bits, (len(h.ids)+63)/64) }
+
+// Has reports whether the workflow of ordinal o is in b (never for o < 0).
+func (b Bits) Has(o int32) bool {
+	return o >= 0 && int(o>>6) < len(b) && b[o>>6]&(1<<(o&63)) != 0
+}
+
+// Set adds the workflow of ordinal o to b.
+func (b Bits) Set(o int32) { b[o>>6] |= 1 << (o & 63) }
+
+// All yields b's ordinals in ascending order.
+func (b Bits) All() iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		for w, word := range b {
+			for word != 0 {
+				if !yield(int32(w<<6 + bits.TrailingZeros64(word))) {
+					return
+				}
+				word &= word - 1
+			}
+		}
+	}
+}
+
+// Bits returns the members of p in h as a set of ordinals; ids p holds
+// that h does not are left out.
+func (h *Hierarchy) Bits(p Prefix) Bits {
+	b := h.NewBits()
+	for wid, in := range p {
+		if o := h.Ord(wid); in && o >= 0 {
+			b.Set(o)
+		}
+	}
+	return b
+}
+
+// Prefix returns the workflows of b as a Prefix.
+func (h *Hierarchy) Prefix(b Bits) Prefix {
+	p := make(Prefix)
+	for o := range b.All() {
+		p[h.ids[o]] = true
 	}
 	return p
 }

@@ -40,8 +40,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(hits) != 1 {
 		t.Fatalf("hits = %v", hits)
 	}
-	if strings.Join(hits[0].Result.Prefix.IDs(), ",") != "W1,W2,W4" {
-		t.Fatalf("prefix = %v", hits[0].Result.Prefix.IDs())
+	if strings.Join(hits[0].Result.Prefix().IDs(), ",") != "W1,W2,W4" {
+		t.Fatalf("prefix = %v", hits[0].Result.Prefix().IDs())
 	}
 
 	ans, err := r.Query("alice", spec.ID, "E1",
