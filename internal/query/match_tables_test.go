@@ -142,8 +142,12 @@ func checkTablesAgainstScan(t *testing.T, s *workflow.Spec, pol *privacy.Policy,
 			t.Fatal(err)
 		}
 		for _, on := range []*exec.Execution{e, view} {
+			pe, err := PrepareExec(on)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, ph := range phrases {
-				got := ev.matchingNodes(on, ph, pol, level)
+				got := ev.matchingNodes(pe, ph, pol, level)
 				want := scanMatchingNodes(s, on, ph, pol, level)
 				bound += len(want)
 				if !reflect.DeepEqual(got, want) {
@@ -201,13 +205,17 @@ func TestMatchTablesResolveRepeatedIDLikeScan(t *testing.T) {
 	}
 	e := &exec.Execution{ID: "E", SpecID: s.ID, Nodes: []*exec.Node{{ID: "n1", Module: "dup", Kind: exec.AtomicNode}}}
 	ev := NewEvaluator(s)
+	pe, err := PrepareExec(e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ph := range [][]string{{"w1"}, {"w2"}, {"w9"}, {"step"}, {"id:DUP"}} {
-		got, want := ev.matchingNodes(e, ph, nil, 0), scanMatchingNodes(s, e, ph, nil, 0)
+		got, want := ev.matchingNodes(pe, ph, nil, 0), scanMatchingNodes(s, e, ph, nil, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("phrase %q: tables bind %v, scan binds %v", ph, got, want)
 		}
 	}
-	if got := ev.matchingNodes(e, []string{"w1"}, nil, 0); len(got) != 1 {
+	if got := ev.matchingNodes(pe, []string{"w1"}, nil, 0); len(got) != 1 {
 		t.Fatalf("the module of W1 was not the one bound: %v", got)
 	}
 }

@@ -214,18 +214,12 @@ func (ev *Evaluator) selects(moduleID string, phrase []string) bool {
 	return true
 }
 
-// matchingNodes returns execution nodes whose module the phrase selects
-// and the level may see. Only nodes that represent a module execution
-// participate (atomic and begin nodes, plus collapsed composite nodes
-// in views).
-func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *privacy.Policy, level privacy.Level) []string {
+// matchingNodes returns, in id order, the module-execution nodes of pe
+// (PreparedExec.modules) whose module the phrase selects and the level may
+// see.
+func (ev *Evaluator) matchingNodes(pe *PreparedExec, phrase []string, pol *privacy.Policy, level privacy.Level) []string {
 	var out []string
-	for _, n := range e.Nodes {
-		switch n.Kind {
-		case exec.AtomicNode, exec.BeginNode:
-		default:
-			continue
-		}
+	for _, n := range pe.modules {
 		if pol != nil && !pol.CanSeeModule(level, n.Module) {
 			continue
 		}
@@ -233,7 +227,6 @@ func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *priv
 			out = append(out, n.ID)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -264,6 +257,10 @@ type PreparedExec struct {
 
 	// nodeByID resolves node ids without Execution.Node's linear scan.
 	nodeByID map[string]*exec.Node
+	// modules lists, in id order, the nodes that represent a module
+	// execution — atomic and begin nodes, and in views the collapsed
+	// composite nodes (atomic) — the nodes a query variable binds.
+	modules []*exec.Node
 	// producedBy maps a node id to the sorted ids of the items it
 	// produced (the per-binding scan of ReturnProvenance/ReturnDownstream
 	// made O(1)).
@@ -313,7 +310,11 @@ func PrepareGraph(e *exec.Execution, g *graph.Graph) (*PreparedExec, error) {
 	}
 	for _, n := range e.Nodes {
 		pe.nodeByID[n.ID] = n
+		if n.Kind == exec.AtomicNode || n.Kind == exec.BeginNode {
+			pe.modules = append(pe.modules, n)
+		}
 	}
+	slices.SortFunc(pe.modules, func(a, b *exec.Node) int { return strings.Compare(a.ID, b.ID) })
 	for id, it := range e.Items {
 		pe.producedBy[it.Producer] = append(pe.producedBy[it.Producer], id)
 		pe.slots.IDs = append(pe.slots.IDs, id)
@@ -465,21 +466,24 @@ func (ev *Evaluator) EvaluateSnapshot(q *Query, s Snapshot, pol *privacy.Policy,
 
 // MatchOn runs only the binding phase of a query — candidate selection
 // and constraint backtracking — leaving the return clause (provenance /
-// downstream sub-executions) unmaterialized. Callers that need to know
-// *whether and where* a query matches, but will discard most answers
-// (QueryAllPageCtx windows by execution), use this to avoid building
-// sub-executions that are thrown away; MaterializeReturn completes the
-// surviving answers.
+// downstream sub-executions) unmaterialized. It reads the structure of
+// s.Plan and s.ID only, never a value, so the bindings are a function of
+// the plan: internal/repo matches once per view plan on a snapshot that
+// carries no values (Snapshot{Plan: plan}) and hands every execution of
+// the plan the bindings found. Callers that need to know *whether and
+// where* a query matches, but will discard most answers (QueryAllPageCtx
+// windows by execution), use this to avoid building sub-executions that
+// are thrown away; MaterializeReturn completes the surviving answers.
 func (ev *Evaluator) MatchOn(q *Query, s Snapshot, pol *privacy.Policy, level privacy.Level, zoomed bool) (*Answer, error) {
 	if len(q.Vars) == 0 {
 		return nil, fmt.Errorf("query: no variables")
 	}
 	pe := s.Plan
-	e, g, cl := pe.Exec, pe.g, pe.cl
+	g, cl := pe.g, pe.cl
 	// Candidates per variable.
 	cands := make(map[string][]string, len(q.Vars))
 	for v, phrase := range q.Vars {
-		ns := ev.matchingNodes(e, phrase, pol, level)
+		ns := ev.matchingNodes(pe, phrase, pol, level)
 		if len(ns) == 0 {
 			return &Answer{ExecutionID: s.ID, ZoomedOut: zoomed}, nil
 		}
@@ -542,6 +546,8 @@ func (ev *Evaluator) MatchOn(q *Query, s Snapshot, pol *privacy.Policy, level pr
 // binding goes through the PreparedExec indexes, and a provenance through
 // the plan's provenance index with the snapshot's values, so no step here
 // is linear in execution size beyond the sub-graphs actually returned.
+// Provenance is the only return that reads values: the others read the
+// plan's structure alone and may be given a snapshot that carries none.
 func (ev *Evaluator) MaterializeReturn(q *Query, ans *Answer, s Snapshot) error {
 	pe := s.Plan
 	e, g := pe.Exec, pe.g

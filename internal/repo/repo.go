@@ -35,11 +35,11 @@
 // (index.Inverted.Match decides which specs match, through which
 // modules and with what score at the asker's level; only the requested
 // window's minimal views are decided), so a spec or policy mutation has
-// one piece of ranking state to maintain: its index segment. QueryAll fans
-// out across a bounded worker pool and merges deterministically; the
-// lazily built enforced execution views are deduplicated with
-// per-generation singleflight groups so concurrent identical requests build
-// each one exactly once.
+// one piece of ranking state to maintain: its index segment. QueryAll binds
+// once per view plan and materializes its window across a bounded worker
+// pool, merging deterministically; the lazily built enforced execution
+// views are deduplicated with per-generation singleflight groups so
+// concurrent identical requests build each one exactly once.
 //
 // Exactly one mechanism memoizes "execution E as level L may see it": the
 // generation's masked-snapshot cache filled by (*shard).maskedExec when a
@@ -160,8 +160,8 @@ type generation struct {
 	// install instead of once per request.
 	engine *taint.Engine
 
-	// masked caches the enforced snapshots the read paths (Query,
-	// QueryAllPageCtx, Provenance) serve, shared and read-only by contract
+	// masked caches the enforced snapshots that reads of values (Provenance,
+	// provenance returns) are served, shared and read-only by contract
 	// (the -race immutability tests pin that). This is the only place an
 	// enforced view is memoized; fills go through maskedFlights, which —
 	// being the generation's own — cannot hand a reader a snapshot built
@@ -246,7 +246,7 @@ type Repository struct {
 
 	// taintRewritten/taintRedacted count items the taint engine
 	// rewrote / fully redacted across all read-path masking (provenance
-	// and structural-query responses) — the new-subsystem health
+	// reads and provenance returns) — the new-subsystem health
 	// counters exported as taint_items_*_total.
 	taintRewritten atomic.Int64 //provlint:counter
 	taintRedacted  atomic.Int64 //provlint:counter
@@ -265,22 +265,19 @@ type Repository struct {
 	// order: polMu before mu.
 	polMu sync.Mutex
 
-	// workers bounds the fan-out pool shared by all fanned-out
-	// operations (QueryAll's phases) on this repository.
-	workers int
-	sem     chan struct{}
+	// sem's capacity bounds the fan-out pool (QueryAll's materialization).
+	sem chan struct{}
 }
 
 // New returns an empty repository with a fan-out pool sized to the
 // machine.
 func New() *Repository {
-	r := &Repository{
+	return &Repository{
 		shards:   make(map[string]*shard),
 		users:    make(map[string]*privacy.User),
 		inverted: index.BuildInverted(nil, nil),
+		sem:      make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
-	r.setWorkers(runtime.GOMAXPROCS(0))
-	return r
 }
 
 // SetWorkers resizes the bounded fan-out pool (minimum 1; 1 disables
@@ -291,15 +288,7 @@ func New() *Repository {
 func (r *Repository) SetWorkers(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.setWorkers(n)
-}
-
-func (r *Repository) setWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.workers = n
-	r.sem = make(chan struct{}, n)
+	r.sem = make(chan struct{}, max(n, 1))
 }
 
 // fanOut runs fn(0..n-1), spreading calls over the repository's bounded
@@ -310,9 +299,8 @@ func (r *Repository) setWorkers(n int) {
 func (r *Repository) fanOut(n int, fn func(int)) {
 	r.mu.RLock()
 	sem := r.sem
-	workers := r.workers
 	r.mu.RUnlock()
-	if n == 1 || workers <= 1 {
+	if n == 1 || cap(sem) <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -884,8 +872,7 @@ func (sh *shard) fill(ctx context.Context, gen *generation, prefix workflow.Pref
 	var snap maskedSnapshot
 	plan, err := sh.viewPlan(e.Shape(), prefix, key)
 	if err == nil {
-		// The name the staged pipeline gives: CollapseIn's, then the mask's.
-		snap.Snapshot, err = plan.Fill(e, e.ID+"/view/masked@"+level.String())
+		snap.Snapshot, err = plan.Fill(e, maskedName(e, level))
 	}
 	collapse.End()
 	if err != nil {
@@ -898,6 +885,30 @@ func (sh *shard) fill(ctx context.Context, gen *generation, prefix workflow.Pref
 	snap.rep = gen.engine.MaskInPlace(&snap.Vector, plan.Layout(), e, level)
 	apply.End()
 	return snap, nil
+}
+
+// maskedName names e's view at level, filled or not, as the staged pipeline does.
+func maskedName(e *exec.Stored, level privacy.Level) string {
+	return e.ID + "/view/masked@" + level.String()
+}
+
+// snapshotFor returns what q is answered from for e at level at prefix (Key
+// key). Provenance is the one return that reads values: it gets the enforced
+// snapshot, gen's cached one when cached, else filled for the call. Any other
+// return reads the view plan alone, named as its fill would be.
+func (r *Repository) snapshotFor(ctx context.Context, sh *shard, gen *generation, q *query.Query, e *exec.Stored, level privacy.Level, prefix workflow.Prefix, key string, cached bool) (query.Snapshot, error) {
+	switch {
+	case q.Return != query.ReturnProvenance:
+		plan, err := sh.viewPlan(e.Shape(), prefix, key)
+		return query.Snapshot{Plan: plan, ID: maskedName(e, level)}, err
+	case cached:
+		snap, err := sh.maskedExec(ctx, gen, e, level)
+		r.taintRewritten.Add(int64(snap.rep.Rewritten))
+		r.taintRedacted.Add(int64(snap.rep.TaintRedacted))
+		return snap.Snapshot, err
+	}
+	snap, err := sh.fill(ctx, gen, prefix, key, e, level)
+	return snap.Snapshot, err
 }
 
 // viewPlan returns the value-free prepared view of a shape at prefix (Key
@@ -925,9 +936,8 @@ func (sh *shard) viewPlan(shape *exec.Shape, prefix workflow.Prefix, key string)
 	return plan, nil
 }
 
-// Query evaluates a structural query (see query.Parse) against one
-// execution, on the user's enforced snapshot (maskedExec): a warm query
-// allocates nothing for privacy enforcement, only the evaluation itself.
+// Query evaluates a structural query (see query.Parse) against one execution
+// at the user's access view, on snapshotFor's snapshot.
 func (r *Repository) Query(userName, specID, execID, queryText string) (*query.Answer, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -937,12 +947,12 @@ func (r *Repository) Query(userName, specID, execID, queryText string) (*query.A
 	if err != nil {
 		return nil, err
 	}
-	snap, err := sh.maskedExec(context.Background(), gen, e, u.Level)
+	access := gen.step(u.Level)
+	snap, err := r.snapshotFor(context.Background(), sh, gen, q, e, u.Level, access.view, access.key, true)
 	if err != nil {
 		return nil, err
 	}
-	r.countTaint(snap.rep)
-	return sh.eval.EvaluateSnapshot(q, snap.Snapshot, gen.pol, u.Level, gen.step(u.Level).zoomed)
+	return sh.eval.EvaluateSnapshot(q, snap, gen.pol, u.Level, access.zoomed)
 }
 
 // Reaches answers the paper's core structural-privacy question — "does
@@ -1006,7 +1016,8 @@ func visibleRepr(h *workflow.Hierarchy, g *graph.Graph, moduleID string, access 
 // QueryZoomOut evaluates a structural query with the paper's gradual
 // zoom-out strategy (Section 4): query.ZoomOut coarsens the view, reading
 // each step's plan, until it leaks nothing; the query is answered once, on
-// that view filled for the user, uncached. Steps counts the zoom-outs.
+// that view (snapshotFor: filled for the user, uncached, only for a
+// provenance return). Steps counts the zoom-outs.
 func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*query.ZoomOutResult, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -1026,11 +1037,11 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 	if err != nil {
 		return nil, err
 	}
-	snap, err := sh.fill(context.Background(), gen, prefix, prefix.Key(), e, u.Level)
+	snap, err := r.snapshotFor(context.Background(), sh, gen, q, e, u.Level, prefix, prefix.Key(), false)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := sh.eval.EvaluateSnapshot(q, snap.Snapshot, gen.pol, u.Level, steps > 0)
+	ans, err := sh.eval.EvaluateSnapshot(q, snap, gen.pol, u.Level, steps > 0)
 	if err != nil {
 		return nil, err
 	}
@@ -1059,17 +1070,13 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 }
 
 // QueryAllPageCtx evaluates a structural query against every execution
-// of a spec, concurrently on the fan-out pool, and returns the non-empty
-// answers in execution-id order, with the pagination window pushed into
-// the engine: the binding phase (query.MatchOn) runs for every execution
-// — the total requires knowing which executions answer — but the return
-// clause (provenance / downstream sub-executions, the per-answer
-// materialization cost) is built only for the answers inside
-// [offset, offset+limit). limit 0 materializes everything. The returned
-// total is the pre-pagination count of non-empty answers. ctx is checked
-// between executions in both fan-out phases: a disconnected client stops
-// the evaluation instead of holding the pool through the remaining
-// executions.
+// of a spec and returns the non-empty answers in execution-id order, with
+// the pagination window pushed into the engine. MatchOn reads structure
+// only, so it runs once per view plan (per shape), and an execution answers
+// when its plan binds: total counts those. Only answers in [offset,
+// offset+limit) are built (limit 0: all), on the fan-out pool, sharing
+// their plan's bindings, from snapshotFor: only provenance fills. ctx is
+// checked before each plan and each answer.
 func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, queryText string, limit, offset int) ([]*query.Answer, int, error) {
 	q, err := query.Parse(queryText)
 	if err != nil {
@@ -1082,77 +1089,67 @@ func (r *Repository) QueryAllPageCtx(ctx context.Context, userName, specID, quer
 	if err != nil {
 		return nil, 0, err
 	}
-	// The generation is read once and every execution is filled and matched
-	// under it, so the whole response is decided under one policy that was
-	// live when the call began, however many installs it straddles — never
-	// a mixture.
+	// The generation is read once, so the whole response is decided under the
+	// one policy live when the call began, however many installs it straddles.
 	sh.mu.RLock()
 	execs, gen := sh.executions(), sh.gen
 	sh.mu.RUnlock()
-	zoomed := gen.step(u.Level).zoomed
+	access := gen.step(u.Level)
 
-	// Phase 1 — bindings only, fanned out.
-	answers := make([]*query.Answer, len(execs))
-	snaps := make([]maskedSnapshot, len(execs))
-	errs := make([]error, len(execs))
-	matchCtx, matchSpan := obs.StartSpan(ctx, "query.fanout.match")
-	r.fanOut(len(execs), func(i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
+	_, matchSpan := obs.StartSpan(ctx, "query.fanout.match")
+	bound := make(map[*exec.Shape]*query.Answer)
+	var hits []*exec.Stored
+	for _, e := range execs {
+		ans, ok := bound[e.Shape()]
+		if !ok {
+			var plan *query.PreparedExec
+			if err = ctx.Err(); err == nil {
+				plan, err = sh.viewPlan(e.Shape(), access.view, access.key)
+			}
+			if err == nil {
+				ans, err = sh.eval.MatchOn(q, query.Snapshot{Plan: plan}, gen.pol, u.Level, access.zoomed)
+			}
+			if err != nil {
+				break
+			}
+			bound[e.Shape()] = ans
 		}
-		snap, err := sh.maskedExec(matchCtx, gen, execs[i], u.Level)
-		if err != nil {
-			errs[i] = err
-			return
+		if len(ans.Bindings) > 0 {
+			hits = append(hits, e)
 		}
-		r.countTaint(snap.rep)
-		answers[i], errs[i] = sh.eval.MatchOn(q, snap.Snapshot, gen.pol, u.Level, zoomed)
-		snaps[i] = snap
-	})
+	}
 	matchSpan.End()
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return nil, 0, err
 	}
-	var out []*query.Answer
-	var from []query.Snapshot
-	for i, ans := range answers {
-		if ans != nil && len(ans.Bindings) > 0 {
-			out = append(out, ans)
-			from = append(from, snaps[i].Snapshot)
-		}
-	}
-	total := len(out)
+	total := len(hits)
 	if offset >= total {
 		return nil, total, nil
 	}
-	out, from = out[offset:], from[offset:]
-	if limit > 0 && limit < len(out) {
-		out, from = out[:limit], from[:limit]
+	hits = hits[offset:]
+	if limit > 0 && limit < len(hits) {
+		hits = hits[:limit]
 	}
 
-	// Phase 2 — materialize return clauses for the window only.
-	merrs := make([]error, len(out))
-	_, matSpan := obs.StartSpan(ctx, "query.fanout.materialize")
-	r.fanOut(len(out), func(i int) {
-		if err := ctx.Err(); err != nil {
-			merrs[i] = err
-			return
+	out := make([]*query.Answer, len(hits))
+	errs := make([]error, len(hits))
+	matCtx, matSpan := obs.StartSpan(ctx, "query.fanout.materialize")
+	r.fanOut(len(hits), func(i int) {
+		ans, snap, err := *bound[hits[i].Shape()], query.Snapshot{}, ctx.Err()
+		if err == nil {
+			snap, err = r.snapshotFor(matCtx, sh, gen, q, hits[i], u.Level, access.view, access.key, true)
 		}
-		merrs[i] = sh.eval.MaterializeReturn(q, out[i], from[i])
+		if err == nil {
+			ans.ExecutionID = snap.ID
+			err = sh.eval.MaterializeReturn(q, &ans, snap)
+		}
+		out[i], errs[i] = &ans, err
 	})
 	matSpan.End()
-	if err := errors.Join(merrs...); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		return nil, 0, err
 	}
 	return out, total, nil
-}
-
-// countTaint feeds a masking report into the repository's taint
-// counters (taint_items_rewritten_total / taint_items_redacted_total).
-func (r *Repository) countTaint(rep datapriv.Report) {
-	r.taintRewritten.Add(int64(rep.Rewritten))
-	r.taintRedacted.Add(int64(rep.TaintRedacted))
 }
 
 // ProvenanceOptions is empty: provenance is always taint-masked. The type
@@ -1189,7 +1186,8 @@ func (r *Repository) ProvenanceWithCtx(ctx context.Context, userName, specID, ex
 	if _, ok := snap.Plan.Slot(itemID); !ok {
 		return query.Provenance{}, fmt.Errorf("repo: item %s not visible at level %s: %w", itemID, u.Level, ErrDenied)
 	}
-	r.countTaint(snap.rep)
+	r.taintRewritten.Add(int64(snap.rep.Rewritten))
+	r.taintRedacted.Add(int64(snap.rep.TaintRedacted))
 	return snap.Provenance(itemID)
 }
 

@@ -68,9 +68,10 @@ type tracesResp struct {
 // through the backend.
 func TestDebugTracesSpanTree(t *testing.T) {
 	ts, _ := newObsServer(t)
-	// A masked all-executions query: the first touch misses every cache,
-	// so the trace records the fill work, not just a lookup.
-	q := "/api/v1/query?spec=disease-susceptibility&q=MATCH+a+%3D+%22reformat%22"
+	// A masked all-executions query that returns provenance, the one return
+	// that reads values: the first touch misses every cache, so the trace
+	// records the fill work, not just a lookup.
+	q := "/api/v1/query?spec=disease-susceptibility&q=MATCH+a+%3D+%22reformat%22+RETURN+provenance%28a%29"
 	if code := get(t, ts, "carol", q, nil); code != http.StatusOK {
 		t.Fatalf("query status = %d", code)
 	}
@@ -111,15 +112,19 @@ func TestDebugTracesSpanTree(t *testing.T) {
 	if !qt.Slow {
 		t.Fatalf("query trace not marked slow at a 1ns threshold")
 	}
-	// The span tree: handler → shard fan-out → masked-cache fill →
-	// view/taint/mask children, each with a recorded duration.
+	// The span tree: handler → binding phase, and handler → the window's
+	// materialization → masked-cache fill → view/taint/mask children, each
+	// with a recorded duration.
 	handler := findSpan(qt.Spans, "handler")
 	if handler == nil {
 		t.Fatalf("no handler span: %+v", qt.Spans)
 	}
-	fanout := findSpan(handler.Children, "query.fanout.match")
-	if fanout == nil {
+	if findSpan(handler.Children, "query.fanout.match") == nil {
 		t.Fatalf("no query.fanout.match under handler: %+v", handler)
+	}
+	fanout := findSpan(handler.Children, "query.fanout.materialize")
+	if fanout == nil {
+		t.Fatalf("no query.fanout.materialize under handler: %+v", handler)
 	}
 	fill := findSpan(fanout.Children, "cache.masked_fill")
 	if fill == nil {
