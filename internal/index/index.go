@@ -9,21 +9,20 @@
 // The inverted index does not merely nominate candidates: Inverted.Match
 // answers the whole keyword-search predicate — which specs have, for
 // every query phrase, a module visible at the asker's level carrying all
-// its terms, and which modules those are — and scores each of them, from
-// the postings alone. A spec's segment holds its postings per term sorted
-// level-first, so "visible at level L" is a prefix of every list, and per
-// term the snapshot lists the specs carrying it by the lowest level that
-// shows it there, so the specs visible at L are a prefix too. Terms are
-// numbered by a grow-only dictionary and a segment's modules by posting
-// order, so once a query's terms are looked up by name a spec is decided
-// on integers. Each segment records the (spec, policy) pointers it was
-// built from, so the repository can tell whether an answer still
-// describes the state it holds. The TF·IDF score of a spec at a level is
-// a function of the same prefixes — term frequency is the occurrence
-// counts beside the segment's visible postings, document frequency the
-// length of the term's visible prefix of specs, N the number of segments.
-// search.Matches, the per-module scan, and rank.Corpus, the per-level
-// document store, remain only as the oracles the tests hold Match to.
+// its terms — and scores each of them, from the index alone. A spec's
+// segment keeps one row per module, level-first, with the module's
+// hierarchy ordinal (workflow.Hierarchy.ModuleID), so "visible at L" is
+// "below the segment's cut for L"; its terms keep only ascending row
+// ordinals and occurrence counts. Per term the snapshot lists the specs
+// carrying it by the lowest level showing it there, so the specs visible
+// at L are a prefix, whose length is the term's document frequency at L.
+// Terms are numbered once, so a spec is decided on integers, stopping at
+// the first module carrying each phrase: Match builds no evidence, and
+// Matches.Modules builds it, as hierarchy ordinals, for the hits a page
+// renders. Each segment records the (spec, policy) pointers it was built
+// from, so the repository can tell whether an answer still describes the
+// state it holds. search.Matches and rank.Corpus remain only as the
+// oracles the tests hold Match and its TF·IDF scores to.
 package index
 
 import (
@@ -50,45 +49,36 @@ type Posting struct {
 	MinLevel privacy.Level
 }
 
-// ModuleRef names the posting's module the way search.SearchMatched takes
-// it, so a matched spec's posting lists are handed over as they are.
-func (p Posting) ModuleRef() (moduleID, workflowID string) { return p.ModuleID, p.Workflow }
-
-// postingLess is the canonical posting order: MinLevel first (so a
+// postingCmp is the canonical posting order: MinLevel first (so a
 // level-filtered lookup is a prefix scan), then spec and module ids for
 // determinism.
-func postingLess(a, b Posting) bool {
-	if a.MinLevel != b.MinLevel {
-		return a.MinLevel < b.MinLevel
-	}
-	if a.SpecID != b.SpecID {
-		return a.SpecID < b.SpecID
-	}
-	return a.ModuleID < b.ModuleID
+func postingCmp(a, b Posting) int {
+	return cmp.Or(cmp.Compare(a.MinLevel, b.MinLevel), strings.Compare(a.SpecID, b.SpecID), strings.Compare(a.ModuleID, b.ModuleID))
 }
 
-// segment holds one spec's postings by term, next to the (spec, policy)
+// segment holds one spec's modules and terms, next to the (spec, policy)
 // pointers they were extracted from: a reader that holds the same two
-// pointers knows the postings describe exactly the state it holds. It is
-// immutable; mutating a spec replaces its segment wholesale. The spec's
-// modules are numbered in canonical posting order (level, then module id),
-// so a term's postings and their ordinals ascend together.
+// pointers knows the segment describes exactly the state it holds. It is
+// immutable; mutating a spec replaces its segment wholesale. rows are the
+// modules in canonical posting order (level, then module id); hord[o] is
+// row o's hierarchy ordinal, its rank among the spec's (unique) module ids.
 type segment struct {
-	spec  *workflow.Spec
-	pol   *privacy.Policy
-	ids   []int32   // ascending term ids; ids[i] is terms[i].id
-	terms []segTerm // sorted by id
+	spec   *workflow.Spec
+	pol    *privacy.Policy
+	rows   []Posting
+	hord   []int32
+	levels []levelCount // the rows by level
+	ids    []int32      // ascending term ids; ids[i] is terms[i].id
+	terms  []segTerm    // sorted by id
 }
 
-// segTerm is one term of a segment: the postings of the modules carrying
-// it, their ordinals (ords[i] is postings[i]'s), and tf, the term's keyword
-// occurrences by the level of the module carrying them — all of them, where
-// a posting stands for a module however many keywords normalize to it.
+// segTerm is one term of a segment: the ascending row ordinals of the
+// modules carrying it, and tf, its keyword occurrences by their module's
+// level — all of them, however many keywords of a module normalize to it.
 type segTerm struct {
-	id       int32
-	postings []Posting
-	ords     []int32
-	tf       []levelCount
+	id   int32
+	ords []int32
+	tf   []levelCount
 }
 
 // term returns the segment's entry for term id, or nil (also for no
@@ -102,6 +92,9 @@ func (seg *segment) term(id int32) *segTerm {
 	}
 	return nil
 }
+
+// cut returns how many of seg's rows level sees: the rows below it.
+func (seg *segment) cut(level privacy.Level) int32 { return int32(visible(seg.levels, level)) }
 
 // levelCount is one step of a count that grows with the access level: n
 // more become visible at level. visible sums the steps a level has
@@ -131,13 +124,13 @@ func addAt(steps []levelCount, level privacy.Level, delta int) []levelCount {
 	return append(steps, levelCount{level, delta})
 }
 
-// segment extracts one spec's postings, numbering new terms. policy may be
-// nil (all modules public). Writers only.
+// segment extracts one spec's rows and terms, numbering new terms. policy
+// may be nil (all modules public). Writers only.
 func (ix *Inverted) segment(s *workflow.Spec, pol *privacy.Policy) *segment {
 	type placed struct {
-		m     *workflow.Module
-		wid   string
-		level privacy.Level
+		Posting
+		m    *workflow.Module
+		hord int32
 	}
 	var mods []placed
 	for _, wid := range s.WorkflowIDs() {
@@ -146,15 +139,20 @@ func (ix *Inverted) segment(s *workflow.Spec, pol *privacy.Policy) *segment {
 			if pol != nil {
 				level = pol.ModuleLevels[m.ID]
 			}
-			mods = append(mods, placed{m, wid, level})
+			mods = append(mods, placed{Posting: Posting{s.ID, m.ID, wid, level}, m: m})
 		}
 	}
-	slices.SortFunc(mods, func(a, b placed) int {
-		return cmp.Or(cmp.Compare(a.level, b.level), strings.Compare(a.m.ID, b.m.ID))
-	})
-	seg := &segment{spec: s, pol: pol}
+	// Rank by id (the hierarchy's module ordinal), then order stably by level.
+	slices.SortFunc(mods, func(a, b placed) int { return strings.Compare(a.ModuleID, b.ModuleID) })
+	for i := range mods {
+		mods[i].hord = int32(i)
+	}
+	slices.SortStableFunc(mods, func(a, b placed) int { return cmp.Compare(a.MinLevel, b.MinLevel) })
+	seg := &segment{spec: s, pol: pol, rows: make([]Posting, len(mods)), hord: make([]int32, len(mods))}
 	at := make(map[int32]int) // term id → index in seg.terms
 	for ord, pm := range mods {
+		seg.rows[ord], seg.hord[ord] = pm.Posting, pm.hord
+		seg.levels = addAt(seg.levels, pm.MinLevel, 1)
 		for _, kw := range pm.m.AllKeywords() {
 			term := search.Normalize(kw)
 			id, ok := ix.ids[term]
@@ -170,10 +168,9 @@ func (ix *Inverted) segment(s *workflow.Spec, pol *privacy.Policy) *segment {
 				seg.terms = append(seg.terms, segTerm{id: id})
 			}
 			st := &seg.terms[i]
-			st.tf = addAt(st.tf, pm.level, 1)
+			st.tf = addAt(st.tf, pm.MinLevel, 1)
 			if n := len(st.ords); n == 0 || st.ords[n-1] != int32(ord) { // distinct keywords may normalize alike
 				st.ords = append(st.ords, int32(ord))
-				st.postings = append(st.postings, Posting{SpecID: s.ID, ModuleID: pm.m.ID, Workflow: pm.wid, MinLevel: pm.level})
 			}
 		}
 	}
@@ -211,13 +208,13 @@ func (e termEntry) visible(level privacy.Level) []specEntry {
 }
 
 // withEntry returns a fresh copy of specs without prev's entry and, when
-// add is non-nil, with *add in (level, spec id) order.
-func withEntry(specs []specEntry, prev *segment, add *specEntry) []specEntry {
+// add has a segment, with add in (level, spec id) order.
+func withEntry(specs []specEntry, prev *segment, add specEntry) []specEntry {
 	out := append(make([]specEntry, 0, len(specs)+1), specs...)
 	out = slices.DeleteFunc(out, func(se specEntry) bool { return se.seg == prev })
-	if add != nil {
-		i, _ := slices.BinarySearchFunc(out, *add, entryCmp)
-		out = slices.Insert(out, i, *add)
+	if add.seg != nil {
+		i, _ := slices.BinarySearchFunc(out, add, entryCmp)
+		out = slices.Insert(out, i, add)
 	}
 	return out
 }
@@ -267,8 +264,8 @@ func BuildInverted(specs []*workflow.Spec, policies map[string]*privacy.Policy) 
 	for _, seg := range snap.segments {
 		for i := range seg.terms {
 			st := &seg.terms[i]
-			byID[st.id] = append(byID[st.id], specEntry{st.postings[0].MinLevel, seg, st})
-			snap.count += len(st.postings)
+			byID[st.id] = append(byID[st.id], specEntry{seg.rows[st.ords[0]].MinLevel, seg, st})
+			snap.count += len(st.ords)
 		}
 	}
 	for id, specs := range byID {
@@ -312,9 +309,9 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 	terms := maps.Clone(old.terms) // entries are shared; touched ones are replaced
 	count := old.count
 	update := func(id int32) {
-		var add *specEntry
+		var add specEntry
 		if st := seg.term(id); st != nil {
-			add = &specEntry{st.postings[0].MinLevel, seg, st}
+			add = specEntry{seg.rows[st.ords[0]].MinLevel, seg, st}
 		}
 		name := ix.names[id]
 		if specs := withEntry(terms[name].specs, prev, add); len(specs) > 0 {
@@ -325,13 +322,13 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 	}
 	if prev != nil {
 		for i := range prev.terms {
-			count -= len(prev.terms[i].postings)
+			count -= len(prev.terms[i].ords)
 			update(prev.terms[i].id)
 		}
 	}
 	if seg != nil {
 		for i := range seg.terms {
-			count += len(seg.terms[i].postings)
+			count += len(seg.terms[i].ords)
 			if prev.term(seg.terms[i].id) == nil {
 				update(seg.terms[i].id)
 			}
@@ -349,62 +346,65 @@ func (ix *Inverted) publish(specID string, seg *segment) {
 }
 
 // Lookup returns the postings for term visible at the given level, in
-// canonical order, assembled from the specs that show the term there. It
+// canonical order, from the rows of the specs that show the term there. It
 // reads the snapshot with one atomic load, so writers never stall it.
 func (ix *Inverted) Lookup(term string, level privacy.Level) []Posting {
 	var out []Posting
 	for _, se := range ix.snap.Load().terms[search.Normalize(term)].visible(level) {
-		for _, p := range se.st.postings {
-			if p.MinLevel > level {
-				break
+		for _, o := range se.st.ords {
+			if p := se.seg.rows[o]; p.MinLevel <= level {
+				out = append(out, p)
 			}
-			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
+	slices.SortFunc(out, postingCmp)
 	return out
 }
 
 // SpecMatch is one spec the index found to satisfy a whole query at a
-// level, with the evidence: for every phrase, the modules that carry it.
+// level; Matches.Modules builds its evidence.
 type SpecMatch struct {
-	// Spec and Policy are the pointers the spec's segment was built from
-	// (Policy is nil when the spec was indexed without one). Phrases
-	// describes exactly this pair; a caller holding a different pair for
-	// the same spec id must not apply Phrases to it.
+	// Spec and Policy (nil when the spec was indexed without one) are the
+	// pointers the spec's segment was built from: its evidence describes
+	// exactly this pair, and does not apply to any other.
 	Spec   *workflow.Spec
 	Policy *privacy.Policy
-	// Phrases[i] holds, for the i-th query phrase, the posting of every
-	// module with MinLevel ≤ level that carries all the phrase's terms —
-	// never empty. The slices may alias the index's own lists: read-only.
-	Phrases [][]Posting
 	// Score is the spec's TF·IDF for the query over what the level sees:
 	// Σ_t tf·log(1 + N/df) over the query's terms in order, repeats
 	// included — bit for bit what a rank.Corpus holding every indexed
 	// spec's level-visible keywords scores it.
 	Score float64
+	seg   *segment
 }
 
-// Matches is Match's answer: the matching specs, and the snapshot they
-// were read from, so that everything derived from one answer (RankAll)
-// describes the same state of the index.
+// Matches is Match's answer: the matching specs (the caller's to reorder),
+// and the query's terms as one snapshot holds them, so that everything
+// derived from one answer (RankAll, Modules) describes one index state.
 type Matches struct {
 	Specs []SpecMatch
 
-	snap  *invSnapshot
-	level privacy.Level
-	terms []termEntry // the query's terms, flattened in order
-	idf   []float64   // idf[i] belongs to terms[i]
+	level   privacy.Level
+	phrases [][]string  // the query's phrases (only their lengths are read)
+	terms   []queryTerm // the query's terms, flattened in order
+	sts     []*segTerm  // a segment's entries for terms: scratch
+	ev      [][]int32   // Modules' answer: scratch
+	ords    []int32
 }
 
-// score is the TF·IDF of one segment for the query; the summation order
-// is rank.Corpus's, so the float is too (a term the segment lacks adds
-// tf 0, so skipping it leaves the sum as it is).
-func (ms *Matches) score(seg *segment) float64 {
+// queryTerm is one term of a query: its snapshot entry and its idf.
+type queryTerm struct {
+	termEntry
+	idf float64
+}
+
+// score is the TF·IDF of a segment from sts, its entries for the query's
+// terms (nil for one it lacks, whose tf 0 adds nothing); the summation
+// order is rank.Corpus's, so the float is too.
+func (ms *Matches) score(sts []*segTerm) float64 {
 	var s float64
-	for i, e := range ms.terms {
-		if st := seg.term(e.id); st != nil {
-			s += float64(visible(st.tf, ms.level)) * ms.idf[i]
+	for i, st := range sts {
+		if st != nil {
+			s += float64(visible(st.tf, ms.level)) * ms.terms[i].idf
 		}
 	}
 	return s
@@ -416,11 +416,15 @@ func (ms *Matches) score(seg *segment) float64 {
 func (ms *Matches) RankAll() []rank.Ranked {
 	var out []rank.Ranked
 	seen := make(map[*segment]bool)
+	sts := make([]*segTerm, len(ms.terms))
 	for _, e := range ms.terms {
 		for _, se := range e.visible(ms.level) {
 			if !seen[se.seg] {
 				seen[se.seg] = true
-				out = append(out, rank.Ranked{Doc: se.seg.spec.ID, Score: ms.score(se.seg)})
+				for i := range sts {
+					sts[i] = se.seg.term(ms.terms[i].id)
+				}
+				out = append(out, rank.Ranked{Doc: se.seg.spec.ID, Score: ms.score(sts)})
 			}
 		}
 	}
@@ -428,21 +432,21 @@ func (ms *Matches) RankAll() []rank.Ranked {
 	return out
 }
 
-// Match answers the keyword-search predicate from the postings alone: it
+// Match answers the keyword-search predicate from the index alone: it
 // returns, in no particular order, every spec in which each phrase is
 // carried by at least one module visible at level — the specs for which
 // search.Matches holds under the (spec, policy) pairs the index was fed —
-// without touching a spec or building a per-module term set, each with
-// its score. phrases are the non-empty normalized term lists
-// search.ParseQuery produces; an empty query or phrase matches nothing.
+// each with its score. phrases are the non-empty normalized term lists
+// search.ParseQuery produces, kept by the answer: read-only. An empty
+// query or phrase matches nothing.
 //
 // Each query term is looked up by name once. A matching spec shows the
 // first term of every phrase, so the candidates are the specs showing the
-// rarest such term at level, each decided and scored inside its segment,
-// where terms are reached by id. Everything is read from one snapshot.
+// rarest such term at level, each decided inside its segment, where terms
+// are reached by id, and scored from the entries the decision found.
 func (ix *Inverted) Match(phrases [][]string, level privacy.Level) Matches {
 	snap := ix.snap.Load()
-	ms := Matches{snap: snap, level: level}
+	ms := Matches{level: level, phrases: phrases}
 	if len(phrases) == 0 || slices.ContainsFunc(phrases, func(p []string) bool { return len(p) == 0 }) {
 		return ms
 	}
@@ -457,66 +461,79 @@ func (ix *Inverted) Match(phrases [][]string, level privacy.Level) Matches {
 			if j == 0 && (i == 0 || len(vis) < len(drive)) {
 				drive = vis
 			}
-			ms.terms = append(ms.terms, e)
-			ms.idf = append(ms.idf, rank.IDF(len(snap.segments), len(vis)))
+			ms.terms = append(ms.terms, queryTerm{e, rank.IDF(len(snap.segments), len(vis))})
 		}
 	}
-	// Every match's Phrases, and its multi-term phrases' postings, are carved
-	// from two append-only arrays; a candidate that fails gives its tail back.
-	sts, evidence := make([]*segTerm, len(ms.terms)), make([][]Posting, 0, len(drive)*len(phrases))
-	var found []Posting
+	ms.sts = make([]*segTerm, len(ms.terms))
 	for _, c := range drive {
-		start, mark, matched := len(evidence), len(found), true
-		for i, off := 0, 0; i < len(phrases) && matched; off, i = off+len(phrases[i]), i+1 {
-			var ps []Posting
-			ps, found = c.seg.match(ms.terms[off:off+len(phrases[i])], level, sts, found)
-			evidence, matched = append(evidence, ps), len(ps) > 0
+		if c.seg.decide(ms.terms, phrases, c.seg.cut(level), ms.sts) {
+			if ms.Specs == nil {
+				ms.Specs = make([]SpecMatch, 0, len(drive))
+			}
+			ms.Specs = append(ms.Specs, SpecMatch{c.seg.spec, c.seg.pol, ms.score(ms.sts), c.seg})
 		}
-		if !matched {
-			evidence, found = evidence[:start], found[:mark]
-			continue
-		}
-		if ms.Specs == nil {
-			ms.Specs = make([]SpecMatch, 0, len(drive))
-		}
-		n := len(evidence)
-		ms.Specs = append(ms.Specs, SpecMatch{Spec: c.seg.spec, Policy: c.seg.pol, Phrases: evidence[start:n:n], Score: ms.score(c.seg)})
 	}
 	return ms
 }
 
-// match returns the postings of seg's modules visible at level that carry
-// every term of one phrase (its snapshot entries; sts is scratch): a list
-// prefix for one term, else postings appended to buf, returned too. A
-// module has one ordinal in all of seg's lists: they intersect on those.
-func (seg *segment) match(phrase []termEntry, level privacy.Level, sts []*segTerm, buf []Posting) ([]Posting, []Posting) {
-	for i, e := range phrase {
-		if sts[i] = seg.term(e.id); sts[i] == nil {
-			return nil, buf
+// decide reports whether seg carries every phrase (terms are theirs,
+// flattened) in a row below cut, setting sts[i] to seg's entry for terms[i].
+func (seg *segment) decide(terms []queryTerm, phrases [][]string, cut int32, sts []*segTerm) bool {
+	off := 0
+	for _, p := range phrases {
+		ps := sts[off : off+len(p)]
+		for j := range ps {
+			if ps[j] = seg.term(terms[off+j].id); ps[j] == nil {
+				return false
+			}
 		}
+		if carrier(ps, cut, 0) < 0 {
+			return false
+		}
+		off += len(p)
 	}
-	first := sts[0]
-	n := 0
-	for n < len(first.postings) && first.postings[n].MinLevel <= level {
-		n++
-	}
-	if len(phrase) == 1 {
-		return first.postings[:n:n], buf
-	}
-	start := len(buf)
-	for i, o := range first.ords[:n] {
+	return true
+}
+
+// carrier returns the first position, from i on, in sts[0].ords of a row
+// below cut that every other entry of sts holds too, or -1.
+func carrier(sts []*segTerm, cut int32, i int) int {
+	for first := sts[0].ords; i < len(first) && first[i] < cut; i++ {
 		all := true
-		for _, st := range sts[1:len(phrase)] {
-			if _, ok := slices.BinarySearch(st.ords, o); !ok {
+		for _, st := range sts[1:] {
+			if _, ok := slices.BinarySearch(st.ords, first[i]); !ok {
 				all = false
 				break
 			}
 		}
 		if all {
-			buf = append(buf, first.postings[i])
+			return i
 		}
 	}
-	return buf[start:len(buf):len(buf)], buf
+	return -1
+}
+
+// Modules returns the evidence of m, one of ms.Specs: per query phrase,
+// the hierarchy ordinals of the visible modules carrying all its terms, in
+// row order, never empty. Its storage is reused: it holds until the next call.
+func (ms *Matches) Modules(m SpecMatch) [][]int32 {
+	cut, off := m.seg.cut(ms.level), 0
+	if !m.seg.decide(ms.terms, ms.phrases, cut, ms.sts) {
+		return nil
+	}
+	if ms.ev == nil {
+		ms.ev, ms.ords = make([][]int32, 0, len(ms.phrases)), make([]int32, 0, 64)
+	}
+	ev, ords := ms.ev[:0], ms.ords[:0]
+	for _, p := range ms.phrases {
+		start, sts := len(ords), ms.sts[off:off+len(p)]
+		for i := carrier(sts, cut, 0); i >= 0; i = carrier(sts, cut, i+1) {
+			ords = append(ords, m.seg.hord[sts[0].ords[i]])
+		}
+		ev, off = append(ev, ords[start:len(ords):len(ords)]), off+len(p)
+	}
+	ms.ev, ms.ords = ev, ords
+	return ev
 }
 
 // Postings returns the total number of postings (for size accounting).

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -46,22 +48,34 @@ func TestInvertedLookupNormalizes(t *testing.T) {
 // TestMatchAnswersThePredicate covers Match on the paper's fixture: a
 // phrase is matched only by one module carrying all its terms, a module
 // above the level is neither a match nor evidence, and every phrase must
-// be matched. (The differential test against the search.Matches oracle
-// lives in internal/search, which this package cannot import tests from.)
+// be matched. Evidence is the hierarchy's module ordinals. (The
+// differential test against the search.Matches oracle lives in
+// internal/search, which this package cannot import tests from.)
 func TestMatchAnswersThePredicate(t *testing.T) {
 	specs, pols := diseaseSetup(t)
 	ix := BuildInverted(specs, pols)
 	s, pol := specs[0], pols[specs[0].ID]
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Owner).Specs
+	ms := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Owner)
+	got := ms.Specs
 	if len(got) != 1 || got[0].Spec != s || got[0].Policy != pol {
 		t.Fatalf("owner match = %+v", got)
 	}
-	if ps := got[0].Phrases[0]; len(ps) != 1 || ps[0] != (Posting{SpecID: s.ID, ModuleID: "M6", Workflow: "W4", MinLevel: privacy.Owner}) {
-		t.Fatalf("phrase 0 evidence = %v", ps)
+	ev := ms.Modules(got[0])
+	if len(ev) != 2 || !slices.Equal(ev[0], []int32{h.Place("M6").Ord}) {
+		t.Fatalf("phrase 0 evidence = %v, want M6's ordinal %d", ev, h.Place("M6").Ord)
 	}
-	if len(got[0].Phrases[1]) == 0 {
+	if len(ev[1]) == 0 {
 		t.Fatal("phrase 1 has no evidence")
+	}
+	for _, o := range ev[1] {
+		if !search.ModuleTerms(h.Placed(o).Module)["database"] {
+			t.Fatalf("phrase 1 evidence names %s, which does not carry it", h.ModuleID(o))
+		}
 	}
 	// M6 is Owner-only: below that the first phrase has no visible module.
 	if got := ix.Match([][]string{{"query", "omim"}, {"database"}}, privacy.Analyst).Specs; got != nil {
@@ -78,15 +92,57 @@ func TestMatchAnswersThePredicate(t *testing.T) {
 			t.Fatalf("Match(%v) = %+v", q, got)
 		}
 	}
-	// Evidence slices alias the index: appending must not write into it.
-	one := ix.Match([][]string{{"query"}}, privacy.Public).Specs
-	before := ix.Lookup("query", privacy.Owner)
-	_ = append(one[0].Phrases[0], Posting{SpecID: "x"})
-	for i, p := range ix.Lookup("query", privacy.Owner) {
-		if p != before[i] {
-			t.Fatal("appending to a match's evidence clobbered the index")
+}
+
+// TestModulesAnswersEachSpecInTurn: one Matches answers Modules for two
+// specs in turn, and back. Its storage is reused from call to call, so
+// each answer must be the spec's own — the reference scan's modules at
+// the level, mapped through the spec's hierarchy — not the previous one's
+// tail or a mix of both.
+func TestModulesAnswersEachSpecInTurn(t *testing.T) {
+	specs, pols := diseaseSetup(t)
+	// The twin leaves Query OMIM public: at public it answers two modules
+	// for "query", the fixture one.
+	twin := workflow.DiseaseSusceptibility()
+	twin.ID = "twin"
+	specs, pols[twin.ID] = append(specs, twin), privacy.NewPolicy(twin.ID)
+	ix := BuildInverted(specs, pols)
+	phrases := [][]string{{"query"}}
+	for _, level := range []privacy.Level{privacy.Public, privacy.Owner} {
+		ms := ix.Match(phrases, level)
+		if len(ms.Specs) != 2 {
+			t.Fatalf("level %v: %d specs match %v, want both", level, len(ms.Specs), phrases)
+		}
+		for _, i := range []int{0, 1, 0, 1} {
+			m := ms.Specs[i]
+			want := referenceOrdinals(t, m.Spec, pols[m.Spec.ID], phrases, level)
+			if got := ms.Modules(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("level %v spec %s: Modules = %v, want %v", level, m.Spec.ID, got, want)
+			}
 		}
 	}
+}
+
+// referenceOrdinals is the evidence Modules must answer for s: per phrase,
+// naiveLookup's postings of the modules carrying all its terms, in
+// canonical order, as the hierarchy's module ordinals.
+func referenceOrdinals(t *testing.T, s *workflow.Spec, pol *privacy.Policy, phrases [][]string, level privacy.Level) [][]int32 {
+	t.Helper()
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []*workflow.Spec{s}
+	pols := map[string]*privacy.Policy{s.ID: pol}
+	ev := make([][]int32, len(phrases))
+	for i, phrase := range phrases {
+		for _, p := range naiveLookup(one, pols, phrase[0], level) {
+			if terms := search.ModuleTerms(h.Place(p.ModuleID).Module); !slices.ContainsFunc(phrase, func(t string) bool { return !terms[t] }) {
+				ev[i] = append(ev[i], h.Place(p.ModuleID).Ord)
+			}
+		}
+	}
+	return ev
 }
 
 func TestInvertedMatchesNaive(t *testing.T) {
@@ -209,9 +265,10 @@ func TestLookupDuringChurn(t *testing.T) {
 					return
 				}
 				stable := false
-				for _, m := range ix.Match([][]string{{"database"}}, privacy.Owner).Specs {
+				ms := ix.Match([][]string{{"database"}}, privacy.Owner)
+				for _, m := range ms.Specs {
 					if m.Spec == specs[0] {
-						stable = m.Policy == pols[m.Spec.ID] && len(m.Phrases[0]) > 0
+						stable = m.Policy == pols[m.Spec.ID] && len(ms.Modules(m)[0]) > 0
 					}
 				}
 				if !stable {
@@ -221,7 +278,7 @@ func TestLookupDuringChurn(t *testing.T) {
 				for _, term := range []string{"query", "database", "filter"} {
 					ps := ix.Lookup(term, privacy.Owner)
 					for i, p := range ps {
-						if i > 0 && postingLess(p, ps[i-1]) {
+						if i > 0 && postingCmp(p, ps[i-1]) < 0 {
 							t.Errorf("postings out of order for %q", term)
 							return
 						}
@@ -416,6 +473,6 @@ func naiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, te
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
+	slices.SortFunc(out, postingCmp)
 	return out
 }

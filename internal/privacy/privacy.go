@@ -123,6 +123,17 @@ func (p *Policy) CanSeeModule(l Level, moduleID string) bool {
 	return l >= p.ModuleLevels[moduleID]
 }
 
+// ModuleNeeds returns, by module ordinal of h (workflow.Hierarchy.ModuleID),
+// the level module privacy requires to see the module: level l may see the
+// module of ordinal m exactly when l ≥ need[m], as CanSeeModule answers.
+func (p *Policy) ModuleNeeds(h *workflow.Hierarchy) []Level {
+	need := make([]Level, h.Modules())
+	for m := range need {
+		need[m] = p.ModuleLevels[h.ModuleID(int32(m))]
+	}
+	return need
+}
+
 // AccessView returns the finest view prefix a user at level l may see:
 // the root workflow plus every grant at levels ≤ l, closed under parents,
 // less what structural privacy withdraws. A pair hidden from l withdraws,

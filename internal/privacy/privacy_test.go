@@ -223,3 +223,27 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 		t.Fatal("view grants lost")
 	}
 }
+
+// TestModuleNeedsAgreesWithCanSeeModule: the table a search hit re-checks
+// handed module ordinals against answers what CanSeeModule answers, for
+// every module of the fixture at every level around the ones it names.
+func TestModuleNeedsAgreesWithCanSeeModule(t *testing.T) {
+	s, p := diseasePolicy(t)
+	p.ModuleLevels["M6"] = Analyst
+	h, err := workflow.NewHierarchy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	need := p.ModuleNeeds(h)
+	if len(need) != h.Modules() {
+		t.Fatalf("%d levels for %d modules", len(need), h.Modules())
+	}
+	for m, n := range need {
+		id := h.ModuleID(int32(m))
+		for l := Public - 1; l <= Owner+1; l++ {
+			if got, want := l >= n, p.CanSeeModule(l, id); got != want {
+				t.Fatalf("module %s (ordinal %d) at %v: table says %v, CanSeeModule %v", id, m, l, got, want)
+			}
+		}
+	}
+}

@@ -153,8 +153,10 @@ type generation struct {
 	ladders map[string]*datapriv.Hierarchy // optional: masking coarsens along them instead of redacting
 
 	// steps is pol's access view per level, as the ascending steps at which
-	// it changes, the first covering every level below the lowest grant.
+	// it changes, the first covering every level below the lowest grant;
+	// need is the level pol requires to see each module, by hierarchy ordinal.
 	steps []*accessStep
+	need  []privacy.Level
 
 	// engine is the taint/masking engine for (pol, ladders), built once per
 	// install instead of once per request.
@@ -419,7 +421,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 func (sh *shard) install(pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) {
 	gen := &generation{
 		seq: seq, pol: pol, ladders: hs,
-		engine: datapriv.NewMasker(pol, hs).Engine(),
+		engine: datapriv.NewMasker(pol, hs).Engine(), need: pol.ModuleNeeds(sh.hier),
 		masked: index.NewLRU[maskedKey, maskedSnapshot](shardCacheCap),
 	}
 	// An access view changes only at the levels ViewLevels names, a grant's
@@ -671,26 +673,21 @@ func (r *Repository) Search(userName, queryText string, opts SearchOptions) ([]S
 }
 
 // SearchPageCtx runs a keyword query as the given user, with the
-// pagination window pushed into the engine. The inverted index answers
-// the predicate — which specs have, for every phrase, a module visible at
-// the user's level that carries it, and which modules those are — and
-// scores each matching spec by TF-IDF over what the level sees
-// (index.Inverted.Match: posting lists only, no spec touched), so the
-// full result set, its total and its order (score descending, spec id
+// pagination window pushed into the engine. The inverted index decides
+// which specs have, for every phrase, a module visible at the user's level
+// carrying it, and scores each by TF-IDF over what the level sees
+// (index.Inverted.Match: no spec touched, no evidence built), so the full
+// result set, its total and its order (score descending, spec id
 // ascending) are known before any spec is touched. Only the specs inside
-// [Offset, Offset+Limit) then get their minimal view — its prefix, clipped
-// to the user's access view, decided from the modules the index named.
-// A deep repository therefore pays per page, not per hit, and total is
-// exact (TestMatchesAgreesWithSearch holds the index's matches and scores
-// to their oracles, TestSearchPageTilesFullSearch pins the tiling
-// end-to-end).
+// [Offset, Offset+Limit) then get their evidence and their minimal view,
+// clipped to the user's access view. A deep repository therefore pays per
+// page, not per hit, and total is exact (TestMatchesAgreesWithSearch holds
+// the index to its oracles, TestSearchPageTilesFullSearch pins the tiling).
 //
 // The view pass checks ctx between specs and abandons the search early
-// when the caller is gone (a disconnected HTTP client). A canceled search
-// returns ctx's error.
-//
-// The window's hits are decided inline, not on the worker pool: each is a
-// few lookups in tables the shard holds (nothing is expanded).
+// when the caller is gone; a canceled search returns ctx's error. The
+// window's hits are decided inline, not on the worker pool: each is a few
+// lookups in tables the shard holds (nothing is expanded).
 func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText string, opts SearchOptions) ([]SearchHit, int, error) {
 	u, err := r.User(userName)
 	if err != nil {
@@ -705,26 +702,14 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	}
 	r.searches.Add(1)
 
-	// The index answers the predicate and scores the answer: every spec
-	// in which each phrase is carried by a module visible at the user's
-	// level, with those modules. Match reads one published snapshot — no
-	// lock, no spec touched — so concurrent spec mutations never stall the
-	// search path. A spec the index lists but the directory does not
-	// (registration or removal in flight) counts as a non-match.
+	// Match reads one published snapshot — no lock, no spec touched — so
+	// concurrent spec mutations never stall the search path. A spec the
+	// index lists but the directory does not (registration or removal in
+	// flight) counts as a non-match.
 	_, matchSpan := obs.StartSpan(ctx, "search.index.match")
 	matched := r.inverted.Match(phrases, u.Level)
-	type ranked struct { // a hit's place in the order: matched.Specs[pos]
-		score float64
-		id    string
-		pos   int
-	}
-	order := make([]ranked, 0, len(matched.Specs))
 	r.mu.RLock()
-	for i, m := range matched.Specs {
-		if r.shards[m.Spec.ID] != nil {
-			order = append(order, ranked{m.Score, m.Spec.ID, i})
-		}
-	}
+	order := slices.DeleteFunc(matched.Specs, func(m index.SpecMatch) bool { return r.shards[m.Spec.ID] == nil })
 	r.mu.RUnlock()
 	if opts.Buckets > 0 {
 		// A bucket's bounds come from the score range over every spec the
@@ -734,19 +719,18 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 			published[rk.Doc] = rk.Score
 		}
 		for i := range order {
-			order[i].score = published[order[i].id]
+			order[i].Score = published[order[i].Spec.ID]
 		}
 	}
 	matchSpan.End()
 
 	// The final hit order (score descending, spec id ascending) is known
-	// before any view is built, so the window is a slice of it. Small
-	// (score, id, position) values are sorted, not the matches.
-	slices.SortFunc(order, func(a, b ranked) int {
-		if a.score != b.score {
-			return cmp.Compare(b.score, a.score)
+	// before any view is built, so the window is a slice of it.
+	slices.SortFunc(order, func(a, b index.SpecMatch) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return strings.Compare(a.id, b.id)
+		return strings.Compare(a.Spec.ID, b.Spec.ID)
 	})
 	total := len(order)
 	window := order[min(opts.Offset, total):]
@@ -759,12 +743,12 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	hits := make([]SearchHit, 0, len(window))
 	names := search.PhraseNames(phrases)
 	_, viewSpan := obs.StartSpan(ctx, "search.views")
-	for _, o := range window {
+	for _, m := range window {
 		if ctx.Err() != nil {
 			break
 		}
-		if res := r.searchView(matched.Specs[o.pos], phrases, names, u.Level); res != nil {
-			hits = append(hits, SearchHit{SpecID: o.id, Score: o.score, Result: res})
+		if res := r.searchView(&matched, m, phrases, names, u.Level); res != nil {
+			hits = append(hits, SearchHit{SpecID: m.Spec.ID, Score: m.Score, Result: res})
 		}
 	}
 	viewSpan.End()
@@ -774,28 +758,27 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 	return hits, total, nil
 }
 
-// searchView decides the minimal view of one spec the index matched, from
-// the state the shard holds now (nil when the shard is gone or no longer
-// matches). The index's matched modules are handed to the search only
-// when the segment they came from was built from the very (spec, policy)
-// pointers the shard holds: then they are exactly what a scan of the
-// shard would find. Otherwise — a policy update or a re-registration of
-// the spec id slipped between the index read and this call — the search
-// scans the shard's own state, so the answer always describes one
+// searchView decides the minimal view of m, one of ms.Specs, from the
+// state the shard holds now (nil when the shard is gone or no longer
+// matches). The index's evidence — ordinals of the shard's hierarchy — is
+// built and handed over only when its segment was built from the very
+// (spec, policy) pointers the shard holds. Otherwise — a policy update or
+// re-registration slipped between the index read and this call — the
+// search scans the shard's own state, so the answer always describes one
 // incarnation under one policy, at worst coarser than the index promised.
-func (r *Repository) searchView(m index.SpecMatch, phrases [][]string, names []string, level privacy.Level) *search.Result {
+func (r *Repository) searchView(ms *index.Matches, m index.SpecMatch, phrases [][]string, names []string, level privacy.Level) *search.Result {
 	sh := r.shard(m.Spec.ID)
 	if sh == nil {
 		return nil
 	}
 	gen := sh.current()
-	pol, access := gen.pol, gen.step(level)
+	access := gen.step(level)
 	var res *search.Result
 	var err error
-	if m.Spec == sh.spec && m.Policy == pol {
-		res, err = search.SearchMatched(sh.spec, sh.hier, names, m.Phrases, access.bits, pol, level)
+	if m.Spec == sh.spec && m.Policy == gen.pol {
+		res, err = search.SearchMatched(sh.spec, sh.hier, names, ms.Modules(m), gen.need, access.bits, level)
 	} else {
-		res, err = search.SearchWithAccess(sh.spec, phrases, access.view, pol, level)
+		res, err = search.SearchWithAccess(sh.spec, phrases, access.view, gen.pol, level)
 	}
 	if err != nil {
 		return nil // the shard's state no longer matches: drop the hit

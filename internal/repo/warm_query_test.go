@@ -126,7 +126,10 @@ func TestQueryAllAcrossPolicyUpdateAnswersUnderOnePolicy(t *testing.T) {
 				}
 			}
 			// QueryAllPageCtx asks its context whether the caller is gone once
-			// before each execution: parking the third call stops it after E1.
+			// before it decides a view plan's bindings and once before it builds
+			// each answer. The executions share one shape, so the third call is
+			// the check before E1's answer is built: parking it stops the call
+			// with every binding decided and E0's answer built.
 			ctx := parkAt(3)
 			type result struct {
 				answers []*query.Answer
@@ -137,7 +140,13 @@ func TestQueryAllAcrossPolicyUpdateAnswersUnderOnePolicy(t *testing.T) {
 				answers, _, err := r.QueryAllPageCtx(ctx, "pub", warmSpec, alphaQuery, 0, 0)
 				done <- result{answers, err}
 			}()
-			<-ctx.reached // E0 and E1 are bound; E2 and E3 are not yet looked at
+			select {
+			case <-ctx.reached:
+			case res := <-done:
+				// A call that asks its context fewer than three times never
+				// parks: fail here, not at go test's timeout.
+				t.Fatalf("QueryAllPageCtx returned (%d answers, %v) without asking its context a third time", len(res.answers), res.err)
+			}
 			if err := r.UpdatePolicy(warmSpec, hiding(warmSpec, privacy.Owner, "M0")); err != nil {
 				t.Fatalf("UpdatePolicy: %v", err)
 			}

@@ -1,11 +1,13 @@
 package search_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"provpriv/internal/index"
@@ -71,10 +73,38 @@ func visibleTerms(s *workflow.Spec, pol *privacy.Policy, level privacy.Level) []
 	return terms
 }
 
+// eagerEvidence is the reference Matches.Modules is held to: the evidence
+// Match used to build for every match, eagerly — per phrase, the postings
+// of the modules visible at level that carry all its terms, in canonical
+// posting order (level, then module id) — found here by scanning the spec
+// and mapped through h to the hierarchy's module ordinals.
+func eagerEvidence(h *workflow.Hierarchy, s *workflow.Spec, pol *privacy.Policy, phrases [][]string, level privacy.Level) [][]int32 {
+	ev := make([][]int32, len(phrases))
+	for i, phrase := range phrases {
+		var ps []index.Posting
+		for _, wid := range s.WorkflowIDs() {
+			for _, m := range s.Workflows[wid].Modules {
+				terms := search.ModuleTerms(m)
+				if pol.CanSeeModule(level, m.ID) && !slices.ContainsFunc(phrase, func(t string) bool { return !terms[t] }) {
+					ps = append(ps, index.Posting{SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: pol.ModuleLevels[m.ID]})
+				}
+			}
+		}
+		slices.SortFunc(ps, func(a, b index.Posting) int {
+			return cmp.Or(cmp.Compare(a.MinLevel, b.MinLevel), strings.Compare(a.ModuleID, b.ModuleID))
+		})
+		for _, p := range ps {
+			ev[i] = append(ev[i], h.Place(p.ModuleID).Ord)
+		}
+	}
+	return ev
+}
+
 // checkIndexAgainstOracle holds index.Inverted.Match to the scan for one
 // query at every level: the matched spec set must equal
-// {spec : search.Matches}, each spec's per-phrase module sets must equal
-// the scan's raw matches, the answer must name the (spec, policy)
+// {spec : search.Matches}, each spec's evidence (Matches.Modules, asked of
+// one answer for every match in turn) must equal the eager reference and
+// name the scan's raw matches, the answer must name the (spec, policy)
 // pointers it describes, and the view built from the handed modules
 // (SearchMatched) must equal the view built by scanning
 // (SearchWithAccess) — which must succeed exactly when Matches holds.
@@ -92,12 +122,12 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 		for _, s := range specs {
 			corpus.Add(s.ID, visibleTerms(s, pols[s.ID], level))
 		}
-		matched := ix.Match(phrases, level)
-		if all, want := matched.RankAll(), corpus.Rank(flat); !reflect.DeepEqual(all, want) {
+		ms := ix.Match(phrases, level)
+		if all, want := ms.RankAll(), corpus.Rank(flat); !reflect.DeepEqual(all, want) {
 			tb.Fatalf("query %q level %v: index ranks %v, corpus %v", q, level, all, want)
 		}
 		got := make(map[string]index.SpecMatch)
-		for _, m := range matched.Specs {
+		for _, m := range ms.Specs {
 			if _, dup := got[m.Spec.ID]; dup {
 				tb.Fatalf("query %q level %v: spec %s matched twice", q, level, m.Spec.ID)
 			}
@@ -130,21 +160,22 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 			if m.Spec != s || m.Policy != pol {
 				tb.Fatalf("query %q spec %s: match does not name the pointers it was built from", q, s.ID)
 			}
+			evidence := ms.Modules(m)
+			if want := eagerEvidence(h, s, pol, phrases, level); !reflect.DeepEqual(evidence, want) {
+				tb.Fatalf("query %q level %v spec %s: index evidence %v, eager reference %v", q, level, s.ID, evidence, want)
+			}
 			wantIDs, _ := search.ScanModuleIDs(s, phrases, pol, level)
-			gotIDs := make([][]string, len(m.Phrases))
-			for i, ps := range m.Phrases {
-				for _, p := range ps {
-					if mod, w := s.FindModule(p.ModuleID); mod == nil || w.ID != p.Workflow || p.SpecID != s.ID || p.MinLevel != pol.ModuleLevels[p.ModuleID] {
-						tb.Fatalf("query %q level %v spec %s: posting %+v does not describe the spec", q, level, s.ID, p)
-					}
-					gotIDs[i] = append(gotIDs[i], p.ModuleID)
+			gotIDs := make([][]string, len(evidence))
+			for i, ords := range evidence {
+				for _, o := range ords {
+					gotIDs[i] = append(gotIDs[i], h.ModuleID(o))
 				}
 				sort.Strings(gotIDs[i])
 			}
 			if !reflect.DeepEqual(gotIDs, wantIDs) {
 				tb.Fatalf("query %q level %v spec %s: index modules %v, scan %v", q, level, s.ID, gotIDs, wantIDs)
 			}
-			res, err := search.SearchMatched(s, h, search.PhraseNames(phrases), m.Phrases, h.Bits(access), pol, level)
+			res, err := search.SearchMatched(s, h, search.PhraseNames(phrases), evidence, pol.ModuleNeeds(h), h.Bits(access), level)
 			if err != nil {
 				tb.Fatalf("query %q level %v spec %s: SearchMatched: %v", q, level, s.ID, err)
 			}
@@ -162,8 +193,8 @@ func checkIndexAgainstOracle(tb testing.TB, ix *index.Inverted, specs []*workflo
 
 // checkIndexAgainstRebuild holds ix to fresh, a BuildInverted of the
 // (spec, policy) pairs ix should hold, for one query at every level: the
-// same specs match, with the same evidence and bit-identical scores, and
-// RankAll agrees.
+// same specs match, under the same (spec, policy) pointers, with
+// bit-identical scores and the same evidence, and RankAll agrees.
 func checkIndexAgainstRebuild(tb testing.TB, ix, fresh *index.Inverted, q string) {
 	tb.Helper()
 	phrases := search.ParseQuery(q)
@@ -176,8 +207,18 @@ func checkIndexAgainstRebuild(tb testing.TB, ix, fresh *index.Inverted, q string
 			sort.Slice(ms, func(i, j int) bool { return ms[i].Spec.ID < ms[j].Spec.ID })
 			return ms
 		}
-		if g, w := sortMatches(got.Specs), sortMatches(want.Specs); !reflect.DeepEqual(g, w) {
-			tb.Fatalf("query %q level %v: index matches %+v, rebuild %+v", q, level, g, w)
+		g, w := sortMatches(got.Specs), sortMatches(want.Specs)
+		if len(g) != len(w) {
+			tb.Fatalf("query %q level %v: index matches %d specs, rebuild %d", q, level, len(g), len(w))
+		}
+		for i := range g {
+			if g[i].Spec != w[i].Spec || g[i].Policy != w[i].Policy || g[i].Score != w[i].Score {
+				tb.Fatalf("query %q level %v: index matches %s (%p, %p, %v), rebuild %s (%p, %p, %v)", q, level,
+					g[i].Spec.ID, g[i].Spec, g[i].Policy, g[i].Score, w[i].Spec.ID, w[i].Spec, w[i].Policy, w[i].Score)
+			}
+			if ge, we := got.Modules(g[i]), want.Modules(w[i]); !reflect.DeepEqual(ge, we) {
+				tb.Fatalf("query %q level %v spec %s: index evidence %v, rebuild %v", q, level, g[i].Spec.ID, ge, we)
+			}
 		}
 	}
 }

@@ -214,12 +214,6 @@ func PhraseNames(query [][]string) []string {
 	return names
 }
 
-// ModuleRef is what a keyword index knows about a match without holding
-// the spec: the module's id and the workflow containing it.
-type ModuleRef interface {
-	ModuleRef() (moduleID, workflowID string)
-}
-
 // Search evaluates a keyword query (see ParseQuery) against a spec with
 // no privacy constraints and returns the minimal view containing all
 // matches. It returns an error when some phrase matches nothing.
@@ -290,26 +284,31 @@ func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow
 }
 
 // SearchMatched is SearchWithAccess for a caller that already knows which
-// modules carry each phrase — matched[i] lists them for the phrase named
-// names[i] (see PhraseNames), as a keyword index over this very (spec,
-// policy) pair reports them — and that holds the spec's prebuilt
-// hierarchy h and the access view as a set of its ordinals (h.Bits).
-// Neither the spec's modules are scanned nor the hierarchy rebuilt, and
-// matched is only read; the answer is the one SearchWithAccess gives
+// modules carry each phrase — matched[i] lists them, as module ordinals of
+// h (Hierarchy.ModuleID), for the phrase named names[i] (see PhraseNames),
+// as a keyword index over this very (spec, policy) pair reports them — and
+// that holds the spec's prebuilt hierarchy h, the access view as a set of
+// its workflow ordinals (h.Bits) and need, the level the policy requires to
+// see each module ordinal (privacy.Policy.ModuleNeeds over h). Neither the
+// spec's modules are scanned nor the hierarchy rebuilt, no id is hashed,
+// and matched is only read; the answer is the one SearchWithAccess gives
 // whenever matched is what its scan would find.
-// Enforcement does not rest on the caller: every handed module is
-// resolved in h and re-checked against pol at level, and one that is
-// absent, in another workflow or hidden is discarded, so a stale list can
-// only shrink the answer (or fail the search), never widen it.
-func SearchMatched[R ModuleRef](spec *workflow.Spec, h *workflow.Hierarchy, names []string, matched [][]R, access workflow.Bits, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+// Enforcement does not rest on the caller: every handed ordinal is
+// bounds-checked and re-checked against need at level, and one outside h
+// or hidden is discarded, so a stale list can only shrink the answer (or
+// fail the search), never widen it.
+func SearchMatched(spec *workflow.Spec, h *workflow.Hierarchy, names []string, matched [][]int32, need []privacy.Level, access workflow.Bits, level privacy.Level) (*Result, error) {
 	if access == nil {
 		return nil, fmt.Errorf("search: nil access view")
 	}
 	if len(matched) != len(names) {
 		return nil, fmt.Errorf("search: %d match lists for %d phrases", len(matched), len(names))
 	}
+	if len(need) != h.Modules() {
+		return nil, fmt.Errorf("search: %d module levels for %d modules", len(need), h.Modules())
+	}
 	var buf [4]phraseState // a query has a few phrases: no allocation for them
-	states, err := handedMatches(buf[:0], h, names, matched, pol, level)
+	states, err := handedMatches(buf[:0], h, names, matched, need, level)
 	if err != nil {
 		return nil, err
 	}
@@ -353,25 +352,24 @@ func scanMatches(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, p
 	return states, nil
 }
 
-// handedMatches turns the per-phrase module refs a caller hands in into
-// raw matches, appended to states, keeping only refs that resolve in the
-// spec h was built from — the module exists, in the named workflow — and
-// pass the module-privacy check. Each ref is one lookup in h.
-func handedMatches[R ModuleRef](states []phraseState, h *workflow.Hierarchy, names []string, matched [][]R, pol *privacy.Policy, level privacy.Level) ([]phraseState, error) {
+// handedMatches turns the per-phrase module ordinals a caller hands in
+// into raw matches, appended to states, keeping only ordinals of h's
+// modules (need has one entry per module) that level may see: the
+// module-privacy re-check is one read of need, the placement one index
+// into h.
+func handedMatches(states []phraseState, h *workflow.Hierarchy, names []string, matched [][]int32, need []privacy.Level, level privacy.Level) ([]phraseState, error) {
 	n := 0
-	for _, refs := range matched {
-		n += len(refs)
+	for _, ords := range matched {
+		n += len(ords)
 	}
 	all := make([]*workflow.Placement, 0, n) // every phrase's matches, one array
 	for i, name := range names {
 		start := len(all)
-		for _, ref := range matched[i] {
-			mid, wid := ref.ModuleRef()
-			at := h.Place(mid)
-			if at == nil || at.Workflow.ID != wid || (pol != nil && !pol.CanSeeModule(level, mid)) {
+		for _, o := range matched[i] {
+			if o < 0 || int(o) >= len(need) || need[o] > level {
 				continue
 			}
-			all = append(all, at)
+			all = append(all, h.Placed(o))
 		}
 		if len(all) == start {
 			return nil, errNoMatch(name)

@@ -185,43 +185,43 @@ func TestSearchWithAccessModulePrivacy(t *testing.T) {
 	}
 }
 
-// handedRef is a module as a keyword index hands it to SearchMatched.
-type handedRef struct{ module, workflow string }
-
-func (r handedRef) ModuleRef() (string, string) { return r.module, r.workflow }
-
 // TestSearchMatchedRechecksHandedModules holds SearchMatched to its
-// enforcement contract: a handed module is resolved in the hierarchy and
-// re-checked against the policy at the asker's level, so a list naming a
-// module hidden from that level, one in another workflow or one the spec
-// lacks cannot widen the answer. Without the policy re-check the public
+// enforcement contract: a handed module ordinal is bounds-checked against
+// the hierarchy and re-checked against the level each module needs, so a
+// list naming a module hidden from the asker's level, or an ordinal the
+// spec lacks, cannot widen the answer. Without the re-check the public
 // search below would find the proprietary Query OMIM.
 func TestSearchMatchedRechecksHandedModules(t *testing.T) {
 	spec := workflow.DiseaseSusceptibility()
 	pol := privacy.NewPolicy(spec.ID)
 	pol.ModuleLevels["M6"] = privacy.Owner // Query OMIM is proprietary
 	h, _ := workflow.NewHierarchy(spec)
-	access := h.Bits(workflow.FullPrefix(h))
-	_, w6 := h.Module("M6")
-	omim := [][]handedRef{{{"M6", w6.ID}}}
-	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, access, pol, privacy.Public); err == nil {
+	access, need := h.Bits(workflow.FullPrefix(h)), pol.ModuleNeeds(h)
+	m2, m6 := h.Place("M2").Ord, h.Place("M6").Ord
+	omim := [][]int32{{m6}}
+	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, need, access, privacy.Public); err == nil {
 		t.Fatalf("a handed module hidden from public answered: %+v", res.Matches)
 	}
-	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, access, pol, privacy.Owner); err != nil || len(res.Matches) != 1 || res.Matches[0].ModuleID != "M6" {
+	if res, err := SearchMatched(spec, h, []string{"omim"}, omim, need, access, privacy.Owner); err != nil || len(res.Matches) != 1 || res.Matches[0].ModuleID != "M6" {
 		t.Fatalf("owner: %v, %v; want the match on M6", res, err)
 	}
-	// Beside a module public may see, the hidden one is dropped, and so are
-	// one named in the wrong workflow and one the spec does not have.
-	_, w2 := h.Module("M2")
-	mixed := [][]handedRef{{{"M2", w2.ID}, {"M6", w6.ID}, {"M2", w6.ID}, {"M99", w2.ID}}}
-	res, err := SearchMatched(spec, h, []string{"x"}, mixed, access, pol, privacy.Public)
-	if err != nil {
-		t.Fatalf("public: %v", err)
-	}
-	for _, m := range res.Matches {
-		if m.ModuleID != "M2" || m.Workflow != w2.ID {
-			t.Fatalf("public answer reports %+v; only M2 in %s may be", m, w2.ID)
+	// Each of the hidden M6, -1 and the first ordinal past the hierarchy's
+	// modules is dropped: alone it answers nothing, beside M2 only M2.
+	for _, bad := range []int32{m6, -1, int32(h.Modules())} {
+		if res, err := SearchMatched(spec, h, []string{"x"}, [][]int32{{bad}}, need, access, privacy.Public); err == nil {
+			t.Fatalf("handed ordinal %d answered public: %+v", bad, res.Matches)
 		}
+		res, err := SearchMatched(spec, h, []string{"x"}, [][]int32{{bad, m2, bad}}, need, access, privacy.Public)
+		if err != nil {
+			t.Fatalf("public, ordinal %d beside M2: %v", bad, err)
+		}
+		if len(res.Matches) != 1 || res.Matches[0].ModuleID != "M2" {
+			t.Fatalf("public answer beside ordinal %d reports %+v; only M2 may be", bad, res.Matches)
+		}
+	}
+	// A level table that is not the hierarchy's is refused outright.
+	if _, err := SearchMatched(spec, h, []string{"omim"}, omim, need[1:], access, privacy.Owner); err == nil {
+		t.Fatal("a level table one short of the hierarchy's modules was accepted")
 	}
 }
 

@@ -151,6 +151,13 @@ func (h *Hierarchy) Module(id string) (*Module, *Workflow) {
 // if there is none. The placement belongs to the hierarchy: read-only.
 func (h *Hierarchy) Place(id string) *Placement { return h.modules[id] }
 
+// Placed returns the placement of the module of ordinal m (see ModuleID),
+// 0 ≤ m < Modules().
+func (h *Hierarchy) Placed(m int32) *Placement { return &h.placed[m] }
+
+// Modules returns the number of module ordinals.
+func (h *Hierarchy) Modules() int { return len(h.placed) }
+
 // Parent returns the parent workflow of wid ("" for the root).
 func (h *Hierarchy) Parent(wid string) string { return h.parent[wid] }
 
