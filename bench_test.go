@@ -32,7 +32,6 @@ import (
 	"provpriv/internal/repo"
 	"provpriv/internal/search"
 	"provpriv/internal/server"
-	"provpriv/internal/sim"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -610,46 +609,6 @@ func BenchmarkMaterializedViews(b *testing.B) {
 			}
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// System-level simulation: mixed workload throughput with the built-in
-// leak checker active (internal/sim).
-
-func BenchmarkSimulation(b *testing.B) {
-	r := repo.New()
-	specs, pols := synthRepoFixture(b, 5)
-	for _, s := range specs {
-		if err := r.AddSpec(s, pols[s.ID]); err != nil {
-			b.Fatal(err)
-		}
-		e, err := exec.NewRunner(s, nil).Run(s.ID+"-E0", workload.RandomInputs(s, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.AddExecution(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-	users := []privacy.User{
-		{Name: "b0", Level: privacy.Public, Group: "g0"},
-		{Name: "b1", Level: privacy.Registered, Group: "g1"},
-		{Name: "b2", Level: privacy.Owner, Group: "g2"},
-	}
-	for _, u := range users {
-		r.AddUser(u)
-	}
-	b.ResetTimer()
-	var leaks int
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(r, sim.Config{Seed: int64(i), Ops: 100, Users: users})
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaks += res.LeakIncidents
-	}
-	b.ReportMetric(float64(leaks), "leaks")
-	b.ReportMetric(100, "ops/iter")
 }
 
 // ---------------------------------------------------------------------------

@@ -195,9 +195,7 @@ func NewEvaluator(s *workflow.Spec) *Evaluator {
 // selects reports whether a phrase selects the spec's module with the
 // given id: a phrase of the form ["id:M6"] by module id, ignoring case,
 // any other phrase when the module carries every one of its terms. An id
-// the spec does not have is never selected. It is the one matcher of
-// execution queries (matchingNodes) and specification queries
-// (EvaluateSpec).
+// the spec does not have is never selected.
 func (ev *Evaluator) selects(moduleID string, phrase []string) bool {
 	terms, ok := ev.terms[moduleID]
 	if !ok {
@@ -429,7 +427,7 @@ func (pe *PreparedExec) returnItems(nodeID string) []string {
 // Evaluate runs the query against an execution with no privacy
 // constraints.
 //
-//provlint:ignore unserved reference: query tests hold the prepared and spec-level evaluation to this per-execution one (match_tables_test.go, spec_test.go)
+//provlint:ignore unserved reference: query tests evaluate one execution with no policy through it (query_test.go, extensions_test.go, match_tables_test.go)
 func (ev *Evaluator) Evaluate(q *Query, e *exec.Execution) (*Answer, error) {
 	pe, err := PrepareExec(e)
 	if err != nil {

@@ -147,7 +147,7 @@ func TestSearchPairsPolicyWithItsAccessView(t *testing.T) {
 			return
 		}
 		installed = (installed + flips) % 2
-		if got := r.Policy(s.ID); got != pols[installed] {
+		if got := r.policy(s.ID); got != pols[installed] {
 			t.Fatalf("round %d: policy %p installed, want %p", round, got, pols[installed])
 		}
 	}

@@ -299,7 +299,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 	for i, specID := range r.SpecIDs() {
 		ladders[specID] = nil
 		if i%2 == 1 { // the ladders change sides
-			ladders[specID] = ladderOver(r, specID, r.Policy(specID), "kind")
+			ladders[specID] = ladderOver(r, specID, r.policy(specID), "kind")
 		}
 		if err := r.SetGeneralization(specID, ladders[specID]); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)

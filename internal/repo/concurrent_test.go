@@ -410,7 +410,7 @@ func TestReachesAnswersFromTheResolvedShard(t *testing.T) {
 		}
 	}
 	owner := privacy.Owner.String()
-	_, full, reach, err := old.current().step(privacy.Owner).closure(old)
+	full, reach, err := old.current().step(privacy.Owner).closure(old)
 	if err != nil {
 		t.Fatalf("removed shard's closure: %v", err)
 	}

@@ -431,7 +431,7 @@ func TestUpdatePolicyConcurrentQueries(t *testing.T) {
 					t.Errorf("QueryAll: %v", err)
 					return
 				}
-				if r.Policy("disease-susceptibility") == nil {
+				if r.policy("disease-susceptibility") == nil {
 					t.Error("nil policy mid-update")
 					return
 				}

@@ -15,6 +15,16 @@ import (
 	"provpriv/internal/workload"
 )
 
+// policy returns the policy the spec's installed generation enforces (nil
+// when the spec is absent).
+func (r *Repository) policy(specID string) *privacy.Policy {
+	sh := r.shard(specID)
+	if sh == nil {
+		return nil
+	}
+	return sh.current().pol
+}
+
 // stored returns one stored execution (nil when absent).
 func (r *Repository) stored(specID, execID string) *exec.Stored {
 	sh := r.shard(specID)

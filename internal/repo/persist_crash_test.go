@@ -230,7 +230,7 @@ func TestBackgroundFoldKillMatrix(t *testing.T) {
 				}
 				for i := 0; i < 3; i++ {
 					sid := fmt.Sprintf("s%d", i)
-					if err := r.UpdatePolicy(sid, r.Policy(sid)); err != nil {
+					if err := r.UpdatePolicy(sid, r.policy(sid)); err != nil {
 						t.Fatalf("UpdatePolicy: %v", err)
 					}
 				}

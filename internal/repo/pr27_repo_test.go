@@ -51,7 +51,7 @@ func pr27Repo(t testing.TB, saved func(*Repository)) *Repository {
 			}
 		}
 		if j == 0 {
-			if err := r.SetGeneralization("old-0", ladderOver(r, "old-0", r.Policy("old-0"), "some")); err != nil {
+			if err := r.SetGeneralization("old-0", ladderOver(r, "old-0", r.policy("old-0"), "some")); err != nil {
 				t.Fatalf("SetGeneralization: %v", err)
 			}
 		}

@@ -81,7 +81,7 @@ func checkRankingAgainstCorpus(t *testing.T, r *Repository, stage string, querie
 	for _, level := range []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner} {
 		corpus := rank.NewCorpus()
 		for _, id := range r.SpecIDs() {
-			corpus.Add(id, visibleSpecTerms(r.Spec(id), r.Policy(id), level))
+			corpus.Add(id, visibleSpecTerms(r.Spec(id), r.policy(id), level))
 		}
 		for _, q := range queries {
 			phrases := search.ParseQuery(q)
@@ -96,7 +96,7 @@ func checkRankingAgainstCorpus(t *testing.T, r *Repository, stage string, querie
 				}
 				var want []rank.Ranked
 				for _, rk := range ranked {
-					if search.Matches(r.Spec(rk.Doc), phrases, r.Policy(rk.Doc), level) {
+					if search.Matches(r.Spec(rk.Doc), phrases, r.policy(rk.Doc), level) {
 						want = append(want, rk)
 					}
 				}

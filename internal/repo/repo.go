@@ -175,9 +175,9 @@ type generation struct {
 // accessStep is the access view of every level from from up to the next
 // step's, as ids and as the hierarchy's ordinals (what a search clips to),
 // with its canonical key (workflow.Prefix.Key), whether it is
-// coarser than the full expansion, and — built on first use — the spec
-// expanded to it with its reachability closure. All of it is shared by
-// every reader of the generation: read-only.
+// coarser than the full expansion, and — built on first use — the graph of
+// the spec expanded to it with its reachability closure. All of it is shared
+// by every reader of the generation: read-only.
 type accessStep struct {
 	from   privacy.Level
 	view   workflow.Prefix
@@ -185,11 +185,10 @@ type accessStep struct {
 	key    string
 	zoomed bool
 
-	once     sync.Once
-	expanded *workflow.View
-	graph    *graph.Graph
-	reach    *graph.Closure
-	err      error
+	once  sync.Once
+	graph *graph.Graph
+	reach *graph.Closure
+	err   error
 }
 
 // planKey keys a shard's view plans: one per shape per distinct prefix.
@@ -450,18 +449,19 @@ func (g *generation) step(l privacy.Level) *accessStep {
 	return g.steps[i]
 }
 
-// closure returns the spec expanded to the step's view, with the expansion's
-// graph and transitive closure: what Reaches and QuerySpec answer from. It is
-// derived from the view alone, once, by whoever asks first.
-func (st *accessStep) closure(sh *shard) (*workflow.View, *graph.Graph, *graph.Closure, error) {
+// closure returns the graph of the spec expanded to the step's view and its
+// transitive closure: what Reaches answers from. It is derived from the view
+// alone, once, by whoever asks first.
+func (st *accessStep) closure(sh *shard) (*graph.Graph, *graph.Closure, error) {
 	st.once.Do(func() {
-		if st.expanded, st.err = workflow.ExpandIn(sh.spec, sh.hier, st.view); st.err != nil {
+		var v *workflow.View
+		if v, st.err = workflow.ExpandIn(sh.spec, sh.hier, st.view); st.err != nil {
 			return
 		}
-		st.graph = st.expanded.Graph()
+		st.graph = v.Graph()
 		st.reach, st.err = graph.NewClosure(st.graph)
 	})
-	return st.expanded, st.graph, st.reach, st.err
+	return st.graph, st.reach, st.err
 }
 
 // SpecIDs returns the registered spec ids, sorted.
@@ -478,15 +478,6 @@ func (r *Repository) Spec(id string) *workflow.Spec {
 		return nil
 	}
 	return sh.spec
-}
-
-// Policy returns the policy of a spec, or nil.
-func (r *Repository) Policy(specID string) *privacy.Policy {
-	sh := r.shard(specID)
-	if sh == nil {
-		return nil
-	}
-	return sh.current().pol
 }
 
 // AddExecution stores a validated execution of a registered spec as its
@@ -965,7 +956,7 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 	if from == to {
 		return false, nil // decided here: the closure below is reflexive
 	}
-	_, g, reach, err := access.closure(sh)
+	g, reach, err := access.closure(sh)
 	if err != nil {
 		return false, err
 	}
@@ -1029,27 +1020,6 @@ func (r *Repository) QueryZoomOut(userName, specID, execID, queryText string) (*
 		return nil, err
 	}
 	return &query.ZoomOutResult{Answer: ans, Prefix: prefix, Steps: steps}, nil
-}
-
-// QuerySpec evaluates a structural query against a specification (not
-// an execution): variables bind to modules of the user's access view,
-// with module privacy applied — "find workflows where Expand SNP Set
-// feeds Query OMIM" without touching provenance.
-func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecAnswer, error) {
-	u, sh, err := r.reader(userName, specID)
-	if err != nil {
-		return nil, err
-	}
-	q, err := query.Parse(queryText)
-	if err != nil {
-		return nil, err
-	}
-	gen := sh.current()
-	v, _, _, err := gen.step(u.Level).closure(sh)
-	if err != nil {
-		return nil, err
-	}
-	return sh.eval.EvaluateSpec(q, v, gen.pol, u.Level)
 }
 
 // QueryAllPageCtx evaluates a structural query against every execution

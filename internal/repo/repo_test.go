@@ -271,31 +271,6 @@ func TestConcurrentSearch(t *testing.T) {
 	wg.Wait()
 }
 
-func TestQuerySpec(t *testing.T) {
-	r := seededRepo(t)
-	// alice (Owner) sees the full expansion.
-	ans, err := r.QuerySpec("alice", "disease-susceptibility",
-		`MATCH a = "expand snp", b = "query omim" WHERE a ~> b`)
-	if err != nil {
-		t.Fatalf("QuerySpec: %v", err)
-	}
-	if len(ans.Bindings) != 1 || ans.Bindings[0]["b"] != "M6" {
-		t.Fatalf("bindings = %v", ans.Bindings)
-	}
-	// bob (Public, view {W1}) cannot see M6 at all.
-	ansBob, err := r.QuerySpec("bob", "disease-susceptibility", `MATCH b = "query omim"`)
-	if err != nil {
-		t.Fatalf("QuerySpec bob: %v", err)
-	}
-	if len(ansBob.Bindings) != 0 {
-		t.Fatalf("bob bindings = %v", ansBob.Bindings)
-	}
-	// Unknown spec errors.
-	if _, err := r.QuerySpec("alice", "nope", `MATCH a = "x"`); err == nil {
-		t.Fatal("unknown spec accepted")
-	}
-}
-
 func TestSetGeneralization(t *testing.T) {
 	r := seededRepo(t)
 	h := &datapriv.Hierarchy{

@@ -192,7 +192,7 @@ func TestSearchServesWhatTheShardHoldsAtViewTime(t *testing.T) {
 			}
 			// Whatever was served holds of the shard's current state.
 			for _, h := range hits {
-				s, pol := r.Spec(h.SpecID), r.Policy(h.SpecID)
+				s, pol := r.Spec(h.SpecID), r.policy(h.SpecID)
 				for _, m := range h.Result.Matches {
 					mod, _ := s.FindModule(m.ModuleID)
 					if mod == nil || !pol.CanSeeModule(privacy.Public, m.ModuleID) || !carries(mod, [][]string{{"alpha"}}, m.Phrase) {
@@ -415,7 +415,7 @@ func TestSearchAnswerDependsOnLevelNotGroup(t *testing.T) {
 	scan := func(q string, level privacy.Level) map[string]*search.Result {
 		want := make(map[string]*search.Result)
 		for i, s := range specs {
-			pol := r.Policy(s.ID)
+			pol := r.policy(s.ID)
 			if res, err := search.SearchWithAccess(s, search.ParseQuery(q), pol.AccessView(hiers[i], level), pol, level); err == nil {
 				want[s.ID] = res
 			}

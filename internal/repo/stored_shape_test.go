@@ -257,7 +257,7 @@ func TestLoadsPR27Directory(t *testing.T) {
 	defer func(old uint64) { compactThreshold = old }(compactThreshold)
 	compactThreshold = 0
 	for _, sid := range r.SpecIDs() {
-		if err := r.UpdatePolicy(sid, r.Policy(sid)); err != nil {
+		if err := r.UpdatePolicy(sid, r.policy(sid)); err != nil {
 			t.Fatalf("UpdatePolicy(%s): %v", sid, err)
 		}
 	}

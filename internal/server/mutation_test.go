@@ -78,6 +78,44 @@ func do(t *testing.T, ts *httptest.Server, method, path, secret string, body []b
 	return resp.StatusCode
 }
 
+// installedPolicy observes the fixture spec's installed policy through what
+// is served: the public reader's /provenance of e's prognosis item, in which
+// the fixture's policy keeps snps redacted (checked here), and the index
+// swaps /stats counts, one more with every installed policy.
+func installedPolicy(t *testing.T, ts *httptest.Server, e *exec.Execution) (provenance string, swaps int64) {
+	t.Helper()
+	var progID, snpID string
+	for id, it := range e.Items {
+		switch it.Attr {
+		case "prognosis":
+			progID = id
+		case "snps":
+			snpID = id
+		}
+	}
+	var body json.RawMessage
+	path := fmt.Sprintf("/api/v1/provenance?spec=disease-susceptibility&exec=%s&item=%s", e.ID, progID)
+	if code := do(t, ts, "GET", path, readerSecret, nil, &body); code != http.StatusOK {
+		t.Fatalf("provenance: %d", code)
+	}
+	var prov struct {
+		Provenance *exec.Execution `json:"provenance"`
+	}
+	if err := json.Unmarshal(body, &prov); err != nil {
+		t.Fatal(err)
+	}
+	if it := prov.Provenance.Items[snpID]; it == nil || !it.Redacted {
+		t.Fatalf("public snps = %+v, want redacted as the fixture's policy has it", it)
+	}
+	var st struct {
+		IndexSwaps int64 `json:"index_swaps"`
+	}
+	if code := do(t, ts, "GET", "/api/v1/stats", readerSecret, nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	return string(body), st.IndexSwaps
+}
+
 // zebrafishSpec builds a small spec with a vocabulary no fixture spec
 // shares, so index-freshness assertions are unambiguous.
 func zebrafishSpec(t testing.TB, id string) *workflow.Spec {
@@ -282,13 +320,14 @@ func TestBearerSchemeCaseInsensitive(t *testing.T) {
 // would otherwise decode as a nil policy and reset the spec to
 // all-public with a 200.
 func TestUnknownBodyFieldRejected(t *testing.T) {
-	ts, _, r, _ := newAuthedServer(t)
+	ts, _, _, e := newAuthedServer(t)
+	served, swaps := installedPolicy(t, ts, e)
 	body := `{"spec":"disease-susceptibility","plicy":{"data_levels":{"snps":3}}}`
 	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), nil); code != http.StatusBadRequest {
 		t.Fatalf("typo'd policy key: %d, want 400", code)
 	}
 	// The policy is untouched: snps is still owner-protected.
-	if pol := r.Policy("disease-susceptibility"); pol.DataLevels["snps"] == 0 {
+	if got, n := installedPolicy(t, ts, e); got != served || n != swaps {
 		t.Fatal("typo'd body silently reset the policy")
 	}
 	gen := `{"spec":"disease-susceptibility","heirarchies":{}}`
@@ -369,16 +408,17 @@ func TestMutationConflictsAndValidation(t *testing.T) {
 // modules share no composite cannot be hidden: PUT /policy and POST /specs
 // answer 400 naming it, and install nothing.
 func TestUnhideablePairRefusedOverWire(t *testing.T) {
-	ts, _, r, _ := newAuthedServer(t)
+	ts, _, r, e := newAuthedServer(t)
 	var fail struct {
 		Error string `json:"error"`
 	}
+	served, swaps := installedPolicy(t, ts, e)
 	body := `{"spec":"disease-susceptibility","policy":{"structural":[{"from":"M3","to":"M9","level":3}]}}`
 	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), &fail); code != http.StatusBadRequest || !strings.Contains(fail.Error, "M3->M9") {
 		t.Fatalf("PUT /policy hiding M3 (W2) -> M9 (W3): %d %q, want 400 naming the pair", code, fail.Error)
 	}
-	if pol := r.Policy("disease-susceptibility"); len(pol.Structural) != 0 || pol.DataLevels["snps"] == 0 {
-		t.Fatalf("refused policy installed: %+v", pol)
+	if got, n := installedPolicy(t, ts, e); got != served || n != swaps {
+		t.Fatalf("refused policy installed: %d index swaps, want %d; public provenance\n got %s\nwant %s", n, swaps, got, served)
 	}
 	specJSON, _ := json.Marshal(zebrafishSpec(t, "zf-pair"))
 	add, _ := json.Marshal(map[string]json.RawMessage{"spec": specJSON, "policy": []byte(`{"structural":[{"from":"I","to":"A1","level":3}]}`)})
@@ -400,29 +440,16 @@ func TestUnhideablePairRefusedOverWire(t *testing.T) {
 // install nothing, rather than accept a requirement no answer honours.
 func TestModuleGammaRefusedOverWire(t *testing.T) {
 	ts, _, r, e := newAuthedServer(t)
-	var progID string
-	for id, it := range e.Items {
-		if it.Attr == "prognosis" {
-			progID = id
-		}
-	}
-	path := fmt.Sprintf("/api/v1/provenance?spec=disease-susceptibility&exec=%s&item=%s", e.ID, progID)
-	read := func() string {
-		var body json.RawMessage
-		if code := do(t, ts, "GET", path, readerSecret, nil, &body); code != http.StatusOK {
-			t.Fatalf("provenance: %d", code)
-		}
-		return string(body)
-	}
-	before, served := r.Policy("disease-susceptibility"), read()
+	served, swaps := installedPolicy(t, ts, e)
 	body := `{"spec":"disease-susceptibility","policy":{"spec":"disease-susceptibility","module_gamma":{"M1":4}}}`
 	if code := do(t, ts, "PUT", "/api/v1/policy", writerSecret, []byte(body), nil); code != http.StatusBadRequest {
 		t.Fatalf("PUT /policy with module_gamma: %d, want 400", code)
 	}
-	if r.Policy("disease-susceptibility") != before {
+	got, n := installedPolicy(t, ts, e)
+	if n != swaps {
 		t.Fatal("a policy asking for Γ replaced the installed one")
 	}
-	if got := read(); got != served {
+	if got != served {
 		t.Fatalf("answer moved after a refused policy:\n got %s\nwant %s", got, served)
 	}
 	specJSON, _ := json.Marshal(zebrafishSpec(t, "zf-gamma"))

@@ -25,8 +25,9 @@ import (
 
 // diseaseLeakRepo reproduces examples/disease exactly: the Fig. 1
 // workflow, the Section 3 policy and the example's inputs (snps
-// rs123,rs456), plus one user per access level.
-func diseaseLeakRepo(t *testing.T) (*repo.Repository, *workflow.Spec, *exec.Execution) {
+// rs123,rs456), plus one user per access level. It returns the policy it
+// registered beside the repository.
+func diseaseLeakRepo(t *testing.T) (*repo.Repository, *workflow.Spec, *exec.Execution, *privacy.Policy) {
 	t.Helper()
 	spec := workflow.DiseaseSusceptibility()
 	pol := privacy.NewPolicy(spec.ID)
@@ -50,7 +51,7 @@ func diseaseLeakRepo(t *testing.T) (*repo.Repository, *workflow.Spec, *exec.Exec
 		t.Fatalf("AddExecution: %v", err)
 	}
 	addLevelUsers(r)
-	return r, spec, e
+	return r, spec, e, pol
 }
 
 func addLevelUsers(r *repo.Repository) {
@@ -79,7 +80,7 @@ func itemByAttr(t *testing.T, e *exec.Execution, attr string) string {
 // before taint propagation, the public provenance of prognosis embedded
 // the owner-only snps value rs123 verbatim inside the trace string.
 func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
-	r, spec, e := diseaseLeakRepo(t)
+	r, spec, e, pol := diseaseLeakRepo(t)
 	prognosis := itemByAttr(t, e, "prognosis")
 	prov, err := r.Provenance("pub", spec.ID, "E1", prognosis)
 	if err != nil {
@@ -101,7 +102,6 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 	// Negative control, proving the regression test bites: the same view
 	// masked without taint propagation — a nil taint set, which the
 	// repository never passes — is exactly the documented hole.
-	pol := r.Policy(spec.ID)
 	h, err := workflow.NewHierarchy(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRegressionPublicProvenanceEmbedsSNPs(t *testing.T) {
 // (the analyst sees W2–W4) and returns provenance subgraphs, whose item
 // values must not embed the owner-only snps value.
 func TestRegressionAnalystQueryEmbedsSNPs(t *testing.T) {
-	r, spec, _ := diseaseLeakRepo(t)
+	r, spec, _, _ := diseaseLeakRepo(t)
 	q := `MATCH a = "expand snp", b = "query omim" WHERE a ~> b RETURN provenance(b)`
 	ans, err := r.Query("ana", spec.ID, "E1", q)
 	if err != nil {
@@ -192,9 +192,9 @@ func leakOracle(t *testing.T, full, served *exec.Execution, pol *privacy.Policy,
 // synthetic random specs: for every execution, every item and every
 // access level, served provenance must pass the ancestor oracle.
 func TestLeakFreeProvenanceAllLevels(t *testing.T) {
-	r, spec, e := diseaseLeakRepo(t)
+	r, spec, e, pol := diseaseLeakRepo(t)
 	execs := map[string]map[string]*exec.Execution{spec.ID: {"E1": e}}
-	pols := map[string]*privacy.Policy{spec.ID: r.Policy(spec.ID)}
+	pols := map[string]*privacy.Policy{spec.ID: pol}
 
 	for i := 0; i < 3; i++ {
 		s, err := workload.RandomSpec(workload.SpecConfig{
@@ -257,7 +257,7 @@ func TestLeakFreeProvenanceAllLevels(t *testing.T) {
 // leak-free AND keep the taint counters moving — the snapshot replays the
 // masking report recorded when it was built.
 func TestTaintCountersOnMaterializedFastPath(t *testing.T) {
-	r, spec, e := diseaseLeakRepo(t)
+	r, spec, e, _ := diseaseLeakRepo(t)
 	prognosis := itemByAttr(t, e, "prognosis")
 	if _, err := r.Provenance("pub", spec.ID, "E1", prognosis); err != nil {
 		t.Fatalf("cold provenance: %v", err)
