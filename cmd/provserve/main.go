@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,18 +56,18 @@ import (
 	"provpriv/internal/repo"
 	"provpriv/internal/server"
 	"provpriv/internal/storage"
-	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
 )
 
-// Sizes nobody has needed to set: the background task queue's capacity (a
-// full queue answers 429 on the async endpoints) and how many completed
-// traces GET /api/v1/debug/traces keeps. The query fan-out pool is sized to
+// traceRing is how many completed traces GET /api/v1/debug/traces keeps, a
+// size nobody has needed to set. The query fan-out pool is sized to
 // GOMAXPROCS by repo.New.
-const (
-	taskQueue = 64
-	traceRing = 256
-)
+const traceRing = 256
+
+// unwindGrace bounds the wait, at shutdown, for the requests canceled at
+// -drain-timeout to return. A canceled bulk batch stops before its next
+// item; the bound is for a request stuck reading a slow client's body.
+const unwindGrace = time.Second
 
 // userFlags collects repeated -user NAME=LEVEL flags.
 type userFlags []privacy.User
@@ -96,9 +97,12 @@ func main() {
 	// with "-backend flat"; it goes with BENCHMARK.json v2 (ROADMAP 4(f)).
 	backendName := flag.String("backend", "flat", "accepted for compatibility; flat is the only value")
 	example := flag.Bool("example", false, "serve the built-in paper example instead of -data")
-	taskWorkers := flag.Int("task-workers", 2, "background task workers (bulk ingest; 0 disables the async surface)")
+	// Bulk ingest runs inside its request; there are no task workers. The
+	// flag is parsed only because the frozen benchmark harness starts the
+	// server with "-task-workers 2"; it goes with -backend.
+	flag.Int("task-workers", 2, "accepted for compatibility; ignored")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
-		"shutdown budget for draining in-flight requests and background tasks before stragglers are canceled")
+		"shutdown budget for in-flight requests to finish; requests still running then are canceled (a bulk batch stops between items)")
 	tokenFile := flag.String("token-file", "",
 		"bearer-token file (name:role:user:sha256hex per line); configuring it disables the trusted X-Prov-User header")
 	tokenReload := flag.Duration("token-reload", 5*time.Second,
@@ -256,19 +260,15 @@ func main() {
 	// A served directory is saved in place; -example serves from memory and
 	// POST /api/v1/save answers 400 there.
 	srv.SaveDir = *data
-	var rt *tasks.Runtime
-	if *taskWorkers > 0 {
-		rt = tasks.New(*taskWorkers, taskQueue)
-		// Terminal tasks feed the queue-wait/run histograms; sampled
-		// tasks get their own root traces in the debug ring.
-		rt.SetObserve(metrics.ObserveTask)
-		rt.SetTraceHook(tracer.StartRoot)
-		srv.Tasks = rt
-	}
+	// Every request context derives from reqCtx, so shutdown can cancel the
+	// requests still running once its budget is spent.
+	reqCtx, cancelRequests := context.WithCancel(context.Background())
+	defer cancelRequests()
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return reqCtx },
 	}
 
 	// One structured record with the effective configuration, so any
@@ -277,7 +277,6 @@ func main() {
 		"addr", *addr,
 		"data_dir", *data,
 		"example", *example,
-		"task_workers", *taskWorkers,
 		"drain_timeout", *drainTimeout,
 		"auth_mode", authMode,
 		"token_reload", *tokenReload,
@@ -347,12 +346,13 @@ func main() {
 	case err := <-errCh:
 		log.Fatalf("serve: %v", err)
 	case <-ctx.Done():
-		// Graceful drain, one deadline for the whole sequence: stop
-		// accepting requests and finish in-flight ones, let background
-		// tasks run down (stragglers are canceled at the deadline), then
-		// take a final snapshot so nothing accepted before the signal is
-		// lost, and release the storage backend. Each stage logs its own
-		// duration so a slow shutdown names its culprit.
+		// Graceful drain: stop accepting requests and let in-flight ones
+		// finish within -drain-timeout. Requests still running then are
+		// canceled — a bulk batch stops between items — and given
+		// unwindGrace to return, so the final snapshot sees no batch
+		// mid-way and nothing accepted before the signal is lost. Then the
+		// storage backend is released. Each stage logs its own duration so
+		// a slow shutdown names its culprit.
 		srv.SetDraining(true)
 		logger.Info("shutdown started", "drain_timeout", *drainTimeout)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -360,16 +360,17 @@ func main() {
 		stage := time.Now()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("shutdown: http drain", "duration", time.Since(stage), "error", err)
+			cancelRequests()
+			stage = time.Now()
+			unwindCtx, cancelUnwind := context.WithTimeout(context.Background(), unwindGrace)
+			if err := httpSrv.Shutdown(unwindCtx); err != nil {
+				logger.Error("shutdown: canceled requests", "duration", time.Since(stage), "error", err)
+			} else {
+				logger.Info("shutdown: canceled requests returned", "duration", time.Since(stage))
+			}
+			cancelUnwind()
 		} else {
 			logger.Info("shutdown: http drained", "duration", time.Since(stage))
-		}
-		if rt != nil {
-			stage = time.Now()
-			if err := rt.Drain(shutdownCtx); err != nil {
-				logger.Error("shutdown: task drain", "duration", time.Since(stage), "error", err)
-			} else {
-				logger.Info("shutdown: tasks drained", "duration", time.Since(stage))
-			}
 		}
 		if srv.SaveDir != "" {
 			stage = time.Now()

@@ -11,7 +11,7 @@ import (
 // a traced request.
 func BenchmarkSpanStartEnd(b *testing.B) {
 	tracer := NewTracer(4, 1, time.Hour)
-	ctx, done := tracer.StartRoot(context.Background(), "bench")
+	ctx, done := startTestTrace(tracer, "bench")
 	defer done()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -19,7 +19,7 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 		if i%maxSpans == 0 {
 			// Fresh trace so the span cap never turns spans into no-ops.
 			done()
-			ctx, done = tracer.StartRoot(context.Background(), "bench")
+			ctx, done = startTestTrace(tracer, "bench")
 		}
 		_, sp := StartSpan(ctx, "op")
 		sp.End()

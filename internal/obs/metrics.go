@@ -24,25 +24,14 @@ type routeMetrics struct {
 	bytes   atomic.Int64 //provlint:counter
 }
 
-// taskMetrics is the per-task-kind slot: how long tasks waited for a
-// worker and how long their handlers ran.
-type taskMetrics struct {
-	queueWait Histogram
-	run       Histogram
-}
-
 // Metrics is the registry behind the middleware and the /metrics page:
 // per-route × status-class latency histograms, response sizes, the
-// in-flight gauge, panic and slow-request counters, and per-task-class
-// queue-wait/run-duration histograms. The observe path takes one
-// RWMutex read lock and touches only atomics — no allocation, no
-// interface boxing.
+// in-flight gauge, and panic and slow-request counters. The observe
+// path takes one RWMutex read lock and touches only atomics — no
+// allocation, no interface boxing.
 type Metrics struct {
 	mu     sync.RWMutex
 	routes map[string]*routeMetrics
-
-	taskMu sync.RWMutex
-	tasks  map[string]*taskMetrics
 
 	inflight atomic.Int64
 	panics   atomic.Int64 //provlint:counter
@@ -51,10 +40,7 @@ type Metrics struct {
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		routes: make(map[string]*routeMetrics),
-		tasks:  make(map[string]*taskMetrics),
-	}
+	return &Metrics{routes: make(map[string]*routeMetrics)}
 }
 
 // observe records one completed request under its matched route
@@ -79,25 +65,6 @@ func (m *Metrics) observe(route string, status int, d time.Duration, bytes int64
 	if bytes > 0 {
 		rm.bytes.Add(bytes)
 	}
-}
-
-// ObserveTask records one terminal background task: how long it queued
-// and how long its handler ran. The signature matches the task
-// runtime's observer hook so the two packages stay decoupled.
-func (m *Metrics) ObserveTask(kind string, queueWait, run time.Duration) {
-	m.taskMu.RLock()
-	tm := m.tasks[kind]
-	m.taskMu.RUnlock()
-	if tm == nil {
-		m.taskMu.Lock()
-		if tm = m.tasks[kind]; tm == nil {
-			tm = &taskMetrics{}
-			m.tasks[kind] = tm
-		}
-		m.taskMu.Unlock()
-	}
-	tm.queueWait.Observe(queueWait)
-	tm.run.Observe(run)
 }
 
 // fmtFloat renders a float the exposition format accepts without
@@ -142,8 +109,8 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
 }
 
 // WritePrometheus renders every registered metric in the Prometheus
-// text exposition format under the provpriv_ prefix: the HTTP families,
-// the task families, and the Go runtime gauges. Families are emitted
+// text exposition format under the provpriv_ prefix: the HTTP families
+// and the Go runtime gauges. Families are emitted
 // with exactly one HELP/TYPE header each and deterministic series
 // order, which ValidateExposition pins.
 func (m *Metrics) WritePrometheus(w io.Writer) {
@@ -195,30 +162,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		for i, route := range routes {
 			fmt.Fprintf(w, "provpriv_http_response_bytes_total{route=%q} %d\n", route, rms[i].bytes.Load())
 		}
-	}
-
-	m.taskMu.RLock()
-	kinds := make([]string, 0, len(m.tasks))
-	for k := range m.tasks {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	tms := make([]*taskMetrics, len(kinds))
-	for i, k := range kinds {
-		tms[i] = m.tasks[k]
-	}
-	m.taskMu.RUnlock()
-	if len(kinds) > 0 {
-		waits := make([]histSeries, len(kinds))
-		runs := make([]histSeries, len(kinds))
-		for i, k := range kinds {
-			waits[i] = histSeries{labels: fmt.Sprintf("kind=%q", k), h: &tms[i].queueWait}
-			runs[i] = histSeries{labels: fmt.Sprintf("kind=%q", k), h: &tms[i].run}
-		}
-		writeHistogramFamily(w, "provpriv_tasks_queue_wait_seconds",
-			"Time background tasks spent queued before a worker picked them up, by kind.", waits)
-		writeHistogramFamily(w, "provpriv_tasks_run_seconds",
-			"Background task handler run time, by kind.", runs)
 	}
 
 	writeRuntimeGauges(w)

@@ -44,7 +44,6 @@ func TestMetricsExpositionValid(t *testing.T) {
 	m.observe("GET /api/v1/search", 404, time.Millisecond, 64)
 	m.observe("POST /api/v1/executions", 201, 10*time.Millisecond, 128)
 	m.observe("weird", 99, time.Millisecond, 0) // 0xx class
-	m.ObserveTask("compact", 2*time.Millisecond, 40*time.Millisecond)
 	m.panics.Add(1)
 
 	var b bytes.Buffer
@@ -57,7 +56,6 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`provpriv_http_requests_total{route="GET /api/v1/search",status="2xx"} 1`,
 		`provpriv_http_requests_total{route="weird",status="0xx"} 1`,
 		`provpriv_http_response_bytes_total{route="GET /api/v1/search"} 576`,
-		`provpriv_tasks_queue_wait_seconds_count{kind="compact"} 1`,
 		`provpriv_http_panics_total 1`,
 		`provpriv_go_goroutines`,
 	} {
@@ -283,9 +281,17 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 	}
 }
 
+// startTestTrace opens a trace named name outside the middleware and
+// returns the func that commits it to the ring.
+func startTestTrace(tr *Tracer, name string) (context.Context, func()) {
+	ctx, t := tr.startTrace(context.Background(), "", name)
+	start := time.Now()
+	return ctx, func() { tr.finish(t, name, 0, time.Since(start)) }
+}
+
 func TestSpanCapDropsNotGrows(t *testing.T) {
 	tracer := NewTracer(4, 1, time.Hour)
-	ctx, done := tracer.StartRoot(context.Background(), "root")
+	ctx, done := startTestTrace(tracer, "root")
 	for i := 0; i < maxSpans+10; i++ {
 		_, sp := StartSpan(ctx, "s")
 		sp.End()
@@ -297,21 +303,6 @@ func TestSpanCapDropsNotGrows(t *testing.T) {
 	}
 	if views[0].Dropped == 0 {
 		t.Fatal("dropped counter not reported")
-	}
-}
-
-func TestStartRootHookShape(t *testing.T) {
-	tracer := NewTracer(4, 1, time.Nanosecond)
-	ctx, done := tracer.StartRoot(context.Background(), "task.compact")
-	_, sp := StartSpan(ctx, "inner")
-	sp.End()
-	done()
-	views := tracer.Recent()
-	if len(views) != 1 || views[0].Name != "task.compact" {
-		t.Fatalf("views = %+v", views)
-	}
-	if len(views[0].Spans) != 1 || len(views[0].Spans[0].Children) != 1 {
-		t.Fatalf("span tree = %+v", views[0].Spans)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Trace collects the spans of one sampled request (or one traced
-// background task). Spans append under a plain mutex — a sampled
-// request records a handful of spans, so contention is negligible, and
-// unsampled requests never construct a Trace at all.
+// Trace collects the spans of one sampled request. Spans append under a
+// plain mutex — a sampled request records a handful of spans, so
+// contention is negligible, and unsampled requests never construct a
+// Trace at all.
 type Trace struct {
 	ID    string
 	Name  string
@@ -140,7 +140,7 @@ func (tr *Tracer) sample() bool {
 
 // StartRequest begins a trace for a sampled request and returns a ctx
 // carrying it. Callers must only use it after sample() said yes (the
-// middleware fuses the two; StartRoot is the standalone form).
+// middleware fuses the two).
 func (tr *Tracer) startTrace(ctx context.Context, id, name string) (context.Context, *Trace) {
 	t := &Trace{ID: id, Name: name, Start: time.Now()}
 	tr.sampled.Add(1)
@@ -164,24 +164,6 @@ func (tr *Tracer) finish(t *Trace, name string, status int, dur time.Duration) {
 		tr.next = (tr.next + 1) % cap(tr.ring)
 	}
 	tr.mu.Unlock()
-}
-
-// StartRoot opens a sampled root trace around a non-HTTP unit of work
-// (a background task). The returned finish func commits the
-// trace; when the sampler says no it returns (ctx, no-op). The
-// signature matches the task runtime's trace hook so the packages stay
-// decoupled.
-func (tr *Tracer) StartRoot(ctx context.Context, name string) (context.Context, func()) {
-	if !tr.sample() {
-		return ctx, func() {}
-	}
-	ctx, t := tr.startTrace(ctx, "", name)
-	ctx, sp := StartSpan(ctx, name)
-	start := time.Now()
-	return ctx, func() {
-		sp.End()
-		tr.finish(t, name, 0, time.Since(start))
-	}
 }
 
 // SpanView is one span rendered for the debug endpoint, children

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +12,6 @@ import (
 	"provpriv/internal/auth"
 	"provpriv/internal/obs"
 	"provpriv/internal/storage"
-	"provpriv/internal/tasks"
 )
 
 // newAuditedServer is newAuthedServer plus a durable audit log on its
@@ -262,16 +260,10 @@ func TestAuditDisabled(t *testing.T) {
 // TestNullNodeOrItemIsABadRequest: an execution body holding a null node
 // or a null item is the client's 400, with exactly one audit record each —
 // it used to panic past the audit wrapper — and, as one item of a bulk
-// batch, that item's failure: the batch still succeeds and stores the rest.
+// batch, that item's failure: the batch still succeeds, stores the rest,
+// and its one audit record says 200, written once every item was applied.
 func TestNullNodeOrItemIsABadRequest(t *testing.T) {
 	ts, srv, _ := newAuditedServer(t)
-	rt := tasks.New(1, 4)
-	srv.Tasks = rt
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		rt.Drain(ctx)
-	})
 	if err := srv.repo.AddSpec(zebrafishSpec(t, "zfish-null"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -297,22 +289,22 @@ func TestNullNodeOrItemIsABadRequest(t *testing.T) {
 	}
 	items = append(items[:1], append([]json.RawMessage{json.RawMessage(nullItem)}, items[1:]...)...)
 	body, _ := json.Marshal(items)
-	var acc struct {
-		Task string `json:"task"`
+	var res map[string]any
+	if code := do(t, ts, "POST", "/api/v1/executions:bulk", writerSecret, body, &res); code != http.StatusOK {
+		t.Fatalf("bulk ingest = %d, want 200", code)
 	}
-	if code := do(t, ts, "POST", "/api/v1/executions:bulk", writerSecret, body, &acc); code != http.StatusAccepted {
-		t.Fatalf("bulk ingest = %d, want 202", code)
-	}
-	snap := waitTask(t, ts, writerSecret, acc.Task)
-	res, _ := snap["result"].(map[string]any)
 	errs, _ := res["errors"].([]any)
-	if snap["state"] != "succeeded" || res["added"] != float64(3) || res["failed"] != float64(1) || len(errs) != 1 {
-		t.Fatalf("bulk task = %+v", snap)
+	if res["added"] != float64(3) || res["failed"] != float64(1) || len(errs) != 1 {
+		t.Fatalf("bulk result = %+v", res)
 	}
 	if e0, _ := errs[0].(map[string]any); e0["index"] != float64(1) || e0["exec"] != "EN2" {
 		t.Fatalf("failed item = %+v, want index 1, exec EN2", errs[0])
 	}
 	if got := srv.repo.ExecutionIDs("zfish-null"); len(got) != 3 {
 		t.Fatalf("stored executions = %v, want the batch's other three", got)
+	}
+	recs = auditRecords(t, ts, "")
+	if len(recs) != 3 || recs[0].Action != "exec.bulk" || recs[0].Status != http.StatusOK || recs[0].Outcome != "ok" {
+		t.Fatalf("audit window after the batch = %+v, want an exec.bulk 200 ok record on top", recs)
 	}
 }

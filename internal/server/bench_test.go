@@ -1,14 +1,17 @@
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"provpriv/internal/exec"
+	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
-	"provpriv/internal/tasks"
 )
 
 // benchBatch pre-runs and marshals n fresh zebrafish executions with a
@@ -34,47 +37,36 @@ func benchBatch(b *testing.B, r *repo.Repository, prefix string, n int) []json.R
 }
 
 // bulkIngestBatchSize is the batch one BenchmarkBulkIngest iteration
-// pushes through the task runtime.
+// posts.
 const bulkIngestBatchSize = 64
 
-// BenchmarkBulkIngest measures the bulk path end to end minus HTTP:
-// one iteration submits a pre-marshaled 64-item batch to the task
-// runtime and waits for the worker to strict-decode, validate, and
-// ingest every item.
+// BenchmarkBulkIngest measures the bulk route minus the network: one
+// iteration serves a pre-marshaled 64-item batch through Handler(), which
+// splits the array, strict-decodes, validates and ingests every item, and
+// answers once the batch is applied.
 func BenchmarkBulkIngest(b *testing.B) {
 	r := repo.New()
 	if err := r.AddSpec(zebrafishSpec(b, "zfish"), nil); err != nil {
 		b.Fatal(err)
 	}
-	s := New(r)
-	rt := tasks.New(2, 8)
-	s.Tasks = rt
-	defer rt.Drain(context.Background())
+	r.AddUser(privacy.User{Name: "loader", Level: privacy.Owner, Group: "owners"})
+	h := New(r).Handler()
+	want := fmt.Sprintf(`{"added":%d,"failed":0}`, bulkIngestBatchSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		items := benchBatch(b, r, fmt.Sprintf("B%d", i), bulkIngestBatchSize)
-		done := make(chan error, 1)
-		b.StartTimer()
-		_, err := rt.Submit("bulk-ingest", func(ctx context.Context, p *tasks.Progress) (any, error) {
-			res := &bulkResult{}
-			p.Set(0, int64(len(items)))
-			for _, raw := range items {
-				if err := s.bulkItem(raw); err != nil {
-					done <- err
-					return nil, err
-				}
-				p.Add(1)
-			}
-			done <- nil
-			return res, nil
-		})
+		body, err := json.Marshal(benchBatch(b, r, fmt.Sprintf("B%d", i), bulkIngestBatchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/executions:bulk", bytes.NewReader(body))
+		req.Header.Set("X-Prov-User", "loader")
+		w := httptest.NewRecorder()
+		b.StartTimer()
+		h.ServeHTTP(w, req)
+		if got := strings.TrimSpace(w.Body.String()); w.Code != http.StatusOK || got != want {
+			b.Fatalf("bulk ingest answered %d %s, want 200 %s", w.Code, got, want)
 		}
 	}
 	b.ReportMetric(float64(bulkIngestBatchSize*b.N)/b.Elapsed().Seconds(), "execs/sec")

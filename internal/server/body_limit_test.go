@@ -17,7 +17,7 @@ import (
 // tell "split your payload" from "fix your JSON". The caps are
 // variables lowered for the test; restored afterwards.
 func TestOversizedBodies413(t *testing.T) {
-	ts, _, _ := newTaskServer(t, 1, 4)
+	ts, _, _, _ := newAuthedServer(t)
 
 	oldMax, oldBulk := maxBodyBytes, bulkMaxBodyBytes
 	maxBodyBytes, bulkMaxBodyBytes = 64, 128

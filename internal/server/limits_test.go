@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -305,75 +303,6 @@ func TestLimiterExposition(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("/stats limits has no t-burst bucket row")
-	}
-}
-
-// TestBulkQueueFullRetryAfter: a full task queue rejects bulk ingest
-// with 429 *and* a Retry-After hint — backpressure the client can obey,
-// matching the rate limiter's contract.
-func TestBulkQueueFullRetryAfter(t *testing.T) {
-	ts, srv, r := newTaskServer(t, 1, 1)
-	if err := r.AddSpec(zebrafishSpec(t, "zfish"), nil); err != nil {
-		t.Fatalf("AddSpec: %v", err)
-	}
-
-	started := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	bulkItemHook = func(int) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-gate
-	}
-	defer func() {
-		// Open the gate, then drain the runtime before clearing the hook —
-		// a worker still mid-batch must not race the reset.
-		close(gate)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Tasks.Drain(ctx)
-		bulkItemHook = nil
-	}()
-
-	post := func(body []byte) *http.Response {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/executions:bulk", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+writerSecret)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// First batch: accepted, and the worker is parked on it (gate).
-	resp := post(bulkBatch(t, r, "zfish", 0, 2))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first bulk = %d, want 202", resp.StatusCode)
-	}
-	<-started
-	// Second batch: fills the queue (capacity 1).
-	resp = post(bulkBatch(t, r, "zfish", 10, 2))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second bulk = %d, want 202", resp.StatusCode)
-	}
-	// Third batch: queue full — 429 with the backpressure hint.
-	resp = post(bulkBatch(t, r, "zfish", 20, 2))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("bulk on full queue = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("queue-full Retry-After = %q, want \"1\"", ra)
-	}
-	var body errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
-		t.Fatalf("queue-full envelope = %+v (%v)", body, err)
 	}
 }
 

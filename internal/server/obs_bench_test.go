@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -84,26 +83,6 @@ func BenchmarkMiddlewareChain(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSpanStartFinish measures one StartSpan/End pair under a live
-// sampled trace — the unit cost every instrumented engine layer pays.
-func BenchmarkSpanStartFinish(b *testing.B) {
-	tr := obs.NewTracer(4, 1, time.Hour)
-	ctx, finish := tr.StartRoot(context.Background(), "bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%100 == 99 {
-			// Rotate the root so the per-trace span cap never saturates.
-			b.StopTimer()
-			finish()
-			ctx, finish = tr.StartRoot(context.Background(), "bench")
-			b.StartTimer()
-		}
-		_, span := obs.StartSpan(ctx, "op")
-		span.End()
-	}
-	finish()
 }
 
 // allocsPerSearch measures steady-state allocations of one warm search

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"provpriv/internal/obs"
-	"provpriv/internal/tasks"
 )
 
 // newObsServer builds the fixture repository behind a server wrapped in
@@ -248,8 +246,8 @@ func TestMetricsExpositionAndMonotonicity(t *testing.T) {
 }
 
 // TestProbes covers the healthz/readyz matrix: always-alive liveness; a
-// readiness that flips with drain state, task-runtime drain, and the
-// storage-binding requirement.
+// readiness that flips with drain state and the storage-binding
+// requirement.
 func TestProbes(t *testing.T) {
 	ts, srv := newObsServer(t)
 	probe := func(path string) (int, map[string]any) {
@@ -293,19 +291,6 @@ func TestProbes(t *testing.T) {
 	}
 	if code, _ := probe("/readyz"); code != http.StatusOK {
 		t.Fatalf("bound readyz = %d", code)
-	}
-
-	// A draining task runtime blocks readiness too.
-	rt := tasks.New(1, 4)
-	srv.Tasks = rt
-	if code, _ := probe("/readyz"); code != http.StatusOK {
-		t.Fatalf("live task runtime readyz = %d", code)
-	}
-	if err := rt.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if code, body := probe("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("drained-tasks readyz = %d %v", code, body)
 	}
 }
 

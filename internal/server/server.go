@@ -16,10 +16,10 @@
 // The transport itself adds the admission-control statuses (see
 // Server.Handler and internal/limit): an oversized request body is cut
 // off with 413; a principal past its rate or concurrency budget gets
-// 429 with a Retry-After header (as does a full task queue) — back off
-// and retry here; a draining or globally overloaded server sheds with
-// 503 and no Retry-After — fail over to another node. Probes and
-// /metrics bypass admission so an overloaded server stays observable.
+// 429 with a Retry-After header — back off and retry here; a draining or
+// globally overloaded server sheds with 503 and no Retry-After — fail
+// over to another node. Probes and /metrics bypass admission so an
+// overloaded server stays observable.
 //
 // # Authentication
 //
@@ -50,23 +50,18 @@
 //	PUT    /api/v1/policy                           replace a spec's privacy policy [writer]
 //	PUT    /api/v1/generalization                   install generalization ladders [writer]
 //	POST   /api/v1/save                             persist the repository to the save dir [admin]
-//	POST   /api/v1/executions:bulk                  async bulk ingest → 202 + task id [writer]
-//	GET    /api/v1/tasks[?limit=L&offset=O]         list background tasks, newest first [writer]
-//	GET    /api/v1/tasks/{id}                       one task's state/progress/result [writer]
-//	DELETE /api/v1/tasks/{id}                       cancel a pending or running task [writer]
+//	POST   /api/v1/executions:bulk                  bulk ingest → 200 + per-item result [writer]
 //	GET    /api/v1/tokens                           list tokens (name/user/role/uses — never secrets) [admin]
 //	POST   /api/v1/tokens                           mint a token; generated secret echoed once [admin]
 //	DELETE /api/v1/tokens/{name}                    revoke a token, effective immediately [admin]
 //	GET    /api/v1/audit[?principal=P][&action=A][&limit=L]  recent mutation audit records [admin]
 //	GET    /metrics                                 Prometheus-style counters (no auth)
 //
-// The task endpoints serve 503 unless the operator configured a task
-// runtime (Server.Tasks; provserve always does). Bulk ingest runs on
-// that pool and returns 202 Accepted plus a task id; callers poll
-// GET /api/v1/tasks/{id} (the Location header points there) and may
-// DELETE to cancel. Long synchronous reads (search, query,
-// provenance) honor request-context cancellation: a caller that hangs
-// up stops paying for fan-out it will never read.
+// Bulk ingest applies its items in order inside the request and answers
+// 200 with how many were added and which failed; a cancelled request
+// stops it between items. Long reads (search, query, provenance) honor
+// request-context cancellation too: a caller that hangs up stops paying
+// for fan-out it will never read.
 //
 // Search and query responses are paginated with limit/offset (limit 0 =
 // unlimited); the pre-pagination result count is returned as "total" so
@@ -103,7 +98,6 @@ import (
 	"provpriv/internal/query"
 	"provpriv/internal/repo"
 	"provpriv/internal/storage"
-	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
 )
 
@@ -172,12 +166,6 @@ type Server struct {
 	// so operators can watch append/replay/checkpoint traffic and storage
 	// errors per process.
 	Store *storage.Measure
-	// Tasks, when non-nil, is the background task runtime behind the
-	// async surface (bulk ingest, the /api/v1/tasks endpoints). The
-	// operator owns its lifecycle: size the pool, set it here before
-	// serving, drain it on shutdown. Nil leaves the async
-	// endpoints serving 503.
-	Tasks *tasks.Runtime
 
 	// mutations counts successful mutation-endpoint requests;
 	// authFailures counts rejected authentications and authorization
@@ -211,12 +199,7 @@ func New(r *repo.Repository) *Server {
 	s.mux.HandleFunc("PUT /api/v1/policy", s.audited("policy.update", s.withRole(auth.RoleWriter, s.handleUpdatePolicy)))
 	s.mux.HandleFunc("PUT /api/v1/generalization", s.audited("generalization.set", s.withRole(auth.RoleWriter, s.handleSetGeneralization)))
 	s.mux.HandleFunc("POST /api/v1/save", s.audited("repo.save", s.withRole(auth.RoleAdmin, s.handleSave)))
-	// The async surface: bulk ingest and task introspection need writer
-	// (tasks expose mutation progress and accept cancellation).
 	s.mux.HandleFunc("POST /api/v1/executions:bulk", s.audited("exec.bulk", s.withRole(auth.RoleWriter, s.handleBulkExecutions)))
-	s.mux.HandleFunc("GET /api/v1/tasks", s.withRole(auth.RoleWriter, s.handleListTasks))
-	s.mux.HandleFunc("GET /api/v1/tasks/{id}", s.withRole(auth.RoleWriter, s.handleGetTask))
-	s.mux.HandleFunc("DELETE /api/v1/tasks/{id}", s.audited("task.cancel", s.withRole(auth.RoleWriter, s.handleCancelTask)))
 	// Token lifecycle: list/mint/revoke bearer tokens at runtime, admin
 	// only. Mutations are audited like any other; the audit log itself
 	// is queryable (admin) so "who rotated what" has an answer.
@@ -295,7 +278,7 @@ func (s *Server) admission(next http.Handler) http.Handler {
 
 // SetDraining flips the readiness signal: a draining server answers
 // /readyz with 503 so load balancers stop routing new work while
-// in-flight requests and background tasks finish.
+// in-flight requests finish.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // log returns the configured logger or a discard logger, so logging
@@ -523,15 +506,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe: ready means the server is not
-// draining, the task runtime (when configured) is accepting work, and —
-// for persisting servers — a storage backend is bound.
+// draining and — for persisting servers — a storage backend is bound.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if s.draining.Load() {
 		reasons = append(reasons, "server draining")
-	}
-	if s.Tasks != nil && s.Tasks.Draining() {
-		reasons = append(reasons, "task runtime draining")
 	}
 	if s.RequireStorage && !s.repo.StorageBound() {
 		reasons = append(reasons, "storage not bound")
@@ -1070,10 +1049,6 @@ type statsBody struct {
 	// Storage reports the measured backend's operation counters (only
 	// when the server was started with a bound storage backend).
 	Storage *storage.MeasureStats `json:"storage,omitempty"`
-
-	// Tasks reports the background runtime's counters (only when a task
-	// runtime is configured).
-	Tasks *tasks.Stats `json:"tasks,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, user string) {
@@ -1097,10 +1072,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, user string
 	if s.Store != nil {
 		st := s.Store.Stats()
 		body.Storage = &st
-	}
-	if s.Tasks != nil {
-		ts := s.Tasks.Stats()
-		body.Tasks = &ts
 	}
 	s.writeJSON(w, http.StatusOK, body)
 }
@@ -1171,16 +1142,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("storage_shard_drops_total", "Shards dropped from the backend.", int64(ss.Drops))
 		metric("storage_errors_total", "Storage backend operations that returned an error.", int64(ss.Errors))
 	}
-	if s.Tasks != nil {
-		ts := s.Tasks.Stats()
-		metric("tasks_submitted_total", "Background tasks accepted by the runtime.", ts.Submitted)
-		metric("tasks_started_total", "Background tasks a worker started.", ts.Started)
-		metric("tasks_succeeded_total", "Background tasks that reached the succeeded state.", ts.Succeeded)
-		metric("tasks_failed_total", "Background tasks whose handler failed.", ts.Failed)
-		metric("tasks_canceled_total", "Background tasks canceled before completion.", ts.Canceled)
-		metric("tasks_running", "Background tasks currently executing.", ts.Running)
-		metric("tasks_queued", "Background tasks waiting for a worker.", ts.Queued)
-	}
 	if s.Auth != nil {
 		// Per-token use counters, as one labeled series (the label value
 		// is the token's public name — never secret material).
@@ -1192,8 +1153,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.Obs != nil {
 		// The observability layer's families: per-route latency
-		// histograms, in-flight/panic counters, task histograms and Go
-		// runtime gauges.
+		// histograms, in-flight/panic counters and Go runtime gauges.
 		s.Obs.Metrics.WritePrometheus(&b)
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {

@@ -25,7 +25,6 @@ package provpriv
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,7 +41,6 @@ import (
 	"provpriv/internal/privacy"
 	"provpriv/internal/repo"
 	"provpriv/internal/server"
-	"provpriv/internal/tasks"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -308,11 +306,10 @@ func TestNonInterferenceProvenanceAndQuery(t *testing.T) {
 // Both worlds hold one run, the first of its shape, and L reads every
 // route, so the shard's caches are warm. Then each world posts its next
 // runs as one batch to POST /api/v1/executions:bulk — the batches differ
-// only in what L may not see — through a server given a task runtime, and
-// waits for the task: from then on L must not tell the worlds apart by any
-// route, nor after a post, a save and a reload. The batch lands from a
-// task worker, after the reads, as the first runs stored as values over a
-// shape the shard already holds.
+// only in what L may not see — and the answer comes once the batch is
+// applied: from then on L must not tell the worlds apart by any route, nor
+// after a post, a save and a reload. The batch lands after the reads, as
+// the first runs stored as values over a shape the shard already holds.
 func TestNonInterferenceBulk(t *testing.T) {
 	const execs, batch = 1, 3
 	for seed := int64(1); seed <= 3; seed++ {
@@ -356,9 +353,8 @@ func TestNonInterferenceBulk(t *testing.T) {
 }
 
 // niBulk posts the world's runs first..first+n-1 to r as one batch to POST
-// /api/v1/executions:bulk, as the owner, through a server given a
-// one-worker task runtime; it drains the runtime and fails unless the task
-// succeeded having added every run.
+// /api/v1/executions:bulk, as the owner, and fails unless it answers 200
+// having added every run.
 func niBulk(t *testing.T, r *repo.Repository, run func(int) *exec.Execution, first, n int) {
 	t.Helper()
 	batch := make([]json.RawMessage, n)
@@ -373,32 +369,9 @@ func niBulk(t *testing.T, r *repo.Repository, run func(int) *exec.Execution, fir
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(r)
-	rt := tasks.New(1, 1)
-	srv.Tasks = rt
-	req := httptest.NewRequest(http.MethodPost, "/api/v1/executions:bulk", bytes.NewReader(body))
-	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
-	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, req)
-	var accepted struct {
-		Task string `json:"task"`
-	}
-	if w.Code != http.StatusAccepted || json.Unmarshal(w.Body.Bytes(), &accepted) != nil {
-		t.Fatalf("POST /api/v1/executions:bulk: %d %s", w.Code, w.Body)
-	}
-	if err := rt.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := rt.Get(accepted.Task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := json.Marshal(snap.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf(`{"added":%d,"failed":0}`, n); snap.State != "succeeded" || string(res) != want {
-		t.Fatalf("bulk task %s: %s, result %s, want succeeded, %s", accepted.Task, snap.State, res, want)
+	res := niSend(t, r, http.MethodPost, "/api/v1/executions:bulk", body, http.StatusOK)
+	if want := fmt.Sprintf(`{"added":%d,"failed":0}`, n); strings.TrimSpace(res) != want {
+		t.Fatalf("POST /api/v1/executions:bulk answered %s, want %s", res, want)
 	}
 }
 
@@ -420,9 +393,9 @@ func niPut(t *testing.T, r *repo.Repository, path string, body any) {
 	niSend(t, r, http.MethodPut, path, b, http.StatusOK)
 }
 
-// niSend sends body to r's route as the owner and fails unless it answers
-// want.
-func niSend(t *testing.T, r *repo.Repository, method, path string, body []byte, want int) {
+// niSend sends body to r's route as the owner, fails unless it answers
+// want, and returns the body.
+func niSend(t *testing.T, r *repo.Repository, method, path string, body []byte, want int) string {
 	t.Helper()
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	req.Header.Set("X-Prov-User", "u-"+privacy.Owner.String())
@@ -431,6 +404,7 @@ func niSend(t *testing.T, r *repo.Repository, method, path string, body []byte, 
 	if w.Code != want {
 		t.Fatalf("%s %s: %d %s", method, path, w.Code, w.Body)
 	}
+	return w.Body.String()
 }
 
 // TestNonInterferencePolicyTightened is the two-world check across a
@@ -846,8 +820,9 @@ func TestNonInterferenceStructural(t *testing.T) {
 
 // niRenamedWorld is one world of the hidden-names arm. Spec ni-names runs
 // I -> C -> D -> O, where composite C expands to WC (a -> b), granted to
-// the access view only from Analyst up, so below it C is withdrawn and
-// shown as one module; a and b are module-private at Analyst too, because
+// the access view only from level grant up (Analyst in the hidden-names
+// arm), so below it C is withdrawn and shown as one module; a and b are
+// module-private at Analyst whatever grant is, because
 // the access view alone only decides how a search hit is drawn: a keyword
 // of a module the reader may see matches inside a withdrawn composite and
 // is reported zoomed out to it. With renamed, a and b keep their ids,
@@ -857,7 +832,7 @@ func TestNonInterferenceStructural(t *testing.T) {
 // ni-names-peer, the same in both worlds, carries every name and keyword
 // either world gives a or b: term frequency and document frequency both
 // see a hidden keyword if the index counts one.
-func niRenamedWorld(t *testing.T, renamed bool) (*repo.Repository, *workflow.Spec, []string) {
+func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repository, *workflow.Spec, []string) {
 	t.Helper()
 	aName, aKeys, bName, bKeys := "Align reads", []string{"align", "shared"}, "Bin", []string{"bin"}
 	if renamed {
@@ -892,7 +867,7 @@ func niRenamedWorld(t *testing.T, renamed bool) (*repo.Repository, *workflow.Spe
 		t.Fatal(err)
 	}
 	pol := privacy.NewPolicy(s.ID)
-	pol.ViewGrants[privacy.Analyst] = []string{"WC"}
+	pol.ViewGrants[grant] = []string{"WC"}
 	pol.ModuleLevels["a"], pol.ModuleLevels["b"] = privacy.Analyst, privacy.Analyst
 	r := repo.New()
 	for _, sp := range []*workflow.Spec{s, peer} {
@@ -923,8 +898,8 @@ func niRenamedWorld(t *testing.T, renamed bool) (*repo.Repository, *workflow.Spe
 // any keyword of either world included, hits, scores and total. A reader
 // entitled to them must.
 func TestNonInterferenceHiddenNames(t *testing.T) {
-	rw, s, items := niRenamedWorld(t, false)
-	rp, sp, itemsPrime := niRenamedWorld(t, true)
+	rw, s, items := niRenamedWorld(t, false, privacy.Analyst)
+	rp, sp, itemsPrime := niRenamedWorld(t, true, privacy.Analyst)
 	if !slices.Equal(items, itemsPrime) {
 		t.Fatalf("fixture: the worlds' item ids differ: %v, %v", items, itemsPrime)
 	}
@@ -935,6 +910,45 @@ func TestNonInterferenceHiddenNames(t *testing.T) {
 	}
 	user := "u-" + privacy.Analyst.String()
 	if slices.Equal(niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user)) {
+		t.Fatal("the analyst cannot tell the worlds apart: the comparison never looked where they differ")
+	}
+}
+
+// TestNonInterferenceModulePrivateInView is module privacy on /query, apart
+// from the access view. The worlds are the hidden-names arm's, except that
+// WC is in every level's access view: a and b sit inside the view of a
+// reader below Analyst, but are module-private to it. That reader asks
+// /query, for every keyword of either world, for the bindings in one
+// execution, zoomed out, and across executions. No answer may bind a or b,
+// so both worlds must answer alike; the analyst, who may see them, must
+// tell the worlds apart.
+func TestNonInterferenceModulePrivateInView(t *testing.T) {
+	rw, s, _ := niRenamedWorld(t, false, privacy.Public)
+	rp, sp, _ := niRenamedWorld(t, true, privacy.Public)
+	keywords := niKeywords(s, sp)
+	ask := func(r *repo.Repository, user string) []niAnswer {
+		h := server.New(r).Handler()
+		var out []niAnswer
+		for _, kw := range keywords {
+			q := fmt.Sprintf(`MATCH a = %q RETURN bindings`, kw)
+			for _, p := range []url.Values{
+				{"spec": {s.ID}, "exec": {"E0"}, "q": {q}},
+				{"spec": {s.ID}, "exec": {"E0"}, "q": {q}, "zoom": {"true"}},
+				{"spec": {s.ID}, "q": {q}},
+			} {
+				path := "/api/v1/query?" + p.Encode()
+				code, body := niGet(t, h, user, path)
+				out = append(out, niAnswer{path, code, body})
+			}
+		}
+		return out
+	}
+	for _, level := range []privacy.Level{privacy.Public, privacy.Registered} {
+		user := "u-" + level.String()
+		niSame(t, user, ask(rw, user), ask(rp, user))
+	}
+	user := "u-" + privacy.Analyst.String()
+	if slices.Equal(ask(rw, user), ask(rp, user)) {
 		t.Fatal("the analyst cannot tell the worlds apart: the comparison never looked where they differ")
 	}
 }
