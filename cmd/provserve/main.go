@@ -177,6 +177,7 @@ func main() {
 	}
 	var r *repo.Repository
 	var store *storage.Measure
+	loadStart := time.Now()
 	switch {
 	case *example:
 		r = repo.New()
@@ -188,6 +189,8 @@ func main() {
 	default:
 		log.Fatal("need -data DIR or -example")
 	}
+	// Cold start: how long the repository took to build, and what it holds.
+	loadMS, loaded := float64(time.Since(loadStart).Microseconds())/1e3, r.Stats()
 	// Default principals: one per common level, so the API is usable
 	// out of the box. Explicit -user flags add or override.
 	for _, u := range []privacy.User{
@@ -277,6 +280,9 @@ func main() {
 		"addr", *addr,
 		"data_dir", *data,
 		"example", *example,
+		"load_ms", loadMS,
+		"shards", loaded.Specs,
+		"executions", loaded.Executions,
 		"drain_timeout", *drainTimeout,
 		"auth_mode", authMode,
 		"token_reload", *tokenReload,

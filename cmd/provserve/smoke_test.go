@@ -159,6 +159,13 @@ func TestProvserveSmoke(t *testing.T) {
 	if !strings.Contains(out, `"msg":"serving"`) {
 		t.Fatalf("no structured serving record:\n%s", out)
 	}
+	// It carries the cold start: the load's wall time and what it loaded
+	// (nothing, from a fresh directory).
+	for _, want := range []string{`"load_ms":`, `"shards":0,`, `"executions":0,`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("serving record missing %s:\n%s", want, out)
+		}
+	}
 	// The fresh directory was opened the way a saved one is — loaded,
 	// bound — so the shutdown save committed its first generation there.
 	if _, err := os.Stat(filepath.Join(dataDir, "manifest.json")); err != nil {

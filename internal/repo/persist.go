@@ -170,12 +170,11 @@ func snapshotShardState(sh *shard, prev *shardSaved) (shardSnap, bool) {
 	if prev != nil && prev.seq == sh.seq {
 		return shardSnap{}, false
 	}
-	snap := shardSnap{
+	return shardSnap{
 		seq: sh.seq, polSeq: sh.gen.seq,
 		spec: sh.spec, pol: sh.gen.pol, hs: sh.gen.ladders,
 		execs: sh.executions(),
-	}
-	return snap, true
+	}, true
 }
 
 // saveBound runs one save through the bound store. Each shard is locked
@@ -396,7 +395,8 @@ func Load(dir string) (*Repository, error) {
 // the shard (spec, policy, ladders, the execution table and its shapes) and
 // held, the ids the store now holds for it. Policy and ladder records are
 // last-wins, matching the append-log semantics; an execution is stored once,
-// since a later record may name an earlier one.
+// since a later record may name an earlier one. readShard fills one and
+// touches nothing else, so shards are read in parallel.
 type loadedShard struct {
 	spec    *workflow.Spec
 	pol     *privacy.Policy
@@ -405,6 +405,26 @@ type loadedShard struct {
 	shapes  *exec.Shapes
 	held    map[string]bool
 	logRecs uint64
+}
+
+// readShard replays one shard's checkpoint and committed log.
+func readShard(b storage.Backend, sid string, info storage.ShardInfo) (*loadedShard, error) {
+	l := &loadedShard{execs: make(map[string]*exec.Stored), shapes: exec.NewShapes(), held: make(map[string]bool)}
+	if err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, func(rec storage.Record) error {
+		return l.apply(sid, rec)
+	}); err != nil {
+		return nil, fmt.Errorf("repo: load %s: %w", sid, err)
+	}
+	if err := b.ReplayLog(sid, info.Checkpoint, info.LogLen, func(rec storage.Record) error {
+		l.logRecs++
+		return l.apply(sid, rec)
+	}); err != nil {
+		return nil, fmt.Errorf("repo: load %s: %w", sid, err)
+	}
+	if l.spec == nil {
+		return nil, fmt.Errorf("repo: load: shard %q has no spec record: %w", sid, storage.ErrCorrupt)
+	}
+	return l, nil
 }
 
 func (l *loadedShard) apply(sid string, rec storage.Record) error {
@@ -468,38 +488,34 @@ func (l *loadedShard) store(sid string, e *exec.Stored) error {
 // store. An empty store yields an empty bound repository whose first
 // Save commits generation 1 — how a server starts on a fresh directory.
 // The repository takes ownership of b on success.
+//
+// Shards are read on the repository's fan-out pool, each into its own
+// loadedShard, then assembled in shard-id order, so sequence numbers, the
+// index and the error returned (the first failing shard's) are those of a
+// serial load. The repository is private until returned, so nothing is
+// locked: a shard is handed the execution table and shapes its records
+// built — checked as read, never through AddExecution again — with the
+// bookkeeping that lets the first Save back to this store skip it, and the
+// index is built once (per-spec AddSpec would copy the index snapshot on
+// every call, turning a large load quadratic).
 func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	meta, err := b.Meta()
 	if err != nil {
 		return nil, err
 	}
-	// The repository is private until returned (no locks needed yet): each
-	// shard is handed the execution table and shapes its records built —
-	// checked as they were read, so nothing goes through AddExecution again —
-	// with the bookkeeping that lets the first Save back to this store skip
-	// it, and the shared index is built exactly once (per-spec AddSpec would
-	// copy the index snapshot on every call, turning a large load quadratic).
 	r := New()
+	sids := slices.Sorted(maps.Keys(meta.Shards))
+	loaded, errs := make([]*loadedShard, len(sids)), make([]error, len(sids))
+	r.fanOut(len(sids), func(i int) {
+		loaded[i], errs[i] = readShard(b, sids[i], meta.Shards[sids[i]])
+	})
 	bound := &boundStore{b: b, key: key, gen: meta.Generation, shards: make(map[string]*shardSaved)}
-	specs := make([]*workflow.Spec, 0, len(meta.Shards))
-	pols := make(map[string]*privacy.Policy, len(meta.Shards))
-	for _, sid := range slices.Sorted(maps.Keys(meta.Shards)) {
-		info := meta.Shards[sid]
-		l := &loadedShard{execs: make(map[string]*exec.Stored), shapes: exec.NewShapes(), held: make(map[string]bool)}
-		if err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, func(rec storage.Record) error {
-			return l.apply(sid, rec)
-		}); err != nil {
-			return nil, fmt.Errorf("repo: load %s: %w", sid, err)
+	specs, pols := make([]*workflow.Spec, 0, len(sids)), make(map[string]*privacy.Policy, len(sids))
+	for i, sid := range sids {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if err := b.ReplayLog(sid, info.Checkpoint, info.LogLen, func(rec storage.Record) error {
-			l.logRecs++
-			return l.apply(sid, rec)
-		}); err != nil {
-			return nil, fmt.Errorf("repo: load %s: %w", sid, err)
-		}
-		if l.spec == nil {
-			return nil, fmt.Errorf("repo: load: shard %q has no spec record: %w", sid, storage.ErrCorrupt)
-		}
+		l, info := loaded[i], meta.Shards[sid]
 		sh, err := r.newShard(l.spec, l.pol, l.hs)
 		if err != nil {
 			return nil, err
@@ -512,10 +528,8 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		// it was built from exactly the pair the shard holds.
 		pols[sid] = sh.gen.pol
 		bound.shards[sid] = &shardSaved{
-			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec,
-			ckptGen: info.Checkpoint, ckptRecords: info.Records,
-			logLen: info.LogLen, logRecs: l.logRecs,
-			execs: l.held,
+			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec, execs: l.held,
+			ckptGen: info.Checkpoint, ckptRecords: info.Records, logLen: info.LogLen, logRecs: l.logRecs,
 		}
 	}
 	r.inverted = index.BuildInverted(specs, pols)

@@ -67,7 +67,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -545,11 +544,10 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	if err != nil {
 		return err
 	}
-	s := sh.spec // immutable once published
 	if pol == nil {
 		pol = privacy.NewPolicy(specID)
 	}
-	if err := pol.Validate(s); err != nil {
+	if err := pol.Validate(sh.spec); err != nil {
 		return err
 	}
 	// Re-register the spec's index segment with the new module levels
@@ -557,7 +555,7 @@ func (r *Repository) UpdatePolicy(specID string, pol *privacy.Policy) error {
 	// under the shard lock. The window between the index swap and the
 	// policy install is benign: both old and new state are internally
 	// consistent, and searchView serves only what the shard holds.
-	r.inverted.AddSpec(s, pol)
+	r.inverted.AddSpec(sh.spec, pol)
 	sh.mu.Lock()
 	sh.install(pol, sh.gen.ladders, r.mutSeq.Add(1))
 	sh.mu.Unlock()
@@ -605,8 +603,7 @@ func (r *Repository) ExecutionIDs(specID string) []string {
 func (r *Repository) AddUser(u privacy.User) {
 	r.usersMu.Lock()
 	defer r.usersMu.Unlock()
-	cp := u
-	r.users[u.Name] = &cp
+	r.users[u.Name] = &u
 }
 
 // User looks up a registered user.
@@ -625,15 +622,11 @@ func (r *Repository) User(name string) (*privacy.User, error) {
 func (r *Repository) Users() []privacy.User {
 	r.usersMu.RLock()
 	defer r.usersMu.RUnlock()
-	names := make([]string, 0, len(r.users))
-	for n := range r.users {
-		names = append(names, n)
+	out := make([]privacy.User, 0, len(r.users))
+	for _, u := range r.users {
+		out = append(out, *u)
 	}
-	sort.Strings(names)
-	out := make([]privacy.User, len(names))
-	for i, n := range names {
-		out[i] = *r.users[n]
-	}
+	slices.SortFunc(out, func(a, b privacy.User) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -1233,22 +1226,15 @@ func (r *Repository) Stats() Stats {
 	r.usersMu.RLock()
 	st.Users = len(r.users)
 	r.usersMu.RUnlock()
-	if r.inverted != nil {
-		st.IndexTerms = r.inverted.TermCount()
-		st.Postings = r.inverted.Postings()
-		st.IndexSegments = r.inverted.Segments()
-		st.IndexSwaps = r.inverted.Swaps()
-	}
-	st.TaintRewritten = r.taintRewritten.Load()
-	st.TaintRedacted = r.taintRedacted.Load()
+	st.IndexTerms, st.Postings = r.inverted.TermCount(), r.inverted.Postings()
+	st.IndexSegments, st.IndexSwaps = r.inverted.Segments(), r.inverted.Swaps()
+	st.TaintRewritten, st.TaintRedacted = r.taintRewritten.Load(), r.taintRedacted.Load()
 	return st
 }
 
 // Describe renders a terse multi-line summary (for the CLI).
 func (r *Repository) Describe() string {
 	st := r.Stats()
-	var b strings.Builder
-	fmt.Fprintf(&b, "specs: %d, executions: %d, users: %d\n", st.Specs, st.Executions, st.Users)
-	fmt.Fprintf(&b, "index: %d terms, %d postings\n", st.IndexTerms, st.Postings)
-	return b.String()
+	return fmt.Sprintf("specs: %d, executions: %d, users: %d\nindex: %d terms, %d postings\n",
+		st.Specs, st.Executions, st.Users, st.IndexTerms, st.Postings)
 }

@@ -104,7 +104,10 @@ func (t RecordType) String() string {
 }
 
 // Record is one typed mutation: a spec/policy/hierarchy replacement or
-// an execution append, with its JSON payload.
+// an execution append, with its JSON payload. A record a reader streams
+// (ReadCheckpoint, ReplayLog, ReplayTail) has Data aliasing its frame in
+// the buffer the file was read into: read-only, but safe to retain, since
+// no backend reuses that buffer.
 type Record struct {
 	Type RecordType
 	Key  string
@@ -243,7 +246,8 @@ func decodePayload(p []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: key length %d exceeds payload", ErrCorrupt, klen)
 	}
 	rec.Key = string(p[5 : 5+klen])
-	rec.Data = append([]byte(nil), p[5+klen:]...)
+	// Data aliases the frame, capped so an append cannot spill into the next.
+	rec.Data = p[5+klen : len(p) : len(p)]
 	return rec, nil
 }
 
