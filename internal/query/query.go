@@ -238,7 +238,7 @@ func (ev *Evaluator) matchingNodes(pe *PreparedExec, phrase []string, pol *priva
 // Everything but Exec's item values is a function of the execution's
 // shape (exec.SameShape) and the view it was collapsed to, so
 // internal/repo prepares one value-free PreparedExec per (shape, access
-// view) — the view's plan (PreparePlan) — and every cached snapshot is a
+// view) — the view's plan (PreparePlan) — and every filled snapshot is a
 // Fill of it: a value vector over the plan's item slots. The snapshots of
 // one shape and view share the whole plan and own only their values.
 //

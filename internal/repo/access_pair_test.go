@@ -52,15 +52,20 @@ func TestSearchPairsPolicyWithItsAccessView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polA := privacy.NewPolicy(s.ID) // wide views, M5 hidden
+	// A match inside a withdrawn workflow is reported as the composite that
+	// stands for it, so each policy also hides a composite: which one a
+	// narrow view may name is decided by the module-level half.
+	polA := privacy.NewPolicy(s.ID) // wide views, M5 and composite M1 hidden
 	polA.ViewGrants[privacy.Public] = []string{"W2", "W4"}
 	polA.ViewGrants[privacy.Analyst] = []string{"W3"}
 	polA.ModuleLevels["M5"] = privacy.Owner
-	polB := privacy.NewPolicy(s.ID) // narrow views, M7 hidden
+	polA.ModuleLevels["M1"] = privacy.Analyst
+	polB := privacy.NewPolicy(s.ID) // narrow views, M7 and composite M4 hidden
 	polB.ViewGrants[privacy.Public] = []string{"W3"}
 	polB.ViewGrants[privacy.Registered] = []string{"W2"}
 	polB.ViewGrants[privacy.Owner] = []string{"W4"}
 	polB.ModuleLevels["M7"] = privacy.Analyst
+	polB.ModuleLevels["M4"] = privacy.Analyst
 	pols := [2]*privacy.Policy{polA, polB}
 
 	levels := []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}

@@ -16,11 +16,12 @@ import (
 	"provpriv/internal/exec"
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
+	"provpriv/internal/taint"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
 
-// The cold fill (maskedExec) derives no structure: it gathers the
+// The fill derives no structure: it gathers the
 // execution's values into the slots of the plan prepared once per (shape,
 // access view) and masks that vector where it stands, where the public staged functions
 // collapse, copy and rebuild per execution. These tests hold the two to the
@@ -199,10 +200,12 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 				e := r.execution(specID, execID)
 				for _, lvl := range allLevels {
 					where := fmt.Sprintf("%s: %s/%s at %v", stage, specID, execID, lvl)
-					snap, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl)
+					counted := r.taintCounts()
+					snap, err := r.enforced(context.Background(), sh, sh.current(), r.stored(specID, execID), lvl)
 					if err != nil {
-						t.Fatalf("%s: maskedExec: %v", where, err)
+						t.Fatalf("%s: fill: %v", where, err)
 					}
+					counted = r.taintCounts().minus(counted)
 
 					access := pol.AccessView(sh.hier, lvl)
 					view, err := exec.Collapse(e, sh.spec, access)
@@ -216,19 +219,19 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 					}
 					tainted += rep.Rewritten + rep.TaintRedacted + rep.Generalized
 
-					if !reflect.DeepEqual(materialized(snap.Snapshot), masked) {
-						got, _ := json.Marshal(materialized(snap.Snapshot))
+					if !reflect.DeepEqual(materialized(snap), masked) {
+						got, _ := json.Marshal(materialized(snap))
 						want, _ := json.Marshal(masked)
 						t.Fatalf("%s: fill built\n%s\nstaged pipeline built\n%s", where, got, want)
 					}
 					zoomed := len(access) < len(sh.hier.All())
-					if got := sh.current().step(lvl).zoomed; snap.rep != rep || got != zoomed {
-						t.Fatalf("%s: fill report %+v zoomed %v, staged %+v %v", where, snap.rep, got, rep, zoomed)
+					if got := sh.current().step(lvl).zoomed; counted != countsOf(rep) || got != zoomed {
+						t.Fatalf("%s: fill counted %v zoomed %v, staged %+v %v", where, counted, got, rep, zoomed)
 					}
 					// The provenance index is built lazily and shared with the
 					// plan's other snapshots: compare it complete on both sides.
 					want := stagedPlan(t, masked, prep, r.stored(specID, execID).Shape())
-					for _, s := range []query.Snapshot{snap.Snapshot, want.Snapshot()} {
+					for _, s := range []query.Snapshot{snap, want.Snapshot()} {
 						for id := range masked.Items {
 							p, err := s.Provenance(id)
 							if err != nil {
@@ -241,7 +244,7 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 						t.Fatalf("%s: prepared index differs from PrepareExec's", where)
 					}
 					for i, q := range queries {
-						got, gerr := ev.EvaluateSnapshot(q, snap.Snapshot, pol, lvl, zoomed)
+						got, gerr := ev.EvaluateSnapshot(q, snap, pol, lvl, zoomed)
 						want, werr := ev.EvaluateOn(q, prep, pol, lvl, zoomed)
 						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: query %d answers %+v (%v), staged %+v (%v)", where, i, got, gerr, want, werr)
@@ -255,8 +258,8 @@ func TestColdFillMatchesStagedPipeline(t *testing.T) {
 						}
 					}
 
-					// E0's snapshot is cached by now: who shares its plan?
-					base, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, "E0"), lvl)
+					// E0 was filled first: who shares its plan?
+					base, err := r.enforced(context.Background(), sh, sh.current(), r.stored(specID, "E0"), lvl)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -343,8 +346,9 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 		t.Fatal("fixture: the two levels do not share an access view")
 	}
 	var ctxs [2]*parkingValues
-	var snaps [2]maskedSnapshot
+	var snaps [2]query.Snapshot
 	var errs [2]error
+	fills, counted := r.fills.Load(), r.taintCounts()
 	var wg sync.WaitGroup
 	for i, lvl := range levels {
 		// The fill's third span is taint.analyze.
@@ -352,7 +356,7 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snaps[i], errs[i] = sh.maskedExec(ctxs[i], gen, st, lvl)
+			snaps[i], errs[i] = r.enforced(ctxs[i], sh, gen, st, lvl)
 		}()
 		<-ctxs[i].reached // past the plan: the second fill finds the first's
 	}
@@ -361,6 +365,7 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 	}
 	wg.Wait()
 	en := datapriv.NewMasker(gen.pol, nil).Engine()
+	var reps [2]taint.Report
 	for i, lvl := range levels {
 		if errs[i] != nil {
 			t.Fatalf("fill at %v: %v", lvl, errs[i])
@@ -369,19 +374,20 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Collapse at %v: %v", lvl, err)
 		}
-		masked, rep := en.Apply(view, lvl, en.Analyze(e))
+		var masked *exec.Execution
+		masked, reps[i] = en.Apply(view, lvl, en.Analyze(e))
 		prep, err := query.PrepareExec(masked)
 		if err != nil {
 			t.Fatalf("PrepareExec at %v: %v", lvl, err)
 		}
-		if !reflect.DeepEqual(materialized(snaps[i].Snapshot), masked) || !reflect.DeepEqual(snaps[i].Plan, stagedPlan(t, masked, prep, st.Shape())) || snaps[i].rep != rep {
-			got, _ := json.Marshal(materialized(snaps[i].Snapshot))
+		if !reflect.DeepEqual(materialized(snaps[i]), masked) || !reflect.DeepEqual(snaps[i].Plan, stagedPlan(t, masked, prep, st.Shape())) {
+			got, _ := json.Marshal(materialized(snaps[i]))
 			want, _ := json.Marshal(masked)
-			t.Fatalf("level %v: fill built (report %+v)\n%s\nstaged pipeline built (report %+v)\n%s", lvl, snaps[i].rep, got, rep, want)
+			t.Fatalf("level %v: fill built\n%s\nstaged pipeline built\n%s", lvl, got, want)
 		}
 	}
-	if snaps[0].rep == snaps[1].rep {
-		t.Fatalf("fixture: both levels were masked alike (%+v)", snaps[0].rep)
+	if reps[0] == reps[1] {
+		t.Fatalf("fixture: both levels were masked alike (%+v)", reps[0])
 	}
 	if snaps[0].Plan != snaps[1].Plan {
 		t.Fatal("two levels of one access view did not share their plan")
@@ -389,8 +395,12 @@ func TestConcurrentFillsAtTwoLevelsShareOnlyThePlan(t *testing.T) {
 	if &snaps[0].Vals[0] == &snaps[1].Vals[0] {
 		t.Fatal("both levels' snapshots hold one value vector")
 	}
-	if m, n := sh.maskedMisses.Load(), gen.masked.Len(); m != 2 || n != 2 {
-		t.Fatalf("%d misses and %d cached snapshots after two cold fills, want 2 and 2", m, n)
+	want := countsOf(reps[0])
+	for i, n := range countsOf(reps[1]) {
+		want[i] += n
+	}
+	if n, got := r.fills.Load()-fills, r.taintCounts().minus(counted); n != 2 || got != want {
+		t.Fatalf("two fills counted %d fills and taint %v, want 2 and %v", n, got, want)
 	}
 }
 
@@ -423,13 +433,8 @@ func TestFillNeverMutatesStoredExecution(t *testing.T) {
 			sh := r.shard(specID)
 			for _, execID := range r.ExecutionIDs(specID) {
 				for _, lvl := range allLevels {
-					misses := sh.maskedMisses.Load
-					before := misses()
-					if _, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl); err != nil {
+					if _, err := r.enforced(context.Background(), sh, sh.current(), r.stored(specID, execID), lvl); err != nil {
 						t.Fatalf("%s: %s/%s at %v: %v", stage, specID, execID, lvl, err)
-					}
-					if misses() == before {
-						t.Fatalf("%s: %s/%s at %v was served from the cache, not filled", stage, specID, execID, lvl)
 					}
 				}
 				if !reflect.DeepEqual(r.execution(specID, execID), clones[specID+"/"+execID]) {
@@ -455,8 +460,8 @@ func TestFillNeverMutatesStoredExecution(t *testing.T) {
 
 // TestFillRefusesCyclicView: AddExecution keeps cyclic executions out,
 // but the fill does not lean on that — a cycle in what it collapses fails
-// the fill (at the one topological sort it runs on the view) and caches
-// nothing.
+// the fill (at the one topological sort it runs on the view) and leaves no
+// view plan.
 func TestFillRefusesCyclicView(t *testing.T) {
 	r := seededRepo(t)
 	sh := r.shard(diseaseID)
@@ -475,12 +480,12 @@ func TestFillRefusesCyclicView(t *testing.T) {
 	}
 	sh.mu.Unlock()
 	for _, lvl := range allLevels {
-		_, err := sh.maskedExec(context.Background(), sh.current(), st, lvl)
+		_, err := r.enforced(context.Background(), sh, sh.current(), st, lvl)
 		if err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Fatalf("level %v: fill of a cyclic execution: err = %v, want one naming the cycle", lvl, err)
 		}
 	}
-	if n, p := sh.current().masked.Len(), sh.plans.Len(); n != 0 || p != 0 {
-		t.Fatalf("%d snapshots and %d view plans cached from failed fills", n, p)
+	if p := sh.plans.Len(); p != 0 {
+		t.Fatalf("%d view plans cached from failed fills", p)
 	}
 }

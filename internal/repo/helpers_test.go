@@ -11,6 +11,7 @@ import (
 	"provpriv/internal/privacy"
 	"provpriv/internal/query"
 	"provpriv/internal/storage"
+	"provpriv/internal/taint"
 	"provpriv/internal/workflow"
 	"provpriv/internal/workload"
 )
@@ -59,17 +60,44 @@ func (r *Repository) QueryAll(userName, specID, queryText string) ([]*query.Answ
 	return answers, err
 }
 
-// warm reads every execution of a spec at each of levels through the one
-// fill path, under the installed generation, and returns how many snapshots
-// it asked for: the next read of any of them is a hit. Nothing fills the
-// cache ahead of a reader, so a test that wants it warm reads it warm.
-func warm(t testing.TB, r *Repository, specID string, levels []privacy.Level) int {
+// enforced fills e's enforced snapshot at level under gen, on e's view plan
+// at the level's access view: what a provenance read of e answers from.
+func (r *Repository) enforced(ctx context.Context, sh *shard, gen *generation, e *exec.Stored, level privacy.Level) (query.Snapshot, error) {
+	access := gen.step(level)
+	plan, err := sh.viewPlan(e.Shape(), access.view, access.key)
+	if err != nil {
+		return query.Snapshot{}, err
+	}
+	return r.fill(ctx, gen, plan, e, level)
+}
+
+// taintCounts is what the taint counters read: items rewritten, redacted.
+type taintCounts [2]int64
+
+func (r *Repository) taintCounts() taintCounts {
+	return taintCounts{r.taintRewritten.Load(), r.taintRedacted.Load()}
+}
+
+// minus is the advance from was to c.
+func (c taintCounts) minus(was taintCounts) taintCounts {
+	return taintCounts{c[0] - was[0], c[1] - was[1]}
+}
+
+// countsOf is what a fill with masking report rep adds to the taint counters.
+func countsOf(rep taint.Report) taintCounts {
+	return taintCounts{int64(rep.Rewritten), int64(rep.TaintRedacted)}
+}
+
+// fillEvery fills every execution of a spec at each of levels under the
+// installed generation, as a read of values would, and returns how many
+// snapshots it filled.
+func fillEvery(t testing.TB, r *Repository, specID string, levels []privacy.Level) int {
 	t.Helper()
 	sh, n := r.shard(specID), 0
 	for _, execID := range r.ExecutionIDs(specID) {
 		for _, lvl := range levels {
-			if _, err := sh.maskedExec(context.Background(), sh.current(), r.stored(specID, execID), lvl); err != nil {
-				t.Errorf("warming %s/%s at %v: %v", specID, execID, lvl, err)
+			if _, err := r.enforced(context.Background(), sh, sh.current(), r.stored(specID, execID), lvl); err != nil {
+				t.Errorf("filling %s/%s at %v: %v", specID, execID, lvl, err)
 				return n
 			}
 			n++

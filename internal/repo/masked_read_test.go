@@ -1,9 +1,8 @@
 package repo
 
-// Tests for the masked-execution snapshot cache: warm reads serve a
-// shared immutable snapshot, policy/hierarchy mutations evict it, shard
-// removal keeps the counters monotone, and concurrent readers of one
-// snapshot can never observe each other's activity.
+// Tests for reads of masked executions: a read after a policy or hierarchy
+// mutation is masked under what is installed then, and concurrent readers
+// of snapshots sharing one plan can never observe each other's activity.
 
 import (
 	"context"
@@ -29,54 +28,9 @@ func itemByAttr(t *testing.T, r *Repository, attr string) string {
 	return ""
 }
 
-// TestMaskedCacheServesWarmReads: the first enforced read misses and
-// fills; repeats at the same level hit without re-masking, and a
-// different level fills its own slot.
-func TestMaskedCacheServesWarmReads(t *testing.T) {
-	r := seededRepo(t)
-	progID := itemByAttr(t, r, "prognosis")
-	if _, err := r.Provenance("bob", "disease-susceptibility", "E1", progID); err != nil {
-		t.Fatalf("Provenance: %v", err)
-	}
-	st := r.Stats()
-	if st.MaskedCacheMisses == 0 {
-		t.Fatalf("first read did not miss: %+v", st)
-	}
-	if st.MaskedCacheHits != 0 {
-		t.Fatalf("phantom hit before warm read: %+v", st)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Provenance("bob", "disease-susceptibility", "E1", progID); err != nil {
-			t.Fatalf("warm Provenance: %v", err)
-		}
-	}
-	// A query reads the masked snapshot only when it returns provenance.
-	if _, err := r.Query("bob", "disease-susceptibility", "E1", `MATCH a = "disease" RETURN provenance(a)`); err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	st2 := r.Stats()
-	if st2.MaskedCacheHits < 4 {
-		t.Fatalf("warm reads did not hit the masked cache: hits=%d", st2.MaskedCacheHits)
-	}
-	if st2.MaskedCacheMisses != st.MaskedCacheMisses {
-		t.Fatalf("warm reads missed again: %d -> %d", st.MaskedCacheMisses, st2.MaskedCacheMisses)
-	}
-	// A different level is a different snapshot.
-	if _, err := r.Provenance("alice", "disease-susceptibility", "E1", progID); err != nil {
-		t.Fatalf("owner Provenance: %v", err)
-	}
-	if st3 := r.Stats(); st3.MaskedCacheMisses <= st2.MaskedCacheMisses {
-		t.Fatalf("owner-level read served from public snapshot: %+v", st3)
-	}
-	if _, ok := r.Stats().MaskedCache["disease-susceptibility"]; !ok {
-		t.Fatal("per-shard masked cache stats missing")
-	}
-}
-
-// TestMaskedCacheInvalidationOnUpdatePolicy: a policy update must evict
-// masked snapshots — a reader after the update may never see a mask
-// computed under the old policy, in either direction (newly public stays
-// rewritten-free, newly protected is rewritten).
+// TestMaskedCacheInvalidationOnUpdatePolicy: a reader after a policy update
+// may never see a mask computed under the old policy, in either direction
+// (newly public is shown, newly protected is rewritten).
 func TestMaskedCacheInvalidationOnUpdatePolicy(t *testing.T) {
 	r := seededRepo(t)
 	progID := itemByAttr(t, r, "prognosis")
@@ -87,10 +41,7 @@ func TestMaskedCacheInvalidationOnUpdatePolicy(t *testing.T) {
 	if v := string(prov.Items[progID].Value); strings.Contains(v, "rs1") {
 		t.Fatalf("pre-update leak: %q", v)
 	}
-	// Warm the cache, then drop all protection.
-	if _, err := r.Provenance("bob", "disease-susceptibility", "E1", progID); err != nil {
-		t.Fatal(err)
-	}
+	// Drop all protection.
 	open := privacy.NewPolicy("disease-susceptibility")
 	if err := r.UpdatePolicy("disease-susceptibility", open); err != nil {
 		t.Fatalf("UpdatePolicy: %v", err)
@@ -102,7 +53,7 @@ func TestMaskedCacheInvalidationOnUpdatePolicy(t *testing.T) {
 	if v := string(prov.Items[progID].Value); !strings.Contains(v, "rs1") {
 		t.Fatalf("stale pre-update mask served after policy opened everything: %q", v)
 	}
-	// And back: re-protecting must evict the open snapshot.
+	// And back: re-protected, the value is masked again.
 	closed := privacy.NewPolicy("disease-susceptibility")
 	closed.DataLevels["snps"] = privacy.Owner
 	if err := r.UpdatePolicy("disease-susceptibility", closed); err != nil {
@@ -118,14 +69,14 @@ func TestMaskedCacheInvalidationOnUpdatePolicy(t *testing.T) {
 }
 
 // TestMaskedCacheInvalidationOnSetGeneralization: installing ladders
-// changes what masking emits, so cached snapshots must go.
+// changes what masking emits, for the next read.
 func TestMaskedCacheInvalidationOnSetGeneralization(t *testing.T) {
 	r := seededRepo(t)
 	snpID := itemByAttr(t, r, "snps")
 	progID := itemByAttr(t, r, "prognosis")
-	// Warm the public snapshot: snps fully redacted (no ladder). The
-	// snps item is an ancestor of prognosis, so it is always present in
-	// this provenance.
+	// Without a ladder the public read redacts snps fully. The snps item
+	// is an ancestor of prognosis, so it is always present in this
+	// provenance.
 	before, err := r.Provenance("bob", "disease-susceptibility", "E1", progID)
 	if err != nil {
 		t.Fatal(err)
@@ -148,67 +99,11 @@ func TestMaskedCacheInvalidationOnSetGeneralization(t *testing.T) {
 	}
 }
 
-// TestMaskedCacheMonotoneAcrossRemoveSpec: the hit and miss totals of the
-// enforced-view cache never regress — not when an install replaces the
-// generation whose cache was being counted (the counters are the shard's),
-// not when RemoveSpec takes the shard (it banks them), not when the id is
-// registered again — and they keep counting at every stage.
-func TestMaskedCacheMonotoneAcrossRemoveSpec(t *testing.T) {
-	r := seededRepo(t)
-	spec, e := r.Spec(diseaseID), r.execution(diseaseID, "E1")
-	progID := itemByAttr(t, r, "prognosis")
-	last := r.Stats()
-	stage := func(name string, reads int) {
-		t.Helper()
-		for i := 0; i < reads; i++ {
-			for _, user := range []string{"bob", "alice"} {
-				if _, err := r.Provenance(user, diseaseID, "E1", progID); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-			}
-		}
-		st := r.Stats()
-		counters := func(st Stats) [2]int64 {
-			return [2]int64{st.MaskedCacheHits, st.MaskedCacheMisses}
-		}
-		was, now := counters(last), counters(st)
-		for i := range now {
-			if now[i] < was[i] || (reads > 0 && now[i] == was[i]) {
-				t.Fatalf("%s: (masked hits, masked misses) went %v -> %v after %d reads", name, was, now, reads)
-			}
-		}
-		last = st
-	}
-	stage("as registered", 3)
-	if err := r.UpdatePolicy(diseaseID, privacy.NewPolicy(diseaseID)); err != nil {
-		t.Fatalf("UpdatePolicy: %v", err)
-	}
-	stage("after UpdatePolicy", 0)
-	if got := r.Stats().MaskedCache[diseaseID]; got.Entries != 0 || got.Hits == 0 {
-		t.Fatalf("after UpdatePolicy the shard reports %+v, want its counts kept and no entries", got)
-	}
-	stage("new generation", 2)
-	if err := r.RemoveSpec(diseaseID); err != nil {
-		t.Fatalf("RemoveSpec: %v", err)
-	}
-	stage("after RemoveSpec", 0)
-	if after := r.Stats(); len(after.MaskedCache) != 0 || after.MaskedCacheEntries != 0 {
-		t.Fatalf("removed shard still listed: %+v", after.MaskedCache)
-	}
-	if err := r.AddSpec(spec, nil); err != nil {
-		t.Fatalf("re-AddSpec: %v", err)
-	}
-	if err := r.AddExecution(e); err != nil {
-		t.Fatalf("re-AddExecution: %v", err)
-	}
-	stage("re-added", 2)
-}
-
 // TestMaskedSnapshotImmutableConcurrentReaders is the aliasing guard of
 // the snapshot design, meaningful under -race: many goroutines serve
-// query, provenance and a JSON render from the cached snapshots of two
-// executions of one shape — which share their plan's nodes, edges, graph,
-// closure and indexes, and own only their values — while others mutate the
+// query, provenance and a JSON render from the snapshots of two executions
+// of one shape — which share their plan's nodes, edges, graph, closure and
+// indexes, and own only their values — while others mutate the
 // sub-executions they received back. Every reader must observe
 // byte-identical results; any hidden shared mutable state (a lazily
 // memoized index, an aliased item or node) trips the race detector.
@@ -225,7 +120,8 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 	if err := r.AddExecution(e2); err != nil {
 		t.Fatalf("AddExecution: %v", err)
 	}
-	// Warm both public snapshots once so every goroutine shares them.
+	// Read both public snapshots once: the references, and the plan every
+	// goroutine then shares.
 	execIDs := [2]string{"E1", "E2"}
 	var refJSON [2]string
 	for i, id := range execIDs {
@@ -240,8 +136,8 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 		refJSON[i] = string(data)
 	}
 	sh := r.shard(diseaseID)
-	s1, err1 := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, "E1"), privacy.Public)
-	s2, err2 := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, e2.ID), privacy.Public)
+	s1, err1 := r.enforced(context.Background(), sh, sh.current(), r.stored(diseaseID, "E1"), privacy.Public)
+	s2, err2 := r.enforced(context.Background(), sh, sh.current(), r.stored(diseaseID, e2.ID), privacy.Public)
 	if err1 != nil || err2 != nil || s1.Plan != s2.Plan {
 		t.Fatalf("the two snapshots do not share one plan (%v, %v)", err1, err2)
 	}
@@ -315,7 +211,7 @@ func TestMaskedSnapshotImmutableConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, _ := json.Marshal(final); string(got) != refJSON[i] {
-			t.Fatalf("caller mutation of a returned provenance of %s leaked into the cached snapshots", id)
+			t.Fatalf("caller mutation of a returned provenance of %s leaked into the shared plan", id)
 		}
 	}
 }

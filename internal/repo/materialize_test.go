@@ -1,9 +1,10 @@
 package repo
 
-// Tests for the warm use of the masked-snapshot cache: a snapshot read
-// once (warm, in helpers_test.go) is served again from the cache by the
-// same maskedExec that filled it, so warm answers must equal cold ones,
-// equal an uncached reference, and stay correct across later mutations.
+// Tests for repeated reads of enforced views: a snapshot filled once
+// (fillEvery, in helpers_test.go) leaves nothing a later read is served
+// from, so answers after earlier reads must equal first answers, equal a
+// reference computed apart from the shard, and stay correct across later
+// mutations.
 
 import (
 	"context"
@@ -18,7 +19,7 @@ import (
 
 const diseaseID = "disease-susceptibility"
 
-// allLevels are the access levels the warm-cache tests read at.
+// allLevels are the access levels the fill tests read at.
 var allLevels = []privacy.Level{privacy.Public, privacy.Registered, privacy.Analyst, privacy.Owner}
 
 // snpsLadder is the generalization fixture: rs1 → chr1 → genome.
@@ -50,12 +51,10 @@ func assertSameItems(t *testing.T, ctx string, a, b *exec.Execution) {
 }
 
 func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
-	// Two identical repositories, one read warm — answers must agree,
-	// and the warm one must answer without a single cold fill.
+	// Two identical repositories, one read before: answers must agree.
 	plain := seededRepo(t)
 	mat := seededRepo(t)
-	warm(t, mat, diseaseID, []privacy.Level{privacy.Public, privacy.Analyst})
-	misses := mat.Stats().MaskedCacheMisses
+	fillEvery(t, mat, diseaseID, []privacy.Level{privacy.Public, privacy.Analyst})
 	progID := itemByAttr(t, plain, "prognosis")
 	for _, user := range []string{"bob", "carol"} { // public, analyst
 		a, errA := plain.Provenance(user, diseaseID, "E1", progID)
@@ -65,16 +64,13 @@ func TestMaterializedProvenanceMatchesOnTheFly(t *testing.T) {
 		}
 		assertSameItems(t, user, a, b)
 	}
-	if got := mat.Stats().MaskedCacheMisses; got != misses {
-		t.Fatalf("warm reads filled cold: misses %d -> %d", misses, got)
-	}
 }
 
 // TestMaterializationCoversNewExecutions: an execution ingested after the
-// cache was warmed has no snapshot yet; its first read must fill it, masked.
+// others were read is filled, masked, on its first read.
 func TestMaterializationCoversNewExecutions(t *testing.T) {
 	r := seededRepo(t)
-	warm(t, r, diseaseID, []privacy.Level{privacy.Public})
+	fillEvery(t, r, diseaseID, []privacy.Level{privacy.Public})
 	spec := r.Spec(diseaseID)
 	e2, err := exec.NewRunner(spec, nil).Run("E2", map[string]exec.Value{
 		"snps": "rs9", "ethnicity": "eth2", "lifestyle": "sedentary",
@@ -107,12 +103,12 @@ func TestMaterializationCoversNewExecutions(t *testing.T) {
 }
 
 // TestMaterializationHidesInternalItems: an item internal to a composite
-// the level sees collapsed stays hidden, cold and warm alike.
+// the level sees collapsed stays hidden, on a first read and a later one.
 func TestMaterializationHidesInternalItems(t *testing.T) {
 	for _, warmed := range []bool{false, true} {
 		r := seededRepo(t)
 		if warmed {
-			warm(t, r, diseaseID, []privacy.Level{privacy.Public})
+			fillEvery(t, r, diseaseID, []privacy.Level{privacy.Public})
 		}
 		internalID := itemByAttr(t, r, "snp_set")
 		if _, err := r.Provenance("bob", diseaseID, "E1", internalID); err == nil {
@@ -121,9 +117,9 @@ func TestMaterializationHidesInternalItems(t *testing.T) {
 	}
 }
 
-// assertSnapshotMatchesReference compares, for every level, the cached
+// assertSnapshotMatchesReference compares, for every level, the filled
 // snapshot with the same view computed directly — Collapse + MaskView on
-// a fresh masker, no cache, flight group or shard engine involved.
+// a fresh masker, no view plan or shard engine involved.
 func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*datapriv.Hierarchy) {
 	t.Helper()
 	sh := r.shard(diseaseID)
@@ -135,43 +131,39 @@ func assertSnapshotMatchesReference(t *testing.T, r *Repository, hs map[string]*
 			t.Fatalf("level %v: Collapse: %v", lvl, err)
 		}
 		want, _ := datapriv.NewMasker(pol, hs).MaskView(e, collapsed, lvl)
-		hits := sh.maskedHits.Load()
-		snap, err := sh.maskedExec(context.Background(), sh.current(), r.stored(diseaseID, "E1"), lvl)
+		snap, err := r.enforced(context.Background(), sh, sh.current(), r.stored(diseaseID, "E1"), lvl)
 		if err != nil {
-			t.Fatalf("level %v: maskedExec: %v", lvl, err)
+			t.Fatalf("level %v: fill: %v", lvl, err)
 		}
-		if after := sh.maskedHits.Load(); after == hits {
-			t.Fatalf("level %v: snapshot was not served from the warm cache", lvl)
-		}
-		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, materialized(snap.Snapshot))
+		assertSameItems(t, fmt.Sprintf("level %v", lvl), want, materialized(snap))
 	}
 }
 
-// TestViewSnapshotMaskingParity: the cached snapshot of every level
-// must equal the uncached reference view — in both mutation orders
-// (ladders before the warm-up, and ladders installed into an already
-// warm shard, which must drop the warm snapshots).
+// TestViewSnapshotMaskingParity: the filled snapshot of every level
+// must equal the reference view — in both mutation orders (ladders before
+// the first reads, and ladders installed into a shard already read, whose
+// earlier snapshots were masked without them).
 func TestViewSnapshotMaskingParity(t *testing.T) {
 	t.Run("generalize-then-materialize", func(t *testing.T) {
 		r := seededRepo(t)
 		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		warm(t, r, diseaseID, allLevels)
+		fillEvery(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("materialize-then-generalize", func(t *testing.T) {
 		r := seededRepo(t)
-		warm(t, r, diseaseID, allLevels)
+		fillEvery(t, r, diseaseID, allLevels)
 		if err := r.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 			t.Fatalf("SetGeneralization: %v", err)
 		}
-		warm(t, r, diseaseID, allLevels)
+		fillEvery(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, snpsLadder())
 	})
 	t.Run("no-ladders", func(t *testing.T) {
 		r := seededRepo(t)
-		warm(t, r, diseaseID, allLevels)
+		fillEvery(t, r, diseaseID, allLevels)
 		assertSnapshotMatchesReference(t, r, nil)
 	})
 }
@@ -179,16 +171,16 @@ func TestViewSnapshotMaskingParity(t *testing.T) {
 // TestMaterializedGeneralizedProvenance is the end-to-end shape of the
 // same contract: a below-level user's provenance carries the
 // generalized value, not a redaction, whether the ladders arrive before
-// the warm-up or after it (when the already-warm snapshots were built
-// without them and must not be served).
+// the first reads or after them (when the earlier snapshots were built
+// without them).
 func TestMaterializedGeneralizedProvenance(t *testing.T) {
 	before := seededRepo(t)
 	if err := before.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 		t.Fatalf("SetGeneralization: %v", err)
 	}
-	warm(t, before, diseaseID, allLevels)
+	fillEvery(t, before, diseaseID, allLevels)
 	after := seededRepo(t)
-	warm(t, after, diseaseID, allLevels)
+	fillEvery(t, after, diseaseID, allLevels)
 	if err := after.SetGeneralization(diseaseID, snpsLadder()); err != nil {
 		t.Fatalf("SetGeneralization: %v", err)
 	}

@@ -38,17 +38,17 @@ func queryAllReference(r *Repository, userName, specID, text string, limit, offs
 	var out []*query.Answer
 	var from []query.Snapshot
 	for _, e := range execs {
-		snap, err := sh.fill(context.Background(), gen, access.view, access.key, e, u.Level)
+		snap, err := r.enforced(context.Background(), sh, gen, e, u.Level)
 		if err != nil {
 			return nil, 0, err
 		}
-		ans, err := sh.eval.MatchOn(q, snap.Snapshot, gen.pol, u.Level, access.zoomed)
+		ans, err := sh.eval.MatchOn(q, snap, gen.pol, u.Level, access.zoomed)
 		if err != nil {
 			return nil, 0, err
 		}
 		if len(ans.Bindings) > 0 {
 			out = append(out, ans)
-			from = append(from, snap.Snapshot)
+			from = append(from, snap)
 		}
 	}
 	total := len(out)

@@ -346,7 +346,7 @@ func TestSearchChurnNeverExceedsInstalledPolicy(t *testing.T) {
 					}
 					for _, m := range h.Result.Matches {
 						mod, _ := specs[i].FindModule(m.ModuleID)
-						if mod == nil || !carries(mod, phrases, m.Phrase) {
+						if mod == nil || !carriesWithin(specs[i], mod, phrases, m.Phrase, m.ZoomedTo == m.ModuleID) {
 							t.Errorf("level %v query %q: match %+v is untrue of %s", level, q, m, h.SpecID)
 							return
 						}
@@ -366,6 +366,24 @@ func TestSearchChurnNeverExceedsInstalledPolicy(t *testing.T) {
 
 // carries reports whether the module carries every term of the query
 // phrase that prints as name.
+// carriesWithin is carries, or, for a match reported as the composite
+// standing for a withdrawn workflow (inside), carries of some module the
+// composite expands to, at any depth.
+func carriesWithin(s *workflow.Spec, m *workflow.Module, phrases [][]string, name string, inside bool) bool {
+	if !inside {
+		return carries(m, phrases, name)
+	}
+	if m.Kind != workflow.Composite {
+		return false
+	}
+	for _, sub := range s.Workflows[m.Sub].Modules {
+		if carries(sub, phrases, name) || carriesWithin(s, sub, phrases, name, true) {
+			return true
+		}
+	}
+	return false
+}
+
 func carries(m *workflow.Module, phrases [][]string, name string) bool {
 	terms := make(map[string]bool)
 	for _, kw := range m.AllKeywords() {

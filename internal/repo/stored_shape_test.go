@@ -90,7 +90,7 @@ func TestStoredExecutionsShareStructure(t *testing.T) {
 		if got, shapes := sharesPerShape(t, rr), rr.Stats().ExecShapes; got != n-1 || shapes != 1 {
 			t.Fatalf("%s: %d executions share the structure of %d shapes, want %d of 1", name, got, shapes, n-1)
 		}
-		if got := warm(t, rr, "s", allLevels); got != n*len(allLevels) {
+		if got := fillEvery(t, rr, "s", allLevels); got != n*len(allLevels) {
 			t.Fatalf("%s: %d of %d snapshots filled", name, got, n*len(allLevels))
 		}
 	}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -10,7 +9,7 @@ import (
 	"provpriv/internal/workflow"
 )
 
-// referenceSearch is SearchWithAccess as it was decided before the hit
+// referenceSearch is SearchWithAccess decided as it was before the hit
 // pass worked on ordinals: the prefix a map of ids validated against the
 // hierarchy, chains compared by their "/"-joined keys and matches sorted
 // by their strings. TestOrdinalViewMatchesReference holds minimalView to
@@ -78,11 +77,35 @@ func referenceSearch(spec *workflow.Spec, query [][]string, accessView workflow.
 	if err := prefix.Validate(h); err != nil {
 		return nil, nil, false, err
 	}
-	var matches []Match
+	matches := []Match{}
 	for i, ms := range raw {
 		for _, rm := range ms {
+			withdrawn := !accessView.Contains(rm.workflow)
+			if withdrawn {
+				// Reported as the composite standing for the shallowest
+				// workflow of its chain outside the access view, or the
+				// next one up the level may see; dropped if there is none.
+				k := 0
+				for accessView.Contains(rm.chain[k]) {
+					k++
+				}
+				for ; k > 0; k-- {
+					if c := h.ViaModule(rm.chain[k]); pol == nil || pol.CanSeeModule(level, c) {
+						mod, in := h.Module(c)
+						rm = rawMatch{module: mod, workflow: in.ID, chain: rm.chain[:k]}
+						break
+					}
+				}
+				if k == 0 {
+					continue
+				}
+			}
 			m := Match{Phrase: states[i].name, ModuleID: rm.module.ID, Workflow: rm.workflow}
+			if withdrawn {
+				m.ZoomedTo = rm.module.ID
+			}
 			if !prefix[rm.workflow] || rm.module.Kind == workflow.Composite && prefix[rm.module.Sub] {
+				m.ZoomedTo = ""
 				for _, w := range rm.chain {
 					if !prefix[w] {
 						m.ZoomedTo = h.ViaModule(w)
@@ -95,9 +118,6 @@ func referenceSearch(spec *workflow.Spec, query [][]string, accessView workflow.
 			}
 			matches = append(matches, m)
 		}
-	}
-	if len(matches) == 0 {
-		return nil, nil, false, fmt.Errorf("search: all matches suppressed by privacy constraints")
 	}
 	slices.SortFunc(matches, func(a, b Match) int {
 		return cmp.Or(strings.Compare(a.Phrase, b.Phrase), strings.Compare(a.ModuleID, b.ModuleID), strings.Compare(a.ZoomedTo, b.ZoomedTo))

@@ -93,7 +93,8 @@ type Match struct {
 
 // Result is a keyword-search answer: the minimal view, as the prefix of
 // the expansion hierarchy that determines it, and the matches visible in
-// it. The prefix is the answer; View draws it.
+// it — none when every match lies beneath withdrawn composites the level
+// may not see. The prefix is the answer; View draws it.
 type Result struct {
 	Matches   []Match
 	ZoomedOut bool // the ideal view was clipped by the user's access view
@@ -235,12 +236,12 @@ func Search(spec *workflow.Spec, query [][]string) (*Result, error) {
 // Equivalence with searchInternal: beyond the per-phrase visible-match
 // requirement tested here, searchInternal can only fail on structurally
 // invalid specs (hierarchy errors, impossible for specs the repository
-// validated on registration); its "all matches suppressed" guard is
-// unreachable when every phrase has a visible match, because a match is
-// dropped from the report only when its whole workflow chain is in the
-// prefix yet the view does not show the module — a composite whose
-// expansion another match pulled in, and that match is reported.
-// TestMatchesAgreesWithSearch pins the equivalence property-style.
+// validated on registration). A match it drops from the report — one
+// beneath a withdrawn composite that no composite the level may see stands
+// for, or one whose whole workflow chain is in the prefix yet the view
+// does not show it — still made the spec a hit, which then names fewer
+// matches, possibly none. TestMatchesAgreesWithSearch pins the equivalence
+// property-style.
 func Matches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) bool {
 	if len(query) == 0 {
 		return false
@@ -312,7 +313,7 @@ func SearchMatched(spec *workflow.Spec, h *workflow.Hierarchy, names []string, m
 	if err != nil {
 		return nil, err
 	}
-	return minimalView(spec, h, states, access)
+	return minimalView(spec, h, states, access, need, level)
 }
 
 func searchInternal(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string, access workflow.Bits, pol *privacy.Policy, level privacy.Level) (*Result, error) {
@@ -320,7 +321,11 @@ func searchInternal(spec *workflow.Spec, h *workflow.Hierarchy, query [][]string
 	if err != nil {
 		return nil, err
 	}
-	return minimalView(spec, h, states, access)
+	var need []privacy.Level
+	if pol != nil {
+		need = pol.ModuleNeeds(h)
+	}
+	return minimalView(spec, h, states, access, need, level)
 }
 
 func errNoMatch(name string) error {
@@ -382,7 +387,9 @@ func handedMatches(states []phraseState, h *workflow.Hierarchy, names []string, 
 // minimalView is the one place raw matches become an answer:
 // supersession, cheapest requirement per phrase, their union as the
 // result prefix (each clipped to access when non-nil) and the match
-// report. states holds at least one match per phrase.
+// report. states holds at least one match per phrase; need, when non-nil,
+// is the level required to see each module ordinal, read for the
+// composites a match beneath a withdrawn one is reported as.
 //
 // Nothing is expanded and no id is hashed: the prefix is a set of workflow
 // ordinals, the root and a prefix of each phrase's cheapest root chain, so
@@ -391,7 +398,7 @@ func handedMatches(states []phraseState, h *workflow.Hierarchy, names []string, 
 // composite whose subworkflow P holds too (that one is replaced by its
 // expansion) — TestShownAgreesWithExpansion holds the rule to the expansion
 // itself.
-func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, access workflow.Bits) (*Result, error) {
+func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseState, access workflow.Bits, need []privacy.Level, level privacy.Level) (*Result, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("search: empty query")
 	}
@@ -429,11 +436,16 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	}
 
 	// Report every match visible in the final view; invisible finer
-	// matches zoom out to their visible ancestor composite. One report per
-	// (phrase, module, zoomed-to): two phrases may share a name and a
-	// handed list may repeat a module. Reports are ordered and deduplicated
-	// by phrase name, then module and zoomed-to ordinal, which order as
-	// their ids do; the fields are compared one by one, never joined into a
+	// matches zoom out to their visible ancestor composite. A match whose
+	// workflow lies outside the access view names nothing inside the
+	// withdrawn region: it is reported as the composite the level sees in
+	// its place (withdrawnAs), zoomed out to itself, or not at all when
+	// there is none — the hit stands, as the index decided it, naming what
+	// it can. One report per (phrase, module, zoomed-to): two phrases may
+	// share a name, a handed list may repeat a module, and two matches may
+	// be reported as one composite. Reports are ordered and deduplicated by
+	// phrase name, then module and zoomed-to ordinal, which order as their
+	// ids do; the fields are compared one by one, never joined into a
 	// string — module ids are wire-writable and a separator could alias two
 	// distinct matches (provlint cachekey).
 	type report struct {
@@ -448,6 +460,12 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 	for i, ps := range states {
 		for _, at := range ps.matches {
 			r := report{phrase: int32(i), zoomed: -1, at: at}
+			if access != nil && !access.Has(at.Chain[len(at.Chain)-1]) {
+				if r.at = withdrawnAs(h, at.Chain, access, need, level); r.at == nil {
+					continue
+				}
+				r.zoomed = r.at.Ord
+			}
 			if !shown(res.prefix, r.at) {
 				if r.zoomed = visibleAncestor(h, r.at.Chain, res.prefix); r.zoomed < 0 {
 					continue
@@ -455,9 +473,6 @@ func minimalView(spec *workflow.Spec, h *workflow.Hierarchy, states []phraseStat
 			}
 			reports = append(reports, r)
 		}
-	}
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("search: all matches suppressed by privacy constraints")
 	}
 	cmpReports := func(a, b report) int {
 		if a.phrase != b.phrase {
@@ -529,6 +544,24 @@ func cheapestRequirement(matches []*workflow.Placement) []int32 {
 		}
 	}
 	return best.Chain
+}
+
+// withdrawnAs returns where the composite that stands, at level, for a
+// workflow outside access is placed: given the workflow's root chain, the
+// via-module of its shallowest workflow outside access — which sits in a
+// workflow access holds — or, when level may not see that module (need),
+// the next composite up the chain it may see; nil when there is none.
+func withdrawnAs(h *workflow.Hierarchy, chain []int32, access workflow.Bits, need []privacy.Level, level privacy.Level) *workflow.Placement {
+	k := 0
+	for access.Has(chain[k]) {
+		k++
+	}
+	for ; k > 0; k-- {
+		if c := h.Via(chain[k]); need == nil || need[c] <= level {
+			return h.Placed(c)
+		}
+	}
+	return nil
 }
 
 // visibleAncestor returns the ordinal of the composite module that

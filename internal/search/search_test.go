@@ -1,6 +1,7 @@
 package search
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,15 +154,65 @@ func TestSearchWithAccessZoomsOut(t *testing.T) {
 			t.Fatalf("prefix %v exceeds access view", res.Prefix().IDs())
 		}
 	}
-	// The match on M6 zooms out to the visible composite M4.
-	found := false
-	for _, m := range res.Matches {
-		if m.ModuleID == "M6" && m.ZoomedTo == "M4" {
-			found = true
-		}
+	// The match on M6, inside the withdrawn W4, is reported as the
+	// composite M4 that stands for W4, zoomed out to itself.
+	want := []Match{{Phrase: "omim", ModuleID: "M4", Workflow: "W2", ZoomedTo: "M4"}}
+	if !reflect.DeepEqual(res.Matches, want) {
+		t.Fatalf("matches = %+v, want %+v", res.Matches, want)
 	}
-	if !found {
-		t.Fatalf("matches = %+v, want M6 zoomed to M4", res.Matches)
+}
+
+// TestSearchWithdrawnMatchNamesTheVisibleComposite: root W runs D, which
+// carries "align", and composite C1, whose W1 runs composite C2, whose W2
+// runs a and b, which both carry it. With W2 withdrawn, a and b are reported
+// once, as C2 (zoomed out to C1, which the minimal view shows); with C2
+// module-private too, as C1, the next composite up; with C1 private as
+// well, not at all. SearchMatched, handed the three modules, answers alike.
+func TestSearchWithdrawnMatchNamesTheVisibleComposite(t *testing.T) {
+	b := workflow.NewBuilder("nested", "Nested", "W").
+		Workflow("W", "Root").
+		Source("I", "in").
+		Composite("C1", "Outer", "W1", []string{"in"}, []string{"out"}).
+		Atomic("D", "Deliver", []string{"out"}, []string{"done"}, "align").
+		Sink("O", "done").
+		Edge("I", "C1", "in").Edge("C1", "D", "out").Edge("D", "O", "done")
+	b.Workflow("W1", "Middle").
+		Composite("C2", "Inner", "W2", []string{"in"}, []string{"out"})
+	b.Workflow("W2", "Inside").
+		Atomic("a", "First", []string{"in"}, []string{"x"}, "align").
+		Atomic("b", "Second", []string{"x"}, []string{"out"}, "align").
+		Edge("a", "b", "x")
+	spec, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	access := workflow.NewPrefix("W", "W1")
+	d := Match{Phrase: "align", ModuleID: "D", Workflow: "W"}
+	for _, tc := range []struct {
+		private []string
+		want    []Match
+	}{
+		{nil, []Match{{Phrase: "align", ModuleID: "C2", Workflow: "W1", ZoomedTo: "C1"}, d}},
+		{[]string{"C2"}, []Match{{Phrase: "align", ModuleID: "C1", Workflow: "W", ZoomedTo: "C1"}, d}},
+		{[]string{"C2", "C1"}, []Match{d}},
+	} {
+		pol := privacy.NewPolicy(spec.ID)
+		for _, id := range tc.private {
+			pol.ModuleLevels[id] = privacy.Owner
+		}
+		res, err := SearchWithAccess(spec, ParseQuery("align"), access, pol, privacy.Public)
+		if err != nil || !reflect.DeepEqual(res.Matches, tc.want) {
+			t.Fatalf("private %v: matches %+v (%v), want %+v", tc.private, res, err, tc.want)
+		}
+		handed := [][]int32{{h.Place("D").Ord, h.Place("a").Ord, h.Place("b").Ord}}
+		res, err = SearchMatched(spec, h, []string{"align"}, handed, pol.ModuleNeeds(h), h.Bits(access), privacy.Public)
+		if err != nil || !reflect.DeepEqual(res.Matches, tc.want) {
+			t.Fatalf("private %v: SearchMatched matches %+v (%v), want %+v", tc.private, res, err, tc.want)
+		}
 	}
 }
 

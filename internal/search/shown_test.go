@@ -17,7 +17,8 @@ import (
 // and a module is in the expanded view exactly when the hierarchy rule
 // says the view shows it. Then, for the answers of random queries at every
 // level, Result.View is the expansion of Result.Prefix and agrees with the
-// matches the result reports.
+// matches the result reports, none of which names a module of a workflow
+// the level's access view withdraws.
 func TestShownAgreesWithExpansion(t *testing.T) {
 	shapes := []workload.SpecConfig{
 		{Depth: 1, Fanout: 0, Chain: 3},
@@ -67,7 +68,8 @@ func TestShownAgreesWithExpansion(t *testing.T) {
 			}
 			for _, q := range workload.RandomQueries(rng, nil, 12) {
 				for _, level := range allLevels {
-					res, err := search.SearchWithAccess(s, search.ParseQuery(q), pol.AccessView(h, level), pol, level)
+					access := pol.AccessView(h, level)
+					res, err := search.SearchWithAccess(s, search.ParseQuery(q), access, pol, level)
 					if err != nil {
 						continue // a phrase nobody at this level can match
 					}
@@ -90,8 +92,13 @@ func TestShownAgreesWithExpansion(t *testing.T) {
 						if got.Module(id) == nil {
 							t.Fatalf("%+v query %q level %v: reported match %+v is not in the view", cfg, q, level, m)
 						}
-						if m.ZoomedTo != "" && got.Module(m.ModuleID) != nil {
+						// A match reported as the composite standing for a
+						// withdrawn workflow zooms out to that composite.
+						if m.ZoomedTo != "" && m.ZoomedTo != m.ModuleID && got.Module(m.ModuleID) != nil {
 							t.Fatalf("%+v query %q level %v: match %+v zoomed out although the view shows it", cfg, q, level, m)
+						}
+						if !access.Contains(m.Workflow) {
+							t.Fatalf("%+v query %q level %v: match %+v names a module of a workflow the access view withdraws", cfg, q, level, m)
 						}
 					}
 				}

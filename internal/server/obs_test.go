@@ -111,8 +111,8 @@ func TestDebugTracesSpanTree(t *testing.T) {
 		t.Fatalf("query trace not marked slow at a 1ns threshold")
 	}
 	// The span tree: handler → binding phase, and handler → the window's
-	// materialization → masked-cache fill → view/taint/mask children, each
-	// with a recorded duration.
+	// materialization → fill → view/taint/mask children, each with a
+	// recorded duration.
 	handler := findSpan(qt.Spans, "handler")
 	if handler == nil {
 		t.Fatalf("no handler span: %+v", qt.Spans)
@@ -124,14 +124,14 @@ func TestDebugTracesSpanTree(t *testing.T) {
 	if fanout == nil {
 		t.Fatalf("no query.fanout.materialize under handler: %+v", handler)
 	}
-	fill := findSpan(fanout.Children, "cache.masked_fill")
+	fill := findSpan(fanout.Children, "view.fill")
 	if fill == nil {
-		t.Fatalf("no cache.masked_fill under fan-out: %+v", fanout)
+		t.Fatalf("no view.fill under fan-out: %+v", fanout)
 	}
 	for _, name := range []string{"view.collapse", "taint.analyze", "mask.apply"} {
 		child := findSpan(fill.Children, name)
 		if child == nil {
-			t.Fatalf("no %s under cache.masked_fill: %+v", name, fill)
+			t.Fatalf("no %s under view.fill: %+v", name, fill)
 		}
 		if child.DurNs < 0 {
 			t.Fatalf("%s has negative duration", name)

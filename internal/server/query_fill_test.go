@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"provpriv/internal/exec"
@@ -49,15 +50,12 @@ func fillCountServer(t *testing.T) *httptest.Server {
 
 // TestBindingsQueriesFillNothing: a /query that returns bindings (the
 // default) or nodes reads no item value, so on every route — one
-// execution, all executions, and the zoom-out — it neither fills nor looks
-// up a masked snapshot, at any level; an all-executions query that returns
-// provenance fills the window's executions and no others.
+// execution, all executions, and the zoom-out — it fills no masked view,
+// at any level; an all-executions query that returns provenance fills the
+// window's executions and no others.
 func TestBindingsQueriesFillNothing(t *testing.T) {
 	ts := fillCountServer(t)
-	counters := func() (hits, misses int64) {
-		return scrapeMetric(t, ts, "provpriv_masked_exec_cache_hits_total"),
-			scrapeMetric(t, ts, "provpriv_masked_exec_cache_misses_total")
-	}
+	fills := func() int64 { return scrapeMetric(t, ts, "provpriv_masked_fills_total") }
 	answered := 0
 	for _, text := range []string{`MATCH a = "disorder"`, `MATCH a = "disorder" RETURN bindings`, `MATCH a = "disorder" RETURN nodes`} {
 		for _, route := range []string{"", "&exec=E1", "&exec=E1&zoom=true"} {
@@ -74,8 +72,8 @@ func TestBindingsQueriesFillNothing(t *testing.T) {
 	if answered == 0 {
 		t.Fatal("no query bound anything: the fill count says nothing")
 	}
-	if hits, misses := counters(); hits != 0 || misses != 0 {
-		t.Fatalf("queries that read no value looked up the masked cache: %d hits, %d misses", hits, misses)
+	if n := fills(); n != 0 {
+		t.Fatalf("queries that read no value filled %d masked views", n)
 	}
 
 	var page queryPage
@@ -86,8 +84,31 @@ func TestBindingsQueriesFillNothing(t *testing.T) {
 	if page.Total != 4 || len(page.Answers) != 2 {
 		t.Fatalf("provenance window: %d answers of %d, want 2 of 4", len(page.Answers), page.Total)
 	}
-	hits, misses := counters()
-	if hits != 0 || misses == 0 || misses > 2 {
-		t.Fatalf("a provenance query windowed to 2 of 4 executions: %d hits, %d misses, want at most 2 fills", hits, misses)
+	if n := fills(); n != 2 {
+		t.Fatalf("a provenance query windowed to 2 of 4 executions filled %d masked views, want 2", n)
+	}
+}
+
+// TestZoomOutProvenanceCountsItsMasking: a zoomed-out query that returns
+// provenance fills its view like every other read of values, so the
+// masking of a protected value in it advances the taint counters, which
+// cover all read-path masking, and the fill counter alike.
+func TestZoomOutProvenanceCountsItsMasking(t *testing.T) {
+	ts := fillCountServer(t)
+	rewritten := func() int64 { return scrapeMetric(t, ts, "provpriv_taint_items_rewritten_total") }
+	before := rewritten()
+	path := "/api/v1/query?spec=disease-susceptibility&exec=E1&zoom=true&q=" + url.QueryEscape(`MATCH a = "disorder" RETURN provenance(a)`)
+	var body map[string]any
+	if code := get(t, ts, "bob", path, &body); code != http.StatusOK {
+		t.Fatalf("%s: %d", path, code)
+	}
+	if strings.Contains(fmt.Sprint(body), "rs1") {
+		t.Fatalf("the zoomed-out provenance shows the protected snps value: %v", body)
+	}
+	if n := rewritten() - before; n == 0 {
+		t.Fatal("the zoomed-out provenance masked a protected value but the taint counters did not move")
+	}
+	if n := scrapeMetric(t, ts, "provpriv_masked_fills_total"); n != 1 {
+		t.Fatalf("one zoomed-out provenance query counted %d fills, want 1", n)
 	}
 }

@@ -1101,9 +1101,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("index_snapshot_swaps_total", "Inverted-index snapshot publications (spec mutations).", st.IndexSwaps)
 	metric("taint_items_rewritten_total", "Items whose embedded protected values were rewritten by taint masking.", st.TaintRewritten)
 	metric("taint_items_redacted_total", "Items fully redacted because taint rewriting could not remove a leak.", st.TaintRedacted)
-	metric("masked_exec_cache_hits_total", "Per-shard masked-execution snapshot cache hits.", st.MaskedCacheHits)
-	metric("masked_exec_cache_misses_total", "Per-shard masked-execution snapshot cache misses.", st.MaskedCacheMisses)
-	metric("masked_exec_cache_entries", "Masked-execution snapshots currently held by the live shards' caches.", int64(st.MaskedCacheEntries))
+	metric("masked_fills_total", "Enforced execution views filled for reads of values (provenance reads and provenance returns).", st.MaskedCacheMisses)
 	metric("exec_shapes", "Distinct execution shapes interned by the live shards (executions of one shape share their views' structure).", int64(st.ExecShapes))
 	metric("view_plans", "Value-free view plans, one per (shape, access view), currently held by the live shards.", int64(st.ViewPlans))
 	metric("mutations_total", "Successful mutation-endpoint requests.", s.mutations.Load())

@@ -520,7 +520,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, user := range []string{"alice", "bob"} {
-		// Returning provenance, the query fills this level's masked snapshot.
+		// Returning provenance, the query fills this level's masked view.
 		if code := get(t, ts, user, "/api/v1/query?spec=disease-susceptibility&exec="+e.ID+"&q=MATCH%20a%20%3D%20%22query%22%20RETURN%20provenance(a)", nil); code != http.StatusOK {
 			t.Fatalf("query as %s: %d", user, code)
 		}
@@ -553,7 +553,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"provpriv_index_segments 1",
 		"provpriv_index_postings",
 		"provpriv_index_snapshot_swaps_total",
-		"provpriv_masked_exec_cache_entries 2",
+		"provpriv_masked_fills_total 2",
 		"provpriv_exec_shapes 1",
 		"provpriv_view_plans 2",
 	} {
@@ -561,7 +561,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", metric, text)
 		}
 	}
-	for _, gone := range []string{"provpriv_result_cache_", "provpriv_taint_cache_"} {
+	for _, gone := range []string{"provpriv_result_cache_", "provpriv_taint_cache_", "provpriv_masked_exec_cache_"} {
 		if strings.Contains(text, gone) {
 			t.Fatalf("metrics still carry a %s* series:\n%s", gone, text)
 		}
@@ -638,10 +638,10 @@ func TestProvenanceTaintEscapeHatch(t *testing.T) {
 	}
 }
 
-// TestTaintMetricsMonotone: the taint_* counters appear in /metrics,
-// only grow (monotone *_total gauges like the PR 2 counters), and the
-// per-shard masked-snapshot cache hit/miss breakdown shows up in /stats,
-// which no longer names a taint-set cache.
+// TestTaintMetricsMonotone: the taint_* counters appear in /metrics and
+// only grow (monotone *_total counters), every read
+// of values is one fill, counted alike in /metrics and /stats, and /stats
+// names neither a taint-set cache nor a masked-snapshot cache.
 func TestTaintMetricsMonotone(t *testing.T) {
 	ts, _, e := newTestServer(t)
 	var progID string
@@ -667,48 +667,34 @@ func TestTaintMetricsMonotone(t *testing.T) {
 	}
 	rewritten2 := scrapeMetric(t, ts, "provpriv_taint_items_rewritten_total")
 	redacted2 := scrapeMetric(t, ts, "provpriv_taint_items_redacted_total")
-	maskedHits := scrapeMetric(t, ts, "provpriv_masked_exec_cache_hits_total")
-	maskedMisses := scrapeMetric(t, ts, "provpriv_masked_exec_cache_misses_total")
+	fills := scrapeMetric(t, ts, "provpriv_masked_fills_total")
 	if rewritten2 < rewritten1 || redacted2 < redacted1 {
 		t.Fatalf("taint counters regressed: rewritten %d→%d redacted %d→%d",
 			rewritten1, rewritten2, redacted1, redacted2)
 	}
 	if rewritten2 == rewritten1 {
-		t.Fatal("repeat provenance did not replay the masking report")
+		t.Fatal("repeat provenance did not count its masking")
 	}
-	// Repeat provenance serves the cached masked snapshot: the execution
-	// is analysed only on the snapshot fill, and the masked-exec cache
-	// takes every warm request.
-	if maskedMisses == 0 {
-		t.Fatal("first provenance did not miss the masked-exec cache")
-	}
-	if maskedHits == 0 {
-		t.Fatal("repeat provenance did not hit the masked-exec cache")
+	if fills != 4 {
+		t.Fatalf("four provenance reads counted %d fills, want 4", fills)
 	}
 
 	var st struct {
-		MaskedCacheHits   int64                           `json:"masked_exec_cache_hits"`
-		MaskedCacheMisses int64                           `json:"masked_exec_cache_misses"`
-		MaskedCache       map[string]repo.MaskedCacheStat `json:"masked_exec_cache"`
+		Fills int64 `json:"masked_fills"`
 	}
 	if code := get(t, ts, "alice", "/api/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	if st.MaskedCacheHits != maskedHits || st.MaskedCacheMisses != maskedMisses {
-		t.Fatalf("masked stats/metrics disagree: hits %d vs %d, misses %d vs %d",
-			st.MaskedCacheHits, maskedHits, st.MaskedCacheMisses, maskedMisses)
-	}
-	msh, ok := st.MaskedCache["disease-susceptibility"]
-	if !ok || msh.Hits+msh.Misses == 0 || msh.Entries != 1 {
-		t.Fatalf("per-shard masked cache stats missing: %+v", st.MaskedCache)
+	if st.Fills != fills {
+		t.Fatalf("fills in /stats %d, in /metrics %d", st.Fills, fills)
 	}
 	var raw map[string]json.RawMessage
 	if code := get(t, ts, "alice", "/api/v1/stats", &raw); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	for _, gone := range []string{"taint_cache_hits", "taint_cache_misses", "taint_cache"} {
-		if _, ok := raw[gone]; ok {
-			t.Fatalf("/stats still carries %q", gone)
+	for key := range raw {
+		if strings.HasPrefix(key, "taint_cache") || strings.HasPrefix(key, "masked_exec_cache") {
+			t.Fatalf("/stats still carries %q", key)
 		}
 	}
 }

@@ -252,31 +252,26 @@ func TestLeakFreeProvenanceAllLevels(t *testing.T) {
 	}
 }
 
-// TestTaintCountersOnMaterializedFastPath: provenance served from a
-// snapshot an earlier read built (a warm hit, no masking work) must stay
-// leak-free AND keep the taint counters moving — the snapshot replays the
-// masking report recorded when it was built.
+// TestTaintCountersOnMaterializedFastPath: a repeated provenance read must
+// stay leak-free AND keep the taint counters moving — each read fills and
+// masks its view, and counts what it masked.
 func TestTaintCountersOnMaterializedFastPath(t *testing.T) {
 	r, spec, e, _ := diseaseLeakRepo(t)
 	prognosis := itemByAttr(t, e, "prognosis")
 	if _, err := r.Provenance("pub", spec.ID, "E1", prognosis); err != nil {
-		t.Fatalf("cold provenance: %v", err)
+		t.Fatalf("first provenance: %v", err)
 	}
 	before := r.Stats()
 	prov, err := r.Provenance("pub", spec.ID, "E1", prognosis)
 	if err != nil {
-		t.Fatalf("warm provenance: %v", err)
+		t.Fatalf("repeated provenance: %v", err)
 	}
 	for id, it := range prov.Items {
 		if strings.Contains(string(it.Value), "rs123") {
-			t.Errorf("warm provenance item %s embeds rs123: %q", id, it.Value)
+			t.Errorf("repeated provenance item %s embeds rs123: %q", id, it.Value)
 		}
 	}
-	after := r.Stats()
-	if after.MaskedCacheMisses != before.MaskedCacheMisses {
-		t.Fatalf("second read filled cold: misses %d -> %d", before.MaskedCacheMisses, after.MaskedCacheMisses)
-	}
-	if after.TaintRewritten <= before.TaintRewritten {
-		t.Fatalf("warm hit did not feed taint counters: %d -> %d", before.TaintRewritten, after.TaintRewritten)
+	if after := r.Stats(); after.TaintRewritten <= before.TaintRewritten {
+		t.Fatalf("repeated read did not feed taint counters: %d -> %d", before.TaintRewritten, after.TaintRewritten)
 	}
 }

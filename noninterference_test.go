@@ -21,7 +21,8 @@ package provpriv
 // them serves a stored value instead of the masked snapshot's. The
 // structural arm makes W' differ in one thing only: whether a path joins a
 // pair of modules hidden from L, inside the composite they share; the
-// hidden-names arm, in the names and keywords of modules L may not see.
+// hidden-names arm, in the names and keywords of modules L may not see, or
+// in the ids of modules L may see but only beneath a withdrawn composite.
 
 import (
 	"bytes"
@@ -818,26 +819,45 @@ func TestNonInterferenceStructural(t *testing.T) {
 	}
 }
 
+// niNames is how one world of the hidden-names arm draws the modules a and
+// b inside composite C: their ids, names and keywords, and whether they are
+// module-private at Analyst.
+type niNames struct {
+	aID, bID     string
+	aName, bName string
+	aKeys, bKeys []string
+	private      bool
+}
+
+var (
+	// niW is the hidden-names arm's W, and niWRenamed its W': the same ids,
+	// other names and keywords.
+	niW        = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, true}
+	niWRenamed = niNames{"a", "b", "Zeta reads", "Other", []string{"zeta", "quux"}, []string{"other"}, true}
+	// niWVisible is the third world's W: a and b module-visible to every
+	// level, so the access view alone hides them below grant, and
+	// niWReIDed its W': the same names and keywords under other ids.
+	niWVisible = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false}
+	niWReIDed  = niNames{"renamed-a", "renamed-b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false}
+)
+
 // niRenamedWorld is one world of the hidden-names arm. Spec ni-names runs
 // I -> C -> D -> O, where composite C expands to WC (a -> b), granted to
 // the access view only from level grant up (Analyst in the hidden-names
-// arm), so below it C is withdrawn and shown as one module; a and b are
-// module-private at Analyst whatever grant is, because
-// the access view alone only decides how a search hit is drawn: a keyword
-// of a module the reader may see matches inside a withdrawn composite and
-// is reported zoomed out to it. With renamed, a and b keep their ids,
-// attributes and functions but take other names and keywords: every value,
-// and so every item crossing C's boundary, is the same in both worlds. D,
+// arm), so below it C is withdrawn and shown as one module; names decides
+// a's and b's ids, names and keywords and whether they are module-private
+// at Analyst whatever grant is. The access view alone only decides how a
+// search hit is drawn: a keyword of a module the reader may see matches
+// inside a withdrawn composite and is reported as that composite. Every
+// world runs a and b as the functions of W's a and b, so every value, and
+// so every item crossing C's boundary, is the same in all of them. D,
 // visible to all, shares the keyword "shared" with a in W only, and spec
-// ni-names-peer, the same in both worlds, carries every name and keyword
-// either world gives a or b: term frequency and document frequency both
-// see a hidden keyword if the index counts one.
-func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repository, *workflow.Spec, []string) {
+// ni-names-peer, the same in every world, carries every name and keyword
+// any world gives a or b: term frequency and document frequency both see a
+// hidden keyword if the index counts one.
+func niRenamedWorld(t *testing.T, names niNames, grant privacy.Level) (*repo.Repository, *workflow.Spec, []string) {
 	t.Helper()
-	aName, aKeys, bName, bKeys := "Align reads", []string{"align", "shared"}, "Bin", []string{"bin"}
-	if renamed {
-		aName, aKeys, bName, bKeys = "Zeta reads", []string{"zeta", "quux"}, "Other", []string{"other"}
-	}
+	aName, aKeys, bName, bKeys := names.aName, names.aKeys, names.bName, names.bKeys
 	b := workflow.NewBuilder("ni-names", "Hidden names", "W").
 		Workflow("W", "Root").
 		Source("I", "in").
@@ -848,9 +868,9 @@ func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repo
 		Edge("C", "D", "out").
 		Edge("D", "O", "done")
 	b.Workflow("WC", "Inside").
-		Atomic("a", aName, []string{"in"}, []string{"x"}, aKeys...).
-		Atomic("b", bName, []string{"x"}, []string{"out"}, bKeys...).
-		Edge("a", "b", "x")
+		Atomic(names.aID, aName, []string{"in"}, []string{"x"}, aKeys...).
+		Atomic(names.bID, bName, []string{"x"}, []string{"out"}, bKeys...).
+		Edge(names.aID, names.bID, "x")
 	s, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -868,7 +888,9 @@ func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repo
 	}
 	pol := privacy.NewPolicy(s.ID)
 	pol.ViewGrants[grant] = []string{"WC"}
-	pol.ModuleLevels["a"], pol.ModuleLevels["b"] = privacy.Analyst, privacy.Analyst
+	if names.private {
+		pol.ModuleLevels[names.aID], pol.ModuleLevels[names.bID] = privacy.Analyst, privacy.Analyst
+	}
 	r := repo.New()
 	for _, sp := range []*workflow.Spec{s, peer} {
 		p := pol
@@ -879,7 +901,11 @@ func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repo
 			t.Fatal(err)
 		}
 	}
-	e, err := exec.NewRunner(s, nil).Run("E0", map[string]exec.Value{"in": "v"})
+	funcs := exec.Registry{
+		names.aID: exec.DefaultFunc(niW.aID, []string{"x"}),
+		names.bID: exec.DefaultFunc(niW.bID, []string{"out"}),
+	}
+	e, err := exec.NewRunner(s, funcs).Run("E0", map[string]exec.Value{"in": "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -892,25 +918,49 @@ func niRenamedWorld(t *testing.T, renamed bool, grant privacy.Level) (*repo.Repo
 	return r, s, e.ItemIDs()
 }
 
-// TestNonInterferenceHiddenNames: a reader who may see neither a
-// composite's inside nor its modules must not tell a world from one where
-// those modules have other names and keywords, by any route — a search for
-// any keyword of either world included, hits, scores and total. A reader
-// entitled to them must.
+// TestNonInterferenceHiddenNames: a reader who may not see a composite's
+// inside must not tell a world from one where the modules inside have other
+// names and keywords, if it may not see those modules either, or other ids,
+// if it may — by any route, a search for any keyword of either world
+// included, hits, scores and total. A reader entitled to them must.
 func TestNonInterferenceHiddenNames(t *testing.T) {
-	rw, s, items := niRenamedWorld(t, false, privacy.Analyst)
-	rp, sp, itemsPrime := niRenamedWorld(t, true, privacy.Analyst)
-	if !slices.Equal(items, itemsPrime) {
-		t.Fatalf("fixture: the worlds' item ids differ: %v, %v", items, itemsPrime)
-	}
-	keywords := niKeywords(s, sp)
-	for _, level := range []privacy.Level{privacy.Public, privacy.Registered} {
-		user := "u-" + level.String()
-		niSame(t, user, niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user))
-	}
-	user := "u-" + privacy.Analyst.String()
-	if slices.Equal(niAsk(t, rw, s, 1, items, keywords, user), niAsk(t, rp, sp, 1, items, keywords, user)) {
-		t.Fatal("the analyst cannot tell the worlds apart: the comparison never looked where they differ")
+	for _, worlds := range []struct {
+		name     string
+		w, prime niNames
+	}{
+		{"other names and keywords", niW, niWRenamed},
+		{"other ids of module-visible modules", niWVisible, niWReIDed},
+	} {
+		t.Run(worlds.name, func(t *testing.T) {
+			rw, s, items := niRenamedWorld(t, worlds.w, privacy.Analyst)
+			rp, sp, itemsPrime := niRenamedWorld(t, worlds.prime, privacy.Analyst)
+			if !slices.Equal(items, itemsPrime) {
+				t.Fatalf("fixture: the worlds' item ids differ: %v, %v", items, itemsPrime)
+			}
+			keywords := niKeywords(s, sp)
+			// Each world is asked about its own modules by their ids (only
+			// /reach names one), and W' is compared as if it had used W's:
+			// such a question and the answer, which echoes it, are mapped
+			// back. An answer to a question naming no id is compared as is.
+			ids := strings.NewReplacer(worlds.prime.aID, worlds.w.aID, worlds.prime.bID, worlds.w.bID)
+			askPrime := func(user string) []niAnswer {
+				answers := niAsk(t, rp, sp, 1, items, keywords, user)
+				for i, a := range answers {
+					if q := ids.Replace(a.what); q != a.what {
+						answers[i].what, answers[i].body = q, ids.Replace(a.body)
+					}
+				}
+				return answers
+			}
+			for _, level := range []privacy.Level{privacy.Public, privacy.Registered} {
+				user := "u-" + level.String()
+				niSame(t, user, niAsk(t, rw, s, 1, items, keywords, user), askPrime(user))
+			}
+			user := "u-" + privacy.Analyst.String()
+			if slices.Equal(niAsk(t, rw, s, 1, items, keywords, user), askPrime(user)) {
+				t.Fatal("the analyst cannot tell the worlds apart: the comparison never looked where they differ")
+			}
+		})
 	}
 }
 
@@ -923,8 +973,8 @@ func TestNonInterferenceHiddenNames(t *testing.T) {
 // so both worlds must answer alike; the analyst, who may see them, must
 // tell the worlds apart.
 func TestNonInterferenceModulePrivateInView(t *testing.T) {
-	rw, s, _ := niRenamedWorld(t, false, privacy.Public)
-	rp, sp, _ := niRenamedWorld(t, true, privacy.Public)
+	rw, s, _ := niRenamedWorld(t, niW, privacy.Public)
+	rp, sp, _ := niRenamedWorld(t, niWRenamed, privacy.Public)
 	keywords := niKeywords(s, sp)
 	ask := func(r *repo.Repository, user string) []niAnswer {
 		h := server.New(r).Handler()
