@@ -4,7 +4,9 @@ package exec
 // differential fuzz target.
 type ValueRecord = valueRecord
 
-func DecodeValueRecord(data []byte) (ValueRecord, error) { return decodeValueRecord(data, nil) }
+func DecodeValueRecord(data []byte) (ValueRecord, error) {
+	return decodeValueRecord(data, &valueScratch{})
+}
 
 // Execution materializes st as the execution it stores: its shape's
 // structure, shared, with st's values in fresh items.

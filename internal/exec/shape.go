@@ -216,8 +216,9 @@ type Shapes struct {
 	seed   maphash.Seed
 	byHash map[uint64][]*Shape
 	n      int
-	// values is UnmarshalValues' vector, reused: WithValues copies it.
-	values []Value
+	// scratch is what UnmarshalValues reads through, reused: WithValues
+	// copies the vector.
+	scratch valueScratch
 }
 
 // NewShapes returns an empty table.
@@ -255,11 +256,10 @@ func NewStored(e *Execution) *Stored { return newShape(e).store(e) }
 // record that names no stored execution, or whose vector does not fit the
 // shape, is refused.
 func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Stored) (*Stored, error) {
-	rec, err := decodeValueRecord(data, t.values)
+	rec, err := decodeValueRecord(data, &t.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode values of %s: %w", id, err)
 	}
-	t.values = rec.Values
 	like := stored[rec.Like]
 	if like == nil {
 		return nil, fmt.Errorf("exec: values of %s name %q, which is not stored", id, rec.Like)

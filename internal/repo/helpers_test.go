@@ -160,14 +160,18 @@ func shapedRepo(t testing.TB) *Repository {
 	return r
 }
 
-// sameStored fails unless got stores exactly the executions want does, each
-// serializing (exec.MarshalExecution) to the same bytes.
+// sameStored fails unless got stores exactly the specs and executions want
+// does, each serializing (json.Marshal, exec.MarshalExecution) to the same
+// bytes.
 func sameStored(t testing.TB, want, got *Repository) {
 	t.Helper()
 	if w, g := fmt.Sprint(want.SpecIDs()), fmt.Sprint(got.SpecIDs()); w != g {
 		t.Fatalf("specs %s, want %s", g, w)
 	}
 	for _, sid := range want.SpecIDs() {
+		if w, g := specJSON(t, want.Spec(sid)), specJSON(t, got.Spec(sid)); w != g {
+			t.Fatalf("spec %s differs:\n got %s\nwant %s", sid, g, w)
+		}
 		if w, g := fmt.Sprint(want.ExecutionIDs(sid)), fmt.Sprint(got.ExecutionIDs(sid)); w != g {
 			t.Fatalf("%s: executions %s, want %s", sid, g, w)
 		}
@@ -185,6 +189,15 @@ func sameStored(t testing.TB, want, got *Repository) {
 			}
 		}
 	}
+}
+
+func specJSON(t testing.TB, s *workflow.Spec) string {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // sharesPerShape fails unless every execution r stores is a value vector

@@ -395,42 +395,46 @@ func Load(dir string) (*Repository, error) {
 // the shard (spec, policy, ladders, the execution table and its shapes) and
 // held, the ids the store now holds for it. Policy and ladder records are
 // last-wins, matching the append-log semantics; an execution is stored once,
-// since a later record may name an earlier one. readShard fills one and
-// touches nothing else, so shards are read in parallel.
+// since a later record may name an earlier one. readShard fills one, and the
+// shard built from it, and touches nothing else, so shards load in parallel.
 type loadedShard struct {
+	sh      *shard
 	spec    *workflow.Spec
 	pol     *privacy.Policy
 	hs      map[string]*datapriv.Hierarchy
 	execs   map[string]*exec.Stored
 	shapes  *exec.Shapes
 	held    map[string]bool
-	logRecs uint64
+	records uint64 // applied: the checkpoint's, then the log's
 }
 
-// readShard replays one shard's checkpoint and committed log.
-func readShard(b storage.Backend, sid string, info storage.ShardInfo) (*loadedShard, error) {
+// readShard replays one shard's checkpoint and committed log and builds the
+// shard they hold with newShard, leaving its seq to the caller.
+func (r *Repository) readShard(b storage.Backend, sid string, info storage.ShardInfo) (*loadedShard, error) {
 	l := &loadedShard{execs: make(map[string]*exec.Stored), shapes: exec.NewShapes(), held: make(map[string]bool)}
-	if err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, func(rec storage.Record) error {
-		return l.apply(sid, rec)
-	}); err != nil {
+	apply := func(rec storage.Record) error { l.records++; return l.apply(sid, rec) }
+	err := b.ReadCheckpoint(sid, info.Checkpoint, info.Records, apply)
+	if err == nil {
+		err = b.ReplayLog(sid, info.Checkpoint, info.LogLen, apply)
+	}
+	if err == nil && l.spec == nil {
+		err = fmt.Errorf("shard %q has no spec record: %w", sid, storage.ErrCorrupt)
+	}
+	if err == nil {
+		l.sh, err = r.newShard(l.spec, l.pol, l.hs, 0)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("repo: load %s: %w", sid, err)
 	}
-	if err := b.ReplayLog(sid, info.Checkpoint, info.LogLen, func(rec storage.Record) error {
-		l.logRecs++
-		return l.apply(sid, rec)
-	}); err != nil {
-		return nil, fmt.Errorf("repo: load %s: %w", sid, err)
-	}
-	if l.spec == nil {
-		return nil, fmt.Errorf("repo: load: shard %q has no spec record: %w", sid, storage.ErrCorrupt)
-	}
+	l.sh.execs, l.sh.shapes = l.execs, l.shapes
 	return l, nil
 }
 
 func (l *loadedShard) apply(sid string, rec storage.Record) error {
 	switch rec.Type {
 	case storage.RecSpec:
-		s, err := workflow.UnmarshalSpec(rec.Data)
+		// Only read: newShard validates it, once.
+		s, err := workflow.DecodeSpec(rec.Data)
 		if err != nil {
 			return err
 		}
@@ -489,10 +493,10 @@ func (l *loadedShard) store(sid string, e *exec.Stored) error {
 // Save commits generation 1 — how a server starts on a fresh directory.
 // The repository takes ownership of b on success.
 //
-// Shards are read on the repository's fan-out pool, each into its own
-// loadedShard, then assembled in shard-id order, so sequence numbers, the
-// index and the error returned (the first failing shard's) are those of a
-// serial load. The repository is private until returned, so nothing is
+// Shards are read and built on the repository's fan-out pool, each into its
+// own loadedShard, then published in shard-id order, so sequence numbers,
+// the index and the error returned (the first failing shard's) are those of
+// a serial load. The repository is private until returned, so nothing is
 // locked: a shard is handed the execution table and shapes its records
 // built — checked as read, never through AddExecution again — with the
 // bookkeeping that lets the first Save back to this store skip it, and the
@@ -507,7 +511,7 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 	sids := slices.Sorted(maps.Keys(meta.Shards))
 	loaded, errs := make([]*loadedShard, len(sids)), make([]error, len(sids))
 	r.fanOut(len(sids), func(i int) {
-		loaded[i], errs[i] = readShard(b, sids[i], meta.Shards[sids[i]])
+		loaded[i], errs[i] = r.readShard(b, sids[i], meta.Shards[sids[i]])
 	})
 	bound := &boundStore{b: b, key: key, gen: meta.Generation, shards: make(map[string]*shardSaved)}
 	specs, pols := make([]*workflow.Spec, 0, len(sids)), make(map[string]*privacy.Policy, len(sids))
@@ -515,12 +519,8 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		l, info := loaded[i], meta.Shards[sid]
-		sh, err := r.newShard(l.spec, l.pol, l.hs)
-		if err != nil {
-			return nil, err
-		}
-		sh.execs, sh.shapes = l.execs, l.shapes
+		l, info, sh, seq := loaded[i], meta.Shards[sid], loaded[i].sh, r.mutSeq.Add(1)
+		sh.seq, sh.gen.seq = seq, seq
 		r.shards[sid] = sh
 		specs = append(specs, l.spec)
 		// The shard's own pointer (newShard substitutes an all-public policy
@@ -529,7 +529,7 @@ func LoadStorage(b storage.Backend, key string) (*Repository, error) {
 		pols[sid] = sh.gen.pol
 		bound.shards[sid] = &shardSaved{
 			seq: sh.seq, polSeq: sh.gen.seq, spec: l.spec, execs: l.held,
-			ckptGen: info.Checkpoint, ckptRecords: info.Records, logLen: info.LogLen, logRecs: l.logRecs,
+			ckptGen: info.Checkpoint, ckptRecords: info.Records, logLen: info.LogLen, logRecs: l.records - info.Records,
 		}
 	}
 	r.inverted = index.BuildInverted(specs, pols)

@@ -314,7 +314,7 @@ func (r *Repository) reader(userName, specID string) (*privacy.User, *shard, err
 // published only after its index entries exist, so readers never see a
 // searchable spec they cannot resolve.
 func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
-	sh, err := r.newShard(s, pol, nil)
+	sh, err := r.newShard(s, pol, nil, r.mutSeq.Add(1))
 	if err != nil {
 		return err
 	}
@@ -343,8 +343,8 @@ func (r *Repository) AddSpec(s *workflow.Spec, pol *privacy.Policy) error {
 
 // newShard validates a spec + policy pair (nil policy = all-public) and
 // constructs its shard — everything derived from the spec, then the
-// enforcement state for (pol, hs) — without registering anything.
-func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[string]*datapriv.Hierarchy) (*shard, error) {
+// enforcement state for (pol, hs) at seq — without registering anything.
+func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[string]*datapriv.Hierarchy, seq uint64) (*shard, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -366,7 +366,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy, hs map[stri
 		shapes: exec.NewShapes(),
 		plans:  index.NewLRU[planKey, *query.PreparedExec](shardCacheCap),
 	}
-	sh.install(pol, hs, r.mutSeq.Add(1))
+	sh.install(pol, hs, seq)
 	return sh, nil
 }
 

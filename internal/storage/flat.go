@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,12 +118,13 @@ func (f *Flat) WriteCheckpoint(shard string, gen uint64, recs []Record) error {
 // record shortfall here is corruption, not a tolerable torn tail.
 func (f *Flat) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Record) error) error {
 	name := ckptName(shard, gen)
-	data, err := os.ReadFile(filepath.Join(f.dir, name))
+	fd, size, err := f.open(name)
 	if err != nil {
 		return fmt.Errorf("storage: read checkpoint %s: %w", name, err)
 	}
+	defer fd.Close()
 	var n uint64
-	if err := replayFrames(data, len(data), func(rec Record) error {
+	if err := replayCommitted(fd, size, func(rec Record) error {
 		n++
 		return fn(rec)
 	}); err != nil {
@@ -132,6 +134,20 @@ func (f *Flat) ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Rec
 		return fmt.Errorf("%w: checkpoint %s holds %d records, manifest says %d", ErrCorrupt, name, n, want)
 	}
 	return nil
+}
+
+// open opens one of the directory's files for reading, with its size.
+func (f *Flat) open(name string) (*os.File, uint64, error) {
+	fd, err := os.Open(filepath.Join(f.dir, name))
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := fd.Stat()
+	if err != nil {
+		fd.Close()
+		return nil, 0, err
+	}
+	return fd, uint64(st.Size()), nil
 }
 
 // Append implements Backend. The committed extent `at` is
@@ -185,14 +201,15 @@ func (f *Flat) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) 
 		return nil
 	}
 	name := walName(shard, gen)
-	data, err := os.ReadFile(filepath.Join(f.dir, name))
+	fd, size, err := f.open(name)
 	if err != nil {
 		return fmt.Errorf("storage: read log %s: %w", name, err)
 	}
-	if uint64(len(data)) < upTo {
-		return fmt.Errorf("%w: log %s is %d bytes, committed extent %d", ErrCorrupt, name, len(data), upTo)
+	defer fd.Close()
+	if size < upTo {
+		return fmt.Errorf("%w: log %s is %d bytes, committed extent %d", ErrCorrupt, name, size, upTo)
 	}
-	if err := replayFrames(data, int(upTo), fn); err != nil {
+	if err := replayCommitted(io.NewSectionReader(fd, 0, int64(upTo)), upTo, fn); err != nil {
 		return fmt.Errorf("storage: log %s: %w", name, err)
 	}
 	return nil
@@ -202,18 +219,19 @@ func (f *Flat) ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) 
 // empty tail.
 func (f *Flat) ReplayTail(shard string, gen, from uint64, fn func(Record) error) (uint64, error) {
 	name := walName(shard, gen)
-	data, err := os.ReadFile(filepath.Join(f.dir, name))
+	fd, size, err := f.open(name)
 	if errors.Is(err, os.ErrNotExist) && from == 0 {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: read log %s: %w", name, err)
 	}
-	if uint64(len(data)) < from {
-		return 0, fmt.Errorf("%w: log %s is %d bytes, committed extent %d", ErrCorrupt, name, len(data), from)
+	defer fd.Close()
+	if size < from {
+		return 0, fmt.Errorf("%w: log %s is %d bytes, committed extent %d", ErrCorrupt, name, size, from)
 	}
-	n, err := validFrames(data[from:], fn)
-	return from + uint64(n), err
+	n, err := streamFrames(io.NewSectionReader(fd, int64(from), int64(size-from)), size-from, fn)
+	return from + n, err
 }
 
 // Commit implements Backend: fsync the directory (making the preceding

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +15,88 @@ func flatRecs(n int) []Record {
 		recs[i] = Record{Type: RecExec, Key: "e", Data: []byte("payload")}
 	}
 	return recs
+}
+
+// TestFramesAroundTheReaderBuffer: a frame that fits the pooled reader's
+// buffer is read in place, a larger one through the payload buffer. Records
+// on both sides of that size, one filling the buffer exactly and one far
+// past it, read back byte for byte from a checkpoint, a committed log and a
+// tail; a tail cut inside the largest frame ends in front of it, and a
+// checkpoint cut there is corrupt.
+func TestFramesAroundTheReaderBuffer(t *testing.T) {
+	var recs []Record
+	var big uint64 // offset of the largest frame
+	var at uint64
+	for i, n := range []int{0, 100, readerBuffer - 6, readerBuffer - 5, 3 * readerBuffer, 7} {
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = byte(i + j)
+		}
+		if n == 3*readerBuffer {
+			big = at
+		}
+		recs = append(recs, Record{Type: RecExec, Key: "k", Data: data})
+		at += uint64(frameHeader + 5 + 1 + n)
+	}
+	same := func(what string, got []Record) {
+		t.Helper()
+		if len(got) != len(recs) {
+			t.Fatalf("%s: %d records, want %d", what, len(got), len(recs))
+		}
+		for i := range recs {
+			if got[i].Type != recs[i].Type || got[i].Key != recs[i].Key || !bytes.Equal(got[i].Data, recs[i].Data) {
+				t.Fatalf("%s: record %d (%d bytes) differs", what, i, len(recs[i].Data))
+			}
+		}
+	}
+	collect := func(dst *[]Record) func(Record) error {
+		return func(r Record) error {
+			r.Data = bytes.Clone(r.Data)
+			*dst = append(*dst, r)
+			return nil
+		}
+	}
+	dir := t.TempDir()
+	f, err := OpenFlat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteCheckpoint("s", 1, recs); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := f.Append("s", 1, 0, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt, log, tail []Record
+	if err := f.ReadCheckpoint("s", 1, uint64(len(recs)), collect(&ckpt)); err != nil {
+		t.Fatalf("ReadCheckpoint: %v", err)
+	}
+	same("checkpoint", ckpt)
+	if err := f.ReplayLog("s", 1, ln, collect(&log)); err != nil {
+		t.Fatalf("ReplayLog: %v", err)
+	}
+	same("log", log)
+	end, err := f.ReplayTail("s", 1, 0, collect(&tail))
+	if err != nil || end != ln {
+		t.Fatalf("ReplayTail = %d, %v; want %d", end, err, ln)
+	}
+	same("tail", tail)
+
+	cut := int64(big + frameHeader + readerBuffer)
+	if err := os.Truncate(filepath.Join(dir, walName("s", 1)), cut); err != nil {
+		t.Fatal(err)
+	}
+	tail = nil
+	if end, err := f.ReplayTail("s", 1, 0, collect(&tail)); err != nil || end != big || len(tail) != 4 {
+		t.Fatalf("tail cut inside the largest frame = %d records ending at %d (err %v), want 4 ending at %d", len(tail), end, err, big)
+	}
+	if err := os.Truncate(filepath.Join(dir, ckptName("s", 1)), cut); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadCheckpoint("s", 1, uint64(len(recs)), func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("checkpoint cut inside the largest frame reads with %v, want ErrCorrupt", err)
+	}
 }
 
 func TestFlatTornLogTailIgnored(t *testing.T) {

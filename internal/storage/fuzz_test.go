@@ -62,8 +62,13 @@ func FuzzReplayTail(f *testing.F) {
 			t.Fatal(err)
 		}
 		from := uint64(len(head))
+		// A record's Data is valid until the callback returns: keep a copy.
 		collect := func(dst *[]Record) func(Record) error {
-			return func(r Record) error { *dst = append(*dst, r); return nil }
+			return func(r Record) error {
+				r.Data = bytes.Clone(r.Data)
+				*dst = append(*dst, r)
+				return nil
+			}
 		}
 
 		var tail []Record

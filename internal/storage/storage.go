@@ -47,16 +47,28 @@
 // run concurrently with the writer and with each other; Commit spares
 // the files of the previously committed generation so a reader holding
 // the prior Meta can still finish.
+//
+// The three record readers stream a file frame by frame through memory
+// they reuse — a bufio.Reader and a payload buffer from a pool — and never
+// hold a file whole, so a load's fan-out workers each read through warm
+// memory and keep only what they decode. A Record handed to a reader's
+// callback is therefore valid until the callback returns, the way
+// bufio.Scanner.Bytes is; a callback copies what it keeps. Only the
+// manifest is read whole.
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // RecordType tags a log/checkpoint record's payload.
@@ -105,9 +117,10 @@ func (t RecordType) String() string {
 
 // Record is one typed mutation: a spec/policy/hierarchy replacement or
 // an execution append, with its JSON payload. A record a reader streams
-// (ReadCheckpoint, ReplayLog, ReplayTail) has Data aliasing its frame in
-// the buffer the file was read into: read-only, but safe to retain, since
-// no backend reuses that buffer.
+// (ReadCheckpoint, ReplayLog, ReplayTail) has Data in memory the reader
+// reuses for the next record, the way bufio.Scanner.Bytes is: valid until
+// the callback it was handed to returns, and read-only. A callback copies
+// what it keeps.
 type Record struct {
 	Type RecordType
 	Key  string
@@ -166,21 +179,22 @@ type Backend interface {
 	// invisible until a Commit references it.
 	WriteCheckpoint(shard string, gen uint64, recs []Record) error
 	// ReadCheckpoint streams the checkpoint's records in write order
-	// and fails with ErrCorrupt if they don't total want.
+	// and fails with ErrCorrupt if they don't total want. Each record is
+	// valid until fn returns.
 	ReadCheckpoint(shard string, gen uint64, want uint64, fn func(Record) error) error
 	// Append durably appends records to the shard's gen log at offset
 	// at (the committed LogLen), discarding any orphan tail beyond it,
 	// and returns the new extent for the next Commit to publish.
 	Append(shard string, gen, at uint64, recs []Record) (uint64, error)
 	// ReplayLog streams the committed log records ([0, upTo)) in
-	// append order.
+	// append order. Each record is valid until fn returns.
 	ReplayLog(shard string, gen, upTo uint64, fn func(Record) error) error
 	// ReplayTail streams, in append order, the CRC-clean records found
 	// past the committed extent from, stops without error at the first
 	// torn or unreadable one, and returns the extent where the clean
-	// records end — the at of the owner's next Append. Only a log whose
-	// records commit themselves may be read this way (see the package
-	// comment).
+	// records end — the at of the owner's next Append. Each record is valid
+	// until fn returns. Only a log whose records commit themselves may be
+	// read this way (see the package comment).
 	ReplayTail(shard string, gen, from uint64, fn func(Record) error) (end uint64, err error)
 	// Commit atomically publishes meta. It is the durability point:
 	// everything meta references must survive a crash once Commit
@@ -235,20 +249,18 @@ func encodePayload(rec Record) []byte {
 	return p
 }
 
-// decodePayload parses what encodePayload produced.
-func decodePayload(p []byte) (Record, error) {
+// decodePayload parses what encodePayload produced; ok is false when p is
+// too short for its header or its key.
+func decodePayload(p []byte) (rec Record, ok bool) {
 	if len(p) < 5 {
-		return Record{}, fmt.Errorf("%w: payload of %d bytes", ErrCorrupt, len(p))
+		return Record{}, false
 	}
-	rec := Record{Type: RecordType(p[0])}
 	klen := binary.BigEndian.Uint32(p[1:5])
 	if uint64(klen) > uint64(len(p)-5) {
-		return Record{}, fmt.Errorf("%w: key length %d exceeds payload", ErrCorrupt, klen)
+		return Record{}, false
 	}
-	rec.Key = string(p[5 : 5+klen])
-	// Data aliases the frame, capped so an append cannot spill into the next.
-	rec.Data = p[5+klen : len(p) : len(p)]
-	return rec, nil
+	// Data aliases the payload, capped so an append cannot spill past it.
+	return Record{Type: RecordType(p[0]), Key: string(p[5 : 5+klen]), Data: p[5+klen : len(p) : len(p)]}, true
 }
 
 // appendFrame appends one CRC frame around payload.
@@ -271,68 +283,99 @@ func encodeFrames(recs []Record) []byte {
 	return buf
 }
 
-// frameAt validates the frame starting at off; ok is false when the
-// frame is incomplete or its CRC fails (a torn tail, from the caller's
-// point of view).
-func frameAt(buf []byte, off int) (payload []byte, next int, ok bool) {
-	if off+frameHeader > len(buf) {
-		return nil, 0, false
-	}
-	n := binary.BigEndian.Uint32(buf[off:])
-	crc := binary.BigEndian.Uint32(buf[off+4:])
-	if uint64(n) > maxPayloadLen || off+frameHeader+int(n) > len(buf) {
-		return nil, 0, false
-	}
-	payload = buf[off+frameHeader : off+frameHeader+int(n)]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, false
-	}
-	return payload, off + frameHeader + int(n), true
+// frameReader is the memory frames are streamed through: a bufio.Reader, in
+// whose buffer a frame that fits is read in place, and a payload buffer for
+// larger frames, grown to the largest one read and never cleared. Readers
+// take one from frameReaders for a file and put it back, so the fan-out
+// workers of a load read every shard through memory that is already warm
+// and no file is ever held whole.
+type frameReader struct {
+	br      *bufio.Reader
+	payload []byte
 }
 
-// replayFrames strictly parses buf[0:upTo] as whole, CRC-clean frames —
-// the committed-extent reader. Any damage inside is ErrCorrupt.
-func replayFrames(buf []byte, upTo int, fn func(Record) error) error {
-	off := 0
-	for off < upTo {
-		payload, next, ok := frameAt(buf[:upTo], off)
-		if !ok {
-			return fmt.Errorf("%w: bad frame at offset %d of committed extent %d", ErrCorrupt, off, upTo)
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		off = next
-	}
-	if off != upTo {
-		return fmt.Errorf("%w: committed extent %d not frame-aligned", ErrCorrupt, upTo)
-	}
-	return nil
-}
+// readerBuffer is the size of a frameReader's bufio buffer: every frame of
+// a repository shard fits in it (they are tens of kB at most), so frames
+// are read in place.
+const readerBuffer = 64 << 10
 
-// validFrames streams buf's longest clean frame prefix — the reader for
-// a log tail of unknown extent — and returns its length. A frame that
-// is incomplete, fails its CRC or does not decode ends the prefix;
-// whatever follows it is never looked at, so a stale frame behind a
-// torn one cannot be resurrected.
-func validFrames(buf []byte, fn func(Record) error) (int, error) {
-	off := 0
-	for {
-		payload, next, ok := frameAt(buf, off)
-		if !ok {
+var frameReaders = sync.Pool{New: func() any {
+	return &frameReader{br: bufio.NewReaderSize(nil, readerBuffer)}
+}}
+
+// streamFrames reads the frames in the next n bytes of r, calling fn with
+// each record, whose Data is valid until fn returns. It stops at the first
+// frame that is not whole within the n bytes, fails its CRC or does not
+// decode, and returns the length of the clean frames before it: less than n
+// only when it stopped at such a frame. Whatever follows that frame is never
+// looked at, so a stale frame behind a torn one cannot be resurrected.
+func streamFrames(r io.Reader, n uint64, fn func(Record) error) (uint64, error) {
+	fr := frameReaders.Get().(*frameReader)
+	fr.br.Reset(r)
+	defer func() {
+		fr.br.Reset(nil)
+		frameReaders.Put(fr)
+	}()
+	var head [frameHeader]byte
+	off := uint64(0)
+	for off+frameHeader <= n {
+		if _, err := io.ReadFull(fr.br, head[:]); err != nil {
+			return off, torn(err)
+		}
+		size := uint64(binary.BigEndian.Uint32(head[:]))
+		if size > maxPayloadLen || size > n-off-frameHeader {
 			return off, nil
 		}
-		rec, err := decodePayload(payload)
+		p, err := fr.next(int(size))
 		if err != nil {
+			return off, torn(err)
+		}
+		if crc32.ChecksumIEEE(p) != binary.BigEndian.Uint32(head[4:]) {
+			return off, nil
+		}
+		rec, ok := decodePayload(p)
+		if !ok {
 			return off, nil
 		}
 		if err := fn(rec); err != nil {
 			return off, err
 		}
-		off = next
+		off += frameHeader + size
 	}
+	return off, nil
+}
+
+// next reads the next size bytes: a view of the reader's buffer when they
+// fit in it, else the payload buffer, read full. Either is valid until the
+// next read.
+func (fr *frameReader) next(size int) ([]byte, error) {
+	if size <= fr.br.Size() {
+		p, err := fr.br.Peek(size)
+		if err == nil {
+			_, err = fr.br.Discard(size)
+		}
+		return p, err
+	}
+	fr.payload = slices.Grow(fr.payload[:0], size)[:size]
+	_, err := io.ReadFull(fr.br, fr.payload)
+	return fr.payload, err
+}
+
+// torn is nil for a file that ends inside a frame, which ends the clean
+// frames like any other torn one, and err for anything else.
+func torn(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
+// replayCommitted streams the frames of r's first upTo bytes, a committed
+// extent: any frame there that is not whole and clean is ErrCorrupt.
+func replayCommitted(r io.Reader, upTo uint64, fn func(Record) error) error {
+	clean, err := streamFrames(r, upTo, fn)
+	if err == nil && clean != upTo {
+		err = fmt.Errorf("%w: bad frame at offset %d of committed extent %d", ErrCorrupt, clean, upTo)
+	}
+	return err
 }

@@ -37,6 +37,8 @@ func Conformance(t *testing.T, open func(dir string) (storage.Backend, error)) {
 		t.Helper()
 		var recs []storage.Record
 		if err := read(func(r storage.Record) error {
+			// Data is valid until the callback returns: keep a copy.
+			r.Data = bytes.Clone(r.Data)
 			recs = append(recs, r)
 			return nil
 		}); err != nil {

@@ -820,25 +820,31 @@ func TestNonInterferenceStructural(t *testing.T) {
 }
 
 // niNames is how one world of the hidden-names arm draws the modules a and
-// b inside composite C: their ids, names and keywords, and whether they are
-// module-private at Analyst.
+// b inside composite C: their ids, names and keywords, whether they are
+// module-private at Analyst, and the id of C's subworkflow.
 type niNames struct {
 	aID, bID     string
 	aName, bName string
 	aKeys, bKeys []string
 	private      bool
+	sub          string
 }
 
 var (
 	// niW is the hidden-names arm's W, and niWRenamed its W': the same ids,
 	// other names and keywords.
-	niW        = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, true}
-	niWRenamed = niNames{"a", "b", "Zeta reads", "Other", []string{"zeta", "quux"}, []string{"other"}, true}
+	niW        = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, true, "WC"}
+	niWRenamed = niNames{"a", "b", "Zeta reads", "Other", []string{"zeta", "quux"}, []string{"other"}, true, "WC"}
 	// niWVisible is the third world's W: a and b module-visible to every
 	// level, so the access view alone hides them below grant, and
 	// niWReIDed its W': the same names and keywords under other ids.
-	niWVisible = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false}
-	niWReIDed  = niNames{"renamed-a", "renamed-b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false}
+	niWVisible = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false, "WC"}
+	niWReIDed  = niNames{"renamed-a", "renamed-b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false, "WC"}
+	// niWReHomed is the fourth world's W': niWVisible's modules in a
+	// subworkflow of another id. A public hit on a or b is drawn as C, in a
+	// prefix that must stop at the access view: one that reached into the
+	// withdrawn subworkflow would name it, and the worlds apart.
+	niWReHomed = niNames{"a", "b", "Align reads", "Bin", []string{"align", "shared"}, []string{"bin"}, false, "WZ"}
 )
 
 // niRenamedWorld is one world of the hidden-names arm. Spec ni-names runs
@@ -861,13 +867,13 @@ func niRenamedWorld(t *testing.T, names niNames, grant privacy.Level) (*repo.Rep
 	b := workflow.NewBuilder("ni-names", "Hidden names", "W").
 		Workflow("W", "Root").
 		Source("I", "in").
-		Composite("C", "Cluster", "WC", []string{"in"}, []string{"out"}, "cluster").
+		Composite("C", "Cluster", names.sub, []string{"in"}, []string{"out"}, "cluster").
 		Atomic("D", "Deliver", []string{"out"}, []string{"done"}, "shared", "deliver").
 		Sink("O", "done").
 		Edge("I", "C", "in").
 		Edge("C", "D", "out").
 		Edge("D", "O", "done")
-	b.Workflow("WC", "Inside").
+	b.Workflow(names.sub, "Inside").
 		Atomic(names.aID, aName, []string{"in"}, []string{"x"}, aKeys...).
 		Atomic(names.bID, bName, []string{"x"}, []string{"out"}, bKeys...).
 		Edge(names.aID, names.bID, "x")
@@ -887,7 +893,7 @@ func niRenamedWorld(t *testing.T, names niNames, grant privacy.Level) (*repo.Rep
 		t.Fatal(err)
 	}
 	pol := privacy.NewPolicy(s.ID)
-	pol.ViewGrants[grant] = []string{"WC"}
+	pol.ViewGrants[grant] = []string{names.sub}
 	if names.private {
 		pol.ModuleLevels[names.aID], pol.ModuleLevels[names.bID] = privacy.Analyst, privacy.Analyst
 	}
@@ -930,6 +936,7 @@ func TestNonInterferenceHiddenNames(t *testing.T) {
 	}{
 		{"other names and keywords", niW, niWRenamed},
 		{"other ids of module-visible modules", niWVisible, niWReIDed},
+		{"another id of the withdrawn subworkflow", niWVisible, niWReHomed},
 	} {
 		t.Run(worlds.name, func(t *testing.T) {
 			rw, s, items := niRenamedWorld(t, worlds.w, privacy.Analyst)
