@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"provpriv/internal/jsonr"
 )
@@ -33,14 +34,17 @@ func DecodeExecution(data []byte) (*Execution, error) {
 	return e, nil
 }
 
-// valueScratch is the memory a table reads its value records through,
-// reused from one record to the next: the vector, the values' unquoted bytes
-// and where each value ends in them.
+// valueScratch is the memory value records are read through, reused from one
+// record to the next: the vector, the values' unquoted bytes and where each
+// value ends in them. UnmarshalValues takes one from valueScratches for a
+// record, so a loaded table keeps none of it.
 type valueScratch struct {
 	values []Value
 	bytes  []byte
 	ends   []int
 }
+
+var valueScratches = sync.Pool{New: func() any { return new(valueScratch) }}
 
 // decodeValueRecord reads a value record (MarshalValues) through s. The
 // values' bytes are gathered in s and made one string, once, and each value

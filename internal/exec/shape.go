@@ -216,9 +216,6 @@ type Shapes struct {
 	seed   maphash.Seed
 	byHash map[uint64][]*Shape
 	n      int
-	// scratch is what UnmarshalValues reads through, reused: WithValues
-	// copies the vector.
-	scratch valueScratch
 }
 
 // NewShapes returns an empty table.
@@ -256,7 +253,9 @@ func NewStored(e *Execution) *Stored { return newShape(e).store(e) }
 // record that names no stored execution, or whose vector does not fit the
 // shape, is refused.
 func (t *Shapes) UnmarshalValues(id string, data []byte, stored map[string]*Stored) (*Stored, error) {
-	rec, err := decodeValueRecord(data, &t.scratch)
+	s := valueScratches.Get().(*valueScratch)
+	defer valueScratches.Put(s)
+	rec, err := decodeValueRecord(data, s)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode values of %s: %w", id, err)
 	}

@@ -111,46 +111,63 @@ func TestLoadAllocBudget(t *testing.T) {
 
 // TestLoadValidatesSpecOnce: the load path only reads a spec record, and
 // newShard's Validate is the one check. A checkpoint whose spec record is
-// well-formed JSON naming an edge to a module its workflow lacks still
-// fails LoadStorage, with Validate's error and the shard's name.
+// well-formed JSON that fails Validate — an edge to a module its workflow
+// lacks, a null workflow, a null module — still fails LoadStorage, with
+// Validate's error and the shard's name, and panics nowhere.
 func TestLoadValidatesSpecOnce(t *testing.T) {
-	src := New()
-	_, add := makeSynthSpec(t, 1, "broken")
-	add(src)
-	data, err := json.Marshal(src.Spec("broken"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := workflow.DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := bad.RootWorkflow()
-	root.Edges = append(root.Edges, workflow.Edge{From: root.Modules[0].ID, To: "no-such-module", Data: []string{"x"}})
-	wantErr := bad.Validate()
-	if wantErr == nil {
-		t.Fatal("fixture: the damaged spec validates")
-	}
-	if data, err = json.Marshal(bad); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	b, err := storage.OpenFlat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteCheckpoint("broken", 1, []storage.Record{{Type: storage.RecSpec, Key: "broken", Data: data}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit(storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{"broken": {Checkpoint: 1, Records: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := LoadStorage(b, dir)
-	if err == nil {
-		r.CloseStorage()
-		t.Fatal("LoadStorage accepted a spec that fails Validate")
-	}
-	if !strings.Contains(err.Error(), wantErr.Error()) || !strings.Contains(err.Error(), "load broken") {
-		t.Fatalf("LoadStorage = %v, want Validate's error (%v) naming shard broken", err, wantErr)
+	for _, c := range []struct {
+		name   string
+		damage func(*workflow.Spec)
+	}{
+		{"edge to a missing module", func(s *workflow.Spec) {
+			root := s.RootWorkflow()
+			root.Edges = append(root.Edges, workflow.Edge{From: root.Modules[0].ID, To: "no-such-module", Data: []string{"x"}})
+		}},
+		{"null workflow", func(s *workflow.Spec) { s.Workflows["null"] = nil }},
+		{"null module", func(s *workflow.Spec) {
+			root := s.RootWorkflow()
+			root.Modules = append(root.Modules, nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := New()
+			_, add := makeSynthSpec(t, 1, "broken")
+			add(src)
+			data, err := json.Marshal(src.Spec("broken"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad, err := workflow.DecodeSpec(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.damage(bad)
+			wantErr := bad.Validate()
+			if wantErr == nil {
+				t.Fatal("fixture: the damaged spec validates")
+			}
+			if data, err = json.Marshal(bad); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			b, err := storage.OpenFlat(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.WriteCheckpoint("broken", 1, []storage.Record{{Type: storage.RecSpec, Key: "broken", Data: data}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Commit(storage.Meta{Generation: 1, Shards: map[string]storage.ShardInfo{"broken": {Checkpoint: 1, Records: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadStorage(b, dir)
+			if err == nil {
+				r.CloseStorage()
+				t.Fatal("LoadStorage accepted a spec that fails Validate")
+			}
+			if !strings.Contains(err.Error(), wantErr.Error()) || !strings.Contains(err.Error(), "load broken") {
+				t.Fatalf("LoadStorage = %v, want Validate's error (%v) naming shard broken", err, wantErr)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os"
@@ -17,13 +18,14 @@ func flatRecs(n int) []Record {
 	return recs
 }
 
-// TestFramesAroundTheReaderBuffer: a frame that fits the pooled reader's
-// buffer is read in place, a larger one through the payload buffer. Records
-// on both sides of that size, one filling the buffer exactly and one far
-// past it, read back byte for byte from a checkpoint, a committed log and a
-// tail; a tail cut inside the largest frame ends in front of it, and a
-// checkpoint cut there is corrupt.
+// TestFramesAroundTheReaderBuffer: frames smaller than the pooled
+// bufio.Reader's buffer are served from it, larger ones bypass it into the
+// payload buffer. Records on both sides of that size, one filling the buffer
+// exactly and one far past it, read back byte for byte from a checkpoint, a
+// committed log and a tail; a tail cut inside the largest frame ends in
+// front of it, and a checkpoint cut there is corrupt.
 func TestFramesAroundTheReaderBuffer(t *testing.T) {
+	readerBuffer := bufio.NewReader(nil).Size()
 	var recs []Record
 	var big uint64 // offset of the largest frame
 	var at uint64
@@ -83,7 +85,7 @@ func TestFramesAroundTheReaderBuffer(t *testing.T) {
 	}
 	same("tail", tail)
 
-	cut := int64(big + frameHeader + readerBuffer)
+	cut := int64(big + frameHeader + uint64(readerBuffer))
 	if err := os.Truncate(filepath.Join(dir, walName("s", 1)), cut); err != nil {
 		t.Fatal(err)
 	}

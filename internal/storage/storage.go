@@ -283,24 +283,18 @@ func encodeFrames(recs []Record) []byte {
 	return buf
 }
 
-// frameReader is the memory frames are streamed through: a bufio.Reader, in
-// whose buffer a frame that fits is read in place, and a payload buffer for
-// larger frames, grown to the largest one read and never cleared. Readers
-// take one from frameReaders for a file and put it back, so the fan-out
-// workers of a load read every shard through memory that is already warm
-// and no file is ever held whole.
+// frameReader is the memory frames are streamed through: a bufio.Reader and
+// a payload buffer, grown to the largest frame read and never cleared.
+// Readers take one from frameReaders for a file and put it back, so the
+// fan-out workers of a load read every shard through memory that is already
+// warm and no file is ever held whole.
 type frameReader struct {
 	br      *bufio.Reader
 	payload []byte
 }
 
-// readerBuffer is the size of a frameReader's bufio buffer: every frame of
-// a repository shard fits in it (they are tens of kB at most), so frames
-// are read in place.
-const readerBuffer = 64 << 10
-
 var frameReaders = sync.Pool{New: func() any {
-	return &frameReader{br: bufio.NewReaderSize(nil, readerBuffer)}
+	return &frameReader{br: bufio.NewReader(nil)}
 }}
 
 // streamFrames reads the frames in the next n bytes of r, calling fn with
@@ -345,17 +339,9 @@ func streamFrames(r io.Reader, n uint64, fn func(Record) error) (uint64, error) 
 	return off, nil
 }
 
-// next reads the next size bytes: a view of the reader's buffer when they
-// fit in it, else the payload buffer, read full. Either is valid until the
+// next reads the next size bytes into the payload buffer, valid until the
 // next read.
 func (fr *frameReader) next(size int) ([]byte, error) {
-	if size <= fr.br.Size() {
-		p, err := fr.br.Peek(size)
-		if err == nil {
-			_, err = fr.br.Discard(size)
-		}
-		return p, err
-	}
 	fr.payload = slices.Grow(fr.payload[:0], size)[:size]
 	_, err := io.ReadFull(fr.br, fr.payload)
 	return fr.payload, err

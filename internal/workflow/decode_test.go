@@ -102,14 +102,21 @@ func FuzzDecodeSpec(f *testing.F) {
 	})
 }
 
-// TestUnmarshalSpecValidates: UnmarshalSpec is DecodeSpec, then Validate.
+// TestUnmarshalSpecValidates: UnmarshalSpec is DecodeSpec, then Validate,
+// which refuses, with an error and not a panic, an edge to a missing module
+// and a null where a workflow or a module belongs.
 func TestUnmarshalSpecValidates(t *testing.T) {
-	bad := `{"id":"s","root":"W","workflows":{"W":{"id":"W","modules":[{"id":"a","kind":0}],"edges":[{"from":"a","to":"b","data":["x"]}]}}}`
-	if _, err := workflow.DecodeSpec([]byte(bad)); err != nil {
-		t.Fatalf("DecodeSpec: %v", err)
-	}
-	if _, err := workflow.UnmarshalSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), "missing module") {
-		t.Fatalf("UnmarshalSpec = %v, want Validate's missing-module error", err)
+	for _, c := range []struct{ doc, want string }{
+		{`{"id":"s","root":"W","workflows":{"W":{"id":"W","modules":[{"id":"a","kind":0}],"edges":[{"from":"a","to":"b","data":["x"]}]}}}`, "missing module"},
+		{`{"id":"s","root":"W","workflows":{"W":{"id":"W"},"X":null}}`, `workflow "X" is null`},
+		{`{"id":"s","root":"W","workflows":{"W":{"id":"W","modules":[{"id":"a"},null]}}}`, "null module"},
+	} {
+		if _, err := workflow.DecodeSpec([]byte(c.doc)); err != nil {
+			t.Fatalf("DecodeSpec(%s): %v", c.doc, err)
+		}
+		if _, err := workflow.UnmarshalSpec([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("UnmarshalSpec(%s) = %v, want Validate's %q error", c.doc, err, c.want)
+		}
 	}
 }
 

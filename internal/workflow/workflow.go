@@ -204,7 +204,7 @@ func (s *Spec) FindModule(id string) (*Module, *Workflow) {
 }
 
 // Validate checks structural well-formedness:
-//   - the root workflow exists;
+//   - the root workflow exists, and no workflow or module is null;
 //   - module ids are unique across the whole spec;
 //   - every edge references modules of its workflow, and its data labels
 //     are produced by the source and consumed by the target;
@@ -221,10 +221,16 @@ func (s *Spec) Validate() error {
 	seen := make(map[string]string) // module id -> workflow id
 	for _, wid := range s.WorkflowIDs() {
 		w := s.Workflows[wid]
+		if w == nil {
+			return fmt.Errorf("workflow: spec %s: workflow %q is null", s.ID, wid)
+		}
 		if w.ID != wid {
 			return fmt.Errorf("workflow: spec %s: workflow key %q has id %q", s.ID, wid, w.ID)
 		}
 		for _, m := range w.Modules {
+			if m == nil {
+				return fmt.Errorf("workflow: spec %s: workflow %s holds a null module", s.ID, wid)
+			}
 			if prev, dup := seen[m.ID]; dup {
 				return fmt.Errorf("workflow: module id %q appears in both %s and %s", m.ID, prev, wid)
 			}
